@@ -111,8 +111,7 @@ class Simulation:
         self.heat_bc = config.build_heat_bcs()
         self.stab = config.build_stabilization()
         self._mass = fem_core.assemble_mass(self.mesh)
-        self._div_B = fem_core.assemble_mini_blocks(
-            self.mesh, self.dofmap, 1.0)["B"]
+        self._div_B = fem_core.assemble_divergence(self.mesh, self.dofmap)
 
     # -- problem builders -----------------------------------------------------
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .linalg import CooBuilder, SparseMatrix
+from .linalg import SparseMatrix
 from .mesh import Mesh2D
 
 
@@ -56,6 +57,7 @@ TRI_RULE = _dunavant6()
 # 2-point Gauss on the unit edge parameter t in [0, 1]; exact to degree 3.
 EDGE_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 EDGE_W = np.array([0.5, 0.5])
+EDGE_PHI = np.stack([1.0 - EDGE_T, EDGE_T])  # (2 basis, 2 Gauss points)
 
 
 class ElementP1:
@@ -147,7 +149,10 @@ def dofmap_for(mesh: Mesh2D) -> DofMap:
     return DofMap(nv=mesh.num_vertices, nt=mesh.num_triangles)
 
 
-# -- per-mesh geometric factors (cached on the immutable mesh) -----------------
+# -- per-mesh constants (cached on the immutable mesh) ---------------------------
+#
+# ``geometry(mesh)`` holds the geometric factors and a lazily filled operator
+# cache (patterns, constant operators), both read-only and owned by the mesh.
 
 
 class _Geometry:
@@ -173,16 +178,11 @@ class _Geometry:
         self.grad_bubble = np.einsum("tde,qe->tqd", jinvT, ref_gb)  # (NT,NQ,2)
         self.p1_vals = ElementP1.values(bary)  # (NQ, 3)
         self.bubble_vals = ElementP1Bubble.bubble_values(bary)  # (NQ,)
-
-        nq = bary.shape[0]
-        nt = t.shape[0]
-        # Combined MINI basis values/gradients, local order [l1 l2 l3 bubble].
-        self.vals4 = np.empty((nt, nq, 4))
-        self.vals4[:, :, :3] = self.p1_vals[None, :, :]
-        self.vals4[:, :, 3] = self.bubble_vals[None, :]
-        self.grads4 = np.empty((nt, nq, 4, 2))
-        self.grads4[:, :, :3, :] = self.grad_p1[:, None, :, :]
-        self.grads4[:, :, 3, :] = self.grad_bubble
+        # MINI basis values [l1 l2 l3 bubble], the same on every triangle.
+        self.mini_vals = np.column_stack([self.p1_vals, self.bubble_vals])  # (NQ, 4)
+        for arr in (self.qw, self.qp, self.grad_p1, self.grad_bubble, self.mini_vals):
+            _frozen(arr)
+        self.operators: dict = {}  # see _cached
 
 
 def geometry(mesh: Mesh2D) -> _Geometry:
@@ -191,6 +191,66 @@ def geometry(mesh: Mesh2D) -> _Geometry:
         geo = _Geometry(mesh)
         object.__setattr__(mesh, "_fem_geometry", geo)
     return geo
+
+
+def _cached(mesh: Mesh2D, key, build):
+    """The per-mesh constant ``key``, built by ``build()`` on first use."""
+    ops = geometry(mesh).operators
+    if key not in ops:
+        ops[key] = build()
+    return ops[key]
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _frozen_csr(A: SparseMatrix) -> SparseMatrix:
+    for arr in (A.data, A.indices, A.indptr):
+        _frozen(arr)
+    return A
+
+
+def _tab(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Contract the last axis of ``x`` with a (K, M) reference table in one GEMM."""
+    out = x.reshape(-1, x.shape[-1]) @ table
+    return out.reshape(x.shape[:-1] + table.shape[1:])
+
+
+def _products(table: np.ndarray) -> np.ndarray:
+    """(K, M*M) pairwise products of the columns of a (K, M) basis table."""
+    return (table[:, :, None] * table[:, None, :]).reshape(table.shape[0], -1)
+
+
+class _Pattern:
+    """Fixed CSR pattern of an element-by-element assembly.
+
+    ``scatter[t, i, j]`` is the CSR data position of local entry (i, j) of
+    element t, so a refill with new element matrices is one ``np.bincount``.
+    """
+
+    def __init__(self, row_dofs: np.ndarray, col_dofs: np.ndarray, shape):
+        ncols = shape[1]
+        keys = (row_dofs[:, :, None] * ncols + col_dofs[:, None, :]).ravel()
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        self.shape = shape
+        self.indptr = _frozen(np.searchsorted(
+            uniq, np.arange(shape[0] + 1) * ncols).astype(np.int32))
+        self.indices = _frozen((uniq % ncols).astype(np.int32))
+        self.scatter = _frozen(inverse.astype(np.int32).reshape(
+            row_dofs.shape[0], row_dofs.shape[1], col_dofs.shape[1]))
+
+    @property
+    def nnz(self) -> int:
+        return self.indices.size
+
+    def fill(self, local: np.ndarray) -> np.ndarray:
+        """CSR data of the sum of the (NT, k, l) element matrices ``local``."""
+        return np.bincount(self.scatter.ravel(), weights=local.ravel(), minlength=self.nnz)
+
+    def matrix(self, data: np.ndarray) -> SparseMatrix:
+        return SparseMatrix((data, self.indices, self.indptr), shape=self.shape)
 
 
 def _coeff_at_qp(mesh: Mesh2D, coeff) -> np.ndarray:
@@ -207,15 +267,30 @@ def _coeff_at_qp(mesh: Mesh2D, coeff) -> np.ndarray:
     raise ValueError(f"coefficient shape {c.shape} not scalar, (NT,), or (NT, NQ)")
 
 
-def _scatter_p1(mesh: Mesh2D, local: np.ndarray) -> SparseMatrix:
-    """Assemble (NT, 3, 3) local matrices into the global P1 operator."""
+def _p1_pattern(mesh: Mesh2D) -> _Pattern:
     nv = mesh.num_vertices
-    t = mesh.triangles
-    rows = np.repeat(t, 3, axis=1).ravel()
-    cols = np.tile(t, (1, 3)).ravel()
-    builder = CooBuilder(nv, nv)
-    builder.add(rows, cols, local.reshape(len(t), -1).ravel())
-    return builder.finalize()
+    return _cached(mesh, "p1_pattern",
+                   lambda: _Pattern(mesh.triangles, mesh.triangles, (nv, nv)))
+
+
+def _p1_matrix(mesh: Mesh2D, local: np.ndarray) -> SparseMatrix:
+    """Assemble (NT, 3, 3) local matrices into the global P1 operator."""
+    pattern = _p1_pattern(mesh)
+    return pattern.matrix(pattern.fill(local))
+
+
+def _edge_positions(mesh: Mesh2D, pattern: _Pattern, edge_sel, offset: int = 0):
+    """(NE, 2, 2) data positions of the selected boundary edges' vertex pairs,
+    read off the owner triangle's scatter; ``offset`` 4 picks the MINI y block."""
+    def owner_and_local_index():
+        owners = mesh.boundary_edge_owners()
+        tri = mesh.triangles[owners]
+        local = np.argmax(tri[:, None, :] == mesh.boundary_edges[:, :, None], axis=2)
+        return owners, _frozen(local)
+
+    owners, local = _cached(mesh, "edge_owner_local", owner_and_local_index)
+    owners, local = owners[edge_sel], local[edge_sel] + offset
+    return pattern.scatter[owners[:, None, None], local[:, :, None], local[:, None, :]]
 
 
 # -- field evaluation ----------------------------------------------------------
@@ -224,7 +299,7 @@ def _scatter_p1(mesh: Mesh2D, local: np.ndarray) -> SparseMatrix:
 def p1_at_qp(mesh: Mesh2D, nodal: np.ndarray) -> np.ndarray:
     """(NT, NQ) values of a P1 nodal field at the interior quad points."""
     geo = geometry(mesh)
-    return np.einsum("qa,ta->tq", geo.p1_vals, np.asarray(nodal)[mesh.triangles])
+    return np.asarray(nodal)[mesh.triangles] @ geo.p1_vals.T
 
 
 def p1_gradients(mesh: Mesh2D, nodal: np.ndarray) -> np.ndarray:
@@ -244,14 +319,16 @@ def velocity_at_qp(mesh: Mesh2D, dofmap: DofMap, u: np.ndarray) -> np.ndarray:
     """(NT, NQ, 2) MINI velocity at the interior quad points."""
     geo = geometry(mesh)
     coeff = velocity_element_coeffs(mesh, dofmap, u)
-    return np.einsum("tqa,tca->tqc", geo.vals4, coeff)
+    return np.matmul(geo.mini_vals, coeff.transpose(0, 2, 1))
 
 
 def velocity_grad_at_qp(mesh: Mesh2D, dofmap: DofMap, u: np.ndarray) -> np.ndarray:
     """(NT, NQ, 2, 2) velocity Jacobian, entry [c, d] = d(u_c)/d(x_d)."""
     geo = geometry(mesh)
     coeff = velocity_element_coeffs(mesh, dofmap, u)
-    return np.einsum("tqad,tca->tqcd", geo.grads4, coeff)
+    grad_p1 = coeff[:, :, :3] @ geo.grad_p1  # (NT, 2, 2), constant per element
+    bubble = coeff[:, None, :, 3, None] * geo.grad_bubble[:, :, None, :]
+    return grad_p1[:, None, :, :] + bubble
 
 
 def velocity_at_vertices(mesh: Mesh2D, dofmap: DofMap, u: np.ndarray) -> np.ndarray:
@@ -290,44 +367,51 @@ def _tag_selector(mesh: Mesh2D, tags) -> np.ndarray:
     return np.isin(mesh.boundary_tags, tags)
 
 
+def assemble_edge_mass(mesh: Mesh2D, edge_sel: np.ndarray, weights: np.ndarray) -> SparseMatrix:
+    """P1 matrix of the integrals of w psi_a psi_b over the selected edges;
+    ``weights`` (NE, 2) are the edge Gauss weights times w."""
+    pattern = _p1_pattern(mesh)
+    data = np.zeros(pattern.nnz)
+    local = _tab(weights, _products(EDGE_PHI.T)).reshape(-1, 2, 2)
+    np.add.at(data, _edge_positions(mesh, pattern, edge_sel), local)
+    return pattern.matrix(data)
+
+
 # -- scalar-field assembly --------------------------------------------------------
 
 
 def assemble_stiffness(mesh: Mesh2D, coeff=1.0) -> SparseMatrix:
     """P1 stiffness with scalar/per-triangle/per-quad-point diffusion coefficient."""
     geo = geometry(mesh)
-    c = _coeff_at_qp(mesh, coeff)
-    scale = np.einsum("tq,tq->t", geo.qw, c)  # gradients are constant per element
-    local = np.einsum("t,tad,tbd->tab", scale, geo.grad_p1, geo.grad_p1)
-    return _scatter_p1(mesh, local)
+    scale = (geo.qw * _coeff_at_qp(mesh, coeff)).sum(axis=1)  # gradients are constant
+    g = geo.grad_p1
+    return _p1_matrix(mesh, scale[:, None, None] * (g @ g.transpose(0, 2, 1)))
 
 
 def assemble_mass(mesh: Mesh2D, lumped: bool = False) -> SparseMatrix:
-    """P1 mass matrix; ``lumped`` sums rows onto the diagonal."""
-    geo = geometry(mesh)
-    local = np.einsum("tq,qa,qb->tab", geo.qw, geo.p1_vals, geo.p1_vals)
+    """P1 mass matrix (cached, read-only); ``lumped`` sums rows onto the diagonal."""
+    def build():
+        geo = geometry(mesh)
+        local = _tab(geo.qw, _products(geo.p1_vals)).reshape(-1, 3, 3)
+        return _frozen_csr(_p1_matrix(mesh, local))
+
+    M = _cached(mesh, "p1_mass", build)
     if lumped:
-        nv = mesh.num_vertices
-        builder = CooBuilder(nv, nv)
-        t = mesh.triangles
-        builder.add(t.ravel(), t.ravel(), local.sum(axis=2).ravel())
-        return builder.finalize()
-    return _scatter_p1(mesh, local)
+        return sp.diags(np.asarray(M.sum(axis=1)).ravel(), format="csr")
+    return M
 
 
 def assemble_boundary_mass(mesh: Mesh2D, tags) -> SparseMatrix:
-    """P1 mass restricted to boundary edges with the given tags."""
-    nv = mesh.num_vertices
-    builder = CooBuilder(nv, nv)
-    sel = _tag_selector(mesh, tags)
-    if np.any(sel):
-        _, wts, ia, ib, _ = edge_quadrature(mesh, sel)
-        phi = np.stack([1.0 - EDGE_T, EDGE_T])  # (2 basis, 2 gauss)
-        local = np.einsum("eg,ag,bg->eab", wts, phi, phi)  # (NE, 2, 2)
-        rows = np.stack([ia, ia, ib, ib], axis=1).ravel()
-        cols = np.stack([ia, ib, ia, ib], axis=1).ravel()
-        builder.add(rows, cols, local.reshape(-1, 4).ravel())
-    return builder.finalize()
+    """P1 mass restricted to boundary edges with the given tags (cached, read-only)."""
+    def build():
+        sel = _tag_selector(mesh, tags)
+        if not np.any(sel):
+            return _frozen_csr(SparseMatrix((mesh.num_vertices, mesh.num_vertices)))
+        _, wts, _, _, _ = edge_quadrature(mesh, sel)
+        return _frozen_csr(assemble_edge_mass(mesh, sel, wts))
+
+    key = ("boundary_mass",) + tuple(sorted({int(t) for t in np.atleast_1d(tags)}))
+    return _cached(mesh, key, build)
 
 
 def assemble_boundary_load(mesh: Mesh2D, tags, data) -> np.ndarray:
@@ -335,21 +419,18 @@ def assemble_boundary_load(mesh: Mesh2D, tags, data) -> np.ndarray:
 
     ``data`` is a constant or a callable(x, y) evaluated at edge Gauss points.
     """
-    load = np.zeros(mesh.num_vertices)
     sel = _tag_selector(mesh, tags)
     if not np.any(sel):
-        return load
+        return np.zeros(mesh.num_vertices)
     pts, wts, ia, ib, _ = edge_quadrature(mesh, sel)
     if callable(data):
         vals = np.asarray(data(pts[..., 0], pts[..., 1]), dtype=float)
         vals = np.broadcast_to(vals, wts.shape)
     else:
         vals = np.full(wts.shape, float(data))
-    phi = np.stack([1.0 - EDGE_T, EDGE_T])
-    contrib = np.einsum("eg,eg,ag->ea", wts, vals, phi)
-    np.add.at(load, ia, contrib[:, 0])
-    np.add.at(load, ib, contrib[:, 1])
-    return load
+    contrib = _tab(wts * vals, EDGE_PHI.T)  # (NE, 2)
+    return np.bincount(np.concatenate([ia, ib]), weights=contrib.T.ravel(),
+                       minlength=mesh.num_vertices)
 
 
 def assemble_advection(mesh: Mesh2D, vel_qp) -> SparseMatrix:
@@ -359,20 +440,17 @@ def assemble_advection(mesh: Mesh2D, vel_qp) -> SparseMatrix:
     (use :func:`velocity_at_qp` for a MINI field).
     """
     geo = geometry(mesh)
-    vel_qp = np.asarray(vel_qp, dtype=float)
-    vdotg = np.einsum("tqd,tbd->tqb", vel_qp, geo.grad_p1)  # v . grad(l_b)
-    local = np.einsum("tq,qa,tqb->tab", geo.qw, geo.p1_vals, vdotg)
-    return _scatter_p1(mesh, local)
+    wv = geo.qw[:, None, :] * np.asarray(vel_qp, dtype=float).transpose(0, 2, 1)
+    wv_dot_grad = geo.grad_p1 @ wv  # (NT, 3, NQ): w v . grad(l_b) at the quad points
+    return _p1_matrix(mesh, _tab(wv_dot_grad, geo.p1_vals).transpose(0, 2, 1))
 
 
 def assemble_scalar_load(mesh: Mesh2D, source) -> np.ndarray:
     """Volume load f_i = integral source * l_i; source scalar or (NT, NQ)."""
     geo = geometry(mesh)
-    s = _coeff_at_qp(mesh, source)
-    contrib = np.einsum("tq,tq,qa->ta", geo.qw, s, geo.p1_vals)
-    load = np.zeros(mesh.num_vertices)
-    np.add.at(load, mesh.triangles.ravel(), contrib.ravel())
-    return load
+    contrib = _tab(geo.qw * _coeff_at_qp(mesh, source), geo.p1_vals)  # (NT, 3)
+    return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
+                       minlength=mesh.num_vertices)
 
 
 def integrate_qp(mesh: Mesh2D, qp_values) -> float:
@@ -382,6 +460,12 @@ def integrate_qp(mesh: Mesh2D, qp_values) -> float:
 
 
 # -- MINI (velocity/pressure) assembly -------------------------------------------
+#
+# Element matrices of the velocity block are (NT, 8, 8) with local order
+# [x | y] x [l1 l2 l3 bubble], i.e. the columns of
+# DofMap.velocity_element_dofs.  P1 gradients are constant per element and
+# MINI values are the same on every triangle, so only the bubble gradient
+# varies over the quadrature points.
 
 
 def _advect_at_qp(mesh: Mesh2D, dofmap: DofMap, advect) -> np.ndarray:
@@ -410,20 +494,140 @@ def _advect_on_edges(mesh: Mesh2D, dofmap: DofMap, advect, pts, ia, ib) -> np.nd
     return np.stack([ax, ay], axis=-1)
 
 
-def assemble_mini_mass(mesh: Mesh2D, dofmap: DofMap) -> SparseMatrix:
-    """Velocity mass matrix on the MINI space (block diagonal per component)."""
+def _mini_pattern(mesh: Mesh2D, dofmap: DofMap) -> _Pattern:
+    def build():
+        dofs = dofmap.velocity_element_dofs(mesh)
+        return _Pattern(dofs, dofs, (dofmap.n_velocity, dofmap.n_velocity))
+
+    return _cached(mesh, "mini_pattern", build)
+
+
+def _viscous_local(geo: _Geometry, wnu: np.ndarray) -> np.ndarray:
+    """(NT, 8, 8) viscous element matrices of integral nu D(u):D(w).
+
+    E[(d,a),(c,b)] = 1/2 integral nu (d_d phi_b d_c phi_a
+                                      + delta_dc grad phi_a . grad phi_b),
+    with ``wnu`` the quadrature weights times nu.
+    """
+    nt, nq = wnu.shape
+    grads = np.empty((nt, nq, 4, 2))  # [t, q, a, c] = d_c(phi_a)
+    grads[:, :, :3] = geo.grad_p1[:, None]
+    grads[:, :, 3] = geo.grad_bubble
+    g = grads.reshape(nt, nq, 8)
+    gram = ((g.transpose(0, 2, 1) * wnu[:, None, :]) @ g).reshape(nt, 4, 2, 4, 2)
+    # gram[t, a, c, b, d] = integral nu d_c(phi_a) d_d(phi_b)
+    local = 0.5 * gram.transpose(0, 4, 1, 2, 3)  # [t, d, a, c, b]
+    grad_dot = gram[:, :, 0, :, 0] + gram[:, :, 1, :, 1]
+    for d in range(2):
+        local[:, d, :, d, :] += 0.5 * grad_dot
+    return local.reshape(nt, 8, 8)
+
+
+def _convective_local(geo: _Geometry, a_qp: np.ndarray) -> np.ndarray:
+    """(NT, 8, 8) element matrices of the convective form -(a x u):D(w).
+
+    E[(d,a),(c,b)] = -1/2 integral phi_b (a_d d_c phi_a + delta_dc a . grad phi_a).
+    """
+    g1 = geo.grad_p1
+    nt = g1.shape[0]
+    wa = geo.qw[:, None, :] * a_qp.transpose(0, 2, 1)  # (NT, 2, NQ)
+    m = _tab(wa, geo.mini_vals)  # [t, d, b] = integral a_d phi_b
+    n = _tab(wa[:, :, None, :] * geo.grad_bubble.transpose(0, 2, 1)[:, None, :, :],
+             geo.mini_vals)  # [t, d, c, b] = integral a_d d_c(bubble) phi_b
+    t1 = np.empty((nt, 2, 4, 2, 4))  # [t, d, a, c, b] = integral a_d d_c(phi_a) phi_b
+    t1[:, :, :3] = g1[:, None, :, :, None] * m[:, :, None, None, :]
+    t1[:, :, 3] = n
+    local = -0.5 * t1
+    a_dot_grad = t1[:, 0, :, 0, :] + t1[:, 1, :, 1, :]  # integral (a . grad phi_a) phi_b
+    for d in range(2):
+        local[:, d, :, d, :] -= 0.5 * a_dot_grad
+    return local.reshape(nt, 8, 8)
+
+
+def _velocity_block(mesh: Mesh2D, dofmap: DofMap, viscosity, advect,
+                    gamma_n_tags) -> np.ndarray:
+    """CSR data, on the MINI pattern, of the velocity block A_vv."""
     geo = geometry(mesh)
-    local = np.einsum("tq,tqa,tqb->tab", geo.qw, geo.vals4, geo.vals4)  # (NT,4,4)
-    dofs = dofmap.velocity_element_dofs(mesh)
-    n = dofmap.n_velocity
-    builder = CooBuilder(n, n)
-    nt = mesh.num_triangles
-    for comp in range(2):
-        d = dofs[:, 4 * comp:4 * comp + 4]
-        rows = np.repeat(d, 4, axis=1).ravel()
-        cols = np.tile(d, (1, 4)).ravel()
-        builder.add(rows, cols, local.reshape(nt, -1).ravel())
-    return builder.finalize()
+    pattern = _mini_pattern(mesh, dofmap)
+    nu = _coeff_at_qp(mesh, viscosity)
+    if nu.size and nu.min() == nu.max():
+        # Uniform viscosity: the viscous block is nu times a per-mesh constant.
+        unit = _cached(mesh, "viscous_unit",
+                       lambda: _frozen(pattern.fill(_viscous_local(geo, geo.qw))))
+        data = nu.flat[0] * unit
+    else:
+        data = pattern.fill(_viscous_local(geo, geo.qw * nu))
+    if advect is not None:
+        data += pattern.fill(_convective_local(geo, _advect_at_qp(mesh, dofmap, advect)))
+
+    if advect is not None and len(gamma_n_tags) > 0:
+        # Convective surface term integral_{Gamma_N} (a.n)(u.w), per component.
+        sel = _tag_selector(mesh, gamma_n_tags)
+        if np.any(sel):
+            pts, wts, ia, ib, normals = edge_quadrature(mesh, sel)
+            a_e = _advect_on_edges(mesh, dofmap, advect, pts, ia, ib)  # (NE,G,2)
+            a_dot_n = (a_e * normals[:, None, :]).sum(axis=-1)
+            surf = _tab(wts * a_dot_n, _products(EDGE_PHI.T)).reshape(-1, 2, 2)
+            for comp in range(2):
+                np.add.at(data, _edge_positions(mesh, pattern, sel, 4 * comp), surf)
+    return data
+
+
+def assemble_mini_mass(mesh: Mesh2D, dofmap: DofMap) -> SparseMatrix:
+    """Velocity mass matrix on the MINI space (cached, read-only), stored on the
+    full MINI pattern so it adds to the velocity block through its data."""
+    def build():
+        geo = geometry(mesh)
+        local = np.zeros((mesh.num_triangles, 2, 4, 2, 4))
+        block = _tab(geo.qw, _products(geo.mini_vals)).reshape(-1, 4, 4)
+        for comp in range(2):
+            local[:, comp, :, comp, :] = block
+        pattern = _mini_pattern(mesh, dofmap)
+        return _frozen_csr(pattern.matrix(pattern.fill(local)))
+
+    return _cached(mesh, "mini_mass", build)
+
+
+def assemble_divergence(mesh: Mesh2D, dofmap: DofMap) -> SparseMatrix:
+    """Divergence block B, (Bu)_i = integral psi_i div(u) (cached, read-only)."""
+    def build():
+        geo = geometry(mesh)
+        psi = _tab(geo.qw, geo.p1_vals)  # (NT, 3): integral psi_i
+        bubble = _tab(geo.qw[:, None, :] * geo.grad_bubble.transpose(0, 2, 1),
+                      geo.p1_vals)  # (NT, 2, 3): integral psi_i d_c(bubble)
+        local = np.empty((mesh.num_triangles, 3, 2, 4))  # [t, i, c, b]
+        local[..., :3] = psi[:, :, None, None] * geo.grad_p1.transpose(0, 2, 1)[:, None]
+        local[..., 3] = bubble.transpose(0, 2, 1)
+        pattern = _Pattern(mesh.triangles, dofmap.velocity_element_dofs(mesh),
+                           (dofmap.n_pressure, dofmap.n_velocity))
+        return _frozen_csr(pattern.matrix(pattern.fill(local)))
+
+    return _cached(mesh, "divergence", build)
+
+
+def _gradient_block(mesh: Mesh2D, dofmap: DofMap) -> SparseMatrix:
+    """G = B^T as CSR (cached, read-only)."""
+    return _cached(mesh, "gradient", lambda: _frozen_csr(
+        SparseMatrix(assemble_divergence(mesh, dofmap).T)))
+
+
+def _saddle_layout(mesh: Mesh2D, dofmap: DofMap):
+    """CSR (indptr, indices) of [[A_vv, -G], [B, 0]] and the permutation that
+    takes the data of A_vv (MINI pattern), G and B, concatenated, into it."""
+    mini = _mini_pattern(mesh, dofmap)
+    B, G = assemble_divergence(mesh, dofmap), _gradient_block(mesh, dofmap)
+    offsets = np.cumsum([1, mini.nnz, G.nnz])
+
+    def numbered(shape, indices, indptr, start):  # data = source position + 1
+        return SparseMatrix((np.arange(start, start + indices.size, dtype=float),
+                             indices, indptr), shape=shape)
+
+    S = sp.bmat([[numbered(mini.shape, mini.indices, mini.indptr, offsets[0]),
+                  numbered(G.shape, G.indices, G.indptr, offsets[1])],
+                 [numbered(B.shape, B.indices, B.indptr, offsets[2]), None]], format="csr")
+    S.sort_indices()
+    return (_frozen(S.indptr), _frozen(S.indices),
+            _frozen((S.data - 1.0).astype(np.int32)), S.shape)
 
 
 def assemble_mini_blocks(mesh: Mesh2D, dofmap: DofMap, viscosity,
@@ -440,82 +644,33 @@ def assemble_mini_blocks(mesh: Mesh2D, dofmap: DofMap, viscosity,
       enters the saddle system as -G).
 
     ``viscosity`` is scalar / per-triangle / per-quad-point; ``advect`` is a
-    flow dof vector or a callable(x, y) -> (ax, ay).
+    flow dof vector or a callable(x, y) -> (ax, ay).  B and G are cached, and
+    a uniform viscosity scales a cached viscous block.
     """
-    geo = geometry(mesh)
-    nu = _coeff_at_qp(mesh, viscosity)
-    w = geo.qw
-    wnu = w * nu
-    G4 = geo.grads4
-    V4 = geo.vals4
-    nt = mesh.num_triangles
+    data = _velocity_block(mesh, dofmap, viscosity, advect, gamma_n_tags)
+    return {"A_vv": _mini_pattern(mesh, dofmap).matrix(data),
+            "B": assemble_divergence(mesh, dofmap),
+            "G": _gradient_block(mesh, dofmap)}
 
-    # Viscous: E[(a,d),(b,c)] = 1/2 integral nu (d_d phi_b d_c phi_a
-    #                                            + delta_dc grad phi_a . grad phi_b)
-    local = np.zeros((nt, 8, 8))
-    grad_dot = np.einsum("tq,tqak,tqbk->tab", wnu, G4, G4)
-    for d in range(2):
-        for c in range(2):
-            blk = 0.5 * np.einsum("tq,tqb,tqa->tab", wnu, G4[..., d], G4[..., c])
-            if c == d:
-                blk = blk + 0.5 * grad_dot
-            local[:, 4 * d:4 * d + 4, 4 * c:4 * c + 4] += blk
 
-    if advect is not None:
-        # Convective volume part: -(a x u):D(w)
-        #   = -phi_b/2 * (a_d d_c phi_a + delta_dc a . grad phi_a)
-        a_qp = _advect_at_qp(mesh, dofmap, advect)  # (NT,NQ,2)
-        a_dot_grad = np.einsum("tqk,tqak->tqa", a_qp, G4)
-        for d in range(2):
-            for c in range(2):
-                blk = -0.5 * np.einsum("tq,tqb,tq,tqa->tab", w, V4, a_qp[..., d], G4[..., c])
-                if c == d:
-                    blk = blk - 0.5 * np.einsum("tq,tqb,tqa->tab", w, V4, a_dot_grad)
-                local[:, 4 * d:4 * d + 4, 4 * c:4 * c + 4] += blk
-
-    dofs = dofmap.velocity_element_dofs(mesh)
-    nvel = dofmap.n_velocity
-    builder = CooBuilder(nvel, nvel)
-    rows = np.repeat(dofs, 8, axis=1).ravel()
-    cols = np.tile(dofs, (1, 8)).ravel()
-    builder.add(rows, cols, local.reshape(nt, -1).ravel())
-
-    if advect is not None and len(gamma_n_tags) > 0:
-        sel = _tag_selector(mesh, gamma_n_tags)
-        if np.any(sel):
-            pts, wts, ia, ib, normals = edge_quadrature(mesh, sel)
-            a_e = _advect_on_edges(mesh, dofmap, advect, pts, ia, ib)  # (NE,G,2)
-            a_dot_n = np.einsum("egk,ek->eg", a_e, normals)
-            phi = np.stack([1.0 - EDGE_T, EDGE_T])  # (2 basis, G)
-            surf = np.einsum("eg,ag,bg->eab", wts * a_dot_n, phi, phi)  # (NE,2,2)
-            for vfun in (dofmap.vx_vertex, dofmap.vy_vertex):
-                da = vfun(ia)
-                db = vfun(ib)
-                rr = np.stack([da, da, db, db], axis=1).ravel()
-                cc = np.stack([da, db, da, db], axis=1).ravel()
-                builder.add(rr, cc, surf.reshape(-1, 4).ravel())
-
-    A_vv = builder.finalize()
-
-    # Divergence block: B[i, (b, c)] = integral psi_i d(phi_b)/d(x_c)
-    bb = CooBuilder(dofmap.n_pressure, nvel)
-    tvert = mesh.triangles
-    for c in range(2):
-        local_b = np.einsum("tq,qa,tqb->tab", w, geo.p1_vals, G4[..., c])  # (NT,3,4)
-        rows = np.repeat(tvert, 4, axis=1).ravel()
-        cols = np.tile(dofs[:, 4 * c:4 * c + 4], (1, 3)).ravel()
-        bb.add(rows, cols, local_b.reshape(nt, -1).ravel())
-    B = bb.finalize()
-
-    return {"A_vv": A_vv, "B": B, "G": SparseMatrix(B.T)}
+def assemble_saddle(mesh: Mesh2D, dofmap: DofMap, viscosity, advect=None,
+                    gamma_n_tags=(), mass_coeff: float = 0.0) -> SparseMatrix:
+    """Saddle matrix [[mass_coeff M + A_vv, -G], [B, 0]] on its per-mesh pattern,
+    with the blocks of :func:`assemble_mini_blocks` and M of :func:`assemble_mini_mass`."""
+    data = _velocity_block(mesh, dofmap, viscosity, advect, gamma_n_tags)
+    if mass_coeff:
+        data += mass_coeff * assemble_mini_mass(mesh, dofmap).data
+    B, G = assemble_divergence(mesh, dofmap), _gradient_block(mesh, dofmap)
+    indptr, indices, perm, shape = _cached(mesh, "saddle_layout",
+                                           lambda: _saddle_layout(mesh, dofmap))
+    data = np.concatenate([data, -G.data, B.data])[perm]
+    return SparseMatrix((data, indices, indptr), shape=shape)
 
 
 def assemble_vector_load(mesh: Mesh2D, dofmap: DofMap, force_qp) -> np.ndarray:
     """Velocity load L[(a,c)] = integral f_c * phi_a; force_qp is (NT, NQ, 2)."""
     geo = geometry(mesh)
-    force_qp = np.asarray(force_qp, dtype=float)
-    contrib = np.einsum("tq,tqc,tqa->tca", geo.qw, force_qp, geo.vals4)  # (NT,2,4)
+    force = np.asarray(force_qp, dtype=float).transpose(0, 2, 1)
+    contrib = _tab(geo.qw[:, None, :] * force, geo.mini_vals)  # (NT, 2, 4)
     dofs = dofmap.velocity_element_dofs(mesh)
-    load = np.zeros(dofmap.n_velocity)
-    np.add.at(load, dofs.ravel(), contrib.reshape(-1, 8).ravel())
-    return load
+    return np.bincount(dofs.ravel(), weights=contrib.ravel(), minlength=dofmap.n_velocity)

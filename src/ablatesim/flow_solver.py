@@ -19,7 +19,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem_core, linalg
 from .fem_core import DofMap
@@ -131,9 +130,12 @@ class FlowProblem:
 
 
 def _dirichlet_velocity(problem: FlowProblem):
-    """Constrained velocity dofs and values from the no-slip/inflow tags."""
+    """Constrained velocity dofs and values from the no-slip/inflow tags.
+
+    A vertex shared by two tags takes the values of the later tag.
+    """
     mesh, dm = problem.mesh, problem.dofmap
-    values: dict[int, float] = {}
+    dofs, vals = [], []
     for tag in sorted(problem.bc):
         bc = problem.bc[tag]
         if bc.role == ROLE_DONOTHING:
@@ -141,21 +143,19 @@ def _dirichlet_velocity(problem: FlowProblem):
         verts = mesh.boundary_vertices_with_tag(tag)
         if verts.size == 0:
             continue
-        xy = mesh.vertices[verts]
         if bc.role == ROLE_NOSLIP:
-            vx = np.zeros(verts.size)
-            vy = np.zeros(verts.size)
+            vx = vy = np.zeros(verts.size)
         else:
+            xy = mesh.vertices[verts]
             vx, vy = bc.profile(xy[:, 0], xy[:, 1])
-            vx = np.broadcast_to(np.asarray(vx, dtype=float), verts.shape)
-            vy = np.broadcast_to(np.asarray(vy, dtype=float), verts.shape)
-        for v, a, b in zip(verts, vx, vy):
-            values[int(dm.vx_vertex(v))] = float(a)
-            values[int(dm.vy_vertex(v))] = float(b)
-    dofs = np.fromiter(values.keys(), dtype=np.int64, count=len(values))
-    vals = np.fromiter(values.values(), dtype=float, count=len(values))
-    order = np.argsort(dofs)
-    return dofs[order], vals[order]
+        dofs += [dm.vx_vertex(verts), dm.vy_vertex(verts)]
+        vals += [np.broadcast_to(np.asarray(v, dtype=float), verts.shape) for v in (vx, vy)]
+    if not dofs:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    dofs = np.concatenate(dofs)[::-1]
+    vals = np.concatenate(vals)[::-1]
+    dofs, last = np.unique(dofs, return_index=True)
+    return dofs, vals[last]
 
 
 def _force_load(problem: FlowProblem) -> np.ndarray:
@@ -183,20 +183,15 @@ def _solve_linear(problem: FlowProblem, advect, include_time: bool):
     mesh, dm = problem.mesh, problem.dofmap
     nu_qp = problem.model.nu(fem_core.p1_at_qp(mesh, problem.theta))
     gamma_n = _donothing_tags(problem)
-    blocks = fem_core.assemble_mini_blocks(mesh, dm, nu_qp, advect=advect,
-                                           gamma_n_tags=gamma_n)
-    K = blocks["A_vv"]
-    B = blocks["B"]
-    G = blocks["G"]
+    mass_coeff = 1.0 / problem.dt if include_time else 0.0
+    S = fem_core.assemble_saddle(mesh, dm, nu_qp, advect=advect, gamma_n_tags=gamma_n,
+                                 mass_coeff=mass_coeff)
+    B = fem_core.assemble_divergence(mesh, dm)
 
     rhs_v = _force_load(problem)
     if include_time:
         M = fem_core.assemble_mini_mass(mesh, dm)
-        Mdt = M.multiply(1.0 / problem.dt).tocsr()
-        K = (K + Mdt).tocsr()
-        rhs_v = rhs_v + Mdt @ np.asarray(problem.v_prev, dtype=float)
-
-    S = sp.bmat([[K, -G], [B, None]], format="csr")
+        rhs_v = rhs_v + mass_coeff * (M @ np.asarray(problem.v_prev, dtype=float))
     rhs = np.concatenate([rhs_v, np.zeros(dm.n_pressure)])
 
     dofs, vals = _dirichlet_velocity(problem)
@@ -250,6 +245,8 @@ def solve_flow_stationary(problem: FlowProblem, picard_tol: float = 1e-8,
     Falls back to a zero field (with a logged warning) if the very first
     Stokes solve fails; used only to build initial conditions.
     """
+    if picard_max < 1:
+        raise ValueError(f"picard_max must be at least 1, got {picard_max}")
     problem.validate()
     if problem.advect_field is not None:
         # Prescribed advecting field (manufactured cases): single linear solve.

@@ -221,7 +221,6 @@ def _inflow_terms(problem: HeatProblem):
     rhs = np.zeros(nv)
     if not problem.include_inflow_bc:
         return mat, rhs
-    from .linalg import CooBuilder
 
     for tag, bc in sorted(problem.bc.items()):
         if bc.role != ROLE_INFLOW:
@@ -233,20 +232,14 @@ def _inflow_terms(problem: HeatProblem):
         vel = fem_core._advect_on_edges(mesh, dm, problem.v, pts, ia, ib)
         vdotn = np.einsum("egk,ek->eg", vel, normals)
         w_in = wts * np.maximum(-vdotn, 0.0)  # active only on the inflow part
-        phi = np.stack([1.0 - fem_core.EDGE_T, fem_core.EDGE_T])
-        local = np.einsum("eg,ag,bg->eab", w_in, phi, phi)
-        builder = CooBuilder(nv, nv)
-        rows = np.stack([ia, ia, ib, ib], axis=1).ravel()
-        cols = np.stack([ia, ib, ia, ib], axis=1).ravel()
-        builder.add(rows, cols, local.reshape(-1, 4).ravel())
-        m = builder.finalize()
+        m = fem_core.assemble_edge_mass(mesh, sel, w_in)
         mat = m if mat is None else mat + m
         if callable(bc.data):
             vals = np.asarray(bc.data(pts[..., 0], pts[..., 1], problem.time), dtype=float)
             vals = np.broadcast_to(vals, w_in.shape)
         else:
             vals = np.full(w_in.shape, float(bc.data))
-        contrib = np.einsum("eg,eg,ag->ea", w_in, vals, phi)
+        contrib = (w_in * vals) @ fem_core.EDGE_PHI.T
         np.add.at(rhs, ia, contrib[:, 0])
         np.add.at(rhs, ib, contrib[:, 1])
     return mat, rhs
@@ -368,6 +361,8 @@ def solve_heat_stationary(problem: HeatProblem, picard_tol: float = 1e-10,
     artificial viscosity); used to build initial conditions.  ``theta_prev``
     seeds the Picard iteration.
     """
+    if picard_max < 1:
+        raise ValueError(f"picard_max must be at least 1, got {picard_max}")
     problem.validate()
     mesh = problem.mesh
     theta = np.asarray(problem.theta_prev, dtype=float).copy()

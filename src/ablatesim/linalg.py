@@ -174,9 +174,7 @@ def apply_dirichlet(A: SparseMatrix, b: FieldVector, dofs, values):
 
     n = A.shape[0]
     b = np.array(b, dtype=float, copy=True)
-    if dofs.size == 0:
-        return A.copy(), b
-
+    A = sp.csr_matrix(A)
     constrained = np.zeros(n, dtype=bool)
     constrained[dofs] = True
 
@@ -186,10 +184,12 @@ def apply_dirichlet(A: SparseMatrix, b: FieldVector, dofs, values):
     b[~constrained] -= correction[~constrained]
     b[dofs] = values
 
-    keep = sp.diags(np.where(constrained, 0.0, 1.0), format="csr")
-    A_mod = keep @ A @ keep + sp.diags(constrained.astype(float), format="csr")
-    A_mod = sp.csr_matrix(A_mod)
-    A_mod.sum_duplicates()
+    # Zero the constrained rows and columns in the CSR data and add the unit
+    # diagonal; the sparse sum drops every zero, so no explicit zero remains.
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    masked = np.where(constrained[rows] | constrained[A.indices], 0.0, A.data)
+    A_mod = (sp.csr_matrix((masked, A.indices, A.indptr), shape=A.shape)
+             + sp.diags(constrained.astype(float), format="csr"))
     A_mod.sort_indices()
     return A_mod, b
 

@@ -139,36 +139,48 @@ class Mesh2D:
         self.triangles.setflags(write=False)
         self.boundary_edges.setflags(write=False)
         self.boundary_tags.setflags(write=False)
+        self._owners = None
+        self._normals = None
 
     # -- topology ------------------------------------------------------------
 
+    def _edge_keys(self, edges: np.ndarray) -> np.ndarray:
+        """One integer per undirected edge: min * NV + max."""
+        return edges.min(axis=-1) * self.num_vertices + edges.max(axis=-1)
+
+    def _triangle_edge_keys(self) -> np.ndarray:
+        """(3 NT,) keys of the triangle edges, triangle-major."""
+        return self._edge_keys(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2))
+
     def _edge_use_counts(self) -> dict:
-        counts: dict = {}
-        for tri in self.triangles:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (int(min(a, b)), int(max(a, b)))
-                counts[key] = counts.get(key, 0) + 1
-        return counts
+        keys, counts = np.unique(self._triangle_edge_keys(), return_counts=True)
+        nv = self.num_vertices
+        return {(a, b): c for a, b, c in
+                zip((keys // nv).tolist(), (keys % nv).tolist(), counts.tolist())}
 
     def _validate_boundary(self) -> None:
-        counts = self._edge_use_counts()
-        topo_boundary = {k for k, c in counts.items() if c == 1}
-        if any(c > 2 for c in counts.values()):
+        keys, counts = np.unique(self._triangle_edge_keys(), return_counts=True)
+        if np.any(counts > 2):
             raise MeshError("non-manifold edge: shared by more than 2 triangles")
-        tagged = {}
-        for (a, b), tag in zip(self.boundary_edges, self.boundary_tags):
-            key = (int(min(a, b)), int(max(a, b)))
-            if key in tagged:
+        bkeys = self._edge_keys(self.boundary_edges)
+        _, first = np.unique(bkeys, return_index=True)
+        repeated = np.ones(bkeys.size, dtype=bool)
+        repeated[first] = False
+        bad_tag = ~np.isin(self.boundary_tags, ALL_TAGS)
+        bad = repeated | bad_tag
+        if np.any(bad):  # report the first offending edge, in input order
+            k = int(np.argmax(bad))
+            key = (int(bkeys[k] // self.num_vertices), int(bkeys[k] % self.num_vertices))
+            if repeated[k]:
                 raise MeshError(f"edge {key} tagged more than once")
-            if int(tag) not in ALL_TAGS:
-                raise MeshError(f"unknown boundary tag {int(tag)} on edge {key}")
-            tagged[key] = int(tag)
-        if set(tagged) != topo_boundary:
-            missing = topo_boundary - set(tagged)
-            extra = set(tagged) - topo_boundary
+            raise MeshError(f"unknown boundary tag {int(self.boundary_tags[k])} on edge {key}")
+        topo_boundary = keys[counts == 1]
+        missing = np.setdiff1d(topo_boundary, bkeys).size
+        extra = np.setdiff1d(bkeys, topo_boundary).size
+        if missing or extra:
             raise MeshError(
                 f"tagged edges must cover the topological boundary exactly "
-                f"(missing {len(missing)}, spurious {len(extra)})"
+                f"(missing {missing}, spurious {extra})"
             )
 
     @property
@@ -180,30 +192,32 @@ class Mesh2D:
         return self.triangles.shape[0]
 
     def boundary_edge_owners(self) -> np.ndarray:
-        """Index of the unique triangle adjacent to each boundary edge."""
-        owner_of = {}
-        for it, tri in enumerate(self.triangles):
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                owner_of.setdefault((int(min(a, b)), int(max(a, b))), it)
-        owners = np.empty(self.boundary_edges.shape[0], dtype=np.int64)
-        for k, (a, b) in enumerate(self.boundary_edges):
-            owners[k] = owner_of[(int(min(a, b)), int(max(a, b)))]
-        return owners
+        """Index of the unique triangle adjacent to each boundary edge (cached, read-only)."""
+        if self._owners is None:
+            keys = self._triangle_edge_keys()
+            order = np.argsort(keys, kind="stable")
+            pos = np.searchsorted(keys[order], self._edge_keys(self.boundary_edges))
+            self._owners = order[pos] // 3
+            self._owners.setflags(write=False)
+        return self._owners
 
     def boundary_outward_normals(self) -> np.ndarray:
-        """(NB, 2) unit outward normals, oriented away from the owner triangle."""
-        owners = self.boundary_edge_owners()
-        p = self.vertices
-        e0 = p[self.boundary_edges[:, 0]]
-        e1 = p[self.boundary_edges[:, 1]]
-        tang = e1 - e0
-        nrm = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
-        nrm /= np.linalg.norm(nrm, axis=1)[:, None]
-        centroids = p[self.triangles[owners]].mean(axis=1)
-        mids = 0.5 * (e0 + e1)
-        flip = np.einsum("ij,ij->i", nrm, centroids - mids) > 0.0
-        nrm[flip] *= -1.0
-        return nrm
+        """(NB, 2) unit outward normals, away from the owner triangle (cached, read-only)."""
+        if self._normals is None:
+            owners = self.boundary_edge_owners()
+            p = self.vertices
+            e0 = p[self.boundary_edges[:, 0]]
+            e1 = p[self.boundary_edges[:, 1]]
+            tang = e1 - e0
+            nrm = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
+            nrm /= np.linalg.norm(nrm, axis=1)[:, None]
+            centroids = p[self.triangles[owners]].mean(axis=1)
+            mids = 0.5 * (e0 + e1)
+            flip = np.einsum("ij,ij->i", nrm, centroids - mids) > 0.0
+            nrm[flip] *= -1.0
+            nrm.setflags(write=False)
+            self._normals = nrm
+        return self._normals
 
     def boundary_vertices_with_tag(self, tag: int) -> np.ndarray:
         """Sorted unique vertex indices lying on edges of the given tag."""
@@ -227,35 +241,22 @@ def generate_channel_mesh(spec: GeometrySpec) -> Mesh2D:
     xx, yy = np.meshgrid(x, y, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return j * (nx + 1) + i
+    # Two triangles per cell, row by row: (v00, v10, v11), (v00, v11, v01).
+    v00 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)[None, :]).ravel()
+    v10, v01, v11 = v00 + 1, v00 + nx + 1, v00 + nx + 2
+    triangles = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
 
-    triangles = []
-    for j in range(ny):
-        for i in range(nx):
-            v00 = vid(i, j)
-            v10 = vid(i + 1, j)
-            v01 = vid(i, j + 1)
-            v11 = vid(i + 1, j + 1)
-            triangles.append((v00, v10, v11))
-            triangles.append((v00, v11, v01))
-
-    edges = []
-    tags = []
-    for j in range(ny):  # left / right columns
-        edges.append((vid(0, j), vid(0, j + 1)))
-        tags.append(GAMMA1)
-        edges.append((vid(nx, j), vid(nx, j + 1)))
-        tags.append(GAMMA3)
-    for i in range(nx):  # bottom row
-        edges.append((vid(i, 0), vid(i + 1, 0)))
-        tags.append(GAMMA2)
+    # Left/right columns interleaved row by row, then the bottom row, then the
+    # top row split into the electrode segment and the remaining wall.
+    left = np.arange(ny) * (nx + 1)
+    sides = np.stack([left, left + nx + 1, left + nx, left + 2 * nx + 1], axis=1)
+    bottom = np.stack([np.arange(nx), np.arange(1, nx + 1)], axis=1)
+    top = bottom + ny * (nx + 1)
     xe_lo, xe_hi = 0.5 * L - r, 0.5 * L + r
-    for i in range(nx):  # top row: electrode segment vs remaining wall
-        a, b = vid(i, ny), vid(i + 1, ny)
-        inside = (x[i] >= xe_lo - SNAP_TOL) and (x[i + 1] <= xe_hi + SNAP_TOL)
-        edges.append((a, b))
-        tags.append(GAMMA5 if inside else GAMMA4)
+    inside = (x[:-1] >= xe_lo - SNAP_TOL) & (x[1:] <= xe_hi + SNAP_TOL)
+    edges = np.concatenate([sides.reshape(-1, 2), bottom, top])
+    tags = np.concatenate([np.tile([GAMMA1, GAMMA3], ny), np.full(nx, GAMMA2),
+                           np.where(inside, GAMMA5, GAMMA4)])
 
     return Mesh2D(vertices, triangles, edges, tags)
 

@@ -626,15 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("ABLATESIM_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"config error: ABLATESIM_THREADS={threads!r} is not a positive integer",
-                  file=sys.stderr)
-            return 2
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -180,6 +180,11 @@ class TestStationary:
         B = fem_core.assemble_mini_blocks(mesh, problem.dofmap, 1.0)["B"]
         assert np.linalg.norm(B @ v) <= 1e-8 * (1.0 + np.linalg.norm(v))
 
+    def test_picard_max_below_one_rejected(self):
+        problem = make_problem(channel_mesh(10, 6), bc_test1(), dt=None)
+        with pytest.raises(ValueError, match="picard_max"):
+            solve_flow_stationary(problem, picard_max=0)
+
 
 class TestDissipation:
     def test_zero_velocity(self):

@@ -337,3 +337,9 @@ class TestHeatStationary:
         x, y = mesh.vertices[k]
         assert abs(x - 1.0) <= 0.3 and abs(y - 1.0) <= 0.3
         assert out.max() > 37.0
+
+    def test_picard_max_below_one_rejected(self):
+        mesh = small_mesh()
+        problem = make_problem(mesh, robin_bc(), np.full(mesh.num_vertices, 37.0))
+        with pytest.raises(ValueError, match="picard_max"):
+            solve_heat_stationary(problem, picard_max=0)

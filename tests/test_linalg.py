@@ -164,6 +164,38 @@ class TestApplyDirichlet:
         assert (abs(A2 - A1)).max() == 0.0
         assert np.array_equal(b1, b2)
 
+    def test_no_explicit_zeros(self):
+        # Input with stored zeros: entry (0, 1) and the diagonal at 5.
+        A = laplacian_1d(6).tocsr()
+        A.data[1] = 0.0
+        A.data[-1] = 0.0
+        assert A.nnz > np.count_nonzero(A.data)
+        for dofs in ([1, 4], [5], []):
+            Am, _ = apply_dirichlet(A, np.ones(6), dofs, np.ones(len(dofs)))
+            assert Am.nnz == np.count_nonzero(Am.data)
+            assert Am.has_canonical_format
+
+    def test_idempotent_spd_without_explicit_zeros(self):
+        A = laplacian_1d(12) + sp.diags(np.linspace(0.1, 1.0, 12), format="csr")
+        b = np.cos(np.arange(12.0))
+        A1, b1 = apply_dirichlet(A, b, [0, 5, 11], [1.0, -1.0, 2.0])
+        A2, b2 = apply_dirichlet(A1, b1, [0, 5, 11], [1.0, -1.0, 2.0])
+        assert A1.nnz == np.count_nonzero(A1.data)
+        assert np.array_equal(A1.indptr, A2.indptr)
+        assert np.array_equal(A1.indices, A2.indices)
+        assert np.array_equal(A1.data, A2.data)
+        assert np.array_equal(b1, b2)
+        assert (abs(A1 - A1.T)).max() == 0.0
+        assert np.linalg.eigvalsh(A1.toarray()).min() > 0.0
+
+    def test_constrained_row_without_diagonal(self):
+        # Saddle-type matrix: the constrained dof 2 has no stored diagonal.
+        A = sp.csr_matrix(np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0], [1.0, 1.0, 0.0]]))
+        Am, bm = apply_dirichlet(A, np.array([1.0, 1.0, 0.0]), [2], [3.0])
+        assert Am.nnz == np.count_nonzero(Am.data)
+        assert np.array_equal(Am.toarray(), [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+        assert np.array_equal(bm, [-2.0, -2.0, 3.0])
+
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             apply_dirichlet(laplacian_1d(3), np.zeros(3), [5], [0.0])

@@ -239,9 +239,3 @@ class TestCLI:
         assert main(["run", "--config", str(cfgfile), "--out", str(outdir)]) == 0
         snaps = sorted(p for p in os.listdir(outdir) if p.startswith("fields_"))
         assert len(snaps) == 3  # steps 0, 1, 2
-
-    def test_threads_env_validated(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ABLATESIM_THREADS", "bogus")
-        assert main(["mesh", "--out", str(tmp_path / "m.mesh")]) == 2
-        monkeypatch.setenv("ABLATESIM_THREADS", "2")
-        assert main(["mesh", "--out", str(tmp_path / "m.mesh")]) == 0

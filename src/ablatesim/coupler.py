@@ -24,6 +24,7 @@ import numpy as np
 from . import fem_core
 from .flow_solver import FlowProblem, solve_flow_stationary, solve_flow_step
 from .heat_solver import HeatProblem, solve_heat_stationary, solve_heat_step
+from .linalg import SolverError
 from .mesh import generate_channel_mesh
 from .potential_solver import PotentialProblem, solve_potential
 
@@ -190,8 +191,6 @@ class Simulation:
     def _stage_error(stage: str, exc: Exception) -> Exception:
         """Relabel a stage failure, falling back to SolverError when the
         original class cannot be rebuilt from a bare message."""
-        from .linalg import SolverError
-
         msg = f"initialize/{stage}: {exc}"
         try:
             return type(exc)(msg)
@@ -281,13 +280,21 @@ class Simulation:
         return new_state
 
     def run(self, on_step=None):
-        """Initialize then advance M steps; returns (final state, diagnostics rows)."""
+        """Initialize then advance M steps; returns (final state, diagnostics rows).
+
+        A SolverError or NonFiniteFieldError raised by a step carries the rows
+        computed before it as ``exc.rows``.
+        """
         state = self.initialize()
         rows = [state.diag]
         if on_step is not None:
             on_step(state)
         for _ in range(self.config.time.M):
-            state = self.advance(state)
+            try:
+                state = self.advance(state)
+            except (SolverError, NonFiniteFieldError) as exc:
+                exc.rows = rows  # the diagnostics computed before the failure
+                raise
             rows.append(state.diag)
             self._guard(state, rows)
             if on_step is not None:

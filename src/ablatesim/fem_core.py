@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import SparseMatrix
+from .linalg import SingularMatrix, SparseMatrix
 from .mesh import Mesh2D
 
 
@@ -588,19 +588,24 @@ def assemble_mini_mass(mesh: Mesh2D, dofmap: DofMap) -> SparseMatrix:
     return _cached(mesh, "mini_mass", build)
 
 
+def _divergence_local(mesh: Mesh2D) -> np.ndarray:
+    """(NT, 3, 2, 4) element blocks of B: [t, i, c, b] = integral psi_i d_c(phi_b)."""
+    geo = geometry(mesh)
+    psi = _tab(geo.qw, geo.p1_vals)  # (NT, 3): integral psi_i
+    bubble = _tab(geo.qw[:, None, :] * geo.grad_bubble.transpose(0, 2, 1),
+                  geo.p1_vals)  # (NT, 2, 3): integral psi_i d_c(bubble)
+    local = np.empty((mesh.num_triangles, 3, 2, 4))
+    local[..., :3] = psi[:, :, None, None] * geo.grad_p1.transpose(0, 2, 1)[:, None]
+    local[..., 3] = bubble.transpose(0, 2, 1)
+    return local
+
+
 def assemble_divergence(mesh: Mesh2D, dofmap: DofMap) -> SparseMatrix:
     """Divergence block B, (Bu)_i = integral psi_i div(u) (cached, read-only)."""
     def build():
-        geo = geometry(mesh)
-        psi = _tab(geo.qw, geo.p1_vals)  # (NT, 3): integral psi_i
-        bubble = _tab(geo.qw[:, None, :] * geo.grad_bubble.transpose(0, 2, 1),
-                      geo.p1_vals)  # (NT, 2, 3): integral psi_i d_c(bubble)
-        local = np.empty((mesh.num_triangles, 3, 2, 4))  # [t, i, c, b]
-        local[..., :3] = psi[:, :, None, None] * geo.grad_p1.transpose(0, 2, 1)[:, None]
-        local[..., 3] = bubble.transpose(0, 2, 1)
         pattern = _Pattern(mesh.triangles, dofmap.velocity_element_dofs(mesh),
                            (dofmap.n_pressure, dofmap.n_velocity))
-        return _frozen_csr(pattern.matrix(pattern.fill(local)))
+        return _frozen_csr(pattern.matrix(pattern.fill(_divergence_local(mesh))))
 
     return _cached(mesh, "divergence", build)
 
@@ -609,25 +614,6 @@ def _gradient_block(mesh: Mesh2D, dofmap: DofMap) -> SparseMatrix:
     """G = B^T as CSR (cached, read-only)."""
     return _cached(mesh, "gradient", lambda: _frozen_csr(
         SparseMatrix(assemble_divergence(mesh, dofmap).T)))
-
-
-def _saddle_layout(mesh: Mesh2D, dofmap: DofMap):
-    """CSR (indptr, indices) of [[A_vv, -G], [B, 0]] and the permutation that
-    takes the data of A_vv (MINI pattern), G and B, concatenated, into it."""
-    mini = _mini_pattern(mesh, dofmap)
-    B, G = assemble_divergence(mesh, dofmap), _gradient_block(mesh, dofmap)
-    offsets = np.cumsum([1, mini.nnz, G.nnz])
-
-    def numbered(shape, indices, indptr, start):  # data = source position + 1
-        return SparseMatrix((np.arange(start, start + indices.size, dtype=float),
-                             indices, indptr), shape=shape)
-
-    S = sp.bmat([[numbered(mini.shape, mini.indices, mini.indptr, offsets[0]),
-                  numbered(G.shape, G.indices, G.indptr, offsets[1])],
-                 [numbered(B.shape, B.indices, B.indptr, offsets[2]), None]], format="csr")
-    S.sort_indices()
-    return (_frozen(S.indptr), _frozen(S.indices),
-            _frozen((S.data - 1.0).astype(np.int32)), S.shape)
 
 
 def assemble_mini_blocks(mesh: Mesh2D, dofmap: DofMap, viscosity,
@@ -653,18 +639,137 @@ def assemble_mini_blocks(mesh: Mesh2D, dofmap: DofMap, viscosity,
             "G": _gradient_block(mesh, dofmap)}
 
 
-def assemble_saddle(mesh: Mesh2D, dofmap: DofMap, viscosity, advect=None,
-                    gamma_n_tags=(), mass_coeff: float = 0.0) -> SparseMatrix:
-    """Saddle matrix [[mass_coeff M + A_vv, -G], [B, 0]] on its per-mesh pattern,
-    with the blocks of :func:`assemble_mini_blocks` and M of :func:`assemble_mini_mass`."""
+# -- static condensation of the MINI bubbles -------------------------------------
+#
+# A bubble dof lives in one triangle, so its row and its column of the saddle
+# matrix [[A_vv, -G], [B, 0]] hold that triangle's entries only.  Per triangle,
+# with l its nine P1 dofs [v1x v2x v3x v1y v2y v3y p1 p2 p3] and b its two
+# bubbles [bx by],
+#
+#     [ K_ll  K_lb ] [x_l]   [b_l]       K_lb = [A_lb; B_b]
+#     [ K_bl  A_bb ] [x_b] = [b_b],      K_bl = [A_bl, -B_b^T],
+#
+# so x_b = A_bb^-1 (b_b - K_bl x_l), and the P1 unknowns solve the Schur
+# complement K_ll - K_lb A_bb^-1 K_bl with right-hand side b_l - K_lb A_bb^-1 b_b.
+# Its pressure-pressure block is no longer zero.
+
+_VERTEX = np.array([0, 1, 2, 4, 5, 6])  # vertex dofs among the 8 local velocity dofs
+_BUBBLE = np.array([3, 7])
+
+
+class _CondensedLayout:
+    """Per-mesh maps of the condensed system, P1 dofs ordered [vx | vy | p]."""
+
+    def __init__(self, mesh: Mesh2D, dofmap: DofMap):
+        nv, t = dofmap.nv, mesh.triangles
+        mini = _mini_pattern(mesh, dofmap)
+        self.elem = _frozen(np.concatenate([t, nv + t, 2 * nv + t], axis=1))  # (NT, 9)
+        self.pattern = _Pattern(self.elem, self.elem, (3 * nv, 3 * nv))
+        idx = np.arange(nv)
+        self.p1_dofs = _frozen(np.concatenate(
+            [dofmap.vx_vertex(idx), dofmap.vy_vertex(idx), dofmap.pressure(idx)]))
+        self.index = np.full(dofmap.n_flow, -1, dtype=np.int64)  # -1 on bubbles
+        self.index[self.p1_dofs] = np.arange(3 * nv)
+        _frozen(self.index)
+        self.bubbles = _frozen(dofmap.velocity_element_dofs(mesh)[:, _BUBBLE])  # (NT, 2)
+        # MINI data positions of the bubble rows and columns: each holds only
+        # its own triangle's entry, so a gather reads the element blocks.
+        self.bb = _frozen(mini.scatter[:, _BUBBLE[:, None], _BUBBLE])
+        self.bl = _frozen(mini.scatter[:, _BUBBLE[:, None], _VERTEX])
+        self.lb = _frozen(mini.scatter[:, _VERTEX[:, None], _BUBBLE])
+        # The vertex-vertex entries of A_vv map one-to-one onto the condensed
+        # data; repeated element writes of one entry agree.
+        src = mini.scatter[:, _VERTEX[:, None], _VERTEX].ravel()
+        dst = np.full(mini.nnz, -1, dtype=np.int64)
+        dst[src] = self.pattern.scatter[:, :6, :6].ravel()
+        self.ll_src = _frozen(np.flatnonzero(dst >= 0))
+        self.ll_dst = _frozen(dst[self.ll_src])
+        # B on the bubble columns, (NT, 3, 2), and the constant B / -G blocks
+        # on the vertex columns.
+        local = _divergence_local(mesh)
+        self.b_bubble = _frozen(np.ascontiguousarray(local[..., 3]))
+        b_vertex = local[..., :3].reshape(-1, 3, 6)
+        div = np.zeros((mesh.num_triangles, 9, 9))
+        div[:, 6:, :6] = b_vertex
+        div[:, :6, 6:] = -b_vertex.transpose(0, 2, 1)
+        self.div_data = _frozen(self.pattern.fill(div))
+
+
+def _invert_2x2(A: np.ndarray) -> np.ndarray:
+    """Batched inverses of (N, 2, 2) blocks; raises SingularMatrix on a block
+    whose determinant vanishes to round-off or is not finite."""
+    a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
+    det = a * d - b * c
+    bad = ~np.isfinite(det) | (np.abs(det) <= 4.0 * np.finfo(float).eps
+                               * (np.abs(a * d) + np.abs(b * c)))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise SingularMatrix(f"bubble block of triangle {k} is singular "
+                             f"(det = {det[k]:.3e}, {int(bad.sum())} such triangles)")
+    inv = np.stack([np.stack([d, -b], axis=-1), np.stack([-c, a], axis=-1)], axis=-2)
+    return inv / det[:, None, None]
+
+
+@dataclass(frozen=True)
+class CondensedSaddle:
+    """The MINI saddle system [[A_vv, -G], [B, 0]] with its bubbles condensed out.
+
+    ``matrix`` is the Schur complement on the P1 dofs [vx | vy | p] (order
+    3*NV); :meth:`condense` and :meth:`recover` map right-hand sides and
+    solutions between the full flow layout of :class:`DofMap` and this one,
+    whose position of full dof d is ``layout.index[d]``.
+    """
+
+    layout: _CondensedLayout
+    A_vv: SparseMatrix  # full velocity block on the MINI pattern
+    B: SparseMatrix
+    G: SparseMatrix
+    matrix: SparseMatrix
+    inv_bb: np.ndarray  # (NT, 2, 2) inverse bubble blocks
+    k_bl: np.ndarray  # (NT, 2, 9) bubble rows on the element's P1 dofs
+    w_lb: np.ndarray  # (NT, 9, 2) K_lb A_bb^-1
+
+    def condense(self, rhs: np.ndarray) -> np.ndarray:
+        """Condensed right-hand side b_l - K_lb A_bb^-1 b_b of a full flow rhs."""
+        lay = self.layout
+        corr = (self.w_lb @ rhs[lay.bubbles][:, :, None])[..., 0]  # (NT, 9)
+        return rhs[lay.p1_dofs] - np.bincount(lay.elem.ravel(), weights=corr.ravel(),
+                                              minlength=lay.p1_dofs.size)
+
+    def recover(self, x_l: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Full flow vector from the P1 solution, bubbles A_bb^-1 (b_b - K_bl x_l)."""
+        lay = self.layout
+        x = np.zeros(lay.index.size)
+        x[lay.p1_dofs] = x_l
+        r_b = rhs[lay.bubbles] - (self.k_bl @ x_l[lay.elem][:, :, None])[..., 0]
+        x[lay.bubbles] = (self.inv_bb @ r_b[:, :, None])[..., 0]
+        return x
+
+    def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """rhs - [[A_vv, -G], [B, 0]] x on the full (uncondensed) system."""
+        v, p = x[:self.A_vv.shape[0]], x[self.A_vv.shape[0]:]
+        return rhs - np.concatenate([self.A_vv @ v - self.G @ p, self.B @ v])
+
+
+def assemble_condensed_saddle(mesh: Mesh2D, dofmap: DofMap, viscosity, advect=None,
+                              gamma_n_tags=(), mass_coeff: float = 0.0) -> CondensedSaddle:
+    """Saddle system [[mass_coeff M + A_vv, -G], [B, 0]] with the bubbles
+    condensed out, from the blocks of :func:`assemble_mini_blocks` and M of
+    :func:`assemble_mini_mass`.  The condensed layout is built on first use.
+    Raises SingularMatrix when a bubble block cannot be inverted."""
     data = _velocity_block(mesh, dofmap, viscosity, advect, gamma_n_tags)
     if mass_coeff:
         data += mass_coeff * assemble_mini_mass(mesh, dofmap).data
-    B, G = assemble_divergence(mesh, dofmap), _gradient_block(mesh, dofmap)
-    indptr, indices, perm, shape = _cached(mesh, "saddle_layout",
-                                           lambda: _saddle_layout(mesh, dofmap))
-    data = np.concatenate([data, -G.data, B.data])[perm]
-    return SparseMatrix((data, indices, indptr), shape=shape)
+    lay = _cached(mesh, "condensed_layout", lambda: _CondensedLayout(mesh, dofmap))
+    inv_bb = _invert_2x2(data[lay.bb])
+    k_lb = np.concatenate([data[lay.lb], lay.b_bubble], axis=1)  # (NT, 9, 2)
+    k_bl = np.concatenate([data[lay.bl], -lay.b_bubble.transpose(0, 2, 1)], axis=2)
+    w_lb = k_lb @ inv_bb
+    schur = lay.div_data + lay.pattern.fill(-(w_lb @ k_bl))
+    schur[lay.ll_dst] += data[lay.ll_src]
+    return CondensedSaddle(lay, _mini_pattern(mesh, dofmap).matrix(data),
+                           assemble_divergence(mesh, dofmap), _gradient_block(mesh, dofmap),
+                           lay.pattern.matrix(schur), inv_bb, k_bl, w_lb)
 
 
 def assemble_vector_load(mesh: Mesh2D, dofmap: DofMap, force_qp) -> np.ndarray:

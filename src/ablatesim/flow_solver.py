@@ -7,10 +7,15 @@ saddle system
     [ M/dt + A(nu) + N(a)   -G ] [v]   [ M v_prev / dt + F ]
     [ B                      0 ] [p] = [ 0                 ]
 
-is assembled monolithically (G = B^T) and solved by sparse LU by default;
-restarted GMRES is available as an optional path.  Do-nothing outlets add no
-stress boundary terms; the convective form keeps its Gamma_N surface integral
-exactly as written.
+(G = B^T) is never factorized whole.  Each bubble dof couples only inside its
+triangle, so the 2x2 bubble block of every triangle is eliminated first
+(static condensation, :func:`fem_core.assemble_condensed_saddle`); the Schur
+complement on the P1 dofs [vx | vy | p], of order 3*NV, takes the Dirichlet
+rows and is solved by sparse LU by default or by restarted GMRES; the bubbles
+are then recovered triangle by triangle.  The residual and divergence
+contracts are checked on the recovered full system.  Do-nothing outlets add
+no stress boundary terms; the convective form keeps its Gamma_N surface
+integral exactly as written.
 """
 
 from __future__ import annotations
@@ -179,14 +184,13 @@ def _donothing_tags(problem: FlowProblem) -> tuple:
 
 
 def _solve_linear(problem: FlowProblem, advect, include_time: bool):
-    """One linear (Stokes/Oseen) solve; returns (v, P)."""
+    """One linear (Stokes/Oseen) solve on the condensed system; returns (v, P)."""
     mesh, dm = problem.mesh, problem.dofmap
     nu_qp = problem.model.nu(fem_core.p1_at_qp(mesh, problem.theta))
     gamma_n = _donothing_tags(problem)
     mass_coeff = 1.0 / problem.dt if include_time else 0.0
-    S = fem_core.assemble_saddle(mesh, dm, nu_qp, advect=advect, gamma_n_tags=gamma_n,
-                                 mass_coeff=mass_coeff)
-    B = fem_core.assemble_divergence(mesh, dm)
+    saddle = fem_core.assemble_condensed_saddle(mesh, dm, nu_qp, advect=advect,
+                                                gamma_n_tags=gamma_n, mass_coeff=mass_coeff)
 
     rhs_v = _force_load(problem)
     if include_time:
@@ -200,30 +204,44 @@ def _solve_linear(problem: FlowProblem, advect, include_time: bool):
         # level; without one, pin a single pressure dof.
         dofs = np.append(dofs, dm.pressure(0))
         vals = np.append(vals, problem.pressure_pin_value)
-    S, rhs = linalg.apply_dirichlet(S, rhs, dofs, vals)
+    # Every constrained dof is a P1 dof, so eliminating them after the
+    # condensation is exact.
+    cdofs = saddle.layout.index[dofs]
+    S, rhs_c = linalg.apply_dirichlet(saddle.matrix, saddle.condense(rhs), cdofs, vals)
 
-    if problem.method == "gmres":
-        info: dict = {}
-        x = linalg.solve_gmres(S, rhs, tol_rel=problem.tol, restart=50,
-                               max_iter=20000, info=info)
-        problem.iterations = info.get("iterations", 0)
-    else:
-        x = linalg.solve_lu(S, rhs)
-        problem.iterations = 0
-        res = np.linalg.norm(rhs - S @ x)
-        if not np.isfinite(res) or res > 1e-8 * (1.0 + np.linalg.norm(rhs)):
+    problem.iterations = 0
+
+    def solve(method):
+        if method == "gmres":
+            info: dict = {}
+            x_l = linalg.solve_gmres(S, rhs_c, tol_rel=problem.tol, restart=50,
+                                     max_iter=20000, info=info)
+            problem.iterations = info.get("iterations", 0)
+        else:
+            x_l = linalg.solve_lu(S, rhs_c)
+        x_l[cdofs] = vals  # constrained dofs are exact by contract
+        return saddle.recover(x_l, rhs)
+
+    x = solve(problem.method)
+    if problem.method != "gmres":
+        # Residual contract on the full system, bubble rows included; the
+        # constrained rows hold by construction.
+        free = np.ones(dm.n_flow, dtype=bool)
+        free[dofs] = False
+        fixed = np.zeros(dm.n_flow)
+        fixed[dofs] = vals
+        scale = np.linalg.norm(np.concatenate([saddle.residual(fixed, rhs)[free], vals]))
+        res = np.linalg.norm(saddle.residual(x, rhs)[free])
+        if not np.isfinite(res) or res > 1e-8 * (1.0 + scale):
             raise linalg.SolverError(f"flow LU residual too large: {res:.3e}")
 
-    x[dofs] = vals  # constrained dofs are exact by contract
-    v = x[:dm.n_velocity]
-    p = x[dm.n_velocity:]
-    div = float(np.linalg.norm(B @ v))
+    v, p = x[:dm.n_velocity], x[dm.n_velocity:]
+    div = float(np.linalg.norm(saddle.B @ v))
     if div > 1e-8 * (1.0 + np.linalg.norm(v)):
         if problem.method == "gmres":
-            x = linalg.solve_lu(S, rhs)
-            v = x[:dm.n_velocity]
-            p = x[dm.n_velocity:]
-            div = float(np.linalg.norm(B @ v))
+            x = solve("lu")
+            v, p = x[:dm.n_velocity], x[dm.n_velocity:]
+            div = float(np.linalg.norm(saddle.B @ v))
         if div > 1e-8 * (1.0 + np.linalg.norm(v)):
             raise linalg.SolverError(f"divergence contract violated: |Bv| = {div:.3e}")
     return v, p
@@ -240,22 +258,15 @@ def solve_flow_step(problem: FlowProblem):
 
 def solve_flow_stationary(problem: FlowProblem, picard_tol: float = 1e-8,
                           picard_max: int = 50):
-    """Steady flow by Picard iteration on the Oseen linearization.
-
-    Falls back to a zero field (with a logged warning) if the very first
-    Stokes solve fails; used only to build initial conditions.
-    """
+    """Steady flow by Picard iteration on the Oseen linearization, started
+    from the Stokes solution; a failed linear solve raises SolverError."""
     if picard_max < 1:
         raise ValueError(f"picard_max must be at least 1, got {picard_max}")
     problem.validate()
     if problem.advect_field is not None:
         # Prescribed advecting field (manufactured cases): single linear solve.
         return _solve_linear(problem, problem.advect_field, include_time=False)
-    try:
-        v, p = _solve_linear(problem, None, include_time=False)
-    except linalg.SolverError as exc:
-        log.warning("stationary Stokes solve failed (%s); using zero initial flow", exc)
-        return np.zeros(problem.dofmap.n_velocity), np.zeros(problem.dofmap.n_pressure)
+    v, p = _solve_linear(problem, None, include_time=False)
     if not problem.include_convection:
         return v, p
     for _ in range(picard_max):

@@ -568,6 +568,8 @@ def cmd_run(args) -> int:
         return 4
     except (linalg.SolverError, coupler.NonFiniteFieldError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        if hasattr(exc, "rows"):  # a mid-run failure keeps the rows before it
+            finish(exc.rows)
         return 3
 
     finish(rows)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from ablatesim import flow_solver
 from ablatesim.coupler import (BlowUpError, NonFiniteFieldError, SimState,
                                Simulation, TimeGrid, advance, initialize, run)
+from ablatesim.linalg import SolverError
 from ablatesim.sim_cli import ConfigError, preset
 
 
@@ -68,6 +70,15 @@ class TestInitialize:
         # device off until t = 0: the initial field is exactly theta_b
         state = initialize(quick_config())
         assert np.abs(state.theta - 37.0).max() <= 1e-10
+
+    def test_failed_stokes_solve_raises_labelled(self, monkeypatch):
+        # No silent zero-flow fallback: a failed first Stokes solve stops the run.
+        def failing(*args, **kwargs):
+            raise SolverError("flow LU residual too large: inf")
+
+        monkeypatch.setattr(flow_solver, "_solve_linear", failing)
+        with pytest.raises(SolverError, match="^initialize/flow: flow LU residual"):
+            initialize(quick_config())
 
 
 class TestAdvance:

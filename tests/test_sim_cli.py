@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from ablatesim import sim_cli
-from ablatesim.coupler import run
+from ablatesim import coupler, sim_cli
+from ablatesim.coupler import NonFiniteFieldError, run
+from ablatesim.flow_solver import solve_flow_step
+from ablatesim.linalg import SolverError
 from ablatesim.mesh import GeometrySpec, generate_channel_mesh, load_mesh
 from ablatesim.sim_cli import (ConfigError, PointProbe, config_from_dict,
                                config_to_dict, main, parse_config, preset,
@@ -219,6 +221,26 @@ class TestCLI:
         rc = main(["run", "--config", str(cfgfile), "--out", str(outdir)])
         assert rc == 4
         assert (outdir / "probes.csv").exists()  # partial diagnostics kept
+
+    @pytest.mark.parametrize("error", [SolverError, NonFiniteFieldError])
+    def test_run_solver_failure_keeps_probes_exit_3(self, tmp_path, monkeypatch, error):
+        calls = []
+
+        def flow_step_failing_at_3(problem):
+            calls.append(1)
+            if len(calls) == 3:
+                raise error("flow step 3 failed")
+            return solve_flow_step(problem)
+
+        monkeypatch.setattr(coupler, "solve_flow_step", flow_step_failing_at_3)
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"preset": "test1", **QUICK, "time": {"M": 5}}))
+        outdir = tmp_path / "out"
+        rc = main(["run", "--config", str(cfgfile), "--out", str(outdir)])
+        assert rc == 3
+        rows = (outdir / "probes.csv").read_text().splitlines()
+        assert len([ln for ln in rows[1:] if ln]) == 2  # steps 1 and 2
+        assert not (outdir / "final.vtk").exists()
 
     def test_steps_override(self, tmp_path):
         cfgfile = tmp_path / "c.json"

@@ -8,7 +8,7 @@ scheme with entropy-viscosity stabilization of the transport.
 from .mesh import (GAMMA1, GAMMA2, GAMMA3, GAMMA4, GAMMA5, GeometrySpec,
                    Mesh2D, generate_channel_mesh)
 from .materials import MaterialModel
-from .coupler import SimState, Simulation, TimeGrid, run
+from .coupler import SimState, Simulation, TimeGrid
 from .sim_cli import SimConfig, parse_config, preset
 
 __version__ = "0.1.0"
@@ -16,6 +16,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GAMMA1", "GAMMA2", "GAMMA3", "GAMMA4", "GAMMA5",
     "GeometrySpec", "Mesh2D", "generate_channel_mesh",
-    "MaterialModel", "SimState", "Simulation", "TimeGrid", "run",
+    "MaterialModel", "SimState", "Simulation", "TimeGrid",
     "SimConfig", "parse_config", "preset", "__version__",
 ]

@@ -74,9 +74,6 @@ class DiagnosticsRow:
     max_art_visc: float
     min_art_visc: float
     centroid_x: float
-    iters_potential: int = 0
-    iters_flow: int = 0
-    iters_heat: int = 0
     stages: list = field(default_factory=list, repr=False)  # (name, wallclock)
 
 
@@ -122,7 +119,6 @@ class Simulation:
             mesh=self.mesh, model=self.model, theta=theta,
             g=pot.g, neumann_tags=tuple(pot.neumann_tags),
             dirichlet_tags=tuple(pot.dirichlet_tags),
-            tol=self.config.solver.potential_tol,
         )
 
     def _flow_problem(self, theta, v_prev, dt) -> FlowProblem:
@@ -130,8 +126,6 @@ class Simulation:
             mesh=self.mesh, dofmap=self.dofmap, model=self.model,
             theta=theta, v_prev=v_prev, dt=dt, bc=self.flow_bc,
             body_force=self.model.buoyancy.enabled,
-            method=self.config.solver.flow_method,
-            tol=self.config.solver.flow_tol,
         )
 
     def _heat_problem(self, theta_prev, theta_prev2, v, v_stab, phi, dt, t) -> HeatProblem:
@@ -139,13 +133,12 @@ class Simulation:
             mesh=self.mesh, dofmap=self.dofmap, model=self.model,
             theta_prev=theta_prev, theta_prev2=theta_prev2,
             v=v, v_stab=v_stab, phi=phi, dt=dt, bc=self.heat_bc, stab=self.stab,
-            time=t, method=self.config.solver.heat_method,
-            tol=self.config.solver.heat_tol,
+            time=t,
         )
 
     # -- diagnostics ------------------------------------------------------------
 
-    def _diagnostics(self, step, t, state_fields, art, iters, stages) -> DiagnosticsRow:
+    def _diagnostics(self, step, t, state_fields, art, stages) -> DiagnosticsRow:
         v, theta = state_fields
         theta = np.asarray(theta)
         imax = int(np.argmax(theta))
@@ -168,11 +161,7 @@ class Simulation:
             max_theta=float(theta.max()), argmax_x=float(xy[0]), argmax_y=float(xy[1]),
             int_theta=int_theta, div_norm=div_norm,
             max_art_visc=float(art.max()), min_art_visc=float(art.min()),
-            centroid_x=float(centroid),
-            iters_potential=iters.get("potential", 0),
-            iters_flow=iters.get("flow", 0),
-            iters_heat=iters.get("heat", 0),
-            stages=stages,
+            centroid_x=float(centroid), stages=stages,
         )
 
     def _guard(self, state: SimState, rows) -> None:
@@ -205,14 +194,13 @@ class Simulation:
 
         try:
             stages.append(("flow", _time.perf_counter()))
-            fp = self._flow_problem(theta_b_field, np.zeros(self.dofmap.n_velocity), None)
-            v0, p0 = solve_flow_stationary(fp)
+            v0, p0 = solve_flow_stationary(
+                self._flow_problem(theta_b_field, np.zeros(self.dofmap.n_velocity), None))
         except Exception as exc:
             raise self._stage_error("flow", exc) from exc
         try:
             stages.append(("potential", _time.perf_counter()))
-            pp = self._potential_problem(theta_b_field)
-            phi0 = solve_potential(pp)
+            phi0 = solve_potential(self._potential_problem(theta_b_field))
         except Exception as exc:
             raise self._stage_error("potential", exc) from exc
         try:
@@ -229,11 +217,10 @@ class Simulation:
         except Exception as exc:
             raise self._stage_error("heat", exc) from exc
 
-        iters = {"potential": pp.iterations, "flow": fp.iterations, "heat": hp.iterations}
         state = SimState(t=0.0, n=0, v=v0, P=p0, theta=theta0, phi=phi0,
                          theta_prev=None)
         state.check_finite()
-        state.diag = self._diagnostics(0, 0.0, (v0, theta0), None, iters, stages)
+        state.diag = self._diagnostics(0, 0.0, (v0, theta0), None, stages)
         self._guard(state, rows=[state.diag])
         return state
 
@@ -245,38 +232,31 @@ class Simulation:
         n_new = state.n + 1
         t_new = state.t + dt
         stages = []
-        iters = {}
 
         # Stage 1: potential at the lagged temperature.
         stages.append(("potential", _time.perf_counter()))
         every = max(1, cfg.solver.potential_every)
         if state.n % every == 0 or state.diag is None:
-            pp = self._potential_problem(state.theta)
-            phi = solve_potential(pp)
-            iters["potential"] = pp.iterations
+            phi = solve_potential(self._potential_problem(state.theta))
         else:
             phi = state.phi
-            iters["potential"] = 0
 
         # Stage 2: flow advected by v^{n-1}, viscosity at theta^{n-1}.
         stages.append(("flow", _time.perf_counter()))
-        fp = self._flow_problem(state.theta, state.v, dt)
-        v_new, p_new = solve_flow_step(fp)
-        iters["flow"] = fp.iterations
+        v_new, p_new = solve_flow_step(self._flow_problem(state.theta, state.v, dt))
 
         # Stage 3: heat transported by v^n with lagged sources and residual.
         stages.append(("heat", _time.perf_counter()))
         hp = self._heat_problem(state.theta, state.theta_prev, v_new, state.v,
                                 phi, dt, t_new)
         theta_new = solve_heat_step(hp)
-        iters["heat"] = hp.iterations
 
         new_state = SimState(t=t_new, n=n_new, v=v_new, P=p_new,
                              theta=theta_new, phi=phi, theta_prev=state.theta,
                              art_visc_cells=hp.art_visc)
         new_state.check_finite()
         new_state.diag = self._diagnostics(n_new, t_new, (v_new, theta_new),
-                                           hp.art_visc, iters, stages)
+                                           hp.art_visc, stages)
         return new_state
 
     def run(self, on_step=None):
@@ -301,14 +281,3 @@ class Simulation:
                 on_step(state)
         return state, rows
 
-
-def initialize(config) -> SimState:
-    return Simulation(config).initialize()
-
-
-def advance(state: SimState, config) -> SimState:
-    return Simulation(config).advance(state)
-
-
-def run(config, on_step=None):
-    return Simulation(config).run(on_step=on_step)

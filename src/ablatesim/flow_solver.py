@@ -11,11 +11,11 @@ saddle system
 triangle, so the 2x2 bubble block of every triangle is eliminated first
 (static condensation, :func:`fem_core.assemble_condensed_saddle`); the Schur
 complement on the P1 dofs [vx | vy | p], of order 3*NV, takes the Dirichlet
-rows and is solved by sparse LU by default or by restarted GMRES; the bubbles
-are then recovered triangle by triangle.  The residual and divergence
-contracts are checked on the recovered full system.  Do-nothing outlets add
-no stress boundary terms; the convective form keeps its Gamma_N surface
-integral exactly as written.
+rows and is solved by sparse LU under the residual contract of
+:func:`linalg.solve_lu`; the bubbles are then recovered triangle by triangle.
+The residual and divergence contracts are checked again on the recovered
+full system.  Do-nothing outlets add no stress boundary terms; the convective
+form keeps its Gamma_N surface integral exactly as written.
 """
 
 from __future__ import annotations
@@ -116,10 +116,7 @@ class FlowProblem:
     include_convection: bool = True
     advect_field: object = None  # callable override of the Oseen advecting field
     extra_force: object = None  # callable(x, y) -> (fx, fy); verification hook
-    method: str = "lu"
-    tol: float = 1e-8
     pressure_pin_value: float = 0.0
-    iterations: int = field(default=0, init=False)
 
     def validate(self) -> None:
         from .mesh import ALL_TAGS
@@ -209,41 +206,25 @@ def _solve_linear(problem: FlowProblem, advect, include_time: bool):
     cdofs = saddle.layout.index[dofs]
     S, rhs_c = linalg.apply_dirichlet(saddle.matrix, saddle.condense(rhs), cdofs, vals)
 
-    problem.iterations = 0
+    x_l = linalg.solve_lu(S, rhs_c)
+    x_l[cdofs] = vals  # constrained dofs are exact by contract
+    x = saddle.recover(x_l, rhs)
 
-    def solve(method):
-        if method == "gmres":
-            info: dict = {}
-            x_l = linalg.solve_gmres(S, rhs_c, tol_rel=problem.tol, restart=50,
-                                     max_iter=20000, info=info)
-            problem.iterations = info.get("iterations", 0)
-        else:
-            x_l = linalg.solve_lu(S, rhs_c)
-        x_l[cdofs] = vals  # constrained dofs are exact by contract
-        return saddle.recover(x_l, rhs)
-
-    x = solve(problem.method)
-    if problem.method != "gmres":
-        # Residual contract on the full system, bubble rows included; the
-        # constrained rows hold by construction.
-        free = np.ones(dm.n_flow, dtype=bool)
-        free[dofs] = False
-        fixed = np.zeros(dm.n_flow)
-        fixed[dofs] = vals
-        scale = np.linalg.norm(np.concatenate([saddle.residual(fixed, rhs)[free], vals]))
-        res = np.linalg.norm(saddle.residual(x, rhs)[free])
-        if not np.isfinite(res) or res > 1e-8 * (1.0 + scale):
-            raise linalg.SolverError(f"flow LU residual too large: {res:.3e}")
+    # Residual contract on the full system, bubble rows included; the
+    # constrained rows hold by construction.
+    free = np.ones(dm.n_flow, dtype=bool)
+    free[dofs] = False
+    fixed = np.zeros(dm.n_flow)
+    fixed[dofs] = vals
+    scale = np.linalg.norm(np.concatenate([saddle.residual(fixed, rhs)[free], vals]))
+    res = np.linalg.norm(saddle.residual(x, rhs)[free])
+    if not np.isfinite(res) or res > 1e-8 * (1.0 + scale):
+        raise linalg.SolverError(f"flow LU residual too large: {res:.3e}")
 
     v, p = x[:dm.n_velocity], x[dm.n_velocity:]
     div = float(np.linalg.norm(saddle.B @ v))
     if div > 1e-8 * (1.0 + np.linalg.norm(v)):
-        if problem.method == "gmres":
-            x = solve("lu")
-            v, p = x[:dm.n_velocity], x[dm.n_velocity:]
-            div = float(np.linalg.norm(saddle.B @ v))
-        if div > 1e-8 * (1.0 + np.linalg.norm(v)):
-            raise linalg.SolverError(f"divergence contract violated: |Bv| = {div:.3e}")
+        raise linalg.SolverError(f"divergence contract violated: |Bv| = {div:.3e}")
     return v, p
 
 

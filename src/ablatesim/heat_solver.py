@@ -13,6 +13,10 @@ saturates at the first-order upwind level beta ||v|| h_K elsewhere.  The
 residual R_a is evaluated pointwise at quadrature points; the P1 diffusion
 flux has zero divergence inside elements, so that term drops elementwise and
 the residual acts as an upper-bound trigger, not an exact operator.
+
+Each linear system is solved by sparse LU under the residual contract of
+:func:`linalg.solve_lu`, with the previous temperature as the guess, so an
+equilibrium stays bit-for-bit fixed.
 """
 
 from __future__ import annotations
@@ -79,10 +83,7 @@ class HeatProblem:
     include_physics_sources: bool = True
     include_inflow_bc: bool = True  # False = saline supply off (initial equilibrium)
     extra_source: object = None  # callable(x, y, t); verification hook
-    method: str = "gmres"
-    tol: float = 1e-8
-    max_iter: int = 20000
-    iterations: int = field(default=0, init=False)
+    iterations: int = field(default=0, init=False)  # Krylov count; 0 under the direct solve
     art_visc: np.ndarray | None = field(default=None, init=False)  # last per-cell values
 
     def validate(self) -> None:
@@ -308,22 +309,6 @@ def _diffusion_coefficient(problem: HeatProblem) -> np.ndarray:
     return eta_qp + art[:, None]
 
 
-def _solve_system(problem: HeatProblem, A, rhs, x0) -> np.ndarray:
-    if problem.method == "lu":
-        problem.iterations = 0
-        return linalg.solve_lu(A, rhs)
-    info: dict = {}
-    try:
-        theta = linalg.solve_gmres(A, rhs, tol_rel=problem.tol, restart=50,
-                                   max_iter=problem.max_iter, x0=x0, info=info)
-        problem.iterations = info.get("iterations", 0)
-        return theta
-    except linalg.NotConverged as exc:
-        log.warning("heat GMRES did not converge (%s); falling back to LU", exc)
-        problem.iterations = getattr(exc, "iters", 0)
-        return linalg.solve_lu(A, rhs)
-
-
 def solve_heat_step(problem: HeatProblem) -> np.ndarray:
     """One implicit-Euler step of the stabilized temperature equation."""
     problem.validate()
@@ -346,7 +331,7 @@ def solve_heat_step(problem: HeatProblem) -> np.ndarray:
 
     dofs, vals = _dirichlet_terms(problem)
     A_sys, rhs = linalg.apply_dirichlet(A_sys, rhs, dofs, vals)
-    theta = _solve_system(problem, A_sys, rhs, x0=theta_prev)
+    theta = linalg.solve_lu(A_sys, rhs, x0=theta_prev)
     theta[dofs] = vals  # pinned dofs are exact by contract
     if not np.all(np.isfinite(theta)):
         raise linalg.SolverError("heat step produced non-finite temperature")
@@ -383,7 +368,7 @@ def solve_heat_stationary(problem: HeatProblem, picard_tol: float = 1e-10,
             rhs = _source_load(problem) + robin_rhs + inflow_rhs
             dofs, vals = _dirichlet_terms(problem)
             A_sys, rhs = linalg.apply_dirichlet(A_sys.tocsr(), rhs, dofs, vals)
-            theta_new = _solve_system(problem, A_sys, rhs, x0=theta)
+            theta_new = linalg.solve_lu(A_sys, rhs, x0=theta)
             theta_new[dofs] = vals
             incr = np.linalg.norm(theta_new - theta) / max(1.0, np.linalg.norm(theta_new))
             theta = theta_new

@@ -1,8 +1,11 @@
 """Sparse storage, assembly builder, and linear solvers.
 
-Matrices are scipy CSR; vectors are 1-D numpy arrays.  The solvers wrap
-scipy.sparse.linalg but enforce the residual contract ||Ax - b|| <= tol*||b||
-on every accepted return and raise typed errors otherwise.
+Matrices are scipy CSR; vectors are 1-D numpy arrays.  Every linear system of
+the simulator is solved by :func:`solve_lu`, a sparse LU under the residual
+contract ||b - Ax|| <= 1e-10 ||b||; a solve that misses it raises.  The
+Jacobi-preconditioned Krylov solvers :func:`solve_cg` and :func:`solve_gmres`
+enforce the same kind of contract at their own tolerance; no solver of the
+package calls them.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ class NotConverged(SolverError):
 
 class SingularMatrix(SolverError):
     pass
+
+
+RESIDUAL_TOL = 1e-10  # relative residual bound of every solve_lu return
 
 
 class CooBuilder:
@@ -142,9 +148,20 @@ def solve_gmres(A: SparseMatrix, b: FieldVector, tol_rel: float = 1e-8,
     return _check_contract("gmres", A, x, b, tol_rel, iters)
 
 
-def solve_lu(A: SparseMatrix, b: FieldVector) -> FieldVector:
-    """Sparse LU direct solve; raises SingularMatrix on rank deficiency."""
+def solve_lu(A: SparseMatrix, b: FieldVector,
+             x0: FieldVector | None = None) -> FieldVector:
+    """Sparse LU direct solve under the residual contract.
+
+    Returns x with ||b - Ax|| <= RESIDUAL_TOL * ||b||.  A guess ``x0`` that
+    already meets the contract is returned unchanged (as a copy), without a
+    factorization, so a fixed point stays bit-for-bit fixed.  Raises
+    SingularMatrix on rank deficiency or a non-finite solution and
+    SolverError when the solution misses the contract.
+    """
     b = np.asarray(b, dtype=float)
+    limit = RESIDUAL_TOL * float(np.linalg.norm(b))
+    if x0 is not None and _residual_norm(A, x0, b) <= limit:
+        return np.array(x0, dtype=float)
     try:
         lu = spla.splu(sp.csc_matrix(A))
         x = lu.solve(b)
@@ -152,6 +169,10 @@ def solve_lu(A: SparseMatrix, b: FieldVector) -> FieldVector:
         raise SingularMatrix(str(exc)) from exc
     if not np.all(np.isfinite(x)):
         raise SingularMatrix("LU produced non-finite solution")
+    res = _residual_norm(A, x, b)
+    if res > limit:
+        raise SolverError(f"LU residual contract violated: |b - Ax| = {res:.3e} "
+                          f"> {RESIDUAL_TOL:.0e} |b| = {limit:.3e}")
     return x
 
 

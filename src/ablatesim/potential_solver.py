@@ -3,6 +3,8 @@
 The physical problem has zero volumetric source, a prescribed current flux g
 on the electrode segment, and grounded (phi = 0) remaining boundaries; the
 optional volumetric source exists for manufactured-solution verification.
+The symmetric positive definite system left after the Dirichlet elimination
+is solved by sparse LU under the residual contract of :func:`linalg.solve_lu`.
 """
 
 from __future__ import annotations
@@ -26,9 +28,7 @@ class PotentialProblem:
     dirichlet_tags: tuple = (GAMMA1, GAMMA2, GAMMA3, GAMMA4)
     dirichlet_value: float = 0.0
     source: object = None  # verification hook: (NT, NQ) array or callable(x, y)
-    tol: float = 1e-10
-    max_iter: int = 5000
-    iterations: int = field(default=0, init=False)  # written by solve_potential
+    iterations: int = field(default=0, init=False)  # Krylov count; 0 under the direct solve
 
 
 def _source_at_qp(problem: PotentialProblem):
@@ -41,7 +41,7 @@ def _source_at_qp(problem: PotentialProblem):
 
 
 def solve_potential(problem: PotentialProblem) -> np.ndarray:
-    """CG solve of the lagged-conductivity potential equation."""
+    """Direct solve of the lagged-conductivity potential equation."""
     mesh = problem.mesh
     theta = np.asarray(problem.theta, dtype=float)
     if not np.all(np.isfinite(theta)):
@@ -61,9 +61,7 @@ def solve_potential(problem: PotentialProblem) -> np.ndarray:
     ]))
     A, b = linalg.apply_dirichlet(A, b, dirichlet,
                                   np.full(dirichlet.size, problem.dirichlet_value))
-    info: dict = {}
-    phi = linalg.solve_cg(A, b, tol_rel=problem.tol, max_iter=problem.max_iter, info=info)
-    problem.iterations = info.get("iterations", 0)
+    phi = linalg.solve_lu(A, b)
     phi[dirichlet] = problem.dirichlet_value  # pinned dofs are exact by contract
     return phi
 

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -93,11 +94,6 @@ class PotentialConfig:
 
 @dataclass
 class SolverConfig:
-    potential_tol: float = 1e-10
-    heat_tol: float = 1e-8
-    flow_tol: float = 1e-8
-    flow_method: str = "lu"  # lu | gmres
-    heat_method: str = "gmres"  # gmres (with LU fallback) | lu
     potential_every: int = 1
 
 
@@ -172,22 +168,11 @@ class SimConfig:
                 raise ConfigError(f"potential_bc.roles.{name}: unknown role {role!r}")
         if not self.potential_bc.dirichlet_tags:
             raise ConfigError("potential_bc needs at least one dirichlet tag")
-        for name, entry in self.flow_bc.items():
-            if entry.role not in ("inflow", "noslip", "donothing"):
-                raise ConfigError(f"flow_bc.{name}: unknown role {entry.role!r}")
-            if entry.role == "inflow" and entry.profile is None:
-                raise ConfigError(f"flow_bc.{name}: inflow needs a profile")
-        for name, entry in self.heat_bc.items():
-            if entry.role not in ("robin", "dirichlet", "neumann", "inflow"):
-                raise ConfigError(f"heat_bc.{name}: unknown role {entry.role!r}")
-            if entry.role == "robin" and entry.alpha < 0:
-                raise ConfigError(f"heat_bc.{name}: alpha must be nonnegative")
-        if not (1.0 <= self.stabilization.alpha <= 2.0):
-            raise ConfigError("stabilization.alpha must lie in [1, 2]")
-        if self.solver.flow_method not in ("lu", "gmres"):
-            raise ConfigError(f"solver.flow_method: unknown method {self.solver.flow_method!r}")
-        if self.solver.heat_method not in ("lu", "gmres"):
-            raise ConfigError(f"solver.heat_method: unknown method {self.solver.heat_method!r}")
+        # Roles, profiles and bounds are checked where the solver objects are
+        # built, so a config that validates also builds.
+        self.build_flow_bcs()
+        self.build_heat_bcs()
+        self.build_stabilization()
         if self.solver.potential_every < 1:
             raise ConfigError("solver.potential_every must be >= 1")
         if self.output.stride < 0:
@@ -210,31 +195,35 @@ class SimConfig:
         out = {}
         g = self.geometry
         for name, entry in self.flow_bc.items():
-            tag = TAG_NAMES[name]
-            if entry.role == "inflow":
-                profile = flow_solver.make_profile(
-                    entry.profile, H=g.H, L=g.L, r=g.r)
-                out[tag] = flow_solver.FlowBC(entry.role, profile)
-            else:
-                out[tag] = flow_solver.FlowBC(entry.role)
+            with _config_section(f"flow_bc.{name}"):
+                profile = None
+                if entry.role == "inflow" and entry.profile is not None:
+                    profile = flow_solver.make_profile(entry.profile, H=g.H, L=g.L, r=g.r)
+                out[TAG_NAMES[name]] = flow_solver.FlowBC(entry.role, profile)
         return out
 
     def build_heat_bcs(self) -> dict:
         out = {}
         for name, entry in self.heat_bc.items():
-            tag = TAG_NAMES[name]
-            if entry.role == "robin":
-                out[tag] = heat_solver.HeatBC("robin", alpha=entry.alpha, data=entry.value)
-            elif entry.role in ("dirichlet", "inflow"):
-                out[tag] = heat_solver.HeatBC(entry.role, data=entry.value)
-            else:
-                out[tag] = heat_solver.HeatBC("neumann")
+            with _config_section(f"heat_bc.{name}"):
+                out[TAG_NAMES[name]] = heat_solver.HeatBC(
+                    entry.role, alpha=entry.alpha, data=entry.value)
         return out
 
     def build_stabilization(self) -> heat_solver.StabilizationParams:
         s = self.stabilization
-        return heat_solver.StabilizationParams(
-            alpha_exp=s.alpha, beta=s.beta, c_r=s.c_r, var_floor=s.var_floor)
+        with _config_section("stabilization"):
+            return heat_solver.StabilizationParams(
+                alpha_exp=s.alpha, beta=s.beta, c_r=s.c_r, var_floor=s.var_floor)
+
+
+@contextmanager
+def _config_section(path: str):
+    """Report a ValueError raised while building a section as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 # -- presets (Tests 1-3) ---------------------------------------------------------

@@ -270,7 +270,7 @@ def solve_heat_steady_case(case: ManufacturedCase, nx, ny):
         theta_prev=np.zeros(msh.num_vertices), v=v, phi=np.zeros(msh.num_vertices),
         dt=1.0, bc=bc, stab=StabilizationParams(beta=0.0),
         include_physics_sources=False,
-        extra_source=lambda x, y, t: case.source(x, y), method="lu",
+        extra_source=lambda x, y, t: case.source(x, y),
     )
     theta = heat_solver.solve_heat_stationary(problem)
     return msh, theta
@@ -292,7 +292,7 @@ def solve_heat_unsteady_case(case: ManufacturedCase, nx, ny, steps=None):
             theta_prev2=theta_prev2, v=v, phi=np.zeros(msh.num_vertices),
             dt=dt, bc=bc, stab=StabilizationParams(beta=0.0),
             time=n * dt, include_physics_sources=False,
-            extra_source=case.source, method="lu",
+            extra_source=case.source,
         )
         theta_new = heat_solver.solve_heat_step(problem)
         theta_prev2, theta = theta, theta_new
@@ -311,7 +311,7 @@ def solve_oseen_case(case: ManufacturedCase, nx, ny):
         v_prev=np.zeros(dm.n_velocity), dt=None, bc=bc,
         advect_field=lambda x, y: case.exact(x, y),
         extra_force=lambda x, y: case.source(x, y),
-        pressure_pin_value=float(case.pressure(0.0, 0.0)), method="lu",
+        pressure_pin_value=float(case.pressure(0.0, 0.0)),
     )
     v, p = flow_solver.solve_flow_stationary(problem)
     return msh, dm, v, p
@@ -456,7 +456,6 @@ def finite_difference_source_check(case: ManufacturedCase, npoints: int = 20,
 def _step_audit(config) -> dict:
     """One full run of the config collecting per-step invariant data."""
     sim = coupler.Simulation(config)
-    state = sim.initialize()
     audit = {
         "eta_bound_violation": 0.0,
         "eta_zero_velocity_max": 0.0,
@@ -464,44 +463,46 @@ def _step_audit(config) -> dict:
         "load_min": np.inf,
         "div_max": 0.0,
         "stage_order_ok": True,
-        "max_theta_series": [state.diag.max_theta],
-        "centroid_series": [state.diag.centroid_x],
-        "argmax_series": [(state.diag.argmax_x, state.diag.argmax_y)],
+        "max_theta_series": [],
+        "centroid_series": [],
+        "argmax_series": [],
         "blowup": False,
     }
-    beta = sim.stab.beta
-    h = sim.mesh.h
-    try:
-        for _ in range(config.time.M):
-            v_prev = state.v
-            new_state = sim.advance(state)
-            art = new_state.art_visc_cells
-            vmax_k = heat_solver._cell_speed_max(sim.mesh, sim.dofmap, v_prev)
-            bound = beta * vmax_k * h
+    beta, h = sim.stab.beta, sim.mesh.h
+    prev = None  # the state before the one on_step receives
+
+    def on_step(state):
+        nonlocal prev
+        diag = state.diag
+        audit["max_theta_series"].append(diag.max_theta)
+        audit["centroid_series"].append(diag.centroid_x)
+        audit["argmax_series"].append((diag.argmax_x, diag.argmax_y))
+        if prev is not None:
+            art = state.art_visc_cells
+            vmax_k = heat_solver._cell_speed_max(sim.mesh, sim.dofmap, prev.v)
             audit["eta_bound_violation"] = max(
                 audit["eta_bound_violation"],
-                float(np.max(art - bound)), float(np.max(-art)))
+                float(np.max(art - beta * vmax_k * h)), float(np.max(-art)))
             still = vmax_k == 0.0
             if np.any(still):
                 audit["eta_zero_velocity_max"] = max(
                     audit["eta_zero_velocity_max"], float(np.max(np.abs(art[still]))))
             src = (flow_solver.viscous_dissipation(sim.mesh, sim.dofmap, sim.model,
-                                                   state.theta, new_state.v)
-                   + joule_density(sim.mesh, sim.model, state.theta, new_state.phi))
+                                                   prev.theta, state.v)
+                   + joule_density(sim.mesh, sim.model, prev.theta, state.phi))
             audit["source_min"] = min(audit["source_min"], float(src.min()))
             load = fem_core.assemble_scalar_load(sim.mesh, src)
             audit["load_min"] = min(audit["load_min"], float(load.min()))
-            audit["div_max"] = max(audit["div_max"], new_state.diag.div_norm
-                                   / (1.0 + float(np.linalg.norm(new_state.v))))
-            names = [s[0] for s in new_state.diag.stages]
-            times = [s[1] for s in new_state.diag.stages]
+            audit["div_max"] = max(audit["div_max"],
+                                   diag.div_norm / (1.0 + float(np.linalg.norm(state.v))))
+            names = [s[0] for s in diag.stages]
+            times = [s[1] for s in diag.stages]
             if names != ["potential", "flow", "heat"] or times != sorted(times):
                 audit["stage_order_ok"] = False
-            audit["max_theta_series"].append(new_state.diag.max_theta)
-            audit["centroid_series"].append(new_state.diag.centroid_x)
-            audit["argmax_series"].append((new_state.diag.argmax_x,
-                                           new_state.diag.argmax_y))
-            state = new_state
+        prev = state
+
+    try:
+        sim.run(on_step=on_step)
     except coupler.BlowUpError:
         audit["blowup"] = True
     return audit
@@ -721,7 +722,7 @@ def invariant_suite(config) -> dict:
         fp = flow_solver.FlowProblem(
             mesh=small, dofmap=dms, model=model,
             theta=np.full(small.num_vertices, model.theta_b),
-            v_prev=np.zeros(dms.n_velocity), dt=None, bc=bc_const, method="lu")
+            v_prev=np.zeros(dms.n_velocity), dt=None, bc=bc_const)
         vconst, _ = flow_solver.solve_flow_stationary(fp)
         vv = fem_core.velocity_at_vertices(small, dms, vconst)
         record("flow.galilean_constant",
@@ -745,8 +746,7 @@ def invariant_suite(config) -> dict:
             fps = flow_solver.FlowProblem(
                 mesh=small, dofmap=dms, model=model,
                 theta=np.full(small.num_vertices, model.theta_b),
-                v_prev=vprev, dt=0.05, bc=bc_wall, include_convection=False,
-                method="lu")
+                v_prev=vprev, dt=0.05, bc=bc_wall, include_convection=False)
             vnew, _ = flow_solver.solve_flow_step(fps)
             if vnew @ (Mv @ vnew) > vprev @ (Mv @ vprev) * (1 + 1e-12):
                 decay_ok = False
@@ -775,7 +775,7 @@ def invariant_suite(config) -> dict:
             hp = HeatProblem(mesh=small, dofmap=dms, model=model, theta_prev=th,
                              v=np.zeros(dms.n_velocity), phi=np.zeros(nvs), dt=0.1,
                              bc=bc_rob, stab=StabilizationParams(beta=0.0),
-                             include_physics_sources=False, method="lu")
+                             include_physics_sources=False)
             th = heat_solver.solve_heat_step(hp)
             diff = th - model.theta_b
             nrm = float(np.sqrt(diff @ (Mh @ diff)))
@@ -789,8 +789,8 @@ def invariant_suite(config) -> dict:
     try:
         det_cfg = copy.deepcopy(config)
         det_cfg.time.M = min(3, config.time.M)
-        _, rows_a = coupler.run(det_cfg)
-        _, rows_b = coupler.run(det_cfg)
+        _, rows_a = coupler.Simulation(det_cfg).run()
+        _, rows_b = coupler.Simulation(det_cfg).run()
         same = all(
             ra.max_theta == rb.max_theta and ra.int_theta == rb.int_theta
             and ra.div_norm == rb.div_norm

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ablatesim import verify
-from ablatesim.coupler import BlowUpError, Simulation, run
+from ablatesim.coupler import BlowUpError, Simulation
 from ablatesim.materials import MaterialModel
 from ablatesim.sim_cli import config_from_dict, main, preset
 
@@ -136,7 +136,7 @@ def test_criterion_9_blowup_guard(tmp_path):
     # direct API check too: the guard fires within M steps
     cfg = config_from_dict({"preset": "test1", "potential_bc": {"g": 500.0}})
     try:
-        run(cfg)
+        Simulation(cfg).run()
         fired_at = None
     except BlowUpError as exc:
         fired_at = exc.state.n

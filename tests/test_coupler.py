@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ablatesim import flow_solver
+from ablatesim import coupler, flow_solver
 from ablatesim.coupler import (BlowUpError, NonFiniteFieldError, SimState,
-                               Simulation, TimeGrid, advance, initialize, run)
+                               Simulation, TimeGrid)
 from ablatesim.linalg import SolverError
 from ablatesim.sim_cli import ConfigError, preset
 
@@ -41,14 +41,14 @@ class TestTimeGrid:
 
     def test_m_zero_run_is_initialize_only(self):
         cfg = equilibrium_config(M=0)
-        state, rows = run(cfg)
+        state, rows = Simulation(cfg).run()
         assert state.n == 0
         assert len(rows) == 1
 
 
 class TestInitialize:
     def test_equilibrium_config_constant_state(self):
-        state = initialize(equilibrium_config())
+        state = Simulation(equilibrium_config()).initialize()
         assert np.abs(state.theta - 37.0).max() <= 1e-10
         assert np.abs(state.v).max() <= 1e-10
         assert np.abs(state.phi).max() == 0.0
@@ -57,10 +57,10 @@ class TestInitialize:
         cfg = quick_config()
         cfg.time.T = -2.0
         with pytest.raises(ConfigError):
-            initialize(cfg)
+            Simulation(cfg).initialize()
 
     def test_initial_state_structure(self):
-        state = initialize(quick_config())
+        state = Simulation(quick_config()).initialize()
         assert state.n == 0 and state.t == 0.0
         assert state.theta_prev is None
         assert state.diag is not None
@@ -68,7 +68,7 @@ class TestInitialize:
 
     def test_initial_temperature_is_body_equilibrium(self):
         # device off until t = 0: the initial field is exactly theta_b
-        state = initialize(quick_config())
+        state = Simulation(quick_config()).initialize()
         assert np.abs(state.theta - 37.0).max() <= 1e-10
 
     def test_failed_stokes_solve_raises_labelled(self, monkeypatch):
@@ -78,7 +78,7 @@ class TestInitialize:
 
         monkeypatch.setattr(flow_solver, "_solve_linear", failing)
         with pytest.raises(SolverError, match="^initialize/flow: flow LU residual"):
-            initialize(quick_config())
+            Simulation(quick_config()).initialize()
 
 
 class TestAdvance:
@@ -119,25 +119,18 @@ class TestAdvance:
         assert names == ["potential", "flow", "heat"]
         assert times == sorted(times)
 
-    def test_standalone_advance_function(self):
-        cfg = equilibrium_config()
-        state = initialize(cfg)
-        new = advance(state, cfg)
-        assert new.n == 1
-        assert np.abs(new.theta - state.theta).max() <= 1e-10
-
 
 class TestRun:
     def test_row_count(self):
         cfg = quick_config(M=5)
-        state, rows = run(cfg)
+        state, rows = Simulation(cfg).run()
         assert state.n == 5
         assert len(rows) == 6
         assert [r.step for r in rows] == list(range(6))
 
     def test_equilibrium_rows_identical(self):
         cfg = equilibrium_config(M=4)
-        _, rows = run(cfg)
+        _, rows = Simulation(cfg).run()
         base = rows[0]
         for r in rows[1:]:
             assert r.max_theta == base.max_theta
@@ -146,8 +139,8 @@ class TestRun:
 
     def test_determinism_bitwise(self):
         cfg = quick_config(M=3)
-        _, rows_a = run(cfg)
-        _, rows_b = run(cfg)
+        _, rows_a = Simulation(cfg).run()
+        _, rows_b = Simulation(cfg).run()
         for ra, rb in zip(rows_a, rows_b):
             assert ra.max_theta == rb.max_theta
             assert ra.int_theta == rb.int_theta
@@ -159,25 +152,35 @@ class TestRun:
     def test_time_accumulates(self):
         cfg = quick_config(M=4)
         cfg.time.T = 0.4
-        state, rows = run(cfg)
+        state, rows = Simulation(cfg).run()
         assert state.t == pytest.approx(0.4, rel=1e-12)
 
     def test_fields_finite_every_step(self):
         cfg = quick_config(M=3)
         seen = []
-        run(cfg, on_step=lambda s: seen.append(s))
+        Simulation(cfg).run(on_step=lambda s: seen.append(s))
         assert len(seen) == 4
         for s in seen:
             s.check_finite()
 
-    def test_potential_every_k(self):
+    def test_potential_every_k(self, monkeypatch):
         cfg = quick_config(M=4)
         cfg.solver.potential_every = 2
-        _, rows = run(cfg)
+        calls, per_step = [], []
+        solve_potential = coupler.solve_potential
+
+        def counted(problem):
+            calls.append(1)
+            return solve_potential(problem)
+
+        def on_step(state):
+            per_step.append(len(calls))
+            calls.clear()
+
+        monkeypatch.setattr(coupler, "solve_potential", counted)
+        Simulation(cfg).run(on_step=on_step)
         # recomputed at steps 1 and 3 (lagged index 0 and 2), reused between
-        assert rows[1].iters_potential > 0
-        assert rows[2].iters_potential == 0
-        assert rows[3].iters_potential > 0
+        assert per_step[1:] == [1, 0, 1, 0]
 
 
 class TestBlowUpGuard:
@@ -185,11 +188,11 @@ class TestBlowUpGuard:
         cfg = quick_config(M=20)
         cfg.potential_bc.g = 500.0
         with pytest.raises(BlowUpError) as exc:
-            run(cfg)
+            Simulation(cfg).run()
         assert exc.value.state is not None
         assert exc.value.state.n <= 20
         assert len(exc.value.rows) >= 1
 
     def test_normal_run_does_not_trigger(self):
-        state, _ = run(quick_config(M=3))
+        state, _ = Simulation(quick_config(M=3)).run()
         assert np.abs(state.theta).max() < 1e4

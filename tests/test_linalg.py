@@ -105,30 +105,31 @@ class TestLU:
         with pytest.raises(SingularMatrix):
             solve_lu(A, np.array([1.0, 1.0]))
 
-    def test_agreement_with_gmres_on_oseen(self):
-        # Cross-solver oracle on an assembled MINI Oseen saddle system.
-        from ablatesim import fem_core, flow_solver
-        from ablatesim.materials import MaterialModel
-        from ablatesim.mesh import ALL_TAGS, GeometrySpec, generate_channel_mesh
+    def test_residual_contract_violation_raises(self):
+        # SuperLU's relative residual on the 12x12 Hilbert matrix is ~1e-9,
+        # above the 1e-10 contract.
+        n = 12
+        i = np.arange(n)
+        hilbert = sp.csr_matrix(1.0 / (i[:, None] + i[None, :] + 1.0))
+        with pytest.raises(SolverError, match="residual contract"):
+            solve_lu(hilbert, np.ones(n))
 
-        mesh = generate_channel_mesh(GeometrySpec(L=2.0, H=1.0, r=0.25, nx=8, ny=4))
-        dm = fem_core.dofmap_for(mesh)
-        model = MaterialModel(nu_const=1.0)
-        profile = flow_solver.InflowProfile(
-            "shear", lambda x, y: (y * (1.0 - y), np.zeros_like(np.asarray(y))))
-        bc = {t: flow_solver.FlowBC("inflow", profile) for t in ALL_TAGS}
-        theta = np.full(mesh.num_vertices, 37.0)
-        kwargs = dict(mesh=mesh, dofmap=dm, model=model, theta=theta,
-                      v_prev=np.zeros(dm.n_velocity), dt=None, bc=bc,
-                      advect_field=lambda x, y: (np.ones_like(np.asarray(x)),
-                                                 np.zeros_like(np.asarray(x))))
-        p_lu = flow_solver.FlowProblem(method="lu", **kwargs)
-        v1, q1 = flow_solver.solve_flow_stationary(p_lu)
-        p_gm = flow_solver.FlowProblem(method="gmres", tol=1e-12, **kwargs)
-        v2, q2 = flow_solver.solve_flow_stationary(p_gm)
-        scale = max(1.0, np.linalg.norm(v1))
-        assert np.linalg.norm(v1 - v2) <= 1e-8 * scale
-        assert np.linalg.norm(q1 - q2) <= 1e-6 * max(1.0, np.linalg.norm(q1))
+    def test_contract_meeting_guess_returned_bitwise(self):
+        A = laplacian_1d(30)
+        x_true = np.linspace(-1.0, 2.0, 30)
+        b = A @ x_true
+        x0 = x_true + 1e-14  # within the contract, but not LU's own answer
+        assert np.linalg.norm(b - A @ x0) <= 1e-10 * np.linalg.norm(b)
+        x = solve_lu(A, b, x0=x0)
+        assert np.array_equal(x, x0)
+        assert x is not x0
+        assert not np.array_equal(solve_lu(A, b), x0)
+
+    def test_guess_missing_the_contract_is_solved(self):
+        A = laplacian_1d(30)
+        b = np.ones(30)
+        x = solve_lu(A, b, x0=np.zeros(30))
+        assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
 
 
 class TestApplyDirichlet:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ablatesim import coupler, sim_cli
-from ablatesim.coupler import NonFiniteFieldError, run
+from ablatesim.coupler import NonFiniteFieldError, Simulation
 from ablatesim.flow_solver import solve_flow_step
 from ablatesim.linalg import SolverError
 from ablatesim.mesh import GeometrySpec, generate_channel_mesh, load_mesh
@@ -104,6 +104,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="needs a profile"):
             config_from_dict({"flow_bc": {"G2": {"role": "inflow"}}})
 
+    def test_bc_and_stabilization_bounds_named(self):
+        with pytest.raises(ConfigError, match="heat_bc.G1: Robin coefficient"):
+            config_from_dict({"heat_bc": {"G1": {"role": "robin", "alpha": -1.0}}})
+        with pytest.raises(ConfigError, match="stabilization: alpha_exp"):
+            config_from_dict({"stabilization": {"alpha": 3.0}})
+        with pytest.raises(ConfigError, match="flow_bc.G5: unknown flow boundary role"):
+            config_from_dict({"flow_bc": {"G5": {"role": "slip"}}})
+
+    def test_removed_solver_options_rejected(self):
+        for key in ("potential_tol", "heat_tol", "flow_tol", "flow_method", "heat_method"):
+            with pytest.raises(ConfigError, match=f"solver.{key}"):
+                config_from_dict({"solver": {key: 1}})
+
     def test_probe_inside_domain(self):
         with pytest.raises(ConfigError, match="probe"):
             config_from_dict({"output": {"probes": [{"x": 99.0, "y": 0.0}]}})
@@ -156,7 +169,7 @@ class TestProbes:
 
     def test_write_probes_rows_and_header(self, tmp_path):
         cfg = config_from_dict({"preset": "test1", **QUICK})
-        _, rows = run(cfg)
+        _, rows = Simulation(cfg).run()
         path = tmp_path / "probes.csv"
         write_probes(rows[1:], path)
         lines = path.read_bytes().decode().split("\r\n")
@@ -172,7 +185,7 @@ class TestProbes:
             "heat_bc": {"G5": {"value": 37.0}},
         })
         cfg.time.M = 3
-        _, rows = run(cfg)
+        _, rows = Simulation(cfg).run()
         path = tmp_path / "probes.csv"
         write_probes(rows[1:], path)
         data_rows = [ln for ln in path.read_text().splitlines()[1:] if ln]
@@ -208,6 +221,13 @@ class TestCLI:
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps({"preset": "test1", "time": {"T": -1}}))
         assert main(["run", "--config", str(cfgfile)]) == 2
+
+    def test_run_unknown_inflow_profile_exit_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({
+            "preset": "test1", "flow_bc": {"G1": {"role": "inflow", "profile": "nonsense"}}}))
+        assert main(["run", "--config", str(cfgfile)]) == 2
+        assert "flow_bc.G1" in capsys.readouterr().err
 
     def test_run_requires_exactly_one_source(self):
         assert main(["run"]) == 2

@@ -176,16 +176,6 @@ class Simulation:
 
     # -- lifecycle ------------------------------------------------------------------
 
-    @staticmethod
-    def _stage_error(stage: str, exc: Exception) -> Exception:
-        """Relabel a stage failure, falling back to SolverError when the
-        original class cannot be rebuilt from a bare message."""
-        msg = f"initialize/{stage}: {exc}"
-        try:
-            return type(exc)(msg)
-        except TypeError:
-            return SolverError(msg)
-
     def initialize(self) -> SimState:
         """Stationary solves for (v0, P0), phi0, theta0 with stage labels on failure."""
         nv = self.mesh.num_vertices
@@ -196,14 +186,8 @@ class Simulation:
             stages.append(("flow", _time.perf_counter()))
             v0, p0 = solve_flow_stationary(
                 self._flow_problem(theta_b_field, np.zeros(self.dofmap.n_velocity), None))
-        except Exception as exc:
-            raise self._stage_error("flow", exc) from exc
-        try:
             stages.append(("potential", _time.perf_counter()))
             phi0 = solve_potential(self._potential_problem(theta_b_field))
-        except Exception as exc:
-            raise self._stage_error("potential", exc) from exc
-        try:
             stages.append(("heat", _time.perf_counter()))
             hp = self._heat_problem(theta_b_field, None, v0, v0, phi0, 1.0, 0.0)
             # Pre-activation equilibrium: RF current and saline supply are off
@@ -215,7 +199,10 @@ class Simulation:
             hp.include_inflow_bc = False
             theta0 = solve_heat_stationary(hp)
         except Exception as exc:
-            raise self._stage_error("heat", exc) from exc
+            # Name the failed stage in the message; the exception keeps its
+            # class, attributes and traceback.
+            exc.args = (f"initialize/{stages[-1][0]}: {exc}",)
+            raise
 
         state = SimState(t=0.0, n=0, v=v0, P=p0, theta=theta0, phi=phi0,
                          theta_prev=None)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .linalg import SingularMatrix, SparseMatrix
 from .mesh import Mesh2D
@@ -362,6 +361,20 @@ def edge_quadrature(mesh: Mesh2D, edge_sel: np.ndarray):
     return pts, wts, edges[:, 0], edges[:, 1], normals
 
 
+def dirichlet_values(mesh: Mesh2D, data: dict):
+    """Sorted vertices on the tags of ``data`` (tag -> constant or callable(x, y))
+    and their values; a vertex on two tags takes the value of the larger tag."""
+    fixed = np.zeros(mesh.num_vertices, dtype=bool)
+    values = np.zeros(mesh.num_vertices)
+    for tag in sorted(data):  # a larger tag overwrites the shared vertices
+        verts = mesh.boundary_vertices_with_tag(tag)
+        x, y = mesh.vertices[verts].T
+        values[verts] = data[tag](x, y) if callable(data[tag]) else data[tag]
+        fixed[verts] = True
+    verts = np.flatnonzero(fixed)
+    return verts, values[verts]
+
+
 def _tag_selector(mesh: Mesh2D, tags) -> np.ndarray:
     tags = np.atleast_1d(np.asarray(tags, dtype=np.int64))
     return np.isin(mesh.boundary_tags, tags)
@@ -388,17 +401,14 @@ def assemble_stiffness(mesh: Mesh2D, coeff=1.0) -> SparseMatrix:
     return _p1_matrix(mesh, scale[:, None, None] * (g @ g.transpose(0, 2, 1)))
 
 
-def assemble_mass(mesh: Mesh2D, lumped: bool = False) -> SparseMatrix:
-    """P1 mass matrix (cached, read-only); ``lumped`` sums rows onto the diagonal."""
+def assemble_mass(mesh: Mesh2D) -> SparseMatrix:
+    """P1 mass matrix (cached, read-only)."""
     def build():
         geo = geometry(mesh)
         local = _tab(geo.qw, _products(geo.p1_vals)).reshape(-1, 3, 3)
         return _frozen_csr(_p1_matrix(mesh, local))
 
-    M = _cached(mesh, "p1_mass", build)
-    if lumped:
-        return sp.diags(np.asarray(M.sum(axis=1)).ravel(), format="csr")
-    return M
+    return _cached(mesh, "p1_mass", build)
 
 
 def assemble_boundary_mass(mesh: Mesh2D, tags) -> SparseMatrix:

@@ -11,8 +11,9 @@ saddle system
 triangle, so the 2x2 bubble block of every triangle is eliminated first
 (static condensation, :func:`fem_core.assemble_condensed_saddle`); the Schur
 complement on the P1 dofs [vx | vy | p], of order 3*NV, takes the Dirichlet
-rows and is solved by sparse LU under the residual contract of
-:func:`linalg.solve_lu`; the bubbles are then recovered triangle by triangle.
+rows (from :func:`fem_core.dirichlet_values`, per velocity component) and is
+solved by :func:`linalg.solve_constrained`, sparse LU under the residual
+contract; the bubbles are then recovered triangle by triangle.
 The residual and divergence contracts are checked again on the recovered
 full system.  Do-nothing outlets add no stress boundary terms; the convective
 form keeps its Gamma_N surface integral exactly as written.
@@ -132,32 +133,17 @@ class FlowProblem:
 
 
 def _dirichlet_velocity(problem: FlowProblem):
-    """Constrained velocity dofs and values from the no-slip/inflow tags.
-
-    A vertex shared by two tags takes the values of the later tag.
-    """
+    """Constrained velocity dofs and values from the no-slip/inflow tags."""
     mesh, dm = problem.mesh, problem.dofmap
     dofs, vals = [], []
-    for tag in sorted(problem.bc):
-        bc = problem.bc[tag]
-        if bc.role == ROLE_DONOTHING:
-            continue
-        verts = mesh.boundary_vertices_with_tag(tag)
-        if verts.size == 0:
-            continue
-        if bc.role == ROLE_NOSLIP:
-            vx = vy = np.zeros(verts.size)
-        else:
-            xy = mesh.vertices[verts]
-            vx, vy = bc.profile(xy[:, 0], xy[:, 1])
-        dofs += [dm.vx_vertex(verts), dm.vy_vertex(verts)]
-        vals += [np.broadcast_to(np.asarray(v, dtype=float), verts.shape) for v in (vx, vy)]
-    if not dofs:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    dofs = np.concatenate(dofs)[::-1]
-    vals = np.concatenate(vals)[::-1]
-    dofs, last = np.unique(dofs, return_index=True)
-    return dofs, vals[last]
+    for c, vertex_dof in enumerate((dm.vx_vertex, dm.vy_vertex)):
+        data = {tag: 0.0 if bc.role == ROLE_NOSLIP else
+                (lambda x, y, f=bc.profile, c=c: f(x, y)[c])
+                for tag, bc in problem.bc.items() if bc.role != ROLE_DONOTHING}
+        verts, values = fem_core.dirichlet_values(mesh, data)
+        dofs.append(vertex_dof(verts))
+        vals.append(values)
+    return np.concatenate(dofs), np.concatenate(vals)
 
 
 def _force_load(problem: FlowProblem) -> np.ndarray:
@@ -203,11 +189,8 @@ def _solve_linear(problem: FlowProblem, advect, include_time: bool):
         vals = np.append(vals, problem.pressure_pin_value)
     # Every constrained dof is a P1 dof, so eliminating them after the
     # condensation is exact.
-    cdofs = saddle.layout.index[dofs]
-    S, rhs_c = linalg.apply_dirichlet(saddle.matrix, saddle.condense(rhs), cdofs, vals)
-
-    x_l = linalg.solve_lu(S, rhs_c)
-    x_l[cdofs] = vals  # constrained dofs are exact by contract
+    x_l = linalg.solve_constrained(saddle.matrix, saddle.condense(rhs),
+                                   saddle.layout.index[dofs], vals)
     x = saddle.recover(x_l, rhs)
 
     # Residual contract on the full system, bubble rows included; the

@@ -14,9 +14,10 @@ residual R_a is evaluated pointwise at quadrature points; the P1 diffusion
 flux has zero divergence inside elements, so that term drops elementwise and
 the residual acts as an upper-bound trigger, not an exact operator.
 
-Each linear system is solved by sparse LU under the residual contract of
-:func:`linalg.solve_lu`, with the previous temperature as the guess, so an
-equilibrium stays bit-for-bit fixed.
+The time step and the stationary Picard solve share one system builder and
+one source, :func:`heat_source`; each system is solved by
+:func:`linalg.solve_constrained` with the previous temperature as the guess,
+so an equilibrium stays bit-for-bit fixed.
 """
 
 from __future__ import annotations
@@ -65,6 +66,12 @@ class HeatBC:
         if self.role == ROLE_ROBIN and self.alpha < 0.0:
             raise ValueError("Robin coefficient must be nonnegative")
 
+    def data_at(self, t: float):
+        """The boundary data at time t: a constant or a callable(x, y)."""
+        if callable(self.data):
+            return lambda x, y: self.data(x, y, t)
+        return float(self.data)
+
 
 @dataclass
 class HeatProblem:
@@ -96,6 +103,13 @@ class HeatProblem:
         for name, arr in (("theta_prev", self.theta_prev), ("v", self.v), ("phi", self.phi)):
             if not np.all(np.isfinite(np.asarray(arr, dtype=float))):
                 raise ValueError(f"{name} contains non-finite values")
+
+
+def heat_source(mesh: Mesh2D, dofmap: DofMap, model: MaterialModel,
+                theta: np.ndarray, v: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """(NT, NQ) heat source nu(theta) D(v):D(v) + sigma(theta)|grad phi|^2."""
+    return (viscous_dissipation(mesh, dofmap, model, theta, v)
+            + joule_density(mesh, model, theta, phi))
 
 
 def _powers(theta_q, alpha, floor):
@@ -132,8 +146,7 @@ def entropy_residual(mesh: Mesh2D, dofmap: DofMap, model: MaterialModel,
     v_qp = fem_core.velocity_at_qp(mesh, dofmap, v)
     v_dot_grad = np.einsum("tqd,td->tq", v_qp, grad1)
 
-    gamma_q = (viscous_dissipation(mesh, dofmap, model, theta_prev, v)
-               + joule_density(mesh, model, theta_prev, phi))
+    gamma_q = heat_source(mesh, dofmap, model, theta_prev, v, phi)
     eta_q = model.eta(th1_q)
 
     pow1, pow2 = _powers(th1_q, a, var_floor)
@@ -196,12 +209,8 @@ def _robin_terms(problem: HeatProblem):
             continue
         m = fem_core.assemble_boundary_mass(mesh, (tag,))
         mat = m.multiply(bc.alpha) if mat is None else mat + m.multiply(bc.alpha)
-        if callable(bc.data):
-            t = problem.time
-            rhs += bc.alpha * fem_core.assemble_boundary_load(
-                mesh, (tag,), lambda x, y, f=bc.data: f(x, y, t))
-        else:
-            rhs += bc.alpha * fem_core.assemble_boundary_load(mesh, (tag,), float(bc.data))
+        rhs += bc.alpha * fem_core.assemble_boundary_load(mesh, (tag,),
+                                                          bc.data_at(problem.time))
     return mat, rhs
 
 
@@ -235,62 +244,36 @@ def _inflow_terms(problem: HeatProblem):
         w_in = wts * np.maximum(-vdotn, 0.0)  # active only on the inflow part
         m = fem_core.assemble_edge_mass(mesh, sel, w_in)
         mat = m if mat is None else mat + m
-        if callable(bc.data):
-            vals = np.asarray(bc.data(pts[..., 0], pts[..., 1], problem.time), dtype=float)
-            vals = np.broadcast_to(vals, w_in.shape)
-        else:
-            vals = np.full(w_in.shape, float(bc.data))
-        contrib = (w_in * vals) @ fem_core.EDGE_PHI.T
+        data = bc.data_at(problem.time)
+        vals = data(pts[..., 0], pts[..., 1]) if callable(data) else data
+        contrib = (w_in * np.asarray(vals, dtype=float)) @ fem_core.EDGE_PHI.T
         np.add.at(rhs, ia, contrib[:, 0])
         np.add.at(rhs, ib, contrib[:, 1])
     return mat, rhs
 
 
 def _dirichlet_terms(problem: HeatProblem):
+    return fem_core.dirichlet_values(problem.mesh, {
+        tag: bc.data_at(problem.time)
+        for tag, bc in problem.bc.items() if bc.role == ROLE_DIRICHLET})
+
+
+def _source_load(problem: HeatProblem, theta: np.ndarray) -> np.ndarray:
+    """Load of the heat source at ``theta`` plus the verification source."""
     mesh = problem.mesh
-    dofs = []
-    vals = []
-    for tag, bc in sorted(problem.bc.items()):
-        if bc.role != ROLE_DIRICHLET:
-            continue
-        verts = mesh.boundary_vertices_with_tag(tag)
-        if verts.size == 0:
-            continue
-        xy = mesh.vertices[verts]
-        if callable(bc.data):
-            v = np.broadcast_to(np.asarray(bc.data(xy[:, 0], xy[:, 1], problem.time),
-                                           dtype=float), verts.shape)
-        else:
-            v = np.full(verts.shape, float(bc.data))
-        dofs.append(verts)
-        vals.append(np.asarray(v))
-    if not dofs:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    alldofs = np.concatenate(dofs)
-    allvals = np.concatenate(vals)
-    # Corner vertices shared by two Dirichlet tags: keep the last assignment.
-    _, keep = np.unique(alldofs[::-1], return_index=True)
-    keep = alldofs.size - 1 - keep
-    return alldofs[keep], allvals[keep]
-
-
-def _source_load(problem: HeatProblem) -> np.ndarray:
-    mesh, dm = problem.mesh, problem.dofmap
-    src = np.zeros((mesh.num_triangles, fem_core.TRI_RULE.points.shape[0]))
+    src = 0.0
     if problem.include_physics_sources:
-        src += viscous_dissipation(mesh, dm, problem.model, problem.theta_prev, problem.v)
-        src += joule_density(mesh, problem.model, problem.theta_prev, problem.phi)
+        src = heat_source(mesh, problem.dofmap, problem.model, theta, problem.v, problem.phi)
     if problem.extra_source is not None:
         geo = fem_core.geometry(mesh)
         extra = problem.extra_source(geo.qp[..., 0], geo.qp[..., 1], problem.time)
-        src = src + np.broadcast_to(np.asarray(extra, dtype=float), src.shape)
+        src = src + np.asarray(extra, dtype=float)
     return fem_core.assemble_scalar_load(mesh, src)
 
 
-def _diffusion_coefficient(problem: HeatProblem) -> np.ndarray:
-    """eta(theta^{n-1}) at quad points plus the per-cell artificial viscosity."""
+def _cell_viscosity(problem: HeatProblem) -> np.ndarray:
+    """Per-cell artificial viscosity of the step, also kept as ``art_visc``."""
     mesh, dm = problem.mesh, problem.dofmap
-    eta_qp = problem.model.eta(fem_core.p1_at_qp(mesh, problem.theta_prev))
     v_stab = problem.v_stab if problem.v_stab is not None else problem.v
     if problem.stab.beta == 0.0:
         art = np.zeros(mesh.num_triangles)
@@ -306,33 +289,43 @@ def _diffusion_coefficient(problem: HeatProblem) -> np.ndarray:
         art = artificial_viscosity(mesh, dm, res, problem.theta_prev, v_stab,
                                    problem.stab)
     problem.art_visc = art
-    return eta_qp + art[:, None]
+    return art
+
+
+def _heat_system(problem: HeatProblem, mass_coeff: float = 0.0):
+    """Builder of mass_coeff M + K(eta(theta) + art) + advection + Robin + inflow
+    and its right-hand side; the terms that do not depend on theta are
+    assembled once, when the builder is made."""
+    mesh = problem.mesh
+    D = fem_core.assemble_advection(
+        mesh, fem_core.velocity_at_qp(mesh, problem.dofmap, problem.v))
+    boundary = (_robin_terms(problem), _inflow_terms(problem))
+
+    def build(theta, art=0.0):
+        eta_qp = problem.model.eta(fem_core.p1_at_qp(mesh, theta))
+        A_sys = fem_core.assemble_stiffness(mesh, eta_qp + art)
+        rhs = _source_load(problem, theta)
+        if mass_coeff:
+            Mc = fem_core.assemble_mass(mesh).multiply(mass_coeff).tocsr()
+            A_sys = Mc + A_sys
+            rhs = Mc @ theta + rhs
+        A_sys = A_sys + D
+        for mat, extra in boundary:
+            if mat is not None:
+                A_sys = A_sys + mat
+            rhs = rhs + extra
+        return A_sys.tocsr(), rhs
+
+    return build
 
 
 def solve_heat_step(problem: HeatProblem) -> np.ndarray:
     """One implicit-Euler step of the stabilized temperature equation."""
     problem.validate()
-    mesh = problem.mesh
-    theta_prev = np.asarray(problem.theta_prev, dtype=float)
-
-    coeff = _diffusion_coefficient(problem)
-    A_diff = fem_core.assemble_stiffness(mesh, coeff)
-    vel_qp = fem_core.velocity_at_qp(mesh, problem.dofmap, problem.v)
-    D = fem_core.assemble_advection(mesh, vel_qp)
-    M = fem_core.assemble_mass(mesh)
-    Mdt = M.multiply(1.0 / problem.dt).tocsr()
-
-    A_sys = (Mdt + A_diff + D).tocsr()
-    rhs = Mdt @ theta_prev + _source_load(problem)
-    for mat, extra in (_robin_terms(problem), _inflow_terms(problem)):
-        if mat is not None:
-            A_sys = (A_sys + mat).tocsr()
-        rhs = rhs + extra
-
+    build = _heat_system(problem, 1.0 / problem.dt)
+    A_sys, rhs = build(problem.theta_prev, _cell_viscosity(problem)[:, None])
     dofs, vals = _dirichlet_terms(problem)
-    A_sys, rhs = linalg.apply_dirichlet(A_sys, rhs, dofs, vals)
-    theta = linalg.solve_lu(A_sys, rhs, x0=theta_prev)
-    theta[dofs] = vals  # pinned dofs are exact by contract
+    theta = linalg.solve_constrained(A_sys, rhs, dofs, vals, x0=problem.theta_prev)
     if not np.all(np.isfinite(theta)):
         raise linalg.SolverError("heat step produced non-finite temperature")
     return theta
@@ -344,40 +337,24 @@ def solve_heat_stationary(problem: HeatProblem, picard_tol: float = 1e-10,
 
     Solves the unstabilized stationary equation (no time derivative, no
     artificial viscosity); used to build initial conditions.  ``theta_prev``
-    seeds the Picard iteration.
+    seeds the Picard iteration, whose iterate lags the coefficients and the
+    sources.
     """
     if picard_max < 1:
         raise ValueError(f"picard_max must be at least 1, got {picard_max}")
     problem.validate()
-    mesh = problem.mesh
-    theta = np.asarray(problem.theta_prev, dtype=float).copy()
-    vel_qp = fem_core.velocity_at_qp(mesh, problem.dofmap, problem.v)
-    D = fem_core.assemble_advection(mesh, vel_qp)
-    robin_mat, robin_rhs = _robin_terms(problem)
-    inflow_mat, inflow_rhs = _inflow_terms(problem)
-
-    saved_prev = problem.theta_prev
-    try:
-        for it in range(picard_max):
-            problem.theta_prev = theta  # lag the coefficient fields
-            eta_qp = problem.model.eta(fem_core.p1_at_qp(mesh, theta))
-            A_sys = fem_core.assemble_stiffness(mesh, eta_qp) + D
-            for mat in (robin_mat, inflow_mat):
-                if mat is not None:
-                    A_sys = A_sys + mat
-            rhs = _source_load(problem) + robin_rhs + inflow_rhs
-            dofs, vals = _dirichlet_terms(problem)
-            A_sys, rhs = linalg.apply_dirichlet(A_sys.tocsr(), rhs, dofs, vals)
-            theta_new = linalg.solve_lu(A_sys, rhs, x0=theta)
-            theta_new[dofs] = vals
-            incr = np.linalg.norm(theta_new - theta) / max(1.0, np.linalg.norm(theta_new))
-            theta = theta_new
-            if incr < picard_tol:
-                break
-        else:
-            log.warning("stationary heat Picard hit the iteration cap (incr=%.3e)", incr)
-    finally:
-        problem.theta_prev = saved_prev
+    theta = np.asarray(problem.theta_prev, dtype=float)
+    build = _heat_system(problem)
+    dofs, vals = _dirichlet_terms(problem)
+    for _ in range(picard_max):
+        A_sys, rhs = build(theta)
+        theta_new = linalg.solve_constrained(A_sys, rhs, dofs, vals, x0=theta)
+        incr = np.linalg.norm(theta_new - theta) / max(1.0, np.linalg.norm(theta_new))
+        theta = theta_new
+        if incr < picard_tol:
+            break
+    else:
+        log.warning("stationary heat Picard hit the iteration cap (incr=%.3e)", incr)
     if not np.all(np.isfinite(theta)):
         raise linalg.SolverError("stationary heat solve produced non-finite temperature")
     return theta

@@ -2,7 +2,9 @@
 
 Matrices are scipy CSR; vectors are 1-D numpy arrays.  Every linear system of
 the simulator is solved by :func:`solve_lu`, a sparse LU under the residual
-contract ||b - Ax|| <= 1e-10 ||b||; a solve that misses it raises.  The
+contract ||b - Ax|| <= 1e-10 ||b||; a solve that misses it raises.  Systems
+with Dirichlet constraints go through :func:`solve_constrained`, the one
+sequence of elimination, LU solve and exact constrained entries.  The
 Jacobi-preconditioned Krylov solvers :func:`solve_cg` and :func:`solve_gmres`
 enforce the same kind of contract at their own tolerance; no solver of the
 package calls them.
@@ -215,8 +217,11 @@ def apply_dirichlet(A: SparseMatrix, b: FieldVector, dofs, values):
     return A_mod, b
 
 
-def export_matrix_market(A: SparseMatrix, path) -> None:
-    """Dump an assembled system in MatrixMarket coordinate format."""
-    from scipy.io import mmwrite
-
-    mmwrite(str(path), sp.coo_matrix(A))
+def solve_constrained(A: SparseMatrix, b: FieldVector, dofs, values,
+                      x0: FieldVector | None = None) -> FieldVector:
+    """Solve A x = b with x[dofs] = values: :func:`apply_dirichlet`, then
+    :func:`solve_lu` from the guess ``x0``, then x[dofs] set exactly."""
+    A, b = apply_dirichlet(A, b, dofs, values)
+    x = solve_lu(A, b, x0=x0)
+    x[dofs] = values
+    return x

@@ -3,8 +3,9 @@
 The physical problem has zero volumetric source, a prescribed current flux g
 on the electrode segment, and grounded (phi = 0) remaining boundaries; the
 optional volumetric source exists for manufactured-solution verification.
-The symmetric positive definite system left after the Dirichlet elimination
-is solved by sparse LU under the residual contract of :func:`linalg.solve_lu`.
+The grounded vertices come from :func:`fem_core.dirichlet_values`, and the
+symmetric positive definite system is solved by :func:`linalg.solve_constrained`
+(Dirichlet elimination, then sparse LU under the residual contract).
 """
 
 from __future__ import annotations
@@ -56,14 +57,9 @@ def solve_potential(problem: PotentialProblem) -> np.ndarray:
     if src is not None:
         b = b + fem_core.assemble_scalar_load(mesh, src)
 
-    dirichlet = np.unique(np.concatenate([
-        mesh.boundary_vertices_with_tag(t) for t in problem.dirichlet_tags
-    ]))
-    A, b = linalg.apply_dirichlet(A, b, dirichlet,
-                                  np.full(dirichlet.size, problem.dirichlet_value))
-    phi = linalg.solve_lu(A, b)
-    phi[dirichlet] = problem.dirichlet_value  # pinned dofs are exact by contract
-    return phi
+    dofs, values = fem_core.dirichlet_values(
+        mesh, dict.fromkeys(problem.dirichlet_tags, problem.dirichlet_value))
+    return linalg.solve_constrained(A, b, dofs, values)
 
 
 def joule_density(mesh: Mesh2D, model: MaterialModel, theta: np.ndarray,

@@ -291,32 +291,38 @@ def _update_dataclass(obj, data: dict, path: str):
         else:
             if isinstance(val, dict):
                 raise ConfigError(f"{here}: expected a value, got an object")
-            setattr(obj, key, _coerce(current, val, here))
+            setattr(obj, key, _coerce(current, val, here, valid[key].default is None))
     return obj
 
 
-def _coerce(current, val, path):
-    if isinstance(current, bool) or isinstance(val, bool):
+def _coerce(current, val, path, nullable=False):
+    """``val`` checked against the current value's type; null needs ``nullable``."""
+    if isinstance(current, bool):
         if not isinstance(val, bool):
             raise ConfigError(f"{path}: expected a boolean")
         return val
-    if isinstance(current, int) and not isinstance(current, bool):
-        if isinstance(val, float) and not float(val).is_integer():
-            raise ConfigError(f"{path}: expected an integer")
-        if not isinstance(val, (int, float)):
+    if isinstance(current, (int, float)):
+        kind = "an integer" if isinstance(current, int) else "a number"
+        if (isinstance(val, bool) or not isinstance(val, (int, float))
+                or not np.isfinite(float(val))):  # JSON NaN/Infinity included
+            raise ConfigError(f"{path}: expected {kind}")
+        if isinstance(current, float):
+            return float(val)
+        if isinstance(val, float) and not val.is_integer():
             raise ConfigError(f"{path}: expected an integer")
         return int(val)
-    if isinstance(current, float):
-        if not isinstance(val, (int, float)):
-            raise ConfigError(f"{path}: expected a number")
-        return float(val)
+    if val is None and nullable:
+        return None
+    if not isinstance(val, str):
+        raise ConfigError(f"{path}: expected a string")
     return val
 
 
 def _probe_from(val, path) -> ProbeSpec:
     if not isinstance(val, dict) or set(val) != {"x", "y"}:
         raise ConfigError(f"{path}: probe must be an object with keys x, y")
-    return ProbeSpec(x=float(val["x"]), y=float(val["y"]))
+    return ProbeSpec(x=_coerce(0.0, val["x"], f"{path}.x"),
+                     y=_coerce(0.0, val["y"], f"{path}.y"))
 
 
 def _bc_from(section: str, data: dict, cls, base: dict) -> dict:

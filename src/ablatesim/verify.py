@@ -487,9 +487,8 @@ def _step_audit(config) -> dict:
             if np.any(still):
                 audit["eta_zero_velocity_max"] = max(
                     audit["eta_zero_velocity_max"], float(np.max(np.abs(art[still]))))
-            src = (flow_solver.viscous_dissipation(sim.mesh, sim.dofmap, sim.model,
-                                                   prev.theta, state.v)
-                   + joule_density(sim.mesh, sim.model, prev.theta, state.phi))
+            src = heat_solver.heat_source(sim.mesh, sim.dofmap, sim.model,
+                                          prev.theta, state.v, state.phi)
             audit["source_min"] = min(audit["source_min"], float(src.min()))
             load = fem_core.assemble_scalar_load(sim.mesh, src)
             audit["load_min"] = min(audit["load_min"], float(load.min()))
@@ -654,10 +653,9 @@ def invariant_suite(config) -> dict:
                                dirichlet_tags=config.potential_bc.dirichlet_tags)
         sigma_qp = model.sigma(fem_core.p1_at_qp(msh, theta_b_field))
         Apot = fem_core.assemble_stiffness(msh, sigma_qp)
-        dir_dofs = np.unique(np.concatenate([
-            msh.boundary_vertices_with_tag(t) for t in pot.dirichlet_tags]))
-        Apot_e, _ = linalg.apply_dirichlet(Apot, np.zeros(msh.num_vertices), dir_dofs,
-                                           np.zeros(dir_dofs.size))
+        dir_dofs, dir_vals = fem_core.dirichlet_values(
+            msh, dict.fromkeys(pot.dirichlet_tags, 0.0))
+        Apot_e, _ = linalg.apply_dirichlet(Apot, np.zeros(msh.num_vertices), dir_dofs, dir_vals)
         x = rng.standard_normal(msh.num_vertices)
         record("potential.spd_after_elimination", float(x @ (Apot_e @ x)) > 0.0)
         if config.potential_bc.g != 0.0 and pot.neumann_tags:

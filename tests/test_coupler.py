@@ -4,7 +4,7 @@ import pytest
 from ablatesim import coupler, flow_solver
 from ablatesim.coupler import (BlowUpError, NonFiniteFieldError, SimState,
                                Simulation, TimeGrid)
-from ablatesim.linalg import SolverError
+from ablatesim.linalg import NotConverged, SolverError
 from ablatesim.sim_cli import ConfigError, preset
 
 
@@ -78,6 +78,14 @@ class TestInitialize:
 
         monkeypatch.setattr(flow_solver, "_solve_linear", failing)
         with pytest.raises(SolverError, match="^initialize/flow: flow LU residual"):
+            Simulation(quick_config()).initialize()
+
+    def test_failed_stage_keeps_exception_class(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise NotConverged("lu", 0, 1.0)
+
+        monkeypatch.setattr(coupler, "solve_potential", failing)
+        with pytest.raises(NotConverged, match="^initialize/potential: lu did not converge"):
             Simulation(quick_config()).initialize()
 
 

@@ -123,12 +123,6 @@ class TestScalarAssembly:
                                         [1.0, 1.0, 2.0]])
         assert np.allclose(M, exact, rtol=1e-12)
 
-    def test_lumped_mass_row_sums(self, unit_square_2tri):
-        M = assemble_mass(unit_square_2tri)
-        ML = assemble_mass(unit_square_2tri, lumped=True)
-        assert np.allclose(np.asarray(M.sum(axis=1)).ravel(), ML.diagonal(),
-                           rtol=1e-13)
-
     def test_boundary_mass_perimeter(self, unit_square_2tri):
         MB = assemble_boundary_mass(unit_square_2tri, (1, 2, 3, 4))
         ones = np.ones(4)

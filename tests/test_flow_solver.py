@@ -122,6 +122,21 @@ class TestFlowStep:
         expected = mesh.vertices[inlet, 1] * (H - mesh.vertices[inlet, 1])
         assert np.array_equal(v[dm.vx_vertex(inlet)], expected)
 
+    def test_shared_corner_takes_larger_tag(self):
+        mesh = channel_mesh(10, 6)
+        const = InflowProfile("const", lambda x, y: (np.ones_like(x), np.zeros_like(x)))
+        bc = {t: FlowBC("noslip") for t in (2, 4, 5)}
+        bc[1] = FlowBC("inflow", const)
+        bc[3] = FlowBC("donothing")
+        problem = make_problem(mesh, bc)
+        v, _ = solve_flow_step(problem)
+        dm = problem.dofmap
+        corner = np.flatnonzero(np.all(mesh.vertices == 0.0, axis=1))
+        assert v[dm.vx_vertex(corner)].tolist() == [0.0]
+        assert v[dm.vy_vertex(corner)].tolist() == [0.0]
+        left = mesh.boundary_vertices_with_tag(1)
+        assert np.count_nonzero(v[dm.vx_vertex(left)] == 1.0) == left.size - 2
+
     def test_invalid_dt_rejected(self):
         problem = make_problem(channel_mesh(10, 6), bc_test1(), dt=-0.1)
         with pytest.raises(ValueError):

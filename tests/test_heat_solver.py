@@ -220,6 +220,17 @@ class TestHeatStep:
         g5 = mesh.boundary_vertices_with_tag(5)
         assert np.array_equal(out[g5], np.full(g5.size, 20.0))
 
+    def test_shared_corner_takes_larger_tag(self):
+        mesh = small_mesh()
+        bc = robin_bc()
+        bc[1] = HeatBC("dirichlet", data=35.0)
+        bc[2] = HeatBC("dirichlet", data=10.0)
+        out = solve_heat_step(make_problem(mesh, bc, np.full(mesh.num_vertices, 37.0)))
+        corner = np.flatnonzero(np.all(mesh.vertices == 0.0, axis=1))
+        assert out[corner].tolist() == [10.0]
+        left = mesh.boundary_vertices_with_tag(1)
+        assert np.count_nonzero(out[left] == 35.0) == left.size - 1  # (0, H) meets Robin G4
+
     def test_inflow_bc_inactive_without_flow(self):
         # v = 0 on the tagged edges: the weak inflow term must impose nothing
         mesh = small_mesh()

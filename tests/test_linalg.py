@@ -206,11 +206,28 @@ class TestApplyDirichlet:
             apply_dirichlet(laplacian_1d(3), np.zeros(3), [1, 1], [0.0, 0.0])
 
 
-def test_matrix_market_export(tmp_path):
-    A = laplacian_1d(5)
-    path = tmp_path / "system.mtx"
-    linalg.export_matrix_market(A, path)
-    from scipy.io import mmread
+class TestSolveConstrained:
+    @staticmethod
+    def system():
+        n = 30
+        A = (laplacian_1d(n) + sp.diags([0.3 * np.ones(n - 1)], [1])).tocsr()  # nonsymmetric
+        return (A, np.linspace(0.0, 1.0, n), np.array([0, 17, 29]),
+                np.array([1.0 / 3.0, -0.1, 0.7]))
 
-    B = mmread(str(path)).tocsr()
-    assert (abs(A - B)).max() == 0.0
+    def test_contract_and_exact_constrained_entries(self):
+        A, b, dofs, vals = self.system()
+        x = linalg.solve_constrained(A, b, dofs, vals)
+        assert np.array_equal(x[dofs], vals)
+        Am, bm = apply_dirichlet(A, b, dofs, vals)
+        assert np.linalg.norm(bm - Am @ x) <= 1e-10 * np.linalg.norm(bm)
+
+    def test_contract_meeting_guess_returned_bitwise(self):
+        A, b, dofs, vals = self.system()
+        x0 = linalg.solve_constrained(A, b, dofs, vals)
+        x0[np.setdiff1d(np.arange(b.size), dofs)] += 1e-14  # not LU's own answer
+        Am, bm = apply_dirichlet(A, b, dofs, vals)
+        assert np.linalg.norm(bm - Am @ x0) <= 1e-10 * np.linalg.norm(bm)
+        guess = x0.copy()
+        x = linalg.solve_constrained(A, b, dofs, vals, x0=x0)
+        assert np.array_equal(x, guess)
+        assert x is not x0 and np.array_equal(x0, guess)

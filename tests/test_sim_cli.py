@@ -229,6 +229,20 @@ class TestCLI:
         assert main(["run", "--config", str(cfgfile)]) == 2
         assert "flow_bc.G1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, path", [
+        ({"output": {"probes": [{"x": "abc", "y": 0.1}]}}, "output.probes[0].x"),
+        ({"output": {"probes": [{"x": None, "y": 0.1}]}}, "output.probes[0].x"),
+        ({"output": {"probes": [{"x": True, "y": 0.1}]}}, "output.probes[0].x"),
+        ({"output": {"directory": 5}}, "output.directory"),
+        ({"heat_bc": {"G1": {"value": float("nan")}}}, "heat_bc.G1.value"),
+    ], ids=["probe_string", "probe_null", "probe_bool", "directory_number", "value_nan"])
+    def test_run_malformed_value_exit_2(self, tmp_path, monkeypatch, capsys, override, path):
+        monkeypatch.chdir(tmp_path)
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"preset": "test1", **override}))
+        assert main(["run", "--config", str(cfgfile)]) == 2
+        assert path in capsys.readouterr().err
+
     def test_run_requires_exactly_one_source(self):
         assert main(["run"]) == 2
 

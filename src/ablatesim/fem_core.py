@@ -233,12 +233,45 @@ class _Pattern:
         ncols = shape[1]
         keys = (row_dofs[:, :, None] * ncols + col_dofs[:, None, :]).ravel()
         uniq, inverse = np.unique(keys, return_inverse=True)
+        self._set(shape,
+                  np.searchsorted(uniq, np.arange(shape[0] + 1) * ncols),
+                  uniq % ncols,
+                  inverse.reshape(row_dofs.shape[0], row_dofs.shape[1], col_dofs.shape[1]))
+
+    def _set(self, shape, indptr, indices, scatter) -> None:
         self.shape = shape
-        self.indptr = _frozen(np.searchsorted(
-            uniq, np.arange(shape[0] + 1) * ncols).astype(np.int32))
-        self.indices = _frozen((uniq % ncols).astype(np.int32))
-        self.scatter = _frozen(inverse.astype(np.int32).reshape(
-            row_dofs.shape[0], row_dofs.shape[1], col_dofs.shape[1]))
+        self.indptr = _frozen(indptr.astype(np.int32))
+        self.indices = _frozen(indices.astype(np.int32))
+        self.scatter = _frozen(scatter.astype(np.int32))
+
+    @classmethod
+    def blocked(cls, p1: "_Pattern", k: int) -> "_Pattern":
+        """The pattern of element dofs [c*NV + t[:, a] for c < k] (a k x k grid
+        of copies of the square P1 pattern ``p1``), built by block arithmetic:
+        row c*NV + i holds the k copies of row i, so no sort is needed.  Equal
+        to ``_Pattern(elem, elem, (k*NV, k*NV))``."""
+        nv, nnz = p1.shape[0], p1.nnz
+        indptr = p1.indptr.astype(np.int64)
+        deg = np.diff(indptr)
+        rows = np.repeat(np.arange(nv), deg)
+        # Row i of a block row starts at k*indptr[i] and holds the P1 columns
+        # of row i shifted by c*NV, for c = 0..k-1 in turn; every block row
+        # has k*nnz entries.  P1 entry e, copy c, sits at at[e] + c*stride[e].
+        at = (k - 1) * indptr[rows] + np.arange(nnz)
+        stride = deg[rows]
+        blocks = np.arange(k)[:, None]
+        row_cols = np.empty(k * nnz, dtype=np.int64)
+        row_cols[at + blocks * stride] = p1.indices + nv * blocks
+        nt, n = p1.scatter.shape[:2]
+        pos = p1.scatter[:, None, :, None, :]  # (NT, 1, n, 1, n)
+        scatter = (k * nnz * blocks[:, :, None, None] + at[pos]
+                   + np.arange(k)[:, None] * stride[pos])
+        pattern = cls.__new__(cls)
+        pattern._set((k * nv, k * nv),
+                     np.append((k * nnz * blocks + k * indptr[:-1]).ravel(), k * k * nnz),
+                     np.tile(row_cols, k),
+                     scatter.reshape(nt, k * n, k * n))
+        return pattern
 
     @property
     def nnz(self) -> int:
@@ -276,6 +309,67 @@ def _p1_matrix(mesh: Mesh2D, local: np.ndarray) -> SparseMatrix:
     """Assemble (NT, 3, 3) local matrices into the global P1 operator."""
     pattern = _p1_pattern(mesh)
     return pattern.matrix(pattern.fill(local))
+
+
+ND_LEAF = 32  # vertex sets of at most this size are not dissected further
+
+
+def _nested_dissection(xy: np.ndarray, pattern: _Pattern) -> np.ndarray:
+    """Geometric nested-dissection order of the vertices at ``xy`` whose
+    adjacency is the P1 ``pattern`` (George, SINUM 10, 1973).
+
+    A set of more than ND_LEAF vertices is cut at the median coordinate of its
+    longer extent.  The vertices of the upper half adjacent to the lower half
+    form the separator, numbered after both halves, which are cut in turn.
+    All sets of one level are cut together; within a leaf or a separator the
+    vertices keep their index order.
+    """
+    nv = xy.shape[0]
+    rows = np.repeat(np.arange(nv), np.diff(pattern.indptr))
+    cols = pattern.indices
+    # Each vertex's set occupies positions key.. of the order; a vertex still
+    # to place is ``live``.  Every live set has more than ND_LEAF vertices.
+    key = np.zeros(nv, dtype=np.int64)
+    live = np.full(nv, nv > ND_LEAF)
+    while live.any():
+        v = np.flatnonzero(live)
+        _, s, count = np.unique(key[v], return_inverse=True, return_counts=True)
+        first = np.cumsum(count) - count
+        pts = xy[v[np.argsort(s, kind="stable")]]
+        extent = np.maximum.reduceat(pts, first) - np.minimum.reduceat(pts, first)
+        c = xy[v, np.argmax(extent, axis=1)[s]]
+        median = c[np.lexsort((c, s))[first + count // 2]][s]
+        lower = c < median
+        # A median equal to the set's minimum leaves the lower half empty;
+        # then the vertices at the minimum are the lower half.
+        lower |= (np.bincount(s[lower], minlength=count.size) == 0)[s] & (c == median)
+        # half[u] is 2*set + 1 for a live vertex in a lower half, 2*set + 2 in
+        # an upper half, 0 for a placed vertex.
+        half = np.zeros(nv, dtype=np.int64)
+        half[v] = 2 * s + 2 - lower
+        cut = (half[rows] % 2 == 0) & (half[rows] == half[cols] + 1)
+        sep = np.zeros(nv, dtype=bool)
+        sep[rows[cut]] = True
+        sep = sep[v]
+        n_lower = np.bincount(s[lower], minlength=count.size)[s]
+        n_upper = count[s] - n_lower - np.bincount(s[sep], minlength=count.size)[s]
+        key[v] += np.where(lower, 0, np.where(sep, n_lower + n_upper, n_lower))
+        live[v] = ~sep & (np.where(lower, n_lower, n_upper) > ND_LEAF)
+    return np.argsort(key, kind="stable")
+
+
+def vertex_order(mesh: Mesh2D, block: int = 1) -> np.ndarray:
+    """Fill-reducing order of the unknowns of a system with ``block`` dofs per
+    vertex, dof c*NV + v for vertex v (1 for the P1 fields, 3 for the condensed
+    flow system [vx | vy | p]): the nested-dissection order of the vertices,
+    each vertex's dofs kept together.  Built on first use from the coordinates
+    and the P1 adjacency; cached and read-only."""
+    if block == 1:
+        return _cached(mesh, "vertex_order", lambda: _frozen(
+            _nested_dissection(mesh.vertices, _p1_pattern(mesh))))
+    nv = mesh.num_vertices
+    return _cached(mesh, ("vertex_order", block), lambda: _frozen(
+        (vertex_order(mesh)[:, None] + nv * np.arange(block)).ravel()))
 
 
 def _edge_positions(mesh: Mesh2D, pattern: _Pattern, edge_sel, offset: int = 0):
@@ -674,7 +768,7 @@ class _CondensedLayout:
         nv, t = dofmap.nv, mesh.triangles
         mini = _mini_pattern(mesh, dofmap)
         self.elem = _frozen(np.concatenate([t, nv + t, 2 * nv + t], axis=1))  # (NT, 9)
-        self.pattern = _Pattern(self.elem, self.elem, (3 * nv, 3 * nv))
+        self.pattern = _Pattern.blocked(_p1_pattern(mesh), 3)
         idx = np.arange(nv)
         self.p1_dofs = _frozen(np.concatenate(
             [dofmap.vx_vertex(idx), dofmap.vy_vertex(idx), dofmap.pressure(idx)]))

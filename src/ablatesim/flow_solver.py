@@ -13,7 +13,12 @@ triangle, so the 2x2 bubble block of every triangle is eliminated first
 complement on the P1 dofs [vx | vy | p], of order 3*NV, takes the Dirichlet
 rows (from :func:`fem_core.dirichlet_values`, per velocity component) and is
 solved by :func:`linalg.solve_constrained`, sparse LU under the residual
-contract; the bubbles are then recovered triangle by triangle.
+contract, in the mesh's nested-dissection vertex order with the three dofs of
+a vertex kept together (:func:`fem_core.vertex_order`).  The LU scales the
+system symmetrically by its diagonal first: with nu = 1 the condensed pressure
+diagonal, about h^2/nu, is below a tenth of its column's B entries, and the
+threshold pivoting would otherwise leave the order.  The bubbles are then
+recovered triangle by triangle.
 The residual and divergence contracts are checked again on the recovered
 full system.  Do-nothing outlets add no stress boundary terms; the convective
 form keeps its Gamma_N surface integral exactly as written.
@@ -188,9 +193,10 @@ def _solve_linear(problem: FlowProblem, advect, include_time: bool):
         dofs = np.append(dofs, dm.pressure(0))
         vals = np.append(vals, problem.pressure_pin_value)
     # Every constrained dof is a P1 dof, so eliminating them after the
-    # condensation is exact.
+    # condensation is exact.  The condensed layout holds 3 dofs per vertex.
     x_l = linalg.solve_constrained(saddle.matrix, saddle.condense(rhs),
-                                   saddle.layout.index[dofs], vals)
+                                   saddle.layout.index[dofs], vals,
+                                   order=fem_core.vertex_order(mesh, 3))
     x = saddle.recover(x_l, rhs)
 
     # Residual contract on the full system, bubble rows included; the

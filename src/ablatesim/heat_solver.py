@@ -65,6 +65,8 @@ class HeatBC:
             raise ValueError(f"unknown heat boundary role {self.role!r}")
         if self.role == ROLE_ROBIN and self.alpha < 0.0:
             raise ValueError("Robin coefficient must be nonnegative")
+        if not callable(self.data) and not np.isfinite(self.data):
+            raise ValueError(f"heat boundary data must be finite, got {self.data!r}")
 
     def data_at(self, t: float):
         """The boundary data at time t: a constant or a callable(x, y)."""
@@ -325,10 +327,8 @@ def solve_heat_step(problem: HeatProblem) -> np.ndarray:
     build = _heat_system(problem, 1.0 / problem.dt)
     A_sys, rhs = build(problem.theta_prev, _cell_viscosity(problem)[:, None])
     dofs, vals = _dirichlet_terms(problem)
-    theta = linalg.solve_constrained(A_sys, rhs, dofs, vals, x0=problem.theta_prev)
-    if not np.all(np.isfinite(theta)):
-        raise linalg.SolverError("heat step produced non-finite temperature")
-    return theta
+    return linalg.solve_constrained(A_sys, rhs, dofs, vals, x0=problem.theta_prev,
+                                    order=fem_core.vertex_order(problem.mesh))
 
 
 def solve_heat_stationary(problem: HeatProblem, picard_tol: float = 1e-10,
@@ -346,15 +346,14 @@ def solve_heat_stationary(problem: HeatProblem, picard_tol: float = 1e-10,
     theta = np.asarray(problem.theta_prev, dtype=float)
     build = _heat_system(problem)
     dofs, vals = _dirichlet_terms(problem)
+    order = fem_core.vertex_order(problem.mesh)
     for _ in range(picard_max):
         A_sys, rhs = build(theta)
-        theta_new = linalg.solve_constrained(A_sys, rhs, dofs, vals, x0=theta)
+        theta_new = linalg.solve_constrained(A_sys, rhs, dofs, vals, x0=theta, order=order)
         incr = np.linalg.norm(theta_new - theta) / max(1.0, np.linalg.norm(theta_new))
         theta = theta_new
         if incr < picard_tol:
             break
     else:
         log.warning("stationary heat Picard hit the iteration cap (incr=%.3e)", incr)
-    if not np.all(np.isfinite(theta)):
-        raise linalg.SolverError("stationary heat solve produced non-finite temperature")
     return theta

@@ -2,8 +2,12 @@
 
 Matrices are scipy CSR; vectors are 1-D numpy arrays.  Every linear system of
 the simulator is solved by :func:`solve_lu`, a sparse LU under the residual
-contract ||b - Ax|| <= 1e-10 ||b||; a solve that misses it raises.  Systems
-with Dirichlet constraints go through :func:`solve_constrained`, the one
+contract ||b - Ax|| <= 1e-10 ||b||; a solve that misses it raises, with no
+retry in another order.  The solvers pass the mesh's nested-dissection order
+(:func:`fem_core.vertex_order`): the LU scales the matrix symmetrically by
+|diag A|^-1/2, permutes it into that order and factorizes it there with
+threshold pivoting, so the fill stays that of the order.  Systems with
+Dirichlet constraints go through :func:`solve_constrained`, the one
 sequence of elimination, LU solve and exact constrained entries.  The
 Jacobi-preconditioned Krylov solvers :func:`solve_cg` and :func:`solve_gmres`
 enforce the same kind of contract at their own tolerance; no solver of the
@@ -150,8 +154,8 @@ def solve_gmres(A: SparseMatrix, b: FieldVector, tol_rel: float = 1e-8,
     return _check_contract("gmres", A, x, b, tol_rel, iters)
 
 
-def solve_lu(A: SparseMatrix, b: FieldVector,
-             x0: FieldVector | None = None) -> FieldVector:
+def solve_lu(A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None,
+             order: np.ndarray | None = None) -> FieldVector:
     """Sparse LU direct solve under the residual contract.
 
     Returns x with ||b - Ax|| <= RESIDUAL_TOL * ||b||.  A guess ``x0`` that
@@ -159,14 +163,27 @@ def solve_lu(A: SparseMatrix, b: FieldVector,
     factorization, so a fixed point stays bit-for-bit fixed.  Raises
     SingularMatrix on rank deficiency or a non-finite solution and
     SolverError when the solution misses the contract.
+
+    ``order`` is a fill-reducing permutation of the unknowns (such as
+    :func:`fem_core.vertex_order`).  With it, the matrix is scaled
+    symmetrically by D = |diag A|^-1/2 (1 where the diagonal is zero),
+    permuted symmetrically, and factorized in that order with threshold
+    pivoting (a diagonal pivot is kept while it is at least 0.1 of its
+    column), so the pivots stay where the order put them; x = D y.  The
+    scaling keeps small diagonals, such as the condensed pressure block's
+    ~h^2/nu, from losing their pivots to the coupling entries.  Without an
+    order SuperLU picks the column order itself (COLAMD) and pivots
+    partially.  The contract is checked on the unscaled A and b either way.
     """
     b = np.asarray(b, dtype=float)
     limit = RESIDUAL_TOL * float(np.linalg.norm(b))
     if x0 is not None and _residual_norm(A, x0, b) <= limit:
         return np.array(x0, dtype=float)
     try:
-        lu = spla.splu(sp.csc_matrix(A))
-        x = lu.solve(b)
+        if order is None:
+            x = spla.splu(sp.csc_matrix(A)).solve(b)
+        else:
+            x = _solve_ordered(sp.csr_matrix(A), b, np.asarray(order))
     except RuntimeError as exc:
         raise SingularMatrix(str(exc)) from exc
     if not np.all(np.isfinite(x)):
@@ -176,6 +193,28 @@ def solve_lu(A: SparseMatrix, b: FieldVector,
         raise SolverError(f"LU residual contract violated: |b - Ax| = {res:.3e} "
                           f"> {RESIDUAL_TOL:.0e} |b| = {limit:.3e}")
     return x
+
+
+def _solve_ordered(A: SparseMatrix, b: FieldVector, order: np.ndarray) -> FieldVector:
+    """x = D y with (P D A D P^T) (P y) = P D b, factorized in the natural
+    order with threshold pivoting; P takes row order[i] to row i."""
+    n = A.shape[0]
+    diag = np.abs(A.diagonal())
+    d = np.ones(n)
+    np.divide(1.0, np.sqrt(diag), out=d, where=diag > 0.0)
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[order] = np.arange(n)
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    # Scale in place of A's entries, gather the rows in the new order and
+    # renumber the columns; the CSC conversion sorts the row indices.
+    scaled = sp.csr_matrix((A.data * d[rows] * d[A.indices], A.indices, A.indptr),
+                           shape=A.shape)[order]
+    permuted = sp.csr_matrix((scaled.data, inverse[scaled.indices], scaled.indptr),
+                             shape=A.shape).tocsc()
+    lu = spla.splu(permuted, permc_spec="NATURAL", diag_pivot_thresh=0.1)
+    y = np.empty(n)
+    y[order] = lu.solve((d * b)[order])
+    return d * y
 
 
 def apply_dirichlet(A: SparseMatrix, b: FieldVector, dofs, values):
@@ -218,10 +257,12 @@ def apply_dirichlet(A: SparseMatrix, b: FieldVector, dofs, values):
 
 
 def solve_constrained(A: SparseMatrix, b: FieldVector, dofs, values,
-                      x0: FieldVector | None = None) -> FieldVector:
+                      x0: FieldVector | None = None,
+                      order: np.ndarray | None = None) -> FieldVector:
     """Solve A x = b with x[dofs] = values: :func:`apply_dirichlet`, then
-    :func:`solve_lu` from the guess ``x0``, then x[dofs] set exactly."""
+    :func:`solve_lu` from the guess ``x0`` in the fill-reducing ``order``,
+    then x[dofs] set exactly."""
     A, b = apply_dirichlet(A, b, dofs, values)
-    x = solve_lu(A, b, x0=x0)
+    x = solve_lu(A, b, x0=x0, order=order)
     x[dofs] = values
     return x

@@ -59,7 +59,7 @@ def solve_potential(problem: PotentialProblem) -> np.ndarray:
 
     dofs, values = fem_core.dirichlet_values(
         mesh, dict.fromkeys(problem.dirichlet_tags, problem.dirichlet_value))
-    return linalg.solve_constrained(A, b, dofs, values)
+    return linalg.solve_constrained(A, b, dofs, values, order=fem_core.vertex_order(mesh))
 
 
 def joule_density(mesh: Mesh2D, model: MaterialModel, theta: np.ndarray,

@@ -584,6 +584,9 @@ def invariant_suite(config) -> dict:
     A = fem_core.assemble_stiffness(msh, 1.0)
     record("linalg.transpose_involution",
            (abs(A.T.T - A)).max() == 0.0)
+    affine = 1.0 + 2.0 * msh.vertices[:, 0] - 3.0 * msh.vertices[:, 1]
+    bdofs = np.unique(edges.ravel())
+    Ap, bp = linalg.apply_dirichlet(A, np.zeros(msh.num_vertices), bdofs, affine[bdofs])
     try:
         import scipy.sparse as sp
 
@@ -597,6 +600,9 @@ def invariant_suite(config) -> dict:
             ok = ok and np.linalg.norm(b - lap @ x) <= tol * np.linalg.norm(b)
         x = linalg.solve_lu(lap, b)
         ok = ok and np.linalg.norm(b - lap @ x) <= 1e-10 * np.linalg.norm(b)
+        # The ordered path: the patch-test system in the mesh's vertex order.
+        x = linalg.solve_lu(Ap, bp, order=fem_core.vertex_order(msh))
+        ok = ok and np.linalg.norm(bp - Ap @ x) <= 1e-10 * np.linalg.norm(bp)
         record("linalg.residual_contracts", ok)
         A1, b1 = linalg.apply_dirichlet(lap, b, [0, n - 1], [1.0, 2.0])
         A2, b2 = linalg.apply_dirichlet(A1, b1, [0, n - 1], [1.0, 2.0])
@@ -616,9 +622,6 @@ def invariant_suite(config) -> dict:
            f"int(b^2)={int_bb!r}")
     ones = np.ones(msh.num_vertices)
     record("fem.stiffness_constant_nullspace", float(np.abs(A @ ones).max()) < 1e-10)
-    affine = 1.0 + 2.0 * msh.vertices[:, 0] - 3.0 * msh.vertices[:, 1]
-    bdofs = np.unique(edges.ravel())
-    Ap, bp = linalg.apply_dirichlet(A, np.zeros(msh.num_vertices), bdofs, affine[bdofs])
     sol = linalg.solve_lu(Ap, bp)
     record("fem.patch_test", float(np.abs(sol - affine).max()) <= 1e-10,
            f"max err {float(np.abs(sol - affine).max()):.2e}")

@@ -153,6 +153,22 @@ class TestLayout:
         with pytest.raises(ValueError):
             first.pattern.scatter[0, 0, 0] = 1
 
+    @pytest.mark.parametrize("make_mesh", [
+        lambda: generate_channel_mesh(GeometrySpec(L=L, H=H, r=R, nx=20, ny=10)),
+        lambda: verify._mms_mesh(16, 8),
+    ], ids=["channel", "mms"])
+    def test_pattern_matches_sorted_construction(self, make_mesh):
+        mesh = make_mesh()
+        nv, t = mesh.num_vertices, mesh.triangles
+        elem = np.concatenate([t, nv + t, 2 * nv + t], axis=1)
+        want = fem_core._Pattern(elem, elem, (3 * nv, 3 * nv))
+        dm = fem_core.dofmap_for(mesh)
+        got = fem_core.assemble_condensed_saddle(mesh, dm, 1.0).layout.pattern
+        assert got.shape == want.shape
+        for attr in ("indptr", "indices", "scatter"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
 
 class TestHotPath:
     def test_flow_lu_order_is_three_nv(self, monkeypatch):

@@ -52,6 +52,11 @@ class TestStabilizationParams:
         with pytest.raises(ValueError):
             HeatBC("robin", alpha=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_constant_data_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            HeatBC("dirichlet", data=value)
+
 
 class TestEntropyResidual:
     def test_equilibrium_zero(self):

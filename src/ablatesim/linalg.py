@@ -11,7 +11,8 @@ Dirichlet constraints go through :func:`solve_constrained`, the one
 sequence of elimination, LU solve and exact constrained entries.  The
 Jacobi-preconditioned Krylov solvers :func:`solve_cg` and :func:`solve_gmres`
 enforce the same kind of contract at their own tolerance; no solver of the
-package calls them.
+package calls them.  :func:`fixed_point` is the Anderson-accelerated
+iteration of both stationary solves; it raises when it misses its tolerance.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ class SingularMatrix(SolverError):
 
 
 RESIDUAL_TOL = 1e-10  # relative residual bound of every solve_lu return
+ANDERSON_DEPTH = 3  # residual differences in each fixed_point least-squares fit
 
 
 class CooBuilder:
@@ -215,6 +217,60 @@ def _solve_ordered(A: SparseMatrix, b: FieldVector, order: np.ndarray) -> FieldV
     y = np.empty(n)
     y[order] = lu.solve((d * b)[order])
     return d * y
+
+
+def fixed_point(step, x0: FieldVector, tol: float, max_iter: int):
+    """Anderson-accelerated fixed-point iteration x = g(x).
+
+    ``step(x)`` returns ``(g, aux)``.  The iteration stops at the first map
+    output with ||g - x|| / max(1, ||g||) < ``tol`` and returns that
+    ``(g, aux)``; after ``max_iter`` map calls without one it raises
+    SolverError naming the last increment.  The first step is a plain
+    Picard step, so a start that is already a fixed point returns after one
+    call, bit for bit.  Later iterates mix the last ANDERSON_DEPTH + 1 map
+    outputs (type II, undamped; Walker & Ni, SINUM 49, 2011):
+
+        x = g_k - dG gamma,   gamma = argmin ||f_k - dF gamma||,
+
+    where f = g - x and dF, dG hold the differences of consecutive f and g.
+    """
+    x = np.asarray(x0, dtype=float)
+    gs, fs = [], []
+    for _ in range(max_iter):
+        g, aux = step(x)
+        f = g - x
+        incr = np.linalg.norm(f) / max(1.0, np.linalg.norm(g))
+        if incr < tol:
+            return g, aux
+        gs, fs = gs[-ANDERSON_DEPTH:] + [g], fs[-ANDERSON_DEPTH:] + [f]
+        x = g
+        if len(fs) > 1:
+            gamma = _least_squares(np.diff(fs, axis=0), f)
+            x = g - gamma @ np.diff(gs, axis=0)
+    raise SolverError(f"fixed-point iteration missed its tolerance in {max_iter} "
+                      f"steps: last increment {incr:.3e} >= tol {tol:.1e}")
+
+
+def _least_squares(rows: np.ndarray, f: FieldVector) -> np.ndarray:
+    """gamma minimizing ||f - rows.T gamma||, by modified Gram-Schmidt over
+    the rows, last (newest) first.  The fit stops at the first row that lies
+    within 1e-10 of its norm in the span of the newer ones; it and the older
+    rows get weight 0.  Plain numpy, so no LAPACK routine is loaded."""
+    m = len(rows)
+    Q, R = [], np.zeros((m, m))
+    for j, row in enumerate(rows[::-1]):
+        q = row.copy()
+        for i, qi in enumerate(Q):
+            R[i, j] = qi @ q
+            q -= R[i, j] * qi
+        R[j, j] = np.linalg.norm(q)
+        if R[j, j] <= 1e-10 * np.linalg.norm(row):
+            break
+        Q.append(q / R[j, j])
+    y = np.zeros(m)
+    for j in reversed(range(len(Q))):
+        y[j] = (Q[j] @ f - R[j, j + 1:] @ y[j + 1:]) / R[j, j]
+    return y[::-1]
 
 
 def apply_dirichlet(A: SparseMatrix, b: FieldVector, dofs, values):

@@ -394,6 +394,41 @@ def temporal_convergence_study(case: ManufacturedCase, nx=64, ny=32,
                       slopes_ls=ls, slopes_finest=fin)
 
 
+def splitting_order_study(config, Ms=(10, 20, 40), M_ref=320) -> RateReport:
+    """Order in time of the coupled time-lag splitting, by self-convergence.
+
+    Runs ``config`` to its final time T with each step count in ``Ms`` and
+    with ``M_ref`` steps, on the same mesh, and measures the L2 distances of
+    theta, v and phi at T from the ``M_ref`` run.  ``extra["rates"]`` holds
+    the observed order of each consecutive pair of ``Ms``; a consistent
+    splitting gives about 1.
+    """
+
+    def final_state(M):
+        cfg = copy.deepcopy(config)
+        cfg.time.M = M
+        sim = coupler.Simulation(cfg)
+        return sim, sim.run()[0]
+
+    sim, ref = final_state(M_ref)
+    p1_mass = sim._mass
+    mini_mass = fem_core.assemble_mini_mass(sim.mesh, sim.dofmap)
+    norms = {"theta": p1_mass, "v": mini_mass, "phi": p1_mass}
+    errors = {name: [] for name in norms}
+    for M in Ms:
+        _, state = final_state(M)
+        for name, mass in norms.items():
+            e = getattr(state, name) - getattr(ref, name)
+            errors[name].append(float(np.sqrt(e @ (mass @ e))))
+    dts = [config.time.T / M for M in Ms]
+    ls, fin = _fit_slopes(dts, errors)
+    rates = {name: [float(np.log(e0 / e1) / np.log(d0 / d1))
+                    for e0, e1, d0, d1 in zip(errs, errs[1:], dts, dts[1:])]
+             for name, errs in errors.items()}
+    return RateReport(case="splitting", h=dts, errors=errors, slopes_ls=ls,
+                      slopes_finest=fin, extra={"rates": rates})
+
+
 # -- finite-difference source verification -------------------------------------------
 
 

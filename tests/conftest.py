@@ -1,11 +1,7 @@
-import logging
-
 import numpy as np
 import pytest
 
 from ablatesim.mesh import Mesh2D
-
-logging.getLogger("ablatesim").setLevel(logging.ERROR)
 
 
 @pytest.fixture()

@@ -156,3 +156,20 @@ def test_criterion_10_determinism(tmp_path):
     report("C10 determinism", ok,
            f"two preset runs produced {'bit-identical' if csv_a == csv_b else 'DIFFERENT'} "
            f"probe CSVs ({len(csv_a)} bytes)")
+
+
+def test_criterion_11_splitting_order():
+    # test2 physics (buoyancy couples the flow to theta) on a 16x8 mesh to
+    # T = 0.2; every field at T is compared with a 320-step run.  The window
+    # was fixed from the rates observed before the criterion first ran
+    # (theta 1.030/1.091, v 1.032/1.092, phi 1.108/1.128).
+    cfg = preset("test2")
+    cfg.geometry.nx, cfg.geometry.ny = 16, 8
+    cfg.time.T = 0.2
+    rep = verify.splitting_order_study(cfg, Ms=(10, 20, 40), M_ref=320)
+    rates = rep.extra["rates"]
+    ok = all(0.95 <= r <= 1.2 for pair_rates in rates.values() for r in pair_rates)
+    report("C11 splitting-order", ok,
+           "rates over M = 10, 20, 40 against M = 320: " + ", ".join(
+               f"{name} {'/'.join(f'{r:.3f}' for r in pair_rates)}"
+               for name, pair_rates in rates.items()))

@@ -1,3 +1,6 @@
+import functools
+import logging
+
 import numpy as np
 import pytest
 
@@ -78,6 +81,38 @@ class TestInitialize:
 
         monkeypatch.setattr(flow_solver, "_solve_linear", failing)
         with pytest.raises(SolverError, match="^initialize/flow: flow LU residual"):
+            Simulation(quick_config()).initialize()
+
+    def test_test1_flow_converges_without_warning(self, monkeypatch, caplog):
+        # The stationary flow meets picard_tol in a few Oseen solves: one more
+        # Oseen solve from the returned v0 moves it by less than the tolerance.
+        advected = []
+        solve = flow_solver._solve_linear
+
+        def spy(problem, advect, include_time):
+            advected.append(advect is not None)
+            return solve(problem, advect, include_time)
+
+        monkeypatch.setattr(flow_solver, "_solve_linear", spy)
+        caplog.set_level(logging.WARNING, logger="ablatesim")
+        sim = Simulation(preset("test1"))
+        state = sim.initialize()
+        assert advected[0] is False and sum(advected) <= 25
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+        theta_b = np.full(sim.mesh.num_vertices, sim.model.theta_b)
+        v1, _ = solve(sim._flow_problem(theta_b, np.zeros_like(state.v), None),
+                      state.v, include_time=False)
+        assert np.linalg.norm(v1 - state.v) < 1e-8 * np.linalg.norm(v1)
+
+    @pytest.mark.parametrize("stage, name, limits", [
+        ("flow", "solve_flow_stationary", {"picard_max": 2}),
+        # The initial heat state is an equilibrium; only a zero tolerance misses.
+        ("heat", "solve_heat_stationary", {"picard_tol": 0.0, "picard_max": 2}),
+    ])
+    def test_missed_picard_tol_raises_labelled(self, monkeypatch, stage, name, limits):
+        monkeypatch.setattr(coupler, name, functools.partial(getattr(coupler, name), **limits))
+        with pytest.raises(SolverError, match=f"^initialize/{stage}: fixed-point iteration "
+                                              "missed its tolerance in 2 steps"):
             Simulation(quick_config()).initialize()
 
     def test_failed_stage_keeps_exception_class(self, monkeypatch):

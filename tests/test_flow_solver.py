@@ -7,6 +7,7 @@ from ablatesim.flow_solver import (FlowBC, FlowProblem, InflowProfile,
                                    builtin_profile_gamma5, make_profile,
                                    solve_flow_stationary, solve_flow_step,
                                    viscous_dissipation)
+from ablatesim.linalg import SolverError
 from ablatesim.materials import MaterialModel
 from ablatesim.mesh import ALL_TAGS, GeometrySpec, generate_channel_mesh
 
@@ -199,6 +200,11 @@ class TestStationary:
         problem = make_problem(channel_mesh(10, 6), bc_test1(), dt=None)
         with pytest.raises(ValueError, match="picard_max"):
             solve_flow_stationary(problem, picard_max=0)
+
+    def test_missed_picard_tol_raises(self):
+        problem = make_problem(channel_mesh(10, 6), bc_test1(), dt=None)
+        with pytest.raises(SolverError, match=r"in 2 steps: last increment .* >= tol 1\.0e-08"):
+            solve_flow_stationary(problem, picard_max=2)
 
 
 class TestDissipation:

@@ -6,6 +6,7 @@ from ablatesim.heat_solver import (HeatBC, HeatProblem, StabilizationParams,
                                    artificial_viscosity, domain_diameter,
                                    entropy_residual, solve_heat_stationary,
                                    solve_heat_step)
+from ablatesim.linalg import SolverError
 from ablatesim.materials import MaterialModel
 from ablatesim.mesh import ALL_TAGS, GeometrySpec, generate_channel_mesh
 
@@ -338,16 +339,21 @@ class TestHeatStationary:
         assert out.min() >= 20.0 - 1e-8
         assert out.max() <= 37.0 + 1e-8
 
-    def test_sourced_stationary_max_near_heated_zone(self):
-        # argmax scan oracle with a source concentrated near the electrode
+    @staticmethod
+    def sourced_problem():
+        """A source concentrated near the electrode; eta(theta) makes the
+        stationary problem nonlinear, so it takes more than 2 iterations."""
         mesh = small_mesh(16, 8)
-        bc = robin_bc()
 
         def src(x, y, t):
             return 50.0 * np.exp(-80.0 * ((x - 1.0) ** 2 + (y - 1.0) ** 2))
 
         theta0 = np.full(mesh.num_vertices, 37.0)
-        problem = make_problem(mesh, bc, theta0, extra_source=src)
+        return mesh, make_problem(mesh, robin_bc(), theta0, extra_source=src)
+
+    def test_sourced_stationary_max_near_heated_zone(self):
+        # argmax scan oracle with a source concentrated near the electrode
+        mesh, problem = self.sourced_problem()
         out = solve_heat_stationary(problem)
         k = int(np.argmax(out))
         x, y = mesh.vertices[k]
@@ -359,3 +365,8 @@ class TestHeatStationary:
         problem = make_problem(mesh, robin_bc(), np.full(mesh.num_vertices, 37.0))
         with pytest.raises(ValueError, match="picard_max"):
             solve_heat_stationary(problem, picard_max=0)
+
+    def test_missed_picard_tol_raises(self):
+        _, problem = self.sourced_problem()
+        with pytest.raises(SolverError, match=r"in 2 steps: last increment .* >= tol 1\.0e-10"):
+            solve_heat_stationary(problem, picard_max=2)

@@ -231,3 +231,62 @@ class TestSolveConstrained:
         x = linalg.solve_constrained(A, b, dofs, vals, x0=x0)
         assert np.array_equal(x, guess)
         assert x is not x0 and np.array_equal(x0, guess)
+
+
+class TestFixedPoint:
+    @staticmethod
+    def contraction(n=40, rate=0.8):
+        """x -> C x + c with C symmetric, spectrum in [0, rate]; its fixed point."""
+        rng = np.random.default_rng(7)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        C = Q @ np.diag(np.linspace(0.0, rate, n)) @ Q.T
+        c = rng.standard_normal(n)
+        return C, c, np.linalg.solve(np.eye(n) - C, c)
+
+    def test_fewer_map_calls_than_plain_iteration(self):
+        C, c, x_star = self.contraction()
+        calls = []
+
+        def step(x):
+            calls.append(1)
+            return C @ x + c, None
+
+        x, plain = np.zeros_like(c), 0
+        while True:
+            plain += 1
+            g = C @ x + c
+            if np.linalg.norm(g - x) / max(1.0, np.linalg.norm(g)) < 1e-10:
+                break
+            x = g
+        g, _ = linalg.fixed_point(step, np.zeros_like(c), 1e-10, 200)
+        assert len(calls) < plain / 2
+        assert np.linalg.norm(g - x_star) <= 1e-8 * np.linalg.norm(x_star)
+
+    def test_fixed_start_returned_bitwise_after_one_call(self):
+        x0 = np.array([1.0 / 3.0, -2.0, 7.5])
+        calls = []
+
+        def step(x):
+            calls.append(x)
+            return x.copy(), "aux"
+
+        g, aux = linalg.fixed_point(step, x0, 1e-12, 5)
+        assert len(calls) == 1 and aux == "aux"
+        assert np.array_equal(g, x0)
+
+    def test_least_squares_matches_lstsq_and_drops_dependent_rows(self):
+        rng = np.random.default_rng(3)
+        rows, f = rng.standard_normal((3, 50)), rng.standard_normal(50)
+        ref = np.linalg.lstsq(rows.T, f, rcond=None)[0]
+        assert np.allclose(linalg._least_squares(rows, f), ref, rtol=0.0, atol=1e-13)
+        rows[0] = 2.0 * rows[1]  # the oldest row adds nothing: weight 0
+        gamma = linalg._least_squares(rows, f)
+        ref = np.linalg.lstsq(rows.T, f, rcond=None)[0]
+        assert gamma[0] == 0.0
+        assert np.isclose(np.linalg.norm(f - rows.T @ gamma), np.linalg.norm(f - rows.T @ ref),
+                          rtol=1e-13, atol=0.0)
+
+    def test_missed_tolerance_raises(self):
+        C, c, _ = self.contraction()
+        with pytest.raises(SolverError, match=r"in 3 steps: last increment .* >= tol 1\.0e-10"):
+            linalg.fixed_point(lambda x: (C @ x + c, None), np.zeros_like(c), 1e-10, 3)

@@ -3,7 +3,9 @@
 Velocity uses the MINI pair: each component is P1 enriched with the cubic
 bubble 27*l1*l2*l3; pressure, temperature and potential are plain P1.  One
 degree-6, 12-point rule integrates every interior term; boundary integrals
-use 2-point Gauss on edges.
+use 2-point Gauss on edges, through one edge kernel (:func:`assemble_edge_mass`,
+:func:`assemble_edge_load`).  Boundary and source data are sampled by one
+function, :func:`sample`.
 """
 
 from __future__ import annotations
@@ -443,7 +445,7 @@ def strain_rate_product(grad: np.ndarray) -> np.ndarray:
 def edge_quadrature(mesh: Mesh2D, edge_sel: np.ndarray):
     """Physical Gauss points/weights on selected boundary edges.
 
-    Returns (points (NE,2,2), weights (NE,2), a_idx, b_idx, outward normals).
+    Returns (points (NE,2,2), weights (NE,2), outward normals (NE,2)).
     """
     edges = mesh.boundary_edges[edge_sel]
     pa = mesh.vertices[edges[:, 0]]
@@ -451,19 +453,42 @@ def edge_quadrature(mesh: Mesh2D, edge_sel: np.ndarray):
     length = np.linalg.norm(pb - pa, axis=1)
     pts = pa[:, None, :] + EDGE_T[None, :, None] * (pb - pa)[:, None, :]
     wts = EDGE_W[None, :] * length[:, None]
-    normals = mesh.boundary_outward_normals()[edge_sel]
-    return pts, wts, edges[:, 0], edges[:, 1], normals
+    return pts, wts, mesh.boundary_outward_normals()[edge_sel]
+
+
+def velocity_on_edges(mesh: Mesh2D, dofmap: DofMap, u: np.ndarray,
+                      edge_sel: np.ndarray) -> np.ndarray:
+    """(NE, 2, 2) velocity at the Gauss points of the selected boundary edges:
+    the P1 trace of the vertex values, exact since the bubbles vanish on edges."""
+    ia, ib = mesh.boundary_edges[edge_sel].T
+    vv = velocity_at_vertices(mesh, dofmap, u)
+    return vv[ia][:, None, :] * EDGE_PHI[0][:, None] + vv[ib][:, None, :] * EDGE_PHI[1][:, None]
+
+
+def sample(datum, pts: np.ndarray) -> np.ndarray:
+    """The values of ``datum`` at the points ``pts`` (..., 2), of shape
+    pts.shape[:-1].  A datum is a constant, an array already at the points,
+    or a callable(x, y) returning either; a tuple or list of k data is a
+    vector datum, sampled with a trailing axis of k."""
+    if callable(datum):
+        datum = datum(pts[..., 0], pts[..., 1])
+    if isinstance(datum, (tuple, list)):
+        return np.stack([sample(c, pts) for c in datum], axis=-1)
+    return np.broadcast_to(np.asarray(datum, dtype=float), pts.shape[:-1])
 
 
 def dirichlet_values(mesh: Mesh2D, data: dict):
-    """Sorted vertices on the tags of ``data`` (tag -> constant or callable(x, y))
-    and their values; a vertex on two tags takes the value of the larger tag."""
+    """Sorted vertices on the tags of ``data`` (tag -> datum, see :func:`sample`)
+    and their values, with a trailing component axis for vector data; a vertex
+    on two tags takes the value of the larger tag."""
     fixed = np.zeros(mesh.num_vertices, dtype=bool)
     values = np.zeros(mesh.num_vertices)
-    for tag in sorted(data):  # a larger tag overwrites the shared vertices
+    for i, tag in enumerate(sorted(data)):  # a larger tag overwrites the shared vertices
         verts = mesh.boundary_vertices_with_tag(tag)
-        x, y = mesh.vertices[verts].T
-        values[verts] = data[tag](x, y) if callable(data[tag]) else data[tag]
+        vals = sample(data[tag], mesh.vertices[verts])
+        if i == 0:  # the first datum sets the number of components
+            values = np.zeros((mesh.num_vertices,) + vals.shape[1:])
+        values[verts] = vals
         fixed[verts] = True
     verts = np.flatnonzero(fixed)
     return verts, values[verts]
@@ -474,14 +499,34 @@ def _tag_selector(mesh: Mesh2D, tags) -> np.ndarray:
     return np.isin(mesh.boundary_tags, tags)
 
 
+# -- boundary edge kernel ---------------------------------------------------------
+#
+# Every boundary integral is one of two P1 forms over selected edges, given the
+# edge weights ``weights`` (NE, 2): the Gauss weights times an edge coefficient
+# w at the Gauss points (alpha on a Robin edge, -(v.n)_- on an inflow edge, 1
+# for a flux), times the sampled datum for a load.
+
+
+def _edge_blocks(weights: np.ndarray) -> np.ndarray:
+    """(NE, 2, 2) edge matrices of the integrals of w psi_a psi_b."""
+    return _tab(weights, _products(EDGE_PHI.T)).reshape(-1, 2, 2)
+
+
 def assemble_edge_mass(mesh: Mesh2D, edge_sel: np.ndarray, weights: np.ndarray) -> SparseMatrix:
-    """P1 matrix of the integrals of w psi_a psi_b over the selected edges;
-    ``weights`` (NE, 2) are the edge Gauss weights times w."""
+    """P1 matrix of the integrals of w psi_a psi_b over the selected edges,
+    stored on the full P1 pattern."""
     pattern = _p1_pattern(mesh)
     data = np.zeros(pattern.nnz)
-    local = _tab(weights, _products(EDGE_PHI.T)).reshape(-1, 2, 2)
-    np.add.at(data, _edge_positions(mesh, pattern, edge_sel), local)
+    np.add.at(data, _edge_positions(mesh, pattern, edge_sel), _edge_blocks(weights))
     return pattern.matrix(data)
+
+
+def assemble_edge_load(mesh: Mesh2D, edge_sel: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """P1 load of the integrals of w psi_a over the selected edges; for the load
+    of a datum, ``weights`` carry its samples (w * data)."""
+    contrib = _tab(weights, EDGE_PHI.T)  # (NE, 2)
+    return np.bincount(mesh.boundary_edges[edge_sel].T.ravel(), weights=contrib.T.ravel(),
+                       minlength=mesh.num_vertices)
 
 
 # -- scalar-field assembly --------------------------------------------------------
@@ -505,36 +550,12 @@ def assemble_mass(mesh: Mesh2D) -> SparseMatrix:
     return _cached(mesh, "p1_mass", build)
 
 
-def assemble_boundary_mass(mesh: Mesh2D, tags) -> SparseMatrix:
-    """P1 mass restricted to boundary edges with the given tags (cached, read-only)."""
-    def build():
-        sel = _tag_selector(mesh, tags)
-        if not np.any(sel):
-            return _frozen_csr(SparseMatrix((mesh.num_vertices, mesh.num_vertices)))
-        _, wts, _, _, _ = edge_quadrature(mesh, sel)
-        return _frozen_csr(assemble_edge_mass(mesh, sel, wts))
-
-    key = ("boundary_mass",) + tuple(sorted({int(t) for t in np.atleast_1d(tags)}))
-    return _cached(mesh, key, build)
-
-
 def assemble_boundary_load(mesh: Mesh2D, tags, data) -> np.ndarray:
-    """Load vector of ``data`` against P1 traces over tagged edges.
-
-    ``data`` is a constant or a callable(x, y) evaluated at edge Gauss points.
-    """
+    """Load vector of the datum ``data`` (see :func:`sample`) against P1
+    traces over the edges with the given tags."""
     sel = _tag_selector(mesh, tags)
-    if not np.any(sel):
-        return np.zeros(mesh.num_vertices)
-    pts, wts, ia, ib, _ = edge_quadrature(mesh, sel)
-    if callable(data):
-        vals = np.asarray(data(pts[..., 0], pts[..., 1]), dtype=float)
-        vals = np.broadcast_to(vals, wts.shape)
-    else:
-        vals = np.full(wts.shape, float(data))
-    contrib = _tab(wts * vals, EDGE_PHI.T)  # (NE, 2)
-    return np.bincount(np.concatenate([ia, ib]), weights=contrib.T.ravel(),
-                       minlength=mesh.num_vertices)
+    pts, wts, _ = edge_quadrature(mesh, sel)
+    return assemble_edge_load(mesh, sel, wts * sample(data, pts))
 
 
 def assemble_advection(mesh: Mesh2D, vel_qp) -> SparseMatrix:
@@ -570,32 +591,6 @@ def integrate_qp(mesh: Mesh2D, qp_values) -> float:
 # DofMap.velocity_element_dofs.  P1 gradients are constant per element and
 # MINI values are the same on every triangle, so only the bubble gradient
 # varies over the quadrature points.
-
-
-def _advect_at_qp(mesh: Mesh2D, dofmap: DofMap, advect) -> np.ndarray:
-    geo = geometry(mesh)
-    if callable(advect):
-        ax, ay = advect(geo.qp[..., 0], geo.qp[..., 1])
-        return np.stack([np.broadcast_to(ax, geo.qw.shape),
-                         np.broadcast_to(ay, geo.qw.shape)], axis=-1)
-    return velocity_at_qp(mesh, dofmap, advect)
-
-
-def _advect_on_edges(mesh: Mesh2D, dofmap: DofMap, advect, pts, ia, ib) -> np.ndarray:
-    if callable(advect):
-        ax, ay = advect(pts[..., 0], pts[..., 1])
-        shape = pts.shape[:-1]
-        return np.stack([np.broadcast_to(ax, shape), np.broadcast_to(ay, shape)], axis=-1)
-    # Bubbles vanish on edges, so the P1 trace is exact.
-    u = np.asarray(advect)
-    idx = np.arange(dofmap.nv)
-    vx = u[dofmap.vx_vertex(idx)]
-    vy = u[dofmap.vy_vertex(idx)]
-    phi_a = (1.0 - EDGE_T)[None, :]
-    phi_b = EDGE_T[None, :]
-    ax = vx[ia][:, None] * phi_a + vx[ib][:, None] * phi_b
-    ay = vy[ia][:, None] * phi_a + vy[ib][:, None] * phi_b
-    return np.stack([ax, ay], axis=-1)
 
 
 def _mini_pattern(mesh: Mesh2D, dofmap: DofMap) -> _Pattern:
@@ -661,19 +656,21 @@ def _velocity_block(mesh: Mesh2D, dofmap: DofMap, viscosity, advect,
         data = nu.flat[0] * unit
     else:
         data = pattern.fill(_viscous_local(geo, geo.qw * nu))
-    if advect is not None:
-        data += pattern.fill(_convective_local(geo, _advect_at_qp(mesh, dofmap, advect)))
-
-    if advect is not None and len(gamma_n_tags) > 0:
-        # Convective surface term integral_{Gamma_N} (a.n)(u.w), per component.
-        sel = _tag_selector(mesh, gamma_n_tags)
-        if np.any(sel):
-            pts, wts, ia, ib, normals = edge_quadrature(mesh, sel)
-            a_e = _advect_on_edges(mesh, dofmap, advect, pts, ia, ib)  # (NE,G,2)
-            a_dot_n = (a_e * normals[:, None, :]).sum(axis=-1)
-            surf = _tab(wts * a_dot_n, _products(EDGE_PHI.T)).reshape(-1, 2, 2)
-            for comp in range(2):
-                np.add.at(data, _edge_positions(mesh, pattern, sel, 4 * comp), surf)
+    if advect is None:
+        return data
+    # A callable advecting field is a datum, sampled where it is needed; a flow
+    # dof vector is evaluated in the MINI space.
+    datum = callable(advect)
+    a_qp = sample(advect, geo.qp) if datum else velocity_at_qp(mesh, dofmap, advect)
+    data += pattern.fill(_convective_local(geo, a_qp))
+    # Convective surface term integral_{Gamma_N} (a.n)(u.w), per component.
+    sel = _tag_selector(mesh, gamma_n_tags)
+    if np.any(sel):
+        pts, wts, normals = edge_quadrature(mesh, sel)
+        a_e = sample(advect, pts) if datum else velocity_on_edges(mesh, dofmap, advect, sel)
+        surf = _edge_blocks(wts * (a_e * normals[:, None, :]).sum(axis=-1))
+        for comp in range(2):
+            np.add.at(data, _edge_positions(mesh, pattern, sel, 4 * comp), surf)
     return data
 
 

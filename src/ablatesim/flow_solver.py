@@ -11,7 +11,7 @@ saddle system
 triangle, so the 2x2 bubble block of every triangle is eliminated first
 (static condensation, :func:`fem_core.assemble_condensed_saddle`); the Schur
 complement on the P1 dofs [vx | vy | p], of order 3*NV, takes the Dirichlet
-rows (from :func:`fem_core.dirichlet_values`, per velocity component) and is
+rows (from one vector-valued :func:`fem_core.dirichlet_values` call) and is
 solved by :func:`linalg.solve_constrained`, sparse LU under the residual
 contract, in the mesh's nested-dissection vertex order with the three dofs of
 a vertex kept together (:func:`fem_core.vertex_order`).  The LU scales the
@@ -141,31 +141,23 @@ class FlowProblem:
 
 def _dirichlet_velocity(problem: FlowProblem):
     """Constrained velocity dofs and values from the no-slip/inflow tags."""
-    mesh, dm = problem.mesh, problem.dofmap
-    dofs, vals = [], []
-    for c, vertex_dof in enumerate((dm.vx_vertex, dm.vy_vertex)):
-        data = {tag: 0.0 if bc.role == ROLE_NOSLIP else
-                (lambda x, y, f=bc.profile, c=c: f(x, y)[c])
-                for tag, bc in problem.bc.items() if bc.role != ROLE_DONOTHING}
-        verts, values = fem_core.dirichlet_values(mesh, data)
-        dofs.append(vertex_dof(verts))
-        vals.append(values)
-    return np.concatenate(dofs), np.concatenate(vals)
+    dm = problem.dofmap
+    verts, values = fem_core.dirichlet_values(problem.mesh, {
+        tag: (0.0, 0.0) if bc.role == ROLE_NOSLIP else bc.profile
+        for tag, bc in problem.bc.items() if bc.role != ROLE_DONOTHING})
+    return np.concatenate([dm.vx_vertex(verts), dm.vy_vertex(verts)]), values.T.ravel()
 
 
 def _force_load(problem: FlowProblem) -> np.ndarray:
     mesh, dm = problem.mesh, problem.dofmap
-    geo = fem_core.geometry(mesh)
     load = np.zeros(dm.n_velocity)
     if problem.body_force:
         theta_qp = fem_core.p1_at_qp(mesh, problem.theta)
         fx, fy = problem.model.body_force(theta_qp)
         load += fem_core.assemble_vector_load(mesh, dm, np.stack([fx, fy], axis=-1))
     if problem.extra_force is not None:
-        fx, fy = problem.extra_force(geo.qp[..., 0], geo.qp[..., 1])
-        fx = np.broadcast_to(np.asarray(fx, dtype=float), geo.qw.shape)
-        fy = np.broadcast_to(np.asarray(fy, dtype=float), geo.qw.shape)
-        load += fem_core.assemble_vector_load(mesh, dm, np.stack([fx, fy], axis=-1))
+        qp = fem_core.geometry(mesh).qp
+        load += fem_core.assemble_vector_load(mesh, dm, fem_core.sample(problem.extra_force, qp))
     return load
 
 

@@ -200,57 +200,36 @@ def artificial_viscosity(mesh: Mesh2D, dofmap: DofMap, residuals,
     return params.beta * vmax_k * min_term
 
 
-def _robin_terms(problem: HeatProblem):
-    mesh = problem.mesh
-    nv = mesh.num_vertices
-    mat = None
-    rhs = np.zeros(nv)
-    for tag, bc in problem.bc.items():
-        if bc.role != ROLE_ROBIN or bc.alpha == 0.0:
-            continue
-        m = fem_core.assemble_boundary_mass(mesh, (tag,))
-        mat = m.multiply(bc.alpha) if mat is None else mat + m.multiply(bc.alpha)
-        rhs += bc.alpha * fem_core.assemble_boundary_load(mesh, (tag,),
-                                                          bc.data_at(problem.time))
-    return mat, rhs
+def _boundary_terms(problem: HeatProblem):
+    """The Robin and the inflow terms, one (matrix, rhs) pair each:
 
+        A += int_e w theta psi,   rhs += int_e w theta_b psi,
 
-def _inflow_terms(problem: HeatProblem):
-    """Weak imposition of the inflow temperature through the advective flux.
-
-    On edges where the transporting velocity enters the domain (v.n < 0) the
-    fluid carries the prescribed temperature, adding
-
-        A += int_e (-(v.n)_-) theta psi,   rhs += int_e (-(v.n)_-) theta_in psi.
-
-    Where v.n >= 0 (or v = 0) the term vanishes, so a switched-off jet
-    imposes nothing.
+    with w = alpha on a Robin tag (theta_b the ambient temperature) and
+    w = -(v.n)_- on an inflow tag, which imposes the inflow temperature
+    weakly through the advective flux.  The inflow weight acts only where
+    the transporting velocity enters the domain (v.n < 0), so a switched-off
+    jet imposes nothing.  A matrix is None when no tag contributes.
     """
-    mesh, dm = problem.mesh, problem.dofmap
-    nv = mesh.num_vertices
-    mat = None
-    rhs = np.zeros(nv)
-    if not problem.include_inflow_bc:
-        return mat, rhs
-
+    mesh = problem.mesh
+    terms = {ROLE_ROBIN: (None, np.zeros(mesh.num_vertices)),
+             ROLE_INFLOW: (None, np.zeros(mesh.num_vertices))}
     for tag, bc in sorted(problem.bc.items()):
-        if bc.role != ROLE_INFLOW:
-            continue
-        sel = fem_core._tag_selector(mesh, (tag,))
-        if not np.any(sel):
-            continue
-        pts, wts, ia, ib, normals = fem_core.edge_quadrature(mesh, sel)
-        vel = fem_core._advect_on_edges(mesh, dm, problem.v, pts, ia, ib)
-        vdotn = np.einsum("egk,ek->eg", vel, normals)
-        w_in = wts * np.maximum(-vdotn, 0.0)  # active only on the inflow part
-        m = fem_core.assemble_edge_mass(mesh, sel, w_in)
-        mat = m if mat is None else mat + m
-        data = bc.data_at(problem.time)
-        vals = data(pts[..., 0], pts[..., 1]) if callable(data) else data
-        contrib = (w_in * np.asarray(vals, dtype=float)) @ fem_core.EDGE_PHI.T
-        np.add.at(rhs, ia, contrib[:, 0])
-        np.add.at(rhs, ib, contrib[:, 1])
-    return mat, rhs
+        if ((bc.role == ROLE_ROBIN and bc.alpha != 0.0)
+                or (bc.role == ROLE_INFLOW and problem.include_inflow_bc)):
+            sel = fem_core._tag_selector(mesh, (tag,))
+            pts, wts, normals = fem_core.edge_quadrature(mesh, sel)
+            if bc.role == ROLE_ROBIN:
+                w = bc.alpha * wts
+            else:
+                vel = fem_core.velocity_on_edges(mesh, problem.dofmap, problem.v, sel)
+                w = wts * np.maximum(-np.einsum("egk,ek->eg", vel, normals), 0.0)
+            m = fem_core.assemble_edge_mass(mesh, sel, w)
+            load = fem_core.assemble_edge_load(
+                mesh, sel, w * fem_core.sample(bc.data_at(problem.time), pts))
+            mat, rhs = terms[bc.role]
+            terms[bc.role] = (m if mat is None else mat + m, rhs + load)
+    return terms[ROLE_ROBIN], terms[ROLE_INFLOW]
 
 
 def _dirichlet_terms(problem: HeatProblem):
@@ -266,9 +245,8 @@ def _source_load(problem: HeatProblem, theta: np.ndarray) -> np.ndarray:
     if problem.include_physics_sources:
         src = heat_source(mesh, problem.dofmap, problem.model, theta, problem.v, problem.phi)
     if problem.extra_source is not None:
-        geo = fem_core.geometry(mesh)
-        extra = problem.extra_source(geo.qp[..., 0], geo.qp[..., 1], problem.time)
-        src = src + np.asarray(extra, dtype=float)
+        src = src + fem_core.sample(lambda x, y: problem.extra_source(x, y, problem.time),
+                                    fem_core.geometry(mesh).qp)
     return fem_core.assemble_scalar_load(mesh, src)
 
 
@@ -300,7 +278,7 @@ def _heat_system(problem: HeatProblem, mass_coeff: float = 0.0):
     mesh = problem.mesh
     D = fem_core.assemble_advection(
         mesh, fem_core.velocity_at_qp(mesh, problem.dofmap, problem.v))
-    boundary = (_robin_terms(problem), _inflow_terms(problem))
+    boundary = _boundary_terms(problem)
 
     def build(theta, art=0.0):
         eta_qp = problem.model.eta(fem_core.p1_at_qp(mesh, theta))

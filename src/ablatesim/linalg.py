@@ -4,9 +4,10 @@ Matrices are scipy CSR; vectors are 1-D numpy arrays.  Every linear system of
 the simulator is solved by :func:`solve_lu`, a sparse LU under the residual
 contract ||b - Ax|| <= 1e-10 ||b||; a solve that misses it raises, with no
 retry in another order.  The solvers pass the mesh's nested-dissection order
-(:func:`fem_core.vertex_order`): the LU scales the matrix symmetrically by
-|diag A|^-1/2, permutes it into that order and factorizes it there with
-threshold pivoting, so the fill stays that of the order.  Systems with
+(:func:`fem_core.vertex_order`); without one the natural order is used.  The
+LU scales the matrix symmetrically by |diag A|^-1/2, permutes it into the
+order and factorizes it there with threshold pivoting, so the fill stays
+that of the order.  Systems with
 Dirichlet constraints go through :func:`solve_constrained`, the one
 sequence of elimination, LU solve and exact constrained entries.  The
 Jacobi-preconditioned Krylov solvers :func:`solve_cg` and :func:`solve_gmres`
@@ -167,25 +168,23 @@ def solve_lu(A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None,
     SolverError when the solution misses the contract.
 
     ``order`` is a fill-reducing permutation of the unknowns (such as
-    :func:`fem_core.vertex_order`).  With it, the matrix is scaled
-    symmetrically by D = |diag A|^-1/2 (1 where the diagonal is zero),
-    permuted symmetrically, and factorized in that order with threshold
-    pivoting (a diagonal pivot is kept while it is at least 0.1 of its
-    column), so the pivots stay where the order put them; x = D y.  The
-    scaling keeps small diagonals, such as the condensed pressure block's
-    ~h^2/nu, from losing their pivots to the coupling entries.  Without an
-    order SuperLU picks the column order itself (COLAMD) and pivots
-    partially.  The contract is checked on the unscaled A and b either way.
+    :func:`fem_core.vertex_order`); None is the natural order.  The matrix
+    is scaled symmetrically by D = |diag A|^-1/2 (1 where the diagonal is
+    zero), permuted symmetrically, and factorized in that order with
+    threshold pivoting (a diagonal pivot is kept while it is at least 0.1
+    of its column), so the pivots stay where the order put them; x = D y.
+    The scaling keeps small diagonals, such as the condensed pressure
+    block's ~h^2/nu, from losing their pivots to the coupling entries.  The
+    contract is checked on the unscaled A and b.
     """
     b = np.asarray(b, dtype=float)
     limit = RESIDUAL_TOL * float(np.linalg.norm(b))
     if x0 is not None and _residual_norm(A, x0, b) <= limit:
         return np.array(x0, dtype=float)
+    if order is None:
+        order = np.arange(A.shape[0])
     try:
-        if order is None:
-            x = spla.splu(sp.csc_matrix(A)).solve(b)
-        else:
-            x = _solve_ordered(sp.csr_matrix(A), b, np.asarray(order))
+        x = _solve_ordered(sp.csr_matrix(A), b, np.asarray(order))
     except RuntimeError as exc:
         raise SingularMatrix(str(exc)) from exc
     if not np.all(np.isfinite(x)):

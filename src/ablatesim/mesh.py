@@ -335,25 +335,38 @@ def save_mesh(mesh: Mesh2D, path) -> None:
 
 
 def load_mesh(path) -> Mesh2D:
+    """Read a file written by :func:`save_mesh`; a malformed file raises
+    MeshError naming the section at fault."""
     with open(path, "r", encoding="ascii") as f:
-        tokens = f.read().split("\n")
-    it = iter(tok for tok in tokens if tok.strip())
-    header = next(it).strip()
+        lines = iter([ln for ln in f.read().split("\n") if ln.strip()])
+
+    def next_line(section):
+        line = next(lines, None)
+        if line is None:
+            raise MeshError(f"mesh file ends in the {section} section")
+        return line
+
+    header = next_line("header").strip()
     if header != "MESH2D v1":
         raise MeshError(f"bad mesh file header: {header!r}")
 
-    def expect_count(kw):
-        line = next(it).split()
-        if line[0] != kw:
-            raise MeshError(f"expected {kw} section, got {line[0]!r}")
-        return int(line[1])
+    def section(kw, width, kind):
+        """(n, width) array of the n rows that follow the count line 'kw n'."""
+        head = next_line(kw).split()
+        if head[0] != kw:
+            raise MeshError(f"expected {kw} section, got {head[0]!r}")
+        if len(head) != 2 or not head[1].isdigit():
+            raise MeshError(f"{kw} count must be a nonnegative integer, got {head[1:]}")
+        rows = [next_line(kw).split() for _ in range(int(head[1]))]
+        for row in rows:
+            if len(row) != width:
+                raise MeshError(f"{kw} row {row} has {len(row)} fields, expected {width}")
+        try:
+            return np.array([[kind(w) for w in row] for row in rows], dtype=kind).reshape(-1, width)
+        except ValueError as exc:
+            raise MeshError(f"{kw} section: {exc}") from None
 
-    nv = expect_count("NV")
-    vertices = np.array([[float(w) for w in next(it).split()] for _ in range(nv)])
-    nt = expect_count("NT")
-    triangles = np.array([[int(w) for w in next(it).split()] for _ in range(nt)])
-    nb = expect_count("NB")
-    rows = [[int(w) for w in next(it).split()] for _ in range(nb)]
-    edges = np.array([[a, b] for a, b, _ in rows])
-    tags = np.array([tag for _, _, tag in rows])
-    return Mesh2D(vertices, triangles, edges, tags)
+    vertices = section("NV", 2, float)
+    triangles = section("NT", 3, int)
+    boundary = section("NB", 3, int)
+    return Mesh2D(vertices, triangles, boundary[:, :2], boundary[:, 2])

@@ -32,15 +32,6 @@ class PotentialProblem:
     iterations: int = field(default=0, init=False)  # Krylov count; 0 under the direct solve
 
 
-def _source_at_qp(problem: PotentialProblem):
-    if problem.source is None:
-        return None
-    geo = fem_core.geometry(problem.mesh)
-    if callable(problem.source):
-        return np.asarray(problem.source(geo.qp[..., 0], geo.qp[..., 1]), dtype=float)
-    return np.asarray(problem.source, dtype=float)
-
-
 def solve_potential(problem: PotentialProblem) -> np.ndarray:
     """Direct solve of the lagged-conductivity potential equation."""
     mesh = problem.mesh
@@ -53,9 +44,9 @@ def solve_potential(problem: PotentialProblem) -> np.ndarray:
     sigma_qp = problem.model.sigma(fem_core.p1_at_qp(mesh, theta))
     A = fem_core.assemble_stiffness(mesh, sigma_qp)
     b = fem_core.assemble_boundary_load(mesh, problem.neumann_tags, problem.g)
-    src = _source_at_qp(problem)
-    if src is not None:
-        b = b + fem_core.assemble_scalar_load(mesh, src)
+    if problem.source is not None:
+        b = b + fem_core.assemble_scalar_load(
+            mesh, fem_core.sample(problem.source, fem_core.geometry(mesh).qp))
 
     dofs, values = fem_core.dirichlet_values(
         mesh, dict.fromkeys(problem.dirichlet_tags, problem.dirichlet_value))

@@ -544,21 +544,17 @@ def cmd_run(args) -> int:
                       sim.dofmap)
 
     def finish(rows):
-        if not outdir:
-            return
-        # One CSV row per advanced step; a blow-up aborts before the probes of
-        # its final row are sampled, so truncate to the sampled prefix.
-        data = rows[1:]
-        extra = probe_rows[1:]
-        n = min(len(data), len(extra)) if probes else len(data)
-        write_probes(data[:n] if probes else data,
-                     os.path.join(outdir, "probes.csv"),
-                     probe_names, extra[:n] if probes else None)
+        # One CSV row per advanced step, each with its probe values.
+        if outdir:
+            write_probes(rows[1:], os.path.join(outdir, "probes.csv"), probe_names,
+                         probe_rows[1:])
 
     try:
         state, rows = sim.run(on_step=on_step)
     except coupler.BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
+        # The guard trips before on_step, so sample the tripping state here.
+        probe_rows.append([pr(exc.state.theta) for pr in probes])
         finish(exc.rows)
         return 4
     except (linalg.SolverError, coupler.NonFiniteFieldError) as exc:
@@ -579,10 +575,9 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify as verify_mod
 
-    if args.config:
-        cfg = parse_config(args.config)
-    else:
-        cfg = preset(args.preset or "test1")
+    if args.config is not None and args.preset is not None:
+        raise ConfigError("at most one of --config / --preset is allowed")
+    cfg = parse_config(args.config) if args.config else preset(args.preset or "test1")
     report = verify_mod.invariant_suite(cfg)
     text = verify_mod.format_report(report)
     print(text)

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines as they complete.  The full suite takes a few minutes (it contains two
-complete preset runs and four mesh-refinement studies).
+lines as they complete.  The full suite takes about half a minute (it
+contains two complete preset runs and four mesh-refinement studies).
 """
 
 import json

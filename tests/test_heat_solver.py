@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ablatesim import fem_core
+from ablatesim import fem_core, heat_solver
 from ablatesim.heat_solver import (HeatBC, HeatProblem, StabilizationParams,
                                    artificial_viscosity, domain_diameter,
                                    entropy_residual, solve_heat_stationary,
@@ -293,6 +293,67 @@ class TestHeatStep:
         out = solve_heat_step(problem)
         assert out.max() > 37.0
         assert out.min() >= 37.0 - 1e-10
+
+
+# Outward normals of the channel sides, by tag.
+NORMALS = {1: (-1.0, 0.0), 2: (0.0, -1.0), 3: (1.0, 0.0), 4: (0.0, 1.0), 5: (0.0, 1.0)}
+
+
+def edge_by_edge_terms(mesh, bc, vertex_velocity, t):
+    """Robin and inflow (matrix, rhs) pairs summed edge by edge with 2-point
+    Gauss: w = alpha on a Robin edge, w = max(-v.n, 0) on an inflow edge."""
+    nv = mesh.num_vertices
+    gauss = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
+    terms = {"robin": (np.zeros((nv, nv)), np.zeros(nv)),
+             "inflow": (np.zeros((nv, nv)), np.zeros(nv))}
+    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+        cond = bc[int(tag)]
+        if cond.role not in terms:
+            continue
+        mat, rhs = terms[cond.role]
+        pa, pb = mesh.vertices[a], mesh.vertices[b]
+        length = float(np.hypot(*(pb - pa)))
+        for s in gauss:
+            x, y = (1.0 - s) * pa + s * pb
+            if cond.role == "robin":
+                w = cond.alpha
+            else:
+                vel = (1.0 - s) * vertex_velocity[a] + s * vertex_velocity[b]
+                w = max(-float(vel @ NORMALS[int(tag)]), 0.0)
+            data = cond.data(x, y, t) if callable(cond.data) else cond.data
+            psi = ((a, 1.0 - s), (b, s))
+            for i, psi_i in psi:
+                rhs[i] += 0.5 * length * w * data * psi_i
+                for j, psi_j in psi:
+                    mat[i, j] += 0.5 * length * w * psi_i * psi_j
+    return terms["robin"], terms["inflow"]
+
+
+class TestBoundaryKernel:
+    def test_robin_and_inflow_terms_match_edge_loop(self):
+        mesh = generate_channel_mesh(GeometrySpec(L=1.5, H=0.5, r=0.075, nx=20, ny=10))
+        dm = fem_core.dofmap_for(mesh)
+        # v.n = v_y on the electrode G5 (x in [0.675, 0.825]) changes sign at
+        # x = 0.74: the left part is an inflow, the right part is not.
+        vertex_v = np.column_stack([np.full(mesh.num_vertices, 0.3),
+                                    mesh.vertices[:, 0] - 0.74])
+        v = np.zeros(dm.n_velocity)
+        idx = np.arange(dm.nv)
+        v[dm.vx_vertex(idx)], v[dm.vy_vertex(idx)] = vertex_v.T
+        bc = {1: HeatBC("robin", 2.0, lambda x, y, t: 30.0 + x * y + t),
+              2: HeatBC("neumann"), 3: HeatBC("dirichlet", data=37.0),
+              4: HeatBC("robin", 1.0, 36.0),
+              5: HeatBC("inflow", data=lambda x, y, t: 20.0 + 10.0 * x - t)}
+        problem = make_problem(mesh, bc, np.full(mesh.num_vertices, 37.0), v=v, time=0.3)
+        (R, r), (I, i) = heat_solver._boundary_terms(problem)
+        (R_ref, r_ref), (I_ref, i_ref) = edge_by_edge_terms(mesh, bc, vertex_v, 0.3)
+        for got, ref in ((R.toarray(), R_ref), (r, r_ref), (I.toarray(), I_ref), (i, i_ref)):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        # The (v.n)_- switch acts: G5 vertices right of x = 0.74 get no inflow term.
+        g5 = mesh.boundary_vertices_with_tag(5)
+        diag = I.diagonal()[g5]
+        assert np.all(diag[mesh.vertices[g5, 0] < 0.74] > 0.0)
+        assert np.any(diag[mesh.vertices[g5, 0] > 0.74] == 0.0)
 
 
 class TestResidualConsistency:

@@ -174,3 +174,34 @@ class TestIO:
         path.write_text("MESH3D v9\n")
         with pytest.raises(MeshError):
             load_mesh(path)
+
+    def _saved_lines(self, tmp_path):
+        path = tmp_path / "channel.mesh"
+        save_mesh(generate_channel_mesh(channel_spec(nx=10, ny=4)), path)
+        return path, path.read_text().splitlines()
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.mesh"
+        path.write_text("")
+        with pytest.raises(MeshError, match="header"):
+            load_mesh(path)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        nt_line = next(i for i, ln in enumerate(lines) if ln.startswith("NT "))
+        path.write_text("\n".join(lines[:nt_line + 3]) + "\n")
+        with pytest.raises(MeshError, match="NT section"):
+            load_mesh(path)
+
+    def test_non_integer_count_rejected(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        path.write_text("\n".join("NT x" if ln.startswith("NT ") else ln for ln in lines))
+        with pytest.raises(MeshError, match="NT count"):
+            load_mesh(path)
+
+    def test_wrong_field_count_rejected(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        lines[-1] = lines[-1].rsplit(" ", 1)[0]  # a boundary edge without its tag
+        path.write_text("\n".join(lines))
+        with pytest.raises(MeshError, match="NB row"):
+            load_mesh(path)

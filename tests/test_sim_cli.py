@@ -256,6 +256,22 @@ class TestCLI:
         assert rc == 4
         assert (outdir / "probes.csv").exists()  # partial diagnostics kept
 
+    def test_run_blowup_keeps_the_probe_row(self, tmp_path):
+        config = {"preset": "test1", **QUICK, "time": {"M": 20}, "potential_bc": {"g": 500.0}}
+        rows = {}
+        for name, probes in (("plain", []), ("probed", [{"x": 0.75, "y": 0.4}])):
+            cfgfile = tmp_path / f"{name}.json"
+            cfgfile.write_text(json.dumps({**config, "output": {"probes": probes}}))
+            assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path / name)]) == 4
+            lines = (tmp_path / name / "probes.csv").read_text().splitlines()
+            rows[name] = [ln for ln in lines[1:] if ln]
+        assert len(rows["probed"]) == len(rows["plain"]) >= 1
+        sim = Simulation(parse_config(cfgfile))
+        with pytest.raises(coupler.BlowUpError) as exc:
+            sim.run()
+        expected = PointProbe(sim.mesh, 0.75, 0.4)(exc.value.state.theta)
+        assert float(rows["probed"][-1].split(",")[-1]) == expected
+
     @pytest.mark.parametrize("error", [SolverError, NonFiniteFieldError])
     def test_run_solver_failure_keeps_probes_exit_3(self, tmp_path, monkeypatch, error):
         calls = []
@@ -295,3 +311,19 @@ class TestCLI:
         assert main(["run", "--config", str(cfgfile), "--out", str(outdir)]) == 0
         snaps = sorted(p for p in os.listdir(outdir) if p.startswith("fields_"))
         assert len(snaps) == 3  # steps 0, 1, 2
+
+
+class TestVerifyCommand:
+    def test_tiny_config_writes_report(self, tmp_path):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"preset": "test1", **QUICK}))
+        outdir = tmp_path / "out"
+        assert main(["verify", "--config", str(cfgfile), "--out", str(outdir)]) == 0
+        assert (outdir / "invariants.txt").read_text().rstrip().endswith("PASS (27/27)")
+        assert (outdir / "invariants.csv").exists()
+
+    def test_both_sources_exit_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"preset": "test1", **QUICK}))
+        assert main(["verify", "--config", str(cfgfile), "--preset", "test1"]) == 2
+        assert "--config / --preset" in capsys.readouterr().err

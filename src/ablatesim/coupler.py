@@ -16,6 +16,7 @@ reached for large electrode currents.
 
 from __future__ import annotations
 
+import copy
 import time as _time
 from dataclasses import dataclass, field
 
@@ -25,7 +26,7 @@ from . import fem_core
 from .flow_solver import FlowProblem, solve_flow_stationary, solve_flow_step
 from .heat_solver import HeatProblem, solve_heat_stationary, solve_heat_step
 from .linalg import SolverError
-from .mesh import generate_channel_mesh
+from .mesh import TAG_NAMES, generate_channel_mesh
 from .potential_solver import PotentialProblem, solve_potential
 
 BLOWUP_LIMIT = 1e4
@@ -106,8 +107,8 @@ class Simulation:
         self.dofmap = fem_core.dofmap_for(self.mesh)
         self.model = config.build_material_model()
         self.flow_bc = config.build_flow_bcs()
-        self.heat_bc = config.build_heat_bcs()
-        self.stab = config.build_stabilization()
+        self.heat_bc = {TAG_NAMES[name]: copy.copy(bc) for name, bc in config.heat_bc.items()}
+        self.stab = copy.copy(config.stabilization)
         self._mass = fem_core.assemble_mass(self.mesh)
         self._div_B = fem_core.assemble_divergence(self.mesh, self.dofmap)
 
@@ -116,9 +117,8 @@ class Simulation:
     def _potential_problem(self, theta) -> PotentialProblem:
         pot = self.config.potential_bc
         return PotentialProblem(
-            mesh=self.mesh, model=self.model, theta=theta,
-            g=pot.g, neumann_tags=tuple(pot.neumann_tags),
-            dirichlet_tags=tuple(pot.dirichlet_tags),
+            mesh=self.mesh, model=self.model, theta=theta, g=pot.g,
+            neumann_tags=pot.neumann_tags, dirichlet_tags=pot.dirichlet_tags,
         )
 
     def _flow_problem(self, theta, v_prev, dt) -> FlowProblem:
@@ -222,8 +222,7 @@ class Simulation:
 
         # Stage 1: potential at the lagged temperature.
         stages.append(("potential", _time.perf_counter()))
-        every = max(1, cfg.solver.potential_every)
-        if state.n % every == 0 or state.diag is None:
+        if state.n % cfg.solver.potential_every == 0 or state.diag is None:
             phi = solve_potential(self._potential_problem(state.theta))
         else:
             phi = state.phi

@@ -38,7 +38,7 @@ import numpy as np
 from . import fem_core, linalg
 from .fem_core import DofMap
 from .materials import MaterialModel
-from .mesh import Mesh2D
+from .mesh import Mesh2D, check_tag_roles
 
 ROLE_INFLOW = "inflow"
 ROLE_NOSLIP = "noslip"
@@ -127,12 +127,9 @@ class FlowProblem:
     pressure_pin_value: float = 0.0
 
     def validate(self) -> None:
-        from .mesh import ALL_TAGS
-
         if self.dt is not None and not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if set(self.bc) != set(ALL_TAGS):
-            raise ValueError("every boundary tag needs exactly one flow role")
+        check_tag_roles(self.bc, "flow")
         if not np.all(np.isfinite(self.v_prev)):
             raise ValueError("previous velocity contains non-finite values")
         if not np.all(np.isfinite(np.asarray(self.theta, dtype=float))):

@@ -31,7 +31,7 @@ import numpy as np
 from . import fem_core, linalg
 from .fem_core import DofMap
 from .materials import MaterialModel
-from .mesh import Mesh2D
+from .mesh import Mesh2D, check_tag_roles
 from .potential_solver import joule_density
 from .flow_solver import viscous_dissipation
 
@@ -43,35 +43,45 @@ ROLE_INFLOW = "inflow"  # weakly imposed inflow temperature via the advective fl
 
 @dataclass
 class StabilizationParams:
-    alpha_exp: float = 2.0
+    """Entropy-viscosity parameters; also the ``stabilization`` config section."""
+
+    alpha: float = 2.0  # entropy exponent
     beta: float = 0.1
     c_r: float = 1.0
     var_floor: float = 1e-10
 
     def __post_init__(self):
-        if not 1.0 <= self.alpha_exp <= 2.0:
-            raise ValueError(f"alpha_exp must lie in [1, 2], got {self.alpha_exp}")
+        self.validate()
+
+    def validate(self) -> None:
+        if not 1.0 <= self.alpha <= 2.0:
+            raise ValueError(f"alpha must lie in [1, 2], got {self.alpha}")
 
 
 @dataclass
 class HeatBC:
-    role: str
+    """The heat role of one boundary tag; also a ``heat_bc`` config entry."""
+
+    role: str = ROLE_NEUMANN
     alpha: float = 0.0  # Robin transfer coefficient
-    data: object = 0.0  # ambient/inflow/Dirichlet temperature; const or callable(x, y, t)
+    value: object = 0.0  # ambient/inflow/Dirichlet temperature; const or callable(x, y, t)
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
         if self.role not in (ROLE_ROBIN, ROLE_DIRICHLET, ROLE_NEUMANN, ROLE_INFLOW):
             raise ValueError(f"unknown heat boundary role {self.role!r}")
         if self.role == ROLE_ROBIN and self.alpha < 0.0:
-            raise ValueError("Robin coefficient must be nonnegative")
-        if not callable(self.data) and not np.isfinite(self.data):
-            raise ValueError(f"heat boundary data must be finite, got {self.data!r}")
+            raise ValueError(f"Robin coefficient alpha must be nonnegative, got {self.alpha}")
+        if not callable(self.value) and not np.isfinite(self.value):
+            raise ValueError(f"heat boundary value must be finite, got {self.value!r}")
 
-    def data_at(self, t: float):
-        """The boundary data at time t: a constant or a callable(x, y)."""
-        if callable(self.data):
-            return lambda x, y: self.data(x, y, t)
-        return float(self.data)
+    def value_at(self, t: float):
+        """The boundary value at time t: a constant or a callable(x, y)."""
+        if callable(self.value):
+            return lambda x, y: self.value(x, y, t)
+        return float(self.value)
 
 
 @dataclass
@@ -95,12 +105,9 @@ class HeatProblem:
     art_visc: np.ndarray | None = field(default=None, init=False)  # last per-cell values
 
     def validate(self) -> None:
-        from .mesh import ALL_TAGS
-
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if set(self.bc) != set(ALL_TAGS):
-            raise ValueError("every boundary tag needs exactly one heat role")
+        check_tag_roles(self.bc, "heat")
         for name, arr in (("theta_prev", self.theta_prev), ("v", self.v), ("phi", self.phi)):
             if not np.all(np.isfinite(np.asarray(arr, dtype=float))):
                 raise ValueError(f"{name} contains non-finite values")
@@ -192,11 +199,11 @@ def artificial_viscosity(mesh: Mesh2D, dofmap: DofMap, residuals,
     else:
         vmax = float(vmax_k.max()) if vmax_k.size else 0.0
         var = float(np.max(theta) - np.min(theta))
-        c = params.c_r * vmax * var * domain_diameter(mesh) ** (params.alpha_exp - 2.0)
+        c = params.c_r * vmax * var * domain_diameter(mesh) ** (params.alpha - 2.0)
         if c <= params.var_floor:
             min_term = h
         else:
-            min_term = np.minimum(h, h ** params.alpha_exp * np.asarray(residuals) / c)
+            min_term = np.minimum(h, h ** params.alpha * np.asarray(residuals) / c)
     return params.beta * vmax_k * min_term
 
 
@@ -226,7 +233,7 @@ def _boundary_terms(problem: HeatProblem):
                 w = wts * np.maximum(-np.einsum("egk,ek->eg", vel, normals), 0.0)
             m = fem_core.assemble_edge_mass(mesh, sel, w)
             load = fem_core.assemble_edge_load(
-                mesh, sel, w * fem_core.sample(bc.data_at(problem.time), pts))
+                mesh, sel, w * fem_core.sample(bc.value_at(problem.time), pts))
             mat, rhs = terms[bc.role]
             terms[bc.role] = (m if mat is None else mat + m, rhs + load)
     return terms[ROLE_ROBIN], terms[ROLE_INFLOW]
@@ -234,7 +241,7 @@ def _boundary_terms(problem: HeatProblem):
 
 def _dirichlet_terms(problem: HeatProblem):
     return fem_core.dirichlet_values(problem.mesh, {
-        tag: bc.data_at(problem.time)
+        tag: bc.value_at(problem.time)
         for tag, bc in problem.bc.items() if bc.role == ROLE_DIRICHLET})
 
 
@@ -263,7 +270,7 @@ def _cell_viscosity(problem: HeatProblem) -> np.ndarray:
     else:
         res = entropy_residual(mesh, dm, problem.model, problem.theta_prev,
                                problem.theta_prev2, v_stab, problem.phi,
-                               problem.dt, problem.stab.alpha_exp,
+                               problem.dt, problem.stab.alpha,
                                problem.stab.var_floor)
         art = artificial_viscosity(mesh, dm, res, problem.theta_prev, v_stab,
                                    problem.stab)

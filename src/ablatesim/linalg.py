@@ -11,8 +11,10 @@ that of the order.  Systems with
 Dirichlet constraints go through :func:`solve_constrained`, the one
 sequence of elimination, LU solve and exact constrained entries.  The
 Jacobi-preconditioned Krylov solvers :func:`solve_cg` and :func:`solve_gmres`
-enforce the same kind of contract at their own tolerance; no solver of the
-package calls them.  :func:`fixed_point` is the Anderson-accelerated
+enforce the same kind of contract at their own tolerance; no code of the
+package calls them.  They and :class:`CooBuilder` stay only because the
+benchmark tracer (``benchmark/tracer.py``) and ``tests/test_linalg.py`` use
+them.  :func:`fixed_point` is the Anderson-accelerated
 iteration of both stationary solves; it raises when it misses its tolerance.
 """
 

@@ -21,8 +21,17 @@ import numpy as np
 
 GAMMA1, GAMMA2, GAMMA3, GAMMA4, GAMMA5 = 1, 2, 3, 4, 5
 ALL_TAGS = (GAMMA1, GAMMA2, GAMMA3, GAMMA4, GAMMA5)
+TAG_NAMES = {"G1": GAMMA1, "G2": GAMMA2, "G3": GAMMA3, "G4": GAMMA4, "G5": GAMMA5}
 
 SNAP_TOL = 1e-12
+
+
+def check_tag_roles(roles, kind: str) -> None:
+    """Raise ValueError unless ``roles`` gives each boundary tag exactly one
+    ``kind`` role; its keys are the tags themselves or their names G1..G5."""
+    if set(roles) not in (set(ALL_TAGS), set(TAG_NAMES)):
+        raise ValueError(f"each of G1..G5 needs exactly one {kind} role, "
+                         f"got keys {sorted(map(str, roles))}")
 
 
 class MeshError(ValueError):

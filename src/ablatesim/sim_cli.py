@@ -5,8 +5,10 @@ file may name a preset and override any subset of fields:
 
     {"preset": "test1", "time": {"M": 20}, "potential_bc": {"g": 0.0}}
 
-Unknown keys are rejected with the offending dotted path.  Exit codes:
-0 success, 2 config error, 3 solver failure, 4 blow-up guard.
+The geometry, time, stabilization and heat_bc sections are the solver's own
+types.  Every section checks itself in one ``validate()``, and an error names
+its section; unknown keys are rejected with the offending dotted path.  Exit
+codes: 0 success, 2 config error, 3 solver failure, 4 blow-up guard.
 """
 
 from __future__ import annotations
@@ -23,13 +25,12 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from . import coupler, fem_core, flow_solver, heat_solver, linalg
+from . import coupler, fem_core, flow_solver, linalg
 from .coupler import Simulation, TimeGrid
-from .materials import DEFAULT_BUOYANCY_COEFF, BuoyancySettings, MaterialModel
-from .mesh import (GAMMA1, GAMMA2, GAMMA3, GAMMA4, GAMMA5, GeometrySpec,
-                   Mesh2D, MeshError, generate_channel_mesh, save_mesh)
-
-TAG_NAMES = {"G1": GAMMA1, "G2": GAMMA2, "G3": GAMMA3, "G4": GAMMA4, "G5": GAMMA5}
+from .heat_solver import HeatBC, StabilizationParams
+from .materials import BuoyancySettings, MaterialModel
+from .mesh import (TAG_NAMES, GeometrySpec, Mesh2D, MeshError, check_tag_roles,
+                   generate_channel_mesh, save_mesh)
 
 
 class ConfigError(ValueError):
@@ -40,26 +41,12 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class BuoyancyConfig:
-    enabled: bool = False
-    coefficient: float = DEFAULT_BUOYANCY_COEFF
-
-
-@dataclass
 class MaterialsConfig:
     sigma0: float = 0.6
     eta0: float = 0.54
     nu: float = 0.0021
     theta_b: float = 37.0
-    buoyancy: BuoyancyConfig = field(default_factory=BuoyancyConfig)
-
-
-@dataclass
-class StabilizationConfig:
-    alpha: float = 2.0
-    beta: float = 0.1
-    c_r: float = 1.0
-    var_floor: float = 1e-10
+    buoyancy: BuoyancySettings = field(default_factory=BuoyancySettings)
 
 
 @dataclass
@@ -69,19 +56,20 @@ class FlowBCConfig:
 
 
 @dataclass
-class HeatBCConfig:
-    role: str = "neumann"  # robin | dirichlet | neumann | inflow
-    alpha: float = 0.0
-    value: float = 0.0  # theta_l (robin), boundary value (dirichlet), or inflow temperature
-
-
-@dataclass
 class PotentialConfig:
     g: float = 0.0
     roles: dict = field(default_factory=lambda: {
         "G1": "dirichlet", "G2": "dirichlet", "G3": "dirichlet",
         "G4": "dirichlet", "G5": "neumann",
     })
+
+    def validate(self) -> None:
+        check_tag_roles(self.roles, "potential")
+        for name, role in self.roles.items():
+            if role not in ("dirichlet", "neumann"):
+                raise ValueError(f"roles.{name}: unknown role {role!r}")
+        if not self.dirichlet_tags:
+            raise ValueError("roles need at least one dirichlet tag")
 
     @property
     def neumann_tags(self):
@@ -96,6 +84,10 @@ class PotentialConfig:
 class SolverConfig:
     potential_every: int = 1
 
+    def validate(self) -> None:
+        if self.potential_every < 1:
+            raise ValueError(f"potential_every must be >= 1, got {self.potential_every}")
+
 
 @dataclass
 class ProbeSpec:
@@ -108,6 +100,13 @@ class OutputConfig:
     directory: str | None = None
     stride: int = 0  # VTK snapshot every `stride` steps; 0 = final state only
     probes: list = field(default_factory=list)  # list[ProbeSpec]
+
+    def validate(self, geometry: GeometrySpec) -> None:
+        if self.stride < 0:
+            raise ValueError(f"stride must be >= 0, got {self.stride}")
+        for i, p in enumerate(self.probes):
+            if not (0.0 <= p.x <= geometry.L and 0.0 <= p.y <= geometry.H):
+                raise ValueError(f"probes[{i}] ({p.x}, {p.y}) lies outside the domain")
 
 
 def _default_flow_bc():
@@ -125,11 +124,11 @@ def _default_heat_bc():
     # imposition); a conductive Dirichlet wall at 20 C would quench the Joule
     # layer entirely.
     return {
-        "G1": HeatBCConfig("robin", 1.0, 37.0),
-        "G2": HeatBCConfig("robin", 1.0, 37.0),
-        "G3": HeatBCConfig("neumann"),
-        "G4": HeatBCConfig("robin", 1.0, 37.0),
-        "G5": HeatBCConfig("inflow", 0.0, 20.0),
+        "G1": HeatBC("robin", 1.0, 37.0),
+        "G2": HeatBC("robin", 1.0, 37.0),
+        "G3": HeatBC("neumann"),
+        "G4": HeatBC("robin", 1.0, 37.0),
+        "G5": HeatBC("inflow", 0.0, 20.0),
     }
 
 
@@ -138,7 +137,7 @@ class SimConfig:
     geometry: GeometrySpec = field(default_factory=GeometrySpec)
     time: TimeGrid = field(default_factory=TimeGrid)
     materials: MaterialsConfig = field(default_factory=MaterialsConfig)
-    stabilization: StabilizationConfig = field(default_factory=StabilizationConfig)
+    stabilization: StabilizationParams = field(default_factory=StabilizationParams)
     flow_bc: dict = field(default_factory=_default_flow_bc)
     heat_bc: dict = field(default_factory=_default_heat_bc)
     potential_bc: PotentialConfig = field(default_factory=PotentialConfig)
@@ -149,47 +148,32 @@ class SimConfig:
     # -- validation -----------------------------------------------------------
 
     def validate(self) -> None:
-        try:
-            self.geometry.validate()
-            self.time.validate()
-        except (MeshError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-        for section, expected in (("flow_bc", FlowBCConfig), ("heat_bc", HeatBCConfig)):
-            bc = getattr(self, section)
-            if set(bc) != set(TAG_NAMES):
-                raise ConfigError(f"{section} must configure each of G1..G5 exactly once")
-            for name, entry in bc.items():
-                if not isinstance(entry, expected):
+        for section in ("geometry", "time", "stabilization", "potential_bc", "solver"):
+            with _config_section(section):
+                getattr(self, section).validate()
+        with _config_section("output"):
+            self.output.validate(self.geometry)
+        for section, kind, entry_type in (("flow_bc", "flow", FlowBCConfig),
+                                          ("heat_bc", "heat", HeatBC)):
+            bcs = getattr(self, section)
+            with _config_section(section):
+                check_tag_roles(bcs, kind)
+            for name, entry in bcs.items():
+                if not isinstance(entry, entry_type):
                     raise ConfigError(f"{section}.{name} has wrong type")
-        if set(self.potential_bc.roles) != set(TAG_NAMES):
-            raise ConfigError("potential_bc.roles must configure each of G1..G5")
-        for name, role in self.potential_bc.roles.items():
-            if role not in ("dirichlet", "neumann"):
-                raise ConfigError(f"potential_bc.roles.{name}: unknown role {role!r}")
-        if not self.potential_bc.dirichlet_tags:
-            raise ConfigError("potential_bc needs at least one dirichlet tag")
-        # Roles, profiles and bounds are checked where the solver objects are
+        for name, bc in self.heat_bc.items():
+            with _config_section(f"heat_bc.{name}"):
+                bc.validate()
+        # A flow entry's role and profile are checked where its FlowBC is
         # built, so a config that validates also builds.
         self.build_flow_bcs()
-        self.build_heat_bcs()
-        self.build_stabilization()
-        if self.solver.potential_every < 1:
-            raise ConfigError("solver.potential_every must be >= 1")
-        if self.output.stride < 0:
-            raise ConfigError("output.stride must be >= 0")
-        for p in self.output.probes:
-            if not (0.0 <= p.x <= self.geometry.L and 0.0 <= p.y <= self.geometry.H):
-                raise ConfigError(f"probe ({p.x}, {p.y}) lies outside the domain")
 
     # -- builders used by the coupler ------------------------------------------
 
     def build_material_model(self) -> MaterialModel:
         m = self.materials
-        return MaterialModel(
-            sigma0=m.sigma0, eta0=m.eta0, nu_const=m.nu, theta_b=m.theta_b,
-            buoyancy=BuoyancySettings(enabled=m.buoyancy.enabled,
-                                      coefficient=m.buoyancy.coefficient),
-        )
+        return MaterialModel(sigma0=m.sigma0, eta0=m.eta0, nu_const=m.nu,
+                             theta_b=m.theta_b, buoyancy=copy.copy(m.buoyancy))
 
     def build_flow_bcs(self) -> dict:
         out = {}
@@ -202,24 +186,11 @@ class SimConfig:
                 out[TAG_NAMES[name]] = flow_solver.FlowBC(entry.role, profile)
         return out
 
-    def build_heat_bcs(self) -> dict:
-        out = {}
-        for name, entry in self.heat_bc.items():
-            with _config_section(f"heat_bc.{name}"):
-                out[TAG_NAMES[name]] = heat_solver.HeatBC(
-                    entry.role, alpha=entry.alpha, data=entry.value)
-        return out
-
-    def build_stabilization(self) -> heat_solver.StabilizationParams:
-        s = self.stabilization
-        with _config_section("stabilization"):
-            return heat_solver.StabilizationParams(
-                alpha_exp=s.alpha, beta=s.beta, c_r=s.c_r, var_floor=s.var_floor)
-
 
 @contextmanager
 def _config_section(path: str):
-    """Report a ValueError raised while building a section as a ConfigError."""
+    """Report a ValueError raised while checking or building a section as a
+    ConfigError that names the section."""
     try:
         yield
     except ValueError as exc:
@@ -246,9 +217,9 @@ def preset(name: str) -> SimConfig:
     if name in ("test2", "test3"):
         cfg.potential_bc.g = 1.0
         cfg.materials.buoyancy.enabled = True
-        cfg.heat_bc["G3"] = HeatBCConfig("robin", 1.0, 37.0)
+        cfg.heat_bc["G3"] = HeatBC("robin", 1.0, 37.0)
     if name == "test3":
-        cfg.heat_bc["G1"] = HeatBCConfig("dirichlet", 0.0, 35.0)
+        cfg.heat_bc["G1"] = HeatBC("dirichlet", 0.0, 35.0)
     return cfg
 
 
@@ -259,7 +230,7 @@ _SECTION_TYPES = {
     "geometry": GeometrySpec,
     "time": TimeGrid,
     "materials": MaterialsConfig,
-    "stabilization": StabilizationConfig,
+    "stabilization": StabilizationParams,
     "potential_bc": PotentialConfig,
     "solver": SolverConfig,
     "output": OutputConfig,
@@ -355,7 +326,7 @@ def config_from_dict(data: dict) -> SimConfig:
         elif key == "flow_bc":
             cfg.flow_bc = _bc_from("flow_bc", val, FlowBCConfig, cfg.flow_bc)
         elif key == "heat_bc":
-            cfg.heat_bc = _bc_from("heat_bc", val, HeatBCConfig, cfg.heat_bc)
+            cfg.heat_bc = _bc_from("heat_bc", val, HeatBC, cfg.heat_bc)
         else:
             raise ConfigError(f"unknown config key: {key}")
     cfg.validate()

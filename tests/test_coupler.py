@@ -62,6 +62,16 @@ class TestInitialize:
         with pytest.raises(ConfigError):
             Simulation(cfg).initialize()
 
+    def test_config_edits_after_construction_do_not_reach_the_run(self):
+        cfg = quick_config()
+        sim = Simulation(cfg)
+        cfg.heat_bc["G1"].value = 80.0
+        cfg.stabilization.beta = 0.5
+        cfg.materials.buoyancy.enabled = True
+        assert sim.heat_bc[1].value == 37.0
+        assert sim.stab.beta == 0.1
+        assert not sim.model.buoyancy.enabled
+
     def test_initial_state_structure(self):
         state = Simulation(quick_config()).initialize()
         assert state.n == 0 and state.t == 0.0

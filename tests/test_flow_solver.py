@@ -143,6 +143,12 @@ class TestFlowStep:
         with pytest.raises(ValueError):
             solve_flow_step(problem)
 
+    def test_missing_tag_rejected(self):
+        bc = bc_test1()
+        del bc[3]
+        with pytest.raises(ValueError, match="exactly one flow role"):
+            solve_flow_step(make_problem(channel_mesh(10, 6), bc))
+
     def test_nan_field_rejected(self):
         problem = make_problem(channel_mesh(10, 6), bc_test1())
         problem.theta = problem.theta.copy()

@@ -40,12 +40,12 @@ def make_problem(mesh, bc, theta_prev, v=None, phi=None, dt=0.05, **kw):
 
 class TestStabilizationParams:
     def test_alpha_range_enforced(self):
-        StabilizationParams(alpha_exp=1.0)
-        StabilizationParams(alpha_exp=2.0)
+        StabilizationParams(alpha=1.0)
+        StabilizationParams(alpha=2.0)
         with pytest.raises(ValueError):
-            StabilizationParams(alpha_exp=2.5)
+            StabilizationParams(alpha=2.5)
         with pytest.raises(ValueError):
-            StabilizationParams(alpha_exp=0.5)
+            StabilizationParams(alpha=0.5)
 
     def test_bad_role_rejected(self):
         with pytest.raises(ValueError):
@@ -56,7 +56,7 @@ class TestStabilizationParams:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_constant_data_rejected(self, value):
         with pytest.raises(ValueError, match="finite"):
-            HeatBC("dirichlet", data=value)
+            HeatBC("dirichlet", value=value)
 
 
 class TestEntropyResidual:
@@ -217,10 +217,17 @@ class TestHeatStep:
             prev2, theta = theta, out
         assert np.abs(theta - 37.0).max() < np.abs(50.0 - 37.0)
 
+    def test_missing_tag_rejected(self):
+        mesh = small_mesh()
+        bc = robin_bc()
+        del bc[3]
+        with pytest.raises(ValueError, match="exactly one heat role"):
+            solve_heat_step(make_problem(mesh, bc, np.full(mesh.num_vertices, 37.0)))
+
     def test_dirichlet_tag_imposed_exactly(self):
         mesh = small_mesh()
         bc = robin_bc()
-        bc[5] = HeatBC("dirichlet", data=20.0)
+        bc[5] = HeatBC("dirichlet", value=20.0)
         theta = np.full(mesh.num_vertices, 37.0)
         out = solve_heat_step(make_problem(mesh, bc, theta))
         g5 = mesh.boundary_vertices_with_tag(5)
@@ -229,8 +236,8 @@ class TestHeatStep:
     def test_shared_corner_takes_larger_tag(self):
         mesh = small_mesh()
         bc = robin_bc()
-        bc[1] = HeatBC("dirichlet", data=35.0)
-        bc[2] = HeatBC("dirichlet", data=10.0)
+        bc[1] = HeatBC("dirichlet", value=35.0)
+        bc[2] = HeatBC("dirichlet", value=10.0)
         out = solve_heat_step(make_problem(mesh, bc, np.full(mesh.num_vertices, 37.0)))
         corner = np.flatnonzero(np.all(mesh.vertices == 0.0, axis=1))
         assert out[corner].tolist() == [10.0]
@@ -241,7 +248,7 @@ class TestHeatStep:
         # v = 0 on the tagged edges: the weak inflow term must impose nothing
         mesh = small_mesh()
         bc = robin_bc()
-        bc[5] = HeatBC("inflow", data=20.0)
+        bc[5] = HeatBC("inflow", value=20.0)
         theta = np.full(mesh.num_vertices, 37.0)
         out = solve_heat_step(make_problem(mesh, bc, theta))
         assert np.abs(out - 37.0).max() <= 1e-10
@@ -251,7 +258,7 @@ class TestHeatStep:
         dm = fem_core.dofmap_for(mesh)
         bc = robin_bc()
         bc[4] = HeatBC("neumann")
-        bc[5] = HeatBC("inflow", data=20.0)
+        bc[5] = HeatBC("inflow", value=20.0)
         v = const_velocity(dm, 0.0, -0.5)  # downward: enters through the top
         theta = np.full(mesh.num_vertices, 37.0)
         problem = make_problem(mesh, bc, theta, v=v, dt=0.5)
@@ -320,7 +327,7 @@ def edge_by_edge_terms(mesh, bc, vertex_velocity, t):
             else:
                 vel = (1.0 - s) * vertex_velocity[a] + s * vertex_velocity[b]
                 w = max(-float(vel @ NORMALS[int(tag)]), 0.0)
-            data = cond.data(x, y, t) if callable(cond.data) else cond.data
+            data = cond.value(x, y, t) if callable(cond.value) else cond.value
             psi = ((a, 1.0 - s), (b, s))
             for i, psi_i in psi:
                 rhs[i] += 0.5 * length * w * data * psi_i
@@ -341,9 +348,9 @@ class TestBoundaryKernel:
         idx = np.arange(dm.nv)
         v[dm.vx_vertex(idx)], v[dm.vy_vertex(idx)] = vertex_v.T
         bc = {1: HeatBC("robin", 2.0, lambda x, y, t: 30.0 + x * y + t),
-              2: HeatBC("neumann"), 3: HeatBC("dirichlet", data=37.0),
+              2: HeatBC("neumann"), 3: HeatBC("dirichlet", value=37.0),
               4: HeatBC("robin", 1.0, 36.0),
-              5: HeatBC("inflow", data=lambda x, y, t: 20.0 + 10.0 * x - t)}
+              5: HeatBC("inflow", value=lambda x, y, t: 20.0 + 10.0 * x - t)}
         problem = make_problem(mesh, bc, np.full(mesh.num_vertices, 37.0), v=v, time=0.3)
         (R, r), (I, i) = heat_solver._boundary_terms(problem)
         (R_ref, r_ref), (I_ref, i_ref) = edge_by_edge_terms(mesh, bc, vertex_v, 0.3)
@@ -393,7 +400,7 @@ class TestHeatStationary:
         # min/max scan oracle: no sources means no new extrema
         mesh = small_mesh()
         bc = robin_bc()
-        bc[5] = HeatBC("dirichlet", data=20.0)
+        bc[5] = HeatBC("dirichlet", value=20.0)
         theta0 = np.full(mesh.num_vertices, 30.0)
         problem = make_problem(mesh, bc, theta0)
         out = solve_heat_stationary(problem)

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ablatesim.mesh import (GAMMA1, GAMMA5,
+from ablatesim.mesh import (ALL_TAGS, GAMMA1, GAMMA5, TAG_NAMES,
                             GeometrySpec, Mesh2D, MeshError,
-                            boundary_edges_with_tag, generate_channel_mesh,
+                            boundary_edges_with_tag, check_tag_roles,
+                            generate_channel_mesh,
                             load_mesh, mesh_quality_report, save_mesh,
                             span_counts)
 
@@ -126,6 +127,18 @@ class TestTagQueries:
         mesh = generate_channel_mesh(channel_spec())
         with pytest.raises(MeshError):
             boundary_edges_with_tag(mesh, 9)
+
+    @pytest.mark.parametrize("keys", [ALL_TAGS, tuple(TAG_NAMES)], ids=["tags", "names"])
+    def test_one_role_per_tag_accepted(self, keys):
+        check_tag_roles(dict.fromkeys(keys, "r"), "flow")
+
+    @pytest.mark.parametrize("keys", [
+        (1, 2, 4, 5), ("G1", "G2", "G4", "G5"), ALL_TAGS + (6,),
+        tuple(TAG_NAMES) + ("G6",), (1, "G2", 3, 4, 5),
+    ], ids=["missing_tag", "missing_name", "extra_tag", "extra_name", "mixed"])
+    def test_tag_coverage_rejected(self, keys):
+        with pytest.raises(ValueError, match="each of G1..G5 needs exactly one heat role"):
+            check_tag_roles(dict.fromkeys(keys, "r"), "heat")
 
     def test_tag_partition_of_boundary(self):
         mesh = generate_channel_mesh(channel_spec())

@@ -1,19 +1,64 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ablatesim import coupler, sim_cli
+import ablatesim
+from ablatesim import coupler, linalg, sim_cli
 from ablatesim.coupler import NonFiniteFieldError, Simulation
 from ablatesim.flow_solver import solve_flow_step
 from ablatesim.linalg import SolverError
 from ablatesim.mesh import GeometrySpec, generate_channel_mesh, load_mesh
-from ablatesim.sim_cli import (ConfigError, PointProbe, config_from_dict,
-                               config_to_dict, main, parse_config, preset,
-                               serialize_config, write_probes, write_vtk)
+from ablatesim.sim_cli import (ConfigError, PointProbe, SimConfig,
+                               config_from_dict, config_to_dict, main,
+                               parse_config, preset, serialize_config,
+                               write_probes, write_vtk)
 
 QUICK = {"geometry": {"nx": 20, "ny": 10}, "time": {"M": 2}}
+
+# The file format of SimConfig() and of the presets, pinned as literals so
+# that renaming a field of a section type cannot change the JSON keys.
+ROBIN_37 = {"role": "robin", "alpha": 1.0, "value": 37.0}
+DEFAULT_SCHEMA = {
+    "geometry": {"L": 1.5, "H": 0.5, "r": 0.075, "nx": 48, "ny": 16},
+    "time": {"T": 1.0, "M": 100},
+    "materials": {"sigma0": 0.6, "eta0": 0.54, "nu": 0.0021, "theta_b": 37.0,
+                  "buoyancy": {"enabled": False, "coefficient": 3.237623762376238e-05}},
+    "stabilization": {"alpha": 2.0, "beta": 0.1, "c_r": 1.0, "var_floor": 1e-10},
+    "flow_bc": {"G1": {"role": "inflow", "profile": "gamma1_parabola"},
+                "G2": {"role": "noslip", "profile": None},
+                "G3": {"role": "donothing", "profile": None},
+                "G4": {"role": "noslip", "profile": None},
+                "G5": {"role": "inflow", "profile": "gamma5_electrode"}},
+    "heat_bc": {"G1": ROBIN_37, "G2": ROBIN_37,
+                "G3": {"role": "neumann", "alpha": 0.0, "value": 0.0},
+                "G4": ROBIN_37,
+                "G5": {"role": "inflow", "alpha": 0.0, "value": 20.0}},
+    "potential_bc": {"g": 0.0, "roles": {"G1": "dirichlet", "G2": "dirichlet",
+                                         "G3": "dirichlet", "G4": "dirichlet",
+                                         "G5": "neumann"}},
+    "solver": {"potential_every": 1},
+    "output": {"directory": None, "stride": 0, "probes": []},
+}
+TEST1_SCHEMA = {**DEFAULT_SCHEMA,
+                "potential_bc": {**DEFAULT_SCHEMA["potential_bc"], "g": 5.0},
+                "preset": "test1"}
+TEST2_SCHEMA = {**TEST1_SCHEMA,
+                "materials": {"sigma0": 0.6, "eta0": 0.54, "nu": 0.0021, "theta_b": 37.0,
+                              "buoyancy": {"enabled": True,
+                                           "coefficient": 3.237623762376238e-05}},
+                "heat_bc": {"G1": ROBIN_37, "G2": ROBIN_37, "G3": ROBIN_37, "G4": ROBIN_37,
+                            "G5": {"role": "inflow", "alpha": 0.0, "value": 20.0}},
+                "potential_bc": {**DEFAULT_SCHEMA["potential_bc"], "g": 1.0},
+                "preset": "test2"}
+TEST3_SCHEMA = {**TEST2_SCHEMA,
+                "heat_bc": {**TEST2_SCHEMA["heat_bc"],
+                            "G1": {"role": "dirichlet", "alpha": 0.0, "value": 35.0}},
+                "preset": "test3"}
 
 
 class TestPresets:
@@ -47,6 +92,14 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             preset("test9")
+
+    @pytest.mark.parametrize("name, expected", [
+        (None, DEFAULT_SCHEMA), ("test1", TEST1_SCHEMA),
+        ("test2", TEST2_SCHEMA), ("test3", TEST3_SCHEMA),
+    ], ids=["default", "test1", "test2", "test3"])
+    def test_file_format_pinned(self, name, expected):
+        cfg = SimConfig() if name is None else preset(name)
+        assert json.dumps(config_to_dict(cfg)) == json.dumps(expected)
 
 
 class TestConfigParsing:
@@ -107,10 +160,26 @@ class TestConfigParsing:
     def test_bc_and_stabilization_bounds_named(self):
         with pytest.raises(ConfigError, match="heat_bc.G1: Robin coefficient"):
             config_from_dict({"heat_bc": {"G1": {"role": "robin", "alpha": -1.0}}})
-        with pytest.raises(ConfigError, match="stabilization: alpha_exp"):
+        with pytest.raises(ConfigError, match="stabilization: alpha must"):
             config_from_dict({"stabilization": {"alpha": 3.0}})
         with pytest.raises(ConfigError, match="flow_bc.G5: unknown flow boundary role"):
             config_from_dict({"flow_bc": {"G5": {"role": "slip"}}})
+        with pytest.raises(ConfigError, match="time: T must"):
+            config_from_dict({"time": {"T": -1.0}})
+        with pytest.raises(ConfigError, match="geometry: nx"):
+            config_from_dict({"geometry": {"nx": 1}})
+
+    @pytest.mark.parametrize("section", ["flow_bc", "heat_bc", "potential_bc"])
+    @pytest.mark.parametrize("edit", ["missing", "extra"])
+    def test_tag_coverage_named(self, section, edit):
+        cfg = SimConfig()
+        roles = cfg.potential_bc.roles if section == "potential_bc" else getattr(cfg, section)
+        if edit == "missing":
+            del roles["G3"]
+        else:
+            roles["G6"] = roles["G1"]
+        with pytest.raises(ConfigError, match=f"^{section}: each of G1..G5 needs exactly one"):
+            cfg.validate()
 
     def test_removed_solver_options_rejected(self):
         for key in ("potential_tol", "heat_tol", "flow_tol", "flow_method", "heat_method"):
@@ -242,6 +311,30 @@ class TestCLI:
         cfgfile.write_text(json.dumps({"preset": "test1", **override}))
         assert main(["run", "--config", str(cfgfile)]) == 2
         assert path in capsys.readouterr().err
+
+    def test_all_neumann_potential_exit_2_before_solves(self, tmp_path, monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the config was rejected")
+
+        monkeypatch.setattr(linalg, "solve_lu", no_solve)
+        cfgfile = tmp_path / "c.json"
+        roles = dict.fromkeys(("G1", "G2", "G3", "G4", "G5"), "neumann")
+        cfgfile.write_text(json.dumps({"potential_bc": {"roles": roles}}))
+        assert main(["run", "--config", str(cfgfile)]) == 2
+        assert "potential_bc: roles need at least one dirichlet tag" in capsys.readouterr().err
+
+    def test_python_m_entry_point(self, tmp_path):
+        src = str(Path(ablatesim.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "m.mesh"
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "ablatesim", "mesh",
+             "--nx", "20", "--ny", "10", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert load_mesh(out).num_vertices == 231
 
     def test_run_requires_exactly_one_source(self):
         assert main(["run"]) == 2

@@ -102,13 +102,14 @@ class Simulation:
 
     def __init__(self, config):
         config.validate()
-        self.config = config
+        # One private copy: editing ``config`` afterwards never reaches the run.
+        self.config = config = copy.deepcopy(config)
         self.mesh = generate_channel_mesh(config.geometry)
         self.dofmap = fem_core.dofmap_for(self.mesh)
         self.model = config.build_material_model()
         self.flow_bc = config.build_flow_bcs()
-        self.heat_bc = {TAG_NAMES[name]: copy.copy(bc) for name, bc in config.heat_bc.items()}
-        self.stab = copy.copy(config.stabilization)
+        self.heat_bc = {TAG_NAMES[name]: bc for name, bc in config.heat_bc.items()}
+        self.stab = config.stabilization
         self._mass = fem_core.assemble_mass(self.mesh)
         self._div_B = fem_core.assemble_divergence(self.mesh, self.dofmap)
 
@@ -125,7 +126,6 @@ class Simulation:
         return FlowProblem(
             mesh=self.mesh, dofmap=self.dofmap, model=self.model,
             theta=theta, v_prev=v_prev, dt=dt, bc=self.flow_bc,
-            body_force=self.model.buoyancy.enabled,
         )
 
     def _heat_problem(self, theta_prev, theta_prev2, v, v_stab, phi, dt, t) -> HeatProblem:

@@ -120,7 +120,6 @@ class FlowProblem:
     v_prev: np.ndarray  # previous velocity (n_velocity dofs)
     dt: float
     bc: dict  # tag -> FlowBC, every boundary tag present exactly once
-    body_force: bool = False
     include_convection: bool = True
     advect_field: object = None  # callable override of the Oseen advecting field
     extra_force: object = None  # callable(x, y) -> (fx, fy); verification hook
@@ -148,7 +147,7 @@ def _dirichlet_velocity(problem: FlowProblem):
 def _force_load(problem: FlowProblem) -> np.ndarray:
     mesh, dm = problem.mesh, problem.dofmap
     load = np.zeros(dm.n_velocity)
-    if problem.body_force:
+    if problem.model.buoyancy.enabled:
         theta_qp = fem_core.p1_at_qp(mesh, problem.theta)
         fx, fy = problem.model.body_force(theta_qp)
         load += fem_core.assemble_vector_load(mesh, dm, np.stack([fx, fy], axis=-1))

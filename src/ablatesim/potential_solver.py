@@ -27,7 +27,6 @@ class PotentialProblem:
     g: object = 0.0  # flux on the Neumann tags: constant or callable(x, y)
     neumann_tags: tuple = (GAMMA5,)
     dirichlet_tags: tuple = (GAMMA1, GAMMA2, GAMMA3, GAMMA4)
-    dirichlet_value: float = 0.0
     source: object = None  # verification hook: (NT, NQ) array or callable(x, y)
     iterations: int = field(default=0, init=False)  # Krylov count; 0 under the direct solve
 
@@ -48,8 +47,7 @@ def solve_potential(problem: PotentialProblem) -> np.ndarray:
         b = b + fem_core.assemble_scalar_load(
             mesh, fem_core.sample(problem.source, fem_core.geometry(mesh).qp))
 
-    dofs, values = fem_core.dirichlet_values(
-        mesh, dict.fromkeys(problem.dirichlet_tags, problem.dirichlet_value))
+    dofs, values = fem_core.dirichlet_values(mesh, dict.fromkeys(problem.dirichlet_tags, 0.0))
     return linalg.solve_constrained(A, b, dofs, values, order=fem_core.vertex_order(mesh))
 
 

@@ -5,16 +5,19 @@ file may name a preset and override any subset of fields:
 
     {"preset": "test1", "time": {"M": 20}, "potential_bc": {"g": 0.0}}
 
-The geometry, time, stabilization and heat_bc sections are the solver's own
-types.  Every section checks itself in one ``validate()``, and an error names
-its section; unknown keys are rejected with the offending dotted path.  Exit
-codes: 0 success, 2 config error, 3 solver failure, 4 blow-up guard.
+The :class:`SimConfig` dataclasses are the only description of the file
+format: the reader walks them, reading each key by the type of the value it
+replaces, and the writer is ``dataclasses.asdict``.  The geometry, time,
+stabilization and heat_bc sections are the solver's own types.  Every section
+checks itself in one ``validate()``, and an error names its section; unknown
+keys and malformed values are rejected with the offending dotted path.  Exit
+codes: 0 success, 2 config error (an unwritable ``--out`` included), 3 solver
+failure, 4 blow-up guard.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import json
 import os
@@ -173,7 +176,7 @@ class SimConfig:
     def build_material_model(self) -> MaterialModel:
         m = self.materials
         return MaterialModel(sigma0=m.sigma0, eta0=m.eta0, nu_const=m.nu,
-                             theta_b=m.theta_b, buoyancy=copy.copy(m.buoyancy))
+                             theta_b=m.theta_b, buoyancy=m.buoyancy)
 
     def build_flow_bcs(self) -> dict:
         out = {}
@@ -226,44 +229,39 @@ def preset(name: str) -> SimConfig:
 # -- strict JSON (de)serialization ------------------------------------------------
 
 
-_SECTION_TYPES = {
-    "geometry": GeometrySpec,
-    "time": TimeGrid,
-    "materials": MaterialsConfig,
-    "stabilization": StabilizationParams,
-    "potential_bc": PotentialConfig,
-    "solver": SolverConfig,
-    "output": OutputConfig,
-}
-
-
-def _update_dataclass(obj, data: dict, path: str):
+def _update_dataclass(obj, data, path: str):
+    """Read the JSON object ``data`` into the dataclass ``obj`` in place."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must be an object")
     valid = {f.name: f for f in fields(obj)}
     for key, val in data.items():
         here = f"{path}.{key}" if path else key
         if key not in valid:
             raise ConfigError(f"unknown config key: {here}")
-        current = getattr(obj, key)
-        if is_dataclass(current) and isinstance(val, dict):
-            _update_dataclass(current, val, here)
-        elif key == "probes":
-            if not isinstance(val, list):
-                raise ConfigError(f"{here} must be a list")
-            setattr(obj, key, [_probe_from(v, f"{here}[{i}]") for i, v in enumerate(val)])
-        elif key == "roles":
-            if not isinstance(val, dict):
-                raise ConfigError(f"{here} must be an object")
-            merged = dict(current)
-            for tag, role in val.items():
-                if tag not in TAG_NAMES:
-                    raise ConfigError(f"unknown config key: {here}.{tag}")
-                merged[tag] = role
-            setattr(obj, key, merged)
-        else:
-            if isinstance(val, dict):
-                raise ConfigError(f"{here}: expected a value, got an object")
-            setattr(obj, key, _coerce(current, val, here, valid[key].default is None))
+        setattr(obj, key, _read(getattr(obj, key), val, here, valid[key].default is None))
     return obj
+
+
+def _read(current, val, path, nullable=False):
+    """``val`` read against ``current``, the value it replaces: the type of
+    ``current`` decides how."""
+    if is_dataclass(current):
+        return _update_dataclass(current, val, path)
+    if isinstance(current, dict):  # tag-keyed: flow_bc, heat_bc, potential_bc.roles
+        if not isinstance(val, dict):
+            raise ConfigError(f"{path} must be an object")
+        for tag, entry in val.items():
+            if tag not in TAG_NAMES:
+                raise ConfigError(f"unknown config key: {path}.{tag}")
+            current[tag] = _read(current[tag], entry, f"{path}.{tag}")
+        return current
+    if isinstance(current, list):  # output.probes
+        if not isinstance(val, list):
+            raise ConfigError(f"{path} must be a list")
+        return [_probe_from(v, f"{path}[{i}]") for i, v in enumerate(val)]
+    if isinstance(val, dict):
+        raise ConfigError(f"{path}: expected a value, got an object")
+    return _coerce(current, val, path, nullable)
 
 
 def _coerce(current, val, path, nullable=False):
@@ -296,21 +294,6 @@ def _probe_from(val, path) -> ProbeSpec:
                      y=_coerce(0.0, val["y"], f"{path}.y"))
 
 
-def _bc_from(section: str, data: dict, cls, base: dict) -> dict:
-    out = dict(base)
-    for tag, entry in data.items():
-        if tag not in TAG_NAMES:
-            raise ConfigError(f"unknown config key: {section}.{tag}")
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{section}.{tag} must be an object")
-        bc = copy.deepcopy(out.get(tag))
-        if not isinstance(bc, cls):
-            bc = cls()
-        _update_dataclass(bc, entry, f"{section}.{tag}")
-        out[tag] = bc
-    return out
-
-
 def config_from_dict(data: dict) -> SimConfig:
     """Strict construction: a preset (if named) seeds defaults, then overrides apply."""
     if not isinstance(data, dict):
@@ -318,39 +301,17 @@ def config_from_dict(data: dict) -> SimConfig:
     data = dict(data)
     preset_name = data.pop("preset", None)
     cfg = preset(preset_name) if preset_name is not None else SimConfig()
-    for key, val in data.items():
-        if key in _SECTION_TYPES:
-            if not isinstance(val, dict):
-                raise ConfigError(f"{key} must be an object")
-            _update_dataclass(getattr(cfg, key), val, key)
-        elif key == "flow_bc":
-            cfg.flow_bc = _bc_from("flow_bc", val, FlowBCConfig, cfg.flow_bc)
-        elif key == "heat_bc":
-            cfg.heat_bc = _bc_from("heat_bc", val, HeatBC, cfg.heat_bc)
-        else:
-            raise ConfigError(f"unknown config key: {key}")
+    _update_dataclass(cfg, data, "")
     cfg.validate()
     return cfg
 
 
 def config_to_dict(cfg: SimConfig) -> dict:
-    out = {
-        "geometry": asdict(cfg.geometry),
-        "time": asdict(cfg.time),
-        "materials": asdict(cfg.materials),
-        "stabilization": asdict(cfg.stabilization),
-        "flow_bc": {k: asdict(v) for k, v in sorted(cfg.flow_bc.items())},
-        "heat_bc": {k: asdict(v) for k, v in sorted(cfg.heat_bc.items())},
-        "potential_bc": asdict(cfg.potential_bc),
-        "solver": asdict(cfg.solver),
-        "output": {
-            "directory": cfg.output.directory,
-            "stride": cfg.output.stride,
-            "probes": [asdict(p) for p in cfg.output.probes],
-        },
-    }
-    if cfg.preset is not None:
-        out["preset"] = cfg.preset
+    out = asdict(cfg)
+    for section in ("flow_bc", "heat_bc"):
+        out[section] = dict(sorted(out[section].items()))
+    if out["preset"] is None:
+        del out["preset"]
     return out
 
 
@@ -471,6 +432,16 @@ class PointProbe:
 # -- CLI ------------------------------------------------------------------------------
 
 
+@contextmanager
+def _output_path(path):
+    """Report an OSError on an output path as a ConfigError that names it; the
+    commands make their output location before any solve."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc.strerror}") from exc
+
+
 def _load_run_config(args) -> SimConfig:
     if (args.config is None) == (args.preset is None):
         raise ConfigError("exactly one of --config / --preset is required")
@@ -492,7 +463,8 @@ def cmd_mesh(args) -> int:
     except MeshError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    save_mesh(mesh, args.out)
+    with _output_path(args.out):
+        save_mesh(mesh, args.out)
     print(f"wrote {mesh.num_vertices} vertices / {mesh.num_triangles} triangles to {args.out}")
     return 0
 
@@ -501,7 +473,8 @@ def cmd_run(args) -> int:
     cfg = _load_run_config(args)
     outdir = cfg.output.directory
     if outdir:
-        os.makedirs(outdir, exist_ok=True)
+        with _output_path(outdir):
+            os.makedirs(outdir, exist_ok=True)
 
     sim = Simulation(cfg)
     probes = [PointProbe(sim.mesh, p.x, p.y) for p in cfg.output.probes]
@@ -549,11 +522,13 @@ def cmd_verify(args) -> int:
     if args.config is not None and args.preset is not None:
         raise ConfigError("at most one of --config / --preset is allowed")
     cfg = parse_config(args.config) if args.config else preset(args.preset or "test1")
+    if args.out:
+        with _output_path(args.out):
+            os.makedirs(args.out, exist_ok=True)
     report = verify_mod.invariant_suite(cfg)
     text = verify_mod.format_report(report)
     print(text)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         _atomic_write(os.path.join(args.out, "invariants.txt"), text + "\n")
         verify_mod.write_report_csv(report, os.path.join(args.out, "invariants.csv"))
     return 0 if report["passed"] else 1

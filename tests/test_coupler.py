@@ -68,9 +68,15 @@ class TestInitialize:
         cfg.heat_bc["G1"].value = 80.0
         cfg.stabilization.beta = 0.5
         cfg.materials.buoyancy.enabled = True
+        cfg.potential_bc.g = 50.0
+        cfg.time.M = 1
+        cfg.solver.potential_every = 2
         assert sim.heat_bc[1].value == 37.0
         assert sim.stab.beta == 0.1
         assert not sim.model.buoyancy.enabled
+        _, rows = sim.run()
+        _, reference = Simulation(quick_config()).run()
+        assert [r.max_theta for r in rows] == [r.max_theta for r in reference]
 
     def test_initial_state_structure(self):
         state = Simulation(quick_config()).initialize()

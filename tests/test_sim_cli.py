@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -149,6 +150,13 @@ class TestConfigParsing:
 
     def test_roundtrip_dict_identity(self):
         cfg = preset("test2")
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    def test_readme_example_loads_and_roundtrips(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```json\n(.*?)^```", readme, re.S | re.M)
+        assert len(blocks) == 1
+        cfg = config_from_dict(json.loads(blocks[0]))
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
     def test_bc_role_validation(self):
@@ -304,7 +312,12 @@ class TestCLI:
         ({"output": {"probes": [{"x": True, "y": 0.1}]}}, "output.probes[0].x"),
         ({"output": {"directory": 5}}, "output.directory"),
         ({"heat_bc": {"G1": {"value": float("nan")}}}, "heat_bc.G1.value"),
-    ], ids=["probe_string", "probe_null", "probe_bool", "directory_number", "value_nan"])
+        ({"flow_bc": []}, "flow_bc"),
+        ({"heat_bc": "x"}, "heat_bc"),
+        ({"materials": {"buoyancy": 3}}, "materials.buoyancy"),
+        ({"potential_bc": {"roles": {"G1": 3}}}, "potential_bc.roles.G1"),
+    ], ids=["probe_string", "probe_null", "probe_bool", "directory_number", "value_nan",
+            "flow_bc_list", "heat_bc_string", "buoyancy_number", "role_number"])
     def test_run_malformed_value_exit_2(self, tmp_path, monkeypatch, capsys, override, path):
         monkeypatch.chdir(tmp_path)
         cfgfile = tmp_path / "c.json"
@@ -335,6 +348,23 @@ class TestCLI:
         assert proc.returncode == 0, proc.stderr
         assert "RuntimeWarning" not in proc.stderr
         assert load_mesh(out).num_vertices == 231
+
+    @pytest.mark.parametrize("command", ["run", "verify", "mesh"])
+    def test_unwritable_out_exit_2_before_solves(self, tmp_path, monkeypatch, capsys, command):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the output path was rejected")
+
+        monkeypatch.setattr(linalg, "solve_lu", no_solve)
+        if command == "mesh":
+            out = tmp_path / "missing" / "m.mesh"
+            argv = ["mesh", "--nx", "20", "--ny", "10"]
+        else:
+            out = tmp_path / "taken"
+            out.write_text("a file, not a directory\n")
+            argv = [command, "--preset", "test1"]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"config error: cannot write output {out}" in err
 
     def test_run_requires_exactly_one_source(self):
         assert main(["run"]) == 2

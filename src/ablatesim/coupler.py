@@ -9,7 +9,9 @@ Per step n (lagged temperature th^{n-1} in hand):
                    artificial viscosity triggered by the (th^{n-1}, th^{n-2},
                    v^{n-1}) residual
 
-The stage order is recorded per step and never reordered.  A blow-up guard
+The stage order is recorded per step and never reordered.  Each system
+keeps its LU across its solves, the stationary ones included
+(``Simulation.factors``, see :class:`linalg.HeldLU`).  A blow-up guard
 aborts once max|theta| or max|v| exceeds 1e4, mirroring the runaway regime
 reached for large electrode currents.
 """
@@ -23,11 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem_core
-from .flow_solver import FlowProblem, solve_flow_stationary, solve_flow_step
+from .flow_solver import (FlowProblem, flow_constraints, solve_flow_stationary,
+                          solve_flow_step)
 from .heat_solver import HeatProblem, solve_heat_stationary, solve_heat_step
-from .linalg import SolverError
+from .linalg import HeldLU, SolverError
 from .mesh import TAG_NAMES, generate_channel_mesh
-from .potential_solver import PotentialProblem, solve_potential
+from .potential_solver import PotentialProblem, potential_constraints, solve_potential
 
 BLOWUP_LIMIT = 1e4
 
@@ -98,7 +101,11 @@ class SimState:
 
 
 class Simulation:
-    """Owns the mesh, dof map, material model, and cached diagnostics operators."""
+    """Owns the mesh, dof map, material model, cached diagnostics operators,
+    the constant Dirichlet data of the potential and the flow, and the held
+    LU of each system (``factors``: potential, flow, heat).  The holders
+    start empty; each factor and each Dirichlet set is built at its
+    system's first solve."""
 
     def __init__(self, config):
         config.validate()
@@ -112,28 +119,43 @@ class Simulation:
         self.stab = config.stabilization
         self._mass = fem_core.assemble_mass(self.mesh)
         self._div_B = fem_core.assemble_divergence(self.mesh, self.dofmap)
+        self.factors = {name: HeldLU() for name in ("potential", "flow", "heat")}
+        self._constraints = {}  # system -> Dirichlet (dofs, values), see _dirichlet
 
     # -- problem builders -----------------------------------------------------
 
     def _potential_problem(self, theta) -> PotentialProblem:
         pot = self.config.potential_bc
-        return PotentialProblem(
+        problem = PotentialProblem(
             mesh=self.mesh, model=self.model, theta=theta, g=pot.g,
             neumann_tags=pot.neumann_tags, dirichlet_tags=pot.dirichlet_tags,
+            factor=self.factors["potential"],
         )
+        problem.constraints = self._dirichlet(
+            "potential", lambda: potential_constraints(self.mesh, pot.dirichlet_tags))
+        return problem
 
     def _flow_problem(self, theta, v_prev, dt) -> FlowProblem:
-        return FlowProblem(
+        problem = FlowProblem(
             mesh=self.mesh, dofmap=self.dofmap, model=self.model,
             theta=theta, v_prev=v_prev, dt=dt, bc=self.flow_bc,
+            factor=self.factors["flow"],
         )
+        problem.constraints = self._dirichlet("flow", lambda: flow_constraints(problem))
+        return problem
+
+    def _dirichlet(self, system: str, build) -> tuple:
+        """The constant Dirichlet (dofs, values) of ``system``, built once."""
+        if system not in self._constraints:
+            self._constraints[system] = build()
+        return self._constraints[system]
 
     def _heat_problem(self, theta_prev, theta_prev2, v, v_stab, phi, dt, t) -> HeatProblem:
         return HeatProblem(
             mesh=self.mesh, dofmap=self.dofmap, model=self.model,
             theta_prev=theta_prev, theta_prev2=theta_prev2,
             v=v, v_stab=v_stab, phi=phi, dt=dt, bc=self.heat_bc, stab=self.stab,
-            time=t,
+            time=t, factor=self.factors["heat"],
         )
 
     # -- diagnostics ------------------------------------------------------------

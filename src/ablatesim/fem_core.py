@@ -60,6 +60,8 @@ EDGE_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 EDGE_W = np.array([0.5, 0.5])
 EDGE_PHI = np.stack([1.0 - EDGE_T, EDGE_T])  # (2 basis, 2 Gauss points)
 
+FILL_BLOCK = 2048  # triangles per block of the convective and condensed Schur fills
+
 
 class ElementP1:
     """Linear nodal basis = barycentric coordinates; constant gradients."""
@@ -281,7 +283,15 @@ class _Pattern:
 
     def fill(self, local: np.ndarray) -> np.ndarray:
         """CSR data of the sum of the (NT, k, l) element matrices ``local``."""
-        return np.bincount(self.scatter.ravel(), weights=local.ravel(), minlength=self.nnz)
+        return self.add(np.zeros(self.nnz), local)
+
+    def add(self, data: np.ndarray, local: np.ndarray, start: int = 0) -> np.ndarray:
+        """Add the element matrices ``local`` of elements start, start + 1, ...
+        into the CSR data ``data``, in element order.  Unlike ``np.bincount``,
+        this makes no intp copy of ``scatter``, and a fill split into
+        consecutive element ranges sums in the same order as a whole one."""
+        np.add.at(data, self.scatter[start:start + len(local)].ravel(), local.ravel())
+        return data
 
     def matrix(self, data: np.ndarray) -> SparseMatrix:
         return SparseMatrix((data, self.indices, self.indptr), shape=self.shape)
@@ -622,16 +632,17 @@ def _viscous_local(geo: _Geometry, wnu: np.ndarray) -> np.ndarray:
     return local.reshape(nt, 8, 8)
 
 
-def _convective_local(geo: _Geometry, a_qp: np.ndarray) -> np.ndarray:
-    """(NT, 8, 8) element matrices of the convective form -(a x u):D(w).
+def _convective_local(geo: _Geometry, a_qp: np.ndarray, block=slice(None)) -> np.ndarray:
+    """(NT, 8, 8) element matrices of the convective form -(a x u):D(w), for
+    the triangles of ``block`` (``a_qp`` holds only theirs).
 
     E[(d,a),(c,b)] = -1/2 integral phi_b (a_d d_c phi_a + delta_dc a . grad phi_a).
     """
-    g1 = geo.grad_p1
+    g1 = geo.grad_p1[block]
     nt = g1.shape[0]
-    wa = geo.qw[:, None, :] * a_qp.transpose(0, 2, 1)  # (NT, 2, NQ)
+    wa = geo.qw[block, None, :] * a_qp.transpose(0, 2, 1)  # (NT, 2, NQ)
     m = _tab(wa, geo.mini_vals)  # [t, d, b] = integral a_d phi_b
-    n = _tab(wa[:, :, None, :] * geo.grad_bubble.transpose(0, 2, 1)[:, None, :, :],
+    n = _tab(wa[:, :, None, :] * geo.grad_bubble[block].transpose(0, 2, 1)[:, None, :, :],
              geo.mini_vals)  # [t, d, c, b] = integral a_d d_c(bubble) phi_b
     t1 = np.empty((nt, 2, 4, 2, 4))  # [t, d, a, c, b] = integral a_d d_c(phi_a) phi_b
     t1[:, :, :3] = g1[:, None, :, :, None] * m[:, :, None, None, :]
@@ -662,7 +673,11 @@ def _velocity_block(mesh: Mesh2D, dofmap: DofMap, viscosity, advect,
     # dof vector is evaluated in the MINI space.
     datum = callable(advect)
     a_qp = sample(advect, geo.qp) if datum else velocity_at_qp(mesh, dofmap, advect)
-    data += pattern.fill(_convective_local(geo, a_qp))
+    conv = np.zeros(pattern.nnz)
+    for t in range(0, len(a_qp), FILL_BLOCK):  # no (NT, 8, 8) array is held
+        block = slice(t, t + FILL_BLOCK)
+        pattern.add(conv, _convective_local(geo, a_qp[block], block), t)
+    data += conv
     # Convective surface term integral_{Gamma_N} (a.n)(u.w), per component.
     sel = _tag_selector(mesh, gamma_n_tags)
     if np.any(sel):
@@ -866,7 +881,13 @@ def assemble_condensed_saddle(mesh: Mesh2D, dofmap: DofMap, viscosity, advect=No
     k_lb = np.concatenate([data[lay.lb], lay.b_bubble], axis=1)  # (NT, 9, 2)
     k_bl = np.concatenate([data[lay.bl], -lay.b_bubble.transpose(0, 2, 1)], axis=2)
     w_lb = k_lb @ inv_bb
-    schur = lay.div_data + lay.pattern.fill(-(w_lb @ k_bl))
+    # The Schur updates -w_lb k_bl, formed and added a block of triangles at a
+    # time so that no (NT, 9, 9) array is held.
+    schur = np.zeros(lay.pattern.nnz)
+    for t in range(0, len(w_lb), FILL_BLOCK):
+        local = w_lb[t:t + FILL_BLOCK] @ k_bl[t:t + FILL_BLOCK]
+        lay.pattern.add(schur, np.negative(local, out=local), t)
+    schur += lay.div_data
     schur[lay.ll_dst] += data[lay.ll_src]
     return CondensedSaddle(lay, _mini_pattern(mesh, dofmap).matrix(data),
                            assemble_divergence(mesh, dofmap), _gradient_block(mesh, dofmap),

@@ -11,14 +11,16 @@ saddle system
 triangle, so the 2x2 bubble block of every triangle is eliminated first
 (static condensation, :func:`fem_core.assemble_condensed_saddle`); the Schur
 complement on the P1 dofs [vx | vy | p], of order 3*NV, takes the Dirichlet
-rows (from one vector-valued :func:`fem_core.dirichlet_values` call) and is
-solved by :func:`linalg.solve_constrained`, sparse LU under the residual
-contract, in the mesh's nested-dissection vertex order with the three dofs of
-a vertex kept together (:func:`fem_core.vertex_order`).  The LU scales the
-system symmetrically by its diagonal first: with nu = 1 the condensed pressure
-diagonal, about h^2/nu, is below a tenth of its column's B entries, and the
-threshold pivoting would otherwise leave the order.  The bubbles are then
-recovered triangle by triangle.
+rows (from one vector-valued :func:`fem_core.dirichlet_values` call, or the
+problem's ``constraints``) and is solved by :func:`linalg.solve_constrained`
+under the residual contract: a sparse LU in the mesh's nested-dissection
+vertex order with the three dofs of a vertex kept together
+(:func:`fem_core.vertex_order`), or GMRES preconditioned by the held LU of
+earlier solves when the problem carries a :class:`linalg.HeldLU`.  The LU
+scales the system symmetrically by its diagonal first: with nu = 1 the
+condensed pressure diagonal, about h^2/nu, is below a tenth of its column's
+B entries, and the threshold pivoting would otherwise leave the order.  The
+bubbles are then recovered triangle by triangle.
 The residual and divergence contracts are checked again on the recovered
 full system.  Do-nothing outlets add no stress boundary terms; the convective
 form keeps its Gamma_N surface integral exactly as written.
@@ -124,6 +126,8 @@ class FlowProblem:
     advect_field: object = None  # callable override of the Oseen advecting field
     extra_force: object = None  # callable(x, y) -> (fx, fy); verification hook
     pressure_pin_value: float = 0.0
+    constraints: tuple | None = None  # (dofs, values); from flow_constraints when None
+    factor: linalg.HeldLU | None = None  # LU held across solves; None: a fresh LU
 
     def validate(self) -> None:
         if self.dt is not None and not self.dt > 0.0:
@@ -142,6 +146,19 @@ def _dirichlet_velocity(problem: FlowProblem):
         tag: (0.0, 0.0) if bc.role == ROLE_NOSLIP else bc.profile
         for tag, bc in problem.bc.items() if bc.role != ROLE_DONOTHING})
     return np.concatenate([dm.vx_vertex(verts), dm.vy_vertex(verts)]), values.T.ravel()
+
+
+def flow_constraints(problem: FlowProblem) -> tuple:
+    """Constrained flow dofs and values: the velocity on the no-slip and
+    inflow tags and, for an enclosed flow, one pinned pressure dof."""
+    dm = problem.dofmap
+    dofs, vals = _dirichlet_velocity(problem)
+    if not _donothing_tags(problem):
+        # Enclosed flow: the do-nothing outlet normally fixes the pressure
+        # level; without one, pin a single pressure dof.
+        dofs = np.append(dofs, dm.pressure(0))
+        vals = np.append(vals, problem.pressure_pin_value)
+    return dofs, vals
 
 
 def _force_load(problem: FlowProblem) -> np.ndarray:
@@ -176,17 +193,13 @@ def _solve_linear(problem: FlowProblem, advect, include_time: bool):
         rhs_v = rhs_v + mass_coeff * (M @ np.asarray(problem.v_prev, dtype=float))
     rhs = np.concatenate([rhs_v, np.zeros(dm.n_pressure)])
 
-    dofs, vals = _dirichlet_velocity(problem)
-    if not gamma_n:
-        # Enclosed flow: the do-nothing outlet normally fixes the pressure
-        # level; without one, pin a single pressure dof.
-        dofs = np.append(dofs, dm.pressure(0))
-        vals = np.append(vals, problem.pressure_pin_value)
+    dofs, vals = problem.constraints or flow_constraints(problem)
     # Every constrained dof is a P1 dof, so eliminating them after the
     # condensation is exact.  The condensed layout holds 3 dofs per vertex.
     x_l = linalg.solve_constrained(saddle.matrix, saddle.condense(rhs),
                                    saddle.layout.index[dofs], vals,
-                                   order=fem_core.vertex_order(mesh, 3))
+                                   order=fem_core.vertex_order(mesh, 3),
+                                   factor=problem.factor)
     x = saddle.recover(x_l, rhs)
 
     # Residual contract on the full system, bubble rows included; the

@@ -17,7 +17,8 @@ the residual acts as an upper-bound trigger, not an exact operator.
 The time step and the stationary Picard solve share one system builder and
 one source, :func:`heat_source`; each system is solved by
 :func:`linalg.solve_constrained` with the previous temperature as the guess,
-so an equilibrium stays bit-for-bit fixed.  The stationary Picard iteration is
+so an equilibrium stays bit-for-bit fixed, and with the problem's held LU
+(:class:`linalg.HeldLU`) when it carries one.  The stationary Picard iteration is
 Anderson-accelerated (:func:`linalg.fixed_point`) and raises SolverError when
 it misses ``picard_tol`` in ``picard_max`` solves.
 """
@@ -101,7 +102,8 @@ class HeatProblem:
     include_physics_sources: bool = True
     include_inflow_bc: bool = True  # False = saline supply off (initial equilibrium)
     extra_source: object = None  # callable(x, y, t); verification hook
-    iterations: int = field(default=0, init=False)  # Krylov count; 0 under the direct solve
+    factor: linalg.HeldLU | None = None  # LU held across solves; None: a fresh LU
+    iterations: int = field(default=0, init=False)  # GMRES count of the step; 0 if it factorized
     art_visc: np.ndarray | None = field(default=None, init=False)  # last per-cell values
 
     def validate(self) -> None:
@@ -311,8 +313,11 @@ def solve_heat_step(problem: HeatProblem) -> np.ndarray:
     build = _heat_system(problem, 1.0 / problem.dt)
     A_sys, rhs = build(problem.theta_prev, _cell_viscosity(problem)[:, None])
     dofs, vals = _dirichlet_terms(problem)
-    return linalg.solve_constrained(A_sys, rhs, dofs, vals, x0=problem.theta_prev,
-                                    order=fem_core.vertex_order(problem.mesh))
+    theta = linalg.solve_constrained(A_sys, rhs, dofs, vals, x0=problem.theta_prev,
+                                     order=fem_core.vertex_order(problem.mesh),
+                                     factor=problem.factor)
+    problem.iterations = problem.factor.iterations if problem.factor is not None else 0
+    return theta
 
 
 def solve_heat_stationary(problem: HeatProblem, picard_tol: float = 1e-10,
@@ -334,7 +339,8 @@ def solve_heat_stationary(problem: HeatProblem, picard_tol: float = 1e-10,
 
     def step(theta):
         A_sys, rhs = build(theta)
-        return linalg.solve_constrained(A_sys, rhs, dofs, vals, x0=theta, order=order), None
+        return linalg.solve_constrained(A_sys, rhs, dofs, vals, x0=theta, order=order,
+                                        factor=problem.factor), None
 
     theta, _ = linalg.fixed_point(step, problem.theta_prev, picard_tol, picard_max)
     return theta

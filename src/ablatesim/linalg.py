@@ -1,13 +1,16 @@
 """Sparse storage, assembly builder, and linear solvers.
 
 Matrices are scipy CSR; vectors are 1-D numpy arrays.  Every linear system of
-the simulator is solved by :func:`solve_lu`, a sparse LU under the residual
-contract ||b - Ax|| <= 1e-10 ||b||; a solve that misses it raises, with no
-retry in another order.  The solvers pass the mesh's nested-dissection order
+the simulator is solved by :func:`solve_lu` under the residual contract
+||b - Ax|| <= 1e-10 ||b||; a solve that misses it raises, with no retry in
+another order.  The solvers pass the mesh's nested-dissection order
 (:func:`fem_core.vertex_order`); without one the natural order is used.  The
 LU scales the matrix symmetrically by |diag A|^-1/2, permutes it into the
 order and factorizes it there with threshold pivoting, so the fill stays
-that of the order.  Systems with
+that of the order.  A :class:`HeldLU` keeps one system's factor across its
+solves: a later solve runs GMRES preconditioned by the held factor, and only
+a solve that misses the contract that way factorizes again, recording why.
+Without a holder every solve is a fresh LU.  Systems with
 Dirichlet constraints go through :func:`solve_constrained`, the one
 sequence of elimination, LU solve and exact constrained entries.  The
 Jacobi-preconditioned Krylov solvers :func:`solve_cg` and :func:`solve_gmres`
@@ -45,6 +48,11 @@ class SingularMatrix(SolverError):
 
 
 RESIDUAL_TOL = 1e-10  # relative residual bound of every solve_lu return
+# GMRES iterations of one held-factor solve before it refactorizes.  Reused
+# solves took 1-8 iterations on the test1 preset (48x16) and at 96x32, 2-7 at
+# 192x64; a system 10 iterations do not reach is cheaper to factorize.
+KRYLOV_CAP = 10
+KRYLOV_RTOL = 0.1 * RESIDUAL_TOL  # GMRES's stop on the preconditioned residual
 ANDERSON_DEPTH = 3  # residual differences in each fixed_point least-squares fit
 
 
@@ -160,8 +168,9 @@ def solve_gmres(A: SparseMatrix, b: FieldVector, tol_rel: float = 1e-8,
 
 
 def solve_lu(A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None,
-             order: np.ndarray | None = None) -> FieldVector:
-    """Sparse LU direct solve under the residual contract.
+             order: np.ndarray | None = None,
+             factor: HeldLU | None = None) -> FieldVector:
+    """Sparse LU solve under the residual contract.
 
     Returns x with ||b - Ax|| <= RESIDUAL_TOL * ||b||.  A guess ``x0`` that
     already meets the contract is returned unchanged (as a copy), without a
@@ -178,15 +187,28 @@ def solve_lu(A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None,
     The scaling keeps small diagonals, such as the condensed pressure
     block's ~h^2/nu, from losing their pivots to the coupling entries.  The
     contract is checked on the unscaled A and b.
+
+    ``factor`` is the :class:`HeldLU` of the system across its solves.  When
+    it holds a factor of the same order and shape, the solve is first tried
+    by GMRES preconditioned with that factor (:meth:`HeldLU.reuse`); a miss
+    factorizes A in its place and solves as above.  Without ``factor`` the
+    solve is a fresh LU.
     """
     b = np.asarray(b, dtype=float)
     limit = RESIDUAL_TOL * float(np.linalg.norm(b))
+    if factor is not None:
+        factor.solves += 1
+        factor.iterations = 0
     if x0 is not None and _residual_norm(A, x0, b) <= limit:
         return np.array(x0, dtype=float)
-    if order is None:
-        order = np.arange(A.shape[0])
+    order = np.arange(A.shape[0]) if order is None else np.asarray(order)
+    held = factor if factor is not None else HeldLU()
+    x, reason = held.reuse(A, b, order, x0, limit)
+    if x is not None:
+        return x
     try:
-        x = _solve_ordered(sp.csr_matrix(A), b, np.asarray(order))
+        held.factorize(sp.csr_matrix(A), order, reason)
+        x = held.apply(b)
     except RuntimeError as exc:
         raise SingularMatrix(str(exc)) from exc
     if not np.all(np.isfinite(x)):
@@ -198,26 +220,89 @@ def solve_lu(A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None,
     return x
 
 
-def _solve_ordered(A: SparseMatrix, b: FieldVector, order: np.ndarray) -> FieldVector:
-    """x = D y with (P D A D P^T) (P y) = P D b, factorized in the natural
-    order with threshold pivoting; P takes row order[i] to row i."""
-    n = A.shape[0]
-    diag = np.abs(A.diagonal())
-    d = np.ones(n)
-    np.divide(1.0, np.sqrt(diag), out=d, where=diag > 0.0)
-    inverse = np.empty(n, dtype=np.int64)
-    inverse[order] = np.arange(n)
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    # Scale in place of A's entries, gather the rows in the new order and
-    # renumber the columns; the CSC conversion sorts the row indices.
-    scaled = sp.csr_matrix((A.data * d[rows] * d[A.indices], A.indices, A.indptr),
-                           shape=A.shape)[order]
-    permuted = sp.csr_matrix((scaled.data, inverse[scaled.indices], scaled.indptr),
-                             shape=A.shape).tocsc()
-    lu = spla.splu(permuted, permc_spec="NATURAL", diag_pivot_thresh=0.1)
-    y = np.empty(n)
-    y[order] = lu.solve((d * b)[order])
-    return d * y
+class HeldLU:
+    """The sparse LU of one system, kept across its solves.
+
+    A later system of the same order and shape is solved by GMRES, in one
+    restart cycle of at most KRYLOV_CAP iterations, preconditioned by the held
+    factor: the lagged preconditioner of Knoll & Keyes, "Jacobian-free
+    Newton-Krylov methods", J. Comput. Phys. 193 (2004).  A solve is accepted
+    on its true residual, ||b - Ax|| <= RESIDUAL_TOL ||b||, never on GMRES's
+    own flag; any miss factorizes the new system instead, and every
+    factorization is recorded with its reason in ``events``.  At most one
+    factor is alive: the old one is released before the new one is built.
+    """
+
+    def __init__(self):
+        self._lu = None
+        self._d = self._order = self._shape = None
+        self.solves = 0  # solve_lu calls given this holder
+        self.krylov_solves = 0  # of them, accepted from GMRES on the held factor
+        self.iterations = 0  # GMRES iterations of the last solve; 0 unless it reused
+        self.events: list[str] = []  # the reason of each factorization, in order
+
+    def factorize(self, A: SparseMatrix, order: np.ndarray, reason: str) -> None:
+        """Factor (P D A D P^T), P taking row order[i] to row i, in the natural
+        order with threshold pivoting, in place of the held factor."""
+        self._lu = None
+        self.events.append(reason)
+        n = A.shape[0]
+        diag = np.abs(A.diagonal())
+        d = np.ones(n)
+        np.divide(1.0, np.sqrt(diag), out=d, where=diag > 0.0)
+        inverse = np.empty(n, dtype=np.int64)
+        inverse[order] = np.arange(n)
+        # Scale in place of A's entries, gather the rows in the new order and
+        # renumber the columns; the CSC conversion sorts the row indices.
+        scaled = sp.csr_matrix((A.data * np.repeat(d, np.diff(A.indptr)) * d[A.indices],
+                                A.indices, A.indptr), shape=A.shape)[order]
+        permuted = sp.csr_matrix((scaled.data, inverse[scaled.indices], scaled.indptr),
+                                 shape=A.shape).tocsc()
+        del scaled  # freed before SuperLU allocates the factor
+        self._lu = spla.splu(permuted, permc_spec="NATURAL", diag_pivot_thresh=0.1)
+        self._d, self._order, self._shape = d, order, A.shape
+
+    def apply(self, r: FieldVector) -> FieldVector:
+        """D P^T (LU)^-1 P D r: the solve with the held factor."""
+        y = np.empty(self._d.size)
+        y[self._order] = self._lu.solve((self._d * r)[self._order])
+        return self._d * y
+
+    def reuse(self, A: SparseMatrix, b: FieldVector, order: np.ndarray,
+              x0: FieldVector | None, limit: float):
+        """(x, None) when GMRES on the held factor, started from ``x0``, meets
+        ||b - Ax|| <= ``limit``; otherwise (None, the reason to factorize)."""
+        if self._lu is None:
+            return None, "no factor held"
+        if A.shape != self._shape or not np.array_equal(order, self._order):
+            return None, "order or shape changed"
+        iters = 0
+
+        def count(_residual):
+            nonlocal iters
+            iters += 1
+
+        M = spla.LinearOperator(A.shape, matvec=self.apply)
+        with np.errstate(all="ignore"):  # a breakdown shows in the residual below
+            x, _ = spla.gmres(A, b, x0=x0, rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_CAP,
+                              maxiter=1, M=M, callback=count, callback_type="pr_norm")
+        if not np.all(np.isfinite(x)):
+            return None, f"non-finite GMRES iterate after {iters} iterations"
+        res = _residual_norm(A, x, b)
+        if res <= limit:
+            self.krylov_solves += 1
+            self.iterations = iters
+            return x, None
+        miss = f"at residual {res / np.linalg.norm(b):.1e} |b|"
+        if iters >= KRYLOV_CAP:
+            return None, f"GMRES cap of {KRYLOV_CAP} iterations reached {miss}"
+        return None, f"GMRES stopped after {iters} iterations {miss}"
+
+    def report(self) -> str:
+        """One line: how the solves were done, and why each LU was built."""
+        guessed = self.solves - self.krylov_solves - len(self.events)
+        return (f"{self.solves} solves: {guessed} by the guess, {self.krylov_solves} by "
+                f"GMRES on the held factor, {len(self.events)} LU ({'; '.join(self.events)})")
 
 
 def fixed_point(step, x0: FieldVector, tol: float, max_iter: int):
@@ -305,8 +390,8 @@ def apply_dirichlet(A: SparseMatrix, b: FieldVector, dofs, values):
 
     # Zero the constrained rows and columns in the CSR data and add the unit
     # diagonal; the sparse sum drops every zero, so no explicit zero remains.
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    masked = np.where(constrained[rows] | constrained[A.indices], 0.0, A.data)
+    masked = np.where(np.repeat(constrained, np.diff(A.indptr)) | constrained[A.indices],
+                      0.0, A.data)
     A_mod = (sp.csr_matrix((masked, A.indices, A.indptr), shape=A.shape)
              + sp.diags(constrained.astype(float), format="csr"))
     A_mod.sort_indices()
@@ -315,11 +400,12 @@ def apply_dirichlet(A: SparseMatrix, b: FieldVector, dofs, values):
 
 def solve_constrained(A: SparseMatrix, b: FieldVector, dofs, values,
                       x0: FieldVector | None = None,
-                      order: np.ndarray | None = None) -> FieldVector:
+                      order: np.ndarray | None = None,
+                      factor: HeldLU | None = None) -> FieldVector:
     """Solve A x = b with x[dofs] = values: :func:`apply_dirichlet`, then
-    :func:`solve_lu` from the guess ``x0`` in the fill-reducing ``order``,
-    then x[dofs] set exactly."""
+    :func:`solve_lu` from the guess ``x0`` in the fill-reducing ``order``
+    with the held ``factor``, then x[dofs] set exactly."""
     A, b = apply_dirichlet(A, b, dofs, values)
-    x = solve_lu(A, b, x0=x0, order=order)
+    x = solve_lu(A, b, x0=x0, order=order, factor=factor)
     x[dofs] = values
     return x

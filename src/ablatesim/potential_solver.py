@@ -3,9 +3,12 @@
 The physical problem has zero volumetric source, a prescribed current flux g
 on the electrode segment, and grounded (phi = 0) remaining boundaries; the
 optional volumetric source exists for manufactured-solution verification.
-The grounded vertices come from :func:`fem_core.dirichlet_values`, and the
-symmetric positive definite system is solved by :func:`linalg.solve_constrained`
-(Dirichlet elimination, then sparse LU under the residual contract).
+The grounded vertices come from :func:`fem_core.dirichlet_values` (or from
+``constraints``, built once by the caller), and the symmetric positive
+definite system is solved by :func:`linalg.solve_constrained`: Dirichlet
+elimination, then a fresh sparse LU, or GMRES preconditioned by the held LU
+of earlier solves when the problem carries a :class:`linalg.HeldLU`, under
+the residual contract.
 """
 
 from __future__ import annotations
@@ -28,11 +31,18 @@ class PotentialProblem:
     neumann_tags: tuple = (GAMMA5,)
     dirichlet_tags: tuple = (GAMMA1, GAMMA2, GAMMA3, GAMMA4)
     source: object = None  # verification hook: (NT, NQ) array or callable(x, y)
-    iterations: int = field(default=0, init=False)  # Krylov count; 0 under the direct solve
+    constraints: tuple | None = None  # (dofs, values); from dirichlet_tags when None
+    factor: linalg.HeldLU | None = None  # LU held across solves; None: a fresh LU
+    iterations: int = field(default=0, init=False)  # GMRES count of the solve; 0 if it factorized
+
+
+def potential_constraints(mesh: Mesh2D, dirichlet_tags) -> tuple:
+    """The grounded vertices of ``dirichlet_tags`` and their zero values."""
+    return fem_core.dirichlet_values(mesh, dict.fromkeys(dirichlet_tags, 0.0))
 
 
 def solve_potential(problem: PotentialProblem) -> np.ndarray:
-    """Direct solve of the lagged-conductivity potential equation."""
+    """Solve the lagged-conductivity potential equation."""
     mesh = problem.mesh
     theta = np.asarray(problem.theta, dtype=float)
     if not np.all(np.isfinite(theta)):
@@ -47,8 +57,12 @@ def solve_potential(problem: PotentialProblem) -> np.ndarray:
         b = b + fem_core.assemble_scalar_load(
             mesh, fem_core.sample(problem.source, fem_core.geometry(mesh).qp))
 
-    dofs, values = fem_core.dirichlet_values(mesh, dict.fromkeys(problem.dirichlet_tags, 0.0))
-    return linalg.solve_constrained(A, b, dofs, values, order=fem_core.vertex_order(mesh))
+    dofs, values = problem.constraints or potential_constraints(mesh, problem.dirichlet_tags)
+    factor = problem.factor
+    phi = linalg.solve_constrained(A, b, dofs, values, order=fem_core.vertex_order(mesh),
+                                   factor=factor)
+    problem.iterations = factor.iterations if factor is not None else 0
+    return phi
 
 
 def joule_density(mesh: Mesh2D, model: MaterialModel, theta: np.ndarray,

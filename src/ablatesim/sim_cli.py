@@ -493,6 +493,11 @@ def cmd_run(args) -> int:
             write_probes(rows[1:], os.path.join(outdir, "probes.csv"), probe_names,
                          probe_rows[1:])
 
+    def report_solves():
+        # Every factorization of the run, with its reason (none is silent).
+        for name, held in sim.factors.items():
+            print(f"{name}: {held.report()}")
+
     try:
         state, rows = sim.run(on_step=on_step)
     except coupler.BlowUpError as exc:
@@ -500,11 +505,13 @@ def cmd_run(args) -> int:
         # The guard trips before on_step, so sample the tripping state here.
         probe_rows.append([pr(exc.state.theta) for pr in probes])
         finish(exc.rows)
+        report_solves()
         return 4
     except (linalg.SolverError, coupler.NonFiniteFieldError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         if hasattr(exc, "rows"):  # a mid-run failure keeps the rows before it
             finish(exc.rows)
+        report_solves()
         return 3
 
     finish(rows)
@@ -513,6 +520,7 @@ def cmd_run(args) -> int:
     last = rows[-1]
     print(f"completed {cfg.time.M} steps: max theta {last.max_theta:.4f} at "
           f"({last.argmax_x:.4f}, {last.argmax_y:.4f}), |div v| = {last.div_norm:.2e}")
+    report_solves()
     return 0
 
 

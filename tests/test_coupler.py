@@ -1,10 +1,11 @@
 import functools
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ablatesim import coupler, flow_solver
+from ablatesim import coupler, fem_core, flow_solver, linalg
 from ablatesim.coupler import (BlowUpError, NonFiniteFieldError, SimState,
                                Simulation, TimeGrid)
 from ablatesim.linalg import NotConverged, SolverError
@@ -255,3 +256,92 @@ class TestBlowUpGuard:
     def test_normal_run_does_not_trigger(self):
         state, _ = Simulation(quick_config(M=3)).run()
         assert np.abs(state.theta).max() < 1e4
+
+
+def rest_state(sim):
+    """The fluid at rest at body temperature, as the 192x64 benchmark starts."""
+    nv = sim.mesh.num_vertices
+    return SimState(t=0.0, n=0, v=np.zeros(sim.dofmap.n_velocity),
+                    P=np.zeros(sim.dofmap.n_pressure), theta=np.full(nv, sim.model.theta_b),
+                    phi=np.zeros(nv), theta_prev=None)
+
+
+class TestHeldFactors:
+    def advance(self, sim, steps):
+        state, rows = rest_state(sim), []
+        for _ in range(steps):
+            state = sim.advance(state)
+            rows.append(state.diag)
+        return state, rows
+
+    def test_five_steps_factorize_each_system_once(self, monkeypatch):
+        iterations = {"potential": [], "heat": []}
+        for name, attr in (("potential", "solve_potential"), ("heat", "solve_heat_step")):
+            def spy(problem, _solve=getattr(coupler, attr), _log=iterations[name]):
+                out = _solve(problem)
+                _log.append(problem.iterations)
+                return out
+            monkeypatch.setattr(coupler, attr, spy)
+        sim = Simulation(quick_config(nx=24, ny=8, M=5))
+        assert all(held.events == [] for held in sim.factors.values())  # built lazily
+        state, rows = self.advance(sim, 5)
+        for held in sim.factors.values():
+            assert held.events == ["no factor held"]
+            assert held.solves == 5 and held.krylov_solves == 4
+        # The first solve factorizes (0 iterations); the others run GMRES.
+        for log in iterations.values():
+            assert log[0] == 0 and all(0 < k <= linalg.KRYLOV_CAP for k in log[1:])
+
+        # A holder-free run: every solve is a fresh LU, as before factors were held.
+        monkeypatch.setattr(linalg.HeldLU, "reuse", lambda *a: (None, "fresh LU"))
+        fresh_sim = Simulation(quick_config(nx=24, ny=8, M=5))
+        fresh, fresh_rows = self.advance(fresh_sim, 5)
+        assert len(fresh_sim.factors["flow"].events) == 5
+        # Both runs meet the residual contract 1e-10 |b|, so they differ by
+        # round-off amplified by the conditioning: measured 2e-12 in theta
+        # and phi, 5e-11 in v, 1.2e-10 in P, 2.5e-9 in the centroid (a ratio
+        # of small integrals) and 2e-11 in the other diagnostics.
+        bounds = {"theta": 1e-10, "phi": 1e-10, "v": 1e-8, "P": 1e-8}
+        for name, bound in bounds.items():
+            a, b = getattr(state, name), getattr(fresh, name)
+            assert np.linalg.norm(a - b) <= bound * np.linalg.norm(b), name
+        for row, ref in zip(rows, fresh_rows):
+            for key in ("max_theta", "int_theta", "max_art_visc"):
+                assert getattr(row, key) == pytest.approx(getattr(ref, key), rel=1e-9)
+            assert row.centroid_x == pytest.approx(ref.centroid_x, rel=1e-7)
+            assert row.div_norm <= 1e-10
+
+    def test_initialize_records_each_refactorization(self):
+        sim = Simulation(quick_config(M=2))
+        state = sim.initialize()
+        sim.advance(state)
+        flow = sim.factors["flow"]
+        # Stokes -> Oseen and stationary -> time step are far apart: each
+        # switch that missed refactorized, and says why.
+        assert flow.events[0] == "no factor held"
+        assert all(e.startswith("GMRES") for e in flow.events[1:])
+        assert flow.solves == flow.krylov_solves + len(flow.events)
+        for held in sim.factors.values():
+            assert held.report().startswith(f"{held.solves} solves:")
+
+
+def test_condensed_assembly_peak_memory():
+    """numpy's peak while assembling the condensed flow system at 96x32.
+
+    It was ~2,350 bytes per triangle while the fill cast its int32 scatter
+    to intp and the Schur and convective updates were whole-mesh arrays;
+    it is ~1,500 now."""
+    cfg = quick_config(nx=96, ny=32)
+    sim = Simulation(cfg)
+    mesh, dm = sim.mesh, sim.dofmap
+    v = np.random.default_rng(0).standard_normal(dm.n_velocity)
+    kwargs = dict(advect=v, gamma_n_tags=(4,), mass_coeff=10.0)
+    fem_core.assemble_condensed_saddle(mesh, dm, 1.0, **kwargs)  # builds the caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fem_core.assemble_condensed_saddle(mesh, dm, 1.0, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1700 * mesh.num_triangles

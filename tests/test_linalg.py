@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ablatesim import linalg
 from ablatesim.linalg import (CooBuilder, NotConverged, SingularMatrix,
@@ -130,6 +131,124 @@ class TestLU:
         b = np.ones(30)
         x = solve_lu(A, b, x0=np.zeros(30))
         assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+
+
+def convection_diffusion_2d(m, wind=5.0):
+    """Nonsymmetric 5-point convection-diffusion matrix on an m x m grid."""
+    lap = laplacian_1d(m)
+    adv = sp.diags([-np.ones(m - 1), np.ones(m - 1)], [-1, 1]) * (wind / 2.0)
+    eye = sp.identity(m)
+    return (sp.kron(lap, eye) + sp.kron(eye, lap) + sp.kron(adv, eye)).tocsr()
+
+
+def fresh_lu_reference(A, b, order):
+    """The fresh LU solve as it stood before factors were held: scale by
+    |diag A|^-1/2, permute into ``order``, factorize in that order."""
+    n = A.shape[0]
+    diag = np.abs(A.diagonal())
+    d = np.ones(n)
+    np.divide(1.0, np.sqrt(diag), out=d, where=diag > 0.0)
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[order] = np.arange(n)
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    scaled = sp.csr_matrix((A.data * d[rows] * d[A.indices], A.indices, A.indptr),
+                           shape=A.shape)[order]
+    permuted = sp.csr_matrix((scaled.data, inverse[scaled.indices], scaled.indptr),
+                             shape=A.shape).tocsc()
+    lu = spla.splu(permuted, permc_spec="NATURAL", diag_pivot_thresh=0.1)
+    y = np.empty(n)
+    y[order] = lu.solve((d * b)[order])
+    return d * y
+
+
+class TestHeldLU:
+    m = 20
+
+    def system(self, perturbation=0.0, seed=0):
+        rng = np.random.default_rng(seed)
+        A = convection_diffusion_2d(self.m)
+        A.data *= 1.0 + perturbation * rng.uniform(-1.0, 1.0, A.nnz)
+        return A, rng.standard_normal(A.shape[0])
+
+    def order(self):
+        return np.random.default_rng(7).permutation(self.m * self.m)
+
+    def test_without_holder_matches_the_fresh_lu_bytes(self):
+        A, b = self.system()
+        for order in (None, self.order()):
+            ref = fresh_lu_reference(A, b, np.arange(A.shape[0]) if order is None else order)
+            assert solve_lu(A, b, order=order).tobytes() == ref.tobytes()
+            # The first solve of a holder is that same fresh LU.
+            held = linalg.HeldLU()
+            assert solve_lu(A, b, order=order, factor=held).tobytes() == ref.tobytes()
+            assert held.events == ["no factor held"] and held.iterations == 0
+
+    def test_perturbed_system_reuses_the_factor(self):
+        held = linalg.HeldLU()
+        A, b = self.system()
+        solve_lu(A, b, order=self.order(), factor=held)
+        A1, b1 = self.system(perturbation=1e-3, seed=1)
+        x = solve_lu(A1, b1, order=self.order(), factor=held)
+        assert np.linalg.norm(b1 - A1 @ x) <= linalg.RESIDUAL_TOL * np.linalg.norm(b1)
+        assert held.events == ["no factor held"]
+        assert held.krylov_solves == 1 and 0 < held.iterations <= linalg.KRYLOV_CAP
+        assert held.report() == ("2 solves: 0 by the guess, 1 by GMRES on the held "
+                                 "factor, 1 LU (no factor held)")
+
+    def test_far_system_refactorizes_with_its_reason(self):
+        held = linalg.HeldLU()
+        A, b = self.system()
+        solve_lu(A, b, factor=held)
+        far = (A + sp.diags(np.random.default_rng(3).uniform(0.0, 1e3, A.shape[0]))).tocsr()
+        x = solve_lu(far, b, factor=held)
+        assert np.linalg.norm(b - far @ x) <= linalg.RESIDUAL_TOL * np.linalg.norm(b)
+        assert len(held.events) == 2 and held.events[1].startswith("GMRES")
+        assert held.iterations == 0 and held.krylov_solves == 0
+        # The new factor is the far system's: the next solve of it reuses it.
+        solve_lu(far, 2.0 * b, factor=held)
+        assert len(held.events) == 2 and held.krylov_solves == 1
+        # A system of another order or shape factorizes at once.
+        solve_lu(far, b, order=self.order(), factor=held)
+        assert held.events[-1] == "order or shape changed"
+
+    def test_never_two_factors_alive(self, monkeypatch):
+        held = linalg.HeldLU()
+        splu = spla.splu
+        alive = []
+
+        def checked_splu(*args, **kwargs):
+            alive.append(held._lu is not None)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", checked_splu)
+        A, b = self.system()
+        for scale in (0.0, 1e3, 0.0):
+            far = (A + sp.identity(A.shape[0]) * scale).tocsr()
+            solve_lu(far, b, factor=held)
+        assert len(held.events) == 3 and alive == [False, False, False]
+
+    def test_contract_meeting_guess_returned_bitwise(self):
+        held = linalg.HeldLU()
+        A, b = self.system()
+        x = solve_lu(A, b, factor=held)
+        x0 = x + 1e-15
+        assert np.linalg.norm(b - A @ x0) <= linalg.RESIDUAL_TOL * np.linalg.norm(b)
+        again = solve_lu(A, b, x0=x0, factor=held)
+        assert again.tobytes() == x0.tobytes() and again is not x0
+        assert held.solves == 2 and held.krylov_solves == 0 and len(held.events) == 1
+        assert held.iterations == 0
+
+    def test_constrained_solve_reuses_the_factor(self):
+        held = linalg.HeldLU()
+        A, b = self.system()
+        dofs, vals = np.arange(0, A.shape[0], 9), np.linspace(-1.0, 1.0, 45)
+        linalg.solve_constrained(A, b, dofs, vals, factor=held)
+        A1, b1 = self.system(perturbation=1e-4, seed=2)
+        x = linalg.solve_constrained(A1, b1, dofs, vals, factor=held)
+        assert np.array_equal(x[dofs], vals)
+        ref = linalg.solve_constrained(A1, b1, dofs, vals)
+        assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
+        assert held.krylov_solves == 1 and len(held.events) == 1
 
 
 class TestApplyDirichlet:

@@ -415,6 +415,20 @@ class TestCLI:
         assert len([ln for ln in rows[1:] if ln]) == 2  # steps 1 and 2
         assert not (outdir / "final.vtk").exists()
 
+    def test_run_summary_reports_the_solves(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"preset": "test1", **QUICK}))
+        outdir = tmp_path / "out"
+        assert main(["run", "--config", str(cfgfile), "--out", str(outdir)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("completed 2 steps")
+        # One line per system: its solves and the reason of every LU.
+        assert [ln.split(":")[0] for ln in lines[1:]] == ["potential", "flow", "heat"]
+        assert lines[1].startswith("potential: 3 solves: ")
+        assert lines[1].endswith("1 LU (no factor held)")
+        header = (outdir / "probes.csv").read_text().splitlines()[0]
+        assert header.split(",") == list(sim_cli.PROBE_COLUMNS)  # no solver columns (C10)
+
     def test_steps_override(self, tmp_path):
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps({"preset": "test1", **QUICK}))

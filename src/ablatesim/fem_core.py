@@ -443,12 +443,6 @@ def velocity_at_vertices(mesh: Mesh2D, dofmap: DofMap, u: np.ndarray) -> np.ndar
     return np.column_stack([u[dofmap.vx_vertex(idx)], u[dofmap.vy_vertex(idx)]])
 
 
-def strain_rate_product(grad: np.ndarray) -> np.ndarray:
-    """D(v):D(v) from a velocity Jacobian array (..., 2, 2)."""
-    d = 0.5 * (grad + np.swapaxes(grad, -1, -2))
-    return np.einsum("...cd,...cd->...", d, d)
-
-
 # -- boundary edge helpers ------------------------------------------------------
 
 
@@ -576,8 +570,8 @@ def assemble_advection(mesh: Mesh2D, vel_qp) -> SparseMatrix:
     """
     geo = geometry(mesh)
     wv = geo.qw[:, None, :] * np.asarray(vel_qp, dtype=float).transpose(0, 2, 1)
-    wv_dot_grad = geo.grad_p1 @ wv  # (NT, 3, NQ): w v . grad(l_b) at the quad points
-    return _p1_matrix(mesh, _tab(wv_dot_grad, geo.p1_vals).transpose(0, 2, 1))
+    wv_l = _tab(wv, geo.p1_vals)  # (NT, 2, 3): [t, d, a] = integral v_d l_a
+    return _p1_matrix(mesh, wv_l.transpose(0, 2, 1) @ geo.grad_p1.transpose(0, 2, 1))
 
 
 def assemble_scalar_load(mesh: Mesh2D, source) -> np.ndarray:
@@ -642,8 +636,10 @@ def _convective_local(geo: _Geometry, a_qp: np.ndarray, block=slice(None)) -> np
     nt = g1.shape[0]
     wa = geo.qw[block, None, :] * a_qp.transpose(0, 2, 1)  # (NT, 2, NQ)
     m = _tab(wa, geo.mini_vals)  # [t, d, b] = integral a_d phi_b
-    n = _tab(wa[:, :, None, :] * geo.grad_bubble[block].transpose(0, 2, 1)[:, None, :, :],
-             geo.mini_vals)  # [t, d, c, b] = integral a_d d_c(bubble) phi_b
+    wa_gb = np.empty(wa.shape[:2] + (2,) + wa.shape[2:])  # one bubble derivative at a time
+    for c in range(2):
+        np.multiply(wa, geo.grad_bubble[block, None, :, c], out=wa_gb[:, :, c])
+    n = _tab(wa_gb, geo.mini_vals)  # [t, d, c, b] = integral a_d d_c(bubble) phi_b
     t1 = np.empty((nt, 2, 4, 2, 4))  # [t, d, a, c, b] = integral a_d d_c(phi_a) phi_b
     t1[:, :, :3] = g1[:, None, :, :, None] * m[:, :, None, None, :]
     t1[:, :, 3] = n
@@ -655,8 +651,9 @@ def _convective_local(geo: _Geometry, a_qp: np.ndarray, block=slice(None)) -> np
 
 
 def _velocity_block(mesh: Mesh2D, dofmap: DofMap, viscosity, advect,
-                    gamma_n_tags) -> np.ndarray:
-    """CSR data, on the MINI pattern, of the velocity block A_vv."""
+                    gamma_n_tags, a_qp=None) -> np.ndarray:
+    """CSR data, on the MINI pattern, of the velocity block A_vv; ``a_qp`` is
+    the advecting field at the quad points, sampled from ``advect`` when None."""
     geo = geometry(mesh)
     pattern = _mini_pattern(mesh, dofmap)
     nu = _coeff_at_qp(mesh, viscosity)
@@ -672,12 +669,11 @@ def _velocity_block(mesh: Mesh2D, dofmap: DofMap, viscosity, advect,
     # A callable advecting field is a datum, sampled where it is needed; a flow
     # dof vector is evaluated in the MINI space.
     datum = callable(advect)
-    a_qp = sample(advect, geo.qp) if datum else velocity_at_qp(mesh, dofmap, advect)
-    conv = np.zeros(pattern.nnz)
+    if a_qp is None:
+        a_qp = sample(advect, geo.qp) if datum else velocity_at_qp(mesh, dofmap, advect)
     for t in range(0, len(a_qp), FILL_BLOCK):  # no (NT, 8, 8) array is held
         block = slice(t, t + FILL_BLOCK)
-        pattern.add(conv, _convective_local(geo, a_qp[block], block), t)
-    data += conv
+        pattern.add(data, _convective_local(geo, a_qp[block], block), t)
     # Convective surface term integral_{Gamma_N} (a.n)(u.w), per component.
     sel = _tag_selector(mesh, gamma_n_tags)
     if np.any(sel):
@@ -842,13 +838,12 @@ class CondensedSaddle:
     G: SparseMatrix
     matrix: SparseMatrix
     inv_bb: np.ndarray  # (NT, 2, 2) inverse bubble blocks
-    k_bl: np.ndarray  # (NT, 2, 9) bubble rows on the element's P1 dofs
-    w_lb: np.ndarray  # (NT, 9, 2) K_lb A_bb^-1
 
     def condense(self, rhs: np.ndarray) -> np.ndarray:
         """Condensed right-hand side b_l - K_lb A_bb^-1 b_b of a full flow rhs."""
         lay = self.layout
-        corr = (self.w_lb @ rhs[lay.bubbles][:, :, None])[..., 0]  # (NT, 9)
+        w_lb = _w_lb(lay, self.A_vv.data, self.inv_bb)
+        corr = (w_lb @ rhs[lay.bubbles][:, :, None])[..., 0]  # (NT, 9)
         return rhs[lay.p1_dofs] - np.bincount(lay.elem.ravel(), weights=corr.ravel(),
                                               minlength=lay.p1_dofs.size)
 
@@ -857,7 +852,8 @@ class CondensedSaddle:
         lay = self.layout
         x = np.zeros(lay.index.size)
         x[lay.p1_dofs] = x_l
-        r_b = rhs[lay.bubbles] - (self.k_bl @ x_l[lay.elem][:, :, None])[..., 0]
+        k_bl = _k_bl(lay, self.A_vv.data)
+        r_b = rhs[lay.bubbles] - (k_bl @ x_l[lay.elem][:, :, None])[..., 0]
         x[lay.bubbles] = (self.inv_bb @ r_b[:, :, None])[..., 0]
         return x
 
@@ -867,31 +863,43 @@ class CondensedSaddle:
         return rhs - np.concatenate([self.A_vv @ v - self.G @ p, self.B @ v])
 
 
+def _k_bl(lay: _CondensedLayout, data: np.ndarray, t=slice(None)) -> np.ndarray:
+    """(n, 2, 9) K_bl of the triangles ``t``, read from the velocity block data."""
+    return np.concatenate([data[lay.bl[t]], -lay.b_bubble[t].transpose(0, 2, 1)], axis=2)
+
+
+def _w_lb(lay: _CondensedLayout, data: np.ndarray, inv_bb: np.ndarray,
+          t=slice(None)) -> np.ndarray:
+    """(n, 9, 2) K_lb A_bb^-1 of the triangles ``t``, read from the velocity block data."""
+    return np.concatenate([data[lay.lb[t]], lay.b_bubble[t]], axis=1) @ inv_bb[t]
+
+
 def assemble_condensed_saddle(mesh: Mesh2D, dofmap: DofMap, viscosity, advect=None,
-                              gamma_n_tags=(), mass_coeff: float = 0.0) -> CondensedSaddle:
+                              gamma_n_tags=(), mass_coeff: float = 0.0,
+                              advect_qp=None) -> CondensedSaddle:
     """Saddle system [[mass_coeff M + A_vv, -G], [B, 0]] with the bubbles
     condensed out, from the blocks of :func:`assemble_mini_blocks` and M of
-    :func:`assemble_mini_mass`.  The condensed layout is built on first use.
+    :func:`assemble_mini_mass`; ``advect_qp``, when given, is ``advect`` at
+    the quad points.  The condensed layout is built on first use.
     Raises SingularMatrix when a bubble block cannot be inverted."""
-    data = _velocity_block(mesh, dofmap, viscosity, advect, gamma_n_tags)
+    data = _velocity_block(mesh, dofmap, viscosity, advect, gamma_n_tags, advect_qp)
     if mass_coeff:
         data += mass_coeff * assemble_mini_mass(mesh, dofmap).data
     lay = _cached(mesh, "condensed_layout", lambda: _CondensedLayout(mesh, dofmap))
     inv_bb = _invert_2x2(data[lay.bb])
-    k_lb = np.concatenate([data[lay.lb], lay.b_bubble], axis=1)  # (NT, 9, 2)
-    k_bl = np.concatenate([data[lay.bl], -lay.b_bubble.transpose(0, 2, 1)], axis=2)
-    w_lb = k_lb @ inv_bb
-    # The Schur updates -w_lb k_bl, formed and added a block of triangles at a
-    # time so that no (NT, 9, 9) array is held.
+    # The Schur updates -K_lb A_bb^-1 K_bl, formed and added a block of
+    # triangles at a time so that no (NT, 9, 9) array is held, nor the
+    # (NT, 9, 2) couplings, which condense and recover read again.
     schur = np.zeros(lay.pattern.nnz)
-    for t in range(0, len(w_lb), FILL_BLOCK):
-        local = w_lb[t:t + FILL_BLOCK] @ k_bl[t:t + FILL_BLOCK]
+    for t in range(0, len(inv_bb), FILL_BLOCK):
+        block = slice(t, t + FILL_BLOCK)
+        local = _w_lb(lay, data, inv_bb, block) @ _k_bl(lay, data, block)
         lay.pattern.add(schur, np.negative(local, out=local), t)
     schur += lay.div_data
     schur[lay.ll_dst] += data[lay.ll_src]
     return CondensedSaddle(lay, _mini_pattern(mesh, dofmap).matrix(data),
                            assemble_divergence(mesh, dofmap), _gradient_block(mesh, dofmap),
-                           lay.pattern.matrix(schur), inv_bb, k_bl, w_lb)
+                           lay.pattern.matrix(schur), inv_bb)
 
 
 def assemble_vector_load(mesh: Mesh2D, dofmap: DofMap, force_qp) -> np.ndarray:

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import fem_core, linalg
 from .fem_core import DofMap
-from .materials import MaterialModel
+from .materials import Coefficients, MaterialModel
 from .mesh import Mesh2D, check_tag_roles
 
 ROLE_INFLOW = "inflow"
@@ -128,6 +128,9 @@ class FlowProblem:
     pressure_pin_value: float = 0.0
     constraints: tuple | None = None  # (dofs, values); from flow_constraints when None
     factor: linalg.HeldLU | None = None  # LU held across solves; None: a fresh LU
+    # Quad-point values shared across stages and steps; evaluated here when None.
+    coeffs: Coefficients | None = None  # the laws at theta
+    v_prev_qp: np.ndarray | None = None  # v_prev, (NT, NQ, 2)
 
     def validate(self) -> None:
         if self.dt is not None and not self.dt > 0.0:
@@ -161,12 +164,16 @@ def flow_constraints(problem: FlowProblem) -> tuple:
     return dofs, vals
 
 
-def _force_load(problem: FlowProblem) -> np.ndarray:
+def _coefficients(problem: FlowProblem) -> Coefficients:
+    return problem.coeffs or Coefficients(problem.model,
+                                          fem_core.p1_at_qp(problem.mesh, problem.theta))
+
+
+def _force_load(problem: FlowProblem, coeffs: Coefficients) -> np.ndarray:
     mesh, dm = problem.mesh, problem.dofmap
     load = np.zeros(dm.n_velocity)
     if problem.model.buoyancy.enabled:
-        theta_qp = fem_core.p1_at_qp(mesh, problem.theta)
-        fx, fy = problem.model.body_force(theta_qp)
+        fx, fy = problem.model.body_force(coeffs.theta)
         load += fem_core.assemble_vector_load(mesh, dm, np.stack([fx, fy], axis=-1))
     if problem.extra_force is not None:
         qp = fem_core.geometry(mesh).qp
@@ -178,16 +185,17 @@ def _donothing_tags(problem: FlowProblem) -> tuple:
     return tuple(t for t, bc in problem.bc.items() if bc.role == ROLE_DONOTHING)
 
 
-def _solve_linear(problem: FlowProblem, advect, include_time: bool):
+def _solve_linear(problem: FlowProblem, coeffs: Coefficients, advect, include_time: bool,
+                  advect_qp=None):
     """One linear (Stokes/Oseen) solve on the condensed system; returns (v, P)."""
     mesh, dm = problem.mesh, problem.dofmap
-    nu_qp = problem.model.nu(fem_core.p1_at_qp(mesh, problem.theta))
     gamma_n = _donothing_tags(problem)
     mass_coeff = 1.0 / problem.dt if include_time else 0.0
-    saddle = fem_core.assemble_condensed_saddle(mesh, dm, nu_qp, advect=advect,
-                                                gamma_n_tags=gamma_n, mass_coeff=mass_coeff)
+    saddle = fem_core.assemble_condensed_saddle(mesh, dm, coeffs.nu, advect=advect,
+                                                advect_qp=advect_qp, gamma_n_tags=gamma_n,
+                                                mass_coeff=mass_coeff)
 
-    rhs_v = _force_load(problem)
+    rhs_v = _force_load(problem, coeffs)
     if include_time:
         M = fem_core.assemble_mini_mass(mesh, dm)
         rhs_v = rhs_v + mass_coeff * (M @ np.asarray(problem.v_prev, dtype=float))
@@ -223,10 +231,12 @@ def _solve_linear(problem: FlowProblem, advect, include_time: bool):
 def solve_flow_step(problem: FlowProblem):
     """Advance the flow one implicit-Euler step; returns (v, P)."""
     problem.validate()
-    advect = None
-    if problem.include_convection:
-        advect = problem.advect_field if problem.advect_field is not None else problem.v_prev
-    return _solve_linear(problem, advect, include_time=True)
+    advect = advect_qp = None
+    if problem.include_convection and problem.advect_field is not None:
+        advect = problem.advect_field
+    elif problem.include_convection:
+        advect, advect_qp = problem.v_prev, problem.v_prev_qp
+    return _solve_linear(problem, _coefficients(problem), advect, True, advect_qp)
 
 
 def solve_flow_stationary(problem: FlowProblem, picard_tol: float = 1e-8,
@@ -239,19 +249,33 @@ def solve_flow_stationary(problem: FlowProblem, picard_tol: float = 1e-8,
     if picard_max < 1:
         raise ValueError(f"picard_max must be at least 1, got {picard_max}")
     problem.validate()
+    coeffs = _coefficients(problem)
     if problem.advect_field is not None:
         # Prescribed advecting field (manufactured cases): single linear solve.
-        return _solve_linear(problem, problem.advect_field, include_time=False)
-    v, p = _solve_linear(problem, None, include_time=False)
+        return _solve_linear(problem, coeffs, problem.advect_field, include_time=False)
+    v, p = _solve_linear(problem, coeffs, None, include_time=False)
     if not problem.include_convection:
         return v, p
-    return linalg.fixed_point(lambda a: _solve_linear(problem, a, include_time=False),
+    return linalg.fixed_point(lambda a: _solve_linear(problem, coeffs, a, include_time=False),
                               v, picard_tol, picard_max)
 
 
-def viscous_dissipation(mesh: Mesh2D, dofmap: DofMap, model: MaterialModel,
-                        theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(NT, NQ) dissipation nu(theta) D(v):D(v) at the quad points."""
-    nu_qp = model.nu(fem_core.p1_at_qp(mesh, theta))
-    grad = fem_core.velocity_grad_at_qp(mesh, dofmap, v)
-    return nu_qp * fem_core.strain_rate_product(grad)
+def viscous_dissipation(mesh: Mesh2D, dofmap: DofMap, v: np.ndarray) -> np.ndarray:
+    """(NT, NQ) D(v):D(v), the viscous dissipation per unit viscosity, at the
+    quad points; contracted from the element coefficients (a constant P1
+    Jacobian plus bubble coefficient times bubble gradient), no per-point
+    Jacobian built."""
+    geo = fem_core.geometry(mesh)
+    coeff = fem_core.velocity_element_coeffs(mesh, dofmap, v)  # (NT, 2, 4)
+    jac = coeff[:, :, :3] @ geo.grad_p1  # (NT, 2, 2) P1 part, [c, d] = d(v_c)/d(x_d)
+    bx, by = coeff[:, 0, 3, None], coeff[:, 1, 3, None]
+    gx, gy = geo.grad_bubble[..., 0], geo.grad_bubble[..., 1]
+    # D:D = D_xx^2 + D_yy^2 + 2 D_xy^2, formed in place.
+    out = np.square(jac[:, 0, 0, None] + bx * gx)
+    out += np.square(jac[:, 1, 1, None] + by * gy)
+    dxy = bx * gy
+    dxy += by * gx
+    dxy += (jac[:, 0, 1] + jac[:, 1, 0])[:, None]
+    dxy *= 0.5
+    out += 2.0 * np.square(dxy, out=dxy)
+    return out

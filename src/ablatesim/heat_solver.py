@@ -14,8 +14,15 @@ residual R_a is evaluated pointwise at quadrature points; the P1 diffusion
 flux has zero divergence inside elements, so that term drops elementwise and
 the residual acts as an upper-bound trigger, not an exact operator.
 
-The time step and the stationary Picard solve share one system builder and
-one source, :func:`heat_source`; each system is solved by
+The time step and the stationary Picard solve share one system builder,
+which sums mass, stiffness, advection, Robin and inflow terms in the data of
+the one P1 pattern they are all stored on.  A step evaluates each field at
+the quadrature points once, unless the problem carries it (as a split step
+passes what its other stages and the previous step evaluated): the laws at
+theta^{n-1} (``coeffs``), each velocity and its D(v):D(v)
+(:func:`flow_solver.viscous_dissipation`), and the Joule density
+(:func:`potential_solver.joule_density`), which the load and the residual
+share.  Each system is solved by
 :func:`linalg.solve_constrained` with the previous temperature as the guess,
 so an equilibrium stays bit-for-bit fixed, and with the problem's held LU
 (:class:`linalg.HeldLU`) when it carries one.  The stationary Picard iteration is
@@ -26,12 +33,13 @@ it misses ``picard_tol`` in ``picard_max`` solves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
 from . import fem_core, linalg
 from .fem_core import DofMap
-from .materials import MaterialModel
+from .materials import Coefficients, MaterialModel
 from .mesh import Mesh2D, check_tag_roles
 from .potential_solver import joule_density
 from .flow_solver import viscous_dissipation
@@ -103,6 +111,12 @@ class HeatProblem:
     include_inflow_bc: bool = True  # False = saline supply off (initial equilibrium)
     extra_source: object = None  # callable(x, y, t); verification hook
     factor: linalg.HeldLU | None = None  # LU held across solves; None: a fresh LU
+    # Quad-point values shared across stages and steps; evaluated here when None.
+    coeffs: Coefficients | None = None  # the laws at theta_prev
+    v_qp: np.ndarray | None = None  # v, (NT, NQ, 2)
+    strain: np.ndarray | None = None  # D(v):D(v), (NT, NQ)
+    v_stab_qp: np.ndarray | None = None  # v_stab
+    strain_stab: np.ndarray | None = None  # D(v_stab):D(v_stab)
     iterations: int = field(default=0, init=False)  # GMRES count of the step; 0 if it factorized
     art_visc: np.ndarray | None = field(default=None, init=False)  # last per-cell values
 
@@ -115,27 +129,21 @@ class HeatProblem:
                 raise ValueError(f"{name} contains non-finite values")
 
 
-def heat_source(mesh: Mesh2D, dofmap: DofMap, model: MaterialModel,
-                theta: np.ndarray, v: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """(NT, NQ) heat source nu(theta) D(v):D(v) + sigma(theta)|grad phi|^2."""
-    return (viscous_dissipation(mesh, dofmap, model, theta, v)
-            + joule_density(mesh, model, theta, phi))
-
-
 def _powers(theta_q, alpha, floor):
-    """(theta^(a-1), theta^(a-2)) with fractional exponents guarded at >= floor."""
+    """(theta^(a-1), theta^(a-2)) with fractional exponents guarded at >= floor;
+    None stands for a power that is identically 1."""
     if alpha == 1.0:
-        return np.ones_like(theta_q), None
+        return None, None
     if alpha == 2.0:
-        return theta_q, np.ones_like(theta_q)
+        return theta_q, None
     base = np.maximum(theta_q, floor)
     return base ** (alpha - 1.0), base ** (alpha - 2.0)
 
 
-def entropy_residual(mesh: Mesh2D, dofmap: DofMap, model: MaterialModel,
-                     theta_prev: np.ndarray, theta_prev2: np.ndarray,
-                     v: np.ndarray, phi: np.ndarray, dt: float,
-                     alpha_exp: float = 2.0, var_floor: float = 1e-10) -> np.ndarray:
+def entropy_residual(mesh: Mesh2D, coeffs: Coefficients, theta_prev: np.ndarray,
+                     theta_prev2: np.ndarray, v_qp: np.ndarray, source: np.ndarray,
+                     dt: float, alpha_exp: float = 2.0,
+                     var_floor: float = 1e-10) -> np.ndarray:
     """Per-cell sup norm of the pointwise temperature-equation residual.
 
     Expanded form at each quadrature point (theta = theta^{n-1}, lagged
@@ -144,40 +152,49 @@ def entropy_residual(mesh: Mesh2D, dofmap: DofMap, model: MaterialModel,
         (th^a - th_prev^a)/(a dt) + th^(a-1) v.grad(th)
         + eta(th)(a-1) th^(a-2) |grad th|^2 - gamma th^(a-1)
 
-    with gamma = nu(th) D(v):D(v) + sigma(th)|grad phi|^2.  The elementwise
-    P1 diffusion flux divergence vanishes and is dropped.
+    with gamma = nu(th) D(v):D(v) + sigma(th)|grad phi|^2, given as
+    ``source``.  ``coeffs`` holds th at the quad points and the laws there,
+    ``v_qp`` the velocity.  The elementwise P1 diffusion flux divergence
+    vanishes and is dropped.
     """
     a = float(alpha_exp)
-    th1_q = fem_core.p1_at_qp(mesh, theta_prev)
+    th1_q = coeffs.theta
     th2_q = fem_core.p1_at_qp(mesh, theta_prev2)
     grad1 = fem_core.p1_gradients(mesh, theta_prev)  # (NT, 2)
-    grad1_sq = np.einsum("td,td->t", grad1, grad1)
-
-    v_qp = fem_core.velocity_at_qp(mesh, dofmap, v)
-    v_dot_grad = np.einsum("tqd,td->tq", v_qp, grad1)
-
-    gamma_q = heat_source(mesh, dofmap, model, theta_prev, v, phi)
-    eta_q = model.eta(th1_q)
-
     pow1, pow2 = _powers(th1_q, a, var_floor)
+
+    # The terms are summed in place, in the order of the expansion.
     if a == 1.0:
-        time_term = (th1_q - th2_q) / dt
-        cross = 0.0
+        res = np.subtract(th1_q, th2_q)
+        res /= dt
+    elif a == 2.0:
+        res = th1_q ** 2
+        res -= th2_q ** 2
+        res /= 2.0 * dt
     else:
-        if a == 2.0:
-            time_term = (th1_q ** 2 - th2_q ** 2) / (2.0 * dt)
-        else:
-            b1 = np.maximum(th1_q, var_floor)
-            b2 = np.maximum(th2_q, var_floor)
-            time_term = (b1 ** a - b2 ** a) / (a * dt)
-        cross = eta_q * (a - 1.0) * pow2 * grad1_sq[:, None]
-    res = time_term + pow1 * v_dot_grad + cross - gamma_q * pow1
-    return np.max(np.abs(res), axis=1)
+        res = np.maximum(th1_q, var_floor) ** a
+        res -= np.maximum(th2_q, var_floor) ** a
+        res /= a * dt
+    del th2_q
+    term = np.einsum("tqd,td->tq", v_qp, grad1)
+    if a == 1.0:
+        res += term
+        res -= source
+    else:
+        term *= pow1
+        res += term
+        np.multiply(coeffs.eta, a - 1.0, out=term)
+        if pow2 is not None:
+            term *= pow2
+        term *= np.einsum("td,td->t", grad1, grad1)[:, None]
+        res += term
+        res -= np.multiply(source, pow1, out=term)
+    return np.max(np.abs(res, out=res), axis=1)
 
 
-def _cell_speed_max(mesh: Mesh2D, dofmap: DofMap, v: np.ndarray) -> np.ndarray:
-    """Per-cell sup of |v| sampled at quadrature points and vertices."""
-    v_qp = fem_core.velocity_at_qp(mesh, dofmap, v)
+def _cell_speed_max(mesh: Mesh2D, dofmap: DofMap, v: np.ndarray,
+                    v_qp: np.ndarray) -> np.ndarray:
+    """Per-cell sup of |v| sampled at quadrature points (``v_qp``) and vertices."""
     speed_qp = np.linalg.norm(v_qp, axis=2).max(axis=1)
     vv = fem_core.velocity_at_vertices(mesh, dofmap, v)
     speed_v = np.linalg.norm(vv, axis=1)[mesh.triangles].max(axis=1)
@@ -190,11 +207,10 @@ def domain_diameter(mesh: Mesh2D) -> float:
     return float(np.linalg.norm(hi - lo))
 
 
-def artificial_viscosity(mesh: Mesh2D, dofmap: DofMap, residuals,
-                         theta: np.ndarray, v: np.ndarray,
-                         params: StabilizationParams) -> np.ndarray:
-    """Per-cell artificial viscosity; ``residuals=None`` saturates the h_K branch."""
-    vmax_k = _cell_speed_max(mesh, dofmap, v)
+def artificial_viscosity(mesh: Mesh2D, residuals, theta: np.ndarray,
+                         vmax_k: np.ndarray, params: StabilizationParams) -> np.ndarray:
+    """Per-cell artificial viscosity from the per-cell speeds ``vmax_k``
+    (:func:`_cell_speed_max`); ``residuals=None`` saturates the h_K branch."""
     h = mesh.h
     if residuals is None:
         min_term = h
@@ -218,7 +234,8 @@ def _boundary_terms(problem: HeatProblem):
     w = -(v.n)_- on an inflow tag, which imposes the inflow temperature
     weakly through the advective flux.  The inflow weight acts only where
     the transporting velocity enters the domain (v.n < 0), so a switched-off
-    jet imposes nothing.  A matrix is None when no tag contributes.
+    jet imposes nothing.  A matrix, stored on the full P1 pattern, is None
+    when no tag contributes.
     """
     mesh = problem.mesh
     terms = {ROLE_ROBIN: (None, np.zeros(mesh.num_vertices)),
@@ -237,7 +254,9 @@ def _boundary_terms(problem: HeatProblem):
             load = fem_core.assemble_edge_load(
                 mesh, sel, w * fem_core.sample(bc.value_at(problem.time), pts))
             mat, rhs = terms[bc.role]
-            terms[bc.role] = (m if mat is None else mat + m, rhs + load)
+            if mat is not None:
+                m.data += mat.data  # the same pattern: sum in the data
+            terms[bc.role] = (m, rhs + load)
     return terms[ROLE_ROBIN], terms[ROLE_INFLOW]
 
 
@@ -247,62 +266,74 @@ def _dirichlet_terms(problem: HeatProblem):
         for tag, bc in problem.bc.items() if bc.role == ROLE_DIRICHLET})
 
 
-def _source_load(problem: HeatProblem, theta: np.ndarray) -> np.ndarray:
-    """Load of the heat source at ``theta`` plus the verification source."""
+def _velocity_samples(problem: HeatProblem, v, v_qp, strain, need_strain: bool):
+    """v at the quad points and, if ``need_strain``, D(v):D(v) there; each is
+    evaluated when not given (None)."""
+    if v_qp is None:
+        v_qp = fem_core.velocity_at_qp(problem.mesh, problem.dofmap, v)
+    if strain is None and need_strain:
+        strain = viscous_dissipation(problem.mesh, problem.dofmap, v)
+    return v_qp, strain
+
+
+def _cell_viscosity(problem: HeatProblem, coeffs: Coefficients, joule, v_qp,
+                    strain) -> np.ndarray:
+    """Per-cell artificial viscosity of the step, also kept as ``art_visc``;
+    ``joule()`` is the Joule density at theta_prev, and ``v_qp`` and
+    ``strain`` are v_stab's samples, or None."""
     mesh = problem.mesh
-    src = 0.0
-    if problem.include_physics_sources:
-        src = heat_source(mesh, problem.dofmap, problem.model, theta, problem.v, problem.phi)
-    if problem.extra_source is not None:
-        src = src + fem_core.sample(lambda x, y: problem.extra_source(x, y, problem.time),
-                                    fem_core.geometry(mesh).qp)
-    return fem_core.assemble_scalar_load(mesh, src)
-
-
-def _cell_viscosity(problem: HeatProblem) -> np.ndarray:
-    """Per-cell artificial viscosity of the step, also kept as ``art_visc``."""
-    mesh, dm = problem.mesh, problem.dofmap
-    v_stab = problem.v_stab if problem.v_stab is not None else problem.v
-    if problem.stab.beta == 0.0:
-        art = np.zeros(mesh.num_triangles)
-    elif problem.theta_prev2 is None:
-        # Startup: no residual level yet, so saturate the first-order branch.
-        art = artificial_viscosity(mesh, dm, None, problem.theta_prev, v_stab,
-                                   problem.stab)
-    else:
-        res = entropy_residual(mesh, dm, problem.model, problem.theta_prev,
-                               problem.theta_prev2, v_stab, problem.phi,
-                               problem.dt, problem.stab.alpha,
-                               problem.stab.var_floor)
-        art = artificial_viscosity(mesh, dm, res, problem.theta_prev, v_stab,
-                                   problem.stab)
+    art = np.zeros(mesh.num_triangles)
+    if problem.stab.beta != 0.0:
+        v = problem.v if problem.v_stab is None else problem.v_stab
+        residual = problem.theta_prev2 is not None  # None at startup: h_K saturates
+        v_qp, strain = _velocity_samples(problem, v, v_qp, strain, residual)
+        res = None
+        if residual:
+            source = coeffs.nu * strain
+            source += joule()
+            res = entropy_residual(mesh, coeffs, problem.theta_prev, problem.theta_prev2,
+                                   v_qp, source, problem.dt, problem.stab.alpha,
+                                   problem.stab.var_floor)
+        art = artificial_viscosity(mesh, res, problem.theta_prev,
+                                   _cell_speed_max(mesh, problem.dofmap, v, v_qp), problem.stab)
     problem.art_visc = art
     return art
 
 
-def _heat_system(problem: HeatProblem, mass_coeff: float = 0.0):
+def _heat_system(problem: HeatProblem, mass_coeff: float, v_qp, strain):
     """Builder of mass_coeff M + K(eta(theta) + art) + advection + Robin + inflow
-    and its right-hand side; the terms that do not depend on theta are
-    assembled once, when the builder is made."""
+    and its right-hand side.  Every term is stored on the one P1 pattern, so
+    the matrix is summed in its data.  The terms that do not depend on theta,
+    and v with D(v):D(v) at the quad points (``v_qp`` and ``strain`` when
+    given), are evaluated once, when the builder is made."""
     mesh = problem.mesh
-    D = fem_core.assemble_advection(
-        mesh, fem_core.velocity_at_qp(mesh, problem.dofmap, problem.v))
+    sources = problem.include_physics_sources
+    v_qp, strain = _velocity_samples(problem, problem.v, v_qp, strain, sources)
+    extra = None
+    if problem.extra_source is not None:
+        extra = fem_core.sample(lambda x, y: problem.extra_source(x, y, problem.time),
+                                fem_core.geometry(mesh).qp)
+    Mc = fem_core.assemble_mass(mesh).multiply(mass_coeff).tocsr() if mass_coeff else None
+    D = fem_core.assemble_advection(mesh, v_qp)
     boundary = _boundary_terms(problem)
 
-    def build(theta, art=0.0):
-        eta_qp = problem.model.eta(fem_core.p1_at_qp(mesh, theta))
-        A_sys = fem_core.assemble_stiffness(mesh, eta_qp + art)
-        rhs = _source_load(problem, theta)
-        if mass_coeff:
-            Mc = fem_core.assemble_mass(mesh).multiply(mass_coeff).tocsr()
-            A_sys = Mc + A_sys
+    def build(theta, coeffs, joule, art=0.0):
+        """The system at the laws ``coeffs`` of ``theta``; ``joule()`` is the
+        Joule density there."""
+        A_sys = fem_core.assemble_stiffness(mesh, coeffs.eta + art)
+        src = coeffs.nu * strain + joule() if sources else 0.0
+        if extra is not None:
+            src = src + extra
+        rhs = fem_core.assemble_scalar_load(mesh, src)
+        if Mc is not None:
+            A_sys.data += Mc.data
             rhs = Mc @ theta + rhs
-        A_sys = A_sys + D
-        for mat, extra in boundary:
+        A_sys.data += D.data
+        for mat, load in boundary:
             if mat is not None:
-                A_sys = A_sys + mat
-            rhs = rhs + extra
-        return A_sys.tocsr(), rhs
+                A_sys.data += mat.data
+            rhs = rhs + load
+        return A_sys, rhs
 
     return build
 
@@ -310,11 +341,25 @@ def _heat_system(problem: HeatProblem, mass_coeff: float = 0.0):
 def solve_heat_step(problem: HeatProblem) -> np.ndarray:
     """One implicit-Euler step of the stabilized temperature equation."""
     problem.validate()
-    build = _heat_system(problem, 1.0 / problem.dt)
-    A_sys, rhs = build(problem.theta_prev, _cell_viscosity(problem)[:, None])
+    mesh = problem.mesh
+    coeffs = problem.coeffs or Coefficients(problem.model,
+                                            fem_core.p1_at_qp(mesh, problem.theta_prev))
+    # One Joule density at theta_prev, evaluated at most once: the load's and
+    # the residual's.
+    joule = cache(lambda: joule_density(mesh, coeffs.sigma, problem.phi))
+    v_qp, strain = problem.v_qp, problem.strain
+    stab = problem.v_stab_qp, problem.strain_stab
+    if problem.v_stab is None:  # v_stab defaults to v: one evaluation serves both
+        stab = v_qp, strain = _velocity_samples(problem, problem.v, v_qp, strain,
+                                                problem.include_physics_sources)
+    # The viscosity comes first, so its residual's temporaries are freed
+    # before the system is built.
+    art = _cell_viscosity(problem, coeffs, joule, *stab)
+    build = _heat_system(problem, 1.0 / problem.dt, v_qp, strain)
+    A_sys, rhs = build(problem.theta_prev, coeffs, joule, art[:, None])
     dofs, vals = _dirichlet_terms(problem)
     theta = linalg.solve_constrained(A_sys, rhs, dofs, vals, x0=problem.theta_prev,
-                                     order=fem_core.vertex_order(problem.mesh),
+                                     order=fem_core.vertex_order(mesh),
                                      factor=problem.factor)
     problem.iterations = problem.factor.iterations if problem.factor is not None else 0
     return theta
@@ -333,12 +378,14 @@ def solve_heat_stationary(problem: HeatProblem, picard_tol: float = 1e-10,
     if picard_max < 1:
         raise ValueError(f"picard_max must be at least 1, got {picard_max}")
     problem.validate()
-    build = _heat_system(problem)
+    build = _heat_system(problem, 0.0, problem.v_qp, problem.strain)
     dofs, vals = _dirichlet_terms(problem)
     order = fem_core.vertex_order(problem.mesh)
 
     def step(theta):
-        A_sys, rhs = build(theta)
+        coeffs = Coefficients(problem.model, fem_core.p1_at_qp(problem.mesh, theta))
+        A_sys, rhs = build(theta, coeffs, lambda: joule_density(problem.mesh, coeffs.sigma,
+                                                                problem.phi))
         return linalg.solve_constrained(A_sys, rhs, dofs, vals, x0=theta, order=order,
                                         factor=problem.factor), None
 

@@ -282,7 +282,8 @@ class HeldLU:
             nonlocal iters
             iters += 1
 
-        M = spla.LinearOperator(A.shape, matvec=self.apply)
+        # With its dtype given, the operator is not applied to a probe vector.
+        M = spla.LinearOperator(A.shape, matvec=self.apply, dtype=float)
         with np.errstate(all="ignore"):  # a breakdown shows in the residual below
             x, _ = spla.gmres(A, b, x0=x0, rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_CAP,
                               maxiter=1, M=M, callback=count, callback_type="pr_norm")

@@ -23,6 +23,7 @@ rather than patched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -122,8 +123,8 @@ class MaterialModel:
         th = np.asarray(theta, dtype=float)
         if self.nu_law is not None:
             out = np.asarray(self.nu_law(th), dtype=float)
-        else:
-            out = np.full_like(th, self.nu_const)
+        else:  # a read-only view of the one constant: no array of copies
+            out = np.broadcast_to(float(self.nu_const), th.shape)
         return out if out.ndim else float(out)
 
     def body_force(self, theta):
@@ -140,6 +141,18 @@ class MaterialModel:
         if fx.ndim:
             return fx, fy
         return float(fx), float(fy)
+
+
+class Coefficients:
+    """The laws of ``model`` at the temperature samples ``theta`` (such as the
+    quadrature points), each evaluated on first use and then shared."""
+
+    def __init__(self, model: MaterialModel, theta: np.ndarray):
+        self.model, self.theta = model, theta
+
+    sigma = cached_property(lambda self: self.model.sigma(self.theta))
+    eta = cached_property(lambda self: self.model.eta(self.theta))
+    nu = cached_property(lambda self: self.model.nu(self.theta))
 
 
 BREAKPOINTS = (99.0, 100.0, 105.0)

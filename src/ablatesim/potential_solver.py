@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem_core, linalg
-from .materials import MaterialModel
+from .materials import Coefficients, MaterialModel
 from .mesh import GAMMA1, GAMMA2, GAMMA3, GAMMA4, GAMMA5, Mesh2D
 
 
@@ -33,6 +33,7 @@ class PotentialProblem:
     source: object = None  # verification hook: (NT, NQ) array or callable(x, y)
     constraints: tuple | None = None  # (dofs, values); from dirichlet_tags when None
     factor: linalg.HeldLU | None = None  # LU held across solves; None: a fresh LU
+    coeffs: Coefficients | None = None  # the laws at theta's quad-point values; evaluated when None
     iterations: int = field(default=0, init=False)  # GMRES count of the solve; 0 if it factorized
 
 
@@ -50,8 +51,8 @@ def solve_potential(problem: PotentialProblem) -> np.ndarray:
     if not problem.dirichlet_tags:
         raise ValueError("potential problem needs a nonempty Dirichlet tag set")
 
-    sigma_qp = problem.model.sigma(fem_core.p1_at_qp(mesh, theta))
-    A = fem_core.assemble_stiffness(mesh, sigma_qp)
+    coeffs = problem.coeffs or Coefficients(problem.model, fem_core.p1_at_qp(mesh, theta))
+    A = fem_core.assemble_stiffness(mesh, coeffs.sigma)
     b = fem_core.assemble_boundary_load(mesh, problem.neumann_tags, problem.g)
     if problem.source is not None:
         b = b + fem_core.assemble_scalar_load(
@@ -65,10 +66,9 @@ def solve_potential(problem: PotentialProblem) -> np.ndarray:
     return phi
 
 
-def joule_density(mesh: Mesh2D, model: MaterialModel, theta: np.ndarray,
-                  phi: np.ndarray) -> np.ndarray:
-    """(NT, NQ) Joule heating sigma(theta) |grad phi|^2 at the quad points."""
-    sigma_qp = model.sigma(fem_core.p1_at_qp(mesh, theta))
+def joule_density(mesh: Mesh2D, sigma_qp: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """(NT, NQ) Joule heating sigma |grad phi|^2, given the conductivity
+    ``sigma_qp`` at the quad points (the potential solve's own)."""
     grad_phi = fem_core.p1_gradients(mesh, phi)  # constant per element
     grad_sq = np.einsum("td,td->t", grad_phi, grad_phi)
     return sigma_qp * grad_sq[:, None]

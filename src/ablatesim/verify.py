@@ -514,7 +514,8 @@ def _step_audit(config) -> dict:
         audit["argmax_series"].append((diag.argmax_x, diag.argmax_y))
         if prev is not None:
             art = state.art_visc_cells
-            vmax_k = heat_solver._cell_speed_max(sim.mesh, sim.dofmap, prev.v)
+            vmax_k = heat_solver._cell_speed_max(
+                sim.mesh, sim.dofmap, prev.v, fem_core.velocity_at_qp(sim.mesh, sim.dofmap, prev.v))
             audit["eta_bound_violation"] = max(
                 audit["eta_bound_violation"],
                 float(np.max(art - beta * vmax_k * h)), float(np.max(-art)))
@@ -522,8 +523,10 @@ def _step_audit(config) -> dict:
             if np.any(still):
                 audit["eta_zero_velocity_max"] = max(
                     audit["eta_zero_velocity_max"], float(np.max(np.abs(art[still]))))
-            src = heat_solver.heat_source(sim.mesh, sim.dofmap, sim.model,
-                                          prev.theta, state.v, state.phi)
+            # The step's heat source: theta^{n-1} = prev.theta, v^n and phi^n.
+            laws = materials.Coefficients(sim.model, fem_core.p1_at_qp(sim.mesh, prev.theta))
+            src = (laws.nu * flow_solver.viscous_dissipation(sim.mesh, sim.dofmap, state.v)
+                   + joule_density(sim.mesh, laws.sigma, state.phi))
             audit["source_min"] = min(audit["source_min"], float(src.min()))
             load = fem_core.assemble_scalar_load(sim.mesh, src)
             audit["load_min"] = min(audit["load_min"], float(load.min()))
@@ -715,7 +718,7 @@ def invariant_suite(config) -> dict:
             phi3 = solve_potential(pot3)
             record("potential.conductivity_scaling",
                    float(np.abs(3.0 * phi3 - phi1).max()) <= 1e-7 * float(np.abs(phi1).max()))
-            jd = joule_density(msh, model, theta_b_field, phi1)
+            jd = joule_density(msh, model.sigma(fem_core.p1_at_qp(msh, theta_b_field)), phi1)
             record("potential.joule_nonnegative", float(jd.min()) >= 0.0)
         else:
             phi0 = solve_potential(pot)

@@ -106,9 +106,9 @@ class TestInitialize:
         advected = []
         solve = flow_solver._solve_linear
 
-        def spy(problem, advect, include_time):
+        def spy(problem, coeffs, advect, *args, **kwargs):
             advected.append(advect is not None)
-            return solve(problem, advect, include_time)
+            return solve(problem, coeffs, advect, *args, **kwargs)
 
         monkeypatch.setattr(flow_solver, "_solve_linear", spy)
         caplog.set_level(logging.WARNING, logger="ablatesim")
@@ -117,8 +117,8 @@ class TestInitialize:
         assert advected[0] is False and sum(advected) <= 25
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
         theta_b = np.full(sim.mesh.num_vertices, sim.model.theta_b)
-        v1, _ = solve(sim._flow_problem(theta_b, np.zeros_like(state.v), None),
-                      state.v, include_time=False)
+        problem = sim._flow_problem(theta_b, np.zeros_like(state.v), None)
+        v1, _ = solve(problem, flow_solver._coefficients(problem), state.v, include_time=False)
         assert np.linalg.norm(v1 - state.v) < 1e-8 * np.linalg.norm(v1)
 
     @pytest.mark.parametrize("stage, name, limits", [
@@ -329,8 +329,9 @@ def test_condensed_assembly_peak_memory():
     """numpy's peak while assembling the condensed flow system at 96x32.
 
     It was ~2,350 bytes per triangle while the fill cast its int32 scatter
-    to intp and the Schur and convective updates were whole-mesh arrays;
-    it is ~1,500 now."""
+    to intp and the Schur and convective updates were whole-mesh arrays,
+    ~1,540 while the convective fill summed into an array of its own; it is
+    ~1,200 now."""
     cfg = quick_config(nx=96, ny=32)
     sim = Simulation(cfg)
     mesh, dm = sim.mesh, sim.dofmap
@@ -345,3 +346,87 @@ def test_condensed_assembly_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1700 * mesh.num_triangles
+
+
+class TestSharedFields:
+    """Each step evaluates every field at the quadrature points once, and the
+    state carries theta^n, v^n and D(v^n):D(v^n) there into the next step."""
+
+    @staticmethod
+    def spy(monkeypatch, owners, name, counts):
+        """Count the calls of ``name`` wherever ``owners`` look it up."""
+        original = getattr(owners[0], name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        for owner in owners:
+            assert getattr(owner, name) is original
+            monkeypatch.setattr(owner, name, counted)
+
+    def test_one_evaluation_per_field_in_a_step(self, monkeypatch):
+        from collections import Counter
+
+        from ablatesim import heat_solver, materials, potential_solver
+
+        sim = Simulation(quick_config(nx=24, ny=8, M=5))
+        state = rest_state(sim)
+        for _ in range(2):
+            state = sim.advance(state)
+        counts = Counter()
+        for owners, name in (([potential_solver, heat_solver], "joule_density"),
+                             ([flow_solver, heat_solver], "viscous_dissipation"),
+                             ([fem_core], "velocity_grad_at_qp"),
+                             ([fem_core], "velocity_at_qp"),
+                             ([fem_core], "p1_at_qp"),
+                             ([materials.MaterialModel], "sigma")):
+            self.spy(monkeypatch, owners, name, counts)
+        sim.advance(state)
+        assert counts["joule_density"] == 1 and counts["viscous_dissipation"] == 1
+        assert counts["velocity_grad_at_qp"] == 0 and counts["velocity_at_qp"] <= 1
+        assert counts["sigma"] == 1
+        # theta^{n-2} for the residual's time term, and theta^n for the diagnostics.
+        assert counts["p1_at_qp"] == 2
+
+    def test_hand_built_state_advances_as_a_carried_one(self):
+        # fine_cold builds its state by keyword, without the carried fields;
+        # each step of this run starts from such a state.
+        carried_sim, bare_sim = (Simulation(quick_config(nx=24, ny=8, M=4)) for _ in "ab")
+        carried = bare = rest_state(carried_sim)
+        for _ in range(4):
+            carried = carried_sim.advance(carried)
+            bare = bare_sim.advance(SimState(t=bare.t, n=bare.n, v=bare.v, P=bare.P,
+                                             theta=bare.theta, phi=bare.phi,
+                                             theta_prev=bare.theta_prev, diag=bare.diag))
+            assert carried.strain is not None and carried.v_qp is not None
+            for name in ("max_theta", "int_theta", "div_norm", "max_art_visc",
+                         "min_art_visc", "centroid_x"):
+                a, b = getattr(carried.diag, name), getattr(bare.diag, name)
+                assert abs(a - b) <= 1e-12 * abs(a), name
+
+
+def test_heat_step_peak_memory():
+    """numpy's peak in the heat step at 96x32, with every quadrature-point
+    value evaluated inside the step (no shared or carried fields).
+
+    It was ~1,540 bytes per triangle while the step evaluated the Joule
+    density and the (NT, NQ, 2, 2) velocity Jacobian twice; it is ~1,170
+    now."""
+    from ablatesim.heat_solver import solve_heat_step
+
+    cfg = quick_config(nx=96, ny=32)
+    sim = Simulation(cfg)
+    prev = sim.advance(rest_state(sim))
+    state = sim.advance(prev)
+    dt = cfg.time.dt
+    problem = sim._heat_problem(state.theta, state.theta_prev, state.v, prev.v,
+                                state.phi, dt, state.t + dt)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solve_heat_step(problem)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1350 * sim.mesh.num_triangles

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from ablatesim import fem_core
+from ablatesim import fem_core, flow_solver
 from ablatesim.flow_solver import (FlowBC, FlowProblem, InflowProfile,
                                    builtin_profile_gamma1,
                                    builtin_profile_gamma5, make_profile,
-                                   solve_flow_stationary, solve_flow_step,
-                                   viscous_dissipation)
+                                   solve_flow_stationary, solve_flow_step)
 from ablatesim.linalg import SolverError
 from ablatesim.materials import MaterialModel
 from ablatesim.mesh import ALL_TAGS, GeometrySpec, generate_channel_mesh
@@ -213,7 +212,34 @@ class TestStationary:
             solve_flow_stationary(problem, picard_max=2)
 
 
+def viscous_dissipation(mesh, dm, model, theta, v):
+    """nu(theta) D(v):D(v) at the quad points, as the heat source takes it."""
+    return model.nu(fem_core.p1_at_qp(mesh, theta)) * flow_solver.viscous_dissipation(mesh, dm, v)
+
+
+def strain_rate_product(grad):
+    """D(v):D(v) from a velocity Jacobian array (..., 2, 2): the reference for
+    the dissipation contracted from the element coefficients."""
+    d = 0.5 * (grad + np.swapaxes(grad, -1, -2))
+    return np.einsum("...cd,...cd->...", d, d)
+
+
 class TestDissipation:
+    @pytest.mark.parametrize("mesh_name", ["channel", "mms"])
+    def test_matches_the_jacobian_product(self, mesh_name):
+        from ablatesim.verify import _mms_mesh
+
+        mesh = channel_mesh(20, 10) if mesh_name == "channel" else _mms_mesh(16, 8)
+        dm = fem_core.dofmap_for(mesh)
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal(dm.n_velocity)
+        theta = 37.0 + 20.0 * rng.uniform(size=mesh.num_vertices)
+        model = MaterialModel(nu_law=lambda th: 0.002 * (1.0 + 0.01 * (th - 37.0)))
+        got = viscous_dissipation(mesh, dm, model, theta, v)
+        nu = model.nu(fem_core.p1_at_qp(mesh, theta))
+        ref = nu * strain_rate_product(fem_core.velocity_grad_at_qp(mesh, dm, v))
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
     def test_zero_velocity(self):
         mesh = channel_mesh(6, 4)
         dm = fem_core.dofmap_for(mesh)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from ablatesim import fem_core, heat_solver
+from ablatesim import fem_core, heat_solver, linalg
+from ablatesim.flow_solver import viscous_dissipation
 from ablatesim.heat_solver import (HeatBC, HeatProblem, StabilizationParams,
-                                   artificial_viscosity, domain_diameter,
-                                   entropy_residual, solve_heat_stationary,
-                                   solve_heat_step)
+                                   _cell_speed_max, domain_diameter,
+                                   solve_heat_stationary, solve_heat_step)
 from ablatesim.linalg import SolverError
-from ablatesim.materials import MaterialModel
+from ablatesim.materials import Coefficients, MaterialModel
+from ablatesim.potential_solver import joule_density
 from ablatesim.mesh import ALL_TAGS, GeometrySpec, generate_channel_mesh
 
 
@@ -21,6 +22,24 @@ def const_velocity(dm, vx, vy):
     v[dm.vx_vertex(idx)] = vx
     v[dm.vy_vertex(idx)] = vy
     return v
+
+
+def entropy_residual(mesh, dm, model, th1, th2, v, phi, dt, alpha=2.0):
+    """The residual of the nodal fields, its quad-point inputs evaluated here."""
+    coeffs = Coefficients(model, fem_core.p1_at_qp(mesh, th1))
+    source = (coeffs.nu * viscous_dissipation(mesh, dm, v)
+              + joule_density(mesh, coeffs.sigma, phi))
+    return heat_solver.entropy_residual(mesh, coeffs, th1, th2,
+                                        fem_core.velocity_at_qp(mesh, dm, v), source, dt, alpha)
+
+
+def cell_speed(mesh, dm, v):
+    return _cell_speed_max(mesh, dm, v, fem_core.velocity_at_qp(mesh, dm, v))
+
+
+def artificial_viscosity(mesh, dm, residuals, theta, v, params):
+    return heat_solver.artificial_viscosity(mesh, residuals, theta, cell_speed(mesh, dm, v),
+                                            params)
 
 
 def robin_bc(theta_l=37.0, alpha=1.0):
@@ -114,7 +133,6 @@ class TestEntropyResidual:
         g1 = fem_core.p1_gradients(mesh, th1)
         vq = fem_core.velocity_at_qp(mesh, dm, v)
         gradv = fem_core.velocity_grad_at_qp(mesh, dm, v)
-        dvv = fem_core.strain_rate_product(gradv)
         gphi = fem_core.p1_gradients(mesh, phi)
         expected = np.zeros(mesh.num_triangles)
         for t in range(mesh.num_triangles):
@@ -123,7 +141,8 @@ class TestEntropyResidual:
                 time_term = (th1q[t, q] ** 2 - th2q[t, q] ** 2) / (2 * dt)
                 adv = th1q[t, q] * (vq[t, q] @ g1[t])
                 cross = model.eta(th1q[t, q]) * (g1[t] @ g1[t])
-                gam = (model.nu(th1q[t, q]) * dvv[t, q]
+                d = 0.5 * (gradv[t, q] + gradv[t, q].T)
+                gam = (model.nu(th1q[t, q]) * np.sum(d * d)
                        + model.sigma(th1q[t, q]) * (gphi[t] @ gphi[t]))
                 worst = max(worst, abs(time_term + adv + cross - gam * th1q[t, q]))
             expected[t] = worst
@@ -170,9 +189,7 @@ class TestArtificialViscosity:
         params = StabilizationParams()
         art = artificial_viscosity(mesh, dm, rng.uniform(0, 10, mesh.num_triangles),
                                    theta, v, params)
-        from ablatesim.heat_solver import _cell_speed_max
-
-        bound = params.beta * _cell_speed_max(mesh, dm, v) * mesh.h
+        bound = params.beta * cell_speed(mesh, dm, v) * mesh.h
         assert np.all(art >= 0.0)
         assert np.all(art <= bound * (1 + 1e-15))
 
@@ -275,9 +292,7 @@ class TestHeatStep:
         params = StabilizationParams(beta=0.25)
         problem = make_problem(mesh, robin_bc(), theta, v=v, stab=params)
         solve_heat_step(problem)
-        from ablatesim.heat_solver import _cell_speed_max
-
-        expected = params.beta * _cell_speed_max(mesh, dm, v) * mesh.h
+        expected = params.beta * cell_speed(mesh, dm, v) * mesh.h
         assert np.allclose(problem.art_visc, expected, rtol=1e-14)
 
     def test_residual_branch_uses_v_stab(self):
@@ -337,21 +352,30 @@ def edge_by_edge_terms(mesh, bc, vertex_velocity, t):
 
 
 class TestBoundaryKernel:
-    def test_robin_and_inflow_terms_match_edge_loop(self):
+    @staticmethod
+    def robin_inflow_problem():
+        """Robin, Neumann, Dirichlet and inflow tags on a 20x10 channel, and
+        the vertex velocity of its (MINI) velocity."""
         mesh = generate_channel_mesh(GeometrySpec(L=1.5, H=0.5, r=0.075, nx=20, ny=10))
         dm = fem_core.dofmap_for(mesh)
         # v.n = v_y on the electrode G5 (x in [0.675, 0.825]) changes sign at
         # x = 0.74: the left part is an inflow, the right part is not.
         vertex_v = np.column_stack([np.full(mesh.num_vertices, 0.3),
                                     mesh.vertices[:, 0] - 0.74])
-        v = np.zeros(dm.n_velocity)
+        v = np.random.default_rng(6).standard_normal(dm.n_velocity)  # bubbles too
         idx = np.arange(dm.nv)
         v[dm.vx_vertex(idx)], v[dm.vy_vertex(idx)] = vertex_v.T
         bc = {1: HeatBC("robin", 2.0, lambda x, y, t: 30.0 + x * y + t),
               2: HeatBC("neumann"), 3: HeatBC("dirichlet", value=37.0),
               4: HeatBC("robin", 1.0, 36.0),
               5: HeatBC("inflow", value=lambda x, y, t: 20.0 + 10.0 * x - t)}
-        problem = make_problem(mesh, bc, np.full(mesh.num_vertices, 37.0), v=v, time=0.3)
+        theta = 37.0 + mesh.vertices[:, 0] * mesh.vertices[:, 1]
+        phi = np.random.default_rng(7).standard_normal(mesh.num_vertices)
+        return make_problem(mesh, bc, theta, v=v, phi=phi, time=0.3), vertex_v
+
+    def test_robin_and_inflow_terms_match_edge_loop(self):
+        problem, vertex_v = self.robin_inflow_problem()
+        mesh, bc = problem.mesh, problem.bc
         (R, r), (I, i) = heat_solver._boundary_terms(problem)
         (R_ref, r_ref), (I_ref, i_ref) = edge_by_edge_terms(mesh, bc, vertex_v, 0.3)
         for got, ref in ((R.toarray(), R_ref), (r, r_ref), (I.toarray(), I_ref), (i, i_ref)):
@@ -361,6 +385,36 @@ class TestBoundaryKernel:
         diag = I.diagonal()[g5]
         assert np.all(diag[mesh.vertices[g5, 0] < 0.74] > 0.0)
         assert np.any(diag[mesh.vertices[g5, 0] > 0.74] == 0.0)
+
+    def test_system_summed_in_pattern_data_matches_the_sparse_sum(self):
+        problem, _ = self.robin_inflow_problem()
+        mesh, dm, dt, theta = problem.mesh, problem.dofmap, problem.dt, problem.theta_prev
+        coeffs = Coefficients(problem.model, fem_core.p1_at_qp(mesh, theta))
+        art = np.random.default_rng(8).uniform(0.0, 1e-2, (mesh.num_triangles, 1))
+        joule = joule_density(mesh, coeffs.sigma, problem.phi)
+        build = heat_solver._heat_system(problem, 1.0 / dt, None, None)
+        A, rhs = build(theta, coeffs, lambda: joule, art)
+        # The reference sums the same terms as sparse matrices, tag by tag.
+        Mc = fem_core.assemble_mass(mesh) / dt
+        ref = (Mc + fem_core.assemble_stiffness(mesh, coeffs.eta + art)
+               + fem_core.assemble_advection(mesh, fem_core.velocity_at_qp(mesh, dm, problem.v)))
+        src = coeffs.nu * viscous_dissipation(mesh, dm, problem.v) + joule
+        ref_rhs = Mc @ theta + fem_core.assemble_scalar_load(mesh, src)
+        for tag in (1, 4, 5):
+            terms = heat_solver._boundary_terms(make_problem(
+                mesh, {t: problem.bc[t] if t == tag else HeatBC("neumann") for t in ALL_TAGS},
+                theta, v=problem.v, time=problem.time))
+            for mat, load in terms:
+                if mat is not None:
+                    ref = ref + mat
+                ref_rhs = ref_rhs + load
+        assert np.abs((A - ref).toarray()).max() <= 1e-14 * np.abs(ref.data).max()
+        assert np.abs(rhs - ref_rhs).max() <= 1e-14 * np.abs(ref_rhs).max()
+        # With the Dirichlet tag G3 eliminated, both give the same temperature.
+        dofs, vals = heat_solver._dirichlet_terms(problem)
+        x = linalg.solve_constrained(A, rhs, dofs, vals)
+        x_ref = linalg.solve_constrained(ref.tocsr(), ref_rhs, dofs, vals)
+        assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
 
 
 class TestResidualConsistency:

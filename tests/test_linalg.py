@@ -195,6 +195,26 @@ class TestHeldLU:
         assert held.report() == ("2 solves: 0 by the guess, 1 by GMRES on the held "
                                  "factor, 1 LU (no factor held)")
 
+    def test_reused_solve_applies_the_factor_iterations_plus_two_times(self, monkeypatch):
+        # GMRES applies the preconditioner once to b (its stopping scale), once
+        # per iteration and once to the final update; the operator must not be
+        # applied to a probe vector to find its dtype.
+        held = linalg.HeldLU()
+        A, b = self.system()
+        solve_lu(A, b, order=self.order(), factor=held)
+        applies = []
+        apply = linalg.HeldLU.apply
+
+        def counted(self, r):
+            applies.append(1)
+            return apply(self, r)
+
+        monkeypatch.setattr(linalg.HeldLU, "apply", counted)
+        A1, b1 = self.system(perturbation=1e-3, seed=1)
+        solve_lu(A1, b1, order=self.order(), factor=held)
+        assert held.krylov_solves == 1 and held.iterations > 0
+        assert len(applies) == held.iterations + 2
+
     def test_far_system_refactorizes_with_its_reason(self):
         held = linalg.HeldLU()
         A, b = self.system()

@@ -16,6 +16,11 @@ def unit_square_mesh(n=8):
     return generate_channel_mesh(GeometrySpec(L=1.0, H=1.0, r=0.25, nx=n, ny=n))
 
 
+def joule(mesh, model, theta, phi):
+    """The Joule density at the conductivity of the nodal temperature theta."""
+    return joule_density(mesh, model.sigma(fem_core.p1_at_qp(mesh, theta)), phi)
+
+
 def channel_problem(g=5.0, nx=20, ny=10):
     mesh = generate_channel_mesh(GeometrySpec(L=1.5, H=0.5, r=0.075, nx=nx, ny=ny))
     model = MaterialModel()
@@ -108,21 +113,21 @@ class TestProperties:
 class TestJouleDensity:
     def test_zero_potential(self):
         problem = channel_problem()
-        jd = joule_density(problem.mesh, problem.model, problem.theta,
-                           np.zeros(problem.mesh.num_vertices))
+        jd = joule(problem.mesh, problem.model, problem.theta,
+                   np.zeros(problem.mesh.num_vertices))
         assert np.abs(jd).max() == 0.0
 
     def test_linear_potential_unit_sigma(self):
         mesh = unit_square_mesh(4)
         theta = np.full(mesh.num_vertices, 37.0)
         phi = mesh.vertices[:, 0].copy()
-        jd = joule_density(mesh, unit_model(), theta, phi)
+        jd = joule(mesh, unit_model(), theta, phi)
         assert np.allclose(jd, 1.0, atol=1e-13)
 
     def test_nonnegative_everywhere(self):
         problem = channel_problem()
         phi = solve_potential(problem)
-        jd = joule_density(problem.mesh, problem.model, problem.theta, phi)
+        jd = joule(problem.mesh, problem.model, problem.theta, phi)
         assert jd.min() >= 0.0
 
     def test_max_density_adjacent_to_electrode(self):
@@ -130,7 +135,7 @@ class TestJouleDensity:
         problem = channel_problem()
         phi = solve_potential(problem)
         mesh = problem.mesh
-        jd = joule_density(mesh, problem.model, problem.theta, phi)
+        jd = joule(mesh, problem.model, problem.theta, phi)
         cell = int(np.argmax(jd.max(axis=1)))
         g5 = set(mesh.boundary_vertices_with_tag(GAMMA5))
         assert set(mesh.triangles[cell]) & g5

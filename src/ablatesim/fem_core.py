@@ -541,7 +541,8 @@ def assemble_stiffness(mesh: Mesh2D, coeff=1.0) -> SparseMatrix:
     geo = geometry(mesh)
     scale = (geo.qw * _coeff_at_qp(mesh, coeff)).sum(axis=1)  # gradients are constant
     g = geo.grad_p1
-    return _p1_matrix(mesh, scale[:, None, None] * (g @ g.transpose(0, 2, 1)))
+    products = _cached(mesh, "p1_grad_products", lambda: _frozen(g @ g.transpose(0, 2, 1)))
+    return _p1_matrix(mesh, scale[:, None, None] * products)
 
 
 def assemble_mass(mesh: Mesh2D) -> SparseMatrix:

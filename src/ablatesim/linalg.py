@@ -8,17 +8,20 @@ another order.  The solvers pass the mesh's nested-dissection order
 LU scales the matrix symmetrically by |diag A|^-1/2, permutes it into the
 order and factorizes it there with threshold pivoting, so the fill stays
 that of the order.  A :class:`HeldLU` keeps one system's factor across its
-solves: a later solve runs GMRES preconditioned by the held factor, and only
-a solve that misses the contract that way factorizes again, recording why.
-Without a holder every solve is a fresh LU.  Systems with
-Dirichlet constraints go through :func:`solve_constrained`, the one
+solves: a later solve runs GMRES (:func:`_gmres`) right-preconditioned by the
+held factor, from the caller's guess or else the holder's last solution,
+until its residual estimate is half the contract; it is accepted on its true
+residual, and only a solve that misses the contract that way factorizes
+again, recording why.  Without a holder every solve is a fresh LU.  Systems
+with Dirichlet constraints go through :func:`solve_constrained`, the one
 sequence of elimination, LU solve and exact constrained entries.  The
 Jacobi-preconditioned Krylov solvers :func:`solve_cg` and :func:`solve_gmres`
-enforce the same kind of contract at their own tolerance; no code of the
-package calls them.  They and :class:`CooBuilder` stay only because the
-benchmark tracer (``benchmark/tracer.py``) and ``tests/test_linalg.py`` use
-them.  :func:`fixed_point` is the Anderson-accelerated
-iteration of both stationary solves; it raises when it misses its tolerance.
+(restarted :func:`_gmres`) enforce the same kind of contract at their own
+tolerance; no code of the package calls them.  They and :class:`CooBuilder`
+stay only because the benchmark tracer (``benchmark/tracer.py``) and
+``tests/test_linalg.py`` use them.  :func:`fixed_point` is the
+Anderson-accelerated iteration of both stationary solves; it raises when it
+misses its tolerance.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ RESIDUAL_TOL = 1e-10  # relative residual bound of every solve_lu return
 # solves took 1-8 iterations on the test1 preset (48x16) and at 96x32, 2-7 at
 # 192x64; a system 10 iterations do not reach is cheaper to factorize.
 KRYLOV_CAP = 10
-KRYLOV_RTOL = 0.1 * RESIDUAL_TOL  # GMRES's stop on the preconditioned residual
 ANDERSON_DEPTH = 3  # residual differences in each fixed_point least-squares fit
 
 
@@ -138,33 +140,70 @@ def solve_gmres(A: SparseMatrix, b: FieldVector, tol_rel: float = 1e-8,
                 restart: int = 50, max_iter: int = 2000,
                 x0: FieldVector | None = None,
                 info: dict | None = None) -> FieldVector:
-    """Restarted GMRES with diagonal (Jacobi) scaling."""
+    """Restarted GMRES (:func:`_gmres`) with diagonal (Jacobi) scaling."""
     b = np.asarray(b, dtype=float)
     if np.linalg.norm(b) == 0.0:
         if info is not None:
             info["iterations"] = 0
         return np.zeros_like(b)
     diag = A.diagonal()
-    if np.any(diag == 0.0):
-        M = None
-    else:
-        inv = 1.0 / diag
-        M = spla.LinearOperator(A.shape, matvec=lambda v: inv * v)
-    iters = 0
-
-    def cb(_rk):
-        nonlocal iters
-        iters += 1
-
-    maxouter = max(1, max_iter // restart)
-    with np.errstate(divide="ignore", invalid="ignore"):  # breakdown is caught below
-        x, flag = spla.gmres(A, b, x0=x0, rtol=tol_rel, atol=0.0, restart=restart,
-                             maxiter=maxouter, M=M, callback=cb, callback_type="pr_norm")
+    inv = np.ones_like(diag) if np.any(diag == 0.0) else 1.0 / diag
+    stop = tol_rel * float(np.linalg.norm(b))
+    x, iters = x0, 0
+    for _ in range(max(1, max_iter // restart)):
+        x, k = _gmres(A, b, x, lambda v: inv * v, stop, restart)
+        iters += k
+        if not np.all(np.isfinite(x)) or _residual_norm(A, x, b) <= stop:
+            break
     if info is not None:
         info["iterations"] = iters
-    if flag != 0:
-        raise NotConverged("gmres", iters, _residual_norm(A, x, b))
     return _check_contract("gmres", A, x, b, tol_rel, iters)
+
+
+def _gmres(A: SparseMatrix, b: FieldVector, x0: FieldVector | None, precondition,
+           stop: float, cap: int):
+    """(x, iterations) of one GMRES cycle on A x = b from ``x0`` (zero when
+    None), right-preconditioned by M = ``precondition``: x = x0 + Z y with
+    z_k = M v_k, so the estimate |g_k| is the residual of x itself, not of
+    M (b - Ax) (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed.,
+    9.3.2), and each iteration applies M once.  The Arnoldi basis v_k comes
+    from modified Gram-Schmidt, and Givens rotations keep the Hessenberg
+    matrix upper triangular.  Stops once |g_k| <= ``stop``, after ``cap``
+    iterations, or on a breakdown.  Plain numpy, like :func:`_least_squares`."""
+    x = np.zeros(b.size) if x0 is None else np.array(x0, dtype=float)
+    r = b - A @ x
+    beta = float(np.linalg.norm(r))
+    if beta <= stop:
+        return x, 0
+    H, g, rot = np.zeros((cap + 1, cap)), np.zeros(cap + 1), np.zeros((cap, 2))
+    g[0] = beta
+    V, Z = [r / beta], []
+    k = 0
+    while k < cap:
+        Z.append(precondition(V[k]))
+        w = A @ Z[k]
+        for i, v in enumerate(V):
+            H[i, k] = v @ w
+            w -= H[i, k] * v
+        h = float(np.linalg.norm(w))
+        for i, (c, s) in enumerate(rot[:k]):
+            H[i, k], H[i + 1, k] = c * H[i, k] + s * H[i + 1, k], c * H[i + 1, k] - s * H[i, k]
+        rho = float(np.hypot(H[k, k], h))
+        if rho == 0.0:  # A M is singular on the basis: keep the k columns so far
+            break
+        c, s = rot[k] = H[k, k] / rho, h / rho
+        H[k, k] = rho
+        g[k], g[k + 1] = c * g[k], -s * g[k]
+        k += 1
+        if abs(g[k]) <= stop:  # also on a happy breakdown: h = 0 gives g[k] = 0
+            break
+        V.append(w / h)
+    y = np.zeros(k)
+    for i in reversed(range(k)):
+        y[i] = (g[i] - H[i, i + 1:k] @ y[i + 1:]) / H[i, i]
+    for yi, z in zip(y, Z):
+        x += yi * z
+    return x, k
 
 
 def solve_lu(A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None,
@@ -190,9 +229,10 @@ def solve_lu(A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None,
 
     ``factor`` is the :class:`HeldLU` of the system across its solves.  When
     it holds a factor of the same order and shape, the solve is first tried
-    by GMRES preconditioned with that factor (:meth:`HeldLU.reuse`); a miss
-    factorizes A in its place and solves as above.  Without ``factor`` the
-    solve is a fresh LU.
+    by GMRES right-preconditioned with that factor, from ``x0`` or else the
+    holder's last solution (:meth:`HeldLU.reuse`); a miss factorizes A in
+    its place and solves as above.  Without ``factor`` the solve is a fresh
+    LU.
     """
     b = np.asarray(b, dtype=float)
     limit = RESIDUAL_TOL * float(np.linalg.norm(b))
@@ -217,6 +257,7 @@ def solve_lu(A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None,
     if res > limit:
         raise SolverError(f"LU residual contract violated: |b - Ax| = {res:.3e} "
                           f"> {RESIDUAL_TOL:.0e} |b| = {limit:.3e}")
+    held.last = x.copy()
     return x
 
 
@@ -224,11 +265,14 @@ class HeldLU:
     """The sparse LU of one system, kept across its solves.
 
     A later system of the same order and shape is solved by GMRES, in one
-    restart cycle of at most KRYLOV_CAP iterations, preconditioned by the held
+    cycle of at most KRYLOV_CAP iterations, right-preconditioned by the held
     factor: the lagged preconditioner of Knoll & Keyes, "Jacobian-free
-    Newton-Krylov methods", J. Comput. Phys. 193 (2004).  A solve is accepted
-    on its true residual, ||b - Ax|| <= RESIDUAL_TOL ||b||, never on GMRES's
-    own flag; any miss factorizes the new system instead, and every
+    Newton-Krylov methods", J. Comput. Phys. 193 (2004).  Each iteration
+    applies the factor once.  GMRES starts from the caller's guess, else from
+    ``last``, the last solution the holder returned, and stops once its
+    residual estimate is at most half the contract.  A solve is accepted on
+    its true residual, ||b - Ax|| <= RESIDUAL_TOL ||b||, never on the
+    estimate; any miss factorizes the new system instead, and every
     factorization is recorded with its reason in ``events``.  At most one
     factor is alive: the old one is released before the new one is built.
     """
@@ -239,6 +283,7 @@ class HeldLU:
         self.solves = 0  # solve_lu calls given this holder
         self.krylov_solves = 0  # of them, accepted from GMRES on the held factor
         self.iterations = 0  # GMRES iterations of the last solve; 0 unless it reused
+        self.last: FieldVector | None = None  # copy of the last solution returned
         self.events: list[str] = []  # the reason of each factorization, in order
 
     def factorize(self, A: SparseMatrix, order: np.ndarray, reason: str) -> None:
@@ -270,29 +315,22 @@ class HeldLU:
 
     def reuse(self, A: SparseMatrix, b: FieldVector, order: np.ndarray,
               x0: FieldVector | None, limit: float):
-        """(x, None) when GMRES on the held factor, started from ``x0``, meets
-        ||b - Ax|| <= ``limit``; otherwise (None, the reason to factorize)."""
+        """(x, None) when GMRES on the held factor, started from ``x0`` (else
+        from ``last``), meets ||b - Ax|| <= ``limit``; otherwise (None, the
+        reason to factorize)."""
         if self._lu is None:
             return None, "no factor held"
         if A.shape != self._shape or not np.array_equal(order, self._order):
             return None, "order or shape changed"
-        iters = 0
-
-        def count(_residual):
-            nonlocal iters
-            iters += 1
-
-        # With its dtype given, the operator is not applied to a probe vector.
-        M = spla.LinearOperator(A.shape, matvec=self.apply, dtype=float)
-        with np.errstate(all="ignore"):  # a breakdown shows in the residual below
-            x, _ = spla.gmres(A, b, x0=x0, rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_CAP,
-                              maxiter=1, M=M, callback=count, callback_type="pr_norm")
+        x, iters = _gmres(A, b, self.last if x0 is None else x0, self.apply,
+                          0.5 * limit, KRYLOV_CAP)
         if not np.all(np.isfinite(x)):
             return None, f"non-finite GMRES iterate after {iters} iterations"
         res = _residual_norm(A, x, b)
         if res <= limit:
             self.krylov_solves += 1
             self.iterations = iters
+            self.last = x.copy()
             return x, None
         miss = f"at residual {res / np.linalg.norm(b):.1e} |b|"
         if iters >= KRYLOV_CAP:

@@ -311,6 +311,29 @@ class TestHeldFactors:
             assert row.centroid_x == pytest.approx(ref.centroid_x, rel=1e-7)
             assert row.div_norm <= 1e-10
 
+    def test_reused_steps_apply_each_factor_a_few_times(self, monkeypatch):
+        # A performance guard without timing: right-preconditioned GMRES from
+        # the last solution reaches half the contract in 5-6 flow factor
+        # applications per step.
+        applies = []
+        apply = linalg.HeldLU.apply
+
+        def counted(self, r):
+            applies.append(self)
+            return apply(self, r)
+
+        monkeypatch.setattr(linalg.HeldLU, "apply", counted)
+        sim = Simulation(preset("test1"))  # the 48x16 preset, started from rest
+        flow, potential = sim.factors["flow"], sim.factors["potential"]
+        state = rest_state(sim)
+        for n in range(5):
+            applies.clear()
+            state = sim.advance(state)
+            if n > 0:
+                assert flow.iterations > 0 and sum(h is flow for h in applies) <= 6
+                assert 0 < potential.iterations <= 3
+        assert flow.krylov_solves == potential.krylov_solves == 4
+
     def test_initialize_records_each_refactorization(self):
         sim = Simulation(quick_config(M=2))
         state = sim.initialize()

@@ -195,10 +195,9 @@ class TestHeldLU:
         assert held.report() == ("2 solves: 0 by the guess, 1 by GMRES on the held "
                                  "factor, 1 LU (no factor held)")
 
-    def test_reused_solve_applies_the_factor_iterations_plus_two_times(self, monkeypatch):
-        # GMRES applies the preconditioner once to b (its stopping scale), once
-        # per iteration and once to the final update; the operator must not be
-        # applied to a probe vector to find its dtype.
+    def test_reused_solve_applies_the_factor_iterations_times(self, monkeypatch):
+        # Right preconditioning applies the factor once per iteration: not to
+        # b for a stopping scale, nor again to the final update.
         held = linalg.HeldLU()
         A, b = self.system()
         solve_lu(A, b, order=self.order(), factor=held)
@@ -213,7 +212,78 @@ class TestHeldLU:
         A1, b1 = self.system(perturbation=1e-3, seed=1)
         solve_lu(A1, b1, order=self.order(), factor=held)
         assert held.krylov_solves == 1 and held.iterations > 0
-        assert len(applies) == held.iterations + 2
+        assert len(applies) == held.iterations
+
+    def test_solve_without_guess_starts_from_the_last_solution(self):
+        A, b = self.system()
+        A1, b1 = self.system(perturbation=1e-3, seed=1)
+        b1 = b + 1e-3 * b1  # a nearby right-hand side, as from one time step to the next
+        iterations = []
+        for start in ("last", "zero"):
+            held = linalg.HeldLU()
+            solve_lu(A, b, order=self.order(), factor=held)
+            assert held.last is not None
+            x0 = None if start == "last" else np.zeros_like(b1)
+            x = solve_lu(A1, b1, x0=x0, order=self.order(), factor=held)
+            assert np.linalg.norm(b1 - A1 @ x) <= linalg.RESIDUAL_TOL * np.linalg.norm(b1)
+            assert held.krylov_solves == 1 and held.last.tobytes() == x.tobytes()
+            iterations.append(held.iterations)
+        assert iterations[0] < iterations[1]
+
+    def test_last_is_a_copy_the_constrained_solve_cannot_overwrite(self):
+        held = linalg.HeldLU()
+        A, b = self.system()
+        dofs, vals = np.arange(0, A.shape[0], 9), np.linspace(-1.0, 1.0, 45)
+        x = linalg.solve_constrained(A, b, dofs, vals, factor=held)
+        x[:] = 0.0
+        assert np.linalg.norm(held.last) > 0.0
+
+    def test_same_system_twice_stops_within_one_iteration(self):
+        held = linalg.HeldLU()
+        A, b = self.system()
+        x = solve_lu(A, b, order=self.order(), factor=held)
+        with np.errstate(divide="raise", invalid="raise"):
+            again = solve_lu(A, b, order=self.order(), factor=held)
+            assert held.iterations <= 1
+            zero = solve_lu(A, b, x0=np.zeros_like(b), order=self.order(), factor=held)
+            assert held.iterations <= 1
+        assert held.krylov_solves == 2 and held.events == ["no factor held"]
+        assert np.linalg.norm(again - x) <= 1e-9 * np.linalg.norm(x)
+        assert np.linalg.norm(zero - x) <= 1e-9 * np.linalg.norm(x)
+
+    def test_happy_breakdown_divides_by_nothing(self):
+        # The factor of a diagonal of powers of 4 is exact (its scaling is by
+        # powers of 2), and b along a unit vector makes A M v_0 = v_0 exactly:
+        # the Arnoldi vector after it is zero.
+        held = linalg.HeldLU()
+        A = sp.diags(4.0 ** np.arange(6), format="csr")
+        solve_lu(A, np.ones(6), factor=held)
+        b = 3.0 * np.eye(6)[2]
+        with np.errstate(divide="raise", invalid="raise"):
+            x = solve_lu(A, b, x0=np.zeros(6), factor=held)
+        assert held.krylov_solves == 1 and held.iterations == 1
+        assert np.array_equal(x, b / A.diagonal())
+
+    def test_estimate_never_replaces_the_true_residual(self, monkeypatch):
+        # With the identity as its preconditioner, GMRES cannot reach the
+        # contract in KRYLOV_CAP iterations; the solve refactorizes and still
+        # meets it.
+        held = linalg.HeldLU()
+        A, b = self.system()
+        solve_lu(A, b, factor=held)
+        reuse = linalg.HeldLU.reuse
+
+        def unpreconditioned(self, *args):
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg.HeldLU, "apply", lambda self, r: r.copy())
+                return reuse(self, *args)
+
+        monkeypatch.setattr(linalg.HeldLU, "reuse", unpreconditioned)
+        A1, b1 = self.system(perturbation=1e-3, seed=1)
+        x = solve_lu(A1, b1, factor=held)
+        assert np.linalg.norm(b1 - A1 @ x) <= linalg.RESIDUAL_TOL * np.linalg.norm(b1)
+        assert len(held.events) == 2 and held.events[1].startswith("GMRES")
+        assert held.krylov_solves == 0 and held.iterations == 0
 
     def test_far_system_refactorizes_with_its_reason(self):
         held = linalg.HeldLU()

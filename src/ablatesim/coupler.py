@@ -127,7 +127,7 @@ class Simulation:
         self.heat_bc = {TAG_NAMES[name]: bc for name, bc in config.heat_bc.items()}
         self.stab = config.stabilization
         self._mass = fem_core.assemble_mass(self.mesh)
-        self._div_B = fem_core.assemble_divergence(self.mesh, self.dofmap)
+        self._div_B = fem_core.assemble_divergence(self.mesh)
         self.factors = {name: HeldLU() for name in ("potential", "flow", "heat")}
         self._constraints = {}  # system -> Dirichlet (dofs, values), see _dirichlet
 
@@ -146,7 +146,7 @@ class Simulation:
 
     def _flow_problem(self, theta, v_prev, dt, coeffs=None, v_prev_qp=None) -> FlowProblem:
         problem = FlowProblem(
-            mesh=self.mesh, dofmap=self.dofmap, model=self.model,
+            mesh=self.mesh, model=self.model,
             theta=theta, v_prev=v_prev, dt=dt, bc=self.flow_bc,
             factor=self.factors["flow"], coeffs=coeffs, v_prev_qp=v_prev_qp,
         )
@@ -162,7 +162,7 @@ class Simulation:
     def _heat_problem(self, theta_prev, theta_prev2, v, v_stab, phi, dt, t,
                       **shared) -> HeatProblem:
         return HeatProblem(
-            mesh=self.mesh, dofmap=self.dofmap, model=self.model,
+            mesh=self.mesh, model=self.model,
             theta_prev=theta_prev, theta_prev2=theta_prev2,
             v=v, v_stab=v_stab, phi=phi, dt=dt, bc=self.heat_bc, stab=self.stab,
             time=t, factor=self.factors["heat"], **shared,
@@ -257,7 +257,7 @@ class Simulation:
         if theta_qp is None:
             theta_qp = fem_core.p1_at_qp(self.mesh, state.theta)
         if v_qp is None:
-            v_qp = fem_core.velocity_at_qp(self.mesh, self.dofmap, state.v)
+            v_qp = fem_core.velocity_at_qp(self.mesh, state.v)
         coeffs = Coefficients(self.model, theta_qp)
 
         # Stage 1: potential at the lagged temperature.
@@ -275,8 +275,8 @@ class Simulation:
         # Stage 3: heat transported by v^n with lagged sources and residual;
         # v^n and D(v^n):D(v^n) at the quad points also go to the next step.
         stages.append(("heat", _time.perf_counter()))
-        v_new_qp = fem_core.velocity_at_qp(self.mesh, self.dofmap, v_new)
-        strain = flow_solver.viscous_dissipation(self.mesh, self.dofmap, v_new)
+        v_new_qp = fem_core.velocity_at_qp(self.mesh, v_new)
+        strain = flow_solver.viscous_dissipation(self.mesh, v_new)
         hp = self._heat_problem(state.theta, state.theta_prev, v_new, state.v, phi, dt,
                                 t_new, coeffs=coeffs, v_qp=v_new_qp, strain=strain,
                                 v_stab_qp=v_qp, strain_stab=state.strain)

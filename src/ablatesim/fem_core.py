@@ -149,6 +149,8 @@ class DofMap:
 
 
 def dofmap_for(mesh: Mesh2D) -> DofMap:
+    """The flow dof layout of ``mesh``.  The mesh alone fixes it, so every
+    function given the mesh derives it here rather than taking it too."""
     return DofMap(nv=mesh.num_vertices, nt=mesh.num_triangles)
 
 
@@ -413,34 +415,34 @@ def p1_gradients(mesh: Mesh2D, nodal: np.ndarray) -> np.ndarray:
     return np.einsum("tad,ta->td", geo.grad_p1, np.asarray(nodal)[mesh.triangles])
 
 
-def velocity_element_coeffs(mesh: Mesh2D, dofmap: DofMap, u: np.ndarray) -> np.ndarray:
+def velocity_element_coeffs(mesh: Mesh2D, u: np.ndarray) -> np.ndarray:
     """(NT, 2, 4) per-element MINI coefficients [x/y][l1 l2 l3 bubble]."""
-    dofs = dofmap.velocity_element_dofs(mesh)
+    dofs = dofmap_for(mesh).velocity_element_dofs(mesh)
     coeff = np.asarray(u)[dofs]  # (NT, 8)
     return coeff.reshape(-1, 2, 4)
 
 
-def velocity_at_qp(mesh: Mesh2D, dofmap: DofMap, u: np.ndarray) -> np.ndarray:
+def velocity_at_qp(mesh: Mesh2D, u: np.ndarray) -> np.ndarray:
     """(NT, NQ, 2) MINI velocity at the interior quad points."""
     geo = geometry(mesh)
-    coeff = velocity_element_coeffs(mesh, dofmap, u)
+    coeff = velocity_element_coeffs(mesh, u)
     return np.matmul(geo.mini_vals, coeff.transpose(0, 2, 1))
 
 
-def velocity_grad_at_qp(mesh: Mesh2D, dofmap: DofMap, u: np.ndarray) -> np.ndarray:
+def velocity_grad_at_qp(mesh: Mesh2D, u: np.ndarray) -> np.ndarray:
     """(NT, NQ, 2, 2) velocity Jacobian, entry [c, d] = d(u_c)/d(x_d)."""
     geo = geometry(mesh)
-    coeff = velocity_element_coeffs(mesh, dofmap, u)
+    coeff = velocity_element_coeffs(mesh, u)
     grad_p1 = coeff[:, :, :3] @ geo.grad_p1  # (NT, 2, 2), constant per element
     bubble = coeff[:, None, :, 3, None] * geo.grad_bubble[:, :, None, :]
     return grad_p1[:, None, :, :] + bubble
 
 
-def velocity_at_vertices(mesh: Mesh2D, dofmap: DofMap, u: np.ndarray) -> np.ndarray:
+def velocity_at_vertices(mesh: Mesh2D, u: np.ndarray) -> np.ndarray:
     """(NV, 2) vertex velocity (bubbles have no vertex trace)."""
     u = np.asarray(u)
-    idx = np.arange(dofmap.nv)
-    return np.column_stack([u[dofmap.vx_vertex(idx)], u[dofmap.vy_vertex(idx)]])
+    dm, idx = dofmap_for(mesh), np.arange(mesh.num_vertices)
+    return np.column_stack([u[dm.vx_vertex(idx)], u[dm.vy_vertex(idx)]])
 
 
 # -- boundary edge helpers ------------------------------------------------------
@@ -460,12 +462,11 @@ def edge_quadrature(mesh: Mesh2D, edge_sel: np.ndarray):
     return pts, wts, mesh.boundary_outward_normals()[edge_sel]
 
 
-def velocity_on_edges(mesh: Mesh2D, dofmap: DofMap, u: np.ndarray,
-                      edge_sel: np.ndarray) -> np.ndarray:
+def velocity_on_edges(mesh: Mesh2D, u: np.ndarray, edge_sel: np.ndarray) -> np.ndarray:
     """(NE, 2, 2) velocity at the Gauss points of the selected boundary edges:
     the P1 trace of the vertex values, exact since the bubbles vanish on edges."""
     ia, ib = mesh.boundary_edges[edge_sel].T
-    vv = velocity_at_vertices(mesh, dofmap, u)
+    vv = velocity_at_vertices(mesh, u)
     return vv[ia][:, None, :] * EDGE_PHI[0][:, None] + vv[ib][:, None, :] * EDGE_PHI[1][:, None]
 
 
@@ -598,10 +599,11 @@ def integrate_qp(mesh: Mesh2D, qp_values) -> float:
 # varies over the quadrature points.
 
 
-def _mini_pattern(mesh: Mesh2D, dofmap: DofMap) -> _Pattern:
+def _mini_pattern(mesh: Mesh2D) -> _Pattern:
     def build():
-        dofs = dofmap.velocity_element_dofs(mesh)
-        return _Pattern(dofs, dofs, (dofmap.n_velocity, dofmap.n_velocity))
+        dm = dofmap_for(mesh)
+        dofs = dm.velocity_element_dofs(mesh)
+        return _Pattern(dofs, dofs, (dm.n_velocity, dm.n_velocity))
 
     return _cached(mesh, "mini_pattern", build)
 
@@ -651,12 +653,12 @@ def _convective_local(geo: _Geometry, a_qp: np.ndarray, block=slice(None)) -> np
     return local.reshape(nt, 8, 8)
 
 
-def _velocity_block(mesh: Mesh2D, dofmap: DofMap, viscosity, advect,
-                    gamma_n_tags, a_qp=None) -> np.ndarray:
+def _velocity_block(mesh: Mesh2D, viscosity, advect, gamma_n_tags,
+                    a_qp=None) -> np.ndarray:
     """CSR data, on the MINI pattern, of the velocity block A_vv; ``a_qp`` is
     the advecting field at the quad points, sampled from ``advect`` when None."""
     geo = geometry(mesh)
-    pattern = _mini_pattern(mesh, dofmap)
+    pattern = _mini_pattern(mesh)
     nu = _coeff_at_qp(mesh, viscosity)
     if nu.size and nu.min() == nu.max():
         # Uniform viscosity: the viscous block is nu times a per-mesh constant.
@@ -671,7 +673,7 @@ def _velocity_block(mesh: Mesh2D, dofmap: DofMap, viscosity, advect,
     # dof vector is evaluated in the MINI space.
     datum = callable(advect)
     if a_qp is None:
-        a_qp = sample(advect, geo.qp) if datum else velocity_at_qp(mesh, dofmap, advect)
+        a_qp = sample(advect, geo.qp) if datum else velocity_at_qp(mesh, advect)
     for t in range(0, len(a_qp), FILL_BLOCK):  # no (NT, 8, 8) array is held
         block = slice(t, t + FILL_BLOCK)
         pattern.add(data, _convective_local(geo, a_qp[block], block), t)
@@ -679,14 +681,14 @@ def _velocity_block(mesh: Mesh2D, dofmap: DofMap, viscosity, advect,
     sel = _tag_selector(mesh, gamma_n_tags)
     if np.any(sel):
         pts, wts, normals = edge_quadrature(mesh, sel)
-        a_e = sample(advect, pts) if datum else velocity_on_edges(mesh, dofmap, advect, sel)
+        a_e = sample(advect, pts) if datum else velocity_on_edges(mesh, advect, sel)
         surf = _edge_blocks(wts * (a_e * normals[:, None, :]).sum(axis=-1))
         for comp in range(2):
             np.add.at(data, _edge_positions(mesh, pattern, sel, 4 * comp), surf)
     return data
 
 
-def assemble_mini_mass(mesh: Mesh2D, dofmap: DofMap) -> SparseMatrix:
+def assemble_mini_mass(mesh: Mesh2D) -> SparseMatrix:
     """Velocity mass matrix on the MINI space (cached, read-only), stored on the
     full MINI pattern so it adds to the velocity block through its data."""
     def build():
@@ -695,7 +697,7 @@ def assemble_mini_mass(mesh: Mesh2D, dofmap: DofMap) -> SparseMatrix:
         block = _tab(geo.qw, _products(geo.mini_vals)).reshape(-1, 4, 4)
         for comp in range(2):
             local[:, comp, :, comp, :] = block
-        pattern = _mini_pattern(mesh, dofmap)
+        pattern = _mini_pattern(mesh)
         return _frozen_csr(pattern.matrix(pattern.fill(local)))
 
     return _cached(mesh, "mini_mass", build)
@@ -713,49 +715,40 @@ def _divergence_local(mesh: Mesh2D) -> np.ndarray:
     return local
 
 
-def assemble_divergence(mesh: Mesh2D, dofmap: DofMap) -> SparseMatrix:
+def assemble_divergence(mesh: Mesh2D) -> SparseMatrix:
     """Divergence block B, (Bu)_i = integral psi_i div(u) (cached, read-only)."""
     def build():
-        pattern = _Pattern(mesh.triangles, dofmap.velocity_element_dofs(mesh),
-                           (dofmap.n_pressure, dofmap.n_velocity))
+        dm = dofmap_for(mesh)
+        pattern = _Pattern(mesh.triangles, dm.velocity_element_dofs(mesh),
+                           (dm.n_pressure, dm.n_velocity))
         return _frozen_csr(pattern.matrix(pattern.fill(_divergence_local(mesh))))
 
     return _cached(mesh, "divergence", build)
 
 
-def _gradient_block(mesh: Mesh2D, dofmap: DofMap) -> SparseMatrix:
-    """G = B^T as CSR (cached, read-only)."""
-    return _cached(mesh, "gradient", lambda: _frozen_csr(
-        SparseMatrix(assemble_divergence(mesh, dofmap).T)))
+def assemble_mini_blocks(mesh: Mesh2D, viscosity, advect=None, gamma_n_tags=()) -> dict:
+    """Momentum/divergence blocks of the MINI saddle system [[A_vv, -B^T], [B, 0]].
 
-
-def assemble_mini_blocks(mesh: Mesh2D, dofmap: DofMap, viscosity,
-                         advect=None, gamma_n_tags=()) -> dict:
-    """Momentum/divergence blocks of the MINI saddle system.
-
-    Returns {"A_vv", "B", "G"} with
+    Returns {"A_vv", "B"} with
 
     * A_vv: viscous form integral nu D(u):D(w) plus, when ``advect`` is given,
       the convective form  -integral (a x u):D(w) + integral_{Gamma_N} (a.n)(u.w)
       with the surface term only on ``gamma_n_tags`` edges;
-    * B: divergence block, (Bu)_i = integral psi_i div(u);
-    * G: structural transpose of B (the momentum pressure-gradient coupling
-      enters the saddle system as -G).
+    * B: divergence block, (Bu)_i = integral psi_i div(u); its transpose is
+      the momentum pressure-gradient coupling, which enters as -B^T.
 
     ``viscosity`` is scalar / per-triangle / per-quad-point; ``advect`` is a
-    flow dof vector or a callable(x, y) -> (ax, ay).  B and G are cached, and
-    a uniform viscosity scales a cached viscous block.
+    flow dof vector or a callable(x, y) -> (ax, ay).  B is cached, and a
+    uniform viscosity scales a cached viscous block.
     """
-    data = _velocity_block(mesh, dofmap, viscosity, advect, gamma_n_tags)
-    return {"A_vv": _mini_pattern(mesh, dofmap).matrix(data),
-            "B": assemble_divergence(mesh, dofmap),
-            "G": _gradient_block(mesh, dofmap)}
+    data = _velocity_block(mesh, viscosity, advect, gamma_n_tags)
+    return {"A_vv": _mini_pattern(mesh).matrix(data), "B": assemble_divergence(mesh)}
 
 
 # -- static condensation of the MINI bubbles -------------------------------------
 #
 # A bubble dof lives in one triangle, so its row and its column of the saddle
-# matrix [[A_vv, -G], [B, 0]] hold that triangle's entries only.  Per triangle,
+# matrix [[A_vv, -B^T], [B, 0]] hold that triangle's entries only.  Per triangle,
 # with l its nine P1 dofs [v1x v2x v3x v1y v2y v3y p1 p2 p3] and b its two
 # bubbles [bx by],
 #
@@ -773,18 +766,18 @@ _BUBBLE = np.array([3, 7])
 class _CondensedLayout:
     """Per-mesh maps of the condensed system, P1 dofs ordered [vx | vy | p]."""
 
-    def __init__(self, mesh: Mesh2D, dofmap: DofMap):
-        nv, t = dofmap.nv, mesh.triangles
-        mini = _mini_pattern(mesh, dofmap)
+    def __init__(self, mesh: Mesh2D):
+        dm, nv, t = dofmap_for(mesh), mesh.num_vertices, mesh.triangles
+        mini = _mini_pattern(mesh)
         self.elem = _frozen(np.concatenate([t, nv + t, 2 * nv + t], axis=1))  # (NT, 9)
         self.pattern = _Pattern.blocked(_p1_pattern(mesh), 3)
         idx = np.arange(nv)
         self.p1_dofs = _frozen(np.concatenate(
-            [dofmap.vx_vertex(idx), dofmap.vy_vertex(idx), dofmap.pressure(idx)]))
-        self.index = np.full(dofmap.n_flow, -1, dtype=np.int64)  # -1 on bubbles
+            [dm.vx_vertex(idx), dm.vy_vertex(idx), dm.pressure(idx)]))
+        self.index = np.full(dm.n_flow, -1, dtype=np.int64)  # -1 on bubbles
         self.index[self.p1_dofs] = np.arange(3 * nv)
         _frozen(self.index)
-        self.bubbles = _frozen(dofmap.velocity_element_dofs(mesh)[:, _BUBBLE])  # (NT, 2)
+        self.bubbles = _frozen(dm.velocity_element_dofs(mesh)[:, _BUBBLE])  # (NT, 2)
         # MINI data positions of the bubble rows and columns: each holds only
         # its own triangle's entry, so a gather reads the element blocks.
         self.bb = _frozen(mini.scatter[:, _BUBBLE[:, None], _BUBBLE])
@@ -797,7 +790,7 @@ class _CondensedLayout:
         dst[src] = self.pattern.scatter[:, :6, :6].ravel()
         self.ll_src = _frozen(np.flatnonzero(dst >= 0))
         self.ll_dst = _frozen(dst[self.ll_src])
-        # B on the bubble columns, (NT, 3, 2), and the constant B / -G blocks
+        # B on the bubble columns, (NT, 3, 2), and the constant B / -B^T blocks
         # on the vertex columns.
         local = _divergence_local(mesh)
         self.b_bubble = _frozen(np.ascontiguousarray(local[..., 3]))
@@ -825,7 +818,7 @@ def _invert_2x2(A: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CondensedSaddle:
-    """The MINI saddle system [[A_vv, -G], [B, 0]] with its bubbles condensed out.
+    """The MINI saddle system [[A_vv, -B^T], [B, 0]] with its bubbles condensed out.
 
     ``matrix`` is the Schur complement on the P1 dofs [vx | vy | p] (order
     3*NV); :meth:`condense` and :meth:`recover` map right-hand sides and
@@ -836,7 +829,6 @@ class CondensedSaddle:
     layout: _CondensedLayout
     A_vv: SparseMatrix  # full velocity block on the MINI pattern
     B: SparseMatrix
-    G: SparseMatrix
     matrix: SparseMatrix
     inv_bb: np.ndarray  # (NT, 2, 2) inverse bubble blocks
 
@@ -859,9 +851,9 @@ class CondensedSaddle:
         return x
 
     def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """rhs - [[A_vv, -G], [B, 0]] x on the full (uncondensed) system."""
+        """rhs - [[A_vv, -B^T], [B, 0]] x on the full (uncondensed) system."""
         v, p = x[:self.A_vv.shape[0]], x[self.A_vv.shape[0]:]
-        return rhs - np.concatenate([self.A_vv @ v - self.G @ p, self.B @ v])
+        return rhs - np.concatenate([self.A_vv @ v - self.B.T @ p, self.B @ v])
 
 
 def _k_bl(lay: _CondensedLayout, data: np.ndarray, t=slice(None)) -> np.ndarray:
@@ -875,18 +867,17 @@ def _w_lb(lay: _CondensedLayout, data: np.ndarray, inv_bb: np.ndarray,
     return np.concatenate([data[lay.lb[t]], lay.b_bubble[t]], axis=1) @ inv_bb[t]
 
 
-def assemble_condensed_saddle(mesh: Mesh2D, dofmap: DofMap, viscosity, advect=None,
-                              gamma_n_tags=(), mass_coeff: float = 0.0,
-                              advect_qp=None) -> CondensedSaddle:
-    """Saddle system [[mass_coeff M + A_vv, -G], [B, 0]] with the bubbles
+def assemble_condensed_saddle(mesh: Mesh2D, viscosity, advect=None, gamma_n_tags=(),
+                              mass_coeff: float = 0.0, advect_qp=None) -> CondensedSaddle:
+    """Saddle system [[mass_coeff M + A_vv, -B^T], [B, 0]] with the bubbles
     condensed out, from the blocks of :func:`assemble_mini_blocks` and M of
     :func:`assemble_mini_mass`; ``advect_qp``, when given, is ``advect`` at
     the quad points.  The condensed layout is built on first use.
     Raises SingularMatrix when a bubble block cannot be inverted."""
-    data = _velocity_block(mesh, dofmap, viscosity, advect, gamma_n_tags, advect_qp)
+    data = _velocity_block(mesh, viscosity, advect, gamma_n_tags, advect_qp)
     if mass_coeff:
-        data += mass_coeff * assemble_mini_mass(mesh, dofmap).data
-    lay = _cached(mesh, "condensed_layout", lambda: _CondensedLayout(mesh, dofmap))
+        data += mass_coeff * assemble_mini_mass(mesh).data
+    lay = _cached(mesh, "condensed_layout", lambda: _CondensedLayout(mesh))
     inv_bb = _invert_2x2(data[lay.bb])
     # The Schur updates -K_lb A_bb^-1 K_bl, formed and added a block of
     # triangles at a time so that no (NT, 9, 9) array is held, nor the
@@ -898,15 +889,15 @@ def assemble_condensed_saddle(mesh: Mesh2D, dofmap: DofMap, viscosity, advect=No
         lay.pattern.add(schur, np.negative(local, out=local), t)
     schur += lay.div_data
     schur[lay.ll_dst] += data[lay.ll_src]
-    return CondensedSaddle(lay, _mini_pattern(mesh, dofmap).matrix(data),
-                           assemble_divergence(mesh, dofmap), _gradient_block(mesh, dofmap),
+    return CondensedSaddle(lay, _mini_pattern(mesh).matrix(data), assemble_divergence(mesh),
                            lay.pattern.matrix(schur), inv_bb)
 
 
-def assemble_vector_load(mesh: Mesh2D, dofmap: DofMap, force_qp) -> np.ndarray:
+def assemble_vector_load(mesh: Mesh2D, force_qp) -> np.ndarray:
     """Velocity load L[(a,c)] = integral f_c * phi_a; force_qp is (NT, NQ, 2)."""
     geo = geometry(mesh)
     force = np.asarray(force_qp, dtype=float).transpose(0, 2, 1)
     contrib = _tab(geo.qw[:, None, :] * force, geo.mini_vals)  # (NT, 2, 4)
-    dofs = dofmap.velocity_element_dofs(mesh)
-    return np.bincount(dofs.ravel(), weights=contrib.ravel(), minlength=dofmap.n_velocity)
+    dm = dofmap_for(mesh)
+    return np.bincount(dm.velocity_element_dofs(mesh).ravel(), weights=contrib.ravel(),
+                       minlength=dm.n_velocity)

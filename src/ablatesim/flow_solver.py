@@ -4,10 +4,10 @@ Time scheme: implicit Euler with Oseen linearization, convection advected by
 the previous velocity and viscosity frozen at the lagged temperature.  The
 saddle system
 
-    [ M/dt + A(nu) + N(a)   -G ] [v]   [ M v_prev / dt + F ]
-    [ B                      0 ] [p] = [ 0                 ]
+    [ M/dt + A(nu) + N(a)   -B^T ] [v]   [ M v_prev / dt + F ]
+    [ B                        0 ] [p] = [ 0                 ]
 
-(G = B^T) is never factorized whole.  Each bubble dof couples only inside its
+is never factorized whole.  Each bubble dof couples only inside its
 triangle, so the 2x2 bubble block of every triangle is eliminated first
 (static condensation, :func:`fem_core.assemble_condensed_saddle`); the Schur
 complement on the P1 dofs [vx | vy | p], of order 3*NV, takes the Dirichlet
@@ -33,12 +33,11 @@ solves raises SolverError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fem_core, linalg
-from .fem_core import DofMap
 from .materials import Coefficients, MaterialModel
 from .mesh import Mesh2D, check_tag_roles
 
@@ -47,28 +46,20 @@ ROLE_NOSLIP = "noslip"
 ROLE_DONOTHING = "donothing"
 
 
-@dataclass
-class InflowProfile:
-    """Boundary velocity closure (vectorized over coordinates)."""
-
-    name: str
-    fn: object  # callable(x, y) -> (vx, vy)
-    params: dict = field(default_factory=dict)
-
-    def __call__(self, x, y):
-        return self.fn(x, y)
+# An inflow profile is a boundary velocity datum: a callable(x, y) -> (vx, vy),
+# vectorized over the coordinates (see fem_core.sample).
 
 
-def builtin_profile_gamma1(H: float) -> InflowProfile:
+def builtin_profile_gamma1(H: float):
     """Parabolic blood inflow (y (H - y), 0) on the left side."""
 
     def fn(x, y):
         return y * (H - y), np.zeros_like(np.asarray(y, dtype=float))
 
-    return InflowProfile("gamma1_parabola", fn, {"H": H})
+    return fn
 
 
-def builtin_profile_gamma5(L: float, r: float) -> InflowProfile:
+def builtin_profile_gamma5(L: float, r: float):
     """Saline electrode jet on the top segment, evaluated at wall coordinates."""
 
     def fn(x, y):
@@ -80,18 +71,18 @@ def builtin_profile_gamma5(L: float, r: float) -> InflowProfile:
         vy = -(2.0 / r) * wl * wr * y
         return vx, vy
 
-    return InflowProfile("gamma5_electrode", fn, {"L": L, "r": r})
+    return fn
 
 
-def zero_profile() -> InflowProfile:
+def zero_profile():
     def fn(x, y):
         z = np.zeros_like(np.asarray(x, dtype=float))
         return z, z.copy()
 
-    return InflowProfile("zero", fn)
+    return fn
 
 
-def make_profile(name: str, **params) -> InflowProfile:
+def make_profile(name: str, **params):
     if name == "gamma1_parabola":
         return builtin_profile_gamma1(params["H"])
     if name == "gamma5_electrode":
@@ -104,7 +95,7 @@ def make_profile(name: str, **params) -> InflowProfile:
 @dataclass
 class FlowBC:
     role: str
-    profile: InflowProfile | None = None
+    profile: object = None  # callable(x, y) -> (vx, vy); required on an inflow tag
 
     def __post_init__(self):
         if self.role not in (ROLE_INFLOW, ROLE_NOSLIP, ROLE_DONOTHING):
@@ -116,7 +107,6 @@ class FlowBC:
 @dataclass
 class FlowProblem:
     mesh: Mesh2D
-    dofmap: DofMap
     model: MaterialModel
     theta: np.ndarray  # lagged temperature (P1 nodal)
     v_prev: np.ndarray  # previous velocity (n_velocity dofs)
@@ -144,7 +134,7 @@ class FlowProblem:
 
 def _dirichlet_velocity(problem: FlowProblem):
     """Constrained velocity dofs and values from the no-slip/inflow tags."""
-    dm = problem.dofmap
+    dm = fem_core.dofmap_for(problem.mesh)
     verts, values = fem_core.dirichlet_values(problem.mesh, {
         tag: (0.0, 0.0) if bc.role == ROLE_NOSLIP else bc.profile
         for tag, bc in problem.bc.items() if bc.role != ROLE_DONOTHING})
@@ -154,12 +144,11 @@ def _dirichlet_velocity(problem: FlowProblem):
 def flow_constraints(problem: FlowProblem) -> tuple:
     """Constrained flow dofs and values: the velocity on the no-slip and
     inflow tags and, for an enclosed flow, one pinned pressure dof."""
-    dm = problem.dofmap
     dofs, vals = _dirichlet_velocity(problem)
     if not _donothing_tags(problem):
         # Enclosed flow: the do-nothing outlet normally fixes the pressure
         # level; without one, pin a single pressure dof.
-        dofs = np.append(dofs, dm.pressure(0))
+        dofs = np.append(dofs, fem_core.dofmap_for(problem.mesh).pressure(0))
         vals = np.append(vals, problem.pressure_pin_value)
     return dofs, vals
 
@@ -170,14 +159,14 @@ def _coefficients(problem: FlowProblem) -> Coefficients:
 
 
 def _force_load(problem: FlowProblem, coeffs: Coefficients) -> np.ndarray:
-    mesh, dm = problem.mesh, problem.dofmap
-    load = np.zeros(dm.n_velocity)
+    mesh = problem.mesh
+    load = np.zeros(fem_core.dofmap_for(mesh).n_velocity)
     if problem.model.buoyancy.enabled:
         fx, fy = problem.model.body_force(coeffs.theta)
-        load += fem_core.assemble_vector_load(mesh, dm, np.stack([fx, fy], axis=-1))
+        load += fem_core.assemble_vector_load(mesh, np.stack([fx, fy], axis=-1))
     if problem.extra_force is not None:
         qp = fem_core.geometry(mesh).qp
-        load += fem_core.assemble_vector_load(mesh, dm, fem_core.sample(problem.extra_force, qp))
+        load += fem_core.assemble_vector_load(mesh, fem_core.sample(problem.extra_force, qp))
     return load
 
 
@@ -188,16 +177,17 @@ def _donothing_tags(problem: FlowProblem) -> tuple:
 def _solve_linear(problem: FlowProblem, coeffs: Coefficients, advect, include_time: bool,
                   advect_qp=None):
     """One linear (Stokes/Oseen) solve on the condensed system; returns (v, P)."""
-    mesh, dm = problem.mesh, problem.dofmap
+    mesh = problem.mesh
+    dm = fem_core.dofmap_for(mesh)
     gamma_n = _donothing_tags(problem)
     mass_coeff = 1.0 / problem.dt if include_time else 0.0
-    saddle = fem_core.assemble_condensed_saddle(mesh, dm, coeffs.nu, advect=advect,
+    saddle = fem_core.assemble_condensed_saddle(mesh, coeffs.nu, advect=advect,
                                                 advect_qp=advect_qp, gamma_n_tags=gamma_n,
                                                 mass_coeff=mass_coeff)
 
     rhs_v = _force_load(problem, coeffs)
     if include_time:
-        M = fem_core.assemble_mini_mass(mesh, dm)
+        M = fem_core.assemble_mini_mass(mesh)
         rhs_v = rhs_v + mass_coeff * (M @ np.asarray(problem.v_prev, dtype=float))
     rhs = np.concatenate([rhs_v, np.zeros(dm.n_pressure)])
 
@@ -260,13 +250,13 @@ def solve_flow_stationary(problem: FlowProblem, picard_tol: float = 1e-8,
                               v, picard_tol, picard_max)
 
 
-def viscous_dissipation(mesh: Mesh2D, dofmap: DofMap, v: np.ndarray) -> np.ndarray:
+def viscous_dissipation(mesh: Mesh2D, v: np.ndarray) -> np.ndarray:
     """(NT, NQ) D(v):D(v), the viscous dissipation per unit viscosity, at the
     quad points; contracted from the element coefficients (a constant P1
     Jacobian plus bubble coefficient times bubble gradient), no per-point
     Jacobian built."""
     geo = fem_core.geometry(mesh)
-    coeff = fem_core.velocity_element_coeffs(mesh, dofmap, v)  # (NT, 2, 4)
+    coeff = fem_core.velocity_element_coeffs(mesh, v)  # (NT, 2, 4)
     jac = coeff[:, :, :3] @ geo.grad_p1  # (NT, 2, 2) P1 part, [c, d] = d(v_c)/d(x_d)
     bx, by = coeff[:, 0, 3, None], coeff[:, 1, 3, None]
     gx, gy = geo.grad_bubble[..., 0], geo.grad_bubble[..., 1]

@@ -38,7 +38,6 @@ from functools import cache
 import numpy as np
 
 from . import fem_core, linalg
-from .fem_core import DofMap
 from .materials import Coefficients, MaterialModel
 from .mesh import Mesh2D, check_tag_roles
 from .potential_solver import joule_density
@@ -96,7 +95,6 @@ class HeatBC:
 @dataclass
 class HeatProblem:
     mesh: Mesh2D
-    dofmap: DofMap
     model: MaterialModel
     theta_prev: np.ndarray  # theta^{n-1}
     v: np.ndarray  # velocity dofs used for transport (and dissipation)
@@ -192,11 +190,10 @@ def entropy_residual(mesh: Mesh2D, coeffs: Coefficients, theta_prev: np.ndarray,
     return np.max(np.abs(res, out=res), axis=1)
 
 
-def _cell_speed_max(mesh: Mesh2D, dofmap: DofMap, v: np.ndarray,
-                    v_qp: np.ndarray) -> np.ndarray:
+def _cell_speed_max(mesh: Mesh2D, v: np.ndarray, v_qp: np.ndarray) -> np.ndarray:
     """Per-cell sup of |v| sampled at quadrature points (``v_qp``) and vertices."""
     speed_qp = np.linalg.norm(v_qp, axis=2).max(axis=1)
-    vv = fem_core.velocity_at_vertices(mesh, dofmap, v)
+    vv = fem_core.velocity_at_vertices(mesh, v)
     speed_v = np.linalg.norm(vv, axis=1)[mesh.triangles].max(axis=1)
     return np.maximum(speed_qp, speed_v)
 
@@ -248,7 +245,7 @@ def _boundary_terms(problem: HeatProblem):
             if bc.role == ROLE_ROBIN:
                 w = bc.alpha * wts
             else:
-                vel = fem_core.velocity_on_edges(mesh, problem.dofmap, problem.v, sel)
+                vel = fem_core.velocity_on_edges(mesh, problem.v, sel)
                 w = wts * np.maximum(-np.einsum("egk,ek->eg", vel, normals), 0.0)
             m = fem_core.assemble_edge_mass(mesh, sel, w)
             load = fem_core.assemble_edge_load(
@@ -270,9 +267,9 @@ def _velocity_samples(problem: HeatProblem, v, v_qp, strain, need_strain: bool):
     """v at the quad points and, if ``need_strain``, D(v):D(v) there; each is
     evaluated when not given (None)."""
     if v_qp is None:
-        v_qp = fem_core.velocity_at_qp(problem.mesh, problem.dofmap, v)
+        v_qp = fem_core.velocity_at_qp(problem.mesh, v)
     if strain is None and need_strain:
-        strain = viscous_dissipation(problem.mesh, problem.dofmap, v)
+        strain = viscous_dissipation(problem.mesh, v)
     return v_qp, strain
 
 
@@ -295,7 +292,7 @@ def _cell_viscosity(problem: HeatProblem, coeffs: Coefficients, joule, v_qp,
                                    v_qp, source, problem.dt, problem.stab.alpha,
                                    problem.stab.var_floor)
         art = artificial_viscosity(mesh, res, problem.theta_prev,
-                                   _cell_speed_max(mesh, problem.dofmap, v, v_qp), problem.stab)
+                                   _cell_speed_max(mesh, v, v_qp), problem.stab)
     problem.art_visc = art
     return art
 

@@ -161,7 +161,7 @@ def solve_gmres(A: SparseMatrix, b: FieldVector, tol_rel: float = 1e-8,
 
 
 def _gmres(A: SparseMatrix, b: FieldVector, x0: FieldVector | None, precondition,
-           stop: float, cap: int):
+           stop: float, cap: int, r0: FieldVector | None = None):
     """(x, iterations) of one GMRES cycle on A x = b from ``x0`` (zero when
     None), right-preconditioned by M = ``precondition``: x = x0 + Z y with
     z_k = M v_k, so the estimate |g_k| is the residual of x itself, not of
@@ -169,9 +169,10 @@ def _gmres(A: SparseMatrix, b: FieldVector, x0: FieldVector | None, precondition
     9.3.2), and each iteration applies M once.  The Arnoldi basis v_k comes
     from modified Gram-Schmidt, and Givens rotations keep the Hessenberg
     matrix upper triangular.  Stops once |g_k| <= ``stop``, after ``cap``
-    iterations, or on a breakdown.  Plain numpy, like :func:`_least_squares`."""
+    iterations, or on a breakdown.  ``r0``, when given, is b - A x0, which
+    the caller has already formed.  Plain numpy, like :func:`_least_squares`."""
     x = np.zeros(b.size) if x0 is None else np.array(x0, dtype=float)
-    r = b - A @ x
+    r = b - A @ x if r0 is None else r0
     beta = float(np.linalg.norm(r))
     if beta <= stop:
         return x, 0
@@ -239,11 +240,12 @@ def solve_lu(A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None,
     if factor is not None:
         factor.solves += 1
         factor.iterations = 0
-    if x0 is not None and _residual_norm(A, x0, b) <= limit:
+    r0 = None if x0 is None else b - A @ x0  # the guess's residual, also GMRES's first
+    if r0 is not None and np.linalg.norm(r0) <= limit:
         return np.array(x0, dtype=float)
     order = np.arange(A.shape[0]) if order is None else np.asarray(order)
     held = factor if factor is not None else HeldLU()
-    x, reason = held.reuse(A, b, order, x0, limit)
+    x, reason = held.reuse(A, b, order, x0, limit, r0)
     if x is not None:
         return x
     try:
@@ -314,16 +316,17 @@ class HeldLU:
         return self._d * y
 
     def reuse(self, A: SparseMatrix, b: FieldVector, order: np.ndarray,
-              x0: FieldVector | None, limit: float):
+              x0: FieldVector | None, limit: float, _r0: FieldVector | None = None):
         """(x, None) when GMRES on the held factor, started from ``x0`` (else
         from ``last``), meets ||b - Ax|| <= ``limit``; otherwise (None, the
-        reason to factorize)."""
+        reason to factorize).  ``_r0`` is b - A x0 when :func:`solve_lu` has
+        already formed it for its guess check."""
         if self._lu is None:
             return None, "no factor held"
         if A.shape != self._shape or not np.array_equal(order, self._order):
             return None, "order or shape changed"
         x, iters = _gmres(A, b, self.last if x0 is None else x0, self.apply,
-                          0.5 * limit, KRYLOV_CAP)
+                          0.5 * limit, KRYLOV_CAP, _r0)
         if not np.all(np.isfinite(x)):
             return None, f"non-finite GMRES iterate after {iters} iterations"
         res = _residual_norm(A, x, b)

@@ -349,15 +349,13 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_vtk(state, mesh: Mesh2D, path, dofmap=None) -> None:
+def write_vtk(state, mesh: Mesh2D, path) -> None:
     """Legacy ASCII VTK unstructured grid with theta, phi, P and vertex velocity.
 
     The bubble enrichment has no vertex trace, so the exported velocity is the
     P1 (vertex) part only.
     """
-    if dofmap is None:
-        dofmap = fem_core.dofmap_for(mesh)
-    vel = fem_core.velocity_at_vertices(mesh, dofmap, state.v)
+    vel = fem_core.velocity_at_vertices(mesh, state.v)
     nv = mesh.num_vertices
     nt = mesh.num_triangles
     lines = [
@@ -394,9 +392,7 @@ def write_probes(series, path, extra_names=(), extra_values=None) -> None:
     writer = csv.writer(buf)  # csv default lineterminator is CRLF per RFC-4180
     writer.writerow(PROBE_COLUMNS + list(extra_names))
     for i, row in enumerate(series):
-        rec = [_fmt(row.t), _fmt(row.max_theta), _fmt(row.argmax_x),
-               _fmt(row.argmax_y), _fmt(row.int_theta), _fmt(row.div_norm),
-               _fmt(row.max_art_visc), _fmt(row.centroid_x)]
+        rec = [_fmt(getattr(row, c)) for c in PROBE_COLUMNS]
         if extra_values is not None:
             rec += [_fmt(v) for v in extra_values[i]]
         writer.writerow(rec)
@@ -484,8 +480,7 @@ def cmd_run(args) -> int:
     def on_step(state):
         probe_rows.append([pr(state.theta) for pr in probes])
         if outdir and cfg.output.stride > 0 and state.n % cfg.output.stride == 0:
-            write_vtk(state, sim.mesh, os.path.join(outdir, f"fields_{state.n:05d}.vtk"),
-                      sim.dofmap)
+            write_vtk(state, sim.mesh, os.path.join(outdir, f"fields_{state.n:05d}.vtk"))
 
     def finish(rows):
         # One CSV row per advanced step, each with its probe values.
@@ -516,7 +511,7 @@ def cmd_run(args) -> int:
 
     finish(rows)
     if outdir:
-        write_vtk(state, sim.mesh, os.path.join(outdir, "final.vtk"), sim.dofmap)
+        write_vtk(state, sim.mesh, os.path.join(outdir, "final.vtk"))
     last = rows[-1]
     print(f"completed {cfg.time.M} steps: max theta {last.max_theta:.4f} at "
           f"({last.argmax_x:.4f}, {last.argmax_y:.4f}), |div v| = {last.div_norm:.2e}")

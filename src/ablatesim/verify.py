@@ -176,17 +176,17 @@ def h1_seminorm_error_scalar(msh, nodal, grad_exact, t=None) -> float:
     return float(np.sqrt(np.einsum("tq,tqd->", geo.qw, diff ** 2)))
 
 
-def l2_error_velocity(msh, dm, u, exact) -> float:
+def l2_error_velocity(msh, u, exact) -> float:
     geo = fem_core.geometry(msh)
-    uh = fem_core.velocity_at_qp(msh, dm, u)
+    uh = fem_core.velocity_at_qp(msh, u)
     ux, uy = exact(geo.qp[..., 0], geo.qp[..., 1])
     diff = np.stack([uh[..., 0] - ux, uh[..., 1] - uy], axis=-1)
     return float(np.sqrt(np.einsum("tq,tqd->", geo.qw, diff ** 2)))
 
 
-def h1_seminorm_error_velocity(msh, dm, u, grad_exact) -> float:
+def h1_seminorm_error_velocity(msh, u, grad_exact) -> float:
     geo = fem_core.geometry(msh)
-    gh = fem_core.velocity_grad_at_qp(msh, dm, u)  # (NT,NQ,2,2)
+    gh = fem_core.velocity_grad_at_qp(msh, u)  # (NT,NQ,2,2)
     (gxx, gxy), (gyx, gyy) = grad_exact(geo.qp[..., 0], geo.qp[..., 1])
     ge = np.stack([np.stack([gxx, gxy], axis=-1), np.stack([gyx, gyy], axis=-1)], axis=-2)
     diff = gh - ge
@@ -221,7 +221,8 @@ def _mms_mesh(nx, ny, jiggle: float = 0.2):
     return mesh_mod.Mesh2D(verts, tris, msh.boundary_edges, msh.boundary_tags)
 
 
-def _const_velocity_dofs(dm, vel):
+def _const_velocity_dofs(msh, vel):
+    dm = dofmap_for(msh)
     u = np.zeros(dm.n_velocity)
     idx = np.arange(dm.nv)
     u[dm.vx_vertex(idx)] = vel[0]
@@ -261,12 +262,11 @@ def solve_potential_case(case: ManufacturedCase, nx, ny):
 
 def solve_heat_steady_case(case: ManufacturedCase, nx, ny):
     msh = _mms_mesh(nx, ny)
-    dm = dofmap_for(msh)
     model = _unit_material()
-    v = _const_velocity_dofs(dm, case.velocity)
+    v = _const_velocity_dofs(msh, case.velocity)
     bc = {tag: _robin_from_exact(case, tag, steady=True) for tag in mesh_mod.ALL_TAGS}
     problem = HeatProblem(
-        mesh=msh, dofmap=dm, model=model,
+        mesh=msh, model=model,
         theta_prev=np.zeros(msh.num_vertices), v=v, phi=np.zeros(msh.num_vertices),
         dt=1.0, bc=bc, stab=StabilizationParams(beta=0.0),
         include_physics_sources=False,
@@ -278,9 +278,8 @@ def solve_heat_steady_case(case: ManufacturedCase, nx, ny):
 
 def solve_heat_unsteady_case(case: ManufacturedCase, nx, ny, steps=None):
     msh = _mms_mesh(nx, ny)
-    dm = dofmap_for(msh)
     model = _unit_material()
-    v = _const_velocity_dofs(dm, case.velocity)
+    v = _const_velocity_dofs(msh, case.velocity)
     bc = {tag: _robin_from_exact(case, tag) for tag in mesh_mod.ALL_TAGS}
     steps = case.steps if steps is None else steps
     dt = case.final_time / steps
@@ -288,7 +287,7 @@ def solve_heat_unsteady_case(case: ManufacturedCase, nx, ny, steps=None):
     theta_prev2 = None
     for n in range(1, steps + 1):
         problem = HeatProblem(
-            mesh=msh, dofmap=dm, model=model, theta_prev=theta,
+            mesh=msh, model=model, theta_prev=theta,
             theta_prev2=theta_prev2, v=v, phi=np.zeros(msh.num_vertices),
             dt=dt, bc=bc, stab=StabilizationParams(beta=0.0),
             time=n * dt, include_physics_sources=False,
@@ -301,20 +300,18 @@ def solve_heat_unsteady_case(case: ManufacturedCase, nx, ny, steps=None):
 
 def solve_oseen_case(case: ManufacturedCase, nx, ny):
     msh = _mms_mesh(nx, ny)
-    dm = dofmap_for(msh)
     model = _unit_material()
-    profile = flow_solver.InflowProfile("mms_exact", lambda x, y: case.exact(x, y))
-    bc = {tag: flow_solver.FlowBC("inflow", profile) for tag in mesh_mod.ALL_TAGS}
+    bc = {tag: flow_solver.FlowBC("inflow", case.exact) for tag in mesh_mod.ALL_TAGS}
     problem = flow_solver.FlowProblem(
-        mesh=msh, dofmap=dm, model=model,
+        mesh=msh, model=model,
         theta=np.full(msh.num_vertices, model.theta_b),
-        v_prev=np.zeros(dm.n_velocity), dt=None, bc=bc,
+        v_prev=np.zeros(dofmap_for(msh).n_velocity), dt=None, bc=bc,
         advect_field=lambda x, y: case.exact(x, y),
         extra_force=lambda x, y: case.source(x, y),
         pressure_pin_value=float(case.pressure(0.0, 0.0)),
     )
     v, p = flow_solver.solve_flow_stationary(problem)
-    return msh, dm, v, p
+    return msh, v, p
 
 
 # -- convergence studies -------------------------------------------------------------
@@ -362,14 +359,14 @@ def convergence_study(case: ManufacturedCase, levels=DEFAULT_LEVELS) -> RateRepo
             errors.setdefault("L2", []).append(
                 l2_error_scalar(msh, theta, case.exact, t=case.final_time))
         elif case.kind == "oseen":
-            msh, dm, v, p = solve_oseen_case(case, nx, ny)
+            msh, v, p = solve_oseen_case(case, nx, ny)
             errors.setdefault("velocity_H1", []).append(
-                h1_seminorm_error_velocity(msh, dm, v, case.grad))
+                h1_seminorm_error_velocity(msh, v, case.grad))
             errors.setdefault("velocity_L2", []).append(
-                l2_error_velocity(msh, dm, v, case.exact))
+                l2_error_velocity(msh, v, case.exact))
             errors.setdefault("pressure_L2", []).append(
                 l2_error_scalar(msh, p, case.pressure))
-            B = fem_core.assemble_divergence(msh, dm)
+            B = fem_core.assemble_divergence(msh)
             extra.setdefault("div_residual", []).append(float(np.linalg.norm(B @ v)))
             extra.setdefault("v_norm", []).append(float(np.linalg.norm(v)))
         else:
@@ -412,7 +409,7 @@ def splitting_order_study(config, Ms=(10, 20, 40), M_ref=320) -> RateReport:
 
     sim, ref = final_state(M_ref)
     p1_mass = sim._mass
-    mini_mass = fem_core.assemble_mini_mass(sim.mesh, sim.dofmap)
+    mini_mass = fem_core.assemble_mini_mass(sim.mesh)
     norms = {"theta": p1_mass, "v": mini_mass, "phi": p1_mass}
     errors = {name: [] for name in norms}
     for M in Ms:
@@ -515,7 +512,7 @@ def _step_audit(config) -> dict:
         if prev is not None:
             art = state.art_visc_cells
             vmax_k = heat_solver._cell_speed_max(
-                sim.mesh, sim.dofmap, prev.v, fem_core.velocity_at_qp(sim.mesh, sim.dofmap, prev.v))
+                sim.mesh, prev.v, fem_core.velocity_at_qp(sim.mesh, prev.v))
             audit["eta_bound_violation"] = max(
                 audit["eta_bound_violation"],
                 float(np.max(art - beta * vmax_k * h)), float(np.max(-art)))
@@ -525,7 +522,7 @@ def _step_audit(config) -> dict:
                     audit["eta_zero_velocity_max"], float(np.max(np.abs(art[still]))))
             # The step's heat source: theta^{n-1} = prev.theta, v^n and phi^n.
             laws = materials.Coefficients(sim.model, fem_core.p1_at_qp(sim.mesh, prev.theta))
-            src = (laws.nu * flow_solver.viscous_dissipation(sim.mesh, sim.dofmap, state.v)
+            src = (laws.nu * flow_solver.viscous_dissipation(sim.mesh, state.v)
                    + joule_density(sim.mesh, laws.sigma, state.phi))
             audit["source_min"] = min(audit["source_min"], float(src.min()))
             load = fem_core.assemble_scalar_load(sim.mesh, src)
@@ -688,7 +685,6 @@ def invariant_suite(config) -> dict:
     fsum = np.asarray(model.body_force(th1 + th2 - model.theta_b))
     record("materials.body_force_affine", np.allclose(f1 + f2, fb + fsum, atol=1e-14))
 
-    dm = dofmap_for(msh)
     theta_b_field = np.full(msh.num_vertices, model.theta_b)
     try:
         pot = PotentialProblem(mesh=msh, model=model, theta=theta_b_field,
@@ -756,17 +752,18 @@ def invariant_suite(config) -> dict:
     small = generate_channel_mesh(GeometrySpec(nx=12, ny=6, **MMS_GEOMETRY))
     dms = dofmap_for(small)
     try:
-        const_profile = flow_solver.InflowProfile(
-            "const", lambda x, y: (np.ones_like(np.asarray(x, dtype=float)),
-                                   np.zeros_like(np.asarray(x, dtype=float))))
+        def const_profile(x, y):
+            return (np.ones_like(np.asarray(x, dtype=float)),
+                    np.zeros_like(np.asarray(x, dtype=float)))
+
         bc_const = {t: flow_solver.FlowBC("inflow", const_profile)
                     for t in mesh_mod.ALL_TAGS}
         fp = flow_solver.FlowProblem(
-            mesh=small, dofmap=dms, model=model,
+            mesh=small, model=model,
             theta=np.full(small.num_vertices, model.theta_b),
             v_prev=np.zeros(dms.n_velocity), dt=None, bc=bc_const)
         vconst, _ = flow_solver.solve_flow_stationary(fp)
-        vv = fem_core.velocity_at_vertices(small, dms, vconst)
+        vv = fem_core.velocity_at_vertices(small, vconst)
         record("flow.galilean_constant",
                float(np.abs(vv - np.array([1.0, 0.0])).max()) <= 1e-8,
                f"max dev {float(np.abs(vv - np.array([1.0, 0.0])).max()):.2e}")
@@ -781,12 +778,12 @@ def invariant_suite(config) -> dict:
                                 np.unique(small.boundary_edges.ravel()))
         vstart[dms.vx_vertex(interior)] = rng2.standard_normal(interior.size)
         vstart[dms.vy_vertex(interior)] = rng2.standard_normal(interior.size)
-        Mv = fem_core.assemble_mini_mass(small, dms)
+        Mv = fem_core.assemble_mini_mass(small)
         decay_ok = True
         vprev = vstart
         for _ in range(3):
             fps = flow_solver.FlowProblem(
-                mesh=small, dofmap=dms, model=model,
+                mesh=small, model=model,
                 theta=np.full(small.num_vertices, model.theta_b),
                 v_prev=vprev, dt=0.05, bc=bc_wall, include_convection=False)
             vnew, _ = flow_solver.solve_flow_step(fps)
@@ -814,7 +811,7 @@ def invariant_suite(config) -> dict:
         contraction_ok = True
         prev_norm = None
         for _ in range(4):
-            hp = HeatProblem(mesh=small, dofmap=dms, model=model, theta_prev=th,
+            hp = HeatProblem(mesh=small, model=model, theta_prev=th,
                              v=np.zeros(dms.n_velocity), phi=np.zeros(nvs), dt=0.1,
                              bc=bc_rob, stab=StabilizationParams(beta=0.0),
                              include_physics_sources=False)

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from ablatesim import fem_core, linalg, verify
 from ablatesim.coupler import SimState, Simulation
-from ablatesim.flow_solver import (FlowBC, FlowProblem, InflowProfile,
+from ablatesim.flow_solver import (FlowBC, FlowProblem,
                                    _dirichlet_velocity, builtin_profile_gamma1,
                                    builtin_profile_gamma5, solve_flow_stationary,
                                    solve_flow_step)
@@ -26,20 +26,21 @@ def channel_bc():
 
 def monolithic(problem, advect, dt=None, gamma_n=()):
     """(v, p) from the uncondensed saddle system, assembled block by block."""
-    mesh, dm = problem.mesh, problem.dofmap
+    mesh = problem.mesh
+    dm = fem_core.dofmap_for(mesh)
     nu = problem.model.nu(fem_core.p1_at_qp(mesh, problem.theta))
-    blocks = fem_core.assemble_mini_blocks(mesh, dm, nu, advect=advect,
+    blocks = fem_core.assemble_mini_blocks(mesh, nu, advect=advect,
                                            gamma_n_tags=gamma_n)
     A, rhs_v = blocks["A_vv"], np.zeros(dm.n_velocity)
     if dt is not None:
-        M = fem_core.assemble_mini_mass(mesh, dm)
+        M = fem_core.assemble_mini_mass(mesh)
         A, rhs_v = A + M / dt, M @ problem.v_prev / dt
     geo = fem_core.geometry(mesh)
     if problem.extra_force is not None:
         fx, fy = problem.extra_force(geo.qp[..., 0], geo.qp[..., 1])
         force = np.stack(np.broadcast_arrays(fx, fy, geo.qw)[:2], axis=-1)
-        rhs_v = rhs_v + fem_core.assemble_vector_load(mesh, dm, force)
-    K = sp.bmat([[A, -blocks["G"]], [blocks["B"], None]], format="csr")
+        rhs_v = rhs_v + fem_core.assemble_vector_load(mesh, force)
+    K = sp.bmat([[A, -blocks["B"].T], [blocks["B"], None]], format="csr")
     rhs = np.concatenate([rhs_v, np.zeros(dm.n_pressure)])
     dofs, vals = _dirichlet_velocity(problem)
     if not gamma_n:
@@ -64,7 +65,7 @@ def channel_step_problem(**kw):
     dm = fem_core.dofmap_for(mesh)
     rng = np.random.default_rng(3)
     model = MaterialModel(nu_law=lambda th: 0.0021 * (1.0 + 0.02 * (th - 37.0)))
-    return FlowProblem(mesh=mesh, dofmap=dm, model=model,
+    return FlowProblem(mesh=mesh, model=model,
                        theta=37.0 + 10.0 * rng.random(mesh.num_vertices),
                        v_prev=0.05 * rng.standard_normal(dm.n_velocity),
                        dt=0.01, bc=channel_bc(), **kw)
@@ -82,13 +83,12 @@ class TestEquivalence:
         case = verify.oseen_case()
         mesh = verify._mms_mesh(16, 8)
         dm = fem_core.dofmap_for(mesh)
-        profile = InflowProfile("exact", lambda x, y: case.exact(x, y))
         model = verify._unit_material()
         problem = FlowProblem(
-            mesh=mesh, dofmap=dm, model=model,
+            mesh=mesh, model=model,
             theta=np.full(mesh.num_vertices, model.theta_b),
             v_prev=np.zeros(dm.n_velocity), dt=None,
-            bc={tag: FlowBC("inflow", profile) for tag in ALL_TAGS},
+            bc={tag: FlowBC("inflow", lambda x, y: case.exact(x, y)) for tag in ALL_TAGS},
             advect_field=lambda x, y: case.exact(x, y),
             extra_force=lambda x, y: case.source(x, y),
             pressure_pin_value=float(case.pressure(0.0, 0.0)))
@@ -100,13 +100,14 @@ class TestEquivalence:
 class TestContracts:
     def test_full_residual_and_divergence(self):
         problem = channel_step_problem()
-        mesh, dm = problem.mesh, problem.dofmap
+        mesh = problem.mesh
+        dm = fem_core.dofmap_for(mesh)
         v, p = solve_flow_step(problem)
         nu = problem.model.nu(fem_core.p1_at_qp(mesh, problem.theta))
-        saddle = fem_core.assemble_condensed_saddle(mesh, dm, nu, advect=problem.v_prev,
+        saddle = fem_core.assemble_condensed_saddle(mesh, nu, advect=problem.v_prev,
                                                     gamma_n_tags=(3,),
                                                     mass_coeff=1.0 / problem.dt)
-        M = fem_core.assemble_mini_mass(mesh, dm)
+        M = fem_core.assemble_mini_mass(mesh)
         rhs = np.concatenate([M @ problem.v_prev / problem.dt, np.zeros(dm.n_pressure)])
         res = saddle.residual(np.concatenate([v, p]), rhs)
         dofs, _ = _dirichlet_velocity(problem)
@@ -120,7 +121,7 @@ class TestContracts:
         # No viscosity, no convection, no mass: every bubble block is zero.
         mesh = generate_channel_mesh(GeometrySpec(L=L, H=H, r=R, nx=10, ny=6))
         dm = fem_core.dofmap_for(mesh)
-        problem = FlowProblem(mesh=mesh, dofmap=dm,
+        problem = FlowProblem(mesh=mesh,
                               model=MaterialModel(nu_law=lambda th: np.full_like(th, nu)),
                               theta=np.full(mesh.num_vertices, 37.0),
                               v_prev=np.zeros(dm.n_velocity), dt=None, bc=channel_bc(),
@@ -131,8 +132,9 @@ class TestContracts:
     def test_recovered_bubbles_solve_their_rows(self):
         # For any P1 vector, the recovered full vector solves the bubble rows.
         problem = channel_step_problem()
-        mesh, dm = problem.mesh, problem.dofmap
-        saddle = fem_core.assemble_condensed_saddle(mesh, dm, 0.01, advect=problem.v_prev,
+        mesh = problem.mesh
+        dm = fem_core.dofmap_for(mesh)
+        saddle = fem_core.assemble_condensed_saddle(mesh, 0.01, advect=problem.v_prev,
                                                     mass_coeff=3.0)
         rng = np.random.default_rng(5)
         rhs = rng.standard_normal(dm.n_flow)
@@ -146,10 +148,10 @@ class TestLayout:
         mesh = generate_channel_mesh(GeometrySpec(L=L, H=H, r=R, nx=10, ny=6))
         dm = fem_core.dofmap_for(mesh)
         assert "condensed_layout" not in fem_core.geometry(mesh).operators
-        saddle = fem_core.assemble_condensed_saddle(mesh, dm, 1.0)
+        saddle = fem_core.assemble_condensed_saddle(mesh, 1.0)
         assert saddle.matrix.shape == (3 * dm.nv, 3 * dm.nv)
         first = saddle.layout
-        assert fem_core.assemble_condensed_saddle(mesh, dm, 2.0).layout is first
+        assert fem_core.assemble_condensed_saddle(mesh, 2.0).layout is first
         with pytest.raises(ValueError):
             first.pattern.scatter[0, 0, 0] = 1
 
@@ -162,8 +164,7 @@ class TestLayout:
         nv, t = mesh.num_vertices, mesh.triangles
         elem = np.concatenate([t, nv + t, 2 * nv + t], axis=1)
         want = fem_core._Pattern(elem, elem, (3 * nv, 3 * nv))
-        dm = fem_core.dofmap_for(mesh)
-        got = fem_core.assemble_condensed_saddle(mesh, dm, 1.0).layout.pattern
+        got = fem_core.assemble_condensed_saddle(mesh, 1.0).layout.pattern
         assert got.shape == want.shape
         for attr in ("indptr", "indices", "scatter"):
             a, b = getattr(got, attr), getattr(want, attr)

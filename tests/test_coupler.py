@@ -360,11 +360,11 @@ def test_condensed_assembly_peak_memory():
     mesh, dm = sim.mesh, sim.dofmap
     v = np.random.default_rng(0).standard_normal(dm.n_velocity)
     kwargs = dict(advect=v, gamma_n_tags=(4,), mass_coeff=10.0)
-    fem_core.assemble_condensed_saddle(mesh, dm, 1.0, **kwargs)  # builds the caches
+    fem_core.assemble_condensed_saddle(mesh, 1.0, **kwargs)  # builds the caches
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        fem_core.assemble_condensed_saddle(mesh, dm, 1.0, **kwargs)
+        fem_core.assemble_condensed_saddle(mesh, 1.0, **kwargs)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ablatesim import fem_core, flow_solver
-from ablatesim.flow_solver import (FlowBC, FlowProblem, InflowProfile,
+from ablatesim.flow_solver import (FlowBC, FlowProblem,
                                    builtin_profile_gamma1,
                                    builtin_profile_gamma5, make_profile,
                                    solve_flow_stationary, solve_flow_step)
@@ -32,7 +32,7 @@ def make_problem(mesh, bc, theta_val=37.0, v_prev=None, dt=0.01, **kw):
     model = kw.pop("model", MaterialModel())
     if v_prev is None:
         v_prev = np.zeros(dm.n_velocity)
-    return FlowProblem(mesh=mesh, dofmap=dm, model=model,
+    return FlowProblem(mesh=mesh, model=model,
                        theta=np.full(mesh.num_vertices, theta_val),
                        v_prev=v_prev, dt=dt, bc=bc, **kw)
 
@@ -64,8 +64,11 @@ class TestProfiles:
         assert vy == pytest.approx(-0.075, rel=1e-12)
 
     def test_profile_registry(self):
-        assert make_profile("gamma1_parabola", H=H).name == "gamma1_parabola"
-        assert make_profile("gamma5_electrode", L=L, r=R).name == "gamma5_electrode"
+        x, y = np.array([0.3, L / 2]), np.array([0.2, H])
+        for got, want in ((make_profile("gamma1_parabola", H=H), builtin_profile_gamma1(H)),
+                          (make_profile("gamma5_electrode", L=L, r=R),
+                           builtin_profile_gamma5(L, R))):
+            assert np.array_equal(got(x, y), want(x, y))
         z = make_profile("zero")
         assert z(0.3, 0.4) == (0.0, 0.0)
         with pytest.raises(ValueError):
@@ -92,15 +95,14 @@ class TestFlowStep:
         # constant Dirichlet data on every side of an enclosed box
         mesh = generate_channel_mesh(GeometrySpec(L=2.0, H=1.0, r=0.25, nx=10, ny=6))
         dm = fem_core.dofmap_for(mesh)
-        const = InflowProfile("const", lambda x, y: (
-            np.ones_like(np.asarray(x, dtype=float)),
-            np.zeros_like(np.asarray(x, dtype=float))))
-        bc = {t: FlowBC("inflow", const) for t in ALL_TAGS}
+        bc = {t: FlowBC("inflow", lambda x, y: (np.ones_like(np.asarray(x, dtype=float)),
+                                                np.zeros_like(np.asarray(x, dtype=float))))
+              for t in ALL_TAGS}
         v_prev = np.zeros(dm.n_velocity)
         v_prev[dm.vx_vertex(np.arange(dm.nv))] = 1.0
         problem = make_problem(mesh, bc, v_prev=v_prev, dt=0.1)
         v, p = solve_flow_step(problem)
-        vv = fem_core.velocity_at_vertices(mesh, dm, v)
+        vv = fem_core.velocity_at_vertices(mesh, v)
         assert np.abs(vv[:, 0] - 1.0).max() <= 1e-8
         assert np.abs(vv[:, 1]).max() <= 1e-8
 
@@ -108,14 +110,14 @@ class TestFlowStep:
         mesh = channel_mesh()
         problem = make_problem(mesh, bc_test1())
         v, p = solve_flow_step(problem)
-        B = fem_core.assemble_mini_blocks(mesh, problem.dofmap, 1.0)["B"]
+        B = fem_core.assemble_mini_blocks(mesh, 1.0)["B"]
         assert np.linalg.norm(B @ v) <= 1e-8 * (1.0 + np.linalg.norm(v))
 
     def test_dirichlet_dofs_exact(self):
         mesh = channel_mesh(10, 6)
         problem = make_problem(mesh, bc_test1())
         v, _ = solve_flow_step(problem)
-        dm = problem.dofmap
+        dm = fem_core.dofmap_for(mesh)
         wall = mesh.boundary_vertices_with_tag(2)
         assert np.abs(v[dm.vx_vertex(wall)]).max() == 0.0
         inlet = mesh.boundary_vertices_with_tag(1)
@@ -124,13 +126,12 @@ class TestFlowStep:
 
     def test_shared_corner_takes_larger_tag(self):
         mesh = channel_mesh(10, 6)
-        const = InflowProfile("const", lambda x, y: (np.ones_like(x), np.zeros_like(x)))
         bc = {t: FlowBC("noslip") for t in (2, 4, 5)}
-        bc[1] = FlowBC("inflow", const)
+        bc[1] = FlowBC("inflow", lambda x, y: (np.ones_like(x), np.zeros_like(x)))
         bc[3] = FlowBC("donothing")
         problem = make_problem(mesh, bc)
         v, _ = solve_flow_step(problem)
-        dm = problem.dofmap
+        dm = fem_core.dofmap_for(mesh)
         corner = np.flatnonzero(np.all(mesh.vertices == 0.0, axis=1))
         assert v[dm.vx_vertex(corner)].tolist() == [0.0]
         assert v[dm.vy_vertex(corner)].tolist() == [0.0]
@@ -183,8 +184,7 @@ class TestStationary:
         mesh = channel_mesh()
         problem = make_problem(mesh, bc_test1(), dt=None)
         v, _ = solve_flow_stationary(problem)
-        dm = problem.dofmap
-        vv = fem_core.velocity_at_vertices(mesh, dm, v)
+        vv = fem_core.velocity_at_vertices(mesh, v)
         speed = np.linalg.norm(vv, axis=1)
         assert speed.max() > 0.05  # nonzero channel flow
         # argmax scan oracle: the developed profile peaks on the centerline
@@ -198,7 +198,7 @@ class TestStationary:
         mesh = channel_mesh(10, 6)
         problem = make_problem(mesh, bc_test1(), dt=None)
         v, _ = solve_flow_stationary(problem)
-        B = fem_core.assemble_mini_blocks(mesh, problem.dofmap, 1.0)["B"]
+        B = fem_core.assemble_mini_blocks(mesh, 1.0)["B"]
         assert np.linalg.norm(B @ v) <= 1e-8 * (1.0 + np.linalg.norm(v))
 
     def test_picard_max_below_one_rejected(self):
@@ -212,9 +212,9 @@ class TestStationary:
             solve_flow_stationary(problem, picard_max=2)
 
 
-def viscous_dissipation(mesh, dm, model, theta, v):
+def viscous_dissipation(mesh, model, theta, v):
     """nu(theta) D(v):D(v) at the quad points, as the heat source takes it."""
-    return model.nu(fem_core.p1_at_qp(mesh, theta)) * flow_solver.viscous_dissipation(mesh, dm, v)
+    return model.nu(fem_core.p1_at_qp(mesh, theta)) * flow_solver.viscous_dissipation(mesh, v)
 
 
 def strain_rate_product(grad):
@@ -235,9 +235,9 @@ class TestDissipation:
         v = rng.standard_normal(dm.n_velocity)
         theta = 37.0 + 20.0 * rng.uniform(size=mesh.num_vertices)
         model = MaterialModel(nu_law=lambda th: 0.002 * (1.0 + 0.01 * (th - 37.0)))
-        got = viscous_dissipation(mesh, dm, model, theta, v)
+        got = viscous_dissipation(mesh, model, theta, v)
         nu = model.nu(fem_core.p1_at_qp(mesh, theta))
-        ref = nu * strain_rate_product(fem_core.velocity_grad_at_qp(mesh, dm, v))
+        ref = nu * strain_rate_product(fem_core.velocity_grad_at_qp(mesh, v))
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_zero_velocity(self):
@@ -245,7 +245,7 @@ class TestDissipation:
         dm = fem_core.dofmap_for(mesh)
         model = MaterialModel()
         theta = np.full(mesh.num_vertices, 37.0)
-        d = viscous_dissipation(mesh, dm, model, theta, np.zeros(dm.n_velocity))
+        d = viscous_dissipation(mesh, model, theta, np.zeros(dm.n_velocity))
         assert np.abs(d).max() == 0.0
 
     def test_rigid_rotation_zero(self):
@@ -255,7 +255,7 @@ class TestDissipation:
         idx = np.arange(dm.nv)
         v[dm.vx_vertex(idx)] = -mesh.vertices[:, 1]
         v[dm.vy_vertex(idx)] = mesh.vertices[:, 0]
-        d = viscous_dissipation(mesh, dm, MaterialModel(),
+        d = viscous_dissipation(mesh, MaterialModel(),
                                 np.full(mesh.num_vertices, 37.0), v)
         assert np.abs(d).max() <= 1e-26
 
@@ -266,7 +266,7 @@ class TestDissipation:
         v = np.zeros(dm.n_velocity)
         v[dm.vx_vertex(np.arange(dm.nv))] = mesh.vertices[:, 1]
         model = MaterialModel()
-        d = viscous_dissipation(mesh, dm, model, np.full(mesh.num_vertices, 37.0), v)
+        d = viscous_dissipation(mesh, model, np.full(mesh.num_vertices, 37.0), v)
         assert np.allclose(d, model.nu_const * 0.5, rtol=1e-12)
 
     def test_nonnegative_for_random_fields(self):
@@ -275,7 +275,7 @@ class TestDissipation:
         rng = np.random.default_rng(8)
         for _ in range(3):
             v = rng.standard_normal(dm.n_velocity)
-            d = viscous_dissipation(mesh, dm, MaterialModel(),
+            d = viscous_dissipation(mesh, MaterialModel(),
                                     np.full(mesh.num_vertices, 37.0), v)
             assert d.min() >= 0.0
 
@@ -290,7 +290,7 @@ class TestEnergyDecay:
         interior = np.setdiff1d(np.arange(dm.nv), np.unique(mesh.boundary_edges.ravel()))
         v[dm.vx_vertex(interior)] = rng.standard_normal(interior.size)
         v[dm.vy_vertex(interior)] = rng.standard_normal(interior.size)
-        M = fem_core.assemble_mini_mass(mesh, dm)
+        M = fem_core.assemble_mini_mass(mesh)
         for _ in range(4):
             problem = make_problem(mesh, bc, v_prev=v, dt=0.05,
                                    include_convection=False)

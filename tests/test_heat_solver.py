@@ -24,21 +24,21 @@ def const_velocity(dm, vx, vy):
     return v
 
 
-def entropy_residual(mesh, dm, model, th1, th2, v, phi, dt, alpha=2.0):
+def entropy_residual(mesh, model, th1, th2, v, phi, dt, alpha=2.0):
     """The residual of the nodal fields, its quad-point inputs evaluated here."""
     coeffs = Coefficients(model, fem_core.p1_at_qp(mesh, th1))
-    source = (coeffs.nu * viscous_dissipation(mesh, dm, v)
+    source = (coeffs.nu * viscous_dissipation(mesh, v)
               + joule_density(mesh, coeffs.sigma, phi))
     return heat_solver.entropy_residual(mesh, coeffs, th1, th2,
-                                        fem_core.velocity_at_qp(mesh, dm, v), source, dt, alpha)
+                                        fem_core.velocity_at_qp(mesh, v), source, dt, alpha)
 
 
-def cell_speed(mesh, dm, v):
-    return _cell_speed_max(mesh, dm, v, fem_core.velocity_at_qp(mesh, dm, v))
+def cell_speed(mesh, v):
+    return _cell_speed_max(mesh, v, fem_core.velocity_at_qp(mesh, v))
 
 
-def artificial_viscosity(mesh, dm, residuals, theta, v, params):
-    return heat_solver.artificial_viscosity(mesh, residuals, theta, cell_speed(mesh, dm, v),
+def artificial_viscosity(mesh, residuals, theta, v, params):
+    return heat_solver.artificial_viscosity(mesh, residuals, theta, cell_speed(mesh, v),
                                             params)
 
 
@@ -53,7 +53,7 @@ def make_problem(mesh, bc, theta_prev, v=None, phi=None, dt=0.05, **kw):
         v = np.zeros(dm.n_velocity)
     if phi is None:
         phi = np.zeros(mesh.num_vertices)
-    return HeatProblem(mesh=mesh, dofmap=dm, model=model, theta_prev=theta_prev,
+    return HeatProblem(mesh=mesh, model=model, theta_prev=theta_prev,
                        v=v, phi=phi, dt=dt, bc=bc, **kw)
 
 
@@ -85,7 +85,7 @@ class TestEntropyResidual:
         model = MaterialModel()
         theta = np.full(mesh.num_vertices, 37.0)
         for alpha in (1.0, 1.5, 2.0):
-            res = entropy_residual(mesh, dm, model, theta, theta,
+            res = entropy_residual(mesh, model, theta, theta,
                                    np.zeros(dm.n_velocity),
                                    np.zeros(mesh.num_vertices), 0.1, alpha)
             assert np.abs(res).max() <= 1e-12
@@ -97,7 +97,7 @@ class TestEntropyResidual:
         model = MaterialModel()
         theta = mesh.vertices[:, 0].copy()
         v = const_velocity(dm, 1.0, 0.0)
-        res = entropy_residual(mesh, dm, model, theta, theta, v,
+        res = entropy_residual(mesh, model, theta, theta, v,
                                np.zeros(mesh.num_vertices), 0.1, 1.0)
         assert np.allclose(res, 1.0, atol=1e-12)
 
@@ -109,7 +109,7 @@ class TestEntropyResidual:
         dt = 0.25
         th2 = np.full(mesh.num_vertices, 40.0)
         th1 = th2 + dt
-        res = entropy_residual(mesh, dm, model, th1, th2,
+        res = entropy_residual(mesh, model, th1, th2,
                                np.zeros(dm.n_velocity),
                                np.zeros(mesh.num_vertices), dt, 1.0)
         assert np.allclose(res, 1.0, atol=1e-12)
@@ -125,14 +125,14 @@ class TestEntropyResidual:
         v = rng.standard_normal(dm.n_velocity) * 0.1
         phi = rng.standard_normal(mesh.num_vertices) * 0.1
         dt = 0.05
-        res = entropy_residual(mesh, dm, model, th1, th2, v, phi, dt, 2.0)
+        res = entropy_residual(mesh, model, th1, th2, v, phi, dt, 2.0)
 
         geo = fem_core.geometry(mesh)
         th1q = fem_core.p1_at_qp(mesh, th1)
         th2q = fem_core.p1_at_qp(mesh, th2)
         g1 = fem_core.p1_gradients(mesh, th1)
-        vq = fem_core.velocity_at_qp(mesh, dm, v)
-        gradv = fem_core.velocity_grad_at_qp(mesh, dm, v)
+        vq = fem_core.velocity_at_qp(mesh, v)
+        gradv = fem_core.velocity_grad_at_qp(mesh, v)
         gphi = fem_core.p1_gradients(mesh, phi)
         expected = np.zeros(mesh.num_triangles)
         for t in range(mesh.num_triangles):
@@ -154,7 +154,7 @@ class TestArtificialViscosity:
         mesh = small_mesh()
         dm = fem_core.dofmap_for(mesh)
         theta = np.full(mesh.num_vertices, 40.0)
-        art = artificial_viscosity(mesh, dm, np.ones(mesh.num_triangles), theta,
+        art = artificial_viscosity(mesh, np.ones(mesh.num_triangles), theta,
                                    np.zeros(dm.n_velocity), StabilizationParams())
         assert np.abs(art).max() == 0.0
 
@@ -165,7 +165,7 @@ class TestArtificialViscosity:
         v = const_velocity(dm, 1.0, 0.0)
         res = np.ones(mesh.num_triangles)
         res[5] = 0.0
-        art = artificial_viscosity(mesh, dm, res, theta, v, StabilizationParams())
+        art = artificial_viscosity(mesh, res, theta, v, StabilizationParams())
         assert art[5] == 0.0
         assert art[0] > 0.0
 
@@ -175,7 +175,7 @@ class TestArtificialViscosity:
         theta = np.full(mesh.num_vertices, 42.0)  # var(theta) = 0
         v = const_velocity(dm, 2.0, 0.0)
         params = StabilizationParams()
-        art = artificial_viscosity(mesh, dm, np.ones(mesh.num_triangles), theta,
+        art = artificial_viscosity(mesh, np.ones(mesh.num_triangles), theta,
                                    v, params)
         expected = params.beta * 2.0 * mesh.h
         assert np.allclose(art, expected, rtol=1e-12)
@@ -187,9 +187,9 @@ class TestArtificialViscosity:
         theta = 37.0 + rng.uniform(0, 5, mesh.num_vertices)
         v = rng.standard_normal(dm.n_velocity) * 0.2
         params = StabilizationParams()
-        art = artificial_viscosity(mesh, dm, rng.uniform(0, 10, mesh.num_triangles),
+        art = artificial_viscosity(mesh, rng.uniform(0, 10, mesh.num_triangles),
                                    theta, v, params)
-        bound = params.beta * cell_speed(mesh, dm, v) * mesh.h
+        bound = params.beta * cell_speed(mesh, v) * mesh.h
         assert np.all(art >= 0.0)
         assert np.all(art <= bound * (1 + 1e-15))
 
@@ -199,7 +199,7 @@ class TestArtificialViscosity:
         dm = fem_core.dofmap_for(mesh)
         theta = np.full(mesh.num_vertices, 42.0)
         v = const_velocity(dm, 1.0, 0.0)
-        art = artificial_viscosity(mesh, dm, None, theta, v,
+        art = artificial_viscosity(mesh, None, theta, v,
                                    StabilizationParams(beta=-0.1))
         assert art.min() < 0.0
 
@@ -219,7 +219,6 @@ class TestHeatStep:
 
     def test_dissipative_decay_toward_ambient(self):
         mesh = small_mesh()
-        dm = fem_core.dofmap_for(mesh)
         M = fem_core.assemble_mass(mesh)
         theta = np.full(mesh.num_vertices, 50.0)
         prev = None
@@ -292,7 +291,7 @@ class TestHeatStep:
         params = StabilizationParams(beta=0.25)
         problem = make_problem(mesh, robin_bc(), theta, v=v, stab=params)
         solve_heat_step(problem)
-        expected = params.beta * cell_speed(mesh, dm, v) * mesh.h
+        expected = params.beta * cell_speed(mesh, v) * mesh.h
         assert np.allclose(problem.art_visc, expected, rtol=1e-14)
 
     def test_residual_branch_uses_v_stab(self):
@@ -388,7 +387,7 @@ class TestBoundaryKernel:
 
     def test_system_summed_in_pattern_data_matches_the_sparse_sum(self):
         problem, _ = self.robin_inflow_problem()
-        mesh, dm, dt, theta = problem.mesh, problem.dofmap, problem.dt, problem.theta_prev
+        mesh, dt, theta = problem.mesh, problem.dt, problem.theta_prev
         coeffs = Coefficients(problem.model, fem_core.p1_at_qp(mesh, theta))
         art = np.random.default_rng(8).uniform(0.0, 1e-2, (mesh.num_triangles, 1))
         joule = joule_density(mesh, coeffs.sigma, problem.phi)
@@ -397,8 +396,8 @@ class TestBoundaryKernel:
         # The reference sums the same terms as sparse matrices, tag by tag.
         Mc = fem_core.assemble_mass(mesh) / dt
         ref = (Mc + fem_core.assemble_stiffness(mesh, coeffs.eta + art)
-               + fem_core.assemble_advection(mesh, fem_core.velocity_at_qp(mesh, dm, problem.v)))
-        src = coeffs.nu * viscous_dissipation(mesh, dm, problem.v) + joule
+               + fem_core.assemble_advection(mesh, fem_core.velocity_at_qp(mesh, problem.v)))
+        src = coeffs.nu * viscous_dissipation(mesh, problem.v) + joule
         ref_rhs = Mc @ theta + fem_core.assemble_scalar_load(mesh, src)
         for tag in (1, 4, 5):
             terms = heat_solver._boundary_terms(make_problem(
@@ -435,7 +434,7 @@ class TestResidualConsistency:
             th1 = case.exact(x, y, dt)
             th2 = case.exact(x, y, 0.0)
             v = const_velocity(dm, *case.velocity)
-            res = entropy_residual(mesh, dm, model, th1, th2, v,
+            res = entropy_residual(mesh, model, th1, th2, v,
                                    np.zeros(mesh.num_vertices), dt, 2.0)
             assert np.all(np.isfinite(res))
             sups.append(float(res.max()))

@@ -214,6 +214,26 @@ class TestHeldLU:
         assert held.krylov_solves == 1 and held.iterations > 0
         assert len(applies) == held.iterations
 
+    def test_reused_solve_from_a_guess_forms_its_residual_once(self):
+        # The guess check's residual b - A x0 is also GMRES's first: one
+        # product for it, one per iteration, one for the acceptance check.
+        class CountingCSR(sp.csr_matrix):
+            products = 0
+
+            def _matmul_vector(self, other):
+                self.products += 1
+                return super()._matmul_vector(other)
+
+        held = linalg.HeldLU()
+        A, b = self.system()
+        x0 = solve_lu(A, b, order=self.order(), factor=held)
+        A1, b1 = self.system(perturbation=1e-3, seed=1)
+        A1 = CountingCSR(A1)
+        x = solve_lu(A1, b1, x0=x0, order=self.order(), factor=held)
+        assert held.krylov_solves == 1 and held.iterations > 0
+        assert A1.products == held.iterations + 2
+        assert np.linalg.norm(b1 - A1 @ x) <= linalg.RESIDUAL_TOL * np.linalg.norm(b1)
+
     def test_solve_without_guess_starts_from_the_last_solution(self):
         A, b = self.system()
         A1, b1 = self.system(perturbation=1e-3, seed=1)

@@ -131,16 +131,15 @@ class TestCachedOperatorsMatchCoo:
     def test_mini_mass(self, name):
         mesh = MESHES[name]()
         dm = dofmap_for(mesh)
-        assert rel_diff(fem_core.assemble_mini_mass(mesh, dm), ref_mini_mass(mesh, dm)) <= RTOL
+        assert rel_diff(fem_core.assemble_mini_mass(mesh), ref_mini_mass(mesh, dm)) <= RTOL
 
     def test_divergence_and_gradient(self, name):
         mesh = MESHES[name]()
         dm = dofmap_for(mesh)
         B = ref_divergence(mesh, dm)
-        blocks = fem_core.assemble_mini_blocks(mesh, dm, 1.0)
-        assert rel_diff(fem_core.assemble_divergence(mesh, dm), B) <= RTOL
+        blocks = fem_core.assemble_mini_blocks(mesh, 1.0)
+        assert rel_diff(fem_core.assemble_divergence(mesh), B) <= RTOL
         assert rel_diff(blocks["B"], B) <= RTOL
-        assert rel_diff(blocks["G"], B.T) <= RTOL
 
     def test_boundary_mass(self, name):
         mesh = MESHES[name]()
@@ -157,18 +156,18 @@ class TestCachedOperatorsMatchCoo:
         nu_qp = np.full(fem_core.geometry(mesh).qw.shape, nu)
         ref = ref_viscous(mesh, dm, nu_qp)
         for viscosity in (nu, nu_qp):
-            A = fem_core.assemble_mini_blocks(mesh, dm, viscosity)["A_vv"]
+            A = fem_core.assemble_mini_blocks(mesh, viscosity)["A_vv"]
             assert rel_diff(A, ref) <= RTOL
 
     def test_theta_dependent_viscosity_bypasses_cache(self, name):
         mesh = MESHES[name]()
         dm = dofmap_for(mesh)
-        fem_core.assemble_mini_blocks(mesh, dm, 0.0021)  # fill the constant-nu cache
+        fem_core.assemble_mini_blocks(mesh, 0.0021)  # fill the constant-nu cache
         model = MaterialModel(nu_law=lambda th: 0.002 + 1e-4 * (th - 37.0))
         theta = 37.0 + 20.0 * np.sin(3.0 * mesh.vertices[:, 0]) * mesh.vertices[:, 1]
         nu_qp = model.nu(fem_core.p1_at_qp(mesh, theta))
         assert nu_qp.min() < nu_qp.max()
-        A = fem_core.assemble_mini_blocks(mesh, dm, nu_qp)["A_vv"]
+        A = fem_core.assemble_mini_blocks(mesh, nu_qp)["A_vv"]
         assert rel_diff(A, ref_viscous(mesh, dm, nu_qp)) <= RTOL
 
     def test_owners_match_brute_force(self, name):
@@ -179,13 +178,12 @@ class TestCachedOperatorsMatchCoo:
 class TestCacheIntegrity:
     def test_cached_arrays_are_read_only(self):
         mesh = channel()
-        dm = dofmap_for(mesh)
-        blocks = fem_core.assemble_mini_blocks(mesh, dm, 1.0)
+        blocks = fem_core.assemble_mini_blocks(mesh, 1.0)
         geo = fem_core.geometry(mesh)
         arrays = [mesh.boundary_edge_owners(), mesh.boundary_outward_normals(),
                   geo.qw, geo.qp, geo.grad_p1, geo.grad_bubble]
-        for A in (fem_core.assemble_mass(mesh), fem_core.assemble_mini_mass(mesh, dm),
-                  blocks["B"], blocks["G"]):
+        for A in (fem_core.assemble_mass(mesh), fem_core.assemble_mini_mass(mesh),
+                  blocks["B"]):
             arrays += [A.data, A.indices, A.indptr]
         for arr in arrays:
             with pytest.raises(ValueError):
@@ -196,11 +194,10 @@ class TestCacheIntegrity:
 
     def test_refilled_data_is_private(self):
         mesh = channel()
-        dm = dofmap_for(mesh)
-        first = fem_core.assemble_mini_blocks(mesh, dm, 0.5)["A_vv"]
+        first = fem_core.assemble_mini_blocks(mesh, 0.5)["A_vv"]
         expected = first.toarray()
         first.data[:] = 0.0  # the caller owns the data of a refilled operator
-        again = fem_core.assemble_mini_blocks(mesh, dm, 0.5)["A_vv"]
+        again = fem_core.assemble_mini_blocks(mesh, 0.5)["A_vv"]
         assert np.array_equal(again.toarray(), expected)
 
     def test_meshes_never_share_a_cache(self):
@@ -212,9 +209,8 @@ class TestCacheIntegrity:
         assert fem_core.assemble_mass(m1) is not fem_core.assemble_mass(m2)
         M1 = fem_core.assemble_mass(m1)
         assert abs(fem_core.assemble_mass(scaled) - 4.0 * M1).max() <= 1e-14 * abs(M1).max()
-        dm = dofmap_for(m1)
-        B1 = fem_core.assemble_divergence(m1, dm)
-        assert abs(fem_core.assemble_divergence(scaled, dm) - 2.0 * B1).max() <= 1e-14 * abs(B1).max()
+        B1 = fem_core.assemble_divergence(m1)
+        assert abs(fem_core.assemble_divergence(scaled) - 2.0 * B1).max() <= 1e-14 * abs(B1).max()
 
 
 class TestHotPath:

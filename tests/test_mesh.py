@@ -98,6 +98,36 @@ class TestInvariants:
         with pytest.raises(MeshError, match="boundary"):
             Mesh2D(vertices, [[0, 1, 2]], [[0, 1], [1, 2]], [1, 2])  # edge (2,0) untagged
 
+    def test_missing_boundary_edge_counted(self):
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(MeshError, match=r"\(missing 1, spurious 0\)"):
+            Mesh2D(vertices, [[0, 1, 2]], [[0, 1], [1, 2]], [1, 2])
+
+    def test_non_manifold_edge_rejected(self):
+        # Three triangles above the edge (0, 1) share it.
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0], [0.5, 3.0]])
+        triangles = [[0, 1, 2], [0, 1, 3], [0, 1, 4]]
+        edges = [[1, 2], [2, 0], [1, 3], [3, 0], [1, 4], [4, 0]]
+        with pytest.raises(MeshError, match="non-manifold edge: shared by more than 2 triangles"):
+            Mesh2D(vertices, triangles, edges, [1] * len(edges))
+
+    def test_edge_tagged_twice_rejected(self):
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(MeshError, match=r"edge \(0, 1\) tagged more than once"):
+            Mesh2D(vertices, [[0, 1, 2]], [[0, 1], [1, 2], [2, 0], [1, 0]], [1, 2, 3, 4])
+
+    def test_unknown_tag_on_edge_rejected(self):
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(MeshError, match=r"unknown boundary tag 9 on edge \(0, 2\)"):
+            Mesh2D(vertices, [[0, 1, 2]], [[0, 1], [1, 2], [2, 0]], [1, 2, 9])
+
+    def test_spurious_interior_edge_rejected(self):
+        # The unit square's diagonal (0, 2) is interior, so tagging it is spurious.
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        edges = [[0, 1], [1, 2], [2, 3], [3, 0], [0, 2]]
+        with pytest.raises(MeshError, match=r"\(missing 0, spurious 1\)"):
+            Mesh2D(vertices, [[0, 1, 2], [0, 2, 3]], edges, [1, 2, 3, 4, 5])
+
 
 class TestTagQueries:
     def test_gamma1_edges(self):

@@ -31,7 +31,7 @@ import numpy as np
 from . import fem_core, flow_solver
 from .flow_solver import (FlowProblem, flow_constraints, solve_flow_stationary,
                           solve_flow_step)
-from .heat_solver import HeatProblem, solve_heat_stationary, solve_heat_step
+from .heat_solver import HeatProblem, heat_dirichlet, solve_heat_stationary, solve_heat_step
 from .linalg import HeldLU, SolverError
 from .materials import Coefficients
 from .mesh import TAG_NAMES, generate_channel_mesh
@@ -111,10 +111,10 @@ class SimState:
 
 class Simulation:
     """Owns the mesh, dof map, material model, cached diagnostics operators,
-    the constant Dirichlet data of the potential and the flow, and the held
-    LU of each system (``factors``: potential, flow, heat).  The holders
-    start empty; each factor and each Dirichlet set is built at its
-    system's first solve."""
+    the Dirichlet data of each system (the heat's values, which may depend
+    on t, are resampled at each solve) and the held LU of each system
+    (``factors``: potential, flow, heat).  The holders start empty; each
+    factor and each Dirichlet set is built at its system's first solve."""
 
     def __init__(self, config):
         config.validate()
@@ -129,7 +129,7 @@ class Simulation:
         self._mass = fem_core.assemble_mass(self.mesh)
         self._div_B = fem_core.assemble_divergence(self.mesh)
         self.factors = {name: HeldLU() for name in ("potential", "flow", "heat")}
-        self._constraints = {}  # system -> Dirichlet (dofs, values), see _dirichlet
+        self._constraints = {}  # system -> its Dirichlet data, see _dirichlet
 
     # -- problem builders -----------------------------------------------------
 
@@ -153,8 +153,9 @@ class Simulation:
         problem.constraints = self._dirichlet("flow", lambda: flow_constraints(problem))
         return problem
 
-    def _dirichlet(self, system: str, build) -> tuple:
-        """The constant Dirichlet (dofs, values) of ``system``, built once."""
+    def _dirichlet(self, system: str, build):
+        """The constant Dirichlet data of ``system``, built once: the (dofs,
+        values) of the potential and the flow, the heat's vertices."""
         if system not in self._constraints:
             self._constraints[system] = build()
         return self._constraints[system]
@@ -165,7 +166,9 @@ class Simulation:
             mesh=self.mesh, model=self.model,
             theta_prev=theta_prev, theta_prev2=theta_prev2,
             v=v, v_stab=v_stab, phi=phi, dt=dt, bc=self.heat_bc, stab=self.stab,
-            time=t, factor=self.factors["heat"], **shared,
+            time=t, factor=self.factors["heat"],
+            dirichlet=self._dirichlet("heat", lambda: heat_dirichlet(self.mesh, self.heat_bc)),
+            **shared,
         )
 
     # -- diagnostics ------------------------------------------------------------

@@ -60,7 +60,7 @@ EDGE_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 EDGE_W = np.array([0.5, 0.5])
 EDGE_PHI = np.stack([1.0 - EDGE_T, EDGE_T])  # (2 basis, 2 Gauss points)
 
-FILL_BLOCK = 2048  # triangles per block of the convective and condensed Schur fills
+FILL_BLOCK = 2048  # triangles per block of the viscous, convective and condensed Schur fills
 
 
 class ElementP1:
@@ -173,14 +173,13 @@ class _Geometry:
         inv[:, 1, 0] = -jac[:, 1, 0]
         inv[:, 1, 1] = jac[:, 0, 0]
         inv /= det[:, None, None]
-        jinvT = np.transpose(inv, (0, 2, 1))
 
         bary = TRI_RULE.points
         self.qw = TRI_RULE.weights[None, :] * det[:, None]  # (NT, NQ), sums to area
-        self.qp = np.einsum("qa,tad->tqd", bary, coords)  # physical quad points
-        self.grad_p1 = np.einsum("tde,ae->tad", jinvT, ElementP1.ref_grads)  # (NT,3,2)
+        self.qp = _combine(bary, coords)  # physical quad points
+        self.grad_p1 = _combine(ElementP1.ref_grads, inv)  # (NT,3,2)
         ref_gb = ElementP1Bubble.bubble_ref_grads(bary)  # (NQ, 2)
-        self.grad_bubble = np.einsum("tde,qe->tqd", jinvT, ref_gb)  # (NT,NQ,2)
+        self.grad_bubble = _combine(ref_gb, inv)  # (NT,NQ,2)
         self.p1_vals = ElementP1.values(bary)  # (NQ, 3)
         self.bubble_vals = ElementP1Bubble.bubble_values(bary)  # (NQ,)
         # MINI basis values [l1 l2 l3 bubble], the same on every triangle.
@@ -188,6 +187,18 @@ class _Geometry:
         for arr in (self.qw, self.qp, self.grad_p1, self.grad_bubble, self.mini_vals):
             _frozen(arr)
         self.operators: dict = {}  # see _cached
+
+
+def _combine(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(NT, Q, 2) sums over k of table[q, k] x[t, k, d] for a (Q, K) reference
+    table, added term by term in k order to a zero start, as
+    np.einsum("qk,tkd->tqd") adds them (so a zero sum is +0.0)."""
+    out = np.zeros((x.shape[0], table.shape[0], x.shape[2]))
+    for d in range(x.shape[2]):
+        o = out[:, :, d]
+        for k in range(table.shape[1]):
+            o += x[:, k, d, None] * table[:, k]
+    return out
 
 
 def geometry(mesh: Mesh2D) -> _Geometry:
@@ -232,7 +243,9 @@ class _Pattern:
     """Fixed CSR pattern of an element-by-element assembly.
 
     ``scatter[t, i, j]`` is the CSR data position of local entry (i, j) of
-    element t, so a refill with new element matrices is one ``np.bincount``.
+    element t, so a refill with new element matrices is one scatter-add.
+    The constructor sorts the element entries; each mesh sorts once, for its
+    P1 pattern, and derives every other pattern from that one by arithmetic.
     """
 
     def __init__(self, row_dofs: np.ndarray, col_dofs: np.ndarray, shape):
@@ -246,38 +259,78 @@ class _Pattern:
 
     def _set(self, shape, indptr, indices, scatter) -> None:
         self.shape = shape
-        self.indptr = _frozen(indptr.astype(np.int32))
-        self.indices = _frozen(indices.astype(np.int32))
-        self.scatter = _frozen(scatter.astype(np.int32))
+        self.indptr = _frozen(np.ascontiguousarray(indptr, dtype=np.int32))
+        self.indices = _frozen(np.ascontiguousarray(indices, dtype=np.int32))
+        self.scatter = _frozen(np.ascontiguousarray(scatter, dtype=np.int32))
 
     @classmethod
-    def blocked(cls, p1: "_Pattern", k: int) -> "_Pattern":
-        """The pattern of element dofs [c*NV + t[:, a] for c < k] (a k x k grid
-        of copies of the square P1 pattern ``p1``), built by block arithmetic:
-        row c*NV + i holds the k copies of row i, so no sort is needed.  Equal
-        to ``_Pattern(elem, elem, (k*NV, k*NV))``."""
-        nv, nnz = p1.shape[0], p1.nnz
-        indptr = p1.indptr.astype(np.int64)
-        deg = np.diff(indptr)
-        rows = np.repeat(np.arange(nv), deg)
-        # Row i of a block row starts at k*indptr[i] and holds the P1 columns
-        # of row i shifted by c*NV, for c = 0..k-1 in turn; every block row
-        # has k*nnz entries.  P1 entry e, copy c, sits at at[e] + c*stride[e].
-        at = (k - 1) * indptr[rows] + np.arange(nnz)
-        stride = deg[rows]
-        blocks = np.arange(k)[:, None]
-        row_cols = np.empty(k * nnz, dtype=np.int64)
-        row_cols[at + blocks * stride] = p1.indices + nv * blocks
-        nt, n = p1.scatter.shape[:2]
-        pos = p1.scatter[:, None, :, None, :]  # (NT, 1, n, 1, n)
-        scatter = (k * nnz * blocks[:, :, None, None] + at[pos]
-                   + np.arange(k)[:, None] * stride[pos])
+    def _new(cls, shape, indptr, indices, scatter) -> "_Pattern":
         pattern = cls.__new__(cls)
-        pattern._set((k * nv, k * nv),
-                     np.append((k * nnz * blocks + k * indptr[:-1]).ravel(), k * k * nnz),
-                     np.tile(row_cols, k),
-                     scatter.reshape(nt, k * n, k * n))
+        pattern._set(shape, indptr, indices, scatter)
         return pattern
+
+    @classmethod
+    def blocked(cls, base: "_Pattern", k: int) -> "_Pattern":
+        """The pattern of element dofs [c*N + e[:, a] for c < k], a k x k grid
+        of copies of the square N x N pattern ``base`` of element dofs e:
+        row c*N + i holds the k copies of row i, so no sort is needed.  Equal
+        to ``_Pattern(elem, elem, (k*N, k*N))``."""
+        n, nnz = base.shape[0], base.nnz
+        indptr, deg = base.indptr, np.diff(base.indptr)
+        rows = np.repeat(np.arange(n), deg)
+        # Row i of a block row starts at k*indptr[i] and holds the base columns
+        # of row i shifted by c*N, for c = 0..k-1 in turn; every block row has
+        # k*nnz entries.  Base entry e of row i, copy c, sits at
+        # (k-1)*indptr[i] + e + c*deg[i].
+        copies = np.arange(k, dtype=np.int32)
+        row_cols = np.empty(k * nnz, dtype=np.int32)
+        at = (k - 1) * indptr[rows] + np.arange(nnz, dtype=np.int32)
+        row_cols[at + copies[:, None] * deg[rows]] = base.indices + n * copies[:, None]
+        # Local row a of element t lies in base row e[t, a], the row of its
+        # entry (a, 0), so the shifts need only (NT, n) gathers.
+        elem_rows = rows[base.scatter[:, :, 0]]
+        shift = ((k - 1) * indptr[elem_rows])[:, :, None] + deg[elem_rows][:, :, None] * copies
+        scatter = base.scatter[:, None, :, None, :] + shift[:, None, :, :, None]
+        scatter = scatter + (k * nnz * copies)[:, None, None, None]
+        nt, m = base.scatter.shape[:2]
+        return cls._new((k * n, k * n),
+                        np.append((k * nnz * copies[:, None] + k * indptr[:-1]).ravel(),
+                                  k * k * nnz),
+                        np.tile(row_cols, k), scatter.reshape(nt, k * m, k * m))
+
+    @classmethod
+    def with_bubbles(cls, p1: "_Pattern", triangles: np.ndarray) -> "_Pattern":
+        """The pattern of element dofs [t0 t1 t2 NV+it], the P1 pattern ``p1``
+        of ``triangles`` enriched with one bubble per triangle, built from it
+        by arithmetic.  Equal to ``_Pattern(elem, elem, (NV+NT, NV+NT))``."""
+        nv, nt, nnz = p1.shape[0], triangles.shape[0], p1.nnz
+        indptr = p1.indptr.astype(np.int64)
+        # The triangles at each vertex in triangle order, from one stable
+        # order of the 3 NT incidences: q[i] incidences belong to the
+        # vertices before i, and incidence (t, a) is number rank[t, a].
+        flat = triangles.ravel()
+        order = np.argsort(flat, kind="stable")
+        q = np.zeros(nv + 1, dtype=np.int64)
+        np.cumsum(np.bincount(flat, minlength=nv), out=q[1:])
+        rank = np.empty(3 * nt, dtype=np.int64)
+        rank[order] = np.arange(3 * nt)
+        # Vertex row i holds its P1 columns, then the bubbles of its
+        # triangles, and starts at indptr[i] + q[i].  Bubble row t follows
+        # the vertex rows and holds [t0 t1 t2] in increasing order, then NV + t.
+        bubble_start = nnz + 3 * nt + 4 * np.arange(nt + 1)
+        within = (triangles[:, :, None] > triangles[:, None, :]).sum(axis=2)
+        indices = np.empty(bubble_start[-1], dtype=np.int64)
+        indices[np.arange(nnz) + q[np.repeat(np.arange(nv), np.diff(indptr))]] = p1.indices
+        indices[indptr[flat[order] + 1] + np.arange(3 * nt)] = nv + order // 3
+        indices[bubble_start[:-1, None] + within] = triangles
+        indices[bubble_start[:-1] + 3] = nv + np.arange(nt)
+        scatter = np.empty((nt, 4, 4), dtype=np.int64)
+        scatter[:, :3, :3] = p1.scatter + q[triangles][:, :, None]
+        scatter[:, :3, 3] = indptr[triangles + 1] + rank.reshape(nt, 3)
+        scatter[:, 3, :3] = bubble_start[:-1, None] + within
+        scatter[:, 3, 3] = bubble_start[:-1] + 3
+        return cls._new((nv + nt, nv + nt), np.concatenate([indptr + q, bubble_start[1:]]),
+                        indices, scatter)
 
     @property
     def nnz(self) -> int:
@@ -361,7 +414,8 @@ def _nested_dissection(xy: np.ndarray, pattern: _Pattern) -> np.ndarray:
         # an upper half, 0 for a placed vertex.
         half = np.zeros(nv, dtype=np.int64)
         half[v] = 2 * s + 2 - lower
-        cut = (half[rows] % 2 == 0) & (half[rows] == half[cols] + 1)
+        row_half = half[rows]
+        cut = (row_half == half[cols] + 1) & ((row_half & 1) == 0)
         sep = np.zeros(nv, dtype=bool)
         sep[rows[cut]] = True
         sep = sep[v]
@@ -482,21 +536,39 @@ def sample(datum, pts: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(datum, dtype=float), pts.shape[:-1])
 
 
+class DirichletVertices:
+    """The sorted boundary vertices ``dofs`` of some tags, at which
+    :meth:`values` samples Dirichlet data given per tag; a vertex on two tags
+    takes the value of the larger tag.  Built once, it serves data that
+    change from call to call, such as data that depend on time."""
+
+    def __init__(self, mesh: Mesh2D, tags):
+        self.tags = sorted(tags)
+        verts = [mesh.boundary_vertices_with_tag(tag) for tag in self.tags]
+        fixed = np.zeros(mesh.num_vertices, dtype=bool)
+        for v in verts:
+            fixed[v] = True
+        self.dofs = np.flatnonzero(fixed)
+        self._points = [mesh.vertices[v] for v in verts]
+        self._at = [np.searchsorted(self.dofs, v) for v in verts]
+
+    def values(self, data: dict) -> np.ndarray:
+        """The values at ``dofs`` of ``data`` (tag -> datum, see :func:`sample`),
+        with a trailing component axis for vector data."""
+        values = np.zeros(self.dofs.size)
+        for i, (tag, pts, at) in enumerate(zip(self.tags, self._points, self._at)):
+            vals = sample(data[tag], pts)
+            if i == 0:  # the first datum sets the number of components
+                values = np.zeros((self.dofs.size,) + vals.shape[1:])
+            values[at] = vals  # a larger tag overwrites the shared vertices
+        return values
+
+
 def dirichlet_values(mesh: Mesh2D, data: dict):
     """Sorted vertices on the tags of ``data`` (tag -> datum, see :func:`sample`)
-    and their values, with a trailing component axis for vector data; a vertex
-    on two tags takes the value of the larger tag."""
-    fixed = np.zeros(mesh.num_vertices, dtype=bool)
-    values = np.zeros(mesh.num_vertices)
-    for i, tag in enumerate(sorted(data)):  # a larger tag overwrites the shared vertices
-        verts = mesh.boundary_vertices_with_tag(tag)
-        vals = sample(data[tag], mesh.vertices[verts])
-        if i == 0:  # the first datum sets the number of components
-            values = np.zeros((mesh.num_vertices,) + vals.shape[1:])
-        values[verts] = vals
-        fixed[verts] = True
-    verts = np.flatnonzero(fixed)
-    return verts, values[verts]
+    and their values, as :class:`DirichletVertices` gives them."""
+    verts = DirichletVertices(mesh, data)
+    return verts.dofs, verts.values(data)
 
 
 def _tag_selector(mesh: Mesh2D, tags) -> np.ndarray:
@@ -600,16 +672,15 @@ def integrate_qp(mesh: Mesh2D, qp_values) -> float:
 
 
 def _mini_pattern(mesh: Mesh2D) -> _Pattern:
-    def build():
-        dm = dofmap_for(mesh)
-        dofs = dm.velocity_element_dofs(mesh)
-        return _Pattern(dofs, dofs, (dm.n_velocity, dm.n_velocity))
-
-    return _cached(mesh, "mini_pattern", build)
+    """The pattern of the velocity block: two copies, x and y, of the P1
+    pattern enriched with the bubbles."""
+    return _cached(mesh, "mini_pattern", lambda: _Pattern.blocked(
+        _Pattern.with_bubbles(_p1_pattern(mesh), mesh.triangles), 2))
 
 
-def _viscous_local(geo: _Geometry, wnu: np.ndarray) -> np.ndarray:
-    """(NT, 8, 8) viscous element matrices of integral nu D(u):D(w).
+def _viscous_local(geo: _Geometry, wnu: np.ndarray, block=slice(None)) -> np.ndarray:
+    """(NT, 8, 8) viscous element matrices of integral nu D(u):D(w), for the
+    triangles of ``block`` (``wnu`` holds only theirs).
 
     E[(d,a),(c,b)] = 1/2 integral nu (d_d phi_b d_c phi_a
                                       + delta_dc grad phi_a . grad phi_b),
@@ -617,8 +688,8 @@ def _viscous_local(geo: _Geometry, wnu: np.ndarray) -> np.ndarray:
     """
     nt, nq = wnu.shape
     grads = np.empty((nt, nq, 4, 2))  # [t, q, a, c] = d_c(phi_a)
-    grads[:, :, :3] = geo.grad_p1[:, None]
-    grads[:, :, 3] = geo.grad_bubble
+    grads[:, :, :3] = geo.grad_p1[block, None]
+    grads[:, :, 3] = geo.grad_bubble[block]
     g = grads.reshape(nt, nq, 8)
     gram = ((g.transpose(0, 2, 1) * wnu[:, None, :]) @ g).reshape(nt, 4, 2, 4, 2)
     # gram[t, a, c, b, d] = integral nu d_c(phi_a) d_d(phi_b)
@@ -653,6 +724,16 @@ def _convective_local(geo: _Geometry, a_qp: np.ndarray, block=slice(None)) -> np
     return local.reshape(nt, 8, 8)
 
 
+def _viscous_data(geo: _Geometry, pattern: _Pattern, wnu: np.ndarray) -> np.ndarray:
+    """CSR data of the viscous block with weights ``wnu``, filled a block of
+    triangles at a time so that no (NT, 8, 8) array is held."""
+    data = np.zeros(pattern.nnz)
+    for t in range(0, len(wnu), FILL_BLOCK):
+        block = slice(t, t + FILL_BLOCK)
+        pattern.add(data, _viscous_local(geo, wnu[block], block), t)
+    return data
+
+
 def _velocity_block(mesh: Mesh2D, viscosity, advect, gamma_n_tags,
                     a_qp=None) -> np.ndarray:
     """CSR data, on the MINI pattern, of the velocity block A_vv; ``a_qp`` is
@@ -663,10 +744,10 @@ def _velocity_block(mesh: Mesh2D, viscosity, advect, gamma_n_tags,
     if nu.size and nu.min() == nu.max():
         # Uniform viscosity: the viscous block is nu times a per-mesh constant.
         unit = _cached(mesh, "viscous_unit",
-                       lambda: _frozen(pattern.fill(_viscous_local(geo, geo.qw))))
+                       lambda: _frozen(_viscous_data(geo, pattern, geo.qw)))
         data = nu.flat[0] * unit
     else:
-        data = pattern.fill(_viscous_local(geo, geo.qw * nu))
+        data = _viscous_data(geo, pattern, geo.qw * nu)
     if advect is None:
         return data
     # A callable advecting field is a datum, sampled where it is needed; a flow
@@ -693,12 +774,14 @@ def assemble_mini_mass(mesh: Mesh2D) -> SparseMatrix:
     full MINI pattern so it adds to the velocity block through its data."""
     def build():
         geo = geometry(mesh)
-        local = np.zeros((mesh.num_triangles, 2, 4, 2, 4))
         block = _tab(geo.qw, _products(geo.mini_vals)).reshape(-1, 4, 4)
-        for comp in range(2):
-            local[:, comp, :, comp, :] = block
         pattern = _mini_pattern(mesh)
-        return _frozen_csr(pattern.matrix(pattern.fill(local)))
+        # Only the x-x and y-y blocks are nonzero, and no data entry lies in
+        # both, so each sums in element order as in a whole (NT, 8, 8) fill.
+        data = np.zeros(pattern.nnz)
+        for comp in (slice(0, 4), slice(4, 8)):
+            np.add.at(data, pattern.scatter[:, comp, comp].ravel(), block.ravel())
+        return _frozen_csr(pattern.matrix(data))
 
     return _cached(mesh, "mini_mass", build)
 
@@ -715,12 +798,18 @@ def _divergence_local(mesh: Mesh2D) -> np.ndarray:
     return local
 
 
+def _divergence_pattern(mesh: Mesh2D) -> _Pattern:
+    """The pattern of B.  Row i holds the velocity dofs of the triangles at
+    vertex i, as the MINI pattern's x row of vertex i does: it is those rows."""
+    mini, nv = _mini_pattern(mesh), mesh.num_vertices
+    return _Pattern._new((nv, mini.shape[1]), mini.indptr[:nv + 1],
+                         mini.indices[:mini.indptr[nv]], mini.scatter[:, :3])
+
+
 def assemble_divergence(mesh: Mesh2D) -> SparseMatrix:
     """Divergence block B, (Bu)_i = integral psi_i div(u) (cached, read-only)."""
     def build():
-        dm = dofmap_for(mesh)
-        pattern = _Pattern(mesh.triangles, dm.velocity_element_dofs(mesh),
-                           (dm.n_pressure, dm.n_velocity))
+        pattern = _divergence_pattern(mesh)
         return _frozen_csr(pattern.matrix(pattern.fill(_divergence_local(mesh))))
 
     return _cached(mesh, "divergence", build)
@@ -759,8 +848,7 @@ def assemble_mini_blocks(mesh: Mesh2D, viscosity, advect=None, gamma_n_tags=()) 
 # complement K_ll - K_lb A_bb^-1 K_bl with right-hand side b_l - K_lb A_bb^-1 b_b.
 # Its pressure-pressure block is no longer zero.
 
-_VERTEX = np.array([0, 1, 2, 4, 5, 6])  # vertex dofs among the 8 local velocity dofs
-_BUBBLE = np.array([3, 7])
+_BUBBLE = np.array([3, 7])  # bubble dofs among the 8 local velocity dofs
 
 
 class _CondensedLayout:
@@ -768,9 +856,9 @@ class _CondensedLayout:
 
     def __init__(self, mesh: Mesh2D):
         dm, nv, t = dofmap_for(mesh), mesh.num_vertices, mesh.triangles
-        mini = _mini_pattern(mesh)
+        mini, p1, B = _mini_pattern(mesh), _p1_pattern(mesh), assemble_divergence(mesh)
         self.elem = _frozen(np.concatenate([t, nv + t, 2 * nv + t], axis=1))  # (NT, 9)
-        self.pattern = _Pattern.blocked(_p1_pattern(mesh), 3)
+        self.pattern = _Pattern.blocked(p1, 3)
         idx = np.arange(nv)
         self.p1_dofs = _frozen(np.concatenate(
             [dm.vx_vertex(idx), dm.vy_vertex(idx), dm.pressure(idx)]))
@@ -780,25 +868,45 @@ class _CondensedLayout:
         self.bubbles = _frozen(dm.velocity_element_dofs(mesh)[:, _BUBBLE])  # (NT, 2)
         # MINI data positions of the bubble rows and columns: each holds only
         # its own triangle's entry, so a gather reads the element blocks.
-        self.bb = _frozen(mini.scatter[:, _BUBBLE[:, None], _BUBBLE])
-        self.bl = _frozen(mini.scatter[:, _BUBBLE[:, None], _VERTEX])
-        self.lb = _frozen(mini.scatter[:, _VERTEX[:, None], _BUBBLE])
-        # The vertex-vertex entries of A_vv map one-to-one onto the condensed
-        # data; repeated element writes of one entry agree.
-        src = mini.scatter[:, _VERTEX[:, None], _VERTEX].ravel()
-        dst = np.full(mini.nnz, -1, dtype=np.int64)
-        dst[src] = self.pattern.scatter[:, :6, :6].ravel()
-        self.ll_src = _frozen(np.flatnonzero(dst >= 0))
-        self.ll_dst = _frozen(dst[self.ll_src])
-        # B on the bubble columns, (NT, 3, 2), and the constant B / -B^T blocks
-        # on the vertex columns.
-        local = _divergence_local(mesh)
-        self.b_bubble = _frozen(np.ascontiguousarray(local[..., 3]))
-        b_vertex = local[..., :3].reshape(-1, 3, 6)
-        div = np.zeros((mesh.num_triangles, 9, 9))
-        div[:, 6:, :6] = b_vertex
-        div[:, :6, 6:] = -b_vertex.transpose(0, 2, 1)
-        self.div_data = _frozen(self.pattern.fill(div))
+        pos = mini.scatter.reshape(-1, 2, 4, 2, 4)  # [t, c, a, c2, b]
+        self.bb = _frozen(pos[:, :, 3, :, 3].copy())  # (NT, 2, 2)
+        self.bl = _frozen(pos[:, :, 3, :, :3].reshape(-1, 2, 6))
+        self.lb = _frozen(pos[:, :, :3, :, 3].reshape(-1, 6, 2))
+        # Row c*NV + i of the condensed pattern holds copy c2 = 0, 1, 2 of P1
+        # row i; velocity row c of vertex i in the MINI pattern (row
+        # c*(NV+NT) + i, whose first NV rows are B's) holds copies 0 and 1,
+        # each followed by the bubbles at vertex i.  P1 entry e lies in row
+        # rows[e], at place offset[e], and its transpose is entry mirror[e].
+        deg = np.diff(p1.indptr)
+        rows = np.repeat(np.arange(nv), deg)
+        offset = np.arange(p1.nnz) - p1.indptr[rows]
+        mirror = np.empty(p1.nnz, dtype=np.int64)
+        mirror[p1.scatter] = p1.scatter.transpose(0, 2, 1)
+        mirror_offset = mirror - p1.indptr[p1.indices]
+
+        def mini_at(c, c2, i, off):
+            row = c * (nv + len(t)) + i
+            return mini.indptr[row] + c2 * (mini.indptr[row + 1] - mini.indptr[row]) // 2 + off
+
+        def condensed_at(c, c2, i, off):
+            return self.pattern.indptr[c * nv + i] + c2 * deg[i] + off
+
+        # The vertex-vertex entries of A_vv map one-to-one onto the condensed data.
+        c, c2 = np.arange(2)[:, None, None], np.arange(2)[:, None]
+        self.ll_src = _frozen(mini_at(c, c2, rows, offset).ravel())
+        self.ll_dst = _frozen(condensed_at(c, c2, rows, offset).ravel())
+        # B on the bubble columns, (NT, 3, 2), each of which holds its own
+        # triangle's entry only, and the constant B / -B^T blocks on the vertex
+        # columns: all read off B's data, summed in the same element order as
+        # fills of the element blocks would sum them.  0 - B, unlike -B, keeps
+        # a zero entry +0.0, as a fill of the negated blocks does.
+        self.b_bubble = _frozen(B.data[mini.scatter[:, :3, _BUBBLE]])
+        c = np.arange(2)[:, None]
+        div = np.zeros(self.pattern.nnz)
+        div[condensed_at(2, c, rows, offset)] = B.data[mini_at(0, c, rows, offset)]
+        div[condensed_at(c, 2, rows, offset)] = 0.0 - B.data[mini_at(0, c, p1.indices,
+                                                                  mirror_offset)]
+        self.div_data = _frozen(div)
 
 
 def _invert_2x2(A: np.ndarray) -> np.ndarray:

@@ -109,6 +109,9 @@ class HeatProblem:
     include_inflow_bc: bool = True  # False = saline supply off (initial equilibrium)
     extra_source: object = None  # callable(x, y, t); verification hook
     factor: linalg.HeldLU | None = None  # LU held across solves; None: a fresh LU
+    # The Dirichlet vertices of ``bc``, which sample its values at ``time``;
+    # built here when None.
+    dirichlet: fem_core.DirichletVertices | None = None
     # Quad-point values shared across stages and steps; evaluated here when None.
     coeffs: Coefficients | None = None  # the laws at theta_prev
     v_qp: np.ndarray | None = None  # v, (NT, NQ, 2)
@@ -257,10 +260,17 @@ def _boundary_terms(problem: HeatProblem):
     return terms[ROLE_ROBIN], terms[ROLE_INFLOW]
 
 
+def heat_dirichlet(mesh: Mesh2D, bc: dict) -> fem_core.DirichletVertices:
+    """The vertices of the Dirichlet tags of ``bc`` (tag -> HeatBC)."""
+    return fem_core.DirichletVertices(
+        mesh, [tag for tag, heat_bc in bc.items() if heat_bc.role == ROLE_DIRICHLET])
+
+
 def _dirichlet_terms(problem: HeatProblem):
-    return fem_core.dirichlet_values(problem.mesh, {
-        tag: bc.value_at(problem.time)
-        for tag, bc in problem.bc.items() if bc.role == ROLE_DIRICHLET})
+    """The Dirichlet dofs and their values at ``problem.time``."""
+    verts = problem.dirichlet or heat_dirichlet(problem.mesh, problem.bc)
+    return verts.dofs, verts.values({tag: problem.bc[tag].value_at(problem.time)
+                                     for tag in verts.tags})
 
 
 def _velocity_samples(problem: HeatProblem, v, v_qp, strain, need_strain: bool):

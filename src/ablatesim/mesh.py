@@ -128,10 +128,9 @@ class Mesh2D:
         if self.boundary_edges.shape[0] != self.boundary_tags.shape[0]:
             raise MeshError("one tag per boundary edge required")
 
-        p = self.vertices
-        t = self.triangles
-        d1 = p[t[:, 1]] - p[t[:, 0]]
-        d2 = p[t[:, 2]] - p[t[:, 0]]
+        corners = self.vertices[self.triangles]  # (NT, 3, 2)
+        d1 = corners[:, 1] - corners[:, 0]
+        d2 = corners[:, 2] - corners[:, 0]
         self.areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
         if np.any(self.areas <= 0.0):
             bad = int(np.argmin(self.areas))
@@ -139,23 +138,25 @@ class Mesh2D:
                 f"triangle {bad} has non-positive area {self.areas[bad]:.3e} "
                 "(degenerate or clockwise orientation)"
             )
-        edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        lengths = np.linalg.norm(p[edges[:, 1]] - p[edges[:, 0]], axis=1)
-        self.h = lengths.reshape(3, -1).max(axis=0)
+        # Edge lengths sqrt(dx^2 + dy^2) of (v0, v1), (v1, v2), (v2, v0).
+        d3 = corners[:, 2] - corners[:, 1]
+        self.h = np.sqrt(np.maximum(np.maximum((d1 * d1).sum(axis=1), (d3 * d3).sum(axis=1)),
+                                    (d2 * d2).sum(axis=1)))
 
-        self._validate_boundary()
+        self._owners = self._validate_boundary()
         self.vertices.setflags(write=False)
         self.triangles.setflags(write=False)
         self.boundary_edges.setflags(write=False)
         self.boundary_tags.setflags(write=False)
-        self._owners = None
+        self._owners.setflags(write=False)
         self._normals = None
 
     # -- topology ------------------------------------------------------------
 
     def _edge_keys(self, edges: np.ndarray) -> np.ndarray:
         """One integer per undirected edge: min * NV + max."""
-        return edges.min(axis=-1) * self.num_vertices + edges.max(axis=-1)
+        a, b = edges[..., 0], edges[..., 1]
+        return np.minimum(a, b) * self.num_vertices + np.maximum(a, b)
 
     def _triangle_edge_keys(self) -> np.ndarray:
         """(3 NT,) keys of the triangle edges, triangle-major."""
@@ -167,9 +168,15 @@ class Mesh2D:
         return {(a, b): c for a, b, c in
                 zip((keys // nv).tolist(), (keys % nv).tolist(), counts.tolist())}
 
-    def _validate_boundary(self) -> None:
-        keys, counts = np.unique(self._triangle_edge_keys(), return_counts=True)
-        if np.any(counts > 2):
+    def _validate_boundary(self) -> np.ndarray:
+        """Check the tagged edges against the triangle edges and return the
+        owner triangle of each tagged edge, all from one sort of the
+        triangle-edge keys."""
+        keys = self._triangle_edge_keys()
+        order = np.argsort(keys, kind="stable")
+        # The sorted keys, closed by a sentinel above every key.
+        sorted_keys = np.append(keys[order], np.iinfo(np.int64).max)
+        if np.any(sorted_keys[2:-1] == sorted_keys[:-3]):
             raise MeshError("non-manifold edge: shared by more than 2 triangles")
         bkeys = self._edge_keys(self.boundary_edges)
         _, first = np.unique(bkeys, return_index=True)
@@ -183,14 +190,20 @@ class Mesh2D:
             if repeated[k]:
                 raise MeshError(f"edge {key} tagged more than once")
             raise MeshError(f"unknown boundary tag {int(self.boundary_tags[k])} on edge {key}")
-        topo_boundary = keys[counts == 1]
-        missing = np.setdiff1d(topo_boundary, bkeys).size
-        extra = np.setdiff1d(bkeys, topo_boundary).size
+        # A topological boundary edge is used once: its sorted key differs
+        # from both neighbours.  The tagged keys are distinct by now.
+        step = sorted_keys[1:] != sorted_keys[:-1]
+        single = np.append(step & np.append(True, step[:-1]), False)
+        pos = np.searchsorted(sorted_keys, bkeys)
+        covered = single[pos] & (sorted_keys[pos] == bkeys)
+        extra = int(bkeys.size - covered.sum())
+        missing = int(single.sum() - covered.sum())
         if missing or extra:
             raise MeshError(
                 f"tagged edges must cover the topological boundary exactly "
                 f"(missing {missing}, spurious {extra})"
             )
+        return order[pos] // 3
 
     @property
     def num_vertices(self) -> int:
@@ -201,13 +214,7 @@ class Mesh2D:
         return self.triangles.shape[0]
 
     def boundary_edge_owners(self) -> np.ndarray:
-        """Index of the unique triangle adjacent to each boundary edge (cached, read-only)."""
-        if self._owners is None:
-            keys = self._triangle_edge_keys()
-            order = np.argsort(keys, kind="stable")
-            pos = np.searchsorted(keys[order], self._edge_keys(self.boundary_edges))
-            self._owners = order[pos] // 3
-            self._owners.setflags(write=False)
+        """Index of the unique triangle adjacent to each boundary edge (read-only)."""
         return self._owners
 
     def boundary_outward_normals(self) -> np.ndarray:
@@ -268,55 +275,6 @@ def generate_channel_mesh(spec: GeometrySpec) -> Mesh2D:
                            np.where(inside, GAMMA5, GAMMA4)])
 
     return Mesh2D(vertices, triangles, edges, tags)
-
-
-def boundary_edges_with_tag(mesh: Mesh2D, tag: int) -> list[tuple[int, int]]:
-    """Edges carrying ``tag``, ordered by increasing arclength along their side."""
-    if tag not in ALL_TAGS:
-        raise MeshError(f"unknown tag {tag}")
-    sel = mesh.boundary_tags == tag
-    edges = [tuple(int(v) for v in e) for e in mesh.boundary_edges[sel]]
-    p = mesh.vertices
-
-    def midpoint_key(edge):
-        m = 0.5 * (p[edge[0]] + p[edge[1]])
-        return (m[0], m[1])
-
-    return sorted(edges, key=midpoint_key)
-
-
-def mesh_quality_report(mesh: Mesh2D) -> dict:
-    """Min angle (degrees), max edge-length aspect ratio, h_min, h_max."""
-    p = mesh.vertices
-    t = mesh.triangles
-    corners = p[t]  # (NT, 3, 2)
-    min_angle = np.inf
-    max_aspect = 0.0
-    for k in range(3):
-        a = corners[:, k]
-        b = corners[:, (k + 1) % 3]
-        c = corners[:, (k + 2) % 3]
-        u = b - a
-        v = c - a
-        cosang = np.einsum("ij,ij->i", u, v) / (
-            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
-        )
-        ang = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
-        min_angle = min(min_angle, float(ang.min()))
-    lengths = np.stack(
-        [
-            np.linalg.norm(corners[:, 1] - corners[:, 0], axis=1),
-            np.linalg.norm(corners[:, 2] - corners[:, 1], axis=1),
-            np.linalg.norm(corners[:, 0] - corners[:, 2], axis=1),
-        ]
-    )
-    max_aspect = float((lengths.max(axis=0) / lengths.min(axis=0)).max())
-    return {
-        "min_angle": float(min_angle),
-        "max_aspect": max_aspect,
-        "h_min": float(mesh.h.min()),
-        "h_max": float(mesh.h.max()),
-    }
 
 
 # -- plain-text mesh format ---------------------------------------------------

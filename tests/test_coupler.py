@@ -8,6 +8,7 @@ import pytest
 from ablatesim import coupler, fem_core, flow_solver, linalg
 from ablatesim.coupler import (BlowUpError, NonFiniteFieldError, SimState,
                                Simulation, TimeGrid)
+from ablatesim.heat_solver import HeatBC
 from ablatesim.linalg import NotConverged, SolverError
 from ablatesim.sim_cli import ConfigError, preset
 
@@ -264,6 +265,26 @@ def rest_state(sim):
     return SimState(t=0.0, n=0, v=np.zeros(sim.dofmap.n_velocity),
                     P=np.zeros(sim.dofmap.n_pressure), theta=np.full(nv, sim.model.theta_b),
                     phi=np.zeros(nv), theta_prev=None)
+
+
+class TestHeatDirichlet:
+    def test_vertices_built_once_values_resampled(self, monkeypatch):
+        builds = []
+
+        def counted(mesh, bc, _build=coupler.heat_dirichlet):
+            builds.append(1)
+            return _build(mesh, bc)
+
+        monkeypatch.setattr(coupler, "heat_dirichlet", counted)
+        cfg = quick_config(nx=24, ny=8, M=4)
+        cfg.heat_bc["G1"] = HeatBC("dirichlet", 0.0, lambda x, y, t: 37.0 + 10.0 * t)
+        sim = Simulation(cfg)
+        state = rest_state(sim)
+        g1 = sim.mesh.boundary_vertices_with_tag(1)
+        for _ in range(2):
+            state = sim.advance(state)
+            assert np.abs(state.theta[g1] - (37.0 + 10.0 * state.t)).max() <= 1e-12
+        assert builds == [1]
 
 
 class TestHeldFactors:

@@ -5,10 +5,9 @@ import pytest
 
 from ablatesim.mesh import (ALL_TAGS, GAMMA1, GAMMA5, TAG_NAMES,
                             GeometrySpec, Mesh2D, MeshError,
-                            boundary_edges_with_tag, check_tag_roles,
-                            generate_channel_mesh,
-                            load_mesh, mesh_quality_report, save_mesh,
-                            span_counts)
+                            check_tag_roles, generate_channel_mesh,
+                            load_mesh, save_mesh, span_counts)
+from mesh_queries import boundary_edges_with_tag, mesh_quality_report
 
 
 def channel_spec(nx=20, ny=10):

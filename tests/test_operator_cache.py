@@ -1,6 +1,8 @@
 """Per-mesh operator cache: cached operators against fresh COO assemblies,
 read-only arrays, one cache per mesh, and the per-step hot path."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -119,7 +121,124 @@ def brute_force_owners(mesh):
     return np.array([owner_of[(min(a, b), max(a, b))] for a, b in mesh.boundary_edges])
 
 
+def permuted_channel(seed=7):
+    """The 48x16 channel with its vertices renumbered at random, its triangles
+    shuffled and each triangle's vertices rotated (still counter-clockwise)."""
+    mesh = generate_channel_mesh(GeometrySpec(L=1.5, H=0.5, r=0.075, nx=48, ny=16))
+    rng = np.random.default_rng(seed)
+    new_of_old = rng.permutation(mesh.num_vertices)
+    old_of_new = np.argsort(new_of_old)
+    tris = new_of_old[mesh.triangles][rng.permutation(mesh.num_triangles)]
+    shift = rng.integers(0, 3, len(tris))[:, None]
+    tris = np.take_along_axis(tris, (np.arange(3) + shift) % 3, axis=1)
+    return Mesh2D(mesh.vertices[old_of_new], tris, new_of_old[mesh.boundary_edges],
+                  mesh.boundary_tags)
+
+
+BUILDER_MESHES = {
+    "channel": lambda: generate_channel_mesh(GeometrySpec(L=1.5, H=0.5, r=0.075, nx=48, ny=16)),
+    "mms_jiggled": lambda: verify._mms_mesh(32, 16),
+    "permuted": permuted_channel,
+}
+
+# sha256 of vertex_order(mesh) (int64 bytes), recorded with the sort-built
+# patterns and the einsum geometry.
+VERTEX_ORDER_SHA256 = {
+    "channel": "45a68ea309c136cf044884136b42ab18a35c68fee8088ed62b248ae2982af0f2",
+    "mms_jiggled": "e2c3e5cb9f393794d129ec701ab2f7750350bef40365c2468e310cf1391693a6",
+    "permuted": "64ce158a79ac61cdd580d9fa0faea6965ce95512e142fa8ff054d699499f9fa6",
+}
+
+
+def assert_same_pattern(got, want):
+    assert got.shape == want.shape
+    for attr in ("indptr", "indices", "scatter"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and np.array_equal(a, b), attr
+
+
 # -- tests ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(BUILDER_MESHES))
+class TestArithmeticBuilders:
+    """Each per-mesh constant built by arithmetic against the sort, einsum or
+    whole-element-matrix build it replaces."""
+
+    def test_patterns_match_sorted_construction(self, name):
+        mesh = BUILDER_MESHES[name]()
+        dm, nv, t = dofmap_for(mesh), mesh.num_vertices, mesh.triangles
+        dofs = dm.velocity_element_dofs(mesh)
+        elem = np.concatenate([t, nv + t, 2 * nv + t], axis=1)
+        Pattern = fem_core._Pattern
+        assert_same_pattern(fem_core._p1_pattern(mesh), Pattern(t, t, (nv, nv)))
+        assert_same_pattern(fem_core._mini_pattern(mesh),
+                            Pattern(dofs, dofs, (dm.n_velocity, dm.n_velocity)))
+        assert_same_pattern(fem_core._divergence_pattern(mesh),
+                            Pattern(t, dofs, (dm.n_pressure, dm.n_velocity)))
+        assert_same_pattern(fem_core._CondensedLayout(mesh).pattern,
+                            Pattern(elem, elem, (3 * nv, 3 * nv)))
+
+    def test_geometry_matches_einsum_bit_for_bit(self, name):
+        mesh = BUILDER_MESHES[name]()
+        geo = fem_core.geometry(mesh)
+        coords = mesh.vertices[mesh.triangles]
+        jac = np.stack([coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]], axis=2)
+        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        inv = np.stack([np.stack([jac[:, 1, 1], -jac[:, 0, 1]], axis=1),
+                        np.stack([-jac[:, 1, 0], jac[:, 0, 0]], axis=1)], axis=1)
+        jinvT = (inv / det[:, None, None]).transpose(0, 2, 1)
+        bary = fem_core.TRI_RULE.points
+        ref_gb = fem_core.ElementP1Bubble.bubble_ref_grads(bary)
+        want = {"qp": np.einsum("qa,tad->tqd", bary, coords),
+                "grad_p1": np.einsum("tde,ae->tad", jinvT, fem_core.ElementP1.ref_grads),
+                "grad_bubble": np.einsum("tde,qe->tqd", jinvT, ref_gb)}
+        for attr, ref in want.items():
+            got = getattr(geo, attr)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), attr
+
+    def test_vertex_order_unchanged(self, name):
+        mesh = BUILDER_MESHES[name]()
+        order = fem_core.vertex_order(mesh)
+        assert order.dtype == np.int64
+        assert hashlib.sha256(order.tobytes()).hexdigest() == VERTEX_ORDER_SHA256[name]
+
+    def test_constant_fills_match_whole_element_fills(self, name):
+        mesh = BUILDER_MESHES[name]()
+        geo, nt = fem_core.geometry(mesh), mesh.num_triangles
+        mini = fem_core._mini_pattern(mesh)
+        local = np.zeros((nt, 2, 4, 2, 4))
+        block = fem_core._tab(geo.qw, fem_core._products(geo.mini_vals)).reshape(-1, 4, 4)
+        for comp in range(2):
+            local[:, comp, :, comp, :] = block
+        want = mini.fill(local.reshape(nt, 8, 8))
+        assert fem_core.assemble_mini_mass(mesh).data.tobytes() == want.tobytes()
+        unit = mini.fill(fem_core._viscous_local(geo, geo.qw))
+        A = fem_core.assemble_mini_blocks(mesh, 1.0)["A_vv"]
+        assert A.data.tobytes() == unit.tobytes()
+        # The condensed layout reads B's blocks off B and maps A_vv's
+        # vertex-vertex entries by row arithmetic.
+        lay = fem_core._CondensedLayout(mesh)
+        div_local = fem_core._divergence_local(mesh)
+        b_vertex = div_local[..., :3].reshape(-1, 3, 6)
+        div = np.zeros((nt, 9, 9))
+        div[:, 6:, :6] = b_vertex
+        div[:, :6, 6:] = -b_vertex.transpose(0, 2, 1)
+        assert lay.div_data.tobytes() == lay.pattern.fill(div).tobytes()
+        assert lay.b_bubble.tobytes() == np.ascontiguousarray(div_local[..., 3]).tobytes()
+        vertex = np.array([0, 1, 2, 4, 5, 6])  # vertex dofs among the 8 local ones
+        src = mini.scatter[:, vertex[:, None], vertex].ravel()
+        dst = np.full(mini.nnz, -1)
+        dst[src] = lay.pattern.scatter[:, :6, :6].ravel()
+        order = np.argsort(lay.ll_src)
+        assert np.array_equal(lay.ll_src[order], np.flatnonzero(dst >= 0))
+        assert np.array_equal(lay.ll_dst[order], dst[dst >= 0])
+
+    def test_owners_match_brute_force(self, name):
+        mesh = BUILDER_MESHES[name]()
+        assert np.array_equal(mesh.boundary_edge_owners(), brute_force_owners(mesh))
+
+
 
 
 @pytest.mark.parametrize("name", sorted(MESHES))
@@ -246,3 +365,24 @@ class TestHotPath:
         assert finalize_calls == []
         assert len(owner_arrays) == first_step_owner_calls  # normals are cached too
         assert len({id(arr) for arr in owner_arrays}) == 1  # one owner build per mesh
+
+    def test_only_the_p1_pattern_is_sorted(self, monkeypatch):
+        sorted_shapes = []
+        sort_build = fem_core._Pattern.__init__
+
+        def counted_sort_build(self, row_dofs, col_dofs, shape):
+            sorted_shapes.append(shape)
+            sort_build(self, row_dofs, col_dofs, shape)
+
+        monkeypatch.setattr(fem_core._Pattern, "__init__", counted_sort_build)
+        cfg = preset("test1")
+        cfg.geometry.nx, cfg.geometry.ny = 24, 8
+        sim = Simulation(cfg)
+        nv = sim.mesh.num_vertices
+        state = SimState(t=0.0, n=0, v=np.zeros(sim.dofmap.n_velocity), P=np.zeros(nv),
+                         theta=np.full(nv, sim.model.theta_b), phi=np.zeros(nv),
+                         theta_prev=None)
+        for _ in range(2):
+            state = sim.advance(state)
+        assert "condensed_layout" in fem_core.geometry(sim.mesh).operators
+        assert sorted_shapes == [(nv, nv)]

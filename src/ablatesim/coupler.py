@@ -9,11 +9,12 @@ Per step n (lagged temperature th^{n-1} in hand):
                    artificial viscosity triggered by the (th^{n-1}, th^{n-2},
                    v^{n-1}) residual
 
-The three stages share one evaluation of theta^{n-1}, v^{n-1} and the laws
-sigma, eta, nu at the quadrature points (:class:`materials.Coefficients`).
-The state carries theta^n, v^n and D(v^n):D(v^n) there into the next step;
-a state without them (the initial one, or one built by hand) has them evaluated.
-The stage order is recorded per step and never reordered.  Each system
+The three stages read theta^{n-1}, v^{n-1} and the laws sigma, eta, nu at
+the quadrature points from the state's :class:`materials.FieldSample`, which
+evaluates each value once, on first read (a state built by hand gets one).
+The heat stage reads v^n from a second sample, which then takes theta^n and
+becomes the new state's.  The stage order is recorded per step and never
+reordered.  Each system
 keeps its LU across its solves, the stationary ones included
 (``Simulation.factors``, see :class:`linalg.HeldLU`).  A blow-up guard
 aborts once max|theta| or max|v| exceeds 1e4, mirroring the runaway regime
@@ -28,12 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fem_core, flow_solver
+from . import fem_core
 from .flow_solver import (FlowProblem, flow_constraints, solve_flow_stationary,
                           solve_flow_step)
 from .heat_solver import HeatProblem, heat_dirichlet, solve_heat_stationary, solve_heat_step
 from .linalg import HeldLU, SolverError
-from .materials import Coefficients
+from .materials import FieldSample
 from .mesh import TAG_NAMES, generate_channel_mesh
 from .potential_solver import PotentialProblem, potential_constraints, solve_potential
 
@@ -97,10 +98,7 @@ class SimState:
     theta_prev: np.ndarray | None  # theta^{n-1}, feeds the entropy residual
     diag: DiagnosticsRow | None = None
     art_visc_cells: np.ndarray | None = None  # per-cell viscosity of the producing step
-    # Quad-point values carried into the next step, which evaluates them when None.
-    theta_qp: np.ndarray | None = None  # theta, (NT, NQ)
-    v_qp: np.ndarray | None = None  # v, (NT, NQ, 2)
-    strain: np.ndarray | None = None  # D(v):D(v), (NT, NQ)
+    sample: FieldSample | None = None  # theta's and v's; the next step builds it when None
 
     def check_finite(self) -> None:
         for name in ("v", "P", "theta", "phi"):
@@ -133,22 +131,22 @@ class Simulation:
 
     # -- problem builders -----------------------------------------------------
 
-    def _potential_problem(self, theta, coeffs=None) -> PotentialProblem:
+    def _potential_problem(self, theta, sample=None) -> PotentialProblem:
         pot = self.config.potential_bc
         problem = PotentialProblem(
             mesh=self.mesh, model=self.model, theta=theta, g=pot.g,
             neumann_tags=pot.neumann_tags, dirichlet_tags=pot.dirichlet_tags,
-            factor=self.factors["potential"], coeffs=coeffs,
+            factor=self.factors["potential"], sample=sample,
         )
         problem.constraints = self._dirichlet(
             "potential", lambda: potential_constraints(self.mesh, pot.dirichlet_tags))
         return problem
 
-    def _flow_problem(self, theta, v_prev, dt, coeffs=None, v_prev_qp=None) -> FlowProblem:
+    def _flow_problem(self, theta, v_prev, dt, sample=None) -> FlowProblem:
         problem = FlowProblem(
             mesh=self.mesh, model=self.model,
             theta=theta, v_prev=v_prev, dt=dt, bc=self.flow_bc,
-            factor=self.factors["flow"], coeffs=coeffs, v_prev_qp=v_prev_qp,
+            factor=self.factors["flow"], sample=sample,
         )
         problem.constraints = self._dirichlet("flow", lambda: flow_constraints(problem))
         return problem
@@ -161,28 +159,27 @@ class Simulation:
         return self._constraints[system]
 
     def _heat_problem(self, theta_prev, theta_prev2, v, v_stab, phi, dt, t,
-                      **shared) -> HeatProblem:
+                      sample=None, transport=None) -> HeatProblem:
         return HeatProblem(
             mesh=self.mesh, model=self.model,
             theta_prev=theta_prev, theta_prev2=theta_prev2,
             v=v, v_stab=v_stab, phi=phi, dt=dt, bc=self.heat_bc, stab=self.stab,
             time=t, factor=self.factors["heat"],
             dirichlet=self._dirichlet("heat", lambda: heat_dirichlet(self.mesh, self.heat_bc)),
-            **shared,
+            sample=sample, transport=transport,
         )
 
     # -- diagnostics ------------------------------------------------------------
 
     def _diagnostics(self, state: SimState, art, stages) -> DiagnosticsRow:
-        """The diagnostics row of ``state``, whose ``theta_qp`` it evaluates."""
+        """The diagnostics row of ``state``."""
         step, t, theta = state.n, state.t, np.asarray(state.theta)
         imax = int(np.argmax(theta))
         xy = self.mesh.vertices[imax]
         int_theta = float(np.sum(self._mass @ theta))
         div_norm = float(np.linalg.norm(self._div_B @ state.v))
 
-        state.theta_qp = fem_core.p1_at_qp(self.mesh, theta)
-        pos = np.maximum(state.theta_qp - self.model.theta_b, 0.0)
+        pos = np.maximum(state.sample.theta - self.model.theta_b, 0.0)
         mass_pos = fem_core.integrate_qp(self.mesh, pos)
         geo = fem_core.geometry(self.mesh)
         if mass_pos > 1e-300:
@@ -240,7 +237,7 @@ class Simulation:
             raise
 
         state = SimState(t=0.0, n=0, v=v0, P=p0, theta=theta0, phi=phi0,
-                         theta_prev=None)
+                         theta_prev=None, sample=FieldSample(self.model, self.mesh, theta0, v0))
         state.check_finite()
         state.diag = self._diagnostics(state, None, stages)
         self._guard(state, rows=[state.diag])
@@ -254,40 +251,33 @@ class Simulation:
         n_new = state.n + 1
         t_new = state.t + dt
         stages = []
-        # theta^{n-1} and v^{n-1} at the quad points, carried or evaluated
-        # here, and the laws at theta^{n-1}: one of each for the three stages.
-        theta_qp, v_qp = state.theta_qp, state.v_qp
-        if theta_qp is None:
-            theta_qp = fem_core.p1_at_qp(self.mesh, state.theta)
-        if v_qp is None:
-            v_qp = fem_core.velocity_at_qp(self.mesh, state.v)
-        coeffs = Coefficients(self.model, theta_qp)
+        # One sample of theta^{n-1} and v^{n-1} for the three stages.
+        sample = state.sample or FieldSample(self.model, self.mesh, state.theta, state.v)
 
         # Stage 1: potential at the lagged temperature.
         stages.append(("potential", _time.perf_counter()))
         if state.n % cfg.solver.potential_every == 0 or state.diag is None:
-            phi = solve_potential(self._potential_problem(state.theta, coeffs))
+            phi = solve_potential(self._potential_problem(state.theta, sample))
         else:
             phi = state.phi
 
         # Stage 2: flow advected by v^{n-1}, viscosity at theta^{n-1}.
         stages.append(("flow", _time.perf_counter()))
         v_new, p_new = solve_flow_step(
-            self._flow_problem(state.theta, state.v, dt, coeffs, v_qp))
+            self._flow_problem(state.theta, state.v, dt, sample))
 
-        # Stage 3: heat transported by v^n with lagged sources and residual;
-        # v^n and D(v^n):D(v^n) at the quad points also go to the next step.
+        # Stage 3: heat transported by v^n with lagged sources and residual.
+        # v^n's sample takes theta^n and goes to the next step.
         stages.append(("heat", _time.perf_counter()))
-        v_new_qp = fem_core.velocity_at_qp(self.mesh, v_new)
-        strain = flow_solver.viscous_dissipation(self.mesh, v_new)
+        transport = FieldSample(self.model, self.mesh, None, v_new)
         hp = self._heat_problem(state.theta, state.theta_prev, v_new, state.v, phi, dt,
-                                t_new, coeffs=coeffs, v_qp=v_new_qp, strain=strain,
-                                v_stab_qp=v_qp, strain_stab=state.strain)
+                                t_new, sample=sample, transport=transport)
         theta_new = solve_heat_step(hp)
+        transport.theta_h = theta_new
 
         new_state = SimState(t=t_new, n=n_new, v=v_new, P=p_new,
                              theta=theta_new, phi=phi, theta_prev=state.theta,
-                             art_visc_cells=hp.art_visc, v_qp=v_new_qp, strain=strain)
+                             art_visc_cells=hp.art_visc, sample=transport)
         new_state.check_finite()
         new_state.diag = self._diagnostics(new_state, hp.art_visc, stages)
         return new_state

@@ -400,7 +400,10 @@ def _nested_dissection(xy: np.ndarray, pattern: _Pattern) -> np.ndarray:
     live = np.full(nv, nv > ND_LEAF)
     while live.any():
         v = np.flatnonzero(live)
-        _, s, count = np.unique(key[v], return_inverse=True, return_counts=True)
+        # Label the live sets 0, 1, ... in key order; the keys are below nv.
+        per_key = np.bincount(key[v], minlength=nv)
+        s = (np.cumsum(per_key > 0) - 1)[key[v]]
+        count = per_key[per_key > 0]
         first = np.cumsum(count) - count
         pts = xy[v[np.argsort(s, kind="stable")]]
         extent = np.maximum.reduceat(pts, first) - np.minimum.reduceat(pts, first)

@@ -25,6 +25,10 @@ The residual and divergence contracts are checked again on the recovered
 full system.  Do-nothing outlets add no stress boundary terms; the convective
 form keeps its Gamma_N surface integral exactly as written.
 
+The viscosity, the buoyancy temperature and the advecting velocity at the
+quadrature points come from the problem's ``sample`` (:class:`materials.FieldSample`),
+shared with the other split stages or built from theta and v_prev.
+
 The stationary flow iterates Oseen solves from the Stokes solution with
 Anderson acceleration (:func:`linalg.fixed_point`) and returns the last Oseen
 solve, so its contracts hold; missing ``picard_tol`` in ``picard_max`` Oseen
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem_core, linalg
-from .materials import Coefficients, MaterialModel
+from .materials import FieldSample, MaterialModel
 from .mesh import Mesh2D, check_tag_roles
 
 ROLE_INFLOW = "inflow"
@@ -118,9 +122,7 @@ class FlowProblem:
     pressure_pin_value: float = 0.0
     constraints: tuple | None = None  # (dofs, values); from flow_constraints when None
     factor: linalg.HeldLU | None = None  # LU held across solves; None: a fresh LU
-    # Quad-point values shared across stages and steps; evaluated here when None.
-    coeffs: Coefficients | None = None  # the laws at theta
-    v_prev_qp: np.ndarray | None = None  # v_prev, (NT, NQ, 2)
+    sample: FieldSample | None = None  # theta's and v_prev's; built from them when None
 
     def validate(self) -> None:
         if self.dt is not None and not self.dt > 0.0:
@@ -153,16 +155,11 @@ def flow_constraints(problem: FlowProblem) -> tuple:
     return dofs, vals
 
 
-def _coefficients(problem: FlowProblem) -> Coefficients:
-    return problem.coeffs or Coefficients(problem.model,
-                                          fem_core.p1_at_qp(problem.mesh, problem.theta))
-
-
-def _force_load(problem: FlowProblem, coeffs: Coefficients) -> np.ndarray:
+def _force_load(problem: FlowProblem, sample: FieldSample) -> np.ndarray:
     mesh = problem.mesh
     load = np.zeros(fem_core.dofmap_for(mesh).n_velocity)
     if problem.model.buoyancy.enabled:
-        fx, fy = problem.model.body_force(coeffs.theta)
+        fx, fy = problem.model.body_force(sample.theta)
         load += fem_core.assemble_vector_load(mesh, np.stack([fx, fy], axis=-1))
     if problem.extra_force is not None:
         qp = fem_core.geometry(mesh).qp
@@ -174,18 +171,18 @@ def _donothing_tags(problem: FlowProblem) -> tuple:
     return tuple(t for t, bc in problem.bc.items() if bc.role == ROLE_DONOTHING)
 
 
-def _solve_linear(problem: FlowProblem, coeffs: Coefficients, advect, include_time: bool,
+def _solve_linear(problem: FlowProblem, sample: FieldSample, advect, include_time: bool,
                   advect_qp=None):
     """One linear (Stokes/Oseen) solve on the condensed system; returns (v, P)."""
     mesh = problem.mesh
     dm = fem_core.dofmap_for(mesh)
     gamma_n = _donothing_tags(problem)
     mass_coeff = 1.0 / problem.dt if include_time else 0.0
-    saddle = fem_core.assemble_condensed_saddle(mesh, coeffs.nu, advect=advect,
+    saddle = fem_core.assemble_condensed_saddle(mesh, sample.nu, advect=advect,
                                                 advect_qp=advect_qp, gamma_n_tags=gamma_n,
                                                 mass_coeff=mass_coeff)
 
-    rhs_v = _force_load(problem, coeffs)
+    rhs_v = _force_load(problem, sample)
     if include_time:
         M = fem_core.assemble_mini_mass(mesh)
         rhs_v = rhs_v + mass_coeff * (M @ np.asarray(problem.v_prev, dtype=float))
@@ -221,12 +218,14 @@ def _solve_linear(problem: FlowProblem, coeffs: Coefficients, advect, include_ti
 def solve_flow_step(problem: FlowProblem):
     """Advance the flow one implicit-Euler step; returns (v, P)."""
     problem.validate()
+    sample = problem.sample or FieldSample(problem.model, problem.mesh, problem.theta,
+                                           problem.v_prev)
     advect = advect_qp = None
     if problem.include_convection and problem.advect_field is not None:
         advect = problem.advect_field
     elif problem.include_convection:
-        advect, advect_qp = problem.v_prev, problem.v_prev_qp
-    return _solve_linear(problem, _coefficients(problem), advect, True, advect_qp)
+        advect, advect_qp = problem.v_prev, sample.v
+    return _solve_linear(problem, sample, advect, True, advect_qp)
 
 
 def solve_flow_stationary(problem: FlowProblem, picard_tol: float = 1e-8,
@@ -239,14 +238,14 @@ def solve_flow_stationary(problem: FlowProblem, picard_tol: float = 1e-8,
     if picard_max < 1:
         raise ValueError(f"picard_max must be at least 1, got {picard_max}")
     problem.validate()
-    coeffs = _coefficients(problem)
+    sample = problem.sample or FieldSample(problem.model, problem.mesh, problem.theta)
     if problem.advect_field is not None:
         # Prescribed advecting field (manufactured cases): single linear solve.
-        return _solve_linear(problem, coeffs, problem.advect_field, include_time=False)
-    v, p = _solve_linear(problem, coeffs, None, include_time=False)
+        return _solve_linear(problem, sample, problem.advect_field, include_time=False)
+    v, p = _solve_linear(problem, sample, None, include_time=False)
     if not problem.include_convection:
         return v, p
-    return linalg.fixed_point(lambda a: _solve_linear(problem, coeffs, a, include_time=False),
+    return linalg.fixed_point(lambda a: _solve_linear(problem, sample, a, include_time=False),
                               v, picard_tol, picard_max)
 
 

@@ -16,13 +16,15 @@ the residual acts as an upper-bound trigger, not an exact operator.
 
 The time step and the stationary Picard solve share one system builder,
 which sums mass, stiffness, advection, Robin and inflow terms in the data of
-the one P1 pattern they are all stored on.  A step evaluates each field at
-the quadrature points once, unless the problem carries it (as a split step
-passes what its other stages and the previous step evaluated): the laws at
-theta^{n-1} (``coeffs``), each velocity and its D(v):D(v)
-(:func:`flow_solver.viscous_dissipation`), and the Joule density
-(:func:`potential_solver.joule_density`), which the load and the residual
-share.  Each system is solved by
+the one P1 pattern they are all stored on.  A step reads the fields at the
+quadrature points from two samples (:class:`materials.FieldSample`):
+``sample``, theta^{n-1} with the laws there and the residual's velocity
+v_stab, and ``transport``, the transporting velocity v with its D(v):D(v).
+A split step passes the samples its other stages and the previous step
+read; otherwise the step builds them from its own fields, one serving both
+when v_stab is None.  The Joule density
+(:func:`potential_solver.joule_density`) is evaluated at most once, for the
+load and the residual.  Each system is solved by
 :func:`linalg.solve_constrained` with the previous temperature as the guess,
 so an equilibrium stays bit-for-bit fixed, and with the problem's held LU
 (:class:`linalg.HeldLU`) when it carries one.  The stationary Picard iteration is
@@ -38,10 +40,10 @@ from functools import cache
 import numpy as np
 
 from . import fem_core, linalg
-from .materials import Coefficients, MaterialModel
+from .materials import FieldSample, MaterialModel
 from .mesh import Mesh2D, check_tag_roles
 from .potential_solver import joule_density
-from .flow_solver import viscous_dissipation
+from .flow_solver import viscous_dissipation  # noqa: F401  (benchmark/tracer.py wraps it here)
 
 ROLE_ROBIN = "robin"
 ROLE_DIRICHLET = "dirichlet"
@@ -112,12 +114,10 @@ class HeatProblem:
     # The Dirichlet vertices of ``bc``, which sample its values at ``time``;
     # built here when None.
     dirichlet: fem_core.DirichletVertices | None = None
-    # Quad-point values shared across stages and steps; evaluated here when None.
-    coeffs: Coefficients | None = None  # the laws at theta_prev
-    v_qp: np.ndarray | None = None  # v, (NT, NQ, 2)
-    strain: np.ndarray | None = None  # D(v):D(v), (NT, NQ)
-    v_stab_qp: np.ndarray | None = None  # v_stab
-    strain_stab: np.ndarray | None = None  # D(v_stab):D(v_stab)
+    # theta_prev's sample, whose velocity is v_stab's, and v's; each built
+    # from those fields when None (one serves both when v_stab is None).
+    sample: FieldSample | None = None
+    transport: FieldSample | None = None
     iterations: int = field(default=0, init=False)  # GMRES count of the step; 0 if it factorized
     art_visc: np.ndarray | None = field(default=None, init=False)  # last per-cell values
 
@@ -141,10 +141,9 @@ def _powers(theta_q, alpha, floor):
     return base ** (alpha - 1.0), base ** (alpha - 2.0)
 
 
-def entropy_residual(mesh: Mesh2D, coeffs: Coefficients, theta_prev: np.ndarray,
-                     theta_prev2: np.ndarray, v_qp: np.ndarray, source: np.ndarray,
-                     dt: float, alpha_exp: float = 2.0,
-                     var_floor: float = 1e-10) -> np.ndarray:
+def entropy_residual(mesh: Mesh2D, sample: FieldSample, theta_prev: np.ndarray,
+                     theta_prev2: np.ndarray, source: np.ndarray, dt: float,
+                     alpha_exp: float = 2.0, var_floor: float = 1e-10) -> np.ndarray:
     """Per-cell sup norm of the pointwise temperature-equation residual.
 
     Expanded form at each quadrature point (theta = theta^{n-1}, lagged
@@ -154,12 +153,12 @@ def entropy_residual(mesh: Mesh2D, coeffs: Coefficients, theta_prev: np.ndarray,
         + eta(th)(a-1) th^(a-2) |grad th|^2 - gamma th^(a-1)
 
     with gamma = nu(th) D(v):D(v) + sigma(th)|grad phi|^2, given as
-    ``source``.  ``coeffs`` holds th at the quad points and the laws there,
-    ``v_qp`` the velocity.  The elementwise P1 diffusion flux divergence
-    vanishes and is dropped.
+    ``source``.  ``sample`` holds th and the velocity at the quad points and
+    the laws there.  The elementwise P1 diffusion flux divergence vanishes
+    and is dropped.
     """
     a = float(alpha_exp)
-    th1_q = coeffs.theta
+    th1_q = sample.theta
     th2_q = fem_core.p1_at_qp(mesh, theta_prev2)
     grad1 = fem_core.p1_gradients(mesh, theta_prev)  # (NT, 2)
     pow1, pow2 = _powers(th1_q, a, var_floor)
@@ -177,14 +176,14 @@ def entropy_residual(mesh: Mesh2D, coeffs: Coefficients, theta_prev: np.ndarray,
         res -= np.maximum(th2_q, var_floor) ** a
         res /= a * dt
     del th2_q
-    term = np.einsum("tqd,td->tq", v_qp, grad1)
+    term = np.einsum("tqd,td->tq", sample.v, grad1)
     if a == 1.0:
         res += term
         res -= source
     else:
         term *= pow1
         res += term
-        np.multiply(coeffs.eta, a - 1.0, out=term)
+        np.multiply(sample.eta, a - 1.0, out=term)
         if pow2 is not None:
             term *= pow2
         term *= np.einsum("td,td->t", grad1, grad1)[:, None]
@@ -273,62 +272,48 @@ def _dirichlet_terms(problem: HeatProblem):
                                      for tag in verts.tags})
 
 
-def _velocity_samples(problem: HeatProblem, v, v_qp, strain, need_strain: bool):
-    """v at the quad points and, if ``need_strain``, D(v):D(v) there; each is
-    evaluated when not given (None)."""
-    if v_qp is None:
-        v_qp = fem_core.velocity_at_qp(problem.mesh, v)
-    if strain is None and need_strain:
-        strain = viscous_dissipation(problem.mesh, v)
-    return v_qp, strain
-
-
-def _cell_viscosity(problem: HeatProblem, coeffs: Coefficients, joule, v_qp,
-                    strain) -> np.ndarray:
+def _cell_viscosity(problem: HeatProblem, sample: FieldSample, joule) -> np.ndarray:
     """Per-cell artificial viscosity of the step, also kept as ``art_visc``;
-    ``joule()`` is the Joule density at theta_prev, and ``v_qp`` and
-    ``strain`` are v_stab's samples, or None."""
+    ``joule()`` is the Joule density at theta_prev, and ``sample`` is
+    theta_prev's, whose velocity is v_stab's."""
     mesh = problem.mesh
     art = np.zeros(mesh.num_triangles)
     if problem.stab.beta != 0.0:
-        v = problem.v if problem.v_stab is None else problem.v_stab
-        residual = problem.theta_prev2 is not None  # None at startup: h_K saturates
-        v_qp, strain = _velocity_samples(problem, v, v_qp, strain, residual)
         res = None
-        if residual:
-            source = coeffs.nu * strain
+        if problem.theta_prev2 is not None:  # None at startup: h_K saturates
+            source = sample.nu * sample.strain
             source += joule()
-            res = entropy_residual(mesh, coeffs, problem.theta_prev, problem.theta_prev2,
-                                   v_qp, source, problem.dt, problem.stab.alpha,
+            res = entropy_residual(mesh, sample, problem.theta_prev, problem.theta_prev2,
+                                   source, problem.dt, problem.stab.alpha,
                                    problem.stab.var_floor)
         art = artificial_viscosity(mesh, res, problem.theta_prev,
-                                   _cell_speed_max(mesh, v, v_qp), problem.stab)
+                                   _cell_speed_max(mesh, sample.v_h, sample.v), problem.stab)
     problem.art_visc = art
     return art
 
 
-def _heat_system(problem: HeatProblem, mass_coeff: float, v_qp, strain):
+def _heat_system(problem: HeatProblem, mass_coeff: float, transport: FieldSample):
     """Builder of mass_coeff M + K(eta(theta) + art) + advection + Robin + inflow
     and its right-hand side.  Every term is stored on the one P1 pattern, so
     the matrix is summed in its data.  The terms that do not depend on theta,
-    and v with D(v):D(v) at the quad points (``v_qp`` and ``strain`` when
-    given), are evaluated once, when the builder is made."""
+    among them v and D(v):D(v) at the quad points (read from ``transport``),
+    are evaluated once, when the builder is made."""
     mesh = problem.mesh
     sources = problem.include_physics_sources
-    v_qp, strain = _velocity_samples(problem, problem.v, v_qp, strain, sources)
+    strain = transport.strain if sources else None
     extra = None
     if problem.extra_source is not None:
         extra = fem_core.sample(lambda x, y: problem.extra_source(x, y, problem.time),
                                 fem_core.geometry(mesh).qp)
     Mc = fem_core.assemble_mass(mesh).multiply(mass_coeff).tocsr() if mass_coeff else None
-    D = fem_core.assemble_advection(mesh, v_qp)
+    D = fem_core.assemble_advection(mesh, transport.v)
     boundary = _boundary_terms(problem)
 
-    def build(theta, coeffs, joule, art=0.0):
-        """The system at the laws ``coeffs`` of ``theta``; ``joule()`` is the
-        Joule density there."""
-        A_sys = fem_core.assemble_stiffness(mesh, coeffs.eta + art)
-        src = coeffs.nu * strain + joule() if sources else 0.0
+    def build(theta, laws, joule, art=0.0):
+        """The system at the laws ``laws`` of ``theta`` (a :class:`FieldSample`);
+        ``joule()`` is the Joule density there."""
+        A_sys = fem_core.assemble_stiffness(mesh, laws.eta + art)
+        src = laws.nu * strain + joule() if sources else 0.0
         if extra is not None:
             src = src + extra
         rhs = fem_core.assemble_scalar_load(mesh, src)
@@ -349,21 +334,21 @@ def solve_heat_step(problem: HeatProblem) -> np.ndarray:
     """One implicit-Euler step of the stabilized temperature equation."""
     problem.validate()
     mesh = problem.mesh
-    coeffs = problem.coeffs or Coefficients(problem.model,
-                                            fem_core.p1_at_qp(mesh, problem.theta_prev))
+    v_stab = problem.v if problem.v_stab is None else problem.v_stab
+    sample = problem.sample or FieldSample(problem.model, mesh, problem.theta_prev, v_stab)
+    transport = problem.transport or (sample if v_stab is problem.v else
+                                      FieldSample(problem.model, mesh, None, problem.v))
     # One Joule density at theta_prev, evaluated at most once: the load's and
     # the residual's.
-    joule = cache(lambda: joule_density(mesh, coeffs.sigma, problem.phi))
-    v_qp, strain = problem.v_qp, problem.strain
-    stab = problem.v_stab_qp, problem.strain_stab
-    if problem.v_stab is None:  # v_stab defaults to v: one evaluation serves both
-        stab = v_qp, strain = _velocity_samples(problem, problem.v, v_qp, strain,
-                                                problem.include_physics_sources)
+    joule = cache(lambda: joule_density(mesh, sample.sigma, problem.phi))
     # The viscosity comes first, so its residual's temporaries are freed
-    # before the system is built.
-    art = _cell_viscosity(problem, coeffs, joule, *stab)
-    build = _heat_system(problem, 1.0 / problem.dt, v_qp, strain)
-    A_sys, rhs = build(problem.theta_prev, coeffs, joule, art[:, None])
+    # before the system is built; so are v_stab's values when the sample was
+    # built here and the system does not read them.
+    art = _cell_viscosity(problem, sample, joule)
+    if sample is not problem.sample and sample is not transport:
+        sample.drop("v", "strain")
+    build = _heat_system(problem, 1.0 / problem.dt, transport)
+    A_sys, rhs = build(problem.theta_prev, sample, joule, art[:, None])
     dofs, vals = _dirichlet_terms(problem)
     theta = linalg.solve_constrained(A_sys, rhs, dofs, vals, x0=problem.theta_prev,
                                      order=fem_core.vertex_order(mesh),
@@ -385,14 +370,15 @@ def solve_heat_stationary(problem: HeatProblem, picard_tol: float = 1e-10,
     if picard_max < 1:
         raise ValueError(f"picard_max must be at least 1, got {picard_max}")
     problem.validate()
-    build = _heat_system(problem, 0.0, problem.v_qp, problem.strain)
+    build = _heat_system(problem, 0.0, problem.transport
+                         or FieldSample(problem.model, problem.mesh, None, problem.v))
     dofs, vals = _dirichlet_terms(problem)
     order = fem_core.vertex_order(problem.mesh)
 
     def step(theta):
-        coeffs = Coefficients(problem.model, fem_core.p1_at_qp(problem.mesh, theta))
-        A_sys, rhs = build(theta, coeffs, lambda: joule_density(problem.mesh, coeffs.sigma,
-                                                                problem.phi))
+        laws = FieldSample(problem.model, problem.mesh, theta)
+        A_sys, rhs = build(theta, laws, lambda: joule_density(problem.mesh, laws.sigma,
+                                                              problem.phi))
         return linalg.solve_constrained(A_sys, rhs, dofs, vals, x0=theta, order=order,
                                         factor=problem.factor), None
 

@@ -27,6 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import fem_core
+
 DEFAULT_BUOYANCY_COEFF = 1e-3 * 9.81 / 303.0
 
 ADMISSIBLE_RANGE = (-50.0, 300.0)
@@ -143,16 +145,30 @@ class MaterialModel:
         return float(fx), float(fy)
 
 
-class Coefficients:
-    """The laws of ``model`` at the temperature samples ``theta`` (such as the
-    quadrature points), each evaluated on first use and then shared."""
+class FieldSample:
+    """The temperature ``theta_h`` (P1 nodal) and the velocity ``v_h`` (MINI
+    dofs) at the quadrature points of ``mesh``, with the laws of ``model`` and
+    D(v):D(v) there.  Each value is evaluated on first read, then shared; a
+    field may be None, or set later, while its values are unread."""
 
-    def __init__(self, model: MaterialModel, theta: np.ndarray):
-        self.model, self.theta = model, theta
+    def __init__(self, model: MaterialModel, mesh, theta_h, v_h=None):
+        self.model, self.mesh, self.theta_h, self.v_h = model, mesh, theta_h, v_h
 
+    theta = cached_property(lambda self: fem_core.p1_at_qp(self.mesh, self.theta_h))
     sigma = cached_property(lambda self: self.model.sigma(self.theta))
     eta = cached_property(lambda self: self.model.eta(self.theta))
     nu = cached_property(lambda self: self.model.nu(self.theta))
+    v = cached_property(lambda self: fem_core.velocity_at_qp(self.mesh, self.v_h))
+
+    @cached_property
+    def strain(self):
+        from .flow_solver import viscous_dissipation  # flow_solver imports this module
+        return viscous_dissipation(self.mesh, self.v_h)
+
+    def drop(self, *names):
+        """Free the values ``names``; a later read evaluates them again."""
+        for name in names:
+            self.__dict__.pop(name, None)
 
 
 BREAKPOINTS = (99.0, 100.0, 105.0)

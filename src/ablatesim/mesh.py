@@ -248,6 +248,11 @@ def generate_channel_mesh(spec: GeometrySpec) -> Mesh2D:
     places vertices exactly at the electrode endpoints L/2 +- r (see
     :meth:`GeometrySpec.x_grid`), so the G5 tag aligns with element edges.
     """
+    return Mesh2D(*channel_mesh_arrays(spec))
+
+
+def channel_mesh_arrays(spec: GeometrySpec):
+    """The arrays of :func:`generate_channel_mesh`, before the mesh checks them."""
     spec.validate()
     L, H, r, nx, ny = spec.L, spec.H, spec.r, spec.nx, spec.ny
 
@@ -274,7 +279,7 @@ def generate_channel_mesh(spec: GeometrySpec) -> Mesh2D:
     tags = np.concatenate([np.tile([GAMMA1, GAMMA3], ny), np.full(nx, GAMMA2),
                            np.where(inside, GAMMA5, GAMMA4)])
 
-    return Mesh2D(vertices, triangles, edges, tags)
+    return vertices, triangles, edges, tags
 
 
 # -- plain-text mesh format ---------------------------------------------------

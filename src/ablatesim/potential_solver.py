@@ -3,6 +3,8 @@
 The physical problem has zero volumetric source, a prescribed current flux g
 on the electrode segment, and grounded (phi = 0) remaining boundaries; the
 optional volumetric source exists for manufactured-solution verification.
+The conductivity at the quadrature points comes from the problem's ``sample``
+(:class:`materials.FieldSample`), shared with the other split stages or built from theta.
 The grounded vertices come from :func:`fem_core.dirichlet_values` (or from
 ``constraints``, built once by the caller), and the symmetric positive
 definite system is solved by :func:`linalg.solve_constrained`: Dirichlet
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem_core, linalg
-from .materials import Coefficients, MaterialModel
+from .materials import FieldSample, MaterialModel
 from .mesh import GAMMA1, GAMMA2, GAMMA3, GAMMA4, GAMMA5, Mesh2D
 
 
@@ -33,7 +35,7 @@ class PotentialProblem:
     source: object = None  # verification hook: (NT, NQ) array or callable(x, y)
     constraints: tuple | None = None  # (dofs, values); from dirichlet_tags when None
     factor: linalg.HeldLU | None = None  # LU held across solves; None: a fresh LU
-    coeffs: Coefficients | None = None  # the laws at theta's quad-point values; evaluated when None
+    sample: FieldSample | None = None  # theta's; built from theta when None
     iterations: int = field(default=0, init=False)  # GMRES count of the solve; 0 if it factorized
 
 
@@ -51,8 +53,8 @@ def solve_potential(problem: PotentialProblem) -> np.ndarray:
     if not problem.dirichlet_tags:
         raise ValueError("potential problem needs a nonempty Dirichlet tag set")
 
-    coeffs = problem.coeffs or Coefficients(problem.model, fem_core.p1_at_qp(mesh, theta))
-    A = fem_core.assemble_stiffness(mesh, coeffs.sigma)
+    sample = problem.sample or FieldSample(problem.model, mesh, theta)
+    A = fem_core.assemble_stiffness(mesh, sample.sigma)
     b = fem_core.assemble_boundary_load(mesh, problem.neumann_tags, problem.g)
     if problem.source is not None:
         b = b + fem_core.assemble_scalar_load(

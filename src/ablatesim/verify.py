@@ -200,25 +200,23 @@ def _mms_mesh(nx, ny, jiggle: float = 0.2):
     """MMS mesh: structured grid with interior vertices deterministically
     perturbed and cell diagonals flipped at random, so the measured rates are
     the generic ones, not structured-mesh superconvergence."""
-    msh = generate_channel_mesh(GeometrySpec(nx=nx, ny=ny, **MMS_GEOMETRY))
+    spec = GeometrySpec(nx=nx, ny=ny, **MMS_GEOMETRY)
     if jiggle == 0.0:
-        return msh
+        return generate_channel_mesh(spec)
+    verts, tris, edges, tags = mesh_mod.channel_mesh_arrays(spec)
     rng = np.random.default_rng(100000 + 1000 * nx + ny)
-    verts = msh.vertices.copy()
-    boundary = np.unique(msh.boundary_edges.ravel())
-    interior = np.setdiff1d(np.arange(msh.num_vertices), boundary)
+    interior = np.setdiff1d(np.arange(verts.shape[0]), edges.ravel())
     hx = MMS_GEOMETRY["L"] / nx
     hy = MMS_GEOMETRY["H"] / ny
     verts[interior, 0] += rng.uniform(-jiggle, jiggle, interior.size) * hx
     verts[interior, 1] += rng.uniform(-jiggle, jiggle, interior.size) * hy
     # The generator emits two triangles per cell: (v00, v10, v11), (v00, v11, v01).
-    tris = msh.triangles.copy()
     k = np.nonzero(rng.random(tris.shape[0] // 2) < 0.5)[0]
     v00, v10, v11 = tris[2 * k].T
     v01 = tris[2 * k + 1, 2]
     tris[2 * k] = np.column_stack([v00, v10, v01])
     tris[2 * k + 1] = np.column_stack([v10, v11, v01])
-    return mesh_mod.Mesh2D(verts, tris, msh.boundary_edges, msh.boundary_tags)
+    return mesh_mod.Mesh2D(verts, tris, edges, tags)
 
 
 def _const_velocity_dofs(msh, vel):
@@ -511,8 +509,9 @@ def _step_audit(config) -> dict:
         audit["argmax_series"].append((diag.argmax_x, diag.argmax_y))
         if prev is not None:
             art = state.art_visc_cells
-            vmax_k = heat_solver._cell_speed_max(
-                sim.mesh, prev.v, fem_core.velocity_at_qp(sim.mesh, prev.v))
+            # theta^{n-1} = prev.theta and v^{n-1} = prev.v, sampled afresh.
+            lagged = materials.FieldSample(sim.model, sim.mesh, prev.theta, prev.v)
+            vmax_k = heat_solver._cell_speed_max(sim.mesh, prev.v, lagged.v)
             audit["eta_bound_violation"] = max(
                 audit["eta_bound_violation"],
                 float(np.max(art - beta * vmax_k * h)), float(np.max(-art)))
@@ -520,10 +519,9 @@ def _step_audit(config) -> dict:
             if np.any(still):
                 audit["eta_zero_velocity_max"] = max(
                     audit["eta_zero_velocity_max"], float(np.max(np.abs(art[still]))))
-            # The step's heat source: theta^{n-1} = prev.theta, v^n and phi^n.
-            laws = materials.Coefficients(sim.model, fem_core.p1_at_qp(sim.mesh, prev.theta))
-            src = (laws.nu * flow_solver.viscous_dissipation(sim.mesh, state.v)
-                   + joule_density(sim.mesh, laws.sigma, state.phi))
+            # The step's heat source: the laws at theta^{n-1}, v^n and phi^n.
+            src = (lagged.nu * flow_solver.viscous_dissipation(sim.mesh, state.v)
+                   + joule_density(sim.mesh, lagged.sigma, state.phi))
             audit["source_min"] = min(audit["source_min"], float(src.min()))
             load = fem_core.assemble_scalar_load(sim.mesh, src)
             audit["load_min"] = min(audit["load_min"], float(load.min()))

@@ -7,7 +7,7 @@ from ablatesim.heat_solver import (HeatBC, HeatProblem, StabilizationParams,
                                    _cell_speed_max, domain_diameter,
                                    solve_heat_stationary, solve_heat_step)
 from ablatesim.linalg import SolverError
-from ablatesim.materials import Coefficients, MaterialModel
+from ablatesim.materials import FieldSample, MaterialModel
 from ablatesim.potential_solver import joule_density
 from ablatesim.mesh import ALL_TAGS, GeometrySpec, generate_channel_mesh
 
@@ -26,11 +26,10 @@ def const_velocity(dm, vx, vy):
 
 def entropy_residual(mesh, model, th1, th2, v, phi, dt, alpha=2.0):
     """The residual of the nodal fields, its quad-point inputs evaluated here."""
-    coeffs = Coefficients(model, fem_core.p1_at_qp(mesh, th1))
-    source = (coeffs.nu * viscous_dissipation(mesh, v)
-              + joule_density(mesh, coeffs.sigma, phi))
-    return heat_solver.entropy_residual(mesh, coeffs, th1, th2,
-                                        fem_core.velocity_at_qp(mesh, v), source, dt, alpha)
+    sample = FieldSample(model, mesh, th1, v)
+    source = (sample.nu * viscous_dissipation(mesh, v)
+              + joule_density(mesh, sample.sigma, phi))
+    return heat_solver.entropy_residual(mesh, sample, th1, th2, source, dt, alpha)
 
 
 def cell_speed(mesh, v):
@@ -306,6 +305,46 @@ class TestHeatStep:
         # residual/viscosity velocity is the lagged one (zero): no viscosity
         assert np.abs(problem.art_visc).max() == 0.0
 
+    @staticmethod
+    def count_field_evaluations(monkeypatch):
+        """Count the calls of velocity_at_qp and viscous_dissipation."""
+        from collections import Counter
+
+        from ablatesim import flow_solver
+
+        counts = Counter()
+        for owner, name in ((fem_core, "velocity_at_qp"), (flow_solver, "viscous_dissipation")):
+            def counted(*args, _name=name, _original=getattr(owner, name)):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        return counts
+
+    def test_one_sample_serves_v_and_v_stab(self, monkeypatch):
+        # v_stab None: the transport, the source and the residual read one
+        # sample of v.
+        mesh = small_mesh()
+        rng = np.random.default_rng(5)
+        theta = 37.0 + rng.uniform(0.0, 1.0, mesh.num_vertices)
+        problem = make_problem(mesh, robin_bc(), theta, theta_prev2=theta - 0.5,
+                               v=rng.standard_normal(fem_core.dofmap_for(mesh).n_velocity),
+                               phi=rng.standard_normal(mesh.num_vertices))
+        counts = self.count_field_evaluations(monkeypatch)
+        solve_heat_step(problem)
+        assert counts == {"velocity_at_qp": 1, "viscous_dissipation": 1}
+        assert problem.art_visc.max() > 0.0
+
+    def test_unread_strain_is_never_evaluated(self, monkeypatch):
+        # No physics source and no residual (startup): nothing reads D(v):D(v).
+        mesh = small_mesh()
+        v = const_velocity(fem_core.dofmap_for(mesh), 1.0, 0.0)
+        problem = make_problem(mesh, robin_bc(), np.full(mesh.num_vertices, 37.0), v=v,
+                               include_physics_sources=False)
+        counts = self.count_field_evaluations(monkeypatch)
+        solve_heat_step(problem)
+        assert counts == {"velocity_at_qp": 1}
+
     def test_source_raises_temperature(self):
         mesh = small_mesh()
         theta = np.full(mesh.num_vertices, 37.0)
@@ -388,16 +427,17 @@ class TestBoundaryKernel:
     def test_system_summed_in_pattern_data_matches_the_sparse_sum(self):
         problem, _ = self.robin_inflow_problem()
         mesh, dt, theta = problem.mesh, problem.dt, problem.theta_prev
-        coeffs = Coefficients(problem.model, fem_core.p1_at_qp(mesh, theta))
+        laws = FieldSample(problem.model, mesh, theta)
         art = np.random.default_rng(8).uniform(0.0, 1e-2, (mesh.num_triangles, 1))
-        joule = joule_density(mesh, coeffs.sigma, problem.phi)
-        build = heat_solver._heat_system(problem, 1.0 / dt, None, None)
-        A, rhs = build(theta, coeffs, lambda: joule, art)
+        joule = joule_density(mesh, laws.sigma, problem.phi)
+        build = heat_solver._heat_system(problem, 1.0 / dt,
+                                         FieldSample(problem.model, mesh, None, problem.v))
+        A, rhs = build(theta, laws, lambda: joule, art)
         # The reference sums the same terms as sparse matrices, tag by tag.
         Mc = fem_core.assemble_mass(mesh) / dt
-        ref = (Mc + fem_core.assemble_stiffness(mesh, coeffs.eta + art)
+        ref = (Mc + fem_core.assemble_stiffness(mesh, laws.eta + art)
                + fem_core.assemble_advection(mesh, fem_core.velocity_at_qp(mesh, problem.v)))
-        src = coeffs.nu * viscous_dissipation(mesh, problem.v) + joule
+        src = laws.nu * viscous_dissipation(mesh, problem.v) + joule
         ref_rhs = Mc @ theta + fem_core.assemble_scalar_load(mesh, src)
         for tag in (1, 4, 5):
             terms = heat_solver._boundary_terms(make_problem(

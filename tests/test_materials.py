@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ablatesim.materials import (DEFAULT_BUOYANCY_COEFF, BuoyancySettings,
+from ablatesim import fem_core, flow_solver
+from ablatesim.materials import (DEFAULT_BUOYANCY_COEFF, BuoyancySettings, FieldSample,
                                  MaterialModel, branch_limits, validate_bounds)
+from ablatesim.mesh import GeometrySpec, generate_channel_mesh
 
 
 @pytest.fixture()
@@ -150,3 +152,36 @@ class TestValidateBounds:
         assert np.max(model.sigma(grid)) <= model.lambda2 + 1e-15
         assert np.min(model.eta(grid)) >= model.gamma1 - 1e-15
         assert np.max(model.eta(grid)) <= model.gamma2 + 1e-15
+
+
+class TestFieldSample:
+    def test_each_value_evaluated_once_on_first_read(self, monkeypatch):
+        from collections import Counter
+
+        mesh = generate_channel_mesh(GeometrySpec(nx=8, ny=4))
+        model = MaterialModel(nu_law=lambda th: 0.002 + 1e-5 * th)
+        rng = np.random.default_rng(2)
+        theta = 37.0 + 70.0 * rng.uniform(size=mesh.num_vertices)
+        v = rng.standard_normal(fem_core.dofmap_for(mesh).n_velocity)
+        ref = {"theta": fem_core.p1_at_qp(mesh, theta),
+               "v": fem_core.velocity_at_qp(mesh, v),
+               "strain": flow_solver.viscous_dissipation(mesh, v)}
+        for law in ("sigma", "eta", "nu"):
+            ref[law] = getattr(model, law)(ref["theta"])
+
+        counts = Counter()
+        for owner, name in ((fem_core, "p1_at_qp"), (fem_core, "velocity_at_qp"),
+                            (flow_solver, "viscous_dissipation"), (MaterialModel, "sigma"),
+                            (MaterialModel, "eta"), (MaterialModel, "nu")):
+            def counted(*args, _name=name, _original=getattr(owner, name)):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        sample = FieldSample(model, mesh, theta, v)
+        assert not counts  # nothing is evaluated before it is read
+        for _ in range(2):
+            for name, value in ref.items():
+                assert np.array_equal(getattr(sample, name), value), name
+        assert counts == {"p1_at_qp": 1, "velocity_at_qp": 1, "viscous_dissipation": 1,
+                          "sigma": 1, "eta": 1, "nu": 1}

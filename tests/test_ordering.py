@@ -51,6 +51,53 @@ class TestOrder:
         assert A[order[:n_lower]][:, upper].nnz == 0
 
 
+def nested_dissection_by_unique(xy, pattern):
+    """The reference order: ``fem_core._nested_dissection`` with each level's
+    live sets labelled by a sort (``np.unique``)."""
+    nv = xy.shape[0]
+    rows = np.repeat(np.arange(nv), np.diff(pattern.indptr))
+    cols = pattern.indices
+    key = np.zeros(nv, dtype=np.int64)
+    live = np.full(nv, nv > fem_core.ND_LEAF)
+    while live.any():
+        v = np.flatnonzero(live)
+        _, s, count = np.unique(key[v], return_inverse=True, return_counts=True)
+        first = np.cumsum(count) - count
+        pts = xy[v[np.argsort(s, kind="stable")]]
+        extent = np.maximum.reduceat(pts, first) - np.minimum.reduceat(pts, first)
+        c = xy[v, np.argmax(extent, axis=1)[s]]
+        median = c[np.lexsort((c, s))[first + count // 2]][s]
+        lower = c < median
+        lower |= (np.bincount(s[lower], minlength=count.size) == 0)[s] & (c == median)
+        half = np.zeros(nv, dtype=np.int64)
+        half[v] = 2 * s + 2 - lower
+        row_half = half[rows]
+        cut = (row_half == half[cols] + 1) & ((row_half & 1) == 0)
+        sep = np.zeros(nv, dtype=bool)
+        sep[rows[cut]] = True
+        sep = sep[v]
+        n_lower = np.bincount(s[lower], minlength=count.size)[s]
+        n_upper = count[s] - n_lower - np.bincount(s[sep], minlength=count.size)[s]
+        key[v] += np.where(lower, 0, np.where(sep, n_lower + n_upper, n_lower))
+        live[v] = ~sep & (np.where(lower, n_lower, n_upper) > fem_core.ND_LEAF)
+    return np.argsort(key, kind="stable")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_channel_mesh(GeometrySpec(nx=48, ny=16)),
+    lambda: generate_channel_mesh(GeometrySpec(nx=96, ny=32)),
+    lambda: generate_channel_mesh(GeometrySpec(nx=192, ny=64)),
+    lambda: verify._mms_mesh(64, 32),
+], ids=["48x16", "96x32", "192x64", "mms64x32"])
+def test_order_matches_the_sorted_relabelling(make):
+    mesh = make()
+    nv = mesh.num_vertices
+    ref = nested_dissection_by_unique(mesh.vertices, fem_core._p1_pattern(mesh))
+    assert np.array_equal(fem_core.vertex_order(mesh, 1), ref)
+    assert np.array_equal(fem_core.vertex_order(mesh, 3),
+                          (ref[:, None] + nv * np.arange(3)).ravel())
+
+
 class TestCache:
     def test_built_lazily_cached_and_read_only(self):
         cfg = preset("test1")

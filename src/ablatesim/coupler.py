@@ -14,11 +14,11 @@ the quadrature points from the state's :class:`materials.FieldSample`, which
 evaluates each value once, on first read (a state built by hand gets one).
 The heat stage reads v^n from a second sample, which then takes theta^n and
 becomes the new state's.  The stage order is recorded per step and never
-reordered.  Each system
-keeps its LU across its solves, the stationary ones included
-(``Simulation.factors``, see :class:`linalg.HeldLU`).  A blow-up guard
-aborts once max|theta| or max|v| exceeds 1e4, mirroring the runaway regime
-reached for large electrode currents.
+reordered.  Each system keeps its constrained dofs, the structure of its
+Dirichlet elimination and its LU across its solves, the stationary ones
+included (``Simulation.systems``, see :class:`linalg.LinearSystem`).  A
+blow-up guard aborts once max|theta| or max|v| exceeds 1e4, mirroring the
+runaway regime reached for large electrode currents.
 """
 
 from __future__ import annotations
@@ -30,13 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem_core
-from .flow_solver import (FlowProblem, flow_constraints, solve_flow_stationary,
-                          solve_flow_step)
-from .heat_solver import HeatProblem, heat_dirichlet, solve_heat_stationary, solve_heat_step
-from .linalg import HeldLU, SolverError
+from .flow_solver import FlowProblem, solve_flow_stationary, solve_flow_step
+from .heat_solver import HeatProblem, solve_heat_stationary, solve_heat_step
+from .linalg import LinearSystem, SolverError
 from .materials import FieldSample
 from .mesh import TAG_NAMES, generate_channel_mesh
-from .potential_solver import PotentialProblem, potential_constraints, solve_potential
+from .potential_solver import PotentialProblem, solve_potential
 
 BLOWUP_LIMIT = 1e4
 
@@ -108,11 +107,11 @@ class SimState:
 
 
 class Simulation:
-    """Owns the mesh, dof map, material model, cached diagnostics operators,
-    the Dirichlet data of each system (the heat's values, which may depend
-    on t, are resampled at each solve) and the held LU of each system
-    (``factors``: potential, flow, heat).  The holders start empty; each
-    factor and each Dirichlet set is built at its system's first solve."""
+    """Owns the mesh, dof map, material model and the linear system of each
+    stage (``systems``: potential, flow, heat, each a
+    :class:`linalg.LinearSystem`).  The systems start empty; each solver
+    sets its system's constraints at the first solve (the heat's values,
+    which may depend on t, are resampled at each solve)."""
 
     def __init__(self, config):
         config.validate()
@@ -124,39 +123,24 @@ class Simulation:
         self.flow_bc = config.build_flow_bcs()
         self.heat_bc = {TAG_NAMES[name]: bc for name, bc in config.heat_bc.items()}
         self.stab = config.stabilization
-        self._mass = fem_core.assemble_mass(self.mesh)
-        self._div_B = fem_core.assemble_divergence(self.mesh)
-        self.factors = {name: HeldLU() for name in ("potential", "flow", "heat")}
-        self._constraints = {}  # system -> its Dirichlet data, see _dirichlet
+        self.systems = {name: LinearSystem() for name in ("potential", "flow", "heat")}
 
     # -- problem builders -----------------------------------------------------
 
     def _potential_problem(self, theta, sample=None) -> PotentialProblem:
         pot = self.config.potential_bc
-        problem = PotentialProblem(
+        return PotentialProblem(
             mesh=self.mesh, model=self.model, theta=theta, g=pot.g,
             neumann_tags=pot.neumann_tags, dirichlet_tags=pot.dirichlet_tags,
-            factor=self.factors["potential"], sample=sample,
+            system=self.systems["potential"], sample=sample,
         )
-        problem.constraints = self._dirichlet(
-            "potential", lambda: potential_constraints(self.mesh, pot.dirichlet_tags))
-        return problem
 
     def _flow_problem(self, theta, v_prev, dt, sample=None) -> FlowProblem:
-        problem = FlowProblem(
+        return FlowProblem(
             mesh=self.mesh, model=self.model,
             theta=theta, v_prev=v_prev, dt=dt, bc=self.flow_bc,
-            factor=self.factors["flow"], sample=sample,
+            system=self.systems["flow"], sample=sample,
         )
-        problem.constraints = self._dirichlet("flow", lambda: flow_constraints(problem))
-        return problem
-
-    def _dirichlet(self, system: str, build):
-        """The constant Dirichlet data of ``system``, built once: the (dofs,
-        values) of the potential and the flow, the heat's vertices."""
-        if system not in self._constraints:
-            self._constraints[system] = build()
-        return self._constraints[system]
 
     def _heat_problem(self, theta_prev, theta_prev2, v, v_stab, phi, dt, t,
                       sample=None, transport=None) -> HeatProblem:
@@ -164,9 +148,7 @@ class Simulation:
             mesh=self.mesh, model=self.model,
             theta_prev=theta_prev, theta_prev2=theta_prev2,
             v=v, v_stab=v_stab, phi=phi, dt=dt, bc=self.heat_bc, stab=self.stab,
-            time=t, factor=self.factors["heat"],
-            dirichlet=self._dirichlet("heat", lambda: heat_dirichlet(self.mesh, self.heat_bc)),
-            sample=sample, transport=transport,
+            time=t, system=self.systems["heat"], sample=sample, transport=transport,
         )
 
     # -- diagnostics ------------------------------------------------------------
@@ -176,8 +158,8 @@ class Simulation:
         step, t, theta = state.n, state.t, np.asarray(state.theta)
         imax = int(np.argmax(theta))
         xy = self.mesh.vertices[imax]
-        int_theta = float(np.sum(self._mass @ theta))
-        div_norm = float(np.linalg.norm(self._div_B @ state.v))
+        int_theta = float(np.sum(fem_core.assemble_mass(self.mesh) @ theta))
+        div_norm = float(np.linalg.norm(fem_core.assemble_divergence(self.mesh) @ state.v))
 
         pos = np.maximum(state.sample.theta - self.model.theta_b, 0.0)
         mass_pos = fem_core.integrate_qp(self.mesh, pos)

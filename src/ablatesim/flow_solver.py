@@ -10,13 +10,14 @@ saddle system
 is never factorized whole.  Each bubble dof couples only inside its
 triangle, so the 2x2 bubble block of every triangle is eliminated first
 (static condensation, :func:`fem_core.assemble_condensed_saddle`); the Schur
-complement on the P1 dofs [vx | vy | p], of order 3*NV, takes the Dirichlet
-rows (from one vector-valued :func:`fem_core.dirichlet_values` call, or the
-problem's ``constraints``) and is solved by :func:`linalg.solve_constrained`
+complement on the P1 dofs [vx | vy | p], of order 3*NV, is solved by the
+problem's :class:`linalg.LinearSystem` (a fresh one when ``system`` is
+None), which takes the Dirichlet rows from :func:`flow_constraints` (one
+vector-valued :func:`fem_core.dirichlet_values` call) at its first solve,
 under the residual contract: a sparse LU in the mesh's nested-dissection
 vertex order with the three dofs of a vertex kept together
-(:func:`fem_core.vertex_order`), or GMRES preconditioned by the held LU of
-earlier solves when the problem carries a :class:`linalg.HeldLU`.  The LU
+(:func:`fem_core.vertex_order`), or GMRES preconditioned by the LU the
+system holds from earlier solves.  The LU
 scales the system symmetrically by its diagonal first: with nu = 1 the
 condensed pressure diagonal, about h^2/nu, is below a tenth of its column's
 B entries, and the threshold pivoting would otherwise leave the order.  The
@@ -120,8 +121,7 @@ class FlowProblem:
     advect_field: object = None  # callable override of the Oseen advecting field
     extra_force: object = None  # callable(x, y) -> (fx, fy); verification hook
     pressure_pin_value: float = 0.0
-    constraints: tuple | None = None  # (dofs, values); from flow_constraints when None
-    factor: linalg.HeldLU | None = None  # LU held across solves; None: a fresh LU
+    system: linalg.LinearSystem | None = None  # held across solves; None: a fresh one
     sample: FieldSample | None = None  # theta's and v_prev's; built from them when None
 
     def validate(self) -> None:
@@ -188,14 +188,14 @@ def _solve_linear(problem: FlowProblem, sample: FieldSample, advect, include_tim
         rhs_v = rhs_v + mass_coeff * (M @ np.asarray(problem.v_prev, dtype=float))
     rhs = np.concatenate([rhs_v, np.zeros(dm.n_pressure)])
 
-    dofs, vals = problem.constraints or flow_constraints(problem)
-    # Every constrained dof is a P1 dof, so eliminating them after the
-    # condensation is exact.  The condensed layout holds 3 dofs per vertex.
-    x_l = linalg.solve_constrained(saddle.matrix, saddle.condense(rhs),
-                                   saddle.layout.index[dofs], vals,
-                                   order=fem_core.vertex_order(mesh, 3),
-                                   factor=problem.factor)
-    x = saddle.recover(x_l, rhs)
+    system = problem.system or linalg.LinearSystem()
+    if system.dofs is None:
+        # Every constrained dof is a P1 dof, so eliminating them after the
+        # condensation is exact.  The condensed layout holds 3 dofs per vertex.
+        dofs, vals = flow_constraints(problem)
+        system.constrain(saddle.layout.index[dofs], vals, fem_core.vertex_order(mesh, 3))
+    x = saddle.recover(system.solve(saddle.matrix, saddle.condense(rhs)), rhs)
+    dofs, vals = saddle.layout.p1_dofs[system.dofs], system.values
 
     # Residual contract on the full system, bubble rows included; the
     # constrained rows hold by construction.

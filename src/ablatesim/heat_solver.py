@@ -24,12 +24,14 @@ A split step passes the samples its other stages and the previous step
 read; otherwise the step builds them from its own fields, one serving both
 when v_stab is None.  The Joule density
 (:func:`potential_solver.joule_density`) is evaluated at most once, for the
-load and the residual.  Each system is solved by
-:func:`linalg.solve_constrained` with the previous temperature as the guess,
-so an equilibrium stays bit-for-bit fixed, and with the problem's held LU
-(:class:`linalg.HeldLU`) when it carries one.  The stationary Picard iteration is
-Anderson-accelerated (:func:`linalg.fixed_point`) and raises SolverError when
-it misses ``picard_tol`` in ``picard_max`` solves.
+load and the residual.  Each system is solved by the problem's
+:class:`linalg.LinearSystem` (a fresh one per solve when ``system`` is
+None) with the previous temperature as the guess, so an equilibrium stays
+bit-for-bit fixed; the system takes the vertices of the Dirichlet tags at
+its first solve and samples their values at each solve's time.  The
+stationary Picard iteration is Anderson-accelerated
+(:func:`linalg.fixed_point`) and raises SolverError when it misses
+``picard_tol`` in ``picard_max`` solves.
 """
 
 from __future__ import annotations
@@ -110,10 +112,7 @@ class HeatProblem:
     include_physics_sources: bool = True
     include_inflow_bc: bool = True  # False = saline supply off (initial equilibrium)
     extra_source: object = None  # callable(x, y, t); verification hook
-    factor: linalg.HeldLU | None = None  # LU held across solves; None: a fresh LU
-    # The Dirichlet vertices of ``bc``, which sample its values at ``time``;
-    # built here when None.
-    dirichlet: fem_core.DirichletVertices | None = None
+    system: linalg.LinearSystem | None = None  # held across solves; None: a fresh one
     # theta_prev's sample, whose velocity is v_stab's, and v's; each built
     # from those fields when None (one serves both when v_stab is None).
     sample: FieldSample | None = None
@@ -259,17 +258,19 @@ def _boundary_terms(problem: HeatProblem):
     return terms[ROLE_ROBIN], terms[ROLE_INFLOW]
 
 
-def heat_dirichlet(mesh: Mesh2D, bc: dict) -> fem_core.DirichletVertices:
-    """The vertices of the Dirichlet tags of ``bc`` (tag -> HeatBC)."""
-    return fem_core.DirichletVertices(
-        mesh, [tag for tag, heat_bc in bc.items() if heat_bc.role == ROLE_DIRICHLET])
-
-
-def _dirichlet_terms(problem: HeatProblem):
-    """The Dirichlet dofs and their values at ``problem.time``."""
-    verts = problem.dirichlet or heat_dirichlet(problem.mesh, problem.bc)
-    return verts.dofs, verts.values({tag: problem.bc[tag].value_at(problem.time)
-                                     for tag in verts.tags})
+def _linear_system(problem: HeatProblem) -> linalg.LinearSystem:
+    """The problem's system, or a fresh one, constrained at its first solve
+    at the vertices of the Dirichlet tags of ``bc``, whose values each solve
+    samples at its time."""
+    system = problem.system or linalg.LinearSystem()
+    if system.dofs is None:
+        bc = problem.bc
+        verts = fem_core.DirichletVertices(
+            problem.mesh, [tag for tag, heat_bc in bc.items() if heat_bc.role == ROLE_DIRICHLET])
+        system.constrain(verts.dofs,
+                         lambda t: verts.values({tag: bc[tag].value_at(t) for tag in verts.tags}),
+                         fem_core.vertex_order(problem.mesh))
+    return system
 
 
 def _cell_viscosity(problem: HeatProblem, sample: FieldSample, joule) -> np.ndarray:
@@ -349,11 +350,9 @@ def solve_heat_step(problem: HeatProblem) -> np.ndarray:
         sample.drop("v", "strain")
     build = _heat_system(problem, 1.0 / problem.dt, transport)
     A_sys, rhs = build(problem.theta_prev, sample, joule, art[:, None])
-    dofs, vals = _dirichlet_terms(problem)
-    theta = linalg.solve_constrained(A_sys, rhs, dofs, vals, x0=problem.theta_prev,
-                                     order=fem_core.vertex_order(mesh),
-                                     factor=problem.factor)
-    problem.iterations = problem.factor.iterations if problem.factor is not None else 0
+    system = _linear_system(problem)
+    theta = system.solve(A_sys, rhs, x0=problem.theta_prev, t=problem.time)
+    problem.iterations = system.factor.iterations
     return theta
 
 
@@ -372,15 +371,12 @@ def solve_heat_stationary(problem: HeatProblem, picard_tol: float = 1e-10,
     problem.validate()
     build = _heat_system(problem, 0.0, problem.transport
                          or FieldSample(problem.model, problem.mesh, None, problem.v))
-    dofs, vals = _dirichlet_terms(problem)
-    order = fem_core.vertex_order(problem.mesh)
 
     def step(theta):
         laws = FieldSample(problem.model, problem.mesh, theta)
         A_sys, rhs = build(theta, laws, lambda: joule_density(problem.mesh, laws.sigma,
                                                               problem.phi))
-        return linalg.solve_constrained(A_sys, rhs, dofs, vals, x0=theta, order=order,
-                                        factor=problem.factor), None
+        return _linear_system(problem).solve(A_sys, rhs, x0=theta, t=problem.time), None
 
     theta, _ = linalg.fixed_point(step, problem.theta_prev, picard_tol, picard_max)
     return theta

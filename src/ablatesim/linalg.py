@@ -1,27 +1,20 @@
 """Sparse storage, assembly builder, and linear solvers.
 
-Matrices are scipy CSR; vectors are 1-D numpy arrays.  Every linear system of
-the simulator is solved by :func:`solve_lu` under the residual contract
-||b - Ax|| <= 1e-10 ||b||; a solve that misses it raises, with no retry in
-another order.  The solvers pass the mesh's nested-dissection order
-(:func:`fem_core.vertex_order`); without one the natural order is used.  The
-LU scales the matrix symmetrically by |diag A|^-1/2, permutes it into the
-order and factorizes it there with threshold pivoting, so the fill stays
-that of the order.  A :class:`HeldLU` keeps one system's factor across its
-solves: a later solve runs GMRES (:func:`_gmres`) right-preconditioned by the
-held factor, from the caller's guess or else the holder's last solution,
-until its residual estimate is half the contract; it is accepted on its true
-residual, and only a solve that misses the contract that way factorizes
-again, recording why.  Without a holder every solve is a fresh LU.  Systems
-with Dirichlet constraints go through :func:`solve_constrained`, the one
-sequence of elimination, LU solve and exact constrained entries.  The
+Matrices are scipy CSR; vectors are 1-D numpy arrays.  Every system of the
+simulator is a :class:`LinearSystem`, the one home of its solve state: its
+constrained dofs, its fill-reducing order (:func:`fem_core.vertex_order`),
+the structure of its Dirichlet elimination and its :class:`HeldLU`.  Its
+solve is the one sequence of elimination, :func:`solve_lu` under the
+residual contract ||b - Ax|| <= 1e-10 ||b|| (a miss raises, with no retry in
+another order) and exact constrained entries; :func:`apply_dirichlet` and
+:func:`solve_constrained` run it on a fresh system.  The held factor
+preconditions GMRES (:func:`_gmres`) for the later solves, and only a solve
+that misses the contract that way factorizes again, recording why.  The
 Jacobi-preconditioned Krylov solvers :func:`solve_cg` and :func:`solve_gmres`
-(restarted :func:`_gmres`) enforce the same kind of contract at their own
-tolerance; no code of the package calls them.  They and :class:`CooBuilder`
-stay only because the benchmark tracer (``benchmark/tracer.py``) and
-``tests/test_linalg.py`` use them.  :func:`fixed_point` is the
-Anderson-accelerated iteration of both stationary solves; it raises when it
-misses its tolerance.
+and :class:`CooBuilder` serve no code of the package; they stay only because
+the benchmark tracer (``benchmark/tracer.py``) and ``tests/test_linalg.py``
+use them.  :func:`fixed_point` is the Anderson-accelerated iteration of both
+stationary solves; it raises when it misses its tolerance.
 """
 
 from __future__ import annotations
@@ -215,6 +208,7 @@ def solve_lu(A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None,
     Returns x with ||b - Ax|| <= RESIDUAL_TOL * ||b||.  A guess ``x0`` that
     already meets the contract is returned unchanged (as a copy), without a
     factorization, so a fixed point stays bit-for-bit fixed.  Raises
+    SolverError on a non-finite ||b||, before any GMRES or factorization,
     SingularMatrix on rank deficiency or a non-finite solution and
     SolverError when the solution misses the contract.
 
@@ -236,7 +230,10 @@ def solve_lu(A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None,
     LU.
     """
     b = np.asarray(b, dtype=float)
-    limit = RESIDUAL_TOL * float(np.linalg.norm(b))
+    bnorm = float(np.linalg.norm(b))
+    if not np.isfinite(bnorm):
+        raise SolverError(f"non-finite right-hand side: |b| = {bnorm}")
+    limit = RESIDUAL_TOL * bnorm
     if factor is not None:
         factor.solves += 1
         factor.iterations = 0
@@ -401,53 +398,130 @@ def _least_squares(rows: np.ndarray, f: FieldVector) -> np.ndarray:
     return y[::-1]
 
 
-def apply_dirichlet(A: SparseMatrix, b: FieldVector, dofs, values):
-    """Eliminate Dirichlet dofs symmetrically; returns new (A, b).
+class LinearSystem:
+    """One system's solve state: the constrained ``dofs`` and their
+    ``values`` (an array, or a callable of the solve's time), the
+    fill-reducing ``order``, the held LU ``factor`` and the structure of the
+    Dirichlet elimination.
 
-    Constrained rows become identity rows with b[d] = value.  The coupling
-    columns are folded into b (b -= A[:, d] * value on unconstrained rows) and
-    zeroed, so an SPD matrix stays SPD.  Re-applying the same constraints is a
-    no-op.
+    The eliminated matrix stores exactly its nonzero entries: A's off the
+    constrained rows and columns, and a unit diagonal on each constrained
+    row.  Its structure, a mask of the kept entries of A's pattern with the
+    eliminated matrix's indices, is built at the first elimination
+    (``builds`` counts the builds); a later A on the same pattern only has
+    its kept entries gathered, and the structure is rebuilt when the pattern
+    changes, a dropped free entry is nonzero or a kept one is zero.  A
+    system without constraints passes a canonical A without zero entries
+    through untouched.
     """
-    dofs = np.asarray(dofs, dtype=np.int64)
-    values = np.asarray(values, dtype=float)
-    if dofs.size != np.unique(dofs).size:
-        raise ValueError("Dirichlet dofs must be unique")
-    if dofs.size and (dofs.min() < 0 or dofs.max() >= A.shape[0]):
-        raise IndexError("Dirichlet dof out of range")
-    if dofs.size != values.size:
-        raise ValueError("dofs and values must have equal length")
 
-    n = A.shape[0]
-    b = np.array(b, dtype=float, copy=True)
-    A = sp.csr_matrix(A)
-    constrained = np.zeros(n, dtype=bool)
-    constrained[dofs] = True
+    def __init__(self, dofs=None, values=(), order=None):
+        self.dofs = self.values = self.order = self._pattern = None
+        self.factor = HeldLU()
+        self.builds = 0
+        if dofs is not None:
+            self.constrain(dofs, values, order)
 
-    xfix = np.zeros(n)
-    xfix[dofs] = values
-    correction = A @ xfix
-    b[~constrained] -= correction[~constrained]
-    b[dofs] = values
+    def constrain(self, dofs, values, order=None) -> None:
+        """Set the dofs (checked here and at each build), values and order."""
+        dofs = np.asarray(dofs, dtype=np.int64)
+        if dofs.size != np.unique(dofs).size:
+            raise ValueError("Dirichlet dofs must be unique")
+        if dofs.size and dofs.min() < 0:
+            raise IndexError("Dirichlet dof out of range")
+        self.dofs, self.order, self._pattern = dofs, order, None
+        self.values = values if callable(values) else np.asarray(values, dtype=float)
 
-    # Zero the constrained rows and columns in the CSR data and add the unit
-    # diagonal; the sparse sum drops every zero, so no explicit zero remains.
-    masked = np.where(np.repeat(constrained, np.diff(A.indptr)) | constrained[A.indices],
-                      0.0, A.data)
-    A_mod = (sp.csr_matrix((masked, A.indices, A.indptr), shape=A.shape)
-             + sp.diags(constrained.astype(float), format="csr"))
-    A_mod.sort_indices()
-    return A_mod, b
+    def solve(self, A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None,
+              t: float | None = None) -> FieldVector:
+        """:func:`solve_lu` of the eliminated system with the held factor,
+        from the guess ``x0``; x[dofs] is set to the values at ``t`` exactly."""
+        values = self.values(t) if callable(self.values) else self.values
+        x = solve_lu(*self.eliminate(A, b, values), x0=x0, order=self.order,
+                     factor=self.factor)
+        x[self.dofs] = values
+        return x
+
+    def eliminate(self, A: SparseMatrix, b: FieldVector, values=None):
+        """(A, b) with the constraints eliminated symmetrically, so an SPD A
+        stays SPD: constrained rows become identity rows with b[d] = value,
+        and the constrained columns are folded into b (b - A x_fix on the
+        free rows) and dropped.  ``values`` defaults to the system's own."""
+        values = self.values if values is None else np.asarray(values, dtype=float)
+        if values.size != self.dofs.size:
+            raise ValueError("dofs and values must have equal length")
+        A = A if A.format == "csr" else sp.csr_matrix(A)
+        b = np.asarray(b, dtype=float)
+        if not self.dofs.size and A.has_canonical_format and A.data.all():
+            return A, b
+        data = self._gather(A) if self._on_pattern(A) else None
+        if data is None or not data.all() or A.data[self._zeros].any():
+            A = self._build(A)
+            data = self._gather(A)
+        fixed = np.zeros(A.shape[0])
+        fixed[self.dofs] = values
+        b = b - A @ fixed if self.dofs.size else b.copy()
+        b[self.dofs] = values
+        return sp.csr_matrix((data, self._indices, self._indptr), shape=A.shape), b
+
+    def _on_pattern(self, A: SparseMatrix) -> bool:
+        """Whether the structure was built on A's shape and CSR pattern."""
+        return self._pattern is not None and A.shape == self._pattern[0] and all(
+            np.array_equal(a, p) for a, p in zip((A.indptr, A.indices), self._pattern[1:]))
+
+    def _gather(self, A: SparseMatrix) -> np.ndarray:
+        """The eliminated matrix's data: A's kept entries, unit diagonals."""
+        data = A.data[self._keep]
+        data[self._diag] = 1.0
+        return data
+
+    def _build(self, A: SparseMatrix) -> SparseMatrix:
+        """Build the structure of A's elimination.  It keeps the nonzero free
+        entries of A and the diagonal entries of the constrained rows, so
+        each constrained row holds its unit diagonal alone.  Returns A, or,
+        when A is not canonical or a constrained row stores no diagonal, the
+        canonical copy with zero diagonals added that it is built on."""
+        self._pattern = self._keep = self._indices = None  # freed before the new one is built
+        n, dofs = A.shape[0], self.dofs
+        if dofs.size and dofs.max() >= n:
+            raise IndexError("Dirichlet dof out of range")
+        fixed = np.zeros(n, dtype=bool)
+        fixed[dofs] = True
+        rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(A.indptr))
+        diag = fixed[rows] & (A.indices == rows)
+        if not A.has_canonical_format or np.count_nonzero(diag) < dofs.size:
+            return self._build(sp.csr_matrix(
+                (np.concatenate([A.data, np.zeros(dofs.size)]),
+                 (np.concatenate([rows, dofs]), np.concatenate([A.indices, dofs]))),
+                shape=A.shape))
+        free = ~(fixed[rows] | fixed[A.indices])
+        del rows
+        nonzero = A.data != 0.0
+        self._zeros = np.flatnonzero(free & ~nonzero).astype(np.int32)
+        self._keep = free & nonzero | diag
+        del free, nonzero, diag
+        kept = np.zeros(A.nnz + 1, dtype=np.int32)  # kept entries before each entry
+        np.cumsum(self._keep, out=kept[1:])
+        self._indptr, self._indices = kept[A.indptr], A.indices[self._keep]
+        del kept
+        for arr in (self._indptr, self._indices):  # shared by every eliminated matrix
+            arr.setflags(write=False)
+        self._diag = self._indptr[dofs]
+        self._pattern = (A.shape, A.indptr, A.indices)
+        self.builds += 1
+        return A
+
+
+def apply_dirichlet(A: SparseMatrix, b: FieldVector, dofs, values):
+    """Eliminate Dirichlet dofs symmetrically; returns new (A, b), with no
+    explicit zero in A: :meth:`LinearSystem.eliminate` on a fresh system."""
+    return LinearSystem(dofs, values).eliminate(A, b)
 
 
 def solve_constrained(A: SparseMatrix, b: FieldVector, dofs, values,
                       x0: FieldVector | None = None,
-                      order: np.ndarray | None = None,
-                      factor: HeldLU | None = None) -> FieldVector:
-    """Solve A x = b with x[dofs] = values: :func:`apply_dirichlet`, then
-    :func:`solve_lu` from the guess ``x0`` in the fill-reducing ``order``
-    with the held ``factor``, then x[dofs] set exactly."""
-    A, b = apply_dirichlet(A, b, dofs, values)
-    x = solve_lu(A, b, x0=x0, order=order, factor=factor)
-    x[dofs] = values
-    return x
+                      order: np.ndarray | None = None) -> FieldVector:
+    """Solve A x = b with x[dofs] = values from the guess ``x0`` in the
+    fill-reducing ``order``: :meth:`LinearSystem.solve` on a fresh system,
+    so a fresh LU."""
+    return LinearSystem(dofs, values, order).solve(A, b, x0)

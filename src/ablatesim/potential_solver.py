@@ -5,12 +5,12 @@ on the electrode segment, and grounded (phi = 0) remaining boundaries; the
 optional volumetric source exists for manufactured-solution verification.
 The conductivity at the quadrature points comes from the problem's ``sample``
 (:class:`materials.FieldSample`), shared with the other split stages or built from theta.
-The grounded vertices come from :func:`fem_core.dirichlet_values` (or from
-``constraints``, built once by the caller), and the symmetric positive
-definite system is solved by :func:`linalg.solve_constrained`: Dirichlet
-elimination, then a fresh sparse LU, or GMRES preconditioned by the held LU
-of earlier solves when the problem carries a :class:`linalg.HeldLU`, under
-the residual contract.
+The symmetric positive definite system is solved by the problem's
+:class:`linalg.LinearSystem` (a fresh one when ``system`` is None), which
+takes the grounded vertices from :func:`fem_core.dirichlet_values` at its
+first solve: Dirichlet elimination, then a fresh sparse LU, or GMRES
+preconditioned by the LU the system holds from earlier solves, under the
+residual contract.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ class PotentialProblem:
     neumann_tags: tuple = (GAMMA5,)
     dirichlet_tags: tuple = (GAMMA1, GAMMA2, GAMMA3, GAMMA4)
     source: object = None  # verification hook: (NT, NQ) array or callable(x, y)
-    constraints: tuple | None = None  # (dofs, values); from dirichlet_tags when None
-    factor: linalg.HeldLU | None = None  # LU held across solves; None: a fresh LU
+    system: linalg.LinearSystem | None = None  # held across solves; None: a fresh one
     sample: FieldSample | None = None  # theta's; built from theta when None
     iterations: int = field(default=0, init=False)  # GMRES count of the solve; 0 if it factorized
 
@@ -60,11 +59,12 @@ def solve_potential(problem: PotentialProblem) -> np.ndarray:
         b = b + fem_core.assemble_scalar_load(
             mesh, fem_core.sample(problem.source, fem_core.geometry(mesh).qp))
 
-    dofs, values = problem.constraints or potential_constraints(mesh, problem.dirichlet_tags)
-    factor = problem.factor
-    phi = linalg.solve_constrained(A, b, dofs, values, order=fem_core.vertex_order(mesh),
-                                   factor=factor)
-    problem.iterations = factor.iterations if factor is not None else 0
+    system = problem.system or linalg.LinearSystem()
+    if system.dofs is None:
+        system.constrain(*potential_constraints(mesh, problem.dirichlet_tags),
+                         fem_core.vertex_order(mesh))
+    phi = system.solve(A, b)
+    problem.iterations = system.factor.iterations
     return phi
 
 

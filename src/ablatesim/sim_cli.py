@@ -490,8 +490,8 @@ def cmd_run(args) -> int:
 
     def report_solves():
         # Every factorization of the run, with its reason (none is silent).
-        for name, held in sim.factors.items():
-            print(f"{name}: {held.report()}")
+        for name, system in sim.systems.items():
+            print(f"{name}: {system.factor.report()}")
 
     try:
         state, rows = sim.run(on_step=on_step)

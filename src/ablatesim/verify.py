@@ -21,11 +21,13 @@ from .fem_core import dofmap_for
 from .heat_solver import HeatBC, HeatProblem, StabilizationParams
 from .materials import MaterialModel
 from .mesh import GeometrySpec, generate_channel_mesh
-from .potential_solver import PotentialProblem, joule_density, solve_potential
+from .potential_solver import (PotentialProblem, joule_density, potential_constraints,
+                               solve_potential)
 
 PI = np.pi
 
 MMS_GEOMETRY = dict(L=2.0, H=1.0, r=0.25)
+MMS_JIGGLE = 0.2  # largest interior vertex shift of an MMS mesh, in cell widths
 DEFAULT_LEVELS = ((16, 8), (32, 16), (64, 32), (128, 64))
 
 
@@ -196,20 +198,19 @@ def h1_seminorm_error_velocity(msh, u, grad_exact) -> float:
 # -- per-case solvers ---------------------------------------------------------------
 
 
-def _mms_mesh(nx, ny, jiggle: float = 0.2):
+def _mms_mesh(nx, ny):
     """MMS mesh: structured grid with interior vertices deterministically
-    perturbed and cell diagonals flipped at random, so the measured rates are
-    the generic ones, not structured-mesh superconvergence."""
+    perturbed (by up to MMS_JIGGLE cell widths) and cell diagonals flipped at
+    random, so the measured rates are the generic ones, not structured-mesh
+    superconvergence."""
     spec = GeometrySpec(nx=nx, ny=ny, **MMS_GEOMETRY)
-    if jiggle == 0.0:
-        return generate_channel_mesh(spec)
     verts, tris, edges, tags = mesh_mod.channel_mesh_arrays(spec)
     rng = np.random.default_rng(100000 + 1000 * nx + ny)
     interior = np.setdiff1d(np.arange(verts.shape[0]), edges.ravel())
     hx = MMS_GEOMETRY["L"] / nx
     hy = MMS_GEOMETRY["H"] / ny
-    verts[interior, 0] += rng.uniform(-jiggle, jiggle, interior.size) * hx
-    verts[interior, 1] += rng.uniform(-jiggle, jiggle, interior.size) * hy
+    verts[interior, 0] += rng.uniform(-MMS_JIGGLE, MMS_JIGGLE, interior.size) * hx
+    verts[interior, 1] += rng.uniform(-MMS_JIGGLE, MMS_JIGGLE, interior.size) * hy
     # The generator emits two triangles per cell: (v00, v10, v11), (v00, v11, v01).
     k = np.nonzero(rng.random(tris.shape[0] // 2) < 0.5)[0]
     v00, v10, v11 = tris[2 * k].T
@@ -406,7 +407,7 @@ def splitting_order_study(config, Ms=(10, 20, 40), M_ref=320) -> RateReport:
         return sim, sim.run()[0]
 
     sim, ref = final_state(M_ref)
-    p1_mass = sim._mass
+    p1_mass = fem_core.assemble_mass(sim.mesh)
     mini_mass = fem_core.assemble_mini_mass(sim.mesh)
     norms = {"theta": p1_mass, "v": mini_mass, "phi": p1_mass}
     errors = {name: [] for name in norms}
@@ -691,8 +692,7 @@ def invariant_suite(config) -> dict:
                                dirichlet_tags=config.potential_bc.dirichlet_tags)
         sigma_qp = model.sigma(fem_core.p1_at_qp(msh, theta_b_field))
         Apot = fem_core.assemble_stiffness(msh, sigma_qp)
-        dir_dofs, dir_vals = fem_core.dirichlet_values(
-            msh, dict.fromkeys(pot.dirichlet_tags, 0.0))
+        dir_dofs, dir_vals = potential_constraints(msh, pot.dirichlet_tags)
         Apot_e, _ = linalg.apply_dirichlet(Apot, np.zeros(msh.num_vertices), dir_dofs, dir_vals)
         x = rng.standard_normal(msh.num_vertices)
         record("potential.spd_after_elimination", float(x @ (Apot_e @ x)) > 0.0)

@@ -1,3 +1,4 @@
+import collections
 import functools
 import logging
 import tracemalloc
@@ -12,6 +13,7 @@ from ablatesim.heat_solver import HeatBC
 from ablatesim.linalg import NotConverged, SolverError
 from ablatesim.materials import FieldSample
 from ablatesim.sim_cli import ConfigError, preset
+from dirichlet_reference import apply_dirichlet_reference, assert_same_elimination
 
 
 def quick_config(name="test1", nx=20, ny=10, M=3):
@@ -270,23 +272,95 @@ def rest_state(sim):
 
 
 class TestHeatDirichlet:
-    def test_vertices_built_once_values_resampled(self, monkeypatch):
-        builds = []
-
-        def counted(mesh, bc, _build=coupler.heat_dirichlet):
-            builds.append(1)
-            return _build(mesh, bc)
-
-        monkeypatch.setattr(coupler, "heat_dirichlet", counted)
+    def test_vertices_built_once_values_resampled(self):
         cfg = quick_config(nx=24, ny=8, M=4)
         cfg.heat_bc["G1"] = HeatBC("dirichlet", 0.0, lambda x, y, t: 37.0 + 10.0 * t)
         sim = Simulation(cfg)
+        system = sim.systems["heat"]
+        assert system.dofs is None  # built at the first solve
         state = rest_state(sim)
         g1 = sim.mesh.boundary_vertices_with_tag(1)
+        dofs = []
         for _ in range(2):
             state = sim.advance(state)
             assert np.abs(state.theta[g1] - (37.0 + 10.0 * state.t)).max() <= 1e-12
-        assert builds == [1]
+            dofs.append(system.dofs)
+        # One constraint build: the second step solves with the first's dofs
+        # and elimination structure, and only the values are resampled.
+        assert dofs[0] is dofs[1] and np.array_equal(dofs[0], g1)
+        assert system.builds == 1
+
+    def test_non_finite_datum_fails_before_any_factorization(self):
+        cfg = quick_config(nx=24, ny=8, M=3)
+        cfg.heat_bc["G1"] = HeatBC("dirichlet", 0.0,
+                                   lambda x, y, t: np.nan if t > 0 else 37.0)
+        sim = Simulation(cfg)
+        with pytest.raises(SolverError, match="non-finite right-hand side") as exc:
+            sim.run()
+        assert [row.step for row in exc.value.rows] == [0]
+        # The initial equilibrium met the contract as its own guess, and the
+        # failed step raised before GMRES or an LU: no factorization at all.
+        heat = sim.systems["heat"].factor
+        assert heat.solves == 1 and heat.events == [] and heat.krylov_solves == 0
+
+
+class TestLinearSystems:
+    @staticmethod
+    def checked(monkeypatch, sim):
+        """Compare every elimination of ``sim``'s systems with the reference
+        mask-and-sum, bit for bit; returns the count per system."""
+        names = {id(system): name for name, system in sim.systems.items()}
+        counts = collections.Counter()
+        eliminate = linalg.LinearSystem.eliminate
+
+        def spy(system, A, b, values=None):
+            out = eliminate(system, A, b, values)
+            ref_values = system.values if values is None else values
+            assert_same_elimination(out, apply_dirichlet_reference(A, b, system.dofs,
+                                                                   ref_values))
+            if not system.dofs.size:
+                assert out[0] is A  # passed through, uncopied
+            counts[names[id(system)]] += 1
+            return out
+
+        monkeypatch.setattr(linalg.LinearSystem, "eliminate", spy)
+        return counts
+
+    def test_test1_eliminations_match_the_reference_bytes(self, monkeypatch):
+        cfg = preset("test1")
+        cfg.time.M = 3
+        sim = Simulation(cfg)
+        counts = self.checked(monkeypatch, sim)
+        sim.run()
+        # Initialization, then 3 steps; the flow's initialization iterates.
+        assert counts["potential"] == counts["heat"] == 4 and counts["flow"] > 4
+        systems = sim.systems
+        assert systems["heat"].dofs.size == 0 and systems["heat"].builds == 0
+        # The potential's structure is built once; the flow's Stokes system,
+        # without convection, stores zeros that the Oseen systems fill.
+        assert systems["potential"].builds == 1 and systems["flow"].builds == 2
+
+    def test_time_dependent_dirichlet_eliminations_match_the_reference_bytes(self, monkeypatch):
+        cfg = quick_config(nx=24, ny=8, M=3)
+        cfg.heat_bc["G1"] = HeatBC("dirichlet", 0.0, lambda x, y, t: 37.0 + 10.0 * t)
+        sim = Simulation(cfg)
+        counts = self.checked(monkeypatch, sim)
+        sim.run()
+        assert counts["heat"] == 4 and sim.systems["heat"].dofs.size > 0
+
+    def test_structures_built_once_over_five_steps(self):
+        cfg = quick_config(nx=24, ny=8, M=5)
+        cfg.heat_bc["G1"] = HeatBC("dirichlet", 0.0, lambda x, y, t: 37.0 + 10.0 * t)
+        sim = Simulation(cfg)
+        state = rest_state(sim)
+        builds = []
+        for _ in range(5):
+            state = sim.advance(state)
+            builds.append({name: system.builds for name, system in sim.systems.items()})
+        assert builds[-1] == {"potential": 1, "flow": 2, "heat": 1}
+        # The from-rest flow stores zeros where convection couples; the moving
+        # flow of step 2 is nonzero there, and its structure is rebuilt once.
+        assert builds[0]["flow"] == 1 and builds[1]["flow"] == 2
 
 
 class TestHeldFactors:
@@ -306,9 +380,9 @@ class TestHeldFactors:
                 return out
             monkeypatch.setattr(coupler, attr, spy)
         sim = Simulation(quick_config(nx=24, ny=8, M=5))
-        assert all(held.events == [] for held in sim.factors.values())  # built lazily
+        assert all(system.factor.events == [] for system in sim.systems.values())  # built lazily
         state, rows = self.advance(sim, 5)
-        for held in sim.factors.values():
+        for held in (system.factor for system in sim.systems.values()):
             assert held.events == ["no factor held"]
             assert held.solves == 5 and held.krylov_solves == 4
         # The first solve factorizes (0 iterations); the others run GMRES.
@@ -319,7 +393,7 @@ class TestHeldFactors:
         monkeypatch.setattr(linalg.HeldLU, "reuse", lambda *a: (None, "fresh LU"))
         fresh_sim = Simulation(quick_config(nx=24, ny=8, M=5))
         fresh, fresh_rows = self.advance(fresh_sim, 5)
-        assert len(fresh_sim.factors["flow"].events) == 5
+        assert len(fresh_sim.systems["flow"].factor.events) == 5
         # Both runs meet the residual contract 1e-10 |b|, so they differ by
         # round-off amplified by the conditioning: measured 2e-12 in theta
         # and phi, 5e-11 in v, 1.2e-10 in P, 2.5e-9 in the centroid (a ratio
@@ -347,7 +421,7 @@ class TestHeldFactors:
 
         monkeypatch.setattr(linalg.HeldLU, "apply", counted)
         sim = Simulation(preset("test1"))  # the 48x16 preset, started from rest
-        flow, potential = sim.factors["flow"], sim.factors["potential"]
+        flow, potential = sim.systems["flow"].factor, sim.systems["potential"].factor
         state = rest_state(sim)
         for n in range(5):
             applies.clear()
@@ -361,13 +435,13 @@ class TestHeldFactors:
         sim = Simulation(quick_config(M=2))
         state = sim.initialize()
         sim.advance(state)
-        flow = sim.factors["flow"]
+        flow = sim.systems["flow"].factor
         # Stokes -> Oseen and stationary -> time step are far apart: each
         # switch that missed refactorized, and says why.
         assert flow.events[0] == "no factor held"
         assert all(e.startswith("GMRES") for e in flow.events[1:])
         assert flow.solves == flow.krylov_solves + len(flow.events)
-        for held in sim.factors.values():
+        for held in (system.factor for system in sim.systems.values()):
             assert held.report().startswith(f"{held.solves} solves:")
 
 

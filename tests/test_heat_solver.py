@@ -450,7 +450,8 @@ class TestBoundaryKernel:
         assert np.abs((A - ref).toarray()).max() <= 1e-14 * np.abs(ref.data).max()
         assert np.abs(rhs - ref_rhs).max() <= 1e-14 * np.abs(ref_rhs).max()
         # With the Dirichlet tag G3 eliminated, both give the same temperature.
-        dofs, vals = heat_solver._dirichlet_terms(problem)
+        system = heat_solver._linear_system(problem)
+        dofs, vals = system.dofs, system.values(problem.time)
         x = linalg.solve_constrained(A, rhs, dofs, vals)
         x_ref = linalg.solve_constrained(ref.tocsr(), ref_rhs, dofs, vals)
         assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
@@ -461,12 +462,12 @@ class TestResidualConsistency:
         # For interpolants of a smooth manufactured solution the residual sup
         # norm stays bounded under joint (h, dt) refinement; monitored only,
         # no rate asserted (the elementwise diffusion term is dropped).
-        from ablatesim.verify import _mms_mesh, heat_unsteady_spatial_case
+        from ablatesim.verify import MMS_GEOMETRY, heat_unsteady_spatial_case
 
         case = heat_unsteady_spatial_case()
         sups = []
         for nx, ny, dt in ((16, 8, 0.05), (32, 16, 0.025), (64, 32, 0.0125)):
-            mesh = _mms_mesh(nx, ny, jiggle=0.0)
+            mesh = generate_channel_mesh(GeometrySpec(nx=nx, ny=ny, **MMS_GEOMETRY))
             dm = fem_core.dofmap_for(mesh)
             model = MaterialModel(eta_law=lambda th: np.ones_like(th),
                                   sigma_law=lambda th: np.ones_like(th))

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ablatesim import linalg
+from dirichlet_reference import apply_dirichlet_reference, assert_same_elimination
 from ablatesim.linalg import (CooBuilder, NotConverged, SingularMatrix,
                               SolverError, apply_dirichlet, solve_cg,
                               solve_gmres, solve_lu)
@@ -251,12 +252,11 @@ class TestHeldLU:
         assert iterations[0] < iterations[1]
 
     def test_last_is_a_copy_the_constrained_solve_cannot_overwrite(self):
-        held = linalg.HeldLU()
         A, b = self.system()
-        dofs, vals = np.arange(0, A.shape[0], 9), np.linspace(-1.0, 1.0, 45)
-        x = linalg.solve_constrained(A, b, dofs, vals, factor=held)
+        system = linalg.LinearSystem(np.arange(0, A.shape[0], 9), np.linspace(-1.0, 1.0, 45))
+        x = system.solve(A, b)
         x[:] = 0.0
-        assert np.linalg.norm(held.last) > 0.0
+        assert np.linalg.norm(system.factor.last) > 0.0
 
     def test_same_system_twice_stops_within_one_iteration(self):
         held = linalg.HeldLU()
@@ -349,15 +349,16 @@ class TestHeldLU:
         assert held.iterations == 0
 
     def test_constrained_solve_reuses_the_factor(self):
-        held = linalg.HeldLU()
         A, b = self.system()
         dofs, vals = np.arange(0, A.shape[0], 9), np.linspace(-1.0, 1.0, 45)
-        linalg.solve_constrained(A, b, dofs, vals, factor=held)
+        system = linalg.LinearSystem(dofs, vals)
+        system.solve(A, b)
         A1, b1 = self.system(perturbation=1e-4, seed=2)
-        x = linalg.solve_constrained(A1, b1, dofs, vals, factor=held)
+        x = system.solve(A1, b1)
         assert np.array_equal(x[dofs], vals)
         ref = linalg.solve_constrained(A1, b1, dofs, vals)
         assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
+        held = system.factor
         assert held.krylov_solves == 1 and len(held.events) == 1
 
 
@@ -460,6 +461,115 @@ class TestSolveConstrained:
         x = linalg.solve_constrained(A, b, dofs, vals, x0=x0)
         assert np.array_equal(x, guess)
         assert x is not x0 and np.array_equal(x0, guess)
+
+
+class TestLinearSystem:
+    @staticmethod
+    def matrices(count, seed=0):
+        """Nonsymmetric matrices on one CSR pattern with stored zeros: the
+        entries (0, 1) and (3, 4), and the whole diagonal block of dof 6."""
+        rng = np.random.default_rng(seed)
+        A = (laplacian_1d(12) + sp.diags([0.3 * np.ones(11)], [1])).tocsr()
+        for _ in range(count):
+            B = A.copy()
+            B.data = B.data * rng.uniform(0.5, 1.5, B.nnz)
+            B.data[[1, 10]] = 0.0
+            yield B, rng.standard_normal(12)
+
+    def test_held_elimination_matches_the_reference_bytes(self):
+        dofs, vals = np.array([11, 0, 5]), np.array([2.0, -1.0, 0.5])
+        system = linalg.LinearSystem(dofs, vals)
+        for A, b in self.matrices(4):
+            got = system.eliminate(A, b)
+            assert_same_elimination(got, apply_dirichlet_reference(A, b, dofs, vals))
+            assert got[0].nnz == np.count_nonzero(got[0].data)
+        assert system.builds == 1
+
+    def test_rebuilt_when_a_nonzero_appears_outside_the_structure(self):
+        dofs, vals = [5], [1.0]
+        system = linalg.LinearSystem(dofs, vals)
+        (A, b), (A1, b1) = self.matrices(2)
+        system.eliminate(A, b)
+        A1.data[1] = 0.25  # a dropped zero turns nonzero
+        assert_same_elimination(system.eliminate(A1, b1),
+                                apply_dirichlet_reference(A1, b1, dofs, vals))
+        assert system.builds == 2
+        system.eliminate(A1, b)
+        assert system.builds == 2
+
+    def test_rebuilt_when_a_kept_entry_turns_zero(self):
+        dofs, vals = [5], [1.0]
+        system = linalg.LinearSystem(dofs, vals)
+        (A, b), (A1, b1) = self.matrices(2)
+        system.eliminate(A, b)
+        A1.data[2] = 0.0
+        assert_same_elimination(system.eliminate(A1, b1),
+                                apply_dirichlet_reference(A1, b1, dofs, vals))
+        assert system.builds == 2
+
+    def test_rebuilt_on_another_pattern(self):
+        def circulant(shift, n=8):  # row i holds columns i and (i + shift) % n
+            return (2.0 * sp.identity(n) - sp.eye(n, k=shift) - sp.eye(n, k=shift - n)).tocsr()
+
+        system = linalg.LinearSystem([0], [1.0])
+        # The same shape, row lengths and values on other columns; then
+        # another shape.
+        for A in (circulant(1), circulant(2), laplacian_1d(9)):
+            b = np.ones(A.shape[0])
+            assert_same_elimination(system.eliminate(A, b),
+                                    apply_dirichlet_reference(A, b, [0], [1.0]))
+        assert system.builds == 3
+
+    def test_non_canonical_matrix_matches_the_reference_bytes(self):
+        # Row 0 holds column 0 twice and its columns unsorted; row 1 stores
+        # no diagonal although its dof is constrained.
+        A = sp.csr_matrix((np.array([1.0, 2.0, 4.0, -1.0, 3.0, 5.0]),
+                           np.array([1, 0, 0, 2, 0, 2]), np.array([0, 3, 5, 6])), shape=(3, 3))
+        assert not A.has_canonical_format
+        b = np.array([1.0, 2.0, 3.0])
+        for dofs, vals in (([1], [0.5]), ([], [])):
+            assert_same_elimination(apply_dirichlet(A, b, dofs, vals),
+                                    apply_dirichlet_reference(A, b, dofs, vals))
+
+    def test_unconstrained_system_passes_the_matrix_through(self):
+        system = linalg.LinearSystem([], [])
+        A, b = laplacian_1d(8), np.ones(8)
+        A_e, b_e = system.eliminate(A, b)
+        assert A_e is A and np.array_equal(b_e, b) and system.builds == 0
+        x = system.solve(A, b)
+        assert np.linalg.norm(b - A @ x) <= linalg.RESIDUAL_TOL * np.linalg.norm(b)
+        # A stored zero is dropped, as the eliminated matrix keeps no zero.
+        A.data[1] = 0.0
+        assert_same_elimination(system.eliminate(A, b),
+                                apply_dirichlet_reference(A, b, [], []))
+
+    def test_values_resampled_at_each_solve(self):
+        A, b = laplacian_1d(10), np.zeros(10)
+        system = linalg.LinearSystem([0, 9], lambda t: np.array([t, 2.0 * t]))
+        for t in (1.0, 3.0):
+            x = system.solve(A, b, t=t)
+            assert x[0] == t and x[9] == 2.0 * t
+            assert np.allclose(x, np.linspace(t, 2.0 * t, 10), rtol=1e-12, atol=0.0)
+        assert system.builds == 1 and system.factor.krylov_solves == 1
+
+    def test_dofs_checked_once(self):
+        with pytest.raises(ValueError, match="unique"):
+            linalg.LinearSystem([1, 1], [0.0, 0.0])
+        with pytest.raises(IndexError):
+            linalg.LinearSystem([-1], [0.0])
+        system = linalg.LinearSystem([12], [0.0])
+        with pytest.raises(IndexError):
+            system.eliminate(laplacian_1d(12), np.zeros(12))
+        with pytest.raises(ValueError, match="equal length"):
+            linalg.LinearSystem([1, 2], [0.0]).eliminate(laplacian_1d(12), np.zeros(12))
+
+    def test_non_finite_right_hand_side_raises_before_factorizing(self):
+        system = linalg.LinearSystem([0], lambda t: np.array([np.nan if t else 1.0]))
+        A, b = laplacian_1d(6), np.ones(6)
+        system.solve(A, b, t=0.0)
+        with pytest.raises(SolverError, match="non-finite right-hand side"):
+            system.solve(A, b, t=1.0)
+        assert system.factor.events == ["no factor held"] and system.factor.solves == 1
 
 
 class TestFixedPoint:

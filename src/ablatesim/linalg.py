@@ -7,9 +7,12 @@ the structure of its Dirichlet elimination and its :class:`HeldLU`.  Its
 solve is the one sequence of elimination, :func:`solve_lu` under the
 residual contract ||b - Ax|| <= 1e-10 ||b|| (a miss raises, with no retry in
 another order) and exact constrained entries; :func:`apply_dirichlet` and
-:func:`solve_constrained` run it on a fresh system.  The held factor
-preconditions GMRES (:func:`_gmres`) for the later solves, and only a solve
-that misses the contract that way factorizes again, recording why.  The
+:func:`solve_constrained` run it on a fresh system, whose every solve is a
+fresh LU in double precision.  A system whose owner passes it a
+:class:`HeldLU` keeps its factor, in single precision for a large system:
+the factor preconditions GMRES (:func:`_gmres`) for the later solves, and
+only a solve that misses the contract that way factorizes again, recording
+why.  The
 Jacobi-preconditioned Krylov solvers :func:`solve_cg` and :func:`solve_gmres`
 and :class:`CooBuilder` serve no code of the package; they stay only because
 the benchmark tracer (``benchmark/tracer.py``) and ``tests/test_linalg.py``
@@ -48,6 +51,14 @@ RESIDUAL_TOL = 1e-10  # relative residual bound of every solve_lu return
 # solves took 1-8 iterations on the test1 preset (48x16) and at 96x32, 2-7 at
 # 192x64; a system 10 iterations do not reach is cheaper to factorize.
 KRYLOV_CAP = 10
+# Stored entries of an eliminated matrix from which its held factor is kept
+# in single precision (HeldLU.solve_new).  Timed on the systems of a cold
+# test1-physics step, one BLAS thread: a float32 factor application took as
+# long as a float64 one for the potential and the heat at 192x64 (60-87 k
+# entries), 8% less for the flow at 96x32 (187 k), ~1 ms of a ~39 ms step,
+# and 18% less for the flow at 192x64 (759 k), whose factorization also fell
+# 21%; reused solves took the same GMRES iterations in both precisions.
+SINGLE_NNZ = 500_000
 ANDERSON_DEPTH = 3  # residual differences in each fixed_point least-squares fit
 
 
@@ -154,7 +165,7 @@ def solve_gmres(A: SparseMatrix, b: FieldVector, tol_rel: float = 1e-8,
 
 
 def _gmres(A: SparseMatrix, b: FieldVector, x0: FieldVector | None, precondition,
-           stop: float, cap: int, r0: FieldVector | None = None):
+           stop: float, cap: int, r0: FieldVector | None = None, give_up: bool = False):
     """(x, iterations) of one GMRES cycle on A x = b from ``x0`` (zero when
     None), right-preconditioned by M = ``precondition``: x = x0 + Z y with
     z_k = M v_k, so the estimate |g_k| is the residual of x itself, not of
@@ -163,7 +174,11 @@ def _gmres(A: SparseMatrix, b: FieldVector, x0: FieldVector | None, precondition
     from modified Gram-Schmidt, and Givens rotations keep the Hessenberg
     matrix upper triangular.  Stops once |g_k| <= ``stop``, after ``cap``
     iterations, or on a breakdown.  ``r0``, when given, is b - A x0, which
-    the caller has already formed.  Plain numpy, like :func:`_least_squares`."""
+    the caller has already formed.  With ``give_up``, a cycle projected to
+    miss returns (None, k) after k >= 3 iterations: at the mean reduction
+    per iteration so far, rho = (|g_k| / |g_0|)^(1/k), the estimate
+    |g_k| rho^(cap - k) at the cap would still be above ``stop``.  Plain
+    numpy, like :func:`_least_squares`."""
     x = np.zeros(b.size) if x0 is None else np.array(x0, dtype=float)
     r = b - A @ x if r0 is None else r0
     beta = float(np.linalg.norm(r))
@@ -191,6 +206,8 @@ def _gmres(A: SparseMatrix, b: FieldVector, x0: FieldVector | None, precondition
         k += 1
         if abs(g[k]) <= stop:  # also on a happy breakdown: h = 0 gives g[k] = 0
             break
+        if give_up and 3 <= k < cap and abs(g[k]) * (abs(g[k]) / beta) ** (cap / k - 1) > stop:
+            return None, k
         V.append(w / h)
     y = np.zeros(k)
     for i in reversed(range(k)):
@@ -226,8 +243,8 @@ def solve_lu(A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None,
     it holds a factor of the same order and shape, the solve is first tried
     by GMRES right-preconditioned with that factor, from ``x0`` or else the
     holder's last solution (:meth:`HeldLU.reuse`); a miss factorizes A in
-    its place and solves as above.  Without ``factor`` the solve is a fresh
-    LU.
+    its place (:meth:`HeldLU.solve_new`, in single precision for a large A).
+    Without ``factor`` the solve is a fresh LU in double precision.
     """
     b = np.asarray(b, dtype=float)
     bnorm = float(np.linalg.norm(b))
@@ -241,13 +258,15 @@ def solve_lu(A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None,
     if r0 is not None and np.linalg.norm(r0) <= limit:
         return np.array(x0, dtype=float)
     order = np.arange(A.shape[0]) if order is None else np.asarray(order)
-    held = factor if factor is not None else HeldLU()
-    x, reason = held.reuse(A, b, order, x0, limit, r0)
-    if x is not None:
-        return x
+    if factor is not None:
+        x, reason = factor.reuse(A, b, order, x0, limit, r0)
+        if x is not None:
+            return x
     try:
-        held.factorize(sp.csr_matrix(A), order, reason)
-        x = held.apply(b)
+        if factor is not None:
+            x = factor.solve_new(sp.csr_matrix(A), b, order, reason, limit)
+        else:
+            x = _ScaledLU(sp.csr_matrix(A), order, np.float64).solve(b)
     except RuntimeError as exc:
         raise SingularMatrix(str(exc)) from exc
     if not np.all(np.isfinite(x)):
@@ -256,8 +275,38 @@ def solve_lu(A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None,
     if res > limit:
         raise SolverError(f"LU residual contract violated: |b - Ax| = {res:.3e} "
                           f"> {RESIDUAL_TOL:.0e} |b| = {limit:.3e}")
-    held.last = x.copy()
+    if factor is not None:
+        factor.last = x.copy()
     return x
+
+
+class _ScaledLU:
+    """The SuperLU factor of P D A D P^T, P taking row order[i] to row i, in
+    the natural order with threshold pivoting, stored in ``dtype``."""
+
+    def __init__(self, A: SparseMatrix, order: np.ndarray, dtype):
+        n = A.shape[0]
+        diag = np.abs(A.diagonal())
+        d = np.ones(n)
+        np.divide(1.0, np.sqrt(diag), out=d, where=diag > 0.0)
+        inverse = np.empty(n, dtype=np.int64)
+        inverse[order] = np.arange(n)
+        # Scale in place of A's entries, gather the rows in the new order and
+        # renumber the columns; the CSC conversion sorts the row indices.
+        scaled = sp.csr_matrix(((A.data * np.repeat(d, np.diff(A.indptr)) * d[A.indices])
+                                .astype(dtype, copy=False), A.indices, A.indptr),
+                               shape=A.shape)[order]
+        permuted = sp.csr_matrix((scaled.data, inverse[scaled.indices], scaled.indptr),
+                                 shape=A.shape).tocsc()
+        del scaled  # freed before SuperLU allocates the factor
+        self.lu = spla.splu(permuted, permc_spec="NATURAL", diag_pivot_thresh=0.1)
+        self.d, self.order, self.shape, self.dtype = d, order, A.shape, dtype
+
+    def solve(self, r: FieldVector) -> FieldVector:
+        """D P^T (LU)^-1 P D r, in float64; r is cast to the factor's dtype."""
+        y = np.empty(self.d.size)
+        y[self.order] = self.lu.solve((self.d * r)[self.order].astype(self.dtype, copy=False))
+        return self.d * y
 
 
 class HeldLU:
@@ -269,48 +318,60 @@ class HeldLU:
     Newton-Krylov methods", J. Comput. Phys. 193 (2004).  Each iteration
     applies the factor once.  GMRES starts from the caller's guess, else from
     ``last``, the last solution the holder returned, and stops once its
-    residual estimate is at most half the contract.  A solve is accepted on
-    its true residual, ||b - Ax|| <= RESIDUAL_TOL ||b||, never on the
-    estimate; any miss factorizes the new system instead, and every
-    factorization is recorded with its reason in ``events``.  At most one
-    factor is alive: the old one is released before the new one is built.
+    residual estimate is at most half the contract.  A cycle whose estimate
+    is projected to miss that stop, at its mean reduction per iteration so
+    far, by the end of KRYLOV_CAP iterations ends after 3 of them
+    (:func:`_gmres`).  A solve is accepted on its true residual,
+    ||b - Ax|| <= RESIDUAL_TOL ||b||, never on the estimate; any miss
+    factorizes the new system instead, and every factorization is recorded
+    with its reason in ``events``.  At most one factor is alive: the old one
+    is released before the new one is built.
+
+    A system with at least SINGLE_NNZ stored entries is factorized in single
+    precision, and its first solve is then a GMRES cycle on the new factor,
+    accepted on the float64 residual: GMRES-based iterative refinement
+    (Carson & Higham, SIAM J. Sci. Comput. 40, 2018; Arioli & Duff, ETNA 33,
+    2009).  A first cycle that misses factorizes the system again in double
+    precision, and records why.
     """
 
     def __init__(self):
-        self._lu = None
-        self._d = self._order = self._shape = None
+        self._lu: _ScaledLU | None = None
         self.solves = 0  # solve_lu calls given this holder
         self.krylov_solves = 0  # of them, accepted from GMRES on the held factor
-        self.iterations = 0  # GMRES iterations of the last solve; 0 unless it reused
+        self.factored_solves = 0  # of them, solved on a new factor
+        self.iterations = 0  # GMRES iterations of the last solve; 0 after a double LU
         self.last: FieldVector | None = None  # copy of the last solution returned
         self.events: list[str] = []  # the reason of each factorization, in order
 
-    def factorize(self, A: SparseMatrix, order: np.ndarray, reason: str) -> None:
-        """Factor (P D A D P^T), P taking row order[i] to row i, in the natural
-        order with threshold pivoting, in place of the held factor."""
+    def factorize(self, A: SparseMatrix, order: np.ndarray, reason: str,
+                  single: bool = False) -> None:
+        """Factor A (:class:`_ScaledLU`), in single precision when ``single``,
+        in place of the held factor."""
         self._lu = None
-        self.events.append(reason)
-        n = A.shape[0]
-        diag = np.abs(A.diagonal())
-        d = np.ones(n)
-        np.divide(1.0, np.sqrt(diag), out=d, where=diag > 0.0)
-        inverse = np.empty(n, dtype=np.int64)
-        inverse[order] = np.arange(n)
-        # Scale in place of A's entries, gather the rows in the new order and
-        # renumber the columns; the CSC conversion sorts the row indices.
-        scaled = sp.csr_matrix((A.data * np.repeat(d, np.diff(A.indptr)) * d[A.indices],
-                                A.indices, A.indptr), shape=A.shape)[order]
-        permuted = sp.csr_matrix((scaled.data, inverse[scaled.indices], scaled.indptr),
-                                 shape=A.shape).tocsc()
-        del scaled  # freed before SuperLU allocates the factor
-        self._lu = spla.splu(permuted, permc_spec="NATURAL", diag_pivot_thresh=0.1)
-        self._d, self._order, self._shape = d, order, A.shape
+        self.events.append(f"{reason}, in single precision" if single else reason)
+        self._lu = _ScaledLU(A, order, np.float32 if single else np.float64)
 
     def apply(self, r: FieldVector) -> FieldVector:
         """D P^T (LU)^-1 P D r: the solve with the held factor."""
-        y = np.empty(self._d.size)
-        y[self._order] = self._lu.solve((self._d * r)[self._order])
-        return self._d * y
+        return self._lu.solve(r)
+
+    def solve_new(self, A: SparseMatrix, b: FieldVector, order: np.ndarray,
+                  reason: str, limit: float) -> FieldVector:
+        """x of A x = b on a new factor of the CSR matrix A, built for
+        ``reason``.  With at least SINGLE_NNZ stored entries the factor is
+        single precision and x is a first GMRES cycle on it that meets
+        ``limit``; a miss factorizes A again in double precision.  A double
+        factor is applied once; :func:`solve_lu` checks that x."""
+        self.factored_solves += 1
+        if A.nnz >= SINGLE_NNZ:
+            self.factorize(A, order, reason, single=True)
+            x, miss = self._cycle(A, b, None, limit, "single-precision cycle")
+            if x is not None:
+                return x
+            reason = f"{miss}: double precision"
+        self.factorize(A, order, reason)
+        return self.apply(b)
 
     def reuse(self, A: SparseMatrix, b: FieldVector, order: np.ndarray,
               x0: FieldVector | None, limit: float, _r0: FieldVector | None = None):
@@ -320,26 +381,35 @@ class HeldLU:
         already formed it for its guess check."""
         if self._lu is None:
             return None, "no factor held"
-        if A.shape != self._shape or not np.array_equal(order, self._order):
+        if A.shape != self._lu.shape or not np.array_equal(order, self._lu.order):
             return None, "order or shape changed"
-        x, iters = _gmres(A, b, self.last if x0 is None else x0, self.apply,
-                          0.5 * limit, KRYLOV_CAP, _r0)
+        x, reason = self._cycle(A, b, self.last if x0 is None else x0, limit, "GMRES", _r0)
+        if x is not None:
+            self.krylov_solves += 1
+            self.last = x.copy()
+        return x, reason
+
+    def _cycle(self, A, b, x0, limit, name, r0=None):
+        """(x, None) when one GMRES cycle on the held factor from ``x0`` meets
+        ``limit`` on its true residual (``iterations`` is then its length);
+        otherwise (None, why ``name`` missed)."""
+        x, iters = _gmres(A, b, x0, self.apply, 0.5 * limit, KRYLOV_CAP, r0, give_up=True)
+        if x is None:
+            return None, f"{name} projected to miss after {iters} iterations"
         if not np.all(np.isfinite(x)):
-            return None, f"non-finite GMRES iterate after {iters} iterations"
+            return None, f"non-finite {name} iterate after {iters} iterations"
         res = _residual_norm(A, x, b)
         if res <= limit:
-            self.krylov_solves += 1
             self.iterations = iters
-            self.last = x.copy()
             return x, None
         miss = f"at residual {res / np.linalg.norm(b):.1e} |b|"
         if iters >= KRYLOV_CAP:
-            return None, f"GMRES cap of {KRYLOV_CAP} iterations reached {miss}"
-        return None, f"GMRES stopped after {iters} iterations {miss}"
+            return None, f"{name} cap of {KRYLOV_CAP} iterations reached {miss}"
+        return None, f"{name} stopped after {iters} iterations {miss}"
 
     def report(self) -> str:
         """One line: how the solves were done, and why each LU was built."""
-        guessed = self.solves - self.krylov_solves - len(self.events)
+        guessed = self.solves - self.krylov_solves - self.factored_solves
         return (f"{self.solves} solves: {guessed} by the guess, {self.krylov_solves} by "
                 f"GMRES on the held factor, {len(self.events)} LU ({'; '.join(self.events)})")
 
@@ -401,8 +471,9 @@ def _least_squares(rows: np.ndarray, f: FieldVector) -> np.ndarray:
 class LinearSystem:
     """One system's solve state: the constrained ``dofs`` and their
     ``values`` (an array, or a callable of the solve's time), the
-    fill-reducing ``order``, the held LU ``factor`` and the structure of the
-    Dirichlet elimination.
+    fill-reducing ``order``, the :class:`HeldLU` ``factor`` that its owner
+    passes to keep across solves (None: each solve is a fresh LU in double
+    precision) and the structure of the Dirichlet elimination.
 
     The eliminated matrix stores exactly its nonzero entries: A's off the
     constrained rows and columns, and a unit diagonal on each constrained
@@ -415,9 +486,9 @@ class LinearSystem:
     through untouched.
     """
 
-    def __init__(self, dofs=None, values=(), order=None):
+    def __init__(self, dofs=None, values=(), order=None, factor: HeldLU | None = None):
         self.dofs = self.values = self.order = self._pattern = None
-        self.factor = HeldLU()
+        self.factor = factor
         self.builds = 0
         if dofs is not None:
             self.constrain(dofs, values, order)
@@ -431,6 +502,11 @@ class LinearSystem:
             raise IndexError("Dirichlet dof out of range")
         self.dofs, self.order, self._pattern = dofs, order, None
         self.values = values if callable(values) else np.asarray(values, dtype=float)
+
+    @property
+    def iterations(self) -> int:
+        """GMRES iterations of the last solve; 0 without a held factor."""
+        return 0 if self.factor is None else self.factor.iterations
 
     def solve(self, A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None,
               t: float | None = None) -> FieldVector:
@@ -523,5 +599,5 @@ def solve_constrained(A: SparseMatrix, b: FieldVector, dofs, values,
                       order: np.ndarray | None = None) -> FieldVector:
     """Solve A x = b with x[dofs] = values from the guess ``x0`` in the
     fill-reducing ``order``: :meth:`LinearSystem.solve` on a fresh system,
-    so a fresh LU."""
+    so a fresh LU in double precision."""
     return LinearSystem(dofs, values, order).solve(A, b, x0)

@@ -64,7 +64,7 @@ def solve_potential(problem: PotentialProblem) -> np.ndarray:
         system.constrain(*potential_constraints(mesh, problem.dirichlet_tags),
                          fem_core.vertex_order(mesh))
     phi = system.solve(A, b)
-    problem.iterations = system.factor.iterations
+    problem.iterations = system.iterations
     return phi
 
 

@@ -445,6 +445,77 @@ class TestHeldFactors:
             assert held.report().startswith(f"{held.solves} solves:")
 
 
+class TestFactorPrecision:
+    @staticmethod
+    def factorized_dtypes(monkeypatch):
+        """The dtype of every matrix factorized from here on."""
+        dtypes = []
+        splu = linalg.spla.splu
+
+        def recorded(A, *args, **kwargs):
+            dtypes.append(A.dtype)
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(linalg.spla, "splu", recorded)
+        return dtypes
+
+    def test_test1_systems_stay_double(self, monkeypatch):
+        # The largest test1 system, the condensed flow, stores ~45 k entries,
+        # far below SINGLE_NNZ: every factor is double, and the run's summary
+        # names no single-precision factor.
+        dtypes = self.factorized_dtypes(monkeypatch)
+        cfg = preset("test1")
+        cfg.time.M = 2
+        sim = Simulation(cfg)
+        sim.run()
+        assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+        for system in sim.systems.values():
+            assert system.factor._lu.dtype == np.float64
+            assert "single" not in system.factor.report()
+
+    def test_stokes_to_oseen_switch_gives_up_early(self, monkeypatch):
+        # The Oseen system is far from the Stokes factor: GMRES on it crawls
+        # (~0.5 per iteration), so its cycle is projected to miss and ends
+        # after 3 iterations instead of running all KRYLOV_CAP of them.
+        sim = Simulation(preset("test1"))
+        flow = sim.systems["flow"].factor
+        on_first_factor = []
+        apply = linalg.HeldLU.apply
+
+        def counted(self, r):
+            if self is flow and len(flow.events) == 1:
+                on_first_factor.append(1)
+            return apply(self, r)
+
+        monkeypatch.setattr(linalg.HeldLU, "apply", counted)
+        sim.initialize()
+        # One application solves the Stokes system, the rest are the cycle's.
+        assert len(on_first_factor) <= 4
+        assert flow.events[:2] == ["no factor held", "GMRES projected to miss after 3 iterations"]
+
+    def test_single_factors_meet_the_contracts_in_a_coupled_run(self, monkeypatch):
+        # With the threshold lowered, every factor of a small run is single
+        # precision; each solve still meets the float64 contract (the flow
+        # solver checks its residual and divergence again), and the run
+        # stays within round-off of the double one.
+        double_sim = Simulation(quick_config(nx=24, ny=8, M=4))
+        double, double_rows = double_sim.run()
+        monkeypatch.setattr(linalg, "SINGLE_NNZ", 100)
+        dtypes = self.factorized_dtypes(monkeypatch)
+        sim = Simulation(quick_config(nx=24, ny=8, M=4))
+        state, rows = sim.run()
+        assert set(dtypes) == {np.dtype(np.float32)}
+        for held in (system.factor for system in sim.systems.values()):
+            assert held.events[0] == "no factor held, in single precision"
+            assert held.report().startswith(f"{held.solves} solves:")
+        for name in ("theta", "phi", "v", "P"):
+            a, b = getattr(state, name), getattr(double, name)
+            assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b), name
+        for row, ref in zip(rows, double_rows):
+            assert row.max_theta == pytest.approx(ref.max_theta, rel=1e-10)
+            assert row.int_theta == pytest.approx(ref.int_theta, rel=1e-10)
+            assert row.div_norm <= 1e-8
+
 def test_condensed_assembly_peak_memory():
     """numpy's peak while assembling the condensed flow system at 96x32.
 

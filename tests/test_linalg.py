@@ -253,7 +253,8 @@ class TestHeldLU:
 
     def test_last_is_a_copy_the_constrained_solve_cannot_overwrite(self):
         A, b = self.system()
-        system = linalg.LinearSystem(np.arange(0, A.shape[0], 9), np.linspace(-1.0, 1.0, 45))
+        system = linalg.LinearSystem(np.arange(0, A.shape[0], 9), np.linspace(-1.0, 1.0, 45),
+                                      factor=linalg.HeldLU())
         x = system.solve(A, b)
         x[:] = 0.0
         assert np.linalg.norm(system.factor.last) > 0.0
@@ -351,7 +352,7 @@ class TestHeldLU:
     def test_constrained_solve_reuses_the_factor(self):
         A, b = self.system()
         dofs, vals = np.arange(0, A.shape[0], 9), np.linspace(-1.0, 1.0, 45)
-        system = linalg.LinearSystem(dofs, vals)
+        system = linalg.LinearSystem(dofs, vals, factor=linalg.HeldLU())
         system.solve(A, b)
         A1, b1 = self.system(perturbation=1e-4, seed=2)
         x = system.solve(A1, b1)
@@ -361,6 +362,122 @@ class TestHeldLU:
         held = system.factor
         assert held.krylov_solves == 1 and len(held.events) == 1
 
+
+class TestSingleFactor:
+    """Held factors of systems with at least SINGLE_NNZ entries, with the
+    threshold lowered so that a small system qualifies."""
+
+    system, order = TestHeldLU.system, TestHeldLU.order
+    m = TestHeldLU.m
+
+    @pytest.fixture(autouse=True)
+    def low_threshold(self, monkeypatch):
+        monkeypatch.setattr(linalg, "SINGLE_NNZ", 1000)
+
+    @staticmethod
+    def splu_dtypes(monkeypatch):
+        """The dtype of every matrix factorized from here on."""
+        dtypes = []
+        splu = spla.splu
+
+        def recorded(A, *args, **kwargs):
+            dtypes.append(A.dtype)
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", recorded)
+        return dtypes
+
+    def test_held_factor_is_single_and_every_solve_meets_the_contract(self, monkeypatch):
+        dtypes = self.splu_dtypes(monkeypatch)
+        held = linalg.HeldLU()
+        for seed in range(4):
+            A, b = self.system(perturbation=1e-3 * seed, seed=seed)
+            assert A.nnz >= linalg.SINGLE_NNZ
+            x = solve_lu(A, b, order=self.order(), factor=held)
+            assert x.dtype == np.float64
+            assert np.linalg.norm(b - A @ x) <= linalg.RESIDUAL_TOL * np.linalg.norm(b)
+            # The first solve is a GMRES cycle on the new factor, not one application.
+            assert 1 < held.iterations <= linalg.KRYLOV_CAP
+        assert dtypes == [np.float32] and held._lu.dtype == np.float32
+        assert held.events == ["no factor held, in single precision"]
+        assert held.krylov_solves == 3 and held.factored_solves == 1
+        assert held.report() == ("4 solves: 0 by the guess, 3 by GMRES on the held factor, "
+                                 "1 LU (no factor held, in single precision)")
+        assert held.apply(np.ones(A.shape[0])).dtype == np.float64
+
+    def test_fresh_solves_stay_double_bit_for_bit(self, monkeypatch):
+        A, b = self.system()
+        order = self.order()
+        dofs, vals = np.arange(0, A.shape[0], 9), np.linspace(-1.0, 1.0, 45)
+        plain = fresh_lu_reference(A, b, order)
+        ref = fresh_lu_reference(*apply_dirichlet(A, b, dofs, vals), order)
+        ref[dofs] = vals
+        dtypes = self.splu_dtypes(monkeypatch)
+        assert solve_lu(A, b, order=order).tobytes() == plain.tobytes()
+        x = linalg.solve_constrained(A, b, dofs, vals, order=order)
+        assert x.tobytes() == ref.tobytes()
+        assert dtypes == [np.float64, np.float64]
+        # A system without a holder solves the same way, and runs no GMRES.
+        system = linalg.LinearSystem(dofs, vals, order)
+        assert system.factor is None
+        assert system.solve(A, b).tobytes() == ref.tobytes() and system.iterations == 0
+
+    def test_missed_single_cycle_refactorizes_in_double(self, monkeypatch):
+        # One GMRES iteration from zero is a single-precision LU solve, about
+        # 1e-6 |b| off: it misses the contract.
+        monkeypatch.setattr(linalg, "KRYLOV_CAP", 1)
+        A, b = self.system()
+        ref = fresh_lu_reference(A, b, self.order())
+        dtypes = self.splu_dtypes(monkeypatch)
+        held = linalg.HeldLU()
+        x = solve_lu(A, b, order=self.order(), factor=held)
+        assert x.tobytes() == ref.tobytes()
+        assert dtypes == [np.float32, np.float64] and held._lu.dtype == np.float64
+        assert held.events[0] == "no factor held, in single precision"
+        assert held.events[1].startswith("single-precision cycle cap of 1 iterations reached")
+        assert held.events[1].endswith("|b|: double precision")
+        assert held.iterations == 0 and held.factored_solves == 1
+        assert held.report().startswith("1 solves: 0 by the guess, 0 by GMRES on the held "
+                                        "factor, 2 LU (no factor held, in single precision; ")
+        assert held.last.tobytes() == x.tobytes()
+
+    def test_below_the_threshold_stays_double(self, monkeypatch):
+        A, b = self.system()
+        monkeypatch.setattr(linalg, "SINGLE_NNZ", A.nnz + 1)
+        ref = fresh_lu_reference(A, b, self.order())
+        dtypes = self.splu_dtypes(monkeypatch)
+        held = linalg.HeldLU()
+        x = solve_lu(A, b, order=self.order(), factor=held)
+        assert x.tobytes() == ref.tobytes()
+        assert dtypes == [np.float64] and held.events == ["no factor held"]
+
+
+class TestStalledCycle:
+    def test_hopeless_cycle_ends_after_three_iterations(self, monkeypatch):
+        # With the identity as its preconditioner, GMRES on the 2D
+        # convection-diffusion system gains little per iteration: its cycle
+        # is projected to miss after 3 of them and refactorizes.
+        held = linalg.HeldLU()
+        A, b = TestHeldLU().system()
+        solve_lu(A, b, factor=held)
+        applies = []
+        monkeypatch.setattr(linalg.HeldLU, "apply", lambda self, r: applies.append(1) or r.copy())
+        A1, b1 = TestHeldLU().system(perturbation=1e-3, seed=1)
+        assert held.reuse(A1, b1, np.arange(A1.shape[0]), None,
+                          linalg.RESIDUAL_TOL * np.linalg.norm(b1)) == (
+            None, "GMRES projected to miss after 3 iterations")
+        assert len(applies) == 3
+
+    def test_projection_leaves_a_converging_cycle_alone(self):
+        # An incomplete LU preconditioner converges fast enough that no
+        # projection gives up: the cycle is the one without the rule.
+        A = convection_diffusion_2d(12)
+        b = np.random.default_rng(5).standard_normal(A.shape[0])
+        M = spla.spilu(A.tocsc(), drop_tol=1e-2)
+        stop = 1e-8 * np.linalg.norm(b)
+        x, k = linalg._gmres(A, b, None, M.solve, stop, 30)
+        x_rule, k_rule = linalg._gmres(A, b, None, M.solve, stop, 30, give_up=True)
+        assert k_rule == k > 3 and x_rule.tobytes() == x.tobytes()
 
 class TestApplyDirichlet:
     def test_pin_single_dof(self):
@@ -545,7 +662,8 @@ class TestLinearSystem:
 
     def test_values_resampled_at_each_solve(self):
         A, b = laplacian_1d(10), np.zeros(10)
-        system = linalg.LinearSystem([0, 9], lambda t: np.array([t, 2.0 * t]))
+        system = linalg.LinearSystem([0, 9], lambda t: np.array([t, 2.0 * t]),
+                                      factor=linalg.HeldLU())
         for t in (1.0, 3.0):
             x = system.solve(A, b, t=t)
             assert x[0] == t and x[9] == 2.0 * t
@@ -564,7 +682,8 @@ class TestLinearSystem:
             linalg.LinearSystem([1, 2], [0.0]).eliminate(laplacian_1d(12), np.zeros(12))
 
     def test_non_finite_right_hand_side_raises_before_factorizing(self):
-        system = linalg.LinearSystem([0], lambda t: np.array([np.nan if t else 1.0]))
+        system = linalg.LinearSystem([0], lambda t: np.array([np.nan if t else 1.0]),
+                                      factor=linalg.HeldLU())
         A, b = laplacian_1d(6), np.ones(6)
         system.solve(A, b, t=0.0)
         with pytest.raises(SolverError, match="non-finite right-hand side"):

@@ -443,9 +443,11 @@ def vertex_order(mesh: Mesh2D, block: int = 1) -> np.ndarray:
         (vertex_order(mesh)[:, None] + nv * np.arange(block)).ravel()))
 
 
-def _edge_positions(mesh: Mesh2D, pattern: _Pattern, edge_sel, offset: int = 0):
+def _edge_positions(mesh: Mesh2D, pattern: _Pattern, edge_sel, row: int = 0,
+                    col: int | None = None):
     """(NE, 2, 2) data positions of the selected boundary edges' vertex pairs,
-    read off the owner triangle's scatter; ``offset`` 4 picks the MINI y block."""
+    read off the owner triangle's scatter; a local offset ``row`` of 4 picks
+    the MINI y rows, and ``col`` (``row`` when None) the y columns."""
     def owner_and_local_index():
         owners = mesh.boundary_edge_owners()
         tri = mesh.triangles[owners]
@@ -453,8 +455,10 @@ def _edge_positions(mesh: Mesh2D, pattern: _Pattern, edge_sel, offset: int = 0):
         return owners, _frozen(local)
 
     owners, local = _cached(mesh, "edge_owner_local", owner_and_local_index)
-    owners, local = owners[edge_sel], local[edge_sel] + offset
-    return pattern.scatter[owners[:, None, None], local[:, :, None], local[:, None, :]]
+    owners, local = owners[edge_sel], local[edge_sel]
+    col = row if col is None else col
+    return pattern.scatter[owners[:, None, None], local[:, :, None] + row,
+                           local[:, None, :] + col]
 
 
 # -- field evaluation ----------------------------------------------------------
@@ -751,25 +755,49 @@ def _velocity_block(mesh: Mesh2D, viscosity, advect, gamma_n_tags,
         data = nu.flat[0] * unit
     else:
         data = _viscous_data(geo, pattern, geo.qw * nu)
-    if advect is None:
-        return data
+    if advect is not None:
+        _add_convection(mesh, data, advect, gamma_n_tags, a_qp)
+    return data
+
+
+def _add_convection(mesh: Mesh2D, data: np.ndarray, advect, gamma_n_tags, a_qp=None,
+                    newton: bool = False) -> None:
+    """Add to the MINI data ``data`` the convective form c(a; u, w) =
+    -integral (a x u):D(w) plus s(a; u, w) = integral_{Gamma_N} (a.n)(u.w),
+    advected by ``a`` = ``advect``; with ``newton``, their derivative in u at
+    u = a instead, for the velocity ``advect``.
+
+    c(a; u, w) is symmetric in a and u, since D(w) is, so the derivative of
+    c(u; u, w) is 2 c(u; ., w): the volume form advected by 2u, exactly.  The
+    derivative of s(u; u, w) adds integral_{Gamma_N} (delta.n)(u.w) to
+    s(u; delta, w), the (d, c) velocity block with weight u_d n_c.
+    """
+    geo = geometry(mesh)
+    pattern = _mini_pattern(mesh)
     # A callable advecting field is a datum, sampled where it is needed; a flow
     # dof vector is evaluated in the MINI space.
     datum = callable(advect)
     if a_qp is None:
         a_qp = sample(advect, geo.qp) if datum else velocity_at_qp(mesh, advect)
+    if newton:
+        a_qp = 2.0 * a_qp
     for t in range(0, len(a_qp), FILL_BLOCK):  # no (NT, 8, 8) array is held
         block = slice(t, t + FILL_BLOCK)
         pattern.add(data, _convective_local(geo, a_qp[block], block), t)
     # Convective surface term integral_{Gamma_N} (a.n)(u.w), per component.
     sel = _tag_selector(mesh, gamma_n_tags)
-    if np.any(sel):
-        pts, wts, normals = edge_quadrature(mesh, sel)
-        a_e = sample(advect, pts) if datum else velocity_on_edges(mesh, advect, sel)
-        surf = _edge_blocks(wts * (a_e * normals[:, None, :]).sum(axis=-1))
-        for comp in range(2):
-            np.add.at(data, _edge_positions(mesh, pattern, sel, 4 * comp), surf)
-    return data
+    if not np.any(sel):
+        return
+    pts, wts, normals = edge_quadrature(mesh, sel)
+    a_e = sample(advect, pts) if datum else velocity_on_edges(mesh, advect, sel)
+    surf = _edge_blocks(wts * (a_e * normals[:, None, :]).sum(axis=-1))
+    for comp in range(2):
+        np.add.at(data, _edge_positions(mesh, pattern, sel, 4 * comp), surf)
+    if newton:
+        for d in range(2):
+            for c in range(2):
+                np.add.at(data, _edge_positions(mesh, pattern, sel, 4 * d, 4 * c),
+                          _edge_blocks(wts * a_e[..., d] * normals[:, None, c]))
 
 
 def assemble_mini_mass(mesh: Mesh2D) -> SparseMatrix:
@@ -988,6 +1016,26 @@ def assemble_condensed_saddle(mesh: Mesh2D, viscosity, advect=None, gamma_n_tags
     data = _velocity_block(mesh, viscosity, advect, gamma_n_tags, advect_qp)
     if mass_coeff:
         data += mass_coeff * assemble_mini_mass(mesh).data
+    return _condensed_saddle(mesh, data)
+
+
+def assemble_newton_saddle(mesh: Mesh2D, viscosity, u: np.ndarray, gamma_n_tags=()):
+    """Newton linearization at the velocity ``u`` of the stationary saddle
+    system whose velocity block is nu V + C(u), the viscous form plus the
+    convective form of :func:`assemble_mini_blocks` advected by the velocity
+    itself: returns (saddle, load), the condensed [[nu V + N(u), -B^T],
+    [B, 0]] with N(u) the derivative of C(u) u, and the velocity load
+    C(u) u = 1/2 N(u) u.  The next Newton iterate solves saddle x = [f + load; 0].
+    Raises SingularMatrix when a bubble block cannot be inverted."""
+    pattern = _mini_pattern(mesh)
+    conv = np.zeros(pattern.nnz)
+    _add_convection(mesh, conv, u, gamma_n_tags, newton=True)
+    load = 0.5 * (pattern.matrix(conv) @ u)
+    return _condensed_saddle(mesh, _velocity_block(mesh, viscosity, None, ()) + conv), load
+
+
+def _condensed_saddle(mesh: Mesh2D, data: np.ndarray) -> CondensedSaddle:
+    """The saddle system with the velocity block data ``data``, condensed."""
     lay = _cached(mesh, "condensed_layout", lambda: _CondensedLayout(mesh))
     inv_bb = _invert_2x2(data[lay.bb])
     # The Schur updates -K_lb A_bb^-1 K_bl, formed and added a block of

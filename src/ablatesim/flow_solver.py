@@ -30,10 +30,12 @@ The viscosity, the buoyancy temperature and the advecting velocity at the
 quadrature points come from the problem's ``sample`` (:class:`materials.FieldSample`),
 shared with the other split stages or built from theta and v_prev.
 
-The stationary flow iterates Oseen solves from the Stokes solution with
-Anderson acceleration (:func:`linalg.fixed_point`) and returns the last Oseen
-solve, so its contracts hold; missing ``picard_tol`` in ``picard_max`` Oseen
-solves raises SolverError.
+The stationary flow runs Newton's method from the Stokes solution, a plain
+:func:`linalg.fixed_point` iteration whose map is one linear solve: the
+Newton system at the last velocity (:func:`fem_core.assemble_newton_saddle`),
+solved for the next velocity and pressure directly.  It returns the last
+Newton solve, so its contracts hold; missing ``newton_tol`` in
+``newton_max`` Newton solves raises SolverError.
 """
 
 from __future__ import annotations
@@ -172,17 +174,22 @@ def _donothing_tags(problem: FlowProblem) -> tuple:
 
 
 def _solve_linear(problem: FlowProblem, sample: FieldSample, advect, include_time: bool,
-                  advect_qp=None):
-    """One linear (Stokes/Oseen) solve on the condensed system; returns (v, P)."""
+                  advect_qp=None, newton: bool = False):
+    """One linear solve on the condensed system, Stokes or Oseen or, with
+    ``newton``, the stationary Newton step from the velocity ``advect``;
+    returns (v, P)."""
     mesh = problem.mesh
     dm = fem_core.dofmap_for(mesh)
     gamma_n = _donothing_tags(problem)
     mass_coeff = 1.0 / problem.dt if include_time else 0.0
-    saddle = fem_core.assemble_condensed_saddle(mesh, sample.nu, advect=advect,
-                                                advect_qp=advect_qp, gamma_n_tags=gamma_n,
-                                                mass_coeff=mass_coeff)
-
     rhs_v = _force_load(problem, sample)
+    if newton:
+        saddle, load = fem_core.assemble_newton_saddle(mesh, sample.nu, advect, gamma_n)
+        rhs_v = rhs_v + load
+    else:
+        saddle = fem_core.assemble_condensed_saddle(mesh, sample.nu, advect=advect,
+                                                    advect_qp=advect_qp, gamma_n_tags=gamma_n,
+                                                    mass_coeff=mass_coeff)
     if include_time:
         M = fem_core.assemble_mini_mass(mesh)
         rhs_v = rhs_v + mass_coeff * (M @ np.asarray(problem.v_prev, dtype=float))
@@ -228,15 +235,16 @@ def solve_flow_step(problem: FlowProblem):
     return _solve_linear(problem, sample, advect, True, advect_qp)
 
 
-def solve_flow_stationary(problem: FlowProblem, picard_tol: float = 1e-8,
-                          picard_max: int = 50):
-    """Steady flow by Anderson-accelerated Picard iteration on the Oseen
-    linearization (:func:`linalg.fixed_point`), started from the Stokes
-    solution.  Returns the last Oseen solve (v, P); a failed linear solve,
-    or ``picard_max`` Oseen solves without meeting ``picard_tol``, raises
+def solve_flow_stationary(problem: FlowProblem, newton_tol: float = 1e-8,
+                          newton_max: int = 50):
+    """Steady flow by Newton's method, started from the Stokes solution: a
+    plain :func:`linalg.fixed_point` iteration (no Anderson mixing) whose map
+    solves the Newton system at the last velocity for the next (v, P).
+    Returns the last Newton solve (v, P); a failed linear solve, or
+    ``newton_max`` Newton solves without meeting ``newton_tol``, raises
     SolverError."""
-    if picard_max < 1:
-        raise ValueError(f"picard_max must be at least 1, got {picard_max}")
+    if newton_max < 1:
+        raise ValueError(f"newton_max must be at least 1, got {newton_max}")
     problem.validate()
     sample = problem.sample or FieldSample(problem.model, problem.mesh, problem.theta)
     if problem.advect_field is not None:
@@ -245,8 +253,9 @@ def solve_flow_stationary(problem: FlowProblem, picard_tol: float = 1e-8,
     v, p = _solve_linear(problem, sample, None, include_time=False)
     if not problem.include_convection:
         return v, p
-    return linalg.fixed_point(lambda a: _solve_linear(problem, sample, a, include_time=False),
-                              v, picard_tol, picard_max)
+    return linalg.fixed_point(
+        lambda u: _solve_linear(problem, sample, u, include_time=False, newton=True),
+        v, newton_tol, newton_max, depth=0)
 
 
 def viscous_dissipation(mesh: Mesh2D, v: np.ndarray) -> np.ndarray:

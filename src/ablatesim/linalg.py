@@ -16,8 +16,9 @@ why.  The
 Jacobi-preconditioned Krylov solvers :func:`solve_cg` and :func:`solve_gmres`
 and :class:`CooBuilder` serve no code of the package; they stay only because
 the benchmark tracer (``benchmark/tracer.py``) and ``tests/test_linalg.py``
-use them.  :func:`fixed_point` is the Anderson-accelerated iteration of both
-stationary solves; it raises when it misses its tolerance.
+use them.  :func:`fixed_point` is the iteration of both stationary solves,
+Anderson-accelerated for the heat's Picard iteration and plain for the
+flow's Newton iteration; it raises when it misses its tolerance.
 """
 
 from __future__ import annotations
@@ -414,20 +415,23 @@ class HeldLU:
                 f"GMRES on the held factor, {len(self.events)} LU ({'; '.join(self.events)})")
 
 
-def fixed_point(step, x0: FieldVector, tol: float, max_iter: int):
-    """Anderson-accelerated fixed-point iteration x = g(x).
+def fixed_point(step, x0: FieldVector, tol: float, max_iter: int,
+                depth: int = ANDERSON_DEPTH):
+    """Fixed-point iteration x = g(x), Anderson-accelerated unless ``depth`` is 0.
 
     ``step(x)`` returns ``(g, aux)``.  The iteration stops at the first map
     output with ||g - x|| / max(1, ||g||) < ``tol`` and returns that
     ``(g, aux)``; after ``max_iter`` map calls without one it raises
     SolverError naming the last increment.  The first step is a plain
     Picard step, so a start that is already a fixed point returns after one
-    call, bit for bit.  Later iterates mix the last ANDERSON_DEPTH + 1 map
+    call, bit for bit.  Later iterates mix the last ``depth`` + 1 map
     outputs (type II, undamped; Walker & Ni, SINUM 49, 2011):
 
         x = g_k - dG gamma,   gamma = argmin ||f_k - dF gamma||,
 
     where f = g - x and dF, dG hold the differences of consecutive f and g.
+    With ``depth`` 0 the iteration is plain, x_{k+1} = g(x_k): a map that
+    converges fast on its own, such as a Newton step, needs no mixing.
     """
     x = np.asarray(x0, dtype=float)
     gs, fs = [], []
@@ -437,8 +441,9 @@ def fixed_point(step, x0: FieldVector, tol: float, max_iter: int):
         incr = np.linalg.norm(f) / max(1.0, np.linalg.norm(g))
         if incr < tol:
             return g, aux
-        gs, fs = gs[-ANDERSON_DEPTH:] + [g], fs[-ANDERSON_DEPTH:] + [f]
         x = g
+        if depth:
+            gs, fs = gs[-depth:] + [g], fs[-depth:] + [f]
         if len(fs) > 1:
             gamma = _least_squares(np.diff(fs, axis=0), f)
             x = g - gamma @ np.diff(gs, axis=0)

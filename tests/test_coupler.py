@@ -105,20 +105,24 @@ class TestInitialize:
             Simulation(quick_config()).initialize()
 
     def test_test1_flow_converges_without_warning(self, monkeypatch, caplog):
-        # The stationary flow meets picard_tol in a few Oseen solves: one more
+        # The stationary flow meets newton_tol in 1 Stokes and at most 4
+        # Newton solves, the last increment quadratically small: one more
         # Oseen solve from the returned v0 moves it by less than the tolerance.
-        advected = []
+        increments = []
         solve = flow_solver._solve_linear
 
         def spy(problem, coeffs, advect, *args, **kwargs):
-            advected.append(advect is not None)
-            return solve(problem, coeffs, advect, *args, **kwargs)
+            v, p = solve(problem, coeffs, advect, *args, **kwargs)
+            increments.append(None if advect is None else
+                              np.linalg.norm(v - advect) / max(1.0, np.linalg.norm(v)))
+            return v, p
 
         monkeypatch.setattr(flow_solver, "_solve_linear", spy)
         caplog.set_level(logging.WARNING, logger="ablatesim")
         sim = Simulation(preset("test1"))
         state = sim.initialize()
-        assert advected[0] is False and sum(advected) <= 25
+        assert increments[0] is None and len(increments) <= 5
+        assert increments[-1] < 1e-11
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
         theta_b = np.full(sim.mesh.num_vertices, sim.model.theta_b)
         problem = sim._flow_problem(theta_b, np.zeros_like(state.v), None)
@@ -127,7 +131,7 @@ class TestInitialize:
         assert np.linalg.norm(v1 - state.v) < 1e-8 * np.linalg.norm(v1)
 
     @pytest.mark.parametrize("stage, name, limits", [
-        ("flow", "solve_flow_stationary", {"picard_max": 2}),
+        ("flow", "solve_flow_stationary", {"newton_max": 2}),
         # The initial heat state is an equilibrium; only a zero tolerance misses.
         ("heat", "solve_heat_stationary", {"picard_tol": 0.0, "picard_max": 2}),
     ])
@@ -337,7 +341,7 @@ class TestLinearSystems:
         systems = sim.systems
         assert systems["heat"].dofs.size == 0 and systems["heat"].builds == 0
         # The potential's structure is built once; the flow's Stokes system,
-        # without convection, stores zeros that the Oseen systems fill.
+        # without convection, stores zeros that the Newton systems fill.
         assert systems["potential"].builds == 1 and systems["flow"].builds == 2
 
     def test_time_dependent_dirichlet_eliminations_match_the_reference_bytes(self, monkeypatch):
@@ -436,7 +440,7 @@ class TestHeldFactors:
         state = sim.initialize()
         sim.advance(state)
         flow = sim.systems["flow"].factor
-        # Stokes -> Oseen and stationary -> time step are far apart: each
+        # Stokes -> Newton and stationary -> time step are far apart: each
         # switch that missed refactorized, and says why.
         assert flow.events[0] == "no factor held"
         assert all(e.startswith("GMRES") for e in flow.events[1:])
@@ -474,9 +478,9 @@ class TestFactorPrecision:
             assert "single" not in system.factor.report()
 
     def test_stokes_to_oseen_switch_gives_up_early(self, monkeypatch):
-        # The Oseen system is far from the Stokes factor: GMRES on it crawls
-        # (~0.5 per iteration), so its cycle is projected to miss and ends
-        # after 3 iterations instead of running all KRYLOV_CAP of them.
+        # The first Newton system is far from the Stokes factor: GMRES on it
+        # crawls, so its cycle is projected to miss and ends after 3
+        # iterations instead of running all KRYLOV_CAP of them.
         sim = Simulation(preset("test1"))
         flow = sim.systems["flow"].factor
         on_first_factor = []

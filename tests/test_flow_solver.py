@@ -203,13 +203,38 @@ class TestStationary:
 
     def test_picard_max_below_one_rejected(self):
         problem = make_problem(channel_mesh(10, 6), bc_test1(), dt=None)
-        with pytest.raises(ValueError, match="picard_max"):
-            solve_flow_stationary(problem, picard_max=0)
+        with pytest.raises(ValueError, match="newton_max"):
+            solve_flow_stationary(problem, newton_max=0)
 
     def test_missed_picard_tol_raises(self):
         problem = make_problem(channel_mesh(10, 6), bc_test1(), dt=None)
         with pytest.raises(SolverError, match=r"in 2 steps: last increment .* >= tol 1\.0e-08"):
-            solve_flow_stationary(problem, picard_max=2)
+            solve_flow_stationary(problem, newton_max=2)
+
+
+class TestNewton:
+    def test_jacobian_matches_the_central_difference(self):
+        # R(u) = O(u) u, the Oseen velocity block advected by u applied to
+        # u, is quadratic in u, so its central difference at any step is its
+        # derivative nu V + N(u) up to round-off.  The do-nothing outlet of
+        # the test1 roles (tag 3) exercises the outlet term's derivative.
+        mesh = channel_mesh(10, 6)
+        gamma_n = flow_solver._donothing_tags(make_problem(mesh, bc_test1()))
+        assert gamma_n == (3,)
+        rng = np.random.default_rng(12)
+        u, delta = rng.standard_normal((2, fem_core.dofmap_for(mesh).n_velocity))
+        nu, eps = 1e-2, 0.5
+
+        def residual(w):
+            blocks = fem_core.assemble_mini_blocks(mesh, nu, advect=w, gamma_n_tags=gamma_n)
+            return blocks["A_vv"] @ w
+
+        fd = (residual(u + eps * delta) - residual(u - eps * delta)) / (2.0 * eps)
+        saddle, load = fem_core.assemble_newton_saddle(mesh, nu, u, gamma_n)
+        assert np.abs(saddle.A_vv @ delta - fd).max() <= 1e-12 * np.abs(fd).max()
+        # The load is the convective part of R(u).
+        convective = residual(u) - fem_core.assemble_mini_blocks(mesh, nu)["A_vv"] @ u
+        assert np.abs(load - convective).max() <= 1e-12 * np.abs(convective).max()
 
 
 def viscous_dissipation(mesh, model, theta, v):

@@ -732,6 +732,21 @@ class TestFixedPoint:
         assert len(calls) == 1 and aux == "aux"
         assert np.array_equal(g, x0)
 
+    def test_depth_zero_is_the_plain_iteration_bit_for_bit(self):
+        C, c, _ = self.contraction()
+        inputs = []
+
+        def step(x):
+            inputs.append(x)
+            return C @ x + c, len(inputs)
+
+        g, calls = linalg.fixed_point(step, np.zeros_like(c), 1e-10, 500, depth=0)
+        x = np.zeros_like(c)
+        for x_k in inputs:
+            assert np.array_equal(x_k, x)
+            x = C @ x + c
+        assert calls == len(inputs) > 1 and np.array_equal(g, x)
+
     def test_least_squares_matches_lstsq_and_drops_dependent_rows(self):
         rng = np.random.default_rng(3)
         rows, f = rng.standard_normal((3, 50)), rng.standard_normal(50)

@@ -34,8 +34,8 @@ The stationary flow runs Newton's method from the Stokes solution, a plain
 :func:`linalg.fixed_point` iteration whose map is one linear solve: the
 Newton system at the last velocity (:func:`fem_core.assemble_newton_saddle`),
 solved for the next velocity and pressure directly.  It returns the last
-Newton solve, so its contracts hold; missing ``newton_tol`` in
-``newton_max`` Newton solves raises SolverError.
+Newton solve, so its contracts hold; missing :data:`NEWTON_TOL` in
+:data:`NEWTON_MAX` Newton solves raises SolverError.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ import numpy as np
 from . import fem_core, linalg
 from .materials import FieldSample, MaterialModel
 from .mesh import Mesh2D, check_tag_roles
+
+NEWTON_TOL = 1e-8  # fixed_point tolerance of the stationary Newton iteration
+NEWTON_MAX = 50  # Newton solves before the stationary flow gives up
 
 ROLE_INFLOW = "inflow"
 ROLE_NOSLIP = "noslip"
@@ -235,16 +238,12 @@ def solve_flow_step(problem: FlowProblem):
     return _solve_linear(problem, sample, advect, True, advect_qp)
 
 
-def solve_flow_stationary(problem: FlowProblem, newton_tol: float = 1e-8,
-                          newton_max: int = 50):
+def solve_flow_stationary(problem: FlowProblem):
     """Steady flow by Newton's method, started from the Stokes solution: a
-    plain :func:`linalg.fixed_point` iteration (no Anderson mixing) whose map
-    solves the Newton system at the last velocity for the next (v, P).
-    Returns the last Newton solve (v, P); a failed linear solve, or
-    ``newton_max`` Newton solves without meeting ``newton_tol``, raises
-    SolverError."""
-    if newton_max < 1:
-        raise ValueError(f"newton_max must be at least 1, got {newton_max}")
+    :func:`linalg.fixed_point` iteration whose map solves the Newton system
+    at the last velocity for the next (v, P).  Returns the last Newton solve
+    (v, P); a failed linear solve, or :data:`NEWTON_MAX` Newton solves
+    without meeting :data:`NEWTON_TOL`, raises SolverError."""
     problem.validate()
     sample = problem.sample or FieldSample(problem.model, problem.mesh, problem.theta)
     if problem.advect_field is not None:
@@ -255,7 +254,7 @@ def solve_flow_stationary(problem: FlowProblem, newton_tol: float = 1e-8,
         return v, p
     return linalg.fixed_point(
         lambda u: _solve_linear(problem, sample, u, include_time=False, newton=True),
-        v, newton_tol, newton_max, depth=0)
+        v, NEWTON_TOL, NEWTON_MAX)
 
 
 def viscous_dissipation(mesh: Mesh2D, v: np.ndarray) -> np.ndarray:

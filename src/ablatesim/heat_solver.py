@@ -29,9 +29,8 @@ load and the residual.  Each system is solved by the problem's
 None) with the previous temperature as the guess, so an equilibrium stays
 bit-for-bit fixed; the system takes the vertices of the Dirichlet tags at
 its first solve and samples their values at each solve's time.  The
-stationary Picard iteration is Anderson-accelerated
-(:func:`linalg.fixed_point`) and raises SolverError when it misses
-``picard_tol`` in ``picard_max`` solves.
+stationary Picard iteration (:func:`linalg.fixed_point`) raises SolverError
+when it misses :data:`PICARD_TOL` in :data:`PICARD_MAX` solves.
 """
 
 from __future__ import annotations
@@ -51,6 +50,8 @@ ROLE_ROBIN = "robin"
 ROLE_DIRICHLET = "dirichlet"
 ROLE_NEUMANN = "neumann"  # homogeneous: no boundary terms
 ROLE_INFLOW = "inflow"  # weakly imposed inflow temperature via the advective flux
+PICARD_TOL = 1e-10  # fixed_point tolerance of the stationary Picard iteration
+PICARD_MAX = 50  # Picard solves before the stationary heat gives up
 
 
 @dataclass
@@ -360,18 +361,15 @@ def solve_heat_step(problem: HeatProblem) -> np.ndarray:
     return theta
 
 
-def solve_heat_stationary(problem: HeatProblem, picard_tol: float = 1e-10,
-                          picard_max: int = 50) -> np.ndarray:
+def solve_heat_stationary(problem: HeatProblem) -> np.ndarray:
     """Steady temperature with given flow/potential, by Picard on eta(theta).
 
     Solves the unstabilized stationary equation (no time derivative, no
     artificial viscosity); used to build initial conditions.  ``theta_prev``
-    seeds the Anderson-accelerated Picard iteration, whose iterate lags the
-    coefficients and the sources; missing ``picard_tol`` in ``picard_max``
-    solves raises SolverError.
+    seeds the Picard iteration, whose iterate lags the coefficients and the
+    sources; missing :data:`PICARD_TOL` in :data:`PICARD_MAX` solves raises
+    SolverError.
     """
-    if picard_max < 1:
-        raise ValueError(f"picard_max must be at least 1, got {picard_max}")
     problem.validate()
     build = _heat_system(problem, 0.0, problem.transport
                          or FieldSample(problem.model, problem.mesh, None, problem.v))
@@ -382,5 +380,5 @@ def solve_heat_stationary(problem: HeatProblem, picard_tol: float = 1e-10,
                                                               problem.phi))
         return _linear_system(problem).solve(A_sys, rhs, x0=theta, t=problem.time), None
 
-    theta, _ = linalg.fixed_point(step, problem.theta_prev, picard_tol, picard_max)
+    theta, _ = linalg.fixed_point(step, problem.theta_prev, PICARD_TOL, PICARD_MAX)
     return theta

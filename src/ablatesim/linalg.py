@@ -16,9 +16,9 @@ why.  The
 Jacobi-preconditioned Krylov solvers :func:`solve_cg` and :func:`solve_gmres`
 and :class:`CooBuilder` serve no code of the package; they stay only because
 the benchmark tracer (``benchmark/tracer.py``) and ``tests/test_linalg.py``
-use them.  :func:`fixed_point` is the iteration of both stationary solves,
-Anderson-accelerated for the heat's Picard iteration and plain for the
-flow's Newton iteration; it raises when it misses its tolerance.
+use them.  :func:`fixed_point`, the plain iteration x = g(x), runs both
+stationary solves (the heat's Picard and the flow's Newton iteration); it
+raises when it misses its tolerance.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ KRYLOV_CAP = 10
 # and 18% less for the flow at 192x64 (759 k), whose factorization also fell
 # 21%; reused solves took the same GMRES iterations in both precisions.
 SINGLE_NNZ = 500_000
-ANDERSON_DEPTH = 3  # residual differences in each fixed_point least-squares fit
 
 
 class CooBuilder:
@@ -179,7 +178,7 @@ def _gmres(A: SparseMatrix, b: FieldVector, x0: FieldVector | None, precondition
     miss returns (None, k) after k >= 3 iterations: at the mean reduction
     per iteration so far, rho = (|g_k| / |g_0|)^(1/k), the estimate
     |g_k| rho^(cap - k) at the cap would still be above ``stop``.  Plain
-    numpy, like :func:`_least_squares`."""
+    numpy, so no LAPACK routine is loaded."""
     x = np.zeros(b.size) if x0 is None else np.array(x0, dtype=float)
     r = b - A @ x if r0 is None else r0
     beta = float(np.linalg.norm(r))
@@ -415,62 +414,27 @@ class HeldLU:
                 f"GMRES on the held factor, {len(self.events)} LU ({'; '.join(self.events)})")
 
 
-def fixed_point(step, x0: FieldVector, tol: float, max_iter: int,
-                depth: int = ANDERSON_DEPTH):
-    """Fixed-point iteration x = g(x), Anderson-accelerated unless ``depth`` is 0.
+def fixed_point(step, x0: FieldVector, tol: float, max_iter: int):
+    """Plain fixed-point iteration x_{k+1} = g(x_k).
 
     ``step(x)`` returns ``(g, aux)``.  The iteration stops at the first map
     output with ||g - x|| / max(1, ||g||) < ``tol`` and returns that
-    ``(g, aux)``; after ``max_iter`` map calls without one it raises
-    SolverError naming the last increment.  The first step is a plain
-    Picard step, so a start that is already a fixed point returns after one
-    call, bit for bit.  Later iterates mix the last ``depth`` + 1 map
-    outputs (type II, undamped; Walker & Ni, SINUM 49, 2011):
-
-        x = g_k - dG gamma,   gamma = argmin ||f_k - dF gamma||,
-
-    where f = g - x and dF, dG hold the differences of consecutive f and g.
-    With ``depth`` 0 the iteration is plain, x_{k+1} = g(x_k): a map that
-    converges fast on its own, such as a Newton step, needs no mixing.
+    ``(g, aux)``, so a start that is already a fixed point returns after one
+    call, bit for bit; after ``max_iter`` map calls without one it raises
+    SolverError naming the last increment.  A ``max_iter`` below 1 raises
+    ValueError before any map call.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     x = np.asarray(x0, dtype=float)
-    gs, fs = [], []
     for _ in range(max_iter):
         g, aux = step(x)
-        f = g - x
-        incr = np.linalg.norm(f) / max(1.0, np.linalg.norm(g))
+        incr = np.linalg.norm(g - x) / max(1.0, np.linalg.norm(g))
         if incr < tol:
             return g, aux
         x = g
-        if depth:
-            gs, fs = gs[-depth:] + [g], fs[-depth:] + [f]
-        if len(fs) > 1:
-            gamma = _least_squares(np.diff(fs, axis=0), f)
-            x = g - gamma @ np.diff(gs, axis=0)
     raise SolverError(f"fixed-point iteration missed its tolerance in {max_iter} "
                       f"steps: last increment {incr:.3e} >= tol {tol:.1e}")
-
-
-def _least_squares(rows: np.ndarray, f: FieldVector) -> np.ndarray:
-    """gamma minimizing ||f - rows.T gamma||, by modified Gram-Schmidt over
-    the rows, last (newest) first.  The fit stops at the first row that lies
-    within 1e-10 of its norm in the span of the newer ones; it and the older
-    rows get weight 0.  Plain numpy, so no LAPACK routine is loaded."""
-    m = len(rows)
-    Q, R = [], np.zeros((m, m))
-    for j, row in enumerate(rows[::-1]):
-        q = row.copy()
-        for i, qi in enumerate(Q):
-            R[i, j] = qi @ q
-            q -= R[i, j] * qi
-        R[j, j] = np.linalg.norm(q)
-        if R[j, j] <= 1e-10 * np.linalg.norm(row):
-            break
-        Q.append(q / R[j, j])
-    y = np.zeros(m)
-    for j in reversed(range(len(Q))):
-        y[j] = (Q[j] @ f - R[j, j + 1:] @ y[j + 1:]) / R[j, j]
-    return y[::-1]
 
 
 class LinearSystem:

@@ -63,10 +63,8 @@ class MaterialModel:
     lambda2: float | None = None
     gamma1: float | None = None
     gamma2: float | None = None
-    c_f: float | None = None
 
     def __post_init__(self):
-        lo, hi = ADMISSIBLE_RANGE
         if self.nu1 is None:
             self.nu1 = self.nu_const
         if self.nu2 is None:
@@ -79,13 +77,9 @@ class MaterialModel:
             self.lambda2 = self.sigma0 * max(2.5345,
                                              float(np.exp(0.015 * (99.0 - self.theta_b))))
         if self.gamma1 is None:
-            self.gamma1 = self.eta0 + 0.0012 * (lo - self.theta_b)
+            self.gamma1 = self.eta0 + 0.0012 * (ADMISSIBLE_RANGE[0] - self.theta_b)
         if self.gamma2 is None:
             self.gamma2 = self.eta0 + 0.0012 * (100.0 - self.theta_b)
-        if self.c_f is None:
-            mag = self.buoyancy.coefficient * max(abs(lo - self.theta_b),
-                                                  abs(hi - self.theta_b))
-            self.c_f = mag if self.buoyancy.enabled else 0.0
 
     # -- laws -----------------------------------------------------------------
 

@@ -1,6 +1,6 @@
 import collections
-import functools
 import logging
+import sys
 import tracemalloc
 
 import numpy as np
@@ -105,7 +105,7 @@ class TestInitialize:
             Simulation(quick_config()).initialize()
 
     def test_test1_flow_converges_without_warning(self, monkeypatch, caplog):
-        # The stationary flow meets newton_tol in 1 Stokes and at most 4
+        # The stationary flow meets NEWTON_TOL in 1 Stokes and at most 4
         # Newton solves, the last increment quadratically small: one more
         # Oseen solve from the returned v0 moves it by less than the tolerance.
         increments = []
@@ -130,13 +130,22 @@ class TestInitialize:
                       include_time=False)
         assert np.linalg.norm(v1 - state.v) < 1e-8 * np.linalg.norm(v1)
 
+    def test_test3_heat_converges_in_at_most_five_maps(self, fixed_point_maps):
+        # test3's inflow at 35 moves the initial heat state off the body
+        # temperature, so its plain Picard iteration takes more than 2 maps
+        # (4 at 48x16); the flow's Newton iteration comes first.
+        Simulation(preset("test3")).initialize()
+        assert len(fixed_point_maps) == 2 and 3 <= fixed_point_maps[1] <= 5
+
     @pytest.mark.parametrize("stage, name, limits", [
-        ("flow", "solve_flow_stationary", {"newton_max": 2}),
+        ("flow", "solve_flow_stationary", {"NEWTON_MAX": 2}),
         # The initial heat state is an equilibrium; only a zero tolerance misses.
-        ("heat", "solve_heat_stationary", {"picard_tol": 0.0, "picard_max": 2}),
+        ("heat", "solve_heat_stationary", {"PICARD_TOL": 0.0, "PICARD_MAX": 2}),
     ])
     def test_missed_picard_tol_raises_labelled(self, monkeypatch, stage, name, limits):
-        monkeypatch.setattr(coupler, name, functools.partial(getattr(coupler, name), **limits))
+        solver = sys.modules[getattr(coupler, name).__module__]
+        for constant, value in limits.items():
+            monkeypatch.setattr(solver, constant, value)
         with pytest.raises(SolverError, match=f"^initialize/{stage}: fixed-point iteration "
                                               "missed its tolerance in 2 steps"):
             Simulation(quick_config()).initialize()

@@ -201,15 +201,11 @@ class TestStationary:
         B = fem_core.assemble_mini_blocks(mesh, 1.0)["B"]
         assert np.linalg.norm(B @ v) <= 1e-8 * (1.0 + np.linalg.norm(v))
 
-    def test_picard_max_below_one_rejected(self):
+    def test_missed_picard_tol_raises(self, monkeypatch):
         problem = make_problem(channel_mesh(10, 6), bc_test1(), dt=None)
-        with pytest.raises(ValueError, match="newton_max"):
-            solve_flow_stationary(problem, newton_max=0)
-
-    def test_missed_picard_tol_raises(self):
-        problem = make_problem(channel_mesh(10, 6), bc_test1(), dt=None)
+        monkeypatch.setattr(flow_solver, "NEWTON_MAX", 2)
         with pytest.raises(SolverError, match=r"in 2 steps: last increment .* >= tol 1\.0e-08"):
-            solve_flow_stationary(problem, newton_max=2)
+            solve_flow_stationary(problem)
 
 
 class TestNewton:

@@ -534,13 +534,15 @@ class TestHeatStationary:
         assert abs(x - 1.0) <= 0.3 and abs(y - 1.0) <= 0.3
         assert out.max() > 37.0
 
-    def test_picard_max_below_one_rejected(self):
-        mesh = small_mesh()
-        problem = make_problem(mesh, robin_bc(), np.full(mesh.num_vertices, 37.0))
-        with pytest.raises(ValueError, match="picard_max"):
-            solve_heat_stationary(problem, picard_max=0)
-
-    def test_missed_picard_tol_raises(self):
+    def test_plain_picard_converges_in_at_most_five_maps(self, fixed_point_maps):
+        # eta(theta) has slope 0.0012 against eta0 = 0.54, so the plain
+        # Picard map contracts fast: 4 maps here.
         _, problem = self.sourced_problem()
+        solve_heat_stationary(problem)
+        assert len(fixed_point_maps) == 1 and 3 <= fixed_point_maps[0] <= 5
+
+    def test_missed_picard_tol_raises(self, monkeypatch):
+        _, problem = self.sourced_problem()
+        monkeypatch.setattr(heat_solver, "PICARD_MAX", 2)
         with pytest.raises(SolverError, match=r"in 2 steps: last increment .* >= tol 1\.0e-10"):
-            solve_heat_stationary(problem, picard_max=2)
+            solve_heat_stationary(problem)

@@ -32,7 +32,7 @@ import numpy as np
 from . import fem_core
 from .flow_solver import FlowProblem, solve_flow_stationary, solve_flow_step
 from .heat_solver import HeatProblem, solve_heat_stationary, solve_heat_step
-from .linalg import HeldLU, LinearSystem, SolverError
+from .linalg import LinearSystem, SolverError
 from .materials import FieldSample
 from .mesh import TAG_NAMES, generate_channel_mesh
 from .potential_solver import PotentialProblem, solve_potential
@@ -109,10 +109,11 @@ class SimState:
 class Simulation:
     """Owns the mesh, dof map, material model and the linear system of each
     stage (``systems``: potential, flow, heat, each a
-    :class:`linalg.LinearSystem` holding a :class:`linalg.HeldLU` across its
-    solves).  The systems start empty; each solver
-    sets its system's constraints at the first solve (the heat's values,
-    which may depend on t, are resampled at each solve)."""
+    :class:`linalg.LinearSystem`, which every problem of that stage is given,
+    so its factor is held across the run's solves).  The systems start
+    empty; each solver sets its system's constraints at the first solve
+    (the heat's values, which may depend on t, are resampled at each
+    solve)."""
 
     def __init__(self, config):
         config.validate()
@@ -124,8 +125,7 @@ class Simulation:
         self.flow_bc = config.build_flow_bcs()
         self.heat_bc = {TAG_NAMES[name]: bc for name, bc in config.heat_bc.items()}
         self.stab = config.stabilization
-        self.systems = {name: LinearSystem(factor=HeldLU())
-                        for name in ("potential", "flow", "heat")}
+        self.systems = {name: LinearSystem() for name in ("potential", "flow", "heat")}
 
     # -- problem builders -----------------------------------------------------
 

@@ -11,13 +11,12 @@ is never factorized whole.  Each bubble dof couples only inside its
 triangle, so the 2x2 bubble block of every triangle is eliminated first
 (static condensation, :func:`fem_core.assemble_condensed_saddle`); the Schur
 complement on the P1 dofs [vx | vy | p], of order 3*NV, is solved by the
-problem's :class:`linalg.LinearSystem` (a fresh one when ``system`` is
-None), which takes the Dirichlet rows from :func:`flow_constraints` (one
-vector-valued :func:`fem_core.dirichlet_values` call) at its first solve,
-under the residual contract: a sparse LU in the mesh's nested-dissection
-vertex order with the three dofs of a vertex kept together
-(:func:`fem_core.vertex_order`), or GMRES preconditioned by the LU the
-system holds from earlier solves.  The LU
+problem's :class:`linalg.LinearSystem`, which takes the Dirichlet rows from
+:func:`flow_constraints` (one vector-valued :func:`fem_core.dirichlet_values`
+call) at its first solve, under the residual contract: a sparse LU in the
+mesh's nested-dissection vertex order with the three dofs of a vertex kept
+together (:func:`fem_core.vertex_order`), or GMRES preconditioned by the LU
+the system holds from earlier solves.  The LU
 scales the system symmetrically by its diagonal first: with nu = 1 the
 condensed pressure diagonal, about h^2/nu, is below a tenth of its column's
 B entries, and the threshold pivoting would otherwise leave the order.  The
@@ -40,7 +39,7 @@ Newton solve, so its contracts hold; missing :data:`NEWTON_TOL` in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -126,7 +125,7 @@ class FlowProblem:
     advect_field: object = None  # callable override of the Oseen advecting field
     extra_force: object = None  # callable(x, y) -> (fx, fy); verification hook
     pressure_pin_value: float = 0.0
-    system: linalg.LinearSystem | None = None  # held across solves; None: a fresh one
+    system: linalg.LinearSystem = field(default_factory=linalg.LinearSystem)  # held across solves
     sample: FieldSample | None = None  # theta's and v_prev's; built from them when None
 
     def validate(self) -> None:
@@ -198,7 +197,7 @@ def _solve_linear(problem: FlowProblem, sample: FieldSample, advect, include_tim
         rhs_v = rhs_v + mass_coeff * (M @ np.asarray(problem.v_prev, dtype=float))
     rhs = np.concatenate([rhs_v, np.zeros(dm.n_pressure)])
 
-    system = problem.system or linalg.LinearSystem()
+    system = problem.system
     if system.dofs is None:
         # Every constrained dof is a P1 dof, so eliminating them after the
         # condensation is exact.  The condensed layout holds 3 dofs per vertex.

@@ -25,10 +25,10 @@ read; otherwise the step builds them from its own fields, one serving both
 when v_stab is None.  The Joule density
 (:func:`potential_solver.joule_density`) is evaluated at most once, for the
 load and the residual.  Each system is solved by the problem's
-:class:`linalg.LinearSystem` (a fresh one per solve when ``system`` is
-None) with the previous temperature as the guess, so an equilibrium stays
-bit-for-bit fixed; the system takes the vertices of the Dirichlet tags at
-its first solve and samples their values at each solve's time.  The
+:class:`linalg.LinearSystem` with the previous temperature as the guess, so
+an equilibrium stays bit-for-bit fixed; the system takes the vertices of
+the Dirichlet tags at its first solve and samples their values at each
+solve's time.  The
 stationary Picard iteration (:func:`linalg.fixed_point`) raises SolverError
 when it misses :data:`PICARD_TOL` in :data:`PICARD_MAX` solves.
 """
@@ -113,7 +113,7 @@ class HeatProblem:
     include_physics_sources: bool = True
     include_inflow_bc: bool = True  # False = saline supply off (initial equilibrium)
     extra_source: object = None  # callable(x, y, t); verification hook
-    system: linalg.LinearSystem | None = None  # held across solves; None: a fresh one
+    system: linalg.LinearSystem = field(default_factory=linalg.LinearSystem)  # held across solves
     # theta_prev's sample, whose velocity is v_stab's, and v's; each built
     # from those fields when None (one serves both when v_stab is None).
     sample: FieldSample | None = None
@@ -128,6 +128,15 @@ class HeatProblem:
         for name, arr in (("theta_prev", self.theta_prev), ("v", self.v), ("phi", self.phi)):
             if not np.all(np.isfinite(np.asarray(arr, dtype=float))):
                 raise ValueError(f"{name} contains non-finite values")
+
+
+def heat_source(nu: np.ndarray, strain: np.ndarray, joule: np.ndarray) -> np.ndarray:
+    """(NT, NQ) physics source nu D(v):D(v) + sigma |grad phi|^2 at the quad
+    points, from the viscosity ``nu``, the dissipation ``strain`` = D(v):D(v)
+    and the Joule density ``joule``; summed in place of nu D(v):D(v)."""
+    source = nu * strain
+    source += joule
+    return source
 
 
 def _powers(theta_q, alpha, floor):
@@ -264,10 +273,10 @@ def _boundary_terms(problem: HeatProblem):
 
 
 def _linear_system(problem: HeatProblem) -> linalg.LinearSystem:
-    """The problem's system, or a fresh one, constrained at its first solve
-    at the vertices of the Dirichlet tags of ``bc``, whose values each solve
-    samples at its time."""
-    system = problem.system or linalg.LinearSystem()
+    """The problem's system, constrained at its first solve at the vertices
+    of the Dirichlet tags of ``bc``, whose values each solve samples at its
+    time."""
+    system = problem.system
     if system.dofs is None:
         bc = problem.bc
         verts = fem_core.DirichletVertices(
@@ -287,8 +296,7 @@ def _cell_viscosity(problem: HeatProblem, sample: FieldSample, joule) -> np.ndar
     if problem.stab.beta != 0.0:
         res = None
         if problem.theta_prev2 is not None:  # None at startup: h_K saturates
-            source = sample.nu * sample.strain
-            source += joule()
+            source = heat_source(sample.nu, sample.strain, joule())
             res = entropy_residual(mesh, sample, problem.theta_prev, problem.theta_prev2,
                                    source, problem.dt, problem.stab.alpha,
                                    problem.stab.var_floor)
@@ -319,7 +327,7 @@ def _heat_system(problem: HeatProblem, mass_coeff: float, transport: FieldSample
         """The system at the laws ``laws`` of ``theta`` (a :class:`FieldSample`);
         ``joule()`` is the Joule density there."""
         A_sys = fem_core.assemble_stiffness(mesh, laws.eta + art)
-        src = laws.nu * strain + joule() if sources else 0.0
+        src = heat_source(laws.nu, strain, joule()) if sources else 0.0
         if extra is not None:
             src = src + extra
         rhs = fem_core.assemble_scalar_load(mesh, src)
@@ -357,7 +365,7 @@ def solve_heat_step(problem: HeatProblem) -> np.ndarray:
     A_sys, rhs = build(problem.theta_prev, sample, joule, art[:, None])
     system = _linear_system(problem)
     theta = system.solve(A_sys, rhs, x0=problem.theta_prev, t=problem.time)
-    problem.iterations = system.iterations
+    problem.iterations = system.factor.iterations
     return theta
 
 

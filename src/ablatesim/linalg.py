@@ -1,18 +1,16 @@
 """Sparse storage, assembly builder, and linear solvers.
 
-Matrices are scipy CSR; vectors are 1-D numpy arrays.  Every system of the
-simulator is a :class:`LinearSystem`, the one home of its solve state: its
-constrained dofs, its fill-reducing order (:func:`fem_core.vertex_order`),
-the structure of its Dirichlet elimination and its :class:`HeldLU`.  Its
-solve is the one sequence of elimination, :func:`solve_lu` under the
-residual contract ||b - Ax|| <= 1e-10 ||b|| (a miss raises, with no retry in
-another order) and exact constrained entries; :func:`apply_dirichlet` and
-:func:`solve_constrained` run it on a fresh system, whose every solve is a
-fresh LU in double precision.  A system whose owner passes it a
-:class:`HeldLU` keeps its factor, in single precision for a large system:
-the factor preconditions GMRES (:func:`_gmres`) for the later solves, and
-only a solve that misses the contract that way factorizes again, recording
-why.  The
+Matrices are scipy CSR; vectors are 1-D numpy arrays.  Every system is a
+:class:`LinearSystem`, the one home of its solve state: its constrained
+dofs, its fill-reducing order (:func:`fem_core.vertex_order`), the
+structure of its Dirichlet elimination and its :class:`HeldLU`.  Its solve
+is the one sequence of elimination, :func:`solve_lu` under the residual
+contract ||b - Ax|| <= 1e-10 ||b|| (a miss raises, with no retry in another
+order) and exact constrained entries.  The held factor, in single precision
+for a large system, preconditions GMRES (:func:`_gmres`) for the later
+solves, and only a solve that misses the contract that way factorizes
+again, recording why; a :func:`solve_lu` without a holder is the first
+solve of a throwaway one.  The
 Jacobi-preconditioned Krylov solvers :func:`solve_cg` and :func:`solve_gmres`
 and :class:`CooBuilder` serve no code of the package; they stay only because
 the benchmark tracer (``benchmark/tracer.py``) and ``tests/test_linalg.py``
@@ -52,8 +50,8 @@ RESIDUAL_TOL = 1e-10  # relative residual bound of every solve_lu return
 # solves took 1-8 iterations on the test1 preset (48x16) and at 96x32, 2-7 at
 # 192x64; a system 10 iterations do not reach is cheaper to factorize.
 KRYLOV_CAP = 10
-# Stored entries of an eliminated matrix from which its held factor is kept
-# in single precision (HeldLU.solve_new).  Timed on the systems of a cold
+# Stored entries of an eliminated matrix from which every factor is single
+# precision (HeldLU.solve_new).  Timed on the systems of a cold
 # test1-physics step, one BLAS thread: a float32 factor application took as
 # long as a float64 one for the potential and the heat at 192x64 (60-87 k
 # entries), 8% less for the flow at 96x32 (187 k), ~1 ms of a ~39 ms step,
@@ -239,34 +237,30 @@ def solve_lu(A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None,
     block's ~h^2/nu, from losing their pivots to the coupling entries.  The
     contract is checked on the unscaled A and b.
 
-    ``factor`` is the :class:`HeldLU` of the system across its solves.  When
-    it holds a factor of the same order and shape, the solve is first tried
-    by GMRES right-preconditioned with that factor, from ``x0`` or else the
-    holder's last solution (:meth:`HeldLU.reuse`); a miss factorizes A in
-    its place (:meth:`HeldLU.solve_new`, in single precision for a large A).
-    Without ``factor`` the solve is a fresh LU in double precision.
+    ``factor`` is the :class:`HeldLU` of the system across its solves (a
+    throwaway one when None).  When it holds a factor of the same order and
+    shape, the solve is first tried by GMRES right-preconditioned with that
+    factor, from ``x0`` or else the holder's last solution
+    (:meth:`HeldLU.reuse`); otherwise, or on a miss, A is factorized in its
+    place (:meth:`HeldLU.solve_new`, in single precision for a large A).
     """
     b = np.asarray(b, dtype=float)
     bnorm = float(np.linalg.norm(b))
     if not np.isfinite(bnorm):
         raise SolverError(f"non-finite right-hand side: |b| = {bnorm}")
     limit = RESIDUAL_TOL * bnorm
-    if factor is not None:
-        factor.solves += 1
-        factor.iterations = 0
+    factor = factor or HeldLU()
+    factor.solves += 1
+    factor.iterations = 0
     r0 = None if x0 is None else b - A @ x0  # the guess's residual, also GMRES's first
     if r0 is not None and np.linalg.norm(r0) <= limit:
         return np.array(x0, dtype=float)
     order = np.arange(A.shape[0]) if order is None else np.asarray(order)
-    if factor is not None:
-        x, reason = factor.reuse(A, b, order, x0, limit, r0)
-        if x is not None:
-            return x
+    x, reason = factor.reuse(A, b, order, x0, limit, r0)
+    if x is not None:
+        return x
     try:
-        if factor is not None:
-            x = factor.solve_new(sp.csr_matrix(A), b, order, reason, limit)
-        else:
-            x = _ScaledLU(sp.csr_matrix(A), order, np.float64).solve(b)
+        x = factor.solve_new(sp.csr_matrix(A), b, order, reason, limit)
     except RuntimeError as exc:
         raise SingularMatrix(str(exc)) from exc
     if not np.all(np.isfinite(x)):
@@ -275,8 +269,7 @@ def solve_lu(A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None,
     if res > limit:
         raise SolverError(f"LU residual contract violated: |b - Ax| = {res:.3e} "
                           f"> {RESIDUAL_TOL:.0e} |b| = {limit:.3e}")
-    if factor is not None:
-        factor.last = x.copy()
+    factor.last = x.copy()
     return x
 
 
@@ -440,9 +433,8 @@ def fixed_point(step, x0: FieldVector, tol: float, max_iter: int):
 class LinearSystem:
     """One system's solve state: the constrained ``dofs`` and their
     ``values`` (an array, or a callable of the solve's time), the
-    fill-reducing ``order``, the :class:`HeldLU` ``factor`` that its owner
-    passes to keep across solves (None: each solve is a fresh LU in double
-    precision) and the structure of the Dirichlet elimination.
+    fill-reducing ``order``, the :class:`HeldLU` ``factor`` kept across its
+    solves and the structure of the Dirichlet elimination.
 
     The eliminated matrix stores exactly its nonzero entries: A's off the
     constrained rows and columns, and a unit diagonal on each constrained
@@ -455,9 +447,9 @@ class LinearSystem:
     through untouched.
     """
 
-    def __init__(self, dofs=None, values=(), order=None, factor: HeldLU | None = None):
+    def __init__(self, dofs=None, values=(), order=None):
         self.dofs = self.values = self.order = self._pattern = None
-        self.factor = factor
+        self.factor = HeldLU()
         self.builds = 0
         if dofs is not None:
             self.constrain(dofs, values, order)
@@ -471,11 +463,6 @@ class LinearSystem:
             raise IndexError("Dirichlet dof out of range")
         self.dofs, self.order, self._pattern = dofs, order, None
         self.values = values if callable(values) else np.asarray(values, dtype=float)
-
-    @property
-    def iterations(self) -> int:
-        """GMRES iterations of the last solve; 0 without a held factor."""
-        return 0 if self.factor is None else self.factor.iterations
 
     def solve(self, A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None,
               t: float | None = None) -> FieldVector:
@@ -562,11 +549,3 @@ def apply_dirichlet(A: SparseMatrix, b: FieldVector, dofs, values):
     explicit zero in A: :meth:`LinearSystem.eliminate` on a fresh system."""
     return LinearSystem(dofs, values).eliminate(A, b)
 
-
-def solve_constrained(A: SparseMatrix, b: FieldVector, dofs, values,
-                      x0: FieldVector | None = None,
-                      order: np.ndarray | None = None) -> FieldVector:
-    """Solve A x = b with x[dofs] = values from the guess ``x0`` in the
-    fill-reducing ``order``: :meth:`LinearSystem.solve` on a fresh system,
-    so a fresh LU in double precision."""
-    return LinearSystem(dofs, values, order).solve(A, b, x0)

@@ -6,11 +6,10 @@ optional volumetric source exists for manufactured-solution verification.
 The conductivity at the quadrature points comes from the problem's ``sample``
 (:class:`materials.FieldSample`), shared with the other split stages or built from theta.
 The symmetric positive definite system is solved by the problem's
-:class:`linalg.LinearSystem` (a fresh one when ``system`` is None), which
-takes the grounded vertices from :func:`fem_core.dirichlet_values` at its
-first solve: Dirichlet elimination, then a fresh sparse LU, or GMRES
-preconditioned by the LU the system holds from earlier solves, under the
-residual contract.
+:class:`linalg.LinearSystem`, which takes the grounded vertices from
+:func:`fem_core.dirichlet_values` at its first solve: Dirichlet elimination,
+then a sparse LU, or GMRES preconditioned by the LU the system holds from
+earlier solves, under the residual contract.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ class PotentialProblem:
     neumann_tags: tuple = (GAMMA5,)
     dirichlet_tags: tuple = (GAMMA1, GAMMA2, GAMMA3, GAMMA4)
     source: object = None  # verification hook: (NT, NQ) array or callable(x, y)
-    system: linalg.LinearSystem | None = None  # held across solves; None: a fresh one
+    system: linalg.LinearSystem = field(default_factory=linalg.LinearSystem)  # held across solves
     sample: FieldSample | None = None  # theta's; built from theta when None
     iterations: int = field(default=0, init=False)  # GMRES count of the solve; 0 if it factorized
 
@@ -59,12 +58,12 @@ def solve_potential(problem: PotentialProblem) -> np.ndarray:
         b = b + fem_core.assemble_scalar_load(
             mesh, fem_core.sample(problem.source, fem_core.geometry(mesh).qp))
 
-    system = problem.system or linalg.LinearSystem()
+    system = problem.system
     if system.dofs is None:
         system.constrain(*potential_constraints(mesh, problem.dirichlet_tags),
                          fem_core.vertex_order(mesh))
     phi = system.solve(A, b)
-    problem.iterations = system.iterations
+    problem.iterations = system.factor.iterations
     return phi
 
 

@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ablatesim import coupler, fem_core, flow_solver, linalg
+from ablatesim import coupler, fem_core, flow_solver, heat_solver, linalg
 from ablatesim.coupler import (BlowUpError, NonFiniteFieldError, SimState,
                                Simulation, TimeGrid)
-from ablatesim.heat_solver import HeatBC
+from ablatesim.heat_solver import HeatBC, HeatProblem
 from ablatesim.linalg import NotConverged, SolverError
 from ablatesim.materials import FieldSample
 from ablatesim.sim_cli import ConfigError, preset
@@ -402,7 +402,8 @@ class TestHeldFactors:
         for log in iterations.values():
             assert log[0] == 0 and all(0 < k <= linalg.KRYLOV_CAP for k in log[1:])
 
-        # A holder-free run: every solve is a fresh LU, as before factors were held.
+        # A run that never reuses a factor: every solve is a fresh LU, as
+        # before factors were held.
         monkeypatch.setattr(linalg.HeldLU, "reuse", lambda *a: (None, "fresh LU"))
         fresh_sim = Simulation(quick_config(nx=24, ny=8, M=5))
         fresh, fresh_rows = self.advance(fresh_sim, 5)
@@ -456,6 +457,24 @@ class TestHeldFactors:
         assert flow.solves == flow.krylov_solves + len(flow.events)
         for held in (system.factor for system in sim.systems.values()):
             assert held.report().startswith(f"{held.solves} solves:")
+
+    def test_standalone_stationary_solves_hold_their_factor(self):
+        # Problems built without a system own one, so a stationary iteration
+        # outside a Simulation reuses its factor from map to map: test3's
+        # flow takes 1 Stokes and 4 Newton solves on 2 LUs, and its heat 4
+        # Picard maps on 1.
+        sim = Simulation(preset("test3"))
+        theta_b = np.full(sim.mesh.num_vertices, sim.model.theta_b)
+        flow = flow_solver.FlowProblem(mesh=sim.mesh, model=sim.model, theta=theta_b,
+                                       v_prev=np.zeros(sim.dofmap.n_velocity), dt=None,
+                                       bc=sim.flow_bc)
+        v0, _ = flow_solver.solve_flow_stationary(flow)
+        heat = HeatProblem(mesh=sim.mesh, model=sim.model, theta_prev=theta_b, v=v0,
+                           phi=np.zeros(sim.mesh.num_vertices), dt=1.0, bc=sim.heat_bc,
+                           include_physics_sources=False, include_inflow_bc=False)
+        heat_solver.solve_heat_stationary(heat)
+        assert flow.system.factor.solves == 5 and len(flow.system.factor.events) == 2
+        assert heat.system.factor.solves == 4 and len(heat.system.factor.events) == 1
 
 
 class TestFactorPrecision:

@@ -464,8 +464,8 @@ class TestBoundaryKernel:
         # With the Dirichlet tag G3 eliminated, both give the same temperature.
         system = heat_solver._linear_system(problem)
         dofs, vals = system.dofs, system.values(problem.time)
-        x = linalg.solve_constrained(A, rhs, dofs, vals)
-        x_ref = linalg.solve_constrained(ref.tocsr(), ref_rhs, dofs, vals)
+        x = linalg.LinearSystem(dofs, vals).solve(A, rhs)
+        x_ref = linalg.LinearSystem(dofs, vals).solve(ref.tocsr(), ref_rhs)
         assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
 
 

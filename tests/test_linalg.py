@@ -253,8 +253,7 @@ class TestHeldLU:
 
     def test_last_is_a_copy_the_constrained_solve_cannot_overwrite(self):
         A, b = self.system()
-        system = linalg.LinearSystem(np.arange(0, A.shape[0], 9), np.linspace(-1.0, 1.0, 45),
-                                      factor=linalg.HeldLU())
+        system = linalg.LinearSystem(np.arange(0, A.shape[0], 9), np.linspace(-1.0, 1.0, 45))
         x = system.solve(A, b)
         x[:] = 0.0
         assert np.linalg.norm(system.factor.last) > 0.0
@@ -352,12 +351,12 @@ class TestHeldLU:
     def test_constrained_solve_reuses_the_factor(self):
         A, b = self.system()
         dofs, vals = np.arange(0, A.shape[0], 9), np.linspace(-1.0, 1.0, 45)
-        system = linalg.LinearSystem(dofs, vals, factor=linalg.HeldLU())
+        system = linalg.LinearSystem(dofs, vals)
         system.solve(A, b)
         A1, b1 = self.system(perturbation=1e-4, seed=2)
         x = system.solve(A1, b1)
         assert np.array_equal(x[dofs], vals)
-        ref = linalg.solve_constrained(A1, b1, dofs, vals)
+        ref = linalg.LinearSystem(dofs, vals).solve(A1, b1)
         assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
         held = system.factor
         assert held.krylov_solves == 1 and len(held.events) == 1
@@ -405,22 +404,25 @@ class TestSingleFactor:
                                  "1 LU (no factor held, in single precision)")
         assert held.apply(np.ones(A.shape[0])).dtype == np.float64
 
-    def test_fresh_solves_stay_double_bit_for_bit(self, monkeypatch):
+    def test_solves_without_a_holder_are_single_too(self, monkeypatch):
+        # One precision rule for every factor: a solve_lu given no holder,
+        # and a new system's first solve, factorize in single precision and
+        # accept a GMRES cycle on the float64 residual.
         A, b = self.system()
         order = self.order()
         dofs, vals = np.arange(0, A.shape[0], 9), np.linspace(-1.0, 1.0, 45)
-        plain = fresh_lu_reference(A, b, order)
-        ref = fresh_lu_reference(*apply_dirichlet(A, b, dofs, vals), order)
-        ref[dofs] = vals
         dtypes = self.splu_dtypes(monkeypatch)
-        assert solve_lu(A, b, order=order).tobytes() == plain.tobytes()
-        x = linalg.solve_constrained(A, b, dofs, vals, order=order)
-        assert x.tobytes() == ref.tobytes()
-        assert dtypes == [np.float64, np.float64]
-        # A system without a holder solves the same way, and runs no GMRES.
+        x = solve_lu(A, b, order=order)
+        assert np.linalg.norm(b - A @ x) <= linalg.RESIDUAL_TOL * np.linalg.norm(b)
         system = linalg.LinearSystem(dofs, vals, order)
-        assert system.factor is None
-        assert system.solve(A, b).tobytes() == ref.tobytes() and system.iterations == 0
+        x = system.solve(A, b)
+        Am, bm = apply_dirichlet(A, b, dofs, vals)
+        assert Am.nnz >= linalg.SINGLE_NNZ
+        assert np.linalg.norm(bm - Am @ x) <= linalg.RESIDUAL_TOL * np.linalg.norm(bm)
+        assert np.array_equal(x[dofs], vals)
+        assert dtypes == [np.float32, np.float32]
+        assert system.factor.events == ["no factor held, in single precision"]
+        assert 1 < system.factor.iterations <= linalg.KRYLOV_CAP
 
     def test_missed_single_cycle_refactorizes_in_double(self, monkeypatch):
         # One GMRES iteration from zero is a single-precision LU solve, about
@@ -444,12 +446,23 @@ class TestSingleFactor:
     def test_below_the_threshold_stays_double(self, monkeypatch):
         A, b = self.system()
         monkeypatch.setattr(linalg, "SINGLE_NNZ", A.nnz + 1)
-        ref = fresh_lu_reference(A, b, self.order())
+        order = self.order()
+        dofs, vals = np.arange(0, A.shape[0], 9), np.linspace(-1.0, 1.0, 45)
+        ref = fresh_lu_reference(A, b, order)
+        constrained = fresh_lu_reference(*apply_dirichlet(A, b, dofs, vals), order)
+        constrained[dofs] = vals
         dtypes = self.splu_dtypes(monkeypatch)
         held = linalg.HeldLU()
-        x = solve_lu(A, b, order=self.order(), factor=held)
+        x = solve_lu(A, b, order=order, factor=held)
         assert x.tobytes() == ref.tobytes()
         assert dtypes == [np.float64] and held.events == ["no factor held"]
+        # Without a holder, and in a new system, the solve is the same
+        # double LU bit for bit, and runs no GMRES.
+        assert solve_lu(A, b, order=order).tobytes() == ref.tobytes()
+        system = linalg.LinearSystem(dofs, vals, order)
+        assert system.solve(A, b).tobytes() == constrained.tobytes()
+        assert system.factor.iterations == 0
+        assert dtypes == [np.float64] * 3
 
 
 class TestStalledCycle:
@@ -554,6 +567,8 @@ class TestApplyDirichlet:
 
 
 class TestSolveConstrained:
+    """The constrained solve: :meth:`LinearSystem.solve` of a new system."""
+
     @staticmethod
     def system():
         n = 30
@@ -563,19 +578,19 @@ class TestSolveConstrained:
 
     def test_contract_and_exact_constrained_entries(self):
         A, b, dofs, vals = self.system()
-        x = linalg.solve_constrained(A, b, dofs, vals)
+        x = linalg.LinearSystem(dofs, vals).solve(A, b)
         assert np.array_equal(x[dofs], vals)
         Am, bm = apply_dirichlet(A, b, dofs, vals)
         assert np.linalg.norm(bm - Am @ x) <= 1e-10 * np.linalg.norm(bm)
 
     def test_contract_meeting_guess_returned_bitwise(self):
         A, b, dofs, vals = self.system()
-        x0 = linalg.solve_constrained(A, b, dofs, vals)
+        x0 = linalg.LinearSystem(dofs, vals).solve(A, b)
         x0[np.setdiff1d(np.arange(b.size), dofs)] += 1e-14  # not LU's own answer
         Am, bm = apply_dirichlet(A, b, dofs, vals)
         assert np.linalg.norm(bm - Am @ x0) <= 1e-10 * np.linalg.norm(bm)
         guess = x0.copy()
-        x = linalg.solve_constrained(A, b, dofs, vals, x0=x0)
+        x = linalg.LinearSystem(dofs, vals).solve(A, b, x0)
         assert np.array_equal(x, guess)
         assert x is not x0 and np.array_equal(x0, guess)
 
@@ -662,8 +677,7 @@ class TestLinearSystem:
 
     def test_values_resampled_at_each_solve(self):
         A, b = laplacian_1d(10), np.zeros(10)
-        system = linalg.LinearSystem([0, 9], lambda t: np.array([t, 2.0 * t]),
-                                      factor=linalg.HeldLU())
+        system = linalg.LinearSystem([0, 9], lambda t: np.array([t, 2.0 * t]))
         for t in (1.0, 3.0):
             x = system.solve(A, b, t=t)
             assert x[0] == t and x[9] == 2.0 * t
@@ -682,8 +696,7 @@ class TestLinearSystem:
             linalg.LinearSystem([1, 2], [0.0]).eliminate(laplacian_1d(12), np.zeros(12))
 
     def test_non_finite_right_hand_side_raises_before_factorizing(self):
-        system = linalg.LinearSystem([0], lambda t: np.array([np.nan if t else 1.0]),
-                                      factor=linalg.HeldLU())
+        system = linalg.LinearSystem([0], lambda t: np.array([np.nan if t else 1.0]))
         A, b = laplacian_1d(6), np.ones(6)
         system.solve(A, b, t=0.0)
         with pytest.raises(SolverError, match="non-finite right-hand side"):

@@ -52,6 +52,17 @@ class TestStationaryCases:
         verify.solve_heat_steady_case(heat_steady_case(), 16, 8)
         assert len(calls) == 2
 
+    def test_heat_unsteady_level_factorizes_once(self, monkeypatch):
+        # Every step of a level has the same matrix: the level's one system
+        # factorizes it at the first step, and GMRES on that factor solves
+        # the others.
+        factorizations = []
+        splu = linalg.spla.splu
+        monkeypatch.setattr(linalg.spla, "splu",
+                            lambda *a, **k: factorizations.append(1) or splu(*a, **k))
+        verify.solve_heat_unsteady_case(heat_unsteady_spatial_case(), 16, 8, steps=4)
+        assert len(factorizations) == 1
+
 
 class TestRateReport:
     def test_requires_three_levels(self):
@@ -73,6 +84,21 @@ class TestInvariantSuite:
         recorded = [c["name"] for c in report["checks"]]
         assert recorded == list(INVARIANT_NAMES)
         assert len(recorded) == len(set(recorded))
+
+    def test_solver_failure_fails_every_check_it_reaches(self, monkeypatch):
+        # Every solve raises: each guarded block records the names it did not
+        # reach as failed, and the report still lists all of them.
+        def failing(*args, **kwargs):
+            raise linalg.SolverError("injected failure")
+
+        monkeypatch.setattr(linalg, "solve_lu", failing)
+        report = invariant_suite(tiny_config())
+        assert [c["name"] for c in report["checks"]] == list(INVARIANT_NAMES)
+        assert not report["passed"]
+        failed = {c["name"]: c["detail"] for c in report["checks"] if not c["passed"]}
+        for name in ("linalg.residual_contracts", "linalg.dirichlet_idempotent",
+                     "fem.patch_test"):
+            assert "injected failure" in failed[name]
 
     def test_default_config_passes(self):
         report = invariant_suite(tiny_config())

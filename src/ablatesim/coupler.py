@@ -9,16 +9,19 @@ Per step n (lagged temperature th^{n-1} in hand):
                    artificial viscosity triggered by the (th^{n-1}, th^{n-2},
                    v^{n-1}) residual
 
-The three stages read theta^{n-1}, v^{n-1} and the laws sigma, eta, nu at
-the quadrature points from the state's :class:`materials.FieldSample`, which
+Each stage's problem holds the samples (:class:`materials.FieldSample`) of
+the fields it reads.  The three stages read theta^{n-1}, v^{n-1} and the
+laws sigma, eta, nu at the quadrature points from the state's sample, which
 evaluates each value once, on first read (a state built by hand gets one).
-The heat stage reads v^n from a second sample, which then takes theta^n and
-becomes the new state's.  The stage order is recorded per step and never
-reordered.  Each system keeps its constrained dofs, the structure of its
-Dirichlet elimination and its LU across its solves, the stationary ones
-included (``Simulation.systems``, see :class:`linalg.LinearSystem`).  A
-blow-up guard aborts once max|theta| or max|v| exceeds 1e4, mirroring the
-runaway regime reached for large electrode currents.
+The heat stage reads v^n from a second sample, its transport, which then
+takes theta^n and becomes the new state's.  The initial stationary flow and
+potential share one sample of theta_b.  The stage order is recorded per
+step and never reordered.  Each system keeps its constrained dofs, the
+structure of its Dirichlet elimination and its LU across its solves, the
+stationary ones included (``Simulation.systems``, see
+:class:`linalg.LinearSystem`).  A blow-up guard aborts once max|theta| or
+max|v| exceeds 1e4, mirroring the runaway regime reached for large
+electrode currents.
 """
 
 from __future__ import annotations
@@ -129,28 +132,21 @@ class Simulation:
 
     # -- problem builders -----------------------------------------------------
 
-    def _potential_problem(self, theta, sample=None) -> PotentialProblem:
+    def _potential_problem(self, sample) -> PotentialProblem:
         pot = self.config.potential_bc
         return PotentialProblem(
-            mesh=self.mesh, model=self.model, theta=theta, g=pot.g,
+            sample=sample, g=pot.g,
             neumann_tags=pot.neumann_tags, dirichlet_tags=pot.dirichlet_tags,
-            system=self.systems["potential"], sample=sample,
+            system=self.systems["potential"],
         )
 
-    def _flow_problem(self, theta, v_prev, dt, sample=None) -> FlowProblem:
-        return FlowProblem(
-            mesh=self.mesh, model=self.model,
-            theta=theta, v_prev=v_prev, dt=dt, bc=self.flow_bc,
-            system=self.systems["flow"], sample=sample,
-        )
+    def _flow_problem(self, sample, dt) -> FlowProblem:
+        return FlowProblem(sample=sample, dt=dt, bc=self.flow_bc, system=self.systems["flow"])
 
-    def _heat_problem(self, theta_prev, theta_prev2, v, v_stab, phi, dt, t,
-                      sample=None, transport=None) -> HeatProblem:
+    def _heat_problem(self, sample, theta_prev2, phi, dt, t, transport=None) -> HeatProblem:
         return HeatProblem(
-            mesh=self.mesh, model=self.model,
-            theta_prev=theta_prev, theta_prev2=theta_prev2,
-            v=v, v_stab=v_stab, phi=phi, dt=dt, bc=self.heat_bc, stab=self.stab,
-            time=t, system=self.systems["heat"], sample=sample, transport=transport,
+            sample=sample, theta_prev2=theta_prev2, phi=phi, dt=dt, bc=self.heat_bc,
+            stab=self.stab, time=t, system=self.systems["heat"], transport=transport,
         )
 
     # -- diagnostics ------------------------------------------------------------
@@ -194,18 +190,18 @@ class Simulation:
 
     def initialize(self) -> SimState:
         """Stationary solves for (v0, P0), phi0, theta0 with stage labels on failure."""
-        nv = self.mesh.num_vertices
-        theta_b_field = np.full(nv, self.model.theta_b)
+        theta_b_field = np.full(self.mesh.num_vertices, self.model.theta_b)
+        theta_b = FieldSample(self.model, self.mesh, theta_b_field)  # the flow's and potential's
         stages = []
 
         try:
             stages.append(("flow", _time.perf_counter()))
-            v0, p0 = solve_flow_stationary(
-                self._flow_problem(theta_b_field, np.zeros(self.dofmap.n_velocity), None))
+            v0, p0 = solve_flow_stationary(self._flow_problem(theta_b, None))
             stages.append(("potential", _time.perf_counter()))
-            phi0 = solve_potential(self._potential_problem(theta_b_field))
+            phi0 = solve_potential(self._potential_problem(theta_b))
             stages.append(("heat", _time.perf_counter()))
-            hp = self._heat_problem(theta_b_field, None, v0, v0, phi0, 1.0, 0.0)
+            hp = self._heat_problem(FieldSample(self.model, self.mesh, theta_b_field, v0),
+                                    None, phi0, 1.0, 0.0)
             # Pre-activation equilibrium: RF current and saline supply are off
             # until t = 0, so the initial temperature is the body-equilibrium
             # steady state; Joule heating and saline cooling switch on at step
@@ -241,21 +237,19 @@ class Simulation:
         # Stage 1: potential at the lagged temperature.
         stages.append(("potential", _time.perf_counter()))
         if state.n % cfg.solver.potential_every == 0 or state.diag is None:
-            phi = solve_potential(self._potential_problem(state.theta, sample))
+            phi = solve_potential(self._potential_problem(sample))
         else:
             phi = state.phi
 
         # Stage 2: flow advected by v^{n-1}, viscosity at theta^{n-1}.
         stages.append(("flow", _time.perf_counter()))
-        v_new, p_new = solve_flow_step(
-            self._flow_problem(state.theta, state.v, dt, sample))
+        v_new, p_new = solve_flow_step(self._flow_problem(sample, dt))
 
         # Stage 3: heat transported by v^n with lagged sources and residual.
         # v^n's sample takes theta^n and goes to the next step.
         stages.append(("heat", _time.perf_counter()))
         transport = FieldSample(self.model, self.mesh, None, v_new)
-        hp = self._heat_problem(state.theta, state.theta_prev, v_new, state.v, phi, dt,
-                                t_new, sample=sample, transport=transport)
+        hp = self._heat_problem(sample, state.theta_prev, phi, dt, t_new, transport)
         theta_new = solve_heat_step(hp)
         transport.theta_h = theta_new
 

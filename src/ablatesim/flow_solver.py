@@ -25,9 +25,11 @@ The residual and divergence contracts are checked again on the recovered
 full system.  Do-nothing outlets add no stress boundary terms; the convective
 form keeps its Gamma_N surface integral exactly as written.
 
-The viscosity, the buoyancy temperature and the advecting velocity at the
-quadrature points come from the problem's ``sample`` (:class:`materials.FieldSample`),
-shared with the other split stages or built from theta and v_prev.
+The problem's ``sample`` (:class:`materials.FieldSample`) is the lagged
+temperature with the mesh and the laws and, for a time step, the previous
+velocity v_prev; the viscosity, the buoyancy temperature and the advecting
+velocity at the quadrature points are read from it, so a split step shares
+it with its other stages.  The stationary flow reads no velocity from it.
 
 The stationary flow runs Newton's method from the Stokes solution, a plain
 :func:`linalg.fixed_point` iteration whose map is one linear solve: the
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem_core, linalg
-from .materials import FieldSample, MaterialModel
+from .materials import FieldSample
 from .mesh import Mesh2D, check_tag_roles
 
 NEWTON_TOL = 1e-8  # fixed_point tolerance of the stationary Newton iteration
@@ -115,33 +117,33 @@ class FlowBC:
 
 @dataclass
 class FlowProblem:
-    mesh: Mesh2D
-    model: MaterialModel
-    theta: np.ndarray  # lagged temperature (P1 nodal)
-    v_prev: np.ndarray  # previous velocity (n_velocity dofs)
-    dt: float
+    sample: FieldSample  # theta^{n-1} (theta_h) and, for a step, v_prev (v_h)
+    dt: float  # None for the stationary flow
     bc: dict  # tag -> FlowBC, every boundary tag present exactly once
     include_convection: bool = True
     advect_field: object = None  # callable override of the Oseen advecting field
     extra_force: object = None  # callable(x, y) -> (fx, fy); verification hook
     pressure_pin_value: float = 0.0
     system: linalg.LinearSystem = field(default_factory=linalg.LinearSystem)  # held across solves
-    sample: FieldSample | None = None  # theta's and v_prev's; built from them when None
 
-    def validate(self) -> None:
+    def validate(self, step: bool) -> None:
+        """Check what a time step (``step``) or the stationary flow reads."""
+        if step and (self.dt is None or self.sample.v_h is None):
+            raise ValueError("a flow step needs dt and the previous velocity, the sample's v_h")
         if self.dt is not None and not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         check_tag_roles(self.bc, "flow")
-        if not np.all(np.isfinite(self.v_prev)):
+        if step and not np.all(np.isfinite(self.sample.v_h)):
             raise ValueError("previous velocity contains non-finite values")
-        if not np.all(np.isfinite(np.asarray(self.theta, dtype=float))):
+        if not np.all(np.isfinite(np.asarray(self.sample.theta_h, dtype=float))):
             raise ValueError("temperature field contains non-finite values")
 
 
 def _dirichlet_velocity(problem: FlowProblem):
     """Constrained velocity dofs and values from the no-slip/inflow tags."""
-    dm = fem_core.dofmap_for(problem.mesh)
-    verts, values = fem_core.dirichlet_values(problem.mesh, {
+    mesh = problem.sample.mesh
+    dm = fem_core.dofmap_for(mesh)
+    verts, values = fem_core.dirichlet_values(mesh, {
         tag: (0.0, 0.0) if bc.role == ROLE_NOSLIP else bc.profile
         for tag, bc in problem.bc.items() if bc.role != ROLE_DONOTHING})
     return np.concatenate([dm.vx_vertex(verts), dm.vy_vertex(verts)]), values.T.ravel()
@@ -154,16 +156,17 @@ def flow_constraints(problem: FlowProblem) -> tuple:
     if not _donothing_tags(problem):
         # Enclosed flow: the do-nothing outlet normally fixes the pressure
         # level; without one, pin a single pressure dof.
-        dofs = np.append(dofs, fem_core.dofmap_for(problem.mesh).pressure(0))
+        dofs = np.append(dofs, fem_core.dofmap_for(problem.sample.mesh).pressure(0))
         vals = np.append(vals, problem.pressure_pin_value)
     return dofs, vals
 
 
-def _force_load(problem: FlowProblem, sample: FieldSample) -> np.ndarray:
-    mesh = problem.mesh
+def _force_load(problem: FlowProblem) -> np.ndarray:
+    sample = problem.sample
+    mesh = sample.mesh
     load = np.zeros(fem_core.dofmap_for(mesh).n_velocity)
-    if problem.model.buoyancy.enabled:
-        fx, fy = problem.model.body_force(sample.theta)
+    if sample.model.buoyancy.enabled:
+        fx, fy = sample.model.body_force(sample.theta)
         load += fem_core.assemble_vector_load(mesh, np.stack([fx, fy], axis=-1))
     if problem.extra_force is not None:
         qp = fem_core.geometry(mesh).qp
@@ -175,16 +178,17 @@ def _donothing_tags(problem: FlowProblem) -> tuple:
     return tuple(t for t, bc in problem.bc.items() if bc.role == ROLE_DONOTHING)
 
 
-def _solve_linear(problem: FlowProblem, sample: FieldSample, advect, include_time: bool,
-                  advect_qp=None, newton: bool = False):
+def _solve_linear(problem: FlowProblem, advect, include_time: bool, advect_qp=None,
+                  newton: bool = False):
     """One linear solve on the condensed system, Stokes or Oseen or, with
     ``newton``, the stationary Newton step from the velocity ``advect``;
     returns (v, P)."""
-    mesh = problem.mesh
+    sample = problem.sample
+    mesh = sample.mesh
     dm = fem_core.dofmap_for(mesh)
     gamma_n = _donothing_tags(problem)
     mass_coeff = 1.0 / problem.dt if include_time else 0.0
-    rhs_v = _force_load(problem, sample)
+    rhs_v = _force_load(problem)
     if newton:
         saddle, load = fem_core.assemble_newton_saddle(mesh, sample.nu, advect, gamma_n)
         rhs_v = rhs_v + load
@@ -194,7 +198,7 @@ def _solve_linear(problem: FlowProblem, sample: FieldSample, advect, include_tim
                                                     mass_coeff=mass_coeff)
     if include_time:
         M = fem_core.assemble_mini_mass(mesh)
-        rhs_v = rhs_v + mass_coeff * (M @ np.asarray(problem.v_prev, dtype=float))
+        rhs_v = rhs_v + mass_coeff * (M @ np.asarray(sample.v_h, dtype=float))
     rhs = np.concatenate([rhs_v, np.zeros(dm.n_pressure)])
 
     system = problem.system
@@ -226,15 +230,13 @@ def _solve_linear(problem: FlowProblem, sample: FieldSample, advect, include_tim
 
 def solve_flow_step(problem: FlowProblem):
     """Advance the flow one implicit-Euler step; returns (v, P)."""
-    problem.validate()
-    sample = problem.sample or FieldSample(problem.model, problem.mesh, problem.theta,
-                                           problem.v_prev)
+    problem.validate(step=True)
     advect = advect_qp = None
     if problem.include_convection and problem.advect_field is not None:
         advect = problem.advect_field
     elif problem.include_convection:
-        advect, advect_qp = problem.v_prev, sample.v
-    return _solve_linear(problem, sample, advect, True, advect_qp)
+        advect, advect_qp = problem.sample.v_h, problem.sample.v
+    return _solve_linear(problem, advect, True, advect_qp)
 
 
 def solve_flow_stationary(problem: FlowProblem):
@@ -243,16 +245,15 @@ def solve_flow_stationary(problem: FlowProblem):
     at the last velocity for the next (v, P).  Returns the last Newton solve
     (v, P); a failed linear solve, or :data:`NEWTON_MAX` Newton solves
     without meeting :data:`NEWTON_TOL`, raises SolverError."""
-    problem.validate()
-    sample = problem.sample or FieldSample(problem.model, problem.mesh, problem.theta)
+    problem.validate(step=False)
     if problem.advect_field is not None:
         # Prescribed advecting field (manufactured cases): single linear solve.
-        return _solve_linear(problem, sample, problem.advect_field, include_time=False)
-    v, p = _solve_linear(problem, sample, None, include_time=False)
+        return _solve_linear(problem, problem.advect_field, include_time=False)
+    v, p = _solve_linear(problem, None, include_time=False)
     if not problem.include_convection:
         return v, p
     return linalg.fixed_point(
-        lambda u: _solve_linear(problem, sample, u, include_time=False, newton=True),
+        lambda u: _solve_linear(problem, u, include_time=False, newton=True),
         v, NEWTON_TOL, NEWTON_MAX)
 
 

@@ -16,13 +16,14 @@ the residual acts as an upper-bound trigger, not an exact operator.
 
 The time step and the stationary Picard solve share one system builder,
 which sums mass, stiffness, advection, Robin and inflow terms in the data of
-the one P1 pattern they are all stored on.  A step reads the fields at the
+the one P1 pattern they are all stored on.  A step reads its fields at the
 quadrature points from two samples (:class:`materials.FieldSample`):
-``sample``, theta^{n-1} with the laws there and the residual's velocity
-v_stab, and ``transport``, the transporting velocity v with its D(v):D(v).
-A split step passes the samples its other stages and the previous step
-read; otherwise the step builds them from its own fields, one serving both
-when v_stab is None.  The Joule density
+``sample``, theta^{n-1} with the mesh, the laws there and the residual's
+velocity v^{n-1}, and ``transport``, the transporting velocity v^n with its
+D(v):D(v); a split step passes the samples its other stages and the previous
+step read, and a None transport leaves the sample to serve both.  The
+stationary solve starts from the sample's temperature and reads the velocity
+from the transport.  The Joule density
 (:func:`potential_solver.joule_density`) is evaluated at most once, for the
 load and the residual.  Each system is solved by the problem's
 :class:`linalg.LinearSystem` with the previous temperature as the guess, so
@@ -41,7 +42,7 @@ from functools import cache
 import numpy as np
 
 from . import fem_core, linalg
-from .materials import FieldSample, MaterialModel
+from .materials import FieldSample
 from .mesh import Mesh2D, check_tag_roles
 from .potential_solver import joule_density
 from .flow_solver import viscous_dissipation  # noqa: F401  (benchmark/tracer.py wraps it here)
@@ -99,33 +100,31 @@ class HeatBC:
 
 @dataclass
 class HeatProblem:
-    mesh: Mesh2D
-    model: MaterialModel
-    theta_prev: np.ndarray  # theta^{n-1}
-    v: np.ndarray  # velocity dofs used for transport (and dissipation)
+    sample: FieldSample  # theta^{n-1} (theta_h) and the residual's velocity v^{n-1} (v_h)
     phi: np.ndarray  # potential driving the Joule source
     dt: float
     bc: dict  # tag -> HeatBC, every boundary tag present exactly once
     stab: StabilizationParams = field(default_factory=StabilizationParams)
     theta_prev2: np.ndarray | None = None  # theta^{n-2}; None at startup
-    v_stab: np.ndarray | None = None  # velocity for residual/viscosity (v^{n-1}); defaults to v
     time: float = 0.0  # t_n, for time-dependent boundary/source closures
     include_physics_sources: bool = True
     include_inflow_bc: bool = True  # False = saline supply off (initial equilibrium)
     extra_source: object = None  # callable(x, y, t); verification hook
     system: linalg.LinearSystem = field(default_factory=linalg.LinearSystem)  # held across solves
-    # theta_prev's sample, whose velocity is v_stab's, and v's; each built
-    # from those fields when None (one serves both when v_stab is None).
-    sample: FieldSample | None = None
-    transport: FieldSample | None = None
+    transport: FieldSample | None = None  # v^n (v_h) and its D(v):D(v); the sample when None
     iterations: int = field(default=0, init=False)  # GMRES count of the step; 0 if it factorized
     art_visc: np.ndarray | None = field(default=None, init=False)  # last per-cell values
+
+    def __post_init__(self):
+        if self.transport is None:
+            self.transport = self.sample
 
     def validate(self) -> None:
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         check_tag_roles(self.bc, "heat")
-        for name, arr in (("theta_prev", self.theta_prev), ("v", self.v), ("phi", self.phi)):
+        for name, arr in (("theta_prev", self.sample.theta_h), ("v_prev", self.sample.v_h),
+                          ("v", self.transport.v_h), ("phi", self.phi)):
             if not np.all(np.isfinite(np.asarray(arr, dtype=float))):
                 raise ValueError(f"{name} contains non-finite values")
 
@@ -150,9 +149,8 @@ def _powers(theta_q, alpha, floor):
     return base ** (alpha - 1.0), base ** (alpha - 2.0)
 
 
-def entropy_residual(mesh: Mesh2D, sample: FieldSample, theta_prev: np.ndarray,
-                     theta_prev2: np.ndarray, source: np.ndarray, dt: float,
-                     alpha_exp: float = 2.0, var_floor: float = 1e-10) -> np.ndarray:
+def entropy_residual(sample: FieldSample, theta_prev2: np.ndarray, source: np.ndarray,
+                     dt: float, alpha_exp: float = 2.0, var_floor: float = 1e-10) -> np.ndarray:
     """Per-cell sup norm of the pointwise temperature-equation residual.
 
     Expanded form at each quadrature point (theta = theta^{n-1}, lagged
@@ -162,14 +160,14 @@ def entropy_residual(mesh: Mesh2D, sample: FieldSample, theta_prev: np.ndarray,
         + eta(th)(a-1) th^(a-2) |grad th|^2 - gamma th^(a-1)
 
     with gamma = nu(th) D(v):D(v) + sigma(th)|grad phi|^2, given as
-    ``source``.  ``sample`` holds th and the velocity at the quad points and
-    the laws there.  The elementwise P1 diffusion flux divergence vanishes
-    and is dropped.
+    ``source``.  ``sample`` holds th (nodal and at the quad points), the
+    velocity at the quad points and the laws there.  The elementwise P1
+    diffusion flux divergence vanishes and is dropped.
     """
     a = float(alpha_exp)
     th1_q = sample.theta
-    th2_q = fem_core.p1_at_qp(mesh, theta_prev2)
-    grad1 = fem_core.p1_gradients(mesh, theta_prev)  # (NT, 2)
+    th2_q = fem_core.p1_at_qp(sample.mesh, theta_prev2)
+    grad1 = fem_core.p1_gradients(sample.mesh, sample.theta_h)  # (NT, 2)
     pow1, pow2 = _powers(th1_q, a, var_floor)
 
     # The terms are summed in place, in the order of the expansion.
@@ -249,7 +247,7 @@ def _boundary_terms(problem: HeatProblem):
     jet imposes nothing.  A matrix, stored on the full P1 pattern, is None
     when no tag contributes.
     """
-    mesh = problem.mesh
+    mesh = problem.sample.mesh
     terms = {ROLE_ROBIN: (None, np.zeros(mesh.num_vertices)),
              ROLE_INFLOW: (None, np.zeros(mesh.num_vertices))}
     for tag, bc in sorted(problem.bc.items()):
@@ -260,7 +258,7 @@ def _boundary_terms(problem: HeatProblem):
             if bc.role == ROLE_ROBIN:
                 w = bc.alpha * wts
             else:
-                vel = fem_core.velocity_on_edges(mesh, problem.v, sel)
+                vel = fem_core.velocity_on_edges(mesh, problem.transport.v_h, sel)
                 w = wts * np.maximum(-np.einsum("egk,ek->eg", vel, normals), 0.0)
             m = fem_core.assemble_edge_mass(mesh, sel, w)
             load = fem_core.assemble_edge_load(
@@ -278,41 +276,42 @@ def _linear_system(problem: HeatProblem) -> linalg.LinearSystem:
     time."""
     system = problem.system
     if system.dofs is None:
-        bc = problem.bc
+        bc, mesh = problem.bc, problem.sample.mesh
         verts = fem_core.DirichletVertices(
-            problem.mesh, [tag for tag, heat_bc in bc.items() if heat_bc.role == ROLE_DIRICHLET])
+            mesh, [tag for tag, heat_bc in bc.items() if heat_bc.role == ROLE_DIRICHLET])
         system.constrain(verts.dofs,
                          lambda t: verts.values({tag: bc[tag].value_at(t) for tag in verts.tags}),
-                         fem_core.vertex_order(problem.mesh))
+                         fem_core.vertex_order(mesh))
     return system
 
 
-def _cell_viscosity(problem: HeatProblem, sample: FieldSample, joule) -> np.ndarray:
-    """Per-cell artificial viscosity of the step, also kept as ``art_visc``;
-    ``joule()`` is the Joule density at theta_prev, and ``sample`` is
-    theta_prev's, whose velocity is v_stab's."""
-    mesh = problem.mesh
+def _cell_viscosity(problem: HeatProblem, joule) -> np.ndarray:
+    """Per-cell artificial viscosity of the step, also kept as ``art_visc``,
+    from the problem's sample of theta^{n-1} and v^{n-1}; ``joule()`` is the
+    Joule density at theta^{n-1}."""
+    sample = problem.sample
+    mesh = sample.mesh
     art = np.zeros(mesh.num_triangles)
     if problem.stab.beta != 0.0:
         res = None
         if problem.theta_prev2 is not None:  # None at startup: h_K saturates
             source = heat_source(sample.nu, sample.strain, joule())
-            res = entropy_residual(mesh, sample, problem.theta_prev, problem.theta_prev2,
-                                   source, problem.dt, problem.stab.alpha,
-                                   problem.stab.var_floor)
-        art = artificial_viscosity(mesh, res, problem.theta_prev,
+            res = entropy_residual(sample, problem.theta_prev2, source, problem.dt,
+                                   problem.stab.alpha, problem.stab.var_floor)
+        art = artificial_viscosity(mesh, res, sample.theta_h,
                                    _cell_speed_max(mesh, sample.v_h, sample.v), problem.stab)
     problem.art_visc = art
     return art
 
 
-def _heat_system(problem: HeatProblem, mass_coeff: float, transport: FieldSample):
+def _heat_system(problem: HeatProblem, mass_coeff: float):
     """Builder of mass_coeff M + K(eta(theta) + art) + advection + Robin + inflow
     and its right-hand side.  Every term is stored on the one P1 pattern, so
     the matrix is summed in its data.  The terms that do not depend on theta,
-    among them v and D(v):D(v) at the quad points (read from ``transport``),
-    are evaluated once, when the builder is made."""
-    mesh = problem.mesh
+    among them v and D(v):D(v) at the quad points (read from the problem's
+    ``transport``), are evaluated once, when the builder is made."""
+    transport = problem.transport
+    mesh = transport.mesh
     sources = problem.include_physics_sources
     strain = transport.strain if sources else None
     extra = None
@@ -347,24 +346,20 @@ def _heat_system(problem: HeatProblem, mass_coeff: float, transport: FieldSample
 def solve_heat_step(problem: HeatProblem) -> np.ndarray:
     """One implicit-Euler step of the stabilized temperature equation."""
     problem.validate()
-    mesh = problem.mesh
-    v_stab = problem.v if problem.v_stab is None else problem.v_stab
-    sample = problem.sample or FieldSample(problem.model, mesh, problem.theta_prev, v_stab)
-    transport = problem.transport or (sample if v_stab is problem.v else
-                                      FieldSample(problem.model, mesh, None, problem.v))
-    # One Joule density at theta_prev, evaluated at most once: the load's and
+    sample = problem.sample
+    # One Joule density at theta^{n-1}, evaluated at most once: the load's and
     # the residual's.
-    joule = cache(lambda: joule_density(mesh, sample.sigma, problem.phi))
+    joule = cache(lambda: joule_density(sample.mesh, sample.sigma, problem.phi))
     # The viscosity comes first, so its residual's temporaries are freed
-    # before the system is built; so are v_stab's values when the sample was
-    # built here and the system does not read them.
-    art = _cell_viscosity(problem, sample, joule)
-    if sample is not problem.sample and sample is not transport:
+    # before the system is built; so are v^{n-1}'s values, which the system
+    # does not read unless the sample is also the transport.
+    art = _cell_viscosity(problem, joule)
+    if sample is not problem.transport:
         sample.drop("v", "strain")
-    build = _heat_system(problem, 1.0 / problem.dt, transport)
-    A_sys, rhs = build(problem.theta_prev, sample, joule, art[:, None])
+    build = _heat_system(problem, 1.0 / problem.dt)
+    A_sys, rhs = build(sample.theta_h, sample, joule, art[:, None])
     system = _linear_system(problem)
-    theta = system.solve(A_sys, rhs, x0=problem.theta_prev, t=problem.time)
+    theta = system.solve(A_sys, rhs, x0=sample.theta_h, t=problem.time)
     problem.iterations = system.factor.iterations
     return theta
 
@@ -373,20 +368,19 @@ def solve_heat_stationary(problem: HeatProblem) -> np.ndarray:
     """Steady temperature with given flow/potential, by Picard on eta(theta).
 
     Solves the unstabilized stationary equation (no time derivative, no
-    artificial viscosity); used to build initial conditions.  ``theta_prev``
-    seeds the Picard iteration, whose iterate lags the coefficients and the
-    sources; missing :data:`PICARD_TOL` in :data:`PICARD_MAX` solves raises
-    SolverError.
+    artificial viscosity); used to build initial conditions.  The sample's
+    temperature seeds the Picard iteration, whose iterate lags the
+    coefficients and the sources; missing :data:`PICARD_TOL` in
+    :data:`PICARD_MAX` solves raises SolverError.
     """
     problem.validate()
-    build = _heat_system(problem, 0.0, problem.transport
-                         or FieldSample(problem.model, problem.mesh, None, problem.v))
+    build = _heat_system(problem, 0.0)
+    model, mesh = problem.sample.model, problem.sample.mesh
 
     def step(theta):
-        laws = FieldSample(problem.model, problem.mesh, theta)
-        A_sys, rhs = build(theta, laws, lambda: joule_density(problem.mesh, laws.sigma,
-                                                              problem.phi))
+        laws = FieldSample(model, mesh, theta)
+        A_sys, rhs = build(theta, laws, lambda: joule_density(mesh, laws.sigma, problem.phi))
         return _linear_system(problem).solve(A_sys, rhs, x0=theta, t=problem.time), None
 
-    theta, _ = linalg.fixed_point(step, problem.theta_prev, PICARD_TOL, PICARD_MAX)
+    theta, _ = linalg.fixed_point(step, problem.sample.theta_h, PICARD_TOL, PICARD_MAX)
     return theta

@@ -127,6 +127,12 @@ class Mesh2D:
             raise MeshError("triangles must have shape (NT, 3)")
         if self.boundary_edges.shape[0] != self.boundary_tags.shape[0]:
             raise MeshError("one tag per boundary edge required")
+        nv = self.vertices.shape[0]
+        for kind, rows in (("triangle", self.triangles), ("boundary edge", self.boundary_edges)):
+            bad = np.flatnonzero(np.any((rows < 0) | (rows >= nv), axis=-1))
+            if bad.size:
+                raise MeshError(f"{kind} {bad[0]} {rows[bad[0]].tolist()} has a vertex index "
+                                f"outside [0, {nv})")
 
         corners = self.vertices[self.triangles]  # (NT, 3, 2)
         d1 = corners[:, 1] - corners[:, 0]

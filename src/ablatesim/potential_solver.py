@@ -3,8 +3,9 @@
 The physical problem has zero volumetric source, a prescribed current flux g
 on the electrode segment, and grounded (phi = 0) remaining boundaries; the
 optional volumetric source exists for manufactured-solution verification.
-The conductivity at the quadrature points comes from the problem's ``sample``
-(:class:`materials.FieldSample`), shared with the other split stages or built from theta.
+The problem's ``sample`` (:class:`materials.FieldSample`) is the lagged
+temperature with the mesh and the laws; the conductivity at the quadrature
+points is read from it, so a split step shares it with its other stages.
 The symmetric positive definite system is solved by the problem's
 :class:`linalg.LinearSystem`, which takes the grounded vertices from
 :func:`fem_core.dirichlet_values` at its first solve: Dirichlet elimination,
@@ -19,21 +20,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem_core, linalg
-from .materials import FieldSample, MaterialModel
+from .materials import FieldSample
 from .mesh import GAMMA1, GAMMA2, GAMMA3, GAMMA4, GAMMA5, Mesh2D
 
 
 @dataclass
 class PotentialProblem:
-    mesh: Mesh2D
-    model: MaterialModel
-    theta: np.ndarray  # lagged temperature, P1 nodal
+    sample: FieldSample  # the lagged temperature theta^{n-1} (theta_h) and its laws
     g: object = 0.0  # flux on the Neumann tags: constant or callable(x, y)
     neumann_tags: tuple = (GAMMA5,)
     dirichlet_tags: tuple = (GAMMA1, GAMMA2, GAMMA3, GAMMA4)
     source: object = None  # verification hook: (NT, NQ) array or callable(x, y)
     system: linalg.LinearSystem = field(default_factory=linalg.LinearSystem)  # held across solves
-    sample: FieldSample | None = None  # theta's; built from theta when None
     iterations: int = field(default=0, init=False)  # GMRES count of the solve; 0 if it factorized
 
 
@@ -44,14 +42,13 @@ def potential_constraints(mesh: Mesh2D, dirichlet_tags) -> tuple:
 
 def solve_potential(problem: PotentialProblem) -> np.ndarray:
     """Solve the lagged-conductivity potential equation."""
-    mesh = problem.mesh
-    theta = np.asarray(problem.theta, dtype=float)
-    if not np.all(np.isfinite(theta)):
+    sample = problem.sample
+    mesh = sample.mesh
+    if not np.all(np.isfinite(np.asarray(sample.theta_h, dtype=float))):
         raise ValueError("temperature field contains non-finite values")
     if not problem.dirichlet_tags:
         raise ValueError("potential problem needs a nonempty Dirichlet tag set")
 
-    sample = problem.sample or FieldSample(problem.model, mesh, theta)
     A = fem_core.assemble_stiffness(mesh, sample.sigma)
     b = fem_core.assemble_boundary_load(mesh, problem.neumann_tags, problem.g)
     if problem.source is not None:

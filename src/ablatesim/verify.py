@@ -251,7 +251,7 @@ def solve_potential_case(case: ManufacturedCase, nx, ny):
     msh = _mms_mesh(nx, ny)
     model = _unit_material()
     problem = PotentialProblem(
-        mesh=msh, model=model, theta=np.full(msh.num_vertices, model.theta_b),
+        sample=materials.FieldSample(model, msh, np.full(msh.num_vertices, model.theta_b)),
         g=0.0, neumann_tags=(), dirichlet_tags=(1, 2, 3, 4, 5),
         source=lambda x, y: case.source(x, y),
     )
@@ -265,9 +265,8 @@ def solve_heat_steady_case(case: ManufacturedCase, nx, ny):
     v = _const_velocity_dofs(msh, case.velocity)
     bc = {tag: _robin_from_exact(case, tag, steady=True) for tag in mesh_mod.ALL_TAGS}
     problem = HeatProblem(
-        mesh=msh, model=model,
-        theta_prev=np.zeros(msh.num_vertices), v=v, phi=np.zeros(msh.num_vertices),
-        dt=1.0, bc=bc, stab=StabilizationParams(beta=0.0),
+        sample=materials.FieldSample(model, msh, np.zeros(msh.num_vertices), v),
+        phi=np.zeros(msh.num_vertices), dt=1.0, bc=bc, stab=StabilizationParams(beta=0.0),
         include_physics_sources=False,
         extra_source=lambda x, y, t: case.source(x, y),
     )
@@ -287,8 +286,8 @@ def solve_heat_unsteady_case(case: ManufacturedCase, nx, ny, steps=None):
     system = linalg.LinearSystem()  # every step's matrix is the same: one factor serves all
     for n in range(1, steps + 1):
         problem = HeatProblem(
-            mesh=msh, model=model, theta_prev=theta,
-            theta_prev2=theta_prev2, v=v, phi=np.zeros(msh.num_vertices),
+            sample=materials.FieldSample(model, msh, theta, v),
+            theta_prev2=theta_prev2, phi=np.zeros(msh.num_vertices),
             dt=dt, bc=bc, stab=StabilizationParams(beta=0.0),
             time=n * dt, include_physics_sources=False,
             extra_source=case.source, system=system,
@@ -303,9 +302,8 @@ def solve_oseen_case(case: ManufacturedCase, nx, ny):
     model = _unit_material()
     bc = {tag: flow_solver.FlowBC("inflow", case.exact) for tag in mesh_mod.ALL_TAGS}
     problem = flow_solver.FlowProblem(
-        mesh=msh, model=model,
-        theta=np.full(msh.num_vertices, model.theta_b),
-        v_prev=np.zeros(dofmap_for(msh).n_velocity), dt=None, bc=bc,
+        sample=materials.FieldSample(model, msh, np.full(msh.num_vertices, model.theta_b)),
+        dt=None, bc=bc,
         advect_field=lambda x, y: case.exact(x, y),
         extra_force=lambda x, y: case.source(x, y),
         pressure_pin_value=float(case.pressure(0.0, 0.0)),
@@ -696,12 +694,11 @@ def invariant_suite(config) -> dict:
 
     theta_b_field = np.full(msh.num_vertices, model.theta_b)
     try:
-        pot = PotentialProblem(mesh=msh, model=model, theta=theta_b_field,
+        pot = PotentialProblem(sample=materials.FieldSample(model, msh, theta_b_field),
                                g=config.potential_bc.g,
                                neumann_tags=config.potential_bc.neumann_tags,
                                dirichlet_tags=config.potential_bc.dirichlet_tags)
-        sigma_qp = model.sigma(fem_core.p1_at_qp(msh, theta_b_field))
-        Apot = fem_core.assemble_stiffness(msh, sigma_qp)
+        Apot = fem_core.assemble_stiffness(msh, pot.sample.sigma)
         dir_dofs, dir_vals = potential_constraints(msh, pot.dirichlet_tags)
         Apot_e, _ = linalg.apply_dirichlet(Apot, np.zeros(msh.num_vertices), dir_dofs, dir_vals)
         x = rng.standard_normal(msh.num_vertices)
@@ -718,11 +715,11 @@ def invariant_suite(config) -> dict:
             scaled = MaterialModel(sigma0=3.0 * model.sigma0, eta0=model.eta0,
                                    nu_const=model.nu_const, theta_b=model.theta_b)
             pot3 = copy.copy(pot)
-            pot3.model = scaled
+            pot3.sample = materials.FieldSample(scaled, msh, theta_b_field)
             phi3 = solve_potential(pot3)
             record("potential.conductivity_scaling",
                    float(np.abs(3.0 * phi3 - phi1).max()) <= 1e-7 * float(np.abs(phi1).max()))
-            jd = joule_density(msh, model.sigma(fem_core.p1_at_qp(msh, theta_b_field)), phi1)
+            jd = joule_density(msh, pot.sample.sigma, phi1)
             record("potential.joule_nonnegative", float(jd.min()) >= 0.0)
         else:
             phi0 = solve_potential(pot)
@@ -764,9 +761,8 @@ def invariant_suite(config) -> dict:
         bc_const = {t: flow_solver.FlowBC("inflow", const_profile)
                     for t in mesh_mod.ALL_TAGS}
         fp = flow_solver.FlowProblem(
-            mesh=small, model=model,
-            theta=np.full(small.num_vertices, model.theta_b),
-            v_prev=np.zeros(dms.n_velocity), dt=None, bc=bc_const)
+            sample=materials.FieldSample(model, small, np.full(small.num_vertices, model.theta_b)),
+            dt=None, bc=bc_const)
         vconst, _ = flow_solver.solve_flow_stationary(fp)
         vv = fem_core.velocity_at_vertices(small, vconst)
         record("flow.galilean_constant",
@@ -788,9 +784,9 @@ def invariant_suite(config) -> dict:
         vprev = vstart
         for _ in range(3):
             fps = flow_solver.FlowProblem(
-                mesh=small, model=model,
-                theta=np.full(small.num_vertices, model.theta_b),
-                v_prev=vprev, dt=0.05, bc=bc_wall, include_convection=False)
+                sample=materials.FieldSample(model, small,
+                                             np.full(small.num_vertices, model.theta_b), vprev),
+                dt=0.05, bc=bc_wall, include_convection=False)
             vnew, _ = flow_solver.solve_flow_step(fps)
             if vnew @ (Mv @ vnew) > vprev @ (Mv @ vprev) * (1 + 1e-12):
                 decay_ok = False
@@ -816,8 +812,9 @@ def invariant_suite(config) -> dict:
         contraction_ok = True
         prev_norm = None
         for _ in range(4):
-            hp = HeatProblem(mesh=small, model=model, theta_prev=th,
-                             v=np.zeros(dms.n_velocity), phi=np.zeros(nvs), dt=0.1,
+            hp = HeatProblem(sample=materials.FieldSample(model, small, th,
+                                                          np.zeros(dms.n_velocity)),
+                             phi=np.zeros(nvs), dt=0.1,
                              bc=bc_rob, stab=StabilizationParams(beta=0.0),
                              include_physics_sources=False)
             th = heat_solver.solve_heat_step(hp)

@@ -10,7 +10,7 @@ from ablatesim.flow_solver import (FlowBC, FlowProblem,
                                    _dirichlet_velocity, builtin_profile_gamma1,
                                    builtin_profile_gamma5, solve_flow_stationary,
                                    solve_flow_step)
-from ablatesim.materials import MaterialModel
+from ablatesim.materials import FieldSample, MaterialModel
 from ablatesim.mesh import ALL_TAGS, GeometrySpec, generate_channel_mesh
 from ablatesim.sim_cli import preset
 
@@ -26,15 +26,16 @@ def channel_bc():
 
 def monolithic(problem, advect, dt=None, gamma_n=()):
     """(v, p) from the uncondensed saddle system, assembled block by block."""
-    mesh = problem.mesh
+    sample = problem.sample
+    mesh = sample.mesh
     dm = fem_core.dofmap_for(mesh)
-    nu = problem.model.nu(fem_core.p1_at_qp(mesh, problem.theta))
+    nu = sample.model.nu(fem_core.p1_at_qp(mesh, sample.theta_h))
     blocks = fem_core.assemble_mini_blocks(mesh, nu, advect=advect,
                                            gamma_n_tags=gamma_n)
     A, rhs_v = blocks["A_vv"], np.zeros(dm.n_velocity)
     if dt is not None:
         M = fem_core.assemble_mini_mass(mesh)
-        A, rhs_v = A + M / dt, M @ problem.v_prev / dt
+        A, rhs_v = A + M / dt, M @ sample.v_h / dt
     geo = fem_core.geometry(mesh)
     if problem.extra_force is not None:
         fx, fy = problem.extra_force(geo.qp[..., 0], geo.qp[..., 1])
@@ -65,29 +66,26 @@ def channel_step_problem(**kw):
     dm = fem_core.dofmap_for(mesh)
     rng = np.random.default_rng(3)
     model = MaterialModel(nu_law=lambda th: 0.0021 * (1.0 + 0.02 * (th - 37.0)))
-    return FlowProblem(mesh=mesh, model=model,
-                       theta=37.0 + 10.0 * rng.random(mesh.num_vertices),
-                       v_prev=0.05 * rng.standard_normal(dm.n_velocity),
-                       dt=0.01, bc=channel_bc(), **kw)
+    sample = FieldSample(model, mesh, 37.0 + 10.0 * rng.random(mesh.num_vertices),
+                         0.05 * rng.standard_normal(dm.n_velocity))
+    return FlowProblem(sample, dt=0.01, bc=channel_bc(), **kw)
 
 
 class TestEquivalence:
     def test_channel_time_step(self):
         problem = channel_step_problem()
-        nu = problem.model.nu(fem_core.p1_at_qp(problem.mesh, problem.theta))
+        sample = problem.sample
+        nu = sample.model.nu(fem_core.p1_at_qp(sample.mesh, sample.theta_h))
         assert nu.min() < nu.max()  # theta-dependent viscosity
         assert_close(solve_flow_step(problem),
-                     monolithic(problem, problem.v_prev, dt=problem.dt, gamma_n=(3,)))
+                     monolithic(problem, sample.v_h, dt=problem.dt, gamma_n=(3,)))
 
     def test_mms_oseen_with_pressure_pin(self):
         case = verify.oseen_case()
         mesh = verify._mms_mesh(16, 8)
-        dm = fem_core.dofmap_for(mesh)
         model = verify._unit_material()
         problem = FlowProblem(
-            mesh=mesh, model=model,
-            theta=np.full(mesh.num_vertices, model.theta_b),
-            v_prev=np.zeros(dm.n_velocity), dt=None,
+            FieldSample(model, mesh, np.full(mesh.num_vertices, model.theta_b)), dt=None,
             bc={tag: FlowBC("inflow", lambda x, y: case.exact(x, y)) for tag in ALL_TAGS},
             advect_field=lambda x, y: case.exact(x, y),
             extra_force=lambda x, y: case.source(x, y),
@@ -100,15 +98,16 @@ class TestEquivalence:
 class TestContracts:
     def test_full_residual_and_divergence(self):
         problem = channel_step_problem()
-        mesh = problem.mesh
+        sample = problem.sample
+        mesh = sample.mesh
         dm = fem_core.dofmap_for(mesh)
         v, p = solve_flow_step(problem)
-        nu = problem.model.nu(fem_core.p1_at_qp(mesh, problem.theta))
-        saddle = fem_core.assemble_condensed_saddle(mesh, nu, advect=problem.v_prev,
+        nu = sample.model.nu(fem_core.p1_at_qp(mesh, sample.theta_h))
+        saddle = fem_core.assemble_condensed_saddle(mesh, nu, advect=sample.v_h,
                                                     gamma_n_tags=(3,),
                                                     mass_coeff=1.0 / problem.dt)
         M = fem_core.assemble_mini_mass(mesh)
-        rhs = np.concatenate([M @ problem.v_prev / problem.dt, np.zeros(dm.n_pressure)])
+        rhs = np.concatenate([M @ sample.v_h / problem.dt, np.zeros(dm.n_pressure)])
         res = saddle.residual(np.concatenate([v, p]), rhs)
         dofs, _ = _dirichlet_velocity(problem)
         free = np.setdiff1d(np.arange(dm.n_flow), dofs)
@@ -120,21 +119,18 @@ class TestContracts:
     def test_singular_bubble_block_raises(self, nu):
         # No viscosity, no convection, no mass: every bubble block is zero.
         mesh = generate_channel_mesh(GeometrySpec(L=L, H=H, r=R, nx=10, ny=6))
-        dm = fem_core.dofmap_for(mesh)
-        problem = FlowProblem(mesh=mesh,
-                              model=MaterialModel(nu_law=lambda th: np.full_like(th, nu)),
-                              theta=np.full(mesh.num_vertices, 37.0),
-                              v_prev=np.zeros(dm.n_velocity), dt=None, bc=channel_bc(),
-                              include_convection=False)
+        model = MaterialModel(nu_law=lambda th: np.full_like(th, nu))
+        problem = FlowProblem(FieldSample(model, mesh, np.full(mesh.num_vertices, 37.0)),
+                              dt=None, bc=channel_bc(), include_convection=False)
         with pytest.raises(linalg.SingularMatrix, match="bubble block"):
             solve_flow_stationary(problem)
 
     def test_recovered_bubbles_solve_their_rows(self):
         # For any P1 vector, the recovered full vector solves the bubble rows.
         problem = channel_step_problem()
-        mesh = problem.mesh
+        mesh = problem.sample.mesh
         dm = fem_core.dofmap_for(mesh)
-        saddle = fem_core.assemble_condensed_saddle(mesh, 0.01, advect=problem.v_prev,
+        saddle = fem_core.assemble_condensed_saddle(mesh, 0.01, advect=problem.sample.v_h,
                                                     mass_coeff=3.0)
         rng = np.random.default_rng(5)
         rhs = rng.standard_normal(dm.n_flow)

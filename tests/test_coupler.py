@@ -111,8 +111,8 @@ class TestInitialize:
         increments = []
         solve = flow_solver._solve_linear
 
-        def spy(problem, coeffs, advect, *args, **kwargs):
-            v, p = solve(problem, coeffs, advect, *args, **kwargs)
+        def spy(problem, advect, *args, **kwargs):
+            v, p = solve(problem, advect, *args, **kwargs)
             increments.append(None if advect is None else
                               np.linalg.norm(v - advect) / max(1.0, np.linalg.norm(v)))
             return v, p
@@ -125,9 +125,8 @@ class TestInitialize:
         assert increments[-1] < 1e-11
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
         theta_b = np.full(sim.mesh.num_vertices, sim.model.theta_b)
-        problem = sim._flow_problem(theta_b, np.zeros_like(state.v), None)
-        v1, _ = solve(problem, FieldSample(sim.model, sim.mesh, theta_b), state.v,
-                      include_time=False)
+        problem = sim._flow_problem(FieldSample(sim.model, sim.mesh, theta_b), None)
+        v1, _ = solve(problem, state.v, include_time=False)
         assert np.linalg.norm(v1 - state.v) < 1e-8 * np.linalg.norm(v1)
 
     def test_test3_heat_converges_in_at_most_five_maps(self, fixed_point_maps):
@@ -465,11 +464,10 @@ class TestHeldFactors:
         # Picard maps on 1.
         sim = Simulation(preset("test3"))
         theta_b = np.full(sim.mesh.num_vertices, sim.model.theta_b)
-        flow = flow_solver.FlowProblem(mesh=sim.mesh, model=sim.model, theta=theta_b,
-                                       v_prev=np.zeros(sim.dofmap.n_velocity), dt=None,
+        flow = flow_solver.FlowProblem(FieldSample(sim.model, sim.mesh, theta_b), dt=None,
                                        bc=sim.flow_bc)
         v0, _ = flow_solver.solve_flow_stationary(flow)
-        heat = HeatProblem(mesh=sim.mesh, model=sim.model, theta_prev=theta_b, v=v0,
+        heat = HeatProblem(FieldSample(sim.model, sim.mesh, theta_b, v0),
                            phi=np.zeros(sim.mesh.num_vertices), dt=1.0, bc=sim.heat_bc,
                            include_physics_sources=False, include_inflow_bc=False)
         heat_solver.solve_heat_stationary(heat)
@@ -630,6 +628,19 @@ class TestSharedFields:
                          "max_art_visc", "min_art_visc", "centroid_x"):
                 assert getattr(carried.diag, name) == getattr(bare.diag, name), name
 
+    @pytest.mark.parametrize("name, calls", [("test1", 3), ("test3", 6)])
+    def test_initialize_samples_theta_b_once(self, monkeypatch, name, calls):
+        # The stationary flow and the potential share one sample of theta_b;
+        # each Picard map of the heat (1 for test1, 4 for test3) and the
+        # diagnostics of the initial state sample their temperature once.
+        from collections import Counter
+
+        sim = Simulation(preset(name))
+        counts = Counter()
+        self.spy(monkeypatch, [fem_core], "p1_at_qp", counts)
+        sim.initialize()
+        assert counts["p1_at_qp"] == calls
+
     def test_strain_of_the_startup_state_is_never_evaluated(self, monkeypatch):
         # At startup the residual is off, so only v^1's D(v):D(v), the heat
         # source's, is evaluated; the lagged state's is never read.
@@ -660,8 +671,9 @@ def test_heat_step_peak_memory():
     prev = sim.advance(rest_state(sim))
     state = sim.advance(prev)
     dt = cfg.time.dt
-    problem = sim._heat_problem(state.theta, state.theta_prev, state.v, prev.v,
-                                state.phi, dt, state.t + dt)
+    problem = sim._heat_problem(FieldSample(sim.model, sim.mesh, state.theta, prev.v),
+                                state.theta_prev, state.phi, dt, state.t + dt,
+                                FieldSample(sim.model, sim.mesh, None, state.v))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -7,7 +7,7 @@ from ablatesim.flow_solver import (FlowBC, FlowProblem,
                                    builtin_profile_gamma5, make_profile,
                                    solve_flow_stationary, solve_flow_step)
 from ablatesim.linalg import SolverError
-from ablatesim.materials import MaterialModel
+from ablatesim.materials import FieldSample, MaterialModel
 from ablatesim.mesh import ALL_TAGS, GeometrySpec, generate_channel_mesh
 
 L, H, R = 1.5, 0.5, 0.075
@@ -28,13 +28,13 @@ def bc_test1():
 
 
 def make_problem(mesh, bc, theta_val=37.0, v_prev=None, dt=0.01, **kw):
-    dm = fem_core.dofmap_for(mesh)
+    """A step's problem, whose sample carries v_prev (zero by default), or
+    with ``dt=None`` the stationary one, whose sample carries no velocity."""
     model = kw.pop("model", MaterialModel())
-    if v_prev is None:
-        v_prev = np.zeros(dm.n_velocity)
-    return FlowProblem(mesh=mesh, model=model,
-                       theta=np.full(mesh.num_vertices, theta_val),
-                       v_prev=v_prev, dt=dt, bc=bc, **kw)
+    if v_prev is None and dt is not None:
+        v_prev = np.zeros(fem_core.dofmap_for(mesh).n_velocity)
+    sample = FieldSample(model, mesh, np.full(mesh.num_vertices, theta_val), v_prev)
+    return FlowProblem(sample, dt=dt, bc=bc, **kw)
 
 
 class TestProfiles:
@@ -142,6 +142,15 @@ class TestFlowStep:
         problem = make_problem(channel_mesh(10, 6), bc_test1(), dt=-0.1)
         with pytest.raises(ValueError):
             solve_flow_step(problem)
+        # A step needs dt and the previous velocity, its sample's v_h.
+        mesh = channel_mesh(10, 6)
+        v_prev = np.zeros(fem_core.dofmap_for(mesh).n_velocity)
+        no_dt = make_problem(mesh, bc_test1(), v_prev=v_prev, dt=None)
+        no_velocity = make_problem(mesh, bc_test1())
+        no_velocity.sample.v_h = None
+        for problem in (no_dt, no_velocity):
+            with pytest.raises(ValueError, match="needs dt and the previous velocity"):
+                solve_flow_step(problem)
 
     def test_missing_tag_rejected(self):
         bc = bc_test1()
@@ -151,8 +160,8 @@ class TestFlowStep:
 
     def test_nan_field_rejected(self):
         problem = make_problem(channel_mesh(10, 6), bc_test1())
-        problem.theta = problem.theta.copy()
-        problem.theta[0] = np.inf
+        problem.sample.theta_h = problem.sample.theta_h.copy()
+        problem.sample.theta_h[0] = np.inf
         with pytest.raises(ValueError):
             solve_flow_step(problem)
 

@@ -29,7 +29,7 @@ def entropy_residual(mesh, model, th1, th2, v, phi, dt, alpha=2.0):
     sample = FieldSample(model, mesh, th1, v)
     source = (sample.nu * viscous_dissipation(mesh, v)
               + joule_density(mesh, sample.sigma, phi))
-    return heat_solver.entropy_residual(mesh, sample, th1, th2, source, dt, alpha)
+    return heat_solver.entropy_residual(sample, th2, source, dt, alpha)
 
 
 def cell_speed(mesh, v):
@@ -58,14 +58,15 @@ def robin_bc(theta_l=37.0, alpha=1.0):
 
 
 def make_problem(mesh, bc, theta_prev, v=None, phi=None, dt=0.05, **kw):
+    """A problem whose one sample of theta_prev and v serves both the
+    residual and the transport, unless a ``transport`` is given."""
     dm = fem_core.dofmap_for(mesh)
     model = kw.pop("model", MaterialModel())
     if v is None:
         v = np.zeros(dm.n_velocity)
     if phi is None:
         phi = np.zeros(mesh.num_vertices)
-    return HeatProblem(mesh=mesh, model=model, theta_prev=theta_prev,
-                       v=v, phi=phi, dt=dt, bc=bc, **kw)
+    return HeatProblem(FieldSample(model, mesh, theta_prev, v), phi=phi, dt=dt, bc=bc, **kw)
 
 
 class TestStabilizationParams:
@@ -309,10 +310,9 @@ class TestHeatStep:
         mesh = small_mesh()
         dm = fem_core.dofmap_for(mesh)
         theta = np.full(mesh.num_vertices, 37.0)
-        problem = make_problem(mesh, robin_bc(), theta,
-                               v=const_velocity(dm, 1.0, 0.0),
-                               v_stab=np.zeros(dm.n_velocity),
-                               theta_prev2=theta)
+        transport = FieldSample(MaterialModel(), mesh, None, const_velocity(dm, 1.0, 0.0))
+        problem = make_problem(mesh, robin_bc(), theta, v=np.zeros(dm.n_velocity),
+                               transport=transport, theta_prev2=theta)
         solve_heat_step(problem)
         # residual/viscosity velocity is the lagged one (zero): no viscosity
         assert np.abs(problem.art_visc).max() == 0.0
@@ -334,7 +334,7 @@ class TestHeatStep:
         return counts
 
     def test_one_sample_serves_v_and_v_stab(self, monkeypatch):
-        # v_stab None: the transport, the source and the residual read one
+        # No transport: the advection, the source and the residual read one
         # sample of v.
         mesh = small_mesh()
         rng = np.random.default_rng(5)
@@ -425,7 +425,7 @@ class TestBoundaryKernel:
 
     def test_robin_and_inflow_terms_match_edge_loop(self):
         problem, vertex_v = self.robin_inflow_problem()
-        mesh, bc = problem.mesh, problem.bc
+        mesh, bc = problem.sample.mesh, problem.bc
         (R, r), (I, i) = heat_solver._boundary_terms(problem)
         (R_ref, r_ref), (I_ref, i_ref) = edge_by_edge_terms(mesh, bc, vertex_v, 0.3)
         for got, ref in ((R.toarray(), R_ref), (r, r_ref), (I.toarray(), I_ref), (i, i_ref)):
@@ -438,23 +438,23 @@ class TestBoundaryKernel:
 
     def test_system_summed_in_pattern_data_matches_the_sparse_sum(self):
         problem, _ = self.robin_inflow_problem()
-        mesh, dt, theta = problem.mesh, problem.dt, problem.theta_prev
-        laws = FieldSample(problem.model, mesh, theta)
+        mesh, dt, theta = problem.sample.mesh, problem.dt, problem.sample.theta_h
+        v = problem.sample.v_h
+        laws = FieldSample(problem.sample.model, mesh, theta)
         art = np.random.default_rng(8).uniform(0.0, 1e-2, (mesh.num_triangles, 1))
         joule = joule_density(mesh, laws.sigma, problem.phi)
-        build = heat_solver._heat_system(problem, 1.0 / dt,
-                                         FieldSample(problem.model, mesh, None, problem.v))
+        build = heat_solver._heat_system(problem, 1.0 / dt)
         A, rhs = build(theta, laws, lambda: joule, art)
         # The reference sums the same terms as sparse matrices, tag by tag.
         Mc = fem_core.assemble_mass(mesh) / dt
         ref = (Mc + fem_core.assemble_stiffness(mesh, laws.eta + art)
-               + fem_core.assemble_advection(mesh, fem_core.velocity_at_qp(mesh, problem.v)))
-        src = laws.nu * viscous_dissipation(mesh, problem.v) + joule
+               + fem_core.assemble_advection(mesh, fem_core.velocity_at_qp(mesh, v)))
+        src = laws.nu * viscous_dissipation(mesh, v) + joule
         ref_rhs = Mc @ theta + fem_core.assemble_scalar_load(mesh, src)
         for tag in (1, 4, 5):
             terms = heat_solver._boundary_terms(make_problem(
                 mesh, {t: problem.bc[t] if t == tag else HeatBC("neumann") for t in ALL_TAGS},
-                theta, v=problem.v, time=problem.time))
+                theta, v=v, time=problem.time))
             for mat, load in terms:
                 if mat is not None:
                     ref = ref + mat

@@ -241,6 +241,14 @@ class TestIO:
         with pytest.raises(MeshError, match="NT count"):
             load_mesh(path)
 
+    def test_out_of_range_vertex_index_rejected(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        nt_line = next(i for i, ln in enumerate(lines) if ln.startswith("NT "))
+        lines[nt_line + 1] = "0 1 1000"
+        path.write_text("\n".join(lines))
+        with pytest.raises(MeshError, match=r"triangle 0 \[0, 1, 1000\] .* outside \[0, 55\)"):
+            load_mesh(path)
+
     def test_wrong_field_count_rejected(self, tmp_path):
         path, lines = self._saved_lines(tmp_path)
         lines[-1] = lines[-1].rsplit(" ", 1)[0]  # a boundary edge without its tag

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ablatesim import fem_core, linalg
-from ablatesim.materials import MaterialModel
+from ablatesim.materials import FieldSample, MaterialModel
 from ablatesim.mesh import GAMMA5, GeometrySpec, generate_channel_mesh
 from ablatesim.potential_solver import (PotentialProblem, joule_density,
                                         solve_potential)
@@ -25,7 +25,7 @@ def channel_problem(g=5.0, nx=20, ny=10):
     mesh = generate_channel_mesh(GeometrySpec(L=1.5, H=0.5, r=0.075, nx=nx, ny=ny))
     model = MaterialModel()
     theta = np.full(mesh.num_vertices, model.theta_b)
-    return PotentialProblem(mesh=mesh, model=model, theta=theta, g=g)
+    return PotentialProblem(FieldSample(model, mesh, theta), g=g)
 
 
 class TestSolvePotential:
@@ -39,8 +39,7 @@ class TestSolvePotential:
         # the exact solution phi = x is in the P1 space.
         mesh = unit_square_mesh()
         problem = PotentialProblem(
-            mesh=mesh, model=unit_model(),
-            theta=np.full(mesh.num_vertices, 37.0),
+            FieldSample(unit_model(), mesh, np.full(mesh.num_vertices, 37.0)),
             g=1.0, neumann_tags=(3,), dirichlet_tags=(1,))
         phi = solve_potential(problem)
         assert np.abs(phi - mesh.vertices[:, 0]).max() < 1e-10
@@ -49,14 +48,14 @@ class TestSolvePotential:
         problem = channel_problem()
         phi = solve_potential(problem)
         for tag in problem.dirichlet_tags:
-            verts = problem.mesh.boundary_vertices_with_tag(tag)
+            verts = problem.sample.mesh.boundary_vertices_with_tag(tag)
             assert np.abs(phi[verts]).max() == 0.0
 
     def test_discrete_residual_below_tol(self):
         problem = channel_problem()
         phi = solve_potential(problem)
-        mesh, model = problem.mesh, problem.model
-        sigma_qp = model.sigma(fem_core.p1_at_qp(mesh, problem.theta))
+        mesh, model = problem.sample.mesh, problem.sample.model
+        sigma_qp = model.sigma(fem_core.p1_at_qp(mesh, problem.sample.theta_h))
         A = fem_core.assemble_stiffness(mesh, sigma_qp)
         b = fem_core.assemble_boundary_load(mesh, (GAMMA5,), problem.g)
         dirichlet = np.unique(np.concatenate(
@@ -67,8 +66,8 @@ class TestSolvePotential:
 
     def test_nonfinite_theta_rejected(self):
         problem = channel_problem()
-        problem.theta = problem.theta.copy()
-        problem.theta[3] = np.nan
+        problem.sample.theta_h = problem.sample.theta_h.copy()
+        problem.sample.theta_h[3] = np.nan
         with pytest.raises(ValueError):
             solve_potential(problem)
 
@@ -91,14 +90,14 @@ class TestProperties:
         p1 = channel_problem()
         phi1 = solve_potential(p1)
         p2 = channel_problem()
-        p2.model = MaterialModel(sigma0=5.0 * 0.6)
+        p2.sample.model = MaterialModel(sigma0=5.0 * 0.6)
         phi2 = solve_potential(p2)
         assert np.abs(5.0 * phi2 - phi1).max() <= 1e-7 * np.abs(phi1).max()
 
     def test_spd_after_elimination(self):
         problem = channel_problem()
-        mesh, model = problem.mesh, problem.model
-        sigma_qp = model.sigma(fem_core.p1_at_qp(mesh, problem.theta))
+        mesh, model = problem.sample.mesh, problem.sample.model
+        sigma_qp = model.sigma(fem_core.p1_at_qp(mesh, problem.sample.theta_h))
         A = fem_core.assemble_stiffness(mesh, sigma_qp)
         dirichlet = np.unique(np.concatenate(
             [mesh.boundary_vertices_with_tag(t) for t in problem.dirichlet_tags]))
@@ -113,8 +112,8 @@ class TestProperties:
 class TestJouleDensity:
     def test_zero_potential(self):
         problem = channel_problem()
-        jd = joule(problem.mesh, problem.model, problem.theta,
-                   np.zeros(problem.mesh.num_vertices))
+        sample = problem.sample
+        jd = joule(sample.mesh, sample.model, sample.theta_h, np.zeros(sample.mesh.num_vertices))
         assert np.abs(jd).max() == 0.0
 
     def test_linear_potential_unit_sigma(self):
@@ -127,15 +126,15 @@ class TestJouleDensity:
     def test_nonnegative_everywhere(self):
         problem = channel_problem()
         phi = solve_potential(problem)
-        jd = joule(problem.mesh, problem.model, problem.theta, phi)
+        jd = joule(problem.sample.mesh, problem.sample.model, problem.sample.theta_h, phi)
         assert jd.min() >= 0.0
 
     def test_max_density_adjacent_to_electrode(self):
         # argmax scan oracle: the hottest cells must touch the electrode
         problem = channel_problem()
         phi = solve_potential(problem)
-        mesh = problem.mesh
-        jd = joule(mesh, problem.model, problem.theta, phi)
+        mesh = problem.sample.mesh
+        jd = joule(mesh, problem.sample.model, problem.sample.theta_h, phi)
         cell = int(np.argmax(jd.max(axis=1)))
         g5 = set(mesh.boundary_vertices_with_tag(GAMMA5))
         assert set(mesh.triangles[cell]) & g5

@@ -15,10 +15,11 @@ laws sigma, eta, nu at the quadrature points from the state's sample, which
 evaluates each value once, on first read (a state built by hand gets one).
 The heat stage reads v^n from a second sample, its transport, which then
 takes theta^n and becomes the new state's.  The initial stationary flow and
-potential share one sample of theta_b.  The stage order is recorded per
-step and never reordered.  Each system keeps its constrained dofs, the
-structure of its Dirichlet elimination and its LU across its solves, the
-stationary ones included (``Simulation.systems``, see
+potential share one sample of theta_b; the stationary heat's sample of v0
+then takes theta0 and becomes the initial state's.  The stage order is
+recorded per step and never reordered.  Each system keeps its constrained
+dofs, the structure of its Dirichlet elimination and its LU across its
+solves, the stationary ones included (``Simulation.systems``, see
 :class:`linalg.LinearSystem`).  A blow-up guard aborts once max|theta| or
 max|v| exceeds 1e4, mirroring the runaway regime reached for large
 electrode currents.
@@ -34,7 +35,8 @@ import numpy as np
 
 from . import fem_core
 from .flow_solver import FlowProblem, solve_flow_stationary, solve_flow_step
-from .heat_solver import HeatProblem, solve_heat_stationary, solve_heat_step
+from .heat_solver import (ROLE_INFLOW, HeatBC, HeatProblem, solve_heat_stationary,
+                          solve_heat_step)
 from .linalg import LinearSystem, SolverError
 from .materials import FieldSample
 from .mesh import TAG_NAMES, generate_channel_mesh
@@ -200,24 +202,28 @@ class Simulation:
             stages.append(("potential", _time.perf_counter()))
             phi0 = solve_potential(self._potential_problem(theta_b))
             stages.append(("heat", _time.perf_counter()))
-            hp = self._heat_problem(FieldSample(self.model, self.mesh, theta_b_field, v0),
-                                    None, phi0, 1.0, 0.0)
             # Pre-activation equilibrium: RF current and saline supply are off
             # until t = 0, so the initial temperature is the body-equilibrium
-            # steady state; Joule heating and saline cooling switch on at step
-            # 1 and the run contains their transients (the produced heat then
+            # steady state, with no physics sources and each inflow tag
+            # insulated; Joule heating and saline cooling switch on at step 1
+            # and the run contains their transients (the produced heat then
             # rides the flow toward the outlet).
-            hp.include_physics_sources = False
-            hp.include_inflow_bc = False
-            theta0 = solve_heat_stationary(hp)
+            off = {tag: HeatBC() if bc.role == ROLE_INFLOW else bc
+                   for tag, bc in self.heat_bc.items()}
+            sample = FieldSample(self.model, self.mesh, theta_b_field, v0)
+            theta0 = solve_heat_stationary(HeatProblem(
+                sample=sample, phi=phi0, dt=None, bc=off, include_physics_sources=False,
+                system=self.systems["heat"]))
         except Exception as exc:
             # Name the failed stage in the message; the exception keeps its
             # class, attributes and traceback.
             exc.args = (f"initialize/{stages[-1][0]}: {exc}",)
             raise
 
+        # The stationary heat read only v0 from its sample, so v0 is evaluated once.
+        sample.theta_h = theta0
         state = SimState(t=0.0, n=0, v=v0, P=p0, theta=theta0, phi=phi0,
-                         theta_prev=None, sample=FieldSample(self.model, self.mesh, theta0, v0))
+                         theta_prev=None, sample=sample)
         state.check_finite()
         state.diag = self._diagnostics(state, None, stages)
         self._guard(state, rows=[state.diag])
@@ -226,8 +232,7 @@ class Simulation:
     def advance(self, state: SimState) -> SimState:
         """One split step; the input state is left untouched on any failure."""
         state.check_finite()
-        cfg = self.config
-        dt = cfg.time.dt
+        dt = self.config.time.dt
         n_new = state.n + 1
         t_new = state.t + dt
         stages = []
@@ -236,10 +241,7 @@ class Simulation:
 
         # Stage 1: potential at the lagged temperature.
         stages.append(("potential", _time.perf_counter()))
-        if state.n % cfg.solver.potential_every == 0 or state.diag is None:
-            phi = solve_potential(self._potential_problem(sample))
-        else:
-            phi = state.phi
+        phi = solve_potential(self._potential_problem(sample))
 
         # Stage 2: flow advected by v^{n-1}, viscosity at theta^{n-1}.
         stages.append(("flow", _time.perf_counter()))

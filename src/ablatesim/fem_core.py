@@ -24,7 +24,6 @@ class QuadratureRule:
 
     points: np.ndarray  # (NQ, 3) barycentric coordinates
     weights: np.ndarray  # (NQ,)
-    degree: int
 
 
 def _dunavant6() -> QuadratureRule:
@@ -50,7 +49,7 @@ def _dunavant6() -> QuadratureRule:
     pts = np.array(pts)
     wts = 0.5 * np.array(wts)
     wts *= 0.5 / wts.sum()  # pin the sum to the reference area exactly
-    return QuadratureRule(points=pts, weights=wts, degree=6)
+    return QuadratureRule(points=pts, weights=wts)
 
 
 TRI_RULE = _dunavant6()
@@ -66,7 +65,6 @@ FILL_BLOCK = 2048  # triangles per block of the viscous, convective and condense
 class ElementP1:
     """Linear nodal basis = barycentric coordinates; constant gradients."""
 
-    n_basis = 3
     ref_grads = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
     @staticmethod
@@ -76,8 +74,6 @@ class ElementP1:
 
 class ElementP1Bubble:
     """P1 plus the cubic bubble 27*l1*l2*l3 (per velocity component)."""
-
-    n_basis = 4
 
     @staticmethod
     def bubble_values(bary: np.ndarray) -> np.ndarray:

@@ -22,8 +22,8 @@ quadrature points from two samples (:class:`materials.FieldSample`):
 velocity v^{n-1}, and ``transport``, the transporting velocity v^n with its
 D(v):D(v); a split step passes the samples its other stages and the previous
 step read, and a None transport leaves the sample to serve both.  The
-stationary solve starts from the sample's temperature and reads the velocity
-from the transport.  The Joule density
+stationary solve starts from the sample's temperature, reads the velocity
+from the transport and needs no ``dt``.  The Joule density
 (:func:`potential_solver.joule_density`) is evaluated at most once, for the
 load and the residual.  Each system is solved by the problem's
 :class:`linalg.LinearSystem` with the previous temperature as the guess, so
@@ -102,13 +102,12 @@ class HeatBC:
 class HeatProblem:
     sample: FieldSample  # theta^{n-1} (theta_h) and the residual's velocity v^{n-1} (v_h)
     phi: np.ndarray  # potential driving the Joule source
-    dt: float
+    dt: float  # None for the stationary solve
     bc: dict  # tag -> HeatBC, every boundary tag present exactly once
     stab: StabilizationParams = field(default_factory=StabilizationParams)
     theta_prev2: np.ndarray | None = None  # theta^{n-2}; None at startup
     time: float = 0.0  # t_n, for time-dependent boundary/source closures
     include_physics_sources: bool = True
-    include_inflow_bc: bool = True  # False = saline supply off (initial equilibrium)
     extra_source: object = None  # callable(x, y, t); verification hook
     system: linalg.LinearSystem = field(default_factory=linalg.LinearSystem)  # held across solves
     transport: FieldSample | None = None  # v^n (v_h) and its D(v):D(v); the sample when None
@@ -119,8 +118,11 @@ class HeatProblem:
         if self.transport is None:
             self.transport = self.sample
 
-    def validate(self) -> None:
-        if not self.dt > 0.0:
+    def validate(self, step: bool) -> None:
+        """Check what a time step (``step``) or the stationary solve reads."""
+        if step and self.dt is None:
+            raise ValueError("a heat step needs dt")
+        if self.dt is not None and not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         check_tag_roles(self.bc, "heat")
         for name, arr in (("theta_prev", self.sample.theta_h), ("v_prev", self.sample.v_h),
@@ -150,7 +152,7 @@ def _powers(theta_q, alpha, floor):
 
 
 def entropy_residual(sample: FieldSample, theta_prev2: np.ndarray, source: np.ndarray,
-                     dt: float, alpha_exp: float = 2.0, var_floor: float = 1e-10) -> np.ndarray:
+                     dt: float, stab: StabilizationParams) -> np.ndarray:
     """Per-cell sup norm of the pointwise temperature-equation residual.
 
     Expanded form at each quadrature point (theta = theta^{n-1}, lagged
@@ -161,10 +163,11 @@ def entropy_residual(sample: FieldSample, theta_prev2: np.ndarray, source: np.nd
 
     with gamma = nu(th) D(v):D(v) + sigma(th)|grad phi|^2, given as
     ``source``.  ``sample`` holds th (nodal and at the quad points), the
-    velocity at the quad points and the laws there.  The elementwise P1
-    diffusion flux divergence vanishes and is dropped.
+    velocity at the quad points and the laws there; ``stab`` gives the
+    exponent a (``alpha``) and the floor of fractional powers (``var_floor``).
+    The elementwise P1 diffusion flux divergence vanishes and is dropped.
     """
-    a = float(alpha_exp)
+    a, var_floor = float(stab.alpha), stab.var_floor
     th1_q = sample.theta
     th2_q = fem_core.p1_at_qp(sample.mesh, theta_prev2)
     grad1 = fem_core.p1_gradients(sample.mesh, sample.theta_h)  # (NT, 2)
@@ -251,8 +254,7 @@ def _boundary_terms(problem: HeatProblem):
     terms = {ROLE_ROBIN: (None, np.zeros(mesh.num_vertices)),
              ROLE_INFLOW: (None, np.zeros(mesh.num_vertices))}
     for tag, bc in sorted(problem.bc.items()):
-        if ((bc.role == ROLE_ROBIN and bc.alpha != 0.0)
-                or (bc.role == ROLE_INFLOW and problem.include_inflow_bc)):
+        if (bc.role == ROLE_ROBIN and bc.alpha != 0.0) or bc.role == ROLE_INFLOW:
             sel = fem_core._tag_selector(mesh, (tag,))
             pts, wts, normals = fem_core.edge_quadrature(mesh, sel)
             if bc.role == ROLE_ROBIN:
@@ -296,8 +298,7 @@ def _cell_viscosity(problem: HeatProblem, joule) -> np.ndarray:
         res = None
         if problem.theta_prev2 is not None:  # None at startup: h_K saturates
             source = heat_source(sample.nu, sample.strain, joule())
-            res = entropy_residual(sample, problem.theta_prev2, source, problem.dt,
-                                   problem.stab.alpha, problem.stab.var_floor)
+            res = entropy_residual(sample, problem.theta_prev2, source, problem.dt, problem.stab)
         art = artificial_viscosity(mesh, res, sample.theta_h,
                                    _cell_speed_max(mesh, sample.v_h, sample.v), problem.stab)
     problem.art_visc = art
@@ -345,7 +346,7 @@ def _heat_system(problem: HeatProblem, mass_coeff: float):
 
 def solve_heat_step(problem: HeatProblem) -> np.ndarray:
     """One implicit-Euler step of the stabilized temperature equation."""
-    problem.validate()
+    problem.validate(step=True)
     sample = problem.sample
     # One Joule density at theta^{n-1}, evaluated at most once: the load's and
     # the residual's.
@@ -371,9 +372,9 @@ def solve_heat_stationary(problem: HeatProblem) -> np.ndarray:
     artificial viscosity); used to build initial conditions.  The sample's
     temperature seeds the Picard iteration, whose iterate lags the
     coefficients and the sources; missing :data:`PICARD_TOL` in
-    :data:`PICARD_MAX` solves raises SolverError.
+    :data:`PICARD_MAX` solves raises SolverError.  It reads no ``dt``.
     """
-    problem.validate()
+    problem.validate(step=False)
     build = _heat_system(problem, 0.0)
     model, mesh = problem.sample.model, problem.sample.mesh
 

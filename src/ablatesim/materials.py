@@ -165,9 +165,6 @@ class FieldSample:
             self.__dict__.pop(name, None)
 
 
-BREAKPOINTS = (99.0, 100.0, 105.0)
-
-
 def branch_limits(model: MaterialModel) -> dict:
     """One-sided branch values of sigma and eta at each breakpoint.
 
@@ -189,15 +186,15 @@ def branch_limits(model: MaterialModel) -> dict:
     return {"sigma": sigma_sides, "eta": eta_sides}
 
 
-def validate_bounds(model: MaterialModel, grid_lo: float = 0.0,
-                    grid_hi: float = 200.0, grid_step: float = 1e-2) -> dict:
+def validate_bounds(model: MaterialModel) -> dict:
     """Sampled check of positivity/boundedness of the laws and their declared bounds.
 
-    Returns a report with per-law min/max over the sampling grid, any bound
-    violations, and the breakpoint continuity flags (the 99 C jump of the
-    conductivity law is expected and reported, not raised).
+    Returns a report with per-law min/max over the sampling grid (0 to 200 C
+    in steps of 0.01), any bound violations, and the breakpoint continuity
+    flags (the 99 C jump of the conductivity law is expected and reported,
+    not raised).
     """
-    grid = np.arange(grid_lo, grid_hi + 0.5 * grid_step, grid_step)
+    grid = np.arange(0.0, 200.0 + 0.005, 0.01)
     report: dict = {"violations": [], "ranges": {}, "continuity": {}}
 
     laws = {

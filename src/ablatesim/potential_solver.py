@@ -21,15 +21,15 @@ import numpy as np
 
 from . import fem_core, linalg
 from .materials import FieldSample
-from .mesh import GAMMA1, GAMMA2, GAMMA3, GAMMA4, GAMMA5, Mesh2D
+from .mesh import Mesh2D
 
 
 @dataclass
 class PotentialProblem:
     sample: FieldSample  # the lagged temperature theta^{n-1} (theta_h) and its laws
+    neumann_tags: tuple  # tags carrying the flux g
+    dirichlet_tags: tuple  # grounded tags (phi = 0)
     g: object = 0.0  # flux on the Neumann tags: constant or callable(x, y)
-    neumann_tags: tuple = (GAMMA5,)
-    dirichlet_tags: tuple = (GAMMA1, GAMMA2, GAMMA3, GAMMA4)
     source: object = None  # verification hook: (NT, NQ) array or callable(x, y)
     system: linalg.LinearSystem = field(default_factory=linalg.LinearSystem)  # held across solves
     iterations: int = field(default=0, init=False)  # GMRES count of the solve; 0 if it factorized

@@ -51,6 +51,11 @@ class MaterialsConfig:
     theta_b: float = 37.0
     buoyancy: BuoyancySettings = field(default_factory=BuoyancySettings)
 
+    def validate(self) -> None:
+        for key in ("sigma0", "eta0", "nu"):
+            if not getattr(self, key) > 0.0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
+
 
 @dataclass
 class FlowBCConfig:
@@ -81,15 +86,6 @@ class PotentialConfig:
     @property
     def dirichlet_tags(self):
         return tuple(TAG_NAMES[k] for k, r in sorted(self.roles.items()) if r == "dirichlet")
-
-
-@dataclass
-class SolverConfig:
-    potential_every: int = 1
-
-    def validate(self) -> None:
-        if self.potential_every < 1:
-            raise ValueError(f"potential_every must be >= 1, got {self.potential_every}")
 
 
 @dataclass
@@ -144,14 +140,13 @@ class SimConfig:
     flow_bc: dict = field(default_factory=_default_flow_bc)
     heat_bc: dict = field(default_factory=_default_heat_bc)
     potential_bc: PotentialConfig = field(default_factory=PotentialConfig)
-    solver: SolverConfig = field(default_factory=SolverConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
     preset: str | None = None
 
     # -- validation -----------------------------------------------------------
 
     def validate(self) -> None:
-        for section in ("geometry", "time", "stabilization", "potential_bc", "solver"):
+        for section in ("geometry", "time", "materials", "stabilization", "potential_bc"):
             with _config_section(section):
                 getattr(self, section).validate()
         with _config_section("output"):

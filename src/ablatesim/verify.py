@@ -41,11 +41,9 @@ class ManufacturedCase:
     grad: object  # gradient closure matching `exact`
     source: object  # strong-form source closure
     pressure: object = None  # oseen only
-    pressure_grad: object = None
     velocity: object = None  # transporting velocity for the heat cases
     final_time: float = 0.0
     steps: int = 4
-    params: dict = field(default_factory=dict)
 
 
 def potential_case() -> ManufacturedCase:
@@ -142,10 +140,6 @@ def oseen_case() -> ManufacturedCase:
     def pressure(x, y):
         return np.cos(PI * x) * np.cos(PI * y)
 
-    def pressure_grad(x, y):
-        return (-PI * np.sin(PI * x) * np.cos(PI * y),
-                -PI * np.cos(PI * x) * np.sin(PI * y))
-
     def source(x, y):
         sx, cx = np.sin(PI * x), np.cos(PI * x)
         sy, cy = np.sin(PI * y), np.cos(PI * y)
@@ -154,7 +148,7 @@ def oseen_case() -> ManufacturedCase:
         return (fx, fy)
 
     return ManufacturedCase("oseen_trig", "oseen", exact, grad, source,
-                            pressure=pressure, pressure_grad=pressure_grad)
+                            pressure=pressure)
 
 
 # -- error norms ------------------------------------------------------------------
@@ -266,7 +260,7 @@ def solve_heat_steady_case(case: ManufacturedCase, nx, ny):
     bc = {tag: _robin_from_exact(case, tag, steady=True) for tag in mesh_mod.ALL_TAGS}
     problem = HeatProblem(
         sample=materials.FieldSample(model, msh, np.zeros(msh.num_vertices), v),
-        phi=np.zeros(msh.num_vertices), dt=1.0, bc=bc, stab=StabilizationParams(beta=0.0),
+        phi=np.zeros(msh.num_vertices), dt=None, bc=bc, stab=StabilizationParams(beta=0.0),
         include_physics_sources=False,
         extra_source=lambda x, y, t: case.source(x, y),
     )

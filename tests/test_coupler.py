@@ -75,7 +75,6 @@ class TestInitialize:
         cfg.materials.buoyancy.enabled = True
         cfg.potential_bc.g = 50.0
         cfg.time.M = 1
-        cfg.solver.potential_every = 2
         assert sim.heat_bc[1].value == 37.0
         assert sim.stab.beta == 0.1
         assert not sim.model.buoyancy.enabled
@@ -239,25 +238,6 @@ class TestRun:
         assert len(seen) == 4
         for s in seen:
             s.check_finite()
-
-    def test_potential_every_k(self, monkeypatch):
-        cfg = quick_config(M=4)
-        cfg.solver.potential_every = 2
-        calls, per_step = [], []
-        solve_potential = coupler.solve_potential
-
-        def counted(problem):
-            calls.append(1)
-            return solve_potential(problem)
-
-        def on_step(state):
-            per_step.append(len(calls))
-            calls.clear()
-
-        monkeypatch.setattr(coupler, "solve_potential", counted)
-        Simulation(cfg).run(on_step=on_step)
-        # recomputed at steps 1 and 3 (lagged index 0 and 2), reused between
-        assert per_step[1:] == [1, 0, 1, 0]
 
 
 class TestBlowUpGuard:
@@ -467,9 +447,10 @@ class TestHeldFactors:
         flow = flow_solver.FlowProblem(FieldSample(sim.model, sim.mesh, theta_b), dt=None,
                                        bc=sim.flow_bc)
         v0, _ = flow_solver.solve_flow_stationary(flow)
+        off = {tag: HeatBC() if bc.role == "inflow" else bc for tag, bc in sim.heat_bc.items()}
         heat = HeatProblem(FieldSample(sim.model, sim.mesh, theta_b, v0),
-                           phi=np.zeros(sim.mesh.num_vertices), dt=1.0, bc=sim.heat_bc,
-                           include_physics_sources=False, include_inflow_bc=False)
+                           phi=np.zeros(sim.mesh.num_vertices), dt=None, bc=off,
+                           include_physics_sources=False)
         heat_solver.solve_heat_stationary(heat)
         assert flow.system.factor.solves == 5 and len(flow.system.factor.events) == 2
         assert heat.system.factor.solves == 4 and len(heat.system.factor.events) == 1
@@ -640,6 +621,23 @@ class TestSharedFields:
         self.spy(monkeypatch, [fem_core], "p1_at_qp", counts)
         sim.initialize()
         assert counts["p1_at_qp"] == calls
+
+    def test_initialize_and_first_step_sample_each_velocity_once(self, monkeypatch):
+        # The stationary heat's sample of v0 becomes the initial state's, so
+        # step 1 reads v0 at the quadrature points from it: the stationary
+        # flow's advecting fields (1 Stokes and 4 Newton solves), v0 and v^1.
+        sim = Simulation(preset("test1"))
+        seen = []
+        velocity_at_qp = fem_core.velocity_at_qp
+
+        def recorded(mesh, u):
+            seen.append(u)  # kept alive, so every id stays distinct
+            return velocity_at_qp(mesh, u)
+
+        monkeypatch.setattr(fem_core, "velocity_at_qp", recorded)
+        sim.advance(sim.initialize())
+        assert len(seen) == 6
+        assert len({id(u) for u in seen}) == len(seen)
 
     def test_strain_of_the_startup_state_is_never_evaluated(self, monkeypatch):
         # At startup the residual is off, so only v^1's D(v):D(v), the heat

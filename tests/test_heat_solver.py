@@ -29,7 +29,8 @@ def entropy_residual(mesh, model, th1, th2, v, phi, dt, alpha=2.0):
     sample = FieldSample(model, mesh, th1, v)
     source = (sample.nu * viscous_dissipation(mesh, v)
               + joule_density(mesh, sample.sigma, phi))
-    return heat_solver.entropy_residual(sample, th2, source, dt, alpha)
+    return heat_solver.entropy_residual(sample, th2, source, dt,
+                                        StabilizationParams(alpha=alpha))
 
 
 def cell_speed(mesh, v):
@@ -251,6 +252,12 @@ class TestHeatStep:
         del bc[3]
         with pytest.raises(ValueError, match="exactly one heat role"):
             solve_heat_step(make_problem(mesh, bc, np.full(mesh.num_vertices, 37.0)))
+
+    def test_step_without_dt_rejected(self):
+        mesh = small_mesh()
+        problem = make_problem(mesh, robin_bc(), np.full(mesh.num_vertices, 37.0), dt=None)
+        with pytest.raises(ValueError, match="dt"):
+            solve_heat_step(problem)
 
     def test_dirichlet_tag_imposed_exactly(self):
         mesh = small_mesh()
@@ -501,6 +508,15 @@ class TestHeatStationary:
         problem = make_problem(mesh, robin_bc(), theta0)
         out = solve_heat_stationary(problem)
         assert np.abs(out - 37.0).max() <= 1e-10
+
+    def test_reads_no_dt(self):
+        # The stationary equation has no time derivative: a problem without
+        # dt solves to the same temperature as one with a dt.
+        _, problem = self.sourced_problem()
+        expected = solve_heat_stationary(problem)
+        _, problem = self.sourced_problem()
+        problem.dt = None
+        assert np.array_equal(solve_heat_stationary(problem), expected)
 
     def test_bounded_by_boundary_data_without_sources(self):
         # min/max scan oracle: no sources means no new extrema

@@ -3,7 +3,8 @@ import pytest
 
 from ablatesim import fem_core, linalg
 from ablatesim.materials import FieldSample, MaterialModel
-from ablatesim.mesh import GAMMA5, GeometrySpec, generate_channel_mesh
+from ablatesim.mesh import (GAMMA1, GAMMA2, GAMMA3, GAMMA4, GAMMA5, GeometrySpec,
+                            generate_channel_mesh)
 from ablatesim.potential_solver import (PotentialProblem, joule_density,
                                         solve_potential)
 
@@ -25,7 +26,8 @@ def channel_problem(g=5.0, nx=20, ny=10):
     mesh = generate_channel_mesh(GeometrySpec(L=1.5, H=0.5, r=0.075, nx=nx, ny=ny))
     model = MaterialModel()
     theta = np.full(mesh.num_vertices, model.theta_b)
-    return PotentialProblem(FieldSample(model, mesh, theta), g=g)
+    return PotentialProblem(FieldSample(model, mesh, theta), g=g, neumann_tags=(GAMMA5,),
+                            dirichlet_tags=(GAMMA1, GAMMA2, GAMMA3, GAMMA4))
 
 
 class TestSolvePotential:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,6 @@ DEFAULT_SCHEMA = {
     "potential_bc": {"g": 0.0, "roles": {"G1": "dirichlet", "G2": "dirichlet",
                                          "G3": "dirichlet", "G4": "dirichlet",
                                          "G5": "neumann"}},
-    "solver": {"potential_every": 1},
     "output": {"directory": None, "stride": 0, "probes": []},
 }
 TEST1_SCHEMA = {**DEFAULT_SCHEMA,
@@ -191,8 +191,21 @@ class TestConfigParsing:
 
     def test_removed_solver_options_rejected(self):
         for key in ("potential_tol", "heat_tol", "flow_tol", "flow_method", "heat_method"):
-            with pytest.raises(ConfigError, match=f"solver.{key}"):
+            with pytest.raises(ConfigError, match="unknown config key: solver"):
                 config_from_dict({"solver": {key: 1}})
+
+    def test_every_dataclass_section_has_validate(self):
+        cfg = SimConfig()
+        sections = [f.name for f in fields(cfg) if is_dataclass(getattr(cfg, f.name))]
+        assert "materials" in sections
+        for name in sections:
+            assert callable(getattr(getattr(cfg, name), "validate", None)), name
+
+    @pytest.mark.parametrize("key, value", [("sigma0", -0.6), ("sigma0", 0.0), ("eta0", -0.54),
+                                            ("eta0", 0.0), ("nu", -0.0021), ("nu", 0.0)])
+    def test_nonpositive_material_constant_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"^materials: {key} must be positive"):
+            config_from_dict({"preset": "test1", "materials": {key: value}})
 
     def test_probe_inside_domain(self):
         with pytest.raises(ConfigError, match="probe"):
@@ -298,6 +311,24 @@ class TestCLI:
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps({"preset": "test1", "time": {"T": -1}}))
         assert main(["run", "--config", str(cfgfile)]) == 2
+
+    def test_run_solver_section_exit_2(self, tmp_path, capsys):
+        # Every step solves the potential: the config has no solver section.
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"preset": "test1", "solver": {"potential_every": 1}}))
+        assert main(["run", "--config", str(cfgfile)]) == 2
+        assert "unknown config key: solver" in capsys.readouterr().err
+
+    def test_run_negative_conductivity_exit_2_before_solves(self, tmp_path, monkeypatch, capsys):
+        # sigma0 < 0 used to run to completion with theta below body temperature.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the config was rejected")
+
+        monkeypatch.setattr(linalg, "solve_lu", no_solve)
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"preset": "test1", "materials": {"sigma0": -0.6}}))
+        assert main(["run", "--config", str(cfgfile)]) == 2
+        assert "materials: sigma0 must be positive" in capsys.readouterr().err
 
     def test_run_unknown_inflow_profile_exit_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.json"

@@ -112,7 +112,10 @@ class TestInvariantSuite:
         assert not report["passed"]
 
     def test_zero_sigma0_fails_a1(self):
-        report = invariant_suite(tiny_config(materials={"sigma0": 0.0}))
+        # The config file rejects sigma0 = 0, so it is set on a built config.
+        config = tiny_config()
+        config.materials.sigma0 = 0.0
+        report = invariant_suite(config)
         byname = {c["name"]: c["passed"] for c in report["checks"]}
         assert not byname["materials.a1_bounds"]
         assert not report["passed"]

@@ -2,15 +2,20 @@
 
 Velocity uses the MINI pair: each component is P1 enriched with the cubic
 bubble 27*l1*l2*l3; pressure, temperature and potential are plain P1.  One
-degree-6, 12-point rule integrates every interior term; boundary integrals
-use 2-point Gauss on edges, through one edge kernel (:func:`assemble_edge_mass`,
-:func:`assemble_edge_load`).  Boundary and source data are sampled by one
-function, :func:`sample`.
+degree-6, 12-point rule integrates every interior term; the blocks linear in
+a MINI velocity (convection, scalar advection) are that rule's blocks too,
+formed through a reference map built from it once per process.  Boundary
+integrals use 2-point Gauss on edges, through one edge kernel
+(:class:`BoundaryEdges`, whose per-mesh constants :func:`boundary_edges`
+builds once).  Boundary and source data are
+sampled by one function, :func:`sample`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -59,7 +64,7 @@ EDGE_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 EDGE_W = np.array([0.5, 0.5])
 EDGE_PHI = np.stack([1.0 - EDGE_T, EDGE_T])  # (2 basis, 2 Gauss points)
 
-FILL_BLOCK = 2048  # triangles per block of the viscous, convective and condensed Schur fills
+FILL_BLOCK = 2048  # triangles per block of the element fills (_Pattern.add_blocks)
 
 
 class ElementP1:
@@ -81,16 +86,30 @@ class ElementP1Bubble:
         return 27.0 * bary[..., 0] * bary[..., 1] * bary[..., 2]
 
     @staticmethod
-    def bubble_ref_grads(bary: np.ndarray) -> np.ndarray:
-        """Gradient of the bubble w.r.t. reference coordinates at barycentric pts."""
+    def bubble_grad_weights(bary: np.ndarray) -> np.ndarray:
+        """(..., 3) products [l2 l3, l1 l3, l1 l2] at barycentric points: the
+        bubble's gradient is 27 times their sum against the P1 gradients."""
         bary = np.asarray(bary, dtype=float)
         l1, l2, l3 = bary[..., 0], bary[..., 1], bary[..., 2]
+        return np.stack([l2 * l3, l1 * l3, l1 * l2], axis=-1)
+
+    @staticmethod
+    def bubble_ref_grads(bary: np.ndarray) -> np.ndarray:
+        """Gradient of the bubble w.r.t. reference coordinates at barycentric pts."""
+        w = ElementP1Bubble.bubble_grad_weights(bary)
         g = (
-            (l2 * l3)[..., None] * ElementP1.ref_grads[0]
-            + (l1 * l3)[..., None] * ElementP1.ref_grads[1]
-            + (l1 * l2)[..., None] * ElementP1.ref_grads[2]
+            w[..., 0, None] * ElementP1.ref_grads[0]
+            + w[..., 1, None] * ElementP1.ref_grads[1]
+            + w[..., 2, None] * ElementP1.ref_grads[2]
         )
         return 27.0 * g
+
+
+# MINI basis values [l1 l2 l3 bubble] at the interior quad points, the same on
+# every triangle.
+MINI_VALS = np.column_stack([ElementP1.values(TRI_RULE.points),
+                             ElementP1Bubble.bubble_values(TRI_RULE.points)])  # (NQ, 4)
+MINI_VALS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -171,6 +190,7 @@ class _Geometry:
         inv /= det[:, None, None]
 
         bary = TRI_RULE.points
+        self.det = det  # (NT,), twice the area
         self.qw = TRI_RULE.weights[None, :] * det[:, None]  # (NT, NQ), sums to area
         self.qp = _combine(bary, coords)  # physical quad points
         self.grad_p1 = _combine(ElementP1.ref_grads, inv)  # (NT,3,2)
@@ -178,11 +198,10 @@ class _Geometry:
         self.grad_bubble = _combine(ref_gb, inv)  # (NT,NQ,2)
         self.p1_vals = ElementP1.values(bary)  # (NQ, 3)
         self.bubble_vals = ElementP1Bubble.bubble_values(bary)  # (NQ,)
-        # MINI basis values [l1 l2 l3 bubble], the same on every triangle.
-        self.mini_vals = np.column_stack([self.p1_vals, self.bubble_vals])  # (NQ, 4)
-        for arr in (self.qw, self.qp, self.grad_p1, self.grad_bubble, self.mini_vals):
+        self.mini_vals = MINI_VALS
+        for arr in (self.det, self.qw, self.qp, self.grad_p1, self.grad_bubble):
             _frozen(arr)
-        self.operators: dict = {}  # see _cached
+        self.operators: dict = {}  # see cached
 
 
 def _combine(table: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -205,11 +224,13 @@ def geometry(mesh: Mesh2D) -> _Geometry:
     return geo
 
 
-def _cached(mesh: Mesh2D, key, build):
-    """The per-mesh constant ``key``, built by ``build()`` on first use."""
+def cached(mesh: Mesh2D, key, build):
+    """The per-mesh constant ``key``, built by ``build()`` on first use and
+    kept with the mesh's geometry; an array is made read-only."""
     ops = geometry(mesh).operators
     if key not in ops:
-        ops[key] = build()
+        value = build()
+        ops[key] = _frozen(value) if isinstance(value, np.ndarray) else value
     return ops[key]
 
 
@@ -344,6 +365,14 @@ class _Pattern:
         np.add.at(data, self.scatter[start:start + len(local)].ravel(), local.ravel())
         return data
 
+    def add_blocks(self, data: np.ndarray, local) -> np.ndarray:
+        """Add the element matrices ``local(block)`` of consecutive ranges
+        ``block`` of FILL_BLOCK elements into ``data``, so that no whole
+        (NT, k, l) array is held."""
+        for t in range(0, self.scatter.shape[0], FILL_BLOCK):
+            self.add(data, local(slice(t, t + FILL_BLOCK)), t)
+        return data
+
     def matrix(self, data: np.ndarray) -> SparseMatrix:
         return SparseMatrix((data, self.indices, self.indptr), shape=self.shape)
 
@@ -364,7 +393,7 @@ def _coeff_at_qp(mesh: Mesh2D, coeff) -> np.ndarray:
 
 def _p1_pattern(mesh: Mesh2D) -> _Pattern:
     nv = mesh.num_vertices
-    return _cached(mesh, "p1_pattern",
+    return cached(mesh, "p1_pattern",
                    lambda: _Pattern(mesh.triangles, mesh.triangles, (nv, nv)))
 
 
@@ -432,26 +461,19 @@ def vertex_order(mesh: Mesh2D, block: int = 1) -> np.ndarray:
     each vertex's dofs kept together.  Built on first use from the coordinates
     and the P1 adjacency; cached and read-only."""
     if block == 1:
-        return _cached(mesh, "vertex_order", lambda: _frozen(
-            _nested_dissection(mesh.vertices, _p1_pattern(mesh))))
+        return cached(mesh, "vertex_order",
+                      lambda: _nested_dissection(mesh.vertices, _p1_pattern(mesh)))
     nv = mesh.num_vertices
-    return _cached(mesh, ("vertex_order", block), lambda: _frozen(
-        (vertex_order(mesh)[:, None] + nv * np.arange(block)).ravel()))
+    return cached(mesh, ("vertex_order", block),
+                  lambda: (vertex_order(mesh)[:, None] + nv * np.arange(block)).ravel())
 
 
-def _edge_positions(mesh: Mesh2D, pattern: _Pattern, edge_sel, row: int = 0,
+def _edge_positions(pattern: _Pattern, owners: np.ndarray, local: np.ndarray, row: int = 0,
                     col: int | None = None):
-    """(NE, 2, 2) data positions of the selected boundary edges' vertex pairs,
-    read off the owner triangle's scatter; a local offset ``row`` of 4 picks
-    the MINI y rows, and ``col`` (``row`` when None) the y columns."""
-    def owner_and_local_index():
-        owners = mesh.boundary_edge_owners()
-        tri = mesh.triangles[owners]
-        local = np.argmax(tri[:, None, :] == mesh.boundary_edges[:, :, None], axis=2)
-        return owners, _frozen(local)
-
-    owners, local = _cached(mesh, "edge_owner_local", owner_and_local_index)
-    owners, local = owners[edge_sel], local[edge_sel]
+    """(NE, 2, 2) data positions of boundary edges' vertex pairs, read off
+    their ``owners``' scatter at the ``local`` vertex indices; a local offset
+    ``row`` of 4 picks the MINI y rows, and ``col`` (``row`` when None) the y
+    columns."""
     col = row if col is None else col
     return pattern.scatter[owners[:, None, None], local[:, :, None] + row,
                            local[:, None, :] + col]
@@ -473,21 +495,36 @@ def p1_gradients(mesh: Mesh2D, nodal: np.ndarray) -> np.ndarray:
 
 
 def velocity_element_coeffs(mesh: Mesh2D, u: np.ndarray) -> np.ndarray:
-    """(NT, 2, 4) per-element MINI coefficients [x/y][l1 l2 l3 bubble]."""
-    dofs = dofmap_for(mesh).velocity_element_dofs(mesh)
-    coeff = np.asarray(u)[dofs]  # (NT, 8)
-    return coeff.reshape(-1, 2, 4)
+    """(NT, 2, 4) per-element MINI coefficients [x/y][l1 l2 l3 bubble] of the
+    flow dof vector ``u``, gathered from each component's [vertices | bubbles].
+    Coefficients given as ``u`` (as a FieldSample holds them) are returned as
+    they are, so every function that takes a MINI velocity takes either."""
+    u = np.asarray(u)
+    if u.ndim == 3:
+        return u
+    nv, nt = mesh.num_vertices, mesh.num_triangles
+    coeff = np.empty((nt, 2, 4))
+    for c in range(2):
+        comp = u[c * (nv + nt):(c + 1) * (nv + nt)]
+        coeff[:, c, :3] = comp[mesh.triangles]
+        coeff[:, c, 3] = comp[nv:]
+    return coeff
+
+
+def _mini_at_qp(coeff: np.ndarray) -> np.ndarray:
+    """(n, NQ, 2) MINI velocity at the quad points of (n, 2, 4) coefficients."""
+    return np.matmul(MINI_VALS, coeff.transpose(0, 2, 1))
 
 
 def velocity_at_qp(mesh: Mesh2D, u: np.ndarray) -> np.ndarray:
-    """(NT, NQ, 2) MINI velocity at the interior quad points."""
-    geo = geometry(mesh)
-    coeff = velocity_element_coeffs(mesh, u)
-    return np.matmul(geo.mini_vals, coeff.transpose(0, 2, 1))
+    """(NT, NQ, 2) MINI velocity at the interior quad points; ``u`` is a flow
+    dof vector or its element coefficients."""
+    return _mini_at_qp(velocity_element_coeffs(mesh, u))
 
 
 def velocity_grad_at_qp(mesh: Mesh2D, u: np.ndarray) -> np.ndarray:
-    """(NT, NQ, 2, 2) velocity Jacobian, entry [c, d] = d(u_c)/d(x_d)."""
+    """(NT, NQ, 2, 2) velocity Jacobian, entry [c, d] = d(u_c)/d(x_d); ``u``
+    is a flow dof vector or its element coefficients."""
     geo = geometry(mesh)
     coeff = velocity_element_coeffs(mesh, u)
     grad_p1 = coeff[:, :, :3] @ geo.grad_p1  # (NT, 2, 2), constant per element
@@ -517,14 +554,6 @@ def edge_quadrature(mesh: Mesh2D, edge_sel: np.ndarray):
     pts = pa[:, None, :] + EDGE_T[None, :, None] * (pb - pa)[:, None, :]
     wts = EDGE_W[None, :] * length[:, None]
     return pts, wts, mesh.boundary_outward_normals()[edge_sel]
-
-
-def velocity_on_edges(mesh: Mesh2D, u: np.ndarray, edge_sel: np.ndarray) -> np.ndarray:
-    """(NE, 2, 2) velocity at the Gauss points of the selected boundary edges:
-    the P1 trace of the vertex values, exact since the bubbles vanish on edges."""
-    ia, ib = mesh.boundary_edges[edge_sel].T
-    vv = velocity_at_vertices(mesh, u)
-    return vv[ia][:, None, :] * EDGE_PHI[0][:, None] + vv[ib][:, None, :] * EDGE_PHI[1][:, None]
 
 
 def sample(datum, pts: np.ndarray) -> np.ndarray:
@@ -574,11 +603,6 @@ def dirichlet_values(mesh: Mesh2D, data: dict):
     return verts.dofs, verts.values(data)
 
 
-def _tag_selector(mesh: Mesh2D, tags) -> np.ndarray:
-    tags = np.atleast_1d(np.asarray(tags, dtype=np.int64))
-    return np.isin(mesh.boundary_tags, tags)
-
-
 # -- boundary edge kernel ---------------------------------------------------------
 #
 # Every boundary integral is one of two P1 forms over selected edges, given the
@@ -592,21 +616,101 @@ def _edge_blocks(weights: np.ndarray) -> np.ndarray:
     return _tab(weights, _products(EDGE_PHI.T)).reshape(-1, 2, 2)
 
 
-def assemble_edge_mass(mesh: Mesh2D, edge_sel: np.ndarray, weights: np.ndarray) -> SparseMatrix:
-    """P1 matrix of the integrals of w psi_a psi_b over the selected edges,
-    stored on the full P1 pattern."""
-    pattern = _p1_pattern(mesh)
-    data = np.zeros(pattern.nnz)
-    np.add.at(data, _edge_positions(mesh, pattern, edge_sel), _edge_blocks(weights))
-    return pattern.matrix(data)
+class BoundaryEdges:
+    """The boundary edges of some tags with their per-mesh constants, built
+    once per mesh (:func:`boundary_edges`): ``pts`` (NE, 2, 2), ``wts``
+    (NE, 2) and ``normals`` (NE, 2) are their Gauss points and weights and
+    their outward normals; ``owners`` and ``local`` are their owner
+    triangles and the local indices there of their two vertices."""
+
+    def __init__(self, mesh: Mesh2D, tags):
+        sel = np.isin(mesh.boundary_tags, np.asarray(tags, dtype=np.int64))
+        self.pts, self.wts, self.normals = edge_quadrature(mesh, sel)
+        edges = mesh.boundary_edges[sel]
+        self.owners = mesh.boundary_edge_owners()[sel]
+        self.local = np.argmax(mesh.triangles[self.owners][:, None, :] == edges[:, :, None], axis=2)
+        self._vertices = edges.T.ravel()
+        self._nv, self._p1 = mesh.num_vertices, _p1_pattern(mesh)
+        self._p1_positions = _edge_positions(self._p1, self.owners, self.local)
+        for arr in (self.pts, self.wts, self.normals, self.owners, self.local,
+                    self._vertices, self._p1_positions):
+            _frozen(arr)
+        self._block_positions = {}
+
+    def mass(self, weights: np.ndarray) -> np.ndarray:
+        """Data, on the full P1 pattern, of the integrals of w psi_a psi_b."""
+        data = np.zeros(self._p1.nnz)
+        np.add.at(data, self._p1_positions, _edge_blocks(weights))
+        return data
+
+    def load(self, weights: np.ndarray) -> np.ndarray:
+        """P1 load of the integrals of w psi_a; for the load of a datum,
+        ``weights`` carry its samples (w * data)."""
+        contrib = _tab(weights, EDGE_PHI.T)  # (NE, 2)
+        return np.bincount(self._vertices, weights=contrib.T.ravel(), minlength=self._nv)
+
+    def trace(self, coeff: np.ndarray) -> np.ndarray:
+        """(NE, 2, 2) velocity [edge, Gauss point, component] of the MINI
+        element coefficients ``coeff``: the P1 trace of the vertex values,
+        exact since the bubbles vanish on edges."""
+        va = coeff[self.owners, :, self.local[:, 0]]
+        vb = coeff[self.owners, :, self.local[:, 1]]
+        return va[:, None, :] * EDGE_PHI[0][:, None] + vb[:, None, :] * EDGE_PHI[1][:, None]
+
+    def block_positions(self, mini: _Pattern, d: int, c: int) -> np.ndarray:
+        """(NE, 2, 2) data positions, on the MINI pattern ``mini``, of the
+        vertex pairs in the velocity block (d, c), built on first use."""
+        if (d, c) not in self._block_positions:
+            self._block_positions[d, c] = _frozen(
+                _edge_positions(mini, self.owners, self.local, 4 * d, 4 * c))
+        return self._block_positions[d, c]
 
 
-def assemble_edge_load(mesh: Mesh2D, edge_sel: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """P1 load of the integrals of w psi_a over the selected edges; for the load
-    of a datum, ``weights`` carry its samples (w * data)."""
-    contrib = _tab(weights, EDGE_PHI.T)  # (NE, 2)
-    return np.bincount(mesh.boundary_edges[edge_sel].T.ravel(), weights=contrib.T.ravel(),
-                       minlength=mesh.num_vertices)
+def boundary_edges(mesh: Mesh2D, tags) -> BoundaryEdges:
+    """The :class:`BoundaryEdges` of ``tags`` (cached per tag set)."""
+    tags = tuple(sorted(set(np.atleast_1d(np.asarray(tags, dtype=np.int64)).tolist())))
+    return cached(mesh, ("boundary_edges", tags), lambda: BoundaryEdges(mesh, tags))
+
+
+# -- reference maps of the velocity-linear forms --------------------------------
+#
+# The convective form of the flow and the advection matrix of the heat are
+# bilinear in an element's 8 MINI velocity coefficients (NT, 2, 4) and its 6
+# P1 gradient entries (NT, 3, 2), and scale with det: the bubble gradient is
+# 27 sum_m l_n l_p grad(l_m), and every basis-value integral is det times a
+# reference one.  So an element's block is x R, with x the 48 products
+# det c_i g_j and R a constant (48, m) map: the tensor representation of
+# Kirby & Logg ("A compiler for variational forms", ACM TOMS 32, 2006), a
+# vectorized assembly (Cuvelier, Japhet & Scarella, BIT 56, 2016) with the
+# quadrature loop moved out of the step.  R is the form's own quadrature
+# kernel, applied once per process to the 48 unit inputs, so each form keeps
+# its one definition and its quadrature.
+
+
+@cache
+def _reference_map(kernel) -> np.ndarray:
+    """(48, m) map R of the quadrature kernel ``kernel(geo, a_qp)``: row
+    6 i + j is its m-entry block on an element of unit det with the unit
+    coefficient i of [x|y][l1 l2 l3 bubble] and the unit gradient entry j of
+    [l1 l2 l3][x|y], all 48 in one batched call."""
+    unit = np.eye(48)
+    coeff = unit.reshape(48, 8, 6).sum(axis=2).reshape(48, 2, 4)
+    grad = unit.reshape(48, 8, 6).sum(axis=1).reshape(48, 3, 2)
+    geo = SimpleNamespace(
+        qw=np.tile(TRI_RULE.weights, (48, 1)), grad_p1=grad,
+        grad_bubble=27.0 * np.einsum("qm,imd->iqd",
+                                     ElementP1Bubble.bubble_grad_weights(TRI_RULE.points), grad),
+        p1_vals=MINI_VALS[:, :3], mini_vals=MINI_VALS)
+    return _frozen(kernel(geo, _mini_at_qp(coeff)).reshape(48, -1))
+
+
+def _reference_blocks(geo: _Geometry, coeff: np.ndarray, kernel, block=slice(None)) -> np.ndarray:
+    """(n, m) element blocks of ``kernel``'s form for the triangles ``block``,
+    advected by the MINI field of element coefficients ``coeff`` (theirs
+    only): (det c (x) grad_p1) R, one GEMM."""
+    x = np.repeat(coeff.reshape(-1, 8) * geo.det[block, None], 6, axis=1)  # [t, 6 i + j] = c_i
+    x *= np.tile(geo.grad_p1[block].reshape(-1, 6), 8)  # times g_j
+    return x @ _reference_map(kernel)
 
 
 # -- scalar-field assembly --------------------------------------------------------
@@ -617,7 +721,7 @@ def assemble_stiffness(mesh: Mesh2D, coeff=1.0) -> SparseMatrix:
     geo = geometry(mesh)
     scale = (geo.qw * _coeff_at_qp(mesh, coeff)).sum(axis=1)  # gradients are constant
     g = geo.grad_p1
-    products = _cached(mesh, "p1_grad_products", lambda: _frozen(g @ g.transpose(0, 2, 1)))
+    products = cached(mesh, "p1_grad_products", lambda: g @ g.transpose(0, 2, 1))
     return _p1_matrix(mesh, scale[:, None, None] * products)
 
 
@@ -628,27 +732,41 @@ def assemble_mass(mesh: Mesh2D) -> SparseMatrix:
         local = _tab(geo.qw, _products(geo.p1_vals)).reshape(-1, 3, 3)
         return _frozen_csr(_p1_matrix(mesh, local))
 
-    return _cached(mesh, "p1_mass", build)
+    return cached(mesh, "p1_mass", build)
 
 
 def assemble_boundary_load(mesh: Mesh2D, tags, data) -> np.ndarray:
     """Load vector of the datum ``data`` (see :func:`sample`) against P1
     traces over the edges with the given tags."""
-    sel = _tag_selector(mesh, tags)
-    pts, wts, _ = edge_quadrature(mesh, sel)
-    return assemble_edge_load(mesh, sel, wts * sample(data, pts))
+    edges = boundary_edges(mesh, tags)
+    return edges.load(edges.wts * sample(data, edges.pts))
 
 
-def assemble_advection(mesh: Mesh2D, vel_qp) -> SparseMatrix:
+def _advection_local(geo, vel_qp: np.ndarray, block=slice(None)) -> np.ndarray:
+    """(NT, 3, 3) element matrices [i, j] = integral (v . grad(l_j)) l_i of
+    the velocity ``vel_qp`` at the quad points of the triangles ``block``."""
+    wv = geo.qw[block, None, :] * np.asarray(vel_qp, dtype=float).transpose(0, 2, 1)
+    wv_l = _tab(wv, geo.p1_vals)  # (NT, 2, 3): [t, d, a] = integral v_d l_a
+    return wv_l.transpose(0, 2, 1) @ geo.grad_p1[block].transpose(0, 2, 1)
+
+
+def assemble_advection(mesh: Mesh2D, velocity) -> SparseMatrix:
     """Scalar advection matrix D_ij = integral (v . grad(l_j)) l_i.
 
-    ``vel_qp`` is a (NT, NQ, 2) velocity sample at the interior quad points
-    (use :func:`velocity_at_qp` for a MINI field).
+    ``velocity`` is a MINI field's (NT, 2, 4) element coefficients (as a
+    :class:`materials.FieldSample` holds them), assembled by the reference
+    map, or any (NT, NQ, 2) velocity sample at the interior quad points,
+    assembled by quadrature.
     """
-    geo = geometry(mesh)
-    wv = geo.qw[:, None, :] * np.asarray(vel_qp, dtype=float).transpose(0, 2, 1)
-    wv_l = _tab(wv, geo.p1_vals)  # (NT, 2, 3): [t, d, a] = integral v_d l_a
-    return _p1_matrix(mesh, wv_l.transpose(0, 2, 1) @ geo.grad_p1.transpose(0, 2, 1))
+    geo, pattern = geometry(mesh), _p1_pattern(mesh)
+    velocity = np.asarray(velocity, dtype=float)
+    if velocity.shape[1:] == (2, 4):
+        def local(block):
+            return _reference_blocks(geo, velocity[block], _advection_local, block)
+    else:
+        def local(block):
+            return _advection_local(geo, velocity[block], block)
+    return pattern.matrix(pattern.add_blocks(np.zeros(pattern.nnz), local))
 
 
 def assemble_scalar_load(mesh: Mesh2D, source) -> np.ndarray:
@@ -671,13 +789,16 @@ def integrate_qp(mesh: Mesh2D, qp_values) -> float:
 # [x | y] x [l1 l2 l3 bubble], i.e. the columns of
 # DofMap.velocity_element_dofs.  P1 gradients are constant per element and
 # MINI values are the same on every triangle, so only the bubble gradient
-# varies over the quadrature points.
+# varies over the quadrature points.  The viscous block is filled by
+# quadrature (a uniform viscosity scales a per-mesh constant); the convective
+# block advected by a MINI field is its element coefficients times the
+# reference map above, and by a callable field, quadrature at the points.
 
 
 def _mini_pattern(mesh: Mesh2D) -> _Pattern:
     """The pattern of the velocity block: two copies, x and y, of the P1
     pattern enriched with the bubbles."""
-    return _cached(mesh, "mini_pattern", lambda: _Pattern.blocked(
+    return cached(mesh, "mini_pattern", lambda: _Pattern.blocked(
         _Pattern.with_bubbles(_p1_pattern(mesh), mesh.triangles), 2))
 
 
@@ -730,38 +851,41 @@ def _convective_local(geo: _Geometry, a_qp: np.ndarray, block=slice(None)) -> np
 def _viscous_data(geo: _Geometry, pattern: _Pattern, wnu: np.ndarray) -> np.ndarray:
     """CSR data of the viscous block with weights ``wnu``, filled a block of
     triangles at a time so that no (NT, 8, 8) array is held."""
-    data = np.zeros(pattern.nnz)
-    for t in range(0, len(wnu), FILL_BLOCK):
-        block = slice(t, t + FILL_BLOCK)
-        pattern.add(data, _viscous_local(geo, wnu[block], block), t)
-    return data
+    return pattern.add_blocks(np.zeros(pattern.nnz),
+                              lambda block: _viscous_local(geo, wnu[block], block))
 
 
 def _velocity_block(mesh: Mesh2D, viscosity, advect, gamma_n_tags,
-                    a_qp=None) -> np.ndarray:
-    """CSR data, on the MINI pattern, of the velocity block A_vv; ``a_qp`` is
-    the advecting field at the quad points, sampled from ``advect`` when None."""
+                    mass_coeff: float = 0.0) -> np.ndarray:
+    """CSR data, on the MINI pattern, of the velocity block A_vv plus
+    ``mass_coeff`` times the MINI mass, added without a full-size temporary."""
     geo = geometry(mesh)
     pattern = _mini_pattern(mesh)
     nu = _coeff_at_qp(mesh, viscosity)
     if nu.size and nu.min() == nu.max():
         # Uniform viscosity: the viscous block is nu times a per-mesh constant.
-        unit = _cached(mesh, "viscous_unit",
-                       lambda: _frozen(_viscous_data(geo, pattern, geo.qw)))
+        unit = cached(mesh, "viscous_unit", lambda: _viscous_data(geo, pattern, geo.qw))
         data = nu.flat[0] * unit
     else:
         data = _viscous_data(geo, pattern, geo.qw * nu)
     if advect is not None:
-        _add_convection(mesh, data, advect, gamma_n_tags, a_qp)
+        _add_convection(mesh, data, advect, gamma_n_tags)
+    if mass_coeff:
+        mass = assemble_mini_mass(mesh).data
+        for start in range(0, data.size, 64 * FILL_BLOCK):
+            part = slice(start, start + 64 * FILL_BLOCK)
+            data[part] += mass_coeff * mass[part]
     return data
 
 
-def _add_convection(mesh: Mesh2D, data: np.ndarray, advect, gamma_n_tags, a_qp=None,
+def _add_convection(mesh: Mesh2D, data: np.ndarray, advect, gamma_n_tags,
                     newton: bool = False) -> None:
     """Add to the MINI data ``data`` the convective form c(a; u, w) =
     -integral (a x u):D(w) plus s(a; u, w) = integral_{Gamma_N} (a.n)(u.w),
     advected by ``a`` = ``advect``; with ``newton``, their derivative in u at
-    u = a instead, for the velocity ``advect``.
+    u = a instead, for the velocity ``advect``.  ``advect`` is a callable
+    datum, sampled at the quad points, or a MINI velocity (flow dofs or
+    element coefficients), whose blocks come from the reference map.
 
     c(a; u, w) is symmetric in a and u, since D(w) is, so the derivative of
     c(u; u, w) is 2 c(u; ., w): the volume form advected by 2u, exactly.  The
@@ -770,30 +894,32 @@ def _add_convection(mesh: Mesh2D, data: np.ndarray, advect, gamma_n_tags, a_qp=N
     """
     geo = geometry(mesh)
     pattern = _mini_pattern(mesh)
-    # A callable advecting field is a datum, sampled where it is needed; a flow
-    # dof vector is evaluated in the MINI space.
-    datum = callable(advect)
-    if a_qp is None:
-        a_qp = sample(advect, geo.qp) if datum else velocity_at_qp(mesh, advect)
-    if newton:
-        a_qp = 2.0 * a_qp
-    for t in range(0, len(a_qp), FILL_BLOCK):  # no (NT, 8, 8) array is held
-        block = slice(t, t + FILL_BLOCK)
-        pattern.add(data, _convective_local(geo, a_qp[block], block), t)
+    if callable(advect):
+        a_qp = sample(advect, geo.qp)
+        a_qp = 2.0 * a_qp if newton else a_qp
+
+        def local(block):
+            return _convective_local(geo, a_qp[block], block)
+    else:
+        coeff = velocity_element_coeffs(mesh, advect)
+        a_coeff = 2.0 * coeff if newton else coeff  # an exact scaling
+
+        def local(block):
+            return _reference_blocks(geo, a_coeff[block], _convective_local, block)
+    pattern.add_blocks(data, local)
     # Convective surface term integral_{Gamma_N} (a.n)(u.w), per component.
-    sel = _tag_selector(mesh, gamma_n_tags)
-    if not np.any(sel):
+    edges = boundary_edges(mesh, gamma_n_tags)
+    if not edges.owners.size:
         return
-    pts, wts, normals = edge_quadrature(mesh, sel)
-    a_e = sample(advect, pts) if datum else velocity_on_edges(mesh, advect, sel)
-    surf = _edge_blocks(wts * (a_e * normals[:, None, :]).sum(axis=-1))
+    a_e = sample(advect, edges.pts) if callable(advect) else edges.trace(coeff)
+    surf = _edge_blocks(edges.wts * (a_e * edges.normals[:, None, :]).sum(axis=-1))
     for comp in range(2):
-        np.add.at(data, _edge_positions(mesh, pattern, sel, 4 * comp), surf)
+        np.add.at(data, edges.block_positions(pattern, comp, comp), surf)
     if newton:
         for d in range(2):
             for c in range(2):
-                np.add.at(data, _edge_positions(mesh, pattern, sel, 4 * d, 4 * c),
-                          _edge_blocks(wts * a_e[..., d] * normals[:, None, c]))
+                np.add.at(data, edges.block_positions(pattern, d, c),
+                          _edge_blocks(edges.wts * a_e[..., d] * edges.normals[:, None, c]))
 
 
 def assemble_mini_mass(mesh: Mesh2D) -> SparseMatrix:
@@ -810,7 +936,7 @@ def assemble_mini_mass(mesh: Mesh2D) -> SparseMatrix:
             np.add.at(data, pattern.scatter[:, comp, comp].ravel(), block.ravel())
         return _frozen_csr(pattern.matrix(data))
 
-    return _cached(mesh, "mini_mass", build)
+    return cached(mesh, "mini_mass", build)
 
 
 def _divergence_local(mesh: Mesh2D) -> np.ndarray:
@@ -839,7 +965,7 @@ def assemble_divergence(mesh: Mesh2D) -> SparseMatrix:
         pattern = _divergence_pattern(mesh)
         return _frozen_csr(pattern.matrix(pattern.fill(_divergence_local(mesh))))
 
-    return _cached(mesh, "divergence", build)
+    return cached(mesh, "divergence", build)
 
 
 def assemble_mini_blocks(mesh: Mesh2D, viscosity, advect=None, gamma_n_tags=()) -> dict:
@@ -951,7 +1077,7 @@ def _invert_2x2(A: np.ndarray) -> np.ndarray:
     return inv / det[:, None, None]
 
 
-@dataclass(frozen=True)
+@dataclass
 class CondensedSaddle:
     """The MINI saddle system [[A_vv, -B^T], [B, 0]] with its bubbles condensed out.
 
@@ -966,11 +1092,16 @@ class CondensedSaddle:
     B: SparseMatrix
     matrix: SparseMatrix
     inv_bb: np.ndarray  # (NT, 2, 2) inverse bubble blocks
+    w_lb: np.ndarray | None  # (NT, 9, 2) K_lb A_bb^-1 of the Schur complement, until condensed
 
     def condense(self, rhs: np.ndarray) -> np.ndarray:
-        """Condensed right-hand side b_l - K_lb A_bb^-1 b_b of a full flow rhs."""
+        """Condensed right-hand side b_l - K_lb A_bb^-1 b_b of a full flow rhs.
+        It reads the couplings K_lb A_bb^-1 that formed the Schur complement
+        and releases them, so that a solve of the condensed system does not
+        hold them; a later call forms them again."""
         lay = self.layout
-        w_lb = _w_lb(lay, self.A_vv.data, self.inv_bb)
+        w_lb = _w_lb(lay, self.A_vv.data, self.inv_bb) if self.w_lb is None else self.w_lb
+        self.w_lb = None
         corr = (w_lb @ rhs[lay.bubbles][:, :, None])[..., 0]  # (NT, 9)
         return rhs[lay.p1_dofs] - np.bincount(lay.elem.ravel(), weights=corr.ravel(),
                                               minlength=lay.p1_dofs.size)
@@ -980,9 +1111,8 @@ class CondensedSaddle:
         lay = self.layout
         x = np.zeros(lay.index.size)
         x[lay.p1_dofs] = x_l
-        k_bl = _k_bl(lay, self.A_vv.data)
-        r_b = rhs[lay.bubbles] - (k_bl @ x_l[lay.elem][:, :, None])[..., 0]
-        x[lay.bubbles] = (self.inv_bb @ r_b[:, :, None])[..., 0]
+        r_b = rhs[lay.bubbles] - np.einsum("tij,tj->ti", _k_bl(lay, self.A_vv.data), x_l[lay.elem])
+        x[lay.bubbles] = np.einsum("tij,tj->ti", self.inv_bb, r_b)
         return x
 
     def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -996,23 +1126,20 @@ def _k_bl(lay: _CondensedLayout, data: np.ndarray, t=slice(None)) -> np.ndarray:
     return np.concatenate([data[lay.bl[t]], -lay.b_bubble[t].transpose(0, 2, 1)], axis=2)
 
 
-def _w_lb(lay: _CondensedLayout, data: np.ndarray, inv_bb: np.ndarray,
-          t=slice(None)) -> np.ndarray:
-    """(n, 9, 2) K_lb A_bb^-1 of the triangles ``t``, read from the velocity block data."""
-    return np.concatenate([data[lay.lb[t]], lay.b_bubble[t]], axis=1) @ inv_bb[t]
+def _w_lb(lay: _CondensedLayout, data: np.ndarray, inv_bb: np.ndarray) -> np.ndarray:
+    """(NT, 9, 2) K_lb A_bb^-1, read from the velocity block data."""
+    return np.concatenate([data[lay.lb], lay.b_bubble], axis=1) @ inv_bb
 
 
 def assemble_condensed_saddle(mesh: Mesh2D, viscosity, advect=None, gamma_n_tags=(),
-                              mass_coeff: float = 0.0, advect_qp=None) -> CondensedSaddle:
+                              mass_coeff: float = 0.0) -> CondensedSaddle:
     """Saddle system [[mass_coeff M + A_vv, -B^T], [B, 0]] with the bubbles
     condensed out, from the blocks of :func:`assemble_mini_blocks` and M of
-    :func:`assemble_mini_mass`; ``advect_qp``, when given, is ``advect`` at
-    the quad points.  The condensed layout is built on first use.
+    :func:`assemble_mini_mass`; ``advect`` is a flow dof vector, its element
+    coefficients or a callable.  The condensed layout is built on first use.
     Raises SingularMatrix when a bubble block cannot be inverted."""
-    data = _velocity_block(mesh, viscosity, advect, gamma_n_tags, advect_qp)
-    if mass_coeff:
-        data += mass_coeff * assemble_mini_mass(mesh).data
-    return _condensed_saddle(mesh, data)
+    return _condensed_saddle(mesh, _velocity_block(mesh, viscosity, advect, gamma_n_tags,
+                                                   mass_coeff))
 
 
 def assemble_newton_saddle(mesh: Mesh2D, viscosity, u: np.ndarray, gamma_n_tags=()):
@@ -1027,25 +1154,30 @@ def assemble_newton_saddle(mesh: Mesh2D, viscosity, u: np.ndarray, gamma_n_tags=
     conv = np.zeros(pattern.nnz)
     _add_convection(mesh, conv, u, gamma_n_tags, newton=True)
     load = 0.5 * (pattern.matrix(conv) @ u)
-    return _condensed_saddle(mesh, _velocity_block(mesh, viscosity, None, ()) + conv), load
+    data = _velocity_block(mesh, viscosity, None, ())
+    data += conv
+    return _condensed_saddle(mesh, data), load
 
 
 def _condensed_saddle(mesh: Mesh2D, data: np.ndarray) -> CondensedSaddle:
     """The saddle system with the velocity block data ``data``, condensed."""
-    lay = _cached(mesh, "condensed_layout", lambda: _CondensedLayout(mesh))
+    lay = cached(mesh, "condensed_layout", lambda: _CondensedLayout(mesh))
     inv_bb = _invert_2x2(data[lay.bb])
-    # The Schur updates -K_lb A_bb^-1 K_bl, formed and added a block of
-    # triangles at a time so that no (NT, 9, 9) array is held, nor the
-    # (NT, 9, 2) couplings, which condense and recover read again.
-    schur = np.zeros(lay.pattern.nnz)
-    for t in range(0, len(inv_bb), FILL_BLOCK):
-        block = slice(t, t + FILL_BLOCK)
-        local = _w_lb(lay, data, inv_bb, block) @ _k_bl(lay, data, block)
-        lay.pattern.add(schur, np.negative(local, out=local), t)
+    # The Schur updates -K_lb A_bb^-1 K_bl are formed and added a block of
+    # triangles at a time, so that no (NT, 9, 9) array is held.  K_lb A_bb^-1
+    # is formed once, for them and for condense; K_bl, a gather, is read
+    # block by block here and again by recover, after the solve.
+    w_lb = _w_lb(lay, data, inv_bb)
+
+    def update(block):
+        local = w_lb[block] @ _k_bl(lay, data, block)
+        return np.negative(local, out=local)
+
+    schur = lay.pattern.add_blocks(np.zeros(lay.pattern.nnz), update)
     schur += lay.div_data
     schur[lay.ll_dst] += data[lay.ll_src]
     return CondensedSaddle(lay, _mini_pattern(mesh).matrix(data), assemble_divergence(mesh),
-                           lay.pattern.matrix(schur), inv_bb)
+                           lay.pattern.matrix(schur), inv_bb, w_lb)
 
 
 def assemble_vector_load(mesh: Mesh2D, force_qp) -> np.ndarray:

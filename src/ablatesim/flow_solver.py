@@ -27,9 +27,11 @@ form keeps its Gamma_N surface integral exactly as written.
 
 The problem's ``sample`` (:class:`materials.FieldSample`) is the lagged
 temperature with the mesh and the laws and, for a time step, the previous
-velocity v_prev; the viscosity, the buoyancy temperature and the advecting
-velocity at the quadrature points are read from it, so a split step shares
-it with its other stages.  The stationary flow reads no velocity from it.
+velocity v_prev; the viscosity and the buoyancy temperature at the
+quadrature points, and the advecting velocity's element coefficients, whose
+convective blocks come from the reference map of :mod:`fem_core`, are read
+from it, so a split step shares it with its other stages.  The stationary
+flow reads no velocity from it.
 
 The stationary flow runs Newton's method from the Stokes solution, a plain
 :func:`linalg.fixed_point` iteration whose map is one linear solve: the
@@ -178,8 +180,7 @@ def _donothing_tags(problem: FlowProblem) -> tuple:
     return tuple(t for t, bc in problem.bc.items() if bc.role == ROLE_DONOTHING)
 
 
-def _solve_linear(problem: FlowProblem, advect, include_time: bool, advect_qp=None,
-                  newton: bool = False):
+def _solve_linear(problem: FlowProblem, advect, include_time: bool, newton: bool = False):
     """One linear solve on the condensed system, Stokes or Oseen or, with
     ``newton``, the stationary Newton step from the velocity ``advect``;
     returns (v, P)."""
@@ -194,8 +195,7 @@ def _solve_linear(problem: FlowProblem, advect, include_time: bool, advect_qp=No
         rhs_v = rhs_v + load
     else:
         saddle = fem_core.assemble_condensed_saddle(mesh, sample.nu, advect=advect,
-                                                    advect_qp=advect_qp, gamma_n_tags=gamma_n,
-                                                    mass_coeff=mass_coeff)
+                                                    gamma_n_tags=gamma_n, mass_coeff=mass_coeff)
     if include_time:
         M = fem_core.assemble_mini_mass(mesh)
         rhs_v = rhs_v + mass_coeff * (M @ np.asarray(sample.v_h, dtype=float))
@@ -231,12 +231,12 @@ def _solve_linear(problem: FlowProblem, advect, include_time: bool, advect_qp=No
 def solve_flow_step(problem: FlowProblem):
     """Advance the flow one implicit-Euler step; returns (v, P)."""
     problem.validate(step=True)
-    advect = advect_qp = None
+    advect = None
     if problem.include_convection and problem.advect_field is not None:
         advect = problem.advect_field
     elif problem.include_convection:
-        advect, advect_qp = problem.sample.v_h, problem.sample.v
-    return _solve_linear(problem, advect, True, advect_qp)
+        advect = problem.sample.coeffs
+    return _solve_linear(problem, advect, True)
 
 
 def solve_flow_stationary(problem: FlowProblem):
@@ -259,7 +259,8 @@ def solve_flow_stationary(problem: FlowProblem):
 
 def viscous_dissipation(mesh: Mesh2D, v: np.ndarray) -> np.ndarray:
     """(NT, NQ) D(v):D(v), the viscous dissipation per unit viscosity, at the
-    quad points; contracted from the element coefficients (a constant P1
+    quad points of the MINI velocity ``v`` (flow dofs or element
+    coefficients); contracted from the element coefficients (a constant P1
     Jacobian plus bubble coefficient times bubble gradient), no per-point
     Jacobian built."""
     geo = fem_core.geometry(mesh)

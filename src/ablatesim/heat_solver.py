@@ -238,8 +238,33 @@ def artificial_viscosity(mesh: Mesh2D, residuals, theta: np.ndarray,
     return params.beta * vmax_k * min_term
 
 
+def _robin_term(mesh: Mesh2D, tag: int, bc: HeatBC, t: float):
+    """(matrix data, load) of the Robin tag ``tag``.  The matrix, and the
+    load of a constant ambient temperature, are per-mesh constants, built
+    once; the load of a callable one is sampled at the time ``t``."""
+    edges = fem_core.boundary_edges(mesh, (tag,))
+    w = bc.alpha * edges.wts
+
+    def load():
+        return edges.load(w * fem_core.sample(bc.value_at(t), edges.pts))
+
+    data = fem_core.cached(mesh, ("robin", tag, bc.alpha), lambda: edges.mass(w))
+    if callable(bc.value):
+        return data, load()
+    return data, fem_core.cached(mesh, ("robin", tag, bc.alpha, bc.value), load)
+
+
+def _inflow_term(problem: HeatProblem, tag: int, bc: HeatBC):
+    """(matrix data, load) of the inflow tag ``tag``, whose weight -(v.n)_-
+    moves with the transporting velocity."""
+    edges = fem_core.boundary_edges(problem.sample.mesh, (tag,))
+    vel = edges.trace(problem.transport.coeffs)
+    w = edges.wts * np.maximum(-np.einsum("egk,ek->eg", vel, edges.normals), 0.0)
+    return edges.mass(w), edges.load(w * fem_core.sample(bc.value_at(problem.time), edges.pts))
+
+
 def _boundary_terms(problem: HeatProblem):
-    """The Robin and the inflow terms, one (matrix, rhs) pair each:
+    """The Robin and the inflow terms, one (matrix data, rhs) pair each:
 
         A += int_e w theta psi,   rhs += int_e w theta_b psi,
 
@@ -247,28 +272,21 @@ def _boundary_terms(problem: HeatProblem):
     w = -(v.n)_- on an inflow tag, which imposes the inflow temperature
     weakly through the advective flux.  The inflow weight acts only where
     the transporting velocity enters the domain (v.n < 0), so a switched-off
-    jet imposes nothing.  A matrix, stored on the full P1 pattern, is None
-    when no tag contributes.
+    jet imposes nothing.  Matrix data, on the full P1 pattern, are None when
+    no tag contributes.
     """
     mesh = problem.sample.mesh
     terms = {ROLE_ROBIN: (None, np.zeros(mesh.num_vertices)),
              ROLE_INFLOW: (None, np.zeros(mesh.num_vertices))}
     for tag, bc in sorted(problem.bc.items()):
-        if (bc.role == ROLE_ROBIN and bc.alpha != 0.0) or bc.role == ROLE_INFLOW:
-            sel = fem_core._tag_selector(mesh, (tag,))
-            pts, wts, normals = fem_core.edge_quadrature(mesh, sel)
-            if bc.role == ROLE_ROBIN:
-                w = bc.alpha * wts
-            else:
-                vel = fem_core.velocity_on_edges(mesh, problem.transport.v_h, sel)
-                w = wts * np.maximum(-np.einsum("egk,ek->eg", vel, normals), 0.0)
-            m = fem_core.assemble_edge_mass(mesh, sel, w)
-            load = fem_core.assemble_edge_load(
-                mesh, sel, w * fem_core.sample(bc.value_at(problem.time), pts))
-            mat, rhs = terms[bc.role]
-            if mat is not None:
-                m.data += mat.data  # the same pattern: sum in the data
-            terms[bc.role] = (m, rhs + load)
+        if bc.role == ROLE_ROBIN and bc.alpha != 0.0:
+            m, load = _robin_term(mesh, tag, bc, problem.time)
+        elif bc.role == ROLE_INFLOW:
+            m, load = _inflow_term(problem, tag, bc)
+        else:
+            continue
+        data, rhs = terms[bc.role]
+        terms[bc.role] = (m if data is None else m + data, rhs + load)
     return terms[ROLE_ROBIN], terms[ROLE_INFLOW]
 
 
@@ -309,8 +327,9 @@ def _heat_system(problem: HeatProblem, mass_coeff: float):
     """Builder of mass_coeff M + K(eta(theta) + art) + advection + Robin + inflow
     and its right-hand side.  Every term is stored on the one P1 pattern, so
     the matrix is summed in its data.  The terms that do not depend on theta,
-    among them v and D(v):D(v) at the quad points (read from the problem's
-    ``transport``), are evaluated once, when the builder is made."""
+    among them the advection of v's element coefficients (by the reference
+    map) and D(v):D(v) at the quad points, both read from the problem's
+    ``transport``, are evaluated once, when the builder is made."""
     transport = problem.transport
     mesh = transport.mesh
     sources = problem.include_physics_sources
@@ -319,8 +338,9 @@ def _heat_system(problem: HeatProblem, mass_coeff: float):
     if problem.extra_source is not None:
         extra = fem_core.sample(lambda x, y: problem.extra_source(x, y, problem.time),
                                 fem_core.geometry(mesh).qp)
-    Mc = fem_core.assemble_mass(mesh).multiply(mass_coeff).tocsr() if mass_coeff else None
-    D = fem_core.assemble_advection(mesh, transport.v)
+    M = fem_core.assemble_mass(mesh)
+    Mc = mass_coeff * M.data if mass_coeff else None
+    D = fem_core.assemble_advection(mesh, transport.coeffs)
     boundary = _boundary_terms(problem)
 
     def build(theta, laws, joule, art=0.0):
@@ -332,12 +352,12 @@ def _heat_system(problem: HeatProblem, mass_coeff: float):
             src = src + extra
         rhs = fem_core.assemble_scalar_load(mesh, src)
         if Mc is not None:
-            A_sys.data += Mc.data
-            rhs = Mc @ theta + rhs
+            A_sys.data += Mc
+            rhs = M @ (mass_coeff * theta) + rhs
         A_sys.data += D.data
-        for mat, load in boundary:
-            if mat is not None:
-                A_sys.data += mat.data
+        for data, load in boundary:
+            if data is not None:
+                A_sys.data += data
             rhs = rhs + load
         return A_sys, rhs
 

@@ -374,7 +374,7 @@ class HeldLU:
         already formed it for its guess check."""
         if self._lu is None:
             return None, "no factor held"
-        if A.shape != self._lu.shape or not np.array_equal(order, self._lu.order):
+        if A.shape != self._lu.shape or not _same(order, self._lu.order):
             return None, "order or shape changed"
         x, reason = self._cycle(A, b, self.last if x0 is None else x0, limit, "GMRES", _r0)
         if x is not None:
@@ -405,6 +405,16 @@ class HeldLU:
         guessed = self.solves - self.krylov_solves - self.factored_solves
         return (f"{self.solves} solves: {guessed} by the guess, {self.krylov_solves} by "
                 f"GMRES on the held factor, {len(self.events)} LU ({'; '.join(self.events)})")
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two index arrays are equal: at once when they view the same
+    memory alike, as the index arrays of matrices refilled on one per-mesh
+    pattern do (scipy wraps them in views of their own)."""
+    def layout(x):
+        return x.__array_interface__["data"][0], x.shape, x.strides, x.dtype
+
+    return layout(a) == layout(b) or np.array_equal(a, b)
 
 
 def fixed_point(step, x0: FieldVector, tol: float, max_iter: int):
@@ -499,7 +509,7 @@ class LinearSystem:
     def _on_pattern(self, A: SparseMatrix) -> bool:
         """Whether the structure was built on A's shape and CSR pattern."""
         return self._pattern is not None and A.shape == self._pattern[0] and all(
-            np.array_equal(a, p) for a, p in zip((A.indptr, A.indices), self._pattern[1:]))
+            _same(a, p) for a, p in zip((A.indptr, A.indices), self._pattern[1:]))
 
     def _gather(self, A: SparseMatrix) -> np.ndarray:
         """The eliminated matrix's data: A's kept entries, unit diagonals."""

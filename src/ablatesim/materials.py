@@ -142,7 +142,9 @@ class MaterialModel:
 class FieldSample:
     """The temperature ``theta_h`` (P1 nodal) and the velocity ``v_h`` (MINI
     dofs) at the quadrature points of ``mesh``, with the laws of ``model`` and
-    D(v):D(v) there.  Each value is evaluated on first read, then shared; a
+    D(v):D(v) there, and the velocity's (NT, 2, 4) MINI element coefficients
+    ``coeffs``, from which the velocity's values and the velocity-linear
+    blocks are formed.  Each value is evaluated on first read, then shared; a
     field may be None, or set later, while its values are unread."""
 
     def __init__(self, model: MaterialModel, mesh, theta_h, v_h=None):
@@ -152,12 +154,13 @@ class FieldSample:
     sigma = cached_property(lambda self: self.model.sigma(self.theta))
     eta = cached_property(lambda self: self.model.eta(self.theta))
     nu = cached_property(lambda self: self.model.nu(self.theta))
-    v = cached_property(lambda self: fem_core.velocity_at_qp(self.mesh, self.v_h))
+    coeffs = cached_property(lambda self: fem_core.velocity_element_coeffs(self.mesh, self.v_h))
+    v = cached_property(lambda self: fem_core.velocity_at_qp(self.mesh, self.coeffs))
 
     @cached_property
     def strain(self):
         from .flow_solver import viscous_dissipation  # flow_solver imports this module
-        return viscous_dissipation(self.mesh, self.v_h)
+        return viscous_dissipation(self.mesh, self.coeffs)
 
     def drop(self, *names):
         """Free the values ``names``; a later read evaluates them again."""

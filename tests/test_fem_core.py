@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from ablatesim import fem_core, linalg
+from ablatesim import fem_core, linalg, verify
 from ablatesim.fem_core import (EDGE_T, EDGE_W, TRI_RULE,
                                 ElementP1, ElementP1Bubble,
                                 assemble_advection, assemble_boundary_load,
-                                assemble_edge_mass, assemble_mass,
+                                assemble_mass,
                                 assemble_mini_blocks, assemble_mini_mass,
                                 assemble_scalar_load, assemble_stiffness,
                                 assemble_vector_load, dofmap_for,
@@ -18,9 +18,8 @@ from ablatesim.mesh import GAMMA5, GeometrySpec, generate_channel_mesh
 
 def boundary_mass(mesh, tags):
     """P1 mass on the edges with the given tags, from the edge kernel (w = 1)."""
-    sel = np.isin(mesh.boundary_tags, tags)
-    _, wts, _ = fem_core.edge_quadrature(mesh, sel)
-    return assemble_edge_mass(mesh, sel, wts)
+    edges = fem_core.boundary_edges(mesh, tags)
+    return fem_core._p1_pattern(mesh).matrix(edges.mass(edges.wts))
 
 
 def exact_bary_integral(p, q, r):
@@ -336,3 +335,79 @@ class TestFieldEvaluation:
         assert np.allclose(grad[..., 0, 1], 1.0, atol=1e-13)
         assert np.allclose(grad[..., 1, 0], 2.0, atol=1e-13)
         assert np.allclose(grad[..., 1, 1], 0.0, atol=1e-13)
+
+
+REFERENCE_MESHES = {
+    "mms_jiggled": lambda: verify._mms_mesh(16, 8),
+    "channel_48x16": lambda: generate_channel_mesh(
+        GeometrySpec(L=1.5, H=0.5, r=0.075, nx=48, ny=16)),
+}
+
+
+class TestReferenceMap:
+    """The velocity-linear blocks by the reference map against the
+    quadrature kernels that define them."""
+
+    @staticmethod
+    def field(mesh):
+        geo = fem_core.geometry(mesh)
+        u = np.random.default_rng(11).standard_normal(dofmap_for(mesh).n_velocity)
+        return geo, fem_core.velocity_element_coeffs(mesh, u), velocity_at_qp(mesh, u)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_MESHES))
+    @pytest.mark.parametrize("kernel, scale", [
+        (fem_core._convective_local, 1.0),  # the Oseen block
+        (fem_core._convective_local, 2.0),  # the Newton block: the field doubled
+        (fem_core._advection_local, 1.0),  # the heat's advection
+    ], ids=["convective", "newton", "advection"])
+    def test_blocks_match_the_quadrature_kernel(self, name, kernel, scale):
+        geo, coeff, a_qp = self.field(REFERENCE_MESHES[name]())
+        got = fem_core._reference_blocks(geo, scale * coeff, kernel)
+        want = kernel(geo, scale * a_qp).reshape(got.shape)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_MESHES))
+    def test_assembled_advection_matches_quadrature(self, name):
+        mesh = REFERENCE_MESHES[name]()
+        _, coeff, a_qp = self.field(mesh)
+        got, want = assemble_advection(mesh, coeff), assemble_advection(mesh, a_qp)
+        assert np.abs((got - want).toarray()).max() <= 1e-14 * np.abs(want.data).max()
+
+    def test_callable_field_keeps_the_quadrature_blocks(self):
+        # A callable advecting field is sampled at the quad points and filled
+        # by the quadrature kernel, bit for bit.
+        mesh = verify._mms_mesh(16, 8)
+        geo, pattern = fem_core.geometry(mesh), fem_core._mini_pattern(mesh)
+
+        def field(x, y):
+            return np.sin(3.0 * x) * y, x - 2.0 * y ** 2
+
+        a_qp = fem_core.sample(field, geo.qp)
+        for newton in (False, True):
+            got = np.zeros(pattern.nnz)
+            fem_core._add_convection(mesh, got, field, (), newton=newton)
+            scaled = 2.0 * a_qp if newton else a_qp
+            want = np.zeros(pattern.nnz)
+            for t in range(0, mesh.num_triangles, fem_core.FILL_BLOCK):
+                block = slice(t, t + fem_core.FILL_BLOCK)
+                pattern.add(want, fem_core._convective_local(geo, scaled[block], block), t)
+            assert np.array_equal(got, want)
+
+    def test_map_built_once_per_process(self, monkeypatch):
+        calls = []
+        kernel = fem_core._convective_local
+
+        def counted(geo, a_qp, block=slice(None)):
+            calls.append(len(a_qp))
+            return kernel(geo, a_qp, block)
+
+        monkeypatch.setattr(fem_core, "_convective_local", counted)
+        for make in REFERENCE_MESHES.values():
+            mesh = make()
+            u = np.random.default_rng(3).standard_normal(dofmap_for(mesh).n_velocity)
+            for _ in range(2):
+                assemble_mini_blocks(mesh, 1.0, advect=u)
+        # One batched call on the 48 unit inputs builds the map; the four
+        # assemblies on two meshes reuse it.
+        assert calls == [48]
+        assert fem_core._reference_map(counted) is fem_core._reference_map(counted)

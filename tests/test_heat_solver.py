@@ -433,7 +433,10 @@ class TestBoundaryKernel:
     def test_robin_and_inflow_terms_match_edge_loop(self):
         problem, vertex_v = self.robin_inflow_problem()
         mesh, bc = problem.sample.mesh, problem.bc
-        (R, r), (I, i) = heat_solver._boundary_terms(problem)
+        # The terms' matrices come as data on the full P1 pattern.
+        pattern = fem_core._p1_pattern(mesh)
+        (R, r), (I, i) = ((pattern.matrix(data), load)
+                          for data, load in heat_solver._boundary_terms(problem))
         (R_ref, r_ref), (I_ref, i_ref) = edge_by_edge_terms(mesh, bc, vertex_v, 0.3)
         for got, ref in ((R.toarray(), R_ref), (r, r_ref), (I.toarray(), I_ref), (i, i_ref)):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -462,9 +465,9 @@ class TestBoundaryKernel:
             terms = heat_solver._boundary_terms(make_problem(
                 mesh, {t: problem.bc[t] if t == tag else HeatBC("neumann") for t in ALL_TAGS},
                 theta, v=v, time=problem.time))
-            for mat, load in terms:
-                if mat is not None:
-                    ref = ref + mat
+            for data, load in terms:
+                if data is not None:
+                    ref = ref + fem_core._p1_pattern(mesh).matrix(data)
                 ref_rhs = ref_rhs + load
         assert np.abs((A - ref).toarray()).max() <= 1e-14 * np.abs(ref.data).max()
         assert np.abs(rhs - ref_rhs).max() <= 1e-14 * np.abs(ref_rhs).max()

@@ -263,9 +263,8 @@ class TestCachedOperatorsMatchCoo:
     def test_boundary_mass(self, name):
         mesh = MESHES[name]()
         for tags in ((GAMMA1,), (GAMMA5,), (GAMMA1, GAMMA3, GAMMA5)):
-            sel = np.isin(mesh.boundary_tags, tags)
-            _, wts, _ = fem_core.edge_quadrature(mesh, sel)
-            MB = fem_core.assemble_edge_mass(mesh, sel, wts)
+            edges = fem_core.boundary_edges(mesh, tags)
+            MB = fem_core._p1_pattern(mesh).matrix(edges.mass(edges.wts))
             assert rel_diff(MB, ref_boundary_mass(mesh, tags)) <= RTOL
 
     def test_constant_viscosity_block(self, name):

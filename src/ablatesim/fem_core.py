@@ -742,30 +742,22 @@ def assemble_boundary_load(mesh: Mesh2D, tags, data) -> np.ndarray:
     return edges.load(edges.wts * sample(data, edges.pts))
 
 
-def _advection_local(geo, vel_qp: np.ndarray, block=slice(None)) -> np.ndarray:
+def _advection_local(geo, vel_qp: np.ndarray) -> np.ndarray:
     """(NT, 3, 3) element matrices [i, j] = integral (v . grad(l_j)) l_i of
-    the velocity ``vel_qp`` at the quad points of the triangles ``block``."""
-    wv = geo.qw[block, None, :] * np.asarray(vel_qp, dtype=float).transpose(0, 2, 1)
+    the velocity ``vel_qp`` at the quad points; the kernel of the reference map."""
+    wv = geo.qw[:, None, :] * vel_qp.transpose(0, 2, 1)
     wv_l = _tab(wv, geo.p1_vals)  # (NT, 2, 3): [t, d, a] = integral v_d l_a
-    return wv_l.transpose(0, 2, 1) @ geo.grad_p1[block].transpose(0, 2, 1)
+    return wv_l.transpose(0, 2, 1) @ geo.grad_p1.transpose(0, 2, 1)
 
 
 def assemble_advection(mesh: Mesh2D, velocity) -> SparseMatrix:
-    """Scalar advection matrix D_ij = integral (v . grad(l_j)) l_i.
-
-    ``velocity`` is a MINI field's (NT, 2, 4) element coefficients (as a
-    :class:`materials.FieldSample` holds them), assembled by the reference
-    map, or any (NT, NQ, 2) velocity sample at the interior quad points,
-    assembled by quadrature.
-    """
+    """Scalar advection matrix D_ij = integral (v . grad(l_j)) l_i of the
+    MINI field with the (NT, 2, 4) element coefficients ``velocity`` (as a
+    :class:`materials.FieldSample` holds them), by the reference map."""
     geo, pattern = geometry(mesh), _p1_pattern(mesh)
-    velocity = np.asarray(velocity, dtype=float)
-    if velocity.shape[1:] == (2, 4):
-        def local(block):
-            return _reference_blocks(geo, velocity[block], _advection_local, block)
-    else:
-        def local(block):
-            return _advection_local(geo, velocity[block], block)
+
+    def local(block):
+        return _reference_blocks(geo, velocity[block], _advection_local, block)
     return pattern.matrix(pattern.add_blocks(np.zeros(pattern.nnz), local))
 
 
@@ -791,8 +783,8 @@ def integrate_qp(mesh: Mesh2D, qp_values) -> float:
 # MINI values are the same on every triangle, so only the bubble gradient
 # varies over the quadrature points.  The viscous block is filled by
 # quadrature (a uniform viscosity scales a per-mesh constant); the convective
-# block advected by a MINI field is its element coefficients times the
-# reference map above, and by a callable field, quadrature at the points.
+# block is the advecting MINI field's element coefficients times the
+# reference map above.
 
 
 def _mini_pattern(mesh: Mesh2D) -> _Pattern:
@@ -824,19 +816,19 @@ def _viscous_local(geo: _Geometry, wnu: np.ndarray, block=slice(None)) -> np.nda
     return local.reshape(nt, 8, 8)
 
 
-def _convective_local(geo: _Geometry, a_qp: np.ndarray, block=slice(None)) -> np.ndarray:
-    """(NT, 8, 8) element matrices of the convective form -(a x u):D(w), for
-    the triangles of ``block`` (``a_qp`` holds only theirs).
+def _convective_local(geo: _Geometry, a_qp: np.ndarray) -> np.ndarray:
+    """(NT, 8, 8) element matrices of the convective form -(a x u):D(w)
+    advected by ``a_qp`` at the quad points; the kernel of the reference map.
 
     E[(d,a),(c,b)] = -1/2 integral phi_b (a_d d_c phi_a + delta_dc a . grad phi_a).
     """
-    g1 = geo.grad_p1[block]
+    g1 = geo.grad_p1
     nt = g1.shape[0]
-    wa = geo.qw[block, None, :] * a_qp.transpose(0, 2, 1)  # (NT, 2, NQ)
+    wa = geo.qw[:, None, :] * a_qp.transpose(0, 2, 1)  # (NT, 2, NQ)
     m = _tab(wa, geo.mini_vals)  # [t, d, b] = integral a_d phi_b
     wa_gb = np.empty(wa.shape[:2] + (2,) + wa.shape[2:])  # one bubble derivative at a time
     for c in range(2):
-        np.multiply(wa, geo.grad_bubble[block, None, :, c], out=wa_gb[:, :, c])
+        np.multiply(wa, geo.grad_bubble[:, None, :, c], out=wa_gb[:, :, c])
     n = _tab(wa_gb, geo.mini_vals)  # [t, d, c, b] = integral a_d d_c(bubble) phi_b
     t1 = np.empty((nt, 2, 4, 2, 4))  # [t, d, a, c, b] = integral a_d d_c(phi_a) phi_b
     t1[:, :, :3] = g1[:, None, :, :, None] * m[:, :, None, None, :]
@@ -883,9 +875,9 @@ def _add_convection(mesh: Mesh2D, data: np.ndarray, advect, gamma_n_tags,
     """Add to the MINI data ``data`` the convective form c(a; u, w) =
     -integral (a x u):D(w) plus s(a; u, w) = integral_{Gamma_N} (a.n)(u.w),
     advected by ``a`` = ``advect``; with ``newton``, their derivative in u at
-    u = a instead, for the velocity ``advect``.  ``advect`` is a callable
-    datum, sampled at the quad points, or a MINI velocity (flow dofs or
-    element coefficients), whose blocks come from the reference map.
+    u = a instead, for the velocity ``advect``.  ``advect`` is a MINI
+    velocity (flow dofs or element coefficients); the volume blocks come from
+    the reference map and the surface term from its trace on the edges.
 
     c(a; u, w) is symmetric in a and u, since D(w) is, so the derivative of
     c(u; u, w) is 2 c(u; ., w): the volume form advected by 2u, exactly.  The
@@ -894,24 +886,15 @@ def _add_convection(mesh: Mesh2D, data: np.ndarray, advect, gamma_n_tags,
     """
     geo = geometry(mesh)
     pattern = _mini_pattern(mesh)
-    if callable(advect):
-        a_qp = sample(advect, geo.qp)
-        a_qp = 2.0 * a_qp if newton else a_qp
-
-        def local(block):
-            return _convective_local(geo, a_qp[block], block)
-    else:
-        coeff = velocity_element_coeffs(mesh, advect)
-        a_coeff = 2.0 * coeff if newton else coeff  # an exact scaling
-
-        def local(block):
-            return _reference_blocks(geo, a_coeff[block], _convective_local, block)
-    pattern.add_blocks(data, local)
+    coeff = velocity_element_coeffs(mesh, advect)
+    a_coeff = 2.0 * coeff if newton else coeff  # an exact scaling
+    pattern.add_blocks(data, lambda block: _reference_blocks(geo, a_coeff[block],
+                                                             _convective_local, block))
     # Convective surface term integral_{Gamma_N} (a.n)(u.w), per component.
     edges = boundary_edges(mesh, gamma_n_tags)
     if not edges.owners.size:
         return
-    a_e = sample(advect, edges.pts) if callable(advect) else edges.trace(coeff)
+    a_e = edges.trace(coeff)
     surf = _edge_blocks(edges.wts * (a_e * edges.normals[:, None, :]).sum(axis=-1))
     for comp in range(2):
         np.add.at(data, edges.block_positions(pattern, comp, comp), surf)
@@ -980,7 +963,7 @@ def assemble_mini_blocks(mesh: Mesh2D, viscosity, advect=None, gamma_n_tags=()) 
       the momentum pressure-gradient coupling, which enters as -B^T.
 
     ``viscosity`` is scalar / per-triangle / per-quad-point; ``advect`` is a
-    flow dof vector or a callable(x, y) -> (ax, ay).  B is cached, and a
+    MINI velocity, flow dofs or element coefficients.  B is cached, and a
     uniform viscosity scales a cached viscous block.
     """
     data = _velocity_block(mesh, viscosity, advect, gamma_n_tags)
@@ -1135,8 +1118,8 @@ def assemble_condensed_saddle(mesh: Mesh2D, viscosity, advect=None, gamma_n_tags
                               mass_coeff: float = 0.0) -> CondensedSaddle:
     """Saddle system [[mass_coeff M + A_vv, -B^T], [B, 0]] with the bubbles
     condensed out, from the blocks of :func:`assemble_mini_blocks` and M of
-    :func:`assemble_mini_mass`; ``advect`` is a flow dof vector, its element
-    coefficients or a callable.  The condensed layout is built on first use.
+    :func:`assemble_mini_mass`; ``advect`` is a flow dof vector or its element
+    coefficients.  The condensed layout is built on first use.
     Raises SingularMatrix when a bubble block cannot be inverted."""
     return _condensed_saddle(mesh, _velocity_block(mesh, viscosity, advect, gamma_n_tags,
                                                    mass_coeff))

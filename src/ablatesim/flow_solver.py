@@ -38,7 +38,8 @@ The stationary flow runs Newton's method from the Stokes solution, a plain
 Newton system at the last velocity (:func:`fem_core.assemble_newton_saddle`),
 solved for the next velocity and pressure directly.  It returns the last
 Newton solve, so its contracts hold; missing :data:`NEWTON_TOL` in
-:data:`NEWTON_MAX` Newton solves raises SolverError.
+:data:`NEWTON_MAX` Newton solves raises SolverError.  The manufactured Oseen
+case of :mod:`verify` is one such linear solve, :func:`_solve_linear`, too.
 """
 
 from __future__ import annotations
@@ -123,7 +124,6 @@ class FlowProblem:
     dt: float  # None for the stationary flow
     bc: dict  # tag -> FlowBC, every boundary tag present exactly once
     include_convection: bool = True
-    advect_field: object = None  # callable override of the Oseen advecting field
     extra_force: object = None  # callable(x, y) -> (fx, fy); verification hook
     pressure_pin_value: float = 0.0
     system: linalg.LinearSystem = field(default_factory=linalg.LinearSystem)  # held across solves
@@ -231,11 +231,7 @@ def _solve_linear(problem: FlowProblem, advect, include_time: bool, newton: bool
 def solve_flow_step(problem: FlowProblem):
     """Advance the flow one implicit-Euler step; returns (v, P)."""
     problem.validate(step=True)
-    advect = None
-    if problem.include_convection and problem.advect_field is not None:
-        advect = problem.advect_field
-    elif problem.include_convection:
-        advect = problem.sample.coeffs
+    advect = problem.sample.coeffs if problem.include_convection else None
     return _solve_linear(problem, advect, True)
 
 
@@ -246,9 +242,6 @@ def solve_flow_stationary(problem: FlowProblem):
     (v, P); a failed linear solve, or :data:`NEWTON_MAX` Newton solves
     without meeting :data:`NEWTON_TOL`, raises SolverError."""
     problem.validate(step=False)
-    if problem.advect_field is not None:
-        # Prescribed advecting field (manufactured cases): single linear solve.
-        return _solve_linear(problem, problem.advect_field, include_time=False)
     v, p = _solve_linear(problem, None, include_time=False)
     if not problem.include_convection:
         return v, p

@@ -331,7 +331,7 @@ class HeldLU:
     def __init__(self):
         self._lu: _ScaledLU | None = None
         self.solves = 0  # solve_lu calls given this holder
-        self.krylov_solves = 0  # of them, accepted from GMRES on the held factor
+        self.krylov_solves = 0  # of them, accepted from GMRES iterations on the held factor
         self.factored_solves = 0  # of them, solved on a new factor
         self.iterations = 0  # GMRES iterations of the last solve; 0 after a double LU
         self.last: FieldVector | None = None  # copy of the last solution returned
@@ -378,7 +378,8 @@ class HeldLU:
             return None, "order or shape changed"
         x, reason = self._cycle(A, b, self.last if x0 is None else x0, limit, "GMRES", _r0)
         if x is not None:
-            self.krylov_solves += 1
+            # A cycle that accepts its start after 0 iterations is a solve by the guess.
+            self.krylov_solves += self.iterations > 0
             self.last = x.copy()
         return x, reason
 

@@ -433,7 +433,7 @@ class TestHeldFactors:
         # switch that missed refactorized, and says why.
         assert flow.events[0] == "no factor held"
         assert all(e.startswith("GMRES") for e in flow.events[1:])
-        assert flow.solves == flow.krylov_solves + len(flow.events)
+        assert flow.factored_solves == len(flow.events)
         for held in (system.factor for system in sim.systems.values()):
             assert held.report().startswith(f"{held.solves} solves:")
 

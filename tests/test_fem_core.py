@@ -152,21 +152,27 @@ class TestScalarAssembly:
         assert set(rows) <= g5
 
 
+def p1_coeffs(mesh, vx, vy):
+    """(NT, 2, 4) element coefficients of the MINI field with vertex values
+    (vx, vy), scalars or per vertex, and zero bubbles."""
+    coeff = np.zeros((mesh.num_triangles, 2, 4))
+    for c, vals in enumerate((vx, vy)):
+        coeff[:, c, :3] = np.broadcast_to(vals, (mesh.num_vertices,))[mesh.triangles]
+    return coeff
+
+
 class TestAdvection:
+    # A uniform or linear field is exact in P1 coefficients with zero bubbles.
+
     def test_zero_velocity(self, unit_square_2tri):
-        nq = TRI_RULE.points.shape[0]
-        vel = np.zeros((2, nq, 2))
-        D = assemble_advection(unit_square_2tri, vel)
+        D = assemble_advection(unit_square_2tri, p1_coeffs(unit_square_2tri, 0.0, 0.0))
         assert abs(D).max() == 0.0
 
     def test_uniform_x_advection_oracle(self):
         # v = (1, 0), theta = x: (D theta)_i = integral(l_i), computed
         # independently as one third of the adjacent areas.
         mesh = generate_channel_mesh(GeometrySpec(L=2.0, H=1.0, r=0.25, nx=6, ny=4))
-        nq = TRI_RULE.points.shape[0]
-        vel = np.zeros((mesh.num_triangles, nq, 2))
-        vel[..., 0] = 1.0
-        D = assemble_advection(mesh, vel)
+        D = assemble_advection(mesh, p1_coeffs(mesh, 1.0, 0.0))
         theta = mesh.vertices[:, 0].copy()
         got = D @ theta
         oracle = np.zeros(mesh.num_vertices)
@@ -175,25 +181,21 @@ class TestAdvection:
         assert np.allclose(got, oracle, atol=1e-14)
 
     def test_constant_field_annihilated(self, unit_square_2tri):
-        nq = TRI_RULE.points.shape[0]
-        vel = np.ones((2, nq, 2))
-        D = assemble_advection(unit_square_2tri, vel)
+        D = assemble_advection(unit_square_2tri, p1_coeffs(unit_square_2tri, 1.0, 1.0))
         assert np.abs(D @ np.ones(4)).max() < 1e-14
 
     def test_skew_symmetry_for_noflux_velocity(self):
-        # v = curl(psi), psi = x(L-x) y(H-y): v.n = 0 on the whole boundary and
-        # div v = 0, so psi_h^T D psi_h = 0 up to quadrature round-off.
-        spec = GeometrySpec(L=2.0, H=1.0, r=0.25, nx=12, ny=6)
-        mesh = generate_channel_mesh(spec)
-        geo = fem_core.geometry(mesh)
-        x, y = geo.qp[..., 0], geo.qp[..., 1]
-        L, H = spec.L, spec.H
-        vx = x * (L - x) * (H - 2 * y)          # d(psi)/dy
-        vy = -(L - 2 * x) * y * (H - y)         # -d(psi)/dx
-        D = assemble_advection(mesh, np.stack([vx, vy], axis=-1))
+        # v = (x, -y) is divergence free and w vanishes on the boundary, so
+        # the flux (v.n) w^2 does too and w^T D w = 1/2 integral v . grad(w^2)
+        # = 0; the degree-6 rule integrates it exactly, leaving round-off.
+        mesh = generate_channel_mesh(GeometrySpec(L=2.0, H=1.0, r=0.25, nx=12, ny=6))
+        x, y = mesh.vertices.T
+        D = assemble_advection(mesh, p1_coeffs(mesh, x, -y))
+        boundary = np.unique(mesh.boundary_edges)
         rng = np.random.default_rng(5)
         for _ in range(3):
             w = rng.standard_normal(mesh.num_vertices)
+            w[boundary] = 0.0
             assert abs(w @ (D @ w)) < 1e-12 * (np.linalg.norm(w) ** 2)
 
 
@@ -369,37 +371,19 @@ class TestReferenceMap:
     @pytest.mark.parametrize("name", sorted(REFERENCE_MESHES))
     def test_assembled_advection_matches_quadrature(self, name):
         mesh = REFERENCE_MESHES[name]()
-        _, coeff, a_qp = self.field(mesh)
-        got, want = assemble_advection(mesh, coeff), assemble_advection(mesh, a_qp)
+        geo, coeff, a_qp = self.field(mesh)
+        pattern = fem_core._p1_pattern(mesh)
+        want = pattern.matrix(pattern.fill(fem_core._advection_local(geo, a_qp)))
+        got = assemble_advection(mesh, coeff)
         assert np.abs((got - want).toarray()).max() <= 1e-14 * np.abs(want.data).max()
-
-    def test_callable_field_keeps_the_quadrature_blocks(self):
-        # A callable advecting field is sampled at the quad points and filled
-        # by the quadrature kernel, bit for bit.
-        mesh = verify._mms_mesh(16, 8)
-        geo, pattern = fem_core.geometry(mesh), fem_core._mini_pattern(mesh)
-
-        def field(x, y):
-            return np.sin(3.0 * x) * y, x - 2.0 * y ** 2
-
-        a_qp = fem_core.sample(field, geo.qp)
-        for newton in (False, True):
-            got = np.zeros(pattern.nnz)
-            fem_core._add_convection(mesh, got, field, (), newton=newton)
-            scaled = 2.0 * a_qp if newton else a_qp
-            want = np.zeros(pattern.nnz)
-            for t in range(0, mesh.num_triangles, fem_core.FILL_BLOCK):
-                block = slice(t, t + fem_core.FILL_BLOCK)
-                pattern.add(want, fem_core._convective_local(geo, scaled[block], block), t)
-            assert np.array_equal(got, want)
 
     def test_map_built_once_per_process(self, monkeypatch):
         calls = []
         kernel = fem_core._convective_local
 
-        def counted(geo, a_qp, block=slice(None)):
+        def counted(geo, a_qp):
             calls.append(len(a_qp))
-            return kernel(geo, a_qp, block)
+            return kernel(geo, a_qp)
 
         monkeypatch.setattr(fem_core, "_convective_local", counted)
         for make in REFERENCE_MESHES.values():

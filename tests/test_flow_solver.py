@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ablatesim import fem_core, flow_solver
+from ablatesim import fem_core, flow_solver, verify
 from ablatesim.flow_solver import (FlowBC, FlowProblem,
                                    builtin_profile_gamma1,
                                    builtin_profile_gamma5, make_profile,
@@ -240,6 +240,29 @@ class TestNewton:
         # The load is the convective part of R(u).
         convective = residual(u) - fem_core.assemble_mini_blocks(mesh, nu)["A_vv"] @ u
         assert np.abs(load - convective).max() <= 1e-12 * np.abs(convective).max()
+
+    def test_manufactured_rates_of_the_stationary_solve(self):
+        # The stationary flow that initialize() solves (Stokes, then Newton)
+        # on C3's manufactured case meets C3's windows and the divergence
+        # contract at every level.  Every tag is an inflow, so the outlet
+        # term's derivative is not rated here.
+        case = verify.oseen_case()
+        h, errors = [], {"velocity_H1": [], "pressure_L2": []}
+        for nx, ny in ((16, 8), (32, 16), (64, 32)):
+            mesh = verify._mms_mesh(nx, ny)
+            problem = make_problem(mesh, {tag: FlowBC("inflow", case.exact) for tag in ALL_TAGS},
+                                   dt=None, model=verify._unit_material(),
+                                   extra_force=case.source,
+                                   pressure_pin_value=float(case.pressure(0.0, 0.0)))
+            v, p = solve_flow_stationary(problem)
+            div = np.linalg.norm(fem_core.assemble_divergence(mesh) @ v)
+            assert div <= 1e-8 * (1.0 + np.linalg.norm(v))
+            h.append(mesh.h.max())
+            errors["velocity_H1"].append(verify.h1_seminorm_error_velocity(mesh, v, case.grad))
+            errors["pressure_L2"].append(verify.l2_error_scalar(mesh, p, case.pressure))
+        slopes = {name: np.polyfit(np.log(h), np.log(errs), 1)[0]
+                  for name, errs in errors.items()}
+        assert 0.9 <= slopes["velocity_H1"] <= 1.3 and 0.8 <= slopes["pressure_L2"] <= 1.3
 
 
 def viscous_dissipation(mesh, model, theta, v):

@@ -458,7 +458,7 @@ class TestBoundaryKernel:
         # The reference sums the same terms as sparse matrices, tag by tag.
         Mc = fem_core.assemble_mass(mesh) / dt
         ref = (Mc + fem_core.assemble_stiffness(mesh, laws.eta + art)
-               + fem_core.assemble_advection(mesh, fem_core.velocity_at_qp(mesh, v)))
+               + fem_core.assemble_advection(mesh, fem_core.velocity_element_coeffs(mesh, v)))
         src = laws.nu * viscous_dissipation(mesh, v) + joule
         ref_rhs = Mc @ theta + fem_core.assemble_scalar_load(mesh, src)
         for tag in (1, 4, 5):

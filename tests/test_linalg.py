@@ -263,13 +263,30 @@ class TestHeldLU:
         A, b = self.system()
         x = solve_lu(A, b, order=self.order(), factor=held)
         with np.errstate(divide="raise", invalid="raise"):
+            # From the last solution the cycle accepts its start: a solve by the guess.
             again = solve_lu(A, b, order=self.order(), factor=held)
-            assert held.iterations <= 1
+            assert held.iterations == 0 and held.krylov_solves == 0
             zero = solve_lu(A, b, x0=np.zeros_like(b), order=self.order(), factor=held)
-            assert held.iterations <= 1
-        assert held.krylov_solves == 2 and held.events == ["no factor held"]
+            assert held.iterations == 1 and held.krylov_solves == 1
+        assert held.events == ["no factor held"]
+        assert held.report().startswith("3 solves: 1 by the guess, 1 by GMRES on the held")
         assert np.linalg.norm(again - x) <= 1e-9 * np.linalg.norm(x)
         assert np.linalg.norm(zero - x) <= 1e-9 * np.linalg.norm(x)
+
+    def test_unchanged_system_is_solved_by_the_guess(self):
+        # A constrained system solved again unchanged, as a steady flow's
+        # steps are: GMRES from the held solution accepts its start after 0
+        # iterations, and the report counts those solves as by the guess.
+        A, b = self.system()
+        system = linalg.LinearSystem(np.arange(0, A.shape[0], 9), np.linspace(-1.0, 1.0, 45),
+                                     self.order())
+        x = system.solve(A, b)
+        for _ in range(3):
+            assert system.solve(A, b).tobytes() == x.tobytes()
+        held = system.factor
+        assert held.iterations == 0 and held.krylov_solves == 0
+        assert held.report() == ("4 solves: 3 by the guess, 0 by GMRES on the held factor, "
+                                 "1 LU (no factor held)")
 
     def test_happy_breakdown_divides_by_nothing(self):
         # The factor of a diagonal of powers of 4 is exact (its scaling is by

@@ -13,22 +13,29 @@ Each stage's problem holds the samples (:class:`materials.FieldSample`) of
 the fields it reads.  The three stages read theta^{n-1}, v^{n-1} and the
 laws sigma, eta, nu at the quadrature points from the state's sample, which
 evaluates each value once, on first read (a state built by hand gets one).
-The heat stage reads v^n from a second sample, its transport, which then
-takes theta^n and becomes the new state's.  The initial stationary flow and
+The heat stage reads v^n from a second sample, its transport, whose
+velocity's values go with theta^n to the new state's sample
+(:meth:`materials.FieldSample.with_theta`).  When the flow step returns
+v^{n-1} itself, which it does when its solve returns its guess (see
+:mod:`flow_solver`; test1's flow is the stationary one at every step), the
+state's sample transports too, so each of the velocity's values is
+evaluated once per distinct velocity.  The initial stationary flow and
 potential share one sample of theta_b; the stationary heat's sample of v0
-then takes theta0 and becomes the initial state's.  The stage order is
-recorded per step and never reordered.  Each system keeps its constrained
-dofs, the structure of its Dirichlet elimination and its LU across its
-solves, the stationary ones included (``Simulation.systems``, see
-:class:`linalg.LinearSystem`).  A blow-up guard aborts once max|theta| or
-max|v| exceeds 1e4, mirroring the runaway regime reached for large
-electrode currents.
+hands its values to the initial state's.  Each stage is recorded per step
+as (name, start, end), wall clock, in the order run, and never reordered.
+Each system keeps its constrained dofs, the structure of its Dirichlet
+elimination and its LU across its solves, the stationary ones included
+(``Simulation.systems``, see :class:`linalg.LinearSystem`); the flow's also
+keeps the last step's inputs and result while that step returned its input.
+A blow-up guard aborts once max|theta| or max|v| exceeds 1e4, mirroring the
+runaway regime reached for large electrode currents.
 """
 
 from __future__ import annotations
 
 import copy
 import time as _time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,7 +95,7 @@ class DiagnosticsRow:
     max_art_visc: float
     min_art_visc: float
     centroid_x: float
-    stages: list = field(default_factory=list, repr=False)  # (name, wallclock)
+    stages: list = field(default_factory=list, repr=False)  # (name, start, end) wallclock
 
 
 @dataclass
@@ -109,6 +116,21 @@ class SimState:
             arr = getattr(self, name)
             if not np.all(np.isfinite(arr)):
                 raise NonFiniteFieldError(f"state field {name!r} has non-finite entries")
+
+
+@contextmanager
+def _stage(stages: list, name: str, label: str | None = None):
+    """Append the stage ``name`` to ``stages`` as (name, start, end), wall
+    clock.  With ``label``, an exception raised in it has "label/name: "
+    put before its message, and keeps its class, attributes and traceback."""
+    start = _time.perf_counter()
+    try:
+        yield
+    except Exception as exc:
+        if label is not None:
+            exc.args = (f"{label}/{name}: {exc}",)
+        raise
+    stages.append((name, start, _time.perf_counter()))
 
 
 class Simulation:
@@ -142,8 +164,9 @@ class Simulation:
             system=self.systems["potential"],
         )
 
-    def _flow_problem(self, sample, dt) -> FlowProblem:
-        return FlowProblem(sample=sample, dt=dt, bc=self.flow_bc, system=self.systems["flow"])
+    def _flow_problem(self, sample, dt, p_prev=None) -> FlowProblem:
+        return FlowProblem(sample=sample, dt=dt, bc=self.flow_bc, p_prev=p_prev,
+                           system=self.systems["flow"])
 
     def _heat_problem(self, sample, theta_prev2, phi, dt, t, transport=None) -> HeatProblem:
         return HeatProblem(
@@ -196,12 +219,11 @@ class Simulation:
         theta_b = FieldSample(self.model, self.mesh, theta_b_field)  # the flow's and potential's
         stages = []
 
-        try:
-            stages.append(("flow", _time.perf_counter()))
+        with _stage(stages, "flow", "initialize"):
             v0, p0 = solve_flow_stationary(self._flow_problem(theta_b, None))
-            stages.append(("potential", _time.perf_counter()))
+        with _stage(stages, "potential", "initialize"):
             phi0 = solve_potential(self._potential_problem(theta_b))
-            stages.append(("heat", _time.perf_counter()))
+        with _stage(stages, "heat", "initialize"):
             # Pre-activation equilibrium: RF current and saline supply are off
             # until t = 0, so the initial temperature is the body-equilibrium
             # steady state, with no physics sources and each inflow tag
@@ -214,16 +236,10 @@ class Simulation:
             theta0 = solve_heat_stationary(HeatProblem(
                 sample=sample, phi=phi0, dt=None, bc=off, include_physics_sources=False,
                 system=self.systems["heat"]))
-        except Exception as exc:
-            # Name the failed stage in the message; the exception keeps its
-            # class, attributes and traceback.
-            exc.args = (f"initialize/{stages[-1][0]}: {exc}",)
-            raise
 
-        # The stationary heat read only v0 from its sample, so v0 is evaluated once.
-        sample.theta_h = theta0
+        # v0's values, evaluated for the stationary heat, go with it.
         state = SimState(t=0.0, n=0, v=v0, P=p0, theta=theta0, phi=phi0,
-                         theta_prev=None, sample=sample)
+                         theta_prev=None, sample=sample.with_theta(theta0))
         state.check_finite()
         state.diag = self._diagnostics(state, None, stages)
         self._guard(state, rows=[state.diag])
@@ -240,24 +256,27 @@ class Simulation:
         sample = state.sample or FieldSample(self.model, self.mesh, state.theta, state.v)
 
         # Stage 1: potential at the lagged temperature.
-        stages.append(("potential", _time.perf_counter()))
-        phi = solve_potential(self._potential_problem(sample))
+        with _stage(stages, "potential"):
+            phi = solve_potential(self._potential_problem(sample))
 
-        # Stage 2: flow advected by v^{n-1}, viscosity at theta^{n-1}.
-        stages.append(("flow", _time.perf_counter()))
-        v_new, p_new = solve_flow_step(self._flow_problem(sample, dt))
+        # Stage 2: flow advected by v^{n-1}, viscosity at theta^{n-1}, from
+        # (v^{n-1}, P^{n-1}).
+        with _stage(stages, "flow"):
+            v_new, p_new = solve_flow_step(self._flow_problem(sample, dt, state.P))
 
         # Stage 3: heat transported by v^n with lagged sources and residual.
-        # v^n's sample takes theta^n and goes to the next step.
-        stages.append(("heat", _time.perf_counter()))
-        transport = FieldSample(self.model, self.mesh, None, v_new)
-        hp = self._heat_problem(sample, state.theta_prev, phi, dt, t_new, transport)
-        theta_new = solve_heat_step(hp)
-        transport.theta_h = theta_new
+        # When the flow returned v^{n-1} itself, the sample transports too, so
+        # the velocity's values are not evaluated again.  v^n's sample, with
+        # the values evaluated so far, takes theta^n and goes to the next step.
+        with _stage(stages, "heat"):
+            transport = (sample if v_new is sample.v_h
+                         else FieldSample(self.model, self.mesh, None, v_new))
+            hp = self._heat_problem(sample, state.theta_prev, phi, dt, t_new, transport)
+            theta_new = solve_heat_step(hp)
 
         new_state = SimState(t=t_new, n=n_new, v=v_new, P=p_new,
                              theta=theta_new, phi=phi, theta_prev=state.theta,
-                             art_visc_cells=hp.art_visc, sample=transport)
+                             art_visc_cells=hp.art_visc, sample=transport.with_theta(theta_new))
         new_state.check_finite()
         new_state.diag = self._diagnostics(new_state, hp.art_visc, stages)
         return new_state

@@ -25,6 +25,21 @@ The residual and divergence contracts are checked again on the recovered
 full system.  Do-nothing outlets add no stress boundary terms; the convective
 form keeps its Gamma_N surface integral exactly as written.
 
+A time step starts its solve from the previous (v, P), the problem's
+``p_prev`` with the sample's velocity, in the condensed layout.  The rule is
+:func:`linalg.solve_lu`'s, and reads nothing but the step's inputs (no
+option selects it): when the solve returns that start unchanged, by its own
+accounting and not by a tolerance, and both contracts hold on the previous
+(v, P) themselves, bubbles included, the step returns those very arrays,
+read-only, so a fixed point stays bit-for-bit fixed; otherwise the bubbles
+are recovered.  The problem's system then keeps the step's inputs, all that
+the step reads (dt, the convection switch, the previous velocity, the
+viscosity at the quadrature points, the force load and the constrained
+values), with that result, and a later step on inputs identical to them bit
+for bit returns the same (v, P) without assembling anything; its system
+counts it as a solve by the guess.  A flow that moves misses at the
+previous velocity, the first array compared.
+
 The problem's ``sample`` (:class:`materials.FieldSample`) is the lagged
 temperature with the mesh and the laws and, for a time step, the previous
 velocity v_prev; the viscosity and the buoyancy temperature at the
@@ -126,6 +141,7 @@ class FlowProblem:
     include_convection: bool = True
     extra_force: object = None  # callable(x, y) -> (fx, fy); verification hook
     pressure_pin_value: float = 0.0
+    p_prev: np.ndarray | None = None  # P^{n-1}; with v_prev, a step's guess
     system: linalg.LinearSystem = field(default_factory=linalg.LinearSystem)  # held across solves
 
     def validate(self, step: bool) -> None:
@@ -137,6 +153,8 @@ class FlowProblem:
         check_tag_roles(self.bc, "flow")
         if step and not np.all(np.isfinite(self.sample.v_h)):
             raise ValueError("previous velocity contains non-finite values")
+        if self.p_prev is not None and not np.all(np.isfinite(self.p_prev)):
+            raise ValueError("previous pressure contains non-finite values")
         if not np.all(np.isfinite(np.asarray(self.sample.theta_h, dtype=float))):
             raise ValueError("temperature field contains non-finite values")
 
@@ -180,16 +198,20 @@ def _donothing_tags(problem: FlowProblem) -> tuple:
     return tuple(t for t, bc in problem.bc.items() if bc.role == ROLE_DONOTHING)
 
 
-def _solve_linear(problem: FlowProblem, advect, include_time: bool, newton: bool = False):
+def _solve_linear(problem: FlowProblem, advect, include_time: bool, newton: bool = False,
+                  force: np.ndarray | None = None, guess: tuple | None = None):
     """One linear solve on the condensed system, Stokes or Oseen or, with
     ``newton``, the stationary Newton step from the velocity ``advect``;
-    returns (v, P)."""
+    returns (v, P).  ``force`` is the force load, formed here when None.
+    ``guess``, a (v, P) pair, is the solve's start; when the solve returns
+    it unchanged and the full-system contracts hold on it, it is returned:
+    these very arrays, made read-only."""
     sample = problem.sample
     mesh = sample.mesh
     dm = fem_core.dofmap_for(mesh)
     gamma_n = _donothing_tags(problem)
     mass_coeff = 1.0 / problem.dt if include_time else 0.0
-    rhs_v = _force_load(problem)
+    rhs_v = _force_load(problem) if force is None else force
     if newton:
         saddle, load = fem_core.assemble_newton_saddle(mesh, sample.nu, advect, gamma_n)
         rhs_v = rhs_v + load
@@ -207,32 +229,79 @@ def _solve_linear(problem: FlowProblem, advect, include_time: bool, newton: bool
         # condensation is exact.  The condensed layout holds 3 dofs per vertex.
         dofs, vals = flow_constraints(problem)
         system.constrain(saddle.layout.index[dofs], vals, fem_core.vertex_order(mesh, 3))
-    x = saddle.recover(system.solve(saddle.matrix, saddle.condense(rhs)), rhs)
-    dofs, vals = saddle.layout.p1_dofs[system.dofs], system.values
+    x0 = None if guess is None else np.concatenate(guess)[saddle.layout.p1_dofs]
+    x_l = system.solve(saddle.matrix, saddle.condense(rhs), x0=x0)
+    # The solve's own accounting says whether it returned its start, the
+    # constrained entries included; then the guess keeps its bubbles if the
+    # contracts hold on it as it is.
+    if guess is not None and system.factor.by_guess and np.array_equal(x_l, x0):
+        if _contract_miss(saddle, np.concatenate(guess), rhs, system) is None:
+            for arr in guess:
+                arr.setflags(write=False)  # shared by the step's input and output
+            return guess
+    x = saddle.recover(x_l, rhs)
+    miss = _contract_miss(saddle, x, rhs, system)
+    if miss is not None:
+        raise linalg.SolverError(miss)
+    return x[:dm.n_velocity], x[dm.n_velocity:]
 
-    # Residual contract on the full system, bubble rows included; the
-    # constrained rows hold by construction.
-    free = np.ones(dm.n_flow, dtype=bool)
+
+def _contract_miss(saddle, x: np.ndarray, rhs: np.ndarray, system: linalg.LinearSystem):
+    """Why the full flow vector ``x`` misses the residual contract on the
+    full system, bubble rows included (the constrained rows are the solve's
+    exact values), or the divergence contract; None when it meets both."""
+    dofs, vals = saddle.layout.p1_dofs[system.dofs], system.values
+    free = np.ones(x.size, dtype=bool)
     free[dofs] = False
-    fixed = np.zeros(dm.n_flow)
+    fixed = np.zeros(x.size)
     fixed[dofs] = vals
     scale = np.linalg.norm(np.concatenate([saddle.residual(fixed, rhs)[free], vals]))
     res = np.linalg.norm(saddle.residual(x, rhs)[free])
     if not np.isfinite(res) or res > 1e-8 * (1.0 + scale):
-        raise linalg.SolverError(f"flow LU residual too large: {res:.3e}")
-
-    v, p = x[:dm.n_velocity], x[dm.n_velocity:]
+        return f"flow LU residual too large: {res:.3e}"
+    v = x[:saddle.A_vv.shape[0]]
     div = float(np.linalg.norm(saddle.B @ v))
     if div > 1e-8 * (1.0 + np.linalg.norm(v)):
-        raise linalg.SolverError(f"divergence contract violated: |Bv| = {div:.3e}")
-    return v, p
+        return f"divergence contract violated: |Bv| = {div:.3e}"
+    return None
+
+
+def _identical(a, b) -> bool:
+    """Whether ``a`` and ``b`` hold the same values bit for bit (a NaN never
+    does): equal, with equal signs, so +0.0 and -0.0 differ."""
+    if a is b:
+        return True
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _step_inputs(problem: FlowProblem, force: np.ndarray) -> tuple:
+    """All that a step reads, the cheap ones first, with the force load
+    ``force``."""
+    sample = problem.sample
+    return (problem.dt, problem.include_convection, sample.v_h, sample.nu, force,
+            problem.system.values)
 
 
 def solve_flow_step(problem: FlowProblem):
-    """Advance the flow one implicit-Euler step; returns (v, P)."""
+    """Advance the flow one implicit-Euler step; returns (v, P).  With a
+    ``p_prev``, a step that returns its start keeps its inputs with it in
+    ``LinearSystem.fixed``, and a step on identical inputs repeats it (see
+    the module docstring)."""
     problem.validate(step=True)
+    system = problem.system
+    force = _force_load(problem)
+    if system.fixed is not None and all(map(_identical, system.fixed[0],
+                                            _step_inputs(problem, force))):
+        system.factor.repeat()
+        return system.fixed[1]
     advect = problem.sample.coeffs if problem.include_convection else None
-    return _solve_linear(problem, advect, True)
+    guess = None if problem.p_prev is None else (problem.sample.v_h, problem.p_prev)
+    v, p = _solve_linear(problem, advect, True, force=force, guess=guess)
+    returned_guess = guess is not None and v is guess[0]
+    system.fixed = (_step_inputs(problem, force), (v, p)) if returned_guess else None
+    return v, p
 
 
 def solve_flow_stationary(problem: FlowProblem):

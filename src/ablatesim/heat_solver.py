@@ -202,16 +202,17 @@ def entropy_residual(sample: FieldSample, theta_prev2: np.ndarray, source: np.nd
     return np.max(np.abs(res, out=res), axis=1)
 
 
-def _cell_speed_max(mesh: Mesh2D, v: np.ndarray, v_qp: np.ndarray) -> np.ndarray:
-    """Per-cell sup of |v| sampled at quadrature points (``v_qp``) and vertices.
-    The largest vx^2 + vy^2 is taken first and its square root once per cell:
-    sqrt is monotone and correctly rounded, so this is the largest |v|."""
+def _cell_speed_max(coeffs: np.ndarray, v_qp: np.ndarray) -> np.ndarray:
+    """Per-cell sup of |v| sampled at quadrature points (``v_qp``) and
+    vertices, whose values are the (NT, 2, 4) element coefficients'
+    ``coeffs[:, :, :3]`` (the bubble vanishes there).  The largest
+    vx^2 + vy^2 is taken first and its square root once per cell: sqrt is
+    monotone and correctly rounded, so this is the largest |v|."""
     sq = np.square(v_qp[..., 0])
     sq += np.square(v_qp[..., 1])
-    vv = fem_core.velocity_at_vertices(mesh, v)
-    sq_v = np.square(vv[:, 0])
-    sq_v += np.square(vv[:, 1])
-    return np.sqrt(np.maximum(sq.max(axis=1), sq_v[mesh.triangles].max(axis=1)))
+    sq_v = np.square(coeffs[:, 0, :3])
+    sq_v += np.square(coeffs[:, 1, :3])
+    return np.sqrt(np.maximum(sq.max(axis=1), sq_v.max(axis=1)))
 
 
 def domain_diameter(mesh: Mesh2D) -> float:
@@ -318,7 +319,7 @@ def _cell_viscosity(problem: HeatProblem, joule) -> np.ndarray:
             source = heat_source(sample.nu, sample.strain, joule())
             res = entropy_residual(sample, problem.theta_prev2, source, problem.dt, problem.stab)
         art = artificial_viscosity(mesh, res, sample.theta_h,
-                                   _cell_speed_max(mesh, sample.v_h, sample.v), problem.stab)
+                                   _cell_speed_max(sample.coeffs, sample.v), problem.stab)
     problem.art_visc = art
     return art
 
@@ -327,9 +328,9 @@ def _heat_system(problem: HeatProblem, mass_coeff: float):
     """Builder of mass_coeff M + K(eta(theta) + art) + advection + Robin + inflow
     and its right-hand side.  Every term is stored on the one P1 pattern, so
     the matrix is summed in its data.  The terms that do not depend on theta,
-    among them the advection of v's element coefficients (by the reference
-    map) and D(v):D(v) at the quad points, both read from the problem's
-    ``transport``, are evaluated once, when the builder is made."""
+    among them the advection matrix of v's element coefficients (by the
+    reference map) and D(v):D(v) at the quad points, both values of the
+    problem's ``transport``, are read once, when the builder is made."""
     transport = problem.transport
     mesh = transport.mesh
     sources = problem.include_physics_sources
@@ -340,7 +341,7 @@ def _heat_system(problem: HeatProblem, mass_coeff: float):
                                 fem_core.geometry(mesh).qp)
     M = fem_core.assemble_mass(mesh)
     Mc = mass_coeff * M.data if mass_coeff else None
-    D = fem_core.assemble_advection(mesh, transport.coeffs)
+    D = transport.advection
     boundary = _boundary_terms(problem)
 
     def build(theta, laws, joule, art=0.0):

@@ -252,8 +252,10 @@ def solve_lu(A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None,
     factor = factor or HeldLU()
     factor.solves += 1
     factor.iterations = 0
+    factor.by_guess = False
     r0 = None if x0 is None else b - A @ x0  # the guess's residual, also GMRES's first
     if r0 is not None and np.linalg.norm(r0) <= limit:
+        factor.by_guess = True
         return np.array(x0, dtype=float)
     order = np.arange(A.shape[0]) if order is None else np.asarray(order)
     x, reason = factor.reuse(A, b, order, x0, limit, r0)
@@ -334,6 +336,7 @@ class HeldLU:
         self.krylov_solves = 0  # of them, accepted from GMRES iterations on the held factor
         self.factored_solves = 0  # of them, solved on a new factor
         self.iterations = 0  # GMRES iterations of the last solve; 0 after a double LU
+        self.by_guess = False  # whether the last solve returned its start unchanged
         self.last: FieldVector | None = None  # copy of the last solution returned
         self.events: list[str] = []  # the reason of each factorization, in order
 
@@ -379,9 +382,17 @@ class HeldLU:
         x, reason = self._cycle(A, b, self.last if x0 is None else x0, limit, "GMRES", _r0)
         if x is not None:
             # A cycle that accepts its start after 0 iterations is a solve by the guess.
-            self.krylov_solves += self.iterations > 0
+            self.by_guess = self.iterations == 0
+            self.krylov_solves += not self.by_guess
             self.last = x.copy()
         return x, reason
+
+    def repeat(self) -> None:
+        """Count a solve that its caller did not do again because it repeats
+        the last one, whose result was its guess: a solve by the guess."""
+        self.solves += 1
+        self.iterations = 0
+        self.by_guess = True
 
     def _cycle(self, A, b, x0, limit, name, r0=None):
         """(x, None) when one GMRES cycle on the held factor from ``x0`` meets
@@ -456,12 +467,17 @@ class LinearSystem:
     changes, a dropped free entry is nonzero or a kept one is zero.  A
     system without constraints passes a canonical A without zero entries
     through untouched.
+
+    ``fixed`` is free for the system's caller: the inputs and the result of
+    its last step when that step returned its input, so that a step on the
+    same inputs returns the same result without a solve.
     """
 
     def __init__(self, dofs=None, values=(), order=None):
         self.dofs = self.values = self.order = self._pattern = None
         self.factor = HeldLU()
         self.builds = 0
+        self.fixed = None
         if dofs is not None:
             self.constrain(dofs, values, order)
 

@@ -143,9 +143,13 @@ class FieldSample:
     """The temperature ``theta_h`` (P1 nodal) and the velocity ``v_h`` (MINI
     dofs) at the quadrature points of ``mesh``, with the laws of ``model`` and
     D(v):D(v) there, and the velocity's (NT, 2, 4) MINI element coefficients
-    ``coeffs``, from which the velocity's values and the velocity-linear
-    blocks are formed.  Each value is evaluated on first read, then shared; a
-    field may be None, or set later, while its values are unread."""
+    ``coeffs``, from which the velocity's values, the velocity-linear blocks
+    and the scalar ``advection`` matrix are formed.  Each value is evaluated
+    on first read, then shared; a field may be None while its values are
+    unread.  The velocity's values are read-only, since :meth:`with_theta`
+    hands them to the next sample of the same velocity."""
+
+    VELOCITY_VALUES = ("coeffs", "v", "strain", "advection")
 
     def __init__(self, model: MaterialModel, mesh, theta_h, v_h=None):
         self.model, self.mesh, self.theta_h, self.v_h = model, mesh, theta_h, v_h
@@ -154,16 +158,29 @@ class FieldSample:
     sigma = cached_property(lambda self: self.model.sigma(self.theta))
     eta = cached_property(lambda self: self.model.eta(self.theta))
     nu = cached_property(lambda self: self.model.nu(self.theta))
-    coeffs = cached_property(lambda self: fem_core.velocity_element_coeffs(self.mesh, self.v_h))
-    v = cached_property(lambda self: fem_core.velocity_at_qp(self.mesh, self.coeffs))
+    coeffs = cached_property(lambda self: fem_core._frozen(
+        fem_core.velocity_element_coeffs(self.mesh, self.v_h)))
+    v = cached_property(lambda self: fem_core._frozen(
+        fem_core.velocity_at_qp(self.mesh, self.coeffs)))
+    advection = cached_property(lambda self: fem_core._frozen_csr(
+        fem_core.assemble_advection(self.mesh, self.coeffs)))
 
     @cached_property
     def strain(self):
         from .flow_solver import viscous_dissipation  # flow_solver imports this module
-        return viscous_dissipation(self.mesh, self.coeffs)
+        return fem_core._frozen(viscous_dissipation(self.mesh, self.coeffs))
+
+    def with_theta(self, theta_h) -> "FieldSample":
+        """The sample of ``theta_h`` and this sample's velocity, holding the
+        velocity's values evaluated so far, so that none is evaluated twice."""
+        out = FieldSample(self.model, self.mesh, theta_h, self.v_h)
+        out.__dict__.update((name, self.__dict__[name]) for name in self.VELOCITY_VALUES
+                            if name in self.__dict__)
+        return out
 
     def drop(self, *names):
-        """Free the values ``names``; a later read evaluates them again."""
+        """Free this sample's values ``names``; a later read evaluates them
+        again.  A sample that :meth:`with_theta` made keeps its own."""
         for name in names:
             self.__dict__.pop(name, None)
 

@@ -340,35 +340,40 @@ def convergence_study(case: ManufacturedCase, levels=DEFAULT_LEVELS) -> RateRepo
     errors: dict = {}
     extra: dict = {}
     for nx, ny in levels:
-        if case.kind == "potential":
-            msh, phi = solve_potential_case(case, nx, ny)
-            errors.setdefault("L2", []).append(l2_error_scalar(msh, phi, case.exact))
-            errors.setdefault("H1", []).append(
-                h1_seminorm_error_scalar(msh, phi, case.grad))
-        elif case.kind == "heat_steady":
-            msh, theta = solve_heat_steady_case(case, nx, ny)
-            errors.setdefault("L2", []).append(l2_error_scalar(msh, theta, case.exact))
-        elif case.kind == "heat_unsteady":
-            msh, theta = solve_heat_unsteady_case(case, nx, ny)
-            errors.setdefault("L2", []).append(
-                l2_error_scalar(msh, theta, case.exact, t=case.final_time))
-        elif case.kind == "oseen":
-            msh, v, p = solve_oseen_case(case, nx, ny)
-            errors.setdefault("velocity_H1", []).append(
-                h1_seminorm_error_velocity(msh, v, case.grad))
-            errors.setdefault("velocity_L2", []).append(
-                l2_error_velocity(msh, v, case.exact))
-            errors.setdefault("pressure_L2", []).append(
-                l2_error_scalar(msh, p, case.pressure))
-            B = fem_core.assemble_divergence(msh)
-            extra.setdefault("div_residual", []).append(float(np.linalg.norm(B @ v)))
-            extra.setdefault("v_norm", []).append(float(np.linalg.norm(v)))
-        else:
-            raise ValueError(f"unknown case kind {case.kind!r}")
-        hs.append(float(msh.h.max()))
+        # Each level's mesh, with its per-mesh caches, and its solution are
+        # freed on return, before the next level is built and factorized.
+        hs.append(_level_errors(case, nx, ny, errors, extra))
     ls, fin = _fit_slopes(hs, errors)
     return RateReport(case=case.name, h=hs, errors=errors,
                       slopes_ls=ls, slopes_finest=fin, extra=extra)
+
+
+def _level_errors(case: ManufacturedCase, nx: int, ny: int, errors: dict, extra: dict) -> float:
+    """Solve ``case`` on the nx x ny level, append its errors to ``errors``
+    (and the Oseen case's divergence data to ``extra``); returns its h."""
+    if case.kind == "potential":
+        msh, phi = solve_potential_case(case, nx, ny)
+        errors.setdefault("L2", []).append(l2_error_scalar(msh, phi, case.exact))
+        errors.setdefault("H1", []).append(h1_seminorm_error_scalar(msh, phi, case.grad))
+    elif case.kind == "heat_steady":
+        msh, theta = solve_heat_steady_case(case, nx, ny)
+        errors.setdefault("L2", []).append(l2_error_scalar(msh, theta, case.exact))
+    elif case.kind == "heat_unsteady":
+        msh, theta = solve_heat_unsteady_case(case, nx, ny)
+        errors.setdefault("L2", []).append(
+            l2_error_scalar(msh, theta, case.exact, t=case.final_time))
+    elif case.kind == "oseen":
+        msh, v, p = solve_oseen_case(case, nx, ny)
+        errors.setdefault("velocity_H1", []).append(
+            h1_seminorm_error_velocity(msh, v, case.grad))
+        errors.setdefault("velocity_L2", []).append(l2_error_velocity(msh, v, case.exact))
+        errors.setdefault("pressure_L2", []).append(l2_error_scalar(msh, p, case.pressure))
+        B = fem_core.assemble_divergence(msh)
+        extra.setdefault("div_residual", []).append(float(np.linalg.norm(B @ v)))
+        extra.setdefault("v_norm", []).append(float(np.linalg.norm(v)))
+    else:
+        raise ValueError(f"unknown case kind {case.kind!r}")
+    return float(msh.h.max())
 
 
 def temporal_convergence_study(case: ManufacturedCase, nx=64, ny=32,
@@ -507,7 +512,7 @@ def _step_audit(config) -> dict:
             art = state.art_visc_cells
             # theta^{n-1} = prev.theta and v^{n-1} = prev.v, sampled afresh.
             lagged = materials.FieldSample(sim.model, sim.mesh, prev.theta, prev.v)
-            vmax_k = heat_solver._cell_speed_max(sim.mesh, prev.v, lagged.v)
+            vmax_k = heat_solver._cell_speed_max(lagged.coeffs, lagged.v)
             audit["eta_bound_violation"] = max(
                 audit["eta_bound_violation"],
                 float(np.max(art - beta * vmax_k * h)), float(np.max(-art)))
@@ -525,7 +530,9 @@ def _step_audit(config) -> dict:
                                    diag.div_norm / (1.0 + float(np.linalg.norm(state.v))))
             names = [s[0] for s in diag.stages]
             times = [s[1] for s in diag.stages]
-            if names != ["potential", "flow", "heat"] or times != sorted(times):
+            spans = [t for _, start, end in diag.stages for t in (start, end)]
+            if (names != ["potential", "flow", "heat"] or times != sorted(times)
+                    or spans != sorted(spans)):
                 audit["stage_order_ok"] = False
         prev = state
 

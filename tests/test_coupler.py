@@ -1,4 +1,5 @@
 import collections
+import copy
 import logging
 import sys
 import tracemalloc
@@ -189,11 +190,16 @@ class TestAdvance:
 
     def test_stage_order_recorded(self):
         sim = Simulation(quick_config())
-        state = sim.advance(sim.initialize())
+        initial = sim.initialize()
+        state = sim.advance(initial)
         names = [s[0] for s in state.diag.stages]
         times = [s[1] for s in state.diag.stages]
         assert names == ["potential", "flow", "heat"]
         assert times == sorted(times)
+        # Each stage ends before the next starts, in the initialization too.
+        for stages in (initial.diag.stages, state.diag.stages):
+            spans = [t for _, start, end in stages for t in (start, end)]
+            assert spans == sorted(spans)
 
 
 class TestRun:
@@ -644,7 +650,25 @@ class TestSharedFields:
 
     def test_strain_of_the_startup_state_is_never_evaluated(self, monkeypatch):
         # At startup the residual is off, so only v^1's D(v):D(v), the heat
-        # source's, is evaluated; the lagged state's is never read.
+        # source's, is evaluated; the lagged state's is never read.  test3's
+        # buoyant flow moves, so v^1 is not v0 and has a sample of its own.
+        from collections import Counter
+
+        from ablatesim import heat_solver
+
+        sim = Simulation(quick_config("test3", nx=24, ny=8, M=5))
+        state = sim.initialize()
+        counts = Counter()
+        self.spy(monkeypatch, [flow_solver, heat_solver], "viscous_dissipation", counts)
+        new = sim.advance(state)
+        assert new.v is not state.v
+        assert counts["viscous_dissipation"] == 1
+        assert "strain" not in vars(state.sample) and "strain" in vars(new.sample)
+
+    def test_an_unchanged_velocity_is_evaluated_once(self, monkeypatch):
+        # test1's flow returns v0 itself at every step, so its sample
+        # transports too and hands each of the velocity's values to the next
+        # state: none is evaluated again, and the heat step drops none.
         from collections import Counter
 
         from ablatesim import heat_solver
@@ -653,9 +677,25 @@ class TestSharedFields:
         state = sim.initialize()
         counts = Counter()
         self.spy(monkeypatch, [flow_solver, heat_solver], "viscous_dissipation", counts)
-        new = sim.advance(state)
-        assert counts["viscous_dissipation"] == 1
-        assert "strain" not in vars(state.sample) and "strain" in vars(new.sample)
+        for name in ("velocity_at_qp", "assemble_advection"):
+            self.spy(monkeypatch, [fem_core], name, counts)
+        first = sim.advance(state)
+        values = {name: vars(first.sample)[name] for name in FieldSample.VELOCITY_VALUES}
+        assert first.v is state.v
+        assert values["coeffs"] is state.sample.coeffs
+        assert values["advection"] is state.sample.advection
+        new = first
+        for _ in range(4):
+            new = sim.advance(new)
+        assert new.v is state.v and new.P is state.P
+        # The initial state's coefficients and advection matrix came from the
+        # stationary heat; step 1 evaluated v at the quad points and D(v):D(v).
+        assert counts == {"viscous_dissipation": 1, "velocity_at_qp": 1}
+        for name, value in values.items():
+            assert vars(new.sample)[name] is value, name
+            if name != "advection":
+                assert not value.flags.writeable, name
+        assert not (new.v.flags.writeable or new.P.flags.writeable)
 
 
 def test_heat_step_peak_memory():
@@ -707,3 +747,131 @@ def test_flow_step_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1500 * sim.mesh.num_triangles
+
+
+class TestFixedFlow:
+    """A flow step whose solve returns its guess (v^{n-1}, P^{n-1}) returns
+    those arrays, and a step on the same inputs is not assembled again."""
+
+    @staticmethod
+    def counted_assemblies(monkeypatch):
+        calls = []
+        assemble = fem_core.assemble_condensed_saddle
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(fem_core, "assemble_condensed_saddle", counted)
+        return calls
+
+    def test_test1_flow_stays_the_initial_arrays(self, monkeypatch):
+        sim = Simulation(preset("test1"))
+        initial = state = sim.initialize()
+        flow = sim.systems["flow"].factor
+        calls = self.counted_assemblies(monkeypatch)
+        solves = flow.solves
+        for n in range(10):
+            state = sim.advance(state)
+            assert state.v is initial.v and state.P is initial.P
+            assert len(calls) == 1, n  # step 1's assembly only
+            assert flow.by_guess and flow.solves == solves + n + 1
+        assert flow.krylov_solves == 2 and flow.factored_solves == 2  # the initialization's
+
+    def step(self, sim, state, model=None, dt=None, v=None):
+        """solve_flow_step of the step after ``state`` on the run's system,
+        with the model, dt or previous velocity replaced where given."""
+        sample = FieldSample(model or sim.model, sim.mesh, state.theta,
+                             state.v if v is None else v)
+        return flow_solver.solve_flow_step(flow_solver.FlowProblem(
+            sample=sample, dt=dt or sim.config.time.dt, bc=sim.flow_bc, p_prev=state.P,
+            system=sim.systems["flow"]))
+
+    @pytest.mark.parametrize("change", ["none", "v_h", "nu", "force", "dt"])
+    def test_each_input_change_assembles_again(self, monkeypatch, change):
+        sim = Simulation(quick_config(nx=24, ny=8))
+        state = sim.advance(sim.initialize())
+        assert sim.systems["flow"].fixed is not None
+        model, dt, v = None, None, None
+        if change == "v_h":
+            v = state.v.copy()
+            v[sim.dofmap.vx_bubble(5)] = np.nextafter(v[sim.dofmap.vx_bubble(5)], np.inf)
+        elif change == "nu":
+            model = copy.deepcopy(sim.model)
+            model.nu_law = lambda th: np.full(np.shape(th), 2.0 * model.nu_const)
+        elif change == "force":
+            model = copy.deepcopy(sim.model)
+            model.buoyancy.enabled = True
+        elif change == "dt":
+            dt = 0.5 * sim.config.time.dt
+        flow = sim.systems["flow"].factor
+        solves = flow.solves
+        calls = self.counted_assemblies(monkeypatch)
+        v_new, p_new = self.step(sim, state, model, dt, v)
+        assert flow.solves == solves + 1
+        assert len(calls) == (change != "none")
+        if change == "none":
+            assert v_new is state.v and p_new is state.P
+        if change in ("nu", "force"):  # a new flow: the solve left its guess
+            assert not flow.by_guess and not np.array_equal(v_new, state.v)
+        # The step goes back to the unchanged inputs: they are not the last
+        # step's any more, so it assembles again, and it returns its guess.
+        v_back, p_back = self.step(sim, state)
+        assert len(calls) == 2 * (change != "none")
+        assert v_back is state.v and p_back is state.P
+
+    def test_a_guess_off_the_contracts_gets_new_bubbles(self, monkeypatch):
+        # The contracts are checked on the returned guess itself, bubbles
+        # included; when they miss there, the step recovers the bubbles and
+        # checks them again, as for any solve.
+        sim = Simulation(quick_config(nx=24, ny=8))
+        state = sim.advance(sim.initialize())
+        sim.systems["flow"].fixed = None  # so that the step solves again
+        checked = []
+        contract_miss = flow_solver._contract_miss
+
+        def missed_on_the_guess(saddle, x, *args):
+            checked.append(x)
+            return "forced" if len(checked) == 1 else contract_miss(saddle, x, *args)
+
+        monkeypatch.setattr(flow_solver, "_contract_miss", missed_on_the_guess)
+        v_new, p_new = self.step(sim, state)
+        assert sim.systems["flow"].factor.by_guess and len(checked) == 2
+        assert np.array_equal(checked[0], np.concatenate([state.v, state.P]))
+        assert v_new is not state.v and sim.systems["flow"].fixed is None
+        assert np.abs(v_new - state.v).max() <= 1e-12 and np.array_equal(p_new, state.P)
+
+    def test_a_guess_off_its_boundary_values_is_not_returned(self):
+        # One ulp off at an inflow dof, the guess still meets the solve's
+        # contract, but the solve sets the constrained values exactly, so it
+        # does not return its start, and the step returns the solve's.
+        sim = Simulation(quick_config(nx=24, ny=8))
+        state = sim.advance(sim.initialize())
+        dofs, vals = flow_solver.flow_constraints(flow_solver.FlowProblem(
+            sample=FieldSample(sim.model, sim.mesh, state.theta, state.v),
+            dt=sim.config.time.dt, bc=sim.flow_bc))
+        k = int(np.flatnonzero(vals)[0])
+        v = state.v.copy()
+        v[dofs[k]] = np.nextafter(v[dofs[k]], np.inf)
+        v_new, _ = self.step(sim, state, v=v)
+        assert sim.systems["flow"].factor.by_guess and sim.systems["flow"].fixed is None
+        assert v_new is not v and v_new[dofs[k]] == vals[k] == state.v[dofs[k]]
+
+    def test_test3_rows_match_the_stored_run(self):
+        # test3's buoyant flow moves every step, so each step assembles and
+        # solves, from the previous (v, P); its rows and factorizations are
+        # those recorded before the rule (bit-identical at one BLAS thread),
+        # on a 24x8 mesh to keep the 100 steps cheap.
+        sim = Simulation(quick_config("test3", nx=24, ny=8, M=100))
+        _, rows = sim.run()
+        recorded = {50: (36.94114366523395, 27.329383253963048),
+                    100: (36.93914906137938, 27.327328162906387)}
+        for n, (max_theta, int_theta) in recorded.items():
+            assert rows[n].max_theta == pytest.approx(max_theta, rel=1e-12, abs=0.0)
+            assert rows[n].int_theta == pytest.approx(int_theta, rel=1e-12, abs=0.0)
+        assert sim.systems["flow"].factor.events == [
+            "no factor held", "GMRES projected to miss after 3 iterations",
+            "GMRES projected to miss after 3 iterations"]
+        assert sim.systems["heat"].factor.events == [
+            "no factor held", "GMRES projected to miss after 3 iterations"]
+        assert sim.systems["flow"].factor.report().startswith("105 solves: 1 by the guess")

@@ -34,19 +34,23 @@ def entropy_residual(mesh, model, th1, th2, v, phi, dt, alpha=2.0):
 
 
 def cell_speed(mesh, v):
-    return _cell_speed_max(mesh, v, fem_core.velocity_at_qp(mesh, v))
+    coeffs = fem_core.velocity_element_coeffs(mesh, v)
+    return _cell_speed_max(coeffs, fem_core.velocity_at_qp(mesh, coeffs))
 
 
 def test_cell_speed_max_equals_the_largest_norm_bit_for_bit():
     # One square root per cell of the largest squared speed: sqrt is monotone
-    # and correctly rounded, so this is the largest |v| of the samples.
+    # and correctly rounded, so this is the largest |v| of the samples.  The
+    # vertex speeds come from the element coefficients, whose vertex values
+    # are the vertex dofs.
     mesh = small_mesh(12, 6)
     v = np.random.default_rng(4).standard_normal(fem_core.dofmap_for(mesh).n_velocity)
     v_qp = fem_core.velocity_at_qp(mesh, v)
     vv = fem_core.velocity_at_vertices(mesh, v)
     ref = np.maximum(np.linalg.norm(v_qp, axis=2).max(axis=1),
                      np.linalg.norm(vv, axis=1)[mesh.triangles].max(axis=1))
-    assert _cell_speed_max(mesh, v, v_qp).tobytes() == ref.tobytes()
+    coeffs = fem_core.velocity_element_coeffs(mesh, v)
+    assert _cell_speed_max(coeffs, v_qp).tobytes() == ref.tobytes()
 
 
 def artificial_viscosity(mesh, residuals, theta, v, params):

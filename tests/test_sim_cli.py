@@ -447,16 +447,21 @@ class TestCLI:
         assert not (outdir / "final.vtk").exists()
 
     def test_run_summary_reports_the_solves(self, tmp_path, capsys):
-        cfgfile = tmp_path / "c.json"
-        cfgfile.write_text(json.dumps({"preset": "test1", **QUICK}))
         outdir = tmp_path / "out"
-        assert main(["run", "--config", str(cfgfile), "--out", str(outdir)]) == 0
+        assert main(["run", "--preset", "test1", "--out", str(outdir)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0].startswith("completed 2 steps")
+        assert lines[0].startswith("completed 100 steps")
         # One line per system: its solves and the reason of every LU.
         assert [ln.split(":")[0] for ln in lines[1:]] == ["potential", "flow", "heat"]
-        assert lines[1].startswith("potential: 3 solves: ")
+        assert lines[1].startswith("potential: 101 solves: ")
         assert lines[1].endswith("1 LU (no factor held)")
+        # test1's flow is the stationary one at every step: step 1 returns
+        # its guess, and the 99 steps on the same inputs repeat it without a
+        # solve; each counts as a solve by the guess, after the
+        # initialization's Stokes solve and four Newton solves.
+        assert lines[2] == ("flow: 105 solves: 101 by the guess, 2 by GMRES on the held "
+                            "factor, 2 LU (no factor held; GMRES projected to miss after 3 "
+                            "iterations)")
         header = (outdir / "probes.csv").read_text().splitlines()[0]
         assert header.split(",") == list(sim_cli.PROBE_COLUMNS)  # no solver columns (C10)
 

@@ -150,6 +150,8 @@ class FlowProblem:
             raise ValueError("a flow step needs dt and the previous velocity, the sample's v_h")
         if self.dt is not None and not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
+        if not step and self.dt is not None:
+            raise ValueError("the stationary flow takes no dt")
         check_tag_roles(self.bc, "flow")
         if step and not np.all(np.isfinite(self.sample.v_h)):
             raise ValueError("previous velocity contains non-finite values")
@@ -198,18 +200,20 @@ def _donothing_tags(problem: FlowProblem) -> tuple:
     return tuple(t for t, bc in problem.bc.items() if bc.role == ROLE_DONOTHING)
 
 
-def _solve_linear(problem: FlowProblem, advect, include_time: bool, newton: bool = False,
+def _solve_linear(problem: FlowProblem, advect, newton: bool = False,
                   force: np.ndarray | None = None, guess: tuple | None = None):
     """One linear solve on the condensed system, Stokes or Oseen or, with
-    ``newton``, the stationary Newton step from the velocity ``advect``;
-    returns (v, P).  ``force`` is the force load, formed here when None.
-    ``guess``, a (v, P) pair, is the solve's start; when the solve returns
-    it unchanged and the full-system contracts hold on it, it is returned:
-    these very arrays, made read-only."""
+    ``newton``, the stationary Newton step from the velocity ``advect``; a
+    time step's system when the problem has a dt.  Returns (v, P).  ``force``
+    is the force load, formed here when None.  ``guess``, a (v, P) pair, is
+    the solve's start; when the solve returns it unchanged and the
+    full-system contracts hold on it, it is returned: these very arrays,
+    made read-only."""
     sample = problem.sample
     mesh = sample.mesh
     dm = fem_core.dofmap_for(mesh)
     gamma_n = _donothing_tags(problem)
+    include_time = problem.dt is not None
     mass_coeff = 1.0 / problem.dt if include_time else 0.0
     rhs_v = _force_load(problem) if force is None else force
     if newton:
@@ -298,7 +302,7 @@ def solve_flow_step(problem: FlowProblem):
         return system.fixed[1]
     advect = problem.sample.coeffs if problem.include_convection else None
     guess = None if problem.p_prev is None else (problem.sample.v_h, problem.p_prev)
-    v, p = _solve_linear(problem, advect, True, force=force, guess=guess)
+    v, p = _solve_linear(problem, advect, force=force, guess=guess)
     returned_guess = guess is not None and v is guess[0]
     system.fixed = (_step_inputs(problem, force), (v, p)) if returned_guess else None
     return v, p
@@ -311,11 +315,11 @@ def solve_flow_stationary(problem: FlowProblem):
     (v, P); a failed linear solve, or :data:`NEWTON_MAX` Newton solves
     without meeting :data:`NEWTON_TOL`, raises SolverError."""
     problem.validate(step=False)
-    v, p = _solve_linear(problem, None, include_time=False)
+    v, p = _solve_linear(problem, None)
     if not problem.include_convection:
         return v, p
     return linalg.fixed_point(
-        lambda u: _solve_linear(problem, u, include_time=False, newton=True),
+        lambda u: _solve_linear(problem, u, newton=True),
         v, NEWTON_TOL, NEWTON_MAX)
 
 

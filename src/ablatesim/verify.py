@@ -5,6 +5,12 @@ which keeps every refinement level 16x8 ... 128x64 a uniform square-cell
 grid.  Stabilization is switched off (beta = 0) in the convergence studies:
 the artificial viscosity is a bounded O(h) perturbation validated by its own
 invariants, not part of the consistent discretization being rated.
+
+A case's ``kind`` names its entry of :data:`CASE_KINDS`: the level solver,
+the error norms each level records and the strong operator of the
+finite-difference source check.  The invariant suite runs the blocks of
+:data:`INVARIANT_BLOCKS` in order; each declares the names of the checks it
+records, and :data:`INVARIANT_NAMES` is read from them.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import coupler, fem_core, flow_solver, heat_solver, linalg, materials, mesh as mesh_mod
 from .fem_core import dofmap_for
@@ -36,7 +43,7 @@ class ManufacturedCase:
     """Exact fields, their gradients, and the consistent strong-form source."""
 
     name: str
-    kind: str  # potential | heat_steady | heat_unsteady | oseen
+    kind: str  # a key of CASE_KINDS
     exact: object  # scalar: f(x, y[, t]); oseen: (ux, uy) closure
     grad: object  # gradient closure matching `exact`
     source: object  # strong-form source closure
@@ -154,39 +161,32 @@ def oseen_case() -> ManufacturedCase:
 # -- error norms ------------------------------------------------------------------
 
 
-def l2_error_scalar(msh, nodal, exact, t=None) -> float:
+def _error_norm(msh, approx, exact, t=None) -> float:
+    """sqrt(sum_q w_q |approx - exact|^2) over the mesh's quad points: ``approx``
+    is the discrete field there, (NT, NQ) or (NT, 1), then its component axes,
+    and ``exact`` the closure of (x, y[, t]) whose nested components fill them."""
     geo = fem_core.geometry(msh)
-    vals = fem_core.p1_at_qp(msh, nodal)
-    ex = exact(geo.qp[..., 0], geo.qp[..., 1]) if t is None else exact(
-        geo.qp[..., 0], geo.qp[..., 1], t)
-    return float(np.sqrt(np.einsum("tq,tq->", geo.qw, (vals - ex) ** 2)))
+    ex = np.asarray(exact(geo.qp[..., 0], geo.qp[..., 1], *(() if t is None else (t,))))
+    # The components move behind (NT, NQ), and the sum runs in C order over them.
+    ex = np.ascontiguousarray(np.moveaxis(ex, range(ex.ndim - 2), range(2 - ex.ndim, 0)))
+    sq = (approx - ex) ** 2
+    return float(np.sqrt(np.einsum("tq,tq" + "cd"[:sq.ndim - 2] + "->", geo.qw, sq)))
+
+
+def l2_error_scalar(msh, nodal, exact, t=None) -> float:
+    return _error_norm(msh, fem_core.p1_at_qp(msh, nodal), exact, t)
 
 
 def h1_seminorm_error_scalar(msh, nodal, grad_exact, t=None) -> float:
-    geo = fem_core.geometry(msh)
-    gh = fem_core.p1_gradients(msh, nodal)[:, None, :]  # (NT,1,2)
-    args = (geo.qp[..., 0], geo.qp[..., 1]) if t is None else (
-        geo.qp[..., 0], geo.qp[..., 1], t)
-    gx, gy = grad_exact(*args)
-    diff = np.stack([gh[..., 0] - gx, gh[..., 1] - gy], axis=-1)
-    return float(np.sqrt(np.einsum("tq,tqd->", geo.qw, diff ** 2)))
+    return _error_norm(msh, fem_core.p1_gradients(msh, nodal)[:, None, :], grad_exact, t)
 
 
 def l2_error_velocity(msh, u, exact) -> float:
-    geo = fem_core.geometry(msh)
-    uh = fem_core.velocity_at_qp(msh, u)
-    ux, uy = exact(geo.qp[..., 0], geo.qp[..., 1])
-    diff = np.stack([uh[..., 0] - ux, uh[..., 1] - uy], axis=-1)
-    return float(np.sqrt(np.einsum("tq,tqd->", geo.qw, diff ** 2)))
+    return _error_norm(msh, fem_core.velocity_at_qp(msh, u), exact)
 
 
 def h1_seminorm_error_velocity(msh, u, grad_exact) -> float:
-    geo = fem_core.geometry(msh)
-    gh = fem_core.velocity_grad_at_qp(msh, u)  # (NT,NQ,2,2)
-    (gxx, gxy), (gyx, gyy) = grad_exact(geo.qp[..., 0], geo.qp[..., 1])
-    ge = np.stack([np.stack([gxx, gxy], axis=-1), np.stack([gyx, gyy], axis=-1)], axis=-2)
-    diff = gh - ge
-    return float(np.sqrt(np.einsum("tq,tqcd->", geo.qw, diff ** 2)))
+    return _error_norm(msh, fem_core.velocity_grad_at_qp(msh, u), grad_exact)
 
 
 # -- per-case solvers ---------------------------------------------------------------
@@ -229,83 +229,171 @@ def _unit_material() -> MaterialModel:
                          sigma_law=lambda th: np.ones_like(th))
 
 
-def _robin_from_exact(case: ManufacturedCase, tag: int, steady: bool = False) -> HeatBC:
-    """Robin data theta_l = eta d(theta*)/dn + theta* (alpha = 1, eta = 1)."""
+def _at_theta_b(model: MaterialModel, msh, v_h=None) -> materials.FieldSample:
+    """The sample of ``model``'s body temperature on ``msh``, with the velocity ``v_h``."""
+    return materials.FieldSample(model, msh, np.full(msh.num_vertices, model.theta_b), v_h)
+
+
+def _in_time(case: ManufacturedCase, f):
+    """``f``, one of ``case``'s closures, as a closure of (x, y, t): a steady
+    case's closures do not take t."""
+    return f if _kind(case).transient else (lambda x, y, t: f(x, y))
+
+
+def _robin_from_exact(exact, grad, tag: int) -> HeatBC:
+    """Robin data theta_l = eta d(theta*)/dn + theta* (alpha = 1, eta = 1) of
+    the exact field ``exact`` with gradient ``grad``, closures of (x, y, t)."""
     normal = {1: (-1.0, 0.0), 2: (0.0, -1.0), 3: (1.0, 0.0),
               4: (0.0, 1.0), 5: (0.0, 1.0)}[tag]
 
     def data(x, y, t):
-        args = (x, y) if steady else (x, y, t)
-        gx, gy = case.grad(*args)
-        return normal[0] * gx + normal[1] * gy + case.exact(*args)
+        gx, gy = grad(x, y, t)
+        return normal[0] * gx + normal[1] * gy + exact(x, y, t)
 
     return HeatBC("robin", alpha=1.0, value=data)
 
 
+def _heat_problem(case: ManufacturedCase, msh, theta, **fields) -> HeatProblem:
+    """The heat problem of a scalar case at the temperature ``theta``: the unit
+    material, the case's velocity, Robin data from the exact field on every
+    tag, beta = 0 and the case's source as the only source; ``fields`` holds
+    dt and the other time-step fields."""
+    exact, grad = _in_time(case, case.exact), _in_time(case, case.grad)
+    return HeatProblem(
+        sample=materials.FieldSample(_unit_material(), msh, theta,
+                                     _velocity_dofs(msh, case.velocity)),
+        phi=np.zeros(msh.num_vertices),
+        bc={tag: _robin_from_exact(exact, grad, tag) for tag in mesh_mod.ALL_TAGS},
+        stab=StabilizationParams(beta=0.0), include_physics_sources=False,
+        extra_source=_in_time(case, case.source), **fields)
+
+
 def solve_potential_case(case: ManufacturedCase, nx, ny):
     msh = _mms_mesh(nx, ny)
-    model = _unit_material()
     problem = PotentialProblem(
-        sample=materials.FieldSample(model, msh, np.full(msh.num_vertices, model.theta_b)),
-        g=0.0, neumann_tags=(), dirichlet_tags=(1, 2, 3, 4, 5),
-        source=lambda x, y: case.source(x, y),
+        sample=_at_theta_b(_unit_material(), msh),
+        g=0.0, neumann_tags=(), dirichlet_tags=(1, 2, 3, 4, 5), source=case.source,
     )
-    phi = solve_potential(problem)
-    return msh, phi
+    return msh, solve_potential(problem)
 
 
 def solve_heat_steady_case(case: ManufacturedCase, nx, ny):
     msh = _mms_mesh(nx, ny)
-    model = _unit_material()
-    v = _velocity_dofs(msh, case.velocity)
-    bc = {tag: _robin_from_exact(case, tag, steady=True) for tag in mesh_mod.ALL_TAGS}
-    problem = HeatProblem(
-        sample=materials.FieldSample(model, msh, np.zeros(msh.num_vertices), v),
-        phi=np.zeros(msh.num_vertices), dt=None, bc=bc, stab=StabilizationParams(beta=0.0),
-        include_physics_sources=False,
-        extra_source=lambda x, y, t: case.source(x, y),
-    )
-    theta = heat_solver.solve_heat_stationary(problem)
-    return msh, theta
+    problem = _heat_problem(case, msh, np.zeros(msh.num_vertices), dt=None)
+    return msh, heat_solver.solve_heat_stationary(problem)
 
 
 def solve_heat_unsteady_case(case: ManufacturedCase, nx, ny, steps=None):
     msh = _mms_mesh(nx, ny)
-    model = _unit_material()
-    v = _velocity_dofs(msh, case.velocity)
-    bc = {tag: _robin_from_exact(case, tag) for tag in mesh_mod.ALL_TAGS}
     steps = case.steps if steps is None else steps
     dt = case.final_time / steps
     theta = case.exact(msh.vertices[:, 0], msh.vertices[:, 1], 0.0)
     theta_prev2 = None
     system = linalg.LinearSystem()  # every step's matrix is the same: one factor serves all
     for n in range(1, steps + 1):
-        problem = HeatProblem(
-            sample=materials.FieldSample(model, msh, theta, v),
-            theta_prev2=theta_prev2, phi=np.zeros(msh.num_vertices),
-            dt=dt, bc=bc, stab=StabilizationParams(beta=0.0),
-            time=n * dt, include_physics_sources=False,
-            extra_source=case.source, system=system,
-        )
-        theta_new = heat_solver.solve_heat_step(problem)
-        theta_prev2, theta = theta, theta_new
+        problem = _heat_problem(case, msh, theta, theta_prev2=theta_prev2, dt=dt,
+                                time=n * dt, system=system)
+        theta_prev2, theta = theta, heat_solver.solve_heat_step(problem)
     return msh, theta
 
 
 def solve_oseen_case(case: ManufacturedCase, nx, ny):
     msh = _mms_mesh(nx, ny)
-    model = _unit_material()
     bc = {tag: flow_solver.FlowBC("inflow", case.exact) for tag in mesh_mod.ALL_TAGS}
     problem = flow_solver.FlowProblem(
-        sample=materials.FieldSample(model, msh, np.full(msh.num_vertices, model.theta_b)),
-        dt=None, bc=bc,
-        extra_force=lambda x, y: case.source(x, y),
+        sample=_at_theta_b(_unit_material(), msh), dt=None, bc=bc,
+        extra_force=case.source,
         pressure_pin_value=float(case.pressure(0.0, 0.0)),
     )
     # The linear Oseen solve that a flow step or a Newton step makes.
-    v, p = flow_solver._solve_linear(problem, _velocity_dofs(msh, case.exact),
-                                     include_time=False)
+    v, p = flow_solver._solve_linear(problem, _velocity_dofs(msh, case.exact))
     return msh, v, p
+
+
+# -- the case kinds ------------------------------------------------------------------
+
+
+def _fd_grad(f, x, y, h):
+    return ((f(x + h, y) - f(x - h, y)) / (2 * h),
+            (f(x, y + h) - f(x, y - h)) / (2 * h))
+
+
+def _fd_laplace(f, x, y, h):
+    return (f(x + h, y) + f(x - h, y) + f(x, y + h) + f(x, y - h) - 4 * f(x, y)) / h ** 2
+
+
+def _scalar_operator(case: ManufacturedCase, x, y, h):
+    """d(theta)/dt + v . grad(theta) - laplace(theta) by central differences at
+    half the final time, and the source there.  A steady case's d/dt
+    differences to exactly 0, and a case without a velocity, the potential,
+    has no transport term."""
+    exact, t = _in_time(case, case.exact), 0.5 * case.final_time
+    at_t = lambda xx, yy: exact(xx, yy, t)  # noqa: E731
+    vx, vy = case.velocity or (0.0, 0.0)
+    gx, gy = _fd_grad(at_t, x, y, h)
+    dtheta_dt = (exact(x, y, t + h) - exact(x, y, t - h)) / (2 * h)
+    op = dtheta_dt + vx * gx + vy * gy - _fd_laplace(at_t, x, y, h)
+    return op, _in_time(case, case.source)(x, y, t)
+
+
+def _oseen_operator(case: ManufacturedCase, x, y, h):
+    """-div(nu D(u)) + (u . grad) u + grad p with nu = 1 by central
+    differences, and the source, each as its x then its y component."""
+    ux = lambda xx, yy: case.exact(xx, yy)[0]  # noqa: E731
+    uy = lambda xx, yy: case.exact(xx, yy)[1]  # noqa: E731
+    u, v = case.exact(x, y)
+    uxx, uxy = _fd_grad(ux, x, y, h)
+    uyx, uyy = _fd_grad(uy, x, y, h)
+    px, py = _fd_grad(case.pressure, x, y, h)
+    nu = 1.0
+    # -div(nu D(u)) = -(nu/2) laplace(u) for divergence-free u
+    fx = -0.5 * nu * _fd_laplace(ux, x, y, h) + u * uxx + v * uxy + px
+    fy = -0.5 * nu * _fd_laplace(uy, x, y, h) + u * uyx + v * uyy + py
+    return np.concatenate([fx, fy]), np.concatenate(case.source(x, y))
+
+
+# Each value a level can record, an error or an extra: name -> f(case, mesh, *solution).
+_LEVEL_NORMS = {
+    "L2": lambda case, msh, u: l2_error_scalar(msh, u, _in_time(case, case.exact),
+                                               t=case.final_time),
+    "H1": lambda case, msh, u: h1_seminorm_error_scalar(msh, u, _in_time(case, case.grad),
+                                                        t=case.final_time),
+    "velocity_H1": lambda case, msh, v, p: h1_seminorm_error_velocity(msh, v, case.grad),
+    "velocity_L2": lambda case, msh, v, p: l2_error_velocity(msh, v, case.exact),
+    "pressure_L2": lambda case, msh, v, p: l2_error_scalar(msh, p, case.pressure),
+    "div_residual": lambda case, msh, v, p: float(
+        np.linalg.norm(fem_core.assemble_divergence(msh) @ v)),
+    "v_norm": lambda case, msh, v, p: float(np.linalg.norm(v)),
+}
+
+
+@dataclass(frozen=True)
+class CaseKind:
+    """How the cases of one kind are solved, rated and checked."""
+
+    solver: str  # the level solver's module-level name, looked up when called
+    norms: tuple  # the errors of a level that are rated, keys of _LEVEL_NORMS
+    operator: object  # f(case, x, y, h) -> (strong operator by differences, source)
+    extra: tuple = ()  # the level values kept in RateReport.extra, keys of _LEVEL_NORMS
+    transient: bool = False  # the case's closures take the time t after (x, y)
+
+
+CASE_KINDS = {
+    "potential": CaseKind("solve_potential_case", ("L2", "H1"), _scalar_operator),
+    "heat_steady": CaseKind("solve_heat_steady_case", ("L2",), _scalar_operator),
+    "heat_unsteady": CaseKind("solve_heat_unsteady_case", ("L2",), _scalar_operator,
+                              transient=True),
+    "oseen": CaseKind("solve_oseen_case", ("velocity_H1", "velocity_L2", "pressure_L2"),
+                      _oseen_operator, extra=("div_residual", "v_norm")),
+}
+
+
+def _kind(case: ManufacturedCase) -> CaseKind:
+    """The entry of ``case``'s kind; the one reader of ``ManufacturedCase.kind``."""
+    name = case.kind
+    if name not in CASE_KINDS:
+        raise ValueError(f"unknown case kind {name!r}")
+    return CASE_KINDS[name]
 
 
 # -- convergence studies -------------------------------------------------------------
@@ -316,23 +404,19 @@ class RateReport:
     case: str
     h: list
     errors: dict  # norm name -> list of errors
-    slopes_ls: dict  # least-squares slope over all levels
-    slopes_finest: dict  # slope from the two finest levels
     extra: dict = field(default_factory=dict)
+    slopes_ls: dict = field(init=False)  # least-squares slope over all levels
+    slopes_finest: dict = field(init=False)  # slope from the two finest levels
 
     def __post_init__(self):
         if len(self.h) < 3:
             raise ValueError("need at least 3 refinement levels for a rate")
-
-
-def _fit_slopes(h, errors) -> tuple[dict, dict]:
-    ls, fin = {}, {}
-    logh = np.log(np.asarray(h))
-    for name, errs in errors.items():
-        loge = np.log(np.asarray(errs))
-        ls[name] = float(np.polyfit(logh, loge, 1)[0])
-        fin[name] = float((loge[-1] - loge[-2]) / (logh[-1] - logh[-2]))
-    return ls, fin
+        self.slopes_ls, self.slopes_finest = {}, {}
+        logh = np.log(np.asarray(self.h))
+        for name, errs in self.errors.items():
+            loge = np.log(np.asarray(errs))
+            self.slopes_ls[name] = float(np.polyfit(logh, loge, 1)[0])
+            self.slopes_finest[name] = float((loge[-1] - loge[-2]) / (logh[-1] - logh[-2]))
 
 
 def convergence_study(case: ManufacturedCase, levels=DEFAULT_LEVELS) -> RateReport:
@@ -343,36 +427,17 @@ def convergence_study(case: ManufacturedCase, levels=DEFAULT_LEVELS) -> RateRepo
         # Each level's mesh, with its per-mesh caches, and its solution are
         # freed on return, before the next level is built and factorized.
         hs.append(_level_errors(case, nx, ny, errors, extra))
-    ls, fin = _fit_slopes(hs, errors)
-    return RateReport(case=case.name, h=hs, errors=errors,
-                      slopes_ls=ls, slopes_finest=fin, extra=extra)
+    return RateReport(case=case.name, h=hs, errors=errors, extra=extra)
 
 
 def _level_errors(case: ManufacturedCase, nx: int, ny: int, errors: dict, extra: dict) -> float:
-    """Solve ``case`` on the nx x ny level, append its errors to ``errors``
-    (and the Oseen case's divergence data to ``extra``); returns its h."""
-    if case.kind == "potential":
-        msh, phi = solve_potential_case(case, nx, ny)
-        errors.setdefault("L2", []).append(l2_error_scalar(msh, phi, case.exact))
-        errors.setdefault("H1", []).append(h1_seminorm_error_scalar(msh, phi, case.grad))
-    elif case.kind == "heat_steady":
-        msh, theta = solve_heat_steady_case(case, nx, ny)
-        errors.setdefault("L2", []).append(l2_error_scalar(msh, theta, case.exact))
-    elif case.kind == "heat_unsteady":
-        msh, theta = solve_heat_unsteady_case(case, nx, ny)
-        errors.setdefault("L2", []).append(
-            l2_error_scalar(msh, theta, case.exact, t=case.final_time))
-    elif case.kind == "oseen":
-        msh, v, p = solve_oseen_case(case, nx, ny)
-        errors.setdefault("velocity_H1", []).append(
-            h1_seminorm_error_velocity(msh, v, case.grad))
-        errors.setdefault("velocity_L2", []).append(l2_error_velocity(msh, v, case.exact))
-        errors.setdefault("pressure_L2", []).append(l2_error_scalar(msh, p, case.pressure))
-        B = fem_core.assemble_divergence(msh)
-        extra.setdefault("div_residual", []).append(float(np.linalg.norm(B @ v)))
-        extra.setdefault("v_norm", []).append(float(np.linalg.norm(v)))
-    else:
-        raise ValueError(f"unknown case kind {case.kind!r}")
+    """Solve ``case`` on the nx x ny level by its kind's solver and append the
+    kind's norms to ``errors`` and its extra values to ``extra``; returns h."""
+    kind = _kind(case)
+    msh, *solution = globals()[kind.solver](case, nx, ny)
+    for values, names in ((errors, kind.norms), (extra, kind.extra)):
+        for name in names:
+            values.setdefault(name, []).append(_LEVEL_NORMS[name](case, msh, *solution))
     return float(msh.h.max())
 
 
@@ -385,9 +450,7 @@ def temporal_convergence_study(case: ManufacturedCase, nx=64, ny=32,
         msh, theta = solve_heat_unsteady_case(case, nx, ny, steps=steps)
         errs.append(l2_error_scalar(msh, theta, case.exact, t=case.final_time))
         dts.append(case.final_time / steps)
-    ls, fin = _fit_slopes(dts, {"L2": errs})
-    return RateReport(case=case.name + "_dt", h=dts, errors={"L2": errs},
-                      slopes_ls=ls, slopes_finest=fin)
+    return RateReport(case=case.name + "_dt", h=dts, errors={"L2": errs})
 
 
 def splitting_order_study(config, Ms=(10, 20, 40), M_ref=320) -> RateReport:
@@ -417,66 +480,22 @@ def splitting_order_study(config, Ms=(10, 20, 40), M_ref=320) -> RateReport:
             e = getattr(state, name) - getattr(ref, name)
             errors[name].append(float(np.sqrt(e @ (mass @ e))))
     dts = [config.time.T / M for M in Ms]
-    ls, fin = _fit_slopes(dts, errors)
     rates = {name: [float(np.log(e0 / e1) / np.log(d0 / d1))
                     for e0, e1, d0, d1 in zip(errs, errs[1:], dts, dts[1:])]
              for name, errs in errors.items()}
-    return RateReport(case="splitting", h=dts, errors=errors, slopes_ls=ls,
-                      slopes_finest=fin, extra={"rates": rates})
-
-
-# -- finite-difference source verification -------------------------------------------
-
-
-def _fd_grad(f, x, y, h):
-    return ((f(x + h, y) - f(x - h, y)) / (2 * h),
-            (f(x, y + h) - f(x, y - h)) / (2 * h))
-
-
-def _fd_laplace(f, x, y, h):
-    return (f(x + h, y) + f(x - h, y) + f(x, y + h) + f(x, y - h) - 4 * f(x, y)) / h ** 2
+    return RateReport(case="splitting", h=dts, errors=errors, extra={"rates": rates})
 
 
 def finite_difference_source_check(case: ManufacturedCase, npoints: int = 20,
                                    h: float = 1e-4, seed: int = 1234) -> float:
     """Max relative mismatch between the analytic source and a central-difference
-    application of the strong operator at random interior points."""
+    application of the case kind's strong operator at random interior points."""
+    operator = _kind(case).operator
     rng = np.random.default_rng(seed)
     L, H = MMS_GEOMETRY["L"], MMS_GEOMETRY["H"]
     x = rng.uniform(0.1 * L, 0.9 * L, npoints)
     y = rng.uniform(0.1 * H, 0.9 * H, npoints)
-
-    if case.kind == "potential":
-        op = -_fd_laplace(case.exact, x, y, h)
-        src = case.source(x, y)
-    elif case.kind == "heat_steady":
-        gx, gy = _fd_grad(case.exact, x, y, h)
-        op = case.velocity[0] * gx + case.velocity[1] * gy - _fd_laplace(case.exact, x, y, h)
-        src = case.source(x, y)
-    elif case.kind == "heat_unsteady":
-        t = 0.5 * case.final_time
-        ft = lambda xx, yy: case.exact(xx, yy, t)  # noqa: E731
-        dtheta_dt = (case.exact(x, y, t + h) - case.exact(x, y, t - h)) / (2 * h)
-        gx, gy = _fd_grad(ft, x, y, h)
-        op = (dtheta_dt + case.velocity[0] * gx + case.velocity[1] * gy
-              - _fd_laplace(ft, x, y, h))
-        src = case.source(x, y, t)
-    elif case.kind == "oseen":
-        ux = lambda xx, yy: case.exact(xx, yy)[0]  # noqa: E731
-        uy = lambda xx, yy: case.exact(xx, yy)[1]  # noqa: E731
-        u, v = case.exact(x, y)
-        uxx, uxy = _fd_grad(ux, x, y, h)
-        uyx, uyy = _fd_grad(uy, x, y, h)
-        px, py = _fd_grad(case.pressure, x, y, h)
-        nu = 1.0
-        # -div(nu D(u)) = -(nu/2) laplace(u) for divergence-free u
-        fx = -0.5 * nu * _fd_laplace(ux, x, y, h) + u * uxx + v * uxy + px
-        fy = -0.5 * nu * _fd_laplace(uy, x, y, h) + u * uyx + v * uyy + py
-        sx, sy = case.source(x, y)
-        op = np.concatenate([fx, fy])
-        src = np.concatenate([sx, sy])
-    else:
-        raise ValueError(f"unknown case kind {case.kind!r}")
+    op, src = operator(case, x, y, h)
     scale = max(1.0, float(np.max(np.abs(src))))
     return float(np.max(np.abs(op - src)) / scale)
 
@@ -521,18 +540,17 @@ def _step_audit(config) -> dict:
                 audit["eta_zero_velocity_max"] = max(
                     audit["eta_zero_velocity_max"], float(np.max(np.abs(art[still]))))
             # The step's heat source: the laws at theta^{n-1}, v^n and phi^n.
-            src = (lagged.nu * flow_solver.viscous_dissipation(sim.mesh, state.v)
-                   + joule_density(sim.mesh, lagged.sigma, state.phi))
+            src = heat_solver.heat_source(lagged.nu,
+                                          flow_solver.viscous_dissipation(sim.mesh, state.v),
+                                          joule_density(sim.mesh, lagged.sigma, state.phi))
             audit["source_min"] = min(audit["source_min"], float(src.min()))
             load = fem_core.assemble_scalar_load(sim.mesh, src)
             audit["load_min"] = min(audit["load_min"], float(load.min()))
             audit["div_max"] = max(audit["div_max"],
                                    diag.div_norm / (1.0 + float(np.linalg.norm(state.v))))
             names = [s[0] for s in diag.stages]
-            times = [s[1] for s in diag.stages]
             spans = [t for _, start, end in diag.stages for t in (start, end)]
-            if (names != ["potential", "flow", "heat"] or times != sorted(times)
-                    or spans != sorted(spans)):
+            if names != ["potential", "flow", "heat"] or spans != sorted(spans):
                 audit["stage_order_ok"] = False
         prev = state
 
@@ -557,296 +575,271 @@ def _equilibrium_config(config):
     return cfg
 
 
-# Registry of runtime-checkable invariants, one entry per documented module
-# invariant; the registry count test keeps it in sync with the docs.
-INVARIANT_NAMES = [
-    "mesh.area_identity",
-    "mesh.boundary_length_identity",
-    "mesh.edge_sharing",
-    "linalg.transpose_involution",
-    "linalg.residual_contracts",
-    "linalg.dirichlet_idempotent",
-    "fem.quadrature_bubble_exactness",
-    "fem.stiffness_constant_nullspace",
-    "fem.patch_test",
-    "materials.a1_bounds",
-    "materials.sigma_monotonicity",
-    "materials.body_force_affine",
-    "potential.spd_after_elimination",
-    "potential.linearity_in_g",
-    "potential.conductivity_scaling",
-    "potential.joule_nonnegative",
-    "flow.divergence_contract",
-    "flow.dissipation_nonnegative",
-    "heat.art_visc_bound",
-    "heat.art_visc_zero_velocity",
-    "heat.source_load_nonnegative",
-    "coupler.stage_order",
-    "flow.galilean_constant",
-    "flow.stokes_energy_decay",
-    "heat.equilibrium_fixed_point",
-    "heat.l2_contraction",
-    "coupler.determinism",
-]
-
-
-def invariant_suite(config) -> dict:
-    """Run every registered invariant against the given configuration.
-
-    Returns {"checks": [{name, passed, detail}...], "passed": bool}.
-    """
-    checks = []
-
-    def record(name, passed, detail=""):
-        checks.append({"name": name, "passed": bool(passed), "detail": str(detail)})
-
-    def record_crash(names, detail):
-        """Record each of ``names`` that a crashed block left out as failed."""
-        done = {c["name"] for c in checks}
-        for name in names:
-            if name not in done:
-                record(name, False, detail)
-
-    msh = generate_channel_mesh(config.geometry)
-    g = config.geometry
-    areas = float(msh.areas.sum())
-    record("mesh.area_identity", abs(areas - g.L * g.H) <= 1e-12 * g.L * g.H,
-           f"sum(areas)={areas!r}")
-    edges = msh.boundary_edges
-    blen = float(np.linalg.norm(msh.vertices[edges[:, 1]] - msh.vertices[edges[:, 0]],
-                                axis=1).sum())
-    record("mesh.boundary_length_identity",
-           abs(blen - 2 * (g.L + g.H)) <= 1e-12 * 2 * (g.L + g.H), f"perimeter={blen!r}")
-    counts = msh._edge_use_counts()
-    boundary_keys = {(int(min(a, b)), int(max(a, b))) for a, b in edges}
-    ok = all((c == 1 and k in boundary_keys) or (c == 2 and k not in boundary_keys)
-             for k, c in counts.items())
-    record("mesh.edge_sharing", ok)
-
-    rng = np.random.default_rng(42)
-    A = fem_core.assemble_stiffness(msh, 1.0)
-    record("linalg.transpose_involution",
-           (abs(A.T.T - A)).max() == 0.0)
-    affine = 1.0 + 2.0 * msh.vertices[:, 0] - 3.0 * msh.vertices[:, 1]
-    bdofs = np.unique(edges.ravel())
-    Ap, bp = linalg.apply_dirichlet(A, np.zeros(msh.num_vertices), bdofs, affine[bdofs])
+def _run_to_trip(config) -> tuple:
+    """A run of ``config``: the step at which its blow-up guard tripped, None
+    if it did not, and its diagnostics rows, up to the trip."""
     try:
-        import scipy.sparse as sp
+        return None, coupler.Simulation(config).run()[1]
+    except coupler.BlowUpError as exc:
+        return exc.state.n, exc.rows
 
+
+def _never_grows(norms) -> bool:
+    """Whether no norm of the sequence exceeds the one before it by more than
+    a relative 1e-12."""
+    return not any(b > a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
+
+
+INVARIANT_BLOCKS = []  # (names, block) in run order
+
+
+def _invariants(*names):
+    """Register the decorated :class:`_Suite` method as an invariant block: a
+    generator that yields one (passed, detail) pair for each of ``names``, in
+    order."""
+
+    def register(block):
+        INVARIANT_BLOCKS.append((names, block))
+        return block
+
+    return register
+
+
+class _Suite:
+    """The invariant blocks, in run order, and what several of them read."""
+
+    def __init__(self, config):
+        self.config = config
+        self.rng = np.random.default_rng(42)
+        self.mesh = msh = generate_channel_mesh(config.geometry)
+        self.small = generate_channel_mesh(GeometrySpec(nx=12, ny=6, **MMS_GEOMETRY))
+        self.model = config.build_material_model()
+        self.stiffness = fem_core.assemble_stiffness(msh, 1.0)
+        # The patch test: an affine field and the stiffness system with its
+        # values on the boundary vertices eliminated.
+        self.affine = 1.0 + 2.0 * msh.vertices[:, 0] - 3.0 * msh.vertices[:, 1]
+        self.bdofs = np.unique(msh.boundary_edges.ravel())
+        self.Ap, self.bp = linalg.apply_dirichlet(self.stiffness, np.zeros(msh.num_vertices),
+                                                  self.bdofs, self.affine[self.bdofs])
+
+    @_invariants("mesh.area_identity", "mesh.boundary_length_identity", "mesh.edge_sharing")
+    def mesh_checks(self):
+        msh, g = self.mesh, self.config.geometry
+        areas = float(msh.areas.sum())
+        yield abs(areas - g.L * g.H) <= 1e-12 * g.L * g.H, f"sum(areas)={areas!r}"
+        edges = msh.boundary_edges
+        blen = float(np.linalg.norm(msh.vertices[edges[:, 1]] - msh.vertices[edges[:, 0]],
+                                    axis=1).sum())
+        yield abs(blen - 2 * (g.L + g.H)) <= 1e-12 * 2 * (g.L + g.H), f"perimeter={blen!r}"
+        counts = msh._edge_use_counts()
+        boundary_keys = {(int(min(a, b)), int(max(a, b))) for a, b in edges}
+        yield all((c == 1 and k in boundary_keys) or (c == 2 and k not in boundary_keys)
+                  for k, c in counts.items()), ""
+
+    @_invariants("linalg.transpose_involution", "linalg.residual_contracts",
+                 "linalg.dirichlet_idempotent")
+    def linalg_checks(self):
+        A, affine, bdofs, Ap, bp = self.stiffness, self.affine, self.bdofs, self.Ap, self.bp
+        yield (abs(A.T.T - A)).max() == 0.0, ""
         n = 40
         lap = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
                        [-1, 0, 1], format="csr")
-        b = rng.standard_normal(n)
-        order = fem_core.vertex_order(msh)
+        b = self.rng.standard_normal(n)
+        order = fem_core.vertex_order(self.mesh)
         rel = []
         for M, rhs, o in ((lap, b, None), (Ap, bp, order)):  # natural, vertex order
             x = linalg.solve_lu(M, rhs, order=o)
             rel.append(np.linalg.norm(rhs - M @ x) / np.linalg.norm(rhs))
         # The constrained solve of the patch-test system: the eliminated
         # residual holds and the constrained entries are exact.
-        x = linalg.LinearSystem(bdofs, affine[bdofs], order).solve(A, np.zeros(msh.num_vertices))
+        x = linalg.LinearSystem(bdofs, affine[bdofs], order).solve(A, np.zeros(A.shape[0]))
         rel.append(np.linalg.norm(bp - Ap @ x) / np.linalg.norm(bp))
         exact = np.array_equal(x[bdofs], affine[bdofs])
-        record("linalg.residual_contracts", max(rel) <= 1e-10 and exact,
+        yield (max(rel) <= 1e-10 and exact,
                f"max relative residual {max(rel):.2e}, constrained entries exact: {exact}")
         A1, b1 = linalg.apply_dirichlet(lap, b, [0, n - 1], [1.0, 2.0])
         A2, b2 = linalg.apply_dirichlet(A1, b1, [0, n - 1], [1.0, 2.0])
-        record("linalg.dirichlet_idempotent",
-               (abs(A2 - A1)).max() == 0.0 and np.array_equal(b1, b2))
-    except Exception as exc:
-        record_crash(("linalg.residual_contracts", "linalg.dirichlet_idempotent"),
-                     f"crashed: {exc}")
+        yield (abs(A2 - A1)).max() == 0.0 and np.array_equal(b1, b2), ""
 
-    bary = fem_core.TRI_RULE.points
-    w = fem_core.TRI_RULE.weights
-    bub = fem_core.ElementP1Bubble.bubble_values(bary)
-    int_bb = float(np.sum(w * bub * bub))
-    int_l1l2b = float(np.sum(w * bary[:, 0] * bary[:, 1] * bub))
-    record("fem.quadrature_bubble_exactness",
-           abs(int_bb - 729.0 * 8.0 / 40320.0) < 1e-12
-           and abs(int_l1l2b - 27.0 * 4.0 / 5040.0) < 1e-12,
-           f"int(b^2)={int_bb!r}")
-    ones = np.ones(msh.num_vertices)
-    record("fem.stiffness_constant_nullspace", float(np.abs(A @ ones).max()) < 1e-10)
-    try:
-        err = float(np.abs(linalg.solve_lu(Ap, bp) - affine).max())
-        record("fem.patch_test", err <= 1e-10, f"max err {err:.2e}")
-    except Exception as exc:
-        record("fem.patch_test", False, f"crashed: {exc}")
+    @_invariants("fem.quadrature_bubble_exactness", "fem.stiffness_constant_nullspace",
+                 "fem.patch_test")
+    def fem_checks(self):
+        bary = fem_core.TRI_RULE.points
+        w = fem_core.TRI_RULE.weights
+        bub = fem_core.ElementP1Bubble.bubble_values(bary)
+        int_bb = float(np.sum(w * bub * bub))
+        int_l1l2b = float(np.sum(w * bary[:, 0] * bary[:, 1] * bub))
+        yield (abs(int_bb - 729.0 * 8.0 / 40320.0) < 1e-12
+               and abs(int_l1l2b - 27.0 * 4.0 / 5040.0) < 1e-12, f"int(b^2)={int_bb!r}")
+        A = self.stiffness
+        yield float(np.abs(A @ np.ones(A.shape[0])).max()) < 1e-10, ""
+        err = float(np.abs(linalg.solve_lu(self.Ap, self.bp) - self.affine).max())
+        yield err <= 1e-10, f"max err {err:.2e}"
 
-    model = config.build_material_model()
-    rep = materials.validate_bounds(model)
-    cont_ok = (rep["continuity"][("sigma", 100.0)] <= 1e-12
-               and rep["continuity"][("sigma", 105.0)] <= 1e-12
-               and rep["continuity"][("eta", 100.0)] <= 1e-12)
-    record("materials.a1_bounds", rep["passed"] and cont_ok,
-           "; ".join(rep["violations"]) or f"sigma jump at 99C: {rep['sigma_jump_99']:.2e}")
-    grid = np.arange(-20.0, 150.0, 0.25)
-    sig = np.asarray(model.sigma(grid))
-    dif = np.diff(sig)
-    seg = lambda lo, hi: dif[(grid[:-1] >= lo) & (grid[1:] <= hi)]  # noqa: E731
-    mono = (np.all(seg(-20, 99) >= -1e-15) and np.all(np.abs(seg(99.3, 100)) <= 1e-15)
-            and np.all(seg(100.3, 105) <= 1e-15) and np.all(np.abs(seg(105.3, 150)) <= 1e-15))
-    record("materials.sigma_monotonicity", bool(mono) and model.sigma0 > 0)
-    th1, th2 = 45.0, 61.0
-    f1 = np.asarray(model.body_force(th1))
-    f2 = np.asarray(model.body_force(th2))
-    fb = np.asarray(model.body_force(model.theta_b))
-    fsum = np.asarray(model.body_force(th1 + th2 - model.theta_b))
-    record("materials.body_force_affine", np.allclose(f1 + f2, fb + fsum, atol=1e-14))
+    @_invariants("materials.a1_bounds", "materials.sigma_monotonicity",
+                 "materials.body_force_affine")
+    def materials_checks(self):
+        model = self.model
+        rep = materials.validate_bounds(model)
+        cont_ok = (rep["continuity"][("sigma", 100.0)] <= 1e-12
+                   and rep["continuity"][("sigma", 105.0)] <= 1e-12
+                   and rep["continuity"][("eta", 100.0)] <= 1e-12)
+        yield (rep["passed"] and cont_ok,
+               "; ".join(rep["violations"]) or f"sigma jump at 99C: {rep['sigma_jump_99']:.2e}")
+        grid = np.arange(-20.0, 150.0, 0.25)
+        sig = np.asarray(model.sigma(grid))
+        dif = np.diff(sig)
+        seg = lambda lo, hi: dif[(grid[:-1] >= lo) & (grid[1:] <= hi)]  # noqa: E731
+        mono = (np.all(seg(-20, 99) >= -1e-15) and np.all(np.abs(seg(99.3, 100)) <= 1e-15)
+                and np.all(seg(100.3, 105) <= 1e-15)
+                and np.all(np.abs(seg(105.3, 150)) <= 1e-15))
+        yield bool(mono) and model.sigma0 > 0, ""
+        th1, th2 = 45.0, 61.0
+        f1 = np.asarray(model.body_force(th1))
+        f2 = np.asarray(model.body_force(th2))
+        fb = np.asarray(model.body_force(model.theta_b))
+        fsum = np.asarray(model.body_force(th1 + th2 - model.theta_b))
+        yield np.allclose(f1 + f2, fb + fsum, atol=1e-14), ""
 
-    theta_b_field = np.full(msh.num_vertices, model.theta_b)
-    try:
-        pot = PotentialProblem(sample=materials.FieldSample(model, msh, theta_b_field),
-                               g=config.potential_bc.g,
-                               neumann_tags=config.potential_bc.neumann_tags,
-                               dirichlet_tags=config.potential_bc.dirichlet_tags)
+    @_invariants("potential.spd_after_elimination", "potential.linearity_in_g",
+                 "potential.conductivity_scaling", "potential.joule_nonnegative")
+    def potential_checks(self):
+        msh, model, bc = self.mesh, self.model, self.config.potential_bc
+        pot = PotentialProblem(sample=_at_theta_b(model, msh), g=bc.g,
+                               neumann_tags=bc.neumann_tags, dirichlet_tags=bc.dirichlet_tags)
         Apot = fem_core.assemble_stiffness(msh, pot.sample.sigma)
         dir_dofs, dir_vals = potential_constraints(msh, pot.dirichlet_tags)
         Apot_e, _ = linalg.apply_dirichlet(Apot, np.zeros(msh.num_vertices), dir_dofs, dir_vals)
-        x = rng.standard_normal(msh.num_vertices)
-        record("potential.spd_after_elimination", float(x @ (Apot_e @ x)) > 0.0)
-        if config.potential_bc.g != 0.0 and pot.neumann_tags:
-            phi1 = solve_potential(pot)
-            pot2 = copy.copy(pot)
-            pot2.g = 2.0 * config.potential_bc.g
-            phi2 = solve_potential(pot2)
-            record("potential.linearity_in_g",
-                   float(np.abs(phi2 - 2 * phi1).max())
-                   <= 1e-7 * max(1e-30, float(np.abs(phi1).max())),
-                   f"{float(np.abs(phi2 - 2 * phi1).max()):.2e}")
-            scaled = MaterialModel(sigma0=3.0 * model.sigma0, eta0=model.eta0,
-                                   nu_const=model.nu_const, theta_b=model.theta_b)
-            pot3 = copy.copy(pot)
-            pot3.sample = materials.FieldSample(scaled, msh, theta_b_field)
-            phi3 = solve_potential(pot3)
-            record("potential.conductivity_scaling",
-                   float(np.abs(3.0 * phi3 - phi1).max()) <= 1e-7 * float(np.abs(phi1).max()))
-            jd = joule_density(msh, pot.sample.sigma, phi1)
-            record("potential.joule_nonnegative", float(jd.min()) >= 0.0)
-        else:
-            phi0 = solve_potential(pot)
-            record("potential.linearity_in_g", float(np.abs(phi0).max()) == 0.0, "g = 0")
-            record("potential.conductivity_scaling", True, "g = 0")
-            record("potential.joule_nonnegative", True, "g = 0")
-    except Exception as exc:
-        record_crash(("potential.spd_after_elimination", "potential.linearity_in_g",
-                      "potential.conductivity_scaling", "potential.joule_nonnegative"),
-                     f"crashed: {exc}")
+        x = self.rng.standard_normal(msh.num_vertices)
+        yield float(x @ (Apot_e @ x)) > 0.0, ""
+        if bc.g == 0.0 or not pot.neumann_tags:
+            # No flux drives the potential: it is zero, and so are its scalings.
+            why = "g = 0" if bc.g == 0.0 else "no Neumann tag carries the flux g"
+            yield float(np.abs(solve_potential(pot)).max()) == 0.0, why
+            yield True, why
+            yield True, why
+            return
+        phi1 = solve_potential(pot)
+        pot2 = copy.copy(pot)
+        pot2.g = 2.0 * bc.g
+        phi2 = solve_potential(pot2)
+        yield (float(np.abs(phi2 - 2 * phi1).max())
+               <= 1e-7 * max(1e-30, float(np.abs(phi1).max())),
+               f"{float(np.abs(phi2 - 2 * phi1).max()):.2e}")
+        scaled = MaterialModel(sigma0=3.0 * model.sigma0, eta0=model.eta0,
+                               nu_const=model.nu_const, theta_b=model.theta_b)
+        pot3 = copy.copy(pot)
+        pot3.sample = _at_theta_b(scaled, msh)
+        phi3 = solve_potential(pot3)
+        yield float(np.abs(3.0 * phi3 - phi1).max()) <= 1e-7 * float(np.abs(phi1).max()), ""
+        yield float(joule_density(msh, pot.sample.sigma, phi1).min()) >= 0.0, ""
 
-    audit_names = ("flow.divergence_contract", "flow.dissipation_nonnegative",
-                   "heat.art_visc_bound", "heat.art_visc_zero_velocity",
-                   "heat.source_load_nonnegative", "coupler.stage_order")
-    try:
-        audit = _step_audit(config)
-    except Exception as exc:
-        audit = None
-        record_crash(audit_names, f"run crashed: {exc}")
-    if audit is not None:
-        record("flow.divergence_contract", audit["div_max"] <= 1e-8,
-               f"max |Bv|/(1+|v|) = {audit['div_max']:.2e}")
-        record("flow.dissipation_nonnegative", audit["source_min"] >= 0.0,
-               f"min source {audit['source_min']:.2e}")
-        record("heat.art_visc_bound", audit["eta_bound_violation"] <= 1e-15,
+    @_invariants("flow.divergence_contract", "flow.dissipation_nonnegative",
+                 "heat.art_visc_bound", "heat.art_visc_zero_velocity",
+                 "heat.source_load_nonnegative", "coupler.stage_order")
+    def step_checks(self):
+        audit = _step_audit(self.config)
+        yield audit["div_max"] <= 1e-8, f"max |Bv|/(1+|v|) = {audit['div_max']:.2e}"
+        yield audit["source_min"] >= 0.0, f"min source {audit['source_min']:.2e}"
+        yield (audit["eta_bound_violation"] <= 1e-15,
                f"max violation {audit['eta_bound_violation']:.2e}")
-        record("heat.art_visc_zero_velocity", audit["eta_zero_velocity_max"] == 0.0)
-        record("heat.source_load_nonnegative", audit["load_min"] >= -1e-14,
-               f"min load entry {audit['load_min']:.2e}")
-        record("coupler.stage_order", audit["stage_order_ok"])
+        yield audit["eta_zero_velocity_max"] == 0.0, ""
+        yield audit["load_min"] >= -1e-14, f"min load entry {audit['load_min']:.2e}"
+        yield audit["stage_order_ok"], ""
 
-    small = generate_channel_mesh(GeometrySpec(nx=12, ny=6, **MMS_GEOMETRY))
-    dms = dofmap_for(small)
-    try:
+    @_invariants("flow.galilean_constant")
+    def galilean_constant(self):
         def const_profile(x, y):
             return (np.ones_like(np.asarray(x, dtype=float)),
                     np.zeros_like(np.asarray(x, dtype=float)))
 
-        bc_const = {t: flow_solver.FlowBC("inflow", const_profile)
-                    for t in mesh_mod.ALL_TAGS}
-        fp = flow_solver.FlowProblem(
-            sample=materials.FieldSample(model, small, np.full(small.num_vertices, model.theta_b)),
-            dt=None, bc=bc_const)
+        bc_const = {t: flow_solver.FlowBC("inflow", const_profile) for t in mesh_mod.ALL_TAGS}
+        fp = flow_solver.FlowProblem(sample=_at_theta_b(self.model, self.small), dt=None,
+                                     bc=bc_const)
         vconst, _ = flow_solver.solve_flow_stationary(fp)
-        vv = fem_core.velocity_at_vertices(small, vconst)
-        record("flow.galilean_constant",
-               float(np.abs(vv - np.array([1.0, 0.0])).max()) <= 1e-8,
-               f"max dev {float(np.abs(vv - np.array([1.0, 0.0])).max()):.2e}")
-    except Exception as exc:
-        record("flow.galilean_constant", False, f"crashed: {exc}")
+        dev = float(np.abs(fem_core.velocity_at_vertices(self.small, vconst)
+                           - np.array([1.0, 0.0])).max())
+        yield dev <= 1e-8, f"max dev {dev:.2e}"
 
-    try:
+    @_invariants("flow.stokes_energy_decay")
+    def stokes_energy_decay(self):
+        small = self.small
+        dms = dofmap_for(small)
         bc_wall = {t: flow_solver.FlowBC("noslip") for t in mesh_mod.ALL_TAGS}
         rng2 = np.random.default_rng(7)
-        vstart = np.zeros(dms.n_velocity)
-        interior = np.setdiff1d(np.arange(dms.nv),
-                                np.unique(small.boundary_edges.ravel()))
-        vstart[dms.vx_vertex(interior)] = rng2.standard_normal(interior.size)
-        vstart[dms.vy_vertex(interior)] = rng2.standard_normal(interior.size)
+        v = np.zeros(dms.n_velocity)
+        interior = np.setdiff1d(np.arange(dms.nv), np.unique(small.boundary_edges.ravel()))
+        v[dms.vx_vertex(interior)] = rng2.standard_normal(interior.size)
+        v[dms.vy_vertex(interior)] = rng2.standard_normal(interior.size)
         Mv = fem_core.assemble_mini_mass(small)
-        decay_ok = True
-        vprev = vstart
+        energies = [v @ (Mv @ v)]
         for _ in range(3):
-            fps = flow_solver.FlowProblem(
-                sample=materials.FieldSample(model, small,
-                                             np.full(small.num_vertices, model.theta_b), vprev),
-                dt=0.05, bc=bc_wall, include_convection=False)
-            vnew, _ = flow_solver.solve_flow_step(fps)
-            if vnew @ (Mv @ vnew) > vprev @ (Mv @ vprev) * (1 + 1e-12):
-                decay_ok = False
-            vprev = vnew
-        record("flow.stokes_energy_decay", decay_ok)
-    except Exception as exc:
-        record("flow.stokes_energy_decay", False, f"crashed: {exc}")
+            fps = flow_solver.FlowProblem(sample=_at_theta_b(self.model, small, v), dt=0.05,
+                                          bc=bc_wall, include_convection=False)
+            v, _ = flow_solver.solve_flow_step(fps)
+            energies.append(v @ (Mv @ v))
+        yield _never_grows(energies), ""
 
-    try:
-        eq_cfg = _equilibrium_config(config)
-        eq_audit = _step_audit(eq_cfg)
-        dev = max(abs(m - eq_cfg.materials.theta_b)
-                  for m in eq_audit["max_theta_series"])
-        record("heat.equilibrium_fixed_point", dev <= 1e-10, f"max deviation {dev:.2e}")
-    except Exception as exc:
-        record("heat.equilibrium_fixed_point", False, f"crashed: {exc}")
+    @_invariants("heat.equilibrium_fixed_point")
+    def equilibrium_fixed_point(self):
+        eq_cfg = _equilibrium_config(self.config)
+        dev = max(abs(row.max_theta - eq_cfg.materials.theta_b)
+                  for row in _run_to_trip(eq_cfg)[1])
+        yield dev <= 1e-10, f"max deviation {dev:.2e}"
 
-    try:
-        nvs = small.num_vertices
+    @_invariants("heat.l2_contraction")
+    def l2_contraction(self):
+        small, model = self.small, self.model
         bc_rob = {t: HeatBC("robin", 1.0, model.theta_b) for t in mesh_mod.ALL_TAGS}
-        th = np.full(nvs, model.theta_b + 13.0)
+        th = np.full(small.num_vertices, model.theta_b + 13.0)
         Mh = fem_core.assemble_mass(small)
-        contraction_ok = True
-        prev_norm = None
+        norms = []
         for _ in range(4):
             hp = HeatProblem(sample=materials.FieldSample(model, small, th,
-                                                          np.zeros(dms.n_velocity)),
-                             phi=np.zeros(nvs), dt=0.1,
+                                                          np.zeros(dofmap_for(small).n_velocity)),
+                             phi=np.zeros(small.num_vertices), dt=0.1,
                              bc=bc_rob, stab=StabilizationParams(beta=0.0),
                              include_physics_sources=False)
             th = heat_solver.solve_heat_step(hp)
             diff = th - model.theta_b
-            nrm = float(np.sqrt(diff @ (Mh @ diff)))
-            if prev_norm is not None and nrm > prev_norm * (1 + 1e-12):
-                contraction_ok = False
-            prev_norm = nrm
-        record("heat.l2_contraction", contraction_ok)
-    except Exception as exc:
-        record("heat.l2_contraction", False, f"crashed: {exc}")
+            norms.append(float(np.sqrt(diff @ (Mh @ diff))))
+        yield _never_grows(norms), ""
 
-    try:
-        det_cfg = copy.deepcopy(config)
-        det_cfg.time.M = min(3, config.time.M)
-        _, rows_a = coupler.Simulation(det_cfg).run()
-        _, rows_b = coupler.Simulation(det_cfg).run()
-        same = all(
-            ra.max_theta == rb.max_theta and ra.int_theta == rb.int_theta
-            and ra.div_norm == rb.div_norm
-            and (ra.centroid_x == rb.centroid_x
-                 or (np.isnan(ra.centroid_x) and np.isnan(rb.centroid_x)))
-            for ra, rb in zip(rows_a, rows_b))
-        record("coupler.determinism", same and len(rows_a) == len(rows_b))
-    except coupler.BlowUpError:
-        record("coupler.determinism", True, "blow-up (deterministically) reached")
-    except Exception as exc:
-        record("coupler.determinism", False, f"crashed: {exc}")
+    @_invariants("coupler.determinism")
+    def determinism(self):
+        # Two runs of up to 3 steps agree on every probe, up to the blow-up
+        # guard's trip if it trips, and trip at the same step.
+        cfg = copy.deepcopy(self.config)
+        cfg.time.M = min(3, cfg.time.M)
+        (trip_a, rows_a), (trip_b, rows_b) = _run_to_trip(cfg), _run_to_trip(cfg)
+        probes = [np.array([(r.max_theta, r.int_theta, r.div_norm, r.centroid_x) for r in rows])
+                  for rows in (rows_a, rows_b)]
+        yield (trip_a == trip_b and np.array_equal(*probes, equal_nan=True),
+               "" if trip_a is None and trip_b is None
+               else f"blow-up guard tripped at steps {trip_a}, {trip_b}")
 
+
+INVARIANT_NAMES = [name for names, _ in INVARIANT_BLOCKS for name in names]
+
+
+def invariant_suite(config) -> dict:
+    """Run every registered invariant block against the given configuration.
+
+    A block that raises fails each of its checks that it had not recorded,
+    as "crashed: <exc>", and the next block runs.  Returns
+    {"checks": [{name, passed, detail}...], "passed": bool}.
+    """
+    suite = _Suite(config)
+    checks = []
+    for names, block in INVARIANT_BLOCKS:
+        results = []
+        try:
+            for result in block(suite):
+                results.append(result)
+        except Exception as exc:
+            results += [(False, f"crashed: {exc}")] * (len(names) - len(results))
+        checks += [{"name": name, "passed": bool(passed), "detail": str(detail)}
+                   for name, (passed, detail) in zip(names, results, strict=True)]
     return {"checks": checks, "passed": all(c["passed"] for c in checks)}
 
 

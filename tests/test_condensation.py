@@ -91,7 +91,7 @@ class TestEquivalence:
             extra_force=lambda x, y: case.source(x, y),
             pressure_pin_value=float(case.pressure(0.0, 0.0)))
         advect = verify._velocity_dofs(mesh, case.exact)
-        v, p = _solve_linear(problem, advect, include_time=False)
+        v, p = _solve_linear(problem, advect)
         assert p[0] == problem.pressure_pin_value
         assert_close((v, p), monolithic(problem, advect))
 

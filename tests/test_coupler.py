@@ -126,7 +126,7 @@ class TestInitialize:
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
         theta_b = np.full(sim.mesh.num_vertices, sim.model.theta_b)
         problem = sim._flow_problem(FieldSample(sim.model, sim.mesh, theta_b), None)
-        v1, _ = solve(problem, state.v, include_time=False)
+        v1, _ = solve(problem, state.v)
         assert np.linalg.norm(v1 - state.v) < 1e-8 * np.linalg.norm(v1)
 
     def test_test3_heat_converges_in_at_most_five_maps(self, fixed_point_maps):

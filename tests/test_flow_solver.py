@@ -176,6 +176,12 @@ class TestStationary:
         assert np.abs(v).max() <= 1e-12
         assert np.abs(p).max() <= 1e-12
 
+    def test_dt_rejected(self):
+        # A problem with a dt is a time step's: its solve adds the mass term.
+        problem = make_problem(channel_mesh(10, 6), bc_test1(), dt=0.1)
+        with pytest.raises(ValueError, match="the stationary flow takes no dt"):
+            solve_flow_stationary(problem)
+
     def test_stokes_limit_matches_time_marching(self):
         # cross-method oracle: steady Stokes vs the long-time implicit limit
         mesh = channel_mesh(10, 6)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ablatesim import linalg, verify
+from ablatesim import coupler, linalg, verify
 from ablatesim.mesh import GeometrySpec, generate_channel_mesh
 from ablatesim.sim_cli import config_from_dict
-from ablatesim.verify import (INVARIANT_NAMES, ManufacturedCase, RateReport,
+from ablatesim.verify import (CASE_KINDS, INVARIANT_NAMES, ManufacturedCase, RateReport,
                               convergence_study,
                               finite_difference_source_check, format_report,
                               heat_steady_case, heat_unsteady_spatial_case,
@@ -42,6 +42,25 @@ class TestSourceConsistency:
         assert finite_difference_source_check(case) < 1e-6
 
 
+class TestCaseKinds:
+    @pytest.mark.parametrize("factory", ALL_CASES)
+    def test_every_factory_kind_has_an_entry(self, factory):
+        kind = CASE_KINDS[factory().kind]
+        assert callable(getattr(verify, kind.solver))
+
+    @pytest.mark.parametrize("study", [convergence_study, finite_difference_source_check])
+    def test_unknown_kind_raises_before_any_mesh(self, monkeypatch, study):
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("a mesh was built")
+
+        monkeypatch.setattr(verify, "_mms_mesh", no_mesh)
+        monkeypatch.setattr(verify.mesh_mod, "channel_mesh_arrays", no_mesh)
+        case = potential_case()
+        case.kind = "stokes"
+        with pytest.raises(ValueError, match="unknown case kind 'stokes'"):
+            study(case)
+
+
 class TestStationaryCases:
     def test_heat_steady_takes_two_lu_solves(self, monkeypatch):
         # Linear problem: one factorization, then the fixed point's own check
@@ -67,8 +86,7 @@ class TestStationaryCases:
 class TestRateReport:
     def test_requires_three_levels(self):
         with pytest.raises(ValueError):
-            RateReport(case="x", h=[0.1, 0.05], errors={"L2": [1.0, 0.5]},
-                       slopes_ls={}, slopes_finest={})
+            RateReport(case="x", h=[0.1, 0.05], errors={"L2": [1.0, 0.5]})
 
     def test_quick_potential_slope(self):
         rep = convergence_study(potential_case(), levels=((8, 4), (16, 8), (32, 16)))
@@ -118,6 +136,58 @@ class TestInvariantSuite:
         report = invariant_suite(config)
         byname = {c["name"]: c["passed"] for c in report["checks"]}
         assert not byname["materials.a1_bounds"]
+        assert not report["passed"]
+
+    @pytest.mark.parametrize("over, why", [
+        ({"potential_bc": {"g": 0.0}}, "g = 0"),
+        ({"potential_bc": {"roles": {"G5": "dirichlet"}}}, "no Neumann tag carries the flux g"),
+    ])
+    def test_potential_checks_state_why_no_flux_drives_it(self, over, why):
+        # With G5 grounded, g is still 5 but no tag carries it.
+        report = invariant_suite(tiny_config(**over))
+        details = {c["name"]: c["detail"] for c in report["checks"] if c["passed"]}
+        for name in ("potential.linearity_in_g", "potential.conductivity_scaling",
+                     "potential.joule_nonnegative"):
+            assert details[name] == why
+
+    @pytest.mark.parametrize("blowup", [False, True])
+    def test_determinism_compares_the_runs(self, blowup):
+        # g = 500 trips the blow-up guard at step 2: both runs are compared
+        # up to the trip.
+        config = tiny_config(potential_bc={"g": 500.0}) if blowup else tiny_config()
+        report = invariant_suite(config)
+        check = report["checks"][INVARIANT_NAMES.index("coupler.determinism")]
+        assert check["passed"]
+        assert check["detail"] == ("blow-up guard tripped at steps 2, 2" if blowup else "")
+
+    @pytest.mark.parametrize("blowup", [False, True])
+    def test_determinism_fails_when_the_second_run_differs(self, monkeypatch, blowup):
+        # The second run of the determinism check reads one probe an ulp off.
+        run = coupler.Simulation.run
+        runs = []
+
+        def second_run_off(rows):
+            if len(runs) == 2:
+                rows[-1].max_theta = np.nextafter(rows[-1].max_theta, np.inf)
+
+        def perturbed(sim, on_step=None):
+            if on_step is not None or sim.config.time.M != 3:  # the audit, the equilibrium
+                return run(sim, on_step)
+            runs.append(sim)
+            try:
+                state, rows = run(sim)
+            except coupler.BlowUpError as exc:
+                second_run_off(exc.rows)
+                raise
+            second_run_off(rows)
+            return state, rows
+
+        monkeypatch.setattr(coupler.Simulation, "run", perturbed)
+        config = tiny_config(potential_bc={"g": 500.0}) if blowup else tiny_config()
+        report = invariant_suite(config)
+        assert len(runs) == 2
+        byname = {c["name"]: c["passed"] for c in report["checks"]}
+        assert not byname["coupler.determinism"]
         assert not report["passed"]
 
     def test_report_formatting(self, tmp_path):

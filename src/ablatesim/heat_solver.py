@@ -125,6 +125,8 @@ class HeatProblem:
         if self.dt is not None and not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         check_tag_roles(self.bc, "heat")
+        if self.sample.v_h is None or self.transport.v_h is None:
+            raise ValueError("a heat problem needs the velocity, its samples' v_h")
         for name, arr in (("theta_prev", self.sample.theta_h), ("v_prev", self.sample.v_h),
                           ("v", self.transport.v_h), ("phi", self.phi)):
             if not np.all(np.isfinite(np.asarray(arr, dtype=float))):

@@ -6,11 +6,10 @@ dofs, its fill-reducing order (:func:`fem_core.vertex_order`), the
 structure of its Dirichlet elimination and its :class:`HeldLU`.  Its solve
 is the one sequence of elimination, :func:`solve_lu` under the residual
 contract ||b - Ax|| <= 1e-10 ||b|| (a miss raises, with no retry in another
-order) and exact constrained entries.  The held factor, in single precision
-for a large system, preconditions GMRES (:func:`_gmres`) for the later
-solves, and only a solve that misses the contract that way factorizes
-again, recording why; a :func:`solve_lu` without a holder is the first
-solve of a throwaway one.  The
+order) and exact constrained entries.  :func:`solve_lu` is
+:meth:`HeldLU.solve`: the held factor, single precision for a large system,
+preconditions GMRES (:func:`_gmres`), only a miss factorizes again,
+recording why, and each solve is counted by how it ended in one place.  The
 Jacobi-preconditioned Krylov solvers :func:`solve_cg` and :func:`solve_gmres`
 and :class:`CooBuilder` serve no code of the package; they stay only because
 the benchmark tracer (``benchmark/tracer.py``) and ``tests/test_linalg.py``
@@ -51,7 +50,7 @@ RESIDUAL_TOL = 1e-10  # relative residual bound of every solve_lu return
 # 192x64; a system 10 iterations do not reach is cheaper to factorize.
 KRYLOV_CAP = 10
 # Stored entries of an eliminated matrix from which every factor is single
-# precision (HeldLU.solve_new).  Timed on the systems of a cold
+# precision (HeldLU.solve).  Timed on the systems of a cold
 # test1-physics step, one BLAS thread: a float32 factor application took as
 # long as a float64 one for the potential and the heat at 192x64 (60-87 k
 # entries), 8% less for the flow at 96x32 (187 k), ~1 ms of a ~39 ms step,
@@ -238,41 +237,9 @@ def solve_lu(A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None,
     contract is checked on the unscaled A and b.
 
     ``factor`` is the :class:`HeldLU` of the system across its solves (a
-    throwaway one when None).  When it holds a factor of the same order and
-    shape, the solve is first tried by GMRES right-preconditioned with that
-    factor, from ``x0`` or else the holder's last solution
-    (:meth:`HeldLU.reuse`); otherwise, or on a miss, A is factorized in its
-    place (:meth:`HeldLU.solve_new`, in single precision for a large A).
+    throwaway one when None); the solve is its :meth:`HeldLU.solve`.
     """
-    b = np.asarray(b, dtype=float)
-    bnorm = float(np.linalg.norm(b))
-    if not np.isfinite(bnorm):
-        raise SolverError(f"non-finite right-hand side: |b| = {bnorm}")
-    limit = RESIDUAL_TOL * bnorm
-    factor = factor or HeldLU()
-    factor.solves += 1
-    factor.iterations = 0
-    factor.by_guess = False
-    r0 = None if x0 is None else b - A @ x0  # the guess's residual, also GMRES's first
-    if r0 is not None and np.linalg.norm(r0) <= limit:
-        factor.by_guess = True
-        return np.array(x0, dtype=float)
-    order = np.arange(A.shape[0]) if order is None else np.asarray(order)
-    x, reason = factor.reuse(A, b, order, x0, limit, r0)
-    if x is not None:
-        return x
-    try:
-        x = factor.solve_new(sp.csr_matrix(A), b, order, reason, limit)
-    except RuntimeError as exc:
-        raise SingularMatrix(str(exc)) from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularMatrix("LU produced non-finite solution")
-    res = _residual_norm(A, x, b)
-    if res > limit:
-        raise SolverError(f"LU residual contract violated: |b - Ax| = {res:.3e} "
-                          f"> {RESIDUAL_TOL:.0e} |b| = {limit:.3e}")
-    factor.last = x.copy()
-    return x
+    return (factor or HeldLU()).solve(A, b, x0, order)
 
 
 class _ScaledLU:
@@ -305,22 +272,22 @@ class _ScaledLU:
 
 
 class HeldLU:
-    """The sparse LU of one system, kept across its solves.
+    """The sparse LU of one system, kept across its solves, and the record
+    of how each of them ended.
 
     A later system of the same order and shape is solved by GMRES, in one
     cycle of at most KRYLOV_CAP iterations, right-preconditioned by the held
     factor: the lagged preconditioner of Knoll & Keyes, "Jacobian-free
     Newton-Krylov methods", J. Comput. Phys. 193 (2004).  Each iteration
     applies the factor once.  GMRES starts from the caller's guess, else from
-    ``last``, the last solution the holder returned, and stops once its
-    residual estimate is at most half the contract.  A cycle whose estimate
-    is projected to miss that stop, at its mean reduction per iteration so
-    far, by the end of KRYLOV_CAP iterations ends after 3 of them
-    (:func:`_gmres`).  A solve is accepted on its true residual,
-    ||b - Ax|| <= RESIDUAL_TOL ||b||, never on the estimate; any miss
-    factorizes the new system instead, and every factorization is recorded
-    with its reason in ``events``.  At most one factor is alive: the old one
-    is released before the new one is built.
+    ``last``, and stops once its residual estimate is at most half the
+    contract.  A cycle whose estimate is projected to miss that stop, at its
+    mean reduction per iteration so far, by the end of KRYLOV_CAP iterations
+    ends after 3 of them (:func:`_gmres`).  A solve is accepted on its true
+    residual, ||b - Ax|| <= RESIDUAL_TOL ||b||, never on the estimate; any
+    miss factorizes the new system instead, and every factorization is
+    recorded with its reason in ``events``.  At most one factor is alive:
+    the old one is released before the new one is built.
 
     A system with at least SINGLE_NNZ stored entries is factorized in single
     precision, and its first solve is then a GMRES cycle on the new factor,
@@ -328,95 +295,121 @@ class HeldLU:
     (Carson & Higham, SIAM J. Sci. Comput. 40, 2018; Arioli & Duff, ETNA 33,
     2009).  A first cycle that misses factorizes the system again in double
     precision, and records why.
+
+    :meth:`solve` is the one sequence of a solve.  Each solve past the check
+    of b ends in :meth:`_end`, the one writer of the record: by the guess
+    (its start met the contract, or GMRES accepted it after 0 iterations),
+    by GMRES on the held factor, or on a new factor (also when it raised
+    there).  ``last``, a copy of the last solution, is kept after GMRES or a
+    new factor, never after a guess returned as it is.
     """
 
     def __init__(self):
         self._lu: _ScaledLU | None = None
-        self.solves = 0  # solve_lu calls given this holder
-        self.krylov_solves = 0  # of them, accepted from GMRES iterations on the held factor
-        self.factored_solves = 0  # of them, solved on a new factor
-        self.iterations = 0  # GMRES iterations of the last solve; 0 after a double LU
-        self.by_guess = False  # whether the last solve returned its start unchanged
-        self.last: FieldVector | None = None  # copy of the last solution returned
+        self._counts = dict.fromkeys(("guess", "gmres", "lu"), 0)  # solves by ending
+        self._ended: tuple = (None, 0)  # the last solve's ending and GMRES iterations
+        self.last: FieldVector | None = None  # copy of the last solution kept
         self.events: list[str] = []  # the reason of each factorization, in order
+
+    solves = property(lambda self: sum(self._counts.values()))
+    krylov_solves = property(lambda self: self._counts["gmres"])
+    factored_solves = property(lambda self: self._counts["lu"])
+    iterations = property(lambda self: self._ended[1])  # 0 after a double LU
+    by_guess = property(lambda self: self._ended[0] == "guess")
+
+    def solve(self, A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None,
+              order: np.ndarray | None = None) -> FieldVector:
+        """:func:`solve_lu` on this holder, the one sequence of a solve."""
+        b = np.asarray(b, dtype=float)
+        bnorm = float(np.linalg.norm(b))
+        if not np.isfinite(bnorm):
+            raise SolverError(f"non-finite right-hand side: |b| = {bnorm}")
+        limit = RESIDUAL_TOL * bnorm
+        r0 = None if x0 is None else b - A @ x0  # the guess's residual, also GMRES's first
+        if r0 is not None and np.linalg.norm(r0) <= limit:
+            self._end("guess")
+            return np.array(x0, dtype=float)
+        order = np.arange(A.shape[0]) if order is None else np.asarray(order)
+        if self._lu is None:
+            reason = "no factor held"
+        elif A.shape != self._lu.shape or not _same(order, self._lu.order):
+            reason = "order or shape changed"
+        else:
+            x, k, reason = self._cycle(A, b, self.last if x0 is None else x0, limit, "GMRES", r0)
+            if x is not None:  # after 0 iterations it accepted its start: by the guess
+                return self._end("gmres" if k else "guess", k, x)
+        A = sp.csr_matrix(A)
+        try:
+            if A.nnz >= SINGLE_NNZ:
+                self.factorize(A, order, reason, single=True)
+                x, k, miss = self._cycle(A, b, None, limit, "single-precision cycle")
+                if x is not None:
+                    return self._end("lu", k, x)
+                reason = f"{miss}: double precision"
+            self.factorize(A, order, reason)
+            x = self.apply(b)
+            if not np.all(np.isfinite(x)):
+                raise SingularMatrix("LU produced non-finite solution")
+            res = _residual_norm(A, x, b)
+            if res > limit:
+                raise SolverError(f"LU residual contract violated: |b - Ax| = {res:.3e} "
+                                  f"> {RESIDUAL_TOL:.0e} |b| = {limit:.3e}")
+        except SolverError:
+            self._end("lu")
+            raise
+        return self._end("lu", 0, x)
+
+    def _end(self, ended: str, iterations: int = 0, x: FieldVector | None = None):
+        """End a solve: count it by how it ``ended`` and keep its GMRES
+        ``iterations``; return its solution ``x`` and keep a copy as ``last``."""
+        self._counts[ended] += 1
+        self._ended = (ended, iterations)
+        if x is not None:
+            self.last = x.copy()
+        return x
+
+    def repeat(self) -> None:
+        """Count a solve that its caller did not do again because it repeats
+        the last one, whose result was its guess: a solve by the guess."""
+        self._end("guess")
 
     def factorize(self, A: SparseMatrix, order: np.ndarray, reason: str,
                   single: bool = False) -> None:
         """Factor A (:class:`_ScaledLU`), in single precision when ``single``,
-        in place of the held factor."""
+        in place of the held factor; SingularMatrix when SuperLU fails."""
         self._lu = None
         self.events.append(f"{reason}, in single precision" if single else reason)
-        self._lu = _ScaledLU(A, order, np.float32 if single else np.float64)
+        try:
+            self._lu = _ScaledLU(A, order, np.float32 if single else np.float64)
+        except RuntimeError as exc:
+            raise SingularMatrix(str(exc)) from exc
 
     def apply(self, r: FieldVector) -> FieldVector:
         """D P^T (LU)^-1 P D r: the solve with the held factor."""
         return self._lu.solve(r)
 
-    def solve_new(self, A: SparseMatrix, b: FieldVector, order: np.ndarray,
-                  reason: str, limit: float) -> FieldVector:
-        """x of A x = b on a new factor of the CSR matrix A, built for
-        ``reason``.  With at least SINGLE_NNZ stored entries the factor is
-        single precision and x is a first GMRES cycle on it that meets
-        ``limit``; a miss factorizes A again in double precision.  A double
-        factor is applied once; :func:`solve_lu` checks that x."""
-        self.factored_solves += 1
-        if A.nnz >= SINGLE_NNZ:
-            self.factorize(A, order, reason, single=True)
-            x, miss = self._cycle(A, b, None, limit, "single-precision cycle")
-            if x is not None:
-                return x
-            reason = f"{miss}: double precision"
-        self.factorize(A, order, reason)
-        return self.apply(b)
-
-    def reuse(self, A: SparseMatrix, b: FieldVector, order: np.ndarray,
-              x0: FieldVector | None, limit: float, _r0: FieldVector | None = None):
-        """(x, None) when GMRES on the held factor, started from ``x0`` (else
-        from ``last``), meets ||b - Ax|| <= ``limit``; otherwise (None, the
-        reason to factorize).  ``_r0`` is b - A x0 when :func:`solve_lu` has
-        already formed it for its guess check."""
-        if self._lu is None:
-            return None, "no factor held"
-        if A.shape != self._lu.shape or not _same(order, self._lu.order):
-            return None, "order or shape changed"
-        x, reason = self._cycle(A, b, self.last if x0 is None else x0, limit, "GMRES", _r0)
-        if x is not None:
-            # A cycle that accepts its start after 0 iterations is a solve by the guess.
-            self.by_guess = self.iterations == 0
-            self.krylov_solves += not self.by_guess
-            self.last = x.copy()
-        return x, reason
-
-    def repeat(self) -> None:
-        """Count a solve that its caller did not do again because it repeats
-        the last one, whose result was its guess: a solve by the guess."""
-        self.solves += 1
-        self.iterations = 0
-        self.by_guess = True
-
     def _cycle(self, A, b, x0, limit, name, r0=None):
-        """(x, None) when one GMRES cycle on the held factor from ``x0`` meets
-        ``limit`` on its true residual (``iterations`` is then its length);
-        otherwise (None, why ``name`` missed)."""
+        """(x, iters, None) when one GMRES cycle on the held factor from ``x0``
+        (residual ``r0`` when given) meets ``limit`` on its true residual in
+        ``iters`` iterations; otherwise (None, iters, why ``name`` missed)."""
         x, iters = _gmres(A, b, x0, self.apply, 0.5 * limit, KRYLOV_CAP, r0, give_up=True)
         if x is None:
-            return None, f"{name} projected to miss after {iters} iterations"
+            return None, iters, f"{name} projected to miss after {iters} iterations"
         if not np.all(np.isfinite(x)):
-            return None, f"non-finite {name} iterate after {iters} iterations"
+            return None, iters, f"non-finite {name} iterate after {iters} iterations"
         res = _residual_norm(A, x, b)
         if res <= limit:
-            self.iterations = iters
-            return x, None
+            return x, iters, None
         miss = f"at residual {res / np.linalg.norm(b):.1e} |b|"
         if iters >= KRYLOV_CAP:
-            return None, f"{name} cap of {KRYLOV_CAP} iterations reached {miss}"
-        return None, f"{name} stopped after {iters} iterations {miss}"
+            return None, iters, f"{name} cap of {KRYLOV_CAP} iterations reached {miss}"
+        return None, iters, f"{name} stopped after {iters} iterations {miss}"
 
     def report(self) -> str:
         """One line: how the solves were done, and why each LU was built."""
-        guessed = self.solves - self.krylov_solves - self.factored_solves
-        return (f"{self.solves} solves: {guessed} by the guess, {self.krylov_solves} by "
-                f"GMRES on the held factor, {len(self.events)} LU ({'; '.join(self.events)})")
+        return (f"{self.solves} solves: {self._counts['guess']} by the guess, "
+                f"{self.krylov_solves} by GMRES on the held factor, "
+                f"{len(self.events)} LU ({'; '.join(self.events)})")
 
 
 def _same(a: np.ndarray, b: np.ndarray) -> bool:

@@ -253,15 +253,16 @@ def _robin_from_exact(exact, grad, tag: int) -> HeatBC:
     return HeatBC("robin", alpha=1.0, value=data)
 
 
-def _heat_problem(case: ManufacturedCase, msh, theta, **fields) -> HeatProblem:
+def _heat_problem(case: ManufacturedCase, msh, theta, carried=None, **fields) -> HeatProblem:
     """The heat problem of a scalar case at the temperature ``theta``: the unit
     material, the case's velocity, Robin data from the exact field on every
     tag, beta = 0 and the case's source as the only source; ``fields`` holds
-    dt and the other time-step fields."""
+    dt and the other time-step fields.  A sample ``carried`` of an earlier
+    problem lends the velocity's values it holds (``FieldSample.with_theta``)."""
     exact, grad = _in_time(case, case.exact), _in_time(case, case.grad)
     return HeatProblem(
-        sample=materials.FieldSample(_unit_material(), msh, theta,
-                                     _velocity_dofs(msh, case.velocity)),
+        sample=carried.with_theta(theta) if carried is not None else materials.FieldSample(
+            _unit_material(), msh, theta, _velocity_dofs(msh, case.velocity)),
         phi=np.zeros(msh.num_vertices),
         bc={tag: _robin_from_exact(exact, grad, tag) for tag in mesh_mod.ALL_TAGS},
         stab=StabilizationParams(beta=0.0), include_physics_sources=False,
@@ -288,11 +289,13 @@ def solve_heat_unsteady_case(case: ManufacturedCase, nx, ny, steps=None):
     steps = case.steps if steps is None else steps
     dt = case.final_time / steps
     theta = case.exact(msh.vertices[:, 0], msh.vertices[:, 1], 0.0)
-    theta_prev2 = None
+    theta_prev2 = sample = None
     system = linalg.LinearSystem()  # every step's matrix is the same: one factor serves all
     for n in range(1, steps + 1):
-        problem = _heat_problem(case, msh, theta, theta_prev2=theta_prev2, dt=dt,
+        # The velocity is the same at every step: its values are evaluated once.
+        problem = _heat_problem(case, msh, theta, sample, theta_prev2=theta_prev2, dt=dt,
                                 time=n * dt, system=system)
+        sample = problem.sample
         theta_prev2, theta = theta, heat_solver.solve_heat_step(problem)
     return msh, theta
 

@@ -389,7 +389,7 @@ class TestHeldFactors:
 
         # A run that never reuses a factor: every solve is a fresh LU, as
         # before factors were held.
-        monkeypatch.setattr(linalg.HeldLU, "reuse", lambda *a: (None, "fresh LU"))
+        monkeypatch.setattr(linalg.HeldLU, "_cycle", lambda *a: (None, 0, "fresh LU"))
         fresh_sim = Simulation(quick_config(nx=24, ny=8, M=5))
         fresh, fresh_rows = self.advance(fresh_sim, 5)
         assert len(fresh_sim.systems["flow"].factor.events) == 5

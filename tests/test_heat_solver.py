@@ -263,6 +263,16 @@ class TestHeatStep:
         with pytest.raises(ValueError, match="dt"):
             solve_heat_step(problem)
 
+    @pytest.mark.parametrize("solve", [solve_heat_step, solve_heat_stationary])
+    def test_problem_without_velocity_names_it(self, solve):
+        # A sample without a velocity lacks a field; it holds no non-finite one.
+        mesh = small_mesh()
+        theta = np.full(mesh.num_vertices, 37.0)
+        problem = HeatProblem(FieldSample(MaterialModel(), mesh, theta),
+                              phi=np.zeros(mesh.num_vertices), dt=0.05, bc=robin_bc())
+        with pytest.raises(ValueError, match="needs the velocity"):
+            solve(problem)
+
     def test_dirichlet_tag_imposed_exactly(self):
         mesh = small_mesh()
         bc = robin_bc()

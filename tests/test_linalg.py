@@ -308,14 +308,14 @@ class TestHeldLU:
         held = linalg.HeldLU()
         A, b = self.system()
         solve_lu(A, b, factor=held)
-        reuse = linalg.HeldLU.reuse
+        cycle = linalg.HeldLU._cycle
 
         def unpreconditioned(self, *args):
             with monkeypatch.context() as patch:
                 patch.setattr(linalg.HeldLU, "apply", lambda self, r: r.copy())
-                return reuse(self, *args)
+                return cycle(self, *args)
 
-        monkeypatch.setattr(linalg.HeldLU, "reuse", unpreconditioned)
+        monkeypatch.setattr(linalg.HeldLU, "_cycle", unpreconditioned)
         A1, b1 = self.system(perturbation=1e-3, seed=1)
         x = solve_lu(A1, b1, factor=held)
         assert np.linalg.norm(b1 - A1 @ x) <= linalg.RESIDUAL_TOL * np.linalg.norm(b1)
@@ -493,9 +493,8 @@ class TestStalledCycle:
         applies = []
         monkeypatch.setattr(linalg.HeldLU, "apply", lambda self, r: applies.append(1) or r.copy())
         A1, b1 = TestHeldLU().system(perturbation=1e-3, seed=1)
-        assert held.reuse(A1, b1, np.arange(A1.shape[0]), None,
-                          linalg.RESIDUAL_TOL * np.linalg.norm(b1)) == (
-            None, "GMRES projected to miss after 3 iterations")
+        assert held._cycle(A1, b1, held.last, linalg.RESIDUAL_TOL * np.linalg.norm(b1),
+                           "GMRES") == (None, 3, "GMRES projected to miss after 3 iterations")
         assert len(applies) == 3
 
     def test_projection_leaves_a_converging_cycle_alone(self):
@@ -508,6 +507,86 @@ class TestStalledCycle:
         x, k = linalg._gmres(A, b, None, M.solve, stop, 30)
         x_rule, k_rule = linalg._gmres(A, b, None, M.solve, stop, 30, give_up=True)
         assert k_rule == k > 3 and x_rule.tobytes() == x.tobytes()
+
+
+class TestSolveEndings:
+    """Every way a solve can end, each counted once by how it ended."""
+
+    LU, SINGLE = "no factor held", "no factor held, in single precision"
+    # (case, solves, by the guess, by GMRES, iterations, by_guess, LU event prefixes)
+    ENDINGS = [
+        ("guess", 2, 1, 0, 0, True, [LU]),
+        ("gmres 0", 2, 1, 0, 0, True, [LU]),  # from ``last``, accepted as it is
+        ("gmres k", 2, 0, 1, "k", False, [LU]),
+        ("double", 1, 0, 0, 0, False, [LU]),
+        ("single", 1, 0, 0, "k", False, [SINGLE]),
+        ("single miss", 1, 0, 0, 0, False, [SINGLE, "single-precision cycle cap of 1"]),
+    ]
+
+    @staticmethod
+    def solves(case, monkeypatch):
+        """(the holder, the last solve's x, ``last`` before it, its system)."""
+        A, b = TestHeldLU().system()
+        held = linalg.HeldLU()
+        if case.startswith("single"):
+            monkeypatch.setattr(linalg, "SINGLE_NNZ", 1000)
+        if case == "single miss":
+            monkeypatch.setattr(linalg, "KRYLOV_CAP", 1)
+        if case in ("guess", "gmres 0", "gmres k"):
+            x = solve_lu(A, b, factor=held)
+        last, x0 = held.last, None
+        if case == "guess":
+            x0 = x  # the first solve's answer meets the contract as it is
+        elif case == "gmres k":
+            A, b = TestHeldLU().system(perturbation=1e-3, seed=1)
+        return held, solve_lu(A, b, x0=x0, factor=held), last, (A, b)
+
+    @pytest.mark.parametrize("case, solves, guessed, krylov, iterations, by_guess, events",
+                             ENDINGS, ids=[e[0] for e in ENDINGS])
+    def test_each_ending_is_counted_once(self, monkeypatch, case, solves, guessed, krylov,
+                                         iterations, by_guess, events):
+        held, x, last, (A, b) = self.solves(case, monkeypatch)
+        assert np.linalg.norm(b - A @ x) <= linalg.RESIDUAL_TOL * np.linalg.norm(b)
+        assert held.report() == (f"{solves} solves: {guessed} by the guess, {krylov} by GMRES "
+                                 f"on the held factor, {len(events)} LU "
+                                 f"({'; '.join(held.events)})")
+        assert len(held.events) == len(events)
+        assert all(e.startswith(prefix) for e, prefix in zip(held.events, events))
+        assert held.solves == solves and held.krylov_solves == krylov
+        assert held.factored_solves == solves - guessed - krylov
+        if iterations == "k":
+            assert 0 < held.iterations <= linalg.KRYLOV_CAP
+        else:
+            assert held.iterations == iterations
+        assert held.by_guess is by_guess
+        if case == "guess":  # a guess returned as it is leaves ``last`` alone
+            assert held.last is last and x is not last
+        else:
+            assert held.last is not x and held.last.tobytes() == x.tobytes()
+
+    def test_first_single_solve_forms_its_residual_once(self, monkeypatch):
+        monkeypatch.setattr(linalg, "SINGLE_NNZ", 1000)
+        calls = []
+        residual = linalg._residual_norm
+        monkeypatch.setattr(linalg, "_residual_norm",
+                            lambda *a: calls.append(1) or residual(*a))
+        A, b = TestHeldLU().system()
+        held = linalg.HeldLU()
+        solve_lu(A, b, factor=held)
+        assert held.events == ["no factor held, in single precision"] and len(calls) == 1
+
+    def test_a_solve_failing_on_its_new_factor_counts_as_an_lu(self):
+        # The 12x12 Hilbert matrix misses the contract on its LU (see
+        # TestLU): the failed solve is counted once, and keeps no solution.
+        i = np.arange(12)
+        held = linalg.HeldLU()
+        with pytest.raises(SolverError, match="residual contract"):
+            solve_lu(sp.csr_matrix(1.0 / (i[:, None] + i[None, :] + 1.0)), np.ones(12),
+                     factor=held)
+        assert held.report() == ("1 solves: 0 by the guess, 0 by GMRES on the held factor, "
+                                 "1 LU (no factor held)")
+        assert held.factored_solves == 1 and held.last is None and not held.by_guess
+
 
 class TestApplyDirichlet:
     def test_pin_single_dof(self):

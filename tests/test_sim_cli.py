@@ -451,19 +451,34 @@ class TestCLI:
         assert main(["run", "--preset", "test1", "--out", str(outdir)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("completed 100 steps")
-        # One line per system: its solves and the reason of every LU.
-        assert [ln.split(":")[0] for ln in lines[1:]] == ["potential", "flow", "heat"]
-        assert lines[1].startswith("potential: 101 solves: ")
-        assert lines[1].endswith("1 LU (no factor held)")
-        # test1's flow is the stationary one at every step: step 1 returns
-        # its guess, and the 99 steps on the same inputs repeat it without a
-        # solve; each counts as a solve by the guess, after the
-        # initialization's Stokes solve and four Newton solves.
-        assert lines[2] == ("flow: 105 solves: 101 by the guess, 2 by GMRES on the held "
-                            "factor, 2 LU (no factor held; GMRES projected to miss after 3 "
-                            "iterations)")
+        # One line per system: its solves and the reason of every LU.  test1's
+        # flow is the stationary one at every step: step 1 returns its guess,
+        # and the 99 steps on the same inputs repeat it without a solve; each
+        # counts as a solve by the guess, after the initialization's Stokes
+        # solve and four Newton solves.
+        assert lines[1:] == [
+            "potential: 101 solves: 1 by the guess, 99 by GMRES on the held factor, "
+            "1 LU (no factor held)",
+            "flow: 105 solves: 101 by the guess, 2 by GMRES on the held factor, 2 LU "
+            "(no factor held; GMRES projected to miss after 3 iterations)",
+            "heat: 101 solves: 1 by the guess, 99 by GMRES on the held factor, "
+            "1 LU (no factor held)"]
         header = (outdir / "probes.csv").read_text().splitlines()[0]
         assert header.split(",") == list(sim_cli.PROBE_COLUMNS)  # no solver columns (C10)
+
+    def test_run_summary_of_a_moving_flow(self, capsys):
+        # test3's buoyant flow moves at every step, so no step repeats the
+        # last; its first step, far from the stationary Newton system,
+        # refactorizes.  Two steps keep the run short.
+        assert main(["run", "--preset", "test3", "--steps-override", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "potential: 3 solves: 0 by the guess, 2 by GMRES on the held factor, "
+            "1 LU (no factor held)",
+            "flow: 7 solves: 1 by the guess, 3 by GMRES on the held factor, 3 LU "
+            "(no factor held; GMRES projected to miss after 3 iterations; "
+            "GMRES projected to miss after 3 iterations)",
+            "heat: 6 solves: 1 by the guess, 4 by GMRES on the held factor, "
+            "1 LU (no factor held)"]
 
     def test_steps_override(self, tmp_path):
         cfgfile = tmp_path / "c.json"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ablatesim import coupler, linalg, verify
+from ablatesim import coupler, fem_core, linalg, verify
 from ablatesim.mesh import GeometrySpec, generate_channel_mesh
 from ablatesim.sim_cli import config_from_dict
 from ablatesim.verify import (CASE_KINDS, INVARIANT_NAMES, ManufacturedCase, RateReport,
@@ -81,6 +81,17 @@ class TestStationaryCases:
                             lambda *a, **k: factorizations.append(1) or splu(*a, **k))
         verify.solve_heat_unsteady_case(heat_unsteady_spatial_case(), 16, 8, steps=4)
         assert len(factorizations) == 1
+
+    def test_heat_unsteady_level_evaluates_its_velocity_once(self, monkeypatch):
+        # Every step of a level has the same velocity: its element
+        # coefficients, and the values formed from them, are evaluated at the
+        # first step and go with each new temperature to the next.
+        calls = []
+        coeffs = fem_core.velocity_element_coeffs
+        monkeypatch.setattr(fem_core, "velocity_element_coeffs",
+                            lambda *a, **k: calls.append(1) or coeffs(*a, **k))
+        verify.solve_heat_unsteady_case(heat_unsteady_spatial_case(), 16, 8, steps=4)
+        assert len(calls) == 1
 
 
 class TestRateReport:

@@ -67,49 +67,30 @@ EDGE_PHI = np.stack([1.0 - EDGE_T, EDGE_T])  # (2 basis, 2 Gauss points)
 FILL_BLOCK = 2048  # triangles per block of the element fills (_Pattern.add_blocks)
 
 
-class ElementP1:
-    """Linear nodal basis = barycentric coordinates; constant gradients."""
-
-    ref_grads = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-
-    @staticmethod
-    def values(bary: np.ndarray) -> np.ndarray:
-        return np.asarray(bary, dtype=float)
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
-class ElementP1Bubble:
-    """P1 plus the cubic bubble 27*l1*l2*l3 (per velocity component)."""
-
-    @staticmethod
-    def bubble_values(bary: np.ndarray) -> np.ndarray:
-        bary = np.asarray(bary, dtype=float)
-        return 27.0 * bary[..., 0] * bary[..., 1] * bary[..., 2]
-
-    @staticmethod
-    def bubble_grad_weights(bary: np.ndarray) -> np.ndarray:
-        """(..., 3) products [l2 l3, l1 l3, l1 l2] at barycentric points: the
-        bubble's gradient is 27 times their sum against the P1 gradients."""
-        bary = np.asarray(bary, dtype=float)
-        l1, l2, l3 = bary[..., 0], bary[..., 1], bary[..., 2]
-        return np.stack([l2 * l3, l1 * l3, l1 * l2], axis=-1)
-
-    @staticmethod
-    def bubble_ref_grads(bary: np.ndarray) -> np.ndarray:
-        """Gradient of the bubble w.r.t. reference coordinates at barycentric pts."""
-        w = ElementP1Bubble.bubble_grad_weights(bary)
-        g = (
-            w[..., 0, None] * ElementP1.ref_grads[0]
-            + w[..., 1, None] * ElementP1.ref_grads[1]
-            + w[..., 2, None] * ElementP1.ref_grads[2]
-        )
-        return 27.0 * g
+def bubble_values(bary: np.ndarray) -> np.ndarray:
+    """The cubic bubble 27 l1 l2 l3 at barycentric points ``bary``."""
+    bary = np.asarray(bary, dtype=float)
+    return 27.0 * bary[..., 0] * bary[..., 1] * bary[..., 2]
 
 
-# MINI basis values [l1 l2 l3 bubble] at the interior quad points, the same on
-# every triangle.
-MINI_VALS = np.column_stack([ElementP1.values(TRI_RULE.points),
-                             ElementP1Bubble.bubble_values(TRI_RULE.points)])  # (NQ, 4)
-MINI_VALS.setflags(write=False)
+# The reference element's tables, the same on every triangle.  P1's basis is
+# the barycentric coordinates, with constant reference gradients; the MINI
+# basis adds the bubble, whose gradient is 27 times the sum of the weights
+# [l2 l3, l1 l3, l1 l2] against the P1 gradients.  The values are taken at
+# the interior quad points.
+P1_REF_GRADS = _frozen(np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]))  # (3, 2)
+P1_VALS = _frozen(TRI_RULE.points)  # (NQ, 3)
+BUBBLE_VALS = _frozen(bubble_values(P1_VALS))  # (NQ,)
+MINI_VALS = _frozen(np.column_stack([P1_VALS, BUBBLE_VALS]))  # (NQ, 4): [l1 l2 l3 bubble]
+BUBBLE_GRAD_WEIGHTS = _frozen(P1_VALS[:, [1, 0, 0]] * P1_VALS[:, [2, 2, 1]])  # (NQ, 3)
+BUBBLE_REF_GRADS = _frozen(27.0 * (BUBBLE_GRAD_WEIGHTS[:, 0, None] * P1_REF_GRADS[0]
+                                   + BUBBLE_GRAD_WEIGHTS[:, 1, None] * P1_REF_GRADS[1]
+                                   + BUBBLE_GRAD_WEIGHTS[:, 2, None] * P1_REF_GRADS[2]))  # (NQ, 2)
 
 
 @dataclass(frozen=True)
@@ -189,16 +170,11 @@ class _Geometry:
         inv[:, 1, 1] = jac[:, 0, 0]
         inv /= det[:, None, None]
 
-        bary = TRI_RULE.points
         self.det = det  # (NT,), twice the area
         self.qw = TRI_RULE.weights[None, :] * det[:, None]  # (NT, NQ), sums to area
-        self.qp = _combine(bary, coords)  # physical quad points
-        self.grad_p1 = _combine(ElementP1.ref_grads, inv)  # (NT,3,2)
-        ref_gb = ElementP1Bubble.bubble_ref_grads(bary)  # (NQ, 2)
-        self.grad_bubble = _combine(ref_gb, inv)  # (NT,NQ,2)
-        self.p1_vals = ElementP1.values(bary)  # (NQ, 3)
-        self.bubble_vals = ElementP1Bubble.bubble_values(bary)  # (NQ,)
-        self.mini_vals = MINI_VALS
+        self.qp = _combine(P1_VALS, coords)  # physical quad points
+        self.grad_p1 = _combine(P1_REF_GRADS, inv)  # (NT,3,2)
+        self.grad_bubble = _combine(BUBBLE_REF_GRADS, inv)  # (NT,NQ,2)
         for arr in (self.det, self.qw, self.qp, self.grad_p1, self.grad_bubble):
             _frozen(arr)
         self.operators: dict = {}  # see cached
@@ -232,11 +208,6 @@ def cached(mesh: Mesh2D, key, build):
         value = build()
         ops[key] = _frozen(value) if isinstance(value, np.ndarray) else value
     return ops[key]
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 def _frozen_csr(A: SparseMatrix) -> SparseMatrix:
@@ -484,8 +455,7 @@ def _edge_positions(pattern: _Pattern, owners: np.ndarray, local: np.ndarray, ro
 
 def p1_at_qp(mesh: Mesh2D, nodal: np.ndarray) -> np.ndarray:
     """(NT, NQ) values of a P1 nodal field at the interior quad points."""
-    geo = geometry(mesh)
-    return np.asarray(nodal)[mesh.triangles] @ geo.p1_vals.T
+    return np.asarray(nodal)[mesh.triangles] @ P1_VALS.T
 
 
 def p1_gradients(mesh: Mesh2D, nodal: np.ndarray) -> np.ndarray:
@@ -696,11 +666,8 @@ def _reference_map(kernel) -> np.ndarray:
     unit = np.eye(48)
     coeff = unit.reshape(48, 8, 6).sum(axis=2).reshape(48, 2, 4)
     grad = unit.reshape(48, 8, 6).sum(axis=1).reshape(48, 3, 2)
-    geo = SimpleNamespace(
-        qw=np.tile(TRI_RULE.weights, (48, 1)), grad_p1=grad,
-        grad_bubble=27.0 * np.einsum("qm,imd->iqd",
-                                     ElementP1Bubble.bubble_grad_weights(TRI_RULE.points), grad),
-        p1_vals=MINI_VALS[:, :3], mini_vals=MINI_VALS)
+    geo = SimpleNamespace(qw=np.tile(TRI_RULE.weights, (48, 1)), grad_p1=grad,
+                          grad_bubble=27.0 * np.einsum("qm,imd->iqd", BUBBLE_GRAD_WEIGHTS, grad))
     return _frozen(kernel(geo, _mini_at_qp(coeff)).reshape(48, -1))
 
 
@@ -729,7 +696,7 @@ def assemble_mass(mesh: Mesh2D) -> SparseMatrix:
     """P1 mass matrix (cached, read-only)."""
     def build():
         geo = geometry(mesh)
-        local = _tab(geo.qw, _products(geo.p1_vals)).reshape(-1, 3, 3)
+        local = _tab(geo.qw, _products(P1_VALS)).reshape(-1, 3, 3)
         return _frozen_csr(_p1_matrix(mesh, local))
 
     return cached(mesh, "p1_mass", build)
@@ -746,7 +713,7 @@ def _advection_local(geo, vel_qp: np.ndarray) -> np.ndarray:
     """(NT, 3, 3) element matrices [i, j] = integral (v . grad(l_j)) l_i of
     the velocity ``vel_qp`` at the quad points; the kernel of the reference map."""
     wv = geo.qw[:, None, :] * vel_qp.transpose(0, 2, 1)
-    wv_l = _tab(wv, geo.p1_vals)  # (NT, 2, 3): [t, d, a] = integral v_d l_a
+    wv_l = _tab(wv, P1_VALS)  # (NT, 2, 3): [t, d, a] = integral v_d l_a
     return wv_l.transpose(0, 2, 1) @ geo.grad_p1.transpose(0, 2, 1)
 
 
@@ -764,7 +731,7 @@ def assemble_advection(mesh: Mesh2D, velocity) -> SparseMatrix:
 def assemble_scalar_load(mesh: Mesh2D, source) -> np.ndarray:
     """Volume load f_i = integral source * l_i; source scalar or (NT, NQ)."""
     geo = geometry(mesh)
-    contrib = _tab(geo.qw * _coeff_at_qp(mesh, source), geo.p1_vals)  # (NT, 3)
+    contrib = _tab(geo.qw * _coeff_at_qp(mesh, source), P1_VALS)  # (NT, 3)
     return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
                        minlength=mesh.num_vertices)
 
@@ -825,11 +792,11 @@ def _convective_local(geo: _Geometry, a_qp: np.ndarray) -> np.ndarray:
     g1 = geo.grad_p1
     nt = g1.shape[0]
     wa = geo.qw[:, None, :] * a_qp.transpose(0, 2, 1)  # (NT, 2, NQ)
-    m = _tab(wa, geo.mini_vals)  # [t, d, b] = integral a_d phi_b
+    m = _tab(wa, MINI_VALS)  # [t, d, b] = integral a_d phi_b
     wa_gb = np.empty(wa.shape[:2] + (2,) + wa.shape[2:])  # one bubble derivative at a time
     for c in range(2):
         np.multiply(wa, geo.grad_bubble[:, None, :, c], out=wa_gb[:, :, c])
-    n = _tab(wa_gb, geo.mini_vals)  # [t, d, c, b] = integral a_d d_c(bubble) phi_b
+    n = _tab(wa_gb, MINI_VALS)  # [t, d, c, b] = integral a_d d_c(bubble) phi_b
     t1 = np.empty((nt, 2, 4, 2, 4))  # [t, d, a, c, b] = integral a_d d_c(phi_a) phi_b
     t1[:, :, :3] = g1[:, None, :, :, None] * m[:, :, None, None, :]
     t1[:, :, 3] = n
@@ -910,7 +877,7 @@ def assemble_mini_mass(mesh: Mesh2D) -> SparseMatrix:
     full MINI pattern so it adds to the velocity block through its data."""
     def build():
         geo = geometry(mesh)
-        block = _tab(geo.qw, _products(geo.mini_vals)).reshape(-1, 4, 4)
+        block = _tab(geo.qw, _products(MINI_VALS)).reshape(-1, 4, 4)
         pattern = _mini_pattern(mesh)
         # Only the x-x and y-y blocks are nonzero, and no data entry lies in
         # both, so each sums in element order as in a whole (NT, 8, 8) fill.
@@ -925,9 +892,9 @@ def assemble_mini_mass(mesh: Mesh2D) -> SparseMatrix:
 def _divergence_local(mesh: Mesh2D) -> np.ndarray:
     """(NT, 3, 2, 4) element blocks of B: [t, i, c, b] = integral psi_i d_c(phi_b)."""
     geo = geometry(mesh)
-    psi = _tab(geo.qw, geo.p1_vals)  # (NT, 3): integral psi_i
+    psi = _tab(geo.qw, P1_VALS)  # (NT, 3): integral psi_i
     bubble = _tab(geo.qw[:, None, :] * geo.grad_bubble.transpose(0, 2, 1),
-                  geo.p1_vals)  # (NT, 2, 3): integral psi_i d_c(bubble)
+                  P1_VALS)  # (NT, 2, 3): integral psi_i d_c(bubble)
     local = np.empty((mesh.num_triangles, 3, 2, 4))
     local[..., :3] = psi[:, :, None, None] * geo.grad_p1.transpose(0, 2, 1)[:, None]
     local[..., 3] = bubble.transpose(0, 2, 1)
@@ -1167,7 +1134,7 @@ def assemble_vector_load(mesh: Mesh2D, force_qp) -> np.ndarray:
     """Velocity load L[(a,c)] = integral f_c * phi_a; force_qp is (NT, NQ, 2)."""
     geo = geometry(mesh)
     force = np.asarray(force_qp, dtype=float).transpose(0, 2, 1)
-    contrib = _tab(geo.qw[:, None, :] * force, geo.mini_vals)  # (NT, 2, 4)
+    contrib = _tab(geo.qw[:, None, :] * force, MINI_VALS)  # (NT, 2, 4)
     dm = dofmap_for(mesh)
     return np.bincount(dm.velocity_element_dofs(mesh).ravel(), weights=contrib.ravel(),
                        minlength=dm.n_velocity)

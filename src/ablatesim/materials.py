@@ -14,16 +14,16 @@ Thermal conductivity:
 
 Kinematic viscosity is constant by default (0.0021); the interface stays
 temperature-typed so alternative laws can plug in.  All laws are pure and
-total.  The positivity/boundedness assumptions on the laws are validated by
-sampling (:func:`validate_bounds`); note the conductivity law has a small
-built-in jump at 99 C (exp(0.93) != 2.5345 exactly), which is reported there
-rather than patched.
+total.  Their (A1) bounds are read from the laws (:attr:`MaterialModel.bounds`)
+and checked by sampling (:func:`validate_bounds`); note the conductivity law
+has a small built-in jump at 99 C (exp(0.93) != 2.5345 exactly), which is
+reported there rather than patched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -32,6 +32,24 @@ from . import fem_core
 DEFAULT_BUOYANCY_COEFF = 1e-3 * 9.81 / 303.0
 
 ADMISSIBLE_RANGE = (-50.0, 300.0)
+
+# The temperatures at which the default laws change branch.
+BREAKPOINTS = (99.0, 100.0, 105.0)
+
+
+def _law(default):
+    """The law ``default(model, th)`` as a method of any temperature: the
+    model's ``<name>_law``, when set, replaces the default, and a scalar
+    temperature gives a Python float."""
+    override = f"{default.__name__}_law"
+
+    @wraps(default)
+    def law(self, theta):
+        th = np.asarray(theta, dtype=float)
+        custom = getattr(self, override)
+        out = np.asarray(default(self, th) if custom is None else custom(th), dtype=float)
+        return out if out.ndim else float(out)
+    return law
 
 
 @dataclass
@@ -42,7 +60,8 @@ class BuoyancySettings:
 
 @dataclass
 class MaterialModel:
-    """Material constants plus declared bounds for the positivity checks."""
+    """Material constants and the laws they enter; :attr:`bounds` reads the
+    laws' (A1) bounds off the laws themselves."""
 
     sigma0: float = 0.6
     eta0: float = 0.54
@@ -55,73 +74,40 @@ class MaterialModel:
     eta_law: object = field(default=None, repr=False, compare=False)
     sigma_law: object = field(default=None, repr=False, compare=False)
 
-    # Declared (A1)-style bounds; defaults derived from the laws over the
-    # admissible range in __post_init__.
-    nu1: float | None = None
-    nu2: float | None = None
-    lambda1: float | None = None
-    lambda2: float | None = None
-    gamma1: float | None = None
-    gamma2: float | None = None
-
-    def __post_init__(self):
-        if self.nu1 is None:
-            self.nu1 = self.nu_const
-        if self.nu2 is None:
-            self.nu2 = self.nu_const
-        if self.lambda1 is None:
-            self.lambda1 = 0.025345 * self.sigma0
-        if self.lambda2 is None:
-            # The exponential branch tops out at 99 C and slightly overshoots
-            # the rounded 2.5345 plateau (exp(0.93) = 2.53451...).
-            self.lambda2 = self.sigma0 * max(2.5345,
-                                             float(np.exp(0.015 * (99.0 - self.theta_b))))
-        if self.gamma1 is None:
-            self.gamma1 = self.eta0 + 0.0012 * (ADMISSIBLE_RANGE[0] - self.theta_b)
-        if self.gamma2 is None:
-            self.gamma2 = self.eta0 + 0.0012 * (100.0 - self.theta_b)
-
     # -- laws -----------------------------------------------------------------
 
-    def sigma(self, theta):
+    @_law
+    def sigma(self, th):
         """Electrical conductivity (piecewise, vectorized)."""
-        th = np.asarray(theta, dtype=float)
-        if self.sigma_law is not None:
-            out = np.asarray(self.sigma_law(th), dtype=float)
-            return out if out.ndim else float(out)
         s0 = self.sigma0
-        out = np.where(
-            th <= 99.0,
-            s0 * np.exp(0.015 * (th - self.theta_b)),
-            np.where(
-                th <= 100.0,
-                2.5345 * s0,
-                np.where(
-                    th <= 105.0,
-                    2.5345 * s0 * (1.0 - 0.198 * (th - 100.0)),
-                    0.025345 * s0,
-                ),
-            ),
-        )
-        return out if out.ndim else float(out)
+        t1, t2, t3 = BREAKPOINTS
+        return np.where(th <= t1, s0 * np.exp(0.015 * (th - self.theta_b)),
+                        np.where(th <= t2, 2.5345 * s0,
+                                 np.where(th <= t3, 2.5345 * s0 * (1.0 - 0.198 * (th - t2)),
+                                          0.025345 * s0)))
 
-    def eta(self, theta):
+    @_law
+    def eta(self, th):
         """Thermal conductivity (linear ramp, plateau above 100 C)."""
-        th = np.asarray(theta, dtype=float)
-        if self.eta_law is not None:
-            out = np.asarray(self.eta_law(th), dtype=float)
-        else:
-            out = self.eta0 + 0.0012 * (np.minimum(th, 100.0) - self.theta_b)
-        return out if out.ndim else float(out)
+        return self.eta0 + 0.0012 * (np.minimum(th, BREAKPOINTS[1]) - self.theta_b)
 
-    def nu(self, theta):
+    @_law
+    def nu(self, th):
         """Kinematic viscosity; constant unless a custom law is installed."""
-        th = np.asarray(theta, dtype=float)
-        if self.nu_law is not None:
-            out = np.asarray(self.nu_law(th), dtype=float)
-        else:  # a read-only view of the one constant: no array of copies
-            out = np.broadcast_to(float(self.nu_const), th.shape)
-        return out if out.ndim else float(out)
+        # A read-only view of the one constant: no array of copies.
+        return np.broadcast_to(float(self.nu_const), th.shape)
+
+    @property
+    def bounds(self) -> dict:
+        """(A1) bounds (lo, hi) of "sigma", "eta" and "nu" over
+        ``ADMISSIBLE_RANGE``: each law's least and greatest value at the
+        range's ends and at each breakpoint and one ulp above it, which bound
+        any law monotone between breakpoints.  Read from the laws in force,
+        overrides included, on each read."""
+        points = np.array([*ADMISSIBLE_RANGE, *BREAKPOINTS,
+                           *np.nextafter(BREAKPOINTS, np.inf)])
+        values = {"sigma": self.sigma(points), "eta": self.eta(points), "nu": self.nu(points)}
+        return {name: (float(v.min()), float(v.max())) for name, v in values.items()}
 
     def body_force(self, theta):
         """Buoyancy force (0, -c (th - th_b)); zero when disabled.
@@ -186,28 +172,16 @@ class FieldSample:
 
 
 def branch_limits(model: MaterialModel) -> dict:
-    """One-sided branch values of sigma and eta at each breakpoint.
-
-    Evaluated from the closed-form branch expressions (not by sampling), so a
-    genuinely continuous law shows a zero jump to round-off.
-    """
-    s0, e0, tb = model.sigma0, model.eta0, model.theta_b
-    sigma_sides = {
-        99.0: (s0 * np.exp(0.015 * (99.0 - tb)), 2.5345 * s0),
-        100.0: (2.5345 * s0, 2.5345 * s0 * (1.0 - 0.198 * 0.0)),
-        105.0: (2.5345 * s0 * (1.0 - 0.198 * 5.0), 0.025345 * s0),
-    }
-    eta_plateau = e0 + 0.0012 * (100.0 - tb)
-    eta_sides = {
-        99.0: (e0 + 0.0012 * (99.0 - tb),) * 2,
-        100.0: (eta_plateau, eta_plateau),
-        105.0: (eta_plateau, eta_plateau),
-    }
-    return {"sigma": sigma_sides, "eta": eta_sides}
+    """One-sided values of sigma and eta at each breakpoint: the law at the
+    breakpoint and one ulp above it, so a continuous law shows a jump of
+    round-off size."""
+    laws = {"sigma": model.sigma, "eta": model.eta}
+    return {name: {bp: (law(bp), law(np.nextafter(bp, np.inf))) for bp in BREAKPOINTS}
+            for name, law in laws.items()}
 
 
 def validate_bounds(model: MaterialModel) -> dict:
-    """Sampled check of positivity/boundedness of the laws and their declared bounds.
+    """Sampled check of positivity/boundedness of the laws and their (A1) bounds.
 
     Returns a report with per-law min/max over the sampling grid (0 to 200 C
     in steps of 0.01), any bound violations, and the breakpoint continuity
@@ -217,13 +191,8 @@ def validate_bounds(model: MaterialModel) -> dict:
     grid = np.arange(0.0, 200.0 + 0.005, 0.01)
     report: dict = {"violations": [], "ranges": {}, "continuity": {}}
 
-    laws = {
-        "sigma": (model.sigma, model.lambda1, model.lambda2),
-        "eta": (model.eta, model.gamma1, model.gamma2),
-        "nu": (model.nu, model.nu1, model.nu2),
-    }
-    for name, (law, lo, hi) in laws.items():
-        vals = np.asarray(law(grid))
+    for name, (lo, hi) in model.bounds.items():
+        vals = np.asarray(getattr(model, name)(grid))
         vmin, vmax = float(vals.min()), float(vals.max())
         report["ranges"][name] = (vmin, vmax)
         if vmin <= 0.0:
@@ -234,12 +203,11 @@ def validate_bounds(model: MaterialModel) -> dict:
                 f"sampled range [{vmin:.6g}, {vmax:.6g}]"
             )
 
-    sides = branch_limits(model)
-    for name, per_bp in sides.items():
+    for name, per_bp in branch_limits(model).items():
         for bp, (left, right) in per_bp.items():
             report["continuity"][(name, bp)] = abs(float(left) - float(right))
-    # The conductivity jump at 99 C (exp(0.93) vs the rounded 2.5345) is
-    # flagged but not treated as a bound violation.
-    report["sigma_jump_99"] = report["continuity"][("sigma", 99.0)]
+    # The conductivity's jump at its first breakpoint (see the module
+    # docstring) is flagged but not treated as a bound violation.
+    report["sigma_jump_99"] = report["continuity"][("sigma", BREAKPOINTS[0])]
     report["passed"] = not report["violations"]
     return report

@@ -23,8 +23,6 @@ GAMMA1, GAMMA2, GAMMA3, GAMMA4, GAMMA5 = 1, 2, 3, 4, 5
 ALL_TAGS = (GAMMA1, GAMMA2, GAMMA3, GAMMA4, GAMMA5)
 TAG_NAMES = {"G1": GAMMA1, "G2": GAMMA2, "G3": GAMMA3, "G4": GAMMA4, "G5": GAMMA5}
 
-SNAP_TOL = 1e-12
-
 
 def check_tag_roles(roles, kind: str) -> None:
     """Raise ValueError unless ``roles`` gives each boundary tag exactly one
@@ -63,8 +61,8 @@ class GeometrySpec:
         The three spans [0, L/2-r], the electrode, and [L/2+r, L] are each
         uniform with cell counts rounded from the target spacing L/nx; the
         total stays exactly nx.  When the uniform grid already aligns (e.g.
-        nx=20 for the default channel geometry) this reduces to the uniform grid
-        with the two electrode lines snapped to within 1e-12.
+        nx=20 for the default channel geometry) this is the uniform grid up
+        to round-off.
         """
         n1, n2, n3 = span_counts(self)
         xe_lo = 0.5 * self.L - self.r
@@ -260,10 +258,10 @@ def generate_channel_mesh(spec: GeometrySpec) -> Mesh2D:
 def channel_mesh_arrays(spec: GeometrySpec):
     """The arrays of :func:`generate_channel_mesh`, before the mesh checks them."""
     spec.validate()
-    L, H, r, nx, ny = spec.L, spec.H, spec.r, spec.nx, spec.ny
+    nx, ny = spec.nx, spec.ny
 
     x = spec.x_grid()
-    y = np.linspace(0.0, H, ny + 1)
+    y = np.linspace(0.0, spec.H, ny + 1)
 
     xx, yy = np.meshgrid(x, y, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
@@ -274,16 +272,17 @@ def channel_mesh_arrays(spec: GeometrySpec):
     triangles = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
 
     # Left/right columns interleaved row by row, then the bottom row, then the
-    # top row split into the electrode segment and the remaining wall.
+    # top row split into the electrode segment (the cells of the electrode
+    # span of :func:`span_counts`) and the remaining wall.
     left = np.arange(ny) * (nx + 1)
     sides = np.stack([left, left + nx + 1, left + nx, left + 2 * nx + 1], axis=1)
     bottom = np.stack([np.arange(nx), np.arange(1, nx + 1)], axis=1)
     top = bottom + ny * (nx + 1)
-    xe_lo, xe_hi = 0.5 * L - r, 0.5 * L + r
-    inside = (x[:-1] >= xe_lo - SNAP_TOL) & (x[1:] <= xe_hi + SNAP_TOL)
+    n1, n2, _ = span_counts(spec)
+    top_tags = np.full(nx, GAMMA4)
+    top_tags[n1:n1 + n2] = GAMMA5
     edges = np.concatenate([sides.reshape(-1, 2), bottom, top])
-    tags = np.concatenate([np.tile([GAMMA1, GAMMA3], ny), np.full(nx, GAMMA2),
-                           np.where(inside, GAMMA5, GAMMA4)])
+    tags = np.concatenate([np.tile([GAMMA1, GAMMA3], ny), np.full(nx, GAMMA2), top_tags])
 
     return vertices, triangles, edges, tags
 

@@ -45,10 +45,10 @@ class ConfigError(ValueError):
 
 @dataclass
 class MaterialsConfig:
-    sigma0: float = 0.6
-    eta0: float = 0.54
-    nu: float = 0.0021
-    theta_b: float = 37.0
+    sigma0: float = MaterialModel.sigma0
+    eta0: float = MaterialModel.eta0
+    nu: float = MaterialModel.nu_const
+    theta_b: float = MaterialModel.theta_b
     buoyancy: BuoyancySettings = field(default_factory=BuoyancySettings)
 
     def validate(self) -> None:

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from ablatesim import fem_core, linalg, verify
-from ablatesim.fem_core import (EDGE_T, EDGE_W, TRI_RULE,
-                                ElementP1, ElementP1Bubble,
+from ablatesim.fem_core import (EDGE_T, EDGE_W, P1_REF_GRADS, P1_VALS, TRI_RULE,
                                 assemble_advection, assemble_boundary_load,
                                 assemble_mass,
                                 assemble_mini_blocks, assemble_mini_mass,
                                 assemble_scalar_load, assemble_stiffness,
-                                assemble_vector_load, dofmap_for,
+                                assemble_vector_load, bubble_values, dofmap_for,
                                 integrate_qp, p1_at_qp, p1_gradients,
                                 velocity_at_qp, velocity_grad_at_qp)
 from ablatesim.mesh import GAMMA5, GeometrySpec, generate_channel_mesh
@@ -44,14 +43,14 @@ class TestQuadrature:
         assert val == pytest.approx(exact_bary_integral(p, q, r), rel=1e-12)
 
     def test_bubble_square_integral(self):
-        bub = ElementP1Bubble.bubble_values(TRI_RULE.points)
+        bub = bubble_values(TRI_RULE.points)
         val = float(np.sum(TRI_RULE.weights * bub ** 2))
         # 729 * integral(l1^2 l2^2 l3^2) = 729 * 8/8!
         assert val == pytest.approx(729.0 * 8.0 / math.factorial(8), rel=1e-12)
 
     def test_lam_lam_bubble_integral(self):
         bary = TRI_RULE.points
-        bub = ElementP1Bubble.bubble_values(bary)
+        bub = bubble_values(bary)
         val = float(np.sum(TRI_RULE.weights * bary[:, 0] * bary[:, 1] * bub))
         assert val == pytest.approx(27.0 * 4.0 / math.factorial(7), rel=1e-12)
 
@@ -63,21 +62,23 @@ class TestQuadrature:
 
 class TestElements:
     def test_p1_partition_of_unity(self):
-        vals = ElementP1.values(TRI_RULE.points)
-        assert np.allclose(vals.sum(axis=1), 1.0, atol=1e-14)
+        assert np.array_equal(P1_VALS, TRI_RULE.points)  # the barycentric coordinates
+        assert np.allclose(P1_VALS.sum(axis=1), 1.0, atol=1e-14)
 
     def test_p1_delta_property(self):
-        corners = np.eye(3)
-        vals = ElementP1.values(corners)
+        # l_a at the reference corners (0,0), (1,0), (0,1), from l(0, 0) =
+        # (1, 0, 0) and the constant reference gradients.
+        corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        vals = np.array([1.0, 0.0, 0.0]) + corners @ P1_REF_GRADS.T  # [corner, a]
         assert np.allclose(vals, np.eye(3))
 
     def test_bubble_vanishes_on_edges(self):
         pts = np.array([[0.0, 0.3, 0.7], [0.5, 0.0, 0.5], [0.2, 0.8, 0.0]])
-        assert np.allclose(ElementP1Bubble.bubble_values(pts), 0.0)
+        assert np.allclose(bubble_values(pts), 0.0)
 
     def test_bubble_centroid_value(self):
         c = np.array([1.0 / 3.0] * 3)
-        assert ElementP1Bubble.bubble_values(c) == pytest.approx(1.0, rel=1e-14)
+        assert bubble_values(c) == pytest.approx(1.0, rel=1e-14)
 
 
 def dense_p1_stiffness(mesh, coeff=1.0):
@@ -310,7 +311,7 @@ class TestFieldEvaluation:
         v = np.zeros(dm.n_velocity)
         v[dm.vx_bubble(0)] = 1.0  # single bubble in element 0
         vals = velocity_at_qp(mesh, v)
-        bub = ElementP1Bubble.bubble_values(TRI_RULE.points)
+        bub = bubble_values(TRI_RULE.points)
         assert np.allclose(vals[0, :, 0], bub, atol=1e-14)
         assert np.abs(vals[1:]).max() == 0.0
 

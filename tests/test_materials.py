@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ablatesim import fem_core, flow_solver
-from ablatesim.materials import (DEFAULT_BUOYANCY_COEFF, BuoyancySettings, FieldSample,
-                                 MaterialModel, branch_limits, validate_bounds)
+from ablatesim.materials import (ADMISSIBLE_RANGE, BREAKPOINTS, DEFAULT_BUOYANCY_COEFF,
+                                 BuoyancySettings, FieldSample, MaterialModel, branch_limits,
+                                 validate_bounds)
 from ablatesim.mesh import GeometrySpec, generate_channel_mesh
 
 
@@ -141,17 +142,106 @@ class TestValidateBounds:
 
     def test_constant_laws_pass(self):
         m = MaterialModel(sigma_law=lambda th: np.full_like(th, 0.5),
-                          eta_law=lambda th: np.full_like(th, 0.7),
-                          lambda1=0.5, lambda2=0.5, gamma1=0.7, gamma2=0.7)
+                          eta_law=lambda th: np.full_like(th, 0.7))
         rep = validate_bounds(m)
         assert rep["passed"], rep["violations"]
 
     def test_declared_bounds_cover_range(self, model):
         grid = np.linspace(-50.0, 300.0, 7001)
-        assert np.min(model.sigma(grid)) >= model.lambda1 - 1e-15
-        assert np.max(model.sigma(grid)) <= model.lambda2 + 1e-15
-        assert np.min(model.eta(grid)) >= model.gamma1 - 1e-15
-        assert np.max(model.eta(grid)) <= model.gamma2 + 1e-15
+        (s_lo, s_hi), (e_lo, e_hi) = model.bounds["sigma"], model.bounds["eta"]
+        assert np.min(model.sigma(grid)) >= s_lo - 1e-15
+        assert np.max(model.sigma(grid)) <= s_hi + 1e-15
+        assert np.min(model.eta(grid)) >= e_lo - 1e-15
+        assert np.max(model.eta(grid)) <= e_hi + 1e-15
+
+
+# (sigma0, eta0, theta_b, nu_const) of models whose bounds and laws are
+# pinned below; theta_b = 100, -20 and 120 move the extremes between branches.
+BOUND_MODELS = {
+    "default": {},
+    "tissue": {"sigma0": 0.9, "eta0": 0.3, "theta_b": 36.5, "nu_const": 0.004},
+    "theta_b=100": {"theta_b": 100.0},
+    "theta_b=-20": {"theta_b": -20.0},
+    "theta_b=120": {"theta_b": 120.0},
+}
+
+
+def hand_bounds(m):
+    """The (A1) bounds as closed formulas of the default laws' constants."""
+    return {
+        "sigma": (0.025345 * m.sigma0,
+                  m.sigma0 * max(2.5345, float(np.exp(0.015 * (99.0 - m.theta_b))))),
+        "eta": (m.eta0 + 0.0012 * (-50.0 - m.theta_b), m.eta0 + 0.0012 * (100.0 - m.theta_b)),
+        "nu": (m.nu_const, m.nu_const),
+    }
+
+
+def reference_laws(m):
+    """The default laws, written out in full as the reference."""
+    def sigma(th):
+        s0 = m.sigma0
+        return np.where(th <= 99.0, s0 * np.exp(0.015 * (th - m.theta_b)),
+                        np.where(th <= 100.0, 2.5345 * s0,
+                                 np.where(th <= 105.0, 2.5345 * s0 * (1.0 - 0.198 * (th - 100.0)),
+                                          0.025345 * s0)))
+
+    def eta(th):
+        return m.eta0 + 0.0012 * (np.minimum(th, 100.0) - m.theta_b)
+
+    def nu(th):
+        return np.full(np.shape(th), float(m.nu_const))
+    return {"sigma": sigma, "eta": eta, "nu": nu}
+
+
+class TestBounds:
+    @pytest.mark.parametrize("name", BOUND_MODELS)
+    def test_bounds_equal_the_hand_formulas(self, name):
+        m = MaterialModel(**BOUND_MODELS[name])
+        assert m.bounds == hand_bounds(m)
+        for law, (lo, hi) in m.bounds.items():
+            assert type(lo) is float and type(hi) is float, law
+
+    def test_default_laws_stay_within_and_reach_their_bounds(self, model):
+        grid = np.concatenate([np.linspace(*ADMISSIBLE_RANGE, 35001), BREAKPOINTS])
+        for law, (lo, hi) in model.bounds.items():
+            vals = np.asarray(getattr(model, law)(grid))
+            assert vals.min() == lo and vals.max() == hi, law
+
+    def test_bounds_follow_an_override_set_after_construction(self, model):
+        model.nu_law = lambda th: 0.001 + 1e-5 * np.asarray(th)
+        assert model.bounds["nu"] == (0.001 + 1e-5 * -50.0, 0.001 + 1e-5 * 300.0)
+
+    def test_bounds_reach_a_limit_just_above_a_breakpoint(self):
+        # Greatest just above 100 C, where the law jumps and then falls.
+        def law(th):
+            return np.where(th <= 100.0, 1.0, 2.0 - 0.001 * (th - 100.0))
+
+        m = MaterialModel(sigma_law=law)
+        assert m.bounds["sigma"] == (1.0, float(law(np.nextafter(100.0, np.inf))))
+        assert validate_bounds(m)["passed"]
+
+    def test_law_not_monotone_between_breakpoints_is_flagged(self):
+        # Period 0.7, well under the breakpoints' spacing: the sampled range
+        # leaves the bounds read at the breakpoints.
+        m = MaterialModel(sigma_law=lambda th: 1.0 + 0.5 * np.sin(2.0 * np.pi * th / 0.7))
+        rep = validate_bounds(m)
+        assert not rep["passed"]
+        assert any(v.startswith("sigma leaves declared bounds") for v in rep["violations"])
+
+    @pytest.mark.parametrize("name", BOUND_MODELS)
+    def test_laws_equal_the_reference_bit_for_bit(self, name):
+        m = MaterialModel(**BOUND_MODELS[name])
+        near = [np.nextafter(t, d) for t in (*BREAKPOINTS, *ADMISSIBLE_RANGE)
+                for d in (-np.inf, np.inf)]
+        points = [*BREAKPOINTS, *ADMISSIBLE_RANGE, *near, np.nan, np.inf, -np.inf, 37.0, 0.0]
+        grid = np.concatenate([np.linspace(-60.0, 320.0, 3801), points])[:, None]
+        for law, ref in reference_laws(m).items():
+            got = getattr(m, law)(grid)
+            assert got.shape == grid.shape and got.tobytes() == ref(grid).tobytes(), law
+            for t in [*map(float, points), 37, 150]:
+                value = getattr(m, law)(t)
+                assert type(value) is float, (law, t)
+                assert np.float64(value).tobytes() == ref(np.float64(t)).tobytes(), (law, t)
 
 
 class TestFieldSample:

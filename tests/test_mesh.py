@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ablatesim.mesh import (ALL_TAGS, GAMMA1, GAMMA5, TAG_NAMES,
+from ablatesim.mesh import (ALL_TAGS, GAMMA1, GAMMA4, GAMMA5, TAG_NAMES,
                             GeometrySpec, Mesh2D, MeshError,
-                            check_tag_roles, generate_channel_mesh,
+                            channel_mesh_arrays, check_tag_roles, generate_channel_mesh,
                             load_mesh, save_mesh, span_counts)
 from mesh_queries import boundary_edges_with_tag, mesh_quality_report
 
@@ -50,6 +50,24 @@ class TestGenerate:
 
     def test_span_counts_channel(self):
         assert span_counts(channel_spec()) == (9, 2, 9)
+
+    def test_electrode_tags_match_the_coordinate_rule(self):
+        # The G5 edges are the cells of span_counts' electrode span; the
+        # reference is the rule that compared the cells' x ends with
+        # L/2 -+ r within 1e-12.
+        checked = 0
+        for L, H, r in ((1.5, 0.5, 0.075), (2.0, 1.0, 0.25), (1.0, 1.0, 0.1), (3.0, 0.7, 0.33)):
+            for nx in range(2, 400):
+                spec = GeometrySpec(L=L, H=H, r=r, nx=nx, ny=2)
+                try:
+                    _, _, _, tags = channel_mesh_arrays(spec)
+                except MeshError:
+                    continue
+                x = spec.x_grid()
+                inside = (x[:-1] >= 0.5 * L - r - 1e-12) & (x[1:] <= 0.5 * L + r + 1e-12)
+                assert np.array_equal(tags[-nx:], np.where(inside, GAMMA5, GAMMA4)), (L, r, nx)
+                checked += 1
+        assert checked == 1585
 
     @pytest.mark.parametrize("bad", [
         GeometrySpec(L=-1.0, H=0.5, r=0.075, nx=20, ny=10),

@@ -47,8 +47,8 @@ def _mini_tables(mesh):
     geo = fem_core.geometry(mesh)
     nt, nq = geo.qw.shape
     vals4 = np.empty((nt, nq, 4))
-    vals4[:, :, :3] = geo.p1_vals
-    vals4[:, :, 3] = geo.bubble_vals
+    vals4[:, :, :3] = fem_core.P1_VALS
+    vals4[:, :, 3] = fem_core.BUBBLE_VALS
     grads4 = np.empty((nt, nq, 4, 2))
     grads4[:, :, :3, :] = geo.grad_p1[:, None]
     grads4[:, :, 3, :] = geo.grad_bubble
@@ -57,7 +57,7 @@ def _mini_tables(mesh):
 
 def ref_p1_mass(mesh):
     geo = fem_core.geometry(mesh)
-    local = np.einsum("tq,qa,qb->tab", geo.qw, geo.p1_vals, geo.p1_vals)
+    local = np.einsum("tq,qa,qb->tab", geo.qw, fem_core.P1_VALS, fem_core.P1_VALS)
     nv = mesh.num_vertices
     return _coo((nv, nv), *_block_indices(mesh.triangles, mesh.triangles), local)
 
@@ -79,7 +79,7 @@ def ref_divergence(mesh, dm):
     dofs = dm.velocity_element_dofs(mesh)
     builder = CooBuilder(dm.n_pressure, dm.n_velocity)
     for c in range(2):
-        local = np.einsum("tq,qa,tqb->tab", w, geo.p1_vals, g4[..., c])
+        local = np.einsum("tq,qa,tqb->tab", w, fem_core.P1_VALS, g4[..., c])
         builder.add(*_block_indices(mesh.triangles, dofs[:, 4 * c:4 * c + 4]), local)
     return builder.finalize()
 
@@ -189,9 +189,9 @@ class TestArithmeticBuilders:
                         np.stack([-jac[:, 1, 0], jac[:, 0, 0]], axis=1)], axis=1)
         jinvT = (inv / det[:, None, None]).transpose(0, 2, 1)
         bary = fem_core.TRI_RULE.points
-        ref_gb = fem_core.ElementP1Bubble.bubble_ref_grads(bary)
+        ref_gb = fem_core.BUBBLE_REF_GRADS
         want = {"qp": np.einsum("qa,tad->tqd", bary, coords),
-                "grad_p1": np.einsum("tde,ae->tad", jinvT, fem_core.ElementP1.ref_grads),
+                "grad_p1": np.einsum("tde,ae->tad", jinvT, fem_core.P1_REF_GRADS),
                 "grad_bubble": np.einsum("tde,qe->tqd", jinvT, ref_gb)}
         for attr, ref in want.items():
             got = getattr(geo, attr)
@@ -208,7 +208,7 @@ class TestArithmeticBuilders:
         geo, nt = fem_core.geometry(mesh), mesh.num_triangles
         mini = fem_core._mini_pattern(mesh)
         local = np.zeros((nt, 2, 4, 2, 4))
-        block = fem_core._tab(geo.qw, fem_core._products(geo.mini_vals)).reshape(-1, 4, 4)
+        block = fem_core._tab(geo.qw, fem_core._products(fem_core.MINI_VALS)).reshape(-1, 4, 4)
         for comp in range(2):
             local[:, comp, :, comp, :] = block
         want = mini.fill(local.reshape(nt, 8, 8))

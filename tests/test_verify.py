@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,35 @@ class TestRateReport:
         assert rep.slopes_ls["L2"] > 1.5
         assert len(rep.h) == 3
         assert rep.errors["L2"][0] > rep.errors["L2"][-1]
+
+
+class TestSplittingOrder:
+    def test_a_field_exact_at_every_step_count_has_no_rate(self):
+        # test1 has no buoyancy, so its flow never sees theta: v at T is the
+        # same bit for bit for every M, and its error is 0.0 at each.
+        cfg = tiny_config(geometry={"nx": 16, "ny": 8}, time={"T": 0.2})
+        rep = verify.splitting_order_study(cfg, Ms=(2, 4, 8), M_ref=16)
+        assert rep.extra["exact"] == ["v"]
+        assert set(rep.errors) == set(rep.extra["rates"]) == set(rep.slopes_ls) == {"theta", "phi"}
+        assert all(e > 0.0 for errs in rep.errors.values() for e in errs)
+
+    def test_a_field_exact_at_some_step_counts_raises(self, monkeypatch):
+        mesh = generate_channel_mesh(GeometrySpec(nx=10, ny=2))
+        n_v, n_u = mesh.num_vertices, fem_core.dofmap_for(mesh).n_velocity
+
+        class Run:  # v is exact at M = 4 only; theta and phi nowhere
+            def __init__(self, config):
+                self.mesh, self.M = mesh, config.time.M
+
+            def run(self):
+                v = np.full(n_u, 0.0 if self.M in (4, 16) else 1.0 / self.M)
+                state = SimpleNamespace(theta=np.full(n_v, 1.0 / self.M), v=v,
+                                        phi=np.full(n_v, 2.0 / self.M))
+                return state, []
+
+        monkeypatch.setattr(coupler, "Simulation", Run)
+        with pytest.raises(ValueError, match="v error is 0 at M = 4"):
+            verify.splitting_order_study(tiny_config(), Ms=(2, 4, 8), M_ref=16)
 
 
 class TestInvariantSuite:

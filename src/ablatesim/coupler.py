@@ -22,13 +22,17 @@ state's sample transports too, so each of the velocity's values is
 evaluated once per distinct velocity.  The initial stationary flow and
 potential share one sample of theta_b; the stationary heat's sample of v0
 hands its values to the initial state's.  Each stage is recorded per step
-as (name, start, end), wall clock, in the order run, and never reordered.
-Each system keeps its constrained dofs, the structure of its Dirichlet
-elimination and its LU across its solves, the stationary ones included
-(``Simulation.systems``, see :class:`linalg.LinearSystem`); the flow's also
-keeps the last step's inputs and result while that step returned its input.
-A blow-up guard aborts once max|theta| or max|v| exceeds 1e4, mirroring the
-runaway regime reached for large electrode currents.
+as (name, start, end), wall clock, in the order run, and never reordered;
+an exception raised in it is labelled "step <n>/<stage>: " (at step 0,
+"initialize/<stage>: ").  Each system keeps its constrained dofs, the
+structure of its Dirichlet elimination and its LU across its solves, the
+stationary ones included (``Simulation.systems``, see
+:class:`linalg.LinearSystem`); the flow's also keeps the last step's inputs
+and result while that step returned its input.  Every step, step 0
+included, ends in ``Simulation._end_step``: the new state is checked
+finite, gets its diagnostics row and meets the blow-up guard, which aborts
+once max|theta| or max|v| exceeds 1e4, mirroring the runaway regime reached
+for large electrode currents.
 """
 
 from __future__ import annotations
@@ -52,17 +56,13 @@ from .potential_solver import PotentialProblem, solve_potential
 BLOWUP_LIMIT = 1e4
 
 
-class NonFiniteFieldError(RuntimeError):
+class NonFiniteFieldError(SolverError):
     pass
 
 
 class BlowUpError(RuntimeError):
-    """Raised when the blow-up guard trips; carries the diagnostics so far."""
-
-    def __init__(self, message, rows=None, state=None):
-        super().__init__(message)
-        self.rows = rows or []
-        self.state = state
+    """Raised when the blow-up guard trips; ``state`` is the tripping state,
+    with its diagnostics row."""
 
 
 @dataclass
@@ -119,16 +119,15 @@ class SimState:
 
 
 @contextmanager
-def _stage(stages: list, name: str, label: str | None = None):
+def _stage(stages: list, label: str, name: str):
     """Append the stage ``name`` to ``stages`` as (name, start, end), wall
-    clock.  With ``label``, an exception raised in it has "label/name: "
-    put before its message, and keeps its class, attributes and traceback."""
+    clock.  An exception raised in it has "label/name: " put before its
+    message, and keeps its class, attributes and traceback."""
     start = _time.perf_counter()
     try:
         yield
     except Exception as exc:
-        if label is not None:
-            exc.args = (f"{label}/{name}: {exc}",)
+        exc.args = (f"{label}/{name}: {exc}",)
         raise
     stages.append((name, start, _time.perf_counter()))
 
@@ -174,11 +173,13 @@ class Simulation:
             stab=self.stab, time=t, system=self.systems["heat"], transport=transport,
         )
 
-    # -- diagnostics ------------------------------------------------------------
+    # -- the end of a step ------------------------------------------------------
 
-    def _diagnostics(self, state: SimState, art, stages) -> DiagnosticsRow:
-        """The diagnostics row of ``state``."""
-        step, t, theta = state.n, state.t, np.asarray(state.theta)
+    def _end_step(self, state: SimState, stages) -> SimState:
+        """``state``, checked finite and given its diagnostics row, once it
+        meets the blow-up guard; the guard raises BlowUpError carrying it."""
+        state.check_finite()
+        theta = np.asarray(state.theta)
         imax = int(np.argmax(theta))
         xy = self.mesh.vertices[imax]
         int_theta = float(np.sum(fem_core.assemble_mass(self.mesh) @ theta))
@@ -192,38 +193,37 @@ class Simulation:
         else:
             centroid = float("nan")
 
-        art = np.zeros(1) if art is None else np.asarray(art)
-        return DiagnosticsRow(
-            step=step, t=t,
+        art = np.zeros(1) if state.art_visc_cells is None else np.asarray(state.art_visc_cells)
+        state.diag = DiagnosticsRow(
+            step=state.n, t=state.t,
             max_theta=float(theta.max()), argmax_x=float(xy[0]), argmax_y=float(xy[1]),
             int_theta=int_theta, div_norm=div_norm,
             max_art_visc=float(art.max()), min_art_visc=float(art.min()),
             centroid_x=float(centroid), stages=stages,
         )
 
-    def _guard(self, state: SimState, rows) -> None:
-        mt = float(np.max(np.abs(state.theta)))
+        mt = float(np.max(np.abs(theta)))
         mv = float(np.max(np.abs(state.v))) if state.v.size else 0.0
         if mt > BLOWUP_LIMIT or mv > BLOWUP_LIMIT:
-            raise BlowUpError(
-                f"blow-up guard tripped at step {state.n}: "
-                f"max|theta|={mt:.3e}, max|v|={mv:.3e}",
-                rows=rows, state=state,
-            )
+            exc = BlowUpError(f"blow-up guard tripped at step {state.n}: "
+                              f"max|theta|={mt:.3e}, max|v|={mv:.3e}")
+            exc.state = state
+            raise exc
+        return state
 
     # -- lifecycle ------------------------------------------------------------------
 
     def initialize(self) -> SimState:
-        """Stationary solves for (v0, P0), phi0, theta0 with stage labels on failure."""
+        """Stationary solves for (v0, P0), phi0, theta0: the state of step 0."""
         theta_b_field = np.full(self.mesh.num_vertices, self.model.theta_b)
         theta_b = FieldSample(self.model, self.mesh, theta_b_field)  # the flow's and potential's
         stages = []
 
-        with _stage(stages, "flow", "initialize"):
+        with _stage(stages, "initialize", "flow"):
             v0, p0 = solve_flow_stationary(self._flow_problem(theta_b, None))
-        with _stage(stages, "potential", "initialize"):
+        with _stage(stages, "initialize", "potential"):
             phi0 = solve_potential(self._potential_problem(theta_b))
-        with _stage(stages, "heat", "initialize"):
+        with _stage(stages, "initialize", "heat"):
             # Pre-activation equilibrium: RF current and saline supply are off
             # until t = 0, so the initial temperature is the body-equilibrium
             # steady state, with no physics sources and each inflow tag
@@ -240,35 +240,34 @@ class Simulation:
         # v0's values, evaluated for the stationary heat, go with it.
         state = SimState(t=0.0, n=0, v=v0, P=p0, theta=theta0, phi=phi0,
                          theta_prev=None, sample=sample.with_theta(theta0))
-        state.check_finite()
-        state.diag = self._diagnostics(state, None, stages)
-        self._guard(state, rows=[state.diag])
-        return state
+        return self._end_step(state, stages)
 
     def advance(self, state: SimState) -> SimState:
-        """One split step; the input state is left untouched on any failure."""
+        """One whole split step, blow-up guard included; the input state is
+        left untouched on any failure."""
         state.check_finite()
         dt = self.config.time.dt
         n_new = state.n + 1
         t_new = state.t + dt
+        label = f"step {n_new}"
         stages = []
         # One sample of theta^{n-1} and v^{n-1} for the three stages.
         sample = state.sample or FieldSample(self.model, self.mesh, state.theta, state.v)
 
         # Stage 1: potential at the lagged temperature.
-        with _stage(stages, "potential"):
+        with _stage(stages, label, "potential"):
             phi = solve_potential(self._potential_problem(sample))
 
         # Stage 2: flow advected by v^{n-1}, viscosity at theta^{n-1}, from
         # (v^{n-1}, P^{n-1}).
-        with _stage(stages, "flow"):
+        with _stage(stages, label, "flow"):
             v_new, p_new = solve_flow_step(self._flow_problem(sample, dt, state.P))
 
         # Stage 3: heat transported by v^n with lagged sources and residual.
         # When the flow returned v^{n-1} itself, the sample transports too, so
         # the velocity's values are not evaluated again.  v^n's sample, with
         # the values evaluated so far, takes theta^n and goes to the next step.
-        with _stage(stages, "heat"):
+        with _stage(stages, label, "heat"):
             transport = (sample if v_new is sample.v_h
                          else FieldSample(self.model, self.mesh, None, v_new))
             hp = self._heat_problem(sample, state.theta_prev, phi, dt, t_new, transport)
@@ -277,29 +276,25 @@ class Simulation:
         new_state = SimState(t=t_new, n=n_new, v=v_new, P=p_new,
                              theta=theta_new, phi=phi, theta_prev=state.theta,
                              art_visc_cells=hp.art_visc, sample=transport.with_theta(theta_new))
-        new_state.check_finite()
-        new_state.diag = self._diagnostics(new_state, hp.art_visc, stages)
-        return new_state
+        return self._end_step(new_state, stages)
 
     def run(self, on_step=None):
         """Initialize then advance M steps; returns (final state, diagnostics rows).
 
-        A SolverError or NonFiniteFieldError raised by a step carries the rows
-        computed before it as ``exc.rows``.
+        A SolverError (NonFiniteFieldError included) or a BlowUpError carries
+        the rows computed before it as ``exc.rows``, a BlowUpError's ending
+        with the row of its state, which ``on_step`` never receives.
         """
-        state = self.initialize()
-        rows = [state.diag]
-        if on_step is not None:
-            on_step(state)
-        for _ in range(self.config.time.M):
-            try:
-                state = self.advance(state)
-            except (SolverError, NonFiniteFieldError) as exc:
-                exc.rows = rows  # the diagnostics computed before the failure
-                raise
-            rows.append(state.diag)
-            self._guard(state, rows)
-            if on_step is not None:
-                on_step(state)
+        rows, state = [], None
+        try:
+            for _ in range(self.config.time.M + 1):
+                state = self.initialize() if state is None else self.advance(state)
+                rows.append(state.diag)
+                if on_step is not None:
+                    on_step(state)
+        except (SolverError, BlowUpError) as exc:
+            if isinstance(exc, BlowUpError):
+                rows.append(exc.state.diag)
+            exc.rows = rows
+            raise
         return state, rows
-

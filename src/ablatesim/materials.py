@@ -183,12 +183,13 @@ def branch_limits(model: MaterialModel) -> dict:
 def validate_bounds(model: MaterialModel) -> dict:
     """Sampled check of positivity/boundedness of the laws and their (A1) bounds.
 
-    Returns a report with per-law min/max over the sampling grid (0 to 200 C
-    in steps of 0.01), any bound violations, and the breakpoint continuity
-    flags (the 99 C jump of the conductivity law is expected and reported,
-    not raised).
+    Returns a report with per-law min/max over the sampling grid (all of
+    ``ADMISSIBLE_RANGE``, which the bounds span, in steps of 0.01), any bound
+    violations, and the breakpoint continuity flags (the 99 C jump of the
+    conductivity law is expected and reported, not raised).
     """
-    grid = np.arange(0.0, 200.0 + 0.005, 0.01)
+    # Each hundredth of a degree in ADMISSIBLE_RANGE, as the double nearest it.
+    grid = np.arange(100.0 * ADMISSIBLE_RANGE[0], 100.0 * ADMISSIBLE_RANGE[1] + 1.0) / 100.0
     report: dict = {"violations": [], "ranges": {}, "continuity": {}}
 
     for name, (lo, hi) in model.bounds.items():

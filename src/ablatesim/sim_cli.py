@@ -477,41 +477,31 @@ def cmd_run(args) -> int:
         if outdir and cfg.output.stride > 0 and state.n % cfg.output.stride == 0:
             write_vtk(state, sim.mesh, os.path.join(outdir, f"fields_{state.n:05d}.vtk"))
 
-    def finish(rows):
-        # One CSV row per advanced step, each with its probe values.
-        if outdir:
-            write_probes(rows[1:], os.path.join(outdir, "probes.csv"), probe_names,
-                         probe_rows[1:])
-
-    def report_solves():
-        # Every factorization of the run, with its reason (none is silent).
-        for name, system in sim.systems.items():
-            print(f"{name}: {system.factor.report()}")
-
+    code = 0
     try:
         state, rows = sim.run(on_step=on_step)
-    except coupler.BlowUpError as exc:
-        print(f"blow-up: {exc}", file=sys.stderr)
-        # The guard trips before on_step, so sample the tripping state here.
-        probe_rows.append([pr(exc.state.theta) for pr in probes])
-        finish(exc.rows)
-        report_solves()
-        return 4
-    except (linalg.SolverError, coupler.NonFiniteFieldError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        if hasattr(exc, "rows"):  # a mid-run failure keeps the rows before it
-            finish(exc.rows)
-        report_solves()
-        return 3
+    except (linalg.SolverError, coupler.BlowUpError) as exc:
+        blowup = isinstance(exc, coupler.BlowUpError)
+        print(f"{'blow-up' if blowup else 'solver failure'}: {exc}", file=sys.stderr)
+        if blowup:  # the guard trips before on_step, so sample the tripping state here
+            probe_rows.append([pr(exc.state.theta) for pr in probes])
+        code = 4 if blowup else 3
+        rows = exc.rows
 
-    finish(rows)
-    if outdir:
-        write_vtk(state, sim.mesh, os.path.join(outdir, "final.vtk"))
-    last = rows[-1]
-    print(f"completed {cfg.time.M} steps: max theta {last.max_theta:.4f} at "
-          f"({last.argmax_x:.4f}, {last.argmax_y:.4f}), |div v| = {last.div_norm:.2e}")
-    report_solves()
-    return 0
+    if outdir and rows:
+        # One CSV row per advanced step, each with its probe values.
+        write_probes(rows[1:], os.path.join(outdir, "probes.csv"), probe_names,
+                     probe_rows[1:])
+    if code == 0:
+        if outdir:
+            write_vtk(state, sim.mesh, os.path.join(outdir, "final.vtk"))
+        last = rows[-1]
+        print(f"completed {cfg.time.M} steps: max theta {last.max_theta:.4f} at "
+              f"({last.argmax_x:.4f}, {last.argmax_y:.4f}), |div v| = {last.div_norm:.2e}")
+    # Every factorization of the run, with its reason (none is silent).
+    for name, system in sim.systems.items():
+        print(f"{name}: {system.factor.report()}")
+    return code
 
 
 def cmd_verify(args) -> int:

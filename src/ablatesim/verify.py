@@ -53,38 +53,35 @@ class ManufacturedCase:
     steps: int = 4
 
 
+def _sine(x, y, c=1.0):
+    """c sin(pi x) sin(pi y), the field of the sine cases (c times it, for the
+    sources, in the order the product is rounded)."""
+    return c * np.sin(PI * x) * np.sin(PI * y)
+
+
+def _sine_grad(x, y):
+    """The gradient of sin(pi x) sin(pi y)."""
+    return (PI * np.cos(PI * x) * np.sin(PI * y),
+            PI * np.sin(PI * x) * np.cos(PI * y))
+
+
 def potential_case() -> ManufacturedCase:
     """phi* = sin(pi x) sin(pi y), unit conductivity, Dirichlet everywhere."""
 
-    def exact(x, y):
-        return np.sin(PI * x) * np.sin(PI * y)
-
-    def grad(x, y):
-        return (PI * np.cos(PI * x) * np.sin(PI * y),
-                PI * np.sin(PI * x) * np.cos(PI * y))
-
     def source(x, y):
-        return 2.0 * PI ** 2 * np.sin(PI * x) * np.sin(PI * y)
+        return _sine(x, y, 2.0 * PI ** 2)
 
-    return ManufacturedCase("potential_sine", "potential", exact, grad, source)
+    return ManufacturedCase("potential_sine", "potential", _sine, _sine_grad, source)
 
 
 def heat_steady_case() -> ManufacturedCase:
     """Steady advection-diffusion: theta* = sin(pi x) sin(pi y), v = (1, 0)."""
 
-    def exact(x, y):
-        return np.sin(PI * x) * np.sin(PI * y)
-
-    def grad(x, y):
-        return (PI * np.cos(PI * x) * np.sin(PI * y),
-                PI * np.sin(PI * x) * np.cos(PI * y))
-
     def source(x, y):
         # v . grad(theta) - laplace(theta) with unit conductivity
-        return (PI * np.cos(PI * x) * np.sin(PI * y)
-                + 2.0 * PI ** 2 * np.sin(PI * x) * np.sin(PI * y))
+        return _sine_grad(x, y)[0] + _sine(x, y, 2.0 * PI ** 2)
 
-    return ManufacturedCase("heat_steady_sine", "heat_steady", exact, grad, source,
+    return ManufacturedCase("heat_steady_sine", "heat_steady", _sine, _sine_grad, source,
                             velocity=(1.0, 0.0))
 
 
@@ -93,16 +90,14 @@ def heat_unsteady_spatial_case() -> ManufacturedCase:
     linear-in-time factor exactly, isolating the O(h^2) spatial error."""
 
     def exact(x, y, t):
-        return np.sin(PI * x) * np.sin(PI * y) * (1.0 + t)
+        return _sine(x, y) * (1.0 + t)
 
     def grad(x, y, t):
-        return (PI * np.cos(PI * x) * np.sin(PI * y) * (1.0 + t),
-                PI * np.sin(PI * x) * np.cos(PI * y) * (1.0 + t))
+        return tuple(g * (1.0 + t) for g in _sine_grad(x, y))
 
     def source(x, y, t):
-        s = np.sin(PI * x) * np.sin(PI * y)
-        adv = PI * np.cos(PI * x) * np.sin(PI * y)
-        return s + (1.0 + t) * (adv + 2.0 * PI ** 2 * s)
+        s = _sine(x, y)
+        return s + (1.0 + t) * (_sine_grad(x, y)[0] + 2.0 * PI ** 2 * s)
 
     return ManufacturedCase("heat_spatial_sine", "heat_unsteady", exact, grad, source,
                             velocity=(1.0, 0.0), final_time=0.2, steps=4)
@@ -690,19 +685,21 @@ class _Suite:
                  "materials.body_force_affine")
     def materials_checks(self):
         model = self.model
+        t1, t2, t3 = materials.BREAKPOINTS
         rep = materials.validate_bounds(model)
-        cont_ok = (rep["continuity"][("sigma", 100.0)] <= 1e-12
-                   and rep["continuity"][("sigma", 105.0)] <= 1e-12
-                   and rep["continuity"][("eta", 100.0)] <= 1e-12)
+        cont_ok = (rep["continuity"][("sigma", t2)] <= 1e-12
+                   and rep["continuity"][("sigma", t3)] <= 1e-12
+                   and rep["continuity"][("eta", t2)] <= 1e-12)
         yield (rep["passed"] and cont_ok,
-               "; ".join(rep["violations"]) or f"sigma jump at 99C: {rep['sigma_jump_99']:.2e}")
+               "; ".join(rep["violations"])
+               or f"sigma jump at {t1:g}C: {rep['sigma_jump_99']:.2e}")
         grid = np.arange(-20.0, 150.0, 0.25)
         sig = np.asarray(model.sigma(grid))
         dif = np.diff(sig)
         seg = lambda lo, hi: dif[(grid[:-1] >= lo) & (grid[1:] <= hi)]  # noqa: E731
-        mono = (np.all(seg(-20, 99) >= -1e-15) and np.all(np.abs(seg(99.3, 100)) <= 1e-15)
-                and np.all(seg(100.3, 105) <= 1e-15)
-                and np.all(np.abs(seg(105.3, 150)) <= 1e-15))
+        mono = (np.all(seg(-20, t1) >= -1e-15) and np.all(np.abs(seg(t1 + 0.3, t2)) <= 1e-15)
+                and np.all(seg(t2 + 0.3, t3) <= 1e-15)
+                and np.all(np.abs(seg(t3 + 0.3, 150)) <= 1e-15))
         yield bool(mono) and model.sigma0 > 0, ""
         th1, th2 = 45.0, 61.0
         f1 = np.asarray(model.body_force(th1))

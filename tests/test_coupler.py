@@ -188,6 +188,22 @@ class TestAdvance:
         with pytest.raises(NonFiniteFieldError):
             sim.advance(bad)
 
+    def test_failed_step_stage_raises_labelled(self, monkeypatch):
+        # A failed stage of a step is labelled with its step, as those of the
+        # initialization are; the run keeps the rows of the steps before it.
+        calls = []
+
+        def heat_step_failing_at_3(problem):
+            calls.append(problem)
+            if len(calls) == 3:
+                raise SolverError("heat solve failed")
+            return heat_solver.solve_heat_step(problem)
+
+        monkeypatch.setattr(coupler, "solve_heat_step", heat_step_failing_at_3)
+        with pytest.raises(SolverError, match="^step 3/heat: heat solve failed$") as exc:
+            Simulation(quick_config(M=5)).run()
+        assert [row.step for row in exc.value.rows] == [0, 1, 2]
+
     def test_stage_order_recorded(self):
         sim = Simulation(quick_config())
         initial = sim.initialize()
@@ -255,6 +271,19 @@ class TestBlowUpGuard:
         assert exc.value.state is not None
         assert exc.value.state.n <= 20
         assert len(exc.value.rows) >= 1
+
+    def test_advance_applies_the_guard(self):
+        # The C9 config (test1 with g = 500) trips at step 2: advance alone
+        # raises, carrying the tripping state with its row.
+        cfg = preset("test1")
+        cfg.potential_bc.g = 500.0
+        sim = Simulation(cfg)
+        state = sim.advance(sim.initialize())
+        with pytest.raises(BlowUpError, match="^blow-up guard tripped at step 2: ") as exc:
+            sim.advance(state)
+        tripped = exc.value.state
+        assert tripped.n == 2 and tripped.diag.step == 2
+        assert tripped.diag.max_theta == np.max(tripped.theta) > coupler.BLOWUP_LIMIT
 
     def test_normal_run_does_not_trigger(self):
         state, _ = Simulation(quick_config(M=3)).run()

@@ -118,9 +118,12 @@ class TestValidateBounds:
         rep = validate_bounds(model)
         assert rep["passed"], rep["violations"]
         lo, hi = rep["ranges"]["sigma"]
-        # sampling oracle over [0, 200]: plateau below, 99C peak above
+        # sampling oracle over ADMISSIBLE_RANGE: plateau below, 99C peak above
         assert lo == pytest.approx(0.025345 * 0.6, rel=1e-12)
         assert hi == pytest.approx(0.6 * math.exp(0.015 * 62.0), rel=1e-6)
+        # The grid reaches -50 C, where the thermal conductivity is least.
+        assert rep["ranges"]["eta"][0] == pytest.approx(0.54 + 0.0012 * (-50.0 - 37.0),
+                                                        rel=1e-12)
 
     def test_sigma_jump_at_99_flagged(self, model):
         rep = validate_bounds(model)
@@ -227,6 +230,15 @@ class TestBounds:
         rep = validate_bounds(m)
         assert not rep["passed"]
         assert any(v.startswith("sigma leaves declared bounds") for v in rep["violations"])
+
+    def test_law_leaving_its_bounds_above_200_is_flagged(self):
+        # The bounds span ADMISSIBLE_RANGE, and so does the sampled check.
+        m = MaterialModel(sigma_law=lambda th: np.where(
+            th > 200, 1 + 0.5 * np.sin(2 * np.pi * th / 0.7), 1.0))
+        rep = validate_bounds(m)
+        assert not rep["passed"]
+        assert rep["violations"] == ["sigma leaves declared bounds [0.783058, 1]: "
+                                     "sampled range [0.500503, 1.4995]"]
 
     @pytest.mark.parametrize("name", BOUND_MODELS)
     def test_laws_equal_the_reference_bit_for_bit(self, name):

@@ -446,6 +446,20 @@ class TestCLI:
         assert len([ln for ln in rows[1:] if ln]) == 2  # steps 1 and 2
         assert not (outdir / "final.vtk").exists()
 
+    def test_run_initialize_failure_exit_3_without_probes(self, tmp_path, monkeypatch,
+                                                           capsys):
+        def failing(problem):
+            raise SolverError("stationary flow failed")
+
+        monkeypatch.setattr(coupler, "solve_flow_stationary", failing)
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"preset": "test1", **QUICK}))
+        outdir = tmp_path / "out"
+        assert main(["run", "--config", str(cfgfile), "--out", str(outdir)]) == 3
+        assert outdir.is_dir() and not list(outdir.iterdir())  # no rows, no probes.csv
+        assert capsys.readouterr().err == (
+            "solver failure: initialize/flow: stationary flow failed\n")
+
     def test_run_summary_reports_the_solves(self, tmp_path, capsys):
         outdir = tmp_path / "out"
         assert main(["run", "--preset", "test1", "--out", str(outdir)]) == 0

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ablatesim import coupler, fem_core, linalg, verify
+from ablatesim import coupler, fem_core, linalg, materials, verify
 from ablatesim.mesh import GeometrySpec, generate_channel_mesh
 from ablatesim.sim_cli import config_from_dict
 from ablatesim.verify import (CASE_KINDS, INVARIANT_NAMES, ManufacturedCase, RateReport,
@@ -179,6 +179,13 @@ class TestInvariantSuite:
         byname = {c["name"]: c["passed"] for c in report["checks"]}
         assert not byname["materials.a1_bounds"]
         assert not report["passed"]
+
+    def test_materials_checks_read_the_breakpoints(self, monkeypatch):
+        # Moved breakpoints move the laws, and every check of the block with them.
+        monkeypatch.setattr(materials, "BREAKPOINTS", (89.0, 90.0, 95.0))
+        checks = list(verify._Suite(tiny_config()).materials_checks())
+        assert [passed for passed, _ in checks] == [True, True, True], checks
+        assert checks[0][1].startswith("sigma jump at 89C: ")
 
     @pytest.mark.parametrize("over, why", [
         ({"potential_bc": {"g": 0.0}}, "g = 0"),

@@ -112,9 +112,9 @@ class SimState:
     sample: FieldSample | None = None  # theta's and v's; the next step builds it when None
 
     def check_finite(self) -> None:
-        for name in ("v", "P", "theta", "phi"):
+        for name in ("v", "P", "theta", "phi", "theta_prev"):
             arr = getattr(self, name)
-            if not np.all(np.isfinite(arr)):
+            if arr is not None and not np.all(np.isfinite(arr)):
                 raise NonFiniteFieldError(f"state field {name!r} has non-finite entries")
 
 

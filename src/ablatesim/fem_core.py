@@ -7,8 +7,9 @@ a MINI velocity (convection, scalar advection) are that rule's blocks too,
 formed through a reference map built from it once per process.  Boundary
 integrals use 2-point Gauss on edges, through one edge kernel
 (:class:`BoundaryEdges`, whose per-mesh constants :func:`boundary_edges`
-builds once).  Boundary and source data are
-sampled by one function, :func:`sample`.
+builds once per tag set, as :func:`dirichlet_vertices` builds the Dirichlet
+vertices).  Boundary and source data are sampled by one function,
+:func:`sample`, the one place a time is bound to them.
 """
 
 from __future__ import annotations
@@ -526,23 +527,25 @@ def edge_quadrature(mesh: Mesh2D, edge_sel: np.ndarray):
     return pts, wts, mesh.boundary_outward_normals()[edge_sel]
 
 
-def sample(datum, pts: np.ndarray) -> np.ndarray:
+def sample(datum, pts: np.ndarray, t: float | None = None) -> np.ndarray:
     """The values of ``datum`` at the points ``pts`` (..., 2), of shape
     pts.shape[:-1].  A datum is a constant, an array already at the points,
-    or a callable(x, y) returning either; a tuple or list of k data is a
-    vector datum, sampled with a trailing axis of k."""
+    or a callable returning either: callable(x, y, t) when a time ``t`` is
+    given, callable(x, y) otherwise; the one place time is bound.  A tuple
+    or list of k data is a vector datum, sampled with a trailing axis of k."""
     if callable(datum):
-        datum = datum(pts[..., 0], pts[..., 1])
+        datum = datum(pts[..., 0], pts[..., 1], *(() if t is None else (t,)))
     if isinstance(datum, (tuple, list)):
-        return np.stack([sample(c, pts) for c in datum], axis=-1)
+        return np.stack([sample(c, pts, t) for c in datum], axis=-1)
     return np.broadcast_to(np.asarray(datum, dtype=float), pts.shape[:-1])
 
 
 class DirichletVertices:
     """The sorted boundary vertices ``dofs`` of some tags, at which
     :meth:`values` samples Dirichlet data given per tag; a vertex on two tags
-    takes the value of the larger tag.  Built once, it serves data that
-    change from call to call, such as data that depend on time."""
+    takes the value of the larger tag.  A per-mesh constant of its tag set
+    (:func:`dirichlet_vertices`), it serves data that change from call to
+    call, such as data that depend on time."""
 
     def __init__(self, mesh: Mesh2D, tags):
         self.tags = sorted(tags)
@@ -550,27 +553,26 @@ class DirichletVertices:
         fixed = np.zeros(mesh.num_vertices, dtype=bool)
         for v in verts:
             fixed[v] = True
-        self.dofs = np.flatnonzero(fixed)
+        self.dofs = _frozen(np.flatnonzero(fixed))
         self._points = [mesh.vertices[v] for v in verts]
         self._at = [np.searchsorted(self.dofs, v) for v in verts]
 
-    def values(self, data: dict) -> np.ndarray:
-        """The values at ``dofs`` of ``data`` (tag -> datum, see :func:`sample`),
-        with a trailing component axis for vector data."""
+    def values(self, data: dict, t: float | None = None) -> np.ndarray:
+        """The values at ``dofs`` of ``data`` (tag -> datum) at the time ``t``
+        (see :func:`sample`), with a trailing component axis for vector data."""
         values = np.zeros(self.dofs.size)
         for i, (tag, pts, at) in enumerate(zip(self.tags, self._points, self._at)):
-            vals = sample(data[tag], pts)
+            vals = sample(data[tag], pts, t)
             if i == 0:  # the first datum sets the number of components
                 values = np.zeros((self.dofs.size,) + vals.shape[1:])
             values[at] = vals  # a larger tag overwrites the shared vertices
         return values
 
 
-def dirichlet_values(mesh: Mesh2D, data: dict):
-    """Sorted vertices on the tags of ``data`` (tag -> datum, see :func:`sample`)
-    and their values, as :class:`DirichletVertices` gives them."""
-    verts = DirichletVertices(mesh, data)
-    return verts.dofs, verts.values(data)
+def dirichlet_vertices(mesh: Mesh2D, tags) -> DirichletVertices:
+    """The :class:`DirichletVertices` of ``tags`` (cached per tag set)."""
+    tags = _tag_set(tags)
+    return cached(mesh, ("dirichlet_vertices", tags), lambda: DirichletVertices(mesh, tags))
 
 
 # -- boundary edge kernel ---------------------------------------------------------
@@ -636,9 +638,14 @@ class BoundaryEdges:
         return self._block_positions[d, c]
 
 
+def _tag_set(tags) -> tuple:
+    """The sorted distinct tags of an iterable of tags: a per-mesh cache key."""
+    return tuple(sorted({int(tag) for tag in tags}))
+
+
 def boundary_edges(mesh: Mesh2D, tags) -> BoundaryEdges:
     """The :class:`BoundaryEdges` of ``tags`` (cached per tag set)."""
-    tags = tuple(sorted(set(np.atleast_1d(np.asarray(tags, dtype=np.int64)).tolist())))
+    tags = _tag_set(tags)
     return cached(mesh, ("boundary_edges", tags), lambda: BoundaryEdges(mesh, tags))
 
 

@@ -7,23 +7,22 @@ saddle system
     [ M/dt + A(nu) + N(a)   -B^T ] [v]   [ M v_prev / dt + F ]
     [ B                        0 ] [p] = [ 0                 ]
 
-is never factorized whole.  Each bubble dof couples only inside its
-triangle, so the 2x2 bubble block of every triangle is eliminated first
-(static condensation, :func:`fem_core.assemble_condensed_saddle`); the Schur
+is never factorized whole.  Each bubble dof couples only inside its triangle,
+so the 2x2 bubble block of every triangle is eliminated first (static
+condensation, :func:`fem_core.assemble_condensed_saddle`); the Schur
 complement on the P1 dofs [vx | vy | p], of order 3*NV, is solved by the
-problem's :class:`linalg.LinearSystem`, which takes the Dirichlet rows from
-:func:`flow_constraints` (one vector-valued :func:`fem_core.dirichlet_values`
-call) at its first solve, under the residual contract: a sparse LU in the
-mesh's nested-dissection vertex order with the three dofs of a vertex kept
-together (:func:`fem_core.vertex_order`), or GMRES preconditioned by the LU
-the system holds from earlier solves.  The LU
-scales the system symmetrically by its diagonal first: with nu = 1 the
-condensed pressure diagonal, about h^2/nu, is below a tenth of its column's
-B entries, and the threshold pivoting would otherwise leave the order.  The
-bubbles are then recovered triangle by triangle.
-The residual and divergence contracts are checked again on the recovered
-full system.  Do-nothing outlets add no stress boundary terms; the convective
-form keeps its Gamma_N surface integral exactly as written.
+problem's :class:`linalg.LinearSystem`, constrained at its first solve by
+:func:`flow_constraints` (the velocity at the vertices of the no-slip and
+inflow tags, :func:`fem_core.dirichlet_vertices`), in the mesh's
+nested-dissection vertex order with the three dofs of a vertex kept together
+(:func:`fem_core.vertex_order`).  Its LU scales the system symmetrically by
+its diagonal first: with nu = 1 the condensed pressure diagonal, about
+h^2/nu, is below a tenth of its column's B entries, and the threshold
+pivoting would otherwise leave the order.  The bubbles are then recovered
+triangle by triangle, and the residual and divergence contracts
+(:data:`RESIDUAL_BOUND`, :data:`DIVERGENCE_BOUND`) are checked again on the
+recovered full system.  Do-nothing outlets add no stress boundary terms; the
+convective form keeps its Gamma_N surface integral exactly as written.
 
 A time step starts its solve from the previous (v, P), the problem's
 ``p_prev`` with the sample's velocity, in the condensed layout.  The rule is
@@ -69,6 +68,8 @@ from .mesh import Mesh2D, check_tag_roles
 
 NEWTON_TOL = 1e-8  # fixed_point tolerance of the stationary Newton iteration
 NEWTON_MAX = 50  # Newton solves before the stationary flow gives up
+RESIDUAL_BOUND = 1e-8  # |free rows of b - Ax| <= bound (1 + |data|), bubble rows included
+DIVERGENCE_BOUND = 1e-8  # |Bv| <= bound (1 + |v|)
 
 ROLE_INFLOW = "inflow"
 ROLE_NOSLIP = "noslip"
@@ -165,10 +166,11 @@ def _dirichlet_velocity(problem: FlowProblem):
     """Constrained velocity dofs and values from the no-slip/inflow tags."""
     mesh = problem.sample.mesh
     dm = fem_core.dofmap_for(mesh)
-    verts, values = fem_core.dirichlet_values(mesh, {
-        tag: (0.0, 0.0) if bc.role == ROLE_NOSLIP else bc.profile
-        for tag, bc in problem.bc.items() if bc.role != ROLE_DONOTHING})
-    return np.concatenate([dm.vx_vertex(verts), dm.vy_vertex(verts)]), values.T.ravel()
+    data = {tag: (0.0, 0.0) if bc.role == ROLE_NOSLIP else bc.profile
+            for tag, bc in problem.bc.items() if bc.role != ROLE_DONOTHING}
+    verts = fem_core.dirichlet_vertices(mesh, data)
+    dofs = verts.dofs
+    return np.concatenate([dm.vx_vertex(dofs), dm.vy_vertex(dofs)]), verts.values(data).T.ravel()
 
 
 def flow_constraints(problem: FlowProblem) -> tuple:
@@ -261,11 +263,11 @@ def _contract_miss(saddle, x: np.ndarray, rhs: np.ndarray, system: linalg.Linear
     fixed[dofs] = vals
     scale = np.linalg.norm(np.concatenate([saddle.residual(fixed, rhs)[free], vals]))
     res = np.linalg.norm(saddle.residual(x, rhs)[free])
-    if not np.isfinite(res) or res > 1e-8 * (1.0 + scale):
+    if not np.isfinite(res) or res > RESIDUAL_BOUND * (1.0 + scale):
         return f"flow LU residual too large: {res:.3e}"
     v = x[:saddle.A_vv.shape[0]]
     div = float(np.linalg.norm(saddle.B @ v))
-    if div > 1e-8 * (1.0 + np.linalg.norm(v)):
+    if div > DIVERGENCE_BOUND * (1.0 + np.linalg.norm(v)):
         return f"divergence contract violated: |Bv| = {div:.3e}"
     return None
 

@@ -16,22 +16,23 @@ the residual acts as an upper-bound trigger, not an exact operator.
 
 The time step and the stationary Picard solve share one system builder,
 which sums mass, stiffness, advection, Robin and inflow terms in the data of
-the one P1 pattern they are all stored on.  A step reads its fields at the
-quadrature points from two samples (:class:`materials.FieldSample`):
-``sample``, theta^{n-1} with the mesh, the laws there and the residual's
-velocity v^{n-1}, and ``transport``, the transporting velocity v^n with its
-D(v):D(v); a split step passes the samples its other stages and the previous
-step read, and a None transport leaves the sample to serve both.  The
-stationary solve starts from the sample's temperature, reads the velocity
-from the transport and needs no ``dt``.  The Joule density
+the one P1 pattern they are all stored on, and one solve.  A step reads its
+fields at the quadrature points from two samples
+(:class:`materials.FieldSample`): ``sample``, theta^{n-1} with the mesh, the
+laws there and the residual's velocity v^{n-1}, and ``transport``, the
+transporting velocity v^n with its D(v):D(v); a split step passes the
+samples its other stages and the previous step read, and a None transport
+leaves the sample to serve both.  The stationary solve starts from the
+sample's temperature, reads the velocity from the transport and takes no
+``dt``, as the stationary flow takes none.  The Joule density
 (:func:`potential_solver.joule_density`) is evaluated at most once, for the
-load and the residual.  Each system is solved by the problem's
-:class:`linalg.LinearSystem` with the previous temperature as the guess, so
-an equilibrium stays bit-for-bit fixed; the system takes the vertices of
-the Dirichlet tags at its first solve and samples their values at each
-solve's time.  The
-stationary Picard iteration (:func:`linalg.fixed_point`) raises SolverError
-when it misses :data:`PICARD_TOL` in :data:`PICARD_MAX` solves.
+load and the residual.  The boundary and source data, and the Dirichlet data
+that each solve gives the problem's :class:`linalg.LinearSystem` at the
+vertices of the Dirichlet tags (:func:`fem_core.dirichlet_vertices`), are
+sampled at the problem's ``time``.  A solve starts from the previous
+temperature, so an equilibrium stays bit-for-bit fixed.  The stationary
+Picard iteration (:func:`linalg.fixed_point`) raises SolverError when it
+misses :data:`PICARD_TOL` in :data:`PICARD_MAX` solves.
 """
 
 from __future__ import annotations
@@ -91,12 +92,6 @@ class HeatBC:
         if not callable(self.value) and not np.isfinite(self.value):
             raise ValueError(f"heat boundary value must be finite, got {self.value!r}")
 
-    def value_at(self, t: float):
-        """The boundary value at time t: a constant or a callable(x, y)."""
-        if callable(self.value):
-            return lambda x, y: self.value(x, y, t)
-        return float(self.value)
-
 
 @dataclass
 class HeatProblem:
@@ -111,8 +106,8 @@ class HeatProblem:
     extra_source: object = None  # callable(x, y, t); verification hook
     system: linalg.LinearSystem = field(default_factory=linalg.LinearSystem)  # held across solves
     transport: FieldSample | None = None  # v^n (v_h) and its D(v):D(v); the sample when None
-    iterations: int = field(default=0, init=False)  # GMRES count of the step; 0 if it factorized
     art_visc: np.ndarray | None = field(default=None, init=False)  # last per-cell values
+    iterations = property(lambda self: self.system.factor.iterations)  # 0 if it factorized
 
     def __post_init__(self):
         if self.transport is None:
@@ -124,6 +119,8 @@ class HeatProblem:
             raise ValueError("a heat step needs dt")
         if self.dt is not None and not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
+        if not step and self.dt is not None:
+            raise ValueError("the stationary heat takes no dt")
         check_tag_roles(self.bc, "heat")
         if self.sample.v_h is None or self.transport.v_h is None:
             raise ValueError("a heat problem needs the velocity, its samples' v_h")
@@ -249,7 +246,7 @@ def _robin_term(mesh: Mesh2D, tag: int, bc: HeatBC, t: float):
     w = bc.alpha * edges.wts
 
     def load():
-        return edges.load(w * fem_core.sample(bc.value_at(t), edges.pts))
+        return edges.load(w * fem_core.sample(bc.value, edges.pts, t))
 
     data = fem_core.cached(mesh, ("robin", tag, bc.alpha), lambda: edges.mass(w))
     if callable(bc.value):
@@ -263,7 +260,7 @@ def _inflow_term(problem: HeatProblem, tag: int, bc: HeatBC):
     edges = fem_core.boundary_edges(problem.sample.mesh, (tag,))
     vel = edges.trace(problem.transport.coeffs)
     w = edges.wts * np.maximum(-np.einsum("egk,ek->eg", vel, edges.normals), 0.0)
-    return edges.mass(w), edges.load(w * fem_core.sample(bc.value_at(problem.time), edges.pts))
+    return edges.mass(w), edges.load(w * fem_core.sample(bc.value, edges.pts, problem.time))
 
 
 def _boundary_terms(problem: HeatProblem):
@@ -293,19 +290,19 @@ def _boundary_terms(problem: HeatProblem):
     return terms[ROLE_ROBIN], terms[ROLE_INFLOW]
 
 
-def _linear_system(problem: HeatProblem) -> linalg.LinearSystem:
-    """The problem's system, constrained at its first solve at the vertices
-    of the Dirichlet tags of ``bc``, whose values each solve samples at its
-    time."""
-    system = problem.system
+def _solve(problem: HeatProblem, A_sys, rhs, theta) -> np.ndarray:
+    """The temperature of the system (``A_sys``, ``rhs``) by the problem's
+    :class:`linalg.LinearSystem` from the guess ``theta``.  The system is
+    constrained at its first solve to the vertices of the Dirichlet tags of
+    ``bc``, and each solve gives it their data at the problem's time."""
+    mesh, system = problem.sample.mesh, problem.system
+    data = {tag: bc.value for tag, bc in problem.bc.items() if bc.role == ROLE_DIRICHLET}
+    verts = fem_core.dirichlet_vertices(mesh, data)
+    values = verts.values(data, problem.time)
     if system.dofs is None:
-        bc, mesh = problem.bc, problem.sample.mesh
-        verts = fem_core.DirichletVertices(
-            mesh, [tag for tag, heat_bc in bc.items() if heat_bc.role == ROLE_DIRICHLET])
-        system.constrain(verts.dofs,
-                         lambda t: verts.values({tag: bc[tag].value_at(t) for tag in verts.tags}),
-                         fem_core.vertex_order(mesh))
-    return system
+        system.constrain(verts.dofs, values, fem_core.vertex_order(mesh))
+    system.values = values
+    return system.solve(A_sys, rhs, x0=theta)
 
 
 def _cell_viscosity(problem: HeatProblem, joule) -> np.ndarray:
@@ -326,10 +323,11 @@ def _cell_viscosity(problem: HeatProblem, joule) -> np.ndarray:
     return art
 
 
-def _heat_system(problem: HeatProblem, mass_coeff: float):
-    """Builder of mass_coeff M + K(eta(theta) + art) + advection + Robin + inflow
-    and its right-hand side.  Every term is stored on the one P1 pattern, so
-    the matrix is summed in its data.  The terms that do not depend on theta,
+def _heat_system(problem: HeatProblem):
+    """Builder of M/dt + K(eta(theta) + art) + advection + Robin + inflow
+    and its right-hand side, with the mass term when the problem has a
+    ``dt``.  Every term is stored on the one P1 pattern, so the matrix is
+    summed in its data.  The terms that do not depend on theta,
     among them the advection matrix of v's element coefficients (by the
     reference map) and D(v):D(v) at the quad points, both values of the
     problem's ``transport``, are read once, when the builder is made."""
@@ -339,10 +337,9 @@ def _heat_system(problem: HeatProblem, mass_coeff: float):
     strain = transport.strain if sources else None
     extra = None
     if problem.extra_source is not None:
-        extra = fem_core.sample(lambda x, y: problem.extra_source(x, y, problem.time),
-                                fem_core.geometry(mesh).qp)
+        extra = fem_core.sample(problem.extra_source, fem_core.geometry(mesh).qp, problem.time)
     M = fem_core.assemble_mass(mesh)
-    Mc = mass_coeff * M.data if mass_coeff else None
+    mass_coeff = None if problem.dt is None else 1.0 / problem.dt
     D = transport.advection
     boundary = _boundary_terms(problem)
 
@@ -354,8 +351,8 @@ def _heat_system(problem: HeatProblem, mass_coeff: float):
         if extra is not None:
             src = src + extra
         rhs = fem_core.assemble_scalar_load(mesh, src)
-        if Mc is not None:
-            A_sys.data += Mc
+        if mass_coeff is not None:
+            A_sys.data += mass_coeff * M.data
             rhs = M @ (mass_coeff * theta) + rhs
         A_sys.data += D.data
         for data, load in boundary:
@@ -380,12 +377,8 @@ def solve_heat_step(problem: HeatProblem) -> np.ndarray:
     art = _cell_viscosity(problem, joule)
     if sample is not problem.transport:
         sample.drop("v", "strain")
-    build = _heat_system(problem, 1.0 / problem.dt)
-    A_sys, rhs = build(sample.theta_h, sample, joule, art[:, None])
-    system = _linear_system(problem)
-    theta = system.solve(A_sys, rhs, x0=sample.theta_h, t=problem.time)
-    problem.iterations = system.factor.iterations
-    return theta
+    A_sys, rhs = _heat_system(problem)(sample.theta_h, sample, joule, art[:, None])
+    return _solve(problem, A_sys, rhs, sample.theta_h)
 
 
 def solve_heat_stationary(problem: HeatProblem) -> np.ndarray:
@@ -395,16 +388,17 @@ def solve_heat_stationary(problem: HeatProblem) -> np.ndarray:
     artificial viscosity); used to build initial conditions.  The sample's
     temperature seeds the Picard iteration, whose iterate lags the
     coefficients and the sources; missing :data:`PICARD_TOL` in
-    :data:`PICARD_MAX` solves raises SolverError.  It reads no ``dt``.
+    :data:`PICARD_MAX` solves raises SolverError.  A problem with a ``dt``
+    raises ValueError.
     """
     problem.validate(step=False)
-    build = _heat_system(problem, 0.0)
+    build = _heat_system(problem)
     model, mesh = problem.sample.model, problem.sample.mesh
 
     def step(theta):
         laws = FieldSample(model, mesh, theta)
         A_sys, rhs = build(theta, laws, lambda: joule_density(mesh, laws.sigma, problem.phi))
-        return _linear_system(problem).solve(A_sys, rhs, x0=theta, t=problem.time), None
+        return _solve(problem, A_sys, rhs, theta), None
 
     theta, _ = linalg.fixed_point(step, problem.sample.theta_h, PICARD_TOL, PICARD_MAX)
     return theta

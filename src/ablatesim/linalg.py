@@ -1,21 +1,21 @@
 """Sparse storage, assembly builder, and linear solvers.
 
 Matrices are scipy CSR; vectors are 1-D numpy arrays.  Every system is a
-:class:`LinearSystem`, the one home of its solve state: its constrained
-dofs, its fill-reducing order (:func:`fem_core.vertex_order`), the
-structure of its Dirichlet elimination and its :class:`HeldLU`.  Its solve
-is the one sequence of elimination, :func:`solve_lu` under the residual
-contract ||b - Ax|| <= 1e-10 ||b|| (a miss raises, with no retry in another
-order) and exact constrained entries.  :func:`solve_lu` is
-:meth:`HeldLU.solve`: the held factor, single precision for a large system,
-preconditions GMRES (:func:`_gmres`), only a miss factorizes again,
-recording why, and each solve is counted by how it ended in one place.  The
-Jacobi-preconditioned Krylov solvers :func:`solve_cg` and :func:`solve_gmres`
-and :class:`CooBuilder` serve no code of the package; they stay only because
-the benchmark tracer (``benchmark/tracer.py``) and ``tests/test_linalg.py``
-use them.  :func:`fixed_point`, the plain iteration x = g(x), runs both
-stationary solves (the heat's Picard and the flow's Newton iteration); it
-raises when it misses its tolerance.
+:class:`LinearSystem`, the one home of its solve state: its constrained dofs
+and their values (plain arrays), its fill-reducing order
+(:func:`fem_core.vertex_order`), the structure of its Dirichlet elimination
+and its :class:`HeldLU`.  Its solve is the one sequence of elimination,
+:func:`solve_lu` under the residual contract ||b - Ax|| <= 1e-10 ||b|| (a
+miss raises, with no retry in another order) and exact constrained entries.
+:func:`solve_lu` is :meth:`HeldLU.solve`: the held factor, single precision
+for a large system, preconditions GMRES (:func:`_gmres`), only a miss
+factorizes again, recording why, and each solve is counted by how it ended
+in one place.  The Jacobi-preconditioned Krylov solvers :func:`solve_cg` and
+:func:`solve_gmres` and :class:`CooBuilder` serve no code of the package;
+they stay only because the benchmark tracer (``benchmark/tracer.py``) and
+``tests/test_linalg.py`` use them.  :func:`fixed_point`, the plain iteration
+x = g(x), runs both stationary solves (the heat's Picard and the flow's
+Newton iteration); it raises when it misses its tolerance.
 """
 
 from __future__ import annotations
@@ -447,9 +447,9 @@ def fixed_point(step, x0: FieldVector, tol: float, max_iter: int):
 
 class LinearSystem:
     """One system's solve state: the constrained ``dofs`` and their
-    ``values`` (an array, or a callable of the solve's time), the
-    fill-reducing ``order``, the :class:`HeldLU` ``factor`` kept across its
-    solves and the structure of the Dirichlet elimination.
+    ``values``, arrays (a caller whose data move sets the values before each
+    solve), the fill-reducing ``order``, the :class:`HeldLU` ``factor`` kept
+    across its solves and the structure of the Dirichlet elimination.
 
     The eliminated matrix stores exactly its nonzero entries: A's off the
     constrained rows and columns, and a unit diagonal on each constrained
@@ -482,38 +482,35 @@ class LinearSystem:
         if dofs.size and dofs.min() < 0:
             raise IndexError("Dirichlet dof out of range")
         self.dofs, self.order, self._pattern = dofs, order, None
-        self.values = values if callable(values) else np.asarray(values, dtype=float)
+        self.values = np.asarray(values, dtype=float)
 
-    def solve(self, A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None,
-              t: float | None = None) -> FieldVector:
+    def solve(self, A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None) -> FieldVector:
         """:func:`solve_lu` of the eliminated system with the held factor,
-        from the guess ``x0``; x[dofs] is set to the values at ``t`` exactly."""
-        values = self.values(t) if callable(self.values) else self.values
-        x = solve_lu(*self.eliminate(A, b, values), x0=x0, order=self.order,
-                     factor=self.factor)
-        x[self.dofs] = values
+        from the guess ``x0``; x[dofs] is set to the values exactly."""
+        x = solve_lu(*self.eliminate(A, b), x0=x0, order=self.order, factor=self.factor)
+        x[self.dofs] = self.values
         return x
 
-    def eliminate(self, A: SparseMatrix, b: FieldVector, values=None):
+    def eliminate(self, A: SparseMatrix, b: FieldVector):
         """(A, b) with the constraints eliminated symmetrically, so an SPD A
         stays SPD: constrained rows become identity rows with b[d] = value,
         and the constrained columns are folded into b (b - A x_fix on the
-        free rows) and dropped.  ``values`` defaults to the system's own."""
-        values = self.values if values is None else np.asarray(values, dtype=float)
-        if values.size != self.dofs.size:
+        free rows) and dropped."""
+        dofs, values = self.dofs, self.values
+        if values.size != dofs.size:
             raise ValueError("dofs and values must have equal length")
         A = A if A.format == "csr" else sp.csr_matrix(A)
         b = np.asarray(b, dtype=float)
-        if not self.dofs.size and A.has_canonical_format and A.data.all():
+        if not dofs.size and A.has_canonical_format and A.data.all():
             return A, b
         data = self._gather(A) if self._on_pattern(A) else None
         if data is None or not data.all() or A.data[self._zeros].any():
             A = self._build(A)
             data = self._gather(A)
         fixed = np.zeros(A.shape[0])
-        fixed[self.dofs] = values
-        b = b - A @ fixed if self.dofs.size else b.copy()
-        b[self.dofs] = values
+        fixed[dofs] = values
+        b = b - A @ fixed if dofs.size else b.copy()
+        b[dofs] = values
         return sp.csr_matrix((data, self._indices, self._indptr), shape=A.shape), b
 
     def _on_pattern(self, A: SparseMatrix) -> bool:

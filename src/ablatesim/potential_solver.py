@@ -7,10 +7,9 @@ The problem's ``sample`` (:class:`materials.FieldSample`) is the lagged
 temperature with the mesh and the laws; the conductivity at the quadrature
 points is read from it, so a split step shares it with its other stages.
 The symmetric positive definite system is solved by the problem's
-:class:`linalg.LinearSystem`, which takes the grounded vertices from
-:func:`fem_core.dirichlet_values` at its first solve: Dirichlet elimination,
-then a sparse LU, or GMRES preconditioned by the LU the system holds from
-earlier solves, under the residual contract.
+:class:`linalg.LinearSystem`, constrained at its first solve to zero at the
+grounded vertices (:func:`fem_core.dirichlet_vertices`).  The problem's
+``iterations`` reads the system's last solve.
 """
 
 from __future__ import annotations
@@ -32,12 +31,13 @@ class PotentialProblem:
     g: object = 0.0  # flux on the Neumann tags: constant or callable(x, y)
     source: object = None  # verification hook: (NT, NQ) array or callable(x, y)
     system: linalg.LinearSystem = field(default_factory=linalg.LinearSystem)  # held across solves
-    iterations: int = field(default=0, init=False)  # GMRES count of the solve; 0 if it factorized
+    iterations = property(lambda self: self.system.factor.iterations)  # 0 if it factorized
 
 
 def potential_constraints(mesh: Mesh2D, dirichlet_tags) -> tuple:
     """The grounded vertices of ``dirichlet_tags`` and their zero values."""
-    return fem_core.dirichlet_values(mesh, dict.fromkeys(dirichlet_tags, 0.0))
+    verts = fem_core.dirichlet_vertices(mesh, dirichlet_tags)
+    return verts.dofs, np.zeros(verts.dofs.size)
 
 
 def solve_potential(problem: PotentialProblem) -> np.ndarray:
@@ -59,9 +59,7 @@ def solve_potential(problem: PotentialProblem) -> np.ndarray:
     if system.dofs is None:
         system.constrain(*potential_constraints(mesh, problem.dirichlet_tags),
                          fem_core.vertex_order(mesh))
-    phi = system.solve(A, b)
-    problem.iterations = system.factor.iterations
-    return phi
+    return system.solve(A, b)
 
 
 def joule_density(mesh: Mesh2D, sigma_qp: np.ndarray, phi: np.ndarray) -> np.ndarray:

@@ -692,7 +692,7 @@ class _Suite:
                    and rep["continuity"][("eta", t2)] <= 1e-12)
         yield (rep["passed"] and cont_ok,
                "; ".join(rep["violations"])
-               or f"sigma jump at {t1:g}C: {rep['sigma_jump_99']:.2e}")
+               or f"sigma jump at {t1:g}C: {rep['continuity'][('sigma', t1)]:.2e}")
         grid = np.arange(-20.0, 150.0, 0.25)
         sig = np.asarray(model.sigma(grid))
         dif = np.diff(sig)
@@ -745,7 +745,8 @@ class _Suite:
                  "heat.source_load_nonnegative", "coupler.stage_order")
     def step_checks(self):
         audit = _step_audit(self.config)
-        yield audit["div_max"] <= 1e-8, f"max |Bv|/(1+|v|) = {audit['div_max']:.2e}"
+        yield (audit["div_max"] <= flow_solver.DIVERGENCE_BOUND,
+               f"max |Bv|/(1+|v|) = {audit['div_max']:.2e}")
         yield audit["source_min"] >= 0.0, f"min source {audit['source_min']:.2e}"
         yield (audit["eta_bound_violation"] <= 1e-15,
                f"max violation {audit['eta_bound_violation']:.2e}")

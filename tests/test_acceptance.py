@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from ablatesim import verify
+from ablatesim import flow_solver, verify
 from ablatesim.coupler import BlowUpError, Simulation
 from ablatesim.materials import MaterialModel
 from ablatesim.sim_cli import config_from_dict, main, preset
@@ -46,7 +46,7 @@ def test_criterion_3_flow_convergence():
     rep = verify.convergence_study(verify.oseen_case())
     s_h1 = rep.slopes_ls["velocity_H1"]
     s_p = rep.slopes_ls["pressure_L2"]
-    div_ok = all(d <= 1e-8 * (1.0 + v) for d, v in
+    div_ok = all(d <= flow_solver.DIVERGENCE_BOUND * (1.0 + v) for d, v in
                  zip(rep.extra["div_residual"], rep.extra["v_norm"]))
     ok = 0.9 <= s_h1 <= 1.3 and 0.8 <= s_p <= 1.3 and div_ok
     report("C3 flow-rate", ok,

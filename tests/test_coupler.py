@@ -188,6 +188,22 @@ class TestAdvance:
         with pytest.raises(NonFiniteFieldError):
             sim.advance(bad)
 
+    def test_non_finite_theta_prev_named_before_any_stage(self):
+        # theta_prev is the heat residual's theta^{n-2}: a NaN there is named
+        # by the state check, not met as a singular heat factor.
+        sim = Simulation(quick_config(nx=24, ny=8))
+        state = copy.copy(sim.advance(sim.initialize()))
+        state.theta_prev = state.theta_prev.copy()
+        state.theta_prev[0] = np.nan
+        names = ("v", "P", "theta", "phi", "theta_prev")
+        before = {name: np.array(getattr(state, name)) for name in names}
+        solves = {name: system.factor.solves for name, system in sim.systems.items()}
+        with pytest.raises(NonFiniteFieldError, match="'theta_prev'"):
+            sim.advance(state)
+        assert all(np.array_equal(getattr(state, name), before[name], equal_nan=True)
+                   for name in names)
+        assert {name: system.factor.solves for name, system in sim.systems.items()} == solves
+
     def test_failed_step_stage_raises_labelled(self, monkeypatch):
         # A failed stage of a step is labelled with its step, as those of the
         # initialization are; the run keeps the rows of the steps before it.
@@ -340,11 +356,10 @@ class TestLinearSystems:
         counts = collections.Counter()
         eliminate = linalg.LinearSystem.eliminate
 
-        def spy(system, A, b, values=None):
-            out = eliminate(system, A, b, values)
-            ref_values = system.values if values is None else values
+        def spy(system, A, b):
+            out = eliminate(system, A, b)
             assert_same_elimination(out, apply_dirichlet_reference(A, b, system.dofs,
-                                                                   ref_values))
+                                                                   system.values))
             if not system.dofs.size:
                 assert out[0] is A  # passed through, uncopied
             counts[names[id(system)]] += 1

@@ -230,6 +230,36 @@ class TestLoads:
         assert load.sum() == pytest.approx(8.0, rel=1e-13)
 
 
+class TestBoundaryData:
+    PTS = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+
+    def test_sample_binds_a_given_time(self):
+        x, y = self.PTS.T
+        assert np.array_equal(fem_core.sample(lambda x, y, t: x + y * t, self.PTS, 2.0),
+                              x + 2.0 * y)
+        vector = fem_core.sample((lambda x, y, t: x - t, 7.0), self.PTS, 0.5)
+        assert np.array_equal(vector, np.column_stack([x - 0.5, np.full(3, 7.0)]))
+
+    def test_sample_without_a_time_calls_x_y(self):
+        x, y = self.PTS.T
+        assert np.array_equal(fem_core.sample(lambda x, y: x * y, self.PTS), x * y)
+        vector = fem_core.sample(lambda x, y: (x, 2.0 * y), self.PTS)
+        assert np.array_equal(vector, np.column_stack([x, 2.0 * y]))
+        assert np.array_equal(fem_core.sample(3, self.PTS, 1.0), np.full(3, 3.0))
+
+    def test_dirichlet_vertices_cached_per_mesh_and_tag_set(self):
+        mesh = generate_channel_mesh(GeometrySpec(nx=8, ny=4))
+        verts = fem_core.dirichlet_vertices(mesh, (3, 1))
+        assert fem_core.dirichlet_vertices(mesh, [1, 3]) is verts
+        assert fem_core.dirichlet_vertices(mesh, {3: "a", 1: "b"}) is verts
+        assert fem_core.dirichlet_vertices(mesh, (1,)) is not verts
+        other = generate_channel_mesh(GeometrySpec(nx=8, ny=4))
+        assert fem_core.dirichlet_vertices(other, (1, 3)) is not verts
+        expected = np.union1d(mesh.boundary_vertices_with_tag(1),
+                              mesh.boundary_vertices_with_tag(3))
+        assert np.array_equal(verts.dofs, expected) and not verts.dofs.flags.writeable
+
+
 class TestDofMap:
     def test_counts(self):
         mesh = generate_channel_mesh(GeometrySpec(L=2.0, H=1.0, r=0.25, nx=6, ny=4))

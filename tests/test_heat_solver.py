@@ -268,8 +268,9 @@ class TestHeatStep:
         # A sample without a velocity lacks a field; it holds no non-finite one.
         mesh = small_mesh()
         theta = np.full(mesh.num_vertices, 37.0)
+        dt = 0.05 if solve is solve_heat_step else None  # the stationary heat takes none
         problem = HeatProblem(FieldSample(MaterialModel(), mesh, theta),
-                              phi=np.zeros(mesh.num_vertices), dt=0.05, bc=robin_bc())
+                              phi=np.zeros(mesh.num_vertices), dt=dt, bc=robin_bc())
         with pytest.raises(ValueError, match="needs the velocity"):
             solve(problem)
 
@@ -467,7 +468,7 @@ class TestBoundaryKernel:
         laws = FieldSample(problem.sample.model, mesh, theta)
         art = np.random.default_rng(8).uniform(0.0, 1e-2, (mesh.num_triangles, 1))
         joule = joule_density(mesh, laws.sigma, problem.phi)
-        build = heat_solver._heat_system(problem, 1.0 / dt)
+        build = heat_solver._heat_system(problem)
         A, rhs = build(theta, laws, lambda: joule, art)
         # The reference sums the same terms as sparse matrices, tag by tag.
         Mc = fem_core.assemble_mass(mesh) / dt
@@ -486,8 +487,8 @@ class TestBoundaryKernel:
         assert np.abs((A - ref).toarray()).max() <= 1e-14 * np.abs(ref.data).max()
         assert np.abs(rhs - ref_rhs).max() <= 1e-14 * np.abs(ref_rhs).max()
         # With the Dirichlet tag G3 eliminated, both give the same temperature.
-        system = heat_solver._linear_system(problem)
-        dofs, vals = system.dofs, system.values(problem.time)
+        verts = fem_core.dirichlet_vertices(mesh, (3,))
+        dofs, vals = verts.dofs, verts.values({3: problem.bc[3].value}, problem.time)
         x = linalg.LinearSystem(dofs, vals).solve(A, rhs)
         x_ref = linalg.LinearSystem(dofs, vals).solve(ref.tocsr(), ref_rhs)
         assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
@@ -522,18 +523,18 @@ class TestHeatStationary:
     def test_uniform_robin_equilibrium(self):
         mesh = small_mesh()
         theta0 = np.full(mesh.num_vertices, 37.0)
-        problem = make_problem(mesh, robin_bc(), theta0)
+        problem = make_problem(mesh, robin_bc(), theta0, dt=None)
         out = solve_heat_stationary(problem)
         assert np.abs(out - 37.0).max() <= 1e-10
 
     def test_reads_no_dt(self):
-        # The stationary equation has no time derivative: a problem without
-        # dt solves to the same temperature as one with a dt.
+        # The stationary equation has no time derivative, so a problem with a
+        # dt is rejected before any solve, as the stationary flow's is.
         _, problem = self.sourced_problem()
-        expected = solve_heat_stationary(problem)
-        _, problem = self.sourced_problem()
-        problem.dt = None
-        assert np.array_equal(solve_heat_stationary(problem), expected)
+        problem.dt = 0.05
+        with pytest.raises(ValueError, match="the stationary heat takes no dt"):
+            solve_heat_stationary(problem)
+        assert problem.system.dofs is None and problem.system.factor.solves == 0
 
     def test_bounded_by_boundary_data_without_sources(self):
         # min/max scan oracle: no sources means no new extrema
@@ -541,7 +542,7 @@ class TestHeatStationary:
         bc = robin_bc()
         bc[5] = HeatBC("dirichlet", value=20.0)
         theta0 = np.full(mesh.num_vertices, 30.0)
-        problem = make_problem(mesh, bc, theta0)
+        problem = make_problem(mesh, bc, theta0, dt=None)
         out = solve_heat_stationary(problem)
         assert out.min() >= 20.0 - 1e-8
         assert out.max() <= 37.0 + 1e-8
@@ -556,7 +557,7 @@ class TestHeatStationary:
             return 50.0 * np.exp(-80.0 * ((x - 1.0) ** 2 + (y - 1.0) ** 2))
 
         theta0 = np.full(mesh.num_vertices, 37.0)
-        return mesh, make_problem(mesh, robin_bc(), theta0, extra_source=src)
+        return mesh, make_problem(mesh, robin_bc(), theta0, dt=None, extra_source=src)
 
     def test_sourced_stationary_max_near_heated_zone(self):
         # argmax scan oracle with a source concentrated near the electrode

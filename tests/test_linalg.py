@@ -772,10 +772,13 @@ class TestLinearSystem:
                                 apply_dirichlet_reference(A, b, [], []))
 
     def test_values_resampled_at_each_solve(self):
+        # A caller whose data move with time assigns the values before each
+        # solve; they are imposed exactly, on one elimination structure.
         A, b = laplacian_1d(10), np.zeros(10)
-        system = linalg.LinearSystem([0, 9], lambda t: np.array([t, 2.0 * t]))
+        system = linalg.LinearSystem([0, 9], [0.0, 0.0])
         for t in (1.0, 3.0):
-            x = system.solve(A, b, t=t)
+            system.values = np.array([t, 2.0 * t])
+            x = system.solve(A, b)
             assert x[0] == t and x[9] == 2.0 * t
             assert np.allclose(x, np.linspace(t, 2.0 * t, 10), rtol=1e-12, atol=0.0)
         assert system.builds == 1 and system.factor.krylov_solves == 1
@@ -792,11 +795,12 @@ class TestLinearSystem:
             linalg.LinearSystem([1, 2], [0.0]).eliminate(laplacian_1d(12), np.zeros(12))
 
     def test_non_finite_right_hand_side_raises_before_factorizing(self):
-        system = linalg.LinearSystem([0], lambda t: np.array([np.nan if t else 1.0]))
+        system = linalg.LinearSystem([0], [1.0])
         A, b = laplacian_1d(6), np.ones(6)
-        system.solve(A, b, t=0.0)
+        system.solve(A, b)
+        system.values = np.array([np.nan])
         with pytest.raises(SolverError, match="non-finite right-hand side"):
-            system.solve(A, b, t=1.0)
+            system.solve(A, b)
         assert system.factor.events == ["no factor held"] and system.factor.solves == 1
 
 

@@ -127,9 +127,18 @@ class TestValidateBounds:
 
     def test_sigma_jump_at_99_flagged(self, model):
         rep = validate_bounds(model)
-        jump = rep["sigma_jump_99"]
+        jump = rep["continuity"][("sigma", 99.0)]  # the one home of every branch jump
         assert jump > 1e-12  # the law is genuinely discontinuous there
         assert jump == pytest.approx(0.6 * abs(math.exp(0.93) - 2.5345), rel=1e-9)
+        assert rep["passed"]  # flagged, not a bound violation
+
+    def test_report_keys(self, model):
+        # No key is named after one breakpoint's value: each jump is read
+        # from the continuity entry of its law and breakpoint.
+        rep = validate_bounds(model)
+        assert set(rep) == {"violations", "ranges", "continuity", "passed"}
+        assert set(rep["continuity"]) == {(name, bp) for name in ("sigma", "eta")
+                                          for bp in BREAKPOINTS}
 
     def test_continuity_at_other_breakpoints(self, model):
         lims = branch_limits(model)

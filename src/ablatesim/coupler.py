@@ -12,7 +12,8 @@ Per step n (lagged temperature th^{n-1} in hand):
 Each stage's problem holds the samples (:class:`materials.FieldSample`) of
 the fields it reads.  The three stages read theta^{n-1}, v^{n-1} and the
 laws sigma, eta, nu at the quadrature points from the state's sample, which
-evaluates each value once, on first read (a state built by hand gets one).
+evaluates each value once, on first read (a state built by hand, or one
+whose sample is not of its own theta and v, gets a fresh one).
 The heat stage reads v^n from a second sample, its transport, whose
 velocity's values go with theta^n to the new state's sample
 (:meth:`materials.FieldSample.with_theta`).  When the flow step returns
@@ -32,7 +33,8 @@ and result while that step returned its input.  Every step, step 0
 included, ends in ``Simulation._end_step``: the new state is checked
 finite, gets its diagnostics row and meets the blow-up guard, which aborts
 once max|theta| or max|v| exceeds 1e4, mirroring the runaway regime reached
-for large electrode currents.
+for large electrode currents; |Bv| and max|v| are values of the state's
+sample, carried with its velocity.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ class SimState:
     def check_finite(self) -> None:
         for name in ("v", "P", "theta", "phi", "theta_prev"):
             arr = getattr(self, name)
-            if arr is not None and not np.all(np.isfinite(arr)):
+            if arr is not None and not np.isfinite(arr).all():
                 raise NonFiniteFieldError(f"state field {name!r} has non-finite entries")
 
 
@@ -183,13 +185,13 @@ class Simulation:
         imax = int(np.argmax(theta))
         xy = self.mesh.vertices[imax]
         int_theta = float(np.sum(fem_core.assemble_mass(self.mesh) @ theta))
-        div_norm = float(np.linalg.norm(fem_core.assemble_divergence(self.mesh) @ state.v))
+        sample = state.sample  # of theta^n and v^n: |Bv| and max|v| go with v
 
-        pos = np.maximum(state.sample.theta - self.model.theta_b, 0.0)
-        mass_pos = fem_core.integrate_qp(self.mesh, pos)
-        geo = fem_core.geometry(self.mesh)
+        pos = sample.theta - self.model.theta_b
+        mass_pos = fem_core.integrate_qp(self.mesh, np.maximum(pos, 0.0, out=pos))
         if mass_pos > 1e-300:
-            centroid = fem_core.integrate_qp(self.mesh, pos * geo.qp[..., 0]) / mass_pos
+            pos *= fem_core.geometry(self.mesh).qp[..., 0]
+            centroid = fem_core.integrate_qp(self.mesh, pos) / mass_pos
         else:
             centroid = float("nan")
 
@@ -197,13 +199,12 @@ class Simulation:
         state.diag = DiagnosticsRow(
             step=state.n, t=state.t,
             max_theta=float(theta.max()), argmax_x=float(xy[0]), argmax_y=float(xy[1]),
-            int_theta=int_theta, div_norm=div_norm,
+            int_theta=int_theta, div_norm=sample.div_norm,
             max_art_visc=float(art.max()), min_art_visc=float(art.min()),
             centroid_x=float(centroid), stages=stages,
         )
 
-        mt = float(np.max(np.abs(theta)))
-        mv = float(np.max(np.abs(state.v))) if state.v.size else 0.0
+        mt, mv = float(np.max(np.abs(theta))), sample.vmax
         if mt > BLOWUP_LIMIT or mv > BLOWUP_LIMIT:
             exc = BlowUpError(f"blow-up guard tripped at step {state.n}: "
                               f"max|theta|={mt:.3e}, max|v|={mv:.3e}")
@@ -251,8 +252,11 @@ class Simulation:
         t_new = state.t + dt
         label = f"step {n_new}"
         stages = []
-        # One sample of theta^{n-1} and v^{n-1} for the three stages.
-        sample = state.sample or FieldSample(self.model, self.mesh, state.theta, state.v)
+        # One sample of theta^{n-1} and v^{n-1} for the three stages: the
+        # state's, when it samples the state's own fields.
+        sample = state.sample
+        if sample is None or sample.theta_h is not state.theta or sample.v_h is not state.v:
+            sample = FieldSample(self.model, self.mesh, state.theta, state.v)
 
         # Stage 1: potential at the lagged temperature.
         with _stage(stages, label, "potential"):

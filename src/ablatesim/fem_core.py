@@ -9,7 +9,8 @@ integrals use 2-point Gauss on edges, through one edge kernel
 (:class:`BoundaryEdges`, whose per-mesh constants :func:`boundary_edges`
 builds once per tag set, as :func:`dirichlet_vertices` builds the Dirichlet
 vertices).  Boundary and source data are sampled by one function,
-:func:`sample`, the one place a time is bound to them.
+:func:`sample`, the one place a time is bound to them.  The P1 stiffness is
+one product with a per-mesh sparse operator.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .linalg import SingularMatrix, SparseMatrix
 from .mesh import Mesh2D
@@ -593,10 +595,12 @@ class BoundaryEdges:
     once per mesh (:func:`boundary_edges`): ``pts`` (NE, 2, 2), ``wts``
     (NE, 2) and ``normals`` (NE, 2) are their Gauss points and weights and
     their outward normals; ``owners`` and ``local`` are their owner
-    triangles and the local indices there of their two vertices."""
+    triangles and the local indices there of their two vertices; ``index``
+    are their places among the mesh's boundary edges."""
 
     def __init__(self, mesh: Mesh2D, tags):
         sel = np.isin(mesh.boundary_tags, np.asarray(tags, dtype=np.int64))
+        self.index = np.flatnonzero(sel)
         self.pts, self.wts, self.normals = edge_quadrature(mesh, sel)
         edges = mesh.boundary_edges[sel]
         self.owners = mesh.boundary_edge_owners()[sel]
@@ -604,15 +608,18 @@ class BoundaryEdges:
         self._vertices = edges.T.ravel()
         self._nv, self._p1 = mesh.num_vertices, _p1_pattern(mesh)
         self._p1_positions = _edge_positions(self._p1, self.owners, self.local)
-        for arr in (self.pts, self.wts, self.normals, self.owners, self.local,
+        for arr in (self.index, self.pts, self.wts, self.normals, self.owners, self.local,
                     self._vertices, self._p1_positions):
             _frozen(arr)
         self._block_positions = {}
 
     def mass(self, weights: np.ndarray) -> np.ndarray:
-        """Data, on the full P1 pattern, of the integrals of w psi_a psi_b."""
+        """Data, on the full P1 pattern, of the integrals of w psi_a psi_b;
+        the (NE, 2) ``weights`` may be given as their (NE, 2, 2) edge blocks
+        (:func:`_edge_blocks`), as a sample carries the inflow's."""
         data = np.zeros(self._p1.nnz)
-        np.add.at(data, self._p1_positions, _edge_blocks(weights))
+        np.add.at(data, self._p1_positions,
+                  weights if weights.ndim == 3 else _edge_blocks(weights))
         return data
 
     def load(self, weights: np.ndarray) -> np.ndarray:
@@ -690,13 +697,30 @@ def _reference_blocks(geo: _Geometry, coeff: np.ndarray, kernel, block=slice(Non
 # -- scalar-field assembly --------------------------------------------------------
 
 
+def _stiffness_operator(mesh: Mesh2D) -> sp.csc_matrix:
+    """The (nnz, NT) map from per-triangle scales to the P1 stiffness data:
+    column t holds triangle t's 3x3 gradient products at its scatter rows, in
+    element order, so the product sums the scaled element matrices in the
+    order of :meth:`_Pattern.fill`.  It holds the gradient products and
+    wraps the P1 scatter as it is, with an int32 column pointer: no sort."""
+    def build():
+        g, pattern = geometry(mesh).grad_p1, _p1_pattern(mesh)
+        products = _frozen(g @ g.transpose(0, 2, 1))
+        nt = mesh.num_triangles
+        return sp.csc_matrix((products.reshape(-1), pattern.scatter.reshape(-1),
+                              _frozen(np.arange(0, 9 * nt + 1, 9, dtype=np.int32))),
+                             shape=(pattern.nnz, nt))
+
+    return cached(mesh, "stiffness_operator", build)
+
+
 def assemble_stiffness(mesh: Mesh2D, coeff=1.0) -> SparseMatrix:
-    """P1 stiffness with scalar/per-triangle/per-quad-point diffusion coefficient."""
+    """P1 stiffness with scalar/per-triangle/per-quad-point diffusion
+    coefficient: one sparse product of the per-mesh stiffness operator with
+    the per-triangle scales (the P1 gradients are constant)."""
     geo = geometry(mesh)
-    scale = (geo.qw * _coeff_at_qp(mesh, coeff)).sum(axis=1)  # gradients are constant
-    g = geo.grad_p1
-    products = cached(mesh, "p1_grad_products", lambda: g @ g.transpose(0, 2, 1))
-    return _p1_matrix(mesh, scale[:, None, None] * products)
+    scale = np.einsum("tq,tq->t", geo.qw, _coeff_at_qp(mesh, coeff))
+    return _p1_pattern(mesh).matrix(_stiffness_operator(mesh) @ scale)
 
 
 def assemble_mass(mesh: Mesh2D) -> SparseMatrix:

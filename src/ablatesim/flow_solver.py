@@ -154,11 +154,11 @@ class FlowProblem:
         if not step and self.dt is not None:
             raise ValueError("the stationary flow takes no dt")
         check_tag_roles(self.bc, "flow")
-        if step and not np.all(np.isfinite(self.sample.v_h)):
+        if step and not np.isfinite(self.sample.v_h).all():
             raise ValueError("previous velocity contains non-finite values")
-        if self.p_prev is not None and not np.all(np.isfinite(self.p_prev)):
+        if self.p_prev is not None and not np.isfinite(self.p_prev).all():
             raise ValueError("previous pressure contains non-finite values")
-        if not np.all(np.isfinite(np.asarray(self.sample.theta_h, dtype=float))):
+        if not np.isfinite(np.asarray(self.sample.theta_h, dtype=float)).all():
             raise ValueError("temperature field contains non-finite values")
 
 
@@ -186,10 +186,15 @@ def flow_constraints(problem: FlowProblem) -> tuple:
 
 
 def _force_load(problem: FlowProblem) -> np.ndarray:
+    """The force load; without buoyancy and an ``extra_force``, the per-mesh
+    zero load, built once, so a fixed step matches it by identity."""
     sample = problem.sample
     mesh = sample.mesh
-    load = np.zeros(fem_core.dofmap_for(mesh).n_velocity)
-    if sample.model.buoyancy.enabled:
+    n, buoyant = fem_core.dofmap_for(mesh).n_velocity, sample.model.buoyancy.enabled
+    if not buoyant and problem.extra_force is None:
+        return fem_core.cached(mesh, "zero_force_load", lambda: np.zeros(n))
+    load = np.zeros(n)
+    if buoyant:
         fx, fy = sample.model.body_force(sample.theta)
         load += fem_core.assemble_vector_load(mesh, np.stack([fx, fy], axis=-1))
     if problem.extra_force is not None:
@@ -274,12 +279,17 @@ def _contract_miss(saddle, x: np.ndarray, rhs: np.ndarray, system: linalg.Linear
 
 def _identical(a, b) -> bool:
     """Whether ``a`` and ``b`` hold the same values bit for bit (a NaN never
-    does): equal, with equal signs, so +0.0 and -0.0 differ."""
+    does): equal, with equal signs, so +0.0 and -0.0 differ.  Arrays that
+    each repeat one value (all strides 0, as a broadcast constant such as
+    the default viscosity does) are compared by that value."""
     if a is b:
         return True
     a, b = np.asarray(a), np.asarray(b)
-    return (a.shape == b.shape and np.array_equal(a, b)
-            and np.array_equal(np.signbit(a), np.signbit(b)))
+    if a.shape != b.shape:
+        return False
+    if not (any(a.strides) or any(b.strides)):
+        a, b = a.flat[:1], b.flat[:1]
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def _step_inputs(problem: FlowProblem, force: np.ndarray) -> tuple:

@@ -26,13 +26,16 @@ leaves the sample to serve both.  The stationary solve starts from the
 sample's temperature, reads the velocity from the transport and takes no
 ``dt``, as the stationary flow takes none.  The Joule density
 (:func:`potential_solver.joule_density`) is evaluated at most once, for the
-load and the residual.  The boundary and source data, and the Dirichlet data
-that each solve gives the problem's :class:`linalg.LinearSystem` at the
-vertices of the Dirichlet tags (:func:`fem_core.dirichlet_vertices`), are
-sampled at the problem's ``time``.  A solve starts from the previous
-temperature, so an equilibrium stays bit-for-bit fixed.  The stationary
-Picard iteration (:func:`linalg.fixed_point`) raises SolverError when it
-misses :data:`PICARD_TOL` in :data:`PICARD_MAX` solves.
+load and the residual, and so is the heat source when the sample also
+transports.  The cell speeds and the inflow weights are velocity values
+that the samples carry (:class:`materials.FieldSample`).  The boundary and
+source data, and the Dirichlet data that each solve gives the problem's
+:class:`linalg.LinearSystem` at the vertices of the Dirichlet tags
+(:func:`fem_core.dirichlet_vertices`), are sampled at the problem's
+``time``.  A solve starts from the previous temperature, so an equilibrium
+stays bit-for-bit fixed.  The stationary Picard iteration
+(:func:`linalg.fixed_point`) raises SolverError when it misses
+:data:`PICARD_TOL` in :data:`PICARD_MAX` solves.
 """
 
 from __future__ import annotations
@@ -126,7 +129,7 @@ class HeatProblem:
             raise ValueError("a heat problem needs the velocity, its samples' v_h")
         for name, arr in (("theta_prev", self.sample.theta_h), ("v_prev", self.sample.v_h),
                           ("v", self.transport.v_h), ("phi", self.phi)):
-            if not np.all(np.isfinite(np.asarray(arr, dtype=float))):
+            if not np.isfinite(np.asarray(arr, dtype=float)).all():
                 raise ValueError(f"{name} contains non-finite values")
 
 
@@ -140,14 +143,21 @@ def heat_source(nu: np.ndarray, strain: np.ndarray, joule: np.ndarray) -> np.nda
 
 
 def _powers(theta_q, alpha, floor):
-    """(theta^(a-1), theta^(a-2)) with fractional exponents guarded at >= floor;
-    None stands for a power that is identically 1."""
+    """(theta^a, theta^(a-1), theta^(a-2)) with fractional exponents guarded
+    at >= floor; None stands for a power that is identically 1."""
     if alpha == 1.0:
-        return None, None
+        return theta_q, None, None
     if alpha == 2.0:
-        return theta_q, None
+        return np.square(theta_q), theta_q, None
     base = np.maximum(theta_q, floor)
-    return base ** (alpha - 1.0), base ** (alpha - 2.0)
+    return base ** alpha, base ** (alpha - 1.0), base ** (alpha - 2.0)
+
+
+def _cell_sup(values: np.ndarray) -> np.ndarray:
+    """(NT,) per-cell sup of |values| over the points of (NT, Q) ``values``:
+    the moduli are laid out (Q, NT), so the sup is taken over whole columns,
+    not along Q-wide rows."""
+    return np.abs(values.T, out=np.empty(values.shape[::-1])).max(axis=0)
 
 
 def entropy_residual(sample: FieldSample, theta_prev2: np.ndarray, source: np.ndarray,
@@ -162,43 +172,35 @@ def entropy_residual(sample: FieldSample, theta_prev2: np.ndarray, source: np.nd
 
     with gamma = nu(th) D(v):D(v) + sigma(th)|grad phi|^2, given as
     ``source``.  ``sample`` holds th (nodal and at the quad points), the
-    velocity at the quad points and the laws there; ``stab`` gives the
-    exponent a (``alpha``) and the floor of fractional powers (``var_floor``).
-    The elementwise P1 diffusion flux divergence vanishes and is dropped.
+    velocity's element coefficients and the laws there; ``stab`` gives the
+    exponent a (``alpha``) and the floor of fractional powers
+    (``var_floor``).  One expansion serves every a: at a = 1 its diffusion
+    term is zero.  v.grad(th) is contracted from the element coefficients,
+    (NT, 4) values c.grad(th) times the (4, NQ) MINI table, so v is never
+    formed at the quad points.  The elementwise P1 diffusion flux divergence
+    vanishes and is dropped.
     """
     a, var_floor = float(stab.alpha), stab.var_floor
-    th1_q = sample.theta
-    th2_q = fem_core.p1_at_qp(sample.mesh, theta_prev2)
-    grad1 = fem_core.p1_gradients(sample.mesh, sample.theta_h)  # (NT, 2)
-    pow1, pow2 = _powers(th1_q, a, var_floor)
-
-    # The terms are summed in place, in the order of the expansion.
-    if a == 1.0:
-        res = np.subtract(th1_q, th2_q)
-        res /= dt
-    elif a == 2.0:
-        res = th1_q ** 2
-        res -= th2_q ** 2
-        res /= 2.0 * dt
-    else:
-        res = np.maximum(th1_q, var_floor) ** a
-        res -= np.maximum(th2_q, var_floor) ** a
-        res /= a * dt
-    del th2_q
-    term = np.einsum("tqd,td->tq", sample.v, grad1)
-    if a == 1.0:
-        res += term
-        res -= source
-    else:
+    mesh = sample.mesh
+    grad1 = fem_core.p1_gradients(mesh, sample.theta_h)  # (NT, 2)
+    pow0, pow1, pow2 = _powers(sample.theta, a, var_floor)
+    res = _powers(fem_core.p1_at_qp(mesh, theta_prev2), a, var_floor)[0]  # a new array
+    np.subtract(pow0, res, out=res)
+    res /= a * dt
+    # The terms are summed in place: th^(a-1) (v.grad(th) - gamma), then the
+    # diffusion term.
+    c = sample.coeffs
+    term = fem_core._tab(c[:, 0] * grad1[:, :1] + c[:, 1] * grad1[:, 1:], fem_core.MINI_VALS.T)
+    term -= source
+    if pow1 is not None:
         term *= pow1
-        res += term
-        np.multiply(sample.eta, a - 1.0, out=term)
-        if pow2 is not None:
-            term *= pow2
-        term *= np.einsum("td,td->t", grad1, grad1)[:, None]
-        res += term
-        res -= np.multiply(source, pow1, out=term)
-    return np.max(np.abs(res, out=res), axis=1)
+    res += term
+    grad_sq = np.square(grad1[:, 0]) + np.square(grad1[:, 1])
+    np.multiply(sample.eta, ((a - 1.0) * grad_sq)[:, None], out=term)
+    if pow2 is not None:
+        term *= pow2
+    res += term
+    return _cell_sup(res)
 
 
 def _cell_speed_max(coeffs: np.ndarray, v_qp: np.ndarray) -> np.ndarray:
@@ -211,19 +213,21 @@ def _cell_speed_max(coeffs: np.ndarray, v_qp: np.ndarray) -> np.ndarray:
     sq += np.square(v_qp[..., 1])
     sq_v = np.square(coeffs[:, 0, :3])
     sq_v += np.square(coeffs[:, 1, :3])
-    return np.sqrt(np.maximum(sq.max(axis=1), sq_v.max(axis=1)))
+    return np.sqrt(np.maximum(_cell_sup(sq), _cell_sup(sq_v)))
 
 
 def domain_diameter(mesh: Mesh2D) -> float:
-    lo = mesh.vertices.min(axis=0)
-    hi = mesh.vertices.max(axis=0)
-    return float(np.linalg.norm(hi - lo))
+    """The diagonal of the mesh's bounding box, once per mesh."""
+    def build():
+        return float(np.linalg.norm(mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)))
+    return fem_core.cached(mesh, "domain_diameter", build)
 
 
 def artificial_viscosity(mesh: Mesh2D, residuals, theta: np.ndarray,
                          vmax_k: np.ndarray, params: StabilizationParams) -> np.ndarray:
     """Per-cell artificial viscosity from the per-cell speeds ``vmax_k``
-    (:func:`_cell_speed_max`); ``residuals=None`` saturates the h_K branch."""
+    (:func:`_cell_speed_max`, a sample's ``speed``); ``residuals=None``
+    saturates the h_K branch."""
     h = mesh.h
     if residuals is None:
         min_term = h
@@ -238,29 +242,46 @@ def artificial_viscosity(mesh: Mesh2D, residuals, theta: np.ndarray,
     return params.beta * vmax_k * min_term
 
 
-def _robin_term(mesh: Mesh2D, tag: int, bc: HeatBC, t: float):
-    """(matrix data, load) of the Robin tag ``tag``.  The matrix, and the
-    load of a constant ambient temperature, are per-mesh constants, built
-    once; the load of a callable one is sampled at the time ``t``."""
+def _robin_term(problem: HeatProblem, tag: int, bc: HeatBC):
+    """(matrix data, load) of the Robin tag ``tag``, the load sampled at the
+    problem's time; the matrix is a per-mesh constant, built once."""
+    mesh = problem.sample.mesh
     edges = fem_core.boundary_edges(mesh, (tag,))
     w = bc.alpha * edges.wts
-
-    def load():
-        return edges.load(w * fem_core.sample(bc.value, edges.pts, t))
-
     data = fem_core.cached(mesh, ("robin", tag, bc.alpha), lambda: edges.mass(w))
-    if callable(bc.value):
-        return data, load()
-    return data, fem_core.cached(mesh, ("robin", tag, bc.alpha, bc.value), load)
+    return data, edges.load(w * fem_core.sample(bc.value, edges.pts, problem.time))
+
+
+def inflow_weights(mesh: Mesh2D, coeffs: np.ndarray) -> np.ndarray:
+    """(NE, 2) inflow weights -(v.n)_- times the Gauss weights at the Gauss
+    points of every boundary edge of ``mesh``, in its order, of the MINI
+    velocity of element coefficients ``coeffs``; a sample carries them
+    (:attr:`materials.FieldSample.inflow`)."""
+    edges = fem_core.boundary_edges(mesh, np.unique(mesh.boundary_tags))
+    vel = edges.trace(coeffs)
+    return edges.wts * np.maximum(-np.einsum("egk,ek->eg", vel, edges.normals), 0.0)
 
 
 def _inflow_term(problem: HeatProblem, tag: int, bc: HeatBC):
-    """(matrix data, load) of the inflow tag ``tag``, whose weight -(v.n)_-
-    moves with the transporting velocity."""
+    """(matrix data, load) of the inflow tag ``tag``: the transport's inflow
+    weights and their edge mass, which move with it, on the tag's edges."""
     edges = fem_core.boundary_edges(problem.sample.mesh, (tag,))
-    vel = edges.trace(problem.transport.coeffs)
-    w = edges.wts * np.maximum(-np.einsum("egk,ek->eg", vel, edges.normals), 0.0)
-    return edges.mass(w), edges.load(w * fem_core.sample(bc.value, edges.pts, problem.time))
+    transport = problem.transport
+    w = transport.inflow[edges.index]
+    return (edges.mass(transport.inflow_mass[edges.index]),
+            edges.load(w * fem_core.sample(bc.value, edges.pts, problem.time)))
+
+
+def _role_terms(problem: HeatProblem, role: str, term):
+    """The (matrix data, rhs) pair of the tags of ``role``, each tag's from
+    ``term(problem, tag, bc)``, summed in tag order; the data are None when
+    no tag contributes."""
+    data, rhs = None, np.zeros(problem.sample.mesh.num_vertices)
+    for tag, bc in sorted(problem.bc.items()):
+        if bc.role == role and not (role == ROLE_ROBIN and bc.alpha == 0.0):
+            m, load = term(problem, tag, bc)
+            data, rhs = (m if data is None else m + data), rhs + load
+    return data, rhs
 
 
 def _boundary_terms(problem: HeatProblem):
@@ -273,21 +294,20 @@ def _boundary_terms(problem: HeatProblem):
     weakly through the advective flux.  The inflow weight acts only where
     the transporting velocity enters the domain (v.n < 0), so a switched-off
     jet imposes nothing.  Matrix data, on the full P1 pattern, are None when
-    no tag contributes.
+    no tag contributes.  The Robin pair of constant ambient temperatures is
+    a per-mesh constant, built once.
     """
     mesh = problem.sample.mesh
-    terms = {ROLE_ROBIN: (None, np.zeros(mesh.num_vertices)),
-             ROLE_INFLOW: (None, np.zeros(mesh.num_vertices))}
-    for tag, bc in sorted(problem.bc.items()):
-        if bc.role == ROLE_ROBIN and bc.alpha != 0.0:
-            m, load = _robin_term(mesh, tag, bc, problem.time)
-        elif bc.role == ROLE_INFLOW:
-            m, load = _inflow_term(problem, tag, bc)
-        else:
-            continue
-        data, rhs = terms[bc.role]
-        terms[bc.role] = (m if data is None else m + data, rhs + load)
-    return terms[ROLE_ROBIN], terms[ROLE_INFLOW]
+    robin = tuple((tag, bc.alpha, bc.value) for tag, bc in sorted(problem.bc.items())
+                  if bc.role == ROLE_ROBIN)
+    inflow = _role_terms(problem, ROLE_INFLOW, _inflow_term)
+    if any(callable(value) for *_, value in robin):
+        return _role_terms(problem, ROLE_ROBIN, _robin_term), inflow
+
+    def build():
+        terms = _role_terms(problem, ROLE_ROBIN, _robin_term)
+        return tuple(x if x is None else fem_core._frozen(x) for x in terms)
+    return fem_core.cached(mesh, ("robin", robin), build), inflow
 
 
 def _solve(problem: HeatProblem, A_sys, rhs, theta) -> np.ndarray:
@@ -305,20 +325,19 @@ def _solve(problem: HeatProblem, A_sys, rhs, theta) -> np.ndarray:
     return system.solve(A_sys, rhs, x0=theta)
 
 
-def _cell_viscosity(problem: HeatProblem, joule) -> np.ndarray:
+def _cell_viscosity(problem: HeatProblem, source) -> np.ndarray:
     """Per-cell artificial viscosity of the step, also kept as ``art_visc``,
-    from the problem's sample of theta^{n-1} and v^{n-1}; ``joule()`` is the
-    Joule density at theta^{n-1}."""
+    from the problem's sample of theta^{n-1} and v^{n-1} and its cell speeds;
+    ``source()`` is the heat source there."""
     sample = problem.sample
     mesh = sample.mesh
     art = np.zeros(mesh.num_triangles)
     if problem.stab.beta != 0.0:
         res = None
         if problem.theta_prev2 is not None:  # None at startup: h_K saturates
-            source = heat_source(sample.nu, sample.strain, joule())
-            res = entropy_residual(sample, problem.theta_prev2, source, problem.dt, problem.stab)
-        art = artificial_viscosity(mesh, res, sample.theta_h,
-                                   _cell_speed_max(sample.coeffs, sample.v), problem.stab)
+            res = entropy_residual(sample, problem.theta_prev2, source(), problem.dt,
+                                   problem.stab)
+        art = artificial_viscosity(mesh, res, sample.theta_h, sample.speed, problem.stab)
     problem.art_visc = art
     return art
 
@@ -329,12 +348,11 @@ def _heat_system(problem: HeatProblem):
     ``dt``.  Every term is stored on the one P1 pattern, so the matrix is
     summed in its data.  The terms that do not depend on theta,
     among them the advection matrix of v's element coefficients (by the
-    reference map) and D(v):D(v) at the quad points, both values of the
-    problem's ``transport``, are read once, when the builder is made."""
+    reference map) and the inflow terms, values of the problem's
+    ``transport``, are read once, when the builder is made."""
     transport = problem.transport
     mesh = transport.mesh
     sources = problem.include_physics_sources
-    strain = transport.strain if sources else None
     extra = None
     if problem.extra_source is not None:
         extra = fem_core.sample(problem.extra_source, fem_core.geometry(mesh).qp, problem.time)
@@ -343,11 +361,12 @@ def _heat_system(problem: HeatProblem):
     D = transport.advection
     boundary = _boundary_terms(problem)
 
-    def build(theta, laws, joule, art=0.0):
+    def build(theta, laws, source, art=0.0):
         """The system at the laws ``laws`` of ``theta`` (a :class:`FieldSample`);
-        ``joule()`` is the Joule density there."""
+        ``source()`` is the physics source there, read when the problem
+        includes it."""
         A_sys = fem_core.assemble_stiffness(mesh, laws.eta + art)
-        src = heat_source(laws.nu, strain, joule()) if sources else 0.0
+        src = source() if sources else 0.0
         if extra is not None:
             src = src + extra
         rhs = fem_core.assemble_scalar_load(mesh, src)
@@ -367,17 +386,20 @@ def _heat_system(problem: HeatProblem):
 def solve_heat_step(problem: HeatProblem) -> np.ndarray:
     """One implicit-Euler step of the stabilized temperature equation."""
     problem.validate(step=True)
-    sample = problem.sample
+    sample, transport = problem.sample, problem.transport
     # One Joule density at theta^{n-1}, evaluated at most once: the load's and
-    # the residual's.
+    # the residual's.  The residual's source reads v^{n-1}'s D(v):D(v) and
+    # the load's v^n's, so one source serves both when the sample transports.
     joule = cache(lambda: joule_density(sample.mesh, sample.sigma, problem.phi))
+    source = cache(lambda: heat_source(sample.nu, sample.strain, joule()))
     # The viscosity comes first, so its residual's temporaries are freed
     # before the system is built; so are v^{n-1}'s values, which the system
     # does not read unless the sample is also the transport.
-    art = _cell_viscosity(problem, joule)
-    if sample is not problem.transport:
+    art = _cell_viscosity(problem, source)
+    if sample is not transport:
         sample.drop("v", "strain")
-    A_sys, rhs = _heat_system(problem)(sample.theta_h, sample, joule, art[:, None])
+        source = cache(lambda: heat_source(sample.nu, transport.strain, joule()))
+    A_sys, rhs = _heat_system(problem)(sample.theta_h, sample, source, art[:, None])
     return _solve(problem, A_sys, rhs, sample.theta_h)
 
 
@@ -397,7 +419,8 @@ def solve_heat_stationary(problem: HeatProblem) -> np.ndarray:
 
     def step(theta):
         laws = FieldSample(model, mesh, theta)
-        A_sys, rhs = build(theta, laws, lambda: joule_density(mesh, laws.sigma, problem.phi))
+        A_sys, rhs = build(theta, laws, lambda: heat_source(
+            laws.nu, problem.transport.strain, joule_density(mesh, laws.sigma, problem.phi)))
         return _solve(problem, A_sys, rhs, theta), None
 
     theta, _ = linalg.fixed_point(step, problem.sample.theta_h, PICARD_TOL, PICARD_MAX)

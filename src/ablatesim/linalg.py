@@ -348,7 +348,7 @@ class HeldLU:
                 reason = f"{miss}: double precision"
             self.factorize(A, order, reason)
             x = self.apply(b)
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 raise SingularMatrix("LU produced non-finite solution")
             res = _residual_norm(A, x, b)
             if res > limit:
@@ -395,7 +395,7 @@ class HeldLU:
         x, iters = _gmres(A, b, x0, self.apply, 0.5 * limit, KRYLOV_CAP, r0, give_up=True)
         if x is None:
             return None, iters, f"{name} projected to miss after {iters} iterations"
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             return None, iters, f"non-finite {name} iterate after {iters} iterations"
         res = _residual_norm(A, x, b)
         if res <= limit:
@@ -494,8 +494,8 @@ class LinearSystem:
     def eliminate(self, A: SparseMatrix, b: FieldVector):
         """(A, b) with the constraints eliminated symmetrically, so an SPD A
         stays SPD: constrained rows become identity rows with b[d] = value,
-        and the constrained columns are folded into b (b - A x_fix on the
-        free rows) and dropped."""
+        and the constrained columns are dropped, folded into b (b - A x_fix
+        on the free rows) when a value is nonzero."""
         dofs, values = self.dofs, self.values
         if values.size != dofs.size:
             raise ValueError("dofs and values must have equal length")
@@ -507,9 +507,12 @@ class LinearSystem:
         if data is None or not data.all() or A.data[self._zeros].any():
             A = self._build(A)
             data = self._gather(A)
-        fixed = np.zeros(A.shape[0])
-        fixed[dofs] = values
-        b = b - A @ fixed if dofs.size else b.copy()
+        if values.any():
+            fixed = np.zeros(A.shape[0])
+            fixed[dofs] = values
+            b = b - A @ fixed
+        else:  # A x_fix is zero: nothing to fold
+            b = b.copy()
         b[dofs] = values
         return sp.csr_matrix((data, self._indices, self._indptr), shape=A.shape), b
 

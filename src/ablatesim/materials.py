@@ -81,7 +81,10 @@ class MaterialModel:
         """Electrical conductivity (piecewise, vectorized)."""
         s0 = self.sigma0
         t1, t2, t3 = BREAKPOINTS
-        return np.where(th <= t1, s0 * np.exp(0.015 * (th - self.theta_b)),
+        low = s0 * np.exp(0.015 * (th - self.theta_b))
+        if (th <= t1).all():  # the exponential branch alone; a NaN is not <= t1
+            return low
+        return np.where(th <= t1, low,
                         np.where(th <= t2, 2.5345 * s0,
                                  np.where(th <= t3, 2.5345 * s0 * (1.0 - 0.198 * (th - t2)),
                                           0.025345 * s0)))
@@ -130,12 +133,17 @@ class FieldSample:
     dofs) at the quadrature points of ``mesh``, with the laws of ``model`` and
     D(v):D(v) there, and the velocity's (NT, 2, 4) MINI element coefficients
     ``coeffs``, from which the velocity's values, the velocity-linear blocks
-    and the scalar ``advection`` matrix are formed.  Each value is evaluated
-    on first read, then shared; a field may be None while its values are
-    unread.  The velocity's values are read-only, since :meth:`with_theta`
-    hands them to the next sample of the same velocity."""
+    and the scalar ``advection`` matrix are formed.  The velocity's other
+    values are the per-cell speed ``speed`` of the artificial viscosity, the
+    heat's inflow weights -(v.n)_- on every boundary edge (``inflow``) with
+    their edge mass blocks (``inflow_mass``), and the diagnostics' |Bv|
+    (``div_norm``) and max|v| (``vmax``).  Each value is evaluated on first
+    read, then shared; a field may be None while its values are unread.  The
+    velocity's values are read-only, since :meth:`with_theta` hands them to
+    the next sample of the same velocity."""
 
-    VELOCITY_VALUES = ("coeffs", "v", "strain", "advection")
+    VELOCITY_VALUES = ("coeffs", "v", "strain", "advection", "speed", "inflow",
+                       "inflow_mass", "div_norm", "vmax")
 
     def __init__(self, model: MaterialModel, mesh, theta_h, v_h=None):
         self.model, self.mesh, self.theta_h, self.v_h = model, mesh, theta_h, v_h
@@ -150,11 +158,28 @@ class FieldSample:
         fem_core.velocity_at_qp(self.mesh, self.coeffs)))
     advection = cached_property(lambda self: fem_core._frozen_csr(
         fem_core.assemble_advection(self.mesh, self.coeffs)))
+    inflow_mass = cached_property(lambda self: fem_core._frozen(
+        fem_core._edge_blocks(self.inflow)))
+    div_norm = cached_property(lambda self: float(np.linalg.norm(
+        fem_core.assemble_divergence(self.mesh) @ self.v_h)))
+    vmax = cached_property(lambda self: float(np.max(np.abs(self.v_h)))
+                           if np.size(self.v_h) else 0.0)
 
+    # flow_solver and heat_solver import this module, so theirs are imported late.
     @cached_property
     def strain(self):
-        from .flow_solver import viscous_dissipation  # flow_solver imports this module
+        from .flow_solver import viscous_dissipation
         return fem_core._frozen(viscous_dissipation(self.mesh, self.coeffs))
+
+    @cached_property
+    def speed(self):
+        from .heat_solver import _cell_speed_max
+        return fem_core._frozen(_cell_speed_max(self.coeffs, self.v))
+
+    @cached_property
+    def inflow(self):
+        from .heat_solver import inflow_weights
+        return fem_core._frozen(inflow_weights(self.mesh, self.coeffs))
 
     def with_theta(self, theta_h) -> "FieldSample":
         """The sample of ``theta_h`` and this sample's velocity, holding the

@@ -40,17 +40,26 @@ def potential_constraints(mesh: Mesh2D, dirichlet_tags) -> tuple:
     return verts.dofs, np.zeros(verts.dofs.size)
 
 
+def _neumann_load(mesh: Mesh2D, tags, g) -> np.ndarray:
+    """The load of the flux ``g`` on ``tags``, built once per mesh for a constant g."""
+    def build():
+        return fem_core.assemble_boundary_load(mesh, tags, g)
+    if callable(g) or np.ndim(g):
+        return build()
+    return fem_core.cached(mesh, ("neumann_load", fem_core._tag_set(tags), float(g)), build)
+
+
 def solve_potential(problem: PotentialProblem) -> np.ndarray:
     """Solve the lagged-conductivity potential equation."""
     sample = problem.sample
     mesh = sample.mesh
-    if not np.all(np.isfinite(np.asarray(sample.theta_h, dtype=float))):
+    if not np.isfinite(np.asarray(sample.theta_h, dtype=float)).all():
         raise ValueError("temperature field contains non-finite values")
     if not problem.dirichlet_tags:
         raise ValueError("potential problem needs a nonempty Dirichlet tag set")
 
     A = fem_core.assemble_stiffness(mesh, sample.sigma)
-    b = fem_core.assemble_boundary_load(mesh, problem.neumann_tags, problem.g)
+    b = _neumann_load(mesh, problem.neumann_tags, problem.g)
     if problem.source is not None:
         b = b + fem_core.assemble_scalar_load(
             mesh, fem_core.sample(problem.source, fem_core.geometry(mesh).qp))
@@ -66,5 +75,5 @@ def joule_density(mesh: Mesh2D, sigma_qp: np.ndarray, phi: np.ndarray) -> np.nda
     """(NT, NQ) Joule heating sigma |grad phi|^2, given the conductivity
     ``sigma_qp`` at the quad points (the potential solve's own)."""
     grad_phi = fem_core.p1_gradients(mesh, phi)  # constant per element
-    grad_sq = np.einsum("td,td->t", grad_phi, grad_phi)
+    grad_sq = np.square(grad_phi[:, 0]) + np.square(grad_phi[:, 1])
     return sigma_qp * grad_sq[:, None]

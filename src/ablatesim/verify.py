@@ -536,7 +536,7 @@ def _step_audit(config) -> dict:
             art = state.art_visc_cells
             # theta^{n-1} = prev.theta and v^{n-1} = prev.v, sampled afresh.
             lagged = materials.FieldSample(sim.model, sim.mesh, prev.theta, prev.v)
-            vmax_k = heat_solver._cell_speed_max(lagged.coeffs, lagged.v)
+            vmax_k = lagged.speed
             audit["eta_bound_violation"] = max(
                 audit["eta_bound_violation"],
                 float(np.max(art - beta * vmax_k * h)), float(np.max(-art)))

@@ -1,5 +1,7 @@
 import collections
 import copy
+import dataclasses
+import functools
 import logging
 import sys
 import tracemalloc
@@ -203,6 +205,24 @@ class TestAdvance:
         assert all(np.array_equal(getattr(state, name), before[name], equal_nan=True)
                    for name in names)
         assert {name: system.factor.solves for name, system in sim.systems.items()} == solves
+
+    @pytest.mark.parametrize("field", ["theta", "v"])
+    def test_a_sample_of_other_fields_is_not_stepped_from(self, field):
+        # A state whose fields are not its sample's steps from a fresh sample
+        # of its own fields, as a state without a sample does, not from the
+        # sample's stale values.
+        runs = [Simulation(preset("test1")) for _ in "ab"]
+        starts = [sim.initialize() for sim in runs]
+        changes = [{"theta": s.theta + 5.0} if field == "theta"
+                   else {"v": 1.5 * s.v, "P": 1.5 * s.P} for s in starts]
+        edited = dataclasses.replace(starts[0], **changes[0])
+        bare = dataclasses.replace(starts[1], **changes[1], sample=None)
+        got, ref = runs[0].advance(edited), runs[1].advance(bare)
+        assert got.theta.tobytes() == ref.theta.tobytes()
+        for name in ("max_theta", "int_theta", "div_norm", "max_art_visc", "centroid_x"):
+            assert getattr(got.diag, name) == getattr(ref.diag, name), name
+        if field == "theta":  # the stale sample's temperature read 37.04
+            assert got.diag.max_theta > 41.0
 
     def test_failed_step_stage_raises_labelled(self, monkeypatch):
         # A failed stage of a step is labelled with its step, as those of the
@@ -709,15 +729,34 @@ class TestSharedFields:
         assert counts["viscous_dissipation"] == 1
         assert "strain" not in vars(state.sample) and "strain" in vars(new.sample)
 
+    @staticmethod
+    def spy_values(monkeypatch, counts):
+        """Count the evaluations of each of the velocity's values of every
+        FieldSample (``FieldSample.VELOCITY_VALUES``)."""
+        for name in FieldSample.VELOCITY_VALUES:
+            evaluate = vars(FieldSample)[name].func
+
+            def counted(sample, name=name, evaluate=evaluate):
+                counts[name] += 1
+                return evaluate(sample)
+
+            value = functools.cached_property(counted)
+            value.__set_name__(FieldSample, name)
+            monkeypatch.setattr(FieldSample, name, value)
+
     def test_an_unchanged_velocity_is_evaluated_once(self, monkeypatch):
         # test1's flow returns v0 itself at every step, so its sample
         # transports too and hands each of the velocity's values to the next
-        # state: none is evaluated again, and the heat step drops none.
+        # state: none is evaluated again, and the heat step drops none.  The
+        # potential's Neumann load, of a constant flux, is built once too.
         from collections import Counter
 
         from ablatesim import heat_solver
 
         sim = Simulation(quick_config(nx=24, ny=8, M=5))
+        per_run = Counter()
+        self.spy_values(monkeypatch, per_run)
+        self.spy(monkeypatch, [fem_core], "assemble_boundary_load", per_run)
         state = sim.initialize()
         counts = Counter()
         self.spy(monkeypatch, [flow_solver, heat_solver], "viscous_dissipation", counts)
@@ -726,20 +765,42 @@ class TestSharedFields:
         first = sim.advance(state)
         values = {name: vars(first.sample)[name] for name in FieldSample.VELOCITY_VALUES}
         assert first.v is state.v
-        assert values["coeffs"] is state.sample.coeffs
-        assert values["advection"] is state.sample.advection
+        for name in ("coeffs", "advection", "div_norm", "vmax"):
+            assert values[name] is vars(state.sample)[name], name
         new = first
         for _ in range(4):
             new = sim.advance(new)
         assert new.v is state.v and new.P is state.P
         # The initial state's coefficients and advection matrix came from the
-        # stationary heat; step 1 evaluated v at the quad points and D(v):D(v).
+        # stationary heat, its |Bv| and max|v| from its diagnostics; step 1
+        # evaluated v at the quad points, D(v):D(v), the cell speeds and the
+        # inflow weights with their edge mass.
         assert counts == {"viscous_dissipation": 1, "velocity_at_qp": 1}
+        assert per_run == {name: 1 for name in (*FieldSample.VELOCITY_VALUES,
+                                                "assemble_boundary_load")}
         for name, value in values.items():
             assert vars(new.sample)[name] is value, name
-            if name != "advection":
+            if isinstance(value, np.ndarray):
                 assert not value.flags.writeable, name
+        assert isinstance(values["div_norm"], float) and isinstance(values["vmax"], float)
         assert not (new.v.flags.writeable or new.P.flags.writeable)
+
+    def test_a_moving_velocity_has_each_value_evaluated_once_per_step(self, monkeypatch):
+        # test3's buoyant flow moves at every step: v^n's values are
+        # evaluated in the step that makes v^n or, for those that only the
+        # next step's lagged sample reads (v at the quad points and the cell
+        # speeds), in that step; each of them once.
+        from collections import Counter
+
+        sim = Simulation(quick_config("test3", nx=24, ny=8, M=4))
+        state = sim.initialize()
+        counts = Counter()
+        self.spy_values(monkeypatch, counts)
+        for n in range(4):
+            new = sim.advance(state)
+            assert new.v is not state.v, n
+            assert counts == {name: n + 1 for name in FieldSample.VELOCITY_VALUES}, n
+            state = new
 
 
 def test_heat_step_peak_memory():
@@ -831,7 +892,7 @@ class TestFixedFlow:
             sample=sample, dt=dt or sim.config.time.dt, bc=sim.flow_bc, p_prev=state.P,
             system=sim.systems["flow"]))
 
-    @pytest.mark.parametrize("change", ["none", "v_h", "nu", "force", "dt"])
+    @pytest.mark.parametrize("change", ["none", "v_h", "nu", "nu_const", "force", "dt"])
     def test_each_input_change_assembles_again(self, monkeypatch, change):
         sim = Simulation(quick_config(nx=24, ny=8))
         state = sim.advance(sim.initialize())
@@ -843,6 +904,9 @@ class TestFixedFlow:
         elif change == "nu":
             model = copy.deepcopy(sim.model)
             model.nu_law = lambda th: np.full(np.shape(th), 2.0 * model.nu_const)
+        elif change == "nu_const":  # the default law's broadcast, one ulp up
+            model = copy.deepcopy(sim.model)
+            model.nu_const = np.nextafter(model.nu_const, np.inf)
         elif change == "force":
             model = copy.deepcopy(sim.model)
             model.buoyancy.enabled = True

@@ -426,3 +426,54 @@ class TestReferenceMap:
         # assemblies on two meshes reuse it.
         assert calls == [48]
         assert fem_core._reference_map(counted) is fem_core._reference_map(counted)
+
+
+def add_at_stiffness_data(mesh, scale):
+    """The P1 stiffness data as np.add.at filled them before the stiffness
+    operator: each triangle's gradient products times its scale, scattered
+    in element order."""
+    g = fem_core.geometry(mesh).grad_p1
+    pattern = fem_core._p1_pattern(mesh)
+    data = np.zeros(pattern.nnz)
+    np.add.at(data, pattern.scatter.ravel(),
+              (scale[:, None, None] * (g @ g.transpose(0, 2, 1))).ravel())
+    return data
+
+
+class TestStiffnessOperator:
+    """The per-mesh stiffness operator against the element fill it
+    replaces, bit for bit."""
+
+    @staticmethod
+    def coefficients(mesh):
+        rng = np.random.default_rng(11)
+        nt, nq = fem_core.geometry(mesh).qw.shape
+        return {"scalar": 2.5, "per_cell": rng.uniform(0.5, 2.0, nt),
+                "per_point": rng.uniform(0.5, 2.0, (nt, nq))}
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_MESHES))
+    def test_stiffness_operator_equals_the_add_at_fill(self, name):
+        mesh = REFERENCE_MESHES[name]()
+        geo = fem_core.geometry(mesh)
+        operator = fem_core._stiffness_operator(mesh)
+        for kind, coeff in self.coefficients(mesh).items():
+            scale = np.einsum("tq,tq->t", geo.qw, fem_core._coeff_at_qp(mesh, coeff))
+            ref = add_at_stiffness_data(mesh, scale)
+            assert (operator @ scale).tobytes() == ref.tobytes(), kind
+            assert assemble_stiffness(mesh, coeff).data.tobytes() == ref.tobytes(), kind
+            # The scale sums the quadrature in another order than the
+            # element-wise sum it replaces: within 12 eps of the moduli's sum.
+            terms = geo.qw * fem_core._coeff_at_qp(mesh, coeff)
+            bound = 12.0 * np.finfo(float).eps * np.abs(terms).sum(axis=1)
+            assert np.all(np.abs(scale - terms.sum(axis=1)) <= bound), kind
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_MESHES))
+    def test_stiffness_operator_wraps_the_p1_scatter(self, name):
+        # No sort and no per-mesh copy: the operator's row indices are the
+        # P1 scatter itself, its column pointer int32, its data read-only.
+        mesh = REFERENCE_MESHES[name]()
+        operator = fem_core._stiffness_operator(mesh)
+        assert operator is fem_core._stiffness_operator(mesh)
+        assert np.shares_memory(operator.indices, fem_core._p1_pattern(mesh).scatter)
+        assert operator.indptr.dtype == np.int32
+        assert not (operator.data.flags.writeable or operator.indptr.flags.writeable)

@@ -166,6 +166,33 @@ class TestFlowStep:
             solve_flow_step(problem)
 
 
+class TestStepInputs:
+    def test_zero_force_load_built_once_per_mesh(self):
+        # Without buoyancy or an extra force the load is the per-mesh zero,
+        # read-only, so a repeated step matches it by identity.
+        mesh = channel_mesh(10, 6)
+        loads = [flow_solver._force_load(make_problem(mesh, bc_test1())) for _ in "ab"]
+        assert loads[0] is loads[1] and not loads[0].flags.writeable
+        assert not loads[0].any() and loads[0].size == fem_core.dofmap_for(mesh).n_velocity
+        buoyant = MaterialModel()
+        buoyant.buoyancy.enabled = True
+        hot = flow_solver._force_load(make_problem(mesh, bc_test1(), 40.0, model=buoyant))
+        assert hot is not loads[0] and hot.any()
+
+    def test_identical_compares_broadcast_constants_by_their_value(self):
+        identical = flow_solver._identical
+        nu = np.broadcast_to(0.0021, (50, 12))
+        assert identical(nu, np.broadcast_to(0.0021, (50, 12)))
+        assert identical(nu, np.full((50, 12), 0.0021))  # a full array of the value
+        assert not identical(nu, np.broadcast_to(np.nextafter(0.0021, 1.0), (50, 12)))
+        assert not identical(nu, np.broadcast_to(0.0021, (50, 11)))
+        assert not identical(np.broadcast_to(0.0, (4, 3)), np.broadcast_to(-0.0, (4, 3)))
+        assert not identical(np.broadcast_to(np.nan, (4, 3)), np.broadcast_to(np.nan, (4, 3)))
+        row = np.broadcast_to(np.arange(3.0), (4, 3))  # a broadcast row varies
+        assert not identical(row, np.broadcast_to(0.0, (4, 3)))
+        assert identical(row, np.tile(np.arange(3.0), (4, 1)))
+
+
 class TestStationary:
     def test_zero_data_zero_solution(self):
         mesh = channel_mesh(10, 6)

@@ -166,6 +166,115 @@ class TestEntropyResidual:
         assert np.allclose(res, expected, rtol=1e-12)
 
 
+def expanded_residual(sample, theta_prev2, source, dt, stab):
+    """The residual as it was expanded before v.grad(theta) was contracted
+    from the element coefficients, the oracle: v at the quad points dotted
+    with grad(theta), the terms multiplied out and summed in the order of
+    the expansion, and the per-cell sup along the quadrature rows."""
+    a, floor = float(stab.alpha), stab.var_floor
+    th1_q = sample.theta
+    th2_q = fem_core.p1_at_qp(sample.mesh, theta_prev2)
+    grad1 = fem_core.p1_gradients(sample.mesh, sample.theta_h)
+    if a == 1.0:
+        pow1 = pow2 = None
+    elif a == 2.0:
+        pow1, pow2 = th1_q, None
+    else:
+        base = np.maximum(th1_q, floor)
+        pow1, pow2 = base ** (a - 1.0), base ** (a - 2.0)
+    if a == 1.0:
+        res = np.subtract(th1_q, th2_q)
+        res /= dt
+    elif a == 2.0:
+        res = th1_q ** 2
+        res -= th2_q ** 2
+        res /= 2.0 * dt
+    else:
+        res = np.maximum(th1_q, floor) ** a
+        res -= np.maximum(th2_q, floor) ** a
+        res /= a * dt
+    term = np.einsum("tqd,td->tq", sample.v, grad1)
+    if a == 1.0:
+        res += term
+        res -= source
+    else:
+        term *= pow1
+        res += term
+        np.multiply(sample.eta, a - 1.0, out=term)
+        if pow2 is not None:
+            term *= pow2
+        term *= np.einsum("td,td->t", grad1, grad1)[:, None]
+        res += term
+        res -= np.multiply(source, pow1, out=term)
+    return np.max(np.abs(res), axis=1)
+
+
+def residual_roundoff_bound(sample, theta_prev2, source, dt, stab):
+    """16 eps times the per-cell largest sum M_q of the moduli of the
+    expansion's terms, v.grad(theta) taken as its 8 products c_dk g_d
+    MINI_qk.  Both expansions sum those 8 products, in other groupings, and
+    then a few more terms, so each lies within about 14 eps M_q of the exact
+    value at each point (gamma_8 for the products, one rounding per further
+    operation), and the per-cell sups of their moduli within 16 eps max_q M_q
+    of each other."""
+    a, floor = float(stab.alpha), stab.var_floor
+    mesh = sample.mesh
+
+    def base(th):
+        return th if a in (1.0, 2.0) else np.maximum(th, floor)
+
+    th1, th2 = base(sample.theta), base(fem_core.p1_at_qp(mesh, theta_prev2))
+    grad = fem_core.p1_gradients(mesh, sample.theta_h)
+    products = np.einsum("qk,tdk,td->tq", np.abs(fem_core.MINI_VALS),
+                         np.abs(sample.coeffs), np.abs(grad))
+    pow1 = np.abs(th1 ** (a - 1.0))
+    pow2 = 1.0 if a == 1.0 else np.abs(th1 ** (a - 2.0))
+    moduli = (np.abs(th1 ** a - th2 ** a) / (a * dt) + pow1 * (products + np.abs(source))
+              + np.abs(sample.eta) * (a - 1.0) * pow2 * np.sum(grad ** 2, axis=1)[:, None])
+    return 16.0 * np.finfo(float).eps * moduli.max(axis=1)
+
+
+class TestResidualOracle:
+    """The residual contracted from the element coefficients against the
+    expansion it replaced, within the stated round-off bound."""
+
+    @staticmethod
+    def state(name):
+        from ablatesim.coupler import Simulation
+        from ablatesim.sim_cli import preset
+
+        cfg = preset(name)
+        cfg.geometry.nx, cfg.geometry.ny, cfg.time.M = 24, 8, 3
+        sim = Simulation(cfg)
+        state = sim.initialize()
+        for _ in range(3):
+            prev, state = state, sim.advance(state)
+        return sim, prev, state
+
+    @pytest.mark.parametrize("name", ["test1", "test3"])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+    def test_matches_the_expanded_residual(self, name, alpha):
+        sim, prev, state = self.state(name)
+        stab = StabilizationParams(alpha=alpha)
+        # theta^{n-1} and theta^{n-2} with v^{n-1}; at alpha = 1.5 also
+        # shifted down by their median, so half of them lies below var_floor.
+        shifts = (0.0, float(np.median(state.theta))) if alpha == 1.5 else (0.0,)
+        for shift in shifts:
+            theta, theta_prev2 = state.theta - shift, state.theta_prev - shift
+            sample = FieldSample(sim.model, sim.mesh, theta, state.v)
+            source = sample.nu * sample.strain + joule_density(sim.mesh, sample.sigma,
+                                                               state.phi)
+            if shift:
+                assert (sample.theta < stab.var_floor).any()
+                assert (sample.theta > stab.var_floor).any()
+            got = heat_solver.entropy_residual(sample, theta_prev2, source, sim.config.time.dt,
+                                               stab)
+            ref = expanded_residual(sample, theta_prev2, source, sim.config.time.dt, stab)
+            bound = residual_roundoff_bound(sample, theta_prev2, source, sim.config.time.dt,
+                                            stab)
+            assert np.all(np.abs(got - ref) <= bound), (shift, np.max(np.abs(got - ref) / bound))
+
+
 class TestArtificialViscosity:
     def test_zero_velocity_zero_everywhere(self):
         mesh = small_mesh()
@@ -468,13 +577,13 @@ class TestBoundaryKernel:
         laws = FieldSample(problem.sample.model, mesh, theta)
         art = np.random.default_rng(8).uniform(0.0, 1e-2, (mesh.num_triangles, 1))
         joule = joule_density(mesh, laws.sigma, problem.phi)
+        src = laws.nu * viscous_dissipation(mesh, v) + joule
         build = heat_solver._heat_system(problem)
-        A, rhs = build(theta, laws, lambda: joule, art)
+        A, rhs = build(theta, laws, lambda: src, art)
         # The reference sums the same terms as sparse matrices, tag by tag.
         Mc = fem_core.assemble_mass(mesh) / dt
         ref = (Mc + fem_core.assemble_stiffness(mesh, laws.eta + art)
                + fem_core.assemble_advection(mesh, fem_core.velocity_element_coeffs(mesh, v)))
-        src = laws.nu * viscous_dissipation(mesh, v) + joule
         ref_rhs = Mc @ theta + fem_core.assemble_scalar_load(mesh, src)
         for tag in (1, 4, 5):
             terms = heat_solver._boundary_terms(make_problem(

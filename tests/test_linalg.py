@@ -759,6 +759,17 @@ class TestLinearSystem:
             assert_same_elimination(apply_dirichlet(A, b, dofs, vals),
                                     apply_dirichlet_reference(A, b, dofs, vals))
 
+    def test_zero_values_fold_nothing_into_b(self):
+        # All-zero constrained values fold nothing into b: it is bit for bit
+        # b - A x_fix of the reference, signed zeros included.
+        dofs = np.array([0, 5, 11])
+        system = linalg.LinearSystem(dofs, np.zeros(3))
+        for A, b in self.matrices(2):
+            b[[1, 4, 6]] = -0.0
+            got = system.eliminate(A, b)
+            assert_same_elimination(got, apply_dirichlet_reference(A, b, dofs, np.zeros(3)))
+            assert np.signbit(got[1][[1, 4, 6]]).all() and got[1] is not b
+
     def test_unconstrained_system_passes_the_matrix_through(self):
         system = linalg.LinearSystem([], [])
         A, b = laplacian_1d(8), np.ones(8)

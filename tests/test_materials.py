@@ -59,6 +59,29 @@ class TestSigma:
         assert np.allclose(model.sigma(hi + 1.0), model.sigma(hi))
 
 
+    def test_exponential_branch_alone_equals_the_nested_law(self, model):
+        # Temperatures all at or below 99 C take the exponential branch
+        # alone; any other, NaN included, the nested np.where.  Both equal
+        # the nested law bit for bit, on a grid through ADMISSIBLE_RANGE with
+        # each breakpoint and one ulp either side.
+        law = reference_laws(model)["sigma"]
+        bps = np.array(BREAKPOINTS)
+        grid = np.concatenate([np.linspace(*ADMISSIBLE_RANGE, 3501), bps,
+                               np.nextafter(bps, -np.inf), np.nextafter(bps, np.inf)])
+        cases = [grid, grid[grid <= 99.0], grid[grid <= 99.0].reshape(-1, 1),
+                 np.array([np.nan, 37.0]), np.array([37.0, np.inf]),
+                 np.array([-np.inf, 37.0]), np.array([np.nan])]
+        for th in cases:
+            got = model.sigma(th)
+            assert got.shape == th.shape
+            assert got.tobytes() == np.asarray(law(th), dtype=float).tobytes(), th
+        for th in (37.0, 99.0, float(np.nextafter(99.0, np.inf)), 104.0, 250.0, -np.inf,
+                   np.inf, np.nan, 37):
+            got = model.sigma(th)
+            assert type(got) is float, th
+            assert np.array(got).tobytes() == np.asarray(law(np.float64(th))).tobytes(), th
+
+
 class TestEta:
     def test_body_temperature_value(self, model):
         assert model.eta(37.0) == pytest.approx(0.54, abs=1e-15)

@@ -160,6 +160,14 @@ def dofmap_for(mesh: Mesh2D) -> DofMap:
 
 
 class _Geometry:
+    """The geometric factors of a mesh's triangles: ``det``, twice the
+    areas; the quadrature weights ``qw`` (NT, NQ) and points ``qp``
+    (NT, NQ, 2); the constant P1 gradients ``grad_p1`` (NT, 3, 2); and the
+    inverse Jacobians ``inv`` (NT, 2, 2), from which the bubble gradients at
+    the quad points are formed when read (:meth:`bubble_grads`, and
+    ``grad_bubble`` for all triangles), never held.  ``operators`` is the
+    mesh's cache of constants (:func:`cached`)."""
+
     def __init__(self, mesh: Mesh2D):
         p = mesh.vertices
         t = mesh.triangles
@@ -177,10 +185,18 @@ class _Geometry:
         self.qw = TRI_RULE.weights[None, :] * det[:, None]  # (NT, NQ), sums to area
         self.qp = _combine(P1_VALS, coords)  # physical quad points
         self.grad_p1 = _combine(P1_REF_GRADS, inv)  # (NT,3,2)
-        self.grad_bubble = _combine(BUBBLE_REF_GRADS, inv)  # (NT,NQ,2)
-        for arr in (self.det, self.qw, self.qp, self.grad_p1, self.grad_bubble):
+        self.inv = inv  # (NT,2,2), [t, k, d] = d(xi_k)/d(x_d)
+        for arr in (self.det, self.qw, self.qp, self.grad_p1, self.inv):
             _frozen(arr)
         self.operators: dict = {}  # see cached
+
+    def bubble_grads(self, block=slice(None)) -> np.ndarray:
+        """(n, NQ, 2) bubble gradients at the quad points of the triangles
+        ``block``, a new array: the same bytes as those rows of the whole
+        ``grad_bubble``."""
+        return _combine(BUBBLE_REF_GRADS, self.inv[block])
+
+    grad_bubble = property(bubble_grads, doc="(NT, NQ, 2) bubble gradients, formed on each read.")
 
 
 def _combine(table: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -348,7 +364,12 @@ class _Pattern:
         return data
 
     def matrix(self, data: np.ndarray) -> SparseMatrix:
-        return SparseMatrix((data, self.indices, self.indptr), shape=self.shape)
+        """The matrix of CSR data ``data`` on this pattern, sharing its index
+        arrays: scipy copies an index array that views a small part of a
+        larger one (B's rows of the MINI pattern), so its copy is replaced."""
+        A = SparseMatrix((data, self.indices, self.indptr), shape=self.shape)
+        A.indices = self.indices
+        return A
 
 
 def _coeff_at_qp(mesh: Mesh2D, coeff) -> np.ndarray:
@@ -803,7 +824,7 @@ def _viscous_local(geo: _Geometry, wnu: np.ndarray, block=slice(None)) -> np.nda
     nt, nq = wnu.shape
     grads = np.empty((nt, nq, 4, 2))  # [t, q, a, c] = d_c(phi_a)
     grads[:, :, :3] = geo.grad_p1[block, None]
-    grads[:, :, 3] = geo.grad_bubble[block]
+    grads[:, :, 3] = geo.bubble_grads(block)
     g = grads.reshape(nt, nq, 8)
     gram = ((g.transpose(0, 2, 1) * wnu[:, None, :]) @ g).reshape(nt, 4, 2, 4, 2)
     # gram[t, a, c, b, d] = integral nu d_c(phi_a) d_d(phi_b)
@@ -861,10 +882,7 @@ def _velocity_block(mesh: Mesh2D, viscosity, advect, gamma_n_tags,
     if advect is not None:
         _add_convection(mesh, data, advect, gamma_n_tags)
     if mass_coeff:
-        mass = assemble_mini_mass(mesh).data
-        for start in range(0, data.size, 64 * FILL_BLOCK):
-            part = slice(start, start + 64 * FILL_BLOCK)
-            data[part] += mass_coeff * mass[part]
+        _add_mini_mass(mesh, data, mass_coeff)
     return data
 
 
@@ -903,28 +921,64 @@ def _add_convection(mesh: Mesh2D, data: np.ndarray, advect, gamma_n_tags,
                           _edge_blocks(edges.wts * a_e[..., d] * edges.normals[:, None, c]))
 
 
-def assemble_mini_mass(mesh: Mesh2D) -> SparseMatrix:
-    """Velocity mass matrix on the MINI space (cached, read-only), stored on the
-    full MINI pattern so it adds to the velocity block through its data."""
+def mini_mass_block(mesh: Mesh2D) -> SparseMatrix:
+    """The scalar block of the MINI velocity mass, integral phi_a phi_b over
+    [l1 l2 l3 bubble] on the P1 pattern enriched with the bubbles, rows and
+    columns [vertices | bubbles] (cached, read-only).  The mass is this
+    block on the x-x and the y-y velocity blocks and zero elsewhere, so it
+    is held once: :func:`_add_mini_mass` adds it to velocity block data and
+    :func:`mini_mass_product` applies it."""
     def build():
-        geo = geometry(mesh)
-        block = _tab(geo.qw, _products(MINI_VALS)).reshape(-1, 4, 4)
-        pattern = _mini_pattern(mesh)
-        # Only the x-x and y-y blocks are nonzero, and no data entry lies in
-        # both, so each sums in element order as in a whole (NT, 8, 8) fill.
-        data = np.zeros(pattern.nnz)
-        for comp in (slice(0, 4), slice(4, 8)):
-            np.add.at(data, pattern.scatter[:, comp, comp].ravel(), block.ravel())
-        return _frozen_csr(pattern.matrix(data))
+        pattern = _Pattern.with_bubbles(_p1_pattern(mesh), mesh.triangles)
+        block = _tab(geometry(mesh).qw, _products(MINI_VALS)).reshape(-1, 4, 4)
+        return _frozen_csr(pattern.matrix(pattern.fill(block)))
 
-    return cached(mesh, "mini_mass", build)
+    return cached(mesh, "mini_mass_block", build)
+
+
+def _add_mini_mass(mesh: Mesh2D, data: np.ndarray, coeff: float) -> None:
+    """Add ``coeff`` times the MINI mass to the MINI data ``data``: the
+    scalar block at its x-x and y-y positions, a block of rows at a time,
+    so that no full-size temporary is made.  By the layout of
+    :meth:`_Pattern.blocked`, entry e of row i of the block lies at
+    indptr[i] + e of the x-x block and at 2 nnz + indptr[i + 1] + e of the
+    y-y block."""
+    mass = mini_mass_block(mesh)
+    for start in range(0, mass.shape[0], FILL_BLOCK):
+        ptr = mass.indptr[start:start + FILL_BLOCK + 1]
+        deg = np.diff(ptr)
+        at = np.repeat(ptr[:-1], deg) + np.arange(ptr[0], ptr[-1])
+        part = coeff * mass.data[ptr[0]:ptr[-1]]
+        data[at] += part
+        at += np.repeat(deg, deg)
+        at += 2 * mass.nnz
+        data[at] += part
+
+
+def mini_mass_product(mesh: Mesh2D, v: np.ndarray) -> np.ndarray:
+    """M v of the MINI velocity mass M and a velocity ``v`` (flow velocity
+    dofs): the scalar block applied to each component."""
+    mass, v = mini_mass_block(mesh), np.asarray(v, dtype=float)
+    n = mass.shape[0]
+    return np.concatenate([mass @ v[:n], mass @ v[n:]])
+
+
+def assemble_mini_mass(mesh: Mesh2D) -> SparseMatrix:
+    """Velocity mass matrix on the MINI space, on the full MINI pattern,
+    read-only: the scalar block (:func:`mini_mass_block`) at its x-x and y-y
+    positions.  Built on each call, for the tests and :mod:`verify`; the
+    solvers read the block."""
+    pattern = _mini_pattern(mesh)
+    data = np.zeros(pattern.nnz)
+    _add_mini_mass(mesh, data, 1.0)
+    return _frozen_csr(pattern.matrix(data))
 
 
 def _divergence_local(mesh: Mesh2D) -> np.ndarray:
     """(NT, 3, 2, 4) element blocks of B: [t, i, c, b] = integral psi_i d_c(phi_b)."""
     geo = geometry(mesh)
     psi = _tab(geo.qw, P1_VALS)  # (NT, 3): integral psi_i
-    bubble = _tab(geo.qw[:, None, :] * geo.grad_bubble.transpose(0, 2, 1),
+    bubble = _tab(geo.qw[:, None, :] * geo.bubble_grads().transpose(0, 2, 1),
                   P1_VALS)  # (NT, 2, 3): integral psi_i d_c(bubble)
     local = np.empty((mesh.num_triangles, 3, 2, 4))
     local[..., :3] = psi[:, :, None, None] * geo.grad_p1.transpose(0, 2, 1)[:, None]
@@ -1071,7 +1125,7 @@ class CondensedSaddle:
     layout: _CondensedLayout
     A_vv: SparseMatrix  # full velocity block on the MINI pattern
     B: SparseMatrix
-    matrix: SparseMatrix
+    matrix: SparseMatrix | None  # None once released (take_matrix)
     inv_bb: np.ndarray  # (NT, 2, 2) inverse bubble blocks
     w_lb: np.ndarray | None  # (NT, 9, 2) K_lb A_bb^-1 of the Schur complement, until condensed
 
@@ -1086,6 +1140,12 @@ class CondensedSaddle:
         corr = (w_lb @ rhs[lay.bubbles][:, :, None])[..., 0]  # (NT, 9)
         return rhs[lay.p1_dofs] - np.bincount(lay.elem.ravel(), weights=corr.ravel(),
                                               minlength=lay.p1_dofs.size)
+
+    def take_matrix(self) -> SparseMatrix:
+        """The condensed matrix, which the saddle releases: a solve that
+        rebinds it to its eliminated copy frees it before factorizing."""
+        matrix, self.matrix = self.matrix, None
+        return matrix
 
     def recover(self, x_l: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Full flow vector from the P1 solution, bubbles A_bb^-1 (b_b - K_bl x_l)."""

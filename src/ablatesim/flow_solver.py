@@ -230,8 +230,7 @@ def _solve_linear(problem: FlowProblem, advect, newton: bool = False,
         saddle = fem_core.assemble_condensed_saddle(mesh, sample.nu, advect=advect,
                                                     gamma_n_tags=gamma_n, mass_coeff=mass_coeff)
     if include_time:
-        M = fem_core.assemble_mini_mass(mesh)
-        rhs_v = rhs_v + mass_coeff * (M @ np.asarray(sample.v_h, dtype=float))
+        rhs_v = rhs_v + mass_coeff * fem_core.mini_mass_product(mesh, sample.v_h)
     rhs = np.concatenate([rhs_v, np.zeros(dm.n_pressure)])
 
     system = problem.system
@@ -241,7 +240,10 @@ def _solve_linear(problem: FlowProblem, advect, newton: bool = False,
         dofs, vals = flow_constraints(problem)
         system.constrain(saddle.layout.index[dofs], vals, fem_core.vertex_order(mesh, 3))
     x0 = None if guess is None else np.concatenate(guess)[saddle.layout.p1_dofs]
-    x_l = system.solve(saddle.matrix, saddle.condense(rhs), x0=x0)
+    # The condensed matrix is held by nothing but the solve, which frees it
+    # once it is eliminated.
+    rhs_l = saddle.condense(rhs)
+    x_l = system.solve(saddle.take_matrix(), rhs_l, x0=x0)
     # The solve's own accounting says whether it returned its start, the
     # constrained entries included; then the guess keeps its bubbles if the
     # contracts hold on it as it is.
@@ -335,23 +337,39 @@ def solve_flow_stationary(problem: FlowProblem):
         v, NEWTON_TOL, NEWTON_MAX)
 
 
+# The table of viscous_dissipation: the bubble gradient weights, then a row
+# of ones for the constant P1 part.
+_STRAIN_TABLE = fem_core._frozen(np.vstack([fem_core.BUBBLE_GRAD_WEIGHTS.T,
+                                            np.ones(fem_core.BUBBLE_GRAD_WEIGHTS.shape[0])]))
+
+
 def viscous_dissipation(mesh: Mesh2D, v: np.ndarray) -> np.ndarray:
     """(NT, NQ) D(v):D(v), the viscous dissipation per unit viscosity, at the
     quad points of the MINI velocity ``v`` (flow dofs or element
-    coefficients); contracted from the element coefficients (a constant P1
-    Jacobian plus bubble coefficient times bubble gradient), no per-point
-    Jacobian built."""
+    coefficients), with no bubble gradient formed.  That gradient is
+    27 sum_m w_qm grad(l_m), with w the (NQ, 3) table
+    :data:`fem_core.BUBBLE_GRAD_WEIGHTS`, so each strain component D_xx,
+    D_yy, D_xy of a triangle is a constant P1 part plus sum_m c_m w_qm, the
+    c_m made of its bubble coefficients and grad(l_m): one (3 NT, 4) x
+    (4, NQ) GEMM of [c | P1 part] with [w^T; 1] gives all three."""
     geo = fem_core.geometry(mesh)
     coeff = fem_core.velocity_element_coeffs(mesh, v)  # (NT, 2, 4)
-    jac = coeff[:, :, :3] @ geo.grad_p1  # (NT, 2, 2) P1 part, [c, d] = d(v_c)/d(x_d)
-    bx, by = coeff[:, 0, 3, None], coeff[:, 1, 3, None]
-    gx, gy = geo.grad_bubble[..., 0], geo.grad_bubble[..., 1]
+    g = geo.grad_p1  # (NT, 3, 2)
+    jac = coeff[:, :, :3] @ g  # (NT, 2, 2) P1 part, [c, d] = d(v_c)/d(x_d)
+    b = 27.0 * coeff[:, :, 3, None]  # (NT, 2, 1)
+    strain = np.empty((3, mesh.num_triangles, 4))  # [D_xx | D_yy | D_xy] coefficients
+    np.multiply(b[:, 0], g[:, :, 0], out=strain[0, :, :3])
+    np.multiply(b[:, 1], g[:, :, 1], out=strain[1, :, :3])
+    np.multiply(b[:, 0], g[:, :, 1], out=strain[2, :, :3])
+    strain[2, :, :3] += b[:, 1] * g[:, :, 0]
+    strain[2, :, :3] *= 0.5
+    strain[0, :, 3] = jac[:, 0, 0]
+    strain[1, :, 3] = jac[:, 1, 1]
+    strain[2, :, 3] = 0.5 * (jac[:, 0, 1] + jac[:, 1, 0])
+    d = fem_core._tab(strain, _STRAIN_TABLE)  # (3, NT, NQ)
     # D:D = D_xx^2 + D_yy^2 + 2 D_xy^2, formed in place.
-    out = np.square(jac[:, 0, 0, None] + bx * gx)
-    out += np.square(jac[:, 1, 1, None] + by * gy)
-    dxy = bx * gy
-    dxy += by * gx
-    dxy += (jac[:, 0, 1] + jac[:, 1, 0])[:, None]
-    dxy *= 0.5
-    out += 2.0 * np.square(dxy, out=dxy)
+    np.square(d, out=d)
+    out = np.add(d[0], d[1])
+    d[2] *= 2.0
+    out += d[2]
     return out

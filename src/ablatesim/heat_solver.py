@@ -128,8 +128,9 @@ class HeatProblem:
         if self.sample.v_h is None or self.transport.v_h is None:
             raise ValueError("a heat problem needs the velocity, its samples' v_h")
         for name, arr in (("theta_prev", self.sample.theta_h), ("v_prev", self.sample.v_h),
-                          ("v", self.transport.v_h), ("phi", self.phi)):
-            if not np.isfinite(np.asarray(arr, dtype=float)).all():
+                          ("v", self.transport.v_h), ("phi", self.phi),
+                          ("theta_prev2", self.theta_prev2)):
+            if arr is not None and not np.isfinite(np.asarray(arr, dtype=float)).all():
                 raise ValueError(f"{name} contains non-finite values")
 
 
@@ -203,14 +204,17 @@ def entropy_residual(sample: FieldSample, theta_prev2: np.ndarray, source: np.nd
     return _cell_sup(res)
 
 
-def _cell_speed_max(coeffs: np.ndarray, v_qp: np.ndarray) -> np.ndarray:
-    """Per-cell sup of |v| sampled at quadrature points (``v_qp``) and
-    vertices, whose values are the (NT, 2, 4) element coefficients'
-    ``coeffs[:, :, :3]`` (the bubble vanishes there).  The largest
-    vx^2 + vy^2 is taken first and its square root once per cell: sqrt is
-    monotone and correctly rounded, so this is the largest |v|."""
-    sq = np.square(v_qp[..., 0])
-    sq += np.square(v_qp[..., 1])
+def _cell_speed_max(coeffs: np.ndarray) -> np.ndarray:
+    """Per-cell sup of |v| sampled at the quadrature points and the
+    vertices of the MINI velocity of (NT, 2, 4) element coefficients
+    ``coeffs``.  The quadrature values are one (2 NT, 4) x (4, NQ) GEMM; the
+    vertex values are ``coeffs[:, :, :3]`` (the bubble vanishes there).  The
+    largest vx^2 + vy^2 is taken first and its square root once per cell:
+    sqrt is monotone and correctly rounded, so this is the largest |v|."""
+    v_qp = fem_core._tab(coeffs, fem_core.MINI_VALS.T)  # (NT, 2, NQ)
+    sq = np.square(v_qp[:, 0])
+    sq += np.square(v_qp[:, 1])
+    del v_qp
     sq_v = np.square(coeffs[:, 0, :3])
     sq_v += np.square(coeffs[:, 1, :3])
     return np.sqrt(np.maximum(_cell_sup(sq), _cell_sup(sq_v)))
@@ -244,12 +248,10 @@ def artificial_viscosity(mesh: Mesh2D, residuals, theta: np.ndarray,
 
 def _robin_term(problem: HeatProblem, tag: int, bc: HeatBC):
     """(matrix data, load) of the Robin tag ``tag``, the load sampled at the
-    problem's time; the matrix is a per-mesh constant, built once."""
-    mesh = problem.sample.mesh
-    edges = fem_core.boundary_edges(mesh, (tag,))
+    problem's time."""
+    edges = fem_core.boundary_edges(problem.sample.mesh, (tag,))
     w = bc.alpha * edges.wts
-    data = fem_core.cached(mesh, ("robin", tag, bc.alpha), lambda: edges.mass(w))
-    return data, edges.load(w * fem_core.sample(bc.value, edges.pts, problem.time))
+    return edges.mass(w), edges.load(w * fem_core.sample(bc.value, edges.pts, problem.time))
 
 
 def inflow_weights(mesh: Mesh2D, coeffs: np.ndarray) -> np.ndarray:
@@ -295,7 +297,8 @@ def _boundary_terms(problem: HeatProblem):
     the transporting velocity enters the domain (v.n < 0), so a switched-off
     jet imposes nothing.  Matrix data, on the full P1 pattern, are None when
     no tag contributes.  The Robin pair of constant ambient temperatures is
-    a per-mesh constant, built once.
+    a per-mesh constant, built once; with a callable ambient temperature it
+    is formed at each call, at the problem's time.
     """
     mesh = problem.sample.mesh
     robin = tuple((tag, bc.alpha, bc.value) for tag, bc in sorted(problem.bc.items())
@@ -393,11 +396,11 @@ def solve_heat_step(problem: HeatProblem) -> np.ndarray:
     joule = cache(lambda: joule_density(sample.mesh, sample.sigma, problem.phi))
     source = cache(lambda: heat_source(sample.nu, sample.strain, joule()))
     # The viscosity comes first, so its residual's temporaries are freed
-    # before the system is built; so are v^{n-1}'s values, which the system
-    # does not read unless the sample is also the transport.
+    # before the system is built; so is v^{n-1}'s D(v):D(v), which the
+    # system does not read unless the sample is also the transport.
     art = _cell_viscosity(problem, source)
     if sample is not transport:
-        sample.drop("v", "strain")
+        sample.drop("strain")
         source = cache(lambda: heat_source(sample.nu, transport.strain, joule()))
     A_sys, rhs = _heat_system(problem)(sample.theta_h, sample, source, art[:, None])
     return _solve(problem, A_sys, rhs, sample.theta_h)

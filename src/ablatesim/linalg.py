@@ -50,13 +50,17 @@ RESIDUAL_TOL = 1e-10  # relative residual bound of every solve_lu return
 # 192x64; a system 10 iterations do not reach is cheaper to factorize.
 KRYLOV_CAP = 10
 # Stored entries of an eliminated matrix from which every factor is single
-# precision (HeldLU.solve).  Timed on the systems of a cold
-# test1-physics step, one BLAS thread: a float32 factor application took as
-# long as a float64 one for the potential and the heat at 192x64 (60-87 k
+# precision (HeldLU.solve).  Timed on the systems of a cold test1-physics
+# step, one BLAS thread: a float32 factor application took as long as a
+# float64 one for the potential and the heat at 192x64 (60,243 and 86,785
 # entries), 8% less for the flow at 96x32 (187 k), ~1 ms of a ~39 ms step,
 # and 18% less for the flow at 192x64 (759 k), whose factorization also fell
-# 21%; reused solves took the same GMRES iterations in both precisions.
-SINGLE_NNZ = 500_000
+# 21%; reused solves took the same GMRES iterations in both precisions.  At
+# 192x64 the two P1 factors (653,638 and 740,588 entries) hold 5.6 MB less in
+# float32, and factorized in 26.4-33.5 ms against 33.8-39.8 ms (potential)
+# and 36.1-38.2 ms against 37.8-41.8 ms (heat), two runs of 21 each.  The
+# test1 preset's systems (at most 44,995 entries) stay double.
+SINGLE_NNZ = 60_000
 
 
 class CooBuilder:
@@ -251,8 +255,8 @@ class _ScaledLU:
         diag = np.abs(A.diagonal())
         d = np.ones(n)
         np.divide(1.0, np.sqrt(diag), out=d, where=diag > 0.0)
-        inverse = np.empty(n, dtype=np.int64)
-        inverse[order] = np.arange(n)
+        inverse = np.empty(n, dtype=np.int32)  # a transient of the factorization
+        inverse[order] = np.arange(n, dtype=np.int32)
         # Scale in place of A's entries, gather the rows in the new order and
         # renumber the columns; the CSC conversion sorts the row indices.
         scaled = sp.csr_matrix(((A.data * np.repeat(d, np.diff(A.indptr)) * d[A.indices])
@@ -413,13 +417,22 @@ class HeldLU:
 
 
 def _same(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two index arrays are equal: at once when they view the same
-    memory alike, as the index arrays of matrices refilled on one per-mesh
-    pattern do (scipy wraps them in views of their own)."""
-    def layout(x):
-        return x.__array_interface__["data"][0], x.shape, x.strides, x.dtype
+    """Whether two index arrays are equal: at once when they are one array,
+    or each is a whole view of one array, as the index arrays of matrices
+    refilled on one per-mesh pattern are (scipy wraps them in views of their
+    own); else by their values."""
+    if a is b:
+        return True
+    base = a if a.base is None else a.base
+    return (_whole_view(a, base) and _whole_view(b, base)) or np.array_equal(a, b)
 
-    return layout(a) == layout(b) or np.array_equal(a, b)
+
+def _whole_view(x: np.ndarray, base) -> bool:
+    """Whether ``x`` is ``base`` or a view of all of it alike: with its
+    dtype, shape and strides.  A view lies in its base's memory, so it then
+    starts where the base starts and holds the same values."""
+    return ((x is base or x.base is base) and isinstance(base, np.ndarray)
+            and x.dtype == base.dtype and x.shape == base.shape and x.strides == base.strides)
 
 
 def fixed_point(step, x0: FieldVector, tol: float, max_iter: int):
@@ -487,7 +500,10 @@ class LinearSystem:
     def solve(self, A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None) -> FieldVector:
         """:func:`solve_lu` of the eliminated system with the held factor,
         from the guess ``x0``; x[dofs] is set to the values exactly."""
-        x = solve_lu(*self.eliminate(A, b), x0=x0, order=self.order, factor=self.factor)
+        # A is rebound to the eliminated matrix, so a caller that passes A
+        # and keeps no reference to it has it freed before the factorization.
+        A, b = self.eliminate(A, b)
+        x = solve_lu(A, b, x0=x0, order=self.order, factor=self.factor)
         x[self.dofs] = self.values
         return x
 
@@ -505,6 +521,7 @@ class LinearSystem:
             return A, b
         data = self._gather(A) if self._on_pattern(A) else None
         if data is None or not data.all() or A.data[self._zeros].any():
+            data = None  # freed before the structure is built again
             A = self._build(A)
             data = self._gather(A)
         if values.any():

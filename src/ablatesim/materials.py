@@ -130,19 +130,22 @@ class MaterialModel:
 
 class FieldSample:
     """The temperature ``theta_h`` (P1 nodal) and the velocity ``v_h`` (MINI
-    dofs) at the quadrature points of ``mesh``, with the laws of ``model`` and
-    D(v):D(v) there, and the velocity's (NT, 2, 4) MINI element coefficients
-    ``coeffs``, from which the velocity's values, the velocity-linear blocks
-    and the scalar ``advection`` matrix are formed.  The velocity's other
-    values are the per-cell speed ``speed`` of the artificial viscosity, the
-    heat's inflow weights -(v.n)_- on every boundary edge (``inflow``) with
-    their edge mass blocks (``inflow_mass``), and the diagnostics' |Bv|
-    (``div_norm``) and max|v| (``vmax``).  Each value is evaluated on first
-    read, then shared; a field may be None while its values are unread.  The
-    velocity's values are read-only, since :meth:`with_theta` hands them to
-    the next sample of the same velocity."""
+    dofs) of ``mesh``: the temperature at the quadrature points with the
+    laws of ``model`` there, and the velocity's (NT, 2, 4) MINI element
+    coefficients ``coeffs``, from which each of the velocity's values is
+    formed.  Those are D(v):D(v) at the quadrature points (``strain``), the
+    scalar ``advection`` matrix, the per-cell speed ``speed`` of the
+    artificial viscosity, the heat's inflow weights -(v.n)_- on every
+    boundary edge (``inflow``) with their edge mass blocks
+    (``inflow_mass``), and the diagnostics' |Bv| (``div_norm``) and max|v|
+    (``vmax``).  The velocity itself is not held at the quadrature points:
+    the cell speeds take those values from the coefficients by one GEMM and
+    drop them.  Each value is evaluated on first read, then shared; a field
+    may be None while its values are unread.  The velocity's values are
+    read-only, since :meth:`with_theta` hands them to the next sample of the
+    same velocity."""
 
-    VELOCITY_VALUES = ("coeffs", "v", "strain", "advection", "speed", "inflow",
+    VELOCITY_VALUES = ("coeffs", "strain", "advection", "speed", "inflow",
                        "inflow_mass", "div_norm", "vmax")
 
     def __init__(self, model: MaterialModel, mesh, theta_h, v_h=None):
@@ -154,8 +157,6 @@ class FieldSample:
     nu = cached_property(lambda self: self.model.nu(self.theta))
     coeffs = cached_property(lambda self: fem_core._frozen(
         fem_core.velocity_element_coeffs(self.mesh, self.v_h)))
-    v = cached_property(lambda self: fem_core._frozen(
-        fem_core.velocity_at_qp(self.mesh, self.coeffs)))
     advection = cached_property(lambda self: fem_core._frozen_csr(
         fem_core.assemble_advection(self.mesh, self.coeffs)))
     inflow_mass = cached_property(lambda self: fem_core._frozen(
@@ -174,7 +175,7 @@ class FieldSample:
     @cached_property
     def speed(self):
         from .heat_solver import _cell_speed_max
-        return fem_core._frozen(_cell_speed_max(self.coeffs, self.v))
+        return fem_core._frozen(_cell_speed_max(self.coeffs))
 
     @cached_property
     def inflow(self):

@@ -695,22 +695,31 @@ class TestSharedFields:
     def test_initialize_and_first_step_sample_each_velocity_once(self, monkeypatch):
         # The stationary heat's sample of v0 becomes the initial state's, so
         # step 1 reads v0 at the quadrature points from it, for the cell
-        # speeds of the artificial viscosity.  Nothing else is sampled there:
-        # the Newton systems, the Oseen block and the heat's advection and
-        # inflow weight read element coefficients (the reference map), and
-        # v^1 is first read at the quadrature points by step 2's residual.
-        sim = Simulation(preset("test1"))
-        seen = []
-        velocity_at_qp = fem_core.velocity_at_qp
+        # speeds of the artificial viscosity, from its element coefficients.
+        # Nothing else is sampled there: the Newton systems, the Oseen block
+        # and the heat's advection and inflow weight read element
+        # coefficients (the reference map), and no (NT, NQ, 2) velocity is
+        # formed (velocity_at_qp is never called).
+        from ablatesim import heat_solver
 
-        def recorded(mesh, u):
-            seen.append(u)  # kept alive, so every id stays distinct
+        sim = Simulation(preset("test1"))
+        seen, at_qp = [], []
+        speed, velocity_at_qp = heat_solver._cell_speed_max, fem_core.velocity_at_qp
+
+        def recorded(coeffs):
+            seen.append(coeffs)  # kept alive, so every id stays distinct
+            return speed(coeffs)
+
+        def formed(mesh, u):
+            at_qp.append(u)
             return velocity_at_qp(mesh, u)
 
-        monkeypatch.setattr(fem_core, "velocity_at_qp", recorded)
+        monkeypatch.setattr(heat_solver, "_cell_speed_max", recorded)
+        monkeypatch.setattr(fem_core, "velocity_at_qp", formed)
         state = sim.initialize()
         sim.advance(state)
         assert len(seen) == 1 and seen[0] is state.sample.coeffs
+        assert at_qp == []
 
     def test_strain_of_the_startup_state_is_never_evaluated(self, monkeypatch):
         # At startup the residual is off, so only v^1's D(v):D(v), the heat
@@ -773,9 +782,9 @@ class TestSharedFields:
         assert new.v is state.v and new.P is state.P
         # The initial state's coefficients and advection matrix came from the
         # stationary heat, its |Bv| and max|v| from its diagnostics; step 1
-        # evaluated v at the quad points, D(v):D(v), the cell speeds and the
-        # inflow weights with their edge mass.
-        assert counts == {"viscous_dissipation": 1, "velocity_at_qp": 1}
+        # evaluated D(v):D(v), the cell speeds and the inflow weights with
+        # their edge mass, none of them through velocity_at_qp.
+        assert counts == {"viscous_dissipation": 1}
         assert per_run == {name: 1 for name in (*FieldSample.VELOCITY_VALUES,
                                                 "assemble_boundary_load")}
         for name, value in values.items():
@@ -788,8 +797,8 @@ class TestSharedFields:
     def test_a_moving_velocity_has_each_value_evaluated_once_per_step(self, monkeypatch):
         # test3's buoyant flow moves at every step: v^n's values are
         # evaluated in the step that makes v^n or, for those that only the
-        # next step's lagged sample reads (v at the quad points and the cell
-        # speeds), in that step; each of them once.
+        # next step's lagged sample reads (the cell speeds), in that step;
+        # each of them once.
         from collections import Counter
 
         sim = Simulation(quick_config("test3", nx=24, ny=8, M=4))

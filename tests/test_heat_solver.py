@@ -34,15 +34,26 @@ def entropy_residual(mesh, model, th1, th2, v, phi, dt, alpha=2.0):
 
 
 def cell_speed(mesh, v):
-    coeffs = fem_core.velocity_element_coeffs(mesh, v)
-    return _cell_speed_max(coeffs, fem_core.velocity_at_qp(mesh, coeffs))
+    return _cell_speed_max(fem_core.velocity_element_coeffs(mesh, v))
+
+
+def cell_speed_of_values(coeffs, v_qp):
+    """The cell speeds from the (NT, NQ, 2) velocity ``v_qp`` at the quad
+    points, as a sample formed them when it held those values: the
+    reference of _cell_speed_max, which forms them from ``coeffs``."""
+    sq = np.square(v_qp[..., 0])
+    sq += np.square(v_qp[..., 1])
+    sq_v = np.square(coeffs[:, 0, :3])
+    sq_v += np.square(coeffs[:, 1, :3])
+    return np.sqrt(np.maximum(np.abs(sq).max(axis=1), np.abs(sq_v).max(axis=1)))
 
 
 def test_cell_speed_max_equals_the_largest_norm_bit_for_bit():
     # One square root per cell of the largest squared speed: sqrt is monotone
     # and correctly rounded, so this is the largest |v| of the samples.  The
     # vertex speeds come from the element coefficients, whose vertex values
-    # are the vertex dofs.
+    # are the vertex dofs, and the quad-point speeds from one GEMM of them,
+    # the same bits as velocity_at_qp's values.
     mesh = small_mesh(12, 6)
     v = np.random.default_rng(4).standard_normal(fem_core.dofmap_for(mesh).n_velocity)
     v_qp = fem_core.velocity_at_qp(mesh, v)
@@ -50,7 +61,8 @@ def test_cell_speed_max_equals_the_largest_norm_bit_for_bit():
     ref = np.maximum(np.linalg.norm(v_qp, axis=2).max(axis=1),
                      np.linalg.norm(vv, axis=1)[mesh.triangles].max(axis=1))
     coeffs = fem_core.velocity_element_coeffs(mesh, v)
-    assert _cell_speed_max(coeffs, v_qp).tobytes() == ref.tobytes()
+    assert _cell_speed_max(coeffs).tobytes() == ref.tobytes()
+    assert _cell_speed_max(coeffs).tobytes() == cell_speed_of_values(coeffs, v_qp).tobytes()
 
 
 def artificial_viscosity(mesh, residuals, theta, v, params):
@@ -193,7 +205,7 @@ def expanded_residual(sample, theta_prev2, source, dt, stab):
         res = np.maximum(th1_q, floor) ** a
         res -= np.maximum(th2_q, floor) ** a
         res /= a * dt
-    term = np.einsum("tqd,td->tq", sample.v, grad1)
+    term = np.einsum("tqd,td->tq", fem_core.velocity_at_qp(sample.mesh, sample.coeffs), grad1)
     if a == 1.0:
         res += term
         res -= source
@@ -383,6 +395,27 @@ class TestHeatStep:
         with pytest.raises(ValueError, match="needs the velocity"):
             solve(problem)
 
+    def test_non_finite_theta_prev2_is_named(self):
+        # theta^{n-2} feeds the entropy residual; a NaN there is named before
+        # any system is built, as the other fields' are, and does not reach
+        # the factorization.
+        from ablatesim.coupler import Simulation
+        from ablatesim.sim_cli import preset
+
+        cfg = preset("test1")
+        cfg.geometry.nx, cfg.geometry.ny = 24, 8
+        sim = Simulation(cfg)
+        state = sim.initialize()
+        for _ in range(2):
+            state = sim.advance(state)
+        theta_prev2 = state.theta_prev.copy()
+        theta_prev2[5] = np.nan
+        dt = cfg.time.dt
+        problem = sim._heat_problem(FieldSample(sim.model, sim.mesh, state.theta, state.v),
+                                    theta_prev2, state.phi, dt, state.t + dt)
+        with pytest.raises(ValueError, match="theta_prev2 contains non-finite values"):
+            solve_heat_step(problem)
+
     def test_dirichlet_tag_imposed_exactly(self):
         mesh = small_mesh()
         bc = robin_bc()
@@ -450,13 +483,15 @@ class TestHeatStep:
 
     @staticmethod
     def count_field_evaluations(monkeypatch):
-        """Count the calls of velocity_at_qp and viscous_dissipation."""
+        """Count the calls of the two evaluations of the velocity at the quad
+        points: the cell speeds and viscous_dissipation."""
         from collections import Counter
 
         from ablatesim import flow_solver
 
         counts = Counter()
-        for owner, name in ((fem_core, "velocity_at_qp"), (flow_solver, "viscous_dissipation")):
+        for owner, name in ((heat_solver, "_cell_speed_max"),
+                            (flow_solver, "viscous_dissipation")):
             def counted(*args, _name=name, _original=getattr(owner, name)):
                 counts[_name] += 1
                 return _original(*args)
@@ -475,7 +510,7 @@ class TestHeatStep:
                                phi=rng.standard_normal(mesh.num_vertices))
         counts = self.count_field_evaluations(monkeypatch)
         solve_heat_step(problem)
-        assert counts == {"velocity_at_qp": 1, "viscous_dissipation": 1}
+        assert counts == {"_cell_speed_max": 1, "viscous_dissipation": 1}
         assert problem.art_visc.max() > 0.0
 
     def test_unread_strain_is_never_evaluated(self, monkeypatch):
@@ -486,7 +521,7 @@ class TestHeatStep:
                                include_physics_sources=False)
         counts = self.count_field_evaluations(monkeypatch)
         solve_heat_step(problem)
-        assert counts == {"velocity_at_qp": 1}
+        assert counts == {"_cell_speed_max": 1}
 
     def test_source_raises_temperature(self):
         mesh = small_mesh()

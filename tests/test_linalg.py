@@ -794,6 +794,29 @@ class TestLinearSystem:
             assert np.allclose(x, np.linspace(t, 2.0 * t, 10), rtol=1e-12, atol=0.0)
         assert system.builds == 1 and system.factor.krylov_solves == 1
 
+    def test_index_arrays_compared_by_layout_then_values(self, monkeypatch):
+        # Matrices refilled on one pattern hold views of its index arrays:
+        # they are the same at once, with no comparison of values.  Other
+        # arrays, views of part of one array among them, are compared by
+        # their values.
+        compared = []
+        array_equal = np.array_equal
+        monkeypatch.setattr(np, "array_equal", lambda a, b: compared.append(1) or array_equal(a, b))
+        A = laplacian_1d(8)
+        B = sp.csr_matrix((2.0 * A.data, A.indices, A.indptr), shape=A.shape)
+        C = sp.csr_matrix((3.0 * A.data, A.indices, A.indptr), shape=A.shape)
+        for x, y in ((A.indices, A.indices), (B.indices, C.indices), (A.indices, B.indices),
+                     (B.indptr, C.indptr)):
+            assert linalg._same(x, y)
+        assert compared == []
+        x = np.arange(10, dtype=np.int32)
+        assert linalg._same(x, x.copy()) and len(compared) == 1
+        assert not linalg._same(x[1:], x[:-1])  # one base, other starts
+        assert not linalg._same(x[::-1], x)  # one base, other strides
+        assert linalg._same(x[::2], x[::2].copy())
+        assert linalg._same(x.view(np.uint32), x)  # one base, another dtype: by values
+        assert len(compared) == 5
+
     def test_dofs_checked_once(self):
         with pytest.raises(ValueError, match="unique"):
             linalg.LinearSystem([1, 1], [0.0, 0.0])

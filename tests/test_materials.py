@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ablatesim import fem_core, flow_solver
+from ablatesim import fem_core, flow_solver, heat_solver
 from ablatesim.materials import (ADMISSIBLE_RANGE, BREAKPOINTS, DEFAULT_BUOYANCY_COEFF,
                                  BuoyancySettings, FieldSample, MaterialModel, branch_limits,
                                  validate_bounds)
@@ -298,13 +298,13 @@ class TestFieldSample:
         theta = 37.0 + 70.0 * rng.uniform(size=mesh.num_vertices)
         v = rng.standard_normal(fem_core.dofmap_for(mesh).n_velocity)
         ref = {"theta": fem_core.p1_at_qp(mesh, theta),
-               "v": fem_core.velocity_at_qp(mesh, v),
+               "speed": heat_solver._cell_speed_max(fem_core.velocity_element_coeffs(mesh, v)),
                "strain": flow_solver.viscous_dissipation(mesh, v)}
         for law in ("sigma", "eta", "nu"):
             ref[law] = getattr(model, law)(ref["theta"])
 
         counts = Counter()
-        for owner, name in ((fem_core, "p1_at_qp"), (fem_core, "velocity_at_qp"),
+        for owner, name in ((fem_core, "p1_at_qp"), (heat_solver, "_cell_speed_max"),
                             (flow_solver, "viscous_dissipation"), (MaterialModel, "sigma"),
                             (MaterialModel, "eta"), (MaterialModel, "nu")):
             def counted(*args, _name=name, _original=getattr(owner, name)):
@@ -317,5 +317,5 @@ class TestFieldSample:
         for _ in range(2):
             for name, value in ref.items():
                 assert np.array_equal(getattr(sample, name), value), name
-        assert counts == {"p1_at_qp": 1, "velocity_at_qp": 1, "viscous_dissipation": 1,
+        assert counts == {"p1_at_qp": 1, "_cell_speed_max": 1, "viscous_dissipation": 1,
                           "sigma": 1, "eta": 1, "nu": 1}

@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from ablatesim import fem_core, linalg, verify
+from ablatesim import fem_core, flow_solver, linalg, verify
 from ablatesim import mesh as mesh_mod
 from ablatesim.coupler import SimState, Simulation
 from ablatesim.fem_core import dofmap_for
@@ -16,6 +16,9 @@ from ablatesim.mesh import GAMMA1, GAMMA3, GAMMA5, GeometrySpec, Mesh2D, generat
 from ablatesim.sim_cli import preset
 
 RTOL = 1e-13
+# The bytes of the per-mesh constants of a test1 run at 48x16 after 3 steps
+# (test_per_mesh_constants_hold_their_bytes); int64 index arrays.
+HELD_BYTES_48x16 = 4_458_028
 
 
 def channel():
@@ -299,7 +302,7 @@ class TestCacheIntegrity:
         blocks = fem_core.assemble_mini_blocks(mesh, 1.0)
         geo = fem_core.geometry(mesh)
         arrays = [mesh.boundary_edge_owners(), mesh.boundary_outward_normals(),
-                  geo.qw, geo.qp, geo.grad_p1, geo.grad_bubble]
+                  geo.qw, geo.qp, geo.grad_p1, geo.inv]
         for A in (fem_core.assemble_mass(mesh), fem_core.assemble_mini_mass(mesh),
                   blocks["B"]):
             arrays += [A.data, A.indices, A.indptr]
@@ -385,3 +388,154 @@ class TestHotPath:
             state = sim.advance(state)
         assert "condensed_layout" in fem_core.geometry(sim.mesh).operators
         assert sorted_shapes == [(nv, nv)]
+
+
+# -- held forms against the forms they replaced ---------------------------------------
+
+
+def full_mini_mass_data(mesh):
+    """The MINI mass data on the full MINI pattern as they were held before
+    the scalar block alone was: both diagonal blocks scattered element by
+    element into zeros."""
+    geo = fem_core.geometry(mesh)
+    block = fem_core._tab(geo.qw, fem_core._products(fem_core.MINI_VALS)).reshape(-1, 4, 4)
+    pattern = fem_core._mini_pattern(mesh)
+    data = np.zeros(pattern.nnz)
+    for comp in (slice(0, 4), slice(4, 8)):
+        np.add.at(data, pattern.scatter[:, comp, comp].ravel(), block.ravel())
+    return data
+
+
+def dissipation_of_bubble_gradients(mesh, v):
+    """D(v):D(v) as it was formed from the whole (NT, NQ, 2) bubble
+    gradient, with the (3, NT, NQ) scales |P1 part| + |bubble part| of its
+    strain components [D_xx, D_yy, D_xy], each term taken in modulus, and
+    the moduli of those components."""
+    geo = fem_core.geometry(mesh)
+    coeff = fem_core.velocity_element_coeffs(mesh, v)
+    jac = coeff[:, :, :3] @ geo.grad_p1
+    bx, by = coeff[:, 0, 3, None], coeff[:, 1, 3, None]
+    gb = geo.grad_bubble
+    gx, gy = gb[..., 0], gb[..., 1]
+    out = np.square(jac[:, 0, 0, None] + bx * gx)
+    out += np.square(jac[:, 1, 1, None] + by * gy)
+    dxy = bx * gy
+    dxy += by * gx
+    dxy += (jac[:, 0, 1] + jac[:, 1, 0])[:, None]
+    dxy *= 0.5
+    strain = np.stack([jac[:, 0, 0, None] + bx * gx, jac[:, 1, 1, None] + by * gy, dxy])
+    out += 2.0 * np.square(dxy, out=dxy)
+    # 27 sum_m w_qm sum_k |R_mk| |inv_kd| bounds |d_d(bubble)| and every
+    # partial sum of either form's bubble gradient.
+    ref = np.abs(fem_core.P1_REF_GRADS)  # (3, 2): R
+    s = 27.0 * np.einsum("qm,mk,tkd->tqd", fem_core.BUBBLE_GRAD_WEIGHTS, ref, np.abs(geo.inv))
+    scale = np.stack([np.abs(jac[:, 0, 0, None]) + np.abs(bx) * s[..., 0],
+                      np.abs(jac[:, 1, 1, None]) + np.abs(by) * s[..., 1],
+                      0.5 * (np.abs(jac[:, 0, 1] + jac[:, 1, 0])[:, None]
+                             + np.abs(bx) * s[..., 1] + np.abs(by) * s[..., 0])])
+    return out, scale, np.abs(strain)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDER_MESHES))
+class TestHeldForms:
+    """Each constant held in a smaller form, or formed on demand, against
+    the form it replaced."""
+
+    def test_mini_mass_from_its_scalar_block(self, name):
+        mesh = BUILDER_MESHES[name]()
+        full = full_mini_mass_data(mesh)
+        assert fem_core.assemble_mini_mass(mesh).data.tobytes() == full.tobytes()
+        # M v per component and the velocity block with its mass term, both
+        # formed from the scalar block, equal the full-pattern forms; only a
+        # zero may differ in sign, since the full form added the zeros of
+        # its x-y blocks.
+        rng = np.random.default_rng(1)
+        dm = dofmap_for(mesh)
+        v = rng.standard_normal(dm.n_velocity)
+        mini = fem_core._mini_pattern(mesh)
+        assert np.array_equal(fem_core.mini_mass_product(mesh, v), mini.matrix(full) @ v)
+        advect = fem_core.velocity_element_coeffs(mesh, v)
+        for viscosity in (0.0021, 0.002 + 1e-4 * rng.uniform(size=fem_core.geometry(mesh).qw.shape)):
+            got = fem_core._velocity_block(mesh, viscosity, advect, (GAMMA3,), 20.0)
+            want = fem_core._velocity_block(mesh, viscosity, advect, (GAMMA3,))
+            want += 20.0 * full
+            assert np.array_equal(got, want)
+            differ = got.view(np.int64) != want.view(np.int64)
+            assert not got[differ].any()
+
+    def test_bubble_gradients_formed_on_demand(self, name):
+        mesh = BUILDER_MESHES[name]()
+        geo = fem_core.geometry(mesh)
+        held = fem_core._combine(fem_core.BUBBLE_REF_GRADS, geo.inv)  # as it was held
+        assert geo.grad_bubble.tobytes() == held.tobytes()
+        block = slice(100, 100 + fem_core.FILL_BLOCK)
+        assert geo.bubble_grads(block).tobytes() == held[block].tobytes()
+
+    def test_dissipation_within_its_roundoff_bound(self, name):
+        # Each strain component of either form is the P1 part plus the
+        # bubble part with at most ~8 roundings on the way, each of relative
+        # size eps against the sum of the terms' moduli (the scale); so the
+        # two differ by at most delta = 16 eps scale, and the squares by
+        # delta (2 |D| + delta), weighted 1, 1, 2.
+        mesh = BUILDER_MESHES[name]()
+        v = np.random.default_rng(2).standard_normal(dofmap_for(mesh).n_velocity)
+        want, scale, strain = dissipation_of_bubble_gradients(mesh, v)
+        delta = 16.0 * np.finfo(float).eps * scale
+        bound = np.tensordot([1.0, 1.0, 2.0], delta * (2.0 * strain + delta), axes=1)
+        got = flow_solver.viscous_dissipation(mesh, v)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= bound)
+
+
+def held_arrays(obj, found, seen):
+    """Every numpy array reachable from ``obj`` through attributes, dicts,
+    lists, tuples and sparse matrices, each object visited once."""
+    if id(obj) in seen or isinstance(obj, (type, str, bytes, int, float)) or callable(obj):
+        return found
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        found.append(obj)
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            held_arrays(value, found, seen)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            held_arrays(value, found, seen)
+    elif hasattr(obj, "__dict__"):
+        for value in vars(obj).values():
+            held_arrays(value, found, seen)
+    return found
+
+
+def held_bytes(arrays) -> int:
+    """The bytes of the memory the arrays hold: each owning array once."""
+    owners = {}
+    for arr in arrays:
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        owners[id(arr)] = arr.nbytes
+    return sum(owners.values())
+
+
+def test_per_mesh_constants_hold_their_bytes():
+    # A deterministic count of what a run keeps per mesh: the geometry and
+    # its operator cache after 3 steps from rest with test1 physics at
+    # 48x16.  It was 4,990,368 bytes when the geometry held the bubble
+    # gradients, the MINI mass sat on the full MINI pattern and each Robin
+    # tag kept its own copy beside the constant pair.
+    cfg = preset("test1")
+    sim = Simulation(cfg)
+    nv = sim.mesh.num_vertices
+    state = SimState(t=0.0, n=0, v=np.zeros(sim.dofmap.n_velocity), P=np.zeros(nv),
+                     theta=np.full(nv, sim.model.theta_b), phi=np.zeros(nv), theta_prev=None)
+    for _ in range(3):
+        state = sim.advance(state)
+    geo = fem_core.geometry(sim.mesh)
+    arrays = held_arrays(geo, [], set())
+    total = held_bytes(arrays)
+    assert total <= 1.02 * HELD_BYTES_48x16, total
+    # No per-point vector field is held but the quadrature points (the
+    # bubble gradients were).
+    nt, nq = geo.qw.shape
+    assert not [arr.shape for arr in arrays if arr.shape == (nt, nq, 2)
+                and arr is not geo.qp]

@@ -169,21 +169,21 @@ class _Geometry:
     mesh's cache of constants (:func:`cached`)."""
 
     def __init__(self, mesh: Mesh2D):
-        p = mesh.vertices
-        t = mesh.triangles
-        coords = p[t]  # (NT, 3, 2)
-        jac = np.stack([coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]], axis=2)
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        inv = np.empty_like(jac)
-        inv[:, 0, 0] = jac[:, 1, 1]
-        inv[:, 0, 1] = -jac[:, 0, 1]
-        inv[:, 1, 0] = -jac[:, 1, 0]
-        inv[:, 1, 1] = jac[:, 0, 0]
-        inv /= det[:, None, None]
+        # coords[d, k] holds component d of corner k of every triangle, so the
+        # (NT, 3, 2) view ``corners`` reads each (k, d) contiguously.
+        coords = mesh.vertices.T[:, mesh.triangles.T]  # (2, 3, NT)
+        corners = coords.transpose(2, 1, 0)
+        (x0, x1, x2), (y0, y1, y2) = coords
+        # The Jacobian [t, d, k] = (corner k+1 - corner 0)[d], and its inverse.
+        j00, j01, j10, j11 = x1 - x0, x2 - x0, y1 - y0, y2 - y0
+        det = j00 * j11 - j01 * j10
+        inv = np.empty((len(det), 2, 2))
+        for (i, j), entry in (((0, 0), j11), ((0, 1), -j01), ((1, 0), -j10), ((1, 1), j00)):
+            np.divide(entry, det, out=inv[:, i, j])
 
         self.det = det  # (NT,), twice the area
         self.qw = TRI_RULE.weights[None, :] * det[:, None]  # (NT, NQ), sums to area
-        self.qp = _combine(P1_VALS, coords)  # physical quad points
+        self.qp = _combine(P1_VALS, corners)  # physical quad points
         self.grad_p1 = _combine(P1_REF_GRADS, inv)  # (NT,3,2)
         self.inv = inv  # (NT,2,2), [t, k, d] = d(xi_k)/d(x_d)
         for arr in (self.det, self.qw, self.qp, self.grad_p1, self.inv):
@@ -202,12 +202,17 @@ class _Geometry:
 def _combine(table: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(NT, Q, 2) sums over k of table[q, k] x[t, k, d] for a (Q, K) reference
     table, added term by term in k order to a zero start, as
-    np.einsum("qk,tkd->tqd") adds them (so a zero sum is +0.0)."""
-    out = np.zeros((x.shape[0], table.shape[0], x.shape[2]))
+    np.einsum("qk,tkd->tqd") adds them (so a zero sum is +0.0).  Each
+    component is summed in a contiguous (Q, NT) buffer and stored with the
+    zero added last, which gives the same bytes: the zero start changes only
+    a sum of -0.0 terms, to +0.0."""
+    out = np.empty((x.shape[0], table.shape[0], x.shape[2]))
+    acc, term = np.empty(out.shape[1::-1]), np.empty(out.shape[1::-1])
     for d in range(x.shape[2]):
-        o = out[:, :, d]
-        for k in range(table.shape[1]):
-            o += x[:, k, d, None] * table[:, k]
+        np.multiply(table[:, 0, None], x[:, 0, d], out=acc)
+        for k in range(1, table.shape[1]):
+            acc += np.multiply(table[:, k, None], x[:, k, d], out=term)
+        np.add(acc.T, 0.0, out=out[:, :, d])
     return out
 
 
@@ -258,11 +263,20 @@ class _Pattern:
     def __init__(self, row_dofs: np.ndarray, col_dofs: np.ndarray, shape):
         ncols = shape[1]
         keys = (row_dofs[:, :, None] * ncols + col_dofs[:, None, :]).ravel()
-        uniq, inverse = np.unique(keys, return_inverse=True)
+        # np.unique(keys, return_inverse=True), in fewer passes: a stable
+        # sort runs fast on the nearly sorted keys of a numbered mesh.
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        new = np.empty(keys.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
+        uniq = sorted_keys[new]
+        scatter = np.empty(keys.size, dtype=np.int32)
+        scatter[order] = np.cumsum(new, dtype=np.int32) - 1
         self._set(shape,
                   np.searchsorted(uniq, np.arange(shape[0] + 1) * ncols),
                   uniq % ncols,
-                  inverse.reshape(row_dofs.shape[0], row_dofs.shape[1], col_dofs.shape[1]))
+                  scatter.reshape(row_dofs.shape[0], row_dofs.shape[1], col_dofs.shape[1]))
 
     def _set(self, shape, indptr, indices, scatter) -> None:
         self.shape = shape
@@ -284,22 +298,32 @@ class _Pattern:
         to ``_Pattern(elem, elem, (k*N, k*N))``."""
         n, nnz = base.shape[0], base.nnz
         indptr, deg = base.indptr, np.diff(base.indptr)
-        rows = np.repeat(np.arange(n), deg)
+        nt, m = base.scatter.shape[:2]
+        copies = np.arange(k, dtype=np.int32)
         # Row i of a block row starts at k*indptr[i] and holds the base columns
         # of row i shifted by c*N, for c = 0..k-1 in turn; every block row has
-        # k*nnz entries.  Base entry e of row i, copy c, sits at
-        # (k-1)*indptr[i] + e + c*deg[i].
-        copies = np.arange(k, dtype=np.int32)
-        row_cols = np.empty(k * nnz, dtype=np.int32)
-        at = (k - 1) * indptr[rows] + np.arange(nnz, dtype=np.int32)
-        row_cols[at + copies[:, None] * deg[rows]] = base.indices + n * copies[:, None]
-        # Local row a of element t lies in base row e[t, a], the row of its
-        # entry (a, 0), so the shifts need only (NT, n) gathers.
-        elem_rows = rows[base.scatter[:, :, 0]]
-        shift = ((k - 1) * indptr[elem_rows])[:, :, None] + deg[elem_rows][:, :, None] * copies
-        scatter = base.scatter[:, None, :, None, :] + shift[:, None, :, :, None]
-        scatter = scatter + (k * nnz * copies)[:, None, None, None]
-        nt, m = base.scatter.shape[:2]
+        # k*nnz entries.  Its piece c, of deg[i] entries, is read from copy c
+        # of the base columns laid end to end, c*nnz + indptr[i] onwards.
+        shifted = (base.indices + n * copies[:, None]).ravel()
+        src = np.repeat((copies * (nnz - deg[:, None]) - (k - 1) * indptr[:-1, None]).ravel(),
+                        np.repeat(deg, k))
+        src += np.arange(k * nnz, dtype=np.int32)
+        row_cols = shifted[src]
+        # Local row a of element t lies in base row r = e[t, a], the row of its
+        # entry (a, 0), so the shifts need only (NT, m) gathers: copy (c, c2)
+        # of its entry (a, b) sits at
+        # scatter[t, a, b] + (k-1)*indptr[r] + c2*deg[r] + c*k*nnz.
+        r = np.repeat(np.arange(n, dtype=np.int32), deg)[base.scatter[:, :, 0]]
+        shift = np.empty((nt, m, k), dtype=np.int32)
+        shift[:, :, 0] = (k - 1) * indptr[r]
+        for c in range(1, k):
+            shift[:, :, c] = shift[:, :, c - 1] + deg[r]
+        a, c2, b = np.indices((m, k, m)).reshape(3, -1)  # [a, c2, b] of a row of the block
+        row = np.take(base.scatter.reshape(nt, m * m), a * m + b, axis=1)
+        row += np.take(shift.reshape(nt, m * k), a * k + c2, axis=1)
+        scatter = np.empty((nt, k, m * k * m), dtype=np.int32)
+        for c in range(k):
+            np.add(row, c * k * nnz, out=scatter[:, c])
         return cls._new((k * n, k * n),
                         np.append((k * nnz * copies[:, None] + k * indptr[:-1]).ravel(),
                                   k * k * nnz),
@@ -311,30 +335,37 @@ class _Pattern:
         of ``triangles`` enriched with one bubble per triangle, built from it
         by arithmetic.  Equal to ``_Pattern(elem, elem, (NV+NT, NV+NT))``."""
         nv, nt, nnz = p1.shape[0], triangles.shape[0], p1.nnz
-        indptr = p1.indptr.astype(np.int64)
+        indptr, deg = p1.indptr.astype(np.int64), np.diff(p1.indptr)
         # The triangles at each vertex in triangle order, from one stable
         # order of the 3 NT incidences: q[i] incidences belong to the
         # vertices before i, and incidence (t, a) is number rank[t, a].
         flat = triangles.ravel()
         order = np.argsort(flat, kind="stable")
+        uses = np.bincount(flat, minlength=nv)
         q = np.zeros(nv + 1, dtype=np.int64)
-        np.cumsum(np.bincount(flat, minlength=nv), out=q[1:])
+        np.cumsum(uses, out=q[1:])
         rank = np.empty(3 * nt, dtype=np.int64)
         rank[order] = np.arange(3 * nt)
         # Vertex row i holds its P1 columns, then the bubbles of its
         # triangles, and starts at indptr[i] + q[i].  Bubble row t follows
-        # the vertex rows and holds [t0 t1 t2] in increasing order, then NV + t.
+        # the vertex rows and holds [t0 t1 t2] in increasing order, then NV + t;
+        # within[t, a] is the place of t_a among them.
         bubble_start = nnz + 3 * nt + 4 * np.arange(nt + 1)
-        within = (triangles[:, :, None] > triangles[:, None, :]).sum(axis=2)
-        indices = np.empty(bubble_start[-1], dtype=np.int64)
-        indices[np.arange(nnz) + q[np.repeat(np.arange(nv), np.diff(indptr))]] = p1.indices
-        indices[indptr[flat[order] + 1] + np.arange(3 * nt)] = nv + order // 3
-        indices[bubble_start[:-1, None] + within] = triangles
+        within = np.zeros((nt, 3), dtype=np.int64)
+        for a in range(3):
+            for b in range(3):
+                if a != b:
+                    within[:, a] += triangles[:, a] > triangles[:, b]
+        within += bubble_start[:-1, None]
+        indices = np.empty(bubble_start[-1], dtype=np.int32)
+        indices[np.arange(nnz) + np.repeat(q[:-1], deg)] = p1.indices
+        indices[np.repeat(indptr[1:], uses) + np.arange(3 * nt)] = nv + order // 3
+        indices[within] = triangles
         indices[bubble_start[:-1] + 3] = nv + np.arange(nt)
-        scatter = np.empty((nt, 4, 4), dtype=np.int64)
+        scatter = np.empty((nt, 4, 4), dtype=np.int32)
         scatter[:, :3, :3] = p1.scatter + q[triangles][:, :, None]
         scatter[:, :3, 3] = indptr[triangles + 1] + rank.reshape(nt, 3)
-        scatter[:, 3, :3] = bubble_start[:-1, None] + within
+        scatter[:, 3, :3] = within
         scatter[:, 3, 3] = bubble_start[:-1] + 3
         return cls._new((nv + nt, nv + nt), np.concatenate([indptr + q, bubble_start[1:]]),
                         indices, scatter)
@@ -410,10 +441,24 @@ def _nested_dissection(xy: np.ndarray, pattern: _Pattern) -> np.ndarray:
     form the separator, numbered after both halves, which are cut in turn.
     All sets of one level are cut together; within a leaf or a separator the
     vertices keep their index order.
+
+    Each coordinate is read as its rank among the distinct values of its
+    axis, so one integer sort of set * NV + rank per axis and level gives
+    every set's extremes and median.  No adjacent pair differs by more than
+    ``reach`` along an axis, so only the upper vertices within reach of the
+    median are searched for the separator.
     """
     nv = xy.shape[0]
-    rows = np.repeat(np.arange(nv), np.diff(pattern.indptr))
-    cols = pattern.indices
+    indptr, cols = pattern.indptr, pattern.indices
+    deg = np.diff(indptr)
+    values, ranks, reach = [], [], np.zeros(2)
+    for d in range(2):
+        coord = np.ascontiguousarray(xy[:, d])
+        vals, rank = np.unique(coord, return_inverse=True)
+        values.append(vals)
+        ranks.append(rank)
+        # The pattern is symmetric, so the largest difference is also the largest modulus.
+        reach[d] = (np.take(coord, cols) - np.repeat(coord, deg)).max(initial=0.0)
     # Each vertex's set occupies positions key.. of the order; a vertex still
     # to place is ``live``.  Every live set has more than ND_LEAF vertices.
     key = np.zeros(nv, dtype=np.int64)
@@ -425,10 +470,17 @@ def _nested_dissection(xy: np.ndarray, pattern: _Pattern) -> np.ndarray:
         s = (np.cumsum(per_key > 0) - 1)[key[v]]
         count = per_key[per_key > 0]
         first = np.cumsum(count) - count
-        pts = xy[v[np.argsort(s, kind="stable")]]
-        extent = np.maximum.reduceat(pts, first) - np.minimum.reduceat(pts, first)
-        c = xy[v, np.argmax(extent, axis=1)[s]]
-        median = c[np.lexsort((c, s))[first + count // 2]][s]
+        # The ranks along each axis of each set in increasing order: the
+        # lowest, median and highest of set k sit at first[k], + count[k] // 2
+        # and + count[k] - 1.
+        offset = np.repeat(nv * np.arange(count.size), count)
+        at = np.stack([first, first + count // 2, first + count - 1])
+        lo, mid, hi = np.stack([vals[np.sort(nv * s + rank[v])[at] - offset[at]]
+                                for vals, rank in zip(values, ranks)], axis=-1)
+        axis = np.argmax(hi - lo, axis=1)
+        median = mid[np.arange(count.size), axis][s]
+        axis = axis[s]
+        c = xy[v, axis]
         lower = c < median
         # A median equal to the set's minimum leaves the lower half empty;
         # then the vertices at the minimum are the lower half.
@@ -437,10 +489,13 @@ def _nested_dissection(xy: np.ndarray, pattern: _Pattern) -> np.ndarray:
         # an upper half, 0 for a placed vertex.
         half = np.zeros(nv, dtype=np.int64)
         half[v] = 2 * s + 2 - lower
-        row_half = half[rows]
-        cut = (row_half == half[cols] + 1) & ((row_half & 1) == 0)
+        near = v[~lower & (c - median <= reach[axis])]
+        near_deg = deg[near]
+        entries = (np.repeat(indptr[near] - np.cumsum(near_deg) + near_deg, near_deg)
+                   + np.arange(near_deg.sum()))
+        cut = half[cols[entries]] == np.repeat(half[near] - 1, near_deg)
         sep = np.zeros(nv, dtype=bool)
-        sep[rows[cut]] = True
+        sep[np.repeat(near, near_deg)[cut]] = True
         sep = sep[v]
         n_lower = np.bincount(s[lower], minlength=count.size)[s]
         n_upper = count[s] - n_lower - np.bincount(s[sep], minlength=count.size)[s]
@@ -1053,7 +1108,8 @@ class _CondensedLayout:
         self.index = np.full(dm.n_flow, -1, dtype=np.int64)  # -1 on bubbles
         self.index[self.p1_dofs] = np.arange(3 * nv)
         _frozen(self.index)
-        self.bubbles = _frozen(dm.velocity_element_dofs(mesh)[:, _BUBBLE])  # (NT, 2)
+        it = np.arange(len(t))
+        self.bubbles = _frozen(np.column_stack([dm.vx_bubble(it), dm.vy_bubble(it)]))  # (NT, 2)
         # MINI data positions of the bubble rows and columns: each holds only
         # its own triangle's entry, so a gather reads the element blocks.
         pos = mini.scatter.reshape(-1, 2, 4, 2, 4)  # [t, c, a, c2, b]
@@ -1063,37 +1119,37 @@ class _CondensedLayout:
         # Row c*NV + i of the condensed pattern holds copy c2 = 0, 1, 2 of P1
         # row i; velocity row c of vertex i in the MINI pattern (row
         # c*(NV+NT) + i, whose first NV rows are B's) holds copies 0 and 1,
-        # each followed by the bubbles at vertex i.  P1 entry e lies in row
-        # rows[e], at place offset[e], and its transpose is entry mirror[e].
+        # each followed by the bubbles at vertex i.  So copy (c, c2) of P1
+        # entry e of row i lies at e plus a per-row shift: the shift of that
+        # row's start, a copy's width per copy, less P1's start of the row.
         deg = np.diff(p1.indptr)
-        rows = np.repeat(np.arange(nv), deg)
-        offset = np.arange(p1.nnz) - p1.indptr[rows]
-        mirror = np.empty(p1.nnz, dtype=np.int64)
-        mirror[p1.scatter] = p1.scatter.transpose(0, 2, 1)
-        mirror_offset = mirror - p1.indptr[p1.indices]
+        start, entry = p1.indptr[:-1], np.arange(p1.nnz)
 
-        def mini_at(c, c2, i, off):
-            row = c * (nv + len(t)) + i
-            return mini.indptr[row] + c2 * (mini.indptr[row + 1] - mini.indptr[row]) // 2 + off
+        def mini_at(c, c2):
+            row = mini.indptr[c * (nv + len(t)):][:nv + 1]
+            return np.repeat(row[:-1] + c2 * (np.diff(row) // 2) - start, deg) + entry
 
-        def condensed_at(c, c2, i, off):
-            return self.pattern.indptr[c * nv + i] + c2 * deg[i] + off
+        def condensed_at(c, c2):
+            return np.repeat(3 * p1.nnz * c + 2 * start + c2 * deg, deg) + entry
 
         # The vertex-vertex entries of A_vv map one-to-one onto the condensed data.
-        c, c2 = np.arange(2)[:, None, None], np.arange(2)[:, None]
-        self.ll_src = _frozen(mini_at(c, c2, rows, offset).ravel())
-        self.ll_dst = _frozen(condensed_at(c, c2, rows, offset).ravel())
+        pairs = [(c, c2) for c in range(2) for c2 in range(2)]
+        self.ll_src = _frozen(np.concatenate([mini_at(c, c2) for c, c2 in pairs]))
+        self.ll_dst = _frozen(np.concatenate([condensed_at(c, c2) for c, c2 in pairs]))
         # B on the bubble columns, (NT, 3, 2), each of which holds its own
         # triangle's entry only, and the constant B / -B^T blocks on the vertex
         # columns: all read off B's data, summed in the same element order as
-        # fills of the element blocks would sum them.  0 - B, unlike -B, keeps
-        # a zero entry +0.0, as a fill of the negated blocks does.
+        # fills of the element blocks would sum them.  P1 entry e's transpose
+        # is entry mirror[e].  0 - B, unlike -B, keeps a zero entry +0.0, as a
+        # fill of the negated blocks does.
         self.b_bubble = _frozen(B.data[mini.scatter[:, :3, _BUBBLE]])
-        c = np.arange(2)[:, None]
+        mirror = np.empty(p1.nnz, dtype=np.int64)
+        mirror[p1.scatter] = p1.scatter.transpose(0, 2, 1)
         div = np.zeros(self.pattern.nnz)
-        div[condensed_at(2, c, rows, offset)] = B.data[mini_at(0, c, rows, offset)]
-        div[condensed_at(c, 2, rows, offset)] = 0.0 - B.data[mini_at(0, c, p1.indices,
-                                                                  mirror_offset)]
+        for c in range(2):
+            b_c = B.data[mini_at(0, c)]
+            div[condensed_at(2, c)] = b_c
+            div[condensed_at(c, 2)] = 0.0 - b_c[mirror]
         self.div_data = _frozen(div)
 
 

@@ -15,6 +15,7 @@ resolves it exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,9 @@ class GeometrySpec:
     ny: int = 16
 
     def validate(self) -> None:
+        for name in ("L", "H", "r"):
+            if not math.isfinite(getattr(self, name)):
+                raise MeshError(f"{name} must be finite, got {name}={getattr(self, name)}")
         if not (self.L > 0 and self.H > 0):
             raise MeshError(f"L and H must be positive, got L={self.L}, H={self.H}")
         if not (0 < 2 * self.r < self.L):
@@ -127,15 +131,20 @@ class Mesh2D:
             raise MeshError("one tag per boundary edge required")
         nv = self.vertices.shape[0]
         for kind, rows in (("triangle", self.triangles), ("boundary edge", self.boundary_edges)):
-            bad = np.flatnonzero(np.any((rows < 0) | (rows >= nv), axis=-1))
-            if bad.size:
+            # Two reductions clear a valid mesh; only a bad one is searched by row.
+            if rows.size and (rows.min() < 0 or rows.max() >= nv):
+                bad = np.flatnonzero(np.any((rows < 0) | (rows >= nv), axis=-1))
                 raise MeshError(f"{kind} {bad[0]} {rows[bad[0]].tolist()} has a vertex index "
                                 f"outside [0, {nv})")
+        finite = np.isfinite(self.vertices)
+        if not finite.all():
+            bad = int(np.argmin(finite.all(axis=1)))
+            raise MeshError(f"vertex {bad} {self.vertices[bad].tolist()} is not finite")
 
-        corners = self.vertices[self.triangles]  # (NT, 3, 2)
-        d1 = corners[:, 1] - corners[:, 0]
-        d2 = corners[:, 2] - corners[:, 0]
-        self.areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        # Corner coordinates (3, NT), one contiguous row per corner.
+        (x0, x1, x2), (y0, y1, y2) = (self.vertices[:, d][self.triangles.T] for d in range(2))
+        d1x, d1y, d2x, d2y = x1 - x0, y1 - y0, x2 - x0, y2 - y0
+        self.areas = 0.5 * (d1x * d2y - d1y * d2x)
         if np.any(self.areas <= 0.0):
             bad = int(np.argmin(self.areas))
             raise MeshError(
@@ -143,9 +152,9 @@ class Mesh2D:
                 "(degenerate or clockwise orientation)"
             )
         # Edge lengths sqrt(dx^2 + dy^2) of (v0, v1), (v1, v2), (v2, v0).
-        d3 = corners[:, 2] - corners[:, 1]
-        self.h = np.sqrt(np.maximum(np.maximum((d1 * d1).sum(axis=1), (d3 * d3).sum(axis=1)),
-                                    (d2 * d2).sum(axis=1)))
+        d3x, d3y = x2 - x1, y2 - y1
+        self.h = np.sqrt(np.maximum(np.maximum(d1x * d1x + d1y * d1y, d3x * d3x + d3y * d3y),
+                                    d2x * d2x + d2y * d2y))
 
         self._owners = self._validate_boundary()
         self.vertices.setflags(write=False)
@@ -163,8 +172,17 @@ class Mesh2D:
         return np.minimum(a, b) * self.num_vertices + np.maximum(a, b)
 
     def _triangle_edge_keys(self) -> np.ndarray:
-        """(3 NT,) keys of the triangle edges, triangle-major."""
-        return self._edge_keys(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2))
+        """(3 NT,) keys of the triangle edges (v0, v1), (v1, v2), (v2, v0),
+        triangle-major, formed a column at a time."""
+        t = self.triangles
+        keys, hi = np.empty_like(t), np.empty_like(t)
+        for j in range(3):
+            a, b = t[:, j], t[:, (j + 1) % 3]
+            np.minimum(a, b, out=keys[:, j])
+            np.maximum(a, b, out=hi[:, j])
+        keys *= self.num_vertices
+        keys += hi
+        return keys.ravel()
 
     def _edge_use_counts(self) -> dict:
         keys, counts = np.unique(self._triangle_edge_keys(), return_counts=True)
@@ -178,9 +196,11 @@ class Mesh2D:
         triangle-edge keys."""
         keys = self._triangle_edge_keys()
         order = np.argsort(keys, kind="stable")
-        # The sorted keys, closed by a sentinel above every key.
-        sorted_keys = np.append(keys[order], np.iinfo(np.int64).max)
-        if np.any(sorted_keys[2:-1] == sorted_keys[:-3]):
+        # The sorted keys, closed by two sentinels above every key.
+        sorted_keys = np.empty(keys.size + 2, dtype=np.int64)
+        np.take(keys, order, out=sorted_keys[:-2])
+        sorted_keys[-2:] = np.iinfo(np.int64).max
+        if np.any(sorted_keys[2:-2] == sorted_keys[:-4]):
             raise MeshError("non-manifold edge: shared by more than 2 triangles")
         bkeys = self._edge_keys(self.boundary_edges)
         _, first = np.unique(bkeys, return_index=True)
@@ -194,14 +214,15 @@ class Mesh2D:
             if repeated[k]:
                 raise MeshError(f"edge {key} tagged more than once")
             raise MeshError(f"unknown boundary tag {int(self.boundary_tags[k])} on edge {key}")
-        # A topological boundary edge is used once: its sorted key differs
-        # from both neighbours.  The tagged keys are distinct by now.
-        step = sorted_keys[1:] != sorted_keys[:-1]
-        single = np.append(step & np.append(True, step[:-1]), False)
+        # A topological boundary edge is used once.  No key is used thrice, so
+        # of the 3 NT keys with U distinct values, 2 U - 3 NT are used once; a
+        # tagged key is one of them when its first sorted copy has no second.
+        # The tagged keys are distinct by now.
+        single = 2 * np.count_nonzero(sorted_keys[1:-1] != sorted_keys[:-2]) - keys.size
         pos = np.searchsorted(sorted_keys, bkeys)
-        covered = single[pos] & (sorted_keys[pos] == bkeys)
-        extra = int(bkeys.size - covered.sum())
-        missing = int(single.sum() - covered.sum())
+        covered = np.count_nonzero((sorted_keys[pos] == bkeys) & (sorted_keys[pos + 1] != bkeys))
+        extra = int(bkeys.size - covered)
+        missing = int(single - covered)
         if missing or extra:
             raise MeshError(
                 f"tagged edges must cover the topological boundary exactly "
@@ -263,8 +284,10 @@ def channel_mesh_arrays(spec: GeometrySpec):
     x = spec.x_grid()
     y = np.linspace(0.0, spec.H, ny + 1)
 
-    xx, yy = np.meshgrid(x, y, indexing="xy")
-    vertices = np.column_stack([xx.ravel(), yy.ravel()])
+    vertices = np.empty((ny + 1, nx + 1, 2))
+    vertices[:, :, 0] = x
+    vertices[:, :, 1] = y[:, None]
+    vertices = vertices.reshape(-1, 2)
 
     # Two triangles per cell, row by row: (v00, v10, v11), (v00, v11, v01).
     v00 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)[None, :]).ravel()

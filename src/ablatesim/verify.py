@@ -195,17 +195,18 @@ def _mms_mesh(nx, ny):
     spec = GeometrySpec(nx=nx, ny=ny, **MMS_GEOMETRY)
     verts, tris, edges, tags = mesh_mod.channel_mesh_arrays(spec)
     rng = np.random.default_rng(100000 + 1000 * nx + ny)
-    interior = np.setdiff1d(np.arange(verts.shape[0]), edges.ravel())
+    on_boundary = np.zeros(verts.shape[0], dtype=bool)
+    on_boundary[edges] = True
+    interior = np.flatnonzero(~on_boundary)
     hx = MMS_GEOMETRY["L"] / nx
     hy = MMS_GEOMETRY["H"] / ny
     verts[interior, 0] += rng.uniform(-MMS_JIGGLE, MMS_JIGGLE, interior.size) * hx
     verts[interior, 1] += rng.uniform(-MMS_JIGGLE, MMS_JIGGLE, interior.size) * hy
-    # The generator emits two triangles per cell: (v00, v10, v11), (v00, v11, v01).
-    k = np.nonzero(rng.random(tris.shape[0] // 2) < 0.5)[0]
-    v00, v10, v11 = tris[2 * k].T
-    v01 = tris[2 * k + 1, 2]
-    tris[2 * k] = np.column_stack([v00, v10, v01])
-    tris[2 * k + 1] = np.column_stack([v10, v11, v01])
+    # The generator emits two triangles per cell: (v00, v10, v11), (v00, v11, v01);
+    # a flipped cell is (v00, v10, v01), (v10, v11, v01).
+    cells = tris.reshape(-1, 6)
+    k = np.nonzero(rng.random(cells.shape[0]) < 0.5)[0]
+    cells[k] = cells[k][:, [0, 1, 5, 1, 2, 5]]
     return mesh_mod.Mesh2D(verts, tris, edges, tags)
 
 

@@ -1,0 +1,65 @@
+"""The statistics of tools/bench_pairs.py."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def test_quartiles_are_numpy_linear_percentiles():
+    values = [3.0, 1.0, 4.0, 1.5, 9.0, 2.6, 5.0]
+    assert bench_pairs.quartiles(values) == pytest.approx(
+        tuple(np.percentile(values, [25, 50, 75])), rel=1e-15)
+
+
+def test_a_resolved_gain():
+    parent = [40.0, 38.0, 41.0, 39.0, 42.0, 40.5, 39.5, 38.5, 41.5, 40.0]
+    change = [27.0, 26.0, 28.0, 27.5, 26.5, 27.2, 41.0, 26.8, 27.1, 27.3]  # pair 7 lost
+    r = bench_pairs.compare(parent, change, "lower")
+    assert r["pairs"] == 10 and r["change_wins"] == 9
+    assert r["parent"]["median"] == pytest.approx(40.0)
+    assert r["change"]["median"] == pytest.approx(27.15)
+    assert r["gap"] == pytest.approx(-12.85)
+    assert r["parent_iqr"] == pytest.approx(np.subtract(*np.percentile(parent, [75, 25])))
+    assert r["gain_resolved"]
+
+
+def test_ties_count_for_neither_side_and_direction_matters():
+    parent, change = [1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 5.0, 5.0]
+    low = bench_pairs.compare(parent, change, "lower")
+    high = bench_pairs.compare(parent, change, "higher")
+    assert low["change_wins"] == 1 and high["change_wins"] == 2
+    assert not low["gain_resolved"] and not high["gain_resolved"]
+
+
+def test_a_gap_inside_the_parent_spread_is_not_a_gain():
+    parent = [10.0, 14.0, 10.0, 14.0, 10.0, 14.0, 10.0, 14.0, 10.0, 14.0]
+    change = [p - 1.0 for p in parent]  # wins every pair, but by less than the IQR
+    r = bench_pairs.compare(parent, change, "lower")
+    assert r["change_wins"] == 10 and r["parent_iqr"] == pytest.approx(4.0)
+    assert not r["gain_resolved"]
+
+
+def test_table_skips_pairs_with_a_failed_run():
+    def run(value, correct=True):
+        return {"correct": correct, "metrics": {"setup_s": {"value": value, "unit": "s"}}}
+
+    runs = {"parent": [run(3.0), run(4.0), None, run(5.0)],
+            "change": [run(2.0), run(1.0, correct=False), run(1.0), run(2.5)]}
+    rows = bench_pairs.table(runs, [{"name": "setup_s", "better": "lower"},
+                                    {"name": "run_s", "better": "lower"}])
+    assert list(rows) == ["setup_s"]
+    assert rows["setup_s"]["pairs"] == 2 and rows["setup_s"]["change_wins"] == 2
+
+
+def test_compare_needs_two_equal_length_samples():
+    with pytest.raises(ValueError):
+        bench_pairs.compare([1.0], [1.0], "lower")
+    with pytest.raises(ValueError):
+        bench_pairs.compare([1.0, 2.0], [1.0], "lower")

@@ -273,3 +273,102 @@ class TestIO:
         path.write_text("\n".join(lines))
         with pytest.raises(MeshError, match="NB row"):
             load_mesh(path)
+
+
+# -- every MeshError message, each reached by one bad input ------------------------------
+
+TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+TRIANGLE_EDGES = [[0, 1], [1, 2], [2, 0]]
+
+
+def mesh_error_cases():
+    """(id, build, message pattern) for every MeshError of the mesh module."""
+    def spec(**kw):
+        return lambda: generate_channel_mesh(GeometrySpec(**{**dict(nx=20, ny=2), **kw}))
+
+    def triangle(vertices=TRIANGLE, triangles=([0, 1, 2],), edges=TRIANGLE_EDGES, tags=(1, 2, 3)):
+        return lambda: Mesh2D(vertices, list(triangles), edges, list(tags))
+
+    nan_vertex = TRIANGLE.copy()
+    nan_vertex[1, 1] = np.nan
+    return [
+        ("L_inf", spec(L=math.inf), r"L must be finite, got L=inf"),
+        ("H_inf", spec(H=math.inf), r"H must be finite, got H=inf"),
+        ("r_inf", spec(r=math.inf), r"r must be finite, got r=inf"),
+        ("L_nan", spec(L=math.nan), r"L must be finite, got L=nan"),
+        ("L_negative", spec(L=-1.0), r"L and H must be positive, got L=-1.0, H=0.5"),
+        ("r_too_wide", spec(r=0.8), r"need 0 < 2r < L, got r=0.8, L=1.5"),
+        ("ny_1", spec(ny=1), r"nx, ny must be >= 2, got nx=20, ny=1"),
+        ("no_grid_line", spec(nx=2, r=0.01), r"no grid line at x=0.74 for nx=2"),
+        ("no_split", spec(nx=2, r=0.375), r"cannot split nx=2 cells around the electrode"),
+        ("no_wall_cells", spec(nx=3, r=0.74),
+         r"nx=3 leaves no cells for the wall spans beside the electrode"),
+        ("vertices_shape", triangle(vertices=np.zeros((3, 3))),
+         r"vertices must have shape \(NV, 2\)"),
+        ("triangles_shape", triangle(triangles=([0, 1],)), r"triangles must have shape \(NT, 3\)"),
+        ("tag_count", triangle(tags=(1, 2)), r"one tag per boundary edge required"),
+        ("triangle_index", triangle(triangles=([0, 1, -1],)),
+         r"triangle 0 \[0, 1, -1\] has a vertex index outside \[0, 3\)"),
+        ("edge_index", triangle(edges=[[0, 1], [1, 2], [2, 3]]),
+         r"boundary edge 2 \[2, 3\] has a vertex index outside \[0, 3\)"),
+        ("vertex_nan", triangle(vertices=nan_vertex), r"vertex 1 \[1.0, nan\] is not finite"),
+        ("clockwise", triangle(triangles=([0, 2, 1],)),
+         r"triangle 0 has non-positive area -5.000e-01 \(degenerate or clockwise orientation\)"),
+        ("tagged_twice", triangle(edges=TRIANGLE_EDGES + [[1, 0]], tags=(1, 2, 3, 4)),
+         r"edge \(0, 1\) tagged more than once"),
+        ("unknown_tag", triangle(tags=(1, 2, 9)), r"unknown boundary tag 9 on edge \(0, 2\)"),
+        ("missing_edge", triangle(edges=TRIANGLE_EDGES[:2], tags=(1, 2)),
+         r"tagged edges must cover the topological boundary exactly \(missing 1, spurious 0\)"),
+    ]
+
+
+@pytest.mark.parametrize("build, message", [case[1:] for case in mesh_error_cases()],
+                         ids=[case[0] for case in mesh_error_cases()])
+def test_every_mesh_error_is_reached(build, message):
+    with pytest.raises(MeshError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", r"mesh file ends in the header section"),
+    ("MESH3D v9\n", r"bad mesh file header: 'MESH3D v9'"),
+    ("MESH2D v1\nNX 1\n", r"expected NV section, got 'NX'"),
+    ("MESH2D v1\nNV -1\n", r"NV count must be a nonnegative integer, got \['-1'\]"),
+    ("MESH2D v1\nNV 1\n0.0\n", r"NV row \['0.0'\] has 1 fields, expected 2"),
+    ("MESH2D v1\nNV 1\n0.0 a\n", r"NV section: could not convert string to float: 'a'"),
+], ids=["empty", "header", "section_name", "count", "fields", "value"])
+def test_every_mesh_file_error_is_reached(tmp_path, text, message):
+    path = tmp_path / "bad.mesh"
+    path.write_text(text)
+    with pytest.raises(MeshError, match=message):
+        load_mesh(path)
+
+
+def test_non_finite_geometry_never_reaches_the_mesh():
+    # H = inf used to pass validate() and build a mesh with non-finite vertices.
+    spec = GeometrySpec(H=math.inf, nx=20, ny=2)
+    with pytest.raises(MeshError, match="H must be finite"):
+        spec.validate()
+    with pytest.raises(MeshError, match="H must be finite"):
+        channel_mesh_arrays(spec)
+
+
+def test_nan_vertex_rejected_before_any_arithmetic():
+    # A NaN y on the 20x2 channel used to give NaN areas and NaN h, since
+    # NaN <= 0 reads False.  The check comes before the areas, so no
+    # RuntimeWarning is raised on the way.
+    vertices, triangles, edges, tags = channel_mesh_arrays(GeometrySpec(nx=20, ny=2))
+    vertices[25, 1] = np.nan
+    with pytest.raises(MeshError, match=r"vertex 25 \[.*, nan\] is not finite"):
+        Mesh2D(vertices, triangles, edges, tags)
+
+
+def test_nan_coordinate_in_a_mesh_file_rejected(tmp_path):
+    # float() reads "nan", so a mesh file reaches the finite check too.
+    path = tmp_path / "nan.mesh"
+    save_mesh(generate_channel_mesh(GeometrySpec(nx=20, ny=2)), path)
+    lines = path.read_text().splitlines()
+    lines[2 + 25] = "0.5 nan"  # vertex 25, after the header and the NV line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshError, match=r"vertex 25 \[0.5, nan\] is not finite"):
+        load_mesh(path)

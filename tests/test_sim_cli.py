@@ -356,6 +356,15 @@ class TestCLI:
         assert main(["run", "--config", str(cfgfile)]) == 2
         assert path in capsys.readouterr().err
 
+    def test_run_infinite_geometry_exit_2(self, tmp_path, capsys):
+        # json writes and reads Infinity; the config reader rejects it before
+        # GeometrySpec.validate, which rejects it for callers of the API.
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"preset": "test1", "geometry": {"H": float("inf")}}))
+        assert "Infinity" in cfgfile.read_text()
+        assert main(["run", "--config", str(cfgfile)]) == 2
+        assert "geometry.H: expected a number" in capsys.readouterr().err
+
     def test_all_neumann_potential_exit_2_before_solves(self, tmp_path, monkeypatch, capsys):
         def no_solve(*args, **kwargs):
             raise AssertionError("a solve ran before the config was rejected")

@@ -1,0 +1,131 @@
+"""Interleaved parent/change pairs of the benchmark, and their statistics.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload mms \
+        [--workload fine_cold ...] [--pairs 10] [--json OUT.json]
+
+Runs ``python3 benchmark/run.py --workload W`` in each checkout (each with
+its own benchmark/ and BENCHMARK.json), ``--pairs`` times a side, the parent
+first in odd pairs and the change first in even ones.  Each run's result is
+the JSON object on the last line of its standard output.  For every
+end-to-end metric that BENCHMARK.json lists, it prints each side's median
+and quartiles, the pairs the change won (ties count for neither side), the
+gap between the medians and the parent's interquartile range, and whether a
+gain is resolved: the change wins at least nine tenths of the pairs and its
+median is better than the parent's by more than that range.  A pair in
+which either run failed counts for no metric.  ``--json`` writes the same
+table and every run's metrics.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile), linear between order
+    statistics (numpy's default percentile)."""
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def compare(parent: list[float], change: list[float], better: str) -> dict:
+    """The statistics of one metric over pairs ``zip(parent, change)``;
+    ``better`` is "lower" or "higher"."""
+    if len(parent) != len(change) or len(parent) < 2:
+        raise ValueError("need two or more pairs of equal length")
+    sign = -1.0 if better == "lower" else 1.0
+    p_q1, p_med, p_q3 = quartiles(parent)
+    c_q1, c_med, c_q3 = quartiles(change)
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    gap = c_med - p_med
+    iqr = p_q3 - p_q1
+    return {
+        "better": better, "pairs": len(parent),
+        "parent": {"q1": p_q1, "median": p_med, "q3": p_q3},
+        "change": {"q1": c_q1, "median": c_med, "q3": c_q3},
+        "change_wins": wins, "gap": gap,
+        "rel_gap": gap / p_med if p_med else None,
+        "parent_iqr": iqr,
+        "gain_resolved": wins >= 0.9 * len(parent) and sign * gap > iqr,
+    }
+
+
+def run_benchmark(checkout: Path, workload: str) -> dict | None:
+    """The benchmark's result object for one run in ``checkout``, or None
+    when the run printed no result line."""
+    proc = subprocess.run([sys.executable, "benchmark/run.py", "--workload", workload],
+                          cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+    except json.JSONDecodeError:
+        return None
+
+
+def table(runs: dict, metrics: list[dict]) -> dict:
+    """{metric: compare(...)} over the pairs in which both runs are correct.
+    ``runs`` maps "parent" and "change" to lists of result objects."""
+    ok = [(p, c) for p, c in zip(runs["parent"], runs["change"])
+          if p and c and p["correct"] and c["correct"]]
+    out = {}
+    for m in metrics:
+        name = m["name"]
+        pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in ok
+                 if name in p["metrics"] and name in c["metrics"]]
+        if len(pairs) >= 2:
+            out[name] = compare([p for p, _ in pairs], [c for _, c in pairs], m["better"])
+    return out
+
+
+def report(workload: str, rows: dict) -> list[str]:
+    lines = [f"# {workload}: metric (better) | parent median [q1, q3] | change median [q1, q3]"
+             " | change wins | gap | parent IQR | gain resolved"]
+    for name, r in rows.items():
+        p, c = r["parent"], r["change"]
+        lines.append(
+            f"{workload} {name} ({r['better']}) | {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
+            f" | {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}] | {r['change_wins']}/{r['pairs']}"
+            f" | {r['gap']:+.6g} | {r['parent_iqr']:.6g} | {r['gain_resolved']}")
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--json", type=Path)
+    args = ap.parse_args(argv)
+
+    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    result = {"pairs": args.pairs, "checkouts": {k: str(v) for k, v in sides.items()},
+              "order": "parent first in odd pairs, change first in even pairs",
+              "workloads": {}}
+    for workload in args.workload:
+        runs = {"parent": [], "change": []}
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(run_benchmark(sides[side], workload))
+            print(f"# {workload} pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
+        rows = table(runs, metrics)
+        print("\n".join(report(workload, rows)), flush=True)
+        failed = {side: sum(r is None or not r["correct"] for r in rs) for side, rs in runs.items()}
+        result["workloads"][workload] = {
+            "metrics": rows, "failed_runs": failed,
+            "runs": {side: [r and {k: v["value"] for k, v in r["metrics"].items()} for r in rs]
+                     for side, rs in runs.items()}}
+    if args.json:
+        args.json.write_text(json.dumps(result, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,20 +9,20 @@ Per step n (lagged temperature th^{n-1} in hand):
                    artificial viscosity triggered by the (th^{n-1}, th^{n-2},
                    v^{n-1}) residual
 
-Each stage's problem holds the samples (:class:`materials.FieldSample`) of
-the fields it reads.  The three stages read theta^{n-1}, v^{n-1} and the
-laws sigma, eta, nu at the quadrature points from the state's sample, which
-evaluates each value once, on first read (a state built by hand, or one
-whose sample is not of its own theta and v, gets a fresh one).
-The heat stage reads v^n from a second sample, its transport, whose
-velocity's values go with theta^n to the new state's sample
-(:meth:`materials.FieldSample.with_theta`).  When the flow step returns
+Each stage's problem holds the samples of the fields it reads: a
+:class:`materials.TemperatureSample` of theta^{n-1} with the laws sigma,
+eta, nu at the quadrature points, and :class:`flow_solver.VelocitySample`
+of v^{n-1} and, for the heat, of v^n.  A state holds one sample of each of
+its fields, which evaluates each value once, on first read; a step reuses a
+sample while it samples the state's own array (a state built by hand, or
+one whose sample is of another array, gets a fresh one).  The new state
+takes the heat's sample of v^n as it is.  When the flow step returns
 v^{n-1} itself, which it does when its solve returns its guess (see
-:mod:`flow_solver`; test1's flow is the stationary one at every step), the
-state's sample transports too, so each of the velocity's values is
-evaluated once per distinct velocity.  The initial stationary flow and
-potential share one sample of theta_b; the stationary heat's sample of v0
-hands its values to the initial state's.  Each stage is recorded per step
+:mod:`flow_solver`; test1's flow is the stationary one at every step), one
+sample is both v^{n-1} and v^n, so each of the velocity's values is
+evaluated once per distinct velocity.  The initialization's stages share
+one sample of theta_b, and the stationary heat's sample of v0 is the
+initial state's.  Each stage is recorded per step
 as (name, start, end), wall clock, in the order run, and never reordered;
 an exception raised in it is labelled "step <n>/<stage>: " (at step 0,
 "initialize/<stage>: ").  Each system keeps its constrained dofs, the
@@ -34,7 +34,7 @@ included, ends in ``Simulation._end_step``: the new state is checked
 finite, gets its diagnostics row and meets the blow-up guard, which aborts
 once max|theta| or max|v| exceeds 1e4, mirroring the runaway regime reached
 for large electrode currents; |Bv| and max|v| are values of the state's
-sample, carried with its velocity.
+velocity sample.
 """
 
 from __future__ import annotations
@@ -47,11 +47,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem_core
-from .flow_solver import FlowProblem, solve_flow_stationary, solve_flow_step
+from .flow_solver import FlowProblem, VelocitySample, solve_flow_stationary, solve_flow_step
 from .heat_solver import (ROLE_INFLOW, HeatBC, HeatProblem, solve_heat_stationary,
                           solve_heat_step)
 from .linalg import LinearSystem, SolverError
-from .materials import FieldSample
+from .materials import TemperatureSample
 from .mesh import TAG_NAMES, generate_channel_mesh
 from .potential_solver import PotentialProblem, solve_potential
 
@@ -111,7 +111,8 @@ class SimState:
     theta_prev: np.ndarray | None  # theta^{n-1}, feeds the entropy residual
     diag: DiagnosticsRow | None = None
     art_visc_cells: np.ndarray | None = None  # per-cell viscosity of the producing step
-    sample: FieldSample | None = None  # theta's and v's; the next step builds it when None
+    theta_sample: TemperatureSample | None = None  # theta's; the next step builds it when None
+    v_sample: VelocitySample | None = None  # v's; the next step builds it when None
 
     def check_finite(self) -> None:
         for name in ("v", "P", "theta", "phi", "theta_prev"):
@@ -157,22 +158,24 @@ class Simulation:
 
     # -- problem builders -----------------------------------------------------
 
-    def _potential_problem(self, sample) -> PotentialProblem:
+    def _potential_problem(self, temperature) -> PotentialProblem:
         pot = self.config.potential_bc
         return PotentialProblem(
-            sample=sample, g=pot.g,
+            temperature=temperature, g=pot.g,
             neumann_tags=pot.neumann_tags, dirichlet_tags=pot.dirichlet_tags,
             system=self.systems["potential"],
         )
 
-    def _flow_problem(self, sample, dt, p_prev=None) -> FlowProblem:
-        return FlowProblem(sample=sample, dt=dt, bc=self.flow_bc, p_prev=p_prev,
-                           system=self.systems["flow"])
+    def _flow_problem(self, temperature, dt, velocity=None, p_prev=None) -> FlowProblem:
+        return FlowProblem(temperature=temperature, dt=dt, bc=self.flow_bc, velocity=velocity,
+                           p_prev=p_prev, system=self.systems["flow"])
 
-    def _heat_problem(self, sample, theta_prev2, phi, dt, t, transport=None) -> HeatProblem:
+    def _heat_problem(self, temperature, velocity, transport, theta_prev2, phi, dt,
+                      t) -> HeatProblem:
         return HeatProblem(
-            sample=sample, theta_prev2=theta_prev2, phi=phi, dt=dt, bc=self.heat_bc,
-            stab=self.stab, time=t, system=self.systems["heat"], transport=transport,
+            temperature=temperature, velocity=velocity, transport=transport,
+            theta_prev2=theta_prev2, phi=phi, dt=dt, bc=self.heat_bc,
+            stab=self.stab, time=t, system=self.systems["heat"],
         )
 
     # -- the end of a step ------------------------------------------------------
@@ -185,9 +188,9 @@ class Simulation:
         imax = int(np.argmax(theta))
         xy = self.mesh.vertices[imax]
         int_theta = float(np.sum(fem_core.assemble_mass(self.mesh) @ theta))
-        sample = state.sample  # of theta^n and v^n: |Bv| and max|v| go with v
+        velocity = state.v_sample  # |Bv| and max|v| go with v
 
-        pos = sample.theta - self.model.theta_b
+        pos = state.theta_sample.theta - self.model.theta_b
         mass_pos = fem_core.integrate_qp(self.mesh, np.maximum(pos, 0.0, out=pos))
         if mass_pos > 1e-300:
             pos *= fem_core.geometry(self.mesh).qp[..., 0]
@@ -199,12 +202,12 @@ class Simulation:
         state.diag = DiagnosticsRow(
             step=state.n, t=state.t,
             max_theta=float(theta.max()), argmax_x=float(xy[0]), argmax_y=float(xy[1]),
-            int_theta=int_theta, div_norm=sample.div_norm,
+            int_theta=int_theta, div_norm=velocity.div_norm,
             max_art_visc=float(art.max()), min_art_visc=float(art.min()),
             centroid_x=float(centroid), stages=stages,
         )
 
-        mt, mv = float(np.max(np.abs(theta))), sample.vmax
+        mt, mv = float(np.max(np.abs(theta))), velocity.vmax
         if mt > BLOWUP_LIMIT or mv > BLOWUP_LIMIT:
             exc = BlowUpError(f"blow-up guard tripped at step {state.n}: "
                               f"max|theta|={mt:.3e}, max|v|={mv:.3e}")
@@ -217,7 +220,7 @@ class Simulation:
     def initialize(self) -> SimState:
         """Stationary solves for (v0, P0), phi0, theta0: the state of step 0."""
         theta_b_field = np.full(self.mesh.num_vertices, self.model.theta_b)
-        theta_b = FieldSample(self.model, self.mesh, theta_b_field)  # the flow's and potential's
+        theta_b = TemperatureSample(self.model, self.mesh, theta_b_field)  # every stage's
         stages = []
 
         with _stage(stages, "initialize", "flow"):
@@ -233,14 +236,14 @@ class Simulation:
             # rides the flow toward the outlet).
             off = {tag: HeatBC() if bc.role == ROLE_INFLOW else bc
                    for tag, bc in self.heat_bc.items()}
-            sample = FieldSample(self.model, self.mesh, theta_b_field, v0)
+            velocity = VelocitySample(self.mesh, v0)
             theta0 = solve_heat_stationary(HeatProblem(
-                sample=sample, phi=phi0, dt=None, bc=off, include_physics_sources=False,
-                system=self.systems["heat"]))
+                temperature=theta_b, transport=velocity, phi=phi0, dt=None, bc=off,
+                include_physics_sources=False, system=self.systems["heat"]))
 
-        # v0's values, evaluated for the stationary heat, go with it.
-        state = SimState(t=0.0, n=0, v=v0, P=p0, theta=theta0, phi=phi0,
-                         theta_prev=None, sample=sample.with_theta(theta0))
+        state = SimState(t=0.0, n=0, v=v0, P=p0, theta=theta0, phi=phi0, theta_prev=None,
+                         theta_sample=TemperatureSample(self.model, self.mesh, theta0),
+                         v_sample=velocity)
         return self._end_step(state, stages)
 
     def advance(self, state: SimState) -> SimState:
@@ -252,34 +255,39 @@ class Simulation:
         t_new = state.t + dt
         label = f"step {n_new}"
         stages = []
-        # One sample of theta^{n-1} and v^{n-1} for the three stages: the
-        # state's, when it samples the state's own fields.
-        sample = state.sample
-        if sample is None or sample.theta_h is not state.theta or sample.v_h is not state.v:
-            sample = FieldSample(self.model, self.mesh, state.theta, state.v)
+        # One sample of theta^{n-1} and one of v^{n-1} for the three stages:
+        # the state's, when they sample the state's own fields.
+        temperature, velocity = state.theta_sample, state.v_sample
+        if temperature is None or temperature.theta_h is not state.theta:
+            temperature = TemperatureSample(self.model, self.mesh, state.theta)
+        if velocity is None or velocity.v_h is not state.v:
+            velocity = VelocitySample(self.mesh, state.v)
 
         # Stage 1: potential at the lagged temperature.
         with _stage(stages, label, "potential"):
-            phi = solve_potential(self._potential_problem(sample))
+            phi = solve_potential(self._potential_problem(temperature))
 
         # Stage 2: flow advected by v^{n-1}, viscosity at theta^{n-1}, from
         # (v^{n-1}, P^{n-1}).
         with _stage(stages, label, "flow"):
-            v_new, p_new = solve_flow_step(self._flow_problem(sample, dt, state.P))
+            v_new, p_new = solve_flow_step(self._flow_problem(temperature, dt, velocity,
+                                                              state.P))
 
         # Stage 3: heat transported by v^n with lagged sources and residual.
-        # When the flow returned v^{n-1} itself, the sample transports too, so
-        # the velocity's values are not evaluated again.  v^n's sample, with
-        # the values evaluated so far, takes theta^n and goes to the next step.
+        # When the flow returned v^{n-1} itself, its sample transports too, so
+        # the velocity's values are not evaluated again.  v^n's sample goes
+        # to the next step.
         with _stage(stages, label, "heat"):
-            transport = (sample if v_new is sample.v_h
-                         else FieldSample(self.model, self.mesh, None, v_new))
-            hp = self._heat_problem(sample, state.theta_prev, phi, dt, t_new, transport)
+            transport = velocity if v_new is state.v else VelocitySample(self.mesh, v_new)
+            hp = self._heat_problem(temperature, velocity, transport, state.theta_prev, phi,
+                                    dt, t_new)
             theta_new = solve_heat_step(hp)
 
         new_state = SimState(t=t_new, n=n_new, v=v_new, P=p_new,
                              theta=theta_new, phi=phi, theta_prev=state.theta,
-                             art_visc_cells=hp.art_visc, sample=transport.with_theta(theta_new))
+                             art_visc_cells=hp.art_visc,
+                             theta_sample=TemperatureSample(self.model, self.mesh, theta_new),
+                             v_sample=transport)
         return self._end_step(new_state, stages)
 
     def run(self, on_step=None):

@@ -546,8 +546,9 @@ def p1_gradients(mesh: Mesh2D, nodal: np.ndarray) -> np.ndarray:
 def velocity_element_coeffs(mesh: Mesh2D, u: np.ndarray) -> np.ndarray:
     """(NT, 2, 4) per-element MINI coefficients [x/y][l1 l2 l3 bubble] of the
     flow dof vector ``u``, gathered from each component's [vertices | bubbles].
-    Coefficients given as ``u`` (as a FieldSample holds them) are returned as
-    they are, so every function that takes a MINI velocity takes either."""
+    Coefficients given as ``u`` (as a velocity sample holds them) are
+    returned as they are, so every function that takes a MINI velocity takes
+    either."""
     u = np.asarray(u)
     if u.ndim == 3:
         return u
@@ -586,6 +587,13 @@ def velocity_at_vertices(mesh: Mesh2D, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u)
     dm, idx = dofmap_for(mesh), np.arange(mesh.num_vertices)
     return np.column_stack([u[dm.vx_vertex(idx)], u[dm.vy_vertex(idx)]])
+
+
+def _cell_sup(values: np.ndarray) -> np.ndarray:
+    """(NT,) per-cell sup of |values| over the points of (NT, Q) ``values``:
+    the moduli are laid out (Q, NT), so the sup is taken over whole columns,
+    not along Q-wide rows."""
+    return np.abs(values.T, out=np.empty(values.shape[::-1])).max(axis=0)
 
 
 # -- boundary edge helpers ------------------------------------------------------
@@ -827,7 +835,7 @@ def _advection_local(geo, vel_qp: np.ndarray) -> np.ndarray:
 def assemble_advection(mesh: Mesh2D, velocity) -> SparseMatrix:
     """Scalar advection matrix D_ij = integral (v . grad(l_j)) l_i of the
     MINI field with the (NT, 2, 4) element coefficients ``velocity`` (as a
-    :class:`materials.FieldSample` holds them), by the reference map."""
+    :class:`flow_solver.VelocitySample` holds them), by the reference map."""
     geo, pattern = geometry(mesh), _p1_pattern(mesh)
 
     def local(block):
@@ -984,7 +992,15 @@ def mini_mass_block(mesh: Mesh2D) -> SparseMatrix:
     is held once: :func:`_add_mini_mass` adds it to velocity block data and
     :func:`mini_mass_product` applies it."""
     def build():
-        pattern = _Pattern.with_bubbles(_p1_pattern(mesh), mesh.triangles)
+        # Its pattern is the x-x block of the MINI pattern (_Pattern.blocked):
+        # the first NV + NT + 1 row starts halved, the first copy of each of
+        # those rows, and the element blocks' corners less their row starts.
+        mini, nv, nt = _mini_pattern(mesh), mesh.num_vertices, mesh.num_triangles
+        indptr = mini.indptr[:nv + nt + 1] // 2
+        first = np.repeat(indptr[:-1], np.diff(indptr)) + np.arange(indptr[-1])
+        elem = np.column_stack([mesh.triangles, nv + np.arange(nt)])
+        pattern = _Pattern._new((nv + nt, nv + nt), indptr, mini.indices[first],
+                                mini.scatter[:, :4, :4] - indptr[elem][:, :, None])
         block = _tab(geometry(mesh).qw, _products(MINI_VALS)).reshape(-1, 4, 4)
         return _frozen_csr(pattern.matrix(pattern.fill(block)))
 
@@ -1018,17 +1034,6 @@ def mini_mass_product(mesh: Mesh2D, v: np.ndarray) -> np.ndarray:
     return np.concatenate([mass @ v[:n], mass @ v[n:]])
 
 
-def assemble_mini_mass(mesh: Mesh2D) -> SparseMatrix:
-    """Velocity mass matrix on the MINI space, on the full MINI pattern,
-    read-only: the scalar block (:func:`mini_mass_block`) at its x-x and y-y
-    positions.  Built on each call, for the tests and :mod:`verify`; the
-    solvers read the block."""
-    pattern = _mini_pattern(mesh)
-    data = np.zeros(pattern.nnz)
-    _add_mini_mass(mesh, data, 1.0)
-    return _frozen_csr(pattern.matrix(data))
-
-
 def _divergence_local(mesh: Mesh2D) -> np.ndarray:
     """(NT, 3, 2, 4) element blocks of B: [t, i, c, b] = integral psi_i d_c(phi_b)."""
     geo = geometry(mesh)
@@ -1056,25 +1061,6 @@ def assemble_divergence(mesh: Mesh2D) -> SparseMatrix:
         return _frozen_csr(pattern.matrix(pattern.fill(_divergence_local(mesh))))
 
     return cached(mesh, "divergence", build)
-
-
-def assemble_mini_blocks(mesh: Mesh2D, viscosity, advect=None, gamma_n_tags=()) -> dict:
-    """Momentum/divergence blocks of the MINI saddle system [[A_vv, -B^T], [B, 0]].
-
-    Returns {"A_vv", "B"} with
-
-    * A_vv: viscous form integral nu D(u):D(w) plus, when ``advect`` is given,
-      the convective form  -integral (a x u):D(w) + integral_{Gamma_N} (a.n)(u.w)
-      with the surface term only on ``gamma_n_tags`` edges;
-    * B: divergence block, (Bu)_i = integral psi_i div(u); its transpose is
-      the momentum pressure-gradient coupling, which enters as -B^T.
-
-    ``viscosity`` is scalar / per-triangle / per-quad-point; ``advect`` is a
-    MINI velocity, flow dofs or element coefficients.  B is cached, and a
-    uniform viscosity scales a cached viscous block.
-    """
-    data = _velocity_block(mesh, viscosity, advect, gamma_n_tags)
-    return {"A_vv": _mini_pattern(mesh).matrix(data), "B": assemble_divergence(mesh)}
 
 
 # -- static condensation of the MINI bubbles -------------------------------------
@@ -1231,10 +1217,15 @@ def _w_lb(lay: _CondensedLayout, data: np.ndarray, inv_bb: np.ndarray) -> np.nda
 def assemble_condensed_saddle(mesh: Mesh2D, viscosity, advect=None, gamma_n_tags=(),
                               mass_coeff: float = 0.0) -> CondensedSaddle:
     """Saddle system [[mass_coeff M + A_vv, -B^T], [B, 0]] with the bubbles
-    condensed out, from the blocks of :func:`assemble_mini_blocks` and M of
-    :func:`assemble_mini_mass`; ``advect`` is a flow dof vector or its element
-    coefficients.  The condensed layout is built on first use.
-    Raises SingularMatrix when a bubble block cannot be inverted."""
+    condensed out.  A_vv is the viscous form integral nu D(u):D(w) of the
+    ``viscosity`` (scalar, per triangle or per quadrature point) plus, when
+    ``advect`` is given, the convective form -integral (a x u):D(w) +
+    integral_{Gamma_N} (a.n)(u.w), with the surface term on the
+    ``gamma_n_tags`` edges; ``advect`` is a flow dof vector or its element
+    coefficients.  M is the MINI mass (:func:`mini_mass_block`) and B the
+    divergence (:func:`assemble_divergence`).  The condensed layout is built
+    on first use.  Raises SingularMatrix when a bubble block cannot be
+    inverted."""
     return _condensed_saddle(mesh, _velocity_block(mesh, viscosity, advect, gamma_n_tags,
                                                    mass_coeff))
 
@@ -1242,8 +1233,8 @@ def assemble_condensed_saddle(mesh: Mesh2D, viscosity, advect=None, gamma_n_tags
 def assemble_newton_saddle(mesh: Mesh2D, viscosity, u: np.ndarray, gamma_n_tags=()):
     """Newton linearization at the velocity ``u`` of the stationary saddle
     system whose velocity block is nu V + C(u), the viscous form plus the
-    convective form of :func:`assemble_mini_blocks` advected by the velocity
-    itself: returns (saddle, load), the condensed [[nu V + N(u), -B^T],
+    convective form of :func:`assemble_condensed_saddle` advected by the
+    velocity itself: returns (saddle, load), the condensed [[nu V + N(u), -B^T],
     [B, 0]] with N(u) the derivative of C(u) u, and the velocity load
     C(u) u = 1/2 N(u) u.  The next Newton iterate solves saddle x = [f + load; 0].
     Raises SingularMatrix when a bubble block cannot be inverted."""

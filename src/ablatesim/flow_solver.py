@@ -25,7 +25,7 @@ recovered full system.  Do-nothing outlets add no stress boundary terms; the
 convective form keeps its Gamma_N surface integral exactly as written.
 
 A time step starts its solve from the previous (v, P), the problem's
-``p_prev`` with the sample's velocity, in the condensed layout.  The rule is
+``p_prev`` with its ``velocity``, in the condensed layout.  The rule is
 :func:`linalg.solve_lu`'s, and reads nothing but the step's inputs (no
 option selects it): when the solve returns that start unchanged, by its own
 accounting and not by a tolerance, and both contracts hold on the previous
@@ -39,13 +39,13 @@ for bit returns the same (v, P) without assembling anything; its system
 counts it as a solve by the guess.  A flow that moves misses at the
 previous velocity, the first array compared.
 
-The problem's ``sample`` (:class:`materials.FieldSample`) is the lagged
-temperature with the mesh and the laws and, for a time step, the previous
-velocity v_prev; the viscosity and the buoyancy temperature at the
-quadrature points, and the advecting velocity's element coefficients, whose
-convective blocks come from the reference map of :mod:`fem_core`, are read
-from it, so a split step shares it with its other stages.  The stationary
-flow reads no velocity from it.
+The problem's ``temperature`` (:class:`materials.TemperatureSample`) is the
+lagged temperature with the mesh and the laws and, for a time step, its
+``velocity`` (:class:`VelocitySample`) is the previous velocity v_prev; the
+viscosity and the buoyancy temperature at the quadrature points, and the
+advecting velocity's element coefficients, whose convective blocks come from
+the reference map of :mod:`fem_core`, are read from them, so a split step
+shares them with its other stages.  The stationary flow reads no velocity.
 
 The stationary flow runs Newton's method from the Stokes solution, a plain
 :func:`linalg.fixed_point` iteration whose map is one linear solve: the
@@ -59,11 +59,12 @@ case of :mod:`verify` is one such linear solve, :func:`_solve_linear`, too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import fem_core, linalg
-from .materials import FieldSample
+from .materials import TemperatureSample
 from .mesh import Mesh2D, check_tag_roles
 
 NEWTON_TOL = 1e-8  # fixed_point tolerance of the stationary Newton iteration
@@ -136,35 +137,36 @@ class FlowBC:
 
 @dataclass
 class FlowProblem:
-    sample: FieldSample  # theta^{n-1} (theta_h) and, for a step, v_prev (v_h)
+    temperature: TemperatureSample  # theta^{n-1} and its laws
     dt: float  # None for the stationary flow
     bc: dict  # tag -> FlowBC, every boundary tag present exactly once
     include_convection: bool = True
     extra_force: object = None  # callable(x, y) -> (fx, fy); verification hook
     pressure_pin_value: float = 0.0
+    velocity: VelocitySample | None = None  # v_prev, a step's
     p_prev: np.ndarray | None = None  # P^{n-1}; with v_prev, a step's guess
     system: linalg.LinearSystem = field(default_factory=linalg.LinearSystem)  # held across solves
 
     def validate(self, step: bool) -> None:
         """Check what a time step (``step``) or the stationary flow reads."""
-        if step and (self.dt is None or self.sample.v_h is None):
-            raise ValueError("a flow step needs dt and the previous velocity, the sample's v_h")
+        if step and (self.dt is None or self.velocity is None):
+            raise ValueError("a flow step needs dt and the previous velocity")
         if self.dt is not None and not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not step and self.dt is not None:
             raise ValueError("the stationary flow takes no dt")
         check_tag_roles(self.bc, "flow")
-        if step and not np.isfinite(self.sample.v_h).all():
+        if step and not np.isfinite(self.velocity.v_h).all():
             raise ValueError("previous velocity contains non-finite values")
         if self.p_prev is not None and not np.isfinite(self.p_prev).all():
             raise ValueError("previous pressure contains non-finite values")
-        if not np.isfinite(np.asarray(self.sample.theta_h, dtype=float)).all():
+        if not np.isfinite(np.asarray(self.temperature.theta_h, dtype=float)).all():
             raise ValueError("temperature field contains non-finite values")
 
 
 def _dirichlet_velocity(problem: FlowProblem):
     """Constrained velocity dofs and values from the no-slip/inflow tags."""
-    mesh = problem.sample.mesh
+    mesh = problem.temperature.mesh
     dm = fem_core.dofmap_for(mesh)
     data = {tag: (0.0, 0.0) if bc.role == ROLE_NOSLIP else bc.profile
             for tag, bc in problem.bc.items() if bc.role != ROLE_DONOTHING}
@@ -180,7 +182,7 @@ def flow_constraints(problem: FlowProblem) -> tuple:
     if not _donothing_tags(problem):
         # Enclosed flow: the do-nothing outlet normally fixes the pressure
         # level; without one, pin a single pressure dof.
-        dofs = np.append(dofs, fem_core.dofmap_for(problem.sample.mesh).pressure(0))
+        dofs = np.append(dofs, fem_core.dofmap_for(problem.temperature.mesh).pressure(0))
         vals = np.append(vals, problem.pressure_pin_value)
     return dofs, vals
 
@@ -188,14 +190,14 @@ def flow_constraints(problem: FlowProblem) -> tuple:
 def _force_load(problem: FlowProblem) -> np.ndarray:
     """The force load; without buoyancy and an ``extra_force``, the per-mesh
     zero load, built once, so a fixed step matches it by identity."""
-    sample = problem.sample
-    mesh = sample.mesh
-    n, buoyant = fem_core.dofmap_for(mesh).n_velocity, sample.model.buoyancy.enabled
+    temperature = problem.temperature
+    mesh = temperature.mesh
+    n, buoyant = fem_core.dofmap_for(mesh).n_velocity, temperature.model.buoyancy.enabled
     if not buoyant and problem.extra_force is None:
         return fem_core.cached(mesh, "zero_force_load", lambda: np.zeros(n))
     load = np.zeros(n)
     if buoyant:
-        fx, fy = sample.model.body_force(sample.theta)
+        fx, fy = temperature.model.body_force(temperature.theta)
         load += fem_core.assemble_vector_load(mesh, np.stack([fx, fy], axis=-1))
     if problem.extra_force is not None:
         qp = fem_core.geometry(mesh).qp
@@ -216,21 +218,21 @@ def _solve_linear(problem: FlowProblem, advect, newton: bool = False,
     the solve's start; when the solve returns it unchanged and the
     full-system contracts hold on it, it is returned: these very arrays,
     made read-only."""
-    sample = problem.sample
-    mesh = sample.mesh
+    temperature = problem.temperature
+    mesh = temperature.mesh
     dm = fem_core.dofmap_for(mesh)
     gamma_n = _donothing_tags(problem)
     include_time = problem.dt is not None
     mass_coeff = 1.0 / problem.dt if include_time else 0.0
     rhs_v = _force_load(problem) if force is None else force
     if newton:
-        saddle, load = fem_core.assemble_newton_saddle(mesh, sample.nu, advect, gamma_n)
+        saddle, load = fem_core.assemble_newton_saddle(mesh, temperature.nu, advect, gamma_n)
         rhs_v = rhs_v + load
     else:
-        saddle = fem_core.assemble_condensed_saddle(mesh, sample.nu, advect=advect,
+        saddle = fem_core.assemble_condensed_saddle(mesh, temperature.nu, advect=advect,
                                                     gamma_n_tags=gamma_n, mass_coeff=mass_coeff)
     if include_time:
-        rhs_v = rhs_v + mass_coeff * fem_core.mini_mass_product(mesh, sample.v_h)
+        rhs_v = rhs_v + mass_coeff * fem_core.mini_mass_product(mesh, problem.velocity.v_h)
     rhs = np.concatenate([rhs_v, np.zeros(dm.n_pressure)])
 
     system = problem.system
@@ -297,9 +299,8 @@ def _identical(a, b) -> bool:
 def _step_inputs(problem: FlowProblem, force: np.ndarray) -> tuple:
     """All that a step reads, the cheap ones first, with the force load
     ``force``."""
-    sample = problem.sample
-    return (problem.dt, problem.include_convection, sample.v_h, sample.nu, force,
-            problem.system.values)
+    return (problem.dt, problem.include_convection, problem.velocity.v_h,
+            problem.temperature.nu, force, problem.system.values)
 
 
 def solve_flow_step(problem: FlowProblem):
@@ -314,8 +315,8 @@ def solve_flow_step(problem: FlowProblem):
                                             _step_inputs(problem, force))):
         system.factor.repeat()
         return system.fixed[1]
-    advect = problem.sample.coeffs if problem.include_convection else None
-    guess = None if problem.p_prev is None else (problem.sample.v_h, problem.p_prev)
+    advect = problem.velocity.coeffs if problem.include_convection else None
+    guess = None if problem.p_prev is None else (problem.velocity.v_h, problem.p_prev)
     v, p = _solve_linear(problem, advect, force=force, guess=guess)
     returned_guess = guess is not None and v is guess[0]
     system.fixed = (_step_inputs(problem, force), (v, p)) if returned_guess else None
@@ -373,3 +374,65 @@ def viscous_dissipation(mesh: Mesh2D, v: np.ndarray) -> np.ndarray:
     d[2] *= 2.0
     out += d[2]
     return out
+
+
+def _cell_speed_max(coeffs: np.ndarray) -> np.ndarray:
+    """Per-cell sup of |v| sampled at the quadrature points and the
+    vertices of the MINI velocity of (NT, 2, 4) element coefficients
+    ``coeffs``.  The quadrature values are one (2 NT, 4) x (4, NQ) GEMM; the
+    vertex values are ``coeffs[:, :, :3]`` (the bubble vanishes there).  The
+    largest vx^2 + vy^2 is taken first and its square root once per cell:
+    sqrt is monotone and correctly rounded, so this is the largest |v|."""
+    v_qp = fem_core._tab(coeffs, fem_core.MINI_VALS.T)  # (NT, 2, NQ)
+    sq = np.square(v_qp[:, 0])
+    sq += np.square(v_qp[:, 1])
+    del v_qp
+    sq_v = np.square(coeffs[:, 0, :3])
+    sq_v += np.square(coeffs[:, 1, :3])
+    return np.sqrt(np.maximum(fem_core._cell_sup(sq), fem_core._cell_sup(sq_v)))
+
+
+def inflow_weights(mesh: Mesh2D, coeffs: np.ndarray) -> np.ndarray:
+    """(NE, 2) inflow weights -(v.n)_- times the Gauss weights at the Gauss
+    points of every boundary edge of ``mesh``, in its order, of the MINI
+    velocity of element coefficients ``coeffs``."""
+    edges = fem_core.boundary_edges(mesh, np.unique(mesh.boundary_tags))
+    vel = edges.trace(coeffs)
+    return edges.wts * np.maximum(-np.einsum("egk,ek->eg", vel, edges.normals), 0.0)
+
+
+class VelocitySample:
+    """The velocity ``v_h`` (MINI dofs) of ``mesh`` and its values: its
+    (NT, 2, 4) MINI element coefficients ``coeffs``, from which the others
+    are formed, D(v):D(v) at the quadrature points (``strain``), the scalar
+    ``advection`` matrix, the per-cell speed ``speed`` of the artificial
+    viscosity, the heat's inflow weights -(v.n)_- on every boundary edge
+    (``inflow``) with their edge mass blocks (``inflow_mass``), and the
+    diagnostics' |Bv| (``div_norm``) and max|v| (``vmax``).  The velocity
+    itself is not held at the quadrature points: the cell speeds take those
+    values from the coefficients by one GEMM and drop them.  Each value is
+    evaluated on first read, then shared, read-only."""
+
+    def __init__(self, mesh: Mesh2D, v_h):
+        self.mesh, self.v_h = mesh, v_h
+
+    coeffs = cached_property(lambda self: fem_core._frozen(
+        fem_core.velocity_element_coeffs(self.mesh, self.v_h)))
+    strain = cached_property(lambda self: fem_core._frozen(
+        viscous_dissipation(self.mesh, self.coeffs)))
+    advection = cached_property(lambda self: fem_core._frozen_csr(
+        fem_core.assemble_advection(self.mesh, self.coeffs)))
+    speed = cached_property(lambda self: fem_core._frozen(_cell_speed_max(self.coeffs)))
+    inflow = cached_property(lambda self: fem_core._frozen(
+        inflow_weights(self.mesh, self.coeffs)))
+    inflow_mass = cached_property(lambda self: fem_core._frozen(
+        fem_core._edge_blocks(self.inflow)))
+    div_norm = cached_property(lambda self: float(np.linalg.norm(
+        fem_core.assemble_divergence(self.mesh) @ self.v_h)))
+    vmax = cached_property(lambda self: float(np.max(np.abs(self.v_h)))
+                           if np.size(self.v_h) else 0.0)
+
+    def drop(self, *names):
+        """Free this sample's values ``names``; a later read evaluates them again."""
+        for name in names:
+            self.__dict__.pop(name, None)

@@ -128,73 +128,18 @@ class MaterialModel:
         return float(fx), float(fy)
 
 
-class FieldSample:
-    """The temperature ``theta_h`` (P1 nodal) and the velocity ``v_h`` (MINI
-    dofs) of ``mesh``: the temperature at the quadrature points with the
-    laws of ``model`` there, and the velocity's (NT, 2, 4) MINI element
-    coefficients ``coeffs``, from which each of the velocity's values is
-    formed.  Those are D(v):D(v) at the quadrature points (``strain``), the
-    scalar ``advection`` matrix, the per-cell speed ``speed`` of the
-    artificial viscosity, the heat's inflow weights -(v.n)_- on every
-    boundary edge (``inflow``) with their edge mass blocks
-    (``inflow_mass``), and the diagnostics' |Bv| (``div_norm``) and max|v|
-    (``vmax``).  The velocity itself is not held at the quadrature points:
-    the cell speeds take those values from the coefficients by one GEMM and
-    drop them.  Each value is evaluated on first read, then shared; a field
-    may be None while its values are unread.  The velocity's values are
-    read-only, since :meth:`with_theta` hands them to the next sample of the
-    same velocity."""
+class TemperatureSample:
+    """The temperature ``theta_h`` (P1 nodal) of ``mesh`` at the quadrature
+    points (``theta``), with the laws of ``model`` there (``sigma``,
+    ``eta``, ``nu``).  Each value is evaluated on first read, then shared."""
 
-    VELOCITY_VALUES = ("coeffs", "strain", "advection", "speed", "inflow",
-                       "inflow_mass", "div_norm", "vmax")
-
-    def __init__(self, model: MaterialModel, mesh, theta_h, v_h=None):
-        self.model, self.mesh, self.theta_h, self.v_h = model, mesh, theta_h, v_h
+    def __init__(self, model: MaterialModel, mesh, theta_h):
+        self.model, self.mesh, self.theta_h = model, mesh, theta_h
 
     theta = cached_property(lambda self: fem_core.p1_at_qp(self.mesh, self.theta_h))
     sigma = cached_property(lambda self: self.model.sigma(self.theta))
     eta = cached_property(lambda self: self.model.eta(self.theta))
     nu = cached_property(lambda self: self.model.nu(self.theta))
-    coeffs = cached_property(lambda self: fem_core._frozen(
-        fem_core.velocity_element_coeffs(self.mesh, self.v_h)))
-    advection = cached_property(lambda self: fem_core._frozen_csr(
-        fem_core.assemble_advection(self.mesh, self.coeffs)))
-    inflow_mass = cached_property(lambda self: fem_core._frozen(
-        fem_core._edge_blocks(self.inflow)))
-    div_norm = cached_property(lambda self: float(np.linalg.norm(
-        fem_core.assemble_divergence(self.mesh) @ self.v_h)))
-    vmax = cached_property(lambda self: float(np.max(np.abs(self.v_h)))
-                           if np.size(self.v_h) else 0.0)
-
-    # flow_solver and heat_solver import this module, so theirs are imported late.
-    @cached_property
-    def strain(self):
-        from .flow_solver import viscous_dissipation
-        return fem_core._frozen(viscous_dissipation(self.mesh, self.coeffs))
-
-    @cached_property
-    def speed(self):
-        from .heat_solver import _cell_speed_max
-        return fem_core._frozen(_cell_speed_max(self.coeffs))
-
-    @cached_property
-    def inflow(self):
-        from .heat_solver import inflow_weights
-        return fem_core._frozen(inflow_weights(self.mesh, self.coeffs))
-
-    def with_theta(self, theta_h) -> "FieldSample":
-        """The sample of ``theta_h`` and this sample's velocity, holding the
-        velocity's values evaluated so far, so that none is evaluated twice."""
-        out = FieldSample(self.model, self.mesh, theta_h, self.v_h)
-        out.__dict__.update((name, self.__dict__[name]) for name in self.VELOCITY_VALUES
-                            if name in self.__dict__)
-        return out
-
-    def drop(self, *names):
-        """Free this sample's values ``names``; a later read evaluates them
-        again.  A sample that :meth:`with_theta` made keeps its own."""
-        for name in names:
-            self.__dict__.pop(name, None)
 
 
 def branch_limits(model: MaterialModel) -> dict:

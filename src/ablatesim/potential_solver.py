@@ -3,9 +3,10 @@
 The physical problem has zero volumetric source, a prescribed current flux g
 on the electrode segment, and grounded (phi = 0) remaining boundaries; the
 optional volumetric source exists for manufactured-solution verification.
-The problem's ``sample`` (:class:`materials.FieldSample`) is the lagged
-temperature with the mesh and the laws; the conductivity at the quadrature
-points is read from it, so a split step shares it with its other stages.
+The problem's ``temperature`` (:class:`materials.TemperatureSample`) is the
+lagged temperature with the mesh and the laws; the conductivity at the
+quadrature points is read from it, so a split step shares it with its other
+stages.
 The symmetric positive definite system is solved by the problem's
 :class:`linalg.LinearSystem`, constrained at its first solve to zero at the
 grounded vertices (:func:`fem_core.dirichlet_vertices`).  The problem's
@@ -19,13 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem_core, linalg
-from .materials import FieldSample
+from .materials import TemperatureSample
 from .mesh import Mesh2D
 
 
 @dataclass
 class PotentialProblem:
-    sample: FieldSample  # the lagged temperature theta^{n-1} (theta_h) and its laws
+    temperature: TemperatureSample  # the lagged temperature theta^{n-1} and its laws
     neumann_tags: tuple  # tags carrying the flux g
     dirichlet_tags: tuple  # grounded tags (phi = 0)
     g: object = 0.0  # flux on the Neumann tags: constant or callable(x, y)
@@ -51,14 +52,14 @@ def _neumann_load(mesh: Mesh2D, tags, g) -> np.ndarray:
 
 def solve_potential(problem: PotentialProblem) -> np.ndarray:
     """Solve the lagged-conductivity potential equation."""
-    sample = problem.sample
-    mesh = sample.mesh
-    if not np.isfinite(np.asarray(sample.theta_h, dtype=float)).all():
+    temperature = problem.temperature
+    mesh = temperature.mesh
+    if not np.isfinite(np.asarray(temperature.theta_h, dtype=float)).all():
         raise ValueError("temperature field contains non-finite values")
     if not problem.dirichlet_tags:
         raise ValueError("potential problem needs a nonempty Dirichlet tag set")
 
-    A = fem_core.assemble_stiffness(mesh, sample.sigma)
+    A = fem_core.assemble_stiffness(mesh, temperature.sigma)
     b = _neumann_load(mesh, problem.neumann_tags, problem.g)
     if problem.source is not None:
         b = b + fem_core.assemble_scalar_load(

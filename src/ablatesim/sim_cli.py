@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -28,7 +29,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from . import coupler, fem_core, flow_solver, linalg
+from . import coupler, fem_core, flow_solver, linalg, verify
 from .coupler import Simulation, TimeGrid
 from .heat_solver import HeatBC, StabilizationParams
 from .materials import BuoyancySettings, MaterialModel
@@ -381,8 +382,6 @@ PROBE_COLUMNS = ["t", "max_theta", "argmax_x", "argmax_y", "int_theta",
 
 def write_probes(series, path, extra_names=(), extra_values=None) -> None:
     """RFC-4180 CSV of per-step diagnostics, one row per time level."""
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf)  # csv default lineterminator is CRLF per RFC-4180
     writer.writerow(PROBE_COLUMNS + list(extra_names))
@@ -505,20 +504,18 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import verify as verify_mod
-
     if args.config is not None and args.preset is not None:
         raise ConfigError("at most one of --config / --preset is allowed")
     cfg = parse_config(args.config) if args.config else preset(args.preset or "test1")
     if args.out:
         with _output_path(args.out):
             os.makedirs(args.out, exist_ok=True)
-    report = verify_mod.invariant_suite(cfg)
-    text = verify_mod.format_report(report)
+    report = verify.invariant_suite(cfg)
+    text = verify.format_report(report)
     print(text)
     if args.out:
         _atomic_write(os.path.join(args.out, "invariants.txt"), text + "\n")
-        verify_mod.write_report_csv(report, os.path.join(args.out, "invariants.csv"))
+        _atomic_write(os.path.join(args.out, "invariants.csv"), verify.format_report_csv(report))
     return 0 if report["passed"] else 1
 
 

@@ -225,9 +225,9 @@ def _unit_material() -> MaterialModel:
                          sigma_law=lambda th: np.ones_like(th))
 
 
-def _at_theta_b(model: MaterialModel, msh, v_h=None) -> materials.FieldSample:
-    """The sample of ``model``'s body temperature on ``msh``, with the velocity ``v_h``."""
-    return materials.FieldSample(model, msh, np.full(msh.num_vertices, model.theta_b), v_h)
+def _at_theta_b(model: MaterialModel, msh) -> materials.TemperatureSample:
+    """The sample of ``model``'s body temperature on ``msh``."""
+    return materials.TemperatureSample(model, msh, np.full(msh.num_vertices, model.theta_b))
 
 
 def _in_time(case: ManufacturedCase, f):
@@ -249,17 +249,19 @@ def _robin_from_exact(exact, grad, tag: int) -> HeatBC:
     return HeatBC("robin", alpha=1.0, value=data)
 
 
-def _heat_problem(case: ManufacturedCase, msh, theta, carried=None, **fields) -> HeatProblem:
+def _heat_problem(case: ManufacturedCase, msh, theta, velocity=None, **fields) -> HeatProblem:
     """The heat problem of a scalar case at the temperature ``theta``: the unit
     material, the case's velocity, Robin data from the exact field on every
     tag, beta = 0 and the case's source as the only source; ``fields`` holds
-    dt and the other time-step fields.  A sample ``carried`` of an earlier
-    problem lends the velocity's values it holds (``FieldSample.with_theta``)."""
+    dt and the other time-step fields.  The case's velocity does not change,
+    so it both transports and lags; ``velocity``, the sample of an earlier
+    problem, serves again with the values it holds."""
     exact, grad = _in_time(case, case.exact), _in_time(case, case.grad)
+    if velocity is None:
+        velocity = flow_solver.VelocitySample(msh, _velocity_dofs(msh, case.velocity))
     return HeatProblem(
-        sample=carried.with_theta(theta) if carried is not None else materials.FieldSample(
-            _unit_material(), msh, theta, _velocity_dofs(msh, case.velocity)),
-        phi=np.zeros(msh.num_vertices),
+        temperature=materials.TemperatureSample(_unit_material(), msh, theta),
+        transport=velocity, velocity=velocity, phi=np.zeros(msh.num_vertices),
         bc={tag: _robin_from_exact(exact, grad, tag) for tag in mesh_mod.ALL_TAGS},
         stab=StabilizationParams(beta=0.0), include_physics_sources=False,
         extra_source=_in_time(case, case.source), **fields)
@@ -268,7 +270,7 @@ def _heat_problem(case: ManufacturedCase, msh, theta, carried=None, **fields) ->
 def solve_potential_case(case: ManufacturedCase, nx, ny):
     msh = _mms_mesh(nx, ny)
     problem = PotentialProblem(
-        sample=_at_theta_b(_unit_material(), msh),
+        temperature=_at_theta_b(_unit_material(), msh),
         g=0.0, neumann_tags=(), dirichlet_tags=(1, 2, 3, 4, 5), source=case.source,
     )
     return msh, solve_potential(problem)
@@ -285,13 +287,13 @@ def solve_heat_unsteady_case(case: ManufacturedCase, nx, ny, steps=None):
     steps = case.steps if steps is None else steps
     dt = case.final_time / steps
     theta = case.exact(msh.vertices[:, 0], msh.vertices[:, 1], 0.0)
-    theta_prev2 = sample = None
+    theta_prev2 = velocity = None
     system = linalg.LinearSystem()  # every step's matrix is the same: one factor serves all
     for n in range(1, steps + 1):
         # The velocity is the same at every step: its values are evaluated once.
-        problem = _heat_problem(case, msh, theta, sample, theta_prev2=theta_prev2, dt=dt,
+        problem = _heat_problem(case, msh, theta, velocity, theta_prev2=theta_prev2, dt=dt,
                                 time=n * dt, system=system)
-        sample = problem.sample
+        velocity = problem.transport
         theta_prev2, theta = theta, heat_solver.solve_heat_step(problem)
     return msh, theta
 
@@ -300,7 +302,7 @@ def solve_oseen_case(case: ManufacturedCase, nx, ny):
     msh = _mms_mesh(nx, ny)
     bc = {tag: flow_solver.FlowBC("inflow", case.exact) for tag in mesh_mod.ALL_TAGS}
     problem = flow_solver.FlowProblem(
-        sample=_at_theta_b(_unit_material(), msh), dt=None, bc=bc,
+        temperature=_at_theta_b(_unit_material(), msh), dt=None, bc=bc,
         extra_force=case.source,
         pressure_pin_value=float(case.pressure(0.0, 0.0)),
     )
@@ -469,14 +471,15 @@ def splitting_order_study(config, Ms=(10, 20, 40), M_ref=320) -> RateReport:
 
     sim, ref = final_state(M_ref)
     p1_mass = fem_core.assemble_mass(sim.mesh)
-    mini_mass = fem_core.assemble_mini_mass(sim.mesh)
-    norms = {"theta": p1_mass, "v": mini_mass, "phi": p1_mass}
-    errors = {name: [] for name in norms}
+    mass_products = {"theta": lambda e: p1_mass @ e,
+                     "v": lambda e: fem_core.mini_mass_product(sim.mesh, e),
+                     "phi": lambda e: p1_mass @ e}
+    errors = {name: [] for name in mass_products}
     for M in Ms:
         _, state = final_state(M)
-        for name, mass in norms.items():
+        for name, mass_product in mass_products.items():
             e = getattr(state, name) - getattr(ref, name)
-            errors[name].append(float(np.sqrt(e @ (mass @ e))))
+            errors[name].append(float(np.sqrt(e @ mass_product(e))))
     exact = [name for name, errs in errors.items() if not any(errs)]
     for name in exact:
         del errors[name]
@@ -536,8 +539,8 @@ def _step_audit(config) -> dict:
         if prev is not None:
             art = state.art_visc_cells
             # theta^{n-1} = prev.theta and v^{n-1} = prev.v, sampled afresh.
-            lagged = materials.FieldSample(sim.model, sim.mesh, prev.theta, prev.v)
-            vmax_k = lagged.speed
+            lagged = materials.TemperatureSample(sim.model, sim.mesh, prev.theta)
+            vmax_k = flow_solver.VelocitySample(sim.mesh, prev.v).speed
             audit["eta_bound_violation"] = max(
                 audit["eta_bound_violation"],
                 float(np.max(art - beta * vmax_k * h)), float(np.max(-art)))
@@ -713,9 +716,9 @@ class _Suite:
                  "potential.conductivity_scaling", "potential.joule_nonnegative")
     def potential_checks(self):
         msh, model, bc = self.mesh, self.model, self.config.potential_bc
-        pot = PotentialProblem(sample=_at_theta_b(model, msh), g=bc.g,
+        pot = PotentialProblem(temperature=_at_theta_b(model, msh), g=bc.g,
                                neumann_tags=bc.neumann_tags, dirichlet_tags=bc.dirichlet_tags)
-        Apot = fem_core.assemble_stiffness(msh, pot.sample.sigma)
+        Apot = fem_core.assemble_stiffness(msh, pot.temperature.sigma)
         dir_dofs, dir_vals = potential_constraints(msh, pot.dirichlet_tags)
         Apot_e, _ = linalg.apply_dirichlet(Apot, np.zeros(msh.num_vertices), dir_dofs, dir_vals)
         x = self.rng.standard_normal(msh.num_vertices)
@@ -736,10 +739,10 @@ class _Suite:
                f"{float(np.abs(phi2 - 2 * phi1).max()):.2e}")
         scaled = replace(model, sigma0=3.0 * model.sigma0)
         pot3 = copy.copy(pot)
-        pot3.sample = _at_theta_b(scaled, msh)
+        pot3.temperature = _at_theta_b(scaled, msh)
         phi3 = solve_potential(pot3)
         yield float(np.abs(3.0 * phi3 - phi1).max()) <= 1e-7 * float(np.abs(phi1).max()), ""
-        yield float(joule_density(msh, pot.sample.sigma, phi1).min()) >= 0.0, ""
+        yield float(joule_density(msh, pot.temperature.sigma, phi1).min()) >= 0.0, ""
 
     @_invariants("flow.divergence_contract", "flow.dissipation_nonnegative",
                  "heat.art_visc_bound", "heat.art_visc_zero_velocity",
@@ -762,8 +765,8 @@ class _Suite:
                     np.zeros_like(np.asarray(x, dtype=float)))
 
         bc_const = {t: flow_solver.FlowBC("inflow", const_profile) for t in mesh_mod.ALL_TAGS}
-        fp = flow_solver.FlowProblem(sample=_at_theta_b(self.model, self.small), dt=None,
-                                     bc=bc_const)
+        fp = flow_solver.FlowProblem(temperature=_at_theta_b(self.model, self.small),
+                                     dt=None, bc=bc_const)
         vconst, _ = flow_solver.solve_flow_stationary(fp)
         dev = float(np.abs(fem_core.velocity_at_vertices(self.small, vconst)
                            - np.array([1.0, 0.0])).max())
@@ -779,13 +782,13 @@ class _Suite:
         interior = np.setdiff1d(np.arange(dms.nv), np.unique(small.boundary_edges.ravel()))
         v[dms.vx_vertex(interior)] = rng2.standard_normal(interior.size)
         v[dms.vy_vertex(interior)] = rng2.standard_normal(interior.size)
-        Mv = fem_core.assemble_mini_mass(small)
-        energies = [v @ (Mv @ v)]
+        energies = [v @ fem_core.mini_mass_product(small, v)]
         for _ in range(3):
-            fps = flow_solver.FlowProblem(sample=_at_theta_b(self.model, small, v), dt=0.05,
-                                          bc=bc_wall, include_convection=False)
+            fps = flow_solver.FlowProblem(temperature=_at_theta_b(self.model, small), dt=0.05,
+                                          bc=bc_wall, include_convection=False,
+                                          velocity=flow_solver.VelocitySample(small, v))
             v, _ = flow_solver.solve_flow_step(fps)
-            energies.append(v @ (Mv @ v))
+            energies.append(v @ fem_core.mini_mass_product(small, v))
         yield _never_grows(energies), ""
 
     @_invariants("heat.equilibrium_fixed_point")
@@ -801,10 +804,11 @@ class _Suite:
         bc_rob = {t: HeatBC("robin", 1.0, model.theta_b) for t in mesh_mod.ALL_TAGS}
         th = np.full(small.num_vertices, model.theta_b + 13.0)
         Mh = fem_core.assemble_mass(small)
+        still = flow_solver.VelocitySample(small, np.zeros(dofmap_for(small).n_velocity))
         norms = []
         for _ in range(4):
-            hp = HeatProblem(sample=materials.FieldSample(model, small, th,
-                                                          np.zeros(dofmap_for(small).n_velocity)),
+            hp = HeatProblem(temperature=materials.TemperatureSample(model, small, th),
+                             transport=still, velocity=still,
                              phi=np.zeros(small.num_vertices), dt=0.1,
                              bc=bc_rob, stab=StabilizationParams(beta=0.0),
                              include_physics_sources=False)
@@ -862,12 +866,11 @@ def format_report(report: dict) -> str:
     return "\n".join(lines)
 
 
-def write_report_csv(report: dict, path) -> None:
+def format_report_csv(report: dict) -> str:
+    """The report as RFC-4180 CSV text: a header, then one row per check."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["name", "passed", "detail"])
     for c in report["checks"]:
         writer.writerow([c["name"], c["passed"], c["detail"]])
-    from .sim_cli import _atomic_write
-
-    _atomic_write(path, buf.getvalue())
+    return buf.getvalue()

@@ -141,6 +141,14 @@ def with_bubbles(p1, triangles):
                     indices, scatter)
 
 
+def mini_mass_block(mesh):
+    """``fem_core.mini_mass_block`` on the P1 pattern with bubbles built
+    again from the P1 pattern."""
+    pattern = with_bubbles(fem_core._p1_pattern(mesh), mesh.triangles)
+    block = fem_core._tab(fem_core.geometry(mesh).qw, fem_core._products(fem_core.MINI_VALS))
+    return pattern.matrix(pattern.fill(block.reshape(-1, 4, 4)))
+
+
 def condensed_maps(mesh):
     """Every map of ``fem_core._CondensedLayout``: the vertex-vertex and
     divergence maps by (2, 2, nnz) broadcasts and the transposed entries'

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ablatesim import fem_core, linalg, verify
+from ablatesim import fem_core, flow_solver, linalg, verify
 from ablatesim.coupler import SimState, Simulation
 from ablatesim.flow_solver import (DIVERGENCE_BOUND, RESIDUAL_BOUND, FlowBC, FlowProblem,
-                                   _dirichlet_velocity, _solve_linear, builtin_profile_gamma1,
-                                   builtin_profile_gamma5, solve_flow_stationary,
-                                   solve_flow_step)
-from ablatesim.materials import FieldSample, MaterialModel
+                                   VelocitySample, _dirichlet_velocity, _solve_linear,
+                                   builtin_profile_gamma1, builtin_profile_gamma5,
+                                   solve_flow_stationary, solve_flow_step)
+from ablatesim.materials import MaterialModel, TemperatureSample
 from ablatesim.mesh import ALL_TAGS, GeometrySpec, generate_channel_mesh
 from ablatesim.sim_cli import preset
+from mini_reference import assemble_mini_blocks, assemble_mini_mass
 
 L, H, R = 1.5, 0.5, 0.075
 REL = 1e-10
@@ -26,16 +27,16 @@ def channel_bc():
 
 def monolithic(problem, advect, dt=None, gamma_n=()):
     """(v, p) from the uncondensed saddle system, assembled block by block."""
-    sample = problem.sample
-    mesh = sample.mesh
+    temperature = problem.temperature
+    mesh = temperature.mesh
     dm = fem_core.dofmap_for(mesh)
-    nu = sample.model.nu(fem_core.p1_at_qp(mesh, sample.theta_h))
-    blocks = fem_core.assemble_mini_blocks(mesh, nu, advect=advect,
+    nu = temperature.model.nu(fem_core.p1_at_qp(mesh, temperature.theta_h))
+    blocks = assemble_mini_blocks(mesh, nu, advect=advect,
                                            gamma_n_tags=gamma_n)
     A, rhs_v = blocks["A_vv"], np.zeros(dm.n_velocity)
     if dt is not None:
-        M = fem_core.assemble_mini_mass(mesh)
-        A, rhs_v = A + M / dt, M @ sample.v_h / dt
+        M = assemble_mini_mass(mesh)
+        A, rhs_v = A + M / dt, M @ problem.velocity.v_h / dt
     geo = fem_core.geometry(mesh)
     if problem.extra_force is not None:
         fx, fy = problem.extra_force(geo.qp[..., 0], geo.qp[..., 1])
@@ -66,19 +67,19 @@ def channel_step_problem(**kw):
     dm = fem_core.dofmap_for(mesh)
     rng = np.random.default_rng(3)
     model = MaterialModel(nu_law=lambda th: 0.0021 * (1.0 + 0.02 * (th - 37.0)))
-    sample = FieldSample(model, mesh, 37.0 + 10.0 * rng.random(mesh.num_vertices),
-                         0.05 * rng.standard_normal(dm.n_velocity))
-    return FlowProblem(sample, dt=0.01, bc=channel_bc(), **kw)
+    temperature = TemperatureSample(model, mesh, 37.0 + 10.0 * rng.random(mesh.num_vertices))
+    velocity = VelocitySample(mesh, 0.05 * rng.standard_normal(dm.n_velocity))
+    return FlowProblem(temperature, dt=0.01, bc=channel_bc(), velocity=velocity, **kw)
 
 
 class TestEquivalence:
     def test_channel_time_step(self):
         problem = channel_step_problem()
-        sample = problem.sample
-        nu = sample.model.nu(fem_core.p1_at_qp(sample.mesh, sample.theta_h))
+        temperature = problem.temperature
+        nu = temperature.model.nu(fem_core.p1_at_qp(temperature.mesh, temperature.theta_h))
         assert nu.min() < nu.max()  # theta-dependent viscosity
         assert_close(solve_flow_step(problem),
-                     monolithic(problem, sample.v_h, dt=problem.dt, gamma_n=(3,)))
+                     monolithic(problem, problem.velocity.v_h, dt=problem.dt, gamma_n=(3,)))
 
     def test_mms_oseen_with_pressure_pin(self):
         # C3's linear Oseen solve, advected by the exact field's interpolant.
@@ -86,7 +87,7 @@ class TestEquivalence:
         mesh = verify._mms_mesh(16, 8)
         model = verify._unit_material()
         problem = FlowProblem(
-            FieldSample(model, mesh, np.full(mesh.num_vertices, model.theta_b)), dt=None,
+            TemperatureSample(model, mesh, np.full(mesh.num_vertices, model.theta_b)), dt=None,
             bc={tag: FlowBC("inflow", lambda x, y: case.exact(x, y)) for tag in ALL_TAGS},
             extra_force=lambda x, y: case.source(x, y),
             pressure_pin_value=float(case.pressure(0.0, 0.0)))
@@ -99,16 +100,16 @@ class TestEquivalence:
 class TestContracts:
     def test_full_residual_and_divergence(self):
         problem = channel_step_problem()
-        sample = problem.sample
-        mesh = sample.mesh
+        temperature, v_prev = problem.temperature, problem.velocity.v_h
+        mesh = temperature.mesh
         dm = fem_core.dofmap_for(mesh)
         v, p = solve_flow_step(problem)
-        nu = sample.model.nu(fem_core.p1_at_qp(mesh, sample.theta_h))
-        saddle = fem_core.assemble_condensed_saddle(mesh, nu, advect=sample.v_h,
+        nu = temperature.model.nu(fem_core.p1_at_qp(mesh, temperature.theta_h))
+        saddle = fem_core.assemble_condensed_saddle(mesh, nu, advect=v_prev,
                                                     gamma_n_tags=(3,),
                                                     mass_coeff=1.0 / problem.dt)
-        M = fem_core.assemble_mini_mass(mesh)
-        rhs = np.concatenate([M @ sample.v_h / problem.dt, np.zeros(dm.n_pressure)])
+        M = assemble_mini_mass(mesh)
+        rhs = np.concatenate([M @ v_prev / problem.dt, np.zeros(dm.n_pressure)])
         res = saddle.residual(np.concatenate([v, p]), rhs)
         dofs, _ = _dirichlet_velocity(problem)
         free = np.setdiff1d(np.arange(dm.n_flow), dofs)
@@ -116,12 +117,41 @@ class TestContracts:
         assert np.linalg.norm(res[free]) <= RESIDUAL_BOUND * (1.0 + np.linalg.norm(rhs))
         assert np.linalg.norm(saddle.B @ v) <= DIVERGENCE_BOUND * (1.0 + np.linalg.norm(v))
 
+    def test_a_residual_miss_stops_the_step(self, monkeypatch):
+        # Bubbles recovered 1e-3 off their rows miss the residual contract on
+        # the full system: test3's moving flow recovers them at every step.
+        cfg = preset("test3")
+        cfg.geometry.nx, cfg.geometry.ny = 24, 8
+        sim = Simulation(cfg)
+        state = sim.initialize()
+        recover = fem_core.CondensedSaddle.recover
+
+        def off_rows(saddle, x_l, rhs):
+            x = recover(saddle, x_l, rhs)
+            x[saddle.layout.bubbles] += 1e-3
+            return x
+
+        monkeypatch.setattr(fem_core.CondensedSaddle, "recover", off_rows)
+        with pytest.raises(linalg.SolverError,
+                           match=r"^step 1/flow: flow LU residual too large: \d"):
+            sim.advance(state)
+
+    def test_a_divergence_miss_stops_the_initialization(self, monkeypatch):
+        # With no round-off allowed, the stationary flow's |Bv| misses the
+        # divergence contract, and the run stops at its first flow solve.
+        monkeypatch.setattr(flow_solver, "DIVERGENCE_BOUND", 0.0)
+        cfg = preset("test1")
+        cfg.geometry.nx, cfg.geometry.ny = 24, 8
+        with pytest.raises(linalg.SolverError,
+                           match=r"^initialize/flow: divergence contract violated: \|Bv\| = \d"):
+            Simulation(cfg).initialize()
+
     @pytest.mark.parametrize("nu", [0.0, np.nan])
     def test_singular_bubble_block_raises(self, nu):
         # No viscosity, no convection, no mass: every bubble block is zero.
         mesh = generate_channel_mesh(GeometrySpec(L=L, H=H, r=R, nx=10, ny=6))
         model = MaterialModel(nu_law=lambda th: np.full_like(th, nu))
-        problem = FlowProblem(FieldSample(model, mesh, np.full(mesh.num_vertices, 37.0)),
+        problem = FlowProblem(TemperatureSample(model, mesh, np.full(mesh.num_vertices, 37.0)),
                               dt=None, bc=channel_bc(), include_convection=False)
         with pytest.raises(linalg.SingularMatrix, match="bubble block"):
             solve_flow_stationary(problem)
@@ -129,9 +159,9 @@ class TestContracts:
     def test_recovered_bubbles_solve_their_rows(self):
         # For any P1 vector, the recovered full vector solves the bubble rows.
         problem = channel_step_problem()
-        mesh = problem.sample.mesh
+        mesh = problem.temperature.mesh
         dm = fem_core.dofmap_for(mesh)
-        saddle = fem_core.assemble_condensed_saddle(mesh, 0.01, advect=problem.sample.v_h,
+        saddle = fem_core.assemble_condensed_saddle(mesh, 0.01, advect=problem.velocity.v_h,
                                                     mass_coeff=3.0)
         rng = np.random.default_rng(5)
         rhs = rng.standard_normal(dm.n_flow)

@@ -12,9 +12,10 @@ import pytest
 from ablatesim import coupler, fem_core, flow_solver, heat_solver, linalg
 from ablatesim.coupler import (BlowUpError, NonFiniteFieldError, SimState,
                                Simulation, TimeGrid)
+from ablatesim.flow_solver import VelocitySample
 from ablatesim.heat_solver import HeatBC, HeatProblem
 from ablatesim.linalg import NotConverged, SolverError
-from ablatesim.materials import FieldSample
+from ablatesim.materials import TemperatureSample
 from ablatesim.sim_cli import ConfigError, preset
 from dirichlet_reference import apply_dirichlet_reference, assert_same_elimination
 
@@ -127,7 +128,7 @@ class TestInitialize:
         assert increments[-1] < 1e-11
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
         theta_b = np.full(sim.mesh.num_vertices, sim.model.theta_b)
-        problem = sim._flow_problem(FieldSample(sim.model, sim.mesh, theta_b), None)
+        problem = sim._flow_problem(TemperatureSample(sim.model, sim.mesh, theta_b), None)
         v1, _ = solve(problem, state.v)
         assert np.linalg.norm(v1 - state.v) < 1e-8 * np.linalg.norm(v1)
 
@@ -216,7 +217,7 @@ class TestAdvance:
         changes = [{"theta": s.theta + 5.0} if field == "theta"
                    else {"v": 1.5 * s.v, "P": 1.5 * s.P} for s in starts]
         edited = dataclasses.replace(starts[0], **changes[0])
-        bare = dataclasses.replace(starts[1], **changes[1], sample=None)
+        bare = dataclasses.replace(starts[1], **changes[1], theta_sample=None, v_sample=None)
         got, ref = runs[0].advance(edited), runs[1].advance(bare)
         assert got.theta.tobytes() == ref.theta.tobytes()
         for name in ("max_theta", "int_theta", "div_norm", "max_art_visc", "centroid_x"):
@@ -514,11 +515,11 @@ class TestHeldFactors:
         # Picard maps on 1.
         sim = Simulation(preset("test3"))
         theta_b = np.full(sim.mesh.num_vertices, sim.model.theta_b)
-        flow = flow_solver.FlowProblem(FieldSample(sim.model, sim.mesh, theta_b), dt=None,
-                                       bc=sim.flow_bc)
+        temperature = TemperatureSample(sim.model, sim.mesh, theta_b)
+        flow = flow_solver.FlowProblem(temperature, dt=None, bc=sim.flow_bc)
         v0, _ = flow_solver.solve_flow_stationary(flow)
         off = {tag: HeatBC() if bc.role == "inflow" else bc for tag, bc in sim.heat_bc.items()}
-        heat = HeatProblem(FieldSample(sim.model, sim.mesh, theta_b, v0),
+        heat = HeatProblem(temperature, VelocitySample(sim.mesh, v0),
                            phi=np.zeros(sim.mesh.num_vertices), dt=None, bc=off,
                            include_physics_sources=False)
         heat_solver.solve_heat_stationary(heat)
@@ -620,9 +621,14 @@ def test_condensed_assembly_peak_memory():
     assert peak <= 1700 * mesh.num_triangles
 
 
+# The values of a velocity that its sample evaluates on first read.
+VELOCITY_VALUES = tuple(name for name, value in vars(VelocitySample).items()
+                        if isinstance(value, functools.cached_property))
+
+
 class TestSharedFields:
     """Each step evaluates every field at the quadrature points once, and the
-    state carries its sample of theta^n and v^n into the next step."""
+    state carries its samples of theta^n and v^n into the next step."""
 
     @staticmethod
     def spy(monkeypatch, owners, name, counts):
@@ -671,8 +677,8 @@ class TestSharedFields:
             bare = bare_sim.advance(SimState(t=bare.t, n=bare.n, v=bare.v, P=bare.P,
                                              theta=bare.theta, phi=bare.phi,
                                              theta_prev=bare.theta_prev, diag=bare.diag))
-            sample = carried.sample
-            assert sample.theta_h is carried.theta and sample.v_h is carried.v
+            assert carried.theta_sample.theta_h is carried.theta
+            assert carried.v_sample.v_h is carried.v
             assert np.array_equal(carried.theta, bare.theta)
             assert np.array_equal(carried.v, bare.v)
             for name in ("max_theta", "argmax_x", "argmax_y", "int_theta", "div_norm",
@@ -693,18 +699,16 @@ class TestSharedFields:
         assert counts["p1_at_qp"] == calls
 
     def test_initialize_and_first_step_sample_each_velocity_once(self, monkeypatch):
-        # The stationary heat's sample of v0 becomes the initial state's, so
+        # The stationary heat's sample of v0 is the initial state's, so
         # step 1 reads v0 at the quadrature points from it, for the cell
         # speeds of the artificial viscosity, from its element coefficients.
         # Nothing else is sampled there: the Newton systems, the Oseen block
         # and the heat's advection and inflow weight read element
         # coefficients (the reference map), and no (NT, NQ, 2) velocity is
         # formed (velocity_at_qp is never called).
-        from ablatesim import heat_solver
-
         sim = Simulation(preset("test1"))
         seen, at_qp = [], []
-        speed, velocity_at_qp = heat_solver._cell_speed_max, fem_core.velocity_at_qp
+        speed, velocity_at_qp = flow_solver._cell_speed_max, fem_core.velocity_at_qp
 
         def recorded(coeffs):
             seen.append(coeffs)  # kept alive, so every id stays distinct
@@ -714,11 +718,11 @@ class TestSharedFields:
             at_qp.append(u)
             return velocity_at_qp(mesh, u)
 
-        monkeypatch.setattr(heat_solver, "_cell_speed_max", recorded)
+        monkeypatch.setattr(flow_solver, "_cell_speed_max", recorded)
         monkeypatch.setattr(fem_core, "velocity_at_qp", formed)
         state = sim.initialize()
         sim.advance(state)
-        assert len(seen) == 1 and seen[0] is state.sample.coeffs
+        assert len(seen) == 1 and seen[0] is state.v_sample.coeffs
         assert at_qp == []
 
     def test_strain_of_the_startup_state_is_never_evaluated(self, monkeypatch):
@@ -736,27 +740,28 @@ class TestSharedFields:
         new = sim.advance(state)
         assert new.v is not state.v
         assert counts["viscous_dissipation"] == 1
-        assert "strain" not in vars(state.sample) and "strain" in vars(new.sample)
+        assert "strain" not in vars(state.v_sample) and "strain" in vars(new.v_sample)
 
     @staticmethod
     def spy_values(monkeypatch, counts):
         """Count the evaluations of each of the velocity's values of every
-        FieldSample (``FieldSample.VELOCITY_VALUES``)."""
-        for name in FieldSample.VELOCITY_VALUES:
-            evaluate = vars(FieldSample)[name].func
+        VelocitySample (``VELOCITY_VALUES``)."""
+        for name in VELOCITY_VALUES:
+            evaluate = vars(VelocitySample)[name].func
 
             def counted(sample, name=name, evaluate=evaluate):
                 counts[name] += 1
                 return evaluate(sample)
 
             value = functools.cached_property(counted)
-            value.__set_name__(FieldSample, name)
-            monkeypatch.setattr(FieldSample, name, value)
+            value.__set_name__(VelocitySample, name)
+            monkeypatch.setattr(VelocitySample, name, value)
 
     def test_an_unchanged_velocity_is_evaluated_once(self, monkeypatch):
-        # test1's flow returns v0 itself at every step, so its sample
-        # transports too and hands each of the velocity's values to the next
-        # state: none is evaluated again, and the heat step drops none.  The
+        # test1's flow returns v0 itself at every step, so its one sample
+        # transports too and goes to the next state with each of the
+        # velocity's values: none is evaluated again, and the heat step drops
+        # none.  The
         # potential's Neumann load, of a constant flux, is built once too.
         from collections import Counter
 
@@ -772,10 +777,10 @@ class TestSharedFields:
         for name in ("velocity_at_qp", "assemble_advection"):
             self.spy(monkeypatch, [fem_core], name, counts)
         first = sim.advance(state)
-        values = {name: vars(first.sample)[name] for name in FieldSample.VELOCITY_VALUES}
-        assert first.v is state.v
+        values = {name: vars(first.v_sample)[name] for name in VELOCITY_VALUES}
+        assert first.v is state.v and first.v_sample is state.v_sample
         for name in ("coeffs", "advection", "div_norm", "vmax"):
-            assert values[name] is vars(state.sample)[name], name
+            assert values[name] is vars(state.v_sample)[name], name
         new = first
         for _ in range(4):
             new = sim.advance(new)
@@ -785,10 +790,9 @@ class TestSharedFields:
         # evaluated D(v):D(v), the cell speeds and the inflow weights with
         # their edge mass, none of them through velocity_at_qp.
         assert counts == {"viscous_dissipation": 1}
-        assert per_run == {name: 1 for name in (*FieldSample.VELOCITY_VALUES,
-                                                "assemble_boundary_load")}
+        assert per_run == {name: 1 for name in (*VELOCITY_VALUES, "assemble_boundary_load")}
         for name, value in values.items():
-            assert vars(new.sample)[name] is value, name
+            assert vars(new.v_sample)[name] is value, name
             if isinstance(value, np.ndarray):
                 assert not value.flags.writeable, name
         assert isinstance(values["div_norm"], float) and isinstance(values["vmax"], float)
@@ -808,7 +812,7 @@ class TestSharedFields:
         for n in range(4):
             new = sim.advance(state)
             assert new.v is not state.v, n
-            assert counts == {name: n + 1 for name in FieldSample.VELOCITY_VALUES}, n
+            assert counts == {name: n + 1 for name in VELOCITY_VALUES}, n
             state = new
 
 
@@ -826,9 +830,10 @@ def test_heat_step_peak_memory():
     prev = sim.advance(rest_state(sim))
     state = sim.advance(prev)
     dt = cfg.time.dt
-    problem = sim._heat_problem(FieldSample(sim.model, sim.mesh, state.theta, prev.v),
-                                state.theta_prev, state.phi, dt, state.t + dt,
-                                FieldSample(sim.model, sim.mesh, None, state.v))
+    problem = sim._heat_problem(TemperatureSample(sim.model, sim.mesh, state.theta),
+                                VelocitySample(sim.mesh, prev.v),
+                                VelocitySample(sim.mesh, state.v),
+                                state.theta_prev, state.phi, dt, state.t + dt)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -851,8 +856,8 @@ def test_flow_step_peak_memory():
     sim = Simulation(cfg)
     prev = sim.advance(rest_state(sim))
     state = sim.advance(prev)
-    problem = sim._flow_problem(FieldSample(sim.model, sim.mesh, state.theta, state.v),
-                                cfg.time.dt)
+    problem = sim._flow_problem(TemperatureSample(sim.model, sim.mesh, state.theta),
+                                cfg.time.dt, VelocitySample(sim.mesh, state.v))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -895,10 +900,10 @@ class TestFixedFlow:
     def step(self, sim, state, model=None, dt=None, v=None):
         """solve_flow_step of the step after ``state`` on the run's system,
         with the model, dt or previous velocity replaced where given."""
-        sample = FieldSample(model or sim.model, sim.mesh, state.theta,
-                             state.v if v is None else v)
         return flow_solver.solve_flow_step(flow_solver.FlowProblem(
-            sample=sample, dt=dt or sim.config.time.dt, bc=sim.flow_bc, p_prev=state.P,
+            temperature=TemperatureSample(model or sim.model, sim.mesh, state.theta),
+            velocity=VelocitySample(sim.mesh, state.v if v is None else v),
+            dt=dt or sim.config.time.dt, bc=sim.flow_bc, p_prev=state.P,
             system=sim.systems["flow"]))
 
     @pytest.mark.parametrize("change", ["none", "v_h", "nu", "nu_const", "force", "dt"])
@@ -965,7 +970,7 @@ class TestFixedFlow:
         sim = Simulation(quick_config(nx=24, ny=8))
         state = sim.advance(sim.initialize())
         dofs, vals = flow_solver.flow_constraints(flow_solver.FlowProblem(
-            sample=FieldSample(sim.model, sim.mesh, state.theta, state.v),
+            temperature=TemperatureSample(sim.model, sim.mesh, state.theta),
             dt=sim.config.time.dt, bc=sim.flow_bc))
         k = int(np.flatnonzero(vals)[0])
         v = state.v.copy()

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from ablatesim import fem_core, flow_solver, verify
-from ablatesim.flow_solver import (FlowBC, FlowProblem,
+from ablatesim.flow_solver import (FlowBC, FlowProblem, VelocitySample,
                                    builtin_profile_gamma1,
                                    builtin_profile_gamma5, make_profile,
                                    solve_flow_stationary, solve_flow_step)
 from ablatesim.linalg import SolverError
-from ablatesim.materials import FieldSample, MaterialModel
+from ablatesim.materials import MaterialModel, TemperatureSample
 from ablatesim.mesh import ALL_TAGS, GeometrySpec, generate_channel_mesh
+from mini_reference import assemble_mini_blocks, assemble_mini_mass
 
 L, H, R = 1.5, 0.5, 0.075
 
@@ -28,13 +29,14 @@ def bc_test1():
 
 
 def make_problem(mesh, bc, theta_val=37.0, v_prev=None, dt=0.01, **kw):
-    """A step's problem, whose sample carries v_prev (zero by default), or
-    with ``dt=None`` the stationary one, whose sample carries no velocity."""
+    """A step's problem, with a sample of v_prev (zero by default), or with
+    ``dt=None`` the stationary one, which has no velocity."""
     model = kw.pop("model", MaterialModel())
     if v_prev is None and dt is not None:
         v_prev = np.zeros(fem_core.dofmap_for(mesh).n_velocity)
-    sample = FieldSample(model, mesh, np.full(mesh.num_vertices, theta_val), v_prev)
-    return FlowProblem(sample, dt=dt, bc=bc, **kw)
+    temperature = TemperatureSample(model, mesh, np.full(mesh.num_vertices, theta_val))
+    velocity = None if v_prev is None else VelocitySample(mesh, v_prev)
+    return FlowProblem(temperature, dt=dt, bc=bc, velocity=velocity, **kw)
 
 
 class TestProfiles:
@@ -110,7 +112,7 @@ class TestFlowStep:
         mesh = channel_mesh()
         problem = make_problem(mesh, bc_test1())
         v, p = solve_flow_step(problem)
-        B = fem_core.assemble_mini_blocks(mesh, 1.0)["B"]
+        B = assemble_mini_blocks(mesh, 1.0)["B"]
         assert np.linalg.norm(B @ v) <= flow_solver.DIVERGENCE_BOUND * (1.0 + np.linalg.norm(v))
 
     def test_dirichlet_dofs_exact(self):
@@ -142,12 +144,12 @@ class TestFlowStep:
         problem = make_problem(channel_mesh(10, 6), bc_test1(), dt=-0.1)
         with pytest.raises(ValueError):
             solve_flow_step(problem)
-        # A step needs dt and the previous velocity, its sample's v_h.
+        # A step needs dt and the previous velocity.
         mesh = channel_mesh(10, 6)
         v_prev = np.zeros(fem_core.dofmap_for(mesh).n_velocity)
         no_dt = make_problem(mesh, bc_test1(), v_prev=v_prev, dt=None)
         no_velocity = make_problem(mesh, bc_test1())
-        no_velocity.sample.v_h = None
+        no_velocity.velocity = None
         for problem in (no_dt, no_velocity):
             with pytest.raises(ValueError, match="needs dt and the previous velocity"):
                 solve_flow_step(problem)
@@ -160,8 +162,8 @@ class TestFlowStep:
 
     def test_nan_field_rejected(self):
         problem = make_problem(channel_mesh(10, 6), bc_test1())
-        problem.sample.theta_h = problem.sample.theta_h.copy()
-        problem.sample.theta_h[0] = np.inf
+        problem.temperature.theta_h = problem.temperature.theta_h.copy()
+        problem.temperature.theta_h[0] = np.inf
         with pytest.raises(ValueError):
             solve_flow_step(problem)
 
@@ -240,7 +242,7 @@ class TestStationary:
         mesh = channel_mesh(10, 6)
         problem = make_problem(mesh, bc_test1(), dt=None)
         v, _ = solve_flow_stationary(problem)
-        B = fem_core.assemble_mini_blocks(mesh, 1.0)["B"]
+        B = assemble_mini_blocks(mesh, 1.0)["B"]
         assert np.linalg.norm(B @ v) <= flow_solver.DIVERGENCE_BOUND * (1.0 + np.linalg.norm(v))
 
     def test_missed_picard_tol_raises(self, monkeypatch):
@@ -264,14 +266,14 @@ class TestNewton:
         nu, eps = 1e-2, 0.5
 
         def residual(w):
-            blocks = fem_core.assemble_mini_blocks(mesh, nu, advect=w, gamma_n_tags=gamma_n)
+            blocks = assemble_mini_blocks(mesh, nu, advect=w, gamma_n_tags=gamma_n)
             return blocks["A_vv"] @ w
 
         fd = (residual(u + eps * delta) - residual(u - eps * delta)) / (2.0 * eps)
         saddle, load = fem_core.assemble_newton_saddle(mesh, nu, u, gamma_n)
         assert np.abs(saddle.A_vv @ delta - fd).max() <= 1e-12 * np.abs(fd).max()
         # The load is the convective part of R(u).
-        convective = residual(u) - fem_core.assemble_mini_blocks(mesh, nu)["A_vv"] @ u
+        convective = residual(u) - assemble_mini_blocks(mesh, nu)["A_vv"] @ u
         assert np.abs(load - convective).max() <= 1e-12 * np.abs(convective).max()
 
     def test_manufactured_rates_of_the_stationary_solve(self):
@@ -376,7 +378,7 @@ class TestEnergyDecay:
         interior = np.setdiff1d(np.arange(dm.nv), np.unique(mesh.boundary_edges.ravel()))
         v[dm.vx_vertex(interior)] = rng.standard_normal(interior.size)
         v[dm.vy_vertex(interior)] = rng.standard_normal(interior.size)
-        M = fem_core.assemble_mini_mass(mesh)
+        M = assemble_mini_mass(mesh)
         for _ in range(4):
             problem = make_problem(mesh, bc, v_prev=v, dt=0.05,
                                    include_convection=False)

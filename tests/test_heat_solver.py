@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from ablatesim import fem_core, heat_solver, linalg
-from ablatesim.flow_solver import viscous_dissipation
-from ablatesim.heat_solver import (HeatBC, HeatProblem, StabilizationParams,
-                                   _cell_speed_max, domain_diameter,
+from ablatesim.flow_solver import VelocitySample, _cell_speed_max, viscous_dissipation
+from ablatesim.heat_solver import (HeatBC, HeatProblem, StabilizationParams, domain_diameter,
                                    solve_heat_stationary, solve_heat_step)
 from ablatesim.linalg import SolverError
-from ablatesim.materials import FieldSample, MaterialModel
+from ablatesim.materials import MaterialModel, TemperatureSample
 from ablatesim.potential_solver import joule_density
 from ablatesim.mesh import ALL_TAGS, GeometrySpec, generate_channel_mesh
 
@@ -26,10 +25,10 @@ def const_velocity(dm, vx, vy):
 
 def entropy_residual(mesh, model, th1, th2, v, phi, dt, alpha=2.0):
     """The residual of the nodal fields, its quad-point inputs evaluated here."""
-    sample = FieldSample(model, mesh, th1, v)
-    source = (sample.nu * viscous_dissipation(mesh, v)
-              + joule_density(mesh, sample.sigma, phi))
-    return heat_solver.entropy_residual(sample, th2, source, dt,
+    temperature = TemperatureSample(model, mesh, th1)
+    source = (temperature.nu * viscous_dissipation(mesh, v)
+              + joule_density(mesh, temperature.sigma, phi))
+    return heat_solver.entropy_residual(temperature, VelocitySample(mesh, v), th2, source, dt,
                                         StabilizationParams(alpha=alpha))
 
 
@@ -75,15 +74,18 @@ def robin_bc(theta_l=37.0, alpha=1.0):
 
 
 def make_problem(mesh, bc, theta_prev, v=None, phi=None, dt=0.05, **kw):
-    """A problem whose one sample of theta_prev and v serves both the
-    residual and the transport, unless a ``transport`` is given."""
+    """A problem whose one sample of v serves both the residual and the
+    transport, unless a ``transport`` is given."""
     dm = fem_core.dofmap_for(mesh)
     model = kw.pop("model", MaterialModel())
     if v is None:
         v = np.zeros(dm.n_velocity)
     if phi is None:
         phi = np.zeros(mesh.num_vertices)
-    return HeatProblem(FieldSample(model, mesh, theta_prev, v), phi=phi, dt=dt, bc=bc, **kw)
+    velocity = VelocitySample(mesh, v)
+    kw.setdefault("transport", velocity)
+    return HeatProblem(TemperatureSample(model, mesh, theta_prev), phi=phi, dt=dt, bc=bc,
+                       velocity=velocity, **kw)
 
 
 class TestStabilizationParams:
@@ -94,6 +96,22 @@ class TestStabilizationParams:
             StabilizationParams(alpha=2.5)
         with pytest.raises(ValueError):
             StabilizationParams(alpha=0.5)
+
+    @pytest.mark.parametrize("key, value", [
+        ("beta", -0.5), ("beta", float("nan")), ("c_r", 0.0), ("c_r", -1.0),
+        ("c_r", float("nan")), ("var_floor", 0.0), ("var_floor", -1.0),
+        ("var_floor", float("nan"))])
+    def test_bounds_enforced(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            StabilizationParams(**{key: value})
+
+    def test_zero_beta_switches_stabilization_off(self):
+        mesh = small_mesh()
+        v = const_velocity(fem_core.dofmap_for(mesh), 1.0, 0.0)
+        problem = make_problem(mesh, robin_bc(), np.full(mesh.num_vertices, 37.0), v=v,
+                               stab=StabilizationParams(beta=0.0))
+        solve_heat_step(problem)
+        assert not problem.art_visc.any()
 
     def test_bad_role_rejected(self):
         with pytest.raises(ValueError):
@@ -178,15 +196,15 @@ class TestEntropyResidual:
         assert np.allclose(res, expected, rtol=1e-12)
 
 
-def expanded_residual(sample, theta_prev2, source, dt, stab):
+def expanded_residual(temperature, velocity, theta_prev2, source, dt, stab):
     """The residual as it was expanded before v.grad(theta) was contracted
     from the element coefficients, the oracle: v at the quad points dotted
     with grad(theta), the terms multiplied out and summed in the order of
     the expansion, and the per-cell sup along the quadrature rows."""
     a, floor = float(stab.alpha), stab.var_floor
-    th1_q = sample.theta
-    th2_q = fem_core.p1_at_qp(sample.mesh, theta_prev2)
-    grad1 = fem_core.p1_gradients(sample.mesh, sample.theta_h)
+    th1_q = temperature.theta
+    th2_q = fem_core.p1_at_qp(temperature.mesh, theta_prev2)
+    grad1 = fem_core.p1_gradients(temperature.mesh, temperature.theta_h)
     if a == 1.0:
         pow1 = pow2 = None
     elif a == 2.0:
@@ -205,14 +223,15 @@ def expanded_residual(sample, theta_prev2, source, dt, stab):
         res = np.maximum(th1_q, floor) ** a
         res -= np.maximum(th2_q, floor) ** a
         res /= a * dt
-    term = np.einsum("tqd,td->tq", fem_core.velocity_at_qp(sample.mesh, sample.coeffs), grad1)
+    term = np.einsum("tqd,td->tq", fem_core.velocity_at_qp(velocity.mesh, velocity.coeffs),
+                     grad1)
     if a == 1.0:
         res += term
         res -= source
     else:
         term *= pow1
         res += term
-        np.multiply(sample.eta, a - 1.0, out=term)
+        np.multiply(temperature.eta, a - 1.0, out=term)
         if pow2 is not None:
             term *= pow2
         term *= np.einsum("td,td->t", grad1, grad1)[:, None]
@@ -221,7 +240,7 @@ def expanded_residual(sample, theta_prev2, source, dt, stab):
     return np.max(np.abs(res), axis=1)
 
 
-def residual_roundoff_bound(sample, theta_prev2, source, dt, stab):
+def residual_roundoff_bound(temperature, velocity, theta_prev2, source, dt, stab):
     """16 eps times the per-cell largest sum M_q of the moduli of the
     expansion's terms, v.grad(theta) taken as its 8 products c_dk g_d
     MINI_qk.  Both expansions sum those 8 products, in other groupings, and
@@ -230,19 +249,19 @@ def residual_roundoff_bound(sample, theta_prev2, source, dt, stab):
     operation), and the per-cell sups of their moduli within 16 eps max_q M_q
     of each other."""
     a, floor = float(stab.alpha), stab.var_floor
-    mesh = sample.mesh
+    mesh = temperature.mesh
 
     def base(th):
         return th if a in (1.0, 2.0) else np.maximum(th, floor)
 
-    th1, th2 = base(sample.theta), base(fem_core.p1_at_qp(mesh, theta_prev2))
-    grad = fem_core.p1_gradients(mesh, sample.theta_h)
+    th1, th2 = base(temperature.theta), base(fem_core.p1_at_qp(mesh, theta_prev2))
+    grad = fem_core.p1_gradients(mesh, temperature.theta_h)
     products = np.einsum("qk,tdk,td->tq", np.abs(fem_core.MINI_VALS),
-                         np.abs(sample.coeffs), np.abs(grad))
+                         np.abs(velocity.coeffs), np.abs(grad))
     pow1 = np.abs(th1 ** (a - 1.0))
     pow2 = 1.0 if a == 1.0 else np.abs(th1 ** (a - 2.0))
     moduli = (np.abs(th1 ** a - th2 ** a) / (a * dt) + pow1 * (products + np.abs(source))
-              + np.abs(sample.eta) * (a - 1.0) * pow2 * np.sum(grad ** 2, axis=1)[:, None])
+              + np.abs(temperature.eta) * (a - 1.0) * pow2 * np.sum(grad ** 2, axis=1)[:, None])
     return 16.0 * np.finfo(float).eps * moduli.max(axis=1)
 
 
@@ -273,17 +292,17 @@ class TestResidualOracle:
         shifts = (0.0, float(np.median(state.theta))) if alpha == 1.5 else (0.0,)
         for shift in shifts:
             theta, theta_prev2 = state.theta - shift, state.theta_prev - shift
-            sample = FieldSample(sim.model, sim.mesh, theta, state.v)
-            source = sample.nu * sample.strain + joule_density(sim.mesh, sample.sigma,
-                                                               state.phi)
+            temperature = TemperatureSample(sim.model, sim.mesh, theta)
+            velocity = VelocitySample(sim.mesh, state.v)
+            source = temperature.nu * velocity.strain + joule_density(
+                sim.mesh, temperature.sigma, state.phi)
             if shift:
-                assert (sample.theta < stab.var_floor).any()
-                assert (sample.theta > stab.var_floor).any()
-            got = heat_solver.entropy_residual(sample, theta_prev2, source, sim.config.time.dt,
-                                               stab)
-            ref = expanded_residual(sample, theta_prev2, source, sim.config.time.dt, stab)
-            bound = residual_roundoff_bound(sample, theta_prev2, source, sim.config.time.dt,
-                                            stab)
+                assert (temperature.theta < stab.var_floor).any()
+                assert (temperature.theta > stab.var_floor).any()
+            samples = (temperature, velocity, theta_prev2, source, sim.config.time.dt, stab)
+            got = heat_solver.entropy_residual(*samples)
+            ref = expanded_residual(*samples)
+            bound = residual_roundoff_bound(*samples)
             assert np.all(np.abs(got - ref) <= bound), (shift, np.max(np.abs(got - ref) / bound))
 
 
@@ -332,13 +351,16 @@ class TestArtificialViscosity:
         assert np.all(art <= bound * (1 + 1e-15))
 
     def test_negative_beta_breaks_bound(self):
-        # the suite flags this: the computation itself does not clamp
+        # The parameters reject a negative beta (test_bounds_enforced); the
+        # computation itself does not clamp one set past that check, and the
+        # suite flags it.
         mesh = small_mesh()
         dm = fem_core.dofmap_for(mesh)
         theta = np.full(mesh.num_vertices, 42.0)
         v = const_velocity(dm, 1.0, 0.0)
-        art = artificial_viscosity(mesh, None, theta, v,
-                                   StabilizationParams(beta=-0.1))
+        params = StabilizationParams()
+        params.beta = -0.1
+        art = artificial_viscosity(mesh, None, theta, v, params)
         assert art.min() < 0.0
 
     def test_domain_diameter(self):
@@ -386,14 +408,18 @@ class TestHeatStep:
 
     @pytest.mark.parametrize("solve", [solve_heat_step, solve_heat_stationary])
     def test_problem_without_velocity_names_it(self, solve):
-        # A sample without a velocity lacks a field; it holds no non-finite one.
+        # A missing velocity lacks a field; it holds no non-finite one.  Every
+        # problem takes its transport; a step also reads v^{n-1}, which the
+        # stationary heat does not.
         mesh = small_mesh()
-        theta = np.full(mesh.num_vertices, 37.0)
-        dt = 0.05 if solve is solve_heat_step else None  # the stationary heat takes none
-        problem = HeatProblem(FieldSample(MaterialModel(), mesh, theta),
-                              phi=np.zeros(mesh.num_vertices), dt=dt, bc=robin_bc())
-        with pytest.raises(ValueError, match="needs the velocity"):
-            solve(problem)
+        temperature = TemperatureSample(MaterialModel(), mesh, np.full(mesh.num_vertices, 37.0))
+        kw = dict(phi=np.zeros(mesh.num_vertices), bc=robin_bc())
+        with pytest.raises(TypeError, match="'transport'"):
+            HeatProblem(temperature, dt=None, **kw)
+        if solve is solve_heat_step:
+            transport = VelocitySample(mesh, np.zeros(fem_core.dofmap_for(mesh).n_velocity))
+            with pytest.raises(ValueError, match="needs the previous velocity"):
+                solve(HeatProblem(temperature, transport, dt=0.05, **kw))
 
     def test_non_finite_theta_prev2_is_named(self):
         # theta^{n-2} feeds the entropy residual; a NaN there is named before
@@ -411,8 +437,9 @@ class TestHeatStep:
         theta_prev2 = state.theta_prev.copy()
         theta_prev2[5] = np.nan
         dt = cfg.time.dt
-        problem = sim._heat_problem(FieldSample(sim.model, sim.mesh, state.theta, state.v),
-                                    theta_prev2, state.phi, dt, state.t + dt)
+        velocity = VelocitySample(sim.mesh, state.v)
+        problem = sim._heat_problem(TemperatureSample(sim.model, sim.mesh, state.theta),
+                                    velocity, velocity, theta_prev2, state.phi, dt, state.t + dt)
         with pytest.raises(ValueError, match="theta_prev2 contains non-finite values"):
             solve_heat_step(problem)
 
@@ -474,7 +501,7 @@ class TestHeatStep:
         mesh = small_mesh()
         dm = fem_core.dofmap_for(mesh)
         theta = np.full(mesh.num_vertices, 37.0)
-        transport = FieldSample(MaterialModel(), mesh, None, const_velocity(dm, 1.0, 0.0))
+        transport = VelocitySample(mesh, const_velocity(dm, 1.0, 0.0))
         problem = make_problem(mesh, robin_bc(), theta, v=np.zeros(dm.n_velocity),
                                transport=transport, theta_prev2=theta)
         solve_heat_step(problem)
@@ -490,7 +517,7 @@ class TestHeatStep:
         from ablatesim import flow_solver
 
         counts = Counter()
-        for owner, name in ((heat_solver, "_cell_speed_max"),
+        for owner, name in ((flow_solver, "_cell_speed_max"),
                             (flow_solver, "viscous_dissipation")):
             def counted(*args, _name=name, _original=getattr(owner, name)):
                 counts[_name] += 1
@@ -500,8 +527,8 @@ class TestHeatStep:
         return counts
 
     def test_one_sample_serves_v_and_v_stab(self, monkeypatch):
-        # No transport: the advection, the source and the residual read one
-        # sample of v.
+        # v^{n-1} transports: the advection, the source and the residual read
+        # one sample of v.
         mesh = small_mesh()
         rng = np.random.default_rng(5)
         theta = 37.0 + rng.uniform(0.0, 1.0, mesh.num_vertices)
@@ -591,7 +618,7 @@ class TestBoundaryKernel:
 
     def test_robin_and_inflow_terms_match_edge_loop(self):
         problem, vertex_v = self.robin_inflow_problem()
-        mesh, bc = problem.sample.mesh, problem.bc
+        mesh, bc = problem.temperature.mesh, problem.bc
         # The terms' matrices come as data on the full P1 pattern.
         pattern = fem_core._p1_pattern(mesh)
         (R, r), (I, i) = ((pattern.matrix(data), load)
@@ -607,9 +634,9 @@ class TestBoundaryKernel:
 
     def test_system_summed_in_pattern_data_matches_the_sparse_sum(self):
         problem, _ = self.robin_inflow_problem()
-        mesh, dt, theta = problem.sample.mesh, problem.dt, problem.sample.theta_h
-        v = problem.sample.v_h
-        laws = FieldSample(problem.sample.model, mesh, theta)
+        mesh, dt, theta = problem.temperature.mesh, problem.dt, problem.temperature.theta_h
+        v = problem.transport.v_h
+        laws = TemperatureSample(problem.temperature.model, mesh, theta)
         art = np.random.default_rng(8).uniform(0.0, 1e-2, (mesh.num_triangles, 1))
         joule = joule_density(mesh, laws.sigma, problem.phi)
         src = laws.nu * viscous_dissipation(mesh, v) + joule

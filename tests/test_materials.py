@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ablatesim import fem_core, flow_solver, heat_solver
+from ablatesim import fem_core, flow_solver
 from ablatesim.materials import (ADMISSIBLE_RANGE, BREAKPOINTS, DEFAULT_BUOYANCY_COEFF,
-                                 BuoyancySettings, FieldSample, MaterialModel, branch_limits,
-                                 validate_bounds)
+                                 BuoyancySettings, MaterialModel, TemperatureSample,
+                                 branch_limits, validate_bounds)
 from ablatesim.mesh import GeometrySpec, generate_channel_mesh
 
 
@@ -289,6 +289,8 @@ class TestBounds:
 
 
 class TestFieldSample:
+    """The temperature's and the velocity's samples."""
+
     def test_each_value_evaluated_once_on_first_read(self, monkeypatch):
         from collections import Counter
 
@@ -297,14 +299,14 @@ class TestFieldSample:
         rng = np.random.default_rng(2)
         theta = 37.0 + 70.0 * rng.uniform(size=mesh.num_vertices)
         v = rng.standard_normal(fem_core.dofmap_for(mesh).n_velocity)
-        ref = {"theta": fem_core.p1_at_qp(mesh, theta),
-               "speed": heat_solver._cell_speed_max(fem_core.velocity_element_coeffs(mesh, v)),
-               "strain": flow_solver.viscous_dissipation(mesh, v)}
+        ref = {"theta": fem_core.p1_at_qp(mesh, theta)}
         for law in ("sigma", "eta", "nu"):
             ref[law] = getattr(model, law)(ref["theta"])
+        ref_v = {"speed": flow_solver._cell_speed_max(fem_core.velocity_element_coeffs(mesh, v)),
+                 "strain": flow_solver.viscous_dissipation(mesh, v)}
 
         counts = Counter()
-        for owner, name in ((fem_core, "p1_at_qp"), (heat_solver, "_cell_speed_max"),
+        for owner, name in ((fem_core, "p1_at_qp"), (flow_solver, "_cell_speed_max"),
                             (flow_solver, "viscous_dissipation"), (MaterialModel, "sigma"),
                             (MaterialModel, "eta"), (MaterialModel, "nu")):
             def counted(*args, _name=name, _original=getattr(owner, name)):
@@ -312,10 +314,12 @@ class TestFieldSample:
                 return _original(*args)
 
             monkeypatch.setattr(owner, name, counted)
-        sample = FieldSample(model, mesh, theta, v)
+        samples = ((TemperatureSample(model, mesh, theta), ref),
+                   (flow_solver.VelocitySample(mesh, v), ref_v))
         assert not counts  # nothing is evaluated before it is read
         for _ in range(2):
-            for name, value in ref.items():
-                assert np.array_equal(getattr(sample, name), value), name
+            for sample, values in samples:
+                for name, value in values.items():
+                    assert np.array_equal(getattr(sample, name), value), name
         assert counts == {"p1_at_qp": 1, "_cell_speed_max": 1, "viscous_dissipation": 1,
                           "sigma": 1, "eta": 1, "nu": 1}

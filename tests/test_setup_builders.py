@@ -11,8 +11,10 @@ from scipy.spatial import Delaunay
 
 import setup_reference as ref
 from ablatesim import fem_core, verify
+from ablatesim.coupler import Simulation
 from ablatesim.mesh import (GAMMA1, GAMMA2, GAMMA3, GAMMA4, GeometrySpec, Mesh2D,
                             channel_mesh_arrays, generate_channel_mesh, span_counts)
+from ablatesim.sim_cli import preset
 
 CHANNELS = {"48x16": GeometrySpec(nx=48, ny=16), "96x32": GeometrySpec(nx=96, ny=32),
             "47x7": GeometrySpec(nx=47, ny=7)}  # odd spans: 21, 5 and 21 cells
@@ -84,6 +86,9 @@ def check_builders(mesh, label=""):
                         label + "mini")
     assert_same_bytes(fem_core.vertex_order(mesh), ref.nested_dissection(mesh.vertices, p1),
                       label + "vertex_order")
+    mass, want = fem_core.mini_mass_block(mesh), ref.mini_mass_block(mesh)
+    for attr in ("data", "indices", "indptr"):
+        assert_same_bytes(getattr(mass, attr), getattr(want, attr), label + "mini_mass." + attr)
     layout, want = fem_core._CondensedLayout(mesh), ref.condensed_maps(mesh)
     assert_same_pattern(layout.pattern, want.pop("pattern"), label + "condensed")
     for name, w in want.items():
@@ -129,3 +134,23 @@ def test_signed_zeros_of_the_geometry():
     assert zeros.any()
     assert_same_bytes(np.signbit(geo.grad_p1[zeros]),
                       np.signbit(ref.geometry(mesh)[3][zeros]), "signs")
+
+
+def test_one_bubble_pattern_per_mesh(monkeypatch):
+    # The MINI pattern is built from the P1 pattern with bubbles, and the
+    # MINI mass block reads that pattern off the MINI pattern: a time step
+    # of the flow builds it once.
+    builds = []
+    with_bubbles = fem_core._Pattern.with_bubbles.__func__
+
+    def counted(cls, *args):
+        builds.append(args)
+        return with_bubbles(cls, *args)
+
+    monkeypatch.setattr(fem_core._Pattern, "with_bubbles", classmethod(counted))
+    cfg = preset("test3")
+    cfg.geometry.nx, cfg.geometry.ny = 24, 8
+    sim = Simulation(cfg)
+    sim.advance(sim.initialize())
+    assert "mini_mass_block" in fem_core.geometry(sim.mesh).operators
+    assert len(builds) == 1

@@ -170,6 +170,8 @@ class TestConfigParsing:
             config_from_dict({"heat_bc": {"G1": {"role": "robin", "alpha": -1.0}}})
         with pytest.raises(ConfigError, match="stabilization: alpha must"):
             config_from_dict({"stabilization": {"alpha": 3.0}})
+        with pytest.raises(ConfigError, match="stabilization: beta must"):
+            config_from_dict({"stabilization": {"beta": -0.5}})
         with pytest.raises(ConfigError, match="flow_bc.G5: unknown flow boundary role"):
             config_from_dict({"flow_bc": {"G5": {"role": "slip"}}})
         with pytest.raises(ConfigError, match="time: T must"):
@@ -329,6 +331,23 @@ class TestCLI:
         cfgfile.write_text(json.dumps({"preset": "test1", "materials": {"sigma0": -0.6}}))
         assert main(["run", "--config", str(cfgfile)]) == 2
         assert "materials: sigma0 must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("beta", -0.5, "beta must be nonnegative"),
+        ("c_r", 0.0, "c_r must be positive"),
+        ("var_floor", -1.0, "var_floor must be positive")])
+    def test_run_bad_stabilization_exit_2_before_solves(self, tmp_path, monkeypatch, capsys,
+                                                        key, value, message):
+        # beta = -0.5 used to run with a negative viscosity in every cell, and
+        # var_floor = -1 to meet a singular heat factor at step 2.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the config was rejected")
+
+        monkeypatch.setattr(linalg, "solve_lu", no_solve)
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"preset": "test1", "stabilization": {key: value}}))
+        assert main(["run", "--config", str(cfgfile)]) == 2
+        assert f"stabilization: {message}, got {value}" in capsys.readouterr().err
 
     def test_run_unknown_inflow_profile_exit_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.json"
@@ -531,7 +550,8 @@ class TestVerifyCommand:
         outdir = tmp_path / "out"
         assert main(["verify", "--config", str(cfgfile), "--out", str(outdir)]) == 0
         assert (outdir / "invariants.txt").read_text().rstrip().endswith("PASS (27/27)")
-        assert (outdir / "invariants.csv").exists()
+        rows = (outdir / "invariants.csv").read_text().splitlines()
+        assert rows[0] == "name,passed,detail" and len(rows) == 28
 
     def test_both_sources_exit_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.json"

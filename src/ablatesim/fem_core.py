@@ -329,6 +329,19 @@ class _Pattern:
                                   k * k * nnz),
                         np.tile(row_cols, k), scatter.reshape(nt, k * m, k * m))
 
+    def first_block(self, k: int) -> "_Pattern":
+        """The pattern ``base`` of ``_Pattern.blocked(base, k)``, read off its
+        first block: base row i starts at indptr[i] // k and is the first of
+        the k copies of row i, and the element blocks' first corners lie
+        (k-1) indptr[r] past their base positions, r the row of the entry."""
+        n, m = self.shape[0] // k, self.scatter.shape[1] // k
+        indptr = self.indptr[:n + 1] // k
+        first = (k - 1) * np.repeat(indptr[:-1], np.diff(indptr)) + np.arange(indptr[-1])
+        corner = self.scatter[:, :m, :m]
+        r = np.searchsorted(self.indptr[:n + 1], corner[:, :, 0], side="right") - 1
+        return _Pattern._new((n, n), indptr, self.indices[first],
+                             corner - (k - 1) * indptr[r][:, :, None])
+
     @classmethod
     def with_bubbles(cls, p1: "_Pattern", triangles: np.ndarray) -> "_Pattern":
         """The pattern of element dofs [t0 t1 t2 NV+it], the P1 pattern ``p1``
@@ -992,15 +1005,7 @@ def mini_mass_block(mesh: Mesh2D) -> SparseMatrix:
     is held once: :func:`_add_mini_mass` adds it to velocity block data and
     :func:`mini_mass_product` applies it."""
     def build():
-        # Its pattern is the x-x block of the MINI pattern (_Pattern.blocked):
-        # the first NV + NT + 1 row starts halved, the first copy of each of
-        # those rows, and the element blocks' corners less their row starts.
-        mini, nv, nt = _mini_pattern(mesh), mesh.num_vertices, mesh.num_triangles
-        indptr = mini.indptr[:nv + nt + 1] // 2
-        first = np.repeat(indptr[:-1], np.diff(indptr)) + np.arange(indptr[-1])
-        elem = np.column_stack([mesh.triangles, nv + np.arange(nt)])
-        pattern = _Pattern._new((nv + nt, nv + nt), indptr, mini.indices[first],
-                                mini.scatter[:, :4, :4] - indptr[elem][:, :, None])
+        pattern = _mini_pattern(mesh).first_block(2)
         block = _tab(geometry(mesh).qw, _products(MINI_VALS)).reshape(-1, 4, 4)
         return _frozen_csr(pattern.matrix(pattern.fill(block)))
 

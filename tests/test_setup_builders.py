@@ -84,6 +84,8 @@ def check_builders(mesh, label=""):
     assert_same_pattern(bubbles, ref.with_bubbles(p1, t), label + "with_bubbles")
     assert_same_pattern(fem_core._mini_pattern(mesh), ref.blocked(ref.with_bubbles(p1, t), 2),
                         label + "mini")
+    assert_same_pattern(fem_core._mini_pattern(mesh).first_block(2), bubbles,
+                        label + "first_block")
     assert_same_bytes(fem_core.vertex_order(mesh), ref.nested_dissection(mesh.vertices, p1),
                       label + "vertex_order")
     mass, want = fem_core.mini_mass_block(mesh), ref.mini_mass_block(mesh)

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ablatesim import coupler, fem_core, linalg, materials, verify
+from ablatesim import coupler, fem_core, heat_solver, linalg, materials, verify
 from ablatesim.mesh import GeometrySpec, generate_channel_mesh
 from ablatesim.sim_cli import config_from_dict
 from ablatesim.verify import (CASE_KINDS, INVARIANT_NAMES, ManufacturedCase, RateReport,
@@ -166,9 +166,23 @@ class TestInvariantSuite:
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
         assert report["passed"], failed
 
-    def test_negative_beta_fails_bound_check(self):
-        # The config rejects beta < 0, so it is set on a built config: the run
-        # that the bound check audits refuses it, and the check fails naming it.
+    def test_negative_beta_fails_bound_check(self, monkeypatch):
+        # The config rejects beta < 0, so the viscosity itself breaks the
+        # bound: twice beta*|v|*h in every cell, which the audit must catch.
+        def over_bound(mesh, residuals, theta, vmax_k, params):
+            return 2.0 * params.beta * vmax_k * mesh.h
+
+        monkeypatch.setattr(heat_solver, "artificial_viscosity", over_bound)
+        report = invariant_suite(tiny_config())
+        byname = {c["name"]: c for c in report["checks"]}
+        assert not byname["heat.art_visc_bound"]["passed"]
+        assert byname["heat.art_visc_bound"]["detail"].startswith("max violation ")
+        assert byname["heat.art_visc_zero_velocity"]["passed"]
+        assert not report["passed"]
+
+    def test_negative_beta_on_a_built_config_is_refused(self):
+        # Set on a built config, beta < 0 is refused by the run the bound
+        # check audits, and the check fails naming it.
         config = tiny_config()
         config.stabilization.beta = -0.1
         report = invariant_suite(config)

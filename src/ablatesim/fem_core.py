@@ -442,7 +442,11 @@ def _p1_matrix(mesh: Mesh2D, local: np.ndarray) -> SparseMatrix:
     return pattern.matrix(pattern.fill(local))
 
 
-ND_LEAF = 32  # vertex sets of at most this size are not dissected further
+# Vertex sets of at most this size are not dissected further.  With the
+# smaller-side separators, leaves of 4 rather than 32 vertices hold 8-13%
+# fewer factor entries in every system (README, "The fill-reducing order"),
+# and build in ~3 ms more per mesh at 192x64.
+ND_LEAF = 4
 
 
 def _nested_dissection(xy: np.ndarray, pattern: _Pattern) -> np.ndarray:
@@ -450,16 +454,18 @@ def _nested_dissection(xy: np.ndarray, pattern: _Pattern) -> np.ndarray:
     adjacency is the P1 ``pattern`` (George, SINUM 10, 1973).
 
     A set of more than ND_LEAF vertices is cut at the median coordinate of its
-    longer extent.  The vertices of the upper half adjacent to the lower half
-    form the separator, numbered after both halves, which are cut in turn.
-    All sets of one level are cut together; within a leaf or a separator the
-    vertices keep their index order.
+    longer extent.  The separator is taken from the smaller side of the cut:
+    the lower vertices adjacent to the upper half, or the upper vertices
+    adjacent to the lower half, the upper ones on a tie.  It is numbered
+    after both halves, which are cut in turn.  All sets of one level are cut
+    together; within a leaf or a separator the vertices keep their index
+    order.
 
     Each coordinate is read as its rank among the distinct values of its
     axis, so one integer sort of set * NV + rank per axis and level gives
     every set's extremes and median.  No adjacent pair differs by more than
-    ``reach`` along an axis, so only the upper vertices within reach of the
-    median are searched for the separator.
+    ``reach`` along an axis, so only the vertices within reach of the median
+    are searched for either side's separator.
     """
     nv = xy.shape[0]
     indptr, cols = pattern.indptr, pattern.indices
@@ -498,21 +504,24 @@ def _nested_dissection(xy: np.ndarray, pattern: _Pattern) -> np.ndarray:
         # A median equal to the set's minimum leaves the lower half empty;
         # then the vertices at the minimum are the lower half.
         lower |= (np.bincount(s[lower], minlength=count.size) == 0)[s] & (c == median)
-        # half[u] is 2*set + 1 for a live vertex in a lower half, 2*set + 2 in
-        # an upper half, 0 for a placed vertex.
-        half = np.zeros(nv, dtype=np.int64)
-        half[v] = 2 * s + 2 - lower
-        near = v[~lower & (c - median <= reach[axis])]
+        # half[u] is 2*set for a live vertex in a lower half, 2*set + 1 in an
+        # upper half, so half ^ 1 is the other half; -1 for a placed vertex.
+        half = np.full(nv, -1, dtype=np.int64)
+        half[v] = 2 * s + ~lower
+        near = v[np.where(lower, median - c, c - median) <= reach[axis]]
         near_deg = deg[near]
         entries = (np.repeat(indptr[near] - np.cumsum(near_deg) + near_deg, near_deg)
                    + np.arange(near_deg.sum()))
-        cut = half[cols[entries]] == np.repeat(half[near] - 1, near_deg)
+        cut = half[cols[entries]] == np.repeat(half[near] ^ 1, near_deg)
         sep = np.zeros(nv, dtype=bool)
         sep[np.repeat(near, near_deg)[cut]] = True
         sep = sep[v]
-        n_lower = np.bincount(s[lower], minlength=count.size)[s]
+        # Each set's adjacent vertices by half; keep the smaller side's.
+        sides = np.bincount(half[v[sep]], minlength=2 * count.size).reshape(-1, 2)
+        sep &= lower == (sides[:, 0] < sides[:, 1])[s]
+        n_lower = np.bincount(s[lower & ~sep], minlength=count.size)[s]
         n_upper = count[s] - n_lower - np.bincount(s[sep], minlength=count.size)[s]
-        key[v] += np.where(lower, 0, np.where(sep, n_lower + n_upper, n_lower))
+        key[v] += np.where(sep, n_lower + n_upper, np.where(lower, 0, n_lower))
         live[v] = ~sep & (np.where(lower, n_lower, n_upper) > ND_LEAF)
     return np.argsort(key, kind="stable")
 

@@ -394,7 +394,10 @@ def solve_heat_stationary(problem: HeatProblem) -> np.ndarray:
     model, mesh = problem.temperature.model, problem.temperature.mesh
 
     def step(theta):
-        laws = TemperatureSample(model, mesh, theta)
+        # The first map's iterate is the problem's own array (fixed_point
+        # passes it through), so it reads the problem's sample.
+        laws = (problem.temperature if theta is problem.temperature.theta_h
+                else TemperatureSample(model, mesh, theta))
         A_sys, rhs = build(theta, laws, lambda: heat_source(
             laws.nu, problem.transport.strain, joule_density(mesh, laws.sigma, problem.phi)))
         return _solve(problem, A_sys, rhs, theta), None

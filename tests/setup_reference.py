@@ -216,13 +216,18 @@ def nested_dissection(xy, pattern):
         lower |= (np.bincount(s[lower], minlength=count.size) == 0)[s] & (c == median)
         half = np.zeros(nv, dtype=np.int64)
         half[v] = 2 * s + 2 - lower
-        row_half = half[rows]
-        cut = (row_half == half[cols] + 1) & ((row_half & 1) == 0)
-        sep = np.zeros(nv, dtype=bool)
-        sep[rows[cut]] = True
-        sep = sep[v]
-        n_lower = np.bincount(s[lower], minlength=count.size)[s]
+        row_half, col_half = half[rows], half[cols]
+        # Upper vertices adjacent to the lower half and lower ones adjacent
+        # to the upper half; the separator is the smaller, upper on a tie.
+        up, down = np.zeros(nv, dtype=bool), np.zeros(nv, dtype=bool)
+        up[rows[(row_half == col_half + 1) & ((row_half & 1) == 0)]] = True
+        down[rows[(row_half == col_half - 1) & ((row_half & 1) == 1)]] = True
+        up, down = up[v], down[v]
+        from_lower = (np.bincount(s[down], minlength=count.size)
+                      < np.bincount(s[up], minlength=count.size))
+        sep = np.where(from_lower[s], down, up)
+        n_lower = np.bincount(s[lower & ~sep], minlength=count.size)[s]
         n_upper = count[s] - n_lower - np.bincount(s[sep], minlength=count.size)[s]
-        key[v] += np.where(lower, 0, np.where(sep, n_lower + n_upper, n_lower))
+        key[v] += np.where(sep, n_lower + n_upper, np.where(lower, 0, n_lower))
         live[v] = ~sep & (np.where(lower, n_lower, n_upper) > fem_core.ND_LEAF)
     return np.argsort(key, kind="stable")

@@ -21,19 +21,19 @@ def test_quartiles_are_numpy_linear_percentiles():
 def test_a_resolved_gain():
     parent = [40.0, 38.0, 41.0, 39.0, 42.0, 40.5, 39.5, 38.5, 41.5, 40.0]
     change = [27.0, 26.0, 28.0, 27.5, 26.5, 27.2, 41.0, 26.8, 27.1, 27.3]  # pair 7 lost
-    r = bench_pairs.compare(parent, change, "lower")
+    r = bench_pairs.compare(parent, change, "lower", 0.25)
     assert r["pairs"] == 10 and r["change_wins"] == 9
     assert r["parent"]["median"] == pytest.approx(40.0)
     assert r["change"]["median"] == pytest.approx(27.15)
     assert r["gap"] == pytest.approx(-12.85)
     assert r["parent_iqr"] == pytest.approx(np.subtract(*np.percentile(parent, [75, 25])))
-    assert r["gain_resolved"]
+    assert r["gain_resolved"] and not r["regressed"] and not r["unresolved"]
 
 
 def test_ties_count_for_neither_side_and_direction_matters():
     parent, change = [1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 5.0, 5.0]
-    low = bench_pairs.compare(parent, change, "lower")
-    high = bench_pairs.compare(parent, change, "higher")
+    low = bench_pairs.compare(parent, change, "lower", 0.25)
+    high = bench_pairs.compare(parent, change, "higher", 0.25)
     assert low["change_wins"] == 1 and high["change_wins"] == 2
     assert not low["gain_resolved"] and not high["gain_resolved"]
 
@@ -41,7 +41,7 @@ def test_ties_count_for_neither_side_and_direction_matters():
 def test_a_gap_inside_the_parent_spread_is_not_a_gain():
     parent = [10.0, 14.0, 10.0, 14.0, 10.0, 14.0, 10.0, 14.0, 10.0, 14.0]
     change = [p - 1.0 for p in parent]  # wins every pair, but by less than the IQR
-    r = bench_pairs.compare(parent, change, "lower")
+    r = bench_pairs.compare(parent, change, "lower", 0.25)
     assert r["change_wins"] == 10 and r["parent_iqr"] == pytest.approx(4.0)
     assert not r["gain_resolved"]
 
@@ -52,14 +52,54 @@ def test_table_skips_pairs_with_a_failed_run():
 
     runs = {"parent": [run(3.0), run(4.0), None, run(5.0)],
             "change": [run(2.0), run(1.0, correct=False), run(1.0), run(2.5)]}
-    rows = bench_pairs.table(runs, [{"name": "setup_s", "better": "lower"},
-                                    {"name": "run_s", "better": "lower"}])
+    rows = bench_pairs.table(runs, [{"name": "setup_s", "better": "lower", "bound": 0.25},
+                                    {"name": "run_s", "better": "lower", "bound": 0.25}])
     assert list(rows) == ["setup_s"]
     assert rows["setup_s"]["pairs"] == 2 and rows["setup_s"]["change_wins"] == 2
 
 
 def test_compare_needs_two_equal_length_samples():
     with pytest.raises(ValueError):
-        bench_pairs.compare([1.0], [1.0], "lower")
+        bench_pairs.compare([1.0], [1.0], "lower", 0.25)
     with pytest.raises(ValueError):
-        bench_pairs.compare([1.0, 2.0], [1.0], "lower")
+        bench_pairs.compare([1.0, 2.0], [1.0], "lower", 0.25)
+
+
+def test_a_median_worse_by_more_than_the_bound_regressed():
+    parent = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0]
+    change = [112.0, 111.0, 109.0, 110.5, 113.0, 110.0]  # +10.75%
+    assert bench_pairs.compare(parent, change, "lower", 0.1)["regressed"]
+    assert not bench_pairs.compare(parent, change, "lower", 0.25)["regressed"]
+    # For a higher-is-better metric the same numbers are a gain.
+    high = bench_pairs.compare(parent, change, "higher", 0.1)
+    assert not high["regressed"] and high["gain_resolved"]
+    low = bench_pairs.compare(change, parent, "higher", 0.05)
+    assert low["regressed"] and not low["gain_resolved"]
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    parent = [2.6, 5.0, 3.0, 4.4, 2.8, 4.8, 3.1, 4.6, 2.7, 4.9]  # IQR ~49% of the median
+    assert bench_pairs.compare(parent, parent[::-1], "lower", 0.25)["unresolved"]
+    # Unless every change run beats every parent run.
+    fast = [p - 2.7 for p in parent]
+    r = bench_pairs.compare(parent, [min(fast)] * len(parent), "lower", 0.25)
+    assert not r["unresolved"] and r["gain_resolved"]
+    # A spread inside the bound is resolved either way.
+    r = bench_pairs.compare(parent, parent[::-1], "lower", 0.6)
+    assert not r["unresolved"] and not r["regressed"] and not r["gain_resolved"]
+
+
+def test_a_side_with_more_failed_runs_is_flagged():
+    ok = {"correct": True, "metrics": {}}
+    failed, flag = bench_pairs.failures({"parent": [ok, ok, None],
+                                         "change": [{"correct": False}, None, ok]})
+    assert failed == {"parent": 1, "change": 2} and flag == "the change fails more runs"
+    assert bench_pairs.failures({"parent": [None, ok], "change": [ok, None]}) == (
+        {"parent": 1, "change": 1}, "")
+
+
+def test_report_prints_the_three_verdicts():
+    r = bench_pairs.compare([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], "lower", 0.1)
+    header, row = bench_pairs.report("mms", {"peak_rss_mb": r})
+    assert header.endswith("| gain resolved | regressed | unresolved")
+    assert row.endswith("| False | False | True")

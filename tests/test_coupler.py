@@ -685,11 +685,12 @@ class TestSharedFields:
                          "max_art_visc", "min_art_visc", "centroid_x"):
                 assert getattr(carried.diag, name) == getattr(bare.diag, name), name
 
-    @pytest.mark.parametrize("name, calls", [("test1", 3), ("test3", 6)])
+    @pytest.mark.parametrize("name, calls", [("test1", 2), ("test3", 5)])
     def test_initialize_samples_theta_b_once(self, monkeypatch, name, calls):
-        # The stationary flow and the potential share one sample of theta_b;
-        # each Picard map of the heat (1 for test1, 4 for test3) and the
-        # diagnostics of the initial state sample their temperature once.
+        # The stationary flow, the potential and the heat's first Picard map
+        # share one sample of theta_b; each later Picard map (none for test1,
+        # 3 for test3) and the diagnostics of the initial state sample their
+        # temperature once.
         from collections import Counter
 
         sim = Simulation(preset(name))

@@ -509,6 +509,61 @@ class TestStalledCycle:
         assert k_rule == k > 3 and x_rule.tobytes() == x.tobytes()
 
 
+class TestFailedFactor:
+    """The paths a failing factor takes, reached by a held factor whose
+    application returns NaN or zeros."""
+
+    @staticmethod
+    def broken_in_cycles(monkeypatch, value):
+        """Make every GMRES cycle apply a factor that returns ``value``."""
+        cycle = linalg.HeldLU._cycle
+
+        def broken(self, *args):
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg.HeldLU, "apply", lambda self, r: np.full_like(r, value))
+                return cycle(self, *args)
+
+        monkeypatch.setattr(linalg.HeldLU, "_cycle", broken)
+
+    def test_non_finite_double_solution_raises(self, monkeypatch):
+        A, b = TestHeldLU().system()
+        held = linalg.HeldLU()
+        monkeypatch.setattr(linalg.HeldLU, "apply", lambda self, r: np.full_like(r, np.nan))
+        with pytest.raises(linalg.SingularMatrix, match="non-finite solution"):
+            solve_lu(A, b, factor=held)
+        assert held.events == ["no factor held"] and held.factored_solves == 1
+        assert held.last is None
+
+    @pytest.mark.parametrize("value, reason", [
+        (np.nan, "non-finite GMRES iterate after 10 iterations"),
+        # A zero application breaks the Arnoldi process down at once: the
+        # cycle returns its start, far above the contract.
+        (0.0, "GMRES stopped after 0 iterations at residual "),
+    ], ids=["nan", "zeros"])
+    def test_failed_cycle_refactorizes_with_its_reason(self, monkeypatch, value, reason):
+        held = linalg.HeldLU()
+        A, b = TestHeldLU().system()
+        solve_lu(A, b, factor=held)
+        self.broken_in_cycles(monkeypatch, value)
+        A1, b1 = TestHeldLU().system(perturbation=1e-3, seed=1)
+        x = solve_lu(A1, b1, factor=held)
+        assert np.linalg.norm(b1 - A1 @ x) <= linalg.RESIDUAL_TOL * np.linalg.norm(b1)
+        assert len(held.events) == 2 and held.events[1].startswith(reason)
+        assert held.factored_solves == 2 and held.krylov_solves == 0
+
+    def test_failed_single_cycle_refactorizes_in_double(self, monkeypatch):
+        monkeypatch.setattr(linalg, "SINGLE_NNZ", 1000)
+        self.broken_in_cycles(monkeypatch, np.nan)
+        A, b = TestHeldLU().system()
+        held = linalg.HeldLU()
+        x = solve_lu(A, b, factor=held)
+        assert np.linalg.norm(b - A @ x) <= linalg.RESIDUAL_TOL * np.linalg.norm(b)
+        assert held.events == ["no factor held, in single precision",
+                               "non-finite single-precision cycle iterate after 10 iterations: "
+                               "double precision"]
+        assert held._lu.dtype == np.float64
+
+
 class TestSolveEndings:
     """Every way a solve can end, each counted once by how it ended."""
 

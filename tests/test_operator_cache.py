@@ -145,12 +145,13 @@ BUILDER_MESHES = {
     "permuted": permuted_channel,
 }
 
-# sha256 of vertex_order(mesh) (int64 bytes), recorded with the sort-built
-# patterns and the einsum geometry.
+# sha256 of vertex_order(mesh) (int64 bytes), recorded with 4-vertex leaves
+# and each separator from the smaller side of its cut, where the order equals
+# setup_reference.nested_dissection.
 VERTEX_ORDER_SHA256 = {
-    "channel": "45a68ea309c136cf044884136b42ab18a35c68fee8088ed62b248ae2982af0f2",
-    "mms_jiggled": "e2c3e5cb9f393794d129ec701ab2f7750350bef40365c2468e310cf1391693a6",
-    "permuted": "64ce158a79ac61cdd580d9fa0faea6965ce95512e142fa8ff054d699499f9fa6",
+    "channel": "b25b25c349de52531381954373bec7e8e828dadbcba74801889c63bd410779a8",
+    "mms_jiggled": "8d01082167598f94a26fc9ac4410a8027bbc37ef179e381ae2bd0b7b3fc04dea",
+    "permuted": "f2855a92551a1aa94c83852405748df01b4bba9c8ed396b228a51afd3ab107c9",
 }
 
 

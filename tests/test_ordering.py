@@ -71,14 +71,19 @@ def nested_dissection_by_unique(xy, pattern):
         lower |= (np.bincount(s[lower], minlength=count.size) == 0)[s] & (c == median)
         half = np.zeros(nv, dtype=np.int64)
         half[v] = 2 * s + 2 - lower
-        row_half = half[rows]
-        cut = (row_half == half[cols] + 1) & ((row_half & 1) == 0)
-        sep = np.zeros(nv, dtype=bool)
-        sep[rows[cut]] = True
-        sep = sep[v]
-        n_lower = np.bincount(s[lower], minlength=count.size)[s]
+        row_half, col_half = half[rows], half[cols]
+        # Upper vertices adjacent to the lower half and lower ones adjacent
+        # to the upper half; the separator is the smaller, upper on a tie.
+        up, down = np.zeros(nv, dtype=bool), np.zeros(nv, dtype=bool)
+        up[rows[(row_half == col_half + 1) & ((row_half & 1) == 0)]] = True
+        down[rows[(row_half == col_half - 1) & ((row_half & 1) == 1)]] = True
+        up, down = up[v], down[v]
+        from_lower = (np.bincount(s[down], minlength=count.size)
+                      < np.bincount(s[up], minlength=count.size))
+        sep = np.where(from_lower[s], down, up)
+        n_lower = np.bincount(s[lower & ~sep], minlength=count.size)[s]
         n_upper = count[s] - n_lower - np.bincount(s[sep], minlength=count.size)[s]
-        key[v] += np.where(lower, 0, np.where(sep, n_lower + n_upper, n_lower))
+        key[v] += np.where(sep, n_lower + n_upper, np.where(lower, 0, n_lower))
         live[v] = ~sep & (np.where(lower, n_lower, n_upper) > fem_core.ND_LEAF)
     return np.argsort(key, kind="stable")
 
@@ -171,20 +176,45 @@ class TestOrderedSolve:
         # nu = 1 makes the condensed pressure diagonal ~h^2, below a tenth of
         # its column's coupling entries; unscaled, threshold pivoting leaves
         # the order and the factor grows several times over COLAMD's.
-        nnz = []
-        probe = linalg.spla
-
-        class Probe:
-            def __getattr__(self, name):
-                return getattr(probe, name)
-
-            def splu(self, A, *args, **kwargs):
-                lu = probe.splu(A, *args, **kwargs)
-                nnz.append(lu.nnz)
-                return lu
-
-        monkeypatch.setattr(linalg, "spla", Probe())
-        systems = recorded_systems(
-            monkeypatch, lambda: verify.solve_oseen_case(verify.oseen_case(), 64, 32))
+        systems = []
+        sizes = factor_sizes(monkeypatch, lambda: systems.extend(recorded_systems(
+            monkeypatch, lambda: verify.solve_oseen_case(verify.oseen_case(), 64, 32))))
         (A, _, _), = systems
-        assert len(nnz) == 1 and nnz[0] <= spla.splu(sp.csc_matrix(A)).nnz
+        (_, nnz), = sizes
+        assert nnz <= spla.splu(sp.csc_matrix(A)).nnz
+
+
+def factor_sizes(monkeypatch, run):
+    """(order, SuperLU entries) of every factorization made by ``run()``."""
+    sizes = []
+    probe = linalg.spla
+
+    class Probe:
+        def __getattr__(self, name):
+            return getattr(probe, name)
+
+        def splu(self, A, *args, **kwargs):
+            lu = probe.splu(A, *args, **kwargs)
+            sizes.append((A.shape[0], lu.nnz))
+            return lu
+
+    monkeypatch.setattr(linalg, "spla", Probe())
+    run()
+    monkeypatch.setattr(linalg, "spla", probe)
+    return sizes
+
+
+def test_factor_sizes_are_pinned(monkeypatch):
+    # Exact SuperLU entries with 4-vertex leaves and each separator from the
+    # smaller side of its cut.  32-vertex leaves with upper separators held
+    # 229,048 (the test1 flow) and 21,746 (its potential), and 878,832 (the
+    # MMS 64x32 Oseen system).
+    sim = Simulation(preset("test1"))
+    nv = sim.mesh.num_vertices
+    sizes = factor_sizes(monkeypatch, sim.initialize)
+    assert sorted(n for n, _ in sizes) == [nv, 3 * nv, 3 * nv]
+    for n, nnz in sizes:
+        assert nnz <= (198_222 if n == 3 * nv else 19_032), n
+    (_, nnz), = factor_sizes(
+        monkeypatch, lambda: verify.solve_oseen_case(verify.oseen_case(), 64, 32))
+    assert nnz <= 771_052

@@ -5,6 +5,7 @@ box with their vertices and triangles renumbered."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import Phase, Verbosity, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Delaunay
@@ -125,6 +126,65 @@ def test_mms_meshes(nx, ny):
 @given(st.integers(0, 2**32 - 1))
 def test_renumbered_delaunay_meshes(seed):
     check_builders(delaunay_box(seed), f"seed {seed}: ")
+
+
+def assert_every_separator_separates(mesh, label=""):
+    """Walk the nested dissection behind ``vertex_order(mesh)``, level by
+    level.  Each set of more than ND_LEAF vertices is a range of the order,
+    cut at the median coordinate of its longer extent.  The separator ends
+    the range: the vertices of one side of the cut, each adjacent to the
+    other side.  Before it come the rest of the lower half, then the rest
+    of the upper half, and no P1 edge joins those two.  The separator is the
+    smaller of the two sides' adjacent sets, the upper on a tie.  A leaf
+    keeps its vertices in index order."""
+    order = fem_core.vertex_order(mesh)
+    p1 = fem_core._p1_pattern(mesh)
+    adjacency = sp.csr_matrix((np.ones(p1.nnz), p1.indices, p1.indptr), shape=p1.shape)
+    sets = [(0, order.size)]
+    while sets:
+        start, stop = sets.pop()
+        members = order[start:stop]
+        if members.size <= fem_core.ND_LEAF:
+            assert np.all(np.diff(members) > 0), f"{label}leaf at {start}"
+            continue
+        xy = mesh.vertices[members]
+        c = xy[:, np.argmax(np.ptp(xy, axis=0))]
+        median = np.sort(c)[members.size // 2]
+        lower = c < median
+        if not lower.any():
+            lower = c == median
+        within = adjacency[members][:, members]
+        reaches_lower = within @ lower.astype(float) > 0
+        reaches_upper = within @ (~lower).astype(float) > 0
+        down, up = lower & reaches_upper, ~lower & reaches_lower
+        # The separator's side is its last vertex's; it runs back to the
+        # first vertex that is on the other side or not adjacent to it.
+        side = lower[-1]
+        in_sep = (lower == side) & (down if side else up)
+        n_sep = members.size - (np.flatnonzero(~in_sep)[-1] + 1 if not in_sep.all() else 0)
+        rest = lower[:members.size - n_sep]
+        n_lower = int(rest.sum())
+        what = f"{label}set [{start}, {stop})"
+        assert rest[:n_lower].all() and not rest[n_lower:].any(), what + ": halves"
+        assert within[:n_lower][:, n_lower:rest.size].nnz == 0, what + ": an edge joins the halves"
+        assert n_sep == min(down.sum(), up.sum()), what + ": not the smaller side"
+        assert n_sep == 0 or side == (down.sum() < up.sum()), what + ": side"
+        sets += [(start, start + n_lower), (start + n_lower, start + rest.size)]
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda spec=spec: generate_channel_mesh(spec) for spec in CHANNELS.values()),
+    *(lambda nx=nx, ny=ny: verify._mms_mesh(nx, ny) for nx, ny in MMS_LEVELS)],
+    ids=[*CHANNELS, *(f"mms{nx}x{ny}" for nx, ny in MMS_LEVELS)])
+def test_every_separator_separates(make):
+    assert_every_separator_separates(make())
+
+
+@settings(max_examples=12, deadline=None, database=None, derandomize=True,
+          phases=(Phase.generate,), verbosity=Verbosity.quiet)
+@given(st.integers(0, 2**32 - 1))
+def test_every_separator_separates_on_renumbered_delaunay_meshes(seed):
+    assert_every_separator_separates(delaunay_box(seed), f"seed {seed}: ")
 
 
 def test_signed_zeros_of_the_geometry():

@@ -9,11 +9,20 @@ first in odd pairs and the change first in even ones.  Each run's result is
 the JSON object on the last line of its standard output.  For every
 end-to-end metric that BENCHMARK.json lists, it prints each side's median
 and quartiles, the pairs the change won (ties count for neither side), the
-gap between the medians and the parent's interquartile range, and whether a
-gain is resolved: the change wins at least nine tenths of the pairs and its
-median is better than the parent's by more than that range.  A pair in
-which either run failed counts for no metric.  ``--json`` writes the same
-table and every run's metrics.
+gap between the medians and the parent's interquartile range, and three
+verdicts, each read with the metric's ``bound`` from BENCHMARK.json:
+
+- gain resolved: the change wins at least nine tenths of the pairs and its
+  median is better than the parent's by more than that range;
+- regressed: the change's median is worse than the parent's by more than
+  ``bound`` times the parent's median;
+- unresolved: the parent's interquartile range is wider than ``bound``
+  times its median, and not every change run beats every parent run, so
+  the runs spread too widely to tell.
+
+A pair in which either run failed counts for no metric; each workload's
+failed runs are counted per side, and a side with more of them is flagged.
+``--json`` writes the same table and every run's metrics.
 """
 
 from __future__ import annotations
@@ -33,9 +42,10 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def compare(parent: list[float], change: list[float], better: str) -> dict:
+def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     """The statistics of one metric over pairs ``zip(parent, change)``;
-    ``better`` is "lower" or "higher"."""
+    ``better`` is "lower" or "higher", and ``bound`` the metric's relative
+    bound."""
     if len(parent) != len(change) or len(parent) < 2:
         raise ValueError("need two or more pairs of equal length")
     sign = -1.0 if better == "lower" else 1.0
@@ -44,6 +54,8 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     gap = c_med - p_med
     iqr = p_q3 - p_q1
+    tolerance = bound * abs(p_med)
+    beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
     return {
         "better": better, "pairs": len(parent),
         "parent": {"q1": p_q1, "median": p_med, "q3": p_q3},
@@ -52,6 +64,8 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
         "rel_gap": gap / p_med if p_med else None,
         "parent_iqr": iqr,
         "gain_resolved": wins >= 0.9 * len(parent) and sign * gap > iqr,
+        "bound": bound, "regressed": -sign * gap > tolerance,
+        "unresolved": iqr > tolerance and not beats_all,
     }
 
 
@@ -78,19 +92,29 @@ def table(runs: dict, metrics: list[dict]) -> dict:
         pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in ok
                  if name in p["metrics"] and name in c["metrics"]]
         if len(pairs) >= 2:
-            out[name] = compare([p for p, _ in pairs], [c for _, c in pairs], m["better"])
+            out[name] = compare([p for p, _ in pairs], [c for _, c in pairs], m["better"],
+                                m["bound"])
     return out
+
+
+def failures(runs: dict) -> tuple[dict, str]:
+    """({side: failed runs}, a flag naming the side with more of them, or
+    "" when both sides failed alike).  ``runs`` is as for :func:`table`."""
+    failed = {side: sum(r is None or not r["correct"] for r in rs) for side, rs in runs.items()}
+    worse = [side for side in failed if failed[side] > min(failed.values())]
+    return failed, f"the {worse[0]} fails more runs" if worse else ""
 
 
 def report(workload: str, rows: dict) -> list[str]:
     lines = [f"# {workload}: metric (better) | parent median [q1, q3] | change median [q1, q3]"
-             " | change wins | gap | parent IQR | gain resolved"]
+             " | change wins | gap | parent IQR | gain resolved | regressed | unresolved"]
     for name, r in rows.items():
         p, c = r["parent"], r["change"]
         lines.append(
             f"{workload} {name} ({r['better']}) | {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
             f" | {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}] | {r['change_wins']}/{r['pairs']}"
-            f" | {r['gap']:+.6g} | {r['parent_iqr']:.6g} | {r['gain_resolved']}")
+            f" | {r['gap']:+.6g} | {r['parent_iqr']:.6g} | {r['gain_resolved']}"
+            f" | {r['regressed']} | {r['unresolved']}")
     return lines
 
 
@@ -117,9 +141,11 @@ def main(argv=None) -> int:
             print(f"# {workload} pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
         rows = table(runs, metrics)
         print("\n".join(report(workload, rows)), flush=True)
-        failed = {side: sum(r is None or not r["correct"] for r in rs) for side, rs in runs.items()}
+        failed, flag = failures(runs)
+        print(f"# {workload} failed runs: parent {failed['parent']}, change {failed['change']}"
+              + (f" ({flag})" if flag else ""), flush=True)
         result["workloads"][workload] = {
-            "metrics": rows, "failed_runs": failed,
+            "metrics": rows, "failed_runs": failed, "failure_flag": flag,
             "runs": {side: [r and {k: v["value"] for k, v in r["metrics"].items()} for r in rs]
                      for side, rs in runs.items()}}
     if args.json:

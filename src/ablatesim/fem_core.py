@@ -2,9 +2,10 @@
 
 Velocity uses the MINI pair: each component is P1 enriched with the cubic
 bubble 27*l1*l2*l3; pressure, temperature and potential are plain P1.  One
-degree-6, 12-point rule integrates every interior term; the blocks linear in
-a MINI velocity (convection, scalar advection) are that rule's blocks too,
-formed through a reference map built from it once per process.  Boundary
+degree-6, 12-point rule integrates every interior term; the velocity block
+(its viscous part for a uniform viscosity, convection and mass), the
+divergence and the scalar advection are that rule's blocks too, formed
+through reference maps built from it once per process.  Boundary
 integrals use 2-point Gauss on edges, through one edge kernel
 (:class:`BoundaryEdges`, whose per-mesh constants :func:`boundary_edges`
 builds once per tag set, as :func:`dirichlet_vertices` builds the Dirichlet
@@ -762,19 +763,30 @@ def boundary_edges(mesh: Mesh2D, tags) -> BoundaryEdges:
     return cached(mesh, ("boundary_edges", tags), lambda: BoundaryEdges(mesh, tags))
 
 
-# -- reference maps of the velocity-linear forms --------------------------------
+# -- reference maps of the element blocks ----------------------------------------
 #
-# The convective form of the flow and the advection matrix of the heat are
-# bilinear in an element's 8 MINI velocity coefficients (NT, 2, 4) and its 6
-# P1 gradient entries (NT, 3, 2), and scale with det: the bubble gradient is
-# 27 sum_m l_n l_p grad(l_m), and every basis-value integral is det times a
-# reference one.  So an element's block is x R, with x the 48 products
-# det c_i g_j and R a constant (48, m) map: the tensor representation of
-# Kirby & Logg ("A compiler for variational forms", ACM TOMS 32, 2006), a
-# vectorized assembly (Cuvelier, Japhet & Scarella, BIT 56, 2016) with the
-# quadrature loop moved out of the step.  R is the form's own quadrature
-# kernel, applied once per process to the 48 unit inputs, so each form keeps
-# its one definition and its quadrature.
+# An element block of each form below is a constant map R applied to a few
+# products of the element's data, so a block of elements is one GEMM: the
+# tensor representation of Kirby & Logg ("A compiler for variational forms",
+# ACM TOMS 32, 2006), a vectorized assembly (Cuvelier, Japhet & Scarella, BIT
+# 56, 2016) with the quadrature loop moved out of the step.
+#
+# - The convective form of the flow and the advection matrix of the heat are
+#   bilinear in an element's 8 MINI velocity coefficients (NT, 2, 4) and its 6
+#   P1 gradient entries (NT, 3, 2), and scale with det: the bubble gradient
+#   is 27 sum_m l_n l_p grad(l_m), and every basis-value integral is det
+#   times a reference one.  So x is the 48 products det c_i g_j.
+# - The constant blocks depend on the element only through det and the 4
+#   entries of the inverse Jacobian inv: the viscous block of a uniform
+#   viscosity is det times a quadratic form in inv (x: the 10 products
+#   det inv_i inv_j, i <= j), the divergence det times a linear one (x:
+#   det inv_k) and the MINI mass det times a constant (x: det).
+#
+# R is the form's own quadrature kernel, applied once per process to unit
+# inputs (a quadratic form polarized from its values at the units and their
+# pairwise sums), so each form keeps its one definition and its quadrature.
+
+_INV_PAIRS = np.triu_indices(4)  # the 10 pairs i <= j of the entries of inv
 
 
 @cache
@@ -791,13 +803,67 @@ def _reference_map(kernel) -> np.ndarray:
     return _frozen(kernel(geo, _mini_at_qp(coeff)).reshape(48, -1))
 
 
+def _convective_features(geo: _Geometry, coeff: np.ndarray, block=slice(None)) -> np.ndarray:
+    """(n, 48) products det c_i g_j of the triangles ``block`` and the MINI
+    field of their element coefficients ``coeff``, [t, 6 i + j]: the rows
+    that :func:`_reference_map`'s maps take."""
+    x = np.repeat(coeff.reshape(-1, 8) * geo.det[block, None], 6, axis=1)  # [t, 6 i + j] = c_i
+    x *= np.tile(geo.grad_p1[block].reshape(-1, 6), 8)  # times g_j
+    return x
+
+
 def _reference_blocks(geo: _Geometry, coeff: np.ndarray, kernel, block=slice(None)) -> np.ndarray:
     """(n, m) element blocks of ``kernel``'s form for the triangles ``block``,
     advected by the MINI field of element coefficients ``coeff`` (theirs
     only): (det c (x) grad_p1) R, one GEMM."""
-    x = np.repeat(coeff.reshape(-1, 8) * geo.det[block, None], 6, axis=1)  # [t, 6 i + j] = c_i
-    x *= np.tile(geo.grad_p1[block].reshape(-1, 6), 8)  # times g_j
-    return x @ _reference_map(kernel)
+    return _convective_features(geo, coeff, block) @ _reference_map(kernel)
+
+
+def _unit_geometry(inv: np.ndarray) -> SimpleNamespace:
+    """The factors that the quadrature kernels read, of triangles of unit
+    det with the inverse Jacobians ``inv`` (n, 2, 2)."""
+    geo = SimpleNamespace(inv=inv, qw=np.tile(TRI_RULE.weights, (len(inv), 1)),
+                          grad_p1=_combine(P1_REF_GRADS, inv))
+    geo.bubble_grads = lambda block=slice(None): _Geometry.bubble_grads(geo, block)
+    return geo
+
+
+@cache
+def _viscous_map() -> np.ndarray:
+    """(10, 64) map R of the viscous form of unit viscosity: row k is the
+    coefficient of inv_i inv_j, pair k of _INV_PAIRS, in the block of
+    :func:`_viscous_local` on a triangle of unit det.  The block is a
+    quadratic form Q in inv, so R is polarized from Q at the 4 units e_i
+    and the 6 sums e_i + e_j: Q(e_i + e_j) - Q(e_i) - Q(e_j)."""
+    i, j = _INV_PAIRS
+    inv = np.zeros((i.size, 4))
+    inv[np.arange(i.size), i] = 1.0
+    inv[np.arange(i.size), j] = 1.0
+    geo = _unit_geometry(inv.reshape(-1, 2, 2))
+    q = _viscous_local(geo, geo.qw).reshape(i.size, -1)
+    units = q[i == j]  # Q(e_i), in order of i
+    return _frozen(q - (i != j)[:, None] * (units[i] + units[j]))
+
+
+def _viscous_features(geo: _Geometry, block=slice(None)) -> np.ndarray:
+    """(n, 10) products det inv_i inv_j of the triangles ``block``, the
+    rows that :func:`_viscous_map` takes."""
+    inv = geo.inv[block].reshape(-1, 4)
+    i, j = _INV_PAIRS
+    return inv[:, i] * geo.det[block, None] * inv[:, j]
+
+
+def _mass_local(qw: np.ndarray) -> np.ndarray:
+    """(n, 4, 4) scalar blocks of the MINI mass, integral phi_a phi_b over
+    [l1 l2 l3 bubble], of quadrature weights ``qw``."""
+    return _tab(qw, _products(MINI_VALS)).reshape(-1, 4, 4)
+
+
+@cache
+def _mass_map() -> np.ndarray:
+    """(1, 64) map R of the MINI velocity mass: its block on a triangle of
+    unit det, the scalar block on the x-x and y-y velocity blocks."""
+    return _frozen(np.kron(np.eye(2), _mass_local(TRI_RULE.weights[None])[0]).reshape(1, -1))
 
 
 # -- scalar-field assembly --------------------------------------------------------
@@ -885,10 +951,11 @@ def integrate_qp(mesh: Mesh2D, qp_values) -> float:
 # [x | y] x [l1 l2 l3 bubble], i.e. the columns of
 # DofMap.velocity_element_dofs.  P1 gradients are constant per element and
 # MINI values are the same on every triangle, so only the bubble gradient
-# varies over the quadrature points.  The viscous block is filled by
-# quadrature (a uniform viscosity scales a per-mesh constant); the convective
-# block is the advecting MINI field's element coefficients times the
-# reference map above.
+# varies over the quadrature points.  Each block of triangles of the
+# velocity block is one GEMM of its features with the reference maps above:
+# the viscous block of a uniform viscosity, the convective block and the
+# mass; a viscosity that varies over the quadrature points is integrated by
+# the viscous kernel and added into the same fill.
 
 
 def _mini_pattern(mesh: Mesh2D) -> _Pattern:
@@ -900,7 +967,8 @@ def _mini_pattern(mesh: Mesh2D) -> _Pattern:
 
 def _viscous_local(geo: _Geometry, wnu: np.ndarray, block=slice(None)) -> np.ndarray:
     """(NT, 8, 8) viscous element matrices of integral nu D(u):D(w), for the
-    triangles of ``block`` (``wnu`` holds only theirs).
+    triangles of ``block`` (``wnu`` holds only theirs); the kernel of the
+    viscous map, and the route of a viscosity that varies.
 
     E[(d,a),(c,b)] = 1/2 integral nu (d_d phi_b d_c phi_a
                                       + delta_dc grad phi_a . grad phi_b),
@@ -944,57 +1012,59 @@ def _convective_local(geo: _Geometry, a_qp: np.ndarray) -> np.ndarray:
     return local.reshape(nt, 8, 8)
 
 
-def _viscous_data(geo: _Geometry, pattern: _Pattern, wnu: np.ndarray) -> np.ndarray:
-    """CSR data of the viscous block with weights ``wnu``, filled a block of
-    triangles at a time so that no (NT, 8, 8) array is held."""
-    return pattern.add_blocks(np.zeros(pattern.nnz),
-                              lambda block: _viscous_local(geo, wnu[block], block))
-
-
 def _velocity_block(mesh: Mesh2D, viscosity, advect, gamma_n_tags,
                     mass_coeff: float = 0.0) -> np.ndarray:
     """CSR data, on the MINI pattern, of the velocity block A_vv plus
-    ``mass_coeff`` times the MINI mass, added without a full-size temporary."""
-    geo = geometry(mesh)
-    pattern = _mini_pattern(mesh)
-    nu = _coeff_at_qp(mesh, viscosity)
-    if nu.size and nu.min() == nu.max():
-        # Uniform viscosity: the viscous block is nu times a per-mesh constant.
-        unit = cached(mesh, "viscous_unit", lambda: _viscous_data(geo, pattern, geo.qw))
-        data = nu.flat[0] * unit
+    ``mass_coeff`` times the MINI mass, in one fill.  The element blocks of a
+    block of triangles are one GEMM of their features [det inv_i inv_j |
+    det c (x) grad_p1 | det] with the stacked maps [nu R_visc; R_conv;
+    mass_coeff R_mass], each part present only when its term is; a
+    viscosity that varies is integrated by :func:`_viscous_local` and added
+    to the product.  The convective surface term follows the fill."""
+    geo, pattern = geometry(mesh), _mini_pattern(mesh)
+    nu = np.asarray(viscosity, dtype=float)
+    nu = nu if nu.ndim == 0 else _coeff_at_qp(mesh, nu)
+    wnu, parts = None, []  # parts: (features of a block of triangles, map)
+    # A broadcast constant (all strides 0), as the default viscosity is, is
+    # uniform without a pass over its NT x NQ values.
+    if nu.size and (not any(nu.strides) or nu.min() == nu.max()):
+        parts.append((lambda block: _viscous_features(geo, block),
+                      nu.flat[0] * _viscous_map()))
     else:
-        data = _viscous_data(geo, pattern, geo.qw * nu)
+        wnu = geo.qw * nu
     if advect is not None:
-        _add_convection(mesh, data, advect, gamma_n_tags)
+        coeff = velocity_element_coeffs(mesh, advect)
+        parts.append((lambda block: _convective_features(geo, coeff[block], block),
+                      _reference_map(_convective_local)))
     if mass_coeff:
-        _add_mini_mass(mesh, data, mass_coeff)
+        parts.append((lambda block: geo.det[block, None], mass_coeff * _mass_map()))
+    stacked = np.concatenate([r for _, r in parts]) if parts else None
+
+    def local(block):
+        out = None if wnu is None else _viscous_local(geo, wnu[block], block)
+        if stacked is not None:
+            product = np.concatenate([x(block) for x, _ in parts], axis=1) @ stacked
+            product = product.reshape(-1, 8, 8)
+            out = product if out is None else np.add(out, product, out=out)
+        return out
+
+    data = pattern.add_blocks(np.zeros(pattern.nnz), local)
+    if advect is not None:
+        _add_surface(mesh, data, coeff, gamma_n_tags)
     return data
 
 
-def _add_convection(mesh: Mesh2D, data: np.ndarray, advect, gamma_n_tags,
-                    newton: bool = False) -> None:
-    """Add to the MINI data ``data`` the convective form c(a; u, w) =
-    -integral (a x u):D(w) plus s(a; u, w) = integral_{Gamma_N} (a.n)(u.w),
-    advected by ``a`` = ``advect``; with ``newton``, their derivative in u at
-    u = a instead, for the velocity ``advect``.  ``advect`` is a MINI
-    velocity (flow dofs or element coefficients); the volume blocks come from
-    the reference map and the surface term from its trace on the edges.
-
-    c(a; u, w) is symmetric in a and u, since D(w) is, so the derivative of
-    c(u; u, w) is 2 c(u; ., w): the volume form advected by 2u, exactly.  The
-    derivative of s(u; u, w) adds integral_{Gamma_N} (delta.n)(u.w) to
-    s(u; delta, w), the (d, c) velocity block with weight u_d n_c.
-    """
-    geo = geometry(mesh)
-    pattern = _mini_pattern(mesh)
-    coeff = velocity_element_coeffs(mesh, advect)
-    a_coeff = 2.0 * coeff if newton else coeff  # an exact scaling
-    pattern.add_blocks(data, lambda block: _reference_blocks(geo, a_coeff[block],
-                                                             _convective_local, block))
-    # Convective surface term integral_{Gamma_N} (a.n)(u.w), per component.
+def _add_surface(mesh: Mesh2D, data: np.ndarray, coeff: np.ndarray, gamma_n_tags,
+                 newton: bool = False) -> None:
+    """Add to the MINI data ``data`` the convective surface term s(a; u, w) =
+    integral_{Gamma_N} (a.n)(u.w) of the MINI field ``a`` of element
+    coefficients ``coeff``, from its trace on the edges; with ``newton``,
+    its derivative in u at u = a, which adds integral_{Gamma_N}
+    (delta.n)(u.w): the (d, c) velocity block with weight a_d n_c."""
     edges = boundary_edges(mesh, gamma_n_tags)
     if not edges.owners.size:
         return
+    pattern = _mini_pattern(mesh)
     a_e = edges.trace(coeff)
     surf = _edge_blocks(edges.wts * (a_e * edges.normals[:, None, :]).sum(axis=-1))
     for comp in range(2):
@@ -1006,38 +1076,33 @@ def _add_convection(mesh: Mesh2D, data: np.ndarray, advect, gamma_n_tags,
                           _edge_blocks(edges.wts * a_e[..., d] * edges.normals[:, None, c]))
 
 
+def _newton_convection(mesh: Mesh2D, u: np.ndarray, gamma_n_tags) -> np.ndarray:
+    """CSR data, on the MINI pattern, of N(u), the derivative in u of the
+    convective form c(u; u, w) + s(u; u, w) of :func:`_velocity_block`, for
+    the velocity ``u`` (flow dofs or element coefficients).  c(a; u, w) is
+    symmetric in a and u, since D(w) is, so the derivative of c(u; u, w) is
+    2 c(u; ., w): the volume form advected by 2u, exactly."""
+    geo, pattern = geometry(mesh), _mini_pattern(mesh)
+    coeff = velocity_element_coeffs(mesh, u)
+    doubled = 2.0 * coeff  # an exact scaling
+    data = pattern.add_blocks(np.zeros(pattern.nnz), lambda block: _reference_blocks(
+        geo, doubled[block], _convective_local, block))
+    _add_surface(mesh, data, coeff, gamma_n_tags, newton=True)
+    return data
+
+
 def mini_mass_block(mesh: Mesh2D) -> SparseMatrix:
     """The scalar block of the MINI velocity mass, integral phi_a phi_b over
     [l1 l2 l3 bubble] on the P1 pattern enriched with the bubbles, rows and
     columns [vertices | bubbles] (cached, read-only).  The mass is this
-    block on the x-x and the y-y velocity blocks and zero elsewhere, so it
-    is held once: :func:`_add_mini_mass` adds it to velocity block data and
-    :func:`mini_mass_product` applies it."""
+    block on the x-x and the y-y velocity blocks and zero elsewhere, so the
+    product M v (:func:`mini_mass_product`) applies it per component; a
+    time step's velocity block takes its mass from the mass map instead."""
     def build():
         pattern = _mini_pattern(mesh).first_block(2)
-        block = _tab(geometry(mesh).qw, _products(MINI_VALS)).reshape(-1, 4, 4)
-        return _frozen_csr(pattern.matrix(pattern.fill(block)))
+        return _frozen_csr(pattern.matrix(pattern.fill(_mass_local(geometry(mesh).qw))))
 
     return cached(mesh, "mini_mass_block", build)
-
-
-def _add_mini_mass(mesh: Mesh2D, data: np.ndarray, coeff: float) -> None:
-    """Add ``coeff`` times the MINI mass to the MINI data ``data``: the
-    scalar block at its x-x and y-y positions, a block of rows at a time,
-    so that no full-size temporary is made.  By the layout of
-    :meth:`_Pattern.blocked`, entry e of row i of the block lies at
-    indptr[i] + e of the x-x block and at 2 nnz + indptr[i + 1] + e of the
-    y-y block."""
-    mass = mini_mass_block(mesh)
-    for start in range(0, mass.shape[0], FILL_BLOCK):
-        ptr = mass.indptr[start:start + FILL_BLOCK + 1]
-        deg = np.diff(ptr)
-        at = np.repeat(ptr[:-1], deg) + np.arange(ptr[0], ptr[-1])
-        part = coeff * mass.data[ptr[0]:ptr[-1]]
-        data[at] += part
-        at += np.repeat(deg, deg)
-        at += 2 * mass.nnz
-        data[at] += part
 
 
 def mini_mass_product(mesh: Mesh2D, v: np.ndarray) -> np.ndarray:
@@ -1048,16 +1113,25 @@ def mini_mass_product(mesh: Mesh2D, v: np.ndarray) -> np.ndarray:
     return np.concatenate([mass @ v[:n], mass @ v[n:]])
 
 
-def _divergence_local(mesh: Mesh2D) -> np.ndarray:
-    """(NT, 3, 2, 4) element blocks of B: [t, i, c, b] = integral psi_i d_c(phi_b)."""
-    geo = geometry(mesh)
-    psi = _tab(geo.qw, P1_VALS)  # (NT, 3): integral psi_i
+def _divergence_local(geo) -> np.ndarray:
+    """(n, 3, 2, 4) element blocks of B, [t, i, c, b] = integral psi_i
+    d_c(phi_b), of the triangles of the geometry ``geo``; the kernel of the
+    divergence map."""
+    psi = _tab(geo.qw, P1_VALS)  # (n, 3): integral psi_i
     bubble = _tab(geo.qw[:, None, :] * geo.bubble_grads().transpose(0, 2, 1),
-                  P1_VALS)  # (NT, 2, 3): integral psi_i d_c(bubble)
-    local = np.empty((mesh.num_triangles, 3, 2, 4))
+                  P1_VALS)  # (n, 2, 3): integral psi_i d_c(bubble)
+    local = np.empty((len(psi), 3, 2, 4))
     local[..., :3] = psi[:, :, None, None] * geo.grad_p1.transpose(0, 2, 1)[:, None]
     local[..., 3] = bubble.transpose(0, 2, 1)
     return local
+
+
+@cache
+def _divergence_map() -> np.ndarray:
+    """(4, 24) map R of B's element blocks, det times a linear form in inv:
+    row k is the block of :func:`_divergence_local` on a triangle of unit
+    det whose inverse Jacobian is the unit entry k."""
+    return _frozen(_divergence_local(_unit_geometry(np.eye(4).reshape(4, 2, 2))).reshape(4, -1))
 
 
 def _divergence_pattern(mesh: Mesh2D) -> _Pattern:
@@ -1069,10 +1143,16 @@ def _divergence_pattern(mesh: Mesh2D) -> _Pattern:
 
 
 def assemble_divergence(mesh: Mesh2D) -> SparseMatrix:
-    """Divergence block B, (Bu)_i = integral psi_i div(u) (cached, read-only)."""
+    """Divergence block B, (Bu)_i = integral psi_i div(u) (cached, read-only):
+    each block of triangles' element blocks are det inv times the divergence
+    map, one GEMM."""
     def build():
-        pattern = _divergence_pattern(mesh)
-        return _frozen_csr(pattern.matrix(pattern.fill(_divergence_local(mesh))))
+        geo, pattern = geometry(mesh), _divergence_pattern(mesh)
+
+        def local(block):
+            x = geo.det[block, None] * geo.inv[block].reshape(-1, 4)
+            return (x @ _divergence_map()).reshape(-1, 3, 8)
+        return _frozen_csr(pattern.matrix(pattern.add_blocks(np.zeros(pattern.nnz), local)))
 
     return cached(mesh, "divergence", build)
 
@@ -1252,10 +1332,8 @@ def assemble_newton_saddle(mesh: Mesh2D, viscosity, u: np.ndarray, gamma_n_tags=
     [B, 0]] with N(u) the derivative of C(u) u, and the velocity load
     C(u) u = 1/2 N(u) u.  The next Newton iterate solves saddle x = [f + load; 0].
     Raises SingularMatrix when a bubble block cannot be inverted."""
-    pattern = _mini_pattern(mesh)
-    conv = np.zeros(pattern.nnz)
-    _add_convection(mesh, conv, u, gamma_n_tags, newton=True)
-    load = 0.5 * (pattern.matrix(conv) @ u)
+    conv = _newton_convection(mesh, u, gamma_n_tags)
+    load = 0.5 * (_mini_pattern(mesh).matrix(conv) @ u)
     data = _velocity_block(mesh, viscosity, None, ())
     data += conv
     return _condensed_saddle(mesh, data), load

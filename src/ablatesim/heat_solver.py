@@ -228,33 +228,56 @@ def artificial_viscosity(mesh: Mesh2D, residuals, theta: np.ndarray,
     return params.beta * vmax_k * min_term
 
 
-def _robin_term(problem: HeatProblem, tag: int, bc: HeatBC):
-    """(matrix data, load) of the Robin tag ``tag``, the load sampled at the
-    problem's time."""
-    edges = fem_core.boundary_edges(problem.temperature.mesh, (tag,))
-    w = bc.alpha * edges.wts
-    return edges.mass(w), edges.load(w * fem_core.sample(bc.value, edges.pts, problem.time))
+def _robin_terms(problem: HeatProblem):
+    """The Robin (matrix data, rhs) pair, summed in tag order over the tags
+    with a nonzero alpha; the data are None when there is none.  The pair of
+    constant ambient temperatures is held per mesh.  With a callable one,
+    the data, which depend on the tags and their alphas alone, are held per
+    mesh, and only the rhs is formed, sampled at the problem's time."""
+    mesh = problem.temperature.mesh
+    robin = [(tag, bc) for tag, bc in sorted(problem.bc.items())
+             if bc.role == ROLE_ROBIN and bc.alpha != 0.0]
+
+    def mass():
+        data = None
+        for tag, bc in robin:
+            edges = fem_core.boundary_edges(mesh, (tag,))
+            m = edges.mass(bc.alpha * edges.wts)
+            data = m if data is None else m + data
+        return data
+
+    def load():
+        rhs = np.zeros(mesh.num_vertices)
+        for tag, bc in robin:
+            edges = fem_core.boundary_edges(mesh, (tag,))
+            w = bc.alpha * edges.wts
+            rhs = rhs + edges.load(w * fem_core.sample(bc.value, edges.pts, problem.time))
+        return rhs
+
+    if any(callable(bc.value) for _, bc in robin):
+        key = ("robin_mass", tuple((tag, bc.alpha) for tag, bc in robin))
+        return fem_core.cached(mesh, key, mass), load()
+
+    def build():
+        return tuple(x if x is None else fem_core._frozen(x) for x in (mass(), load()))
+    key = ("robin", tuple((tag, bc.alpha, bc.value) for tag, bc in robin))
+    return fem_core.cached(mesh, key, build)
 
 
-def _inflow_term(problem: HeatProblem, tag: int, bc: HeatBC):
-    """(matrix data, load) of the inflow tag ``tag``: the transport's inflow
-    weights and their edge mass, which move with it, on the tag's edges."""
-    edges = fem_core.boundary_edges(problem.temperature.mesh, (tag,))
-    transport = problem.transport
-    w = transport.inflow[edges.index]
-    return (edges.mass(transport.inflow_mass[edges.index]),
-            edges.load(w * fem_core.sample(bc.value, edges.pts, problem.time)))
-
-
-def _role_terms(problem: HeatProblem, role: str, term):
-    """The (matrix data, rhs) pair of the tags of ``role``, each tag's from
-    ``term(problem, tag, bc)``, summed in tag order; the data are None when
-    no tag contributes."""
-    data, rhs = None, np.zeros(problem.temperature.mesh.num_vertices)
+def _inflow_terms(problem: HeatProblem):
+    """The inflow (matrix data, rhs) pair, summed in tag order; the data are
+    None when there is no inflow tag.  On each tag's edges: the transport's
+    inflow weights and their edge mass, which move with it, and the load of
+    the inflow temperature at the problem's time."""
+    mesh, transport = problem.temperature.mesh, problem.transport
+    data, rhs = None, np.zeros(mesh.num_vertices)
     for tag, bc in sorted(problem.bc.items()):
-        if bc.role == role and not (role == ROLE_ROBIN and bc.alpha == 0.0):
-            m, load = term(problem, tag, bc)
-            data, rhs = (m if data is None else m + data), rhs + load
+        if bc.role == ROLE_INFLOW:
+            edges = fem_core.boundary_edges(mesh, (tag,))
+            m = edges.mass(transport.inflow_mass[edges.index])
+            data = m if data is None else m + data
+            w = transport.inflow[edges.index]
+            rhs = rhs + edges.load(w * fem_core.sample(bc.value, edges.pts, problem.time))
     return data, rhs
 
 
@@ -268,21 +291,12 @@ def _boundary_terms(problem: HeatProblem):
     weakly through the advective flux.  The inflow weight acts only where
     the transporting velocity enters the domain (v.n < 0), so a switched-off
     jet imposes nothing.  Matrix data, on the full P1 pattern, are None when
-    no tag contributes.  The Robin pair of constant ambient temperatures is
-    a per-mesh constant, built once; with a callable ambient temperature it
-    is formed at each call, at the problem's time.
+    no tag contributes.  The Robin matrix data are a per-mesh constant,
+    built once, and so is its rhs of constant ambient temperatures; a
+    callable ambient temperature is sampled at each call, at the problem's
+    time.
     """
-    mesh = problem.temperature.mesh
-    robin = tuple((tag, bc.alpha, bc.value) for tag, bc in sorted(problem.bc.items())
-                  if bc.role == ROLE_ROBIN)
-    inflow = _role_terms(problem, ROLE_INFLOW, _inflow_term)
-    if any(callable(value) for *_, value in robin):
-        return _role_terms(problem, ROLE_ROBIN, _robin_term), inflow
-
-    def build():
-        terms = _role_terms(problem, ROLE_ROBIN, _robin_term)
-        return tuple(x if x is None else fem_core._frozen(x) for x in terms)
-    return fem_core.cached(mesh, ("robin", robin), build), inflow
+    return _robin_terms(problem), _inflow_terms(problem)
 
 
 def _solve(problem: HeatProblem, A_sys, rhs, theta) -> np.ndarray:

@@ -139,7 +139,14 @@ class TemperatureSample:
     theta = cached_property(lambda self: fem_core.p1_at_qp(self.mesh, self.theta_h))
     sigma = cached_property(lambda self: self.model.sigma(self.theta))
     eta = cached_property(lambda self: self.model.eta(self.theta))
-    nu = cached_property(lambda self: self.model.nu(self.theta))
+
+    @cached_property
+    def nu(self):
+        # The default law is a constant that reads only the shape of theta,
+        # so it is given a NaN stand-in of that shape, not theta at the points.
+        if self.model.nu_law is None:
+            return self.model.nu(np.broadcast_to(np.nan, fem_core.geometry(self.mesh).qw.shape))
+        return self.model.nu(self.theta)
 
 
 def branch_limits(model: MaterialModel) -> dict:

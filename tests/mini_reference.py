@@ -1,21 +1,164 @@
-"""The whole MINI operators, which the solvers never form: the velocity mass
-on the full MINI pattern and the blocks of the uncondensed saddle system,
-built from the solvers' own pieces for the tests that check those pieces
-against them.  Not collected by pytest."""
+"""The whole MINI operators, which the solvers never form, and the
+quadrature forms of the element blocks that the solvers take from
+reference maps: the velocity mass on the full MINI pattern, the blocks of
+the uncondensed saddle system, and the velocity block and the divergence
+as the viscous and divergence kernels integrate them, with the mass added
+from its scalar block.  Built from the solvers' own pieces for the tests
+that check those pieces against them.  Not collected by pytest."""
+
+from types import SimpleNamespace
 
 import numpy as np
 
 from ablatesim import fem_core
 
+EPS = np.finfo(float).eps
+
+
+def add_mini_mass(mesh, data, coeff):
+    """Add ``coeff`` times the MINI mass to the MINI data ``data``: the
+    scalar block (:func:`fem_core.mini_mass_block`) at its x-x and y-y
+    positions, a block of rows at a time, so that no full-size temporary is
+    made.  By the layout of :meth:`fem_core._Pattern.blocked`, entry e of
+    row i of the block lies at indptr[i] + e of the x-x block and at
+    2 nnz + indptr[i + 1] + e of the y-y block."""
+    mass = fem_core.mini_mass_block(mesh)
+    for start in range(0, mass.shape[0], fem_core.FILL_BLOCK):
+        ptr = mass.indptr[start:start + fem_core.FILL_BLOCK + 1]
+        deg = np.diff(ptr)
+        at = np.repeat(ptr[:-1], deg) + np.arange(ptr[0], ptr[-1])
+        part = coeff * mass.data[ptr[0]:ptr[-1]]
+        data[at] += part
+        at += np.repeat(deg, deg)
+        at += 2 * mass.nnz
+        data[at] += part
+
 
 def assemble_mini_mass(mesh):
     """Velocity mass matrix on the MINI space, on the full MINI pattern,
-    read-only: the scalar block (:func:`fem_core.mini_mass_block`) at its
-    x-x and y-y positions.  Built on each call."""
+    read-only: the scalar block at its x-x and y-y positions
+    (:func:`add_mini_mass`).  Built on each call."""
     pattern = fem_core._mini_pattern(mesh)
     data = np.zeros(pattern.nnz)
-    fem_core._add_mini_mass(mesh, data, 1.0)
+    add_mini_mass(mesh, data, 1.0)
     return fem_core._frozen_csr(pattern.matrix(data))
+
+
+def velocity_block(mesh, viscosity, advect=None, gamma_n_tags=(), mass_coeff=0.0):
+    """The data of ``fem_core._velocity_block`` by the quadrature form: the
+    viscous kernel filled a block of triangles at a time (a uniform
+    viscosity times the fill at unit viscosity), then the convective blocks
+    of the reference map and the surface term added, then the mass from its
+    scalar block."""
+    geo, pattern = fem_core.geometry(mesh), fem_core._mini_pattern(mesh)
+    nu = fem_core._coeff_at_qp(mesh, viscosity)
+    uniform = nu.min() == nu.max()
+    wnu = geo.qw if uniform else geo.qw * nu
+    data = pattern.add_blocks(np.zeros(pattern.nnz),
+                              lambda block: fem_core._viscous_local(geo, wnu[block], block))
+    if uniform:
+        data = nu.flat[0] * data
+    if advect is not None:
+        coeff = fem_core.velocity_element_coeffs(mesh, advect)
+        pattern.add_blocks(data, lambda block: fem_core._reference_blocks(
+            geo, coeff[block], fem_core._convective_local, block))
+        fem_core._add_surface(mesh, data, coeff, gamma_n_tags)
+    if mass_coeff:
+        add_mini_mass(mesh, data, mass_coeff)
+    return data
+
+
+def divergence_data(mesh):
+    """The data of ``fem_core.assemble_divergence`` by the quadrature form:
+    the divergence kernel on the mesh's geometry, filled at once."""
+    pattern = fem_core._divergence_pattern(mesh)
+    return pattern.fill(fem_core._divergence_local(fem_core.geometry(mesh)))
+
+
+# -- round-off bound of the reference maps against the quadrature forms ------
+#
+# Both forms of an element entry approximate the same sum of products, each
+# rounding a term by at most u = eps/2 relative to the moduli of what it
+# sums; so to first order in u each differs from the exact value by at most
+# (its rounding depth) u times the entry's modulus scale, the same sum with
+# every term in modulus.  The scales below bound those of both forms, with
+# A = sum_k |inv_k| of the element:
+#
+# - viscous: |nu| det A^2 Q~(1), where Q~(1) is the viscous kernel with its
+#   reference tables in modulus at inv = 1 (every entry), which bounds the
+#   kernel's moduli at any |inv_k| <= A, and R_visc's polarization error
+#   (three kernel values per row, each within Q~(1));
+# - divergence: det A L~(1), L~ the divergence kernel likewise;
+# - convective: |x| |R_conv|, the GEMM's own moduli, since both forms take
+#   the same features x and map R_conv;
+# - mass: |mass_coeff| det R_mass (all its entries are positive);
+# - the surface term: its edge blocks with the trace and normals in modulus.
+#
+# Rounding depths: a kernel rounds at most D = 21 times along any term (the
+# gradients from inv 2, squared 4, the weights det and nu 2, the product
+# with them 1, the 12-point sum 12, the symmetrization 2); a map row adds
+# 2 subtractions of 3 kernel values; a GEMM of K = 59 features rounds a term
+# K + 3 times (the features 2, the scaling of the map 1); the reference's
+# convective GEMM 48 times; each fill of m element terms m times; and the
+# scaling, mass and surface additions 4.  So the two forms differ by at most
+# N u times the filled scale, N = 4 D + 2 K + 2 m + 16, which also covers the
+# divergence (depth 16, 4 features).
+
+ROUNDING_DEPTH = 21  # D above
+GEMM_TERMS = 59  # K above: [det inv_i inv_j (10) | det c g (48) | det (1)]
+
+
+def _moduli_geometry():
+    """The factors that the quadrature kernels read, of one triangle of unit
+    det whose inverse Jacobian has every entry 1, with the reference tables
+    in modulus: a kernel then sums the moduli of its terms."""
+    ones = np.ones((1, 2, 2))
+    geo = SimpleNamespace(qw=fem_core.TRI_RULE.weights[None],
+                          grad_p1=fem_core._combine(np.abs(fem_core.P1_REF_GRADS), ones))
+    bubble = fem_core._combine(np.abs(fem_core.BUBBLE_REF_GRADS), ones)
+    geo.bubble_grads = lambda block=slice(None): bubble
+    return geo
+
+
+def _bound(pattern, scale, extra=0.0):
+    """N u times the fill of the element scales ``scale`` plus the data
+    scale ``extra``, with m the most element terms that one position sums."""
+    m = int(np.bincount(pattern.scatter.ravel()).max())
+    n = 4 * ROUNDING_DEPTH + 2 * GEMM_TERMS + 2 * m + 16
+    return n * (EPS / 2) * (pattern.fill(scale) + extra)
+
+
+def velocity_block_bound(mesh, viscosity, advect=None, gamma_n_tags=(), mass_coeff=0.0):
+    """The bound on |``fem_core._velocity_block`` - :func:`velocity_block`|
+    at each data position (see above)."""
+    geo, pattern = fem_core.geometry(mesh), fem_core._mini_pattern(mesh)
+    a = np.abs(geo.inv).reshape(-1, 4).sum(axis=1)
+    nu = np.abs(fem_core._coeff_at_qp(mesh, viscosity)).max(axis=1)
+    moduli = _moduli_geometry()
+    q1 = fem_core._viscous_local(moduli, moduli.qw)[0]
+    scale = (nu * geo.det * a * a)[:, None, None] * q1
+    surface = np.zeros(pattern.nnz)
+    if advect is not None:
+        coeff = fem_core.velocity_element_coeffs(mesh, advect)
+        x = np.abs(fem_core._convective_features(geo, coeff))
+        scale += (x @ np.abs(fem_core._reference_map(fem_core._convective_local))).reshape(-1, 8, 8)
+        edges = fem_core.boundary_edges(mesh, gamma_n_tags)
+        if edges.owners.size:
+            weight = (np.abs(edges.trace(coeff)) * np.abs(edges.normals[:, None, :])).sum(axis=-1)
+            blocks = fem_core._edge_blocks(edges.wts * weight)
+            for comp in range(2):
+                np.add.at(surface, edges.block_positions(pattern, comp, comp), blocks)
+    scale += abs(mass_coeff) * geo.det[:, None, None] * fem_core._mass_map().reshape(8, 8)
+    return _bound(pattern, scale, surface)
+
+
+def divergence_bound(mesh):
+    """The bound on |``fem_core.assemble_divergence(mesh).data`` -
+    :func:`divergence_data`| at each data position (see above)."""
+    geo = fem_core.geometry(mesh)
+    a = np.abs(geo.inv).reshape(-1, 4).sum(axis=1)
+    l1 = fem_core._divergence_local(_moduli_geometry())[0]
+    return _bound(fem_core._divergence_pattern(mesh), (geo.det * a)[:, None, None, None] * l1)
 
 
 def assemble_mini_blocks(mesh, viscosity, advect=None, gamma_n_tags=()) -> dict:
@@ -30,8 +173,8 @@ def assemble_mini_blocks(mesh, viscosity, advect=None, gamma_n_tags=()) -> dict:
       the momentum pressure-gradient coupling, which enters as -B^T.
 
     ``viscosity`` is scalar / per-triangle / per-quad-point; ``advect`` is a
-    MINI velocity, flow dofs or element coefficients.  B is cached, and a
-    uniform viscosity scales a cached viscous block.
+    MINI velocity, flow dofs or element coefficients.  Both are the
+    solvers' own assemblies; B is cached.
     """
     data = fem_core._velocity_block(mesh, viscosity, advect, gamma_n_tags)
     return {"A_vv": fem_core._mini_pattern(mesh).matrix(data),

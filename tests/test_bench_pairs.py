@@ -1,6 +1,7 @@
 """The statistics of tools/bench_pairs.py."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -103,3 +104,34 @@ def test_report_prints_the_three_verdicts():
     header, row = bench_pairs.report("mms", {"peak_rss_mb": r})
     assert header.endswith("| gain resolved | regressed | unresolved")
     assert row.endswith("| False | False | True")
+
+
+def test_the_json_names_each_tree(tmp_path):
+    repo = tmp_path / "repo"
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.org",
+                        *args], cwd=repo, check=True, capture_output=True)
+
+    src = repo / "src" / "ablatesim"
+    src.mkdir(parents=True)
+    (src / "a.py").write_text("x = 1\n")
+    (src / "notes.txt").write_text("not hashed\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "one")
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, capture_output=True,
+                          text=True, check=True).stdout.strip()
+    clean = bench_pairs.tree_identity(repo)
+    assert clean["head"] == head and clean["dirty"] is False
+    (src / "notes.txt").write_text("changed\n")
+    edited = bench_pairs.tree_identity(repo)
+    assert edited["dirty"] is True and edited["src_sha256"] == clean["src_sha256"]
+    (src / "a.py").write_text("x = 2\n")
+    assert bench_pairs.tree_identity(repo)["src_sha256"] != clean["src_sha256"]
+    # Outside a git checkout only the hash is known.
+    plain = tmp_path / "plain"
+    (plain / "src" / "ablatesim").mkdir(parents=True)
+    (plain / "src" / "ablatesim" / "a.py").write_text("x = 1\n")
+    assert bench_pairs.tree_identity(plain) == {"head": None, "dirty": None,
+                                                 "src_sha256": clean["src_sha256"]}

@@ -751,3 +751,21 @@ class TestHeatStationary:
         monkeypatch.setattr(heat_solver, "PICARD_MAX", 2)
         with pytest.raises(SolverError, match=r"in 2 steps: last increment .* >= tol 1\.0e-10"):
             solve_heat_stationary(problem)
+
+
+def test_robin_edge_masses_formed_once_per_mesh(monkeypatch):
+    # An unsteady MMS heat level samples its callable Robin data at each of
+    # its 4 steps, but forms each of the 5 Robin tags' edge masses once: the
+    # matrix data depend on the tags and alphas alone and are held per mesh.
+    from ablatesim import verify
+
+    masses = []
+    mass = fem_core.BoundaryEdges.mass
+
+    def counted(edges, weights):
+        masses.append(edges.index.size)
+        return mass(edges, weights)
+
+    monkeypatch.setattr(fem_core.BoundaryEdges, "mass", counted)
+    verify.solve_heat_unsteady_case(verify.heat_unsteady_spatial_case(), 16, 8)
+    assert len(masses) == len(ALL_TAGS)

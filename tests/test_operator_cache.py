@@ -19,7 +19,7 @@ from mini_reference import assemble_mini_blocks, assemble_mini_mass
 RTOL = 1e-13
 # The bytes of the per-mesh constants of a test1 run at 48x16 after 3 steps
 # (test_per_mesh_constants_hold_their_bytes); int64 index arrays.
-HELD_BYTES_48x16 = 4_458_028
+HELD_BYTES_48x16 = 3_935_756
 
 
 def channel():
@@ -218,13 +218,13 @@ class TestArithmeticBuilders:
             local[:, comp, :, comp, :] = block
         want = mini.fill(local.reshape(nt, 8, 8))
         assert assemble_mini_mass(mesh).data.tobytes() == want.tobytes()
-        unit = mini.fill(fem_core._viscous_local(geo, geo.qw))
-        A = assemble_mini_blocks(mesh, 1.0)["A_vv"]
-        assert A.data.tobytes() == unit.tobytes()
         # The condensed layout reads B's blocks off B and maps A_vv's
-        # vertex-vertex entries by row arithmetic.
+        # vertex-vertex entries by row arithmetic.  B is filled from the
+        # blocks of its reference map (test_setup_builders bounds them
+        # against the quadrature form).
         lay = fem_core._CondensedLayout(mesh)
-        div_local = fem_core._divergence_local(mesh)
+        x = geo.det[:, None] * geo.inv.reshape(-1, 4)
+        div_local = (x @ fem_core._divergence_map()).reshape(nt, 3, 2, 4)
         b_vertex = div_local[..., :3].reshape(-1, 3, 6)
         div = np.zeros((nt, 9, 9))
         div[:, 6:, :6] = b_vertex
@@ -285,7 +285,7 @@ class TestCachedOperatorsMatchCoo:
     def test_theta_dependent_viscosity_bypasses_cache(self, name):
         mesh = MESHES[name]()
         dm = dofmap_for(mesh)
-        assemble_mini_blocks(mesh, 0.0021)  # fill the constant-nu cache
+        assemble_mini_blocks(mesh, 0.0021)  # a uniform viscosity first, by the viscous map
         model = MaterialModel(nu_law=lambda th: 0.002 + 1e-4 * (th - 37.0))
         theta = 37.0 + 20.0 * np.sin(3.0 * mesh.vertices[:, 0]) * mesh.vertices[:, 1]
         nu_qp = model.nu(fem_core.p1_at_qp(mesh, theta))
@@ -447,23 +447,15 @@ class TestHeldForms:
         mesh = BUILDER_MESHES[name]()
         full = full_mini_mass_data(mesh)
         assert assemble_mini_mass(mesh).data.tobytes() == full.tobytes()
-        # M v per component and the velocity block with its mass term, both
-        # formed from the scalar block, equal the full-pattern forms; only a
-        # zero may differ in sign, since the full form added the zeros of
-        # its x-y blocks.
+        # M v per component, formed from the scalar block, equals the
+        # full-pattern form.  A time step's velocity block takes its mass
+        # from the mass map (test_setup_builders bounds it against the
+        # scalar block's).
         rng = np.random.default_rng(1)
         dm = dofmap_for(mesh)
         v = rng.standard_normal(dm.n_velocity)
         mini = fem_core._mini_pattern(mesh)
         assert np.array_equal(fem_core.mini_mass_product(mesh, v), mini.matrix(full) @ v)
-        advect = fem_core.velocity_element_coeffs(mesh, v)
-        for viscosity in (0.0021, 0.002 + 1e-4 * rng.uniform(size=fem_core.geometry(mesh).qw.shape)):
-            got = fem_core._velocity_block(mesh, viscosity, advect, (GAMMA3,), 20.0)
-            want = fem_core._velocity_block(mesh, viscosity, advect, (GAMMA3,))
-            want += 20.0 * full
-            assert np.array_equal(got, want)
-            differ = got.view(np.int64) != want.view(np.int64)
-            assert not got[differ].any()
 
     def test_bubble_gradients_formed_on_demand(self, name):
         mesh = BUILDER_MESHES[name]()
@@ -524,7 +516,8 @@ def test_per_mesh_constants_hold_their_bytes():
     # its operator cache after 3 steps from rest with test1 physics at
     # 48x16.  It was 4,990,368 bytes when the geometry held the bubble
     # gradients, the MINI mass sat on the full MINI pattern and each Robin
-    # tag kept its own copy beside the constant pair.
+    # tag kept its own copy beside the constant pair, and 4,458,028 while
+    # the viscous block of a uniform viscosity was held.
     cfg = preset("test1")
     sim = Simulation(cfg)
     nv = sim.mesh.num_vertices

@@ -1,5 +1,7 @@
 """The per-mesh set-up builders against the forms they replaced
-(tests/setup_reference.py), byte for byte, zero signs included: on channel
+(tests/setup_reference.py), byte for byte, zero signs included, and the
+element blocks of the reference maps against the quadrature forms
+(tests/mini_reference.py) within their stated round-off bound: on channel
 meshes, on the jiggled MMS meshes and on random Delaunay meshes of the 2 x 1
 box with their vertices and triangles renumbered."""
 
@@ -10,6 +12,7 @@ from hypothesis import Phase, Verbosity, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Delaunay
 
+import mini_reference
 import setup_reference as ref
 from ablatesim import fem_core, verify
 from ablatesim.coupler import Simulation
@@ -96,6 +99,42 @@ def check_builders(mesh, label=""):
     assert_same_pattern(layout.pattern, want.pop("pattern"), label + "condensed")
     for name, w in want.items():
         assert_same_bytes(getattr(layout, name), w, label + name)
+
+
+def check_element_blocks(mesh, label=""):
+    """The velocity block and the divergence by their reference maps against
+    the quadrature forms, within the bound of tests/mini_reference.py at
+    every data position: a uniform viscosity alone; with convection and its
+    surface term on GAMMA3; with a mass term too; and a viscosity that
+    varies over the quadrature points, with both."""
+    rng = np.random.default_rng(5)
+    geo = fem_core.geometry(mesh)
+    v = rng.standard_normal(fem_core.dofmap_for(mesh).n_velocity)
+    varying = 0.002 + 1e-4 * rng.uniform(size=geo.qw.shape)
+    for viscosity, advect, mass_coeff in ((0.0021, None, 0.0), (1.0, v, 0.0), (0.0021, v, 20.0),
+                                          (varying, v, 20.0)):
+        args = (mesh, viscosity, advect, (GAMMA3,), mass_coeff)
+        got = fem_core._velocity_block(*args)
+        miss = np.abs(got - mini_reference.velocity_block(*args))
+        bound = mini_reference.velocity_block_bound(*args)
+        assert np.all(miss <= bound), f"{label}velocity block, mass {mass_coeff}: {miss.max()}"
+    miss = np.abs(fem_core.assemble_divergence(mesh).data - mini_reference.divergence_data(mesh))
+    assert np.all(miss <= mini_reference.divergence_bound(mesh)), f"{label}divergence"
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda spec=spec: generate_channel_mesh(spec) for spec in CHANNELS.values()),
+    *(lambda nx=nx, ny=ny: verify._mms_mesh(nx, ny) for nx, ny in MMS_LEVELS)],
+    ids=[*CHANNELS, *(f"mms{nx}x{ny}" for nx, ny in MMS_LEVELS)])
+def test_element_blocks_within_their_roundoff_bound(make):
+    check_element_blocks(make())
+
+
+@settings(max_examples=12, deadline=None, database=None, derandomize=True,
+          phases=(Phase.generate,), verbosity=Verbosity.quiet)
+@given(st.integers(0, 2**32 - 1))
+def test_element_blocks_within_their_roundoff_bound_on_renumbered_delaunay_meshes(seed):
+    check_element_blocks(delaunay_box(seed), f"seed {seed}: ")
 
 
 @pytest.mark.parametrize("name", sorted(CHANNELS))

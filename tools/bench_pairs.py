@@ -22,12 +22,14 @@ verdicts, each read with the metric's ``bound`` from BENCHMARK.json:
 
 A pair in which either run failed counts for no metric; each workload's
 failed runs are counted per side, and a side with more of them is flagged.
-``--json`` writes the same table and every run's metrics.
+``--json`` writes the same table and every run's metrics, with the tree each
+side held when the pairs began (:func:`tree_identity`).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -67,6 +69,23 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
         "bound": bound, "regressed": -sign * gap > tolerance,
         "unresolved": iqr > tolerance and not beats_all,
     }
+
+
+def tree_identity(checkout: Path) -> dict:
+    """The tree that ``checkout`` holds: its ``git rev-parse HEAD``, whether
+    its worktree differs from that commit (``git status --porcelain`` lists
+    a file), and the sha256 of ``src/ablatesim/*.py``, each file's name and
+    bytes in name order.  A git field is None outside a git checkout."""
+    def git(*args):
+        proc = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    digest = hashlib.sha256()
+    for path in sorted((checkout / "src" / "ablatesim").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    status = git("status", "--porcelain")
+    return {"head": git("rev-parse", "HEAD"), "dirty": None if status is None else bool(status),
+            "src_sha256": digest.hexdigest()}
 
 
 def run_benchmark(checkout: Path, workload: str) -> dict | None:
@@ -130,6 +149,7 @@ def main(argv=None) -> int:
     metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     result = {"pairs": args.pairs, "checkouts": {k: str(v) for k, v in sides.items()},
+              "trees": {k: tree_identity(v) for k, v in sides.items()},
               "order": "parent first in odd pairs, change first in even pairs",
               "workloads": {}}
     for workload in args.workload:

@@ -193,8 +193,9 @@ class Simulation:
         pos = state.theta_sample.theta - self.model.theta_b
         mass_pos = fem_core.integrate_qp(self.mesh, np.maximum(pos, 0.0, out=pos))
         if mass_pos > 1e-300:
-            pos *= fem_core.geometry(self.mesh).qp[..., 0]
-            centroid = fem_core.integrate_qp(self.mesh, pos) / mass_pos
+            # x is the P1 combination of the corners' x at every quad point.
+            moments = fem_core.p1_moments(self.mesh, pos)
+            centroid = np.vdot(moments, self.mesh.vertices[self.mesh.triangles, 0]) / mass_pos
         else:
             centroid = float("nan")
 

@@ -95,6 +95,10 @@ BUBBLE_GRAD_WEIGHTS = _frozen(P1_VALS[:, [1, 0, 0]] * P1_VALS[:, [2, 2, 1]])  # 
 BUBBLE_REF_GRADS = _frozen(27.0 * (BUBBLE_GRAD_WEIGHTS[:, 0, None] * P1_REF_GRADS[0]
                                    + BUBBLE_GRAD_WEIGHTS[:, 1, None] * P1_REF_GRADS[1]
                                    + BUBBLE_GRAD_WEIGHTS[:, 2, None] * P1_REF_GRADS[2]))  # (NQ, 2)
+# The basis values times the rule's weights: a triangle's integral of a
+# sampled field against its basis is det times the field's product with these.
+WEIGHTED_P1 = _frozen(TRI_RULE.weights[:, None] * P1_VALS)  # (NQ, 3)
+WEIGHTED_MINI = _frozen(TRI_RULE.weights[:, None] * MINI_VALS)  # (NQ, 4)
 
 
 @dataclass(frozen=True)
@@ -162,19 +166,16 @@ def dofmap_for(mesh: Mesh2D) -> DofMap:
 
 class _Geometry:
     """The geometric factors of a mesh's triangles: ``det``, twice the
-    areas; the quadrature weights ``qw`` (NT, NQ) and points ``qp``
-    (NT, NQ, 2); the constant P1 gradients ``grad_p1`` (NT, 3, 2); and the
+    areas; the constant P1 gradients ``grad_p1`` (NT, 3, 2); and the
     inverse Jacobians ``inv`` (NT, 2, 2), from which the bubble gradients at
     the quad points are formed when read (:meth:`bubble_grads`, and
-    ``grad_bubble`` for all triangles), never held.  ``operators`` is the
-    mesh's cache of constants (:func:`cached`)."""
+    ``grad_bubble`` for all triangles), never held.  No (NT, NQ) array is
+    held: a quadrature weight is det times the rule's constant weight, and
+    the points are formed on use (:func:`quadrature_points`).
+    ``operators`` is the mesh's cache of constants (:func:`cached`)."""
 
     def __init__(self, mesh: Mesh2D):
-        # coords[d, k] holds component d of corner k of every triangle, so the
-        # (NT, 3, 2) view ``corners`` reads each (k, d) contiguously.
-        coords = mesh.vertices.T[:, mesh.triangles.T]  # (2, 3, NT)
-        corners = coords.transpose(2, 1, 0)
-        (x0, x1, x2), (y0, y1, y2) = coords
+        (x0, x1, x2), (y0, y1, y2) = mesh.vertices.T[:, mesh.triangles.T]  # (2, 3, NT)
         # The Jacobian [t, d, k] = (corner k+1 - corner 0)[d], and its inverse.
         j00, j01, j10, j11 = x1 - x0, x2 - x0, y1 - y0, y2 - y0
         det = j00 * j11 - j01 * j10
@@ -183,11 +184,9 @@ class _Geometry:
             np.divide(entry, det, out=inv[:, i, j])
 
         self.det = det  # (NT,), twice the area
-        self.qw = TRI_RULE.weights[None, :] * det[:, None]  # (NT, NQ), sums to area
-        self.qp = _combine(P1_VALS, corners)  # physical quad points
         self.grad_p1 = _combine(P1_REF_GRADS, inv)  # (NT,3,2)
         self.inv = inv  # (NT,2,2), [t, k, d] = d(xi_k)/d(x_d)
-        for arr in (self.det, self.qw, self.qp, self.grad_p1, self.inv):
+        for arr in (self.det, self.grad_p1, self.inv):
             _frozen(arr)
         self.operators: dict = {}  # see cached
 
@@ -223,6 +222,13 @@ def geometry(mesh: Mesh2D) -> _Geometry:
         geo = _Geometry(mesh)
         object.__setattr__(mesh, "_fem_geometry", geo)
     return geo
+
+
+def quadrature_points(mesh: Mesh2D) -> np.ndarray:
+    """(NT, NQ, 2) physical quad points, the P1 combination of the corners,
+    formed on each call: a step reads none, so no mesh holds them."""
+    coords = mesh.vertices.T[:, mesh.triangles.T]  # (2, 3, NT)
+    return _combine(P1_VALS, coords.transpose(2, 1, 0))
 
 
 def cached(mesh: Mesh2D, key, build):
@@ -329,19 +335,6 @@ class _Pattern:
                         np.append((k * nnz * copies[:, None] + k * indptr[:-1]).ravel(),
                                   k * k * nnz),
                         np.tile(row_cols, k), scatter.reshape(nt, k * m, k * m))
-
-    def first_block(self, k: int) -> "_Pattern":
-        """The pattern ``base`` of ``_Pattern.blocked(base, k)``, read off its
-        first block: base row i starts at indptr[i] // k and is the first of
-        the k copies of row i, and the element blocks' first corners lie
-        (k-1) indptr[r] past their base positions, r the row of the entry."""
-        n, m = self.shape[0] // k, self.scatter.shape[1] // k
-        indptr = self.indptr[:n + 1] // k
-        first = (k - 1) * np.repeat(indptr[:-1], np.diff(indptr)) + np.arange(indptr[-1])
-        corner = self.scatter[:, :m, :m]
-        r = np.searchsorted(self.indptr[:n + 1], corner[:, :, 0], side="right") - 1
-        return _Pattern._new((n, n), indptr, self.indices[first],
-                             corner - (k - 1) * indptr[r][:, :, None])
 
     @classmethod
     def with_bubbles(cls, p1: "_Pattern", triangles: np.ndarray) -> "_Pattern":
@@ -803,20 +796,26 @@ def _reference_map(kernel) -> np.ndarray:
     return _frozen(kernel(geo, _mini_at_qp(coeff)).reshape(48, -1))
 
 
-def _convective_features(geo: _Geometry, coeff: np.ndarray, block=slice(None)) -> np.ndarray:
-    """(n, 48) products det c_i g_j of the triangles ``block`` and the MINI
-    field of their element coefficients ``coeff``, [t, 6 i + j]: the rows
-    that :func:`_reference_map`'s maps take."""
-    x = np.repeat(coeff.reshape(-1, 8) * geo.det[block, None], 6, axis=1)  # [t, 6 i + j] = c_i
-    x *= np.tile(geo.grad_p1[block].reshape(-1, 6), 8)  # times g_j
-    return x
+def _convective_features(geo: _Geometry, coeff: np.ndarray, block=slice(None),
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """(48, n) products det c_i g_j of the triangles ``block`` and the MINI
+    field of their element coefficients ``coeff``, [6 i + j, t]: transposed,
+    the rows that :func:`_reference_map`'s maps take; written into ``out``
+    when given.  A feature's products are one contiguous row."""
+    c = np.ascontiguousarray(coeff.reshape(-1, 8).T)  # (8, n)
+    c *= geo.det[block]
+    g = np.ascontiguousarray(geo.grad_p1[block].reshape(-1, 6).T)  # (6, n)
+    n = c.shape[1]
+    out = np.empty((48, n)) if out is None else out
+    np.multiply(c[:, None], g, out=np.reshape(out, (8, 6, n), copy=False))
+    return out
 
 
 def _reference_blocks(geo: _Geometry, coeff: np.ndarray, kernel, block=slice(None)) -> np.ndarray:
     """(n, m) element blocks of ``kernel``'s form for the triangles ``block``,
     advected by the MINI field of element coefficients ``coeff`` (theirs
     only): (det c (x) grad_p1) R, one GEMM."""
-    return _convective_features(geo, coeff, block) @ _reference_map(kernel)
+    return _convective_features(geo, coeff, block).T @ _reference_map(kernel)
 
 
 def _unit_geometry(inv: np.ndarray) -> SimpleNamespace:
@@ -845,25 +844,30 @@ def _viscous_map() -> np.ndarray:
     return _frozen(q - (i != j)[:, None] * (units[i] + units[j]))
 
 
-def _viscous_features(geo: _Geometry, block=slice(None)) -> np.ndarray:
-    """(n, 10) products det inv_i inv_j of the triangles ``block``, the
-    rows that :func:`_viscous_map` takes."""
-    inv = geo.inv[block].reshape(-1, 4)
+def _viscous_features(geo: _Geometry, block=slice(None),
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """(10, n) products det inv_i inv_j of the triangles ``block``,
+    transposed: the rows that :func:`_viscous_map` takes; written into
+    ``out`` when given."""
+    inv = np.ascontiguousarray(geo.inv[block].reshape(-1, 4).T)  # (4, n)
     i, j = _INV_PAIRS
-    return inv[:, i] * geo.det[block, None] * inv[:, j]
+    out = np.multiply(inv[i], geo.det[block], out=out)
+    out *= inv[j]
+    return out
 
 
-def _mass_local(qw: np.ndarray) -> np.ndarray:
-    """(n, 4, 4) scalar blocks of the MINI mass, integral phi_a phi_b over
-    [l1 l2 l3 bubble], of quadrature weights ``qw``."""
-    return _tab(qw, _products(MINI_VALS)).reshape(-1, 4, 4)
+@cache
+def _mass_unit() -> np.ndarray:
+    """(4, 4) scalar block of the MINI mass on a triangle of unit det,
+    integral phi_a phi_b over [l1 l2 l3 bubble]: the mass's one home."""
+    return _frozen(_tab(TRI_RULE.weights[None], _products(MINI_VALS)).reshape(4, 4))
 
 
 @cache
 def _mass_map() -> np.ndarray:
     """(1, 64) map R of the MINI velocity mass: its block on a triangle of
     unit det, the scalar block on the x-x and y-y velocity blocks."""
-    return _frozen(np.kron(np.eye(2), _mass_local(TRI_RULE.weights[None])[0]).reshape(1, -1))
+    return _frozen(np.kron(np.eye(2), _mass_unit()).reshape(1, -1))
 
 
 # -- scalar-field assembly --------------------------------------------------------
@@ -890,17 +894,15 @@ def assemble_stiffness(mesh: Mesh2D, coeff=1.0) -> SparseMatrix:
     """P1 stiffness with scalar/per-triangle/per-quad-point diffusion
     coefficient: one sparse product of the per-mesh stiffness operator with
     the per-triangle scales (the P1 gradients are constant)."""
-    geo = geometry(mesh)
-    scale = np.einsum("tq,tq->t", geo.qw, _coeff_at_qp(mesh, coeff))
+    scale = geometry(mesh).det * (_coeff_at_qp(mesh, coeff) @ TRI_RULE.weights)
     return _p1_pattern(mesh).matrix(_stiffness_operator(mesh) @ scale)
 
 
 def assemble_mass(mesh: Mesh2D) -> SparseMatrix:
     """P1 mass matrix (cached, read-only)."""
     def build():
-        geo = geometry(mesh)
-        local = _tab(geo.qw, _products(P1_VALS)).reshape(-1, 3, 3)
-        return _frozen_csr(_p1_matrix(mesh, local))
+        unit = (TRI_RULE.weights @ _products(P1_VALS)).reshape(3, 3)
+        return _frozen_csr(_p1_matrix(mesh, np.multiply.outer(geometry(mesh).det, unit)))
 
     return cached(mesh, "p1_mass", build)
 
@@ -931,18 +933,21 @@ def assemble_advection(mesh: Mesh2D, velocity) -> SparseMatrix:
     return pattern.matrix(pattern.add_blocks(np.zeros(pattern.nnz), local))
 
 
+def p1_moments(mesh: Mesh2D, qp_values) -> np.ndarray:
+    """(NT, 3) integrals over each triangle of a per-quad-point sampled field
+    (scalar, (NT,) or (NT, NQ)) times its corners' P1 basis functions."""
+    return geometry(mesh).det[:, None] * (_coeff_at_qp(mesh, qp_values) @ WEIGHTED_P1)
+
+
 def assemble_scalar_load(mesh: Mesh2D, source) -> np.ndarray:
     """Volume load f_i = integral source * l_i; source scalar or (NT, NQ)."""
-    geo = geometry(mesh)
-    contrib = _tab(geo.qw * _coeff_at_qp(mesh, source), P1_VALS)  # (NT, 3)
-    return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
+    return np.bincount(mesh.triangles.ravel(), weights=p1_moments(mesh, source).ravel(),
                        minlength=mesh.num_vertices)
 
 
 def integrate_qp(mesh: Mesh2D, qp_values) -> float:
     """Integral over the domain of a per-quad-point sampled field."""
-    geo = geometry(mesh)
-    return float(np.einsum("tq,tq->", geo.qw, _coeff_at_qp(mesh, qp_values)))
+    return float(geometry(mesh).det @ (_coeff_at_qp(mesh, qp_values) @ TRI_RULE.weights))
 
 
 # -- MINI (velocity/pressure) assembly -------------------------------------------
@@ -1024,27 +1029,40 @@ def _velocity_block(mesh: Mesh2D, viscosity, advect, gamma_n_tags,
     geo, pattern = geometry(mesh), _mini_pattern(mesh)
     nu = np.asarray(viscosity, dtype=float)
     nu = nu if nu.ndim == 0 else _coeff_at_qp(mesh, nu)
-    wnu, parts = None, []  # parts: (features of a block of triangles, map)
+    # parts: (map, writer of the features of a block of n triangles into a
+    # (map rows, n) array).
+    varying, parts = False, []
     # A broadcast constant (all strides 0), as the default viscosity is, is
     # uniform without a pass over its NT x NQ values.
     if nu.size and (not any(nu.strides) or nu.min() == nu.max()):
-        parts.append((lambda block: _viscous_features(geo, block),
-                      nu.flat[0] * _viscous_map()))
+        parts.append((nu.flat[0] * _viscous_map(),
+                      lambda block, out: _viscous_features(geo, block, out)))
     else:
-        wnu = geo.qw * nu
+        varying = True
     if advect is not None:
         coeff = velocity_element_coeffs(mesh, advect)
-        parts.append((lambda block: _convective_features(geo, coeff[block], block),
-                      _reference_map(_convective_local)))
+        parts.append((_reference_map(_convective_local),
+                      lambda block, out: _convective_features(geo, coeff[block], block, out)))
     if mass_coeff:
-        parts.append((lambda block: geo.det[block, None], mass_coeff * _mass_map()))
-    stacked = np.concatenate([r for _, r in parts]) if parts else None
+        parts.append((mass_coeff * _mass_map(),
+                      lambda block, out: np.copyto(out[0], geo.det[block])))
+    stacked = np.concatenate([r for r, _ in parts]) if parts else None
+    # Every block's features are written, a feature per row, into one
+    # buffer, which its GEMM reads transposed.
+    features = None if stacked is None else np.empty((stacked.shape[0],
+                                                      min(FILL_BLOCK, len(geo.det))))
 
     def local(block):
-        out = None if wnu is None else _viscous_local(geo, wnu[block], block)
+        out = None
+        if varying:
+            wnu = TRI_RULE.weights * geo.det[block, None]  # the quadrature weights
+            out = _viscous_local(geo, np.multiply(wnu, nu[block], out=wnu), block)
         if stacked is not None:
-            product = np.concatenate([x(block) for x, _ in parts], axis=1) @ stacked
-            product = product.reshape(-1, 8, 8)
+            x, at = features[:, :len(geo.det[block])], 0
+            for r, write in parts:
+                write(block, x[at:at + r.shape[0]])
+                at += r.shape[0]
+            product = (x.T @ stacked).reshape(-1, 8, 8)
             out = product if out is None else np.add(out, product, out=out)
         return out
 
@@ -1091,26 +1109,13 @@ def _newton_convection(mesh: Mesh2D, u: np.ndarray, gamma_n_tags) -> np.ndarray:
     return data
 
 
-def mini_mass_block(mesh: Mesh2D) -> SparseMatrix:
-    """The scalar block of the MINI velocity mass, integral phi_a phi_b over
-    [l1 l2 l3 bubble] on the P1 pattern enriched with the bubbles, rows and
-    columns [vertices | bubbles] (cached, read-only).  The mass is this
-    block on the x-x and the y-y velocity blocks and zero elsewhere, so the
-    product M v (:func:`mini_mass_product`) applies it per component; a
-    time step's velocity block takes its mass from the mass map instead."""
-    def build():
-        pattern = _mini_pattern(mesh).first_block(2)
-        return _frozen_csr(pattern.matrix(pattern.fill(_mass_local(geometry(mesh).qw))))
-
-    return cached(mesh, "mini_mass_block", build)
-
-
 def mini_mass_product(mesh: Mesh2D, v: np.ndarray) -> np.ndarray:
-    """M v of the MINI velocity mass M and a velocity ``v`` (flow velocity
-    dofs): the scalar block applied to each component."""
-    mass, v = mini_mass_block(mesh), np.asarray(v, dtype=float)
-    n = mass.shape[0]
-    return np.concatenate([mass @ v[:n], mass @ v[n:]])
+    """M v of the MINI velocity mass M and a velocity ``v``, flow velocity
+    dofs or their element coefficients, element by element: each
+    component's coefficients times the unit block (:func:`_mass_unit`, the
+    block that the mass map embeds), scaled by det and summed into the
+    velocity dofs.  No mesh holds the mass."""
+    return _velocity_sum(mesh, velocity_element_coeffs(mesh, v), _mass_unit())
 
 
 def _divergence_local(geo) -> np.ndarray:
@@ -1171,9 +1176,6 @@ def assemble_divergence(mesh: Mesh2D) -> SparseMatrix:
 # complement K_ll - K_lb A_bb^-1 K_bl with right-hand side b_l - K_lb A_bb^-1 b_b.
 # Its pressure-pressure block is no longer zero.
 
-_BUBBLE = np.array([3, 7])  # bubble dofs among the 8 local velocity dofs
-
-
 class _CondensedLayout:
     """Per-mesh maps of the condensed system, P1 dofs ordered [vx | vy | p]."""
 
@@ -1192,8 +1194,11 @@ class _CondensedLayout:
         self.bubbles = _frozen(np.column_stack([dm.vx_bubble(it), dm.vy_bubble(it)]))  # (NT, 2)
         # MINI data positions of the bubble rows and columns: each holds only
         # its own triangle's entry, so a gather reads the element blocks.
+        # Bubble row c of triangle t starts at bubble_rows[c] + 8 t and holds
+        # 8 entries, the x then the y columns [corners | bubble], each
+        # component's bubble last.
         pos = mini.scatter.reshape(-1, 2, 4, 2, 4)  # [t, c, a, c2, b]
-        self.bb = _frozen(pos[:, :, 3, :, 3].copy())  # (NT, 2, 2)
+        self.bubble_rows = tuple(int(mini.indptr[c * (nv + len(t)) + nv]) for c in range(2))
         self.bl = _frozen(pos[:, :, 3, :, :3].reshape(-1, 2, 6))
         self.lb = _frozen(pos[:, :, :3, :, 3].reshape(-1, 6, 2))
         # Row c*NV + i of the condensed pattern holds copy c2 = 0, 1, 2 of P1
@@ -1216,13 +1221,12 @@ class _CondensedLayout:
         pairs = [(c, c2) for c in range(2) for c2 in range(2)]
         self.ll_src = _frozen(np.concatenate([mini_at(c, c2) for c, c2 in pairs]))
         self.ll_dst = _frozen(np.concatenate([condensed_at(c, c2) for c, c2 in pairs]))
-        # B on the bubble columns, (NT, 3, 2), each of which holds its own
-        # triangle's entry only, and the constant B / -B^T blocks on the vertex
-        # columns: all read off B's data, summed in the same element order as
-        # fills of the element blocks would sum them.  P1 entry e's transpose
-        # is entry mirror[e].  0 - B, unlike -B, keeps a zero entry +0.0, as a
-        # fill of the negated blocks does.
-        self.b_bubble = _frozen(B.data[mini.scatter[:, :3, _BUBBLE]])
+        # The constant B / -B^T blocks on the vertex columns, read off B's
+        # data, summed in the same element order as fills of the element
+        # blocks would sum them.  P1 entry e's transpose is entry mirror[e].
+        # 0 - B, unlike -B, keeps a zero entry +0.0, as a fill of the negated
+        # blocks does.  B's bubble columns are formed per assembly
+        # (:func:`_bubble_divergence`).
         mirror = np.empty(p1.nnz, dtype=np.int64)
         mirror[p1.scatter] = p1.scatter.transpose(0, 2, 1)
         div = np.zeros(self.pattern.nnz)
@@ -1259,6 +1263,7 @@ class CondensedSaddle:
     """
 
     layout: _CondensedLayout
+    geometry: _Geometry  # the mesh's, from which B's bubble columns are formed
     A_vv: SparseMatrix  # full velocity block on the MINI pattern
     B: SparseMatrix
     matrix: SparseMatrix | None  # None once released (take_matrix)
@@ -1271,7 +1276,9 @@ class CondensedSaddle:
         and releases them, so that a solve of the condensed system does not
         hold them; a later call forms them again."""
         lay = self.layout
-        w_lb = _w_lb(lay, self.A_vv.data, self.inv_bb) if self.w_lb is None else self.w_lb
+        w_lb = self.w_lb
+        if w_lb is None:
+            w_lb = _w_lb(lay, self.A_vv.data, self.inv_bb, _bubble_divergence(self.geometry))
         self.w_lb = None
         corr = (w_lb @ rhs[lay.bubbles][:, :, None])[..., 0]  # (NT, 9)
         return rhs[lay.p1_dofs] - np.bincount(lay.elem.ravel(), weights=corr.ravel(),
@@ -1284,28 +1291,60 @@ class CondensedSaddle:
         return matrix
 
     def recover(self, x_l: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Full flow vector from the P1 solution, bubbles A_bb^-1 (b_b - K_bl x_l)."""
+        """Full flow vector from the P1 solution, bubbles A_bb^-1 (b_b - K_bl x_l):
+        with the bubbles at zero, the bubble rows of [A_vv, -B^T] x are K_bl x_l."""
         lay = self.layout
         x = np.zeros(lay.index.size)
         x[lay.p1_dofs] = x_l
-        r_b = rhs[lay.bubbles] - np.einsum("tij,tj->ti", _k_bl(lay, self.A_vv.data), x_l[lay.elem])
+        r_b = rhs[lay.bubbles] - self._momentum(x)[lay.bubbles]
         x[lay.bubbles] = np.einsum("tij,tj->ti", self.inv_bb, r_b)
         return x
 
     def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """rhs - [[A_vv, -B^T], [B, 0]] x on the full (uncondensed) system."""
-        v, p = x[:self.A_vv.shape[0]], x[self.A_vv.shape[0]:]
-        return rhs - np.concatenate([self.A_vv @ v - self.B.T @ p, self.B @ v])
+        return rhs - np.concatenate([self._momentum(x), self.B @ x[:self.A_vv.shape[0]]])
+
+    def _momentum(self, x: np.ndarray) -> np.ndarray:
+        """[A_vv, -B^T] x, the velocity rows of the saddle product."""
+        n = self.A_vv.shape[0]
+        return self.A_vv @ x[:n] - self.B.T @ x[n:]
 
 
-def _k_bl(lay: _CondensedLayout, data: np.ndarray, t=slice(None)) -> np.ndarray:
-    """(n, 2, 9) K_bl of the triangles ``t``, read from the velocity block data."""
-    return np.concatenate([data[lay.bl[t]], -lay.b_bubble[t].transpose(0, 2, 1)], axis=2)
+def _bubble_blocks(lay: _CondensedLayout, data: np.ndarray) -> np.ndarray:
+    """(NT, 2, 2) A_bb of every triangle, read off the bubble rows of the
+    velocity block data."""
+    nt = lay.bubbles.shape[0]
+    return np.stack([data[s:s + 8 * nt].reshape(nt, 2, 4)[:, :, 3] for s in lay.bubble_rows],
+                    axis=1)
 
 
-def _w_lb(lay: _CondensedLayout, data: np.ndarray, inv_bb: np.ndarray) -> np.ndarray:
-    """(NT, 9, 2) K_lb A_bb^-1, read from the velocity block data."""
-    return np.concatenate([data[lay.lb], lay.b_bubble], axis=1) @ inv_bb
+def _bubble_divergence(geo: _Geometry) -> np.ndarray:
+    """(NT, 3, 2) B's bubble columns of every triangle, [t, i, c] = integral
+    psi_i d_c(bubble): det inv times the divergence map's bubble columns,
+    the entries of B there (each column holds its own triangle's only)."""
+    x = geo.det[:, None] * geo.inv.reshape(-1, 4)
+    return (x @ _divergence_map().reshape(4, 6, 4)[..., 3]).reshape(-1, 3, 2)
+
+
+def _k_bl(lay: _CondensedLayout, data: np.ndarray, b_bubble: np.ndarray,
+          t=slice(None)) -> np.ndarray:
+    """(n, 2, 9) K_bl = [A_bl, -B_b^T] of the triangles ``t``, from the velocity
+    block data and B's bubble columns ``b_bubble`` (all triangles')."""
+    bl = lay.bl[t]
+    k_bl = np.empty((len(bl), 2, 9))
+    k_bl[:, :, :6] = data[bl]
+    np.negative(b_bubble[t].transpose(0, 2, 1), out=k_bl[:, :, 6:])
+    return k_bl
+
+
+def _w_lb(lay: _CondensedLayout, data: np.ndarray, inv_bb: np.ndarray,
+          b_bubble: np.ndarray) -> np.ndarray:
+    """(NT, 9, 2) K_lb A_bb^-1, K_lb = [A_lb; B_b], from the velocity block
+    data and B's bubble columns ``b_bubble``."""
+    k_lb = np.empty((len(b_bubble), 9, 2))
+    k_lb[:, :6] = data[lay.lb]
+    k_lb[:, 6:] = b_bubble
+    return k_lb @ inv_bb
 
 
 def assemble_condensed_saddle(mesh: Mesh2D, viscosity, advect=None, gamma_n_tags=(),
@@ -1316,7 +1355,7 @@ def assemble_condensed_saddle(mesh: Mesh2D, viscosity, advect=None, gamma_n_tags
     ``advect`` is given, the convective form -integral (a x u):D(w) +
     integral_{Gamma_N} (a.n)(u.w), with the surface term on the
     ``gamma_n_tags`` edges; ``advect`` is a flow dof vector or its element
-    coefficients.  M is the MINI mass (:func:`mini_mass_block`) and B the
+    coefficients.  M is the MINI mass (:func:`_mass_map`) and B the
     divergence (:func:`assemble_divergence`).  The condensed layout is built
     on first use.  Raises SingularMatrix when a bubble block cannot be
     inverted."""
@@ -1341,30 +1380,43 @@ def assemble_newton_saddle(mesh: Mesh2D, viscosity, u: np.ndarray, gamma_n_tags=
 
 def _condensed_saddle(mesh: Mesh2D, data: np.ndarray) -> CondensedSaddle:
     """The saddle system with the velocity block data ``data``, condensed."""
-    lay = cached(mesh, "condensed_layout", lambda: _CondensedLayout(mesh))
-    inv_bb = _invert_2x2(data[lay.bb])
+    lay, geo = cached(mesh, "condensed_layout", lambda: _CondensedLayout(mesh)), geometry(mesh)
+    inv_bb = _invert_2x2(_bubble_blocks(lay, data))
     # The Schur updates -K_lb A_bb^-1 K_bl are formed and added a block of
-    # triangles at a time, so that no (NT, 9, 9) array is held.  K_lb A_bb^-1
-    # is formed once, for them and for condense; K_bl, a gather, is read
-    # block by block here and again by recover, after the solve.
-    w_lb = _w_lb(lay, data, inv_bb)
+    # triangles at a time, so that no (NT, 9, 9) array is held.  B's bubble
+    # columns are formed once, for K_lb A_bb^-1 and K_bl; K_lb A_bb^-1 once,
+    # for the updates and for condense; K_bl, a gather, block by block.
+    b_bubble = _bubble_divergence(geo)
+    w_lb = _w_lb(lay, data, inv_bb, b_bubble)
 
     def update(block):
-        local = w_lb[block] @ _k_bl(lay, data, block)
+        local = w_lb[block] @ _k_bl(lay, data, b_bubble, block)
         return np.negative(local, out=local)
 
     schur = lay.pattern.add_blocks(np.zeros(lay.pattern.nnz), update)
     schur += lay.div_data
     schur[lay.ll_dst] += data[lay.ll_src]
-    return CondensedSaddle(lay, _mini_pattern(mesh).matrix(data), assemble_divergence(mesh),
+    return CondensedSaddle(lay, geo, _mini_pattern(mesh).matrix(data), assemble_divergence(mesh),
                            lay.pattern.matrix(schur), inv_bb, w_lb)
 
 
 def assemble_vector_load(mesh: Mesh2D, force_qp) -> np.ndarray:
     """Velocity load L[(a,c)] = integral f_c * phi_a; force_qp is (NT, NQ, 2)."""
-    geo = geometry(mesh)
-    force = np.asarray(force_qp, dtype=float).transpose(0, 2, 1)
-    contrib = _tab(geo.qw[:, None, :] * force, MINI_VALS)  # (NT, 2, 4)
-    dm = dofmap_for(mesh)
-    return np.bincount(dm.velocity_element_dofs(mesh).ravel(), weights=contrib.ravel(),
-                       minlength=dm.n_velocity)
+    return _velocity_sum(mesh, np.asarray(force_qp, dtype=float).transpose(0, 2, 1),
+                         WEIGHTED_MINI)
+
+
+def _velocity_sum(mesh: Mesh2D, values: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The velocity dof vector of det times each component of the (NT, 2, K)
+    element ``values`` against the (K, 4) ``table`` of [l1 l2 l3 bubble]:
+    each vertex sums its triangles' terms, and each bubble is its own
+    triangle's.  A component at a time, so every array is (NT, 3) at most."""
+    nv, nt, det = mesh.num_vertices, mesh.num_triangles, geometry(mesh).det
+    out = np.empty(2 * (nv + nt))
+    for c in range(2):
+        comp = out[c * (nv + nt):(c + 1) * (nv + nt)]
+        vertex = values[:, c] @ table[:, :3]
+        vertex *= det[:, None]
+        comp[:nv] = np.bincount(mesh.triangles.ravel(), weights=vertex.ravel(), minlength=nv)
+        np.multiply(values[:, c] @ table[:, 3], det, out=comp[nv:])
+    return out

@@ -200,8 +200,8 @@ def _force_load(problem: FlowProblem) -> np.ndarray:
         fx, fy = temperature.model.body_force(temperature.theta)
         load += fem_core.assemble_vector_load(mesh, np.stack([fx, fy], axis=-1))
     if problem.extra_force is not None:
-        qp = fem_core.geometry(mesh).qp
-        load += fem_core.assemble_vector_load(mesh, fem_core.sample(problem.extra_force, qp))
+        load += fem_core.assemble_vector_load(
+            mesh, fem_core.sample(problem.extra_force, fem_core.quadrature_points(mesh)))
     return load
 
 
@@ -232,7 +232,7 @@ def _solve_linear(problem: FlowProblem, advect, newton: bool = False,
         saddle = fem_core.assemble_condensed_saddle(mesh, temperature.nu, advect=advect,
                                                     gamma_n_tags=gamma_n, mass_coeff=mass_coeff)
     if include_time:
-        rhs_v = rhs_v + mass_coeff * fem_core.mini_mass_product(mesh, problem.velocity.v_h)
+        rhs_v = rhs_v + mass_coeff * fem_core.mini_mass_product(mesh, problem.velocity.coeffs)
     rhs = np.concatenate([rhs_v, np.zeros(dm.n_pressure)])
 
     system = problem.system

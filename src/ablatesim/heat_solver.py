@@ -345,7 +345,8 @@ def _heat_system(problem: HeatProblem):
     sources = problem.include_physics_sources
     extra = None
     if problem.extra_source is not None:
-        extra = fem_core.sample(problem.extra_source, fem_core.geometry(mesh).qp, problem.time)
+        extra = fem_core.sample(problem.extra_source, fem_core.quadrature_points(mesh),
+                                problem.time)
     M = fem_core.assemble_mass(mesh)
     mass_coeff = None if problem.dt is None else 1.0 / problem.dt
     D = transport.advection

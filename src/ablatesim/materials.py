@@ -145,7 +145,8 @@ class TemperatureSample:
         # The default law is a constant that reads only the shape of theta,
         # so it is given a NaN stand-in of that shape, not theta at the points.
         if self.model.nu_law is None:
-            return self.model.nu(np.broadcast_to(np.nan, fem_core.geometry(self.mesh).qw.shape))
+            shape = (self.mesh.num_triangles, fem_core.TRI_RULE.weights.size)
+            return self.model.nu(np.broadcast_to(np.nan, shape))
         return self.model.nu(self.theta)
 
 

@@ -63,7 +63,7 @@ def solve_potential(problem: PotentialProblem) -> np.ndarray:
     b = _neumann_load(mesh, problem.neumann_tags, problem.g)
     if problem.source is not None:
         b = b + fem_core.assemble_scalar_load(
-            mesh, fem_core.sample(problem.source, fem_core.geometry(mesh).qp))
+            mesh, fem_core.sample(problem.source, fem_core.quadrature_points(mesh)))
 
     system = problem.system
     if system.dofs is None:

@@ -156,32 +156,35 @@ def oseen_case() -> ManufacturedCase:
 # -- error norms ------------------------------------------------------------------
 
 
-def _error_norm(msh, approx, exact, t=None) -> float:
+def _error_norm(msh, approx, exact, t=None, pts=None) -> float:
     """sqrt(sum_q w_q |approx - exact|^2) over the mesh's quad points: ``approx``
     is the discrete field there, (NT, NQ) or (NT, 1), then its component axes,
-    and ``exact`` the closure of (x, y[, t]) whose nested components fill them."""
-    geo = fem_core.geometry(msh)
-    ex = np.asarray(exact(geo.qp[..., 0], geo.qp[..., 1], *(() if t is None else (t,))))
+    and ``exact`` the closure of (x, y[, t]) whose nested components fill them.
+    ``pts`` are the quad points (:func:`fem_core.quadrature_points`), formed
+    here when None."""
+    pts = fem_core.quadrature_points(msh) if pts is None else pts
+    ex = np.asarray(exact(pts[..., 0], pts[..., 1], *(() if t is None else (t,))))
     # The components move behind (NT, NQ), and the sum runs in C order over them.
     ex = np.ascontiguousarray(np.moveaxis(ex, range(ex.ndim - 2), range(2 - ex.ndim, 0)))
     sq = (approx - ex) ** 2
-    return float(np.sqrt(np.einsum("tq,tq" + "cd"[:sq.ndim - 2] + "->", geo.qw, sq)))
+    per_point = sq.reshape(sq.shape[:2] + (-1,)).sum(axis=2)  # (NT, NQ)
+    return float(np.sqrt(fem_core.integrate_qp(msh, per_point)))
 
 
-def l2_error_scalar(msh, nodal, exact, t=None) -> float:
-    return _error_norm(msh, fem_core.p1_at_qp(msh, nodal), exact, t)
+def l2_error_scalar(msh, nodal, exact, t=None, pts=None) -> float:
+    return _error_norm(msh, fem_core.p1_at_qp(msh, nodal), exact, t, pts)
 
 
-def h1_seminorm_error_scalar(msh, nodal, grad_exact, t=None) -> float:
-    return _error_norm(msh, fem_core.p1_gradients(msh, nodal)[:, None, :], grad_exact, t)
+def h1_seminorm_error_scalar(msh, nodal, grad_exact, t=None, pts=None) -> float:
+    return _error_norm(msh, fem_core.p1_gradients(msh, nodal)[:, None, :], grad_exact, t, pts)
 
 
-def l2_error_velocity(msh, u, exact) -> float:
-    return _error_norm(msh, fem_core.velocity_at_qp(msh, u), exact)
+def l2_error_velocity(msh, u, exact, pts=None) -> float:
+    return _error_norm(msh, fem_core.velocity_at_qp(msh, u), exact, pts=pts)
 
 
-def h1_seminorm_error_velocity(msh, u, grad_exact) -> float:
-    return _error_norm(msh, fem_core.velocity_grad_at_qp(msh, u), grad_exact)
+def h1_seminorm_error_velocity(msh, u, grad_exact, pts=None) -> float:
+    return _error_norm(msh, fem_core.velocity_grad_at_qp(msh, u), grad_exact, pts=pts)
 
 
 # -- per-case solvers ---------------------------------------------------------------
@@ -353,18 +356,20 @@ def _oseen_operator(case: ManufacturedCase, x, y, h):
     return np.concatenate([fx, fy]), np.concatenate(case.source(x, y))
 
 
-# Each value a level can record, an error or an extra: name -> f(case, mesh, *solution).
+# Each value a level can record, an error or an extra: name -> f(case, mesh,
+# quad points, *solution).
 _LEVEL_NORMS = {
-    "L2": lambda case, msh, u: l2_error_scalar(msh, u, _in_time(case, case.exact),
-                                               t=case.final_time),
-    "H1": lambda case, msh, u: h1_seminorm_error_scalar(msh, u, _in_time(case, case.grad),
-                                                        t=case.final_time),
-    "velocity_H1": lambda case, msh, v, p: h1_seminorm_error_velocity(msh, v, case.grad),
-    "velocity_L2": lambda case, msh, v, p: l2_error_velocity(msh, v, case.exact),
-    "pressure_L2": lambda case, msh, v, p: l2_error_scalar(msh, p, case.pressure),
-    "div_residual": lambda case, msh, v, p: float(
+    "L2": lambda case, msh, pts, u: l2_error_scalar(msh, u, _in_time(case, case.exact),
+                                                    t=case.final_time, pts=pts),
+    "H1": lambda case, msh, pts, u: h1_seminorm_error_scalar(
+        msh, u, _in_time(case, case.grad), t=case.final_time, pts=pts),
+    "velocity_H1": lambda case, msh, pts, v, p: h1_seminorm_error_velocity(
+        msh, v, case.grad, pts=pts),
+    "velocity_L2": lambda case, msh, pts, v, p: l2_error_velocity(msh, v, case.exact, pts=pts),
+    "pressure_L2": lambda case, msh, pts, v, p: l2_error_scalar(msh, p, case.pressure, pts=pts),
+    "div_residual": lambda case, msh, pts, v, p: float(
         np.linalg.norm(fem_core.assemble_divergence(msh) @ v)),
-    "v_norm": lambda case, msh, v, p: float(np.linalg.norm(v)),
+    "v_norm": lambda case, msh, pts, v, p: float(np.linalg.norm(v)),
 }
 
 
@@ -432,9 +437,10 @@ def _level_errors(case: ManufacturedCase, nx: int, ny: int, errors: dict, extra:
     kind's norms to ``errors`` and its extra values to ``extra``; returns h."""
     kind = _kind(case)
     msh, *solution = globals()[kind.solver](case, nx, ny)
+    pts = fem_core.quadrature_points(msh)  # formed once for all the norms
     for values, names in ((errors, kind.norms), (extra, kind.extra)):
         for name in names:
-            values.setdefault(name, []).append(_LEVEL_NORMS[name](case, msh, *solution))
+            values.setdefault(name, []).append(_LEVEL_NORMS[name](case, msh, pts, *solution))
     return float(msh.h.max())
 
 

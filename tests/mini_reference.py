@@ -1,10 +1,11 @@
 """The whole MINI operators, which the solvers never form, and the
 quadrature forms of the element blocks that the solvers take from
-reference maps: the velocity mass on the full MINI pattern, the blocks of
-the uncondensed saddle system, and the velocity block and the divergence
-as the viscous and divergence kernels integrate them, with the mass added
-from its scalar block.  Built from the solvers' own pieces for the tests
-that check those pieces against them.  Not collected by pytest."""
+reference maps: the velocity mass on the full MINI pattern and its scalar
+block, the blocks of the uncondensed saddle system, and the velocity block
+and the divergence as the viscous and divergence kernels integrate them,
+with the mass added from its scalar block.  Built from the solvers' own
+pieces for the tests that check those pieces against them.  Not collected
+by pytest."""
 
 from types import SimpleNamespace
 
@@ -15,14 +16,35 @@ from ablatesim import fem_core
 EPS = np.finfo(float).eps
 
 
+def quadrature(mesh):
+    """The geometry of ``mesh`` as the quadrature kernels read it on a real
+    mesh: its factors with the (NT, NQ) weights ``qw`` = det w_q and the
+    (NT, NQ, 2) points ``qp``, the bytes that the geometry once held."""
+    geo = fem_core.geometry(mesh)
+    return SimpleNamespace(det=geo.det, inv=geo.inv, grad_p1=geo.grad_p1,
+                           grad_bubble=geo.grad_bubble, bubble_grads=geo.bubble_grads,
+                           qw=fem_core.TRI_RULE.weights[None, :] * geo.det[:, None],
+                           qp=fem_core.quadrature_points(mesh))
+
+
+def mini_mass_block(mesh):
+    """The scalar block of the MINI velocity mass, integral phi_a phi_b over
+    [l1 l2 l3 bubble], on the P1 pattern enriched with the bubbles, rows and
+    columns [vertices | bubbles], by the quadrature weights: the mass is
+    this block on the x-x and the y-y velocity blocks and zero elsewhere."""
+    pattern = fem_core._Pattern.with_bubbles(fem_core._p1_pattern(mesh), mesh.triangles)
+    block = fem_core._tab(quadrature(mesh).qw, fem_core._products(fem_core.MINI_VALS))
+    return pattern.matrix(pattern.fill(block.reshape(-1, 4, 4)))
+
+
 def add_mini_mass(mesh, data, coeff):
     """Add ``coeff`` times the MINI mass to the MINI data ``data``: the
-    scalar block (:func:`fem_core.mini_mass_block`) at its x-x and y-y
+    scalar block (:func:`mini_mass_block`) at its x-x and y-y
     positions, a block of rows at a time, so that no full-size temporary is
     made.  By the layout of :meth:`fem_core._Pattern.blocked`, entry e of
     row i of the block lies at indptr[i] + e of the x-x block and at
     2 nnz + indptr[i + 1] + e of the y-y block."""
-    mass = fem_core.mini_mass_block(mesh)
+    mass = mini_mass_block(mesh)
     for start in range(0, mass.shape[0], fem_core.FILL_BLOCK):
         ptr = mass.indptr[start:start + fem_core.FILL_BLOCK + 1]
         deg = np.diff(ptr)
@@ -50,7 +72,7 @@ def velocity_block(mesh, viscosity, advect=None, gamma_n_tags=(), mass_coeff=0.0
     viscosity times the fill at unit viscosity), then the convective blocks
     of the reference map and the surface term added, then the mass from its
     scalar block."""
-    geo, pattern = fem_core.geometry(mesh), fem_core._mini_pattern(mesh)
+    geo, pattern = quadrature(mesh), fem_core._mini_pattern(mesh)
     nu = fem_core._coeff_at_qp(mesh, viscosity)
     uniform = nu.min() == nu.max()
     wnu = geo.qw if uniform else geo.qw * nu
@@ -72,7 +94,7 @@ def divergence_data(mesh):
     """The data of ``fem_core.assemble_divergence`` by the quadrature form:
     the divergence kernel on the mesh's geometry, filled at once."""
     pattern = fem_core._divergence_pattern(mesh)
-    return pattern.fill(fem_core._divergence_local(fem_core.geometry(mesh)))
+    return pattern.fill(fem_core._divergence_local(quadrature(mesh)))
 
 
 # -- round-off bound of the reference maps against the quadrature forms ------
@@ -141,7 +163,8 @@ def velocity_block_bound(mesh, viscosity, advect=None, gamma_n_tags=(), mass_coe
     if advect is not None:
         coeff = fem_core.velocity_element_coeffs(mesh, advect)
         x = np.abs(fem_core._convective_features(geo, coeff))
-        scale += (x @ np.abs(fem_core._reference_map(fem_core._convective_local))).reshape(-1, 8, 8)
+        scale += (x.T @ np.abs(fem_core._reference_map(fem_core._convective_local))).reshape(
+            -1, 8, 8)
         edges = fem_core.boundary_edges(mesh, gamma_n_tags)
         if edges.owners.size:
             weight = (np.abs(edges.trace(coeff)) * np.abs(edges.normals[:, None, :])).sum(axis=-1)

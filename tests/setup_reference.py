@@ -67,7 +67,8 @@ def combine(table, x):
 
 
 def geometry(mesh):
-    """(det, qw, qp, grad_p1, inv) of ``fem_core._Geometry``."""
+    """(det, qp, grad_p1, inv): ``fem_core._Geometry``'s factors and
+    ``fem_core.quadrature_points``."""
     coords = mesh.vertices[mesh.triangles]  # (NT, 3, 2)
     jac = np.stack([coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]], axis=2)
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
@@ -77,8 +78,7 @@ def geometry(mesh):
     inv[:, 1, 0] = -jac[:, 1, 0]
     inv[:, 1, 1] = jac[:, 0, 0]
     inv /= det[:, None, None]
-    qw = fem_core.TRI_RULE.weights[None, :] * det[:, None]
-    return (det, qw, combine(fem_core.P1_VALS, coords),
+    return (det, combine(fem_core.P1_VALS, coords),
             combine(fem_core.P1_REF_GRADS, inv), inv)
 
 
@@ -141,14 +141,6 @@ def with_bubbles(p1, triangles):
                     indices, scatter)
 
 
-def mini_mass_block(mesh):
-    """``fem_core.mini_mass_block`` on the P1 pattern with bubbles built
-    again from the P1 pattern."""
-    pattern = with_bubbles(fem_core._p1_pattern(mesh), mesh.triangles)
-    block = fem_core._tab(fem_core.geometry(mesh).qw, fem_core._products(fem_core.MINI_VALS))
-    return pattern.matrix(pattern.fill(block.reshape(-1, 4, 4)))
-
-
 def condensed_maps(mesh):
     """Every map of ``fem_core._CondensedLayout``: the vertex-vertex and
     divergence maps by (2, 2, nnz) broadcasts and the transposed entries'
@@ -184,13 +176,12 @@ def condensed_maps(mesh):
     pos = mini.scatter.reshape(-1, 2, 4, 2, 4)
     return {"elem": np.concatenate([t, nv + t, 2 * nv + t], axis=1),
             "pattern": pattern, "p1_dofs": p1_dofs, "index": index,
-            "bubbles": dm.velocity_element_dofs(mesh)[:, fem_core._BUBBLE],
-            "bb": pos[:, :, 3, :, 3].copy(),
+            "bubbles": dm.velocity_element_dofs(mesh)[:, [3, 7]],
+            "bubble_rows": mini.indptr[[dm.vx_bubble(0), dm.vy_bubble(0)]].astype(np.int64),
             "bl": pos[:, :, 3, :, :3].reshape(-1, 2, 6),
             "lb": pos[:, :, :3, :, 3].reshape(-1, 6, 2),
             "ll_src": mini_at(c, c2, rows, offset).ravel(),
             "ll_dst": condensed_at(c, c2, rows, offset).ravel(),
-            "b_bubble": B.data[mini.scatter[:, :3, fem_core._BUBBLE]],
             "div_data": div}
 
 

@@ -1,6 +1,7 @@
 """The statistics of tools/bench_pairs.py."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -135,3 +136,34 @@ def test_the_json_names_each_tree(tmp_path):
     (plain / "src" / "ablatesim" / "a.py").write_text("x = 1\n")
     assert bench_pairs.tree_identity(plain) == {"head": None, "dirty": None,
                                                  "src_sha256": clean["src_sha256"]}
+
+
+def test_a_failed_run_keeps_its_exit_code_and_stderr(tmp_path, capsys):
+    # The parent's run.py fails after 25 lines of standard error; the
+    # change's prints a correct result.  Each failed run is printed on one
+    # line and kept in --json with its exit code and last 20 lines.
+    metric = {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}
+    scripts = {
+        "parent": "import sys\nfor i in range(25):\n    print(f'line {i}', file=sys.stderr)\n"
+                  "sys.exit(3)\n",
+        "change": "import json\nprint(json.dumps({'correct': True, 'metrics': "
+                  "{'run_s': {'value': 1.0, 'unit': 's'}}}))\n",
+    }
+    for side, script in scripts.items():
+        (tmp_path / side / "benchmark").mkdir(parents=True)
+        (tmp_path / side / "benchmark" / "run.py").write_text(script)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [metric]}))
+    result, failure = bench_pairs.run_benchmark(tmp_path / "parent", "test1")
+    assert result is None
+    assert failure == {"exit_code": 3, "stderr_tail": [f"line {i}" for i in range(5, 25)]}
+    assert bench_pairs.run_benchmark(tmp_path / "change", "test1")[1] is None
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--workload", "test1", "--pairs", "2",
+                             "--json", str(out)]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if "run failed" in line]
+    assert printed == [f"# test1 pair {i} parent run failed: exit code 3: line 24"
+                       for i in (1, 2)]
+    workload = json.loads(out.read_text())["workloads"]["test1"]
+    assert workload["failed_runs"] == {"parent": 2, "change": 0}
+    assert workload["failures"] == [{"pair": i, "side": "parent", **failure} for i in (1, 2)]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from ablatesim.fem_core import (EDGE_T, EDGE_W, P1_REF_GRADS, P1_VALS, TRI_RULE,
                                 integrate_qp, p1_at_qp, p1_gradients,
                                 velocity_at_qp, velocity_grad_at_qp)
 from ablatesim.mesh import GAMMA5, GeometrySpec, generate_channel_mesh
-from mini_reference import assemble_mini_blocks, assemble_mini_mass
+from mini_reference import assemble_mini_blocks, assemble_mini_mass, quadrature
 
 
 def boundary_mass(mesh, tags):
@@ -212,18 +213,30 @@ class TestLoads:
     def test_load_sum_equals_integral(self):
         # partition of unity: sum_i integral(s l_i) = integral(s)
         mesh = generate_channel_mesh(GeometrySpec(L=2.0, H=1.0, r=0.25, nx=8, ny=4))
-        geo = fem_core.geometry(mesh)
-        s = np.cos(geo.qp[..., 0]) * geo.qp[..., 1] ** 2
+        qp = fem_core.quadrature_points(mesh)
+        s = np.cos(qp[..., 0]) * qp[..., 1] ** 2
         load = assemble_scalar_load(mesh, s)
         assert load.sum() == pytest.approx(integrate_qp(mesh, s), rel=1e-13)
 
     def test_nonnegative_source_nonnegative_load(self):
         mesh = generate_channel_mesh(GeometrySpec(L=2.0, H=1.0, r=0.25, nx=8, ny=4))
-        geo = fem_core.geometry(mesh)
-        s = geo.qp[..., 0] ** 2 + 0.1
+        s = fem_core.quadrature_points(mesh)[..., 0] ** 2 + 0.1
         assert assemble_scalar_load(mesh, s).min() >= 0.0
         f = np.stack([s, 2 * s], axis=-1)
         assert assemble_vector_load(mesh, f).min() >= 0.0
+
+    @pytest.mark.parametrize("use", [assemble_stiffness, assemble_scalar_load, integrate_qp,
+                                     fem_core.p1_moments])
+    def test_coefficient_of_another_shape_rejected(self, use):
+        # A coefficient is scalar, per triangle or per quad point; any other
+        # shape, such as per vertex, is named, not broadcast.
+        mesh = generate_channel_mesh(GeometrySpec(L=2.0, H=1.0, r=0.25, nx=8, ny=4))
+        nt = mesh.num_triangles
+        for coeff in (np.ones(mesh.num_vertices), np.ones((nt, TRI_RULE.weights.size + 1))):
+            shape = re.escape(str(coeff.shape))
+            with pytest.raises(ValueError, match=f"^coefficient shape {shape} not scalar, "
+                                                 r"\(NT,\), or \(NT, NQ\)$"):
+                use(mesh, coeff)
 
     def test_boundary_load_total(self, unit_square_2tri):
         load = assemble_boundary_load(unit_square_2tri, (1, 2, 3, 4), 2.0)
@@ -327,10 +340,10 @@ class TestMiniBlocks:
 class TestFieldEvaluation:
     def test_p1_at_qp_linear_exact(self):
         mesh = generate_channel_mesh(GeometrySpec(L=2.0, H=1.0, r=0.25, nx=6, ny=3))
-        geo = fem_core.geometry(mesh)
+        qp = fem_core.quadrature_points(mesh)
         nodal = 2.0 + 3.0 * mesh.vertices[:, 0] - mesh.vertices[:, 1]
         vals = p1_at_qp(mesh, nodal)
-        exact = 2.0 + 3.0 * geo.qp[..., 0] - geo.qp[..., 1]
+        exact = 2.0 + 3.0 * qp[..., 0] - qp[..., 1]
         assert np.allclose(vals, exact, atol=1e-13)
         grads = p1_gradients(mesh, nodal)
         assert np.allclose(grads, [3.0, -1.0], atol=1e-13)
@@ -383,7 +396,7 @@ class TestReferenceMap:
 
     @staticmethod
     def field(mesh):
-        geo = fem_core.geometry(mesh)
+        geo = quadrature(mesh)
         u = np.random.default_rng(11).standard_normal(dofmap_for(mesh).n_velocity)
         return geo, fem_core.velocity_element_coeffs(mesh, u), velocity_at_qp(mesh, u)
 
@@ -447,7 +460,7 @@ class TestStiffnessOperator:
     @staticmethod
     def coefficients(mesh):
         rng = np.random.default_rng(11)
-        nt, nq = fem_core.geometry(mesh).qw.shape
+        nt, nq = mesh.num_triangles, fem_core.TRI_RULE.weights.size
         return {"scalar": 2.5, "per_cell": rng.uniform(0.5, 2.0, nt),
                 "per_point": rng.uniform(0.5, 2.0, (nt, nq))}
 
@@ -457,14 +470,18 @@ class TestStiffnessOperator:
         geo = fem_core.geometry(mesh)
         operator = fem_core._stiffness_operator(mesh)
         for kind, coeff in self.coefficients(mesh).items():
-            scale = np.einsum("tq,tq->t", geo.qw, fem_core._coeff_at_qp(mesh, coeff))
+            c = fem_core._coeff_at_qp(mesh, coeff)
+            scale = geo.det * (c @ fem_core.TRI_RULE.weights)
             ref = add_at_stiffness_data(mesh, scale)
             assert (operator @ scale).tobytes() == ref.tobytes(), kind
             assert assemble_stiffness(mesh, coeff).data.tobytes() == ref.tobytes(), kind
-            # The scale sums the quadrature in another order than the
-            # element-wise sum it replaces: within 12 eps of the moduli's sum.
-            terms = geo.qw * fem_core._coeff_at_qp(mesh, coeff)
-            bound = 12.0 * np.finfo(float).eps * np.abs(terms).sum(axis=1)
+            # The scale, det times the weighted sum, and the element-wise sum
+            # of the quadrature terms det w_q c_q it replaces each round a
+            # term at most 13 times (2 products, 11 additions), so each is
+            # within 13 u of the moduli's sum of the exact value, and the
+            # two within 13 eps of each other.
+            terms = quadrature(mesh).qw * c
+            bound = 13.0 * np.finfo(float).eps * np.abs(terms).sum(axis=1)
             assert np.all(np.abs(scale - terms.sum(axis=1)) <= bound), kind
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_MESHES))

@@ -154,6 +154,18 @@ class TestFlowStep:
             with pytest.raises(ValueError, match="needs dt and the previous velocity"):
                 solve_flow_step(problem)
 
+    @pytest.mark.parametrize("name", ["velocity", "pressure"])
+    def test_non_finite_previous_field_rejected(self, name):
+        # A NaN in v^{n-1} or P^{n-1}, the step's mass load and its guess,
+        # is named before any system is built.
+        mesh = channel_mesh(10, 6)
+        v_prev = np.zeros(fem_core.dofmap_for(mesh).n_velocity)
+        p_prev = np.zeros(mesh.num_vertices)
+        (v_prev if name == "velocity" else p_prev)[4] = np.nan
+        problem = make_problem(mesh, bc_test1(), v_prev=v_prev, p_prev=p_prev)
+        with pytest.raises(ValueError, match=f"^previous {name} contains non-finite values$"):
+            solve_flow_step(problem)
+
     def test_missing_tag_rejected(self):
         bc = bc_test1()
         del bc[3]

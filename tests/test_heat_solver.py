@@ -174,7 +174,6 @@ class TestEntropyResidual:
         dt = 0.05
         res = entropy_residual(mesh, model, th1, th2, v, phi, dt, 2.0)
 
-        geo = fem_core.geometry(mesh)
         th1q = fem_core.p1_at_qp(mesh, th1)
         th2q = fem_core.p1_at_qp(mesh, th2)
         g1 = fem_core.p1_gradients(mesh, th1)
@@ -184,7 +183,7 @@ class TestEntropyResidual:
         expected = np.zeros(mesh.num_triangles)
         for t in range(mesh.num_triangles):
             worst = 0.0
-            for q in range(geo.qp.shape[1]):
+            for q in range(fem_core.TRI_RULE.weights.size):
                 time_term = (th1q[t, q] ** 2 - th2q[t, q] ** 2) / (2 * dt)
                 adv = th1q[t, q] * (vq[t, q] @ g1[t])
                 cross = model.eta(th1q[t, q]) * (g1[t] @ g1[t])
@@ -404,6 +403,13 @@ class TestHeatStep:
         mesh = small_mesh()
         problem = make_problem(mesh, robin_bc(), np.full(mesh.num_vertices, 37.0), dt=None)
         with pytest.raises(ValueError, match="dt"):
+            solve_heat_step(problem)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.05])
+    def test_non_positive_dt_rejected(self, dt):
+        mesh = small_mesh()
+        problem = make_problem(mesh, robin_bc(), np.full(mesh.num_vertices, 37.0), dt=dt)
+        with pytest.raises(ValueError, match=f"^dt must be positive, got {dt}$"):
             solve_heat_step(problem)
 
     @pytest.mark.parametrize("solve", [solve_heat_step, solve_heat_stationary])

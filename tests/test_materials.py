@@ -114,7 +114,7 @@ class TestNu:
         p1_at_qp = fem_core.p1_at_qp
         monkeypatch.setattr(fem_core, "p1_at_qp", lambda *a: at_qp.append(a) or p1_at_qp(*a))
         nu = TemperatureSample(MaterialModel(), mesh, theta).nu
-        assert not at_qp and nu.shape == fem_core.geometry(mesh).qw.shape
+        assert not at_qp and nu.shape == (mesh.num_triangles, fem_core.TRI_RULE.weights.size)
         assert not any(nu.strides) and not nu.flags.writeable and nu.flat[0] == 0.0021
         custom = TemperatureSample(MaterialModel(nu_law=lambda th: 0.002 + 1e-5 * th), mesh, theta)
         assert np.allclose(custom.nu, 0.00237, rtol=1e-14) and len(at_qp) == 1

@@ -14,12 +14,12 @@ from ablatesim.linalg import CooBuilder
 from ablatesim.materials import MaterialModel
 from ablatesim.mesh import GAMMA1, GAMMA3, GAMMA5, GeometrySpec, Mesh2D, generate_channel_mesh
 from ablatesim.sim_cli import preset
-from mini_reference import assemble_mini_blocks, assemble_mini_mass
+from mini_reference import assemble_mini_blocks, assemble_mini_mass, quadrature
 
 RTOL = 1e-13
 # The bytes of the per-mesh constants of a test1 run at 48x16 after 3 steps
 # (test_per_mesh_constants_hold_their_bytes); int64 index arrays.
-HELD_BYTES_48x16 = 3_935_756
+HELD_BYTES_48x16 = 3_189_752
 
 
 def channel():
@@ -48,7 +48,7 @@ def _block_indices(row_dofs, col_dofs):
 
 
 def _mini_tables(mesh):
-    geo = fem_core.geometry(mesh)
+    geo = quadrature(mesh)
     nt, nq = geo.qw.shape
     vals4 = np.empty((nt, nq, 4))
     vals4[:, :, :3] = fem_core.P1_VALS
@@ -60,8 +60,7 @@ def _mini_tables(mesh):
 
 
 def ref_p1_mass(mesh):
-    geo = fem_core.geometry(mesh)
-    local = np.einsum("tq,qa,qb->tab", geo.qw, fem_core.P1_VALS, fem_core.P1_VALS)
+    local = np.einsum("tq,qa,qb->tab", quadrature(mesh).qw, fem_core.P1_VALS, fem_core.P1_VALS)
     nv = mesh.num_vertices
     return _coo((nv, nv), *_block_indices(mesh.triangles, mesh.triangles), local)
 
@@ -198,9 +197,10 @@ class TestArithmeticBuilders:
         want = {"qp": np.einsum("qa,tad->tqd", bary, coords),
                 "grad_p1": np.einsum("tde,ae->tad", jinvT, fem_core.P1_REF_GRADS),
                 "grad_bubble": np.einsum("tde,qe->tqd", jinvT, ref_gb)}
+        got = {"qp": fem_core.quadrature_points(mesh), "grad_p1": geo.grad_p1,
+               "grad_bubble": geo.grad_bubble}
         for attr, ref in want.items():
-            got = getattr(geo, attr)
-            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), attr
+            assert got[attr].shape == ref.shape and got[attr].tobytes() == ref.tobytes(), attr
 
     def test_vertex_order_unchanged(self, name):
         mesh = BUILDER_MESHES[name]()
@@ -213,15 +213,17 @@ class TestArithmeticBuilders:
         geo, nt = fem_core.geometry(mesh), mesh.num_triangles
         mini = fem_core._mini_pattern(mesh)
         local = np.zeros((nt, 2, 4, 2, 4))
-        block = fem_core._tab(geo.qw, fem_core._products(fem_core.MINI_VALS)).reshape(-1, 4, 4)
+        block = fem_core._tab(quadrature(mesh).qw,
+                              fem_core._products(fem_core.MINI_VALS)).reshape(-1, 4, 4)
         for comp in range(2):
             local[:, comp, :, comp, :] = block
         want = mini.fill(local.reshape(nt, 8, 8))
         assert assemble_mini_mass(mesh).data.tobytes() == want.tobytes()
-        # The condensed layout reads B's blocks off B and maps A_vv's
-        # vertex-vertex entries by row arithmetic.  B is filled from the
-        # blocks of its reference map (test_setup_builders bounds them
-        # against the quadrature form).
+        # The condensed layout reads B's vertex blocks off B, forms its
+        # bubble columns from the divergence map's, reads A_bb off the
+        # bubble rows and maps A_vv's vertex-vertex entries by row
+        # arithmetic.  B is filled from the blocks of its reference map
+        # (test_setup_builders bounds them against the quadrature form).
         lay = fem_core._CondensedLayout(mesh)
         x = geo.det[:, None] * geo.inv.reshape(-1, 4)
         div_local = (x @ fem_core._divergence_map()).reshape(nt, 3, 2, 4)
@@ -230,7 +232,12 @@ class TestArithmeticBuilders:
         div[:, 6:, :6] = b_vertex
         div[:, :6, 6:] = -b_vertex.transpose(0, 2, 1)
         assert lay.div_data.tobytes() == lay.pattern.fill(div).tobytes()
-        assert lay.b_bubble.tobytes() == np.ascontiguousarray(div_local[..., 3]).tobytes()
+        bubble = np.ascontiguousarray(div_local[..., 3])
+        assert fem_core._bubble_divergence(geo).tobytes() == bubble.tobytes()
+        # Each bubble row holds 8 entries, each component's bubble last.
+        positions = np.arange(mini.nnz, dtype=float)
+        pos = mini.scatter.reshape(-1, 2, 4, 2, 4)
+        assert np.array_equal(fem_core._bubble_blocks(lay, positions), pos[:, :, 3, :, 3])
         vertex = np.array([0, 1, 2, 4, 5, 6])  # vertex dofs among the 8 local ones
         src = mini.scatter[:, vertex[:, None], vertex].ravel()
         dst = np.full(mini.nnz, -1)
@@ -276,7 +283,7 @@ class TestCachedOperatorsMatchCoo:
         mesh = MESHES[name]()
         dm = dofmap_for(mesh)
         nu = 0.0021
-        nu_qp = np.full(fem_core.geometry(mesh).qw.shape, nu)
+        nu_qp = np.full((mesh.num_triangles, fem_core.TRI_RULE.weights.size), nu)
         ref = ref_viscous(mesh, dm, nu_qp)
         for viscosity in (nu, nu_qp):
             A = assemble_mini_blocks(mesh, viscosity)["A_vv"]
@@ -304,7 +311,7 @@ class TestCacheIntegrity:
         blocks = assemble_mini_blocks(mesh, 1.0)
         geo = fem_core.geometry(mesh)
         arrays = [mesh.boundary_edge_owners(), mesh.boundary_outward_normals(),
-                  geo.qw, geo.qp, geo.grad_p1, geo.inv]
+                  geo.det, geo.grad_p1, geo.inv]
         for A in (fem_core.assemble_mass(mesh), assemble_mini_mass(mesh),
                   blocks["B"]):
             arrays += [A.data, A.indices, A.indptr]
@@ -399,8 +406,8 @@ def full_mini_mass_data(mesh):
     """The MINI mass data on the full MINI pattern as they were held before
     the scalar block alone was: both diagonal blocks scattered element by
     element into zeros."""
-    geo = fem_core.geometry(mesh)
-    block = fem_core._tab(geo.qw, fem_core._products(fem_core.MINI_VALS)).reshape(-1, 4, 4)
+    block = fem_core._tab(quadrature(mesh).qw,
+                          fem_core._products(fem_core.MINI_VALS)).reshape(-1, 4, 4)
     pattern = fem_core._mini_pattern(mesh)
     data = np.zeros(pattern.nnz)
     for comp in (slice(0, 4), slice(4, 8)):
@@ -447,15 +454,33 @@ class TestHeldForms:
         mesh = BUILDER_MESHES[name]()
         full = full_mini_mass_data(mesh)
         assert assemble_mini_mass(mesh).data.tobytes() == full.tobytes()
-        # M v per component, formed from the scalar block, equals the
-        # full-pattern form.  A time step's velocity block takes its mass
-        # from the mass map (test_setup_builders bounds it against the
+        # M v element by element, from the unit block, against the product
+        # with the full-pattern form.  A time step's velocity block takes its
+        # mass from the mass map (test_setup_builders bounds it against the
         # scalar block's).
         rng = np.random.default_rng(1)
         dm = dofmap_for(mesh)
         v = rng.standard_normal(dm.n_velocity)
         mini = fem_core._mini_pattern(mesh)
-        assert np.array_equal(fem_core.mini_mass_product(mesh, v), mini.matrix(full) @ v)
+        want = mini.matrix(full) @ v
+        got = fem_core.mini_mass_product(mesh, v)
+        assert np.array_equal(got, fem_core.mini_mass_product(
+            mesh, fem_core.velocity_element_coeffs(mesh, v)))
+        # Both sum the terms det w_q phi_a phi_b v_b.  The full form rounds a
+        # term at most 14 times forming its mass entry (3 products, 11
+        # additions over the 12 points), m times filling an entry of m
+        # elements, once in the product with v and r - 1 times in a row of r
+        # entries; the element form 13 times forming the unit entry, 4 times
+        # in the 4-term product with v, once scaling by det and m - 1 times
+        # summing the m elements at a dof.  So they differ by at most N u
+        # times the same sum in moduli (every mass entry is positive),
+        # N = 31 + 2 m + r.
+        m = int(np.bincount(dm.velocity_element_dofs(mesh).ravel()).max())
+        r = int(np.diff(mini.indptr).max())
+        coeff = np.abs(fem_core.velocity_element_coeffs(mesh, v))
+        scale = fem_core._velocity_sum(mesh, coeff, fem_core._mass_unit())
+        bound = (31 + 2 * m + r) * (np.finfo(float).eps / 2) * scale
+        assert np.all(np.abs(got - want) <= bound)
 
     def test_bubble_gradients_formed_on_demand(self, name):
         mesh = BUILDER_MESHES[name]()
@@ -517,7 +542,9 @@ def test_per_mesh_constants_hold_their_bytes():
     # 48x16.  It was 4,990,368 bytes when the geometry held the bubble
     # gradients, the MINI mass sat on the full MINI pattern and each Robin
     # tag kept its own copy beside the constant pair, and 4,458,028 while
-    # the viscous block of a uniform viscosity was held.
+    # the viscous block of a uniform viscosity was held, and 3,935,756 while
+    # the geometry held the quadrature weights and points, the MINI mass
+    # its scalar block and the condensed layout B's bubble columns.
     cfg = preset("test1")
     sim = Simulation(cfg)
     nv = sim.mesh.num_vertices
@@ -529,8 +556,8 @@ def test_per_mesh_constants_hold_their_bytes():
     arrays = held_arrays(geo, [], set())
     total = held_bytes(arrays)
     assert total <= 1.02 * HELD_BYTES_48x16, total
-    # No per-point vector field is held but the quadrature points (the
-    # bubble gradients were).
-    nt, nq = geo.qw.shape
-    assert not [arr.shape for arr in arrays if arr.shape == (nt, nq, 2)
-                and arr is not geo.qp]
+    # No per-point array is held (the weights, the points and the bubble
+    # gradients were), and no mass but the P1 mass.
+    nt, nq = sim.mesh.num_triangles, fem_core.TRI_RULE.weights.size
+    assert not [arr.shape for arr in arrays if arr.shape[:2] == (nt, nq)]
+    assert "mini_mass_block" not in geo.operators

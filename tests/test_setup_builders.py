@@ -76,10 +76,11 @@ def check_builders(mesh, label=""):
         assert_same_bytes(got, want, label + name)
     geo = fem_core.geometry(mesh)
     want = ref.geometry(mesh)
-    for name, got, w in zip(("det", "qw", "qp", "grad_p1", "inv"),
-                            (geo.det, geo.qw, geo.qp, geo.grad_p1, geo.inv), want):
+    for name, got, w in zip(("det", "qp", "grad_p1", "inv"),
+                            (geo.det, fem_core.quadrature_points(mesh), geo.grad_p1, geo.inv),
+                            want):
         assert_same_bytes(got, w, label + name)
-    assert_same_bytes(geo.grad_bubble, ref.combine(fem_core.BUBBLE_REF_GRADS, want[4]),
+    assert_same_bytes(geo.grad_bubble, ref.combine(fem_core.BUBBLE_REF_GRADS, want[3]),
                       label + "grad_bubble")
     nv, t = mesh.num_vertices, mesh.triangles
     p1 = fem_core._p1_pattern(mesh)
@@ -88,13 +89,8 @@ def check_builders(mesh, label=""):
     assert_same_pattern(bubbles, ref.with_bubbles(p1, t), label + "with_bubbles")
     assert_same_pattern(fem_core._mini_pattern(mesh), ref.blocked(ref.with_bubbles(p1, t), 2),
                         label + "mini")
-    assert_same_pattern(fem_core._mini_pattern(mesh).first_block(2), bubbles,
-                        label + "first_block")
     assert_same_bytes(fem_core.vertex_order(mesh), ref.nested_dissection(mesh.vertices, p1),
                       label + "vertex_order")
-    mass, want = fem_core.mini_mass_block(mesh), ref.mini_mass_block(mesh)
-    for attr in ("data", "indices", "indptr"):
-        assert_same_bytes(getattr(mass, attr), getattr(want, attr), label + "mini_mass." + attr)
     layout, want = fem_core._CondensedLayout(mesh), ref.condensed_maps(mesh)
     assert_same_pattern(layout.pattern, want.pop("pattern"), label + "condensed")
     for name, w in want.items():
@@ -108,9 +104,9 @@ def check_element_blocks(mesh, label=""):
     surface term on GAMMA3; with a mass term too; and a viscosity that
     varies over the quadrature points, with both."""
     rng = np.random.default_rng(5)
-    geo = fem_core.geometry(mesh)
     v = rng.standard_normal(fem_core.dofmap_for(mesh).n_velocity)
-    varying = 0.002 + 1e-4 * rng.uniform(size=geo.qw.shape)
+    nq = fem_core.TRI_RULE.weights.size
+    varying = 0.002 + 1e-4 * rng.uniform(size=(mesh.num_triangles, nq))
     for viscosity, advect, mass_coeff in ((0.0021, None, 0.0), (1.0, v, 0.0), (0.0021, v, 20.0),
                                           (varying, v, 20.0)):
         args = (mesh, viscosity, advect, (GAMMA3,), mass_coeff)
@@ -234,13 +230,13 @@ def test_signed_zeros_of_the_geometry():
     zeros = geo.grad_p1 == 0.0
     assert zeros.any()
     assert_same_bytes(np.signbit(geo.grad_p1[zeros]),
-                      np.signbit(ref.geometry(mesh)[3][zeros]), "signs")
+                      np.signbit(ref.geometry(mesh)[2][zeros]), "signs")
 
 
 def test_one_bubble_pattern_per_mesh(monkeypatch):
-    # The MINI pattern is built from the P1 pattern with bubbles, and the
-    # MINI mass block reads that pattern off the MINI pattern: a time step
-    # of the flow builds it once.
+    # The MINI pattern is built from the P1 pattern with bubbles, and no
+    # mesh holds a MINI mass on a pattern of its own: a time step of the
+    # flow builds it once.
     builds = []
     with_bubbles = fem_core._Pattern.with_bubbles.__func__
 
@@ -253,5 +249,6 @@ def test_one_bubble_pattern_per_mesh(monkeypatch):
     cfg.geometry.nx, cfg.geometry.ny = 24, 8
     sim = Simulation(cfg)
     sim.advance(sim.initialize())
-    assert "mini_mass_block" in fem_core.geometry(sim.mesh).operators
+    operators = fem_core.geometry(sim.mesh).operators
+    assert "mini_pattern" in operators and "mini_mass_block" not in operators
     assert len(builds) == 1

@@ -493,6 +493,9 @@ class TestCLI:
         assert main(["run", "--preset", "test1", "--out", str(outdir)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("completed 100 steps")
+        # The divergence is stated against its contract, which every step
+        # met, not as a round-off value.
+        assert lines[0].endswith(", |div v| <= 1e-08 (1 + |v|) (contract)")
         # One line per system: its solves and the reason of every LU.  test1's
         # flow is the stationary one at every step: step 1 returns its guess,
         # and the 99 steps on the same inputs repeat it without a solve; each

@@ -22,8 +22,11 @@ verdicts, each read with the metric's ``bound`` from BENCHMARK.json:
 
 A pair in which either run failed counts for no metric; each workload's
 failed runs are counted per side, and a side with more of them is flagged.
-``--json`` writes the same table and every run's metrics, with the tree each
-side held when the pairs began (:func:`tree_identity`).
+A run fails when it prints no result or an incorrect one; each such run is
+printed on one line with its exit code and the last line of its standard
+error.  ``--json`` writes the same table and every run's metrics, each
+failed run's exit code and the last STDERR_TAIL lines of its standard error,
+and the tree each side held when the pairs began (:func:`tree_identity`).
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+STDERR_TAIL = 20  # lines of a failed run's standard error kept in --json
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -88,16 +93,22 @@ def tree_identity(checkout: Path) -> dict:
             "src_sha256": digest.hexdigest()}
 
 
-def run_benchmark(checkout: Path, workload: str) -> dict | None:
-    """The benchmark's result object for one run in ``checkout``, or None
-    when the run printed no result line."""
+def run_benchmark(checkout: Path, workload: str) -> tuple[dict | None, dict | None]:
+    """(result, failure) of one benchmark run in ``checkout``: the result
+    object, or None when the run printed no result line; and, when the run
+    printed none or an incorrect one, its exit code and the last STDERR_TAIL
+    lines of its standard error, else None."""
     proc = subprocess.run([sys.executable, "benchmark/run.py", "--workload", workload],
                           cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+        result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
     except json.JSONDecodeError:
-        return None
+        result = None
+    if result is not None and result.get("correct"):
+        return result, None
+    return result, {"exit_code": proc.returncode,
+                    "stderr_tail": proc.stderr.splitlines()[-STDERR_TAIL:]}
 
 
 def table(runs: dict, metrics: list[dict]) -> dict:
@@ -153,11 +164,17 @@ def main(argv=None) -> int:
               "order": "parent first in odd pairs, change first in even pairs",
               "workloads": {}}
     for workload in args.workload:
-        runs = {"parent": [], "change": []}
+        runs, failed_runs = {"parent": [], "change": []}, []
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run_benchmark(sides[side], workload))
+                run, failure = run_benchmark(sides[side], workload)
+                runs[side].append(run)
+                if failure:
+                    failed_runs.append({"pair": i + 1, "side": side, **failure})
+                    last = failure["stderr_tail"][-1] if failure["stderr_tail"] else ""
+                    print(f"# {workload} pair {i + 1} {side} run failed: exit code "
+                          f"{failure['exit_code']}: {last}", flush=True)
             print(f"# {workload} pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
         rows = table(runs, metrics)
         print("\n".join(report(workload, rows)), flush=True)
@@ -166,6 +183,7 @@ def main(argv=None) -> int:
               + (f" ({flag})" if flag else ""), flush=True)
         result["workloads"][workload] = {
             "metrics": rows, "failed_runs": failed, "failure_flag": flag,
+            "failures": failed_runs,
             "runs": {side: [r and {k: v["value"] for k, v in r["metrics"].items()} for r in rs]
                      for side, rs in runs.items()}}
     if args.json:

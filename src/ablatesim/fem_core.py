@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -140,17 +139,6 @@ class DofMap:
     def pressure(self, idx):
         return self.n_velocity + np.asarray(idx, dtype=np.int64)
 
-    def velocity_element_dofs(self, mesh: Mesh2D) -> np.ndarray:
-        """(NT, 8) dofs per element: [v1x v2x v3x bx v1y v2y v3y by]."""
-        t = mesh.triangles
-        it = np.arange(self.nt)
-        return np.column_stack([
-            self.vx_vertex(t[:, 0]), self.vx_vertex(t[:, 1]), self.vx_vertex(t[:, 2]),
-            self.vx_bubble(it),
-            self.vy_vertex(t[:, 0]), self.vy_vertex(t[:, 1]), self.vy_vertex(t[:, 2]),
-            self.vy_bubble(it),
-        ])
-
 
 def dofmap_for(mesh: Mesh2D) -> DofMap:
     """The flow dof layout of ``mesh``.  The mesh alone fixes it, so every
@@ -168,10 +156,10 @@ class _Geometry:
     """The geometric factors of a mesh's triangles: ``det``, twice the
     areas; the constant P1 gradients ``grad_p1`` (NT, 3, 2); and the
     inverse Jacobians ``inv`` (NT, 2, 2), from which the bubble gradients at
-    the quad points are formed when read (:meth:`bubble_grads`, and
-    ``grad_bubble`` for all triangles), never held.  No (NT, NQ) array is
-    held: a quadrature weight is det times the rule's constant weight, and
-    the points are formed on use (:func:`quadrature_points`).
+    the quad points are formed when read (:meth:`bubble_grads`), never
+    held.  No (NT, NQ) array is held: a quadrature weight is det times the
+    rule's constant weight, and the points are formed on use
+    (:func:`quadrature_points`).
     ``operators`` is the mesh's cache of constants (:func:`cached`)."""
 
     def __init__(self, mesh: Mesh2D):
@@ -192,11 +180,9 @@ class _Geometry:
 
     def bubble_grads(self, block=slice(None)) -> np.ndarray:
         """(n, NQ, 2) bubble gradients at the quad points of the triangles
-        ``block``, a new array: the same bytes as those rows of the whole
-        ``grad_bubble``."""
+        ``block``, a new array: the same bytes as those rows of all
+        triangles' gradients."""
         return _combine(BUBBLE_REF_GRADS, self.inv[block])
-
-    grad_bubble = property(bubble_grads, doc="(NT, NQ, 2) bubble gradients, formed on each read.")
 
 
 def _combine(table: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -411,17 +397,15 @@ class _Pattern:
 
 
 def _coeff_at_qp(mesh: Mesh2D, coeff) -> np.ndarray:
-    """Broadcast a scalar / per-triangle / per-quad-point coefficient to (NT, NQ)."""
+    """Broadcast a scalar or per-quad-point coefficient to (NT, NQ)."""
     nt = mesh.num_triangles
     nq = TRI_RULE.points.shape[0]
     c = np.asarray(coeff, dtype=float)
     if c.ndim == 0:
         return np.full((nt, nq), float(c))
-    if c.shape == (nt,):
-        return np.repeat(c[:, None], nq, axis=1)
     if c.shape == (nt, nq):
         return c
-    raise ValueError(f"coefficient shape {c.shape} not scalar, (NT,), or (NT, NQ)")
+    raise ValueError(f"coefficient shape {c.shape} not scalar or (NT, NQ)")
 
 
 def _p1_pattern(mesh: Mesh2D) -> _Pattern:
@@ -594,7 +578,7 @@ def velocity_grad_at_qp(mesh: Mesh2D, u: np.ndarray) -> np.ndarray:
     geo = geometry(mesh)
     coeff = velocity_element_coeffs(mesh, u)
     grad_p1 = coeff[:, :, :3] @ geo.grad_p1  # (NT, 2, 2), constant per element
-    bubble = coeff[:, None, :, 3, None] * geo.grad_bubble[:, :, None, :]
+    bubble = coeff[:, None, :, 3, None] * geo.bubble_grads()[:, :, None, :]
     return grad_p1[:, None, :, :] + bubble
 
 
@@ -784,16 +768,16 @@ _INV_PAIRS = np.triu_indices(4)  # the 10 pairs i <= j of the entries of inv
 
 @cache
 def _reference_map(kernel) -> np.ndarray:
-    """(48, m) map R of the quadrature kernel ``kernel(geo, a_qp)``: row
-    6 i + j is its m-entry block on an element of unit det with the unit
-    coefficient i of [x|y][l1 l2 l3 bubble] and the unit gradient entry j of
-    [l1 l2 l3][x|y], all 48 in one batched call."""
+    """(48, m) map R of the quadrature kernel ``kernel(qw, grad_p1,
+    bubble_grads, a_qp)``: row 6 i + j is its m-entry block on an element of
+    unit det with the unit coefficient i of [x|y][l1 l2 l3 bubble] and the
+    unit gradient entry j of [l1 l2 l3][x|y], all 48 in one batched call."""
     unit = np.eye(48)
     coeff = unit.reshape(48, 8, 6).sum(axis=2).reshape(48, 2, 4)
     grad = unit.reshape(48, 8, 6).sum(axis=1).reshape(48, 3, 2)
-    geo = SimpleNamespace(qw=np.tile(TRI_RULE.weights, (48, 1)), grad_p1=grad,
-                          grad_bubble=27.0 * np.einsum("qm,imd->iqd", BUBBLE_GRAD_WEIGHTS, grad))
-    return _frozen(kernel(geo, _mini_at_qp(coeff)).reshape(48, -1))
+    return _frozen(kernel(np.tile(TRI_RULE.weights, (48, 1)), grad,
+                          27.0 * np.einsum("qm,imd->iqd", BUBBLE_GRAD_WEIGHTS, grad),
+                          _mini_at_qp(coeff)).reshape(48, -1))
 
 
 def _convective_features(geo: _Geometry, coeff: np.ndarray, block=slice(None),
@@ -818,13 +802,11 @@ def _reference_blocks(geo: _Geometry, coeff: np.ndarray, kernel, block=slice(Non
     return _convective_features(geo, coeff, block).T @ _reference_map(kernel)
 
 
-def _unit_geometry(inv: np.ndarray) -> SimpleNamespace:
-    """The factors that the quadrature kernels read, of triangles of unit
-    det with the inverse Jacobians ``inv`` (n, 2, 2)."""
-    geo = SimpleNamespace(inv=inv, qw=np.tile(TRI_RULE.weights, (len(inv), 1)),
-                          grad_p1=_combine(P1_REF_GRADS, inv))
-    geo.bubble_grads = lambda block=slice(None): _Geometry.bubble_grads(geo, block)
-    return geo
+def _unit_geometry(inv: np.ndarray) -> tuple:
+    """(qw, grad_p1, bubble_grads), the arrays that the quadrature kernels
+    read, of triangles of unit det with the inverse Jacobians ``inv`` (n, 2, 2)."""
+    return (np.tile(TRI_RULE.weights, (len(inv), 1)), _combine(P1_REF_GRADS, inv),
+            _combine(BUBBLE_REF_GRADS, inv))
 
 
 @cache
@@ -838,8 +820,7 @@ def _viscous_map() -> np.ndarray:
     inv = np.zeros((i.size, 4))
     inv[np.arange(i.size), i] = 1.0
     inv[np.arange(i.size), j] = 1.0
-    geo = _unit_geometry(inv.reshape(-1, 2, 2))
-    q = _viscous_local(geo, geo.qw).reshape(i.size, -1)
+    q = _viscous_local(*_unit_geometry(inv.reshape(-1, 2, 2))).reshape(i.size, -1)
     units = q[i == j]  # Q(e_i), in order of i
     return _frozen(q - (i != j)[:, None] * (units[i] + units[j]))
 
@@ -891,9 +872,9 @@ def _stiffness_operator(mesh: Mesh2D) -> sp.csc_matrix:
 
 
 def assemble_stiffness(mesh: Mesh2D, coeff=1.0) -> SparseMatrix:
-    """P1 stiffness with scalar/per-triangle/per-quad-point diffusion
-    coefficient: one sparse product of the per-mesh stiffness operator with
-    the per-triangle scales (the P1 gradients are constant)."""
+    """P1 stiffness with a scalar or (NT, NQ) diffusion coefficient: one
+    sparse product of the per-mesh stiffness operator with the per-triangle
+    scales (the P1 gradients are constant)."""
     scale = geometry(mesh).det * (_coeff_at_qp(mesh, coeff) @ TRI_RULE.weights)
     return _p1_pattern(mesh).matrix(_stiffness_operator(mesh) @ scale)
 
@@ -914,12 +895,15 @@ def assemble_boundary_load(mesh: Mesh2D, tags, data) -> np.ndarray:
     return edges.load(edges.wts * sample(data, edges.pts))
 
 
-def _advection_local(geo, vel_qp: np.ndarray) -> np.ndarray:
+def _advection_local(qw: np.ndarray, grad_p1: np.ndarray, bubble_grads: np.ndarray,
+                     vel_qp: np.ndarray) -> np.ndarray:
     """(NT, 3, 3) element matrices [i, j] = integral (v . grad(l_j)) l_i of
-    the velocity ``vel_qp`` at the quad points; the kernel of the reference map."""
-    wv = geo.qw[:, None, :] * vel_qp.transpose(0, 2, 1)
+    the velocity ``vel_qp`` at the quad points, with the quadrature weights
+    ``qw`` and P1 gradients ``grad_p1`` (the bubble's are not read); the
+    kernel of the reference map."""
+    wv = qw[:, None, :] * vel_qp.transpose(0, 2, 1)
     wv_l = _tab(wv, P1_VALS)  # (NT, 2, 3): [t, d, a] = integral v_d l_a
-    return wv_l.transpose(0, 2, 1) @ geo.grad_p1.transpose(0, 2, 1)
+    return wv_l.transpose(0, 2, 1) @ grad_p1.transpose(0, 2, 1)
 
 
 def assemble_advection(mesh: Mesh2D, velocity) -> SparseMatrix:
@@ -935,7 +919,7 @@ def assemble_advection(mesh: Mesh2D, velocity) -> SparseMatrix:
 
 def p1_moments(mesh: Mesh2D, qp_values) -> np.ndarray:
     """(NT, 3) integrals over each triangle of a per-quad-point sampled field
-    (scalar, (NT,) or (NT, NQ)) times its corners' P1 basis functions."""
+    (scalar or (NT, NQ)) times its corners' P1 basis functions."""
     return geometry(mesh).det[:, None] * (_coeff_at_qp(mesh, qp_values) @ WEIGHTED_P1)
 
 
@@ -953,14 +937,14 @@ def integrate_qp(mesh: Mesh2D, qp_values) -> float:
 # -- MINI (velocity/pressure) assembly -------------------------------------------
 #
 # Element matrices of the velocity block are (NT, 8, 8) with local order
-# [x | y] x [l1 l2 l3 bubble], i.e. the columns of
-# DofMap.velocity_element_dofs.  P1 gradients are constant per element and
-# MINI values are the same on every triangle, so only the bubble gradient
-# varies over the quadrature points.  Each block of triangles of the
-# velocity block is one GEMM of its features with the reference maps above:
-# the viscous block of a uniform viscosity, the convective block and the
-# mass; a viscosity that varies over the quadrature points is integrated by
-# the viscous kernel and added into the same fill.
+# [x | y] x [l1 l2 l3 bubble], the dofs [v1x v2x v3x bx v1y v2y v3y by].
+# P1 gradients are constant per element and MINI values are the same on
+# every triangle, so only the bubble gradient varies over the quadrature
+# points.  Each block of triangles of the velocity block is one GEMM of its
+# features with the reference maps above: the viscous block of a uniform
+# viscosity, the convective block and the mass; a viscosity that varies
+# over the quadrature points is integrated by the viscous kernel and added
+# into the same fill.
 
 
 def _mini_pattern(mesh: Mesh2D) -> _Pattern:
@@ -970,10 +954,10 @@ def _mini_pattern(mesh: Mesh2D) -> _Pattern:
         _Pattern.with_bubbles(_p1_pattern(mesh), mesh.triangles), 2))
 
 
-def _viscous_local(geo: _Geometry, wnu: np.ndarray, block=slice(None)) -> np.ndarray:
-    """(NT, 8, 8) viscous element matrices of integral nu D(u):D(w), for the
-    triangles of ``block`` (``wnu`` holds only theirs); the kernel of the
-    viscous map, and the route of a viscosity that varies.
+def _viscous_local(wnu: np.ndarray, grad_p1: np.ndarray,
+                   bubble_grads: np.ndarray) -> np.ndarray:
+    """(NT, 8, 8) viscous element matrices of integral nu D(u):D(w); the
+    kernel of the viscous map, and the route of a viscosity that varies.
 
     E[(d,a),(c,b)] = 1/2 integral nu (d_d phi_b d_c phi_a
                                       + delta_dc grad phi_a . grad phi_b),
@@ -981,8 +965,8 @@ def _viscous_local(geo: _Geometry, wnu: np.ndarray, block=slice(None)) -> np.nda
     """
     nt, nq = wnu.shape
     grads = np.empty((nt, nq, 4, 2))  # [t, q, a, c] = d_c(phi_a)
-    grads[:, :, :3] = geo.grad_p1[block, None]
-    grads[:, :, 3] = geo.bubble_grads(block)
+    grads[:, :, :3] = grad_p1[:, None]
+    grads[:, :, 3] = bubble_grads
     g = grads.reshape(nt, nq, 8)
     gram = ((g.transpose(0, 2, 1) * wnu[:, None, :]) @ g).reshape(nt, 4, 2, 4, 2)
     # gram[t, a, c, b, d] = integral nu d_c(phi_a) d_d(phi_b)
@@ -993,22 +977,22 @@ def _viscous_local(geo: _Geometry, wnu: np.ndarray, block=slice(None)) -> np.nda
     return local.reshape(nt, 8, 8)
 
 
-def _convective_local(geo: _Geometry, a_qp: np.ndarray) -> np.ndarray:
+def _convective_local(qw: np.ndarray, grad_p1: np.ndarray, bubble_grads: np.ndarray,
+                      a_qp: np.ndarray) -> np.ndarray:
     """(NT, 8, 8) element matrices of the convective form -(a x u):D(w)
     advected by ``a_qp`` at the quad points; the kernel of the reference map.
 
     E[(d,a),(c,b)] = -1/2 integral phi_b (a_d d_c phi_a + delta_dc a . grad phi_a).
     """
-    g1 = geo.grad_p1
-    nt = g1.shape[0]
-    wa = geo.qw[:, None, :] * a_qp.transpose(0, 2, 1)  # (NT, 2, NQ)
+    nt = grad_p1.shape[0]
+    wa = qw[:, None, :] * a_qp.transpose(0, 2, 1)  # (NT, 2, NQ)
     m = _tab(wa, MINI_VALS)  # [t, d, b] = integral a_d phi_b
     wa_gb = np.empty(wa.shape[:2] + (2,) + wa.shape[2:])  # one bubble derivative at a time
     for c in range(2):
-        np.multiply(wa, geo.grad_bubble[:, None, :, c], out=wa_gb[:, :, c])
+        np.multiply(wa, bubble_grads[:, None, :, c], out=wa_gb[:, :, c])
     n = _tab(wa_gb, MINI_VALS)  # [t, d, c, b] = integral a_d d_c(bubble) phi_b
     t1 = np.empty((nt, 2, 4, 2, 4))  # [t, d, a, c, b] = integral a_d d_c(phi_a) phi_b
-    t1[:, :, :3] = g1[:, None, :, :, None] * m[:, :, None, None, :]
+    t1[:, :, :3] = grad_p1[:, None, :, :, None] * m[:, :, None, None, :]
     t1[:, :, 3] = n
     local = -0.5 * t1
     a_dot_grad = t1[:, 0, :, 0, :] + t1[:, 1, :, 1, :]  # integral (a . grad phi_a) phi_b
@@ -1032,9 +1016,7 @@ def _velocity_block(mesh: Mesh2D, viscosity, advect, gamma_n_tags,
     # parts: (map, writer of the features of a block of n triangles into a
     # (map rows, n) array).
     varying, parts = False, []
-    # A broadcast constant (all strides 0), as the default viscosity is, is
-    # uniform without a pass over its NT x NQ values.
-    if nu.size and (not any(nu.strides) or nu.min() == nu.max()):
+    if nu.ndim == 0 or nu.min() == nu.max():
         parts.append((nu.flat[0] * _viscous_map(),
                       lambda block, out: _viscous_features(geo, block, out)))
     else:
@@ -1056,7 +1038,8 @@ def _velocity_block(mesh: Mesh2D, viscosity, advect, gamma_n_tags,
         out = None
         if varying:
             wnu = TRI_RULE.weights * geo.det[block, None]  # the quadrature weights
-            out = _viscous_local(geo, np.multiply(wnu, nu[block], out=wnu), block)
+            out = _viscous_local(np.multiply(wnu, nu[block], out=wnu), geo.grad_p1[block],
+                                 geo.bubble_grads(block))
         if stacked is not None:
             x, at = features[:, :len(geo.det[block])], 0
             for r, write in parts:
@@ -1118,15 +1101,17 @@ def mini_mass_product(mesh: Mesh2D, v: np.ndarray) -> np.ndarray:
     return _velocity_sum(mesh, velocity_element_coeffs(mesh, v), _mass_unit())
 
 
-def _divergence_local(geo) -> np.ndarray:
+def _divergence_local(qw: np.ndarray, grad_p1: np.ndarray,
+                      bubble_grads: np.ndarray) -> np.ndarray:
     """(n, 3, 2, 4) element blocks of B, [t, i, c, b] = integral psi_i
-    d_c(phi_b), of the triangles of the geometry ``geo``; the kernel of the
-    divergence map."""
-    psi = _tab(geo.qw, P1_VALS)  # (n, 3): integral psi_i
-    bubble = _tab(geo.qw[:, None, :] * geo.bubble_grads().transpose(0, 2, 1),
+    d_c(phi_b), of the triangles with the quadrature weights ``qw`` and the
+    gradients ``grad_p1`` and ``bubble_grads``; the kernel of the divergence
+    map."""
+    psi = _tab(qw, P1_VALS)  # (n, 3): integral psi_i
+    bubble = _tab(qw[:, None, :] * bubble_grads.transpose(0, 2, 1),
                   P1_VALS)  # (n, 2, 3): integral psi_i d_c(bubble)
     local = np.empty((len(psi), 3, 2, 4))
-    local[..., :3] = psi[:, :, None, None] * geo.grad_p1.transpose(0, 2, 1)[:, None]
+    local[..., :3] = psi[:, :, None, None] * grad_p1.transpose(0, 2, 1)[:, None]
     local[..., 3] = bubble.transpose(0, 2, 1)
     return local
 
@@ -1136,7 +1121,7 @@ def _divergence_map() -> np.ndarray:
     """(4, 24) map R of B's element blocks, det times a linear form in inv:
     row k is the block of :func:`_divergence_local` on a triangle of unit
     det whose inverse Jacobian is the unit entry k."""
-    return _frozen(_divergence_local(_unit_geometry(np.eye(4).reshape(4, 2, 2))).reshape(4, -1))
+    return _frozen(_divergence_local(*_unit_geometry(np.eye(4).reshape(4, 2, 2))).reshape(4, -1))
 
 
 def _divergence_pattern(mesh: Mesh2D) -> _Pattern:
@@ -1263,7 +1248,6 @@ class CondensedSaddle:
     """
 
     layout: _CondensedLayout
-    geometry: _Geometry  # the mesh's, from which B's bubble columns are formed
     A_vv: SparseMatrix  # full velocity block on the MINI pattern
     B: SparseMatrix
     matrix: SparseMatrix | None  # None once released (take_matrix)
@@ -1274,12 +1258,9 @@ class CondensedSaddle:
         """Condensed right-hand side b_l - K_lb A_bb^-1 b_b of a full flow rhs.
         It reads the couplings K_lb A_bb^-1 that formed the Schur complement
         and releases them, so that a solve of the condensed system does not
-        hold them; a later call forms them again."""
+        hold them: a saddle is condensed once."""
         lay = self.layout
-        w_lb = self.w_lb
-        if w_lb is None:
-            w_lb = _w_lb(lay, self.A_vv.data, self.inv_bb, _bubble_divergence(self.geometry))
-        self.w_lb = None
+        w_lb, self.w_lb = self.w_lb, None
         corr = (w_lb @ rhs[lay.bubbles][:, :, None])[..., 0]  # (NT, 9)
         return rhs[lay.p1_dofs] - np.bincount(lay.elem.ravel(), weights=corr.ravel(),
                                               minlength=lay.p1_dofs.size)
@@ -1351,14 +1332,13 @@ def assemble_condensed_saddle(mesh: Mesh2D, viscosity, advect=None, gamma_n_tags
                               mass_coeff: float = 0.0) -> CondensedSaddle:
     """Saddle system [[mass_coeff M + A_vv, -B^T], [B, 0]] with the bubbles
     condensed out.  A_vv is the viscous form integral nu D(u):D(w) of the
-    ``viscosity`` (scalar, per triangle or per quadrature point) plus, when
-    ``advect`` is given, the convective form -integral (a x u):D(w) +
-    integral_{Gamma_N} (a.n)(u.w), with the surface term on the
-    ``gamma_n_tags`` edges; ``advect`` is a flow dof vector or its element
-    coefficients.  M is the MINI mass (:func:`_mass_map`) and B the
-    divergence (:func:`assemble_divergence`).  The condensed layout is built
-    on first use.  Raises SingularMatrix when a bubble block cannot be
-    inverted."""
+    ``viscosity`` (scalar or (NT, NQ)) plus, when ``advect`` is given, the
+    convective form -integral (a x u):D(w) + integral_{Gamma_N} (a.n)(u.w),
+    with the surface term on the ``gamma_n_tags`` edges; ``advect`` is a
+    flow dof vector or its element coefficients.  M is the MINI mass
+    (:func:`_mass_map`) and B the divergence (:func:`assemble_divergence`).
+    The condensed layout is built on first use.  Raises SingularMatrix when
+    a bubble block cannot be inverted."""
     return _condensed_saddle(mesh, _velocity_block(mesh, viscosity, advect, gamma_n_tags,
                                                    mass_coeff))
 
@@ -1396,7 +1376,7 @@ def _condensed_saddle(mesh: Mesh2D, data: np.ndarray) -> CondensedSaddle:
     schur = lay.pattern.add_blocks(np.zeros(lay.pattern.nnz), update)
     schur += lay.div_data
     schur[lay.ll_dst] += data[lay.ll_src]
-    return CondensedSaddle(lay, geo, _mini_pattern(mesh).matrix(data), assemble_divergence(mesh),
+    return CondensedSaddle(lay, _mini_pattern(mesh).matrix(data), assemble_divergence(mesh),
                            lay.pattern.matrix(schur), inv_bb, w_lb)
 
 

@@ -283,16 +283,10 @@ def _contract_miss(saddle, x: np.ndarray, rhs: np.ndarray, system: linalg.Linear
 
 def _identical(a, b) -> bool:
     """Whether ``a`` and ``b`` hold the same values bit for bit (a NaN never
-    does): equal, with equal signs, so +0.0 and -0.0 differ.  Arrays that
-    each repeat one value (all strides 0, as a broadcast constant such as
-    the default viscosity does) are compared by that value."""
+    does): equal, with equal shapes and signs, so +0.0 and -0.0 differ."""
     if a is b:
         return True
     a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        return False
-    if not (any(a.strides) or any(b.strides)):
-        a, b = a.flat[:1], b.flat[:1]
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 

@@ -418,21 +418,9 @@ class HeldLU:
 
 def _same(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two index arrays are equal: at once when they are one array,
-    or each is a whole view of one array, as the index arrays of matrices
-    refilled on one per-mesh pattern are (scipy wraps them in views of their
-    own); else by their values."""
-    if a is b:
-        return True
-    base = a if a.base is None else a.base
-    return (_whole_view(a, base) and _whole_view(b, base)) or np.array_equal(a, b)
-
-
-def _whole_view(x: np.ndarray, base) -> bool:
-    """Whether ``x`` is ``base`` or a view of all of it alike: with its
-    dtype, shape and strides.  A view lies in its base's memory, so it then
-    starts where the base starts and holds the same values."""
-    return ((x is base or x.base is base) and isinstance(base, np.ndarray)
-            and x.dtype == base.dtype and x.shape == base.shape and x.strides == base.strides)
+    as the index arrays of matrices refilled on one per-mesh pattern are
+    (:meth:`fem_core._Pattern.matrix`); else by their values."""
+    return a is b or np.array_equal(a, b)
 
 
 def fixed_point(step, x0: FieldVector, tol: float, max_iter: int):

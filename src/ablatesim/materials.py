@@ -142,11 +142,10 @@ class TemperatureSample:
 
     @cached_property
     def nu(self):
-        # The default law is a constant that reads only the shape of theta,
-        # so it is given a NaN stand-in of that shape, not theta at the points.
+        # The default law is a constant, which reads no temperature: at a
+        # NaN stand-in it gives its own number.
         if self.model.nu_law is None:
-            shape = (self.mesh.num_triangles, fem_core.TRI_RULE.weights.size)
-            return self.model.nu(np.broadcast_to(np.nan, shape))
+            return self.model.nu(np.nan)
         return self.model.nu(self.theta)
 
 

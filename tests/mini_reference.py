@@ -7,8 +7,6 @@ with the mass added from its scalar block.  Built from the solvers' own
 pieces for the tests that check those pieces against them.  Not collected
 by pytest."""
 
-from types import SimpleNamespace
-
 import numpy as np
 
 from ablatesim import fem_core
@@ -16,15 +14,17 @@ from ablatesim import fem_core
 EPS = np.finfo(float).eps
 
 
-def quadrature(mesh):
-    """The geometry of ``mesh`` as the quadrature kernels read it on a real
-    mesh: its factors with the (NT, NQ) weights ``qw`` = det w_q and the
-    (NT, NQ, 2) points ``qp``, the bytes that the geometry once held."""
+def weights(mesh):
+    """The (NT, NQ) quadrature weights det w_q of ``mesh``, the bytes that
+    the geometry once held."""
+    return fem_core.TRI_RULE.weights[None, :] * fem_core.geometry(mesh).det[:, None]
+
+
+def kernel_inputs(mesh):
+    """(qw, grad_p1, bubble_grads) of ``mesh``: the arrays that the
+    quadrature kernels read, in their order."""
     geo = fem_core.geometry(mesh)
-    return SimpleNamespace(det=geo.det, inv=geo.inv, grad_p1=geo.grad_p1,
-                           grad_bubble=geo.grad_bubble, bubble_grads=geo.bubble_grads,
-                           qw=fem_core.TRI_RULE.weights[None, :] * geo.det[:, None],
-                           qp=fem_core.quadrature_points(mesh))
+    return weights(mesh), geo.grad_p1, geo.bubble_grads()
 
 
 def mini_mass_block(mesh):
@@ -33,7 +33,7 @@ def mini_mass_block(mesh):
     columns [vertices | bubbles], by the quadrature weights: the mass is
     this block on the x-x and the y-y velocity blocks and zero elsewhere."""
     pattern = fem_core._Pattern.with_bubbles(fem_core._p1_pattern(mesh), mesh.triangles)
-    block = fem_core._tab(quadrature(mesh).qw, fem_core._products(fem_core.MINI_VALS))
+    block = fem_core._tab(weights(mesh), fem_core._products(fem_core.MINI_VALS))
     return pattern.matrix(pattern.fill(block.reshape(-1, 4, 4)))
 
 
@@ -72,12 +72,12 @@ def velocity_block(mesh, viscosity, advect=None, gamma_n_tags=(), mass_coeff=0.0
     viscosity times the fill at unit viscosity), then the convective blocks
     of the reference map and the surface term added, then the mass from its
     scalar block."""
-    geo, pattern = quadrature(mesh), fem_core._mini_pattern(mesh)
+    geo, pattern = fem_core.geometry(mesh), fem_core._mini_pattern(mesh)
     nu = fem_core._coeff_at_qp(mesh, viscosity)
     uniform = nu.min() == nu.max()
-    wnu = geo.qw if uniform else geo.qw * nu
-    data = pattern.add_blocks(np.zeros(pattern.nnz),
-                              lambda block: fem_core._viscous_local(geo, wnu[block], block))
+    wnu = weights(mesh) if uniform else weights(mesh) * nu
+    data = pattern.add_blocks(np.zeros(pattern.nnz), lambda block: fem_core._viscous_local(
+        wnu[block], geo.grad_p1[block], geo.bubble_grads(block)))
     if uniform:
         data = nu.flat[0] * data
     if advect is not None:
@@ -94,7 +94,7 @@ def divergence_data(mesh):
     """The data of ``fem_core.assemble_divergence`` by the quadrature form:
     the divergence kernel on the mesh's geometry, filled at once."""
     pattern = fem_core._divergence_pattern(mesh)
-    return pattern.fill(fem_core._divergence_local(quadrature(mesh)))
+    return pattern.fill(fem_core._divergence_local(*kernel_inputs(mesh)))
 
 
 # -- round-off bound of the reference maps against the quadrature forms ------
@@ -130,16 +130,15 @@ ROUNDING_DEPTH = 21  # D above
 GEMM_TERMS = 59  # K above: [det inv_i inv_j (10) | det c g (48) | det (1)]
 
 
-def _moduli_geometry():
-    """The factors that the quadrature kernels read, of one triangle of unit
-    det whose inverse Jacobian has every entry 1, with the reference tables
-    in modulus: a kernel then sums the moduli of its terms."""
+def _moduli_inputs():
+    """(qw, grad_p1, bubble_grads), the arrays that the quadrature kernels
+    read, of one triangle of unit det whose inverse Jacobian has every
+    entry 1, with the reference tables in modulus: a kernel then sums the
+    moduli of its terms."""
     ones = np.ones((1, 2, 2))
-    geo = SimpleNamespace(qw=fem_core.TRI_RULE.weights[None],
-                          grad_p1=fem_core._combine(np.abs(fem_core.P1_REF_GRADS), ones))
-    bubble = fem_core._combine(np.abs(fem_core.BUBBLE_REF_GRADS), ones)
-    geo.bubble_grads = lambda block=slice(None): bubble
-    return geo
+    return (fem_core.TRI_RULE.weights[None],
+            fem_core._combine(np.abs(fem_core.P1_REF_GRADS), ones),
+            fem_core._combine(np.abs(fem_core.BUBBLE_REF_GRADS), ones))
 
 
 def _bound(pattern, scale, extra=0.0):
@@ -156,8 +155,7 @@ def velocity_block_bound(mesh, viscosity, advect=None, gamma_n_tags=(), mass_coe
     geo, pattern = fem_core.geometry(mesh), fem_core._mini_pattern(mesh)
     a = np.abs(geo.inv).reshape(-1, 4).sum(axis=1)
     nu = np.abs(fem_core._coeff_at_qp(mesh, viscosity)).max(axis=1)
-    moduli = _moduli_geometry()
-    q1 = fem_core._viscous_local(moduli, moduli.qw)[0]
+    q1 = fem_core._viscous_local(*_moduli_inputs())[0]
     scale = (nu * geo.det * a * a)[:, None, None] * q1
     surface = np.zeros(pattern.nnz)
     if advect is not None:
@@ -180,7 +178,7 @@ def divergence_bound(mesh):
     :func:`divergence_data`| at each data position (see above)."""
     geo = fem_core.geometry(mesh)
     a = np.abs(geo.inv).reshape(-1, 4).sum(axis=1)
-    l1 = fem_core._divergence_local(_moduli_geometry())[0]
+    l1 = fem_core._divergence_local(*_moduli_inputs())[0]
     return _bound(fem_core._divergence_pattern(mesh), (geo.det * a)[:, None, None, None] * l1)
 
 
@@ -195,7 +193,7 @@ def assemble_mini_blocks(mesh, viscosity, advect=None, gamma_n_tags=()) -> dict:
     * B: divergence block, (Bu)_i = integral psi_i div(u); its transpose is
       the momentum pressure-gradient coupling, which enters as -B^T.
 
-    ``viscosity`` is scalar / per-triangle / per-quad-point; ``advect`` is a
+    ``viscosity`` is scalar or per-quad-point; ``advect`` is a
     MINI velocity, flow dofs or element coefficients.  Both are the
     solvers' own assemblies; B is cached.
     """

@@ -3,6 +3,7 @@ rewritten for speed: the references that the rewritten builders must match
 byte for byte (tests/test_setup_builders.py).  Not collected by pytest."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from ablatesim import fem_core, verify
 from ablatesim import mesh as mesh_mod
@@ -80,6 +81,26 @@ def geometry(mesh):
     inv /= det[:, None, None]
     return (det, combine(fem_core.P1_VALS, coords),
             combine(fem_core.P1_REF_GRADS, inv), inv)
+
+
+def velocity_element_dofs(mesh):
+    """(NT, 8) flow dofs per element: [v1x v2x v3x bx v1y v2y v3y by]."""
+    dm, t, it = fem_core.dofmap_for(mesh), mesh.triangles, np.arange(mesh.num_triangles)
+    return np.column_stack([
+        dm.vx_vertex(t[:, 0]), dm.vx_vertex(t[:, 1]), dm.vx_vertex(t[:, 2]), dm.vx_bubble(it),
+        dm.vy_vertex(t[:, 0]), dm.vy_vertex(t[:, 1]), dm.vy_vertex(t[:, 2]), dm.vy_bubble(it),
+    ])
+
+
+def coo_sum(shape, *triplets):
+    """The CSR sum of one or more (rows, cols, values) triplet blocks, in
+    order: scipy's COO conversion, then duplicates summed and indices sorted."""
+    rows, cols, vals = (np.concatenate([np.asarray(t[k], dtype=dtype).ravel() for t in triplets])
+                        for k, dtype in enumerate((np.int64, np.int64, float)))
+    A = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+    A.sum_duplicates()
+    A.sort_indices()
+    return A
 
 
 def _pattern(shape, indptr, indices, scatter):
@@ -176,7 +197,7 @@ def condensed_maps(mesh):
     pos = mini.scatter.reshape(-1, 2, 4, 2, 4)
     return {"elem": np.concatenate([t, nv + t, 2 * nv + t], axis=1),
             "pattern": pattern, "p1_dofs": p1_dofs, "index": index,
-            "bubbles": dm.velocity_element_dofs(mesh)[:, [3, 7]],
+            "bubbles": velocity_element_dofs(mesh)[:, [3, 7]],
             "bubble_rows": mini.indptr[[dm.vx_bubble(0), dm.vy_bubble(0)]].astype(np.int64),
             "bl": pos[:, :, 3, :, :3].reshape(-1, 2, 6),
             "lb": pos[:, :, :3, :, 3].reshape(-1, 6, 2),

@@ -13,7 +13,7 @@ from ablatesim.flow_solver import (DIVERGENCE_BOUND, RESIDUAL_BOUND, FlowBC, Flo
 from ablatesim.materials import MaterialModel, TemperatureSample
 from ablatesim.mesh import ALL_TAGS, GeometrySpec, generate_channel_mesh
 from ablatesim.sim_cli import preset
-from mini_reference import assemble_mini_blocks, assemble_mini_mass, quadrature
+from mini_reference import assemble_mini_blocks, assemble_mini_mass, weights
 
 L, H, R = 1.5, 0.5, 0.075
 REL = 1e-10
@@ -37,10 +37,10 @@ def monolithic(problem, advect, dt=None, gamma_n=()):
     if dt is not None:
         M = assemble_mini_mass(mesh)
         A, rhs_v = A + M / dt, M @ problem.velocity.v_h / dt
-    geo = quadrature(mesh)
     if problem.extra_force is not None:
-        fx, fy = problem.extra_force(geo.qp[..., 0], geo.qp[..., 1])
-        force = np.stack(np.broadcast_arrays(fx, fy, geo.qw)[:2], axis=-1)
+        qp = fem_core.quadrature_points(mesh)
+        fx, fy = problem.extra_force(qp[..., 0], qp[..., 1])
+        force = np.stack(np.broadcast_arrays(fx, fy, weights(mesh))[:2], axis=-1)
         rhs_v = rhs_v + fem_core.assemble_vector_load(mesh, force)
     K = sp.bmat([[A, -blocks["B"].T], [blocks["B"], None]], format="csr")
     rhs = np.concatenate([rhs_v, np.zeros(dm.n_pressure)])

@@ -13,7 +13,7 @@ from ablatesim.fem_core import (EDGE_T, EDGE_W, P1_REF_GRADS, P1_VALS, TRI_RULE,
                                 integrate_qp, p1_at_qp, p1_gradients,
                                 velocity_at_qp, velocity_grad_at_qp)
 from ablatesim.mesh import GAMMA5, GeometrySpec, generate_channel_mesh
-from mini_reference import assemble_mini_blocks, assemble_mini_mass, quadrature
+from mini_reference import assemble_mini_blocks, assemble_mini_mass, kernel_inputs, weights
 
 
 def boundary_mass(mesh, tags):
@@ -228,14 +228,15 @@ class TestLoads:
     @pytest.mark.parametrize("use", [assemble_stiffness, assemble_scalar_load, integrate_qp,
                                      fem_core.p1_moments])
     def test_coefficient_of_another_shape_rejected(self, use):
-        # A coefficient is scalar, per triangle or per quad point; any other
-        # shape, such as per vertex, is named, not broadcast.
+        # A coefficient is scalar or per quad point; any other shape, such
+        # as per vertex or per triangle, is named, not broadcast.
         mesh = generate_channel_mesh(GeometrySpec(L=2.0, H=1.0, r=0.25, nx=8, ny=4))
         nt = mesh.num_triangles
-        for coeff in (np.ones(mesh.num_vertices), np.ones((nt, TRI_RULE.weights.size + 1))):
+        for coeff in (np.ones(mesh.num_vertices), np.ones(nt),
+                      np.ones((nt, TRI_RULE.weights.size + 1))):
             shape = re.escape(str(coeff.shape))
-            with pytest.raises(ValueError, match=f"^coefficient shape {shape} not scalar, "
-                                                 r"\(NT,\), or \(NT, NQ\)$"):
+            with pytest.raises(ValueError, match=f"^coefficient shape {shape} not scalar "
+                                                 r"or \(NT, NQ\)$"):
                 use(mesh, coeff)
 
     def test_boundary_load_total(self, unit_square_2tri):
@@ -396,9 +397,8 @@ class TestReferenceMap:
 
     @staticmethod
     def field(mesh):
-        geo = quadrature(mesh)
         u = np.random.default_rng(11).standard_normal(dofmap_for(mesh).n_velocity)
-        return geo, fem_core.velocity_element_coeffs(mesh, u), velocity_at_qp(mesh, u)
+        return fem_core.velocity_element_coeffs(mesh, u), velocity_at_qp(mesh, u)
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_MESHES))
     @pytest.mark.parametrize("kernel, scale", [
@@ -407,17 +407,18 @@ class TestReferenceMap:
         (fem_core._advection_local, 1.0),  # the heat's advection
     ], ids=["convective", "newton", "advection"])
     def test_blocks_match_the_quadrature_kernel(self, name, kernel, scale):
-        geo, coeff, a_qp = self.field(REFERENCE_MESHES[name]())
-        got = fem_core._reference_blocks(geo, scale * coeff, kernel)
-        want = kernel(geo, scale * a_qp).reshape(got.shape)
+        mesh = REFERENCE_MESHES[name]()
+        coeff, a_qp = self.field(mesh)
+        got = fem_core._reference_blocks(fem_core.geometry(mesh), scale * coeff, kernel)
+        want = kernel(*kernel_inputs(mesh), scale * a_qp).reshape(got.shape)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_MESHES))
     def test_assembled_advection_matches_quadrature(self, name):
         mesh = REFERENCE_MESHES[name]()
-        geo, coeff, a_qp = self.field(mesh)
+        coeff, a_qp = self.field(mesh)
         pattern = fem_core._p1_pattern(mesh)
-        want = pattern.matrix(pattern.fill(fem_core._advection_local(geo, a_qp)))
+        want = pattern.matrix(pattern.fill(fem_core._advection_local(*kernel_inputs(mesh), a_qp)))
         got = assemble_advection(mesh, coeff)
         assert np.abs((got - want).toarray()).max() <= 1e-14 * np.abs(want.data).max()
 
@@ -425,9 +426,9 @@ class TestReferenceMap:
         calls = []
         kernel = fem_core._convective_local
 
-        def counted(geo, a_qp):
+        def counted(qw, grad_p1, bubble_grads, a_qp):
             calls.append(len(a_qp))
-            return kernel(geo, a_qp)
+            return kernel(qw, grad_p1, bubble_grads, a_qp)
 
         monkeypatch.setattr(fem_core, "_convective_local", counted)
         for make in REFERENCE_MESHES.values():
@@ -461,7 +462,8 @@ class TestStiffnessOperator:
     def coefficients(mesh):
         rng = np.random.default_rng(11)
         nt, nq = mesh.num_triangles, fem_core.TRI_RULE.weights.size
-        return {"scalar": 2.5, "per_cell": rng.uniform(0.5, 2.0, nt),
+        per_cell = rng.uniform(0.5, 2.0, nt)
+        return {"scalar": 2.5, "per_cell": np.repeat(per_cell[:, None], nq, axis=1),
                 "per_point": rng.uniform(0.5, 2.0, (nt, nq))}
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_MESHES))
@@ -480,7 +482,7 @@ class TestStiffnessOperator:
             # term at most 13 times (2 products, 11 additions), so each is
             # within 13 u of the moduli's sum of the exact value, and the
             # two within 13 eps of each other.
-            terms = quadrature(mesh).qw * c
+            terms = weights(mesh) * c
             bound = 13.0 * np.finfo(float).eps * np.abs(terms).sum(axis=1)
             assert np.all(np.abs(scale - terms.sum(axis=1)) <= bound), kind
 

@@ -205,6 +205,9 @@ class TestStepInputs:
         row = np.broadcast_to(np.arange(3.0), (4, 3))  # a broadcast row varies
         assert not identical(row, np.broadcast_to(0.0, (4, 3)))
         assert identical(row, np.tile(np.arange(3.0), (4, 1)))
+        # The default viscosity, a number, against itself and an array of it.
+        assert identical(0.0021, 0.0021) and not identical(0.0021, nu)
+        assert not identical(0.0, -0.0) and not identical(float("nan"), float("nan"))
 
 
 class TestStationary:

@@ -3,11 +3,12 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ablatesim import linalg
+from ablatesim import fem_core, linalg
 from dirichlet_reference import apply_dirichlet_reference, assert_same_elimination
 from ablatesim.linalg import (CooBuilder, NotConverged, SingularMatrix,
                               SolverError, apply_dirichlet, solve_cg,
                               solve_gmres, solve_lu)
+from ablatesim.mesh import GeometrySpec, generate_channel_mesh
 
 
 def laplacian_1d(n):
@@ -849,28 +850,30 @@ class TestLinearSystem:
             assert np.allclose(x, np.linspace(t, 2.0 * t, 10), rtol=1e-12, atol=0.0)
         assert system.builds == 1 and system.factor.krylov_solves == 1
 
-    def test_index_arrays_compared_by_layout_then_values(self, monkeypatch):
-        # Matrices refilled on one pattern hold views of its index arrays:
-        # they are the same at once, with no comparison of values.  Other
-        # arrays, views of part of one array among them, are compared by
+    def test_index_arrays_compared_by_identity_then_values(self, monkeypatch):
+        # Matrices refilled on one per-mesh pattern hold its own index
+        # arrays: they are the same at once, with no comparison of values.
+        # Other arrays, views of one array among them, are compared by
         # their values.
         compared = []
         array_equal = np.array_equal
         monkeypatch.setattr(np, "array_equal", lambda a, b: compared.append(1) or array_equal(a, b))
-        A = laplacian_1d(8)
-        B = sp.csr_matrix((2.0 * A.data, A.indices, A.indptr), shape=A.shape)
-        C = sp.csr_matrix((3.0 * A.data, A.indices, A.indptr), shape=A.shape)
-        for x, y in ((A.indices, A.indices), (B.indices, C.indices), (A.indices, B.indices),
-                     (B.indptr, C.indptr)):
+        pattern = fem_core._mini_pattern(generate_channel_mesh(GeometrySpec(nx=6, ny=3)))
+        B = pattern.matrix(np.full(pattern.nnz, 2.0))
+        C = pattern.matrix(np.full(pattern.nnz, 3.0))
+        for x, y in ((B.indices, C.indices), (B.indptr, C.indptr), (B.indices, pattern.indices)):
             assert linalg._same(x, y)
         assert compared == []
+        A = laplacian_1d(8)
+        D = sp.csr_matrix((2.0 * A.data, A.indices, A.indptr), shape=A.shape)
+        assert linalg._same(A.indices, D.indices) and len(compared) == 1
         x = np.arange(10, dtype=np.int32)
-        assert linalg._same(x, x.copy()) and len(compared) == 1
+        assert linalg._same(x, x.copy()) and len(compared) == 2
         assert not linalg._same(x[1:], x[:-1])  # one base, other starts
         assert not linalg._same(x[::-1], x)  # one base, other strides
         assert linalg._same(x[::2], x[::2].copy())
-        assert linalg._same(x.view(np.uint32), x)  # one base, another dtype: by values
-        assert len(compared) == 5
+        assert linalg._same(x.view(np.uint32), x)  # another dtype, equal values
+        assert len(compared) == 6
 
     def test_dofs_checked_once(self):
         with pytest.raises(ValueError, match="unique"):

@@ -105,17 +105,16 @@ class TestNu:
 
 
     def test_sample_of_the_constant_law_reads_no_temperature(self, monkeypatch):
-        # The default law is a constant: its sample is a read-only (NT, NQ)
-        # broadcast of it, and theta is not evaluated at the quadrature
-        # points for it.  A custom law reads theta there.
+        # The default law is a constant: its sample is the law's own number,
+        # and theta is not evaluated at the quadrature points for it.  A
+        # custom law reads theta there.
         mesh = generate_channel_mesh(GeometrySpec(nx=8, ny=4))
         theta = np.full(mesh.num_vertices, 37.0)
         at_qp = []
         p1_at_qp = fem_core.p1_at_qp
         monkeypatch.setattr(fem_core, "p1_at_qp", lambda *a: at_qp.append(a) or p1_at_qp(*a))
         nu = TemperatureSample(MaterialModel(), mesh, theta).nu
-        assert not at_qp and nu.shape == (mesh.num_triangles, fem_core.TRI_RULE.weights.size)
-        assert not any(nu.strides) and not nu.flags.writeable and nu.flat[0] == 0.0021
+        assert not at_qp and type(nu) is float and nu == 0.0021
         custom = TemperatureSample(MaterialModel(nu_law=lambda th: 0.002 + 1e-5 * th), mesh, theta)
         assert np.allclose(custom.nu, 0.00237, rtol=1e-14) and len(at_qp) == 1
 

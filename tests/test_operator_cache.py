@@ -14,7 +14,8 @@ from ablatesim.linalg import CooBuilder
 from ablatesim.materials import MaterialModel
 from ablatesim.mesh import GAMMA1, GAMMA3, GAMMA5, GeometrySpec, Mesh2D, generate_channel_mesh
 from ablatesim.sim_cli import preset
-from mini_reference import assemble_mini_blocks, assemble_mini_mass, quadrature
+from mini_reference import assemble_mini_blocks, assemble_mini_mass, weights
+from setup_reference import coo_sum, velocity_element_dofs
 
 RTOL = 1e-13
 # The bytes of the per-mesh constants of a test1 run at 48x16 after 3 steps
@@ -33,13 +34,7 @@ def rel_diff(A, B) -> float:
     return float(abs(A - B).max() / abs(B).max())
 
 
-# -- reference assemblies: per-element einsum, summed through a CooBuilder ----------
-
-
-def _coo(shape, rows, cols, local):
-    builder = CooBuilder(*shape)
-    builder.add(rows, cols, local)
-    return builder.finalize()
+# -- reference assemblies: per-element einsum, summed as COO triplets ---------------
 
 
 def _block_indices(row_dofs, col_dofs):
@@ -48,43 +43,39 @@ def _block_indices(row_dofs, col_dofs):
 
 
 def _mini_tables(mesh):
-    geo = quadrature(mesh)
-    nt, nq = geo.qw.shape
+    geo, qw = fem_core.geometry(mesh), weights(mesh)
+    nt, nq = qw.shape
     vals4 = np.empty((nt, nq, 4))
     vals4[:, :, :3] = fem_core.P1_VALS
     vals4[:, :, 3] = fem_core.BUBBLE_VALS
     grads4 = np.empty((nt, nq, 4, 2))
     grads4[:, :, :3, :] = geo.grad_p1[:, None]
-    grads4[:, :, 3, :] = geo.grad_bubble
-    return geo.qw, vals4, grads4
+    grads4[:, :, 3, :] = geo.bubble_grads()
+    return qw, vals4, grads4
 
 
 def ref_p1_mass(mesh):
-    local = np.einsum("tq,qa,qb->tab", quadrature(mesh).qw, fem_core.P1_VALS, fem_core.P1_VALS)
+    local = np.einsum("tq,qa,qb->tab", weights(mesh), fem_core.P1_VALS, fem_core.P1_VALS)
     nv = mesh.num_vertices
-    return _coo((nv, nv), *_block_indices(mesh.triangles, mesh.triangles), local)
+    return coo_sum((nv, nv), (*_block_indices(mesh.triangles, mesh.triangles), local))
 
 
 def ref_mini_mass(mesh, dm):
     w, v4, _ = _mini_tables(mesh)
     local = np.einsum("tq,tqa,tqb->tab", w, v4, v4)
-    dofs = dm.velocity_element_dofs(mesh)
-    builder = CooBuilder(dm.n_velocity, dm.n_velocity)
-    for comp in range(2):
-        rows, cols = _block_indices(dofs[:, 4 * comp:4 * comp + 4], dofs[:, 4 * comp:4 * comp + 4])
-        builder.add(rows, cols, local)
-    return builder.finalize()
+    dofs = velocity_element_dofs(mesh)
+    return coo_sum((dm.n_velocity, dm.n_velocity), *[
+        (*_block_indices(dofs[:, 4 * comp:4 * comp + 4], dofs[:, 4 * comp:4 * comp + 4]), local)
+        for comp in range(2)])
 
 
 def ref_divergence(mesh, dm):
     w, _, g4 = _mini_tables(mesh)
-    geo = fem_core.geometry(mesh)
-    dofs = dm.velocity_element_dofs(mesh)
-    builder = CooBuilder(dm.n_pressure, dm.n_velocity)
-    for c in range(2):
-        local = np.einsum("tq,qa,tqb->tab", w, fem_core.P1_VALS, g4[..., c])
-        builder.add(*_block_indices(mesh.triangles, dofs[:, 4 * c:4 * c + 4]), local)
-    return builder.finalize()
+    dofs = velocity_element_dofs(mesh)
+    return coo_sum((dm.n_pressure, dm.n_velocity), *[
+        (*_block_indices(mesh.triangles, dofs[:, 4 * c:4 * c + 4]),
+         np.einsum("tq,qa,tqb->tab", w, fem_core.P1_VALS, g4[..., c]))
+        for c in range(2)])
 
 
 def ref_viscous(mesh, dm, nu_qp):
@@ -98,13 +89,13 @@ def ref_viscous(mesh, dm, nu_qp):
             if c == d:
                 blk = blk + 0.5 * grad_dot
             local[:, 4 * d:4 * d + 4, 4 * c:4 * c + 4] += blk
-    dofs = dm.velocity_element_dofs(mesh)
-    return _coo((dm.n_velocity, dm.n_velocity), *_block_indices(dofs, dofs), local)
+    dofs = velocity_element_dofs(mesh)
+    return coo_sum((dm.n_velocity, dm.n_velocity), (*_block_indices(dofs, dofs), local))
 
 
 def ref_boundary_mass(mesh, tags):
     nv = mesh.num_vertices
-    builder = CooBuilder(nv, nv)
+    triplets = []
     p = mesh.vertices
     gauss = fem_core.EDGE_T
     phi = np.stack([1.0 - gauss, gauss])
@@ -112,8 +103,8 @@ def ref_boundary_mass(mesh, tags):
         if tag in tags:
             length = np.linalg.norm(p[b] - p[a])
             local = length * np.einsum("g,ig,jg->ij", fem_core.EDGE_W, phi, phi)
-            builder.add([a, a, b, b], [a, b, a, b], local)
-    return builder.finalize()
+            triplets.append(([a, a, b, b], [a, b, a, b], local))
+    return coo_sum((nv, nv), *triplets)
 
 
 def brute_force_owners(mesh):
@@ -172,7 +163,7 @@ class TestArithmeticBuilders:
     def test_patterns_match_sorted_construction(self, name):
         mesh = BUILDER_MESHES[name]()
         dm, nv, t = dofmap_for(mesh), mesh.num_vertices, mesh.triangles
-        dofs = dm.velocity_element_dofs(mesh)
+        dofs = velocity_element_dofs(mesh)
         elem = np.concatenate([t, nv + t, 2 * nv + t], axis=1)
         Pattern = fem_core._Pattern
         assert_same_pattern(fem_core._p1_pattern(mesh), Pattern(t, t, (nv, nv)))
@@ -198,7 +189,7 @@ class TestArithmeticBuilders:
                 "grad_p1": np.einsum("tde,ae->tad", jinvT, fem_core.P1_REF_GRADS),
                 "grad_bubble": np.einsum("tde,qe->tqd", jinvT, ref_gb)}
         got = {"qp": fem_core.quadrature_points(mesh), "grad_p1": geo.grad_p1,
-               "grad_bubble": geo.grad_bubble}
+               "grad_bubble": geo.bubble_grads()}
         for attr, ref in want.items():
             assert got[attr].shape == ref.shape and got[attr].tobytes() == ref.tobytes(), attr
 
@@ -213,7 +204,7 @@ class TestArithmeticBuilders:
         geo, nt = fem_core.geometry(mesh), mesh.num_triangles
         mini = fem_core._mini_pattern(mesh)
         local = np.zeros((nt, 2, 4, 2, 4))
-        block = fem_core._tab(quadrature(mesh).qw,
+        block = fem_core._tab(weights(mesh),
                               fem_core._products(fem_core.MINI_VALS)).reshape(-1, 4, 4)
         for comp in range(2):
             local[:, comp, :, comp, :] = block
@@ -406,7 +397,7 @@ def full_mini_mass_data(mesh):
     """The MINI mass data on the full MINI pattern as they were held before
     the scalar block alone was: both diagonal blocks scattered element by
     element into zeros."""
-    block = fem_core._tab(quadrature(mesh).qw,
+    block = fem_core._tab(weights(mesh),
                           fem_core._products(fem_core.MINI_VALS)).reshape(-1, 4, 4)
     pattern = fem_core._mini_pattern(mesh)
     data = np.zeros(pattern.nnz)
@@ -424,7 +415,7 @@ def dissipation_of_bubble_gradients(mesh, v):
     coeff = fem_core.velocity_element_coeffs(mesh, v)
     jac = coeff[:, :, :3] @ geo.grad_p1
     bx, by = coeff[:, 0, 3, None], coeff[:, 1, 3, None]
-    gb = geo.grad_bubble
+    gb = geo.bubble_grads()
     gx, gy = gb[..., 0], gb[..., 1]
     out = np.square(jac[:, 0, 0, None] + bx * gx)
     out += np.square(jac[:, 1, 1, None] + by * gy)
@@ -475,7 +466,7 @@ class TestHeldForms:
         # summing the m elements at a dof.  So they differ by at most N u
         # times the same sum in moduli (every mass entry is positive),
         # N = 31 + 2 m + r.
-        m = int(np.bincount(dm.velocity_element_dofs(mesh).ravel()).max())
+        m = int(np.bincount(velocity_element_dofs(mesh).ravel()).max())
         r = int(np.diff(mini.indptr).max())
         coeff = np.abs(fem_core.velocity_element_coeffs(mesh, v))
         scale = fem_core._velocity_sum(mesh, coeff, fem_core._mass_unit())
@@ -486,7 +477,7 @@ class TestHeldForms:
         mesh = BUILDER_MESHES[name]()
         geo = fem_core.geometry(mesh)
         held = fem_core._combine(fem_core.BUBBLE_REF_GRADS, geo.inv)  # as it was held
-        assert geo.grad_bubble.tobytes() == held.tobytes()
+        assert geo.bubble_grads().tobytes() == held.tobytes()
         block = slice(100, 100 + fem_core.FILL_BLOCK)
         assert geo.bubble_grads(block).tobytes() == held[block].tobytes()
 

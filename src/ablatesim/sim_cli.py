@@ -558,9 +558,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (linalg.SolverError,) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

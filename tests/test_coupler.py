@@ -14,7 +14,7 @@ from ablatesim.coupler import (BlowUpError, NonFiniteFieldError, SimState,
                                Simulation, TimeGrid)
 from ablatesim.flow_solver import VelocitySample
 from ablatesim.heat_solver import HeatBC, HeatProblem
-from ablatesim.linalg import NotConverged, SolverError
+from ablatesim.linalg import SingularMatrix, SolverError
 from ablatesim.materials import TemperatureSample
 from ablatesim.sim_cli import ConfigError, preset
 from dirichlet_reference import apply_dirichlet_reference, assert_same_elimination
@@ -153,12 +153,15 @@ class TestInitialize:
             Simulation(quick_config()).initialize()
 
     def test_failed_stage_keeps_exception_class(self, monkeypatch):
-        def failing(*args, **kwargs):
-            raise NotConverged("lu", 0, 1.0)
+        for error in (SolverError, SingularMatrix):
+            def failing(*args, **kwargs):
+                raise error("potential factor failed")
 
-        monkeypatch.setattr(coupler, "solve_potential", failing)
-        with pytest.raises(NotConverged, match="^initialize/potential: lu did not converge"):
-            Simulation(quick_config()).initialize()
+            monkeypatch.setattr(coupler, "solve_potential", failing)
+            message = "^initialize/potential: potential factor failed$"
+            with pytest.raises(error, match=message) as exc:
+                Simulation(quick_config()).initialize()
+            assert type(exc.value) is error
 
 
 class TestAdvance:

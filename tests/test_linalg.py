@@ -658,16 +658,14 @@ class TestApplyDirichlet:
         Am, bm = apply_dirichlet(A, np.zeros(4), np.arange(4), vals)
         assert np.array_equal(solve_lu(Am, bm), vals)
 
-    def test_spd_preserved_cg_converges(self):
+    def test_spd_preserved(self):
         A = laplacian_1d(30)
         b = np.ones(30)
         Am, bm = apply_dirichlet(A, b, [0, 29], [0.5, -0.5])
         assert (abs(Am - Am.T)).max() == 0.0
-        x = solve_cg(Am, bm, tol_rel=1e-12)
-        assert x[0] == pytest.approx(0.5, abs=1e-12)
-        assert x[29] == pytest.approx(-0.5, abs=1e-12)
-        xd = solve_lu(Am, bm)  # direct path reproduces pinned values exactly
-        assert xd[0] == 0.5 and xd[29] == -0.5
+        assert np.linalg.eigvalsh(Am.toarray()).min() > 0.0
+        x = solve_lu(Am, bm)  # the direct path reproduces the pinned values exactly
+        assert x[0] == 0.5 and x[29] == -0.5
 
     def test_idempotent(self):
         A = laplacian_1d(10)

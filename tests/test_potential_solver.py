@@ -5,7 +5,7 @@ from ablatesim import fem_core, linalg
 from ablatesim.materials import MaterialModel, TemperatureSample
 from ablatesim.mesh import (GAMMA1, GAMMA2, GAMMA3, GAMMA4, GAMMA5, GeometrySpec,
                             generate_channel_mesh)
-from ablatesim.potential_solver import (PotentialProblem, joule_density,
+from ablatesim.potential_solver import (PotentialProblem, _neumann_load, joule_density,
                                         solve_potential)
 
 
@@ -45,6 +45,25 @@ class TestSolvePotential:
             g=1.0, neumann_tags=(3,), dirichlet_tags=(1,))
         phi = solve_potential(problem)
         assert np.abs(phi - mesh.vertices[:, 0]).max() < 1e-10
+
+    def test_callable_flux_of_a_constant_gives_the_constant_load(self):
+        # A callable flux is sampled at the edge points on every solve, not
+        # held with the mesh; returning the constant g, it gives g's load and
+        # potential byte for byte.
+        constant = channel_problem(g=5.0)
+        mesh = constant.temperature.mesh
+        calls = []
+
+        def flux(x, y):
+            calls.append(x.shape)
+            return np.full_like(x, 5.0)
+
+        load = _neumann_load(mesh, (GAMMA5,), flux)
+        assert load.tobytes() == _neumann_load(mesh, (GAMMA5,), 5.0).tobytes()
+        assert _neumann_load(mesh, (GAMMA5,), flux) is not load and len(calls) == 2
+        called = PotentialProblem(constant.temperature, g=flux, neumann_tags=(GAMMA5,),
+                                  dirichlet_tags=constant.dirichlet_tags)
+        assert solve_potential(called).tobytes() == solve_potential(constant).tobytes()
 
     def test_dirichlet_dofs_exact_zero(self):
         problem = channel_problem()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ablatesim
-from ablatesim import coupler, linalg, sim_cli
+from ablatesim import coupler, flow_solver, linalg, sim_cli, verify
 from ablatesim.coupler import NonFiniteFieldError, Simulation
 from ablatesim.flow_solver import solve_flow_step
 from ablatesim.linalg import SolverError
@@ -374,6 +374,82 @@ class TestCLI:
         cfgfile.write_text(json.dumps({"preset": "test1", **override}))
         assert main(["run", "--config", str(cfgfile)]) == 2
         assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, message", [
+        ({"potential_bc": {"roles": {"G1": "bogus"}}},
+         "potential_bc: roles.G1: unknown role 'bogus'"),
+        ({"output": {"stride": -1}}, "output: stride must be >= 0, got -1"),
+        ({"output": {"probes": 3}}, "output.probes must be a list"),
+        ({"time": {"M": {"steps": 3}}}, "time.M: expected a value, got an object"),
+        ({"output": {"probes": [{"x": 0.75}]}},
+         "output.probes[0]: probe must be an object with keys x, y"),
+        ({"output": {"probes": [[0.75, 0.4]]}},
+         "output.probes[0]: probe must be an object with keys x, y"),
+    ], ids=["unknown_potential_role", "negative_stride", "probes_not_a_list",
+            "object_for_a_value", "probe_without_y", "probe_as_a_list"])
+    def test_run_rejected_config_exit_2(self, tmp_path, capsys, override, message):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"preset": "test1", **override}))
+        assert main(["run", "--config", str(cfgfile)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_run_flow_bc_of_the_wrong_type_exit_2(self, monkeypatch, capsys):
+        # The file reader builds every flow_bc entry as a FlowBCConfig, so only
+        # the Python API can hand validate() another type.
+        def wrong_type(name):
+            cfg = preset(name)
+            cfg.flow_bc["G2"] = flow_solver.FlowBC("noslip")
+            return cfg
+
+        monkeypatch.setattr(sim_cli, "preset", wrong_type)
+        assert main(["run", "--preset", "test1"]) == 2
+        assert capsys.readouterr().err == "config error: flow_bc.G2 has wrong type\n"
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"test1"', "null"])
+    def test_run_config_root_not_an_object_exit_2(self, tmp_path, capsys, text):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(text)
+        assert main(["run", "--config", str(cfgfile)]) == 2
+        assert capsys.readouterr().err == "config error: config root must be a JSON object\n"
+
+    @pytest.mark.parametrize("make", [lambda path: None, lambda path: path.mkdir(),
+                                      lambda path: path.write_text("{")],
+                             ids=["missing", "directory", "malformed_json"])
+    def test_run_unreadable_config_exit_2(self, tmp_path, capsys, make):
+        cfgfile = tmp_path / "c.json"
+        make(cfgfile)
+        assert main(["run", "--config", str(cfgfile)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config {cfgfile}: ")
+
+    def test_run_negative_steps_override_exit_2(self, monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the option was rejected")
+
+        monkeypatch.setattr(linalg, "solve_lu", no_solve)
+        assert main(["run", "--preset", "test1", "--steps-override", "-1"]) == 2
+        assert capsys.readouterr().err == "config error: --steps-override must be >= 0\n"
+
+    def test_verify_block_solver_failure_fails_its_checks_not_the_command(self, monkeypatch,
+                                                                          capsys):
+        # invariant_suite turns any exception of a block into failed checks,
+        # so a SolverError never leaves `ablatesim verify`: it exits 1.
+        def failing(problem):
+            raise SolverError("potential solve failed")
+
+        monkeypatch.setattr(verify, "solve_potential", failing)
+        assert main(["verify", "--preset", "test1"]) == 1
+        out = capsys.readouterr().out
+        assert "crashed: potential solve failed" in out and "overall: FAIL" in out
+
+    def test_atomic_write_removes_its_temporary_file(self, tmp_path, monkeypatch):
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        target = tmp_path / "probes.csv"
+        with pytest.raises(OSError, match="replace failed"):
+            sim_cli._atomic_write(target, "t,max_theta\r\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_infinite_geometry_exit_2(self, tmp_path, capsys):
         # json writes and reads Infinity; the config reader rejects it before

@@ -180,6 +180,36 @@ class TestInvariantSuite:
         assert byname["heat.art_visc_zero_velocity"]["passed"]
         assert not report["passed"]
 
+    def test_viscosity_at_rest_fails_zero_velocity_check(self, monkeypatch):
+        # With every wall no-slip and no body force the flow is at rest in
+        # every cell; a viscosity of 1e-3 there must fail the check that the
+        # entropy viscosity vanishes where v = 0.
+        def nonzero(mesh, residuals, theta, vmax_k, params):
+            return np.full(mesh.num_triangles, 1e-3)
+
+        monkeypatch.setattr(heat_solver, "artificial_viscosity", nonzero)
+        noslip = {"role": "noslip", "profile": None}
+        report = invariant_suite(tiny_config(flow_bc=dict.fromkeys(
+            ("G1", "G2", "G3", "G4", "G5"), noslip)))
+        byname = {c["name"]: c for c in report["checks"]}
+        assert not byname["heat.art_visc_zero_velocity"]["passed"]
+        assert byname["heat.art_visc_zero_velocity"]["detail"] == ""
+        assert byname["coupler.stage_order"]["passed"] and not report["passed"]
+
+    @pytest.mark.parametrize("misorder", [
+        lambda stages: stages[::-1],  # heat, flow, potential
+        lambda stages: [stages[0], (stages[1][0], stages[0][1], stages[1][2]), *stages[2:]],
+    ], ids=["names_reversed", "flow_starts_before_potential_ends"])
+    def test_stage_out_of_order_fails_stage_order_check(self, monkeypatch, misorder):
+        end_step = coupler.Simulation._end_step
+        monkeypatch.setattr(coupler.Simulation, "_end_step",
+                            lambda self, state, stages: end_step(self, state, misorder(stages)))
+        report = invariant_suite(tiny_config())
+        byname = {c["name"]: c["passed"] for c in report["checks"]}
+        assert not byname["coupler.stage_order"]
+        assert byname["heat.art_visc_zero_velocity"] and byname["heat.art_visc_bound"]
+        assert not report["passed"]
+
     def test_negative_beta_on_a_built_config_is_refused(self):
         # Set on a built config, beta < 0 is refused by the run the bound
         # check audits, and the check fails naming it.

@@ -398,12 +398,11 @@ class _Pattern:
 
 def _coeff_at_qp(mesh: Mesh2D, coeff) -> np.ndarray:
     """Broadcast a scalar or per-quad-point coefficient to (NT, NQ)."""
-    nt = mesh.num_triangles
-    nq = TRI_RULE.points.shape[0]
+    shape = (mesh.num_triangles, TRI_RULE.weights.size)
     c = np.asarray(coeff, dtype=float)
     if c.ndim == 0:
-        return np.full((nt, nq), float(c))
-    if c.shape == (nt, nq):
+        return np.full(shape, float(c))
+    if c.shape == shape:
         return c
     raise ValueError(f"coefficient shape {c.shape} not scalar or (NT, NQ)")
 
@@ -898,9 +897,7 @@ def assemble_boundary_load(mesh: Mesh2D, tags, data) -> np.ndarray:
 def _advection_local(qw: np.ndarray, grad_p1: np.ndarray, bubble_grads: np.ndarray,
                      vel_qp: np.ndarray) -> np.ndarray:
     """(NT, 3, 3) element matrices [i, j] = integral (v . grad(l_j)) l_i of
-    the velocity ``vel_qp`` at the quad points, with the quadrature weights
-    ``qw`` and P1 gradients ``grad_p1`` (the bubble's are not read); the
-    kernel of the reference map."""
+    the velocity ``vel_qp`` at the quad points; the kernel of the reference map."""
     wv = qw[:, None, :] * vel_qp.transpose(0, 2, 1)
     wv_l = _tab(wv, P1_VALS)  # (NT, 2, 3): [t, d, a] = integral v_d l_a
     return wv_l.transpose(0, 2, 1) @ grad_p1.transpose(0, 2, 1)
@@ -1013,14 +1010,11 @@ def _velocity_block(mesh: Mesh2D, viscosity, advect, gamma_n_tags,
     geo, pattern = geometry(mesh), _mini_pattern(mesh)
     nu = np.asarray(viscosity, dtype=float)
     nu = nu if nu.ndim == 0 else _coeff_at_qp(mesh, nu)
+    varying = nu.ndim > 0 and nu.min() != nu.max()
     # parts: (map, writer of the features of a block of n triangles into a
     # (map rows, n) array).
-    varying, parts = False, []
-    if nu.ndim == 0 or nu.min() == nu.max():
-        parts.append((nu.flat[0] * _viscous_map(),
-                      lambda block, out: _viscous_features(geo, block, out)))
-    else:
-        varying = True
+    parts = [] if varying else [(nu.flat[0] * _viscous_map(),
+                                 lambda block, out: _viscous_features(geo, block, out))]
     if advect is not None:
         coeff = velocity_element_coeffs(mesh, advect)
         parts.append((_reference_map(_convective_local),
@@ -1104,9 +1098,7 @@ def mini_mass_product(mesh: Mesh2D, v: np.ndarray) -> np.ndarray:
 def _divergence_local(qw: np.ndarray, grad_p1: np.ndarray,
                       bubble_grads: np.ndarray) -> np.ndarray:
     """(n, 3, 2, 4) element blocks of B, [t, i, c, b] = integral psi_i
-    d_c(phi_b), of the triangles with the quadrature weights ``qw`` and the
-    gradients ``grad_p1`` and ``bubble_grads``; the kernel of the divergence
-    map."""
+    d_c(phi_b); the kernel of the divergence map."""
     psi = _tab(qw, P1_VALS)  # (n, 3): integral psi_i
     bubble = _tab(qw[:, None, :] * bubble_grads.transpose(0, 2, 1),
                   P1_VALS)  # (n, 2, 3): integral psi_i d_c(bubble)

@@ -284,10 +284,7 @@ def _contract_miss(saddle, x: np.ndarray, rhs: np.ndarray, system: linalg.Linear
 def _identical(a, b) -> bool:
     """Whether ``a`` and ``b`` hold the same values bit for bit (a NaN never
     does): equal, with equal shapes and signs, so +0.0 and -0.0 differ."""
-    if a is b:
-        return True
-    a, b = np.asarray(a), np.asarray(b)
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+    return a is b or (np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
 def _step_inputs(problem: FlowProblem, force: np.ndarray) -> tuple:

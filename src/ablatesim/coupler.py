@@ -25,16 +25,16 @@ one sample of theta_b, and the stationary heat's sample of v0 is the
 initial state's.  Each stage is recorded per step
 as (name, start, end), wall clock, in the order run, and never reordered;
 an exception raised in it is labelled "step <n>/<stage>: " (at step 0,
-"initialize/<stage>: ").  Each system keeps its constrained dofs, the
-structure of its Dirichlet elimination and its LU across its solves, the
-stationary ones included (``Simulation.systems``, see
-:class:`linalg.LinearSystem`); the flow's also keeps the last step's inputs
-and result while that step returned its input.  Every step, step 0
-included, ends in ``Simulation._end_step``: the new state is checked
-finite, gets its diagnostics row and meets the blow-up guard, which aborts
-once max|theta| or max|v| exceeds 1e4, mirroring the runaway regime reached
-for large electrode currents; |Bv| and max|v| are values of the state's
-velocity sample.
+"initialize/<stage>: ").  Each solver gives its stage's system the
+constraints of each solve; the system keeps the structure of its Dirichlet
+elimination and its LU across its solves, the stationary ones included
+(``Simulation.systems``, see :class:`linalg.LinearSystem`), and the flow's
+also keeps the last step's inputs while that step returned its input.
+Every step, step 0 included, ends in ``Simulation._end_step``: the new state
+is checked finite, gets its diagnostics row and meets the blow-up guard,
+which aborts once max|theta| or max|v| exceeds 1e4, mirroring the runaway
+regime reached for large electrode currents; |Bv| and max|v| are values of
+the state's velocity sample.
 """
 
 from __future__ import annotations
@@ -140,9 +140,8 @@ class Simulation:
     stage (``systems``: potential, flow, heat, each a
     :class:`linalg.LinearSystem`, which every problem of that stage is given,
     so its factor is held across the run's solves).  The systems start
-    empty; each solver sets its system's constraints at the first solve
-    (the heat's values, which may depend on t, are resampled at each
-    solve)."""
+    empty; each solver gives its system the constraints of each solve,
+    sampled then (the heat's values may depend on t)."""
 
     def __init__(self, config):
         config.validate()

@@ -11,9 +11,9 @@ is never factorized whole.  Each bubble dof couples only inside its triangle,
 so the 2x2 bubble block of every triangle is eliminated first (static
 condensation, :func:`fem_core.assemble_condensed_saddle`); the Schur
 complement on the P1 dofs [vx | vy | p], of order 3*NV, is solved by the
-problem's :class:`linalg.LinearSystem`, constrained at its first solve by
-:func:`flow_constraints` (the velocity at the vertices of the no-slip and
-inflow tags, :func:`fem_core.dirichlet_vertices`), in the mesh's
+problem's :class:`linalg.LinearSystem`, which each solve gives the
+constraints of :func:`flow_constraints` (the velocity at the vertices of the
+no-slip and inflow tags, :func:`fem_core.dirichlet_vertices`), in the mesh's
 nested-dissection vertex order with the three dofs of a vertex kept together
 (:func:`fem_core.vertex_order`).  Its LU scales the system symmetrically by
 its diagonal first: with nu = 1 the condensed pressure diagonal, about
@@ -32,12 +32,12 @@ accounting and not by a tolerance, and both contracts hold on the previous
 (v, P) themselves, bubbles included, the step returns those very arrays,
 read-only, so a fixed point stays bit-for-bit fixed; otherwise the bubbles
 are recovered.  The problem's system then keeps the step's inputs, all that
-the step reads (dt, the convection switch, the previous velocity, the
-viscosity at the quadrature points, the force load and the constrained
-values), with that result, and a later step on inputs identical to them bit
-for bit returns the same (v, P) without assembling anything; its system
-counts it as a solve by the guess.  A flow that moves misses at the
-previous velocity, the first array compared.
+the step reads (dt, the convection switch, the previous (v, P), the
+viscosity at the quadrature points, the force load and the ``bc`` dict, this
+one matched by identity, as no FlowBC datum depends on time), and a later
+step on identical inputs returns its own (v, P) without assembling
+anything; its system counts it as a solve by the guess.  A flow that moves
+misses at the previous velocity, the first array compared.
 
 The problem's ``temperature`` (:class:`materials.TemperatureSample`) is the
 lagged temperature with the mesh and the laws and, for a time step, its
@@ -164,25 +164,20 @@ class FlowProblem:
             raise ValueError("temperature field contains non-finite values")
 
 
-def _dirichlet_velocity(problem: FlowProblem):
-    """Constrained velocity dofs and values from the no-slip/inflow tags."""
+def flow_constraints(problem: FlowProblem) -> tuple:
+    """Constrained flow dofs and values: the velocity on the no-slip and
+    inflow tags and, for an enclosed flow, one pinned pressure dof."""
     mesh = problem.temperature.mesh
     dm = fem_core.dofmap_for(mesh)
     data = {tag: (0.0, 0.0) if bc.role == ROLE_NOSLIP else bc.profile
             for tag, bc in problem.bc.items() if bc.role != ROLE_DONOTHING}
     verts = fem_core.dirichlet_vertices(mesh, data)
-    dofs = verts.dofs
-    return np.concatenate([dm.vx_vertex(dofs), dm.vy_vertex(dofs)]), verts.values(data).T.ravel()
-
-
-def flow_constraints(problem: FlowProblem) -> tuple:
-    """Constrained flow dofs and values: the velocity on the no-slip and
-    inflow tags and, for an enclosed flow, one pinned pressure dof."""
-    dofs, vals = _dirichlet_velocity(problem)
+    dofs = np.concatenate([dm.vx_vertex(verts.dofs), dm.vy_vertex(verts.dofs)])
+    vals = verts.values(data).T.ravel()
     if not _donothing_tags(problem):
         # Enclosed flow: the do-nothing outlet normally fixes the pressure
         # level; without one, pin a single pressure dof.
-        dofs = np.append(dofs, fem_core.dofmap_for(problem.temperature.mesh).pressure(0))
+        dofs = np.append(dofs, dm.pressure(0))
         vals = np.append(vals, problem.pressure_pin_value)
     return dofs, vals
 
@@ -236,36 +231,34 @@ def _solve_linear(problem: FlowProblem, advect, newton: bool = False,
     rhs = np.concatenate([rhs_v, np.zeros(dm.n_pressure)])
 
     system = problem.system
-    if system.dofs is None:
-        # Every constrained dof is a P1 dof, so eliminating them after the
-        # condensation is exact.  The condensed layout holds 3 dofs per vertex.
-        dofs, vals = flow_constraints(problem)
-        system.constrain(saddle.layout.index[dofs], vals, fem_core.vertex_order(mesh, 3))
     x0 = None if guess is None else np.concatenate(guess)[saddle.layout.p1_dofs]
+    # Every constrained dof is a P1 dof, so eliminating them after the
+    # condensation is exact.  The condensed layout holds 3 dofs per vertex.
+    dofs, vals = flow_constraints(problem)
     # The condensed matrix is held by nothing but the solve, which frees it
     # once it is eliminated.
     rhs_l = saddle.condense(rhs)
-    x_l = system.solve(saddle.take_matrix(), rhs_l, x0=x0)
+    x_l = system.solve(saddle.take_matrix(), rhs_l, saddle.layout.index[dofs], vals,
+                       fem_core.vertex_order(mesh, 3), x0=x0)
     # The solve's own accounting says whether it returned its start, the
     # constrained entries included; then the guess keeps its bubbles if the
     # contracts hold on it as it is.
     if guess is not None and system.factor.by_guess and np.array_equal(x_l, x0):
-        if _contract_miss(saddle, np.concatenate(guess), rhs, system) is None:
+        if _contract_miss(saddle, np.concatenate(guess), rhs, dofs, vals) is None:
             for arr in guess:
                 arr.setflags(write=False)  # shared by the step's input and output
             return guess
     x = saddle.recover(x_l, rhs)
-    miss = _contract_miss(saddle, x, rhs, system)
+    miss = _contract_miss(saddle, x, rhs, dofs, vals)
     if miss is not None:
         raise linalg.SolverError(miss)
     return x[:dm.n_velocity], x[dm.n_velocity:]
 
 
-def _contract_miss(saddle, x: np.ndarray, rhs: np.ndarray, system: linalg.LinearSystem):
+def _contract_miss(saddle, x: np.ndarray, rhs: np.ndarray, dofs, vals):
     """Why the full flow vector ``x`` misses the residual contract on the
-    full system, bubble rows included (the constrained rows are the solve's
-    exact values), or the divergence contract; None when it meets both."""
-    dofs, vals = saddle.layout.p1_dofs[system.dofs], system.values
+    full system, bubble rows included (the constrained rows ``dofs`` are the
+    solve's exact ``vals``), or the divergence contract; None if it meets both."""
     free = np.ones(x.size, dtype=bool)
     free[dofs] = False
     fixed = np.zeros(x.size)
@@ -282,35 +275,37 @@ def _contract_miss(saddle, x: np.ndarray, rhs: np.ndarray, system: linalg.Linear
 
 
 def _identical(a, b) -> bool:
-    """Whether ``a`` and ``b`` hold the same values bit for bit (a NaN never
-    does): equal, with equal shapes and signs, so +0.0 and -0.0 differ."""
+    """Whether ``a`` and ``b`` are one object (one NaN object matches itself;
+    a step's inputs are checked finite, so a repeat stores none) or hold the
+    same values bit for bit: equal, with equal shapes and signs, so +0.0 and
+    -0.0 differ."""
     return a is b or (np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
 def _step_inputs(problem: FlowProblem, force: np.ndarray) -> tuple:
-    """All that a step reads, the cheap ones first, with the force load
-    ``force``."""
+    """All that a step reads but its ``bc``, the cheap ones first, with the
+    force load ``force``."""
     return (problem.dt, problem.include_convection, problem.velocity.v_h,
-            problem.temperature.nu, force, problem.system.values)
+            problem.temperature.nu, force, problem.p_prev)
 
 
 def solve_flow_step(problem: FlowProblem):
     """Advance the flow one implicit-Euler step; returns (v, P).  With a
-    ``p_prev``, a step that returns its start keeps its inputs with it in
-    ``LinearSystem.fixed``, and a step on identical inputs repeats it (see
-    the module docstring)."""
+    ``p_prev``, a step that returns its start keeps its inputs in
+    ``LinearSystem.fixed``, and a step on the same inputs returns its own
+    start again (see the module docstring)."""
     problem.validate(step=True)
     system = problem.system
     force = _force_load(problem)
-    if system.fixed is not None and all(map(_identical, system.fixed[0],
-                                            _step_inputs(problem, force))):
+    if system.fixed is not None and system.fixed[0] is problem.bc and all(
+            map(_identical, system.fixed[1], _step_inputs(problem, force))):
         system.factor.repeat()
-        return system.fixed[1]
+        return problem.velocity.v_h, problem.p_prev
     advect = problem.velocity.coeffs if problem.include_convection else None
     guess = None if problem.p_prev is None else (problem.velocity.v_h, problem.p_prev)
     v, p = _solve_linear(problem, advect, force=force, guess=guess)
     returned_guess = guess is not None and v is guess[0]
-    system.fixed = (_step_inputs(problem, force), (v, p)) if returned_guess else None
+    system.fixed = (problem.bc, _step_inputs(problem, force)) if returned_guess else None
     return v, p
 
 

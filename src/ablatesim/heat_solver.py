@@ -301,17 +301,14 @@ def _boundary_terms(problem: HeatProblem):
 
 def _solve(problem: HeatProblem, A_sys, rhs, theta) -> np.ndarray:
     """The temperature of the system (``A_sys``, ``rhs``) by the problem's
-    :class:`linalg.LinearSystem` from the guess ``theta``.  The system is
-    constrained at its first solve to the vertices of the Dirichlet tags of
-    ``bc``, and each solve gives it their data at the problem's time."""
-    mesh, system = problem.temperature.mesh, problem.system
+    :class:`linalg.LinearSystem` from the guess ``theta``, constrained at
+    the vertices of the Dirichlet tags of ``bc`` to their data at the
+    problem's time."""
+    mesh = problem.temperature.mesh
     data = {tag: bc.value for tag, bc in problem.bc.items() if bc.role == ROLE_DIRICHLET}
     verts = fem_core.dirichlet_vertices(mesh, data)
-    values = verts.values(data, problem.time)
-    if system.dofs is None:
-        system.constrain(verts.dofs, values, fem_core.vertex_order(mesh))
-    system.values = values
-    return system.solve(A_sys, rhs, x0=theta)
+    return problem.system.solve(A_sys, rhs, verts.dofs, verts.values(data, problem.time),
+                                fem_core.vertex_order(mesh), x0=theta)
 
 
 def _cell_viscosity(problem: HeatProblem, source) -> np.ndarray:

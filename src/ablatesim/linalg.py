@@ -1,12 +1,13 @@
 """Sparse storage, assembly builder, and linear solvers.
 
 Matrices are scipy CSR; vectors are 1-D numpy arrays.  Every system is a
-:class:`LinearSystem`, the one home of its solve state: its constrained dofs
-and their values (plain arrays), its fill-reducing order
-(:func:`fem_core.vertex_order`), the structure of its Dirichlet elimination
-and its :class:`HeldLU`.  Its solve is the one sequence of elimination,
-:func:`solve_lu` under the residual contract ||b - Ax|| <= 1e-10 ||b|| (a
-miss raises, with no retry in another order) and exact constrained entries.
+:class:`LinearSystem`, the one home of the Dirichlet rule: each solve gives
+it its constrained dofs, their values and its fill-reducing order
+(:func:`fem_core.vertex_order`), and it keeps the structure of its Dirichlet
+elimination and its :class:`HeldLU`.  Its solve is the one sequence of
+elimination, :func:`solve_lu` under the residual contract ||b - Ax|| <=
+1e-10 ||b|| (a miss raises, with no retry in another order) and exact
+constrained entries.
 :func:`solve_lu` is :meth:`HeldLU.solve`: the held factor, single precision
 for a large system, preconditions GMRES (:func:`_gmres`), only a miss
 factorizes again, recording why, and each solve is counted by how it ended
@@ -419,7 +420,8 @@ class HeldLU:
 def _same(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two index arrays are equal: at once when they are one array,
     as the index arrays of matrices refilled on one per-mesh pattern are
-    (:meth:`fem_core._Pattern.matrix`); else by their values."""
+    (:meth:`fem_core._Pattern.matrix`), and so are the per-mesh Dirichlet
+    dofs (:func:`fem_core.dirichlet_vertices`); else by their values."""
     return a is b or np.array_equal(a, b)
 
 
@@ -447,60 +449,59 @@ def fixed_point(step, x0: FieldVector, tol: float, max_iter: int):
 
 
 class LinearSystem:
-    """One system's solve state: the constrained ``dofs`` and their
-    ``values``, arrays (a caller whose data move sets the values before each
-    solve), the fill-reducing ``order``, the :class:`HeldLU` ``factor`` kept
-    across its solves and the structure of the Dirichlet elimination.
+    """One system's solve state: the :class:`HeldLU` ``factor`` kept across
+    its solves and the structure of the Dirichlet elimination with the
+    ``dofs`` it was built for.  Each solve is given its dofs, their values
+    and its fill-reducing order.
 
     The eliminated matrix stores exactly its nonzero entries: A's off the
     constrained rows and columns, and a unit diagonal on each constrained
     row.  Its structure, a mask of the kept entries of A's pattern with the
     eliminated matrix's indices, is built at the first elimination
-    (``builds`` counts the builds); a later A on the same pattern only has
-    its kept entries gathered, and the structure is rebuilt when the pattern
-    changes, a dropped free entry is nonzero or a kept one is zero.  A
-    system without constraints passes a canonical A without zero entries
-    through untouched.
+    (``builds`` counts the builds); a later A on the same pattern with the
+    same dofs (compared as :func:`_same` compares patterns) only has its kept
+    entries gathered.  The structure is rebuilt when the pattern or the dofs
+    change, a dropped free entry is nonzero or a kept one is zero, and the
+    dofs are checked when they change.  A system without constraints passes
+    a canonical A without zero entries through untouched.
 
-    ``fixed`` is free for the system's caller: the inputs and the result of
-    its last step when that step returned its input, so that a step on the
-    same inputs returns the same result without a solve.
+    ``fixed`` is free for the system's caller: the inputs of its last step
+    when that step returned its input, so that a step on the same inputs
+    returns the same result without a solve.
     """
 
-    def __init__(self, dofs=None, values=(), order=None):
-        self.dofs = self.values = self.order = self._pattern = None
+    def __init__(self):
+        self.dofs = self._pattern = None
         self.factor = HeldLU()
         self.builds = 0
         self.fixed = None
-        if dofs is not None:
-            self.constrain(dofs, values, order)
 
-    def constrain(self, dofs, values, order=None) -> None:
-        """Set the dofs (checked here and at each build), values and order."""
-        dofs = np.asarray(dofs, dtype=np.int64)
-        if dofs.size != np.unique(dofs).size:
-            raise ValueError("Dirichlet dofs must be unique")
-        if dofs.size and dofs.min() < 0:
-            raise IndexError("Dirichlet dof out of range")
-        self.dofs, self.order, self._pattern = dofs, order, None
-        self.values = np.asarray(values, dtype=float)
-
-    def solve(self, A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None) -> FieldVector:
-        """:func:`solve_lu` of the eliminated system with the held factor,
-        from the guess ``x0``; x[dofs] is set to the values exactly."""
+    def solve(self, A: SparseMatrix, b: FieldVector, dofs, values, order=None,
+              x0: FieldVector | None = None) -> FieldVector:
+        """:func:`solve_lu` of the eliminated system in ``order`` with the
+        held factor, from the guess ``x0``; x[dofs] is set to the values
+        exactly."""
         # A is rebound to the eliminated matrix, so a caller that passes A
         # and keeps no reference to it has it freed before the factorization.
-        A, b = self.eliminate(A, b)
-        x = solve_lu(A, b, x0=x0, order=self.order, factor=self.factor)
-        x[self.dofs] = self.values
+        A, b = self.eliminate(A, b, dofs, values)
+        x = solve_lu(A, b, x0=x0, order=order, factor=self.factor)
+        x[self.dofs] = values
         return x
 
-    def eliminate(self, A: SparseMatrix, b: FieldVector):
-        """(A, b) with the constraints eliminated symmetrically, so an SPD A
-        stays SPD: constrained rows become identity rows with b[d] = value,
-        and the constrained columns are dropped, folded into b (b - A x_fix
-        on the free rows) when a value is nonzero."""
-        dofs, values = self.dofs, self.values
+    def eliminate(self, A: SparseMatrix, b: FieldVector, dofs, values):
+        """(A, b) with the constraints x[dofs] = values eliminated
+        symmetrically, so an SPD A stays SPD: constrained rows become
+        identity rows with b[d] = value, and the constrained columns are
+        dropped, folded into b (b - A x_fix on the free rows) when a value is
+        nonzero."""
+        if self.dofs is None or not _same(dofs, self.dofs):
+            dofs = np.asarray(dofs, dtype=np.int64)
+            if dofs.size != np.unique(dofs).size:
+                raise ValueError("Dirichlet dofs must be unique")
+            if dofs.size and dofs.min() < 0:
+                raise IndexError("Dirichlet dof out of range")
+            self.dofs, self._pattern = dofs, None
+        dofs, values = self.dofs, np.asarray(values, dtype=float)
         if values.size != dofs.size:
             raise ValueError("dofs and values must have equal length")
         A = A if A.format == "csr" else sp.csr_matrix(A)
@@ -572,5 +573,5 @@ class LinearSystem:
 def apply_dirichlet(A: SparseMatrix, b: FieldVector, dofs, values):
     """Eliminate Dirichlet dofs symmetrically; returns new (A, b), with no
     explicit zero in A: :meth:`LinearSystem.eliminate` on a fresh system."""
-    return LinearSystem(dofs, values).eliminate(A, b)
+    return LinearSystem().eliminate(A, b, dofs, values)
 

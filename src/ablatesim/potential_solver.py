@@ -8,9 +8,9 @@ lagged temperature with the mesh and the laws; the conductivity at the
 quadrature points is read from it, so a split step shares it with its other
 stages.
 The symmetric positive definite system is solved by the problem's
-:class:`linalg.LinearSystem`, constrained at its first solve to zero at the
-grounded vertices (:func:`fem_core.dirichlet_vertices`).  The problem's
-``iterations`` reads the system's last solve.
+:class:`linalg.LinearSystem`, which each solve gives its constraints, zero
+at the grounded vertices (:func:`fem_core.dirichlet_vertices`).  The
+problem's ``iterations`` reads the system's last solve.
 """
 
 from __future__ import annotations
@@ -65,11 +65,8 @@ def solve_potential(problem: PotentialProblem) -> np.ndarray:
         b = b + fem_core.assemble_scalar_load(
             mesh, fem_core.sample(problem.source, fem_core.quadrature_points(mesh)))
 
-    system = problem.system
-    if system.dofs is None:
-        system.constrain(*potential_constraints(mesh, problem.dirichlet_tags),
-                         fem_core.vertex_order(mesh))
-    return system.solve(A, b)
+    return problem.system.solve(A, b, *potential_constraints(mesh, problem.dirichlet_tags),
+                                fem_core.vertex_order(mesh))
 
 
 def joule_density(mesh: Mesh2D, sigma_qp: np.ndarray, phi: np.ndarray) -> np.ndarray:

@@ -527,7 +527,7 @@ def _step_audit(config) -> dict:
         "source_min": np.inf,
         "load_min": np.inf,
         "div_max": 0.0,
-        "stage_order_ok": True,
+        "stage_misorder": "",  # the first step whose stages are out of order
         "max_theta_series": [],
         "centroid_series": [],
         "argmax_series": [],
@@ -565,8 +565,9 @@ def _step_audit(config) -> dict:
                                    diag.div_norm / (1.0 + float(np.linalg.norm(state.v))))
             names = [s[0] for s in diag.stages]
             spans = [t for _, start, end in diag.stages for t in (start, end)]
-            if names != ["potential", "flow", "heat"] or spans != sorted(spans):
-                audit["stage_order_ok"] = False
+            if not audit["stage_misorder"] and (names != ["potential", "flow", "heat"]
+                                                or spans != sorted(spans)):
+                audit["stage_misorder"] = f"step {state.n} out of order: {', '.join(names)}"
         prev = state
 
     try:
@@ -667,7 +668,7 @@ class _Suite:
             rel.append(np.linalg.norm(rhs - M @ x) / np.linalg.norm(rhs))
         # The constrained solve of the patch-test system: the eliminated
         # residual holds and the constrained entries are exact.
-        x = linalg.LinearSystem(bdofs, affine[bdofs], order).solve(A, np.zeros(A.shape[0]))
+        x = linalg.LinearSystem().solve(A, np.zeros(A.shape[0]), bdofs, affine[bdofs], order)
         rel.append(np.linalg.norm(bp - Ap @ x) / np.linalg.norm(bp))
         exact = np.array_equal(x[bdofs], affine[bdofs])
         yield (max(rel) <= 1e-10 and exact,
@@ -760,9 +761,10 @@ class _Suite:
         yield audit["source_min"] >= 0.0, f"min source {audit['source_min']:.2e}"
         yield (audit["eta_bound_violation"] <= 1e-15,
                f"max violation {audit['eta_bound_violation']:.2e}")
-        yield audit["eta_zero_velocity_max"] == 0.0, ""
+        at_rest = audit["eta_zero_velocity_max"]
+        yield at_rest == 0.0, f"max viscosity at rest {at_rest:.2e}" if at_rest else ""
         yield audit["load_min"] >= -1e-14, f"min load entry {audit['load_min']:.2e}"
-        yield audit["stage_order_ok"], ""
+        yield not audit["stage_misorder"], audit["stage_misorder"]
 
     @_invariants("flow.galilean_constant")
     def galilean_constant(self):

@@ -7,8 +7,8 @@ import scipy.sparse as sp
 from ablatesim import fem_core, flow_solver, linalg, verify
 from ablatesim.coupler import SimState, Simulation
 from ablatesim.flow_solver import (DIVERGENCE_BOUND, RESIDUAL_BOUND, FlowBC, FlowProblem,
-                                   VelocitySample, _dirichlet_velocity, _solve_linear,
-                                   builtin_profile_gamma1, builtin_profile_gamma5,
+                                   VelocitySample, _solve_linear, builtin_profile_gamma1,
+                                   builtin_profile_gamma5, flow_constraints,
                                    solve_flow_stationary, solve_flow_step)
 from ablatesim.materials import MaterialModel, TemperatureSample
 from ablatesim.mesh import ALL_TAGS, GeometrySpec, generate_channel_mesh
@@ -44,10 +44,7 @@ def monolithic(problem, advect, dt=None, gamma_n=()):
         rhs_v = rhs_v + fem_core.assemble_vector_load(mesh, force)
     K = sp.bmat([[A, -blocks["B"].T], [blocks["B"], None]], format="csr")
     rhs = np.concatenate([rhs_v, np.zeros(dm.n_pressure)])
-    dofs, vals = _dirichlet_velocity(problem)
-    if not gamma_n:
-        dofs = np.append(dofs, dm.pressure(0))
-        vals = np.append(vals, problem.pressure_pin_value)
+    dofs, vals = flow_constraints(problem)  # with the pressure pin of an enclosed flow
     x = linalg.solve_lu(*linalg.apply_dirichlet(K, rhs, dofs, vals))
     x[dofs] = vals
     return x[:dm.n_velocity], x[dm.n_velocity:]
@@ -111,7 +108,7 @@ class TestContracts:
         M = assemble_mini_mass(mesh)
         rhs = np.concatenate([M @ v_prev / problem.dt, np.zeros(dm.n_pressure)])
         res = saddle.residual(np.concatenate([v, p]), rhs)
-        dofs, _ = _dirichlet_velocity(problem)
+        dofs, _ = flow_constraints(problem)
         free = np.setdiff1d(np.arange(dm.n_flow), dofs)
         assert np.abs(res[bubble_dofs(dm)]).max() <= 1e-12 * np.abs(rhs).max()
         assert np.linalg.norm(res[free]) <= RESIDUAL_BOUND * (1.0 + np.linalg.norm(rhs))

@@ -208,9 +208,37 @@ class TestStepInputs:
         # The default viscosity, a number, against itself and an array of it.
         assert identical(0.0021, 0.0021) and not identical(0.0021, nu)
         assert not identical(0.0, -0.0) and not identical(float("nan"), float("nan"))
+        # One NaN object matches itself, as any object does; a step's inputs
+        # are checked finite, so no repeat stores one.
+        nan = float("nan")
+        assert identical(nan, nan)
+        nan_nu = np.broadcast_to(np.nan, (4, 3))
+        assert identical(nan_nu, nan_nu) and not identical(nan_nu, nan_nu.copy())
+
+
+def doubled(profile):
+    """The inflow ``profile`` times 2."""
+    def fn(x, y):
+        vx, vy = profile(x, y)
+        return 2.0 * vx, 2.0 * vy
+    return fn
 
 
 class TestStationary:
+    def test_reused_system_solves_with_another_inflow_profile(self):
+        # A system reused for a doubled inflow solves with that inflow, as a
+        # fresh system does, not with its first constrained values.
+        mesh = channel_mesh(24, 8)
+        first = make_problem(mesh, bc_test1(), dt=None)
+        v_first, _ = solve_flow_stationary(first)
+        bc = bc_test1()
+        bc[1] = FlowBC("inflow", doubled(bc[1].profile))
+        v_ref, p_ref = solve_flow_stationary(make_problem(mesh, bc, dt=None))
+        v, p = solve_flow_stationary(make_problem(mesh, bc, dt=None, system=first.system))
+        assert np.abs(v - v_ref).max() <= 1e-6 * np.abs(v_ref).max()
+        assert np.abs(p - p_ref).max() <= 1e-6 * np.abs(p_ref).max()
+        assert np.abs(v_ref).max() > 1.5 * np.abs(v_first).max()
+
     def test_zero_data_zero_solution(self):
         mesh = channel_mesh(10, 6)
         bc = {t: FlowBC("noslip") for t in (1, 2, 4, 5)}

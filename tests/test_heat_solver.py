@@ -368,6 +368,24 @@ class TestArtificialViscosity:
 
 
 class TestHeatStep:
+    def test_reused_system_solves_with_other_dirichlet_tags(self):
+        # G1 and G3 hold as many vertices; a system reused for G3 solves with
+        # G3's dofs and values, as a fresh system does.
+        mesh = small_mesh(24, 8)
+        theta = np.full(mesh.num_vertices, 37.0)
+        bc1, bc3 = robin_bc(), robin_bc()
+        bc1[1] = HeatBC("dirichlet", value=20.0)
+        bc3[3] = HeatBC("dirichlet", value=45.0)
+        assert (fem_core.dirichlet_vertices(mesh, (1,)).dofs.size
+                == fem_core.dirichlet_vertices(mesh, (3,)).dofs.size)
+        first = make_problem(mesh, bc1, theta)
+        solve_heat_step(first)
+        ref = solve_heat_step(make_problem(mesh, bc3, theta))
+        out = solve_heat_step(make_problem(mesh, bc3, theta, system=first.system))
+        assert np.abs(out - ref).max() <= 1e-10 * np.abs(ref).max()
+        g3 = mesh.boundary_vertices_with_tag(3)
+        assert np.all(out[g3] == 45.0)
+
     def test_equilibrium_fixed_point(self):
         mesh = small_mesh()
         theta = np.full(mesh.num_vertices, 37.0)
@@ -666,8 +684,8 @@ class TestBoundaryKernel:
         # With the Dirichlet tag G3 eliminated, both give the same temperature.
         verts = fem_core.dirichlet_vertices(mesh, (3,))
         dofs, vals = verts.dofs, verts.values({3: problem.bc[3].value}, problem.time)
-        x = linalg.LinearSystem(dofs, vals).solve(A, rhs)
-        x_ref = linalg.LinearSystem(dofs, vals).solve(ref.tocsr(), ref_rhs)
+        x = linalg.LinearSystem().solve(A, rhs, dofs, vals)
+        x_ref = linalg.LinearSystem().solve(ref.tocsr(), ref_rhs, dofs, vals)
         assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
 
 

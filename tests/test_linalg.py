@@ -254,8 +254,8 @@ class TestHeldLU:
 
     def test_last_is_a_copy_the_constrained_solve_cannot_overwrite(self):
         A, b = self.system()
-        system = linalg.LinearSystem(np.arange(0, A.shape[0], 9), np.linspace(-1.0, 1.0, 45))
-        x = system.solve(A, b)
+        system = linalg.LinearSystem()
+        x = system.solve(A, b, np.arange(0, A.shape[0], 9), np.linspace(-1.0, 1.0, 45))
         x[:] = 0.0
         assert np.linalg.norm(system.factor.last) > 0.0
 
@@ -279,11 +279,11 @@ class TestHeldLU:
         # steps are: GMRES from the held solution accepts its start after 0
         # iterations, and the report counts those solves as by the guess.
         A, b = self.system()
-        system = linalg.LinearSystem(np.arange(0, A.shape[0], 9), np.linspace(-1.0, 1.0, 45),
-                                     self.order())
-        x = system.solve(A, b)
+        constraints = (np.arange(0, A.shape[0], 9), np.linspace(-1.0, 1.0, 45), self.order())
+        system = linalg.LinearSystem()
+        x = system.solve(A, b, *constraints)
         for _ in range(3):
-            assert system.solve(A, b).tobytes() == x.tobytes()
+            assert system.solve(A, b, *constraints).tobytes() == x.tobytes()
         held = system.factor
         assert held.iterations == 0 and held.krylov_solves == 0
         assert held.report() == ("4 solves: 3 by the guess, 0 by GMRES on the held factor, "
@@ -369,12 +369,12 @@ class TestHeldLU:
     def test_constrained_solve_reuses_the_factor(self):
         A, b = self.system()
         dofs, vals = np.arange(0, A.shape[0], 9), np.linspace(-1.0, 1.0, 45)
-        system = linalg.LinearSystem(dofs, vals)
-        system.solve(A, b)
+        system = linalg.LinearSystem()
+        system.solve(A, b, dofs, vals)
         A1, b1 = self.system(perturbation=1e-4, seed=2)
-        x = system.solve(A1, b1)
+        x = system.solve(A1, b1, dofs, vals)
         assert np.array_equal(x[dofs], vals)
-        ref = linalg.LinearSystem(dofs, vals).solve(A1, b1)
+        ref = linalg.LinearSystem().solve(A1, b1, dofs, vals)
         assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
         held = system.factor
         assert held.krylov_solves == 1 and len(held.events) == 1
@@ -432,8 +432,8 @@ class TestSingleFactor:
         dtypes = self.splu_dtypes(monkeypatch)
         x = solve_lu(A, b, order=order)
         assert np.linalg.norm(b - A @ x) <= linalg.RESIDUAL_TOL * np.linalg.norm(b)
-        system = linalg.LinearSystem(dofs, vals, order)
-        x = system.solve(A, b)
+        system = linalg.LinearSystem()
+        x = system.solve(A, b, dofs, vals, order)
         Am, bm = apply_dirichlet(A, b, dofs, vals)
         assert Am.nnz >= linalg.SINGLE_NNZ
         assert np.linalg.norm(bm - Am @ x) <= linalg.RESIDUAL_TOL * np.linalg.norm(bm)
@@ -477,8 +477,8 @@ class TestSingleFactor:
         # Without a holder, and in a new system, the solve is the same
         # double LU bit for bit, and runs no GMRES.
         assert solve_lu(A, b, order=order).tobytes() == ref.tobytes()
-        system = linalg.LinearSystem(dofs, vals, order)
-        assert system.solve(A, b).tobytes() == constrained.tobytes()
+        system = linalg.LinearSystem()
+        assert system.solve(A, b, dofs, vals, order).tobytes() == constrained.tobytes()
         assert system.factor.iterations == 0
         assert dtypes == [np.float64] * 3
 
@@ -728,19 +728,19 @@ class TestSolveConstrained:
 
     def test_contract_and_exact_constrained_entries(self):
         A, b, dofs, vals = self.system()
-        x = linalg.LinearSystem(dofs, vals).solve(A, b)
+        x = linalg.LinearSystem().solve(A, b, dofs, vals)
         assert np.array_equal(x[dofs], vals)
         Am, bm = apply_dirichlet(A, b, dofs, vals)
         assert np.linalg.norm(bm - Am @ x) <= 1e-10 * np.linalg.norm(bm)
 
     def test_contract_meeting_guess_returned_bitwise(self):
         A, b, dofs, vals = self.system()
-        x0 = linalg.LinearSystem(dofs, vals).solve(A, b)
+        x0 = linalg.LinearSystem().solve(A, b, dofs, vals)
         x0[np.setdiff1d(np.arange(b.size), dofs)] += 1e-14  # not LU's own answer
         Am, bm = apply_dirichlet(A, b, dofs, vals)
         assert np.linalg.norm(bm - Am @ x0) <= 1e-10 * np.linalg.norm(bm)
         guess = x0.copy()
-        x = linalg.LinearSystem(dofs, vals).solve(A, b, x0)
+        x = linalg.LinearSystem().solve(A, b, dofs, vals, x0=x0)
         assert np.array_equal(x, guess)
         assert x is not x0 and np.array_equal(x0, guess)
 
@@ -760,32 +760,32 @@ class TestLinearSystem:
 
     def test_held_elimination_matches_the_reference_bytes(self):
         dofs, vals = np.array([11, 0, 5]), np.array([2.0, -1.0, 0.5])
-        system = linalg.LinearSystem(dofs, vals)
+        system = linalg.LinearSystem()
         for A, b in self.matrices(4):
-            got = system.eliminate(A, b)
+            got = system.eliminate(A, b, dofs, vals)
             assert_same_elimination(got, apply_dirichlet_reference(A, b, dofs, vals))
             assert got[0].nnz == np.count_nonzero(got[0].data)
         assert system.builds == 1
 
     def test_rebuilt_when_a_nonzero_appears_outside_the_structure(self):
         dofs, vals = [5], [1.0]
-        system = linalg.LinearSystem(dofs, vals)
+        system = linalg.LinearSystem()
         (A, b), (A1, b1) = self.matrices(2)
-        system.eliminate(A, b)
+        system.eliminate(A, b, dofs, vals)
         A1.data[1] = 0.25  # a dropped zero turns nonzero
-        assert_same_elimination(system.eliminate(A1, b1),
+        assert_same_elimination(system.eliminate(A1, b1, dofs, vals),
                                 apply_dirichlet_reference(A1, b1, dofs, vals))
         assert system.builds == 2
-        system.eliminate(A1, b)
+        system.eliminate(A1, b, dofs, vals)
         assert system.builds == 2
 
     def test_rebuilt_when_a_kept_entry_turns_zero(self):
         dofs, vals = [5], [1.0]
-        system = linalg.LinearSystem(dofs, vals)
+        system = linalg.LinearSystem()
         (A, b), (A1, b1) = self.matrices(2)
-        system.eliminate(A, b)
+        system.eliminate(A, b, dofs, vals)
         A1.data[2] = 0.0
-        assert_same_elimination(system.eliminate(A1, b1),
+        assert_same_elimination(system.eliminate(A1, b1, dofs, vals),
                                 apply_dirichlet_reference(A1, b1, dofs, vals))
         assert system.builds == 2
 
@@ -793,12 +793,12 @@ class TestLinearSystem:
         def circulant(shift, n=8):  # row i holds columns i and (i + shift) % n
             return (2.0 * sp.identity(n) - sp.eye(n, k=shift) - sp.eye(n, k=shift - n)).tocsr()
 
-        system = linalg.LinearSystem([0], [1.0])
+        system = linalg.LinearSystem()
         # The same shape, row lengths and values on other columns; then
         # another shape.
         for A in (circulant(1), circulant(2), laplacian_1d(9)):
             b = np.ones(A.shape[0])
-            assert_same_elimination(system.eliminate(A, b),
+            assert_same_elimination(system.eliminate(A, b, [0], [1.0]),
                                     apply_dirichlet_reference(A, b, [0], [1.0]))
         assert system.builds == 3
 
@@ -817,33 +817,32 @@ class TestLinearSystem:
         # All-zero constrained values fold nothing into b: it is bit for bit
         # b - A x_fix of the reference, signed zeros included.
         dofs = np.array([0, 5, 11])
-        system = linalg.LinearSystem(dofs, np.zeros(3))
+        system = linalg.LinearSystem()
         for A, b in self.matrices(2):
             b[[1, 4, 6]] = -0.0
-            got = system.eliminate(A, b)
+            got = system.eliminate(A, b, dofs, np.zeros(3))
             assert_same_elimination(got, apply_dirichlet_reference(A, b, dofs, np.zeros(3)))
             assert np.signbit(got[1][[1, 4, 6]]).all() and got[1] is not b
 
     def test_unconstrained_system_passes_the_matrix_through(self):
-        system = linalg.LinearSystem([], [])
+        system = linalg.LinearSystem()
         A, b = laplacian_1d(8), np.ones(8)
-        A_e, b_e = system.eliminate(A, b)
+        A_e, b_e = system.eliminate(A, b, [], [])
         assert A_e is A and np.array_equal(b_e, b) and system.builds == 0
-        x = system.solve(A, b)
+        x = system.solve(A, b, [], [])
         assert np.linalg.norm(b - A @ x) <= linalg.RESIDUAL_TOL * np.linalg.norm(b)
         # A stored zero is dropped, as the eliminated matrix keeps no zero.
         A.data[1] = 0.0
-        assert_same_elimination(system.eliminate(A, b),
+        assert_same_elimination(system.eliminate(A, b, [], []),
                                 apply_dirichlet_reference(A, b, [], []))
 
-    def test_values_resampled_at_each_solve(self):
-        # A caller whose data move with time assigns the values before each
-        # solve; they are imposed exactly, on one elimination structure.
+    def test_values_given_at_each_solve(self):
+        # A caller whose data move with time gives each solve its values;
+        # they are imposed exactly, on one elimination structure.
         A, b = laplacian_1d(10), np.zeros(10)
-        system = linalg.LinearSystem([0, 9], [0.0, 0.0])
+        system = linalg.LinearSystem()
         for t in (1.0, 3.0):
-            system.values = np.array([t, 2.0 * t])
-            x = system.solve(A, b)
+            x = system.solve(A, b, [0, 9], np.array([t, 2.0 * t]))
             assert x[0] == t and x[9] == 2.0 * t
             assert np.allclose(x, np.linspace(t, 2.0 * t, 10), rtol=1e-12, atol=0.0)
         assert system.builds == 1 and system.factor.krylov_solves == 1
@@ -873,24 +872,33 @@ class TestLinearSystem:
         assert linalg._same(x.view(np.uint32), x)  # another dtype, equal values
         assert len(compared) == 6
 
-    def test_dofs_checked_once(self):
+    def test_dofs_checked_when_they_change(self):
+        A, b = laplacian_1d(12), np.zeros(12)
+        system = linalg.LinearSystem()
         with pytest.raises(ValueError, match="unique"):
-            linalg.LinearSystem([1, 1], [0.0, 0.0])
+            system.eliminate(A, b, [1, 1], [0.0, 0.0])
         with pytest.raises(IndexError):
-            linalg.LinearSystem([-1], [0.0])
-        system = linalg.LinearSystem([12], [0.0])
+            system.eliminate(A, b, [-1], [0.0])
         with pytest.raises(IndexError):
-            system.eliminate(laplacian_1d(12), np.zeros(12))
+            system.eliminate(A, b, [12], [0.0])
         with pytest.raises(ValueError, match="equal length"):
-            linalg.LinearSystem([1, 2], [0.0]).eliminate(laplacian_1d(12), np.zeros(12))
+            system.eliminate(A, b, [1, 2], [0.0])
+        # Valid dofs build the structure once; dofs equal to them by value
+        # are not checked or built again, and other dofs are.
+        system.eliminate(A, b, np.array([1, 2]), [0.0, 1.0])
+        system.eliminate(A, b, [1, 2], [3.0, 1.0])
+        assert system.builds == 1
+        with pytest.raises(ValueError, match="unique"):
+            system.eliminate(A, b, [2, 2], [0.0, 1.0])
+        system.eliminate(A, b, [2, 3], [0.0, 1.0])
+        assert system.builds == 2 and np.array_equal(system.dofs, [2, 3])
 
     def test_non_finite_right_hand_side_raises_before_factorizing(self):
-        system = linalg.LinearSystem([0], [1.0])
+        system = linalg.LinearSystem()
         A, b = laplacian_1d(6), np.ones(6)
-        system.solve(A, b)
-        system.values = np.array([np.nan])
+        system.solve(A, b, [0], [1.0])
         with pytest.raises(SolverError, match="non-finite right-hand side"):
-            system.solve(A, b)
+            system.solve(A, b, [0], [np.nan])
         assert system.factor.events == ["no factor held"] and system.factor.solves == 1
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,19 @@ class TestSolvePotential:
         problem.temperature.theta_h[3] = np.nan
         with pytest.raises(ValueError):
             solve_potential(problem)
+
+    def test_reused_system_solves_with_other_dirichlet_tags(self):
+        # A system reused for another grounded set solves with that set's
+        # constraints, as a fresh system does, not with its first ones.
+        first = channel_problem(nx=24, ny=8)
+        phi_first = solve_potential(first)
+        second = dataclasses.replace(first, dirichlet_tags=(GAMMA3,),
+                                     system=linalg.LinearSystem())
+        ref = solve_potential(second)
+        second.system = first.system
+        phi = solve_potential(second)
+        assert np.abs(phi - ref).max() <= 1e-8 * np.abs(ref).max()
+        assert np.abs(phi_first - ref).max() > 0.1 * np.abs(ref).max()
 
     def test_empty_dirichlet_rejected(self):
         problem = channel_problem()

@@ -193,23 +193,27 @@ class TestInvariantSuite:
             ("G1", "G2", "G3", "G4", "G5"), noslip)))
         byname = {c["name"]: c for c in report["checks"]}
         assert not byname["heat.art_visc_zero_velocity"]["passed"]
-        assert byname["heat.art_visc_zero_velocity"]["detail"] == ""
+        assert byname["heat.art_visc_zero_velocity"]["detail"] == "max viscosity at rest 1.00e-03"
         assert byname["coupler.stage_order"]["passed"] and not report["passed"]
 
-    @pytest.mark.parametrize("misorder", [
+    @pytest.mark.parametrize("misorder, names", [
         # potential and flow swap their names but keep their times
-        lambda stages: [(name, *stage[1:]) for name, stage
-                        in zip(("flow", "potential", "heat"), stages)],
-        lambda stages: [stages[0], (stages[1][0], stages[0][1], stages[1][2]), *stages[2:]],
+        (lambda stages: [(name, *stage[1:]) for name, stage
+                         in zip(("flow", "potential", "heat"), stages)], "flow, potential, heat"),
+        (lambda stages: [stages[0], (stages[1][0], stages[0][1], stages[1][2]), *stages[2:]],
+         "potential, flow, heat"),
     ], ids=["names_swapped", "flow_starts_before_potential_ends"])
-    def test_stage_out_of_order_fails_stage_order_check(self, monkeypatch, misorder):
+    def test_stage_out_of_order_fails_stage_order_check(self, monkeypatch, misorder, names):
         end_step = coupler.Simulation._end_step
         monkeypatch.setattr(coupler.Simulation, "_end_step",
                             lambda self, state, stages: end_step(self, state, misorder(stages)))
         report = invariant_suite(tiny_config())
-        byname = {c["name"]: c["passed"] for c in report["checks"]}
-        assert not byname["coupler.stage_order"]
-        assert byname["heat.art_visc_zero_velocity"] and byname["heat.art_visc_bound"]
+        byname = {c["name"]: c for c in report["checks"]}
+        # The initialization's stages are not audited: step 1 is the first.
+        assert not byname["coupler.stage_order"]["passed"]
+        assert byname["coupler.stage_order"]["detail"] == f"step 1 out of order: {names}"
+        assert byname["heat.art_visc_zero_velocity"]["passed"]
+        assert byname["heat.art_visc_bound"]["passed"]
         assert not report["passed"]
 
     def test_negative_beta_on_a_built_config_is_refused(self):

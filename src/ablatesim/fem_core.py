@@ -517,17 +517,6 @@ def vertex_order(mesh: Mesh2D, block: int = 1) -> np.ndarray:
                   lambda: (vertex_order(mesh)[:, None] + nv * np.arange(block)).ravel())
 
 
-def _edge_positions(pattern: _Pattern, owners: np.ndarray, local: np.ndarray, row: int = 0,
-                    col: int | None = None):
-    """(NE, 2, 2) data positions of boundary edges' vertex pairs, read off
-    their ``owners``' scatter at the ``local`` vertex indices; a local offset
-    ``row`` of 4 picks the MINI y rows, and ``col`` (``row`` when None) the y
-    columns."""
-    col = row if col is None else col
-    return pattern.scatter[owners[:, None, None], local[:, :, None] + row,
-                           local[:, None, :] + col]
-
-
 # -- field evaluation ----------------------------------------------------------
 
 
@@ -690,11 +679,12 @@ class BoundaryEdges:
         self.local = np.argmax(mesh.triangles[self.owners][:, None, :] == edges[:, :, None], axis=2)
         self._vertices = edges.T.ravel()
         self._nv, self._p1 = mesh.num_vertices, _p1_pattern(mesh)
-        self._p1_positions = _edge_positions(self._p1, self.owners, self.local)
+        # (NE, 2, 2) data positions of the edges' vertex pairs, off their owners' scatter.
+        self._p1_positions = self._p1.scatter[self.owners[:, None, None], self.local[:, :, None],
+                                              self.local[:, None, :]]
         for arr in (self.index, self.pts, self.wts, self.normals, self.owners, self.local,
                     self._vertices, self._p1_positions):
             _frozen(arr)
-        self._block_positions = {}
 
     def mass(self, weights: np.ndarray) -> np.ndarray:
         """Data, on the full P1 pattern, of the integrals of w psi_a psi_b;
@@ -718,14 +708,6 @@ class BoundaryEdges:
         va = coeff[self.owners, :, self.local[:, 0]]
         vb = coeff[self.owners, :, self.local[:, 1]]
         return va[:, None, :] * EDGE_PHI[0][:, None] + vb[:, None, :] * EDGE_PHI[1][:, None]
-
-    def block_positions(self, mini: _Pattern, d: int, c: int) -> np.ndarray:
-        """(NE, 2, 2) data positions, on the MINI pattern ``mini``, of the
-        vertex pairs in the velocity block (d, c), built on first use."""
-        if (d, c) not in self._block_positions:
-            self._block_positions[d, c] = _frozen(
-                _edge_positions(mini, self.owners, self.local, 4 * d, 4 * c))
-        return self._block_positions[d, c]
 
 
 def _tag_set(tags) -> tuple:
@@ -998,16 +980,18 @@ def _convective_local(qw: np.ndarray, grad_p1: np.ndarray, bubble_grads: np.ndar
     return local.reshape(nt, 8, 8)
 
 
-def _velocity_block(mesh: Mesh2D, viscosity, advect, gamma_n_tags,
-                    mass_coeff: float = 0.0) -> np.ndarray:
-    """CSR data, on the MINI pattern, of the velocity block A_vv plus
-    ``mass_coeff`` times the MINI mass, in one fill.  The element blocks of a
-    block of triangles are one GEMM of their features [det inv_i inv_j |
-    det c (x) grad_p1 | det] with the stacked maps [nu R_visc; R_conv;
-    mass_coeff R_mass], each part present only when its term is; a
-    viscosity that varies is integrated by :func:`_viscous_local` and added
-    to the product.  The convective surface term follows the fill."""
-    geo, pattern = geometry(mesh), _mini_pattern(mesh)
+def _velocity_blocks(mesh: Mesh2D, viscosity, advect=None, gamma_n_tags=(),
+                     mass_coeff: float = 0.0):
+    """The element blocks of the velocity block A_vv plus ``mass_coeff``
+    times the MINI mass: a function of a range ``block`` of triangles that
+    returns their (n, 8, 8) blocks.  They are one GEMM of the triangles'
+    features [det inv_i inv_j | det c (x) grad_p1 | det] with the stacked
+    maps [nu R_visc; R_conv; mass_coeff R_mass], each part present only when
+    its term is; a viscosity that varies is integrated by
+    :func:`_viscous_local` and added to the product.  With ``advect``, the
+    convective surface term on the ``gamma_n_tags`` edges is added to the
+    blocks of the edges' owners (:func:`_surface`)."""
+    geo = geometry(mesh)
     nu = np.asarray(viscosity, dtype=float)
     nu = nu if nu.ndim == 0 else _coeff_at_qp(mesh, nu)
     varying = nu.ndim > 0 and nu.min() != nu.max()
@@ -1015,18 +999,16 @@ def _velocity_block(mesh: Mesh2D, viscosity, advect, gamma_n_tags,
     # (map rows, n) array).
     parts = [] if varying else [(nu.flat[0] * _viscous_map(),
                                  lambda block, out: _viscous_features(geo, block, out))]
+    surface = None
     if advect is not None:
         coeff = velocity_element_coeffs(mesh, advect)
         parts.append((_reference_map(_convective_local),
                       lambda block, out: _convective_features(geo, coeff[block], block, out)))
+        surface = _surface(mesh, coeff, gamma_n_tags)
     if mass_coeff:
         parts.append((mass_coeff * _mass_map(),
                       lambda block, out: np.copyto(out[0], geo.det[block])))
     stacked = np.concatenate([r for r, _ in parts]) if parts else None
-    # Every block's features are written, a feature per row, into one
-    # buffer, which its GEMM reads transposed.
-    features = None if stacked is None else np.empty((stacked.shape[0],
-                                                      min(FILL_BLOCK, len(geo.det))))
 
     def local(block):
         out = None
@@ -1035,55 +1017,52 @@ def _velocity_block(mesh: Mesh2D, viscosity, advect, gamma_n_tags,
             out = _viscous_local(np.multiply(wnu, nu[block], out=wnu), geo.grad_p1[block],
                                  geo.bubble_grads(block))
         if stacked is not None:
-            x, at = features[:, :len(geo.det[block])], 0
+            # The block's features, a feature per row, which its GEMM reads
+            # transposed; freed with the block, before its condensation.
+            x, at = np.empty((stacked.shape[0], len(geo.det[block]))), 0
             for r, write in parts:
                 write(block, x[at:at + r.shape[0]])
                 at += r.shape[0]
             product = (x.T @ stacked).reshape(-1, 8, 8)
             out = product if out is None else np.add(out, product, out=out)
-        return out
-
-    data = pattern.add_blocks(np.zeros(pattern.nnz), local)
-    if advect is not None:
-        _add_surface(mesh, data, coeff, gamma_n_tags)
-    return data
+        return out if surface is None else surface(out, block)
+    return local
 
 
-def _add_surface(mesh: Mesh2D, data: np.ndarray, coeff: np.ndarray, gamma_n_tags,
-                 newton: bool = False) -> None:
-    """Add to the MINI data ``data`` the convective surface term s(a; u, w) =
-    integral_{Gamma_N} (a.n)(u.w) of the MINI field ``a`` of element
-    coefficients ``coeff``, from its trace on the edges; with ``newton``,
-    its derivative in u at u = a, which adds integral_{Gamma_N}
-    (delta.n)(u.w): the (d, c) velocity block with weight a_d n_c."""
+def _surface(mesh: Mesh2D, coeff: np.ndarray, gamma_n_tags, newton: bool = False):
+    """A function ``add(local, block)`` that adds the convective surface
+    term s(a; u, w) = integral_{Gamma_N} (a.n)(u.w) of the MINI field ``a``
+    of element coefficients ``coeff``, formed from its trace on the edges, to
+    the (n, 8, 8) element blocks ``local`` of the triangles ``block``: each
+    edge's 2 x 2 blocks to its owner's.  With ``newton``, the term is its
+    derivative in u at u = a, which adds integral_{Gamma_N} (delta.n)(u.w):
+    the (d, c) velocity block with weight a_d n_c.  The term couples vertex
+    values only, so it leaves the bubble rows and columns as they are."""
     edges = boundary_edges(mesh, gamma_n_tags)
-    if not edges.owners.size:
-        return
-    pattern = _mini_pattern(mesh)
     a_e = edges.trace(coeff)
+    blocks = np.zeros((edges.owners.size, 2, 2, 2, 2))  # [edge, d, a, c, b]
     surf = _edge_blocks(edges.wts * (a_e * edges.normals[:, None, :]).sum(axis=-1))
     for comp in range(2):
-        np.add.at(data, edges.block_positions(pattern, comp, comp), surf)
+        blocks[:, comp, :, comp] = surf
     if newton:
         for d in range(2):
             for c in range(2):
-                np.add.at(data, edges.block_positions(pattern, d, c),
-                          _edge_blocks(edges.wts * a_e[..., d] * edges.normals[:, None, c]))
+                blocks[:, d, :, c] += _edge_blocks(edges.wts * a_e[..., d]
+                                                   * edges.normals[:, None, c])
+    # Entry [e, d, a, c, b] is the owner's local entry (4 d + local[e, a], 4 c
+    # + local[e, b]); the edges are sorted by owner, so a block's are a slice.
+    order = np.argsort(edges.owners, kind="stable")
+    owners, blocks = edges.owners[order], blocks[order]
+    at = 4 * np.arange(2)[:, None] + edges.local[order, None, :]  # (NE, 2, 2): [e, d, a]
+    rows, cols = np.broadcast_arrays(at[:, :, :, None, None], at[:, None, None])
 
-
-def _newton_convection(mesh: Mesh2D, u: np.ndarray, gamma_n_tags) -> np.ndarray:
-    """CSR data, on the MINI pattern, of N(u), the derivative in u of the
-    convective form c(u; u, w) + s(u; u, w) of :func:`_velocity_block`, for
-    the velocity ``u`` (flow dofs or element coefficients).  c(a; u, w) is
-    symmetric in a and u, since D(w) is, so the derivative of c(u; u, w) is
-    2 c(u; ., w): the volume form advected by 2u, exactly."""
-    geo, pattern = geometry(mesh), _mini_pattern(mesh)
-    coeff = velocity_element_coeffs(mesh, u)
-    doubled = 2.0 * coeff  # an exact scaling
-    data = pattern.add_blocks(np.zeros(pattern.nnz), lambda block: _reference_blocks(
-        geo, doubled[block], _convective_local, block))
-    _add_surface(mesh, data, coeff, gamma_n_tags, newton=True)
-    return data
+    def add(local, block):
+        lo, hi = np.searchsorted(owners, (block.start, block.start + len(local)))
+        if lo < hi:
+            np.add.at(local, (owners[lo:hi, None, None, None, None] - block.start,
+                              rows[lo:hi], cols[lo:hi]), blocks[lo:hi])
+        return local
+    return add
 
 
 def mini_mass_product(mesh: Mesh2D, v: np.ndarray) -> np.ndarray:
@@ -1151,82 +1130,52 @@ def assemble_divergence(mesh: Mesh2D) -> SparseMatrix:
 #
 # so x_b = A_bb^-1 (b_b - K_bl x_l), and the P1 unknowns solve the Schur
 # complement K_ll - K_lb A_bb^-1 K_bl with right-hand side b_l - K_lb A_bb^-1 b_b.
-# Its pressure-pressure block is no longer zero.
+# Its pressure-pressure block is no longer zero.  Every block above is a
+# slice of the triangle's velocity element block and of its divergence
+# block, with K_ll = [[A_ll, -B_l^T], [B_l, 0]].  So the Schur complement
+# is filled a block of triangles at a time from the element blocks that the
+# velocity fill has just formed, beside their fill of A_vv.  No mesh holds
+# anything per element for it; a saddle keeps K_lb A_bb^-1 and A_bb^-1, for
+# condense and recover.
 
 class _CondensedLayout:
-    """Per-mesh maps of the condensed system, P1 dofs ordered [vx | vy | p]."""
+    """The per-mesh pattern and dof maps of the condensed system, P1 dofs
+    ordered [vx | vy | p]: ``pattern``, the P1 pattern blocked 3 x 3, whose
+    element dofs are l's; ``p1_dofs``, the full flow dof of each condensed
+    one; ``index``, the condensed position of each full dof, -1 on the
+    bubbles; ``bubbles`` (NT, 2), each triangle's [bx by]."""
 
     def __init__(self, mesh: Mesh2D):
-        dm, nv, t = dofmap_for(mesh), mesh.num_vertices, mesh.triangles
-        mini, p1, B = _mini_pattern(mesh), _p1_pattern(mesh), assemble_divergence(mesh)
-        self.elem = _frozen(np.concatenate([t, nv + t, 2 * nv + t], axis=1))  # (NT, 9)
-        self.pattern = _Pattern.blocked(p1, 3)
+        dm, nv = dofmap_for(mesh), mesh.num_vertices
+        self.pattern = _Pattern.blocked(_p1_pattern(mesh), 3)
         idx = np.arange(nv)
         self.p1_dofs = _frozen(np.concatenate(
             [dm.vx_vertex(idx), dm.vy_vertex(idx), dm.pressure(idx)]))
         self.index = np.full(dm.n_flow, -1, dtype=np.int64)  # -1 on bubbles
         self.index[self.p1_dofs] = np.arange(3 * nv)
         _frozen(self.index)
-        it = np.arange(len(t))
+        it = np.arange(mesh.num_triangles)
         self.bubbles = _frozen(np.column_stack([dm.vx_bubble(it), dm.vy_bubble(it)]))  # (NT, 2)
-        # MINI data positions of the bubble rows and columns: each holds only
-        # its own triangle's entry, so a gather reads the element blocks.
-        # Bubble row c of triangle t starts at bubble_rows[c] + 8 t and holds
-        # 8 entries, the x then the y columns [corners | bubble], each
-        # component's bubble last.
-        pos = mini.scatter.reshape(-1, 2, 4, 2, 4)  # [t, c, a, c2, b]
-        self.bubble_rows = tuple(int(mini.indptr[c * (nv + len(t)) + nv]) for c in range(2))
-        self.bl = _frozen(pos[:, :, 3, :, :3].reshape(-1, 2, 6))
-        self.lb = _frozen(pos[:, :, :3, :, 3].reshape(-1, 6, 2))
-        # Row c*NV + i of the condensed pattern holds copy c2 = 0, 1, 2 of P1
-        # row i; velocity row c of vertex i in the MINI pattern (row
-        # c*(NV+NT) + i, whose first NV rows are B's) holds copies 0 and 1,
-        # each followed by the bubbles at vertex i.  So copy (c, c2) of P1
-        # entry e of row i lies at e plus a per-row shift: the shift of that
-        # row's start, a copy's width per copy, less P1's start of the row.
-        deg = np.diff(p1.indptr)
-        start, entry = p1.indptr[:-1], np.arange(p1.nnz)
-
-        def mini_at(c, c2):
-            row = mini.indptr[c * (nv + len(t)):][:nv + 1]
-            return np.repeat(row[:-1] + c2 * (np.diff(row) // 2) - start, deg) + entry
-
-        def condensed_at(c, c2):
-            return np.repeat(3 * p1.nnz * c + 2 * start + c2 * deg, deg) + entry
-
-        # The vertex-vertex entries of A_vv map one-to-one onto the condensed data.
-        pairs = [(c, c2) for c in range(2) for c2 in range(2)]
-        self.ll_src = _frozen(np.concatenate([mini_at(c, c2) for c, c2 in pairs]))
-        self.ll_dst = _frozen(np.concatenate([condensed_at(c, c2) for c, c2 in pairs]))
-        # The constant B / -B^T blocks on the vertex columns, read off B's
-        # data, summed in the same element order as fills of the element
-        # blocks would sum them.  P1 entry e's transpose is entry mirror[e].
-        # 0 - B, unlike -B, keeps a zero entry +0.0, as a fill of the negated
-        # blocks does.  B's bubble columns are formed per assembly
-        # (:func:`_bubble_divergence`).
-        mirror = np.empty(p1.nnz, dtype=np.int64)
-        mirror[p1.scatter] = p1.scatter.transpose(0, 2, 1)
-        div = np.zeros(self.pattern.nnz)
-        for c in range(2):
-            b_c = B.data[mini_at(0, c)]
-            div[condensed_at(2, c)] = b_c
-            div[condensed_at(c, 2)] = 0.0 - b_c[mirror]
-        self.div_data = _frozen(div)
 
 
-def _invert_2x2(A: np.ndarray) -> np.ndarray:
-    """Batched inverses of (N, 2, 2) blocks; raises SingularMatrix on a block
-    whose determinant vanishes to round-off or is not finite."""
+def _invert_2x2(A: np.ndarray, first: int = 0) -> np.ndarray:
+    """Batched inverses of the (N, 2, 2) bubble blocks of triangles first,
+    first + 1, ...; raises SingularMatrix on a block whose determinant
+    vanishes to round-off or is not finite."""
     a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
-    det = a * d - b * c
-    bad = ~np.isfinite(det) | (np.abs(det) <= 4.0 * np.finfo(float).eps
-                               * (np.abs(a * d) + np.abs(b * c)))
+    ad, bc = a * d, b * c
+    det = ad - bc
+    # A NaN or infinite determinant fails the comparison too.
+    bad = ~(np.abs(det) > 4.0 * np.finfo(float).eps * (np.abs(ad) + np.abs(bc)))
     if np.any(bad):
         k = int(np.argmax(bad))
-        raise SingularMatrix(f"bubble block of triangle {k} is singular "
-                             f"(det = {det[k]:.3e}, {int(bad.sum())} such triangles)")
-    inv = np.stack([np.stack([d, -b], axis=-1), np.stack([-c, a], axis=-1)], axis=-2)
-    return inv / det[:, None, None]
+        raise SingularMatrix(f"bubble block of triangle {first + k} is singular "
+                             f"(det = {det[k]:.3e}, {int(bad.sum())} such triangles "
+                             f"in {first}-{first + len(det) - 1})")
+    inv = np.empty(A.shape)
+    for (i, j), entry in (((0, 0), d), ((0, 1), -b), ((1, 0), -c), ((1, 1), a)):
+        np.divide(entry, det, out=inv[:, i, j])
+    return inv
 
 
 @dataclass
@@ -1236,10 +1185,13 @@ class CondensedSaddle:
     ``matrix`` is the Schur complement on the P1 dofs [vx | vy | p] (order
     3*NV); :meth:`condense` and :meth:`recover` map right-hand sides and
     solutions between the full flow layout of :class:`DofMap` and this one,
-    whose position of full dof d is ``layout.index[d]``.
+    whose position of full dof d is ``layout.index[d]``.  ``A_vv`` and ``B``
+    are the full system's blocks, which :meth:`recover` and :meth:`residual`
+    read.
     """
 
     layout: _CondensedLayout
+    triangles: np.ndarray  # (NT, 3) the mesh's, the vertices of each triangle's l
     A_vv: SparseMatrix  # full velocity block on the MINI pattern
     B: SparseMatrix
     matrix: SparseMatrix | None  # None once released (take_matrix)
@@ -1247,15 +1199,20 @@ class CondensedSaddle:
     w_lb: np.ndarray | None  # (NT, 9, 2) K_lb A_bb^-1 of the Schur complement, until condensed
 
     def condense(self, rhs: np.ndarray) -> np.ndarray:
-        """Condensed right-hand side b_l - K_lb A_bb^-1 b_b of a full flow rhs.
-        It reads the couplings K_lb A_bb^-1 that formed the Schur complement
+        """Condensed right-hand side b_l - K_lb A_bb^-1 b_b of a full flow rhs,
+        summed a component of l at a time over the triangles' corners.  It
+        reads the couplings K_lb A_bb^-1 that formed the Schur complement
         and releases them, so that a solve of the condensed system does not
         hold them: a saddle is condensed once."""
         lay = self.layout
         w_lb, self.w_lb = self.w_lb, None
         corr = (w_lb @ rhs[lay.bubbles][:, :, None])[..., 0]  # (NT, 9)
-        return rhs[lay.p1_dofs] - np.bincount(lay.elem.ravel(), weights=corr.ravel(),
-                                              minlength=lay.p1_dofs.size)
+        out = rhs[lay.p1_dofs]
+        nv = out.size // 3
+        for c in range(3):
+            out[c * nv:(c + 1) * nv] -= np.bincount(
+                self.triangles.ravel(), weights=corr[:, 3 * c:3 * c + 3].ravel(), minlength=nv)
+        return out
 
     def take_matrix(self) -> SparseMatrix:
         """The condensed matrix, which the saddle releases: a solve that
@@ -1283,41 +1240,73 @@ class CondensedSaddle:
         return self.A_vv @ x[:n] - self.B.T @ x[n:]
 
 
-def _bubble_blocks(lay: _CondensedLayout, data: np.ndarray) -> np.ndarray:
-    """(NT, 2, 2) A_bb of every triangle, read off the bubble rows of the
-    velocity block data."""
-    nt = lay.bubbles.shape[0]
-    return np.stack([data[s:s + 8 * nt].reshape(nt, 2, 4)[:, :, 3] for s in lay.bubble_rows],
-                    axis=1)
+# The entries of an element's (8, 8) velocity block [x | y] x [l1 l2 l3
+# bubble] in the order A_ll (6, 6), A_lb (6, 2), A_bl (2, 6), A_bb (2, 2) of
+# the condensation: l's velocity dofs are places 0-2 and 4-6 of the eight,
+# b's places 3 and 7.
+_VELOCITY_ORDER = np.concatenate([
+    (8 * np.array(rows)[:, None] + cols).ravel()
+    for rows, cols in (([0, 1, 2, 4, 5, 6], [0, 1, 2, 4, 5, 6]), ([0, 1, 2, 4, 5, 6], [3, 7]),
+                       ([3, 7], [0, 1, 2, 4, 5, 6]), ([3, 7], [3, 7]))])
 
 
-def _bubble_divergence(geo: _Geometry) -> np.ndarray:
-    """(NT, 3, 2) B's bubble columns of every triangle, [t, i, c] = integral
-    psi_i d_c(bubble): det inv times the divergence map's bubble columns,
-    the entries of B there (each column holds its own triangle's only)."""
-    x = geo.det[:, None] * geo.inv.reshape(-1, 4)
-    return (x @ _divergence_map().reshape(4, 6, 4)[..., 3]).reshape(-1, 3, 2)
+@cache
+def _condensation_map() -> np.ndarray:
+    """(4, 93) map of the divergence's entries in the condensation, from det
+    inv as B's element blocks are (:func:`assemble_divergence`): the
+    divergence map's columns laid over K_ll's (9, 9) block, B_l in its
+    pressure rows and -B_l^T in its pressure columns, zeros elsewhere; then
+    B_b (3, 2) and -B_b^T (2, 3)."""
+    r = _divergence_map().reshape(4, 3, 2, 4)  # [k, i, c, b]
+    k_ll = np.zeros((4, 9, 9))
+    k_ll[:, 6:, :6] = r[..., :3].reshape(4, 3, 6)
+    k_ll[:, :6, 6:] = -r[..., :3].transpose(0, 2, 3, 1).reshape(4, 6, 3)
+    return _frozen(np.concatenate([k_ll.reshape(4, 81), r[..., 3].reshape(4, 6),
+                                   -r[..., 3].transpose(0, 2, 1).reshape(4, 6)], axis=1))
 
 
-def _k_bl(lay: _CondensedLayout, data: np.ndarray, b_bubble: np.ndarray,
-          t=slice(None)) -> np.ndarray:
-    """(n, 2, 9) K_bl = [A_bl, -B_b^T] of the triangles ``t``, from the velocity
-    block data and B's bubble columns ``b_bubble`` (all triangles')."""
-    bl = lay.bl[t]
-    k_bl = np.empty((len(bl), 2, 9))
-    k_bl[:, :, :6] = data[bl]
-    np.negative(b_bubble[t].transpose(0, 2, 1), out=k_bl[:, :, 6:])
-    return k_bl
+def _schur_blocks(local: np.ndarray, geo: _Geometry, part: slice, inv_bb: np.ndarray,
+                  w_lb: np.ndarray) -> np.ndarray:
+    """(n, 9, 9) Schur complements K_ll - K_lb A_bb^-1 K_bl of the triangles
+    ``part`` from their (n, 8, 8) velocity element blocks ``local`` and their
+    divergence entries (:func:`_condensation_map`); A_bb^-1 is written into
+    ``inv_bb`` (n, 2, 2) and K_lb A_bb^-1 into ``w_lb`` (n, 9, 2)."""
+    n = len(local)
+    a = np.take(local.reshape(n, 64), _VELOCITY_ORDER, axis=1)
+    div = (geo.det[part, None] * geo.inv[part].reshape(-1, 4)) @ _condensation_map()
+    inv_bb[:] = _invert_2x2(a[:, 60:].reshape(n, 2, 2), part.start)
+    k_lb = np.concatenate([a[:, 36:48].reshape(n, 6, 2), div[:, 81:87].reshape(n, 3, 2)], axis=1)
+    np.matmul(k_lb, inv_bb, out=w_lb)
+    k_bl = np.concatenate([a[:, 48:60].reshape(n, 2, 6), div[:, 87:].reshape(n, 2, 3)], axis=2)
+    schur = np.matmul(w_lb, k_bl)
+    np.subtract(div[:, :81].reshape(n, 9, 9), schur, out=schur)
+    schur[:, :6, :6] += a[:, :36].reshape(n, 6, 6)
+    return schur
 
 
-def _w_lb(lay: _CondensedLayout, data: np.ndarray, inv_bb: np.ndarray,
-          b_bubble: np.ndarray) -> np.ndarray:
-    """(NT, 9, 2) K_lb A_bb^-1, K_lb = [A_lb; B_b], from the velocity block
-    data and B's bubble columns ``b_bubble``."""
-    k_lb = np.empty((len(b_bubble), 9, 2))
-    k_lb[:, :6] = data[lay.lb]
-    k_lb[:, 6:] = b_bubble
-    return k_lb @ inv_bb
+def _condensed_saddle(mesh: Mesh2D, local) -> CondensedSaddle:
+    """The saddle system whose velocity block has the (n, 8, 8) element
+    blocks ``local(block)`` of each range ``block`` of FILL_BLOCK triangles,
+    condensed: a range's blocks are added into the MINI data of A_vv and
+    their Schur complements (:func:`_schur_blocks`), a quarter range at a
+    time, into the condensed data, so that no (NT, 8, 8) or (NT, 9, 9) array
+    is held."""
+    lay = cached(mesh, "condensed_layout", lambda: _CondensedLayout(mesh))
+    geo, mini, nt = geometry(mesh), _mini_pattern(mesh), mesh.num_triangles
+    data, schur = np.zeros(mini.nnz), np.zeros(lay.pattern.nnz)
+    inv_bb, w_lb = np.empty((nt, 2, 2)), np.empty((nt, 9, 2))
+    # A triangle's condensation temporaries are four times its element
+    # block, so a quarter range's are no larger than the range's blocks.
+    quarter = FILL_BLOCK // 4
+    for t in range(0, nt, FILL_BLOCK):
+        blocks = local(slice(t, t + FILL_BLOCK))
+        mini.add(data, blocks, t)
+        for s in range(t, t + len(blocks), quarter):
+            part = slice(s, s + quarter)
+            lay.pattern.add(schur, _schur_blocks(blocks[s - t:s - t + quarter], geo, part,
+                                                 inv_bb[part], w_lb[part]), s)
+    return CondensedSaddle(lay, mesh.triangles, mini.matrix(data), assemble_divergence(mesh),
+                           lay.pattern.matrix(schur), inv_bb, w_lb)
 
 
 def assemble_condensed_saddle(mesh: Mesh2D, viscosity, advect=None, gamma_n_tags=(),
@@ -1329,10 +1318,12 @@ def assemble_condensed_saddle(mesh: Mesh2D, viscosity, advect=None, gamma_n_tags
     with the surface term on the ``gamma_n_tags`` edges; ``advect`` is a
     flow dof vector or its element coefficients.  M is the MINI mass
     (:func:`_mass_map`) and B the divergence (:func:`assemble_divergence`).
+    Each block of triangles' element blocks (:func:`_velocity_blocks`) fill
+    A_vv and the Schur complement together (:func:`_condensed_saddle`).
     The condensed layout is built on first use.  Raises SingularMatrix when
     a bubble block cannot be inverted."""
-    return _condensed_saddle(mesh, _velocity_block(mesh, viscosity, advect, gamma_n_tags,
-                                                   mass_coeff))
+    return _condensed_saddle(mesh, _velocity_blocks(mesh, viscosity, advect, gamma_n_tags,
+                                                    mass_coeff))
 
 
 def assemble_newton_saddle(mesh: Mesh2D, viscosity, u: np.ndarray, gamma_n_tags=()):
@@ -1342,34 +1333,26 @@ def assemble_newton_saddle(mesh: Mesh2D, viscosity, u: np.ndarray, gamma_n_tags=
     velocity itself: returns (saddle, load), the condensed [[nu V + N(u), -B^T],
     [B, 0]] with N(u) the derivative of C(u) u, and the velocity load
     C(u) u = 1/2 N(u) u.  The next Newton iterate solves saddle x = [f + load; 0].
-    Raises SingularMatrix when a bubble block cannot be inverted."""
-    conv = _newton_convection(mesh, u, gamma_n_tags)
-    load = 0.5 * (_mini_pattern(mesh).matrix(conv) @ u)
-    data = _velocity_block(mesh, viscosity, None, ())
-    data += conv
-    return _condensed_saddle(mesh, data), load
+    c(a; u, w) is symmetric in a and u, since D(w) is, so the derivative of
+    c(u; u, w) is 2 c(u; ., w): the volume form advected by 2u, exactly; the
+    surface term's is :func:`_surface`'s with ``newton``.  N(u)'s element
+    blocks are also filled into data of their own, for the load.  Raises
+    SingularMatrix when a bubble block cannot be inverted."""
+    geo, mini = geometry(mesh), _mini_pattern(mesh)
+    coeff = velocity_element_coeffs(mesh, u)
+    doubled = 2.0 * coeff  # an exact scaling
+    viscous, surface = _velocity_blocks(mesh, viscosity), _surface(mesh, coeff, gamma_n_tags,
+                                                                   newton=True)
+    conv = np.zeros(mini.nnz)
 
+    def local(block):
+        blocks = surface(_reference_blocks(geo, doubled[block], _convective_local,
+                                           block).reshape(-1, 8, 8), block)
+        mini.add(conv, blocks, block.start)
+        return np.add(blocks, viscous(block), out=blocks)
 
-def _condensed_saddle(mesh: Mesh2D, data: np.ndarray) -> CondensedSaddle:
-    """The saddle system with the velocity block data ``data``, condensed."""
-    lay, geo = cached(mesh, "condensed_layout", lambda: _CondensedLayout(mesh)), geometry(mesh)
-    inv_bb = _invert_2x2(_bubble_blocks(lay, data))
-    # The Schur updates -K_lb A_bb^-1 K_bl are formed and added a block of
-    # triangles at a time, so that no (NT, 9, 9) array is held.  B's bubble
-    # columns are formed once, for K_lb A_bb^-1 and K_bl; K_lb A_bb^-1 once,
-    # for the updates and for condense; K_bl, a gather, block by block.
-    b_bubble = _bubble_divergence(geo)
-    w_lb = _w_lb(lay, data, inv_bb, b_bubble)
-
-    def update(block):
-        local = w_lb[block] @ _k_bl(lay, data, b_bubble, block)
-        return np.negative(local, out=local)
-
-    schur = lay.pattern.add_blocks(np.zeros(lay.pattern.nnz), update)
-    schur += lay.div_data
-    schur[lay.ll_dst] += data[lay.ll_src]
-    return CondensedSaddle(lay, _mini_pattern(mesh).matrix(data), assemble_divergence(mesh),
-                           lay.pattern.matrix(schur), inv_bb, w_lb)
+    saddle = _condensed_saddle(mesh, local)
+    return saddle, 0.5 * (mini.matrix(conv) @ u)
 
 
 def assemble_vector_load(mesh: Mesh2D, force_qp) -> np.ndarray:

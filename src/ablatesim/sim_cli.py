@@ -56,6 +56,10 @@ class MaterialsConfig:
         for key in ("sigma0", "eta0", "nu"):
             if not getattr(self, key) > 0.0:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
+        for key, value in (("theta_b", self.theta_b),
+                           ("buoyancy.coefficient", self.buoyancy.coefficient)):
+            if not np.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
 
 
 @dataclass
@@ -79,6 +83,8 @@ class PotentialConfig:
                 raise ValueError(f"roles.{name}: unknown role {role!r}")
         if not self.dirichlet_tags:
             raise ValueError("roles need at least one dirichlet tag")
+        if not np.isfinite(self.g):
+            raise ValueError(f"g must be finite, got {self.g}")
 
     @property
     def neumann_tags(self):

@@ -66,8 +66,37 @@ def assemble_mini_mass(mesh):
     return fem_core._frozen_csr(pattern.matrix(data))
 
 
+def velocity_data(mesh, viscosity, advect=None, gamma_n_tags=(), mass_coeff=0.0):
+    """The MINI data of the velocity block that the saddle assemblies fill
+    (their ``A_vv``): the element blocks of ``fem_core._velocity_blocks``
+    added a block of triangles at a time, with no condensation."""
+    pattern = fem_core._mini_pattern(mesh)
+    return pattern.add_blocks(np.zeros(pattern.nnz), fem_core._velocity_blocks(
+        mesh, viscosity, advect, gamma_n_tags, mass_coeff))
+
+
+def surface_data(mesh, coeff, gamma_n_tags, modulus=False):
+    """The MINI data of the convective surface term integral_{Gamma_N}
+    (a.n)(u.w) of the field of element coefficients ``coeff``: its edge
+    blocks added at their vertex pairs in the x-x and y-y blocks, read off
+    the owners' scatter; with ``modulus``, of the trace and the normals in
+    modulus, the term's scale."""
+    pattern = fem_core._mini_pattern(mesh)
+    edges = fem_core.boundary_edges(mesh, gamma_n_tags)
+    trace, normals = edges.trace(coeff), edges.normals[:, None, :]
+    if modulus:
+        trace, normals = np.abs(trace), np.abs(normals)
+    blocks = fem_core._edge_blocks(edges.wts * (trace * normals).sum(axis=-1))
+    owners, local = edges.owners[:, None, None], edges.local
+    data = np.zeros(pattern.nnz)
+    for comp in range(2):
+        np.add.at(data, pattern.scatter[owners, local[:, :, None] + 4 * comp,
+                                        local[:, None, :] + 4 * comp], blocks)
+    return data
+
+
 def velocity_block(mesh, viscosity, advect=None, gamma_n_tags=(), mass_coeff=0.0):
-    """The data of ``fem_core._velocity_block`` by the quadrature form: the
+    """The data of :func:`velocity_data` by the quadrature form: the
     viscous kernel filled a block of triangles at a time (a uniform
     viscosity times the fill at unit viscosity), then the convective blocks
     of the reference map and the surface term added, then the mass from its
@@ -84,7 +113,7 @@ def velocity_block(mesh, viscosity, advect=None, gamma_n_tags=(), mass_coeff=0.0
         coeff = fem_core.velocity_element_coeffs(mesh, advect)
         pattern.add_blocks(data, lambda block: fem_core._reference_blocks(
             geo, coeff[block], fem_core._convective_local, block))
-        fem_core._add_surface(mesh, data, coeff, gamma_n_tags)
+        data += surface_data(mesh, coeff, gamma_n_tags)
     if mass_coeff:
         add_mini_mass(mesh, data, mass_coeff)
     return data
@@ -150,25 +179,20 @@ def _bound(pattern, scale, extra=0.0):
 
 
 def velocity_block_bound(mesh, viscosity, advect=None, gamma_n_tags=(), mass_coeff=0.0):
-    """The bound on |``fem_core._velocity_block`` - :func:`velocity_block`|
+    """The bound on |:func:`velocity_data` - :func:`velocity_block`|
     at each data position (see above)."""
     geo, pattern = fem_core.geometry(mesh), fem_core._mini_pattern(mesh)
     a = np.abs(geo.inv).reshape(-1, 4).sum(axis=1)
     nu = np.abs(fem_core._coeff_at_qp(mesh, viscosity)).max(axis=1)
     q1 = fem_core._viscous_local(*_moduli_inputs())[0]
     scale = (nu * geo.det * a * a)[:, None, None] * q1
-    surface = np.zeros(pattern.nnz)
+    surface = 0.0
     if advect is not None:
         coeff = fem_core.velocity_element_coeffs(mesh, advect)
         x = np.abs(fem_core._convective_features(geo, coeff))
         scale += (x.T @ np.abs(fem_core._reference_map(fem_core._convective_local))).reshape(
             -1, 8, 8)
-        edges = fem_core.boundary_edges(mesh, gamma_n_tags)
-        if edges.owners.size:
-            weight = (np.abs(edges.trace(coeff)) * np.abs(edges.normals[:, None, :])).sum(axis=-1)
-            blocks = fem_core._edge_blocks(edges.wts * weight)
-            for comp in range(2):
-                np.add.at(surface, edges.block_positions(pattern, comp, comp), blocks)
+        surface = surface_data(mesh, coeff, gamma_n_tags, modulus=True)
     scale += abs(mass_coeff) * geo.det[:, None, None] * fem_core._mass_map().reshape(8, 8)
     return _bound(pattern, scale, surface)
 
@@ -197,6 +221,6 @@ def assemble_mini_blocks(mesh, viscosity, advect=None, gamma_n_tags=()) -> dict:
     MINI velocity, flow dofs or element coefficients.  Both are the
     solvers' own assemblies; B is cached.
     """
-    data = fem_core._velocity_block(mesh, viscosity, advect, gamma_n_tags)
+    data = velocity_data(mesh, viscosity, advect, gamma_n_tags)
     return {"A_vv": fem_core._mini_pattern(mesh).matrix(data),
             "B": fem_core.assemble_divergence(mesh)}

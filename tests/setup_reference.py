@@ -163,47 +163,16 @@ def with_bubbles(p1, triangles):
 
 
 def condensed_maps(mesh):
-    """Every map of ``fem_core._CondensedLayout``: the vertex-vertex and
-    divergence maps by (2, 2, nnz) broadcasts and the transposed entries'
-    offsets, the bubble dofs off the (NT, 8) element dofs."""
-    dm, nv, t = fem_core.dofmap_for(mesh), mesh.num_vertices, mesh.triangles
-    mini, p1 = fem_core._mini_pattern(mesh), fem_core._p1_pattern(mesh)
-    B = fem_core.assemble_divergence(mesh)
-    pattern = blocked(p1, 3)
-    deg = np.diff(p1.indptr)
-    rows = np.repeat(np.arange(nv), deg)
-    offset = np.arange(p1.nnz) - p1.indptr[rows]
-    mirror = np.empty(p1.nnz, dtype=np.int64)
-    mirror[p1.scatter] = p1.scatter.transpose(0, 2, 1)
-    mirror_offset = mirror - p1.indptr[p1.indices]
-
-    def mini_at(c, c2, i, off):
-        row = c * (nv + len(t)) + i
-        return mini.indptr[row] + c2 * (mini.indptr[row + 1] - mini.indptr[row]) // 2 + off
-
-    def condensed_at(c, c2, i, off):
-        return pattern.indptr[c * nv + i] + c2 * deg[i] + off
-
-    c, c2 = np.arange(2)[:, None, None], np.arange(2)[:, None]
-    div = np.zeros(pattern.nnz)
-    cc = np.arange(2)[:, None]
-    div[condensed_at(2, cc, rows, offset)] = B.data[mini_at(0, cc, rows, offset)]
-    div[condensed_at(cc, 2, rows, offset)] = 0.0 - B.data[mini_at(0, cc, p1.indices,
-                                                                   mirror_offset)]
+    """Every map of ``fem_core._CondensedLayout``: the pattern by sorted
+    construction (blocked), the P1 dofs and their inverse off the dof map,
+    the bubble dofs off the (NT, 8) element dofs."""
+    dm, nv = fem_core.dofmap_for(mesh), mesh.num_vertices
     idx = np.arange(nv)
     p1_dofs = np.concatenate([dm.vx_vertex(idx), dm.vy_vertex(idx), dm.pressure(idx)])
     index = np.full(dm.n_flow, -1, dtype=np.int64)
     index[p1_dofs] = np.arange(3 * nv)
-    pos = mini.scatter.reshape(-1, 2, 4, 2, 4)
-    return {"elem": np.concatenate([t, nv + t, 2 * nv + t], axis=1),
-            "pattern": pattern, "p1_dofs": p1_dofs, "index": index,
-            "bubbles": velocity_element_dofs(mesh)[:, [3, 7]],
-            "bubble_rows": mini.indptr[[dm.vx_bubble(0), dm.vy_bubble(0)]].astype(np.int64),
-            "bl": pos[:, :, 3, :, :3].reshape(-1, 2, 6),
-            "lb": pos[:, :, :3, :, 3].reshape(-1, 6, 2),
-            "ll_src": mini_at(c, c2, rows, offset).ravel(),
-            "ll_dst": condensed_at(c, c2, rows, offset).ravel(),
-            "div_data": div}
+    return {"pattern": blocked(fem_core._p1_pattern(mesh), 3), "p1_dofs": p1_dofs,
+            "index": index, "bubbles": velocity_element_dofs(mesh)[:, [3, 7]]}
 
 
 def nested_dissection(xy, pattern):

@@ -401,10 +401,13 @@ class TestLinearSystems:
         assert counts["potential"] == counts["heat"] == 4 and counts["flow"] > 4
         systems = sim.systems
         assert systems["heat"].dofs.size == 0 and systems["heat"].builds == 0
-        # The potential's structure is built once, and so is the flow's: its
-        # Stokes system, without convection, holds round-off where the Newton
-        # systems' convection couples, not zeros.
-        assert systems["potential"].builds == 1 and systems["flow"].builds == 1
+        # The potential's structure is built once, the flow's twice: its
+        # Stokes system, without convection, holds exact zeros in the
+        # velocity-pressure blocks where the Newton systems' convection
+        # couples (each triangle's Schur complement adds B's entries to their
+        # bubble terms, and on this mesh some of their sums cancel), so the
+        # first Newton system builds the structure again.
+        assert systems["potential"].builds == 1 and systems["flow"].builds == 2
 
     def test_time_dependent_dirichlet_eliminations_match_the_reference_bytes(self, monkeypatch):
         cfg = quick_config(nx=24, ny=8, M=3)
@@ -606,8 +609,11 @@ def test_condensed_assembly_peak_memory():
 
     It was ~2,350 bytes per triangle while the fill cast its int32 scatter
     to intp and the Schur and convective updates were whole-mesh arrays,
-    ~1,540 while the convective fill summed into an array of its own; it is
-    ~1,200 now."""
+    ~1,540 while the convective fill summed into an array of its own, and
+    ~1,080 while the Schur fill read the assembled velocity data through
+    per-mesh maps; it is ~1,350 now, the fused fill's temporaries of a
+    quarter range of triangles (the maps it no longer needs are held, so
+    they are not counted here)."""
     cfg = quick_config(nx=96, ny=32)
     sim = Simulation(cfg)
     mesh, dm = sim.mesh, sim.dofmap
@@ -853,9 +859,10 @@ def test_flow_step_peak_memory():
     lagged fields, on the factor the system holds from the earlier steps.
 
     It was ~1,550 bytes per triangle while the step sampled v^{n-1} at the
-    quadrature points and formed the condensation couplings twice; it is
-    ~1,420 now.  Holding either (NT, 9, 2) coupling across the solve would
-    add ~144 bytes per triangle."""
+    quadrature points and formed the condensation couplings twice, and
+    ~1,150 while the Schur fill read the assembled velocity data through
+    per-mesh maps; it is ~1,340 now.  Holding either (NT, 9, 2) coupling
+    across the solve would add ~144 bytes per triangle."""
     cfg = quick_config(nx=96, ny=32)
     sim = Simulation(cfg)
     prev = sim.advance(rest_state(sim))

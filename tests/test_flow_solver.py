@@ -319,6 +319,25 @@ class TestNewton:
         convective = residual(u) - assemble_mini_blocks(mesh, nu)["A_vv"] @ u
         assert np.abs(load - convective).max() <= 1e-12 * np.abs(convective).max()
 
+    def test_condensed_matrix_is_the_schur_complement_of_its_full_system(self):
+        # The condensed Newton matrix against the dense Schur complement of
+        # the saddle's own full system [[A_vv, -B^T], [B, 0]], with the
+        # do-nothing outlet (tag 3), whose terms and their derivative reach
+        # the condensed data through the owners' element blocks.
+        mesh = channel_mesh(10, 6)
+        gamma_n = flow_solver._donothing_tags(make_problem(mesh, bc_test1()))
+        assert gamma_n == (3,)
+        u = np.random.default_rng(7).standard_normal(fem_core.dofmap_for(mesh).n_velocity)
+        saddle, _ = fem_core.assemble_newton_saddle(mesh, 1e-2, u, gamma_n)
+        A, B = saddle.A_vv.toarray(), saddle.B.toarray()
+        full = np.block([[A, -B.T], [B, np.zeros((B.shape[0], B.shape[0]))]])
+        lay = saddle.layout
+        l, b = lay.p1_dofs, lay.bubbles.ravel()
+        want = full[np.ix_(l, l)] - full[np.ix_(l, b)] @ np.linalg.solve(full[np.ix_(b, b)],
+                                                                         full[np.ix_(b, l)])
+        got = saddle.matrix.toarray()
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_manufactured_rates_of_the_stationary_solve(self):
         # The stationary flow that initialize() solves (Stokes, then Newton)
         # on C3's manufactured case meets C3's windows and the divergence

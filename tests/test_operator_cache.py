@@ -2,6 +2,8 @@
 read-only arrays, one cache per mesh, and the per-step hot path."""
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +19,16 @@ from ablatesim.sim_cli import preset
 from mini_reference import assemble_mini_blocks, assemble_mini_mass, weights
 from setup_reference import coo_sum, velocity_element_dofs
 
+_SPEC = importlib.util.spec_from_file_location(
+    "held_bytes", Path(__file__).resolve().parents[1] / "tools" / "held_bytes.py")
+held_bytes_tool = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(held_bytes_tool)
+held_arrays, held_bytes = held_bytes_tool.held_arrays, held_bytes_tool.held_bytes
+
 RTOL = 1e-13
 # The bytes of the per-mesh constants of a test1 run at 48x16 after 3 steps
 # (test_per_mesh_constants_hold_their_bytes); int64 index arrays.
-HELD_BYTES_48x16 = 3_189_752
+HELD_BYTES_48x16 = 2_173_808
 
 
 def channel():
@@ -201,8 +209,7 @@ class TestArithmeticBuilders:
 
     def test_constant_fills_match_whole_element_fills(self, name):
         mesh = BUILDER_MESHES[name]()
-        geo, nt = fem_core.geometry(mesh), mesh.num_triangles
-        mini = fem_core._mini_pattern(mesh)
+        nt, mini = mesh.num_triangles, fem_core._mini_pattern(mesh)
         local = np.zeros((nt, 2, 4, 2, 4))
         block = fem_core._tab(weights(mesh),
                               fem_core._products(fem_core.MINI_VALS)).reshape(-1, 4, 4)
@@ -210,32 +217,6 @@ class TestArithmeticBuilders:
             local[:, comp, :, comp, :] = block
         want = mini.fill(local.reshape(nt, 8, 8))
         assert assemble_mini_mass(mesh).data.tobytes() == want.tobytes()
-        # The condensed layout reads B's vertex blocks off B, forms its
-        # bubble columns from the divergence map's, reads A_bb off the
-        # bubble rows and maps A_vv's vertex-vertex entries by row
-        # arithmetic.  B is filled from the blocks of its reference map
-        # (test_setup_builders bounds them against the quadrature form).
-        lay = fem_core._CondensedLayout(mesh)
-        x = geo.det[:, None] * geo.inv.reshape(-1, 4)
-        div_local = (x @ fem_core._divergence_map()).reshape(nt, 3, 2, 4)
-        b_vertex = div_local[..., :3].reshape(-1, 3, 6)
-        div = np.zeros((nt, 9, 9))
-        div[:, 6:, :6] = b_vertex
-        div[:, :6, 6:] = -b_vertex.transpose(0, 2, 1)
-        assert lay.div_data.tobytes() == lay.pattern.fill(div).tobytes()
-        bubble = np.ascontiguousarray(div_local[..., 3])
-        assert fem_core._bubble_divergence(geo).tobytes() == bubble.tobytes()
-        # Each bubble row holds 8 entries, each component's bubble last.
-        positions = np.arange(mini.nnz, dtype=float)
-        pos = mini.scatter.reshape(-1, 2, 4, 2, 4)
-        assert np.array_equal(fem_core._bubble_blocks(lay, positions), pos[:, :, 3, :, 3])
-        vertex = np.array([0, 1, 2, 4, 5, 6])  # vertex dofs among the 8 local ones
-        src = mini.scatter[:, vertex[:, None], vertex].ravel()
-        dst = np.full(mini.nnz, -1)
-        dst[src] = lay.pattern.scatter[:, :6, :6].ravel()
-        order = np.argsort(lay.ll_src)
-        assert np.array_equal(lay.ll_src[order], np.flatnonzero(dst >= 0))
-        assert np.array_equal(lay.ll_dst[order], dst[dst >= 0])
 
     def test_owners_match_brute_force(self, name):
         mesh = BUILDER_MESHES[name]()
@@ -497,36 +478,6 @@ class TestHeldForms:
         assert np.all(np.abs(got - want) <= bound)
 
 
-def held_arrays(obj, found, seen):
-    """Every numpy array reachable from ``obj`` through attributes, dicts,
-    lists, tuples and sparse matrices, each object visited once."""
-    if id(obj) in seen or isinstance(obj, (type, str, bytes, int, float)) or callable(obj):
-        return found
-    seen.add(id(obj))
-    if isinstance(obj, np.ndarray):
-        found.append(obj)
-    elif isinstance(obj, dict):
-        for value in obj.values():
-            held_arrays(value, found, seen)
-    elif isinstance(obj, (list, tuple)):
-        for value in obj:
-            held_arrays(value, found, seen)
-    elif hasattr(obj, "__dict__"):
-        for value in vars(obj).values():
-            held_arrays(value, found, seen)
-    return found
-
-
-def held_bytes(arrays) -> int:
-    """The bytes of the memory the arrays hold: each owning array once."""
-    owners = {}
-    for arr in arrays:
-        while isinstance(arr.base, np.ndarray):
-            arr = arr.base
-        owners[id(arr)] = arr.nbytes
-    return sum(owners.values())
-
-
 def test_per_mesh_constants_hold_their_bytes():
     # A deterministic count of what a run keeps per mesh: the geometry and
     # its operator cache after 3 steps from rest with test1 physics at
@@ -535,7 +486,10 @@ def test_per_mesh_constants_hold_their_bytes():
     # tag kept its own copy beside the constant pair, and 4,458,028 while
     # the viscous block of a uniform viscosity was held, and 3,935,756 while
     # the geometry held the quadrature weights and points, the MINI mass
-    # its scalar block and the condensed layout B's bubble columns.
+    # its scalar block and the condensed layout B's bubble columns, and
+    # 3,189,752 while the condensed layout held the element dofs, the bubble
+    # rows' and columns' MINI positions, the copy map of A_vv's vertex
+    # entries and B's entries laid over its pattern.
     cfg = preset("test1")
     sim = Simulation(cfg)
     nv = sim.mesh.num_vertices
@@ -552,3 +506,22 @@ def test_per_mesh_constants_hold_their_bytes():
     nt, nq = sim.mesh.num_triangles, fem_core.TRI_RULE.weights.size
     assert not [arr.shape for arr in arrays if arr.shape[:2] == (nt, nq)]
     assert "mini_mass_block" not in geo.operators
+    # The condensed layout holds its pattern and its dof maps, nothing per
+    # element: the Schur fill reads the element blocks as it forms them.
+    layout = geo.operators["condensed_layout"]
+    assert set(vars(layout)) == {"pattern", "index", "p1_dofs", "bubbles"}
+    assert set(vars(layout.pattern)) == {"shape", "indptr", "indices", "scatter"}
+
+
+def test_held_bytes_tool_prints_each_key_and_the_total(capsys):
+    assert held_bytes_tool.main(["--preset", "test1", "--mesh", "24x8", "--steps", "1"]) == 0
+    rows = {}
+    for line in capsys.readouterr().out.splitlines():
+        name, nbytes, _, unit = line.rsplit(None, 3)
+        assert unit == "MiB"
+        rows[name] = int(nbytes.replace(",", ""))
+    assert list(rows)[-1] == "total"
+    assert {"geometry", "'condensed_layout'", "'mini_pattern'", "'divergence'"} <= set(rows)
+    # An array that two keys share counts on each key's line and once in
+    # the total, so the lines bound the total from above.
+    assert 0 < rows["total"] <= sum(v for k, v in rows.items() if k != "total")

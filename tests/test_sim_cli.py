@@ -209,6 +209,31 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"^materials: {key} must be positive"):
             config_from_dict({"preset": "test1", "materials": {key: value}})
 
+    # Through the Python API (the JSON reader rejects every non-finite
+    # number), each of these once passed validate() and failed in the run:
+    # theta_b as a plain ValueError, g and the buoyancy coefficient as a
+    # SolverError.
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_theta_b_rejected(self, value):
+        cfg = preset("test2")
+        cfg.materials.theta_b = value
+        with pytest.raises(ConfigError, match="^materials: theta_b must be finite"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_nonfinite_potential_g_rejected(self, value):
+        cfg = preset("test2")
+        cfg.potential_bc.g = value
+        with pytest.raises(ConfigError, match="^potential_bc: g must be finite"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_buoyancy_coefficient_rejected(self, value):
+        cfg = preset("test2")
+        cfg.materials.buoyancy.coefficient = value
+        with pytest.raises(ConfigError, match="^materials: buoyancy.coefficient must be finite"):
+            cfg.validate()
+
     def test_probe_inside_domain(self):
         with pytest.raises(ConfigError, match="probe"):
             config_from_dict({"output": {"probes": [{"x": 99.0, "y": 0.0}]}})

@@ -1335,30 +1335,45 @@ def assemble_newton_saddle(mesh: Mesh2D, viscosity, u: np.ndarray, gamma_n_tags=
     C(u) u = 1/2 N(u) u.  The next Newton iterate solves saddle x = [f + load; 0].
     c(a; u, w) is symmetric in a and u, since D(w) is, so the derivative of
     c(u; u, w) is 2 c(u; ., w): the volume form advected by 2u, exactly; the
-    surface term's is :func:`_surface`'s with ``newton``.  N(u)'s element
-    blocks are also filled into data of their own, for the load.  Raises
-    SingularMatrix when a bubble block cannot be inverted."""
-    geo, mini = geometry(mesh), _mini_pattern(mesh)
+    surface term's is :func:`_surface`'s with ``newton``.  Each triangle's
+    N(u) block times u's element coefficients is kept, and the load sums
+    them (:func:`_element_sum`).  Raises SingularMatrix when a bubble block
+    cannot be inverted."""
+    geo = geometry(mesh)
     coeff = velocity_element_coeffs(mesh, u)
     doubled = 2.0 * coeff  # an exact scaling
     viscous, surface = _velocity_blocks(mesh, viscosity), _surface(mesh, coeff, gamma_n_tags,
                                                                    newton=True)
-    conv = np.zeros(mini.nnz)
+    load = np.empty(coeff.shape)  # N(u) u element by element, [x | y] x [l1 l2 l3 bubble]
 
     def local(block):
         blocks = surface(_reference_blocks(geo, doubled[block], _convective_local,
                                            block).reshape(-1, 8, 8), block)
-        mini.add(conv, blocks, block.start)
+        np.matmul(blocks, coeff[block].reshape(-1, 8, 1), out=load[block].reshape(-1, 8, 1))
         return np.add(blocks, viscous(block), out=blocks)
 
     saddle = _condensed_saddle(mesh, local)
-    return saddle, 0.5 * (mini.matrix(conv) @ u)
+    return saddle, 0.5 * _element_sum(mesh, load)
 
 
 def assemble_vector_load(mesh: Mesh2D, force_qp) -> np.ndarray:
     """Velocity load L[(a,c)] = integral f_c * phi_a; force_qp is (NT, NQ, 2)."""
     return _velocity_sum(mesh, np.asarray(force_qp, dtype=float).transpose(0, 2, 1),
                          WEIGHTED_MINI)
+
+
+def _element_sum(mesh: Mesh2D, values: np.ndarray) -> np.ndarray:
+    """The velocity dof vector of the (NT, 2, 4) element vectors ``values``,
+    [x | y] x [l1 l2 l3 bubble]: each vertex sums its triangles' entries, and
+    each bubble is its own triangle's."""
+    nv, nt = mesh.num_vertices, mesh.num_triangles
+    out = np.empty(2 * (nv + nt))
+    for c in range(2):
+        comp = out[c * (nv + nt):(c + 1) * (nv + nt)]
+        comp[:nv] = np.bincount(mesh.triangles.ravel(), weights=values[:, c, :3].ravel(),
+                                minlength=nv)
+        comp[nv:] = values[:, c, 3]
+    return out
 
 
 def _velocity_sum(mesh: Mesh2D, values: np.ndarray, table: np.ndarray) -> np.ndarray:

@@ -1163,10 +1163,11 @@ def _invert_2x2(A: np.ndarray, first: int = 0) -> np.ndarray:
     first + 1, ...; raises SingularMatrix on a block whose determinant
     vanishes to round-off or is not finite."""
     a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
-    ad, bc = a * d, b * c
-    det = ad - bc
-    # A NaN or infinite determinant fails the comparison too.
-    bad = ~(np.abs(det) > 4.0 * np.finfo(float).eps * (np.abs(ad) + np.abs(bc)))
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below raises instead
+        ad, bc = a * d, b * c
+        det = ad - bc
+        # A NaN or infinite determinant fails the comparison too.
+        bad = ~(np.abs(det) > 4.0 * np.finfo(float).eps * (np.abs(ad) + np.abs(bc)))
     if np.any(bad):
         k = int(np.argmax(bad))
         raise SingularMatrix(f"bubble block of triangle {first + k} is singular "

@@ -4,7 +4,8 @@ Matrices are scipy CSR; vectors are 1-D numpy arrays.  Every system is a
 :class:`LinearSystem`, the one home of the Dirichlet rule: each solve gives
 it its constrained dofs, their values and its fill-reducing order
 (:func:`fem_core.vertex_order`), and it keeps the structure of its Dirichlet
-elimination and its :class:`HeldLU`.  Its solve is the one sequence of
+elimination, built once per pattern and dofs, and its :class:`HeldLU`;
+only the factor drops A's zeros.  Its solve is the one sequence of
 elimination, :func:`solve_lu` under the residual contract ||b - Ax|| <=
 1e-10 ||b|| (a miss raises, with no retry in another order) and exact
 constrained entries.
@@ -50,17 +51,17 @@ RESIDUAL_TOL = 1e-10  # relative residual bound of every solve_lu return
 # solves took 1-8 iterations on the test1 preset (48x16) and at 96x32, 2-7 at
 # 192x64; a system 10 iterations do not reach is cheaper to factorize.
 KRYLOV_CAP = 10
-# Stored entries of an eliminated matrix from which every factor is single
-# precision (HeldLU.solve).  Timed on the systems of a cold test1-physics
-# step, one BLAS thread: a float32 factor application took as long as a
-# float64 one for the potential and the heat at 192x64 (60,243 and 86,785
-# entries), 8% less for the flow at 96x32 (187 k), ~1 ms of a ~39 ms step,
-# and 18% less for the flow at 192x64 (759 k), whose factorization also fell
-# 21%; reused solves took the same GMRES iterations in both precisions.  At
-# 192x64 the two P1 factors (653,638 and 740,588 entries) hold 5.6 MB less in
-# float32, and factorized in 26.4-33.5 ms against 33.8-39.8 ms (potential)
-# and 36.1-38.2 ms against 37.8-41.8 ms (heat), two runs of 21 each.  The
-# test1 preset's systems (at most 44,995 entries) stay double.
+# Nonzero entries of an eliminated matrix, the entries its factor gets, from
+# which every factor is single precision (HeldLU.solve).  Timed on the systems
+# of a cold test1-physics step, one BLAS thread: a float32 factor application
+# took as long as a float64 one for the potential and the heat at 192x64
+# (60,243 and 86,785 entries), 8% less for the flow at 96x32 (187 k), ~1 ms of
+# a ~39 ms step, and 18% less for the flow at 192x64 (759 k), whose
+# factorization also fell 21%; reused solves took the same GMRES iterations in
+# both precisions.  At 192x64 the two P1 factors (653,638 and 740,588 entries)
+# hold 5.6 MB less in float32, and factorized in 26.4-33.5 ms against 33.8-39.8
+# ms (potential) and 36.1-38.2 ms against 37.8-41.8 ms (heat), two runs of 21
+# each.  The test1 preset's systems (at most 44,995 entries) stay double.
 SINGLE_NNZ = 60_000
 
 
@@ -249,7 +250,10 @@ def solve_lu(A: SparseMatrix, b: FieldVector, x0: FieldVector | None = None,
 
 class _ScaledLU:
     """The SuperLU factor of P D A D P^T, P taking row order[i] to row i, in
-    the natural order with threshold pivoting, stored in ``dtype``."""
+    the natural order with threshold pivoting, stored in ``dtype``.  SuperLU
+    gets A's nonzeros alone: the zeros of the scaled copy in ``dtype`` are
+    dropped, in single precision also an entry whose scaled value a_ij d_i d_j
+    rounds to a float32 zero (|a_ij d_i d_j| < 1.4e-45)."""
 
     def __init__(self, A: SparseMatrix, order: np.ndarray, dtype):
         n = A.shape[0]
@@ -263,6 +267,7 @@ class _ScaledLU:
         scaled = sp.csr_matrix(((A.data * np.repeat(d, np.diff(A.indptr)) * d[A.indices])
                                 .astype(dtype, copy=False), A.indices, A.indptr),
                                shape=A.shape)[order]
+        scaled.eliminate_zeros()  # on the gathered copy, not on A
         permuted = sp.csr_matrix((scaled.data, inverse[scaled.indices], scaled.indptr),
                                  shape=A.shape).tocsc()
         del scaled  # freed before SuperLU allocates the factor
@@ -294,7 +299,7 @@ class HeldLU:
     recorded with its reason in ``events``.  At most one factor is alive:
     the old one is released before the new one is built.
 
-    A system with at least SINGLE_NNZ stored entries is factorized in single
+    A system with at least SINGLE_NNZ nonzero entries is factorized in single
     precision, and its first solve is then a GMRES cycle on the new factor,
     accepted on the float64 residual: GMRES-based iterative refinement
     (Carson & Higham, SIAM J. Sci. Comput. 40, 2018; Arioli & Duff, ETNA 33,
@@ -345,7 +350,7 @@ class HeldLU:
                 return self._end("gmres" if k else "guess", k, x)
         A = sp.csr_matrix(A)
         try:
-            if A.nnz >= SINGLE_NNZ:
+            if np.count_nonzero(A.data) >= SINGLE_NNZ:
                 self.factorize(A, order, reason, single=True)
                 x, k, miss = self._cycle(A, b, None, limit, "single-precision cycle")
                 if x is not None:
@@ -454,16 +459,15 @@ class LinearSystem:
     ``dofs`` it was built for.  Each solve is given its dofs, their values
     and its fill-reducing order.
 
-    The eliminated matrix stores exactly its nonzero entries: A's off the
-    constrained rows and columns, and a unit diagonal on each constrained
-    row.  Its structure, a mask of the kept entries of A's pattern with the
-    eliminated matrix's indices, is built at the first elimination
-    (``builds`` counts the builds); a later A on the same pattern with the
-    same dofs (compared as :func:`_same` compares patterns) only has its kept
-    entries gathered.  The structure is rebuilt when the pattern or the dofs
-    change, a dropped free entry is nonzero or a kept one is zero, and the
-    dofs are checked when they change.  A system without constraints passes
-    a canonical A without zero entries through untouched.
+    The eliminated matrix is a copy of A's data on A's own index arrays:
+    the entries of the constrained rows and columns are zeroed, stored
+    zeros, and each constrained row's diagonal is 1.  Its structure, the
+    data positions of the constrained rows and columns and of those
+    diagonals, depends on A's pattern and the dofs alone.  It is built at
+    the first elimination (``builds`` counts the builds) and again only when
+    the pattern or the dofs change (compared as :func:`_same` compares
+    patterns), whatever A's values; the dofs are checked when they change.
+    A system without constraints passes a canonical A through untouched.
 
     ``fixed`` is free for the system's caller: the inputs of its last step
     when that step returned its input, so that a step on the same inputs
@@ -492,8 +496,8 @@ class LinearSystem:
         """(A, b) with the constraints x[dofs] = values eliminated
         symmetrically, so an SPD A stays SPD: constrained rows become
         identity rows with b[d] = value, and the constrained columns are
-        dropped, folded into b (b - A x_fix on the free rows) when a value is
-        nonzero."""
+        zeroed, stored zeros, and folded into b (b - A x_fix on the free
+        rows) when a value is nonzero."""
         if self.dofs is None or not _same(dofs, self.dofs):
             dofs = np.asarray(dofs, dtype=np.int64)
             if dofs.size != np.unique(dofs).size:
@@ -506,13 +510,13 @@ class LinearSystem:
             raise ValueError("dofs and values must have equal length")
         A = A if A.format == "csr" else sp.csr_matrix(A)
         b = np.asarray(b, dtype=float)
-        if not dofs.size and A.has_canonical_format and A.data.all():
+        if not dofs.size and A.has_canonical_format:
             return A, b
-        data = self._gather(A) if self._on_pattern(A) else None
-        if data is None or not data.all() or A.data[self._zeros].any():
-            data = None  # freed before the structure is built again
+        if not self._on_pattern(A):
             A = self._build(A)
-            data = self._gather(A)
+        data = A.data.copy()
+        data[self._zero] = 0.0
+        data[self._diag] = 1.0
         if values.any():
             fixed = np.zeros(A.shape[0])
             fixed[dofs] = values
@@ -520,51 +524,42 @@ class LinearSystem:
         else:  # A x_fix is zero: nothing to fold
             b = b.copy()
         b[dofs] = values
-        return sp.csr_matrix((data, self._indices, self._indptr), shape=A.shape), b
+        eliminated = sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
+        eliminated.indices = A.indices  # scipy copies a view of a larger array
+        return eliminated, b
 
     def _on_pattern(self, A: SparseMatrix) -> bool:
         """Whether the structure was built on A's shape and CSR pattern."""
         return self._pattern is not None and A.shape == self._pattern[0] and all(
             _same(a, p) for a, p in zip((A.indptr, A.indices), self._pattern[1:]))
 
-    def _gather(self, A: SparseMatrix) -> np.ndarray:
-        """The eliminated matrix's data: A's kept entries, unit diagonals."""
-        data = A.data[self._keep]
-        data[self._diag] = 1.0
-        return data
-
     def _build(self, A: SparseMatrix) -> SparseMatrix:
-        """Build the structure of A's elimination.  It keeps the nonzero free
-        entries of A and the diagonal entries of the constrained rows, so
-        each constrained row holds its unit diagonal alone.  Returns A, or,
-        when A is not canonical or a constrained row stores no diagonal, the
+        """Build the structure of A's elimination: the data positions of the
+        constrained rows and columns, which are zeroed, and of the
+        constrained rows' diagonals, which are set to 1.  Returns A, or, when
+        A is not canonical or a constrained row stores no diagonal, the
         canonical copy with zero diagonals added that it is built on."""
-        self._pattern = self._keep = self._indices = None  # freed before the new one is built
+        self._pattern = self._zero = self._diag = None  # freed before the new one is built
         n, dofs = A.shape[0], self.dofs
         if dofs.size and dofs.max() >= n:
             raise IndexError("Dirichlet dof out of range")
-        fixed = np.zeros(n, dtype=bool)
-        fixed[dofs] = True
-        rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(A.indptr))
-        diag = fixed[rows] & (A.indices == rows)
-        if not A.has_canonical_format or np.count_nonzero(diag) < dofs.size:
+        # The data positions of the constrained rows: the runs indptr[d] ...
+        # indptr[d + 1] - 1, laid end to end.
+        starts = A.indptr[dofs]
+        counts = A.indptr[dofs + 1] - starts
+        in_rows = np.repeat(starts + counts - np.cumsum(counts), counts) + np.arange(counts.sum())
+        diag = in_rows[A.indices[in_rows] == np.repeat(dofs, counts)]
+        if not A.has_canonical_format or diag.size < dofs.size:
+            rows = np.repeat(np.arange(n), np.diff(A.indptr))
             return self._build(sp.csr_matrix(
                 (np.concatenate([A.data, np.zeros(dofs.size)]),
                  (np.concatenate([rows, dofs]), np.concatenate([A.indices, dofs]))),
                 shape=A.shape))
-        free = ~(fixed[rows] | fixed[A.indices])
-        del rows
-        nonzero = A.data != 0.0
-        self._zeros = np.flatnonzero(free & ~nonzero).astype(np.int32)
-        self._keep = free & nonzero | diag
-        del free, nonzero, diag
-        kept = np.zeros(A.nnz + 1, dtype=np.int32)  # kept entries before each entry
-        np.cumsum(self._keep, out=kept[1:])
-        self._indptr, self._indices = kept[A.indptr], A.indices[self._keep]
-        del kept
-        for arr in (self._indptr, self._indices):  # shared by every eliminated matrix
-            arr.setflags(write=False)
-        self._diag = self._indptr[dofs]
+        constrained = np.zeros(n, dtype=bool)
+        constrained[dofs] = True
+        zero = constrained[A.indices]
+        zero[in_rows] = True
+        self._zero, self._diag = np.flatnonzero(zero).astype(np.int32), diag.astype(np.int32)
         self._pattern = (A.shape, A.indptr, A.indices)
         self.builds += 1
         return A
@@ -572,6 +567,10 @@ class LinearSystem:
 
 def apply_dirichlet(A: SparseMatrix, b: FieldVector, dofs, values):
     """Eliminate Dirichlet dofs symmetrically; returns new (A, b), with no
-    explicit zero in A: :meth:`LinearSystem.eliminate` on a fresh system."""
-    return LinearSystem().eliminate(A, b, dofs, values)
+    stored zero in A: :meth:`LinearSystem.eliminate` on a fresh system, its
+    zeros dropped on a copy of the index arrays."""
+    A, b = LinearSystem().eliminate(A, b, dofs, values)
+    A = A.copy()
+    A.eliminate_zeros()
+    return A, b
 

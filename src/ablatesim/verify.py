@@ -153,6 +153,35 @@ def oseen_case() -> ManufacturedCase:
                             pressure=pressure)
 
 
+def oseen_unsteady_case() -> ManufacturedCase:
+    """u* = g(t) u0 = e^t (a y + b x, c x - b y) with a = 1, b = 0.5,
+    c = -0.7, and p* = g(t) (x + 2y): divergence-free, and linear in space,
+    so they lie in the MINI x P1 space and the error at T is the time
+    discretization's alone.  D(u0) is constant, so the viscous term vanishes
+    and the force is g' u0 + g^2 (grad u0) u0 + g grad p0."""
+    a, b, c = 1.0, 0.5, -0.7
+
+    def exact(x, y, t):
+        g = np.exp(t)
+        return (g * (a * y + b * x), g * (c * x - b * y))
+
+    def grad(x, y, t):
+        g = np.exp(t) * np.ones_like(np.asarray(x, dtype=float))
+        return ((b * g, a * g), (c * g, -b * g))
+
+    def pressure(x, y, t):
+        return np.exp(t) * (x + 2.0 * y)
+
+    def source(x, y, t):
+        g = np.exp(t)
+        ux, uy = a * y + b * x, c * x - b * y
+        return (g * ux + g * g * (b * ux + a * uy) + g,
+                g * uy + g * g * (c * ux - b * uy) + 2.0 * g)
+
+    return ManufacturedCase("oseen_unsteady_linear", "oseen_unsteady", exact, grad, source,
+                            pressure=pressure, final_time=1.0, steps=16)
+
+
 # -- error norms ------------------------------------------------------------------
 
 
@@ -179,12 +208,12 @@ def h1_seminorm_error_scalar(msh, nodal, grad_exact, t=None, pts=None) -> float:
     return _error_norm(msh, fem_core.p1_gradients(msh, nodal)[:, None, :], grad_exact, t, pts)
 
 
-def l2_error_velocity(msh, u, exact, pts=None) -> float:
-    return _error_norm(msh, fem_core.velocity_at_qp(msh, u), exact, pts=pts)
+def l2_error_velocity(msh, u, exact, t=None, pts=None) -> float:
+    return _error_norm(msh, fem_core.velocity_at_qp(msh, u), exact, t, pts)
 
 
-def h1_seminorm_error_velocity(msh, u, grad_exact, pts=None) -> float:
-    return _error_norm(msh, fem_core.velocity_grad_at_qp(msh, u), grad_exact, pts=pts)
+def h1_seminorm_error_velocity(msh, u, grad_exact, t=None, pts=None) -> float:
+    return _error_norm(msh, fem_core.velocity_grad_at_qp(msh, u), grad_exact, t, pts)
 
 
 # -- per-case solvers ---------------------------------------------------------------
@@ -314,6 +343,31 @@ def solve_oseen_case(case: ManufacturedCase, nx, ny):
     return msh, v, p
 
 
+def solve_oseen_unsteady_case(case: ManufacturedCase, nx, ny, steps=None):
+    """``steps`` flow steps (:func:`flow_solver.solve_flow_step`) from the
+    exact (v, P) at t = 0 to the case's final time, on one system.  Each
+    step is given a new ``bc`` dict, with u*(t^n) on every tag, the force at
+    t^n and the pressure pinned to p*(0, 0, t^n)."""
+    msh = _mms_mesh(nx, ny)
+    steps = case.steps if steps is None else steps
+    dt = case.final_time / steps
+    x, y = msh.vertices[:, 0], msh.vertices[:, 1]
+    v, p = _velocity_dofs(msh, lambda xx, yy: case.exact(xx, yy, 0.0)), case.pressure(x, y, 0.0)
+    temperature = _at_theta_b(_unit_material(), msh)
+    system = linalg.LinearSystem()
+    for n in range(1, steps + 1):
+        t = n * dt
+        profile = lambda xx, yy, t=t: case.exact(xx, yy, t)  # noqa: E731
+        problem = flow_solver.FlowProblem(
+            temperature=temperature, dt=dt,
+            bc={tag: flow_solver.FlowBC("inflow", profile) for tag in mesh_mod.ALL_TAGS},
+            extra_force=lambda xx, yy, t=t: case.source(xx, yy, t),
+            pressure_pin_value=float(case.pressure(0.0, 0.0, t)),
+            velocity=flow_solver.VelocitySample(msh, v), p_prev=p, system=system)
+        v, p = flow_solver.solve_flow_step(problem)
+    return msh, v, p
+
+
 # -- the case kinds ------------------------------------------------------------------
 
 
@@ -341,19 +395,25 @@ def _scalar_operator(case: ManufacturedCase, x, y, h):
 
 
 def _oseen_operator(case: ManufacturedCase, x, y, h):
-    """-div(nu D(u)) + (u . grad) u + grad p with nu = 1 by central
-    differences, and the source, each as its x then its y component."""
-    ux = lambda xx, yy: case.exact(xx, yy)[0]  # noqa: E731
-    uy = lambda xx, yy: case.exact(xx, yy)[1]  # noqa: E731
-    u, v = case.exact(x, y)
+    """du/dt - div(nu D(u)) + (u . grad) u + grad p with nu = 1 by central
+    differences at half the final time, and the source there, each as its x
+    then its y component.  A steady case's du/dt differences to exactly 0."""
+    exact, t = _in_time(case, case.exact), 0.5 * case.final_time
+    ux = lambda xx, yy: exact(xx, yy, t)[0]  # noqa: E731
+    uy = lambda xx, yy: exact(xx, yy, t)[1]  # noqa: E731
+    pressure = lambda xx, yy: _in_time(case, case.pressure)(xx, yy, t)  # noqa: E731
+    u, v = exact(x, y, t)
+    later, earlier = exact(x, y, t + h), exact(x, y, t - h)
     uxx, uxy = _fd_grad(ux, x, y, h)
     uyx, uyy = _fd_grad(uy, x, y, h)
-    px, py = _fd_grad(case.pressure, x, y, h)
+    px, py = _fd_grad(pressure, x, y, h)
     nu = 1.0
     # -div(nu D(u)) = -(nu/2) laplace(u) for divergence-free u
-    fx = -0.5 * nu * _fd_laplace(ux, x, y, h) + u * uxx + v * uxy + px
-    fy = -0.5 * nu * _fd_laplace(uy, x, y, h) + u * uyx + v * uyy + py
-    return np.concatenate([fx, fy]), np.concatenate(case.source(x, y))
+    fx = (later[0] - earlier[0]) / (2 * h) - 0.5 * nu * _fd_laplace(ux, x, y, h) \
+        + u * uxx + v * uxy + px
+    fy = (later[1] - earlier[1]) / (2 * h) - 0.5 * nu * _fd_laplace(uy, x, y, h) \
+        + u * uyx + v * uyy + py
+    return np.concatenate([fx, fy]), np.concatenate(_in_time(case, case.source)(x, y, t))
 
 
 # Each value a level can record, an error or an extra: name -> f(case, mesh,
@@ -364,9 +424,11 @@ _LEVEL_NORMS = {
     "H1": lambda case, msh, pts, u: h1_seminorm_error_scalar(
         msh, u, _in_time(case, case.grad), t=case.final_time, pts=pts),
     "velocity_H1": lambda case, msh, pts, v, p: h1_seminorm_error_velocity(
-        msh, v, case.grad, pts=pts),
-    "velocity_L2": lambda case, msh, pts, v, p: l2_error_velocity(msh, v, case.exact, pts=pts),
-    "pressure_L2": lambda case, msh, pts, v, p: l2_error_scalar(msh, p, case.pressure, pts=pts),
+        msh, v, _in_time(case, case.grad), t=case.final_time, pts=pts),
+    "velocity_L2": lambda case, msh, pts, v, p: l2_error_velocity(
+        msh, v, _in_time(case, case.exact), t=case.final_time, pts=pts),
+    "pressure_L2": lambda case, msh, pts, v, p: l2_error_scalar(
+        msh, p, _in_time(case, case.pressure), t=case.final_time, pts=pts),
     "div_residual": lambda case, msh, pts, v, p: float(
         np.linalg.norm(fem_core.assemble_divergence(msh) @ v)),
     "v_norm": lambda case, msh, pts, v, p: float(np.linalg.norm(v)),
@@ -391,6 +453,8 @@ CASE_KINDS = {
                               transient=True),
     "oseen": CaseKind("solve_oseen_case", ("velocity_H1", "velocity_L2", "pressure_L2"),
                       _oseen_operator, extra=("div_residual", "v_norm")),
+    "oseen_unsteady": CaseKind("solve_oseen_unsteady_case", ("velocity_L2", "velocity_H1"),
+                               _oseen_operator, transient=True),
 }
 
 
@@ -446,14 +510,18 @@ def _level_errors(case: ManufacturedCase, nx: int, ny: int, errors: dict, extra:
 
 def temporal_convergence_study(case: ManufacturedCase, nx=64, ny=32,
                                step_counts=(8, 16, 32, 64)) -> RateReport:
-    """Error vs time-step size at a fixed fine mesh."""
-    errs = []
-    dts = []
+    """Error vs time-step size at a fixed fine mesh: the errors of a
+    transient case's kind at its final time, one level solve per step
+    count."""
+    kind = _kind(case)
+    errors: dict = {}
     for steps in step_counts:
-        msh, theta = solve_heat_unsteady_case(case, nx, ny, steps=steps)
-        errs.append(l2_error_scalar(msh, theta, case.exact, t=case.final_time))
-        dts.append(case.final_time / steps)
-    return RateReport(case=case.name + "_dt", h=dts, errors={"L2": errs})
+        msh, *solution = globals()[kind.solver](case, nx, ny, steps=steps)
+        pts = fem_core.quadrature_points(msh)
+        for name in kind.norms:
+            errors.setdefault(name, []).append(_LEVEL_NORMS[name](case, msh, pts, *solution))
+    return RateReport(case=case.name + "_dt", h=[case.final_time / m for m in step_counts],
+                      errors=errors)
 
 
 def splitting_order_study(config, Ms=(10, 20, 40), M_ref=320) -> RateReport:

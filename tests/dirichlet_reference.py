@@ -42,3 +42,14 @@ def assert_same_elimination(got, ref):
     assert np.array_equal(A.indices, A_ref.indices)
     assert A.data.tobytes() == A_ref.data.tobytes()
     assert np.asarray(b, dtype=float).tobytes() == b_ref.tobytes()
+
+
+def assert_same_held_elimination(got, ref, A):
+    """``got``, an elimination on A's own index arrays whose zeroed entries
+    stay stored, equals ``ref`` bit for bit once the stored zeros of a copy
+    are dropped."""
+    E, b = got
+    assert E.indices is A.indices and E.indptr is A.indptr
+    kept = E.copy()
+    kept.eliminate_zeros()
+    assert_same_elimination((kept, b), ref)

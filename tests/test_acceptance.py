@@ -173,3 +173,18 @@ def test_criterion_11_splitting_order():
            "rates over M = 10, 20, 40 against M = 320: " + ", ".join(
                f"{name} {'/'.join(f'{r:.3f}' for r in pair_rates)}"
                for name, pair_rates in rates.items()))
+
+
+def test_criterion_14_flow_time_step_rate():
+    # The linear u*, p* of oseen_unsteady_case lie in the MINI x P1 space,
+    # so the velocity's L2 and H1 errors at T = 1 are the flow step's time
+    # error alone: implicit Euler with the advection lagged at v^(n-1), first
+    # order.  The window is C4's temporal one, fixed before the criterion
+    # first ran.
+    rep = verify.temporal_convergence_study(verify.oseen_unsteady_case(), nx=16, ny=8,
+                                            step_counts=(4, 8, 16, 32, 64))
+    slopes = rep.slopes_ls
+    report("C14 flow-time-rate", all(0.8 <= slope <= 1.2 for slope in slopes.values()),
+           f"velocity L2 slope {slopes['velocity_L2']:.3f}, H1 slope "
+           f"{slopes['velocity_H1']:.3f} over M = 4 ... 64, L2 errors "
+           + ", ".join(f"{e:.2e}" for e in rep.errors["velocity_L2"]))

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ablatesim import coupler, fem_core, flow_solver, heat_solver, linalg
 from ablatesim.coupler import (BlowUpError, NonFiniteFieldError, SimState,
@@ -17,7 +19,7 @@ from ablatesim.heat_solver import HeatBC, HeatProblem
 from ablatesim.linalg import SingularMatrix, SolverError
 from ablatesim.materials import TemperatureSample
 from ablatesim.sim_cli import ConfigError, preset
-from dirichlet_reference import apply_dirichlet_reference, assert_same_elimination
+from dirichlet_reference import apply_dirichlet_reference, assert_same_held_elimination
 
 
 def quick_config(name="test1", nx=20, ny=10, M=3):
@@ -375,14 +377,15 @@ class TestLinearSystems:
     @staticmethod
     def checked(monkeypatch, sim):
         """Compare every elimination of ``sim``'s systems with the reference
-        mask-and-sum, bit for bit; returns the count per system."""
+        mask-and-sum, bit for bit once its stored zeros are dropped; each is
+        on its matrix's own index arrays.  Returns the count per system."""
         names = {id(system): name for name, system in sim.systems.items()}
         counts = collections.Counter()
         eliminate = linalg.LinearSystem.eliminate
 
         def spy(system, A, b, dofs, values):
             out = eliminate(system, A, b, dofs, values)
-            assert_same_elimination(out, apply_dirichlet_reference(A, b, dofs, values))
+            assert_same_held_elimination(out, apply_dirichlet_reference(A, b, dofs, values), A)
             if not len(dofs):
                 assert out[0] is A  # passed through, uncopied
             counts[names[id(system)]] += 1
@@ -401,13 +404,11 @@ class TestLinearSystems:
         assert counts["potential"] == counts["heat"] == 4 and counts["flow"] > 4
         systems = sim.systems
         assert systems["heat"].dofs.size == 0 and systems["heat"].builds == 0
-        # The potential's structure is built once, the flow's twice: its
-        # Stokes system, without convection, holds exact zeros in the
-        # velocity-pressure blocks where the Newton systems' convection
-        # couples (each triangle's Schur complement adds B's entries to their
-        # bubble terms, and on this mesh some of their sums cancel), so the
-        # first Newton system builds the structure again.
-        assert systems["potential"].builds == 1 and systems["flow"].builds == 2
+        # Each structure is built once, on the pattern and the dofs alone: the
+        # flow's Stokes system holds exact zeros in the velocity-pressure
+        # blocks where the Newton systems' convection couples, and they stay
+        # stored.
+        assert systems["potential"].builds == 1 and systems["flow"].builds == 1
 
     def test_time_dependent_dirichlet_eliminations_match_the_reference_bytes(self, monkeypatch):
         cfg = quick_config(nx=24, ny=8, M=3)
@@ -426,10 +427,103 @@ class TestLinearSystems:
         for _ in range(5):
             state = sim.advance(state)
             builds.append({name: system.builds for name, system in sim.systems.items()})
-        assert builds[-1] == {"potential": 1, "flow": 2, "heat": 1}
-        # The from-rest flow stores zeros where convection couples; the moving
-        # flow of step 2 is nonzero there, and its structure is rebuilt once.
-        assert builds[0]["flow"] == 1 and builds[1]["flow"] == 2
+        # The from-rest flow holds exact zeros where convection couples and
+        # the moving flow of step 2 is nonzero there, on the same structure.
+        assert builds == [{"potential": 1, "flow": 1, "heat": 1}] * 5
+
+
+class TestFactorInput:
+    """What SuperLU gets: the reference elimination's nonzeros, scaled and
+    permuted as :class:`linalg._ScaledLU` states, with no stored zero."""
+
+    @staticmethod
+    def scaled_permuted(ref, order, dtype):
+        """P D A D P^T of the reference elimination ``ref`` in ``dtype``, as CSC."""
+        diag = np.abs(ref.diagonal())
+        d = np.ones(ref.shape[0])
+        np.divide(1.0, np.sqrt(diag), out=d, where=diag > 0.0)
+        data = ref.data * np.repeat(d, np.diff(ref.indptr)) * d[ref.indices]
+        scaled = sp.csr_matrix((data.astype(dtype), ref.indices, ref.indptr), shape=ref.shape)
+        return scaled[order][:, order].tocsc()
+
+    def checked(self, monkeypatch):
+        """Check every matrix factorized from here on against the reference;
+        returns, per factorization, whether its eliminated matrix stored zeros."""
+        references, expected, stored_zeros = {}, [], []
+        eliminate, factorize, splu = (linalg.LinearSystem.eliminate, linalg.HeldLU.factorize,
+                                      spla.splu)
+
+        def eliminated(system, A, b, dofs, values):
+            out = eliminate(system, A, b, dofs, values)
+            # Keyed by the data's address, which a new matrix on it keeps;
+            # the data is kept alive with it.
+            ref = apply_dirichlet_reference(A, b, dofs, values)[0]
+            references[out[0].data.ctypes.data] = (out[0].data, ref)
+            return out
+
+        def factorized(held, A, order, reason, single=False):
+            ref = references[A.data.ctypes.data][1]
+            expected.append(self.scaled_permuted(ref, order, np.float32 if single else float))
+            stored_zeros.append(A.nnz > np.count_nonzero(A.data))
+            return factorize(held, A, order, reason, single)
+
+        def factor(A, *args, **kwargs):
+            want = expected.pop(0)
+            assert A.format == "csc" and np.count_nonzero(A.data) == A.nnz
+            assert np.array_equal(A.indptr, want.indptr)
+            assert np.array_equal(A.indices, want.indices)
+            assert A.data.tobytes() == want.data.tobytes()
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(linalg.LinearSystem, "eliminate", eliminated)
+        monkeypatch.setattr(linalg.HeldLU, "factorize", factorized)
+        monkeypatch.setattr(spla, "splu", factor)
+        return stored_zeros
+
+    def test_test1_factors_get_the_reference_nonzeros(self, monkeypatch):
+        cfg = preset("test1")  # 48x16: initialization, then 2 steps
+        cfg.time.M = 2
+        sim = Simulation(cfg)
+        stored_zeros = self.checked(monkeypatch)
+        sim.run()
+        assert len(stored_zeros) == sum(len(s.factor.events) for s in sim.systems.values())
+        assert any(stored_zeros)
+
+    def test_from_rest_factors_get_the_reference_nonzeros(self, monkeypatch):
+        sim = Simulation(quick_config(nx=24, ny=8, M=3))
+        stored_zeros = self.checked(monkeypatch)
+        state = rest_state(sim)
+        for _ in range(3):
+            state = sim.advance(state)
+        # One factor per system, at step 1.  The potential's matrix stores
+        # the exact zeros of its right triangles' couplings and the from-rest
+        # flow's those where convection couples; the heat's stores none.
+        assert stored_zeros == [True, True, False]
+
+    def test_precision_counts_the_entries_the_factor_gets(self, monkeypatch):
+        # The potential at 160x56 stores 63,369 entries, 43,787 of them
+        # nonzero: below SINGLE_NNZ, so its factor is double.
+        sim = Simulation(quick_config(nx=160, ny=56))
+        dtypes, eliminated = [], []
+        splu, eliminate = spla.splu, linalg.LinearSystem.eliminate
+
+        def spy(*args):
+            eliminated.append(eliminate(*args))
+            return eliminated[-1]
+
+        def factor(A, *args, **kwargs):
+            dtypes.append(A.dtype)
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", factor)
+        monkeypatch.setattr(linalg.LinearSystem, "eliminate", spy)
+        theta_b = TemperatureSample(sim.model, sim.mesh,
+                                    np.full(sim.mesh.num_vertices, sim.model.theta_b))
+        coupler.solve_potential(sim._potential_problem(theta_b))
+        A = eliminated[0][0]
+        assert (A.nnz, np.count_nonzero(A.data)) == (63_369, 43_787)
+        assert A.nnz >= linalg.SINGLE_NNZ > np.count_nonzero(A.data)
+        assert dtypes == [np.float64]
 
 
 class TestHeldFactors:

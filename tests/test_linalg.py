@@ -4,7 +4,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ablatesim import fem_core, linalg
-from dirichlet_reference import apply_dirichlet_reference, assert_same_elimination
+from dirichlet_reference import (apply_dirichlet_reference, assert_same_elimination,
+                                 assert_same_held_elimination)
 from ablatesim.linalg import (CooBuilder, NotConverged, SingularMatrix,
                               SolverError, apply_dirichlet, solve_cg,
                               solve_gmres, solve_lu)
@@ -763,31 +764,44 @@ class TestLinearSystem:
         system = linalg.LinearSystem()
         for A, b in self.matrices(4):
             got = system.eliminate(A, b, dofs, vals)
-            assert_same_elimination(got, apply_dirichlet_reference(A, b, dofs, vals))
-            assert got[0].nnz == np.count_nonzero(got[0].data)
+            assert_same_held_elimination(got, apply_dirichlet_reference(A, b, dofs, vals), A)
+            assert got[0].nnz == A.nnz and got[0].nnz > np.count_nonzero(got[0].data)
         assert system.builds == 1
 
-    def test_rebuilt_when_a_nonzero_appears_outside_the_structure(self):
+    def test_structure_holds_only_constrained_positions(self):
+        # The positions zeroed are those of the constrained rows and
+        # columns, and the unit ones the constrained diagonals: no array of
+        # the size of A's pattern is held.
+        dofs = np.array([11, 0, 5])
+        system = linalg.LinearSystem()
+        (A, b), = self.matrices(1)
+        system.eliminate(A, b, dofs, np.ones(3))
+        rows = np.repeat(np.arange(12), np.diff(A.indptr))
+        constrained = np.isin(rows, dofs) | np.isin(A.indices, dofs)
+        assert np.array_equal(system._zero, np.flatnonzero(constrained))
+        assert np.array_equal(np.sort(system._diag),
+                              np.flatnonzero(np.isin(rows, dofs) & (rows == A.indices)))
+        assert system._zero.size < A.nnz // 2
+
+    def test_not_rebuilt_when_a_zero_turns_nonzero(self):
         dofs, vals = [5], [1.0]
         system = linalg.LinearSystem()
         (A, b), (A1, b1) = self.matrices(2)
         system.eliminate(A, b, dofs, vals)
-        A1.data[1] = 0.25  # a dropped zero turns nonzero
-        assert_same_elimination(system.eliminate(A1, b1, dofs, vals),
-                                apply_dirichlet_reference(A1, b1, dofs, vals))
-        assert system.builds == 2
-        system.eliminate(A1, b, dofs, vals)
-        assert system.builds == 2
+        A1.data[1] = 0.25  # a stored zero turns nonzero
+        assert_same_held_elimination(system.eliminate(A1, b1, dofs, vals),
+                                     apply_dirichlet_reference(A1, b1, dofs, vals), A1)
+        assert system.builds == 1
 
-    def test_rebuilt_when_a_kept_entry_turns_zero(self):
+    def test_not_rebuilt_when_a_kept_entry_turns_zero(self):
         dofs, vals = [5], [1.0]
         system = linalg.LinearSystem()
         (A, b), (A1, b1) = self.matrices(2)
         system.eliminate(A, b, dofs, vals)
         A1.data[2] = 0.0
-        assert_same_elimination(system.eliminate(A1, b1, dofs, vals),
-                                apply_dirichlet_reference(A1, b1, dofs, vals))
-        assert system.builds == 2
+        assert_same_held_elimination(system.eliminate(A1, b1, dofs, vals),
+                                     apply_dirichlet_reference(A1, b1, dofs, vals), A1)
+        assert system.builds == 1
 
     def test_rebuilt_on_another_pattern(self):
         def circulant(shift, n=8):  # row i holds columns i and (i + shift) % n
@@ -798,8 +812,8 @@ class TestLinearSystem:
         # another shape.
         for A in (circulant(1), circulant(2), laplacian_1d(9)):
             b = np.ones(A.shape[0])
-            assert_same_elimination(system.eliminate(A, b, [0], [1.0]),
-                                    apply_dirichlet_reference(A, b, [0], [1.0]))
+            assert_same_held_elimination(system.eliminate(A, b, [0], [1.0]),
+                                         apply_dirichlet_reference(A, b, [0], [1.0]), A)
         assert system.builds == 3
 
     def test_non_canonical_matrix_matches_the_reference_bytes(self):
@@ -821,7 +835,8 @@ class TestLinearSystem:
         for A, b in self.matrices(2):
             b[[1, 4, 6]] = -0.0
             got = system.eliminate(A, b, dofs, np.zeros(3))
-            assert_same_elimination(got, apply_dirichlet_reference(A, b, dofs, np.zeros(3)))
+            assert_same_held_elimination(got, apply_dirichlet_reference(A, b, dofs, np.zeros(3)),
+                                         A)
             assert np.signbit(got[1][[1, 4, 6]]).all() and got[1] is not b
 
     def test_unconstrained_system_passes_the_matrix_through(self):
@@ -831,10 +846,11 @@ class TestLinearSystem:
         assert A_e is A and np.array_equal(b_e, b) and system.builds == 0
         x = system.solve(A, b, [], [])
         assert np.linalg.norm(b - A @ x) <= linalg.RESIDUAL_TOL * np.linalg.norm(b)
-        # A stored zero is dropped, as the eliminated matrix keeps no zero.
+        # A stored zero passes through too: only the factor drops it.
         A.data[1] = 0.0
-        assert_same_elimination(system.eliminate(A, b, [], []),
-                                apply_dirichlet_reference(A, b, [], []))
+        got = system.eliminate(A, b, [], [])
+        assert got[0] is A and system.builds == 0
+        assert_same_held_elimination(got, apply_dirichlet_reference(A, b, [], []), A)
 
     def test_values_given_at_each_solve(self):
         # A caller whose data move with time gives each solve its values;

@@ -520,8 +520,17 @@ def test_held_bytes_tool_prints_each_key_and_the_total(capsys):
         name, nbytes, _, unit = line.rsplit(None, 3)
         assert unit == "MiB"
         rows[name] = int(nbytes.replace(",", ""))
-    assert list(rows)[-1] == "total"
+    names = list(rows)
+    systems = [name for name in names if name.startswith("system:")]
+    # The mesh's lines end with its total; one line per linear system follows.
+    assert names[-len(systems) - 1:] == ["total"] + systems
+    assert sorted(systems) == ["system:flow", "system:heat", "system:potential"]
     assert {"geometry", "'condensed_layout'", "'mini_pattern'", "'divergence'"} <= set(rows)
     # An array that two keys share counts on each key's line and once in
     # the total, so the lines bound the total from above.
-    assert 0 < rows["total"] <= sum(v for k, v in rows.items() if k != "total")
+    mesh_lines = [v for k, v in rows.items() if k != "total" and k not in systems]
+    assert 0 < rows["total"] <= sum(mesh_lines)
+    # Each system holds arrays the geometry does not: a factor's scaling at
+    # least, 8 bytes per unknown (3 per vertex for the flow).
+    assert all(rows[name] > 0 for name in systems)
+    assert rows["system:flow"] >= 8 * 3 * 25 * 9

@@ -589,6 +589,17 @@ class TestCLI:
         assert capsys.readouterr().err == (
             "solver failure: initialize/flow: stationary flow failed\n")
 
+    def test_run_singular_bubble_block_prints_only_its_failure(self, tmp_path, capsys):
+        # A channel 1e-300 high makes every bubble block's determinant
+        # overflow: the failure is reported once, with no numpy warning
+        # (which the warning filters would raise) before it.
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"preset": "test2", "geometry": {"H": 1e-300}}))
+        assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(
+            "solver failure: initialize/flow: bubble block of triangle 0 is singular ")
+
     def test_run_summary_reports_the_solves(self, tmp_path, capsys):
         outdir = tmp_path / "out"
         assert main(["run", "--preset", "test1", "--out", str(outdir)]) == 0

@@ -12,7 +12,7 @@ from ablatesim.verify import (CASE_KINDS, INVARIANT_NAMES, ManufacturedCase, Rat
                               format_report_csv,
                               heat_steady_case, heat_unsteady_spatial_case,
                               heat_unsteady_temporal_case, invariant_suite,
-                              oseen_case, potential_case)
+                              oseen_case, oseen_unsteady_case, potential_case)
 
 
 def tiny_config(**over):
@@ -22,7 +22,7 @@ def tiny_config(**over):
 
 
 ALL_CASES = [potential_case, heat_steady_case, heat_unsteady_spatial_case,
-             heat_unsteady_temporal_case, oseen_case]
+             heat_unsteady_temporal_case, oseen_case, oseen_unsteady_case]
 
 
 class TestSourceConsistency:

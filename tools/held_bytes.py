@@ -1,4 +1,4 @@
-"""The bytes that a mesh's per-mesh constants hold, key by key.
+"""The bytes that a mesh's per-mesh constants and each linear system hold.
 
     PYTHONPATH=src python3 tools/held_bytes.py [--preset test1] [--mesh 48x16] [--steps 3]
 
@@ -11,6 +11,12 @@ the total of the whole geometry.  An array is counted at the array that
 owns its memory, once: a key that shares an array with another (a pattern
 that views another's) counts it on its own line, but the total counts it
 once, so the lines may sum to more than the total.
+
+Then one ``system:<name>`` line per entry of ``Simulation.systems`` (a
+:class:`ablatesim.linalg.LinearSystem`) gives the bytes of the numpy arrays
+that the system holds and the geometry does not: its elimination structure,
+its held factor's scaling and last solution, and the step inputs it keeps.
+The memory that SuperLU allocates in C for a factor is not counted.
 """
 
 from __future__ import annotations
@@ -40,19 +46,21 @@ def held_arrays(obj, found, seen):
     return found
 
 
+def owner(arr: np.ndarray) -> np.ndarray:
+    """The array that owns the memory of ``arr``."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
 def held_bytes(arrays) -> int:
     """The bytes of the memory the arrays hold: each owning array once."""
-    owners = {}
-    for arr in arrays:
-        while isinstance(arr.base, np.ndarray):
-            arr = arr.base
-        owners[id(arr)] = arr.nbytes
-    return sum(owners.values())
+    return sum({id(arr): arr.nbytes for arr in map(owner, arrays)}.values())
 
 
 def run(preset: str, nx: int, ny: int, steps: int):
-    """The mesh of the preset's simulation at ``nx`` x ``ny`` after ``steps``
-    steps from rest."""
+    """The preset's simulation at ``nx`` x ``ny`` after ``steps`` steps from
+    rest."""
     from ablatesim.coupler import SimState, Simulation
     from ablatesim.sim_cli import preset as make_preset
 
@@ -64,19 +72,26 @@ def run(preset: str, nx: int, ny: int, steps: int):
                      theta=np.full(nv, sim.model.theta_b), phi=np.zeros(nv), theta_prev=None)
     for _ in range(steps):
         state = sim.advance(state)
-    return sim.mesh
+    return sim
 
 
-def table(mesh) -> dict:
-    """{name: bytes} of the geometry's own arrays ("geometry") and of each
-    operator-cache key (its repr), and "total", the whole geometry's."""
+def table(sim) -> dict:
+    """{name: bytes} of the geometry's own arrays ("geometry"), of each
+    operator-cache key (its repr), "total", the whole geometry's, and of
+    each linear system ("system:<name>"), its arrays that the geometry does
+    not hold."""
     from ablatesim import fem_core
 
-    geo = fem_core.geometry(mesh)
+    geo = fem_core.geometry(sim.mesh)
     rows = {"geometry": held_bytes([geo.det, geo.grad_p1, geo.inv])}
     for key, value in geo.operators.items():
         rows[repr(key)] = held_bytes(held_arrays(value, [], set()))
-    rows["total"] = held_bytes(held_arrays(geo, [], set()))
+    cached = held_arrays(geo, [], set())
+    rows["total"] = held_bytes(cached)
+    shared = {id(owner(arr)) for arr in cached}
+    for name, system in sim.systems.items():
+        rows[f"system:{name}"] = held_bytes(
+            [arr for arr in held_arrays(system, [], set()) if id(owner(arr)) not in shared])
     return rows
 
 
@@ -89,7 +104,9 @@ def main(argv=None) -> int:
     nx, ny = (int(n) for n in args.mesh.lower().split("x"))
     rows = table(run(args.preset, nx, ny, args.steps))
     width = max(len(name) for name in rows)
-    for name, nbytes in sorted(rows.items(), key=lambda row: (row[0] == "total", -row[1])):
+    # The cache keys, largest first, the geometry's total, then the systems.
+    order = lambda row: (row[0].startswith("system:"), row[0] == "total", -row[1])  # noqa: E731
+    for name, nbytes in sorted(rows.items(), key=order):
         print(f"{name:<{width}}  {nbytes:>12,d}  {nbytes / 2**20:9.2f} MiB")
     return 0
 

@@ -28,8 +28,8 @@ an exception raised in it is labelled "step <n>/<stage>: " (at step 0,
 "initialize/<stage>: ").  Each solver gives its stage's system the
 constraints of each solve; the system keeps the structure of its Dirichlet
 elimination and its LU across its solves, the stationary ones included
-(``Simulation.systems``, see :class:`linalg.LinearSystem`), and the flow's
-also keeps the last step's inputs while that step returned its input.
+(``Simulation.systems``, see :class:`linalg.LinearSystem`); the flow step's
+record of its inputs goes with the velocity sample whose velocity it returned.
 Every step, step 0 included, ends in ``Simulation._end_step``: the new state
 is checked finite, gets its diagnostics row and meets the blow-up guard,
 which aborts once max|theta| or max|v| exceeds 1e4, mirroring the runaway
@@ -73,8 +73,8 @@ class TimeGrid:
     M: int = 100
 
     def validate(self) -> None:
-        if not self.T > 0.0:
-            raise ValueError(f"T must be positive, got {self.T}")
+        if not 0.0 < self.T < np.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T}")
         if self.M < 0:
             raise ValueError(f"M must be nonnegative, got {self.M}")
 

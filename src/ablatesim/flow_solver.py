@@ -31,13 +31,13 @@ option selects it): when the solve returns that start unchanged, by its own
 accounting and not by a tolerance, and both contracts hold on the previous
 (v, P) themselves, bubbles included, the step returns those very arrays,
 read-only, so a fixed point stays bit-for-bit fixed; otherwise the bubbles
-are recovered.  The problem's system then keeps the step's inputs, all that
-the step reads (dt, the convection switch, the previous (v, P), the
-viscosity at the quadrature points, the force load and the ``bc`` dict, this
-one matched by identity, as no FlowBC datum depends on time), and a later
-step on identical inputs returns its own (v, P) without assembling
-anything; its system counts it as a solve by the guess.  A flow that moves
-misses at the previous velocity, the first array compared.
+are recovered.  A step that returns its start records its other inputs
+(dt, the convection switch, the viscosity at the quadrature points, the
+force load, P^(n-1) and the ``bc`` dict, this one by identity, as no FlowBC
+datum depends on time) as the velocity sample's ``fixed``, and a later step
+from that sample on inputs that :func:`linalg._same` finds the same returns
+its own (v, P) without assembling anything, a solve by the guess.  A flow
+that moves has a new velocity, whose sample holds no record.
 
 The problem's ``temperature`` (:class:`materials.TemperatureSample`) is the
 lagged temperature with the mesh and the laws and, for a time step, its
@@ -151,8 +151,8 @@ class FlowProblem:
         """Check what a time step (``step``) or the stationary flow reads."""
         if step and (self.dt is None or self.velocity is None):
             raise ValueError("a flow step needs dt and the previous velocity")
-        if self.dt is not None and not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if self.dt is not None and not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not step and self.dt is not None:
             raise ValueError("the stationary flow takes no dt")
         check_tag_roles(self.bc, "flow")
@@ -274,38 +274,30 @@ def _contract_miss(saddle, x: np.ndarray, rhs: np.ndarray, dofs, vals):
     return None
 
 
-def _identical(a, b) -> bool:
-    """Whether ``a`` and ``b`` are one object (one NaN object matches itself;
-    a step's inputs are checked finite, so a repeat stores none) or hold the
-    same values bit for bit: equal, with equal shapes and signs, so +0.0 and
-    -0.0 differ."""
-    return a is b or (np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)))
-
-
 def _step_inputs(problem: FlowProblem, force: np.ndarray) -> tuple:
-    """All that a step reads but its ``bc``, the cheap ones first, with the
-    force load ``force``."""
-    return (problem.dt, problem.include_convection, problem.velocity.v_h,
-            problem.temperature.nu, force, problem.p_prev)
+    """All that a step reads but its ``bc`` and its velocity, the cheap ones
+    first, with the force load ``force``."""
+    return (problem.dt, problem.include_convection, problem.temperature.nu, force,
+            problem.p_prev)
 
 
 def solve_flow_step(problem: FlowProblem):
     """Advance the flow one implicit-Euler step; returns (v, P).  With a
-    ``p_prev``, a step that returns its start keeps its inputs in
-    ``LinearSystem.fixed``, and a step on the same inputs returns its own
-    start again (see the module docstring)."""
+    ``p_prev``, a step that returns its start keeps its inputs in its
+    velocity's ``fixed``, and a step on that velocity with the same inputs
+    returns its own start again (see the module docstring)."""
     problem.validate(step=True)
-    system = problem.system
+    velocity = problem.velocity
     force = _force_load(problem)
-    if system.fixed is not None and system.fixed[0] is problem.bc and all(
-            map(_identical, system.fixed[1], _step_inputs(problem, force))):
-        system.factor.repeat()
-        return problem.velocity.v_h, problem.p_prev
-    advect = problem.velocity.coeffs if problem.include_convection else None
-    guess = None if problem.p_prev is None else (problem.velocity.v_h, problem.p_prev)
+    if velocity.fixed is not None and velocity.fixed[0] is problem.bc and all(
+            map(linalg._same, velocity.fixed[1], _step_inputs(problem, force))):
+        problem.system.factor.repeat()
+        return velocity.v_h, problem.p_prev
+    advect = velocity.coeffs if problem.include_convection else None
+    guess = None if problem.p_prev is None else (velocity.v_h, problem.p_prev)
     v, p = _solve_linear(problem, advect, force=force, guess=guess)
     returned_guess = guess is not None and v is guess[0]
-    system.fixed = (problem.bc, _step_inputs(problem, force)) if returned_guess else None
+    velocity.fixed = (problem.bc, _step_inputs(problem, force)) if returned_guess else None
     return v, p
 
 
@@ -397,10 +389,13 @@ class VelocitySample:
     diagnostics' |Bv| (``div_norm``) and max|v| (``vmax``).  The velocity
     itself is not held at the quadrature points: the cell speeds take those
     values from the coefficients by one GEMM and drop them.  Each value is
-    evaluated on first read, then shared, read-only."""
+    evaluated on first read, then shared, read-only.  ``fixed`` is the inputs
+    of the last flow step from this velocity if it returned this very
+    velocity, else None (:func:`solve_flow_step`); :meth:`drop` leaves it."""
 
     def __init__(self, mesh: Mesh2D, v_h):
         self.mesh, self.v_h = mesh, v_h
+        self.fixed = None
 
     coeffs = cached_property(lambda self: fem_core._frozen(
         fem_core.velocity_element_coeffs(self.mesh, self.v_h)))

@@ -76,11 +76,11 @@ class StabilizationParams:
         # with c_r <= 0, c never exceeds var_floor and every cell saturates.
         if not 1.0 <= self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in [1, 2], got {self.alpha}")
-        if not self.beta >= 0.0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
+        if not 0.0 <= self.beta < np.inf:
+            raise ValueError(f"beta must be nonnegative and finite, got {self.beta}")
         for name in ("c_r", "var_floor"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 @dataclass
@@ -97,8 +97,9 @@ class HeatBC:
     def validate(self) -> None:
         if self.role not in (ROLE_ROBIN, ROLE_DIRICHLET, ROLE_NEUMANN, ROLE_INFLOW):
             raise ValueError(f"unknown heat boundary role {self.role!r}")
-        if self.role == ROLE_ROBIN and self.alpha < 0.0:
-            raise ValueError(f"Robin coefficient alpha must be nonnegative, got {self.alpha}")
+        if self.role == ROLE_ROBIN and not 0.0 <= self.alpha < np.inf:
+            raise ValueError(f"Robin coefficient alpha must be nonnegative and finite, "
+                             f"got {self.alpha}")
         if not callable(self.value) and not np.isfinite(self.value):
             raise ValueError(f"heat boundary value must be finite, got {self.value!r}")
 
@@ -126,8 +127,8 @@ class HeatProblem:
             raise ValueError("a heat step needs dt")
         if step and self.velocity is None:
             raise ValueError("a heat step needs the previous velocity")
-        if self.dt is not None and not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if self.dt is not None and not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not step and self.dt is not None:
             raise ValueError("the stationary heat takes no dt")
         check_tag_roles(self.bc, "heat")

@@ -422,12 +422,13 @@ class HeldLU:
                 f"{len(self.events)} LU ({'; '.join(self.events)})")
 
 
-def _same(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two index arrays are equal: at once when they are one array,
-    as the index arrays of matrices refilled on one per-mesh pattern are
-    (:meth:`fem_core._Pattern.matrix`), and so are the per-mesh Dirichlet
-    dofs (:func:`fem_core.dirichlet_vertices`); else by their values."""
-    return a is b or np.array_equal(a, b)
+def _same(a, b) -> bool:
+    """The one rule of every reuse (patterns, dofs, orders, a flow step's
+    inputs): at once when ``a`` and ``b`` are one object, as the index arrays
+    of matrices on one per-mesh pattern are (:meth:`fem_core._Pattern.matrix`);
+    else when they are equal bit for bit, with equal shapes and sign bits, so
+    +0.0 and -0.0 differ and NaN matches only its own object."""
+    return a is b or (np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
 def fixed_point(step, x0: FieldVector, tol: float, max_iter: int):
@@ -465,20 +466,17 @@ class LinearSystem:
     data positions of the constrained rows and columns and of those
     diagonals, depends on A's pattern and the dofs alone.  It is built at
     the first elimination (``builds`` counts the builds) and again only when
-    the pattern or the dofs change (compared as :func:`_same` compares
-    patterns), whatever A's values; the dofs are checked when they change.
-    A system without constraints passes a canonical A through untouched.
-
-    ``fixed`` is free for the system's caller: the inputs of its last step
-    when that step returned its input, so that a step on the same inputs
-    returns the same result without a solve.
+    the pattern or the dofs change (compared by :func:`_same`), whatever
+    A's values; the dofs are checked when they change.  A system without
+    constraints passes a canonical A through untouched.  It holds only what
+    its own solves derive: a flow step's record of a repeat is kept on the
+    velocity it certifies (:class:`flow_solver.VelocitySample`).
     """
 
     def __init__(self):
         self.dofs = self._pattern = None
         self.factor = HeldLU()
         self.builds = 0
-        self.fixed = None
 
     def solve(self, A: SparseMatrix, b: FieldVector, dofs, values, order=None,
               x0: FieldVector | None = None) -> FieldVector:

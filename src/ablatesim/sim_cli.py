@@ -54,8 +54,8 @@ class MaterialsConfig:
 
     def validate(self) -> None:
         for key in ("sigma0", "eta0", "nu"):
-            if not getattr(self, key) > 0.0:
-                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
+            if not 0.0 < getattr(self, key) < np.inf:
+                raise ValueError(f"{key} must be positive and finite, got {getattr(self, key)}")
         for key, value in (("theta_b", self.theta_b),
                            ("buoyancy.coefficient", self.buoyancy.coefficient)):
             if not np.isfinite(value):

@@ -48,6 +48,7 @@ class ManufacturedCase:
     grad: object  # gradient closure matching `exact`
     source: object  # strong-form source closure
     pressure: object = None  # oseen only
+    outlet: tuple = ()  # oseen only: the do-nothing tags; the others are Dirichlet
     velocity: object = None  # transporting velocity for the heat cases
     final_time: float = 0.0
     steps: int = 4
@@ -151,6 +152,32 @@ def oseen_case() -> ManufacturedCase:
 
     return ManufacturedCase("oseen_trig", "oseen", exact, grad, source,
                             pressure=pressure)
+
+
+def oseen_outlet_case() -> ManufacturedCase:
+    """C3's field shifted in x, u*(x, y) = C3's u*(X, y) with X = x + 1/4,
+    and p* = D_11(u*) = pi^2 cos(pi X) cos(pi y), viscosity 1, leaving
+    through a do-nothing G3 at x = 2.  D_12(u*) vanishes everywhere, so the
+    traction (D(u*) - p* I) n is zero there while u*.n is not: the case rates
+    the natural condition and the convective surface term of the outlet
+    (Heywood, Rannacher & Turek, IJNMF 22, 1996).  The outlet fixes the
+    pressure level, so no pressure dof is pinned."""
+    c3, shift = oseen_case(), 0.25
+
+    def pressure(x, y):
+        return PI ** 2 * np.cos(PI * (x + shift)) * np.cos(PI * y)
+
+    def source(x, y):
+        # -div D(u*) = pi^2 u* cancels the pressure gradient's sine terms in
+        # x and doubles them in y; (u*.grad) u* is C3's, shifted.
+        X = x + shift
+        fx = 0.5 * PI ** 3 * np.sin(2 * PI * X)
+        fy = 0.5 * PI ** 3 * np.sin(2 * PI * y) - 2.0 * PI ** 3 * np.cos(PI * X) * np.sin(PI * y)
+        return (fx, fy)
+
+    return ManufacturedCase("oseen_outlet", "oseen", lambda x, y: c3.exact(x + shift, y),
+                            lambda x, y: c3.grad(x + shift, y), source, pressure=pressure,
+                            outlet=(mesh_mod.GAMMA3,))
 
 
 def oseen_unsteady_case() -> ManufacturedCase:
@@ -332,7 +359,8 @@ def solve_heat_unsteady_case(case: ManufacturedCase, nx, ny, steps=None):
 
 def solve_oseen_case(case: ManufacturedCase, nx, ny):
     msh = _mms_mesh(nx, ny)
-    bc = {tag: flow_solver.FlowBC("inflow", case.exact) for tag in mesh_mod.ALL_TAGS}
+    bc = {tag: flow_solver.FlowBC("donothing") if tag in case.outlet
+          else flow_solver.FlowBC("inflow", case.exact) for tag in mesh_mod.ALL_TAGS}
     problem = flow_solver.FlowProblem(
         temperature=_at_theta_b(_unit_material(), msh), dt=None, bc=bc,
         extra_force=case.source,

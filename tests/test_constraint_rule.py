@@ -1,6 +1,6 @@
 """The Dirichlet rule has one home, read from the package's sources: each
 solve passes a LinearSystem its constraints, and no module but linalg sets
-state on a system, except the flow's ``fixed`` record of its last step."""
+state on a system."""
 
 import ast
 from pathlib import Path
@@ -9,7 +9,6 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ablatesim"
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "linalg")
-CALLER_STATE = {"fixed"}  # free for the system's caller (linalg.LinearSystem)
 
 
 def is_system(node) -> bool:
@@ -45,8 +44,7 @@ def test_the_sources_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
 def test_no_module_but_linalg_sets_system_state(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert [(line, attr) for line, attr in system_writes(tree)
-            if attr not in CALLER_STATE] == []
+    assert system_writes(tree) == []
 
 
 @pytest.mark.parametrize("source, attrs", [

@@ -975,7 +975,8 @@ def test_flow_step_peak_memory():
 
 class TestFixedFlow:
     """A flow step whose solve returns its guess (v^{n-1}, P^{n-1}) returns
-    those arrays, and a step on the same inputs is not assembled again."""
+    those arrays, and records its inputs on the velocity sample it started
+    from; a step from that sample on the same inputs is not assembled again."""
 
     @staticmethod
     def counted_assemblies(monkeypatch):
@@ -1002,15 +1003,56 @@ class TestFixedFlow:
             assert flow.by_guess and flow.solves == solves + n + 1
         assert flow.krylov_solves == 2 and flow.factored_solves == 2  # the initialization's
 
-    def step(self, sim, state, model=None, dt=None, v=None, bc=None, system=None):
+    def step(self, sim, state, model=None, dt=None, velocity=None, bc=None, system=None):
         """solve_flow_step of the step after ``state`` on the run's system,
-        with the model, dt, previous velocity, boundary data or system
-        replaced where given."""
+        from the state's own velocity sample, with the model, dt, previous
+        velocity sample, boundary data or system replaced where given."""
         return flow_solver.solve_flow_step(flow_solver.FlowProblem(
             temperature=TemperatureSample(model or sim.model, sim.mesh, state.theta),
-            velocity=VelocitySample(sim.mesh, state.v if v is None else v),
+            velocity=velocity or state.v_sample,
             dt=dt or sim.config.time.dt, bc=bc or sim.flow_bc, p_prev=state.P,
             system=system or sim.systems["flow"]))
+
+    @staticmethod
+    def guess_solves(factor):
+        return factor.solves - factor.krylov_solves - factor.factored_solves
+
+    def test_a_step_on_the_carried_sample_repeats(self, monkeypatch):
+        # The same inputs from the carried sample: no assembly, one more
+        # solve by the guess, and the very arrays of the state.
+        sim = Simulation(quick_config(nx=24, ny=8))
+        state = sim.advance(sim.initialize())
+        flow = sim.systems["flow"].factor
+        record, guesses = state.v_sample.fixed, self.guess_solves(flow)
+        calls = self.counted_assemblies(monkeypatch)
+        v, p = self.step(sim, state)
+        assert v is state.v and p is state.P and calls == []
+        assert self.guess_solves(flow) == guesses + 1 and flow.by_guess
+        assert state.v_sample.fixed is record
+
+    def test_a_fresh_sample_of_the_same_arrays_assembles(self, monkeypatch):
+        # A new sample holds no record, so its step is a full one; the solve
+        # returns its guess, so the step returns the state's own arrays, and
+        # the new sample now holds a record of its own.
+        sim = Simulation(quick_config(nx=24, ny=8))
+        state = sim.advance(sim.initialize())
+        fresh = VelocitySample(sim.mesh, state.v)
+        assert fresh.fixed is None and state.v_sample.fixed is not None
+        calls = self.counted_assemblies(monkeypatch)
+        v, p = self.step(sim, state, velocity=fresh)
+        assert v is state.v and p is state.P and len(calls) == 1
+        assert fresh.fixed is not None and fresh.fixed[0] is sim.flow_bc
+
+    def test_a_step_on_another_velocity_leaves_the_carried_record(self):
+        sim = Simulation(quick_config(nx=24, ny=8))
+        state = sim.advance(sim.initialize())
+        record = state.v_sample.fixed
+        v = state.v.copy()
+        v[sim.dofmap.vx_bubble(5)] += 1e-3
+        other = VelocitySample(sim.mesh, v)
+        v_new, _ = self.step(sim, state, velocity=other)
+        assert v_new is not v and other.fixed is None
+        assert state.v_sample.fixed is record
 
     def test_other_inflow_data_solve_after_a_repeat(self):
         # A new bc dict with a doubled inflow is not the repeated step's:
@@ -1019,11 +1061,12 @@ class TestFixedFlow:
         before = sim.advance(sim.initialize())
         state = sim.advance(before)
         flow = sim.systems["flow"]
-        assert state.v is before.v and flow.factor.by_guess and flow.fixed is not None
+        assert state.v is before.v and flow.factor.by_guess and state.v_sample.fixed is not None
         profile = sim.flow_bc[1].profile
         bc = dict(sim.flow_bc)
         bc[1] = flow_solver.FlowBC("inflow", lambda x, y: tuple(2.0 * c for c in profile(x, y)))
-        v_ref, p_ref = self.step(sim, state, bc=bc, system=linalg.LinearSystem())
+        v_ref, p_ref = self.step(sim, state, velocity=VelocitySample(sim.mesh, state.v), bc=bc,
+                                 system=linalg.LinearSystem())
         solves = flow.factor.solves
         v, p = self.step(sim, state, bc=bc)
         assert v is not state.v and not flow.factor.by_guess and flow.factor.solves == solves + 1
@@ -1035,11 +1078,12 @@ class TestFixedFlow:
     def test_each_input_change_assembles_again(self, monkeypatch, change):
         sim = Simulation(quick_config(nx=24, ny=8))
         state = sim.advance(sim.initialize())
-        assert sim.systems["flow"].fixed is not None
-        model, dt, v = None, None, None
+        assert state.v_sample.fixed is not None
+        model, dt, velocity = None, None, None
         if change == "v_h":
             v = state.v.copy()
             v[sim.dofmap.vx_bubble(5)] = np.nextafter(v[sim.dofmap.vx_bubble(5)], np.inf)
+            velocity = VelocitySample(sim.mesh, v)
         elif change == "nu":
             model = copy.deepcopy(sim.model)
             model.nu_law = lambda th: np.full(np.shape(th), 2.0 * model.nu_const)
@@ -1054,17 +1098,19 @@ class TestFixedFlow:
         flow = sim.systems["flow"].factor
         solves = flow.solves
         calls = self.counted_assemblies(monkeypatch)
-        v_new, p_new = self.step(sim, state, model, dt, v)
+        v_new, p_new = self.step(sim, state, model, dt, velocity)
         assert flow.solves == solves + 1
         assert len(calls) == (change != "none")
         if change == "none":
             assert v_new is state.v and p_new is state.P
         if change in ("nu", "force"):  # a new flow: the solve left its guess
             assert not flow.by_guess and not np.array_equal(v_new, state.v)
-        # The step goes back to the unchanged inputs: they are not the last
-        # step's any more, so it assembles again, and it returns its guess.
+        # The step goes back to the unchanged inputs.  A step from another
+        # velocity left the carried sample's record, so it repeats; any other
+        # changed step was the carried sample's own, and replaced or cleared
+        # its record, so it assembles again, and it returns its guess.
         v_back, p_back = self.step(sim, state)
-        assert len(calls) == 2 * (change != "none")
+        assert len(calls) == {"none": 0, "v_h": 1}.get(change, 2)
         assert v_back is state.v and p_back is state.P
 
     def test_a_guess_off_the_contracts_gets_new_bubbles(self, monkeypatch):
@@ -1073,7 +1119,7 @@ class TestFixedFlow:
         # checks them again, as for any solve.
         sim = Simulation(quick_config(nx=24, ny=8))
         state = sim.advance(sim.initialize())
-        sim.systems["flow"].fixed = None  # so that the step solves again
+        state.v_sample.fixed = None  # so that the step solves again
         checked = []
         contract_miss = flow_solver._contract_miss
 
@@ -1085,7 +1131,7 @@ class TestFixedFlow:
         v_new, p_new = self.step(sim, state)
         assert sim.systems["flow"].factor.by_guess and len(checked) == 2
         assert np.array_equal(checked[0], np.concatenate([state.v, state.P]))
-        assert v_new is not state.v and sim.systems["flow"].fixed is None
+        assert v_new is not state.v and state.v_sample.fixed is None
         assert np.abs(v_new - state.v).max() <= 1e-12 and np.array_equal(p_new, state.P)
 
     def test_a_guess_off_its_boundary_values_is_not_returned(self):
@@ -1100,8 +1146,9 @@ class TestFixedFlow:
         k = int(np.flatnonzero(vals)[0])
         v = state.v.copy()
         v[dofs[k]] = np.nextafter(v[dofs[k]], np.inf)
-        v_new, _ = self.step(sim, state, v=v)
-        assert sim.systems["flow"].factor.by_guess and sim.systems["flow"].fixed is None
+        velocity = VelocitySample(sim.mesh, v)
+        v_new, _ = self.step(sim, state, velocity=velocity)
+        assert sim.systems["flow"].factor.by_guess and velocity.fixed is None
         assert v_new is not v and v_new[dofs[k]] == vals[k] == state.v[dofs[k]]
 
     def test_test3_rows_match_the_stored_run(self):

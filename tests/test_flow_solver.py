@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ablatesim import fem_core, flow_solver, verify
+from ablatesim import fem_core, flow_solver, linalg, verify
 from ablatesim.flow_solver import (FlowBC, FlowProblem, VelocitySample,
                                    builtin_profile_gamma1,
                                    builtin_profile_gamma5, make_profile,
@@ -141,9 +141,10 @@ class TestFlowStep:
         assert np.count_nonzero(v[dm.vx_vertex(left)] == 1.0) == left.size - 2
 
     def test_invalid_dt_rejected(self):
-        problem = make_problem(channel_mesh(10, 6), bc_test1(), dt=-0.1)
-        with pytest.raises(ValueError):
-            solve_flow_step(problem)
+        for dt in (-0.1, np.inf):
+            problem = make_problem(channel_mesh(10, 6), bc_test1(), dt=dt)
+            with pytest.raises(ValueError, match=f"^dt must be positive and finite, got {dt}$"):
+                solve_flow_step(problem)
         # A step needs dt and the previous velocity.
         mesh = channel_mesh(10, 6)
         v_prev = np.zeros(fem_core.dofmap_for(mesh).n_velocity)
@@ -193,27 +194,29 @@ class TestStepInputs:
         hot = flow_solver._force_load(make_problem(mesh, bc_test1(), 40.0, model=buoyant))
         assert hot is not loads[0] and hot.any()
 
-    def test_identical_compares_broadcast_constants_by_their_value(self):
-        identical = flow_solver._identical
+    def test_same_compares_broadcast_constants_by_their_value(self):
+        # A repeated step's inputs are compared by linalg._same, the one rule
+        # of every reuse: one object, else equal values with equal sign bits.
+        same = linalg._same
         nu = np.broadcast_to(0.0021, (50, 12))
-        assert identical(nu, np.broadcast_to(0.0021, (50, 12)))
-        assert identical(nu, np.full((50, 12), 0.0021))  # a full array of the value
-        assert not identical(nu, np.broadcast_to(np.nextafter(0.0021, 1.0), (50, 12)))
-        assert not identical(nu, np.broadcast_to(0.0021, (50, 11)))
-        assert not identical(np.broadcast_to(0.0, (4, 3)), np.broadcast_to(-0.0, (4, 3)))
-        assert not identical(np.broadcast_to(np.nan, (4, 3)), np.broadcast_to(np.nan, (4, 3)))
+        assert same(nu, np.broadcast_to(0.0021, (50, 12)))
+        assert same(nu, np.full((50, 12), 0.0021))  # a full array of the value
+        assert not same(nu, np.broadcast_to(np.nextafter(0.0021, 1.0), (50, 12)))
+        assert not same(nu, np.broadcast_to(0.0021, (50, 11)))
+        assert not same(np.broadcast_to(0.0, (4, 3)), np.broadcast_to(-0.0, (4, 3)))
+        assert not same(np.broadcast_to(np.nan, (4, 3)), np.broadcast_to(np.nan, (4, 3)))
         row = np.broadcast_to(np.arange(3.0), (4, 3))  # a broadcast row varies
-        assert not identical(row, np.broadcast_to(0.0, (4, 3)))
-        assert identical(row, np.tile(np.arange(3.0), (4, 1)))
+        assert not same(row, np.broadcast_to(0.0, (4, 3)))
+        assert same(row, np.tile(np.arange(3.0), (4, 1)))
         # The default viscosity, a number, against itself and an array of it.
-        assert identical(0.0021, 0.0021) and not identical(0.0021, nu)
-        assert not identical(0.0, -0.0) and not identical(float("nan"), float("nan"))
+        assert same(0.0021, 0.0021) and not same(0.0021, nu)
+        assert not same(0.0, -0.0) and not same(float("nan"), float("nan"))
         # One NaN object matches itself, as any object does; a step's inputs
-        # are checked finite, so no repeat stores one.
+        # are checked finite, so no repeat records one.
         nan = float("nan")
-        assert identical(nan, nan)
+        assert same(nan, nan)
         nan_nu = np.broadcast_to(np.nan, (4, 3))
-        assert identical(nan_nu, nan_nu) and not identical(nan_nu, nan_nu.copy())
+        assert same(nan_nu, nan_nu) and not same(nan_nu, nan_nu.copy())
 
 
 def doubled(profile):
@@ -338,17 +341,17 @@ class TestNewton:
         got = saddle.matrix.toarray()
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_manufactured_rates_of_the_stationary_solve(self):
-        # The stationary flow that initialize() solves (Stokes, then Newton)
-        # on C3's manufactured case meets C3's windows and the divergence
-        # contract at every level.  Every tag is an inflow, so the outlet
-        # term's derivative is not rated here.
-        case = verify.oseen_case()
+    @staticmethod
+    def assert_stationary_rates(case):
+        """The stationary flow that initialize() solves (Stokes, then Newton)
+        on a manufactured Oseen case meets C3's windows and the divergence
+        contract at every level, 16x8 to 64x32."""
         h, errors = [], {"velocity_H1": [], "pressure_L2": []}
         for nx, ny in ((16, 8), (32, 16), (64, 32)):
             mesh = verify._mms_mesh(nx, ny)
-            problem = make_problem(mesh, {tag: FlowBC("inflow", case.exact) for tag in ALL_TAGS},
-                                   dt=None, model=verify._unit_material(),
+            bc = {tag: FlowBC("donothing") if tag in case.outlet else FlowBC("inflow", case.exact)
+                  for tag in ALL_TAGS}
+            problem = make_problem(mesh, bc, dt=None, model=verify._unit_material(),
                                    extra_force=case.source,
                                    pressure_pin_value=float(case.pressure(0.0, 0.0)))
             v, p = solve_flow_stationary(problem)
@@ -359,7 +362,17 @@ class TestNewton:
             errors["pressure_L2"].append(verify.l2_error_scalar(mesh, p, case.pressure))
         slopes = {name: np.polyfit(np.log(h), np.log(errs), 1)[0]
                   for name, errs in errors.items()}
-        assert 0.9 <= slopes["velocity_H1"] <= 1.3 and 0.8 <= slopes["pressure_L2"] <= 1.3
+        assert 0.9 <= slopes["velocity_H1"] <= 1.3 and 0.8 <= slopes["pressure_L2"] <= 1.3, slopes
+
+    def test_manufactured_rates_of_the_stationary_solve(self):
+        # C3's case: every tag is an inflow, so no outlet term is rated.
+        self.assert_stationary_rates(verify.oseen_case())
+
+    def test_manufactured_rates_through_a_do_nothing_outlet(self):
+        # The outlet case leaves through G3, so its rates need the outlet's
+        # surface term and that term's Newton derivative, whose
+        # cross-component edge blocks only an outflow reaches.
+        self.assert_stationary_rates(verify.oseen_outlet_case())
 
 
 def viscous_dissipation(mesh, model, theta, v):

@@ -423,11 +423,11 @@ class TestHeatStep:
         with pytest.raises(ValueError, match="dt"):
             solve_heat_step(problem)
 
-    @pytest.mark.parametrize("dt", [0.0, -0.05])
+    @pytest.mark.parametrize("dt", [0.0, -0.05, np.inf])
     def test_non_positive_dt_rejected(self, dt):
         mesh = small_mesh()
         problem = make_problem(mesh, robin_bc(), np.full(mesh.num_vertices, 37.0), dt=dt)
-        with pytest.raises(ValueError, match=f"^dt must be positive, got {dt}$"):
+        with pytest.raises(ValueError, match=f"^dt must be positive and finite, got {dt}$"):
             solve_heat_step(problem)
 
     @pytest.mark.parametrize("solve", [solve_heat_step, solve_heat_stationary])

@@ -234,6 +234,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="^materials: buoyancy.coefficient must be finite"):
             cfg.validate()
 
+    # Through the Python API each of these infinite or NaN numbers once
+    # passed validate(): alpha then failed as a non-finite heat right-hand
+    # side, beta, sigma0, eta0 and nu as a singular matrix, and T ran with
+    # dt = inf.
+    @pytest.mark.parametrize("section, key, value", [
+        ("time", "T", np.inf), ("stabilization", "beta", np.inf),
+        ("stabilization", "c_r", np.inf), ("stabilization", "var_floor", np.inf),
+        ("materials", "sigma0", np.inf), ("materials", "eta0", np.inf),
+        ("materials", "nu", np.inf), ("heat_bc.G1", "alpha", np.nan),
+        ("heat_bc.G1", "alpha", np.inf)])
+    def test_infinite_or_nan_number_rejected(self, section, key, value):
+        cfg = preset("test2")
+        target = cfg.heat_bc["G1"] if section == "heat_bc.G1" else getattr(cfg, section)
+        setattr(target, key, value)
+        with pytest.raises(ConfigError, match=rf"^{section}: (Robin coefficient )?{key} must be "
+                                              rf"(positive|nonnegative) and finite, got {value}$"):
+            cfg.validate()
+
     def test_probe_inside_domain(self):
         with pytest.raises(ConfigError, match="probe"):
             config_from_dict({"output": {"probes": [{"x": 99.0, "y": 0.0}]}})
@@ -372,7 +390,7 @@ class TestCLI:
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps({"preset": "test1", "stabilization": {key: value}}))
         assert main(["run", "--config", str(cfgfile)]) == 2
-        assert f"stabilization: {message}, got {value}" in capsys.readouterr().err
+        assert f"stabilization: {message} and finite, got {value}" in capsys.readouterr().err
 
     def test_run_unknown_inflow_profile_exit_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.json"

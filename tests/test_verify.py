@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ablatesim import coupler, fem_core, heat_solver, linalg, materials, verify
+from ablatesim import coupler, fem_core, flow_solver, heat_solver, linalg, materials, verify
 from ablatesim.mesh import GeometrySpec, generate_channel_mesh
 from ablatesim.sim_cli import config_from_dict
 from ablatesim.verify import (CASE_KINDS, INVARIANT_NAMES, ManufacturedCase, RateReport,
@@ -12,7 +12,8 @@ from ablatesim.verify import (CASE_KINDS, INVARIANT_NAMES, ManufacturedCase, Rat
                               format_report_csv,
                               heat_steady_case, heat_unsteady_spatial_case,
                               heat_unsteady_temporal_case, invariant_suite,
-                              oseen_case, oseen_unsteady_case, potential_case)
+                              oseen_case, oseen_outlet_case, oseen_unsteady_case,
+                              potential_case)
 
 
 def tiny_config(**over):
@@ -22,7 +23,7 @@ def tiny_config(**over):
 
 
 ALL_CASES = [potential_case, heat_steady_case, heat_unsteady_spatial_case,
-             heat_unsteady_temporal_case, oseen_case, oseen_unsteady_case]
+             heat_unsteady_temporal_case, oseen_case, oseen_outlet_case, oseen_unsteady_case]
 
 
 class TestSourceConsistency:
@@ -107,6 +108,28 @@ class TestRateReport:
         assert rep.slopes_ls["L2"] > 1.5
         assert len(rep.h) == 3
         assert rep.errors["L2"][0] > rep.errors["L2"][-1]
+
+
+class TestOutletCase:
+    def test_linear_rates_meet_c3_windows(self):
+        # The linear Oseen solve of every flow solve, with G3 do-nothing and
+        # no pressure pinned, meets C3's windows from 16x8 to 64x32: the
+        # natural condition and the convective surface term are consistent.
+        rep = convergence_study(oseen_outlet_case(), levels=((16, 8), (32, 16), (64, 32)))
+        assert 0.9 <= rep.slopes_ls["velocity_H1"] <= 1.3, rep.slopes_ls
+        assert 0.8 <= rep.slopes_ls["pressure_L2"] <= 1.3, rep.slopes_ls
+        assert all(d <= flow_solver.DIVERGENCE_BOUND * (1.0 + v) for d, v in
+                   zip(rep.extra["div_residual"], rep.extra["v_norm"]))
+
+    def test_the_outlet_is_traction_free_and_flowed_through(self):
+        # (D(u*) - p* I) n = 0 on x = 2, with nu = 1, while u*.n is not 0.
+        case = oseen_outlet_case()
+        y = np.linspace(0.0, 1.0, 9)
+        x = np.full_like(y, verify.MMS_GEOMETRY["L"])
+        (d11, d12), (d21, _) = case.grad(x, y)
+        assert np.abs(d11 - case.pressure(x, y)).max() <= 1e-12
+        assert np.abs(0.5 * (d12 + d21)).max() <= 1e-12
+        assert np.abs(case.exact(x, y)[0]).max() > 1.0
 
 
 class TestSplittingOrder:

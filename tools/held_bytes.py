@@ -14,8 +14,8 @@ once, so the lines may sum to more than the total.
 
 Then one ``system:<name>`` line per entry of ``Simulation.systems`` (a
 :class:`ablatesim.linalg.LinearSystem`) gives the bytes of the numpy arrays
-that the system holds and the geometry does not: its elimination structure,
-its held factor's scaling and last solution, and the step inputs it keeps.
+that the system holds and the geometry does not: its elimination structure
+and its held factor's scaling and last solution.
 The memory that SuperLU allocates in C for a factor is not counted.
 """
 

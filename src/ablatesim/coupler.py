@@ -52,7 +52,7 @@ from .heat_solver import (ROLE_INFLOW, HeatBC, HeatProblem, solve_heat_stationar
                           solve_heat_step)
 from .linalg import LinearSystem, SolverError
 from .materials import TemperatureSample
-from .mesh import TAG_NAMES, generate_channel_mesh
+from .mesh import TAG_NAMES, generate_channel_mesh, is_count
 from .potential_solver import PotentialProblem, solve_potential
 
 BLOWUP_LIMIT = 1e4
@@ -75,6 +75,8 @@ class TimeGrid:
     def validate(self) -> None:
         if not 0.0 < self.T < np.inf:
             raise ValueError(f"T must be positive and finite, got {self.T}")
+        if not is_count(self.M):
+            raise ValueError(f"M must be an integer, got {self.M!r}")
         if self.M < 0:
             raise ValueError(f"M must be nonnegative, got {self.M}")
 

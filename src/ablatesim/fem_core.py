@@ -668,7 +668,8 @@ class BoundaryEdges:
     (NE, 2) and ``normals`` (NE, 2) are their Gauss points and weights and
     their outward normals; ``owners`` and ``local`` are their owner
     triangles and the local indices there of their two vertices; ``index``
-    are their places among the mesh's boundary edges."""
+    are their places among the mesh's boundary edges.  A velocity's v.n
+    has its one home here, :meth:`normal_velocity`, formed at each call."""
 
     def __init__(self, mesh: Mesh2D, tags):
         sel = np.isin(mesh.boundary_tags, np.asarray(tags, dtype=np.int64))
@@ -687,12 +688,9 @@ class BoundaryEdges:
             _frozen(arr)
 
     def mass(self, weights: np.ndarray) -> np.ndarray:
-        """Data, on the full P1 pattern, of the integrals of w psi_a psi_b;
-        the (NE, 2) ``weights`` may be given as their (NE, 2, 2) edge blocks
-        (:func:`_edge_blocks`), as a sample carries the inflow's."""
+        """Data, on the full P1 pattern, of the integrals of w psi_a psi_b."""
         data = np.zeros(self._p1.nnz)
-        np.add.at(data, self._p1_positions,
-                  weights if weights.ndim == 3 else _edge_blocks(weights))
+        np.add.at(data, self._p1_positions, _edge_blocks(weights))
         return data
 
     def load(self, weights: np.ndarray) -> np.ndarray:
@@ -708,6 +706,11 @@ class BoundaryEdges:
         va = coeff[self.owners, :, self.local[:, 0]]
         vb = coeff[self.owners, :, self.local[:, 1]]
         return va[:, None, :] * EDGE_PHI[0][:, None] + vb[:, None, :] * EDGE_PHI[1][:, None]
+
+    def normal_velocity(self, coeff: np.ndarray) -> np.ndarray:
+        """(NE, 2) v.n at the Gauss points of the MINI field of element
+        coefficients ``coeff``: the one place v.n is formed."""
+        return (self.trace(coeff) * self.normals[:, None, :]).sum(axis=-1)
 
 
 def _tag_set(tags) -> tuple:
@@ -1032,19 +1035,19 @@ def _velocity_blocks(mesh: Mesh2D, viscosity, advect=None, gamma_n_tags=(),
 def _surface(mesh: Mesh2D, coeff: np.ndarray, gamma_n_tags, newton: bool = False):
     """A function ``add(local, block)`` that adds the convective surface
     term s(a; u, w) = integral_{Gamma_N} (a.n)(u.w) of the MINI field ``a``
-    of element coefficients ``coeff``, formed from its trace on the edges, to
+    of element coefficients ``coeff``, formed from its a.n on the edges, to
     the (n, 8, 8) element blocks ``local`` of the triangles ``block``: each
     edge's 2 x 2 blocks to its owner's.  With ``newton``, the term is its
     derivative in u at u = a, which adds integral_{Gamma_N} (delta.n)(u.w):
     the (d, c) velocity block with weight a_d n_c.  The term couples vertex
     values only, so it leaves the bubble rows and columns as they are."""
     edges = boundary_edges(mesh, gamma_n_tags)
-    a_e = edges.trace(coeff)
     blocks = np.zeros((edges.owners.size, 2, 2, 2, 2))  # [edge, d, a, c, b]
-    surf = _edge_blocks(edges.wts * (a_e * edges.normals[:, None, :]).sum(axis=-1))
+    surf = _edge_blocks(edges.wts * edges.normal_velocity(coeff))
     for comp in range(2):
         blocks[:, comp, :, comp] = surf
     if newton:
+        a_e = edges.trace(coeff)
         for d in range(2):
             for c in range(2):
                 blocks[:, d, :, c] += _edge_blocks(edges.wts * a_e[..., d]

@@ -22,7 +22,8 @@ pivoting would otherwise leave the order.  The bubbles are then recovered
 triangle by triangle, and the residual and divergence contracts
 (:data:`RESIDUAL_BOUND`, :data:`DIVERGENCE_BOUND`) are checked again on the
 recovered full system.  Do-nothing outlets add no stress boundary terms; the
-convective form keeps its Gamma_N surface integral exactly as written.
+convective form keeps its Gamma_N surface integral exactly as written, its
+a.n from :meth:`fem_core.BoundaryEdges.normal_velocity` as the heat's is.
 
 A time step starts its solve from the previous (v, P), the problem's
 ``p_prev`` with its ``velocity``, in the condensed layout.  The rule is
@@ -370,25 +371,15 @@ def _cell_speed_max(coeffs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(fem_core._cell_sup(sq), fem_core._cell_sup(sq_v)))
 
 
-def inflow_weights(mesh: Mesh2D, coeffs: np.ndarray) -> np.ndarray:
-    """(NE, 2) inflow weights -(v.n)_- times the Gauss weights at the Gauss
-    points of every boundary edge of ``mesh``, in its order, of the MINI
-    velocity of element coefficients ``coeffs``."""
-    edges = fem_core.boundary_edges(mesh, np.unique(mesh.boundary_tags))
-    vel = edges.trace(coeffs)
-    return edges.wts * np.maximum(-np.einsum("egk,ek->eg", vel, edges.normals), 0.0)
-
-
 class VelocitySample:
     """The velocity ``v_h`` (MINI dofs) of ``mesh`` and its values: its
     (NT, 2, 4) MINI element coefficients ``coeffs``, from which the others
     are formed, D(v):D(v) at the quadrature points (``strain``), the scalar
     ``advection`` matrix, the per-cell speed ``speed`` of the artificial
-    viscosity, the heat's inflow weights -(v.n)_- on every boundary edge
-    (``inflow``) with their edge mass blocks (``inflow_mass``), and the
-    diagnostics' |Bv| (``div_norm``) and max|v| (``vmax``).  The velocity
-    itself is not held at the quadrature points: the cell speeds take those
-    values from the coefficients by one GEMM and drop them.  Each value is
+    viscosity, and the diagnostics' |Bv| (``div_norm``) and max|v|
+    (``vmax``).  The velocity itself is held neither at the quadrature
+    points, which the cell speeds form by one GEMM and drop, nor on the
+    boundary edges, where the heat forms its own inflow weights.  Each value is
     evaluated on first read, then shared, read-only.  ``fixed`` is the inputs
     of the last flow step from this velocity if it returned this very
     velocity, else None (:func:`solve_flow_step`); :meth:`drop` leaves it."""
@@ -404,10 +395,6 @@ class VelocitySample:
     advection = cached_property(lambda self: fem_core._frozen_csr(
         fem_core.assemble_advection(self.mesh, self.coeffs)))
     speed = cached_property(lambda self: fem_core._frozen(_cell_speed_max(self.coeffs)))
-    inflow = cached_property(lambda self: fem_core._frozen(
-        inflow_weights(self.mesh, self.coeffs)))
-    inflow_mass = cached_property(lambda self: fem_core._frozen(
-        fem_core._edge_blocks(self.inflow)))
     div_norm = cached_property(lambda self: float(np.linalg.norm(
         fem_core.assemble_divergence(self.mesh) @ self.v_h)))
     vmax = cached_property(lambda self: float(np.max(np.abs(self.v_h)))

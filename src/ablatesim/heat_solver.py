@@ -21,9 +21,9 @@ fields at the quadrature points from three samples: ``temperature``
 (:class:`materials.TemperatureSample`), theta^{n-1} with the mesh and the
 laws there, ``velocity`` (:class:`flow_solver.VelocitySample`), the
 residual's v^{n-1}, and ``transport``, the transporting velocity v^n with
-its D(v):D(v), its advection matrix and its inflow weights; a split step
-passes the samples its other stages and the previous step read, one sample
-for both velocities when v^n is v^{n-1}.  The stationary solve starts from
+its D(v):D(v) and its advection matrix; a split step passes the samples its
+other stages and the previous step read, one sample for both velocities
+when v^n is v^{n-1}.  The stationary solve starts from
 the temperature sample, reads no velocity but the transport and takes no
 ``dt``, as the stationary flow takes none.  The Joule density
 (:func:`potential_solver.joule_density`) is evaluated at most once, for the
@@ -31,10 +31,11 @@ load and the residual, and so is the heat source when v^{n-1} also
 transports.  The boundary and source data, and the Dirichlet data that each
 solve gives the problem's :class:`linalg.LinearSystem` at the vertices of
 the Dirichlet tags (:func:`fem_core.dirichlet_vertices`), are sampled at
-the problem's ``time``.  A solve starts from the previous temperature, so
-an equilibrium stays bit-for-bit fixed.  The stationary Picard iteration
-(:func:`linalg.fixed_point`) raises SolverError when it misses
-:data:`PICARD_TOL` in :data:`PICARD_MAX` solves.
+the problem's ``time``.  The inflow weights are formed on the inflow tags'
+own edges from the transport (:func:`_inflow_terms`).  A solve starts from
+the previous temperature, so an equilibrium stays bit-for-bit fixed.  The
+stationary Picard iteration (:func:`linalg.fixed_point`) raises SolverError
+when it misses :data:`PICARD_TOL` in :data:`PICARD_MAX` solves.
 """
 
 from __future__ import annotations
@@ -230,11 +231,12 @@ def artificial_viscosity(mesh: Mesh2D, residuals, theta: np.ndarray,
 
 
 def _robin_terms(problem: HeatProblem):
-    """The Robin (matrix data, rhs) pair, summed in tag order over the tags
-    with a nonzero alpha; the data are None when there is none.  The pair of
-    constant ambient temperatures is held per mesh.  With a callable one,
-    the data, which depend on the tags and their alphas alone, are held per
-    mesh, and only the rhs is formed, sampled at the problem's time."""
+    """The Robin (matrix data, rhs) pair of int_e alpha theta psi and
+    int_e alpha theta_b psi, theta_b the ambient temperature, summed in tag
+    order over the tags with a nonzero alpha; the data are None when there
+    is none.  Per mesh, the data are held per (tags, alphas), and the rhs
+    per (tags, alphas, values) unless a value is callable: then it is
+    sampled at the problem's time."""
     mesh = problem.temperature.mesh
     robin = [(tag, bc) for tag, bc in sorted(problem.bc.items())
              if bc.role == ROLE_ROBIN and bc.alpha != 0.0]
@@ -255,49 +257,31 @@ def _robin_terms(problem: HeatProblem):
             rhs = rhs + edges.load(w * fem_core.sample(bc.value, edges.pts, problem.time))
         return rhs
 
+    key = tuple((tag, bc.alpha) for tag, bc in robin)
+    data = fem_core.cached(mesh, ("robin_mass", key), mass)
     if any(callable(bc.value) for _, bc in robin):
-        key = ("robin_mass", tuple((tag, bc.alpha) for tag, bc in robin))
-        return fem_core.cached(mesh, key, mass), load()
-
-    def build():
-        return tuple(x if x is None else fem_core._frozen(x) for x in (mass(), load()))
-    key = ("robin", tuple((tag, bc.alpha, bc.value) for tag, bc in robin))
-    return fem_core.cached(mesh, key, build)
+        return data, load()
+    values = tuple(bc.value for _, bc in robin)
+    return data, fem_core.cached(mesh, ("robin_load", key, values), load)
 
 
 def _inflow_terms(problem: HeatProblem):
-    """The inflow (matrix data, rhs) pair, summed in tag order; the data are
-    None when there is no inflow tag.  On each tag's edges: the transport's
-    inflow weights and their edge mass, which move with it, and the load of
-    the inflow temperature at the problem's time."""
-    mesh, transport = problem.temperature.mesh, problem.transport
+    """The inflow (matrix data, rhs) pair of int_e w theta psi and
+    int_e w theta_in psi, summed in tag order over the inflow tags, with
+    w = -(v.n)_- of the transport v (:meth:`fem_core.BoundaryEdges.normal_velocity`
+    on each tag's own edges), which imposes the inflow temperature theta_in,
+    sampled at the problem's time, weakly through the advective flux; the
+    data are None when there is no inflow tag.  The weight acts only where v
+    enters the domain (v.n < 0), so a switched-off jet imposes nothing."""
+    mesh, coeffs = problem.temperature.mesh, problem.transport.coeffs
     data, rhs = None, np.zeros(mesh.num_vertices)
     for tag, bc in sorted(problem.bc.items()):
         if bc.role == ROLE_INFLOW:
             edges = fem_core.boundary_edges(mesh, (tag,))
-            m = edges.mass(transport.inflow_mass[edges.index])
-            data = m if data is None else m + data
-            w = transport.inflow[edges.index]
+            w = edges.wts * np.maximum(-edges.normal_velocity(coeffs), 0.0)
+            data = edges.mass(w) if data is None else edges.mass(w) + data
             rhs = rhs + edges.load(w * fem_core.sample(bc.value, edges.pts, problem.time))
     return data, rhs
-
-
-def _boundary_terms(problem: HeatProblem):
-    """The Robin and the inflow terms, one (matrix data, rhs) pair each:
-
-        A += int_e w theta psi,   rhs += int_e w theta_b psi,
-
-    with w = alpha on a Robin tag (theta_b the ambient temperature) and
-    w = -(v.n)_- on an inflow tag, which imposes the inflow temperature
-    weakly through the advective flux.  The inflow weight acts only where
-    the transporting velocity enters the domain (v.n < 0), so a switched-off
-    jet imposes nothing.  Matrix data, on the full P1 pattern, are None when
-    no tag contributes.  The Robin matrix data are a per-mesh constant,
-    built once, and so is its rhs of constant ambient temperatures; a
-    callable ambient temperature is sampled at each call, at the problem's
-    time.
-    """
-    return _robin_terms(problem), _inflow_terms(problem)
 
 
 def _solve(problem: HeatProblem, A_sys, rhs, theta) -> np.ndarray:
@@ -348,7 +332,7 @@ def _heat_system(problem: HeatProblem):
     M = fem_core.assemble_mass(mesh)
     mass_coeff = None if problem.dt is None else 1.0 / problem.dt
     D = transport.advection
-    boundary = _boundary_terms(problem)
+    boundary = _robin_terms(problem), _inflow_terms(problem)
 
     def build(theta, laws, source, art=0.0):
         """The system at the laws ``laws`` of ``theta``, its

@@ -467,8 +467,10 @@ class LinearSystem:
     diagonals, depends on A's pattern and the dofs alone.  It is built at
     the first elimination (``builds`` counts the builds) and again only when
     the pattern or the dofs change (compared by :func:`_same`), whatever
-    A's values; the dofs are checked when they change.  A system without
-    constraints passes a canonical A through untouched.  It holds only what
+    A's values; the dofs are checked when they change, and so is A when its
+    pattern does: a non-canonical A, or one in which a constrained row
+    stores no diagonal, raises ValueError.  A system without constraints
+    passes a canonical A through untouched.  It holds only what
     its own solves derive: a flow step's record of a repeat is kept on the
     velocity it certifies (:class:`flow_solver.VelocitySample`).
     """
@@ -511,7 +513,7 @@ class LinearSystem:
         if not dofs.size and A.has_canonical_format:
             return A, b
         if not self._on_pattern(A):
-            A = self._build(A)
+            self._build(A)
         data = A.data.copy()
         data[self._zero] = 0.0
         data[self._diag] = 1.0
@@ -531,28 +533,27 @@ class LinearSystem:
         return self._pattern is not None and A.shape == self._pattern[0] and all(
             _same(a, p) for a, p in zip((A.indptr, A.indices), self._pattern[1:]))
 
-    def _build(self, A: SparseMatrix) -> SparseMatrix:
+    def _build(self, A: SparseMatrix) -> None:
         """Build the structure of A's elimination: the data positions of the
         constrained rows and columns, which are zeroed, and of the
-        constrained rows' diagonals, which are set to 1.  Returns A, or, when
-        A is not canonical or a constrained row stores no diagonal, the
-        canonical copy with zero diagonals added that it is built on."""
+        constrained rows' diagonals, which are set to 1.  A must be
+        canonical and store the diagonal of every constrained row, as the
+        P1 and condensed patterns do; else ValueError."""
         self._pattern = self._zero = self._diag = None  # freed before the new one is built
         n, dofs = A.shape[0], self.dofs
         if dofs.size and dofs.max() >= n:
             raise IndexError("Dirichlet dof out of range")
+        if not A.has_canonical_format:
+            raise ValueError("the eliminated matrix must be canonical: sorted, no duplicates")
         # The data positions of the constrained rows: the runs indptr[d] ...
         # indptr[d + 1] - 1, laid end to end.
         starts = A.indptr[dofs]
         counts = A.indptr[dofs + 1] - starts
         in_rows = np.repeat(starts + counts - np.cumsum(counts), counts) + np.arange(counts.sum())
         diag = in_rows[A.indices[in_rows] == np.repeat(dofs, counts)]
-        if not A.has_canonical_format or diag.size < dofs.size:
-            rows = np.repeat(np.arange(n), np.diff(A.indptr))
-            return self._build(sp.csr_matrix(
-                (np.concatenate([A.data, np.zeros(dofs.size)]),
-                 (np.concatenate([rows, dofs]), np.concatenate([A.indices, dofs]))),
-                shape=A.shape))
+        if diag.size < dofs.size:
+            row = dofs[~np.isin(dofs, A.indices[diag])][0]
+            raise ValueError(f"constrained row {row} stores no diagonal")
         constrained = np.zeros(n, dtype=bool)
         constrained[dofs] = True
         zero = constrained[A.indices]
@@ -560,7 +561,6 @@ class LinearSystem:
         self._zero, self._diag = np.flatnonzero(zero).astype(np.int32), diag.astype(np.int32)
         self._pattern = (A.shape, A.indptr, A.indices)
         self.builds += 1
-        return A
 
 
 def apply_dirichlet(A: SparseMatrix, b: FieldVector, dofs, values):

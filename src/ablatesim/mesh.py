@@ -37,6 +37,12 @@ class MeshError(ValueError):
     """Invalid mesh or geometry specification."""
 
 
+def is_count(value) -> bool:
+    """Whether ``value``, a count of cells or steps, is an integer (a bool
+    is not one), as the JSON config reader requires."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class GeometrySpec:
     """Channel geometry: lengths L, H, electrode half-width r, subdivisions."""
@@ -55,6 +61,9 @@ class GeometrySpec:
             raise MeshError(f"L and H must be positive, got L={self.L}, H={self.H}")
         if not (0 < 2 * self.r < self.L):
             raise MeshError(f"need 0 < 2r < L, got r={self.r}, L={self.L}")
+        for name in ("nx", "ny"):
+            if not is_count(getattr(self, name)):
+                raise MeshError(f"{name} must be an integer, got {name}={getattr(self, name)!r}")
         if self.nx < 2 or self.ny < 2:
             raise MeshError(f"nx, ny must be >= 2, got nx={self.nx}, ny={self.ny}")
         span_counts(self)

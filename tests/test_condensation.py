@@ -42,7 +42,11 @@ def monolithic(problem, advect, dt=None, gamma_n=()):
         fx, fy = problem.extra_force(qp[..., 0], qp[..., 1])
         force = np.stack(np.broadcast_arrays(fx, fy, weights(mesh))[:2], axis=-1)
         rhs_v = rhs_v + fem_core.assemble_vector_load(mesh, force)
-    K = sp.bmat([[A, -blocks["B"].T], [blocks["B"], None]], format="csr")
+    # The pressure block stores its zero diagonal, which the elimination of
+    # an enclosed flow's pinned pressure needs.
+    n_p = dm.n_pressure
+    zero = sp.csr_matrix((np.zeros(n_p), (np.arange(n_p), np.arange(n_p))), shape=(n_p, n_p))
+    K = sp.bmat([[A, -blocks["B"].T], [blocks["B"], zero]], format="csr")
     rhs = np.concatenate([rhs_v, np.zeros(dm.n_pressure)])
     dofs, vals = flow_constraints(problem)  # with the pressure pin of an enclosed flow
     x = linalg.solve_lu(*linalg.apply_dirichlet(K, rhs, dofs, vals))

@@ -586,13 +586,20 @@ class TestHeatStep:
 
 # Outward normals of the channel sides, by tag.
 NORMALS = {1: (-1.0, 0.0), 2: (0.0, -1.0), 3: (1.0, 0.0), 4: (0.0, 1.0), 5: (0.0, 1.0)}
+GAUSS = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))  # 2-point rule on [0, 1]
+
+
+def edge_by_edge_normal_velocity(mesh, vertex_velocity):
+    """(NE, 2) v.n at the Gauss points of every boundary edge, edge by edge."""
+    return np.array([[((1.0 - s) * vertex_velocity[a] + s * vertex_velocity[b])
+                      @ NORMALS[int(tag)] for s in GAUSS]
+                     for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags)])
 
 
 def edge_by_edge_terms(mesh, bc, vertex_velocity, t):
     """Robin and inflow (matrix, rhs) pairs summed edge by edge with 2-point
     Gauss: w = alpha on a Robin edge, w = max(-v.n, 0) on an inflow edge."""
     nv = mesh.num_vertices
-    gauss = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
     terms = {"robin": (np.zeros((nv, nv)), np.zeros(nv)),
              "inflow": (np.zeros((nv, nv)), np.zeros(nv))}
     for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
@@ -602,7 +609,7 @@ def edge_by_edge_terms(mesh, bc, vertex_velocity, t):
         mat, rhs = terms[cond.role]
         pa, pb = mesh.vertices[a], mesh.vertices[b]
         length = float(np.hypot(*(pb - pa)))
-        for s in gauss:
+        for s in GAUSS:
             x, y = (1.0 - s) * pa + s * pb
             if cond.role == "robin":
                 w = cond.alpha
@@ -640,13 +647,23 @@ class TestBoundaryKernel:
         phi = np.random.default_rng(7).standard_normal(mesh.num_vertices)
         return make_problem(mesh, bc, theta, v=v, phi=phi, time=0.3), vertex_v
 
+    def test_normal_velocity_matches_edge_loop(self):
+        # v.n, formed from the velocity's element coefficients, is the edge
+        # loop's on every tag: the random bubbles vanish on the edges.
+        problem, vertex_v = self.robin_inflow_problem()
+        mesh = problem.temperature.mesh
+        got = fem_core.boundary_edges(mesh, ALL_TAGS).normal_velocity(problem.transport.coeffs)
+        want = edge_by_edge_normal_velocity(mesh, vertex_v)
+        assert got.shape == want.shape == (mesh.boundary_edges.shape[0], 2)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_robin_and_inflow_terms_match_edge_loop(self):
         problem, vertex_v = self.robin_inflow_problem()
         mesh, bc = problem.temperature.mesh, problem.bc
         # The terms' matrices come as data on the full P1 pattern.
         pattern = fem_core._p1_pattern(mesh)
-        (R, r), (I, i) = ((pattern.matrix(data), load)
-                          for data, load in heat_solver._boundary_terms(problem))
+        (R, r), (I, i) = ((pattern.matrix(data), load) for data, load in
+                          (heat_solver._robin_terms(problem), heat_solver._inflow_terms(problem)))
         (R_ref, r_ref), (I_ref, i_ref) = edge_by_edge_terms(mesh, bc, vertex_v, 0.3)
         for got, ref in ((R.toarray(), R_ref), (r, r_ref), (I.toarray(), I_ref), (i, i_ref)):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -672,10 +689,11 @@ class TestBoundaryKernel:
                + fem_core.assemble_advection(mesh, fem_core.velocity_element_coeffs(mesh, v)))
         ref_rhs = Mc @ theta + fem_core.assemble_scalar_load(mesh, src)
         for tag in (1, 4, 5):
-            terms = heat_solver._boundary_terms(make_problem(
+            single = make_problem(
                 mesh, {t: problem.bc[t] if t == tag else HeatBC("neumann") for t in ALL_TAGS},
-                theta, v=v, time=problem.time))
-            for data, load in terms:
+                theta, v=v, time=problem.time)
+            for data, load in (heat_solver._robin_terms(single),
+                               heat_solver._inflow_terms(single)):
                 if data is not None:
                     ref = ref + fem_core._p1_pattern(mesh).matrix(data)
                 ref_rhs = ref_rhs + load

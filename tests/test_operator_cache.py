@@ -28,7 +28,7 @@ held_arrays, held_bytes = held_bytes_tool.held_arrays, held_bytes_tool.held_byte
 RTOL = 1e-13
 # The bytes of the per-mesh constants of a test1 run at 48x16 after 3 steps
 # (test_per_mesh_constants_hold_their_bytes); int64 index arrays.
-HELD_BYTES_48x16 = 2_173_808
+HELD_BYTES_48x16 = 2_157_424
 
 
 def channel():
@@ -489,7 +489,9 @@ def test_per_mesh_constants_hold_their_bytes():
     # its scalar block and the condensed layout B's bubble columns, and
     # 3,189,752 while the condensed layout held the element dofs, the bubble
     # rows' and columns' MINI positions, the copy map of A_vv's vertex
-    # entries and B's entries laid over its pattern.
+    # entries and B's entries laid over its pattern, and 2,173,808 while
+    # the heat's inflow weights were formed on every boundary edge, whose
+    # edges of all tags were held for them.
     cfg = preset("test1")
     sim = Simulation(cfg)
     nv = sim.mesh.num_vertices
@@ -506,6 +508,8 @@ def test_per_mesh_constants_hold_their_bytes():
     nt, nq = sim.mesh.num_triangles, fem_core.TRI_RULE.weights.size
     assert not [arr.shape for arr in arrays if arr.shape[:2] == (nt, nq)]
     assert "mini_mass_block" not in geo.operators
+    # Each boundary integral reads its own tags' edges: none reads all of them.
+    assert ("boundary_edges", (1, 2, 3, 4, 5)) not in geo.operators
     # The condensed layout holds its pattern and its dof maps, nothing per
     # element: the Schur fill reads the element blocks as it forms them.
     layout = geo.operators["condensed_layout"]

@@ -252,6 +252,19 @@ class TestConfigParsing:
                                               rf"(positive|nonnegative) and finite, got {value}$"):
             cfg.validate()
 
+    # Through the Python API each of these counts once passed validate(),
+    # and the run failed with a plain TypeError.
+    @pytest.mark.parametrize("section, key, value", [
+        ("time", "M", 2.5), ("time", "M", 100.0), ("time", "M", True),
+        ("geometry", "nx", 48.5), ("geometry", "ny", 16.0), ("geometry", "ny", np.nan)])
+    def test_count_that_is_not_an_integer_rejected(self, section, key, value):
+        cfg = preset("test1")
+        setattr(getattr(cfg, section), key, value)
+        got = f"{key}={value!r}" if section == "geometry" else repr(value)
+        with pytest.raises(ConfigError,
+                           match=f"^{section}: {key} must be an integer, got {re.escape(got)}$"):
+            Simulation(cfg)
+
     def test_probe_inside_domain(self):
         with pytest.raises(ConfigError, match="probe"):
             config_from_dict({"output": {"probes": [{"x": 99.0, "y": 0.0}]}})

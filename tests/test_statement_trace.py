@@ -69,3 +69,30 @@ def test_classification_of_a_throwaway_module(tmp_path):
     assert neither == [21]
     # 10 is reached by the runs only, and 2 and 7 by both.
     assert tests_only == [8, 14, 15, 16, 17, 25, 29, 30, 31]
+
+
+def test_report_refuses_traces_of_other_sources(tmp_path, monkeypatch, capsys):
+    # Line numbers traced on other sources would be mapped onto the wrong
+    # statements: the report names the changed files and exits 2.
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "mod.py").write_text(THROWAWAY)
+    (src / "other.py").write_text("x = 1\n")
+    for name, value in (("ROOT", tmp_path), ("SRC", src), ("OUT", tmp_path / ".statement_trace")):
+        monkeypatch.setattr(statement_trace, name, value)
+    for mode in ("tests", "runs"):
+        tracer = statement_trace.LineTracer(src)
+        tracer.hits = {str(src / "mod.py"): {2, 7}}
+        statement_trace._write(mode, tracer)
+    assert statement_trace.main(["report"]) == 0
+    assert "reached by neither mode: 12" in capsys.readouterr().out
+    (src / "mod.py").write_text("y = 2\n" + THROWAWAY)
+    assert statement_trace.main(["report"]) == 2
+    err = capsys.readouterr().err
+    assert "tests.json was traced on other sources" in err
+    assert err.rstrip().endswith("changed since: src/mod.py")
+    # A trace that records no hashes is refused too.
+    (src / "mod.py").write_text(THROWAWAY)
+    (tmp_path / ".statement_trace" / "runs.json").write_text('{"src/mod.py": [2, 7]}\n')
+    assert statement_trace.main(["report"]) == 2
+    assert capsys.readouterr().err.rstrip().endswith("src/mod.py, src/other.py")

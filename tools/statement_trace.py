@@ -21,17 +21,22 @@ Then
       python3 tools/statement_trace.py report
 
 prints the statements that neither mode reaches, and those that only the
-tests reach.  A statement is counted once, at its first line; definitions,
-class statements, docstrings and ``global``/``nonlocal`` (which execute no
-code) are not counted.  A simple statement is reached when any of its lines
-executes, a compound one when its header does.  Code run in a subprocess
-(``python -m ablatesim``) is not seen.
+tests reach.  Each trace records the sha256 of every file of ``src/``; when
+a file has changed since either trace was written, or a trace records no
+hashes, the report exits 2 naming the files, as the traced line numbers
+would no longer be those of the current sources.  A statement is counted
+once, at its first line; definitions, class statements, docstrings and
+``global``/``nonlocal`` (which execute no code) are not counted.  A simple
+statement is reached when any of its lines executes, a compound one when
+its header does.  Code run in a subprocess (``python -m ablatesim``) is not
+seen.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
 import json
 import os
 import sys
@@ -147,11 +152,25 @@ def classify(spans: dict[int, range], tests, runs) -> tuple[list[int], list[int]
 # -- the two modes -------------------------------------------------------------------
 
 
+def source_hashes() -> dict[str, str]:
+    """{path relative to the repo root: sha256} of every file of ``src/``."""
+    return {str(path.relative_to(ROOT)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(SRC.rglob("*.py"))}
+
+
+def changed_since(sources: dict) -> list[str]:
+    """The files of ``src/`` added, removed or changed since their hashes
+    ``sources`` were taken (:func:`source_hashes`)."""
+    now = source_hashes()
+    return sorted(key for key in now.keys() | sources.keys() if now.get(key) != sources.get(key))
+
+
 def _write(name: str, tracer: LineTracer) -> Path:
     OUT.mkdir(exist_ok=True)
     path = OUT / f"{name}.json"
     src_lines = {k: v for k, v in tracer.lines().items() if k.startswith("src/")}
-    path.write_text(json.dumps(src_lines, indent=0) + "\n")
+    trace = {"sources": source_hashes(), "lines": src_lines}
+    path.write_text(json.dumps(trace, indent=0) + "\n")
     return path
 
 
@@ -215,7 +234,13 @@ def main(argv=None) -> int:
         if not path.exists():
             print(f"{path} is missing: trace the {name} mode first", file=sys.stderr)
             return 2
-        modes[name] = json.loads(path.read_text())
+        trace = json.loads(path.read_text())
+        changed = changed_since(trace.get("sources", {}))
+        if changed:
+            print(f"{path} was traced on other sources: trace the {name} mode again; "
+                  f"changed since: {', '.join(changed)}", file=sys.stderr)
+            return 2
+        modes[name] = trace["lines"]
     print(report(modes["tests"], modes["runs"]))
     return 0
 

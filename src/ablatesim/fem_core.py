@@ -11,7 +11,11 @@ integrals use 2-point Gauss on edges, through one edge kernel
 builds once per tag set, as :func:`dirichlet_vertices` builds the Dirichlet
 vertices).  Boundary and source data are sampled by one function,
 :func:`sample`, the one place a time is bound to them.  The P1 stiffness is
-one product with a per-mesh sparse operator.
+one product with a per-mesh sparse operator.  Every sparsity pattern but
+P1's is derived from it by arithmetic; a blocked pattern (the velocity
+block's, the condensed system's, :class:`_BlockedPattern`) holds its base's
+data positions and its row shifts, not its own, and forms the positions of
+each range of elements as it fills it.
 """
 
 from __future__ import annotations
@@ -247,10 +251,15 @@ def _products(table: np.ndarray) -> np.ndarray:
 class _Pattern:
     """Fixed CSR pattern of an element-by-element assembly.
 
-    ``scatter[t, i, j]`` is the CSR data position of local entry (i, j) of
-    element t, so a refill with new element matrices is one scatter-add.
-    The constructor sorts the element entries; each mesh sorts once, for its
-    P1 pattern, and derives every other pattern from that one by arithmetic.
+    ``positions(start, stop)`` are the CSR data positions of the local
+    entries of elements start, start + 1, ..., stop - 1: [t, i, j] is that
+    of entry (i, j) of element start + t, so a refill with new element
+    matrices is one scatter-add.  This class holds every element's
+    positions, ``scatter``.  Its constructor sorts the element entries; each
+    mesh sorts once, for its P1 pattern, and derives every other pattern
+    from that one by arithmetic.  A blocked pattern
+    (:class:`_BlockedPattern`) holds no positions of its own: it forms each
+    range's from its base's as it fills.
     """
 
     def __init__(self, row_dofs: np.ndarray, col_dofs: np.ndarray, shape):
@@ -272,55 +281,19 @@ class _Pattern:
                   scatter.reshape(row_dofs.shape[0], row_dofs.shape[1], col_dofs.shape[1]))
 
     def _set(self, shape, indptr, indices, scatter) -> None:
+        self._set_rows(shape, indptr, indices)
+        self.scatter = _frozen(np.ascontiguousarray(scatter, dtype=np.int32))
+
+    def _set_rows(self, shape, indptr, indices) -> None:
         self.shape = shape
         self.indptr = _frozen(np.ascontiguousarray(indptr, dtype=np.int32))
         self.indices = _frozen(np.ascontiguousarray(indices, dtype=np.int32))
-        self.scatter = _frozen(np.ascontiguousarray(scatter, dtype=np.int32))
 
     @classmethod
     def _new(cls, shape, indptr, indices, scatter) -> "_Pattern":
         pattern = cls.__new__(cls)
         pattern._set(shape, indptr, indices, scatter)
         return pattern
-
-    @classmethod
-    def blocked(cls, base: "_Pattern", k: int) -> "_Pattern":
-        """The pattern of element dofs [c*N + e[:, a] for c < k], a k x k grid
-        of copies of the square N x N pattern ``base`` of element dofs e:
-        row c*N + i holds the k copies of row i, so no sort is needed.  Equal
-        to ``_Pattern(elem, elem, (k*N, k*N))``."""
-        n, nnz = base.shape[0], base.nnz
-        indptr, deg = base.indptr, np.diff(base.indptr)
-        nt, m = base.scatter.shape[:2]
-        copies = np.arange(k, dtype=np.int32)
-        # Row i of a block row starts at k*indptr[i] and holds the base columns
-        # of row i shifted by c*N, for c = 0..k-1 in turn; every block row has
-        # k*nnz entries.  Its piece c, of deg[i] entries, is read from copy c
-        # of the base columns laid end to end, c*nnz + indptr[i] onwards.
-        shifted = (base.indices + n * copies[:, None]).ravel()
-        src = np.repeat((copies * (nnz - deg[:, None]) - (k - 1) * indptr[:-1, None]).ravel(),
-                        np.repeat(deg, k))
-        src += np.arange(k * nnz, dtype=np.int32)
-        row_cols = shifted[src]
-        # Local row a of element t lies in base row r = e[t, a], the row of its
-        # entry (a, 0), so the shifts need only (NT, m) gathers: copy (c, c2)
-        # of its entry (a, b) sits at
-        # scatter[t, a, b] + (k-1)*indptr[r] + c2*deg[r] + c*k*nnz.
-        r = np.repeat(np.arange(n, dtype=np.int32), deg)[base.scatter[:, :, 0]]
-        shift = np.empty((nt, m, k), dtype=np.int32)
-        shift[:, :, 0] = (k - 1) * indptr[r]
-        for c in range(1, k):
-            shift[:, :, c] = shift[:, :, c - 1] + deg[r]
-        a, c2, b = np.indices((m, k, m)).reshape(3, -1)  # [a, c2, b] of a row of the block
-        row = np.take(base.scatter.reshape(nt, m * m), a * m + b, axis=1)
-        row += np.take(shift.reshape(nt, m * k), a * k + c2, axis=1)
-        scatter = np.empty((nt, k, m * k * m), dtype=np.int32)
-        for c in range(k):
-            np.add(row, c * k * nnz, out=scatter[:, c])
-        return cls._new((k * n, k * n),
-                        np.append((k * nnz * copies[:, None] + k * indptr[:-1]).ravel(),
-                                  k * k * nnz),
-                        np.tile(row_cols, k), scatter.reshape(nt, k * m, k * m))
 
     @classmethod
     def with_bubbles(cls, p1: "_Pattern", triangles: np.ndarray) -> "_Pattern":
@@ -367,6 +340,15 @@ class _Pattern:
     def nnz(self) -> int:
         return self.indices.size
 
+    @property
+    def num_elements(self) -> int:
+        return self.scatter.shape[0]
+
+    def positions(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The (n, k, l) data positions of elements start, ..., stop - 1
+        (all elements by default): a view of ``scatter``."""
+        return self.scatter[start:stop]
+
     def fill(self, local: np.ndarray) -> np.ndarray:
         """CSR data of the sum of the (NT, k, l) element matrices ``local``."""
         return self.add(np.zeros(self.nnz), local)
@@ -374,16 +356,16 @@ class _Pattern:
     def add(self, data: np.ndarray, local: np.ndarray, start: int = 0) -> np.ndarray:
         """Add the element matrices ``local`` of elements start, start + 1, ...
         into the CSR data ``data``, in element order.  Unlike ``np.bincount``,
-        this makes no intp copy of ``scatter``, and a fill split into
-        consecutive element ranges sums in the same order as a whole one."""
-        np.add.at(data, self.scatter[start:start + len(local)].ravel(), local.ravel())
+        this adds in place, and a fill split into consecutive element ranges
+        sums in the same order as a whole one."""
+        np.add.at(data, self.positions(start, start + len(local)).ravel(), local.ravel())
         return data
 
     def add_blocks(self, data: np.ndarray, local) -> np.ndarray:
         """Add the element matrices ``local(block)`` of consecutive ranges
         ``block`` of FILL_BLOCK elements into ``data``, so that no whole
         (NT, k, l) array is held."""
-        for t in range(0, self.scatter.shape[0], FILL_BLOCK):
+        for t in range(0, self.num_elements, FILL_BLOCK):
             self.add(data, local(slice(t, t + FILL_BLOCK)), t)
         return data
 
@@ -394,6 +376,67 @@ class _Pattern:
         A = SparseMatrix((data, self.indices, self.indptr), shape=self.shape)
         A.indices = self.indices
         return A
+
+
+class _BlockedPattern(_Pattern):
+    """The pattern of element dofs [c*N + e[:, a] for c < k], a k x k grid
+    of copies of the square N x N pattern ``base`` of element dofs e:
+    row c*N + i holds the k copies of row i, so no sort is needed.  Equal
+    to ``_Pattern(elem, elem, (k*N, k*N))``, whose positions it forms
+    from three things it holds: the base's positions ``base`` (NT, m, m),
+    the row shifts ``shift`` (NT, m, k) and ``stride``, k times the base's
+    nnz.  Local entry (c*m + a, c2*m + b) of element t lies at
+    base[t, a, b] + shift[t, a, c2] + c*stride."""
+
+    def __init__(self, base: _Pattern, k: int):
+        n, nnz = base.shape[0], base.nnz
+        indptr, deg = base.indptr, np.diff(base.indptr)
+        nt, m = base.scatter.shape[:2]
+        copies = np.arange(k, dtype=np.int32)
+        # Row i of a block row starts at k*indptr[i] and holds the base columns
+        # of row i shifted by c*N, for c = 0..k-1 in turn; every block row has
+        # k*nnz entries.  Its piece c, of deg[i] entries, is read from copy c
+        # of the base columns laid end to end, c*nnz + indptr[i] onwards.
+        shifted = (base.indices + n * copies[:, None]).ravel()
+        src = np.repeat((copies * (nnz - deg[:, None]) - (k - 1) * indptr[:-1, None]).ravel(),
+                        np.repeat(deg, k))
+        src += np.arange(k * nnz, dtype=np.int32)
+        self._set_rows((k * n, k * n),
+                       np.append((k * nnz * copies[:, None] + k * indptr[:-1]).ravel(),
+                                 k * k * nnz),
+                       np.tile(shifted[src], k))
+        # Local row a of element t lies in base row r = e[t, a], the row of its
+        # entry (a, 0), so the shifts need only (NT, m) gathers: copy (c, c2)
+        # of its entry (a, b) sits at
+        # base[t, a, b] + (k-1)*indptr[r] + c2*deg[r] + c*k*nnz.
+        r = np.repeat(np.arange(n, dtype=np.int32), deg)[base.scatter[:, :, 0]]
+        shift = np.empty((nt, m, k), dtype=np.int32)
+        shift[:, :, 0] = (k - 1) * indptr[r]
+        for c in range(1, k):
+            shift[:, :, c] = shift[:, :, c - 1] + deg[r]
+        self.base, self.shift, self.stride = base.scatter, _frozen(shift), k * nnz
+        # The entries [a, c2, b] of a block row of an element: the base's
+        # entry (a, b) and the shift (a, c2).
+        a, c2, b = np.indices((m, k, m)).reshape(3, -1)
+        self._gathers = _frozen(a * m + b), _frozen(a * k + c2)
+
+    @property
+    def num_elements(self) -> int:
+        return self.base.shape[0]
+
+    def positions(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The (n, k*m, k*m) data positions of elements start, ..., stop - 1
+        (all elements by default), formed on each call: a block row's are
+        one gather of the base's positions plus one of the shifts, and block
+        row c adds c*stride to them."""
+        base, shift = self.base[start:stop], self.shift[start:stop]
+        n, m, k = shift.shape
+        row = np.take(base.reshape(n, m * m), self._gathers[0], axis=1)
+        row += np.take(shift.reshape(n, m * k), self._gathers[1], axis=1)
+        out = np.empty((n, k, row.shape[1]), dtype=np.intp)
+        for c in range(k):
+            np.add(row, c * self.stride, out=out[:, c])
+        return out.reshape(n, k * m, k * m)
 
 
 def _coeff_at_qp(mesh: Mesh2D, coeff) -> np.ndarray:
@@ -667,13 +710,12 @@ class BoundaryEdges:
     once per mesh (:func:`boundary_edges`): ``pts`` (NE, 2, 2), ``wts``
     (NE, 2) and ``normals`` (NE, 2) are their Gauss points and weights and
     their outward normals; ``owners`` and ``local`` are their owner
-    triangles and the local indices there of their two vertices; ``index``
-    are their places among the mesh's boundary edges.  A velocity's v.n
-    has its one home here, :meth:`normal_velocity`, formed at each call."""
+    triangles and the local indices there of their two vertices.  A
+    velocity's v.n has its one home here, :meth:`normal_velocity`, formed
+    at each call."""
 
     def __init__(self, mesh: Mesh2D, tags):
         sel = np.isin(mesh.boundary_tags, np.asarray(tags, dtype=np.int64))
-        self.index = np.flatnonzero(sel)
         self.pts, self.wts, self.normals = edge_quadrature(mesh, sel)
         edges = mesh.boundary_edges[sel]
         self.owners = mesh.boundary_edge_owners()[sel]
@@ -683,8 +725,8 @@ class BoundaryEdges:
         # (NE, 2, 2) data positions of the edges' vertex pairs, off their owners' scatter.
         self._p1_positions = self._p1.scatter[self.owners[:, None, None], self.local[:, :, None],
                                               self.local[:, None, :]]
-        for arr in (self.index, self.pts, self.wts, self.normals, self.owners, self.local,
-                    self._vertices, self._p1_positions):
+        for arr in (self.pts, self.wts, self.normals, self.owners, self.local, self._vertices,
+                    self._p1_positions):
             _frozen(arr)
 
     def mass(self, weights: np.ndarray) -> np.ndarray:
@@ -932,7 +974,7 @@ def integrate_qp(mesh: Mesh2D, qp_values) -> float:
 def _mini_pattern(mesh: Mesh2D) -> _Pattern:
     """The pattern of the velocity block: two copies, x and y, of the P1
     pattern enriched with the bubbles."""
-    return cached(mesh, "mini_pattern", lambda: _Pattern.blocked(
+    return cached(mesh, "mini_pattern", lambda: _BlockedPattern(
         _Pattern.with_bubbles(_p1_pattern(mesh), mesh.triangles), 2))
 
 
@@ -1100,10 +1142,15 @@ def _divergence_map() -> np.ndarray:
 
 def _divergence_pattern(mesh: Mesh2D) -> _Pattern:
     """The pattern of B.  Row i holds the velocity dofs of the triangles at
-    vertex i, as the MINI pattern's x row of vertex i does: it is those rows."""
-    mini, nv = _mini_pattern(mesh), mesh.num_vertices
+    vertex i, as the MINI pattern's x row of vertex i does: it is those rows,
+    and its positions are the MINI positions of the x vertex rows, formed a
+    range at a time while B is built."""
+    mini, nv, nt = _mini_pattern(mesh), mesh.num_vertices, mesh.num_triangles
+    scatter = np.empty((nt, 3, 8), dtype=np.int32)
+    for t in range(0, nt, FILL_BLOCK):
+        scatter[t:t + FILL_BLOCK] = mini.positions(t, t + FILL_BLOCK)[:, :3]
     return _Pattern._new((nv, mini.shape[1]), mini.indptr[:nv + 1],
-                         mini.indices[:mini.indptr[nv]], mini.scatter[:, :3])
+                         mini.indices[:mini.indptr[nv]], scatter)
 
 
 def assemble_divergence(mesh: Mesh2D) -> SparseMatrix:
@@ -1150,7 +1197,7 @@ class _CondensedLayout:
 
     def __init__(self, mesh: Mesh2D):
         dm, nv = dofmap_for(mesh), mesh.num_vertices
-        self.pattern = _Pattern.blocked(_p1_pattern(mesh), 3)
+        self.pattern = _BlockedPattern(_p1_pattern(mesh), 3)
         idx = np.arange(nv)
         self.p1_dofs = _frozen(np.concatenate(
             [dm.vx_vertex(idx), dm.vy_vertex(idx), dm.pressure(idx)]))
@@ -1291,10 +1338,10 @@ def _schur_blocks(local: np.ndarray, geo: _Geometry, part: slice, inv_bb: np.nda
 def _condensed_saddle(mesh: Mesh2D, local) -> CondensedSaddle:
     """The saddle system whose velocity block has the (n, 8, 8) element
     blocks ``local(block)`` of each range ``block`` of FILL_BLOCK triangles,
-    condensed: a range's blocks are added into the MINI data of A_vv and
-    their Schur complements (:func:`_schur_blocks`), a quarter range at a
-    time, into the condensed data, so that no (NT, 8, 8) or (NT, 9, 9) array
-    is held."""
+    condensed: a quarter range at a time, the blocks are added into the MINI
+    data of A_vv and their Schur complements (:func:`_schur_blocks`) into
+    the condensed data, so that no (NT, 8, 8) or (NT, 9, 9) array is held,
+    nor the data positions of more than a quarter range."""
     lay = cached(mesh, "condensed_layout", lambda: _CondensedLayout(mesh))
     geo, mini, nt = geometry(mesh), _mini_pattern(mesh), mesh.num_triangles
     data, schur = np.zeros(mini.nnz), np.zeros(lay.pattern.nnz)
@@ -1304,11 +1351,10 @@ def _condensed_saddle(mesh: Mesh2D, local) -> CondensedSaddle:
     quarter = FILL_BLOCK // 4
     for t in range(0, nt, FILL_BLOCK):
         blocks = local(slice(t, t + FILL_BLOCK))
-        mini.add(data, blocks, t)
         for s in range(t, t + len(blocks), quarter):
-            part = slice(s, s + quarter)
-            lay.pattern.add(schur, _schur_blocks(blocks[s - t:s - t + quarter], geo, part,
-                                                 inv_bb[part], w_lb[part]), s)
+            part, some = slice(s, s + quarter), blocks[s - t:s - t + quarter]
+            mini.add(data, some, s)
+            lay.pattern.add(schur, _schur_blocks(some, geo, part, inv_bb[part], w_lb[part]), s)
     return CondensedSaddle(lay, mesh.triangles, mini.matrix(data), assemble_divergence(mesh),
                            lay.pattern.matrix(schur), inv_bb, w_lb)
 

@@ -32,7 +32,7 @@ import numpy as np
 from . import coupler, fem_core, flow_solver, linalg, verify
 from .coupler import Simulation, TimeGrid
 from .heat_solver import HeatBC, StabilizationParams
-from .materials import BuoyancySettings, MaterialModel
+from .materials import ADMISSIBLE_RANGE, BuoyancySettings, MaterialModel
 from .mesh import (TAG_NAMES, GeometrySpec, Mesh2D, MeshError, check_tag_roles,
                    generate_channel_mesh, save_mesh)
 
@@ -60,6 +60,10 @@ class MaterialsConfig:
                            ("buoyancy.coefficient", self.buoyancy.coefficient)):
             if not np.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
+        # The bounds of (A1) cover ADMISSIBLE_RANGE only (MaterialModel.bounds).
+        low, high = ADMISSIBLE_RANGE
+        if not low <= self.theta_b <= high:
+            raise ValueError(f"theta_b must lie in [{low:g}, {high:g}], got {self.theta_b}")
 
 
 @dataclass

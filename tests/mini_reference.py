@@ -41,7 +41,7 @@ def add_mini_mass(mesh, data, coeff):
     """Add ``coeff`` times the MINI mass to the MINI data ``data``: the
     scalar block (:func:`mini_mass_block`) at its x-x and y-y
     positions, a block of rows at a time, so that no full-size temporary is
-    made.  By the layout of :meth:`fem_core._Pattern.blocked`, entry e of
+    made.  By the layout of :class:`fem_core._BlockedPattern`, entry e of
     row i of the block lies at indptr[i] + e of the x-x block and at
     2 nnz + indptr[i + 1] + e of the y-y block."""
     mass = mini_mass_block(mesh)
@@ -79,7 +79,7 @@ def surface_data(mesh, coeff, gamma_n_tags, modulus=False):
     """The MINI data of the convective surface term integral_{Gamma_N}
     (a.n)(u.w) of the field of element coefficients ``coeff``: its edge
     blocks added at their vertex pairs in the x-x and y-y blocks, read off
-    the owners' scatter; with ``modulus``, of the trace and the normals in
+    the owners' positions; with ``modulus``, of the trace and the normals in
     modulus, the term's scale."""
     pattern = fem_core._mini_pattern(mesh)
     edges = fem_core.boundary_edges(mesh, gamma_n_tags)
@@ -88,10 +88,10 @@ def surface_data(mesh, coeff, gamma_n_tags, modulus=False):
         trace, normals = np.abs(trace), np.abs(normals)
     blocks = fem_core._edge_blocks(edges.wts * (trace * normals).sum(axis=-1))
     owners, local = edges.owners[:, None, None], edges.local
-    data = np.zeros(pattern.nnz)
+    data, positions = np.zeros(pattern.nnz), pattern.positions()
     for comp in range(2):
-        np.add.at(data, pattern.scatter[owners, local[:, :, None] + 4 * comp,
-                                        local[:, None, :] + 4 * comp], blocks)
+        np.add.at(data, positions[owners, local[:, :, None] + 4 * comp,
+                                  local[:, None, :] + 4 * comp], blocks)
     return data
 
 
@@ -173,7 +173,7 @@ def _moduli_inputs():
 def _bound(pattern, scale, extra=0.0):
     """N u times the fill of the element scales ``scale`` plus the data
     scale ``extra``, with m the most element terms that one position sums."""
-    m = int(np.bincount(pattern.scatter.ravel()).max())
+    m = int(np.bincount(pattern.positions().ravel()).max())
     n = 4 * ROUNDING_DEPTH + 2 * GEMM_TERMS + 2 * m + 16
     return n * (EPS / 2) * (pattern.fill(scale) + extra)
 

@@ -118,7 +118,8 @@ def sorted_pattern(row_dofs, col_dofs, shape):
 
 
 def blocked(base, k):
-    """``_Pattern.blocked`` by scattered block rows and 5-d broadcasts."""
+    """``fem_core._BlockedPattern(base, k)`` by scattered block rows and 5-d
+    broadcasts, with every element's positions held."""
     n, nnz = base.shape[0], base.nnz
     indptr, deg = base.indptr, np.diff(base.indptr)
     rows = np.repeat(np.arange(n), deg)
@@ -134,6 +135,13 @@ def blocked(base, k):
     return _pattern((k * n, k * n),
                     np.append((k * nnz * copies[:, None] + k * indptr[:-1]).ravel(), k * k * nnz),
                     np.tile(row_cols, k), scatter.reshape(nt, k * m, k * m))
+
+
+def positions_in_ranges(pattern, step):
+    """Every element's positions of ``pattern``, formed ``step`` elements
+    at a time and laid end to end."""
+    return np.concatenate([pattern.positions(s, s + step)
+                           for s in range(0, pattern.num_elements, step)])
 
 
 def with_bubbles(p1, triangles):

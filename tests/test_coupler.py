@@ -706,8 +706,9 @@ def test_condensed_assembly_peak_memory():
     ~1,540 while the convective fill summed into an array of its own, and
     ~1,080 while the Schur fill read the assembled velocity data through
     per-mesh maps; it is ~1,350 now, the fused fill's temporaries of a
-    quarter range of triangles (the maps it no longer needs are held, so
-    they are not counted here)."""
+    quarter range of triangles.  The maps it no longer needs are held, so
+    they are not counted here; the MINI and condensed data positions,
+    formed a quarter range at a time now that no mesh holds them, are."""
     cfg = quick_config(nx=96, ny=32)
     sim = Simulation(cfg)
     mesh, dm = sim.mesh, sim.dofmap

@@ -805,7 +805,7 @@ def test_robin_edge_masses_formed_once_per_mesh(monkeypatch):
     mass = fem_core.BoundaryEdges.mass
 
     def counted(edges, weights):
-        masses.append(edges.index.size)
+        masses.append(edges.owners.size)
         return mass(edges, weights)
 
     monkeypatch.setattr(fem_core.BoundaryEdges, "mass", counted)

@@ -17,7 +17,7 @@ from ablatesim.materials import MaterialModel
 from ablatesim.mesh import GAMMA1, GAMMA3, GAMMA5, GeometrySpec, Mesh2D, generate_channel_mesh
 from ablatesim.sim_cli import preset
 from mini_reference import assemble_mini_blocks, assemble_mini_mass, weights
-from setup_reference import coo_sum, velocity_element_dofs
+from setup_reference import coo_sum, positions_in_ranges, velocity_element_dofs
 
 _SPEC = importlib.util.spec_from_file_location(
     "held_bytes", Path(__file__).resolve().parents[1] / "tools" / "held_bytes.py")
@@ -28,7 +28,7 @@ held_arrays, held_bytes = held_bytes_tool.held_arrays, held_bytes_tool.held_byte
 RTOL = 1e-13
 # The bytes of the per-mesh constants of a test1 run at 48x16 after 3 steps
 # (test_per_mesh_constants_hold_their_bytes); int64 index arrays.
-HELD_BYTES_48x16 = 2_157_424
+HELD_BYTES_48x16 = 1_469_216
 
 
 def channel():
@@ -154,10 +154,15 @@ VERTEX_ORDER_SHA256 = {
 
 
 def assert_same_pattern(got, want):
+    """The rows of ``got`` and its positions, which a blocked pattern forms
+    as intp, whole and in ranges split at FILL_BLOCK and at quarter ranges."""
     assert got.shape == want.shape
-    for attr in ("indptr", "indices", "scatter"):
+    for attr in ("indptr", "indices"):
         a, b = getattr(got, attr), getattr(want, attr)
         assert a.dtype == b.dtype and np.array_equal(a, b), attr
+    for step in (None, fem_core.FILL_BLOCK, fem_core.FILL_BLOCK // 4):
+        formed = got.positions() if step is None else positions_in_ranges(got, step)
+        assert np.array_equal(formed, want.scatter), step
 
 
 # -- tests ---------------------------------------------------------------------------
@@ -382,8 +387,9 @@ def full_mini_mass_data(mesh):
                           fem_core._products(fem_core.MINI_VALS)).reshape(-1, 4, 4)
     pattern = fem_core._mini_pattern(mesh)
     data = np.zeros(pattern.nnz)
+    positions = pattern.positions()
     for comp in (slice(0, 4), slice(4, 8)):
-        np.add.at(data, pattern.scatter[:, comp, comp].ravel(), block.ravel())
+        np.add.at(data, positions[:, comp, comp].ravel(), block.ravel())
     return data
 
 
@@ -491,7 +497,9 @@ def test_per_mesh_constants_hold_their_bytes():
     # rows' and columns' MINI positions, the copy map of A_vv's vertex
     # entries and B's entries laid over its pattern, and 2,173,808 while
     # the heat's inflow weights were formed on every boundary edge, whose
-    # edges of all tags were held for them.
+    # edges of all tags were held for them, and 2,157,424 while the MINI
+    # and condensed patterns held their (NT, 8, 8) and (NT, 9, 9) data
+    # positions.
     cfg = preset("test1")
     sim = Simulation(cfg)
     nv = sim.mesh.num_vertices
@@ -510,31 +518,43 @@ def test_per_mesh_constants_hold_their_bytes():
     assert "mini_mass_block" not in geo.operators
     # Each boundary integral reads its own tags' edges: none reads all of them.
     assert ("boundary_edges", (1, 2, 3, 4, 5)) not in geo.operators
-    # The condensed layout holds its pattern and its dof maps, nothing per
-    # element: the Schur fill reads the element blocks as it forms them.
+    # The condensed layout holds its pattern and its dof maps: the Schur
+    # fill reads the element blocks as it forms them.
     layout = geo.operators["condensed_layout"]
     assert set(vars(layout)) == {"pattern", "index", "p1_dofs", "bubbles"}
-    assert set(vars(layout.pattern)) == {"shape", "indptr", "indices", "scatter"}
+    # No held int array has more than 16 entries per triangle: a blocked
+    # pattern forms its (NT, 9, 9) or (NT, 8, 8) positions range by range.
+    per_triangle = [arr.shape for arr in arrays if arr.dtype.kind in "iu"
+                    and arr.shape[:1] == (nt,) and arr.size > 16 * nt]
+    assert not per_triangle, per_triangle
 
 
 def test_held_bytes_tool_prints_each_key_and_the_total(capsys):
-    assert held_bytes_tool.main(["--preset", "test1", "--mesh", "24x8", "--steps", "1"]) == 0
-    rows = {}
-    for line in capsys.readouterr().out.splitlines():
-        name, nbytes, _, unit = line.rsplit(None, 3)
-        assert unit == "MiB"
-        rows[name] = int(nbytes.replace(",", ""))
-    names = list(rows)
+    meshes = ["24x8", "12x4"]
+    assert held_bytes_tool.main(["--preset", "test1", "--mesh", meshes[0], "--mesh", meshes[1],
+                                 "--steps", "1"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header.split() == ["bytes", *meshes]  # one column per mesh, in the order given
+    columns = {mesh: {} for mesh in meshes}
+    for line in lines:
+        name, *cells = line.rsplit(None, len(meshes))
+        for mesh, cell in zip(meshes, cells):
+            columns[mesh][name] = int(cell.replace(",", ""))
+    names = list(columns[meshes[0]])
     systems = [name for name in names if name.startswith("system:")]
     # The mesh's lines end with its total; one line per linear system follows.
     assert names[-len(systems) - 1:] == ["total"] + systems
     assert sorted(systems) == ["system:flow", "system:heat", "system:potential"]
-    assert {"geometry", "'condensed_layout'", "'mini_pattern'", "'divergence'"} <= set(rows)
-    # An array that two keys share counts on each key's line and once in
-    # the total, so the lines bound the total from above.
-    mesh_lines = [v for k, v in rows.items() if k != "total" and k not in systems]
-    assert 0 < rows["total"] <= sum(mesh_lines)
-    # Each system holds arrays the geometry does not: a factor's scaling at
-    # least, 8 bytes per unknown (3 per vertex for the flow).
-    assert all(rows[name] > 0 for name in systems)
-    assert rows["system:flow"] >= 8 * 3 * 25 * 9
+    for mesh, rows in columns.items():
+        assert {"geometry", "'condensed_layout'", "'mini_pattern'", "'divergence'"} <= set(rows)
+        # An array that two keys share counts on each key's line and once in
+        # the total, so the lines bound the total from above.
+        mesh_lines = [v for k, v in rows.items() if k != "total" and k not in systems]
+        assert 0 < rows["total"] <= sum(mesh_lines), mesh
+        # Each system holds arrays the geometry does not: a factor's scaling
+        # at least, 8 bytes per unknown (3 per vertex for the flow).
+        assert all(rows[name] > 0 for name in systems), mesh
+    assert columns["24x8"]["system:flow"] >= 8 * 3 * 25 * 9
+    assert columns["12x4"]["system:flow"] >= 8 * 3 * 13 * 5
+    # The larger mesh holds more.
+    assert columns["24x8"]["total"] > columns["12x4"]["total"]

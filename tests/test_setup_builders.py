@@ -32,9 +32,16 @@ def assert_same_bytes(got, want, what):
 
 
 def assert_same_pattern(got, want, what):
+    """The rows of ``got`` byte for byte, and its positions by value (a
+    blocked pattern forms them as intp): over the whole mesh and formed in
+    ranges split at FILL_BLOCK, at quarter ranges and at 97 elements."""
     assert got.shape == want.shape, what
-    for attr in ("indptr", "indices", "scatter"):
+    for attr in ("indptr", "indices"):
         assert_same_bytes(getattr(got, attr), getattr(want, attr), f"{what}.{attr}")
+    positions = want.positions()
+    assert got.positions().dtype.kind == "i" and np.array_equal(got.positions(), positions), what
+    for step in (fem_core.FILL_BLOCK, fem_core.FILL_BLOCK // 4, 97):
+        assert np.array_equal(ref.positions_in_ranges(got, step), positions), f"{what}, {step}"
 
 
 def delaunay_box(seed):
@@ -87,12 +94,16 @@ def check_builders(mesh, label=""):
     assert_same_pattern(p1, ref.sorted_pattern(t, t, (nv, nv)), label + "p1")
     bubbles = fem_core._Pattern.with_bubbles(p1, t)
     assert_same_pattern(bubbles, ref.with_bubbles(p1, t), label + "with_bubbles")
-    assert_same_pattern(fem_core._mini_pattern(mesh), ref.blocked(ref.with_bubbles(p1, t), 2),
-                        label + "mini")
+    mini, dofs = fem_core._mini_pattern(mesh), ref.velocity_element_dofs(mesh)
+    assert_same_pattern(mini, ref.blocked(ref.with_bubbles(p1, t), 2), label + "mini")
+    assert_same_pattern(mini, ref.sorted_pattern(dofs, dofs, mini.shape), label + "mini, sorted")
     assert_same_bytes(fem_core.vertex_order(mesh), ref.nested_dissection(mesh.vertices, p1),
                       label + "vertex_order")
     layout, want = fem_core._CondensedLayout(mesh), ref.condensed_maps(mesh)
     assert_same_pattern(layout.pattern, want.pop("pattern"), label + "condensed")
+    elem = np.concatenate([t, nv + t, 2 * nv + t], axis=1)
+    assert_same_pattern(layout.pattern, ref.sorted_pattern(elem, elem, layout.pattern.shape),
+                        label + "condensed, sorted")
     for name, w in want.items():
         assert_same_bytes(getattr(layout, name), w, label + name)
 

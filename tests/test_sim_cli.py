@@ -220,6 +220,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="^materials: theta_b must be finite"):
             cfg.validate()
 
+    # The (A1) bounds are read over materials.ADMISSIBLE_RANGE only, so an
+    # ambient temperature outside it once ran its steps outside (A1):
+    # theta_b = -450 ran 100 steps and exited 0.
+    @pytest.mark.parametrize("value, ok", [(-450.0, False), (-50.5, False), (300.5, False),
+                                           (-50.0, True), (300.0, True)])
+    def test_theta_b_outside_the_admissible_range_rejected(self, value, ok):
+        cfg = preset("test2")
+        cfg.materials.theta_b = value
+        if ok:
+            cfg.validate()
+        else:
+            with pytest.raises(ConfigError,
+                               match=r"^materials: theta_b must lie in \[-50, 300\], got "):
+                cfg.validate()
+
+    def test_run_theta_b_outside_the_admissible_range_exit_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"preset": "test2", "materials": {"theta_b": -450.0}}))
+        assert main(["run", "--config", str(cfgfile)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: materials: theta_b must lie in [-50, 300], got -450.0\n")
+
     @pytest.mark.parametrize("value", [np.nan, -np.inf])
     def test_nonfinite_potential_g_rejected(self, value):
         cfg = preset("test2")

@@ -1,10 +1,11 @@
 """The bytes that a mesh's per-mesh constants and each linear system hold.
 
-    PYTHONPATH=src python3 tools/held_bytes.py [--preset test1] [--mesh 48x16] [--steps 3]
+    PYTHONPATH=src python3 tools/held_bytes.py [--preset test1] [--mesh 48x16 ...] [--steps 3]
 
-Builds the preset's simulation on the channel mesh NXxNY, advances it
-``--steps`` steps from rest (zero velocity, pressure and potential, the
-temperature at theta_b), and then prints, for the geometry's own arrays
+Builds the preset's simulation on each channel mesh NXxNY given by
+``--mesh`` (48x16 when none is), advances it ``--steps`` steps from rest
+(zero velocity, pressure and potential, the temperature at theta_b), and
+then prints one column of bytes per mesh: for the geometry's own arrays
 (``det``, ``grad_p1``, ``inv``) and for each key of its operator cache
 (:func:`ablatesim.fem_core.cached`), the bytes of the arrays it holds, and
 the total of the whole geometry.  An array is counted at the array that
@@ -98,16 +99,26 @@ def table(sim) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--preset", default="test1")
-    ap.add_argument("--mesh", default="48x16", help="NXxNY of the channel mesh")
+    ap.add_argument("--mesh", action="append",
+                    help="NXxNY of a channel mesh; once per column (default 48x16)")
     ap.add_argument("--steps", type=int, default=3)
     args = ap.parse_args(argv)
-    nx, ny = (int(n) for n in args.mesh.lower().split("x"))
-    rows = table(run(args.preset, nx, ny, args.steps))
-    width = max(len(name) for name in rows)
-    # The cache keys, largest first, the geometry's total, then the systems.
-    order = lambda row: (row[0].startswith("system:"), row[0] == "total", -row[1])  # noqa: E731
-    for name, nbytes in sorted(rows.items(), key=order):
-        print(f"{name:<{width}}  {nbytes:>12,d}  {nbytes / 2**20:9.2f} MiB")
+    columns = {}
+    for mesh in args.mesh or ["48x16"]:
+        nx, ny = (int(n) for n in mesh.lower().split("x"))
+        columns[mesh] = table(run(args.preset, nx, ny, args.steps))
+    last = columns[mesh]
+    names = list(dict.fromkeys(name for rows in columns.values() for name in rows))
+    # The cache keys, largest first on the last mesh, the geometry's total,
+    # then the systems; a key that a mesh lacks reads "-".
+    names.sort(key=lambda name: (name.startswith("system:"), name == "total",
+                                 -last.get(name, 0)))
+    width = max(len(name) for name in names)
+    print(f"{'bytes':<{width}}" + "".join(f"  {mesh:>12}" for mesh in columns))
+    for name in names:
+        print(f"{name:<{width}}" + "".join(
+            f"  {rows[name]:>12,d}" if name in rows else f"  {'-':>12}"
+            for rows in columns.values()))
     return 0
 
 

@@ -107,7 +107,7 @@ def main(argv=None) -> int:
     for mesh in args.mesh or ["48x16"]:
         nx, ny = (int(n) for n in mesh.lower().split("x"))
         columns[mesh] = table(run(args.preset, nx, ny, args.steps))
-    last = columns[mesh]
+    *_, last = columns.values()
     names = list(dict.fromkeys(name for rows in columns.values() for name in rows))
     # The cache keys, largest first on the last mesh, the geometry's total,
     # then the systems; a key that a mesh lacks reads "-".
